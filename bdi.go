@@ -16,9 +16,18 @@
 //	bdi.BuildSupersedeGlobalGraph(sys.Ontology)           // design G
 //	sys.RegisterRelease(bdi.SupersedeReleaseW1(), w1)     // Algorithm 1 + wrapper
 //	answer, _, err := sys.QuerySPARQL(queryText)          // OMQ -> UCQ -> rows
+//
+// The facade is context-less: its queries run under context.Background().
+// Callers that must bound a query (deadline, cancellation, budget) use the
+// layers underneath, where every entry point takes ctx first:
+// rewriting.Cache.RewriteContext, rewriting.Rewriter.ExecuteResultLimit and,
+// at the source boundary, relational.WrapperResolver.Fetch(ctx, wrapper,
+// Pushdown) down to wrapper.Wrapper.Rows and wrapper.DocumentSource.Documents.
 package bdi
 
 import (
+	"context"
+
 	"bdi/internal/core"
 	"bdi/internal/evolution"
 	"bdi/internal/rdf"
@@ -203,7 +212,7 @@ type PolicyOptions = rewriting.PolicyOptions
 // versions admitted by the policy: all versions (the paper's default),
 // latest versions only, or as of a given release sequence number.
 func (s *System) QueryWithPolicy(q *rewriting.OMQ, opts rewriting.PolicyOptions) (*relational.Relation, *rewriting.Result, error) {
-	return s.rewriter.AnswerWithPolicy(q, opts, s.Resolver())
+	return s.rewriter.AnswerWithPolicy(context.Background(), q, opts, s.Resolver())
 }
 
 // QueryLatest answers the OMQ using only the newest schema version of every

@@ -10,6 +10,7 @@ package bdi
 // cmd/benchrunner prints the same experiments as human-readable tables.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -472,7 +473,7 @@ func BenchmarkWalkExecutionScaledData(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		answer, err := r.ExecuteResult(res, resolver)
+		answer, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -530,7 +531,7 @@ func BenchmarkOMQAnswer(b *testing.B) {
 	for _, rows := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			benchmarkOMQAnswer(b, rows, func(r *rewriting.Rewriter, res *rewriting.Result, resolver relational.WrapperResolver) (*relational.Relation, error) {
-				return r.ExecuteResult(res, resolver)
+				return r.ExecuteResultLimit(context.Background(), res, resolver, 0)
 			})
 		})
 	}

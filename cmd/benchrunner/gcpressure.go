@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -67,7 +68,7 @@ func printGCPressureAblation(concepts int) {
 				name:  fmt.Sprintf("OMQ answer (rows=%d)", rows),
 				iters: 10,
 				run: func() error {
-					answer, err := r.ExecuteResult(res, resolver)
+					answer, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
 					if err != nil {
 						return err
 					}

@@ -73,7 +73,7 @@ func printObsOverheadAblation(concepts int) {
 				name:  fmt.Sprintf("OMQ answer (rows=%d)", rows),
 				iters: 10,
 				run: func(ctx context.Context) error {
-					answer, err := r.ExecuteResultContext(ctx, res, resolver)
+					answer, err := r.ExecuteResultLimit(ctx, res, resolver, 0)
 					if err != nil {
 						return err
 					}

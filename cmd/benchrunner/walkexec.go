@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -47,12 +48,12 @@ func printWalkExecAblation() {
 		}
 		naive := time.Since(start)
 
-		if _, err := r.ExecuteResult(res, resolver); err != nil {
+		if _, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0); err != nil {
 			fmt.Println("error:", err)
 			return
 		}
 		start = time.Now()
-		compiled, err := r.ExecuteResult(res, resolver)
+		compiled, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
 		if err != nil {
 			fmt.Println("error:", err)
 			return

@@ -5,6 +5,7 @@ package bdi
 // policies, the rewriting cache and the MDM backend — exercised together.
 
 import (
+	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -212,7 +213,7 @@ func TestIntegrationDatatypeGovernance(t *testing.T) {
 			{"VoDmonitorId": 12, "lagRatio": 0.75},
 			{"VoDmonitorId": 12, "lagRatio": "NaN-ish"},
 		})
-	violations, err := steward.CheckDatatypes(o, dirty)
+	violations, err := steward.CheckDatatypes(context.Background(), o, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"bdi/internal/rdf"
 	"bdi/internal/reasoner"
-	"bdi/internal/sparql"
 	"bdi/internal/store"
 )
 
@@ -20,7 +19,6 @@ type Ontology struct {
 
 	store    *store.Store
 	engine   *reasoner.Engine
-	eval     *sparql.Evaluator
 	prefixes *rdf.PrefixMap
 
 	// qc memoizes rewriting-time lookups for one store generation (see
@@ -46,7 +44,6 @@ func NewOntology() *Ontology {
 	o := &Ontology{
 		store:    s,
 		engine:   reasoner.New(s),
-		eval:     sparql.NewEvaluator(s),
 		prefixes: DefaultPrefixes(),
 	}
 	o.installMetamodel()
@@ -63,7 +60,6 @@ func RestoreOntology(s *store.Store, spans []DeltaSpan) *Ontology {
 	o := &Ontology{
 		store:    s,
 		engine:   reasoner.New(s),
-		eval:     sparql.NewEvaluator(s),
 		prefixes: DefaultPrefixes(),
 	}
 	o.RestoreDeltaLog(spans)
@@ -76,9 +72,6 @@ func (o *Ontology) Store() *store.Store { return o.store }
 
 // Reasoner returns the RDFS inference engine over the ontology.
 func (o *Ontology) Reasoner() *reasoner.Engine { return o.engine }
-
-// Evaluator returns a SPARQL evaluator bound to the ontology store.
-func (o *Ontology) Evaluator() *sparql.Evaluator { return o.eval }
 
 // Prefixes returns the prefix map used for display and serialization.
 func (o *Ontology) Prefixes() *rdf.PrefixMap { return o.prefixes }

@@ -8,6 +8,7 @@
 package gav
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -96,7 +97,7 @@ func (s *System) Answer(features []rdf.IRI, resolver relational.WrapperResolver)
 	if err != nil {
 		return nil, err
 	}
-	return walk.Execute(resolver)
+	return walk.Execute(context.Background(), resolver)
 }
 
 // BreaksOnRename reports whether renaming the given wrapper attribute (a

@@ -38,8 +38,8 @@ var (
 // of a union in parallel, and streams their results through a shared
 // deduplicating union with an early-out for LIMIT-style consumers.
 //
-// The engine reproduces the reference executor (Walk.ExecuteReferenceContext
-// and friends) observably: result name, schema attribute order, the sorted
+// The engine reproduces the reference executor (Walk.ExecuteReference and
+// friends) observably: result name, schema attribute order, the sorted
 // canonical rendering of the tuples (Relation.String), and every structural
 // error byte-for-byte, in the reference order. The raw tuple order inside a
 // result is unspecified — the physical join order is a planner choice — and
@@ -50,13 +50,9 @@ type Engine struct {
 	// 1 yields serial execution. Results are byte-identical at any setting:
 	// walk results are consumed in walk order regardless of completion order.
 	MaxParallel int
-	// DisablePushdown turns off projection pushdown even when the resolver
-	// implements PushdownResolver.
-	DisablePushdown bool
 }
 
-// DefaultEngine executes Walk.ExecuteContext and
-// UnionOfConjunctiveQueries.ExecuteContext.
+// DefaultEngine executes Walk.Execute and UnionOfConjunctiveQueries.Execute.
 var DefaultEngine = &Engine{}
 
 // PostProjection restricts and renames one walk's result before the union.
@@ -86,14 +82,14 @@ type ExecOptions struct {
 }
 
 // ExecuteWalk executes a single walk, observably equal to the reference
-// Walk.ExecuteReferenceContext (up to raw tuple order).
+// Walk.ExecuteReference (up to raw tuple order).
 func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResolver) (*Relation, error) {
 	ctx, span := obs.StartSpan(ctx, "walk")
 	defer span.End()
 	track := lifecycle.TrackerFrom(ctx)
 	dict := NewValueDict()
 	fetched := map[string]*ColRelation{}
-	cw, err := e.compileOne(ctx, track, w, []*Walk{w}, resolver, dict, fetched)
+	cw, err := compileOne(ctx, track, w, []*Walk{w}, resolver, dict, fetched)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +124,7 @@ func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResol
 
 // ExecuteUnion compiles and executes every walk, post-projects each result,
 // and returns their deduplicated union. It is the engine behind
-// UnionOfConjunctiveQueries.ExecuteContext and the rewriter's ExecuteResult.
+// UnionOfConjunctiveQueries.Execute and the rewriter's ExecuteResultLimit.
 func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver WrapperResolver, opts ExecOptions) (*Relation, error) {
 	ctx, span := obs.StartSpan(ctx, "eval")
 	span.SetAttrInt("walks", int64(len(walks)))
@@ -151,7 +147,7 @@ func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver Wrapp
 		if err := lifecycle.Check(ctx, track); err != nil {
 			return nil, err
 		}
-		cw, err := e.compileOne(ctx, track, w, walks, resolver, dict, fetched)
+		cw, err := compileOne(ctx, track, w, walks, resolver, dict, fetched)
 		if err != nil {
 			return nil, err
 		}
@@ -322,12 +318,10 @@ func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver Wrapp
 // compileOne validates one walk, fetches and ingests its wrappers (reusing
 // relations already fetched for earlier walks), charges the budget per
 // wrapper occurrence with the reference cost model, and compiles the plan.
-func (e *Engine) compileOne(ctx context.Context, track *lifecycle.Tracker, w *Walk, walks []*Walk, resolver WrapperResolver, dict *ValueDict, fetched map[string]*ColRelation) (*compiledWalk, error) {
+func compileOne(ctx context.Context, track *lifecycle.Tracker, w *Walk, walks []*Walk, resolver WrapperResolver, dict *ValueDict, fetched map[string]*ColRelation) (*compiledWalk, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	pd, usePD := resolver.(PushdownResolver)
-	usePD = usePD && !e.DisablePushdown
 	for _, ref := range w.Wrappers {
 		if err := lifecycle.Check(ctx, track); err != nil {
 			return nil, err
@@ -337,17 +331,7 @@ func (e *Engine) compileOne(ctx context.Context, track *lifecycle.Tracker, w *Wa
 			_, fspan := obs.StartSpan(ctx, "wrapper.fetch")
 			fspan.SetAttr("wrapper", ref.Wrapper)
 			fstart := time.Now()
-			var raw *Relation
-			var err error
-			if usePD {
-				var handled bool
-				raw, handled, err = pd.FetchPushdown(ctx, ref.Wrapper, projectionPushdown(walks, ref.Wrapper))
-				if err == nil && !handled {
-					raw, err = fetchWrapper(ctx, resolver, ref.Wrapper)
-				}
-			} else {
-				raw, err = fetchWrapper(ctx, resolver, ref.Wrapper)
-			}
+			raw, err := resolver.Fetch(ctx, ref.Wrapper, projectionPushdown(walks, ref.Wrapper))
 			if err != nil {
 				wrapperFetchSeconds.Observe(time.Since(fstart))
 				fspan.End()

@@ -81,8 +81,8 @@ func TestEngineStrictEmptyProjection(t *testing.T) {
 	u := NewUCQ()
 	u.Add(NewWalk("w1", "S1", "lagRatio"))
 	u.RequestedAttributes = []string{"no_such_attribute"}
-	ref, refErr := u.ExecuteReferenceContext(context.Background(), rels)
-	got, gotErr := u.ExecuteContext(context.Background(), rels)
+	ref, refErr := u.ExecuteReference(context.Background(), rels)
+	got, gotErr := u.Execute(context.Background(), rels)
 	if refErr != nil || gotErr != nil {
 		t.Fatalf("unexpected errors: reference=%v engine=%v", refErr, gotErr)
 	}
@@ -149,11 +149,11 @@ func TestEngineSharedNameJoinOrder(t *testing.T) {
 		},
 		Joins: []JoinCondition{{LeftWrapper: "big", LeftAttr: "id", RightWrapper: "small", RightAttr: "id"}},
 	}
-	ref, err := w.ExecuteReference(rels)
+	ref, err := w.ExecuteReference(context.Background(), rels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := w.Execute(rels)
+	got, err := w.Execute(context.Background(), rels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +189,12 @@ func TestEnginePushdownProjection(t *testing.T) {
 	if want := []string{"a", "b"}; fmt.Sprint(pd.lastAttrs) != fmt.Sprint(want) {
 		t.Fatalf("pushed attrs = %v, want %v", pd.lastAttrs, want)
 	}
-	plain, err := (&Engine{DisablePushdown: true}).ExecuteUnion(context.Background(), walks, pd, ExecOptions{Name: "answer"})
+	full, err := DefaultEngine.ExecuteUnion(context.Background(), walks, fullOutputResolver{rels: pd.rels}, ExecOptions{Name: "answer"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.String() != got.String() {
-		t.Fatalf("pushdown changed results\nplain:    %s\npushdown: %s", plain, got)
+	if full.String() != got.String() {
+		t.Fatalf("pushdown changed results\nfull:     %s\npushdown: %s", full, got)
 	}
 }
 
@@ -294,7 +294,7 @@ func TestEquiJoinProbeAllocations(t *testing.T) {
 		right.Add(Tuple{"id": 100000 + k, "w": k})
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		out, err := left.EquiJoin(right, "id", "id")
+		out, err := left.EquiJoin(context.Background(), right, "id", "id")
 		if err != nil {
 			t.Fatal(err)
 		}

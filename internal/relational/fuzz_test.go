@@ -34,8 +34,8 @@ func FuzzWalkExecution(f *testing.F) {
 		u := gc.ucq()
 		ctx := context.Background()
 
-		ref, refErr := u.ExecuteReferenceContext(ctx, resolver)
-		got, gotErr := u.ExecuteContext(ctx, resolver)
+		ref, refErr := u.ExecuteReference(ctx, resolver)
+		got, gotErr := u.Execute(ctx, resolver)
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("error parity broken\nreference: %v\nengine:    %v\nucq:\n%s", refErr, gotErr, u)
 		}

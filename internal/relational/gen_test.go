@@ -246,9 +246,10 @@ func pickJoinAttr(g *byteGen, s Schema) string {
 	return ids[g.intn(len(ids))]
 }
 
-// pushdownStaticResolver wraps staticResolver with a PushdownResolver
-// implementation that honors the pushdown contract (restricted projection in
-// schema order, reference selection semantics) and counts its invocations.
+// pushdownStaticResolver answers fetches with an implementation of the
+// pushdown contract independent of the shared Pushdown.Apply helper
+// (relation-level reference selection, restricted projection in schema
+// order, rename last) and counts its invocations.
 type pushdownStaticResolver struct {
 	rels  staticResolver
 	calls int
@@ -257,32 +258,30 @@ type pushdownStaticResolver struct {
 	lastAttrs []string
 }
 
-func (p *pushdownStaticResolver) Fetch(w string) (*Relation, error) { return p.rels.Fetch(w) }
-
-func (p *pushdownStaticResolver) FetchPushdown(ctx context.Context, w string, pd Pushdown) (*Relation, bool, error) {
-	rel, err := p.rels.Fetch(w)
-	if err != nil {
-		return nil, false, err
+func (p *pushdownStaticResolver) Fetch(_ context.Context, w string, pd Pushdown) (*Relation, error) {
+	rel, ok := p.rels[w]
+	if !ok {
+		return nil, errNotFound(w)
 	}
 	p.calls++
 	p.lastAttrs = append([]string(nil), pd.Attrs...)
-	rel = ApplySelections(rel, pd.Selections)
+	rel = ApplySelections(rel.Clone(), pd.Selections)
 	if len(pd.Attrs) > 0 {
 		// Relation.Project is exactly the contract: requested attrs plus all
 		// IDs, in schema order.
 		rel = rel.Project(pd.Attrs)
 	}
-	return rel, true, nil
+	return rel.Rename(pd.Rename), nil
 }
 
-// fallbackResolver implements PushdownResolver but declines every pushdown,
-// forcing the engine onto the plain fetch path.
-type fallbackResolver struct {
+// fullOutputResolver answers every fetch with the wrapper's full output, as
+// a source did before projection pushdown existed. The engine re-projects
+// per walk, so narrowing at the source must never change its raw output;
+// executing against this resolver pins that.
+type fullOutputResolver struct {
 	rels staticResolver
 }
 
-func (f *fallbackResolver) Fetch(w string) (*Relation, error) { return f.rels.Fetch(w) }
-
-func (f *fallbackResolver) FetchPushdown(ctx context.Context, w string, pd Pushdown) (*Relation, bool, error) {
-	return nil, false, nil
+func (f fullOutputResolver) Fetch(ctx context.Context, w string, _ Pushdown) (*Relation, error) {
+	return f.rels.Fetch(ctx, w, Pushdown{})
 }

@@ -37,7 +37,7 @@ func rawRender(rel *Relation) string {
 	return b.String()
 }
 
-// ucqExecOptions mirrors what UnionOfConjunctiveQueries.ExecuteContext passes
+// ucqExecOptions mirrors what UnionOfConjunctiveQueries.Execute passes
 // to the engine, so configuration-variant tests run the same logical query.
 func ucqExecOptions(u *UnionOfConjunctiveQueries) ExecOptions {
 	opts := ExecOptions{Name: "answer"}
@@ -84,8 +84,8 @@ func checkCaseParity(t *testing.T, gc *genCase) {
 
 	// Per-walk parity.
 	for wi, w := range gc.walks {
-		ref, refErr := w.ExecuteReferenceContext(ctx, resolver)
-		got, gotErr := w.ExecuteContext(ctx, resolver)
+		ref, refErr := w.ExecuteReference(ctx, resolver)
+		got, gotErr := w.Execute(ctx, resolver)
 		label := fmt.Sprintf("walk %d", wi)
 		if !checkErrParity(t, label, refErr, gotErr, diag) {
 			continue
@@ -97,8 +97,8 @@ func checkCaseParity(t *testing.T, gc *genCase) {
 	}
 
 	// Union parity.
-	ref, refErr := u.ExecuteReferenceContext(ctx, resolver)
-	got, gotErr := u.ExecuteContext(ctx, resolver)
+	ref, refErr := u.ExecuteReference(ctx, resolver)
+	got, gotErr := u.Execute(ctx, resolver)
 	if !checkErrParity(t, "union", refErr, gotErr, diag) {
 		return
 	}
@@ -109,8 +109,9 @@ func checkCaseParity(t *testing.T, gc *genCase) {
 	}
 
 	// Engine configurations must agree byte-for-byte including raw tuple
-	// order: serial, pushdown-capable resolver, and a resolver that declines
-	// every pushdown.
+	// order: serial, a source applying the shared pushdown helper (the
+	// resolver above), a source with its own pushdown implementation, and a
+	// source returning its full output.
 	base := rawRender(got)
 	opts := ucqExecOptions(u)
 	serial := &Engine{MaxParallel: 1}
@@ -123,13 +124,13 @@ func checkCaseParity(t *testing.T, gc *genCase) {
 	if rel, err := DefaultEngine.ExecuteUnion(ctx, u.Walks, pd, opts); err != nil {
 		t.Errorf("pushdown engine: unexpected error %v\n%s", err, diag())
 	} else if rawRender(rel) != base {
-		t.Errorf("pushdown diverges from plain fetch\nplain:\n%s\npushdown:\n%s\n%s", base, rawRender(rel), diag())
+		t.Errorf("native pushdown diverges from the shared helper\nhelper:\n%s\nnative:\n%s\n%s", base, rawRender(rel), diag())
 	}
-	fb := &fallbackResolver{rels: gc.rels}
-	if rel, err := DefaultEngine.ExecuteUnion(ctx, u.Walks, fb, opts); err != nil {
-		t.Errorf("fallback engine: unexpected error %v\n%s", err, diag())
+	full := fullOutputResolver{rels: gc.rels}
+	if rel, err := DefaultEngine.ExecuteUnion(ctx, u.Walks, full, opts); err != nil {
+		t.Errorf("full-output engine: unexpected error %v\n%s", err, diag())
 	} else if rawRender(rel) != base {
-		t.Errorf("declined pushdown diverges\nplain:\n%s\nfallback:\n%s\n%s", base, rawRender(rel), diag())
+		t.Errorf("full output diverges from pushdown\npushdown:\n%s\nfull:\n%s\n%s", base, rawRender(rel), diag())
 	}
 }
 
@@ -199,9 +200,9 @@ func TestBudgetParityDimensions(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			refCtx := lifecycle.WithTracker(context.Background(), lifecycle.NewTracker(tc.budget))
-			_, refErr := u.ExecuteReferenceContext(refCtx, rels)
+			_, refErr := u.ExecuteReference(refCtx, rels)
 			gotCtx := lifecycle.WithTracker(context.Background(), lifecycle.NewTracker(tc.budget))
-			_, gotErr := u.ExecuteContext(gotCtx, rels)
+			_, gotErr := u.Execute(gotCtx, rels)
 			refBE, refOK := lifecycle.BudgetError(refErr)
 			gotBE, gotOK := lifecycle.BudgetError(gotErr)
 			if !refOK || !gotOK {
@@ -223,13 +224,13 @@ func TestCancellationParity(t *testing.T) {
 	u.Add(NewWalk("w1", "S1", "lagRatio"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, refErr := u.ExecuteReferenceContext(ctx, rels)
-	_, gotErr := u.ExecuteContext(ctx, rels)
+	_, refErr := u.ExecuteReference(ctx, rels)
+	_, gotErr := u.Execute(ctx, rels)
 	if refErr != context.Canceled || gotErr != context.Canceled {
 		t.Fatalf("cancellation parity broken: reference=%v engine=%v", refErr, gotErr)
 	}
-	_, refErr = u.Walks[0].ExecuteReferenceContext(ctx, rels)
-	_, gotErr = u.Walks[0].ExecuteContext(ctx, rels)
+	_, refErr = u.Walks[0].ExecuteReference(ctx, rels)
+	_, gotErr = u.Walks[0].Execute(ctx, rels)
 	if refErr != context.Canceled || gotErr != context.Canceled {
 		t.Fatalf("walk cancellation parity broken: reference=%v engine=%v", refErr, gotErr)
 	}

@@ -1,9 +1,6 @@
 package relational
 
-import (
-	"context"
-	"sort"
-)
+import "sort"
 
 // Selection is a source-side equality filter: keep rows whose attribute
 // compares equal (under the cross-source ValuesEqual semantics) to any of
@@ -13,9 +10,10 @@ type Selection struct {
 	Values []Value
 }
 
-// Pushdown describes work a wrapper may execute at the source instead of
+// Pushdown describes work a wrapper executes at the source instead of
 // returning its full output: a projection to the named attributes and a
-// conjunction of equality selections.
+// conjunction of equality selections. The zero Pushdown asks for the full
+// output.
 //
 // Contract for implementations:
 //   - The returned relation must keep every ID attribute of the wrapper's
@@ -25,9 +23,9 @@ type Selection struct {
 //     full schema.
 //   - An empty Attrs list pushes no projection (all attributes are kept);
 //     an empty Selections list pushes no filter.
-//   - A source that cannot honor the pushdown (or part of it) reports
-//     ok=false and the caller falls back to a plain fetch; partial execution
-//     is not allowed, because the caller does not re-apply the pushdown.
+//   - Partial execution is not allowed, because the caller does not
+//     re-apply the pushdown. A source with no native selection or
+//     projection runs its full query and passes the rows through Apply.
 //   - Rename is applied last, while the source materializes its output, so a
 //     renaming caller (e.g. a qualifying resolver) costs no extra pass over
 //     the rows. Attrs and Selections always use source attribute names.
@@ -40,21 +38,57 @@ type Pushdown struct {
 	Rename map[string]string
 }
 
-// IsZero reports whether the pushdown requests no work.
-func (p Pushdown) IsZero() bool {
-	return len(p.Attrs) == 0 && len(p.Selections) == 0 && len(p.Rename) == 0
+// Project applies the pushdown's projection to a wrapper schema: the named
+// attributes plus every ID attribute, in schema order, with the rename
+// applied. The second return value lists the kept attributes' source names,
+// aligned with the schema, for reading source tuples.
+func (p Pushdown) Project(s Schema) (Schema, []string) {
+	keep := map[string]bool{}
+	if len(p.Attrs) > 0 {
+		for _, a := range p.Attrs {
+			keep[a] = true
+		}
+		for _, id := range s.IDNames() {
+			keep[id] = true
+		}
+	}
+	var out Schema
+	var srcNames []string
+	for _, a := range s.Attributes {
+		if len(p.Attrs) > 0 && !keep[a.Name] {
+			continue
+		}
+		srcNames = append(srcNames, a.Name)
+		if nn, ok := p.Rename[a.Name]; ok {
+			a.Name = nn
+		}
+		out.Attributes = append(out.Attributes, a)
+	}
+	return out, srcNames
 }
 
-// PushdownResolver is the optional extension of WrapperResolver implemented
-// by resolvers whose wrappers can execute selections/projections at the
-// source. The compiled walk engine uses it to fetch only the columns a
-// query's walks touch.
-type PushdownResolver interface {
-	WrapperResolver
-	// FetchPushdown fetches the named wrapper with the pushdown applied at
-	// the source. ok=false means the source cannot honor the pushdown and
-	// the caller must fall back to Fetch/FetchContext.
-	FetchPushdown(ctx context.Context, wrapper string, p Pushdown) (*Relation, bool, error)
+// Apply executes the pushdown over full-output rows of a wrapper with schema
+// s: rows failing a selection are dropped and each kept row is materialized
+// under the schema Project returns, in a single pass. It is the shared
+// implementation for sources without native selection or projection; the
+// input rows are not modified.
+func (p Pushdown) Apply(s Schema, rows []Tuple) []Tuple {
+	schema, srcNames := p.Project(s)
+	outNames := schema.Names()
+	var out []Tuple
+	for _, t := range rows {
+		if !tupleMatches(t, p.Selections) {
+			continue
+		}
+		nt := make(Tuple, len(srcNames))
+		for i, src := range srcNames {
+			if v, ok := t[src]; ok {
+				nt[outNames[i]] = v
+			}
+		}
+		out = append(out, nt)
+	}
+	return out
 }
 
 // projectionPushdown computes the projection the engine can push to one

@@ -17,17 +17,12 @@ import (
 
 // ExecuteReference evaluates the walk with the reference tuple-at-a-time
 // executor: fetch each wrapper, apply the restricted projection, then apply
-// the restricted joins in declaration-driven order.
-func (w *Walk) ExecuteReference(resolver WrapperResolver) (*Relation, error) {
-	return w.ExecuteReferenceContext(context.Background(), resolver)
-}
-
-// ExecuteReferenceContext is ExecuteReference under lifecycle control:
-// source fetches honor ctx, every materialized relation (fetched and joined)
-// is charged against the context's lifecycle.Tracker, and the join loops
-// check cancellation at chunk granularity. Unlike the compiled engine, it
-// re-fetches a wrapper for every walk that names it.
-func (w *Walk) ExecuteReferenceContext(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
+// the restricted joins in declaration-driven order. Source fetches honor
+// ctx, every materialized relation (fetched and joined) is charged against
+// the context's lifecycle.Tracker, and the join loops check cancellation at
+// chunk granularity. Unlike the compiled engine, it fetches every wrapper's
+// full output, once for every walk that names it.
+func (w *Walk) ExecuteReference(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -38,7 +33,7 @@ func (w *Walk) ExecuteReferenceContext(ctx context.Context, resolver WrapperReso
 		if err := lifecycle.Check(ctx, track); err != nil {
 			return nil, err
 		}
-		rel, err := fetchWrapper(ctx, resolver, ref.Wrapper)
+		rel, err := resolver.Fetch(ctx, ref.Wrapper, Pushdown{})
 		if err != nil {
 			return nil, fmt.Errorf("relational: fetching wrapper %s: %w", ref.Wrapper, err)
 		}
@@ -79,7 +74,7 @@ func (w *Walk) ExecuteReferenceContext(ctx context.Context, resolver WrapperReso
 					return nil, fmt.Errorf("relational: join references wrapper %s not in walk", nextWrapper)
 				}
 				var err error
-				acc, err = acc.EquiJoinContext(ctx, next, accAttr, nextAttr)
+				acc, err = acc.EquiJoin(ctx, next, accAttr, nextAttr)
 				if err != nil {
 					return nil, err
 				}
@@ -119,12 +114,7 @@ func filterEqual(r *Relation, a, b string) *Relation {
 // ExecuteReference evaluates the union with the reference executor: each
 // walk runs through Walk.ExecuteReference, is restricted to the requested
 // attributes available in that walk, unioned and deduplicated.
-func (u *UnionOfConjunctiveQueries) ExecuteReference(resolver WrapperResolver) (*Relation, error) {
-	return u.ExecuteReferenceContext(context.Background(), resolver)
-}
-
-// ExecuteReferenceContext is ExecuteReference under lifecycle control.
-func (u *UnionOfConjunctiveQueries) ExecuteReferenceContext(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
+func (u *UnionOfConjunctiveQueries) ExecuteReference(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
 	if u.IsEmpty() {
 		return NewRelation("∅", Schema{}), nil
 	}
@@ -134,7 +124,7 @@ func (u *UnionOfConjunctiveQueries) ExecuteReferenceContext(ctx context.Context,
 		if err := lifecycle.Check(ctx, track); err != nil {
 			return nil, err
 		}
-		rel, err := w.ExecuteReferenceContext(ctx, resolver)
+		rel, err := w.ExecuteReference(ctx, resolver)
 		if err != nil {
 			return nil, err
 		}

@@ -165,16 +165,10 @@ func (r *Relation) Distinct() *Relation {
 
 // EquiJoin implements the restricted join .̃/: it joins r with other on
 // leftAttr = rightAttr and fails unless both attributes are ID attributes of
-// their respective schemas.
-func (r *Relation) EquiJoin(other *Relation, leftAttr, rightAttr string) (*Relation, error) {
-	return r.EquiJoinContext(context.Background(), other, leftAttr, rightAttr)
-}
-
-// EquiJoinContext is EquiJoin under lifecycle control: produced join tuples
-// are charged against the context's lifecycle.Tracker and the output loop
-// checks cancellation every lifecycle.CheckEvery tuples, bounding join
-// fan-out by the query's budget.
-func (r *Relation) EquiJoinContext(ctx context.Context, other *Relation, leftAttr, rightAttr string) (*Relation, error) {
+// their respective schemas. Produced join tuples are charged against the
+// context's lifecycle.Tracker and the output loop checks cancellation every
+// lifecycle.CheckEvery tuples, bounding join fan-out by the query's budget.
+func (r *Relation) EquiJoin(ctx context.Context, other *Relation, leftAttr, rightAttr string) (*Relation, error) {
 	if !r.Schema.IsID(leftAttr) {
 		return nil, fmt.Errorf("relational: %q is not an ID attribute of %s%s", leftAttr, r.Name, r.Schema)
 	}

@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -26,14 +27,20 @@ func w3Relation() *Relation {
 	return r
 }
 
+// staticResolver is a source without native selection or projection: it
+// holds full wrapper outputs and answers every fetch through the shared
+// Pushdown.Apply helper.
 type staticResolver map[string]*Relation
 
-func (s staticResolver) Fetch(w string) (*Relation, error) {
+func (s staticResolver) Fetch(_ context.Context, w string, p Pushdown) (*Relation, error) {
 	r, ok := s[w]
 	if !ok {
 		return nil, errNotFound(w)
 	}
-	return r.Clone(), nil
+	schema, _ := p.Project(r.Schema)
+	out := NewRelation(r.Name, schema)
+	out.Add(p.Apply(r.Schema, r.Tuples)...)
+	return out, nil
 }
 
 type errNotFound string
@@ -99,7 +106,7 @@ func TestRestrictedProjectionKeepsIDs(t *testing.T) {
 func TestEquiJoinRestrictedToIDs(t *testing.T) {
 	w1, w3 := w1Relation(), w3Relation()
 	// Valid: both are IDs.
-	joined, err := w1.EquiJoin(w3, "VoDmonitorId", "MonitorId")
+	joined, err := w1.EquiJoin(context.Background(), w3, "VoDmonitorId", "MonitorId")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,17 +114,17 @@ func TestEquiJoinRestrictedToIDs(t *testing.T) {
 		t.Errorf("join cardinality = %d, want 3", joined.Cardinality())
 	}
 	// lagRatio is not an ID: the restricted join must refuse it.
-	if _, err := w1.EquiJoin(w3, "lagRatio", "MonitorId"); err == nil {
+	if _, err := w1.EquiJoin(context.Background(), w3, "lagRatio", "MonitorId"); err == nil {
 		t.Error(".̃/ must reject non-ID attributes on the left")
 	}
-	if _, err := w3.EquiJoin(w1, "MonitorId", "lagRatio"); err == nil {
+	if _, err := w3.EquiJoin(context.Background(), w1, "MonitorId", "lagRatio"); err == nil {
 		t.Error(".̃/ must reject non-ID attributes on the right")
 	}
 }
 
 func TestJoinProducesTable2(t *testing.T) {
 	// Π_{TargetApp, lagRatio}(w1 ⋈ w3) must reproduce Table 2 of the paper.
-	joined, err := w1Relation().EquiJoin(w3Relation(), "VoDmonitorId", "MonitorId")
+	joined, err := w1Relation().EquiJoin(context.Background(), w3Relation(), "VoDmonitorId", "MonitorId")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +240,7 @@ func TestWalkMergeAndEquivalence(t *testing.T) {
 func TestWalkExecuteSingleWrapper(t *testing.T) {
 	resolver := staticResolver{"w1": w1Relation()}
 	w := NewWalk("w1", "D1", "lagRatio")
-	rel, err := w.Execute(resolver)
+	rel, err := w.Execute(context.Background(), resolver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +257,7 @@ func TestWalkExecuteJoin(t *testing.T) {
 	w := NewWalk("w1", "D1", "lagRatio")
 	w.AddWrapper(WrapperRef{Wrapper: "w3", Source: "D3", Projection: []string{"TargetApp"}})
 	w.AddJoin(JoinCondition{LeftWrapper: "w3", LeftAttr: "MonitorId", RightWrapper: "w1", RightAttr: "VoDmonitorId"})
-	rel, err := w.Execute(resolver)
+	rel, err := w.Execute(context.Background(), resolver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +270,13 @@ func TestWalkExecuteErrors(t *testing.T) {
 	resolver := staticResolver{"w1": w1Relation(), "w3": w3Relation()}
 	// Unknown wrapper.
 	missing := NewWalk("nope", "DX", "a")
-	if _, err := missing.Execute(resolver); err == nil {
+	if _, err := missing.Execute(context.Background(), resolver); err == nil {
 		t.Error("expected error for unknown wrapper")
 	}
 	// Disconnected walk (two wrappers, no join).
 	disconnected := NewWalk("w1", "D1", "lagRatio")
 	disconnected.AddWrapper(WrapperRef{Wrapper: "w3", Source: "D3", Projection: []string{"TargetApp"}})
-	if _, err := disconnected.Execute(resolver); err == nil {
+	if _, err := disconnected.Execute(context.Background(), resolver); err == nil {
 		t.Error("expected error for disconnected walk")
 	}
 }
@@ -317,14 +324,14 @@ func TestUCQExecuteUnion(t *testing.T) {
 	u.Add(walk1)
 	u.Add(walk2)
 	u.RequestedAttributes = []string{"TargetApp", "lagRatio", "bufferingRatio"}
-	rel, err := u.Execute(resolver)
+	rel, err := u.Execute(context.Background(), resolver)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Cardinality() != 4 {
 		t.Fatalf("cardinality = %d, want 4 (3 from w1 + 1 from w4)\n%s", rel.Cardinality(), rel)
 	}
-	empty, err := NewUCQ().Execute(resolver)
+	empty, err := NewUCQ().Execute(context.Background(), resolver)
 	if err != nil || empty.Cardinality() != 0 {
 		t.Errorf("empty UCQ execute = %v, %v", empty, err)
 	}
@@ -360,7 +367,7 @@ func TestJoinProperty(t *testing.T) {
 				right.Add(Tuple{"id": int(id % 8), "w": i})
 			}
 		}
-		j, err := left.EquiJoin(right, "id", "id")
+		j, err := left.EquiJoin(context.Background(), right, "id", "id")
 		if err != nil {
 			return false
 		}

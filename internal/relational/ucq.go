@@ -78,30 +78,15 @@ func (u *UnionOfConjunctiveQueries) String() string {
 	return strings.Join(parts, "\n  ∪ ")
 }
 
-// WrapperResolver provides access to wrapper outputs and metadata during
-// execution. The wrapper package provides the standard implementation.
+// WrapperResolver provides access to wrapper outputs during execution: the
+// one contract between the executors (compiled and reference) and the
+// sources. The wrapper package provides the standard implementations.
 type WrapperResolver interface {
-	// Fetch returns the current output of the named wrapper as a relation in
-	// first normal form whose schema marks ID attributes.
-	Fetch(wrapper string) (*Relation, error)
-}
-
-// ContextWrapperResolver is the optional cancellation-aware extension of
-// WrapperResolver: a resolver implementing it can abort an in-flight source
-// fetch when the query's context is cancelled (client disconnect, deadline).
-type ContextWrapperResolver interface {
-	WrapperResolver
-	// FetchContext is Fetch honoring ctx.
-	FetchContext(ctx context.Context, wrapper string) (*Relation, error)
-}
-
-// fetchWrapper resolves one wrapper, through the context-aware path when the
-// resolver supports it.
-func fetchWrapper(ctx context.Context, resolver WrapperResolver, name string) (*Relation, error) {
-	if cr, ok := resolver.(ContextWrapperResolver); ok {
-		return cr.FetchContext(ctx, name)
-	}
-	return resolver.Fetch(name)
+	// Fetch returns the current output of the named wrapper, with the
+	// pushdown applied at the source, as a relation in first normal form
+	// whose schema marks ID attributes. The zero Pushdown asks for the full
+	// output. A cancelled ctx aborts the in-flight source query.
+	Fetch(ctx context.Context, wrapper string, p Pushdown) (*Relation, error)
 }
 
 // chargeRelation charges a materialized relation against the tracker using
@@ -114,38 +99,26 @@ func chargeRelation(t *lifecycle.Tracker, rel *Relation) error {
 	return t.AddBytes(n * int64(lifecycle.TupleCost+lifecycle.CellCost*len(rel.Schema.Attributes)))
 }
 
-// Execute evaluates a single walk against the resolver: it fetches each
-// wrapper, applies the restricted projection, then applies the restricted
-// joins. Wrappers without join conditions (single-wrapper walks) are
-// returned projected. Since the compile-then-execute engine landed, this
-// runs the walk through DefaultEngine; ExecuteReference preserves the
-// original tuple-at-a-time executor.
-func (w *Walk) Execute(resolver WrapperResolver) (*Relation, error) {
-	return w.ExecuteContext(context.Background(), resolver)
-}
-
-// ExecuteContext is Execute under lifecycle control: source fetches honor
-// ctx, materialized relations are charged against the context's
+// Execute evaluates a single walk against the resolver through
+// DefaultEngine: it fetches each wrapper, applies the restricted projection,
+// then applies the restricted joins. Wrappers without join conditions
+// (single-wrapper walks) are returned projected. Source fetches honor ctx,
+// materialized relations are charged against the context's
 // lifecycle.Tracker, and the join loops check cancellation at chunk
-// granularity.
-func (w *Walk) ExecuteContext(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
+// granularity. ExecuteReference preserves the original tuple-at-a-time
+// executor.
+func (w *Walk) Execute(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
 	return DefaultEngine.ExecuteWalk(ctx, w, resolver)
 }
 
 // Execute evaluates the union of conjunctive queries: each walk is executed
 // and its result restricted to the requested attributes available in that
 // walk; results are unioned and deduplicated. Walks execute in parallel
-// through DefaultEngine; ExecuteReference preserves the original serial
-// executor.
-func (u *UnionOfConjunctiveQueries) Execute(resolver WrapperResolver) (*Relation, error) {
-	return u.ExecuteContext(context.Background(), resolver)
-}
-
-// ExecuteContext is Execute under lifecycle control: the compile loop checks
-// cancellation and the wall-time budget between walks and the join loops
-// check at chunk granularity, so an exhausted budget or disconnected client
-// aborts mid-flight.
-func (u *UnionOfConjunctiveQueries) ExecuteContext(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
+// through DefaultEngine; the compile loop checks cancellation and the
+// wall-time budget between walks and the join loops check at chunk
+// granularity, so an exhausted budget or disconnected client aborts
+// mid-flight. ExecuteReference preserves the original serial executor.
+func (u *UnionOfConjunctiveQueries) Execute(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
 	if u.IsEmpty() {
 		return NewRelation("∅", Schema{}), nil
 	}

@@ -106,13 +106,6 @@ func NewValueDict() *ValueDict {
 	return d
 }
 
-// Len returns the number of interned values.
-func (d *ValueDict) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.vals)
-}
-
 // Intern returns the ValueID for v, assigning a fresh one on first sight.
 func (d *ValueDict) Intern(v Value) ValueID {
 	d.mu.Lock()
@@ -129,17 +122,6 @@ func (d *ValueDict) internLocked(v Value) ValueID {
 	id := ValueID(len(d.vals))
 	d.ids[k] = id
 	return id
-}
-
-// Value returns the representative value interned under id; MissingValueID
-// and unknown ids decode to nil.
-func (d *ValueDict) Value(id ValueID) Value {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id == MissingValueID || int(id) > len(d.vals) {
-		return nil
-	}
-	return d.vals[id-1]
 }
 
 // Values returns the dictionary's value table: vals[id-1] is the

@@ -148,7 +148,13 @@ type Replica struct {
 }
 
 // errNeedCheckpoint tells the sync loop to (re)bootstrap from a checkpoint.
-type errNeedCheckpoint struct{ reason string }
+// resyncs, when set, is the Stats counter (GapResyncs or DivergenceResyncs)
+// the loop bumps once the bootstrap has swapped the state in: a counted
+// resync means the replica no longer serves the abandoned history.
+type errNeedCheckpoint struct {
+	reason  string
+	resyncs *uint64
+}
 
 func (e errNeedCheckpoint) Error() string { return e.reason }
 
@@ -269,6 +275,7 @@ func (r *Replica) run() {
 	defer close(r.stopped)
 	backoff := r.opts.BackoffMin
 	needCheckpoint := true
+	var resyncs *uint64 // counter owed for the resync in progress
 	for {
 		select {
 		case <-r.done:
@@ -284,6 +291,12 @@ func (r *Replica) run() {
 				continue
 			}
 			needCheckpoint = false
+			if resyncs != nil {
+				r.mu.Lock()
+				*resyncs++
+				r.mu.Unlock()
+				resyncs = nil
+			}
 			backoff = r.opts.BackoffMin
 			r.opts.Logf("replication: %s: synchronized from checkpoint at generation %d", r.opts.ID, r.Generation())
 		}
@@ -293,7 +306,7 @@ func (r *Replica) run() {
 			backoff = r.opts.BackoffMin
 		case errNeedCheckpoint:
 			r.opts.Logf("replication: %s: resynchronizing from checkpoint: %s", r.opts.ID, e.reason)
-			needCheckpoint = true
+			needCheckpoint, resyncs = true, e.resyncs
 		default:
 			r.mu.Lock()
 			r.stats.Reconnects++
@@ -394,17 +407,14 @@ func (r *Replica) streamOnce() error {
 	case http.StatusOK:
 	case http.StatusGone:
 		r.noteContact(resp)
-		return errNeedCheckpoint{fmt.Sprintf("behind the pruned WAL window (replica at generation %d)", from)}
+		return errNeedCheckpoint{reason: fmt.Sprintf("behind the pruned WAL window (replica at generation %d)", from)}
 	case http.StatusConflict:
 		// The primary's log ends before our generation: it lost writes we
 		// already applied (e.g. an unsynced tail torn off by a crash).
 		// Staying on our state would fork history — discard and follow the
 		// primary's.
-		r.mu.Lock()
-		r.stats.DivergenceResyncs++
-		r.mu.Unlock()
 		r.noteContact(resp)
-		return errNeedCheckpoint{fmt.Sprintf("diverged: primary's log ends before replica generation %d", from)}
+		return errNeedCheckpoint{fmt.Sprintf("diverged: primary's log ends before replica generation %d", from), &r.stats.DivergenceResyncs}
 	default:
 		return fmt.Errorf("replication: stream fetch: primary answered %s", resp.Status)
 	}
@@ -445,18 +455,12 @@ func (r *Replica) applyFrames(o *core.Ontology, body []byte) error {
 		case rec.Generation <= cur:
 			continue // duplicate of something we already applied
 		case rec.Generation != cur+1:
-			r.mu.Lock()
-			r.stats.GapResyncs++
-			r.mu.Unlock()
-			return errNeedCheckpoint{fmt.Sprintf("generation gap: replica at %d, next shipped record publishes %d", cur, rec.Generation)}
+			return errNeedCheckpoint{fmt.Sprintf("generation gap: replica at %d, next shipped record publishes %d", cur, rec.Generation), &r.stats.GapResyncs}
 		}
 		if err := rec.Apply(o.Store()); err != nil {
 			// A record that decodes but cannot replay means our state
 			// diverged from the primary's history — resync wholesale.
-			r.mu.Lock()
-			r.stats.DivergenceResyncs++
-			r.mu.Unlock()
-			return errNeedCheckpoint{fmt.Sprintf("replaying %s record at generation %d: %v", rec.Kind(), rec.Generation, err)}
+			return errNeedCheckpoint{fmt.Sprintf("replaying %s record at generation %d: %v", rec.Kind(), rec.Generation, err), &r.stats.DivergenceResyncs}
 		}
 		r.mu.Lock()
 		r.stats.FramesApplied++

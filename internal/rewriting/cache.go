@@ -140,21 +140,22 @@ func (c *Cache) SetLimits(maxEntries, maxUnits int) {
 	c.evictLocked()
 }
 
-// Rewrite returns the rewriting result for the OMQ, served from cache when
-// the entry's footprint survived every release since it was computed, and
-// otherwise rebuilt incrementally from surviving intra-concept units.
+// Rewrite is RewriteContext without cancellation.
 func (c *Cache) Rewrite(omq *OMQ) (*Result, error) {
 	return c.RewriteContext(context.Background(), omq)
 }
 
-// RewriteContext is Rewrite under lifecycle control. The cancellation
-// contract extends the retry-on-race contract: a build aborted by ctx (or a
-// budget) returns the cancellation error without caching a result and
-// without retrying — and it can never poison the cache, because results are
-// only memoized when the build completed without error at an unchanged
-// generation, and intra-concept units are memoized individually only after
-// each completes (a unit computed before the cancellation point is a
-// complete, generation-consistent result that later rewrites may reuse).
+// RewriteContext returns the rewriting result for the OMQ, served from cache
+// when the entry's footprint survived every release since it was computed,
+// and otherwise rebuilt incrementally from surviving intra-concept units.
+// The cancellation contract extends the retry-on-race contract: a build
+// aborted by ctx (or a budget) returns the cancellation error without
+// caching a result and without retrying — and it can never poison the
+// cache, because results are only memoized when the build completed without
+// error at an unchanged generation, and intra-concept units are memoized
+// individually only after each completes (a unit computed before the
+// cancellation point is a complete, generation-consistent result that later
+// rewrites may reuse).
 func (c *Cache) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "rewrite")
 	start := time.Now()

@@ -138,25 +138,21 @@ func trimSourcePrefix(attrName, source string) string {
 	return attrName
 }
 
-// InterConceptGeneration implements Algorithm 5 (phase #3): iterate over the
-// per-concept partial walks with a sliding window, compute the cartesian
-// product of the partial-walk lists (step 7), merge each pair (step 8) and,
-// when the two sides share no wrapper, discover the wrapper providing the
-// edge between the two concepts and the ID attributes to join on (steps
-// 9-10). The result is the list of candidate walks joining all concepts.
-func InterConceptGeneration(o *core.Ontology, eq *ExpandedQuery, partials []PartialWalks) ([]*relational.Walk, error) {
-	return InterConceptGenerationContext(context.Background(), o, eq, partials)
-}
-
 // rewriteCheckEvery is the chunk granularity of cooperative cancellation
 // checks in the rewriting loops: the cartesian product of Algorithm 5 grows
 // exponentially in the worst case (W^C walks), so a cancelled client must be
 // able to abort it mid-window without paying a per-merge check.
 const rewriteCheckEvery = 256
 
-// InterConceptGenerationContext is InterConceptGeneration under lifecycle
-// control: the cartesian-product loop checks ctx (and the context tracker's
-// wall-time budget) every rewriteCheckEvery merges.
+// InterConceptGenerationContext implements Algorithm 5 (phase #3): iterate
+// over the per-concept partial walks with a sliding window, compute the
+// cartesian product of the partial-walk lists (step 7), merge each pair
+// (step 8) and, when the two sides share no wrapper, discover the wrapper
+// providing the edge between the two concepts and the ID attributes to join
+// on (steps 9-10). The result is the list of candidate walks joining all
+// concepts. The cartesian-product loop checks ctx (and the context tracker's
+// wall-time budget) every rewriteCheckEvery merges. The frozen bench module
+// pins the name; it loses the Context suffix when the bench next moves.
 func InterConceptGenerationContext(ctx context.Context, o *core.Ontology, eq *ExpandedQuery, partials []PartialWalks) ([]*relational.Walk, error) {
 	if len(partials) == 0 {
 		return nil, fmt.Errorf("rewriting: no partial walks to join")

@@ -1,6 +1,7 @@
 package rewriting
 
 import (
+	"context"
 	"fmt"
 
 	"bdi/internal/core"
@@ -97,58 +98,13 @@ func filterPartialWalks(o *core.Ontology, opts PolicyOptions, partials []Partial
 	return out, nil
 }
 
-// RewriteWithPolicy runs the three-phase rewriting restricted to the schema
-// versions admitted by the policy.
-func (r *Rewriter) RewriteWithPolicy(omq *OMQ, opts PolicyOptions) (*Result, error) {
-	o := r.Ontology
-	wf, err := WellFormedQuery(o, omq)
-	if err != nil {
-		return nil, err
-	}
-	expanded, err := QueryExpansion(o, wf)
-	if err != nil {
-		return nil, err
-	}
-	partials, err := IntraConceptGeneration(o, expanded)
-	if err != nil {
-		return nil, err
-	}
-	partials, err = filterPartialWalks(o, opts, partials)
-	if err != nil {
-		return nil, err
-	}
-	walks, err := InterConceptGeneration(o, expanded, partials)
-	if err != nil {
-		return nil, err
-	}
-	ucq := relational.NewUCQ()
-	for _, w := range walks {
-		if r.CheckCoverage {
-			if !Coverage(o, w, wf.Phi) || !Minimal(o, w, wf.Phi) {
-				continue
-			}
-		}
-		ucq.Add(w)
-	}
-	if ucq.IsEmpty() {
-		return nil, fmt.Errorf("rewriting: no covering and minimal walk answers the query %s under policy %s", omq, opts.Policy)
-	}
-	for _, f := range wf.Pi {
-		ucq.RequestedFeatures = append(ucq.RequestedFeatures, string(f))
-		for _, attr := range o.AttributesOfFeature(f) {
-			ucq.RequestedAttributes = append(ucq.RequestedAttributes, core.AttributeName(attr))
-		}
-	}
-	return &Result{WellFormed: wf, Expanded: expanded, PartialWalks: partials, UCQ: ucq}, nil
-}
-
 // AnswerWithPolicy rewrites under the policy and executes the result.
-func (r *Rewriter) AnswerWithPolicy(omq *OMQ, opts PolicyOptions, resolver relational.WrapperResolver) (*relational.Relation, *Result, error) {
-	res, err := r.RewriteWithPolicy(omq, opts)
+func (r *Rewriter) AnswerWithPolicy(ctx context.Context, omq *OMQ, opts PolicyOptions, resolver relational.WrapperResolver) (*relational.Relation, *Result, error) {
+	res, err := r.RewriteWithPolicy(ctx, omq, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	answer, err := r.ExecuteResult(res, resolver)
+	answer, err := r.ExecuteResultLimit(ctx, res, resolver, 0)
 	if err != nil {
 		return nil, res, err
 	}

@@ -1,28 +1,68 @@
 package rewriting
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
 	"testing"
 
 	"bdi/internal/core"
 	"bdi/internal/wrapper"
 )
 
+// TestRewriteWithPolicyAllVersions pins that the policy rewrite is the plain
+// rewrite plus a partial-walk filter: under AllVersions (an empty filter) the
+// two produce identical results, down to walk rendering and the order of the
+// requested attributes.
 func TestRewriteWithPolicyAllVersions(t *testing.T) {
 	o := buildOntology(t, true)
 	r := NewRewriter(o)
-	res, err := r.RewriteWithPolicy(runningExampleOMQ(), PolicyOptions{Policy: AllVersions})
+	res, err := r.RewriteWithPolicy(context.Background(), runningExampleOMQ(), PolicyOptions{Policy: AllVersions})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.UCQ.Len() != 2 {
 		t.Errorf("all-versions walks = %d, want 2", res.UCQ.Len())
 	}
+	plain, err := r.Rewrite(runningExampleOMQ())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.UCQ.String(), plain.UCQ.String(); got != want {
+		t.Errorf("all-versions walks diverge from Rewrite\npolicy: %s\nplain:  %s", got, want)
+	}
+	if got, want := fmt.Sprint(res.UCQ.Signatures()), fmt.Sprint(plain.UCQ.Signatures()); got != want {
+		t.Errorf("all-versions signatures = %s, Rewrite gives %s", got, want)
+	}
+	if got, want := fmt.Sprint(res.UCQ.RequestedAttributes), fmt.Sprint(plain.UCQ.RequestedAttributes); got != want {
+		t.Errorf("all-versions requested attributes = %s, Rewrite gives %s", got, want)
+	}
+	if !sort.StringsAreSorted(res.UCQ.RequestedAttributes) {
+		t.Errorf("requested attributes not sorted: %v", res.UCQ.RequestedAttributes)
+	}
+	if got, want := fmt.Sprint(res.UCQ.RequestedFeatures), fmt.Sprint(plain.UCQ.RequestedFeatures); got != want {
+		t.Errorf("all-versions requested features = %s, Rewrite gives %s", got, want)
+	}
+}
+
+// TestRewriteWithPolicyHonorsCancellation checks a policy rewrite aborts on a
+// cancelled context like every other rewrite.
+func TestRewriteWithPolicyHonorsCancellation(t *testing.T) {
+	r := NewRewriter(buildOntology(t, true))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, p := range []VersionPolicy{AllVersions, LatestVersionsOnly} {
+		if _, err := r.RewriteWithPolicy(ctx, runningExampleOMQ(), PolicyOptions{Policy: p}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled policy rewrite returned %v, want context.Canceled", p, err)
+		}
+	}
 }
 
 func TestRewriteWithPolicyLatestOnly(t *testing.T) {
 	o := buildOntology(t, true)
 	r := NewRewriter(o)
-	res, err := r.RewriteWithPolicy(runningExampleOMQ(), PolicyOptions{Policy: LatestVersionsOnly})
+	res, err := r.RewriteWithPolicy(context.Background(), runningExampleOMQ(), PolicyOptions{Policy: LatestVersionsOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +73,7 @@ func TestRewriteWithPolicyLatestOnly(t *testing.T) {
 	}
 	// Executing it returns only the new-version data.
 	resolver := wrapper.NewQualifiedResolver(supersedeRegistry(true))
-	answer, _, err := r.AnswerWithPolicy(runningExampleOMQ(), PolicyOptions{Policy: LatestVersionsOnly}, resolver)
+	answer, _, err := r.AnswerWithPolicy(context.Background(), runningExampleOMQ(), PolicyOptions{Policy: LatestVersionsOnly}, resolver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +91,7 @@ func TestRewriteWithPolicyAsOfRelease(t *testing.T) {
 	if !ok || seq != 3 {
 		t.Fatalf("registration order of w3 = %d, %v", seq, ok)
 	}
-	res, err := r.RewriteWithPolicy(runningExampleOMQ(), PolicyOptions{Policy: AsOfRelease, Release: 3})
+	res, err := r.RewriteWithPolicy(context.Background(), runningExampleOMQ(), PolicyOptions{Policy: AsOfRelease, Release: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +101,7 @@ func TestRewriteWithPolicyAsOfRelease(t *testing.T) {
 	}
 	// As of release 1 only w1 exists: the query is unanswerable (no provider
 	// for applicationId).
-	if _, err := r.RewriteWithPolicy(runningExampleOMQ(), PolicyOptions{Policy: AsOfRelease, Release: 1}); err == nil {
+	if _, err := r.RewriteWithPolicy(context.Background(), runningExampleOMQ(), PolicyOptions{Policy: AsOfRelease, Release: 1}); err == nil {
 		t.Error("as-of-1 should fail: applicationId has no provider yet")
 	}
 }

@@ -12,18 +12,6 @@ import (
 	"bdi/internal/sparql"
 )
 
-// Coverage reports whether the union of the LAV mapping graphs of the walk's
-// wrappers subsumes the query pattern (problem statement, §2.3).
-func Coverage(o *core.Ontology, walk *relational.Walk, phi *rdf.Graph) bool {
-	return newCoverageChecker(o, phi).covers(walkWrapperURIs(walk), -1)
-}
-
-// Minimal reports whether the walk is minimal with respect to the query
-// pattern: it is covering, and removing any wrapper breaks coverage.
-func Minimal(o *core.Ontology, walk *relational.Walk, phi *rdf.Graph) bool {
-	return newCoverageChecker(o, phi).minimal(walkWrapperURIs(walk))
-}
-
 // walkWrapperURIs resolves a walk's wrapper names to their IRIs, once per
 // walk.
 func walkWrapperURIs(walk *relational.Walk) []rdf.IRI {
@@ -35,11 +23,15 @@ func walkWrapperURIs(walk *relational.Walk) []rdf.IRI {
 	return uris
 }
 
-// coverageChecker holds, for each triple of a query pattern, the set of
-// wrappers whose LAV mapping graph contains it. Built once per pattern (the
-// per-triple wrapper sets are memoized by the ontology per store
-// generation), it turns every coverage and minimality check into pure set
-// membership — no mapping graphs are materialized or merged per walk.
+// coverageChecker decides the two properties of the problem statement (§2.3)
+// for candidate walks over one query pattern: a walk is covering when the
+// union of the LAV mapping graphs of its wrappers subsumes the pattern, and
+// minimal when it is covering and removing any wrapper breaks coverage. It
+// holds, for each triple of the pattern, the set of wrappers whose LAV
+// mapping graph contains it. Built once per pattern (the per-triple wrapper
+// sets are memoized by the ontology per store generation), it turns every
+// coverage and minimality check into pure set membership — no mapping graphs
+// are materialized or merged per walk.
 type coverageChecker struct {
 	sets []map[rdf.IRI]bool
 }
@@ -98,15 +90,11 @@ func (c *coverageChecker) minimal(uris []rdf.IRI) bool {
 // Rewriter orchestrates the three-phase query rewriting over a BDI ontology.
 type Rewriter struct {
 	Ontology *core.Ontology
-	// CheckCoverage filters the final walks with the coverage and minimality
-	// properties of §2.3. It is enabled by default; the complexity experiment
-	// disables it to measure the generation phases alone.
-	CheckCoverage bool
 }
 
-// NewRewriter returns a rewriter with coverage checking enabled.
+// NewRewriter returns a rewriter over the ontology.
 func NewRewriter(o *core.Ontology) *Rewriter {
-	return &Rewriter{Ontology: o, CheckCoverage: true}
+	return &Rewriter{Ontology: o}
 }
 
 // Result captures the outcome of rewriting an OMQ.
@@ -122,17 +110,24 @@ type Result struct {
 	UCQ *relational.UnionOfConjunctiveQueries
 }
 
-// Rewrite runs Algorithms 2-5 on the given OMQ and returns the union of
-// conjunctive queries over the wrappers.
+// Rewrite is RewriteContext without cancellation.
 func (r *Rewriter) Rewrite(omq *OMQ) (*Result, error) {
 	return r.RewriteContext(context.Background(), omq)
 }
 
-// RewriteContext is Rewrite under lifecycle control: the phase boundaries
-// and the (potentially exponential) inter-concept generation and coverage
-// loops check ctx cooperatively, so a cancelled client or an exhausted
-// wall-time budget aborts a pathological rewrite mid-flight.
+// RewriteContext runs Algorithms 2-5 on the given OMQ and returns the union
+// of conjunctive queries over the wrappers. The phase boundaries and the
+// (potentially exponential) inter-concept generation and coverage loops
+// check ctx cooperatively, so a cancelled client or an exhausted wall-time
+// budget aborts a pathological rewrite mid-flight.
 func (r *Rewriter) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
+	return r.RewriteWithPolicy(ctx, omq, PolicyOptions{Policy: AllVersions})
+}
+
+// RewriteWithPolicy is RewriteContext restricted to the schema versions the
+// policy admits: the partial walks of Algorithm 4 are filtered before
+// Algorithm 5 joins them, which is the only difference between the two.
+func (r *Rewriter) RewriteWithPolicy(ctx context.Context, omq *OMQ, opts PolicyOptions) (*Result, error) {
 	o := r.Ontology
 	wf, err := WellFormedQuery(o, omq)
 	if err != nil {
@@ -146,6 +141,10 @@ func (r *Rewriter) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error
 		return nil, err
 	}
 	partials, err := IntraConceptGeneration(o, expanded)
+	if err != nil {
+		return nil, err
+	}
+	partials, err = filterPartialWalks(o, opts, partials)
 	if err != nil {
 		return nil, err
 	}
@@ -172,10 +171,8 @@ func (r *Rewriter) assemble(ctx context.Context, wf *OMQ, expanded *ExpandedQuer
 				return nil, err
 			}
 		}
-		if r.CheckCoverage {
-			if !checker.minimal(walkWrapperURIs(w)) {
-				continue
-			}
+		if !checker.minimal(walkWrapperURIs(w)) {
+			continue
 		}
 		ucq.Add(w)
 	}
@@ -217,7 +214,7 @@ func (r *Rewriter) Answer(omq *OMQ, resolver relational.WrapperResolver) (*relat
 	if err != nil {
 		return nil, nil, err
 	}
-	answer, err := r.ExecuteResult(res, resolver)
+	answer, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
 	if err != nil {
 		return nil, res, err
 	}
@@ -237,26 +234,15 @@ func (r *Rewriter) AnswerSPARQL(text string, resolver relational.WrapperResolver
 	return r.Answer(omq, resolver)
 }
 
-// ExecuteResult executes every walk of the rewriting result, renames the
-// projected attributes to their feature names and unions the per-walk
-// relations. Walks run through the compiled relational engine;
-// ExecuteResultReference preserves the original executor for differential
-// testing.
-func (r *Rewriter) ExecuteResult(res *Result, resolver relational.WrapperResolver) (*relational.Relation, error) {
-	return r.ExecuteResultContext(context.Background(), res, resolver)
-}
-
-// ExecuteResultContext is ExecuteResult under lifecycle control: the compile
-// loop checks cancellation between walks and each walk execution honors ctx
-// and the context's budget tracker.
-func (r *Rewriter) ExecuteResultContext(ctx context.Context, res *Result, resolver relational.WrapperResolver) (*relational.Relation, error) {
-	return r.ExecuteResultLimit(ctx, res, resolver, 0)
-}
-
-// ExecuteResultLimit is ExecuteResultContext with an early-out: limit > 0
-// stops execution once that many distinct answer rows exist, cancelling the
-// walks that can no longer contribute. The retained rows are a deterministic
-// prefix (in walk order) of the full answer.
+// ExecuteResultLimit executes every walk of the rewriting result through the
+// compiled relational engine, renames the projected attributes to their
+// feature names and unions the per-walk relations. The compile loop checks
+// cancellation between walks and each walk execution honors ctx and the
+// context's budget tracker. limit > 0 stops execution once that many
+// distinct answer rows exist, cancelling the walks that can no longer
+// contribute; the retained rows are a deterministic prefix (in walk order)
+// of the full answer. ExecuteResultReference preserves the original executor
+// for differential testing.
 func (r *Rewriter) ExecuteResultLimit(ctx context.Context, res *Result, resolver relational.WrapperResolver, limit int) (*relational.Relation, error) {
 	if len(res.UCQ.Walks) == 0 {
 		return relational.NewRelation("answer", relational.Schema{}).Distinct(), nil
@@ -299,22 +285,14 @@ func (r *Rewriter) featureProjection(res *Result) func(int, *relational.Walk, re
 
 // ExecuteResultReference preserves the original tuple-at-a-time execution of
 // a rewriting result, for differential testing against the compiled engine.
+// The frozen bench oracle pins its context-less signature; it takes ctx
+// first when the bench next moves.
 func (r *Rewriter) ExecuteResultReference(res *Result, resolver relational.WrapperResolver) (*relational.Relation, error) {
-	return r.ExecuteResultReferenceContext(context.Background(), res, resolver)
-}
-
-// ExecuteResultReferenceContext is ExecuteResultReference under lifecycle
-// control; its body is the pre-engine ExecuteResultContext, verbatim.
-func (r *Rewriter) ExecuteResultReferenceContext(ctx context.Context, res *Result, resolver relational.WrapperResolver) (*relational.Relation, error) {
 	o := r.Ontology
-	track := lifecycle.TrackerFrom(ctx)
 	features := res.WellFormed.Pi
 	var answer *relational.Relation
 	for _, w := range res.UCQ.Walks {
-		if err := lifecycle.Check(ctx, track); err != nil {
-			return nil, err
-		}
-		rel, err := w.ExecuteReferenceContext(ctx, resolver)
+		rel, err := w.ExecuteReference(context.Background(), resolver)
 		if err != nil {
 			return nil, err
 		}

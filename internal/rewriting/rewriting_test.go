@@ -1,6 +1,7 @@
 package rewriting
 
 import (
+	"context"
 	"testing"
 
 	"bdi/internal/core"
@@ -409,27 +410,30 @@ func TestAnswerSPARQL(t *testing.T) {
 func TestCoverageAndMinimality(t *testing.T) {
 	o := buildOntology(t, false)
 	wf, _ := WellFormedQuery(o, runningExampleOMQ())
+	checker := newCoverageChecker(o, wf.Phi)
+	covers := func(w *relational.Walk) bool { return checker.covers(walkWrapperURIs(w), -1) }
+	minimal := func(w *relational.Walk) bool { return checker.minimal(walkWrapperURIs(w)) }
 
 	covering := relational.NewWalk("w1", "D1", "D1/lagRatio")
 	covering.AddWrapper(relational.WrapperRef{Wrapper: "w3", Source: "D3", Projection: []string{"D3/TargetApp"}})
-	if !Coverage(o, covering, wf.Phi) {
+	if !covers(covering) {
 		t.Error("w1+w3 should cover the running example query")
 	}
-	if !Minimal(o, covering, wf.Phi) {
+	if !minimal(covering) {
 		t.Error("w1+w3 should be minimal")
 	}
 
 	alone := relational.NewWalk("w1", "D1", "D1/lagRatio")
-	if Coverage(o, alone, wf.Phi) {
+	if covers(alone) {
 		t.Error("w1 alone must not cover the query (it lacks applicationId)")
 	}
 
 	redundant := covering.Clone()
 	redundant.AddWrapper(relational.WrapperRef{Wrapper: "w2", Source: "D2", Projection: []string{"D2/tweet"}})
-	if Minimal(o, redundant, wf.Phi) {
+	if minimal(redundant) {
 		t.Error("adding w2 makes the walk non-minimal")
 	}
-	if !Coverage(o, redundant, wf.Phi) {
+	if !covers(redundant) {
 		t.Error("the redundant walk still covers the query")
 	}
 }
@@ -479,7 +483,7 @@ func TestRewriteFeedbackPath(t *testing.T) {
 		t.Fatalf("signatures = %v", res.UCQ.Signatures())
 	}
 	resolver := wrapper.NewQualifiedResolver(supersedeRegistry(false))
-	answer, err := r.ExecuteResult(res, resolver)
+	answer, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package source
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -63,7 +64,7 @@ func (a *API) RequestCount(version, path string) int {
 // Source returns a DocumentSource reading the endpoint in-process (no HTTP),
 // which is how examples and tests usually consume the simulator.
 func (a *API) Source(version, path string) wrapper.DocumentSource {
-	return wrapper.DocumentFunc(func() ([]wrapper.Document, error) {
+	return wrapper.DocumentFunc(func(context.Context) ([]wrapper.Document, error) {
 		a.mu.Lock()
 		key := endpointKey(version, path)
 		produce, ok := a.endpoints[key]

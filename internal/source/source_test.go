@@ -1,6 +1,7 @@
 package source
 
 import (
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
@@ -64,22 +65,22 @@ func TestGeneratorDocumentSchemas(t *testing.T) {
 func TestAPISourceAndRetirement(t *testing.T) {
 	api := NewAPI("test")
 	api.RegisterStatic("v1", "things", []wrapper.Document{{"a": 1.0}})
-	docs, err := api.Source("v1", "things").Documents()
+	docs, err := api.Source("v1", "things").Documents(context.Background())
 	if err != nil || len(docs) != 1 {
 		t.Fatalf("docs = %v, %v", docs, err)
 	}
 	if api.RequestCount("v1", "things") != 1 {
 		t.Errorf("request count = %d", api.RequestCount("v1", "things"))
 	}
-	if _, err := api.Source("v1", "missing").Documents(); err == nil {
+	if _, err := api.Source("v1", "missing").Documents(context.Background()); err == nil {
 		t.Error("unknown endpoint should error")
 	}
 	api.Retire("v1", "things")
-	if _, err := api.Source("v1", "things").Documents(); err == nil {
+	if _, err := api.Source("v1", "things").Documents(context.Background()); err == nil {
 		t.Error("retired endpoint should error")
 	}
 	var epErr *EndpointError
-	_, err = api.Source("v1", "things").Documents()
+	_, err = api.Source("v1", "things").Documents(context.Background())
 	if e, ok := err.(*EndpointError); !ok || !e.Gone {
 		t.Errorf("expected EndpointError with Gone, got %v (%T)", err, err)
 	}
@@ -127,7 +128,7 @@ func TestAPIHTTPHandler(t *testing.T) {
 		wrapper.ProjectField{Path: "feedbackGatheringId", As: "FGId"},
 		wrapper.ProjectField{Path: "text", As: "tweet"},
 	)
-	rows, err := w.Rows()
+	rows, err := w.Rows(context.Background(), relational.Pushdown{})
 	if err != nil || len(rows) != 9 {
 		t.Errorf("HTTP wrapper rows = %d, %v", len(rows), err)
 	}
@@ -140,7 +141,7 @@ func TestEcosystemWrappers(t *testing.T) {
 	if reg.Len() != 4 {
 		t.Fatalf("registry = %d", reg.Len())
 	}
-	w1, err := reg.Fetch("w1")
+	w1, err := reg.Fetch(context.Background(), "w1", relational.Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,18 +151,18 @@ func TestEcosystemWrappers(t *testing.T) {
 	if !w1.Schema.Has("lagRatio") || !w1.Schema.IsID("VoDmonitorId") {
 		t.Errorf("w1 schema = %v", w1.Schema)
 	}
-	w4, err := reg.Fetch("w4")
+	w4, err := reg.Fetch(context.Background(), "w4", relational.Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !w4.Schema.Has("bufferingRatio") {
 		t.Errorf("w4 schema = %v", w4.Schema)
 	}
-	w3, err := reg.Fetch("w3")
+	w3, err := reg.Fetch(context.Background(), "w3", relational.Pushdown{})
 	if err != nil || w3.Cardinality() != 4 {
 		t.Errorf("w3 = %v, %v", w3, err)
 	}
-	w2, err := reg.Fetch("w2")
+	w2, err := reg.Fetch(context.Background(), "w2", relational.Pushdown{})
 	if err != nil || w2.Cardinality() != 4*gen.FeedbackPerTool {
 		t.Errorf("w2 = %v, %v", w2, err)
 	}

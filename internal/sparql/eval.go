@@ -153,46 +153,33 @@ func NewPlainEvaluator(s *store.Store) *Evaluator {
 // Store returns the underlying store.
 func (e *Evaluator) Store() *store.Store { return e.store }
 
-// Engine returns the reasoner used for entailment.
-func (e *Evaluator) Engine() *reasoner.Engine { return e.engine }
-
 // Select parses and evaluates a query text.
 func (e *Evaluator) Select(queryText string) (*Solutions, error) {
 	q, err := Parse(queryText)
 	if err != nil {
 		return nil, err
 	}
-	return e.Evaluate(q)
+	return e.Evaluate(context.Background(), q)
 }
 
-// Evaluate evaluates a parsed query against the store's current snapshot.
-func (e *Evaluator) Evaluate(q *Query) (*Solutions, error) {
-	return e.EvaluateAt(e.store.Snapshot(), q)
-}
-
-// EvaluateContext evaluates a parsed query against the store's current
-// snapshot under the context's cancellation/deadline and any
-// lifecycle.Tracker budget it carries.
-func (e *Evaluator) EvaluateContext(ctx context.Context, q *Query) (*Solutions, error) {
-	return e.EvaluateAtContext(ctx, e.store.Snapshot(), q)
+// Evaluate evaluates a parsed query against the store's current snapshot
+// under the context's cancellation/deadline and any lifecycle.Tracker budget
+// it carries.
+func (e *Evaluator) Evaluate(ctx context.Context, q *Query) (*Solutions, error) {
+	return e.EvaluateAt(ctx, e.store.Snapshot(), q)
 }
 
 // EvaluateAt evaluates a parsed query against a pinned snapshot: every
 // probe — base matching, entailment expansion, reasoner closures and
 // join-order estimates — reads from sn, so the answer reflects exactly one
 // store generation. Callers coordinating several queries (or a query plus
-// other reads) pin one snapshot and pass it to each.
-func (e *Evaluator) EvaluateAt(sn store.Snapshot, q *Query) (*Solutions, error) {
-	return e.EvaluateAtContext(context.Background(), sn, q)
-}
-
-// EvaluateAtContext is EvaluateAt under lifecycle control: the join,
-// entailment and DISTINCT loops check ctx (cancellation, deadline) and the
-// context's lifecycle.Tracker (row/byte/wall-time budget) cooperatively at
-// chunk granularity (lifecycle.CheckEvery rows), so a cancelled client or
+// other reads) pin one snapshot and pass it to each. The join, entailment
+// and DISTINCT loops check ctx (cancellation, deadline) and the context's
+// lifecycle.Tracker (row/byte/wall-time budget) cooperatively at chunk
+// granularity (lifecycle.CheckEvery rows), so a cancelled client or
 // exhausted budget aborts mid-join with context/budget error while partial
 // progress remains readable from the tracker.
-func (e *Evaluator) EvaluateAtContext(ctx context.Context, sn store.Snapshot, q *Query) (*Solutions, error) {
+func (e *Evaluator) EvaluateAt(ctx context.Context, sn store.Snapshot, q *Query) (*Solutions, error) {
 	ctx, span := obs.StartSpan(ctx, "sparql.eval")
 	start := time.Now()
 	defer func() {
@@ -218,7 +205,7 @@ func (e *Evaluator) EvaluateAtContext(ctx context.Context, sn store.Snapshot, q 
 
 // Ask reports whether the query has at least one solution.
 func (e *Evaluator) Ask(q *Query) (bool, error) {
-	sols, err := e.Evaluate(q)
+	sols, err := e.Evaluate(context.Background(), q)
 	if err != nil {
 		return false, err
 	}

@@ -6,6 +6,7 @@ package sparql
 // on and off, before and after store mutations.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -110,7 +111,7 @@ func assertParity(t *testing.T, e *Evaluator, name, query string) {
 	if err != nil {
 		t.Fatalf("%s: parse: %v", name, err)
 	}
-	got, err := e.Evaluate(q)
+	got, err := e.Evaluate(context.Background(), q)
 	if err != nil {
 		t.Fatalf("%s: pipeline: %v", name, err)
 	}

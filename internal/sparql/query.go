@@ -161,17 +161,6 @@ func (q *Query) ProjectedVariables() []rdf.Variable {
 	return out
 }
 
-// PatternGraph converts the WHERE clause into an rdf.Graph value (dropping
-// GRAPH scoping), which is the φ component of the paper's formalization
-// Q_G = ⟨π, φ⟩.
-func (q *Query) PatternGraph() *rdf.Graph {
-	g := rdf.NewGraph("")
-	for _, tp := range q.Where {
-		g.Add(rdf.Triple{Subject: tp.Subject, Predicate: tp.Predicate, Object: tp.Object})
-	}
-	return g
-}
-
 // ValueBindings resolves the VALUES table into a map from projected variable
 // to the single term it is bound to. The restricted template of Code 3 uses
 // exactly one row; multi-row VALUES are rejected by this accessor.

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -74,7 +75,7 @@ func TestEvaluateAtConsistentUnderChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				sn := s.Snapshot()
-				sols, err := eval.EvaluateAt(sn, q)
+				sols, err := eval.EvaluateAt(context.Background(), sn, q)
 				if err != nil {
 					errs <- err
 					return
@@ -86,7 +87,7 @@ func TestEvaluateAtConsistentUnderChurn(t *testing.T) {
 					return
 				}
 				// A second evaluation at the same snapshot must agree.
-				again, err := eval.EvaluateAt(sn, q)
+				again, err := eval.EvaluateAt(context.Background(), sn, q)
 				if err != nil {
 					errs <- err
 					return

@@ -9,6 +9,7 @@
 package steward
 
 import (
+	"context"
 	"sort"
 	"strings"
 
@@ -273,8 +274,8 @@ type DatatypeViolation struct {
 // CheckDatatypes executes the wrapper and validates every value against the
 // G:hasDatatype declaration of the feature its attribute maps to. Attributes
 // without a mapping or features without a datatype are skipped.
-func CheckDatatypes(o *core.Ontology, w wrapper.Wrapper) ([]DatatypeViolation, error) {
-	rows, err := w.Rows()
+func CheckDatatypes(ctx context.Context, o *core.Ontology, w wrapper.Wrapper) ([]DatatypeViolation, error) {
+	rows, err := w.Rows(ctx, relational.Pushdown{})
 	if err != nil {
 		return nil, err
 	}

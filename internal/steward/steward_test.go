@@ -1,6 +1,7 @@
 package steward
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -172,7 +173,7 @@ func TestCheckDatatypes(t *testing.T) {
 			{"VoDmonitorId": 13, "lagRatio": "not a ratio"}, // bad double
 			{"VoDmonitorId": 14, "lagRatio": nil},           // nil skipped
 		})
-	violations, err := CheckDatatypes(o, w)
+	violations, err := CheckDatatypes(context.Background(), o, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestCheckDatatypes(t *testing.T) {
 	wOK := wrapper.NewMemory("w3", "D3",
 		relational.NewSchema([]string{"TargetApp", "MonitorId", "FeedbackId"}, nil),
 		[]relational.Tuple{{"TargetApp": float64(1), "MonitorId": float64(12), "FeedbackId": float64(77)}})
-	violations, err = CheckDatatypes(o, wOK)
+	violations, err = CheckDatatypes(context.Background(), o, wOK)
 	if err != nil || len(violations) != 0 {
 		t.Errorf("JSON-style integers should validate: %v, %v", violations, err)
 	}

@@ -408,13 +408,6 @@ func (sn Snapshot) AppendMatchIDs(dst []QuadID, p IDPattern) []QuadID {
 	return dst
 }
 
-// AppendMatchIDsUnordered is retained for API compatibility: since buckets
-// became permanently sorted, the unordered fast path and the ordered path
-// converged — streaming off the bucket is already deterministic-order.
-func (sn Snapshot) AppendMatchIDsUnordered(dst []QuadID, p IDPattern) []QuadID {
-	return sn.AppendMatchIDs(dst, p)
-}
-
 // Count estimates the number of quads matching p by reading index bucket
 // sizes only: no matches are materialized or filtered. The estimate is
 // exact for patterns with at most one bound term and an upper bound (the

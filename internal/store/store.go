@@ -505,14 +505,6 @@ func (s *Store) AppendMatchIDs(dst []QuadID, p IDPattern) []QuadID {
 	return s.Snapshot().AppendMatchIDs(dst, p)
 }
 
-// AppendMatchIDsUnordered is AppendMatchIDs: buckets are now permanently
-// sorted, so the historical unordered fast path and the ordered path return
-// identical results at identical cost. It is retained so order-insensitive
-// consumers keep compiling (and keep documenting their intent).
-func (s *Store) AppendMatchIDsUnordered(dst []QuadID, p IDPattern) []QuadID {
-	return s.Snapshot().AppendMatchIDs(dst, p)
-}
-
 // Count estimates the number of quads matching p by reading index bucket
 // sizes only: no matches are materialized, filtered or sorted. The estimate
 // is exact for patterns with at most one bound term and an upper bound (the

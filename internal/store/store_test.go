@@ -375,20 +375,6 @@ func TestMatchIDsAgainstMatch(t *testing.T) {
 	if len(appended) != len(want) {
 		t.Fatalf("AppendMatchIDs returned %d, want %d", len(appended), len(want))
 	}
-	// Unordered: same set, any order.
-	unordered := s.AppendMatchIDsUnordered(nil, IDPattern{Predicate: pid})
-	if len(unordered) != len(want) {
-		t.Fatalf("unordered returned %d, want %d", len(unordered), len(want))
-	}
-	seen := map[QuadID]bool{}
-	for _, id := range unordered {
-		seen[id] = true
-	}
-	for _, m := range want {
-		if !seen[m.ID] {
-			t.Fatalf("unordered result missing %+v", m.ID)
-		}
-	}
 	// GraphSet with the reserved union key must match nothing.
 	if got := s.MatchIDs(IDPattern{Predicate: pid, GraphSet: true}); got != nil {
 		t.Errorf("GraphSet with graph ID 0 returned %d matches", len(got))

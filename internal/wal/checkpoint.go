@@ -75,7 +75,7 @@ type checkpointPayload struct {
 }
 
 // snapshotPayload assembles an uncompacted payload straight from a pinned
-// snapshot (tests, benchmarks and the DisableDictCompaction path).
+// snapshot (the input of compactDict, and what tests and benchmarks write).
 func snapshotPayload(sn store.Snapshot, terms []rdf.Term, spans []core.DeltaSpan) checkpointPayload {
 	return checkpointPayload{
 		generation:  sn.Generation(),

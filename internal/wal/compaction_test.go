@@ -358,8 +358,9 @@ func encodeCheckpointV1(sn store.Snapshot, terms []rdf.Term, spans []core.DeltaS
 }
 
 // TestCheckpointV1Compatibility pins the upgrade path: a version-1 checkpoint
-// still decodes and recovers with its TermIDs preserved, Open reports the
-// loaded format version, and the next checkpoint rewrites the dir as v2.
+// still decodes and recovers with its TermIDs preserved (orphans included —
+// v1 never compacted), Open reports the loaded format version, and the next
+// checkpoint rewrites the dir as v2, reclaiming the recovered orphans.
 func TestCheckpointV1Compatibility(t *testing.T) {
 	o := core.NewOntology()
 	if err := core.BuildSupersedeGlobalGraph(o); err != nil {
@@ -367,6 +368,9 @@ func TestCheckpointV1Compatibility(t *testing.T) {
 	}
 	if _, err := o.NewRelease(core.SupersedeReleaseW1()); err != nil {
 		t.Fatal(err)
+	}
+	if o.RemoveWrapperRegistration("w1") == 0 {
+		t.Fatal("expected the w1 registration to be removable")
 	}
 	sn := o.Store().Snapshot()
 	terms := sn.Dict().Terms()
@@ -423,6 +427,9 @@ func TestCheckpointV1Compatibility(t *testing.T) {
 	if info.FormatVersion != 2 {
 		t.Fatalf("rewritten checkpoint format = %d, want 2", info.FormatVersion)
 	}
+	if info.DictIDsReclaimed == 0 || info.CompactionEpoch != 1 {
+		t.Fatalf("upgrade checkpoint did not reclaim the recovered orphans: %+v", info)
+	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -432,62 +439,5 @@ func TestCheckpointV1Compatibility(t *testing.T) {
 	}
 	if rec2.CheckpointFormatVersion != 2 {
 		t.Fatalf("post-upgrade recovery format version = %d, want 2", rec2.CheckpointFormatVersion)
-	}
-}
-
-// TestDisableDictCompaction pins the opt-out: with the option set, a
-// checkpoint after removals keeps every orphaned TermID and recovery restores
-// the sparse dictionary unchanged.
-func TestDisableDictCompaction(t *testing.T) {
-	dir := t.TempDir()
-	m, err := Open(dir, Options{Sync: SyncOff, DisableDictCompaction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := m.Ontology()
-	if err := core.BuildSupersedeGlobalGraph(o); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.NewRelease(core.SupersedeReleaseW1()); err != nil {
-		t.Fatal(err)
-	}
-	if o.RemoveWrapperRegistration("w1") == 0 {
-		t.Fatal("expected the w1 registration to be removable")
-	}
-	liveDictLen := o.Store().Dict().Len()
-	info, err := m.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.DictIDsReclaimed != 0 || info.CompactionEpoch != 0 {
-		t.Fatalf("compaction ran despite being disabled: %+v", info)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recovered, rec, err := Inspect(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.DictIDsReclaimed != 0 {
-		t.Fatalf("recovery reports %d reclaimed IDs, want 0", rec.DictIDsReclaimed)
-	}
-	if got := recovered.Store().Dict().Len(); got != liveDictLen {
-		t.Fatalf("recovered dict has %d terms, want the sparse %d", got, liveDictLen)
-	}
-	// The same dir with compaction enabled reclaims on its next checkpoint.
-	m2, err := Open(dir, Options{Sync: SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info2, err := m2.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info2.DictIDsReclaimed == 0 || info2.CompactionEpoch != 1 {
-		t.Fatalf("re-enabled compaction did not reclaim: %+v", info2)
-	}
-	if err := m2.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

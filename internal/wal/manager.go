@@ -22,14 +22,6 @@ type Options struct {
 	// this many WAL bytes have been appended since the last one. 0 uses the
 	// default (64 MiB); negative disables automatic checkpoints.
 	CheckpointEveryBytes int64
-	// DisableDictCompaction turns off the dictionary compaction pass that
-	// checkpoints run by default: orphaned TermIDs (left behind by
-	// RemoveGraph and wrapper deregistration — the dictionary itself is
-	// append-only) are reclaimed by writing the checkpoint under densely
-	// reassigned IDs. Recovery and replica bootstrap from a compacted
-	// checkpoint rebuild byte-identical stores under the new IDs; the live
-	// process keeps its old IDs until it next restarts.
-	DisableDictCompaction bool
 }
 
 const defaultCheckpointEveryBytes = 64 << 20
@@ -271,10 +263,14 @@ func (m *Manager) checkpoint() (CheckpointInfo, error) {
 			spans = append(spans, sp)
 		}
 	}
+	// Every checkpoint runs the dictionary compaction pass: orphaned TermIDs
+	// (left behind by RemoveGraph and wrapper deregistration — the dictionary
+	// itself is append-only) are reclaimed by writing the checkpoint under
+	// densely reassigned IDs. Recovery and replica bootstrap from a compacted
+	// checkpoint rebuild byte-identical stores under the new IDs; the live
+	// process keeps its old IDs until it next restarts.
 	p := snapshotPayload(sn, terms, spans)
-	if !m.opts.DisableDictCompaction {
-		p.terms, p.graphs, p.dropped = compactDict(terms, p.graphs)
-	}
+	p.terms, p.graphs, p.dropped = compactDict(terms, p.graphs)
 	m.statMu.Lock()
 	epoch := m.compactionEpoch
 	m.statMu.Unlock()

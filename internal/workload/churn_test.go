@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"bdi/internal/rewriting"
@@ -82,7 +83,7 @@ func TestEvolutionChurnRelatedReleaseGrowsWalks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	answer, err := r.ExecuteResult(resw, wrapper.NewQualifiedResolver(ec.Registry))
+	answer, err := r.ExecuteResultLimit(context.Background(), resw, wrapper.NewQualifiedResolver(ec.Registry), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

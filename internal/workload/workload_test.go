@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"bdi/internal/core"
+	"bdi/internal/relational"
 	"bdi/internal/rewriting"
 	"bdi/internal/wrapper"
 )
@@ -169,7 +171,7 @@ func TestSupersedeTable1Registry(t *testing.T) {
 	if reg.Len() != 3 {
 		t.Errorf("registry = %d", reg.Len())
 	}
-	rel, err := reg.Fetch("w1")
+	rel, err := reg.Fetch(context.Background(), "w1", relational.Pushdown{})
 	if err != nil || rel.Cardinality() != 3 {
 		t.Errorf("w1 = %v, %v", rel, err)
 	}
@@ -182,20 +184,20 @@ func TestSupersedeTable1Registry(t *testing.T) {
 func TestSupersedeScaledRegistryDeterministic(t *testing.T) {
 	a := SupersedeScaledRegistry(10, 5, 42, true)
 	b := SupersedeScaledRegistry(10, 5, 42, true)
-	relA, _ := a.Fetch("w1")
-	relB, _ := b.Fetch("w1")
+	relA, _ := a.Fetch(context.Background(), "w1", relational.Pushdown{})
+	relB, _ := b.Fetch(context.Background(), "w1", relational.Pushdown{})
 	if relA.Cardinality() != relB.Cardinality() {
 		t.Error("same seed must produce the same data")
 	}
 	if relA.Cardinality() == 0 {
 		t.Error("scaled registry should contain VoD events")
 	}
-	w3, _ := a.Fetch("w3")
+	w3, _ := a.Fetch(context.Background(), "w3", relational.Pushdown{})
 	if w3.Cardinality() != 10 {
 		t.Errorf("w3 cardinality = %d, want 10", w3.Cardinality())
 	}
 	// Evolution splits the events across w1 (odd apps) and w4 (even apps).
-	w4, _ := a.Fetch("w4")
+	w4, _ := a.Fetch(context.Background(), "w4", relational.Pushdown{})
 	if w4.Cardinality() == 0 {
 		t.Error("w4 should hold the even applications' events")
 	}

@@ -17,29 +17,22 @@ import (
 type DocumentSource interface {
 	// Documents returns the current batch of documents (e.g. the events
 	// accumulated since the last poll, or the full response of a REST call).
-	Documents() ([]Document, error)
-}
-
-// ContextDocumentSource is the optional cancellation-aware extension of
-// DocumentSource (an HTTP source aborts the in-flight request on ctx
-// cancellation).
-type ContextDocumentSource interface {
-	DocumentSource
-	// DocumentsContext is Documents honoring ctx.
-	DocumentsContext(ctx context.Context) ([]Document, error)
+	// A cancelled ctx aborts the fetch (an HTTP source tears down the
+	// in-flight request).
+	Documents(ctx context.Context) ([]Document, error)
 }
 
 // StaticDocuments is a DocumentSource over a fixed slice of documents.
 type StaticDocuments []Document
 
 // Documents implements DocumentSource.
-func (s StaticDocuments) Documents() ([]Document, error) { return s, nil }
+func (s StaticDocuments) Documents(context.Context) ([]Document, error) { return s, nil }
 
 // DocumentFunc adapts a function to the DocumentSource interface.
-type DocumentFunc func() ([]Document, error)
+type DocumentFunc func(ctx context.Context) ([]Document, error)
 
 // Documents implements DocumentSource.
-func (f DocumentFunc) Documents() ([]Document, error) { return f() }
+func (f DocumentFunc) Documents(ctx context.Context) ([]Document, error) { return f(ctx) }
 
 // HTTPSource fetches a JSON array of documents from a REST endpoint. It
 // plays the role of the HTTP query engine under a wrapper; authentication,
@@ -59,14 +52,9 @@ func NewHTTPSource(url string) *HTTPSource {
 	return &HTTPSource{URL: url, Client: &http.Client{Timeout: 10 * time.Second}}
 }
 
-// Documents implements DocumentSource.
-func (h *HTTPSource) Documents() ([]Document, error) {
-	return h.DocumentsContext(context.Background())
-}
-
-// DocumentsContext implements ContextDocumentSource: the request carries
-// ctx, so a cancelled query aborts the source round-trip immediately.
-func (h *HTTPSource) DocumentsContext(ctx context.Context) ([]Document, error) {
+// Documents implements DocumentSource: the request carries ctx, so a
+// cancelled query aborts the source round-trip immediately.
+func (h *HTTPSource) Documents(ctx context.Context) ([]Document, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.URL, nil)
 	if err != nil {
 		return nil, err
@@ -162,29 +150,32 @@ func (j *JSON) Pipeline() []string {
 	return out
 }
 
-// Rows implements Wrapper: it fetches the documents and runs the pipeline on
-// each, keeping only attributes declared in the schema.
-func (j *JSON) Rows() ([]relational.Tuple, error) {
-	return j.RowsContext(context.Background())
-}
-
-// RowsContext implements ContextWrapper: the document fetch honors ctx when
-// the source supports it, and the per-document pipeline loop checks
-// cancellation at chunk granularity.
-func (j *JSON) RowsContext(ctx context.Context) ([]relational.Tuple, error) {
-	return j.rowsContext(ctx, j.pipeline)
-}
-
-// rowsContext runs the given pipeline (the wrapper's own, or a pruned one
-// built for a pushdown) over the source documents.
-func (j *JSON) rowsContext(ctx context.Context, pipeline []Op) ([]relational.Tuple, error) {
-	var docs []Document
-	var err error
-	if cs, ok := j.docs.(ContextDocumentSource); ok {
-		docs, err = cs.DocumentsContext(ctx)
-	} else {
-		docs, err = j.docs.Documents()
+// Rows implements Wrapper: it fetches the documents under ctx and runs the
+// pipeline on each (checking cancellation at chunk granularity), keeping
+// only attributes declared in the schema. Pipeline ops that declare a
+// prunable single-attribute output (PushdownOp) are skipped when the
+// pushdown does not need their attribute; ops that can fail are never
+// pruned, so exactly the same documents succeed as in a full execution.
+// Selections and the projection are applied to the transformed tuples.
+func (j *JSON) Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tuple, error) {
+	_, kept := p.Project(j.schema)
+	needed := map[string]bool{}
+	for _, n := range kept {
+		needed[n] = true
 	}
+	for _, s := range p.Selections {
+		needed[s.Attr] = true
+	}
+	pipeline := make([]Op, 0, len(j.pipeline))
+	for _, op := range j.pipeline {
+		if po, ok := op.(PushdownOp); ok {
+			if attr, prunable := po.PushdownOutput(); prunable && !needed[attr] {
+				continue
+			}
+		}
+		pipeline = append(pipeline, op)
+	}
+	docs, err := j.docs.Documents(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -221,5 +212,5 @@ func (j *JSON) rowsContext(ctx context.Context, pipeline []Op) ([]relational.Tup
 		}
 		rows = append(rows, tuple)
 	}
-	return rows, nil
+	return p.Apply(j.schema, rows), nil
 }

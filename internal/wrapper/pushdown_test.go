@@ -15,7 +15,7 @@ type countingDocs struct {
 	fetches int
 }
 
-func (c *countingDocs) Documents() ([]Document, error) {
+func (c *countingDocs) Documents(context.Context) ([]Document, error) {
 	c.fetches++
 	return c.docs, nil
 }
@@ -39,21 +39,24 @@ func pushdownTestDocs() *countingDocs {
 }
 
 // TestJSONRowsPushdownPrunesSafely checks that a projection pushdown prunes
-// only never-failing ops (Constant, optional ProjectField) and keeps the
-// pushed-down schema's order and IDs.
+// only never-failing ops (Constant, optional ProjectField), keeps the
+// pushed-down schema's order and IDs, and fetches the documents once.
 func TestJSONRowsPushdownPrunesSafely(t *testing.T) {
-	j := pushdownTestJSON(pushdownTestDocs())
-	rows, schema, ok, err := j.RowsPushdown(context.Background(), relational.Pushdown{Attrs: []string{"ratio"}})
-	if err != nil || !ok {
-		t.Fatalf("pushdown failed: ok=%t err=%v", ok, err)
+	docs := pushdownTestDocs()
+	rel, err := Relation(context.Background(), pushdownTestJSON(docs), relational.Pushdown{Attrs: []string{"ratio"}})
+	if err != nil {
+		t.Fatalf("pushdown failed: %v", err)
 	}
-	if got, want := fmt.Sprint(schema.Names()), fmt.Sprint([]string{"id", "ratio"}); got != want {
+	if docs.fetches != 1 {
+		t.Fatalf("pushdown fetched the documents %d times, want 1", docs.fetches)
+	}
+	if got, want := fmt.Sprint(rel.Schema.Names()), fmt.Sprint([]string{"id", "ratio"}); got != want {
 		t.Fatalf("pushed schema = %s, want %s", got, want)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
+	if rel.Cardinality() != 3 {
+		t.Fatalf("got %d rows, want 3", rel.Cardinality())
 	}
-	for _, r := range rows {
+	for _, r := range rel.Tuples {
 		if _, ok := r["tag"]; ok {
 			t.Fatalf("pruned constant leaked into row %v", r)
 		}
@@ -73,8 +76,8 @@ func TestJSONRowsPushdownKeepsFallibleOps(t *testing.T) {
 		ProjectField{Path: "monitorId", As: "id"},
 		ProjectField{Path: "must", As: "m"}, // fails on doc 2
 	)
-	_, fullErr := j.Rows()
-	_, _, _, pdErr := j.RowsPushdown(context.Background(), relational.Pushdown{Attrs: []string{"id"}})
+	_, fullErr := j.Rows(context.Background(), relational.Pushdown{})
+	_, pdErr := j.Rows(context.Background(), relational.Pushdown{Attrs: []string{"id"}})
 	if fullErr == nil || pdErr == nil {
 		t.Fatalf("fallible op outcome changed: full=%v pushdown=%v", fullErr, pdErr)
 	}
@@ -87,42 +90,54 @@ func TestJSONRowsPushdownKeepsFallibleOps(t *testing.T) {
 // with relational equality semantics before materialization.
 func TestJSONRowsPushdownSelections(t *testing.T) {
 	j := pushdownTestJSON(pushdownTestDocs())
-	rows, _, ok, err := j.RowsPushdown(context.Background(), relational.Pushdown{
+	rows, err := j.Rows(context.Background(), relational.Pushdown{
 		Selections: []relational.Selection{{Attr: "id", Values: []relational.Value{float64(2), 3}}},
 	})
-	if err != nil || !ok {
-		t.Fatalf("pushdown failed: ok=%t err=%v", ok, err)
+	if err != nil {
+		t.Fatalf("pushdown failed: %v", err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("selection kept %d rows, want 2 (float64(2) must match id 2): %v", len(rows), rows)
 	}
 }
 
-// TestMemoryRowsPushdownMatchesApplySelections checks the in-memory wrapper
-// against the engine's reference selection/projection semantics.
-func TestMemoryRowsPushdownMatchesApplySelections(t *testing.T) {
+// pushdownReferenceCase is a wrapper output and a pushdown over it, with the
+// result the engine's reference selection/projection semantics give.
+func pushdownReferenceCase() (relational.Schema, []relational.Tuple, relational.Pushdown, string) {
 	schema := relational.NewSchema([]string{"id"}, []string{"a", "b"})
 	rows := []relational.Tuple{
 		{"id": 1, "a": "x", "b": 1},
 		{"id": 2, "a": "y"},
 		{"id": int64(1), "a": "z", "b": 2},
 	}
-	m := NewMemory("wm", "SM", schema, rows)
 	pd := relational.Pushdown{
 		Attrs:      []string{"a"},
 		Selections: []relational.Selection{{Attr: "id", Values: []relational.Value{1}}},
 	}
-	got, handled, err := RelationPushdown(context.Background(), m, pd)
-	if err != nil || !handled {
-		t.Fatalf("pushdown failed: handled=%t err=%v", handled, err)
+	full := relational.NewRelation("w", schema)
+	full.Add(rows...)
+	return schema, rows, pd, relational.ApplySelections(full, pd.Selections).Project(pd.Attrs).String()
+}
+
+// TestMemoryRowsPushdownMatchesApplySelections checks the in-memory wrapper
+// against the engine's reference selection/projection semantics, and that
+// the zero Pushdown yields the full output.
+func TestMemoryRowsPushdownMatchesApplySelections(t *testing.T) {
+	schema, rows, pd, want := pushdownReferenceCase()
+	m := NewMemory("w", "SM", schema, rows)
+	got, err := Relation(context.Background(), m, pd)
+	if err != nil {
+		t.Fatalf("pushdown failed: %v", err)
 	}
-	full, err := Relation(m)
+	if got.String() != want {
+		t.Fatalf("memory pushdown diverges from reference semantics\nwant: %s\ngot:  %s", want, got)
+	}
+	full, err := Relation(context.Background(), m, relational.Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := relational.ApplySelections(full, pd.Selections).Project(pd.Attrs)
-	if got.String() != want.String() {
-		t.Fatalf("memory pushdown diverges from reference semantics\nwant: %s\ngot:  %s", want, got)
+	if fmt.Sprint(full.Schema.Names()) != fmt.Sprint(schema.Names()) || full.Cardinality() != len(rows) {
+		t.Fatalf("zero pushdown must yield the full output, got %s", full)
 	}
 }
 
@@ -135,12 +150,12 @@ func TestQualifiedFetchPushdownTranslatesNames(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(NewMemory("wm", "SM", schema, rows))
 	q := NewQualifiedResolver(reg)
-	rel, handled, err := q.FetchPushdown(context.Background(), "wm", relational.Pushdown{
+	rel, err := q.Fetch(context.Background(), "wm", relational.Pushdown{
 		Attrs:      []string{"SM/a"},
 		Selections: []relational.Selection{{Attr: "SM/id", Values: []relational.Value{1}}},
 	})
-	if err != nil || !handled {
-		t.Fatalf("qualified pushdown failed: handled=%t err=%v", handled, err)
+	if err != nil {
+		t.Fatalf("qualified pushdown failed: %v", err)
 	}
 	if got, want := fmt.Sprint(rel.Schema.Names()), fmt.Sprint([]string{"SM/id", "SM/a"}); got != want {
 		t.Fatalf("qualified pushdown schema = %s, want %s", got, want)
@@ -150,23 +165,36 @@ func TestQualifiedFetchPushdownTranslatesNames(t *testing.T) {
 	}
 }
 
-// TestRelationPushdownFallback checks that wrappers without pushdown support
-// report handled=false (never a partial result), as the engine's fallback
-// contract requires.
-func TestRelationPushdownFallback(t *testing.T) {
-	plain := plainWrapper{}
-	rel, handled, err := RelationPushdown(context.Background(), plain, relational.Pushdown{Attrs: []string{"a"}})
-	if err != nil || handled || rel != nil {
-		t.Fatalf("non-pushdown wrapper must yield (nil,false,nil), got (%v,%t,%v)", rel, handled, err)
+// TestPlainWrapperAppliesSharedHelper checks that a wrapper with no native
+// selection or projection honors the pushdown contract by passing its full
+// output through the shared Pushdown.Apply helper: the registry serves the
+// pushed-down schema and exactly the reference rows, never a partial result.
+func TestPlainWrapperAppliesSharedHelper(t *testing.T) {
+	schema, rows, pd, want := pushdownReferenceCase()
+	reg := NewRegistry()
+	reg.Register(plainWrapper{schema: schema, rows: rows})
+	got, err := reg.Fetch(context.Background(), "w", pd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want {
+		t.Fatalf("shared helper diverges from reference semantics\nwant: %s\ngot:  %s", want, got)
 	}
 }
 
-// plainWrapper implements only the base Wrapper interface.
-type plainWrapper struct{}
+// plainWrapper is a third-party wrapper over a source with no native
+// selection or projection.
+type plainWrapper struct {
+	schema relational.Schema
+	rows   []relational.Tuple
+}
 
-func (plainWrapper) Name() string              { return "plain" }
-func (plainWrapper) Source() string            { return "SP" }
-func (plainWrapper) Schema() relational.Schema { return relational.Schema{} }
-func (plainWrapper) Rows() ([]relational.Tuple, error) {
-	return nil, nil
+func (plainWrapper) Name() string                { return "w" }
+func (plainWrapper) Source() string              { return "SP" }
+func (p plainWrapper) Schema() relational.Schema { return p.schema }
+func (p plainWrapper) Rows(ctx context.Context, pd relational.Pushdown) ([]relational.Tuple, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return pd.Apply(p.schema, p.rows), nil
 }

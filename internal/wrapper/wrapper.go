@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"bdi/internal/relational"
@@ -23,41 +24,23 @@ type Wrapper interface {
 	Source() string
 	// Schema describes the attributes projected by the wrapper's query.
 	Schema() relational.Schema
-	// Rows executes the wrapper's query and returns its output tuples.
-	Rows() ([]relational.Tuple, error)
+	// Rows executes the wrapper's query with the pushdown applied at the
+	// source and returns its output tuples under the schema p.Project(Schema())
+	// yields; the zero Pushdown asks for the full output. A cancelled ctx
+	// aborts the source query. A source without native selection or
+	// projection runs its full query and returns p.Apply(Schema(), rows).
+	Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tuple, error)
 }
 
-// ContextWrapper is the optional cancellation-aware extension of Wrapper: a
-// wrapper implementing it can abort its source query when the requesting
-// query's context is cancelled (client disconnect, deadline, budget).
-type ContextWrapper interface {
-	Wrapper
-	// RowsContext is Rows honoring ctx.
-	RowsContext(ctx context.Context) ([]relational.Tuple, error)
-}
-
-// Relation executes the wrapper and materializes its output as a relation.
-func Relation(w Wrapper) (*relational.Relation, error) {
-	return RelationContext(context.Background(), w)
-}
-
-// RelationContext is Relation honoring ctx: context-aware wrappers abort
-// their source query on cancellation; plain wrappers are checked before the
-// (usually cheap, in-memory) execution starts.
-func RelationContext(ctx context.Context, w Wrapper) (*relational.Relation, error) {
-	var rows []relational.Tuple
-	var err error
-	if cw, ok := w.(ContextWrapper); ok {
-		rows, err = cw.RowsContext(ctx)
-	} else {
-		if err = ctx.Err(); err == nil {
-			rows, err = w.Rows()
-		}
-	}
+// Relation executes the wrapper under the pushdown and materializes its
+// output as a relation named after the wrapper.
+func Relation(ctx context.Context, w Wrapper, p relational.Pushdown) (*relational.Relation, error) {
+	rows, err := w.Rows(ctx, p)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: %w", w.Name(), err)
 	}
-	rel := relational.NewRelation(w.Name(), w.Schema())
+	schema, _ := p.Project(w.Schema())
+	rel := relational.NewRelation(w.Name(), schema)
 	rel.Add(rows...)
 	return rel, nil
 }
@@ -86,13 +69,13 @@ func (m *Memory) Source() string { return m.source }
 // Schema implements Wrapper.
 func (m *Memory) Schema() relational.Schema { return m.schema }
 
-// Rows implements Wrapper.
-func (m *Memory) Rows() ([]relational.Tuple, error) {
-	out := make([]relational.Tuple, len(m.rows))
-	for i, t := range m.rows {
-		out[i] = t.Clone()
+// Rows implements Wrapper with the shared pushdown helper, the reference
+// implementation of source-side selection and projection.
+func (m *Memory) Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tuple, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return p.Apply(m.schema, m.rows), nil
 }
 
 // Append adds tuples to the in-memory wrapper (useful for event simulation).
@@ -179,20 +162,15 @@ func (r *Registry) Len() int {
 }
 
 // Fetch implements relational.WrapperResolver.
-func (r *Registry) Fetch(name string) (*relational.Relation, error) {
-	return r.FetchContext(context.Background(), name)
-}
-
-// FetchContext implements relational.ContextWrapperResolver.
-func (r *Registry) FetchContext(ctx context.Context, name string) (*relational.Relation, error) {
+func (r *Registry) Fetch(ctx context.Context, name string, p relational.Pushdown) (*relational.Relation, error) {
 	w, ok := r.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("wrapper: %q is not registered", name)
 	}
-	return RelationContext(ctx, w)
+	return Relation(ctx, w, p)
 }
 
-var _ relational.ContextWrapperResolver = (*Registry)(nil)
+var _ relational.WrapperResolver = (*Registry)(nil)
 
 // Qualified wraps a resolver so that every attribute of every fetched
 // relation is renamed to "<source>/<attribute>". The ontology's Source graph
@@ -207,26 +185,37 @@ type Qualified struct {
 // attribute names.
 func NewQualifiedResolver(r *Registry) *Qualified { return &Qualified{Registry: r} }
 
-// Fetch implements relational.WrapperResolver.
-func (q *Qualified) Fetch(name string) (*relational.Relation, error) {
-	return q.FetchContext(context.Background(), name)
-}
-
-// FetchContext implements relational.ContextWrapperResolver.
-func (q *Qualified) FetchContext(ctx context.Context, name string) (*relational.Relation, error) {
+// Fetch implements relational.WrapperResolver: pushdown attribute names
+// arrive source-qualified ("<source>/<attr>"), are translated to the
+// wrapper's plain column names for the source, and the qualification travels
+// down as the pushdown's rename — the source materializes qualified tuples
+// directly, so the qualified fetch costs no extra pass over the rows.
+func (q *Qualified) Fetch(ctx context.Context, name string, p relational.Pushdown) (*relational.Relation, error) {
 	w, ok := q.Registry.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("wrapper: %q is not registered", name)
 	}
-	rel, err := RelationContext(ctx, w)
-	if err != nil {
-		return nil, err
+	prefix := w.Source() + "/"
+	unq := relational.Pushdown{Rename: map[string]string{}}
+	for _, a := range p.Attrs {
+		unq.Attrs = append(unq.Attrs, strings.TrimPrefix(a, prefix))
 	}
-	mapping := map[string]string{}
-	for _, a := range rel.Schema.Names() {
-		mapping[a] = w.Source() + "/" + a
+	for _, s := range p.Selections {
+		unq.Selections = append(unq.Selections, relational.Selection{
+			Attr:   strings.TrimPrefix(s.Attr, prefix),
+			Values: s.Values,
+		})
 	}
-	return rel.Rename(mapping), nil
+	for _, a := range w.Schema().Names() {
+		unq.Rename[a] = prefix + a
+	}
+	return Relation(ctx, w, unq)
 }
 
-var _ relational.ContextWrapperResolver = (*Qualified)(nil)
+// FetchContext fetches the wrapper's full qualified output. The frozen
+// bench module calls it; delete it when the bench next moves.
+func (q *Qualified) FetchContext(ctx context.Context, name string) (*relational.Relation, error) {
+	return q.Fetch(ctx, name, relational.Pushdown{})
+}
+
+var _ relational.WrapperResolver = (*Qualified)(nil)

@@ -1,6 +1,8 @@
 package wrapper
 
 import (
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -32,7 +34,7 @@ func newW1(docs DocumentSource) *JSON {
 
 func TestJSONWrapperPipeline(t *testing.T) {
 	w := newW1(StaticDocuments(vodDocuments()))
-	rows, err := w.Rows()
+	rows, err := w.Rows(context.Background(), relational.Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +59,11 @@ func TestJSONWrapperPipeline(t *testing.T) {
 func TestJSONWrapperErrorOnMissingField(t *testing.T) {
 	bad := StaticDocuments([]Document{{"other": 1.0}})
 	w := newW1(bad)
-	if _, err := w.Rows(); err == nil {
+	if _, err := w.Rows(context.Background(), relational.Pushdown{}); err == nil {
 		t.Error("expected error for missing field")
 	}
 	w.SkipBadDocuments = true
-	rows, err := w.Rows()
+	rows, err := w.Rows(context.Background(), relational.Pushdown{})
 	if err != nil || len(rows) != 0 {
 		t.Errorf("skip-bad-documents: rows=%v err=%v", rows, err)
 	}
@@ -169,16 +171,16 @@ func TestMemoryWrapperAndRegistry(t *testing.T) {
 	if got := reg.BySource("D1"); len(got) != 1 || got[0].Name() != "w1" {
 		t.Errorf("by source = %v", got)
 	}
-	rel, err := reg.Fetch("w2")
+	rel, err := reg.Fetch(context.Background(), "w2", relational.Pushdown{})
 	if err != nil || rel.Cardinality() != 2 {
 		t.Errorf("fetch w2 = %v, %v", rel, err)
 	}
-	if _, err := reg.Fetch("missing"); err == nil {
+	if _, err := reg.Fetch(context.Background(), "missing", relational.Pushdown{}); err == nil {
 		t.Error("fetching unknown wrapper should error")
 	}
 	// Appending events to the memory wrapper is visible on the next fetch.
 	w2.Append(relational.Tuple{"FGId": 99, "tweet": "new"})
-	rel, _ = reg.Fetch("w2")
+	rel, _ = reg.Fetch(context.Background(), "w2", relational.Pushdown{})
 	if rel.Cardinality() != 3 {
 		t.Error("appended tuple not visible")
 	}
@@ -188,7 +190,7 @@ func TestQualifiedResolver(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(newW1(StaticDocuments(vodDocuments())))
 	q := NewQualifiedResolver(reg)
-	rel, err := q.Fetch("w1")
+	rel, err := q.Fetch(context.Background(), "w1", relational.Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +200,7 @@ func TestQualifiedResolver(t *testing.T) {
 	if !rel.Schema.IsID("D1/VoDmonitorId") {
 		t.Error("ID flag lost during qualification")
 	}
-	if _, err := q.Fetch("missing"); err == nil {
+	if _, err := q.Fetch(context.Background(), "missing", relational.Pushdown{}); err == nil {
 		t.Error("unknown wrapper should error")
 	}
 }
@@ -221,26 +223,26 @@ func TestHTTPSourceAndDecode(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	docs, err := NewHTTPSource(srv.URL + "/array").Documents()
+	docs, err := NewHTTPSource(srv.URL + "/array").Documents(context.Background())
 	if err != nil || len(docs) != 1 {
 		t.Fatalf("array fetch = %v, %v", docs, err)
 	}
 	env := NewHTTPSource(srv.URL + "/enveloped")
 	env.Envelope = "posts"
-	docs, err = env.Documents()
+	docs, err = env.Documents(context.Background())
 	if err != nil || len(docs) != 2 {
 		t.Fatalf("enveloped fetch = %v, %v", docs, err)
 	}
-	docs, err = NewHTTPSource(srv.URL + "/single").Documents()
+	docs, err = NewHTTPSource(srv.URL + "/single").Documents(context.Background())
 	if err != nil || len(docs) != 1 {
 		t.Fatalf("single fetch = %v, %v", docs, err)
 	}
-	if _, err := NewHTTPSource(srv.URL + "/404").Documents(); err == nil {
+	if _, err := NewHTTPSource(srv.URL + "/404").Documents(context.Background()); err == nil {
 		t.Error("404 should be an error")
 	}
 	// A full wrapper over HTTP.
 	w := newW1(NewHTTPSource(srv.URL + "/array"))
-	rows, err := w.Rows()
+	rows, err := w.Rows(context.Background(), relational.Pushdown{})
 	if err != nil || len(rows) != 1 || rows[0]["lagRatio"] != 0.75 {
 		t.Errorf("HTTP wrapper rows = %v, %v", rows, err)
 	}
@@ -260,11 +262,81 @@ func TestDecodeDocumentsErrors(t *testing.T) {
 
 func TestDocumentFunc(t *testing.T) {
 	called := 0
-	src := DocumentFunc(func() ([]Document, error) {
+	src := DocumentFunc(func(context.Context) ([]Document, error) {
 		called++
 		return []Document{{"id": 1.0}}, nil
 	})
-	if _, err := src.Documents(); err != nil || called != 1 {
+	if _, err := src.Documents(context.Background()); err != nil || called != 1 {
 		t.Error("DocumentFunc not invoked")
+	}
+}
+
+// blockedWrapper is a third-party wrapper whose source query never returns
+// on its own.
+type blockedWrapper struct{ entered chan struct{} }
+
+func (blockedWrapper) Name() string              { return "blocked" }
+func (blockedWrapper) Source() string            { return "SB" }
+func (blockedWrapper) Schema() relational.Schema { return relational.Schema{} }
+func (b blockedWrapper) Rows(ctx context.Context, _ relational.Pushdown) ([]relational.Tuple, error) {
+	close(b.entered)
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestCancelledFetchReturnsCanceled checks the one cancellation contract of
+// the read path: a fetch blocked in its source returns context.Canceled as
+// soon as the requesting context is cancelled, whatever kind of wrapper or
+// document source sits underneath.
+func TestCancelledFetchReturnsCanceled(t *testing.T) {
+	handlerEntered := make(chan struct{})
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		close(handlerEntered)
+		<-release
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	funcEntered := make(chan struct{})
+	blockedFunc := DocumentFunc(func(ctx context.Context) ([]Document, error) {
+		close(funcEntered)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	plainEntered := make(chan struct{})
+
+	cases := []struct {
+		name    string
+		w       Wrapper
+		entered chan struct{}
+	}{
+		{"JSON over DocumentFunc", NewJSON("blocked", "SB", relational.Schema{}, blockedFunc), funcEntered},
+		{"JSON over HTTPSource", NewJSON("blocked", "SB", relational.Schema{}, NewHTTPSource(srv.URL)), handlerEntered},
+		{"third-party wrapper", blockedWrapper{plainEntered}, plainEntered},
+	}
+	for _, tc := range cases {
+		reg := NewRegistry()
+		reg.Register(tc.w)
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, err := NewQualifiedResolver(reg).Fetch(ctx, "blocked", relational.Pushdown{})
+			errc <- err
+		}()
+		<-tc.entered
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: blocked fetch returned %v, want context.Canceled", tc.name, err)
+		}
+	}
+
+	// The in-memory wrapper cannot block; it must still refuse a context
+	// that is already cancelled.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := NewMemory("m", "SM", relational.NewSchema([]string{"id"}, nil), []relational.Tuple{{"id": 1}})
+	if _, err := Relation(ctx, m, relational.Pushdown{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Memory: cancelled fetch returned %v, want context.Canceled", err)
 	}
 }

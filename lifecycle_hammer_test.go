@@ -97,7 +97,7 @@ func TestCancelEvaluationMidJoinHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := eval.Evaluate(q)
+	baseline, err := eval.Evaluate(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCancelEvaluationMidJoinHammer(t *testing.T) {
 		t.Fatal("hammer query returned no rows; the join never ran")
 	}
 	start := time.Now()
-	if _, err := eval.Evaluate(q); err != nil {
+	if _, err := eval.Evaluate(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(start)
@@ -117,7 +117,7 @@ func TestCancelEvaluationMidJoinHammer(t *testing.T) {
 			// Deadlines spread across [0, full): most runs die mid-join.
 			d := time.Duration(rng.Int63n(int64(full) + 1))
 			ctx, cancel := context.WithTimeout(context.Background(), d)
-			sols, err := eval.EvaluateContext(ctx, q)
+			sols, err := eval.Evaluate(ctx, q)
 			cancel()
 			switch {
 			case err == nil:
@@ -135,7 +135,7 @@ func TestCancelEvaluationMidJoinHammer(t *testing.T) {
 			t.Errorf("seed %d: no evaluation was cancelled mid-join (full run takes %s); the hammer is not hammering", seed, full)
 		}
 		// The store must be untouched by the aborted runs.
-		sols, err := eval.Evaluate(q)
+		sols, err := eval.Evaluate(context.Background(), q)
 		if err != nil {
 			t.Fatalf("seed %d: evaluation after cancellations: %v", seed, err)
 		}

@@ -79,8 +79,8 @@ func TestWalkExecutionEndToEndParity(t *testing.T) {
 						randomizeChainWrapper(rng, wc.Registry, i, j, i+1 < concepts)
 					}
 				}
-				ref, refErr := r.ExecuteResultReferenceContext(context.Background(), res, resolver)
-				got, gotErr := r.ExecuteResultContext(context.Background(), res, resolver)
+				ref, refErr := r.ExecuteResultReference(res, resolver)
+				got, gotErr := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
 				if (refErr == nil) != (gotErr == nil) {
 					t.Fatalf("round %d: error parity broken: reference=%v engine=%v", round, refErr, gotErr)
 				}
@@ -159,7 +159,7 @@ func TestAnswerConsistentUnderWrapperChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := rew.ExecuteResultReferenceContext(context.Background(), res0, resolver)
+	want, err := rew.ExecuteResultReference(res0, resolver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestAnswerConsistentUnderWrapperChurn(t *testing.T) {
 					errCh <- err
 					return
 				}
-				ans, err := rew.ExecuteResultContext(context.Background(), res, resolver)
+				ans, err := rew.ExecuteResultLimit(context.Background(), res, resolver, 0)
 				if err != nil {
 					errCh <- fmt.Errorf("answer under churn: %w", err)
 					return
@@ -230,7 +230,7 @@ func TestAnswerConsistentUnderWrapperChurn(t *testing.T) {
 	if res.UCQ.Len() != ec.ExpectedWalks() {
 		t.Errorf("final walks = %d, want %d", res.UCQ.Len(), ec.ExpectedWalks())
 	}
-	ans, err := rew.ExecuteResultContext(context.Background(), res, resolver)
+	ans, err := rew.ExecuteResultLimit(context.Background(), res, resolver, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
