@@ -112,6 +112,41 @@ func BenchmarkFigure8QueryAnsweringWorstCase(b *testing.B) {
 	}
 }
 
+// BenchmarkFigure8WalkExecution executes the Figure 8 UCQ (the rewriting
+// happens once, outside the loop): W^5 walks of 3 rows over 5·W wrappers, so
+// the measured cost is per-walk compile, scheduling and union overhead, not
+// row volume. It is the in-process guard of the answer-walks workload.
+func BenchmarkFigure8WalkExecution(b *testing.B) {
+	for _, wrappers := range []int{1, 2, 3, 4} {
+		wc, err := workload.BuildWorstCase(5, wrappers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rewriting.NewRewriter(wc.Ontology)
+		res, err := r.Rewrite(wc.Query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.UCQ.Len() != wc.ExpectedWalks() {
+			b.Fatalf("walks = %d, want %d", res.UCQ.Len(), wc.ExpectedWalks())
+		}
+		resolver := wrapper.NewQualifiedResolver(wc.Registry)
+		b.Run(fmt.Sprintf("wrappersPerConcept=%d", wrappers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				answer, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if answer.Cardinality() != 3 {
+					b.Fatalf("answer = %d rows, want 3", answer.Cardinality())
+				}
+			}
+			b.ReportMetric(float64(wc.ExpectedWalks()), "walks")
+		})
+	}
+}
+
 // BenchmarkFigure8Parallel runs the worst-case rewriting workload from all
 // GOMAXPROCS goroutines against one shared ontology. The store's lock-free
 // snapshot reads plus the mutex-guarded (but hit-dominated) generation

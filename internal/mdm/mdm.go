@@ -16,10 +16,13 @@
 // atomicity: POST /api/releases performs several ontology mutations that
 // must appear as one release (write lock), and the multi-probe read
 // handlers (stats, concepts, sources, query endpoints) take the read lock
-// so they never interleave with a half-registered release. Query handlers
-// share the read lock and run concurrently with each other; the rewriting
-// cache validates itself against the ontology's release-delta log whenever
-// a release bumps the store generation, retiring only the cached
+// so they never interleave with a half-registered release. The query
+// handlers hold it only until their rewriting result (and, for /answer, the
+// answer relation) exists: rendering the reply and writing it to the client
+// happen outside the lock, so a slow reader never delays a release. Query
+// handlers share the read lock and run concurrently with each other; the
+// rewriting cache validates itself against the ontology's release-delta log
+// whenever a release bumps the store generation, retiring only the cached
 // rewritings whose concept/feature footprint the release touches (GET
 // /api/queries/cache reports the retained/invalidated counters).
 package mdm
@@ -411,9 +414,12 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	noteQuery(r, req.SPARQL)
+	// The read lock covers the rewriting only. The result is immutable, so
+	// rendering and writing it to a possibly slow client must not keep a
+	// release (and, behind the pending writer, every new reader) waiting.
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	res, err := s.rewriteCached(r.Context(), req.SPARQL)
+	s.mu.RUnlock()
 	if err != nil {
 		writeQueryError(w, r, err)
 		return
@@ -497,6 +503,9 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 
 func rewriteResponse(res *rewriting.Result) RewriteResponse {
 	out := RewriteResponse{Signatures: res.UCQ.Signatures()}
+	if n := len(res.UCQ.Walks); n > 0 {
+		out.Walks = make([]string, 0, n)
+	}
 	for _, walk := range res.UCQ.Walks {
 		out.Walks = append(out.Walks, walk.String())
 	}
@@ -520,15 +529,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	noteQuery(r, req.SPARQL)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	resolver := wrapper.NewQualifiedResolver(s.registry)
-	res, err := s.rewriteCached(r.Context(), req.SPARQL)
-	if err != nil {
-		writeQueryError(w, r, err)
-		return
-	}
-	answer, err := s.rewriter.ExecuteResultLimit(r.Context(), res, resolver, req.Limit)
+	answer, res, err := s.answer(r.Context(), req)
 	if err != nil {
 		writeQueryError(w, r, err)
 		return
@@ -542,6 +543,21 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		resp.Rows = append(resp.Rows, row)
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// answer rewrites and executes a query under the read lock and releases it
+// as soon as the answer relation is materialized: the relation is the
+// request's own and the rewriting result is immutable, so sorting, rendering
+// and the socket write happen outside the lock.
+func (s *Server) answer(ctx context.Context, req QueryRequest) (*relational.Relation, *rewriting.Result, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	res, err := s.rewriteCached(ctx, req.SPARQL)
+	if err != nil {
+		return nil, nil, err
+	}
+	answer, err := s.rewriter.ExecuteResultLimit(ctx, res, wrapper.NewQualifiedResolver(s.registry), req.Limit)
+	return answer, res, err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -156,9 +156,10 @@ func TestQueryRewriteAndAnswerEndpoints(t *testing.T) {
 	}
 }
 
-func TestReleaseEndpointRegistersW4(t *testing.T) {
-	ts := newTestServer(t)
-	req := ReleaseRequest{
+// w4Release is the running example's evolution step: a second schema version
+// of D1 providing lagRatio under a new attribute name.
+func w4Release() ReleaseRequest {
+	return ReleaseRequest{
 		Wrapper:         "w4",
 		Source:          "D1",
 		IDAttributes:    []string{"VoDmonitorId"},
@@ -176,6 +177,11 @@ func TestReleaseEndpointRegistersW4(t *testing.T) {
 			{"VoDmonitorId": 18, "bufferingRatio": 0.42},
 		},
 	}
+}
+
+func TestReleaseEndpointRegistersW4(t *testing.T) {
+	ts := newTestServer(t)
+	req := w4Release()
 	var resp ReleaseResponse
 	if code := postJSON(t, ts.URL+"/api/releases", req, &resp); code != 201 {
 		t.Fatalf("release status = %d (%+v)", code, resp)

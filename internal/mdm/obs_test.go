@@ -1,6 +1,7 @@
 package mdm
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,7 +15,9 @@ import (
 	"bdi/internal/core"
 	"bdi/internal/lifecycle"
 	"bdi/internal/obs"
+	"bdi/internal/rdf"
 	"bdi/internal/replication"
+	"bdi/internal/rewriting"
 	"bdi/internal/wal"
 	"bdi/internal/workload"
 )
@@ -107,6 +110,7 @@ func TestMetricsExposition(t *testing.T) {
 		"bdi_rewrite_cache_misses_total",
 		"bdi_store_size_quads",
 		"bdi_obs_traces_total",
+		"bdi_walk_index_builds_total",
 	} {
 		if _, ok := metricValue(body, series); !ok {
 			t.Errorf("scrape is missing series %s", series)
@@ -120,6 +124,7 @@ func TestMetricsExposition(t *testing.T) {
 		"bdi_rewrite_duration_seconds",
 		"bdi_sparql_eval_seconds",
 		"bdi_walk_exec_seconds",
+		"bdi_walk_compile_seconds",
 		"bdi_wrapper_fetch_seconds",
 	} {
 		if !strings.Contains(body, "# TYPE "+family+" histogram") {
@@ -130,6 +135,7 @@ func TestMetricsExposition(t *testing.T) {
 		"bdi_query_duration_seconds",
 		"bdi_rewrite_duration_seconds",
 		"bdi_walk_exec_seconds",
+		"bdi_walk_compile_seconds",
 		"bdi_wrapper_fetch_seconds",
 	} {
 		if v, ok := metricValue(body, family+"_count"); !ok || v < 1 {
@@ -425,5 +431,67 @@ func TestMetricsConsistentUnderConcurrentLoad(t *testing.T) {
 	}
 	if delta := after - before; delta < workers*perWorker {
 		t.Errorf("bdi_query_requests_total advanced by %v, want >= %d", delta, workers*perWorker)
+	}
+}
+
+// omqSPARQL renders an OMQ in the restricted template of the query
+// endpoints: the projected variables bound to π by a VALUES row, φ as
+// constant triple patterns.
+func omqSPARQL(omq *rewriting.OMQ) string {
+	var vars, iris, pattern strings.Builder
+	for i, f := range omq.Pi {
+		fmt.Fprintf(&vars, "?v%d ", i)
+		fmt.Fprintf(&iris, "<%s> ", string(f))
+	}
+	for _, tr := range omq.Phi.Triples {
+		fmt.Fprintf(&pattern, "<%s> <%s> <%s> .\n",
+			string(tr.Subject.(rdf.IRI)), string(tr.Predicate.(rdf.IRI)), string(tr.Object.(rdf.IRI)))
+	}
+	return fmt.Sprintf("SELECT %sWHERE {\nVALUES (%s) { (%s) }\n%s}", vars.String(), vars.String(), iris.String(), pattern.String())
+}
+
+// TestAnswerWalksSharesPerWrapperWork is the /metrics reading of the Figure
+// 8 request: 243 walks over 15 wrappers cost 243 walk executions and 15
+// fetches but at most 30 hash-index builds (two ID columns per wrapper), not
+// one per join of every walk.
+func TestAnswerWalksSharesPerWrapperWork(t *testing.T) {
+	wc, err := workload.BuildWorstCase(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(wc.Ontology, wc.Registry).Handler())
+	t.Cleanup(ts.Close)
+	req := QueryRequest{SPARQL: omqSPARQL(wc.Query)}
+	var answer AnswerResponse
+	if code := postJSON(t, ts.URL+"/api/queries/answer", req, &answer); code != 200 {
+		t.Fatalf("answer = %d", code)
+	}
+	if len(answer.Walks) != 243 || len(answer.Rows) != 3 {
+		t.Fatalf("answer has %d walks and %d rows, want 243 and 3", len(answer.Walks), len(answer.Rows))
+	}
+	before := scrape(t, ts.URL)
+	if code := postJSON(t, ts.URL+"/api/queries/answer", req, nil); code != 200 {
+		t.Fatalf("answer = %d", code)
+	}
+	after := scrape(t, ts.URL)
+	delta := func(series string) float64 {
+		a, okA := metricValue(after, series)
+		b, okB := metricValue(before, series)
+		if !okA || !okB {
+			t.Fatalf("scrape is missing series %s", series)
+		}
+		return a - b
+	}
+	if got := delta("bdi_walk_executions_total"); got != 243 {
+		t.Errorf("walk executions per request = %v, want 243", got)
+	}
+	if got := delta("bdi_wrapper_fetches_total"); got != 15 {
+		t.Errorf("wrapper fetches per request = %v, want 15", got)
+	}
+	if got := delta("bdi_walk_index_builds_total"); got < 1 || got > 30 {
+		t.Errorf("index builds per request = %v, want 1..30", got)
+	}
+	if got := delta("bdi_walk_compile_seconds_count"); got != 1 {
+		t.Errorf("compile observations per request = %v, want 1", got)
 	}
 }

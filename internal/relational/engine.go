@@ -3,9 +3,10 @@ package relational
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"bdi/internal/lifecycle"
@@ -30,13 +31,18 @@ var (
 		"Latency of wrapper source fetches including ingestion.")
 	wrapperRowsTotal = obs.NewCounter("bdi_wrapper_rows_total",
 		"Rows fetched from wrapper sources.")
+	walkIndexBuildsTotal = obs.NewCounter("bdi_walk_index_builds_total",
+		"Hash indexes built by union executions (at most one per wrapper join column per union).")
+	walkCompileSeconds = obs.NewHistogram("bdi_walk_compile_seconds",
+		"Latency of the union compile phase, wrapper fetch and ingest excluded.")
 )
 
-// Engine is the compiled walk executor: it ingests every wrapper relation
-// once into dictionary-encoded column vectors, compiles each walk to a
-// slot-based plan with a size-ordered hash-join sequence, executes the walks
-// of a union in parallel, and streams their results through a shared
-// deduplicating union with an early-out for LIMIT-style consumers.
+// Engine is the compiled walk executor: it compiles the union once — every
+// wrapper relation ingested once into dictionary-encoded column vectors, every
+// per-wrapper fact and hash index shared by the walks that use it, every walk
+// lowered to integer slots with a size-ordered hash-join sequence (plan.go) —
+// executes the walks on a bounded set of workers, and streams their results
+// through a deduplicating union with an early-out for LIMIT-style consumers.
 //
 // The engine reproduces the reference executor (Walk.ExecuteReference and
 // friends) observably: result name, schema attribute order, the sorted
@@ -47,23 +53,25 @@ var (
 // execution instead of once per walk.
 type Engine struct {
 	// MaxParallel caps concurrently executing walks; 0 means GOMAXPROCS.
-	// 1 yields serial execution. Results are byte-identical at any setting:
-	// walk results are consumed in walk order regardless of completion order.
+	// 1 yields serial execution on the calling goroutine. Results are
+	// byte-identical at any setting: walk results are consumed in walk order
+	// regardless of completion order.
 	MaxParallel int
 }
 
 // DefaultEngine executes Walk.Execute and UnionOfConjunctiveQueries.Execute.
 var DefaultEngine = &Engine{}
 
-// PostProjection restricts and renames one walk's result before the union.
-type PostProjection struct {
-	// Strict applies Keep as a strict projection (Schema.Project semantics:
-	// Keep order, unknown names skipped, empty Keep yields zero columns).
-	// When false the walk's schema passes through unchanged.
-	Strict bool
-	Keep   []string
-	// Rename maps old attribute names to new ones, applied after Keep.
-	Rename map[string]string
+// OutputColumn declares one column of a union's result. In every walk the
+// column takes the attribute Attr names for the first wrapper of the walk (in
+// wrapper-name order) whose named attribute is in the walk's schema, renamed
+// to Name with its ID flag and type kept; a walk without such a wrapper
+// leaves the column absent.
+type OutputColumn struct {
+	Name string
+	// Attr returns the attribute of the wrapper that feeds the column, if
+	// any. It must be pure: the engine calls it once per fetched wrapper.
+	Attr func(wrapper string) (attr string, ok bool)
 }
 
 // ExecOptions configures Engine.ExecuteUnion.
@@ -75,10 +83,10 @@ type ExecOptions struct {
 	// are exactly the first Limit distinct rows in walk order, so limited
 	// results are deterministic prefixes of the unlimited result.
 	Limit int
-	// PostProject derives the per-walk projection from the walk's compiled
-	// output schema. Nil keeps every schema unchanged. It must be pure: the
-	// engine may invoke it for any walk in any order.
-	PostProject func(i int, w *Walk, schema Schema) PostProjection
+	// Output projects every walk's result onto the declared columns before
+	// the union. Nil keeps every walk's schema unchanged; an empty non-nil
+	// list projects to zero columns.
+	Output []OutputColumn
 }
 
 // ExecuteWalk executes a single walk, observably equal to the reference
@@ -87,38 +95,17 @@ func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResol
 	ctx, span := obs.StartSpan(ctx, "walk")
 	defer span.End()
 	track := lifecycle.TrackerFrom(ctx)
-	dict := NewValueDict()
-	fetched := map[string]*ColRelation{}
-	cw, err := compileOne(ctx, track, w, []*Walk{w}, resolver, dict, fetched)
+	u := newUnionPlan([]*Walk{w}, resolver, nil, true)
+	if err := u.compileWalk(ctx, track, w); err != nil {
+		return nil, err
+	}
+	u.finish()
+	rows, err := u.run(ctx, track, 0, span)
 	if err != nil {
 		return nil, err
 	}
-	wstart := time.Now()
-	rows, err := runWalk(ctx, track, cw)
-	walkSeconds.Observe(time.Since(wstart))
-	walkExecutionsTotal.Inc()
-	if err != nil {
-		return nil, err
-	}
-	walkRowsTotal.Add(int64(len(rows)))
-	span.SetAttrInt("rows", int64(len(rows)))
-	rel := NewRelation(cw.name, cw.schema)
-	names := cw.schema.Names()
-	src := make([]int, len(names))
-	for c, nm := range names {
-		src[c] = colIndex(cw.phys, nm)
-	}
-	vals := dict.Values()
-	rel.Tuples = make([]Tuple, len(rows))
-	for r, row := range rows {
-		t := make(Tuple, len(names))
-		for c := range names {
-			if id := row[src[c]]; id != MissingValueID {
-				t[names[c]] = vals[id-1]
-			}
-		}
-		rel.Tuples[r] = t
-	}
+	rel := NewRelation(u.name0, u.final)
+	rel.Tuples = u.decode(rows, u.srcCols(0))
 	return rel, nil
 }
 
@@ -129,143 +116,91 @@ func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver Wrapp
 	ctx, span := obs.StartSpan(ctx, "eval")
 	span.SetAttrInt("walks", int64(len(walks)))
 	unionStart := time.Now()
+	u := newUnionPlan(walks, resolver, opts.Output, opts.Name == "")
+	// Every return path below has waited for its workers, so the deferred
+	// index count reads quiescent state.
 	defer func() {
 		unionSeconds.Observe(time.Since(unionStart))
+		wrappers, indexes := u.sharing()
+		span.SetAttrInt("wrappers", int64(wrappers))
+		span.SetAttrInt("indexes", int64(indexes))
 		span.End()
 	}()
 	track := lifecycle.TrackerFrom(ctx)
-	dict := NewValueDict()
-	fetched := map[string]*ColRelation{}
-
-	// Compile phase: sequential and in walk order, so validation, fetch and
-	// budget errors surface for the same walk (with the same message) as in
-	// the reference executor. Each distinct wrapper is fetched and ingested
-	// once; budget charges still accrue per walk occurrence, mirroring the
-	// reference cost accounting.
-	compiled := make([]*compiledWalk, len(walks))
-	for i, w := range walks {
+	for _, w := range walks {
 		if err := lifecycle.Check(ctx, track); err != nil {
 			return nil, err
 		}
-		cw, err := compileOne(ctx, track, w, walks, resolver, dict, fetched)
-		if err != nil {
+		if err := u.compileWalk(ctx, track, w); err != nil {
 			return nil, err
 		}
-		compiled[i] = cw
 	}
+	u.finish()
+	walkCompileSeconds.Observe(time.Since(unionStart) - u.fetchTime)
 
-	// Resolve each walk's post-projection against its compiled schema. The
-	// output columns address the walk's physical schema directly.
-	type walkOut struct {
-		schema Schema
-		cols   []int // physical column per output attribute
-	}
-	outs := make([]walkOut, len(walks))
-	for i, cw := range compiled {
-		var pp PostProjection
-		if opts.PostProject != nil {
-			pp = opts.PostProject(i, walks[i], cw.schema)
-		}
-		var o walkOut
-		if pp.Strict {
-			for _, n := range pp.Keep {
-				if p := colIndex(cw.schema, n); p >= 0 {
-					o.schema.Attributes = append(o.schema.Attributes, renameAttr(cw.schema.Attributes[p], pp.Rename))
-					o.cols = append(o.cols, colIndex(cw.phys, n))
-				}
-			}
-		} else {
-			for p, a := range cw.schema.Attributes {
-				o.schema.Attributes = append(o.schema.Attributes, renameAttr(a, pp.Rename))
-				o.cols = append(o.cols, colIndex(cw.phys, cw.schema.Attributes[p].Name))
-			}
-		}
-		outs[i] = o
-	}
-
-	// The union schema folds the per-walk schemas left to right, exactly as
-	// the reference's pairwise Relation.Union does.
-	var final Schema
-	for i, o := range outs {
-		if i == 0 {
-			final = o.schema
-		} else {
-			final = final.Merge(o.schema)
-		}
-	}
-	finalNames := final.Names()
-	finalW := len(finalNames)
-	srcCols := make([][]int, len(outs))
-	for i, o := range outs {
-		m := make([]int, finalW)
-		for fc, nm := range finalNames {
-			m[fc] = -1
-			if j := colIndex(o.schema, nm); j >= 0 {
-				m[fc] = o.cols[j]
-			}
-		}
-		srcCols[i] = m
-	}
-
-	// Execute walks in parallel; consume results in walk order so the
-	// deduplicated union (first occurrence wins) and the error choice
-	// (lowest-index failing walk) are deterministic at any parallelism.
+	// Execute the walks on at most maxPar workers that claim walk indices in
+	// order, or inline when that is one. Results are consumed in walk order
+	// whatever order they complete in, so the deduplicated union (first
+	// occurrence wins), LIMIT prefixes and the error choice (lowest-index
+	// failing walk) are deterministic at any parallelism.
 	maxPar := e.MaxParallel
 	if maxPar <= 0 {
 		maxPar = runtime.GOMAXPROCS(0)
 	}
+	n := len(walks)
+	workers := min(maxPar, n)
 	execCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	n := len(compiled)
 	results := make([][][]ValueID, n)
 	errs := make([]error, n)
-	done := make([]chan struct{}, n)
-	sem := make(chan struct{}, maxPar)
-	for i := range compiled {
-		done[i] = make(chan struct{})
-		go func(i int) {
-			defer close(done[i])
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := execCtx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			_, wspan := obs.StartSpan(execCtx, "walk")
-			wspan.SetAttr("walk", strconv.Itoa(i))
-			wstart := time.Now()
-			results[i], errs[i] = runWalk(execCtx, track, compiled[i])
-			walkSeconds.Observe(time.Since(wstart))
-			walkExecutionsTotal.Inc()
-			walkRowsTotal.Add(int64(len(results[i])))
-			wspan.SetAttrInt("rows", int64(len(results[i])))
-			if p := track.Progress(); p.Rows > 0 || p.Bytes > 0 {
-				// Cumulative tracker charge at walk completion: with a budget
-				// attached this localizes which walk crossed the line.
-				wspan.SetAttrInt("tracker_rows", p.Rows)
-				wspan.SetAttrInt("tracker_bytes", p.Bytes)
-			}
-			wspan.End()
-		}(i)
+	execute := func(i int) {
+		// A walk claimed after cancellation is neither executed nor counted.
+		if errs[i] = execCtx.Err(); errs[i] != nil {
+			return
+		}
+		_, wspan := obs.StartSpan(execCtx, "walk")
+		wspan.SetAttr("walk", strconv.Itoa(i))
+		results[i], errs[i] = u.run(execCtx, track, i, wspan)
+		wspan.End()
+	}
+	var wg sync.WaitGroup
+	var completed chan int
+	var done []bool
+	if workers > 1 {
+		completed = make(chan int, n) // one send per walk: a worker never blocks on the consumer
+		done = make([]bool, n)
+		var next atomic.Int64
+		wg.Add(workers)
+		for k := 0; k < workers; k++ {
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+					execute(i)
+					completed <- i
+				}
+			}()
+		}
 	}
 
+	finalW := len(u.finalNames)
 	seen := map[string]bool{}
 	var outRows [][]ValueID
 	key := make([]byte, 4*finalW)
 	var firstErr error
-	limited := false
+consume:
 	for i := 0; i < n; i++ {
-		<-done[i]
-		if firstErr != nil || limited {
-			results[i] = nil
-			continue
+		if workers > 1 {
+			for !done[i] {
+				done[<-completed] = true
+			}
+		} else {
+			execute(i)
 		}
 		if errs[i] != nil {
 			firstErr = errs[i]
-			cancel()
-			continue
+			break
 		}
-		src := srcCols[i]
+		src := u.srcCols(i)
 		for _, row := range results[i] {
 			for fc, sc := range src {
 				id := NilValueID // absent attribute ≡ nil, as in Tuple.Key
@@ -286,106 +221,94 @@ func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver Wrapp
 			}
 			outRows = append(outRows, fr)
 			if opts.Limit > 0 && len(outRows) >= opts.Limit {
-				limited = true
-				cancel()
-				break
+				break consume
 			}
 		}
 		results[i] = nil
 	}
+	// Stop the walks that can no longer contribute and wait for the workers:
+	// after cancellation they drain the remaining indices without executing.
+	cancel()
+	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
 	}
 
-	rel := NewRelation(opts.Name, final)
-	if rel.Name == "" && n > 0 {
-		rel.Name = compiled[0].name
+	rel := NewRelation(opts.Name, u.final)
+	if rel.Name == "" {
+		rel.Name = u.name0
 	}
-	vals := dict.Values()
-	rel.Tuples = make([]Tuple, len(outRows))
-	for r, row := range outRows {
-		t := make(Tuple, finalW)
-		for fc, id := range row {
-			if id != MissingValueID {
-				t[finalNames[fc]] = vals[id-1]
-			}
-		}
-		rel.Tuples[r] = t
-	}
+	rel.Tuples = u.decode(outRows, nil)
 	return rel, nil
 }
 
-// compileOne validates one walk, fetches and ingests its wrappers (reusing
-// relations already fetched for earlier walks), charges the budget per
-// wrapper occurrence with the reference cost model, and compiles the plan.
-func compileOne(ctx context.Context, track *lifecycle.Tracker, w *Walk, walks []*Walk, resolver WrapperResolver, dict *ValueDict, fetched map[string]*ColRelation) (*compiledWalk, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	for _, ref := range w.Wrappers {
-		if err := lifecycle.Check(ctx, track); err != nil {
-			return nil, err
-		}
-		rel, ok := fetched[ref.Wrapper]
-		if !ok {
-			_, fspan := obs.StartSpan(ctx, "wrapper.fetch")
-			fspan.SetAttr("wrapper", ref.Wrapper)
-			fstart := time.Now()
-			raw, err := resolver.Fetch(ctx, ref.Wrapper, projectionPushdown(walks, ref.Wrapper))
-			if err != nil {
-				wrapperFetchSeconds.Observe(time.Since(fstart))
-				fspan.End()
-				return nil, fmt.Errorf("relational: fetching wrapper %s: %w", ref.Wrapper, err)
+// decode materializes rows as tuples under the union schema; src maps each
+// union column to the row position it reads (nil: the rows are already in
+// union layout). Missing cells are omitted from the tuple, not set to nil.
+func (u *unionPlan) decode(rows [][]ValueID, src []int32) []Tuple {
+	names := u.final.Names()
+	vals := u.dict.Values()
+	tuples := make([]Tuple, len(rows))
+	for r, row := range rows {
+		t := make(Tuple, len(names))
+		for fc, name := range names {
+			sc := int32(fc)
+			if src != nil {
+				sc = src[fc]
 			}
-			rel = IngestRelation(raw, dict)
-			fetched[ref.Wrapper] = rel
-			wrapperFetchSeconds.Observe(time.Since(fstart))
-			wrapperFetchesTotal.Inc()
-			wrapperRowsTotal.Add(int64(rel.NumRows()))
-			fspan.SetAttrInt("rows", int64(rel.NumRows()))
-			fspan.End()
+			if sc < 0 {
+				continue
+			}
+			if id := row[sc]; id != MissingValueID {
+				t[name] = vals[id-1]
+			}
 		}
-		proj, _ := projectColumns(rel.Schema, ref.Projection)
-		if err := chargeIngest(track, rel.NumRows(), len(proj.Attributes)); err != nil {
-			return nil, err
-		}
+		tuples[r] = t
 	}
-	return compileWalk(w, fetched)
+	return tuples
 }
 
-// chargeIngest charges one projected wrapper relation with the cost model of
-// chargeRelation.
-func chargeIngest(t *lifecycle.Tracker, rows, cols int) error {
-	n := int64(rows)
-	if err := t.AddRows(n); err != nil {
-		return err
+// run executes walk i under its span and the per-walk metrics.
+func (u *unionPlan) run(ctx context.Context, track *lifecycle.Tracker, i int, span *obs.ActiveSpan) ([][]ValueID, error) {
+	wstart := time.Now()
+	rows, err := runWalk(ctx, track, u.steps, &u.walks[i])
+	walkSeconds.Observe(time.Since(wstart))
+	walkExecutionsTotal.Inc()
+	walkRowsTotal.Add(int64(len(rows)))
+	span.SetAttrInt("rows", int64(len(rows)))
+	if p := track.Progress(); p.Rows > 0 || p.Bytes > 0 {
+		// Cumulative tracker charge at walk completion: with a budget
+		// attached this localizes which walk crossed the line.
+		span.SetAttrInt("tracker_rows", p.Rows)
+		span.SetAttrInt("tracker_bytes", p.Bytes)
 	}
-	return t.AddBytes(n * int64(lifecycle.TupleCost+lifecycle.CellCost*cols))
+	return rows, err
 }
 
 // runWalk executes a compiled walk's physical plan and returns its rows in
-// the walk's physical schema order (compiledWalk.phys).
-func runWalk(ctx context.Context, track *lifecycle.Tracker, cw *compiledWalk) ([][]ValueID, error) {
-	start := cw.inputs[cw.start]
-	width := len(start.proj.Attributes)
-	rows := make([][]ValueID, start.rel.NumRows())
+// the walk's physical column order. Everything it touches besides its own
+// rows is shared, read-only union state. Its time follows the rows it reads
+// and produces; its memory does not yet, because every join step still
+// allocates a whole check chunk for its output.
+func runWalk(ctx context.Context, track *lifecycle.Tracker, steps []planStep, wp *walkPlan) ([][]ValueID, error) {
+	start := wp.start
+	width := len(start.vecs)
+	rows := make([][]ValueID, start.src.rel.NumRows())
 	cells := make([]ValueID, len(rows)*width)
 	for r := range rows {
 		row := cells[r*width : (r+1)*width : (r+1)*width]
-		for k, c := range start.cols {
-			row[k] = start.rel.Cols[c][r]
+		for k, col := range start.vecs {
+			row[k] = col[r]
 		}
 		rows[r] = row
 	}
-	cur := start.proj
 
-	for _, st := range cw.steps {
+	for si := wp.stepLo; si < wp.stepHi; si++ {
+		st := &steps[si]
 		if st.filter {
-			a := colIndex(cur, st.leftAttr)
-			b := colIndex(cur, st.rightAttr)
 			kept := rows[:0]
 			for _, row := range rows {
-				if cellJoinID(row, a) == cellJoinID(row, b) {
+				if cellJoinID(row, st.left) == cellJoinID(row, st.right) {
 					kept = append(kept, row)
 				}
 			}
@@ -393,51 +316,29 @@ func runWalk(ctx context.Context, track *lifecycle.Tracker, cw *compiledWalk) ([
 			continue
 		}
 
-		in := cw.inputs[st.input]
-		joinCol := in.rel.Cols[in.cols[colIndex(in.proj, st.rightAttr)]]
-		index := make(map[ValueID][]int32, len(joinCol))
-		for r, id := range joinCol {
-			k := joinID(id)
-			index[k] = append(index[k], int32(r))
-		}
-
-		merged := cur.Merge(in.proj)
-		accW := len(cur.Attributes)
-		mergedW := len(merged.Attributes)
-		// Columns of the incoming relation split into those appended after
-		// the accumulated columns and those shared by name, where the
-		// accumulated cell wins unless it is missing (Tuple.Merge semantics).
-		type sharedCol struct {
-			pos int
-			col []ValueID
-		}
-		var shared []sharedCol
-		var appended [][]ValueID
-		for k, a := range in.proj.Attributes {
-			if p := colIndex(cur, a.Name); p >= 0 {
-				shared = append(shared, sharedCol{p, in.rel.Cols[in.cols[k]]})
-			} else {
-				appended = append(appended, in.rel.Cols[in.cols[k]])
-			}
-		}
-
-		leftCol := colIndex(cur, st.leftAttr)
+		idx := st.index
+		idx.once.Do(idx.build)
+		accW, mergedW := width, st.width
 		tupleCost := int64(lifecycle.TupleCost + lifecycle.CellCost*mergedW)
-		var out [][]ValueID
+		out := make([][]ValueID, 0, len(rows))
 		var arena []ValueID
 		produced := 0
 		for _, row := range rows {
-			for _, ir := range index[cellJoinID(row, leftCol)] {
+			for r := idx.head[cellJoinID(row, st.left)]; r != 0; r = idx.next[r-1] {
+				ir := r - 1
 				if len(arena) < mergedW {
+					// One check chunk per refill, whatever the probe side's
+					// size: sizing it from the probe's rows is a follow-up
+					// (ROADMAP, guardrails).
 					arena = make([]ValueID, lifecycle.CheckEvery*mergedW)
 				}
 				nr := arena[:mergedW:mergedW]
 				arena = arena[mergedW:]
 				copy(nr, row)
-				for j, col := range appended {
+				for j, col := range st.appended {
 					nr[accW+j] = col[ir]
 				}
-				for _, sc := range shared {
+				for _, sc := range st.shared {
 					if nr[sc.pos] == MissingValueID {
 						nr[sc.pos] = sc.col[ir]
 					}
@@ -465,36 +366,16 @@ func runWalk(ctx context.Context, track *lifecycle.Tracker, cw *compiledWalk) ([
 				return nil, err
 			}
 		}
-		rows, cur = out, merged
+		rows, width = out, mergedW
 	}
 	return rows, nil
 }
 
-// colIndex returns the position of the first attribute with the given name,
-// or -1.
-func colIndex(s Schema, name string) int {
-	for i, a := range s.Attributes {
-		if a.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // cellJoinID reads a row cell under join semantics: a column absent from the
 // schema (i < 0) and a missing cell both compare as nil.
-func cellJoinID(row []ValueID, i int) ValueID {
+func cellJoinID(row []ValueID, i int32) ValueID {
 	if i < 0 {
 		return NilValueID
 	}
 	return joinID(row[i])
-}
-
-// renameAttr applies a rename mapping to one attribute, keeping its ID flag
-// and type as Relation.Rename does.
-func renameAttr(a Attribute, rename map[string]string) Attribute {
-	if nn, ok := rename[a.Name]; ok {
-		return Attribute{Name: nn, ID: a.ID, Type: a.Type}
-	}
-	return a
 }

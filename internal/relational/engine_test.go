@@ -43,7 +43,7 @@ func chainCase() (staticResolver, *UnionOfConjunctiveQueries) {
 func TestEngineLimitIsDeterministicPrefix(t *testing.T) {
 	rels, u := chainCase()
 	ctx := context.Background()
-	opts := ucqExecOptions(u)
+	opts := u.execOptions()
 	full, err := DefaultEngine.ExecuteUnion(ctx, u.Walks, rels, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -306,5 +306,36 @@ func TestEquiJoinProbeAllocations(t *testing.T) {
 	// race-instrumented builds, but far below one allocation per probe.
 	if allocs > 1024 {
 		t.Fatalf("EquiJoin allocated %.0f times for 4096 probes; probe path is allocating per tuple", allocs)
+	}
+}
+
+// TestEngineRepeatedAttributeName checks a wrapper whose schema repeats an
+// attribute name: the repeated column is carried along physically and the
+// name resolves to its first occurrence, as in the reference executor.
+func TestEngineRepeatedAttributeName(t *testing.T) {
+	dup := NewRelation("dup", Schema{Attributes: []Attribute{
+		{Name: "id", ID: true}, {Name: "v"}, {Name: "v"}, {Name: "u"},
+	}})
+	dup.Add(Tuple{"id": 1, "v": "a", "u": "x"}, Tuple{"id": 2, "v": "b", "u": "y"})
+	other := NewRelation("other", NewSchema([]string{"oid"}, []string{"w"}))
+	other.Add(Tuple{"oid": 1, "w": "p"}, Tuple{"oid": 2, "w": "q"}, Tuple{"oid": 2, "w": "r"})
+	rels := staticResolver{"dup": dup, "other": other}
+	single := NewWalk("dup", "SD", "v", "u")
+	joined := &Walk{
+		Wrappers: []WrapperRef{
+			{Wrapper: "other", Source: "SO", Projection: []string{"w"}},
+			{Wrapper: "dup", Source: "SD", Projection: []string{"v", "u"}},
+		},
+		Joins: []JoinCondition{{LeftWrapper: "other", LeftAttr: "oid", RightWrapper: "dup", RightAttr: "id"}},
+	}
+	for name, w := range map[string]*Walk{"single": single, "joined": joined} {
+		ref, refErr := w.ExecuteReference(context.Background(), rels)
+		got, gotErr := w.Execute(context.Background(), rels)
+		if refErr != nil || gotErr != nil {
+			t.Fatalf("%s: unexpected errors: reference=%v engine=%v", name, refErr, gotErr)
+		}
+		if ref.String() != got.String() {
+			t.Errorf("%s: repeated attribute name diverged\nreference:\n%s\nengine:\n%s", name, ref, got)
+		}
 	}
 }

@@ -29,25 +29,29 @@ func FuzzWalkExecution(f *testing.F) {
 	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		gc := generateCase(data)
-		resolver := staticResolver(gc.rels)
-		u := gc.ucq()
-		ctx := context.Background()
+		// Every input decodes twice: as a handful of independent walks, and
+		// as many walks over few wrappers (the shape whose per-wrapper work
+		// the engine shares across walks).
+		for _, gc := range []*genCase{generateCase(data), generateSharedCase(data)} {
+			resolver := staticResolver(gc.rels)
+			u := gc.ucq()
+			ctx := context.Background()
 
-		ref, refErr := u.ExecuteReference(ctx, resolver)
-		got, gotErr := u.Execute(ctx, resolver)
-		if (refErr == nil) != (gotErr == nil) {
-			t.Fatalf("error parity broken\nreference: %v\nengine:    %v\nucq:\n%s", refErr, gotErr, u)
-		}
-		if refErr != nil {
-			if refErr.Error() != gotErr.Error() {
-				t.Fatalf("error text parity broken\nreference: %v\nengine:    %v\nucq:\n%s", refErr, gotErr, u)
+			ref, refErr := u.ExecuteReference(ctx, resolver)
+			got, gotErr := u.Execute(ctx, resolver)
+			if (refErr == nil) != (gotErr == nil) {
+				t.Fatalf("error parity broken\nreference: %v\nengine:    %v\nucq:\n%s", refErr, gotErr, u)
 			}
-			return
-		}
-		if canonical(ref) != canonical(got) {
-			t.Fatalf("result parity broken\nreference:\n%s\nengine:\n%s\nucq:\n%s",
-				canonical(ref), canonical(got), u)
+			if refErr != nil {
+				if refErr.Error() != gotErr.Error() {
+					t.Fatalf("error text parity broken\nreference: %v\nengine:    %v\nucq:\n%s", refErr, gotErr, u)
+				}
+				continue
+			}
+			if canonical(ref) != canonical(got) {
+				t.Fatalf("result parity broken\nreference:\n%s\nengine:\n%s\nucq:\n%s",
+					canonical(ref), canonical(got), u)
+			}
 		}
 	})
 }

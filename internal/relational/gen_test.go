@@ -3,6 +3,7 @@ package relational
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -200,6 +201,135 @@ func generateCase(data []byte) *genCase {
 		}
 	}
 	return gc
+}
+
+// generateSharedCase decodes a byte slice into the Figure 8 shape: many
+// walks that are combinations over the same few wrappers, which is where the
+// engine shares per-wrapper work across walks. The same wrapper appears in
+// different walks under different projections and joined on different ID
+// columns, some walks carry a filter condition (a redundant join between
+// wrappers already connected), and unqualified attribute names sometimes
+// collide across wrappers, forcing the reference-order replay. A rare walk is
+// structurally broken, in the middle of the union.
+func generateSharedCase(data []byte) *genCase {
+	g := &byteGen{data: data}
+	gc := &genCase{rels: map[string]*Relation{}}
+
+	sharedNames := g.pct(30)
+	numWrappers := 2 + g.intn(3)
+	schemas := make([]Schema, numWrappers)
+	for i := range schemas {
+		prefix := fmt.Sprintf("w%d_", i)
+		if sharedNames {
+			prefix = ""
+		}
+		// Two or three ID columns each, so walks can pick different ones.
+		ids := dedupStrings(genNames(g, prefix+"id", 2+g.intn(2), 4))
+		nonIDs := dedupStrings(genNames(g, prefix+"v", 1+g.intn(3), 4))
+		schemas[i] = NewSchema(ids, nonIDs)
+		rel := NewRelation(fmt.Sprintf("w%d", i), schemas[i])
+		for r, n := 0, g.intn(6); r < n; r++ {
+			t := Tuple{}
+			for _, a := range schemas[i].Attributes {
+				switch {
+				case g.pct(10): // missing cell
+				case a.ID:
+					t[a.Name] = idCellValues[g.intn(len(idCellValues))]
+				default:
+					t[a.Name] = nonIDCellValues[g.intn(len(nonIDCellValues))]
+				}
+			}
+			rel.Add(t)
+		}
+		gc.rels[rel.Name] = rel
+	}
+
+	numWalks := 6 + g.intn(19)
+	broken := -1
+	if g.pct(8) {
+		broken = 1 + g.intn(numWalks-2)
+	}
+	for wi := 0; wi < numWalks; wi++ {
+		// A combination of two or three distinct wrappers, joined in a chain.
+		first := g.intn(numWrappers)
+		members := []int{first}
+		for k, n := 1, 2+g.intn(2); k < n && k < numWrappers; k++ {
+			members = append(members, (first+k*(1+g.intn(2)))%numWrappers)
+		}
+		members = dedupInts(members)
+		walk := &Walk{}
+		for _, m := range members {
+			var proj []string
+			for _, a := range schemas[m].Attributes {
+				if (a.ID && g.pct(15)) || (!a.ID && g.pct(60)) {
+					proj = append(proj, a.Name)
+				}
+			}
+			walk.Wrappers = append(walk.Wrappers, WrapperRef{
+				Wrapper:    fmt.Sprintf("w%d", m),
+				Source:     fmt.Sprintf("S_w%d", m),
+				Projection: proj,
+			})
+		}
+		pickID := func(m int) string {
+			ids := schemas[m].IDNames()
+			return ids[g.intn(len(ids))]
+		}
+		for k := 1; k < len(members); k++ {
+			j := JoinCondition{
+				LeftWrapper:  walk.Wrappers[k-1].Wrapper,
+				LeftAttr:     pickID(members[k-1]),
+				RightWrapper: walk.Wrappers[k].Wrapper,
+				RightAttr:    pickID(members[k]),
+			}
+			if g.pct(50) {
+				j.LeftWrapper, j.RightWrapper = j.RightWrapper, j.LeftWrapper
+				j.LeftAttr, j.RightAttr = j.RightAttr, j.LeftAttr
+			}
+			walk.Joins = append(walk.Joins, j)
+		}
+		if len(members) >= 2 && g.pct(30) {
+			a, b := g.intn(len(members)), g.intn(len(members))
+			walk.Joins = append(walk.Joins, JoinCondition{
+				LeftWrapper:  walk.Wrappers[a].Wrapper,
+				LeftAttr:     pickJoinAttr(g, schemas[members[a]]),
+				RightWrapper: walk.Wrappers[b].Wrapper,
+				RightAttr:    pickJoinAttr(g, schemas[members[b]]),
+			})
+		}
+		if wi == broken && len(walk.Joins) > 0 {
+			// A non-ID join attribute: the restricted-join error path.
+			walk.Joins[0].LeftAttr = schemas[members[0]].NonIDNames()[0]
+			walk.Joins[0].LeftWrapper = walk.Wrappers[0].Wrapper
+			walk.Joins[0].RightWrapper = walk.Wrappers[1].Wrapper
+			walk.Joins[0].RightAttr = pickID(members[1])
+		}
+		gc.walks = append(gc.walks, walk)
+	}
+
+	if g.pct(50) {
+		seen := map[string]bool{}
+		for _, s := range schemas {
+			for _, n := range s.Names() {
+				if !seen[n] && g.pct(40) {
+					gc.requested = append(gc.requested, n)
+				}
+				seen[n] = true
+			}
+		}
+		sort.Strings(gc.requested)
+	}
+	return gc
+}
+
+func dedupInts(in []int) []int {
+	out := in[:0]
+	for _, v := range in {
+		if !slices.Contains(out, v) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // genNames draws n attribute names "<prefix><k>" with k < pool.

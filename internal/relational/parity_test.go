@@ -37,24 +37,6 @@ func rawRender(rel *Relation) string {
 	return b.String()
 }
 
-// ucqExecOptions mirrors what UnionOfConjunctiveQueries.Execute passes
-// to the engine, so configuration-variant tests run the same logical query.
-func ucqExecOptions(u *UnionOfConjunctiveQueries) ExecOptions {
-	opts := ExecOptions{Name: "answer"}
-	if len(u.RequestedAttributes) > 0 {
-		opts.PostProject = func(i int, w *Walk, schema Schema) PostProjection {
-			var keep []string
-			for _, a := range u.RequestedAttributes {
-				if schema.Has(a) {
-					keep = append(keep, a)
-				}
-			}
-			return PostProjection{Strict: true, Keep: keep}
-		}
-	}
-	return opts
-}
-
 // checkErrParity fails unless both errors are nil or both render the same
 // message.
 func checkErrParity(t *testing.T, label string, refErr, gotErr error, diag func() string) bool {
@@ -109,16 +91,18 @@ func checkCaseParity(t *testing.T, gc *genCase) {
 	}
 
 	// Engine configurations must agree byte-for-byte including raw tuple
-	// order: serial, a source applying the shared pushdown helper (the
-	// resolver above), a source with its own pushdown implementation, and a
-	// source returning its full output.
+	// order: inline and on two or eight workers, a source applying the shared
+	// pushdown helper (the resolver above), a source with its own pushdown
+	// implementation, and a source returning its full output.
 	base := rawRender(got)
-	opts := ucqExecOptions(u)
-	serial := &Engine{MaxParallel: 1}
-	if rel, err := serial.ExecuteUnion(ctx, u.Walks, resolver, opts); err != nil {
-		t.Errorf("serial engine: unexpected error %v\n%s", err, diag())
-	} else if rawRender(rel) != base {
-		t.Errorf("serial engine diverges from parallel\nparallel:\n%s\nserial:\n%s\n%s", base, rawRender(rel), diag())
+	opts := u.execOptions()
+	for _, par := range []int{1, 2, 8} {
+		e := &Engine{MaxParallel: par}
+		if rel, err := e.ExecuteUnion(ctx, u.Walks, resolver, opts); err != nil {
+			t.Errorf("MaxParallel=%d: unexpected error %v\n%s", par, err, diag())
+		} else if rawRender(rel) != base {
+			t.Errorf("MaxParallel=%d diverges from the default engine\ndefault:\n%s\ngot:\n%s\n%s", par, base, rawRender(rel), diag())
+		}
 	}
 	pd := &pushdownStaticResolver{rels: gc.rels}
 	if rel, err := DefaultEngine.ExecuteUnion(ctx, u.Walks, pd, opts); err != nil {
@@ -154,6 +138,17 @@ func TestDifferentialParityRandomized(t *testing.T) {
 				checkCaseParity(t, generateCase(data))
 				if t.Failed() {
 					t.Fatalf("case %d (bytes %x) failed", c, data)
+				}
+				if c%3 != 0 {
+					continue
+				}
+				// The many-walks-over-few-wrappers shape decodes ten times the
+				// bytes per case, so it runs on every third one.
+				data = make([]byte, 512+rng.Intn(512))
+				rng.Read(data)
+				checkCaseParity(t, generateSharedCase(data))
+				if t.Failed() {
+					t.Fatalf("shared case %d (bytes %x) failed", c, data)
 				}
 			}
 		})

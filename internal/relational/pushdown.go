@@ -1,7 +1,5 @@
 package relational
 
-import "sort"
-
 // Selection is a source-side equality filter: keep rows whose attribute
 // compares equal (under the cross-source ValuesEqual semantics) to any of
 // the given values.
@@ -89,30 +87,6 @@ func (p Pushdown) Apply(s Schema, rows []Tuple) []Tuple {
 		out = append(out, nt)
 	}
 	return out
-}
-
-// projectionPushdown computes the projection the engine can push to one
-// wrapper: the sorted union of the walk projections naming it across the
-// whole union of walks. IDs are not listed — the Pushdown contract obliges
-// the source to retain them.
-func projectionPushdown(walks []*Walk, wrapper string) Pushdown {
-	seen := map[string]bool{}
-	var attrs []string
-	for _, w := range walks {
-		for _, ref := range w.Wrappers {
-			if ref.Wrapper != wrapper {
-				continue
-			}
-			for _, a := range ref.Projection {
-				if !seen[a] {
-					seen[a] = true
-					attrs = append(attrs, a)
-				}
-			}
-		}
-	}
-	sort.Strings(attrs)
-	return Pushdown{Attrs: attrs}
 }
 
 // ApplySelections filters rel by the selections in memory, using the same

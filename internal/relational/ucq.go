@@ -122,17 +122,17 @@ func (u *UnionOfConjunctiveQueries) Execute(ctx context.Context, resolver Wrappe
 	if u.IsEmpty() {
 		return NewRelation("∅", Schema{}), nil
 	}
+	return DefaultEngine.ExecuteUnion(ctx, u.Walks, resolver, u.execOptions())
+}
+
+// execOptions restricts every walk to the requested attributes it carries.
+func (u *UnionOfConjunctiveQueries) execOptions() ExecOptions {
 	opts := ExecOptions{Name: "answer"}
-	if len(u.RequestedAttributes) > 0 {
-		opts.PostProject = func(i int, w *Walk, schema Schema) PostProjection {
-			var keep []string
-			for _, a := range u.RequestedAttributes {
-				if schema.Has(a) {
-					keep = append(keep, a)
-				}
-			}
-			return PostProjection{Strict: true, Keep: keep}
-		}
+	for _, a := range u.RequestedAttributes {
+		opts.Output = append(opts.Output, OutputColumn{
+			Name: a,
+			Attr: func(string) (string, bool) { return a, true },
+		})
 	}
-	return DefaultEngine.ExecuteUnion(ctx, u.Walks, resolver, opts)
+	return opts
 }

@@ -2,7 +2,7 @@ package relational
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -66,16 +66,12 @@ func (w *Walk) Clone() *Walk {
 // WrapperNames returns the distinct wrapper identifiers used by the walk
 // (wrappers(W) in the paper), sorted.
 func (w *Walk) WrapperNames() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, ref := range w.Wrappers {
-		if !seen[ref.Wrapper] {
-			seen[ref.Wrapper] = true
-			out = append(out, ref.Wrapper)
-		}
+	out := make([]string, len(w.Wrappers))
+	for i, ref := range w.Wrappers {
+		out[i] = ref.Wrapper
 	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // HasWrapper reports whether the walk already references the wrapper.
@@ -150,27 +146,31 @@ func (w *Walk) MergeProjections() {
 
 // Projections returns the union of all projected attribute names, sorted.
 func (w *Walk) Projections() []string {
-	var out []string
+	n := 0
 	for _, ref := range w.Wrappers {
-		out = mergeUnique(out, ref.Projection)
+		n += len(ref.Projection)
 	}
-	sort.Strings(out)
-	return out
+	out := make([]string, 0, n)
+	for _, ref := range w.Wrappers {
+		out = append(out, ref.Projection...)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // SourcesDisjoint reports whether all wrappers of the walk come from
 // pairwise distinct data sources, which is the validity condition
 // ∀ wi,wj ∈ wrappers(W): source(wi) ≠ source(wj) from §2.2.
 func (w *Walk) SourcesDisjoint() bool {
-	seen := map[string]bool{}
-	for _, ref := range w.Wrappers {
+	for i, ref := range w.Wrappers {
 		if ref.Source == "" {
 			continue
 		}
-		if seen[ref.Source] {
-			return false
+		for _, earlier := range w.Wrappers[:i] {
+			if earlier.Source == ref.Source {
+				return false
+			}
 		}
-		seen[ref.Source] = true
 	}
 	return true
 }
@@ -218,29 +218,57 @@ func (w *Walk) Validate() error {
 // String renders the walk in the paper's notation, e.g.
 // Π̃lagRatio,TargetApp(w1 .̃/ VoDmonitorId=MonitorId w3).
 func (w *Walk) String() string {
-	proj := strings.Join(w.Projections(), ",")
-	names := make([]string, len(w.Wrappers))
-	for i, ref := range w.Wrappers {
-		names[i] = ref.Wrapper
+	proj := w.Projections()
+	size := len("Π̃()") + len(" on ")
+	for _, p := range proj {
+		size += len(p) + 1
 	}
-	body := strings.Join(names, " ⋈ ")
-	if len(w.Joins) > 0 {
-		conds := make([]string, len(w.Joins))
-		for i, j := range w.Joins {
-			conds[i] = j.String()
+	for _, ref := range w.Wrappers {
+		size += len(ref.Wrapper) + len(" ⋈ ")
+	}
+	for _, j := range w.Joins {
+		size += len(j.LeftAttr) + len(j.RightAttr) + len("= ∧ ")
+	}
+	var b strings.Builder
+	b.Grow(size)
+	b.WriteString("Π̃")
+	for i, p := range proj {
+		if i > 0 {
+			b.WriteByte(',')
 		}
-		body += " on " + strings.Join(conds, " ∧ ")
+		b.WriteString(p)
 	}
-	return fmt.Sprintf("Π̃%s(%s)", proj, body)
+	b.WriteByte('(')
+	for i, ref := range w.Wrappers {
+		if i > 0 {
+			b.WriteString(" ⋈ ")
+		}
+		b.WriteString(ref.Wrapper)
+	}
+	for i, j := range w.Joins {
+		if i == 0 {
+			b.WriteString(" on ")
+		} else {
+			b.WriteString(" ∧ ")
+		}
+		b.WriteString(j.LeftAttr)
+		b.WriteByte('=')
+		b.WriteString(j.RightAttr)
+	}
+	b.WriteByte(')')
+	return b.String()
 }
 
+// mergeUnique appends to dst the strings of src it does not hold yet,
+// dropping duplicates of dst as well. The lists are a wrapper's projected
+// attributes — a handful — so membership is a scan, not a map.
 func mergeUnique(dst, src []string) []string {
-	seen := map[string]bool{}
 	var out []string
-	for _, s := range append(append([]string(nil), dst...), src...) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
+	for _, list := range [2][]string{dst, src} {
+		for _, s := range list {
+			if !slices.Contains(out, s) {
+				out = append(out, s)
+			}
 		}
 	}
 	return out

@@ -248,39 +248,32 @@ func (r *Rewriter) ExecuteResultLimit(ctx context.Context, res *Result, resolver
 		return relational.NewRelation("answer", relational.Schema{}).Distinct(), nil
 	}
 	opts := relational.ExecOptions{
-		Name:        "answer",
-		Limit:       limit,
-		PostProject: r.featureProjection(res),
+		Name:   "answer",
+		Limit:  limit,
+		Output: r.featureColumns(res),
 	}
 	return relational.DefaultEngine.ExecuteUnion(ctx, res.UCQ.Walks, resolver, opts)
 }
 
-// featureProjection builds the engine post-projection replicating the
-// reference per-walk logic: for each projected feature, keep the first
-// wrapper attribute of this walk providing it and rename it to the feature's
-// local name.
-func (r *Rewriter) featureProjection(res *Result) func(int, *relational.Walk, relational.Schema) relational.PostProjection {
+// featureColumns declares the answer's columns, replicating the reference
+// per-walk logic: one column per projected feature, fed by the first wrapper
+// attribute of the walk providing it and named by the feature's local name.
+func (r *Rewriter) featureColumns(res *Result) []relational.OutputColumn {
 	o := r.Ontology
-	features := res.WellFormed.Pi
-	return func(_ int, w *relational.Walk, schema relational.Schema) relational.PostProjection {
-		rename := map[string]string{}
-		var keep []string
-		for _, f := range features {
-			for _, name := range w.WrapperNames() {
-				attr, ok := o.AttributeOfFeatureInWrapper(core.WrapperURI(name), f)
+	cols := make([]relational.OutputColumn, 0, len(res.WellFormed.Pi))
+	for _, f := range res.WellFormed.Pi {
+		cols = append(cols, relational.OutputColumn{
+			Name: f.LocalName(),
+			Attr: func(wrapper string) (string, bool) {
+				attr, ok := o.AttributeOfFeatureInWrapper(core.WrapperURI(wrapper), f)
 				if !ok {
-					continue
+					return "", false
 				}
-				qualified := core.AttributeName(attr)
-				if schema.Has(qualified) {
-					rename[qualified] = f.LocalName()
-					keep = append(keep, qualified)
-					break
-				}
-			}
-		}
-		return relational.PostProjection{Strict: true, Keep: keep, Rename: rename}
+				return core.AttributeName(attr), true
+			},
+		})
 	}
+	return cols
 }
 
 // ExecuteResultReference preserves the original tuple-at-a-time execution of

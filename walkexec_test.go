@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -237,4 +238,52 @@ func TestAnswerConsistentUnderWrapperChurn(t *testing.T) {
 	if ans.String() != expected {
 		t.Errorf("final answer diverged\nwant: %s\ngot:  %s", expected, ans)
 	}
+}
+
+// TestWalkExecutionAllocationsPerWalk guards the union-level compile of the
+// Figure 8 union: 243 walks of 3 rows over 15 wrappers must not allocate the
+// per-walk schemas, name maps and hash indexes a per-walk compile built (about
+// 225 objects per walk). The ceiling is a fixed 32 objects per executed walk,
+// fetch, ingest, union and decode included. Bytes per walk are logged, not
+// bounded: each join step still allocates a whole check chunk for its output
+// (about 85 KB per walk), and the bar for the follow-up that sizes it from
+// the probe side's rows is 8 KB.
+func TestWalkExecutionAllocationsPerWalk(t *testing.T) {
+	wc, err := workload.BuildWorstCase(5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rewriting.NewRewriter(wc.Ontology)
+	res, err := r.Rewrite(wc.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walks := res.UCQ.Len()
+	if walks != wc.ExpectedWalks() {
+		t.Fatalf("walks = %d, want %d", walks, wc.ExpectedWalks())
+	}
+	resolver := wrapper.NewQualifiedResolver(wc.Registry)
+	execute := func() {
+		answer, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if answer.Cardinality() != 3 {
+			t.Fatalf("answer = %d rows, want 3", answer.Cardinality())
+		}
+	}
+	execute() // lazy initialisation is not the walks' cost
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		execute()
+	}
+	runtime.ReadMemStats(&after)
+	objects := (after.Mallocs - before.Mallocs) / uint64(runs*walks)
+	const ceiling = 32
+	if objects > ceiling {
+		t.Fatalf("executing the Figure 8 union allocates %d objects per walk, ceiling %d", objects, ceiling)
+	}
+	t.Logf("%d objects, %d B allocated per executed walk", objects, (after.TotalAlloc-before.TotalAlloc)/uint64(runs*walks))
 }
