@@ -113,7 +113,7 @@ func runQuery(sys *bdi.System) {
 	}
 	fmt.Printf("rewriting: %d walk(s) %v in %s\n", res.UCQ.Len(), res.UCQ.Signatures(), time.Since(start).Round(time.Microsecond))
 	fmt.Printf("answer: %d (applicationId, lagRatio) rows; first rows:\n", answer.Cardinality())
-	for i, t := range answer.Sorted() {
+	for i, t := range answer.Tuples { // the engine orders its result
 		if i == 5 {
 			fmt.Println("  ...")
 			break

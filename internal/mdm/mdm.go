@@ -535,7 +535,8 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := AnswerResponse{RewriteResponse: rewriteResponse(res), Columns: answer.Schema.Names()}
-	for _, t := range answer.Sorted() {
+	// The engine hands the answer over in canonical order.
+	for _, t := range answer.Tuples {
 		row := map[string]any{}
 		for k, v := range t {
 			row[k] = v
@@ -547,8 +548,8 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 
 // answer rewrites and executes a query under the read lock and releases it
 // as soon as the answer relation is materialized: the relation is the
-// request's own and the rewriting result is immutable, so sorting, rendering
-// and the socket write happen outside the lock.
+// request's own and the rewriting result is immutable, so rendering and the
+// socket write happen outside the lock.
 func (s *Server) answer(ctx context.Context, req QueryRequest) (*relational.Relation, *rewriting.Result, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

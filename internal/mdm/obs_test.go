@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -233,10 +234,14 @@ func TestMetricNameConvention(t *testing.T) {
 	}
 	// The global registry's names obey the same convention even for metrics
 	// not yet exercised by this process.
-	for _, name := range obs.Default.Names() {
+	names := obs.Default.Names()
+	for _, name := range names {
 		if !metricNameRE.MatchString(name) {
 			t.Errorf("registered metric %s violates the naming convention", name)
 		}
+	}
+	if !slices.Contains(names, "bdi_walk_order_seconds") {
+		t.Error("bdi_walk_order_seconds is not registered")
 	}
 }
 
@@ -284,10 +289,29 @@ func TestTraceSpanTree(t *testing.T) {
 		if sp.Duration < 0 {
 			t.Errorf("span %s is still open in a finished trace", sp.Name)
 		}
+		if sp.Name != "eval" {
+			continue
+		}
+		// The union orders its rows inside eval, under no span of its own:
+		// the span says how many rows and how long.
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["rows"] != "3" || attrs["order_us"] == "" {
+			t.Errorf("eval span attributes %v, want rows=3 and an order_us", attrs)
+		}
 	}
 	for _, want := range []string{"admit", "rewrite", "eval", "walk", "wrapper.fetch"} {
 		if names[want] == 0 {
 			t.Errorf("trace has no %q span; got %v", want, names)
+		}
+	}
+	// The span set is what bench/trace.go cuts the request by: ordering the
+	// answer added attributes, not a span.
+	for name := range names {
+		if !slices.Contains([]string{snap.Spans[0].Name, "admit", "rewrite", "rewrite.unit", "rewrite.assemble", "sparql.eval", "eval", "walk", "wrapper.fetch"}, name) {
+			t.Errorf("trace has an unexpected %q span; got %v", name, names)
 		}
 	}
 
@@ -493,5 +517,8 @@ func TestAnswerWalksSharesPerWrapperWork(t *testing.T) {
 	}
 	if got := delta("bdi_walk_compile_seconds_count"); got != 1 {
 		t.Errorf("compile observations per request = %v, want 1", got)
+	}
+	if got := delta("bdi_walk_order_seconds_count"); got != 1 {
+		t.Errorf("order observations per request = %v, want 1", got)
 	}
 }

@@ -35,6 +35,8 @@ var (
 		"Hash indexes built by union executions (at most one per wrapper join column per union).")
 	walkCompileSeconds = obs.NewHistogram("bdi_walk_compile_seconds",
 		"Latency of the union compile phase, wrapper fetch and ingest excluded.")
+	walkOrderSeconds = obs.NewHistogram("bdi_walk_order_seconds",
+		"Latency of ordering a union's deduplicated rows canonically, in the ID domain.")
 )
 
 // Engine is the compiled walk executor: it compiles the union once — every
@@ -47,10 +49,15 @@ var (
 // The engine reproduces the reference executor (Walk.ExecuteReference and
 // friends) observably: result name, schema attribute order, the sorted
 // canonical rendering of the tuples (Relation.String), and every structural
-// error byte-for-byte, in the reference order. The raw tuple order inside a
-// result is unspecified — the physical join order is a planner choice — and
-// budget trip points may differ because each wrapper is fetched once per
-// execution instead of once per walk.
+// error byte-for-byte, in the reference order. Budget trip points may differ
+// because each wrapper is fetched once per execution instead of once per
+// walk.
+//
+// A result's tuples are in canonical order — ascending Tuple.Key over the
+// result schema, the order Relation.Sorted gives — at any MaxParallel and
+// with or without a Limit: the deduplicated rows are ordered once, on their
+// ValueIDs, between the union and the decode (ValueDict.order), so callers
+// iterate Tuples and never sort.
 type Engine struct {
 	// MaxParallel caps concurrently executing walks; 0 means GOMAXPROCS.
 	// 1 yields serial execution on the calling goroutine. Results are
@@ -80,8 +87,8 @@ type ExecOptions struct {
 	Name string
 	// Limit > 0 stops execution once that many distinct result rows exist;
 	// walks that can no longer contribute are cancelled. The retained rows
-	// are exactly the first Limit distinct rows in walk order, so limited
-	// results are deterministic prefixes of the unlimited result.
+	// are exactly the first Limit distinct rows in walk order — a
+	// deterministic subset of the unlimited result — in canonical order.
 	Limit int
 	// Output projects every walk's result onto the declared columns before
 	// the union. Nil keeps every walk's schema unchanged; an empty non-nil
@@ -90,7 +97,7 @@ type ExecOptions struct {
 }
 
 // ExecuteWalk executes a single walk, observably equal to the reference
-// Walk.ExecuteReference (up to raw tuple order).
+// Walk.ExecuteReference with its tuples in canonical order.
 func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResolver) (*Relation, error) {
 	ctx, span := obs.StartSpan(ctx, "walk")
 	defer span.End()
@@ -105,7 +112,8 @@ func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResol
 		return nil, err
 	}
 	rel := NewRelation(u.name0, u.final)
-	rel.Tuples = u.decode(rows, u.srcCols(0))
+	src := u.srcCols(0)
+	rel.Tuples = u.decode(u.dict.order(rows, src), src)
 	return rel, nil
 }
 
@@ -141,8 +149,8 @@ func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver Wrapp
 	// Execute the walks on at most maxPar workers that claim walk indices in
 	// order, or inline when that is one. Results are consumed in walk order
 	// whatever order they complete in, so the deduplicated union (first
-	// occurrence wins), LIMIT prefixes and the error choice (lowest-index
-	// failing walk) are deterministic at any parallelism.
+	// occurrence wins), the rows a LIMIT keeps and the error choice
+	// (lowest-index failing walk) are deterministic at any parallelism.
 	maxPar := e.MaxParallel
 	if maxPar <= 0 {
 		maxPar = runtime.GOMAXPROCS(0)
@@ -233,6 +241,13 @@ consume:
 	if firstErr != nil {
 		return nil, firstErr
 	}
+
+	orderStart := time.Now()
+	outRows = u.dict.order(outRows, nil)
+	orderTime := time.Since(orderStart)
+	walkOrderSeconds.Observe(orderTime)
+	span.SetAttrInt("rows", int64(len(outRows)))
+	span.SetAttrInt("order_us", orderTime.Microseconds())
 
 	rel := NewRelation(opts.Name, u.final)
 	if rel.Name == "" {

@@ -8,7 +8,7 @@ import (
 )
 
 // chainCase builds a three-wrapper chain (w_a ⋈ w_b ⋈ w_c on shared ids)
-// whose UCQ yields several distinct rows, for limit/ordering tests.
+// whose UCQ yields several distinct rows, for limit tests.
 func chainCase() (staticResolver, *UnionOfConjunctiveQueries) {
 	rels := staticResolver{}
 	for i, name := range []string{"w_a", "w_b", "w_c"} {
@@ -38,8 +38,8 @@ func chainCase() (staticResolver, *UnionOfConjunctiveQueries) {
 }
 
 // TestEngineLimitIsDeterministicPrefix checks that a limited union result is
-// exactly the first Limit rows (in raw order) of the unlimited result, at any
-// parallelism.
+// the canonical ordering of exactly the first Limit distinct rows in walk
+// order, at any parallelism.
 func TestEngineLimitIsDeterministicPrefix(t *testing.T) {
 	rels, u := chainCase()
 	ctx := context.Background()
@@ -55,20 +55,13 @@ func TestEngineLimitIsDeterministicPrefix(t *testing.T) {
 	for limit := 1; limit <= full.Cardinality(); limit++ {
 		lopts := opts
 		lopts.Limit = limit
+		want := limitOracle(t, u.Walks, rels, full.Schema, limit)
 		for _, e := range []*Engine{DefaultEngine, {MaxParallel: 1}, {MaxParallel: 3}} {
 			got, err := e.ExecuteUnion(ctx, u.Walks, rels, lopts)
 			if err != nil {
 				t.Fatalf("limit %d: %v", limit, err)
 			}
-			if got.Cardinality() != limit {
-				t.Fatalf("limit %d: got %d rows", limit, got.Cardinality())
-			}
-			for r, tup := range got.Tuples {
-				if tup.Key(names) != full.Tuples[r].Key(names) {
-					t.Fatalf("limit %d row %d: %v is not the unlimited prefix row %v",
-						limit, r, tup, full.Tuples[r])
-				}
-			}
+			requireTuples(t, fmt.Sprintf("limit %d MaxParallel=%d", limit, e.MaxParallel), names, got.Tuples, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package relational
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 )
@@ -46,14 +47,20 @@ func (g *byteGen) pct(p int) bool { return g.intn(100) < p }
 
 // idCellValues seeds ID columns: a small pool so joins actually match, with
 // cross-type numeric aliases (1 vs int64(1) vs 1.0 intern to one dictionary
-// entry) and nil to exercise nil-join semantics.
-var idCellValues = []Value{0, 1, 2, int64(1), float64(2), 12, "x", "y", nil}
+// entry), nil to exercise nil-join semantics, and a value holding the
+// canonical key's separator.
+var idCellValues = []Value{0, 1, 2, int64(1), float64(2), 12, float64(12), "x", "y", "x\x1fsy", nil}
 
 // nonIDCellValues seeds non-ID columns, covering every valueKey kind
-// including values whose renderings collide across kinds ("12" vs 12).
+// including values whose renderings collide across kinds ("12" vs 12), and
+// what makes ordering by the joined key differ from ordering by column:
+// control bytes below the U+001F separator, values that are prefixes of one
+// another, and pairs ("x\x1fsy", "z" and "x", "y\x1fsz") whose joined keys
+// coincide although their cells differ.
 var nonIDCellValues = []Value{
-	nil, 0, 1, 2, 12, int64(12), float64(12), 12.5, -3, 0.1,
-	"a", "b", "ab", "12", true, false,
+	nil, 0, 1, 2, 12, int64(12), float64(12), 12.5, -3, 0.1, math.NaN(),
+	"a", "b", "ab", "a\n", "12", true, false,
+	"\x00", "\t", "\x1f", "x", "x\x1fsy", "y\x1fsz", "z",
 }
 
 // genCase is one generated differential test case: a universe of wrapper

@@ -14,18 +14,18 @@ import (
 // The differential parity suite: randomized cases executed through both the
 // compiled engine and the preserved reference executor must agree on the
 // result name, schema attribute order, canonical rendering (Relation.String)
-// and every structural error, byte for byte. Raw tuple order is the one
-// observable the engine does not promise (the physical join order is a
-// planner choice), but it must be identical across engine configurations
-// (serial vs parallel, pushdown on vs off vs declined).
+// and every structural error, byte for byte. The engine's tuple order is
+// canonical (order_test.go holds it against Tuple.Key and the reference) and
+// must be identical across engine configurations (serial vs parallel,
+// pushdown on vs off vs declined).
 
 // canonical renders the observables both executors promise to agree on.
 func canonical(rel *Relation) string {
 	return rel.Name + "\n" + strings.Join(rel.Schema.Names(), ",") + "\n" + rel.String()
 }
 
-// rawRender renders a relation including its raw tuple order, for comparing
-// engine configurations against each other.
+// rawRender renders a relation including the order of its tuples, for
+// comparing engine configurations against each other.
 func rawRender(rel *Relation) string {
 	names := rel.Schema.Names()
 	var b strings.Builder

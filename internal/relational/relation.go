@@ -3,7 +3,8 @@ package relational
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"bdi/internal/lifecycle"
@@ -75,11 +76,16 @@ func ValuesEqual(a, b Value) bool { return valueKey(a) == valueKey(b) }
 
 // Key returns a canonical key of the tuple over the given attributes.
 func (t Tuple) Key(names []string) string {
-	parts := make([]string, len(names))
+	return strings.Join(t.cellKeys(names), "\x1f")
+}
+
+// cellKeys renders the tuple's cells over the given attributes canonically.
+func (t Tuple) cellKeys(names []string) []string {
+	cells := make([]string, len(names))
 	for i, n := range names {
-		parts[i] = valueKey(t[n])
+		cells[i] = valueKey(t[n])
 	}
-	return strings.Join(parts, "\x1f")
+	return cells
 }
 
 // Relation is a named bag of tuples with a schema. It is the in-memory
@@ -147,17 +153,27 @@ func (r *Relation) StrictProject(names []string) *Relation {
 	return out
 }
 
-// Distinct returns a copy of the relation with duplicate tuples removed.
+// Distinct returns a copy of the relation with duplicate tuples removed. Two
+// tuples are duplicates when they agree column by column; the dedup key
+// therefore length-prefixes every cell instead of reusing Tuple.Key, whose
+// U+001F separator may also occur inside a value.
 func (r *Relation) Distinct() *Relation {
 	out := NewRelation(r.Name, r.Schema)
 	names := r.Schema.Names()
 	seen := map[string]bool{}
+	var key []byte
 	for _, t := range r.Tuples {
-		k := t.Key(names)
-		if seen[k] {
+		key = key[:0]
+		for _, n := range names {
+			cell := valueKey(t[n])
+			key = strconv.AppendInt(key, int64(len(cell)), 10)
+			key = append(key, ':')
+			key = append(key, cell...)
+		}
+		if seen[string(key)] {
 			continue
 		}
-		seen[k] = true
+		seen[string(key)] = true
 		out.Add(t.Clone())
 	}
 	return out
@@ -230,11 +246,34 @@ func (r *Relation) Union(other *Relation) *Relation {
 }
 
 // Sorted returns the tuples sorted by their canonical key, for deterministic
-// output.
+// output of relations built tuple by tuple (wrapper outputs, the reference
+// executor's results); the compiled engine's results are in this order
+// already. Tuples whose keys coincide although their cells differ (a value
+// holding the key's U+001F separator) are ordered cell by cell, so the order
+// does not depend on the order of r.Tuples. Every tuple's key is built once,
+// before the sort.
 func (r *Relation) Sorted() []Tuple {
 	names := r.Schema.Names()
-	out := append([]Tuple(nil), r.Tuples...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key(names) < out[j].Key(names) })
+	type keyed struct {
+		key   string
+		cells []string
+		tuple Tuple
+	}
+	byKey := make([]keyed, len(r.Tuples))
+	for i, t := range r.Tuples {
+		cells := t.cellKeys(names)
+		byKey[i] = keyed{strings.Join(cells, "\x1f"), cells, t}
+	}
+	slices.SortFunc(byKey, func(a, b keyed) int {
+		if c := strings.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return slices.Compare(a.cells, b.cells)
+	})
+	out := make([]Tuple, len(byKey))
+	for i, k := range byKey {
+		out[i] = k.tuple
+	}
 	return out
 }
 

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -12,8 +14,8 @@ import (
 )
 
 // Scheduler tests: what the union promises about walk order — the error
-// choice, LIMIT prefixes, cancellation — must hold whether the walks run
-// inline or on several workers.
+// choice, which rows a LIMIT keeps, cancellation — must hold whether the
+// walks run inline or on several workers.
 
 var schedulerParallelism = []int{1, 2, 8}
 
@@ -98,9 +100,40 @@ func TestSchedulerLowestIndexError(t *testing.T) {
 	requireNoStrandedGoroutines(t, before)
 }
 
+// limitOracle is what a union limited to n rows must return: the walks
+// executed one by one (ExecuteWalk), their tuples concatenated in walk order,
+// the first occurrence of every distinct row kept, the first n of those, in
+// canonical order over the union schema. A walk's own result stands in for
+// the order in which the union consumes that walk's rows, so the inputs must
+// produce their rows in ascending key order; fanCase and chainCase do (every
+// join probes its rows in insertion order and keys ascend with it).
+func limitOracle(t *testing.T, walks []*Walk, rels WrapperResolver, schema Schema, n int) []Tuple {
+	t.Helper()
+	all := NewRelation("oracle", schema)
+	for _, w := range walks {
+		rel, err := DefaultEngine.ExecuteWalk(context.Background(), w, rels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all.Add(rel.Tuples...)
+	}
+	first := all.Distinct()
+	first.Tuples = first.Tuples[:n]
+	return first.Sorted()
+}
+
+// requireTuples fails unless got is want, row by row, under the canonical key.
+func requireTuples(t *testing.T, label string, names []string, got, want []Tuple) {
+	t.Helper()
+	if g, w := keysOf(got, names), keysOf(want, names); !slices.Equal(g, w) {
+		t.Fatalf("%s: rows %q, want %q", label, g, w)
+	}
+}
+
 // TestSchedulerLimitIsWalkOrderPrefix checks, over many walks, that LIMIT n
-// keeps exactly the first n distinct rows in walk order at any parallelism,
-// and that the walks past the one reaching the limit are not executed.
+// returns the canonical ordering of exactly the first n distinct rows in walk
+// order at any parallelism, and that the walks past the one reaching the
+// limit are not executed.
 func TestSchedulerLimitIsWalkOrderPrefix(t *testing.T) {
 	rels, walks := fanCase(4)
 	ctx := context.Background()
@@ -128,6 +161,7 @@ func TestSchedulerLimitIsWalkOrderPrefix(t *testing.T) {
 		for upTo[needed] < limit {
 			needed++
 		}
+		want := limitOracle(t, walks, rels, full.Schema, limit)
 		for _, par := range schedulerParallelism {
 			lopts := opts
 			lopts.Limit = limit
@@ -137,15 +171,7 @@ func TestSchedulerLimitIsWalkOrderPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("limit %d MaxParallel=%d: %v", limit, par, err)
 			}
-			if got.Cardinality() != limit {
-				t.Fatalf("limit %d MaxParallel=%d: %d rows", limit, par, got.Cardinality())
-			}
-			for r, tup := range got.Tuples {
-				if tup.Key(names) != full.Tuples[r].Key(names) {
-					t.Fatalf("limit %d MaxParallel=%d row %d: %v is not the unlimited prefix row %v",
-						limit, par, r, tup, full.Tuples[r])
-				}
-			}
+			requireTuples(t, fmt.Sprintf("limit %d MaxParallel=%d", limit, par), names, got.Tuples, want)
 			// Inline, exactly the walks up to the one reaching the limit
 			// run; workers may have claimed a few more before the cancel.
 			if par == 1 && int(executed) != needed+1 {
@@ -250,14 +276,16 @@ func TestEngineFilterOnAbsentAttribute(t *testing.T) {
 // TestUnionSharesItsWorkAndSaysSo checks that a union builds each hash index
 // once however many walks probe it and on however many workers, and that one
 // trace answers "did this union share its work": the eval span carries the
-// walk, wrapper and index counts, and one walk span exists per walk.
+// walk, wrapper, index and row counts and the time spent ordering the rows,
+// and one walk span exists per walk.
 func TestUnionSharesItsWorkAndSaysSo(t *testing.T) {
 	rels, walks := fanCase(4)
 	for _, par := range schedulerParallelism {
 		trace := obs.NewTrace("test")
 		ctx := obs.WithTrace(context.Background(), trace)
-		builds, compiles := walkIndexBuildsTotal.Value(), walkCompileSeconds.Count()
-		if _, err := (&Engine{MaxParallel: par}).ExecuteUnion(ctx, walks, rels, ExecOptions{Name: "answer"}); err != nil {
+		builds, compiles, orders := walkIndexBuildsTotal.Value(), walkCompileSeconds.Count(), walkOrderSeconds.Count()
+		rel, err := (&Engine{MaxParallel: par}).ExecuteUnion(ctx, walks, rels, ExecOptions{Name: "answer"})
+		if err != nil {
 			t.Fatal(err)
 		}
 		trace.Finish()
@@ -269,6 +297,9 @@ func TestUnionSharesItsWorkAndSaysSo(t *testing.T) {
 		if got := walkCompileSeconds.Count() - compiles; got != 1 {
 			t.Errorf("MaxParallel=%d: %d compile observations for one union", par, got)
 		}
+		if got := walkOrderSeconds.Count() - orders; got != 1 {
+			t.Errorf("MaxParallel=%d: %d order observations for one union", par, got)
+		}
 		spans := map[string]int{}
 		for _, sp := range trace.Snapshot().Spans {
 			spans[sp.Name]++
@@ -279,8 +310,10 @@ func TestUnionSharesItsWorkAndSaysSo(t *testing.T) {
 			for _, a := range sp.Attrs {
 				attrs[a.Key] = a.Value
 			}
-			if attrs["walks"] != "24" || attrs["wrappers"] != "5" || attrs["indexes"] != "4" {
-				t.Errorf("MaxParallel=%d: eval span attributes %v, want walks=24 wrappers=5 indexes=4", par, attrs)
+			if attrs["walks"] != "24" || attrs["wrappers"] != "5" || attrs["indexes"] != "4" ||
+				attrs["rows"] != strconv.Itoa(rel.Cardinality()) || attrs["order_us"] == "" {
+				t.Errorf("MaxParallel=%d: eval span attributes %v, want walks=24 wrappers=5 indexes=4 rows=%d and an order_us",
+					par, attrs, rel.Cardinality())
 			}
 		}
 		if spans["eval"] != 1 || spans["walk"] != 24 || spans["wrapper.fetch"] != 5 {

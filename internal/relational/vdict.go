@@ -1,8 +1,11 @@
 package relational
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -96,6 +99,10 @@ type ValueDict struct {
 	mu   sync.RWMutex
 	ids  map[vkey]ValueID
 	vals []Value // vals[id-1] is the first value interned under the key
+	// keys[id-1] caches valueKey(vals[id-1]), rendered the first time a row
+	// holding id is ordered ("" until then: no valueKey is empty). The cache
+	// dies with the dictionary, i.e. with the union execution that owns it.
+	keys []string
 }
 
 // NewValueDict returns a dictionary with nil pre-interned as NilValueID.
@@ -143,4 +150,77 @@ func joinID(id ValueID) ValueID {
 		return NilValueID
 	}
 	return id
+}
+
+// order returns rows in canonical order: ascending by the key Tuple.Key
+// gives their decoded tuples over the columns of the union schema, rows whose
+// keys coincide (they differ only in where a U+001F falls) column by column,
+// exactly as Relation.Sorted orders tuples. src maps each column to the row
+// position it reads (nil: the rows are already in union layout), negative for
+// a column the rows do not carry; a missing cell and an absent column both
+// render as nil, as in Tuple.Key.
+//
+// Every value is rendered at most once per dictionary and every row key is
+// concatenated once, into one flat arena, so the comparator compares bytes
+// and builds nothing.
+func (d *ValueDict) order(rows [][]ValueID, src []int32) [][]ValueID {
+	if len(rows) < 2 {
+		return rows
+	}
+	width := len(src)
+	if src == nil {
+		width = len(rows[0])
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.keys) < len(d.vals) {
+		d.keys = append(d.keys, make([]string, len(d.vals)-len(d.keys))...)
+	}
+	// cell returns the index into d.keys of a row's cell in column c.
+	cell := func(row []ValueID, c int) ValueID {
+		sc := int32(c)
+		if src != nil {
+			sc = src[c]
+		}
+		if sc < 0 {
+			return NilValueID - 1
+		}
+		return joinID(row[sc]) - 1
+	}
+	arena := make([]byte, 0, 8*width*len(rows))
+	bounds := make([]int, len(rows)+1) // row r's key is arena[bounds[r]:bounds[r+1]]
+	for r, row := range rows {
+		for c := 0; c < width; c++ {
+			if c > 0 {
+				arena = append(arena, '\x1f')
+			}
+			k := cell(row, c)
+			if d.keys[k] == "" {
+				d.keys[k] = valueKey(d.vals[k])
+			}
+			arena = append(arena, d.keys[k]...)
+		}
+		bounds[r+1] = len(arena)
+	}
+	key := func(r int32) []byte { return arena[bounds[r]:bounds[r+1]] }
+	perm := make([]int32, len(rows))
+	for r := range perm {
+		perm[r] = int32(r)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := bytes.Compare(key(a), key(b)); c != 0 {
+			return c
+		}
+		for c := 0; c < width; c++ {
+			if c := strings.Compare(d.keys[cell(rows[a], c)], d.keys[cell(rows[b], c)]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	out := make([][]ValueID, len(rows))
+	for i, r := range perm {
+		out[i] = rows[r]
+	}
+	return out
 }

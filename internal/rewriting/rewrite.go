@@ -240,9 +240,10 @@ func (r *Rewriter) AnswerSPARQL(text string, resolver relational.WrapperResolver
 // cancellation between walks and each walk execution honors ctx and the
 // context's budget tracker. limit > 0 stops execution once that many
 // distinct answer rows exist, cancelling the walks that can no longer
-// contribute; the retained rows are a deterministic prefix (in walk order)
-// of the full answer. ExecuteResultReference preserves the original executor
-// for differential testing.
+// contribute; the retained rows are the first limit distinct rows in walk
+// order. The answer's tuples are in canonical (Tuple.Key) order, so callers
+// render them as they are. ExecuteResultReference preserves the original
+// executor for differential testing.
 func (r *Rewriter) ExecuteResultLimit(ctx context.Context, res *Result, resolver relational.WrapperResolver, limit int) (*relational.Relation, error) {
 	if len(res.UCQ.Walks) == 0 {
 		return relational.NewRelation("answer", relational.Schema{}).Distinct(), nil
