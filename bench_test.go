@@ -373,7 +373,7 @@ func BenchmarkAblationEntailmentMaterialized(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := o.Store()
-	if _, err := reasoner.Materialize(s, reasoner.DefaultMaterializeOptions()); err != nil {
+	if _, err := reasoner.Materialize(s); err != nil {
 		b.Fatal(err)
 	}
 	eval := sparql.NewPlainEvaluator(s)

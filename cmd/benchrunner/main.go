@@ -363,7 +363,7 @@ SELECT ?f WHERE { ?f rdfs:subClassOf sc:identifier . }`
 	// Materialization first, then plain evaluation.
 	s2 := build()
 	start = time.Now()
-	added, err := reasoner.Materialize(s2, reasoner.DefaultMaterializeOptions())
+	added, err := reasoner.Materialize(s2)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -5,12 +5,12 @@
 // optionally a Budget bounding how many result rows, how many estimated
 // bytes of intermediate/result data, and how much wall time it may consume.
 // The budget travels inside the context as a *Tracker; every layer that
-// produces rows — the SPARQL evaluator's chunked row arena, the relational
-// join loops, the UCQ union loop — charges the tracker at chunk granularity
-// and aborts with a deterministic *ErrBudgetExceeded naming the offending
-// dimension. The HTTP layer maps the dimensions onto status codes (rows and
-// bytes exhaust the request entity: 413; wall time and context deadline:
-// 504) together with the tracker's partial-progress statistics.
+// produces rows — wrapper fetches, the relational join loops, the UCQ union
+// loop — charges the tracker at chunk granularity and aborts with a
+// deterministic *ErrBudgetExceeded naming the offending dimension. The HTTP
+// layer maps the dimensions onto status codes (rows and bytes exhaust the
+// request entity: 413; wall time and context deadline: 504) together with
+// the tracker's partial-progress statistics.
 //
 // All Tracker methods are nil-safe: code on the hot path charges the
 // tracker unconditionally and pays only a nil check when no budget is set.
@@ -170,9 +170,6 @@ func Check(ctx context.Context, t *Tracker) error {
 // Deterministic byte-cost model for budget accounting: coarse, cheap and
 // identical across runs, so a budget trips at the same point every time.
 const (
-	// TermIDCost is the cost of one dictionary-encoded term slot in the
-	// SPARQL evaluator's row arena.
-	TermIDCost = 4
 	// CellCost is the cost of one relational tuple cell (map entry +
 	// small value), and TupleCost the per-tuple overhead.
 	CellCost  = 24

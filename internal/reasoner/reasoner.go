@@ -6,9 +6,10 @@
 //     back into the store (into the same graph as the triples that produced
 //     them), mirroring a triplestore configured with RDFS inference.
 //   - Engine: query-time inference that answers "is X a (transitive)
-//     subclass of Y" and "instances of class C" questions without
+//     subclass of Y" and "which classes are below C" questions without
 //     materializing, used by the rewriting algorithms for identifier
-//     taxonomy lookups (e.g. sup:monitorId rdfs:subClassOf sc:identifier).
+//     taxonomy lookups (e.g. sup:monitorId rdfs:subClassOf sc:identifier)
+//     and by the SPARQL evaluator's entailment regime.
 //
 // Query-time inference is snapshot-aware: ClosureAt computes (and caches)
 // the hierarchy closures for one pinned store.Snapshot, so a consumer that
@@ -25,8 +26,6 @@ package reasoner
 
 import (
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 
 	"bdi/internal/rdf"
@@ -53,24 +52,12 @@ func New(s *store.Store) *Engine {
 func (e *Engine) Store() *store.Store { return e.store }
 
 // Closure holds the subclass/subproperty hierarchy closures of one store
-// snapshot — both as IRI-keyed maps and as dictionary-TermID closure sets
-// for ID-native consumers. A Closure never changes after construction
-// (the lazily memoized per-class orderings are guarded by a mutex) and is
-// safe for concurrent use.
+// snapshot. A Closure never changes after construction and is safe for
+// concurrent use.
 type Closure struct {
 	snap     store.Snapshot
 	subClass map[string]map[string]bool // class -> all (transitive) superclasses
 	subProp  map[string]map[string]bool // property -> all (transitive) superproperties
-
-	// ID-native views of the subclass closure. closure is keyed
-	// sub -> supers; names resolves closure members back to their IRI string
-	// for deterministic (ascending IRI) ordering.
-	subClassIDs  map[rdf.TermID]map[rdf.TermID]bool
-	closureNames map[rdf.TermID]string
-
-	mu         sync.Mutex
-	subsOfID   map[rdf.TermID][]rdf.TermID // class -> subclasses (memoized, IRI order)
-	supersOfID map[rdf.TermID][]rdf.TermID // class -> superclasses (memoized, IRI order)
 }
 
 // ClosureAt returns the hierarchy closure of the given snapshot, serving
@@ -96,18 +83,11 @@ func (e *Engine) closure() *Closure {
 
 // buildClosure computes the hierarchy closures of one snapshot.
 func buildClosure(sn store.Snapshot) *Closure {
-	c := &Closure{
-		snap:       sn,
-		subsOfID:   map[rdf.TermID][]rdf.TermID{},
-		supersOfID: map[rdf.TermID][]rdf.TermID{},
+	return &Closure{
+		snap:     sn,
+		subClass: nameClosure(transitiveClosureIDs(sn, rdf.RDFSSubClassOf)),
+		subProp:  nameClosure(transitiveClosureIDs(sn, rdf.RDFSSubPropertyOf)),
 	}
-	var propNames map[rdf.TermID]string
-	var subPropIDs map[rdf.TermID]map[rdf.TermID]bool
-	c.subClassIDs, c.closureNames = transitiveClosureIDs(sn, rdf.RDFSSubClassOf)
-	subPropIDs, propNames = transitiveClosureIDs(sn, rdf.RDFSSubPropertyOf)
-	c.subClass = nameClosure(c.subClassIDs, c.closureNames)
-	c.subProp = nameClosure(subPropIDs, propNames)
-	return c
 }
 
 // IsSubClassOf reports whether sub is rdfs:subClassOf sup, directly or
@@ -147,63 +127,6 @@ func (c *Closure) SubClassesOf(class rdf.IRI) []rdf.IRI {
 	return out
 }
 
-// IsSubClassOfIDs is IsSubClassOf on dictionary TermIDs (reflexive). IDs
-// the dictionary never assigned to a class trivially report false unless
-// equal.
-func (c *Closure) IsSubClassOfIDs(sub, sup rdf.TermID) bool {
-	if sub == sup {
-		return true
-	}
-	return c.subClassIDs[sub][sup]
-}
-
-// SubClassIDsOf returns the TermIDs of all (transitive) subclasses of the
-// class with the given id, in ascending IRI order. Like SubClassesOf it
-// excludes the class itself unless the hierarchy is cyclic. The returned
-// slice is memoized and must not be mutated.
-func (c *Closure) SubClassIDsOf(class rdf.TermID) []rdf.TermID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if subs, ok := c.subsOfID[class]; ok {
-		return subs
-	}
-	var subs []rdf.TermID
-	for sub, supers := range c.subClassIDs {
-		if supers[class] {
-			subs = append(subs, sub)
-		}
-	}
-	c.sortByNameLocked(subs)
-	c.subsOfID[class] = subs
-	return subs
-}
-
-// SuperClassIDsOf returns the TermIDs of all (transitive) superclasses of
-// the class with the given id, in ascending IRI order; the same memoization
-// and mutation rules as SubClassIDsOf apply.
-func (c *Closure) SuperClassIDsOf(class rdf.TermID) []rdf.TermID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if supers, ok := c.supersOfID[class]; ok {
-		return supers
-	}
-	var supers []rdf.TermID
-	for sup := range c.subClassIDs[class] {
-		supers = append(supers, sup)
-	}
-	c.sortByNameLocked(supers)
-	c.supersOfID[class] = supers
-	return supers
-}
-
-// sortByNameLocked orders closure members by their IRI string, matching the
-// deterministic order of the IRI-based accessors. Callers must hold c.mu.
-func (c *Closure) sortByNameLocked(ids []rdf.TermID) {
-	slices.SortFunc(ids, func(a, b rdf.TermID) int {
-		return strings.Compare(c.closureNames[a], c.closureNames[b])
-	})
-}
-
 // IsSubClassOf reports whether sub is rdfs:subClassOf sup at the store's
 // current generation, directly or transitively (reflexive).
 func (e *Engine) IsSubClassOf(sub, sup rdf.IRI) bool { return e.closure().IsSubClassOf(sub, sup) }
@@ -220,130 +143,16 @@ func (e *Engine) SuperClasses(class rdf.IRI) []rdf.IRI { return e.closure().Supe
 // given class, excluding the class itself.
 func (e *Engine) SubClassesOf(class rdf.IRI) []rdf.IRI { return e.closure().SubClassesOf(class) }
 
-// IsSubClassOfIDs is IsSubClassOf on dictionary TermIDs (reflexive).
-func (e *Engine) IsSubClassOfIDs(sub, sup rdf.TermID) bool {
-	return e.closure().IsSubClassOfIDs(sub, sup)
-}
-
-// SubClassIDsOf returns the TermIDs of all (transitive) subclasses of the
-// class with the given id, in ascending IRI order. The returned slice is
-// memoized per store generation and must not be mutated.
-func (e *Engine) SubClassIDsOf(class rdf.TermID) []rdf.TermID {
-	return e.closure().SubClassIDsOf(class)
-}
-
-// SuperClassIDsOf returns the TermIDs of all (transitive) superclasses of
-// the class with the given id, in ascending IRI order; the same memoization
-// and mutation rules as SubClassIDsOf apply.
-func (e *Engine) SuperClassIDsOf(class rdf.TermID) []rdf.TermID {
-	return e.closure().SuperClassIDsOf(class)
-}
-
-// InstancesOf returns all subjects typed (rdf:type) with the given class or
-// any of its subclasses, across all graphs, sorted. The walk runs against
-// one pinned snapshot; dedup across classes is keyed on the dictionary's
-// subject TermIDs, and term keys are derived only once per distinct
-// subject, for the final ordering.
-func (e *Engine) InstancesOf(class rdf.IRI) []rdf.Term {
-	sn := e.store.Snapshot()
-	cl := e.ClosureAt(sn)
-	classes := append(cl.SubClassesOf(class), class)
-	seen := map[rdf.TermID]rdf.Term{}
-	for _, c := range classes {
-		for _, m := range sn.MatchWithIDs(store.WildcardGraph(nil, rdf.RDFType, c)) {
-			seen[m.ID.Subject] = m.Subject
-		}
-	}
-	type keyed struct {
-		key  string
-		term rdf.Term
-	}
-	ks := make([]keyed, 0, len(seen))
-	for _, t := range seen {
-		ks = append(ks, keyed{key: rdf.TermKey(t), term: t})
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make([]rdf.Term, len(ks))
-	for i, k := range ks {
-		out[i] = k.term
-	}
-	return out
-}
-
-// HasType reports whether the subject has the given rdf:type, either
-// asserted directly or entailed through the subclass hierarchy.
-func (e *Engine) HasType(subject rdf.Term, class rdf.IRI) bool {
-	sn := e.store.Snapshot()
-	cl := e.ClosureAt(sn)
-	for _, q := range sn.Match(store.WildcardGraph(subject, rdf.RDFType, nil)) {
-		asserted, ok := q.Object.(rdf.IRI)
-		if !ok {
-			continue
-		}
-		if asserted == class || cl.IsSubClassOf(asserted, class) {
-			return true
-		}
-	}
-	return false
-}
-
-// TypesOf returns the asserted and entailed types of the subject, sorted.
-func (e *Engine) TypesOf(subject rdf.Term) []rdf.IRI {
-	sn := e.store.Snapshot()
-	cl := e.ClosureAt(sn)
-	seen := map[rdf.IRI]bool{}
-	for _, q := range sn.Match(store.WildcardGraph(subject, rdf.RDFType, nil)) {
-		if c, ok := q.Object.(rdf.IRI); ok {
-			seen[c] = true
-			for _, sup := range cl.SuperClasses(c) {
-				seen[sup] = true
-			}
-		}
-	}
-	out := make([]rdf.IRI, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	slices.Sort(out)
-	return out
-}
-
-// MaterializeOptions controls which RDFS rules Materialize applies.
-type MaterializeOptions struct {
-	// SubClassTransitivity applies rdfs11 (transitive rdfs:subClassOf).
-	SubClassTransitivity bool
-	// SubPropertyTransitivity applies rdfs5 (transitive rdfs:subPropertyOf).
-	SubPropertyTransitivity bool
-	// TypeInheritance applies rdfs9 (instances of a subclass are instances of
-	// its superclasses).
-	TypeInheritance bool
-	// PropertyInheritance applies rdfs7 (statements with a subproperty also
-	// hold for the superproperty).
-	PropertyInheritance bool
-	// DomainRange applies rdfs2 and rdfs3 (type inference from property
-	// domain and range declarations).
-	DomainRange bool
-}
-
-// DefaultMaterializeOptions enables every supported rule.
-func DefaultMaterializeOptions() MaterializeOptions {
-	return MaterializeOptions{
-		SubClassTransitivity:    true,
-		SubPropertyTransitivity: true,
-		TypeInheritance:         true,
-		PropertyInheritance:     true,
-		DomainRange:             true,
-	}
-}
-
-// Materialize computes the RDFS closure of the store under the selected
-// rules and inserts the entailed quads. It returns the number of new quads.
-// The computation iterates to a fixpoint; each iteration reads from one
-// pinned snapshot and writes its conclusions back in a batch.
-func Materialize(s *store.Store, opts MaterializeOptions) (int, error) {
+// Materialize computes the RDFS closure of the store under every supported
+// rule (rdfs11 and rdfs5 transitivity, rdfs9 type and rdfs7 property
+// inheritance, rdfs2/rdfs3 domain and range typing) and inserts the entailed
+// quads. It returns the number of new quads. The computation iterates to a
+// fixpoint; each iteration reads from one pinned snapshot and writes its
+// conclusions back in a batch.
+func Materialize(s *store.Store) (int, error) {
 	total := 0
 	for {
-		added, err := materializeOnce(s, opts)
+		added, err := materializeOnce(s)
 		if err != nil {
 			return total, err
 		}
@@ -354,77 +163,65 @@ func Materialize(s *store.Store, opts MaterializeOptions) (int, error) {
 	}
 }
 
-func materializeOnce(s *store.Store, opts MaterializeOptions) (int, error) {
-	var newQuads []rdf.Quad
+func materializeOnce(s *store.Store) (int, error) {
 	sn := s.Snapshot()
-
 	subClass := nameClosure(transitiveClosureIDs(sn, rdf.RDFSSubClassOf))
 	subProp := nameClosure(transitiveClosureIDs(sn, rdf.RDFSSubPropertyOf))
 
-	if opts.SubClassTransitivity {
-		newQuads = append(newQuads, closureQuads(rdf.RDFSSubClassOf, subClass)...)
-	}
-	if opts.SubPropertyTransitivity {
-		newQuads = append(newQuads, closureQuads(rdf.RDFSSubPropertyOf, subProp)...)
+	newQuads := closureQuads(rdf.RDFSSubClassOf, subClass)
+	newQuads = append(newQuads, closureQuads(rdf.RDFSSubPropertyOf, subProp)...)
+
+	for _, q := range sn.Match(store.WildcardGraph(nil, rdf.RDFType, nil)) {
+		c, ok := q.Object.(rdf.IRI)
+		if !ok {
+			continue
+		}
+		for sup := range subClass[string(c)] {
+			newQuads = append(newQuads, rdf.Quad{
+				Triple: rdf.NewTriple(q.Subject, rdf.RDFType, rdf.IRI(sup)),
+				Graph:  q.Graph,
+			})
+		}
 	}
 
-	if opts.TypeInheritance {
-		for _, q := range sn.Match(store.WildcardGraph(nil, rdf.RDFType, nil)) {
-			c, ok := q.Object.(rdf.IRI)
-			if !ok {
-				continue
-			}
-			for sup := range subClass[string(c)] {
+	for prop, supers := range subProp {
+		for _, q := range sn.Match(store.WildcardGraph(nil, rdf.IRI(prop), nil)) {
+			for sup := range supers {
 				newQuads = append(newQuads, rdf.Quad{
-					Triple: rdf.NewTriple(q.Subject, rdf.RDFType, rdf.IRI(sup)),
+					Triple: rdf.NewTriple(q.Subject, rdf.IRI(sup), q.Object),
 					Graph:  q.Graph,
 				})
 			}
 		}
 	}
 
-	if opts.PropertyInheritance {
-		for prop, supers := range subProp {
-			for _, q := range sn.Match(store.WildcardGraph(nil, rdf.IRI(prop), nil)) {
-				for sup := range supers {
-					newQuads = append(newQuads, rdf.Quad{
-						Triple: rdf.NewTriple(q.Subject, rdf.IRI(sup), q.Object),
-						Graph:  q.Graph,
-					})
-				}
-			}
+	for _, decl := range sn.Match(store.WildcardGraph(nil, rdf.RDFSDomain, nil)) {
+		prop, okP := decl.Subject.(rdf.IRI)
+		class, okC := decl.Object.(rdf.IRI)
+		if !okP || !okC {
+			continue
+		}
+		for _, q := range sn.Match(store.WildcardGraph(nil, prop, nil)) {
+			newQuads = append(newQuads, rdf.Quad{
+				Triple: rdf.NewTriple(q.Subject, rdf.RDFType, class),
+				Graph:  q.Graph,
+			})
 		}
 	}
-
-	if opts.DomainRange {
-		for _, decl := range sn.Match(store.WildcardGraph(nil, rdf.RDFSDomain, nil)) {
-			prop, okP := decl.Subject.(rdf.IRI)
-			class, okC := decl.Object.(rdf.IRI)
-			if !okP || !okC {
-				continue
-			}
-			for _, q := range sn.Match(store.WildcardGraph(nil, prop, nil)) {
-				newQuads = append(newQuads, rdf.Quad{
-					Triple: rdf.NewTriple(q.Subject, rdf.RDFType, class),
-					Graph:  q.Graph,
-				})
-			}
+	for _, decl := range sn.Match(store.WildcardGraph(nil, rdf.RDFSRange, nil)) {
+		prop, okP := decl.Subject.(rdf.IRI)
+		class, okC := decl.Object.(rdf.IRI)
+		if !okP || !okC {
+			continue
 		}
-		for _, decl := range sn.Match(store.WildcardGraph(nil, rdf.RDFSRange, nil)) {
-			prop, okP := decl.Subject.(rdf.IRI)
-			class, okC := decl.Object.(rdf.IRI)
-			if !okP || !okC {
+		for _, q := range sn.Match(store.WildcardGraph(nil, prop, nil)) {
+			if q.Object.Kind() == rdf.KindLiteral {
 				continue
 			}
-			for _, q := range sn.Match(store.WildcardGraph(nil, prop, nil)) {
-				if q.Object.Kind() == rdf.KindLiteral {
-					continue
-				}
-				newQuads = append(newQuads, rdf.Quad{
-					Triple: rdf.NewTriple(q.Object, rdf.RDFType, class),
-					Graph:  q.Graph,
-				})
-			}
+			newQuads = append(newQuads, rdf.Quad{
+				Triple: rdf.NewTriple(q.Object, rdf.RDFType, class),
+				Graph:  q.Graph,
+			})
 		}
 	}
 

@@ -1,7 +1,6 @@
 package reasoner
 
 import (
-	"slices"
 	"sync"
 	"testing"
 
@@ -85,24 +84,6 @@ func TestIsSubPropertyOf(t *testing.T) {
 	}
 }
 
-func TestInstancesOfAndHasType(t *testing.T) {
-	e := New(taxonomyStore(t))
-	instances := e.InstancesOf("http://ex/identifier")
-	if len(instances) != 2 {
-		t.Errorf("instances of identifier = %v", instances)
-	}
-	if !e.HasType(rdf.IRI("http://ex/m1"), "http://ex/Feature") {
-		t.Error("m1 should be a Feature via the taxonomy")
-	}
-	if e.HasType(rdf.IRI("http://ex/m1"), "http://ex/SoftwareApplication") {
-		t.Error("m1 should not be a SoftwareApplication")
-	}
-	types := e.TypesOf(rdf.IRI("http://ex/m1"))
-	if len(types) != 3 {
-		t.Errorf("types of m1 = %v", types)
-	}
-}
-
 func TestCacheInvalidationOnStoreChange(t *testing.T) {
 	s := taxonomyStore(t)
 	e := New(s)
@@ -119,7 +100,7 @@ func TestCacheInvalidationOnStoreChange(t *testing.T) {
 
 func TestMaterializeTypeInheritance(t *testing.T) {
 	s := taxonomyStore(t)
-	added, err := Materialize(s, DefaultMaterializeOptions())
+	added, err := Materialize(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,30 +133,16 @@ func TestMaterializeTypeInheritance(t *testing.T) {
 
 func TestMaterializeIsIdempotent(t *testing.T) {
 	s := taxonomyStore(t)
-	if _, err := Materialize(s, DefaultMaterializeOptions()); err != nil {
+	if _, err := Materialize(s); err != nil {
 		t.Fatal(err)
 	}
 	size := s.Len()
-	added, err := Materialize(s, DefaultMaterializeOptions())
+	added, err := Materialize(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if added != 0 || s.Len() != size {
 		t.Errorf("second materialization added %d quads", added)
-	}
-}
-
-func TestMaterializeSelectiveRules(t *testing.T) {
-	s := taxonomyStore(t)
-	opts := MaterializeOptions{SubClassTransitivity: true}
-	if _, err := Materialize(s, opts); err != nil {
-		t.Fatal(err)
-	}
-	if s.ContainsTriple("", rdf.T("http://ex/m1", rdf.RDFType, "http://ex/identifier")) {
-		t.Error("type inheritance should be disabled")
-	}
-	if !s.ContainsTriple("", rdf.T("http://ex/monitorId", rdf.RDFSSubClassOf, "http://ex/Feature")) {
-		t.Error("subclass transitivity should be applied")
 	}
 }
 
@@ -187,97 +154,41 @@ func TestCyclicHierarchyDoesNotLoop(t *testing.T) {
 	if !e.IsSubClassOf("http://ex/A", "http://ex/B") || !e.IsSubClassOf("http://ex/B", "http://ex/A") {
 		t.Error("cycle members should be mutual subclasses")
 	}
-	if _, err := Materialize(s, DefaultMaterializeOptions()); err != nil {
+	if _, err := Materialize(s); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestIDClosureSets checks that the TermID-based closure accessors agree
-// with the IRI-based ones, stay in ascending IRI order, and survive store
-// mutations (generation-keyed invalidation).
-func TestIDClosureSets(t *testing.T) {
-	s := taxonomyStore(t)
-	e := New(s)
-	dict := s.Dict()
-	lookup := func(iri rdf.IRI) rdf.TermID {
-		t.Helper()
-		id, ok := dict.Lookup(iri)
-		if !ok {
-			t.Fatalf("%s not interned", iri)
-		}
-		return id
-	}
-	identifier := lookup("http://ex/identifier")
-	monitorID := lookup("http://ex/monitorId")
-	feature := lookup("http://ex/Feature")
-
-	if !e.IsSubClassOfIDs(monitorID, identifier) || !e.IsSubClassOfIDs(monitorID, feature) {
-		t.Error("ID subclass closure missing direct/transitive edges")
-	}
-	if !e.IsSubClassOfIDs(monitorID, monitorID) {
-		t.Error("ID subclass relation should be reflexive")
-	}
-	if e.IsSubClassOfIDs(identifier, monitorID) {
-		t.Error("ID subclass relation inverted")
-	}
-
-	toIRIs := func(ids []rdf.TermID) []rdf.IRI {
-		out := make([]rdf.IRI, len(ids))
-		for i, id := range ids {
-			term, ok := dict.Term(id)
-			if !ok {
-				t.Fatalf("id %d not in dict", id)
-			}
-			out[i] = term.(rdf.IRI)
-		}
-		return out
-	}
-	if got, want := toIRIs(e.SubClassIDsOf(identifier)), e.SubClassesOf("http://ex/identifier"); !slices.Equal(got, want) {
-		t.Errorf("SubClassIDsOf = %v, want %v", got, want)
-	}
-	if got, want := toIRIs(e.SuperClassIDsOf(monitorID)), e.SuperClasses("http://ex/monitorId"); !slices.Equal(got, want) {
-		t.Errorf("SuperClassIDsOf = %v, want %v", got, want)
-	}
-
-	// Mutating the store invalidates the ID closures too.
-	if _, err := s.AddTriple("", rdf.T("http://ex/newId", rdf.RDFSSubClassOf, "http://ex/identifier")); err != nil {
-		t.Fatal(err)
-	}
-	newID := lookup("http://ex/newId")
-	if !e.IsSubClassOfIDs(newID, feature) {
-		t.Error("closure not refreshed after store mutation")
-	}
-	if got, want := toIRIs(e.SubClassIDsOf(identifier)), e.SubClassesOf("http://ex/identifier"); !slices.Equal(got, want) {
-		t.Errorf("after mutation: SubClassIDsOf = %v, want %v", got, want)
-	}
-}
-
-// TestConcurrentIDClosureAccess pins the concurrency contract: parallel
-// cold lookups of the memoized ID closures (as issued by concurrent SPARQL
-// evaluations) must not race. Run with -race.
+// TestConcurrentIDClosureAccess pins the concurrency contract of the shared
+// closure cache: parallel lookups through the engine (current snapshot) and
+// through ClosureAt on snapshots pinned before and after a concurrent write
+// — as issued by concurrent SPARQL evaluations — must not race, and each
+// pinned closure must answer for its own generation. Run with -race.
 func TestConcurrentIDClosureAccess(t *testing.T) {
 	s := taxonomyStore(t)
 	e := New(s)
-	dict := s.Dict()
-	var ids []rdf.TermID
-	for _, iri := range []rdf.IRI{"http://ex/identifier", "http://ex/monitorId", "http://ex/Feature", "http://ex/applicationId"} {
-		id, ok := dict.Lookup(iri)
-		if !ok {
-			t.Fatalf("%s not interned", iri)
-		}
-		ids = append(ids, id)
+	before := s.Snapshot()
+	if _, err := s.AddTriple("", rdf.T("http://ex/newId", rdf.RDFSSubClassOf, "http://ex/identifier")); err != nil {
+		t.Fatal(err)
 	}
+	after := s.Snapshot()
+	classes := []rdf.IRI{"http://ex/identifier", "http://ex/monitorId", "http://ex/Feature", "http://ex/applicationId"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				id := ids[(g+i)%len(ids)]
-				e.SubClassIDsOf(id)
-				e.SuperClassIDsOf(id)
-				e.IsSubClassOfIDs(ids[0], id)
-				e.SubClassesOf("http://ex/identifier")
+				class := classes[(g+i)%len(classes)]
+				e.SubClassesOf(class)
+				e.SuperClasses(class)
+				e.IsSubClassOf(classes[0], class)
+				if e.ClosureAt(before).IsSubClassOf("http://ex/newId", "http://ex/Feature") {
+					t.Error("closure at the older snapshot sees a later subclass edge")
+				}
+				if !e.ClosureAt(after).IsSubClassOf("http://ex/newId", "http://ex/Feature") {
+					t.Error("closure at the newer snapshot misses its subclass edge")
+				}
 			}
 		}(g)
 	}

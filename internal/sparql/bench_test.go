@@ -88,7 +88,7 @@ func benchmarkSelect(b *testing.B, n int, entailment bool, query string, want in
 }
 
 // BenchmarkEvalJoinFanOut joins a selective group probe against the
-// next-chain: the planner should start from the small inGroup bucket.
+// next-chain: constants-first ordering starts from the inGroup pattern.
 func BenchmarkEvalJoinFanOut(b *testing.B) {
 	query := fmt.Sprintf(`SELECT ?a ?b WHERE { ?a %s ?b . ?a %s %s . }`,
 		benchNext, benchInGroup, benchGroup(3))

@@ -2,29 +2,24 @@ package sparql
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"bdi/internal/lifecycle"
 	"bdi/internal/obs"
 	"bdi/internal/rdf"
 	"bdi/internal/reasoner"
 	"bdi/internal/store"
 )
 
-// Evaluator metrics: every ontology probe of the rewriting algorithms lands
-// here, so these series expose how much SPARQL work a query or release
-// really costs. Per-evaluation overhead is two clock reads and a few atomic
-// adds — nothing per row.
+// Evaluator metrics. No request path evaluates SPARQL today; the benchmark
+// reads both series to show that it stays that way.
 var (
 	evalSeconds = obs.NewHistogram("bdi_sparql_eval_seconds",
-		"Latency of SPARQL evaluations (compile + run) against a pinned snapshot.")
+		"Latency of SPARQL evaluations against a pinned snapshot.")
 	evalRowsTotal = obs.NewCounter("bdi_sparql_eval_rows_total",
 		"Solution rows produced by SPARQL evaluations.")
-	compilesTotal = obs.NewCounter("bdi_sparql_compiles_total",
-		"Query compilations to slot-based plans.")
 )
 
 // Binding is a single solution mapping from variable names to terms.
@@ -120,24 +115,16 @@ func (s *Solutions) String() string {
 // applying the RDFS entailment regime (subclass-aware rdf:type and
 // subproperty-aware predicate matching), as assumed in §2 of the paper.
 //
-// Queries are compiled into a slot-based plan (see plan.go) and evaluated
-// entirely in dictionary-TermID space: intermediate bindings are flat
-// []rdf.TermID rows, joins extend rows through store.MatchIDs and integer
-// equality, and terms are rehydrated only at projection time. Entailment
-// expansion sets are cached per store generation.
-//
-// Every evaluation pins one store.Snapshot up front — compilation,
-// matching, entailment and the reasoner closures all read from that pinned
-// generation — so a query returns an answer consistent with a single store
-// state even while writers publish new snapshots concurrently. The
-// Evaluator is safe for concurrent use.
+// Bindings are maps from variables to terms; each pattern extends every
+// binding through one store probe. Every evaluation pins one
+// store.Snapshot up front — base matching, entailment and the reasoner
+// closures all read from that pinned generation — so a query returns an
+// answer consistent with a single store state even while writers publish
+// new snapshots concurrently. The Evaluator is safe for concurrent use.
 type Evaluator struct {
 	store      *store.Store
 	engine     *reasoner.Engine
 	Entailment bool
-
-	mu  sync.Mutex
-	ent *entailCache
 }
 
 // NewEvaluator returns an evaluator with RDFS entailment enabled.
@@ -162,23 +149,19 @@ func (e *Evaluator) Select(queryText string) (*Solutions, error) {
 	return e.Evaluate(context.Background(), q)
 }
 
-// Evaluate evaluates a parsed query against the store's current snapshot
-// under the context's cancellation/deadline and any lifecycle.Tracker budget
-// it carries.
+// Evaluate evaluates a parsed query against the store's current snapshot,
+// under the context's cancellation and deadline.
 func (e *Evaluator) Evaluate(ctx context.Context, q *Query) (*Solutions, error) {
 	return e.EvaluateAt(ctx, e.store.Snapshot(), q)
 }
 
 // EvaluateAt evaluates a parsed query against a pinned snapshot: every
-// probe — base matching, entailment expansion, reasoner closures and
-// join-order estimates — reads from sn, so the answer reflects exactly one
-// store generation. Callers coordinating several queries (or a query plus
-// other reads) pin one snapshot and pass it to each. The join, entailment
-// and DISTINCT loops check ctx (cancellation, deadline) and the context's
-// lifecycle.Tracker (row/byte/wall-time budget) cooperatively at chunk
-// granularity (lifecycle.CheckEvery rows), so a cancelled client or
-// exhausted budget aborts mid-join with context/budget error while partial
-// progress remains readable from the tracker.
+// probe — base matching, entailment expansion and reasoner closures — reads
+// from sn, so the answer reflects exactly one store generation. Callers
+// coordinating several queries (or a query plus other reads) pin one
+// snapshot and pass it to each. The join checks ctx once per binding it
+// extends, so a cancelled client or an expired deadline aborts mid-join with
+// the context's error.
 func (e *Evaluator) EvaluateAt(ctx context.Context, sn store.Snapshot, q *Query) (*Solutions, error) {
 	ctx, span := obs.StartSpan(ctx, "sparql.eval")
 	start := time.Now()
@@ -186,15 +169,8 @@ func (e *Evaluator) EvaluateAt(ctx context.Context, sn store.Snapshot, q *Query)
 		evalSeconds.Observe(time.Since(start))
 		span.End()
 	}()
-	compilesTotal.Inc()
-	pl, err := e.compile(q, sn)
-	if err != nil {
-		return nil, err
-	}
-	if pl.empty {
-		return &Solutions{Variables: pl.vars}, nil
-	}
-	sols, err := e.run(ctx, pl, sn)
+	ev := &evaluation{ctx: ctx, sn: sn, engine: e.engine, entailment: e.Entailment}
+	sols, err := ev.evaluate(q)
 	if err != nil {
 		return nil, err
 	}
@@ -212,237 +188,92 @@ func (e *Evaluator) Ask(q *Query) (bool, error) {
 	return sols.Len() > 0, nil
 }
 
-// entailCache holds the per-snapshot state of entailment expansion: the
-// vocabulary TermIDs and, per queried predicate, its direct subproperties.
-// Subclass closure sets are memoized by the reasoner engine (also per
-// snapshot), so the evaluator only caches what the engine does not. The
-// cache is keyed on snapshot identity, not the bare generation number, so
-// an EvaluateAt against a foreign store can never be served another
-// store's expansions.
-type entailCache struct {
-	snap         store.Snapshot
-	typeID       rdf.TermID
-	subClassOfID rdf.TermID
-	subPropOfID  rdf.TermID
-	subProps     map[rdf.TermID][]rdf.TermID
-}
-
-// entailment returns the entailment cache for the pinned snapshot,
-// rebuilding it when the snapshot moved (a mutation may add hierarchy
-// edges or intern the RDFS vocabulary for the first time). Concurrent
-// evaluations pinning the same snapshot share one instance; an evaluation
-// pinning an older snapshot than the cached one rebuilds — each instance
-// is consistent with exactly the snapshot it was built from.
-func (e *Evaluator) entailment(sn store.Snapshot) *entailCache {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ent == nil || e.ent.snap != sn {
-		d := sn.Dict()
-		c := &entailCache{snap: sn, subProps: map[rdf.TermID][]rdf.TermID{}}
-		c.typeID, _ = d.Lookup(rdf.RDFType)
-		c.subClassOfID, _ = d.Lookup(rdf.RDFSSubClassOf)
-		c.subPropOfID, _ = d.Lookup(rdf.RDFSSubPropertyOf)
-		e.ent = c
-	}
-	return e.ent
-}
-
-// subPropsOf returns the direct subproperties of the predicate with the
-// given id, in the deterministic first-occurrence order of the
-// rdfs:subPropertyOf matches, computed once per predicate per generation.
-// The probe runs against the evaluation's pinned snapshot (whose generation
-// matches the cache instance).
-func (e *Evaluator) subPropsOf(c *entailCache, sn store.Snapshot, pid rdf.TermID) []rdf.TermID {
-	e.mu.Lock()
-	if subs, ok := c.subProps[pid]; ok {
-		e.mu.Unlock()
-		return subs
-	}
-	e.mu.Unlock()
-	var subs []rdf.TermID
-	if c.subPropOfID != 0 {
-		if t, ok := sn.Dict().Term(pid); ok && t.Kind() == rdf.KindIRI {
-			var seen map[rdf.TermID]bool
-			for _, m := range sn.MatchWithIDs(store.WildcardGraph(nil, rdf.RDFSSubPropertyOf, t)) {
-				if _, isIRI := m.Subject.(rdf.IRI); !isIRI {
-					continue
-				}
-				if seen[m.ID.Subject] {
-					continue
-				}
-				if seen == nil {
-					seen = map[rdf.TermID]bool{}
-				}
-				seen[m.ID.Subject] = true
-				subs = append(subs, m.ID.Subject)
-			}
-		}
-	}
-	e.mu.Lock()
-	c.subProps[pid] = subs
-	e.mu.Unlock()
-	return subs
-}
-
-// rowArena hands out fixed-width rows from chunked backing buffers, so row
-// extension costs an amortized bump allocation instead of one allocation per
-// row. Previously handed-out rows keep referencing their original chunk.
-type rowArena struct {
-	width int
-	buf   []rdf.TermID
-}
-
-const arenaChunkRows = 512
-
-// alloc returns a fresh zero row of the arena's width.
-func (a *rowArena) alloc() []rdf.TermID {
-	if a.width == 0 {
-		return nil
-	}
-	if len(a.buf)+a.width > cap(a.buf) {
-		a.buf = make([]rdf.TermID, 0, a.width*arenaChunkRows)
-	}
-	n := len(a.buf)
-	a.buf = a.buf[:n+a.width]
-	return a.buf[n : n+a.width : n+a.width]
-}
-
-// release returns the most recently allocated row to the arena; it must only
-// be called for a row that was never retained.
-func (a *rowArena) release() {
-	a.buf = a.buf[:len(a.buf)-a.width]
-}
-
-// exec is the per-evaluation state of the ID-native pipeline. sn is the
-// evaluation's pinned snapshot: every probe of the run reads from it, so
-// the whole query observes one store generation.
-type exec struct {
-	e     *Evaluator
-	pl    *plan
-	sn    store.Snapshot
-	ent   *entailCache      // nil when entailment is off
-	cl    *reasoner.Closure // hierarchy closure at sn, built on first use
-	arena rowArena
-	// matchBuf is recycled across the per-row probes of dynamic patterns
-	// (it is fully consumed before the next probe); entailBuf likewise
-	// across entailment sub-queries. Static matches use their own storage.
-	matchBuf  []store.QuadID
-	entailBuf []store.QuadID
-	// Lifecycle control: ctx carries cancellation/deadline, track the
-	// query budget. Produced rows are counted locally and flushed to the
-	// tracker — together with a cancellation check — only at
-	// lifecycle.CheckEvery boundaries, keeping the per-row cost at one
-	// increment.
+// evaluation is the state of one EvaluateAt: the pinned snapshot every probe
+// reads and the hierarchy closure at that snapshot, built on first use so
+// that queries whose patterns never need subclass entailment skip it.
+type evaluation struct {
 	ctx        context.Context
-	track      *lifecycle.Tracker
-	sinceCheck int
+	sn         store.Snapshot
+	engine     *reasoner.Engine
+	entailment bool
+	cl         *reasoner.Closure
 }
 
-// produced charges one arena row against the lifecycle budget, flushing the
-// local counter and checking cancellation every lifecycle.CheckEvery rows.
-func (ec *exec) produced() error {
-	ec.sinceCheck++
-	if ec.sinceCheck < lifecycle.CheckEvery {
-		return nil
+func (ev *evaluation) closure() *reasoner.Closure {
+	if ev.cl == nil {
+		ev.cl = ev.engine.ClosureAt(ev.sn)
 	}
-	return ec.flushCheck()
+	return ev.cl
 }
 
-// flushCheck flushes locally counted rows to the tracker (rows plus their
-// arena byte cost) and performs the cooperative cancellation/deadline check.
-func (ec *exec) flushCheck() error {
-	if n := ec.sinceCheck; n > 0 {
-		ec.sinceCheck = 0
-		if err := ec.track.AddRows(int64(n)); err != nil {
-			return err
+func (ev *evaluation) evaluate(q *Query) (*Solutions, error) {
+	// Seed bindings from the VALUES table (cartesian of rows, usually one).
+	seeds := []Binding{{}}
+	if !q.Values.IsEmpty() {
+		seeds = nil
+		for _, row := range q.Values.Rows {
+			if len(row) != len(q.Values.Variables) {
+				return nil, fmt.Errorf("sparql: VALUES row arity mismatch")
+			}
+			b := Binding{}
+			for i, v := range q.Values.Variables {
+				b[v] = row[i]
+			}
+			seeds = append(seeds, b)
 		}
-		if err := ec.track.AddBytes(int64(n * ec.arena.width * lifecycle.TermIDCost)); err != nil {
-			return err
-		}
-	}
-	return lifecycle.Check(ec.ctx, ec.track)
-}
-
-// run executes a compiled plan: join the patterns over flat TermID rows,
-// filter, project, deduplicate, order deterministically and materialize the
-// solutions.
-func (e *Evaluator) run(ctx context.Context, pl *plan, sn store.Snapshot) (*Solutions, error) {
-	ec := &exec{
-		e: e, pl: pl, sn: sn,
-		arena: rowArena{width: pl.slotCount},
-		ctx:   ctx, track: lifecycle.TrackerFrom(ctx),
-	}
-	if e.Entailment {
-		ec.ent = e.entailment(sn)
 	}
 
-	rows := pl.seeds
-	if rows == nil {
-		rows = [][]rdf.TermID{ec.arena.alloc()}
-	}
-	for i := range pl.patterns {
+	bindings := seeds
+	// Order patterns to keep joins selective: patterns with constants first.
+	patterns := append([]TriplePattern(nil), q.Where...)
+	sort.SliceStable(patterns, func(i, j int) bool {
+		return selectivity(patterns[i]) < selectivity(patterns[j])
+	})
+	for _, tp := range patterns {
 		var err error
-		rows, err = ec.extend(rows, &pl.patterns[i])
-		if err != nil {
+		if bindings, err = ev.extend(bindings, tp, q.From); err != nil {
 			return nil, err
 		}
-		if len(rows) == 0 {
+		if len(bindings) == 0 {
 			break
 		}
 	}
-	if err := ec.flushCheck(); err != nil {
-		return nil, err
-	}
 
 	// Filters.
-	if len(pl.filters) > 0 {
-		kept := rows[:0]
-		for i, row := range rows {
-			if i%lifecycle.CheckEvery == 0 {
-				if err := lifecycle.Check(ctx, ec.track); err != nil {
-					return nil, err
-				}
-			}
-			if ec.filtersHold(row) {
-				kept = append(kept, row)
+	var filtered []Binding
+	for _, b := range bindings {
+		ok := true
+		for _, f := range q.Filters {
+			if !evalFilter(f, b) {
+				ok = false
+				break
 			}
 		}
-		rows = kept
+		if ok {
+			filtered = append(filtered, b)
+		}
 	}
 
-	// Projection + DISTINCT, keyed on the concatenated per-term sort keys
-	// (identical bytes to the map-based evaluator's canonical binding key,
-	// so DISTINCT semantics and the deterministic order are preserved).
-	var projected [][]rdf.TermID
+	vars := q.ProjectedVariables()
+	// Projection + DISTINCT.
+	var projected []Binding
 	var projectedKeys []string
-	var seen map[string]bool
-	if pl.distinct {
-		seen = map[string]bool{}
-	}
-	var scratch []byte
-	for i, row := range rows {
-		if i%lifecycle.CheckEvery == 0 {
-			if err := lifecycle.Check(ec.ctx, ec.track); err != nil {
-				return nil, err
+	seen := map[string]bool{}
+	for _, b := range filtered {
+		pb := Binding{}
+		for _, v := range vars {
+			if t, ok := b[v]; ok {
+				pb[v] = t
 			}
 		}
-		scratch = scratch[:0]
-		for i, s := range pl.projSlots {
-			if i > 0 {
-				scratch = append(scratch, 0)
+		k := pb.Key(vars)
+		if q.Distinct {
+			if seen[k] {
+				continue
 			}
-			scratch = pl.lt.appendKey(scratch, row[s])
-		}
-		// The map lookup on string(scratch) does not allocate; the key
-		// string is materialized only for rows that survive DISTINCT.
-		if pl.distinct && seen[string(scratch)] {
-			continue
-		}
-		k := string(scratch)
-		if pl.distinct {
 			seen[k] = true
 		}
-		projected = append(projected, row)
+		projected = append(projected, pb)
 		projectedKeys = append(projectedKeys, k)
 	}
 
@@ -455,7 +286,7 @@ func (e *Evaluator) run(ctx context.Context, pl *plan, sn store.Snapshot) (*Solu
 		sort.SliceStable(order, func(i, j int) bool {
 			return projectedKeys[order[i]] < projectedKeys[order[j]]
 		})
-		ordered := make([][]rdf.TermID, len(projected))
+		ordered := make([]Binding, len(projected))
 		for i, j := range order {
 			ordered[i] = projected[j]
 		}
@@ -463,282 +294,220 @@ func (e *Evaluator) run(ctx context.Context, pl *plan, sn store.Snapshot) (*Solu
 	}
 
 	// OFFSET / LIMIT.
-	if pl.offset > 0 {
-		if pl.offset >= len(projected) {
+	if q.Offset > 0 {
+		if q.Offset >= len(projected) {
 			projected = nil
 		} else {
-			projected = projected[pl.offset:]
+			projected = projected[q.Offset:]
 		}
 	}
-	if pl.limit >= 0 && pl.limit < len(projected) {
-		projected = projected[:pl.limit]
+	if q.Limit >= 0 && q.Limit < len(projected) {
+		projected = projected[:q.Limit]
 	}
 
-	// Materialize terms, only now and only for the surviving rows.
-	bindings := make([]Binding, len(projected))
-	for i, row := range projected {
-		b := Binding{}
-		for j, v := range pl.vars {
-			if id := row[pl.projSlots[j]]; id != 0 {
-				b[v] = pl.lt.term(id)
-			}
-		}
-		bindings[i] = b
-	}
-	return &Solutions{Variables: pl.vars, Bindings: bindings}, nil
+	return &Solutions{Variables: vars, Bindings: projected}, nil
 }
 
-// extend joins the current rows with the matches of a single pattern,
-// charging each produced row against the lifecycle budget and checking
-// cancellation at chunk boundaries.
-func (ec *exec) extend(rows [][]rdf.TermID, pp *planPattern) ([][]rdf.TermID, error) {
-	var out [][]rdf.TermID
-	var staticMatches []store.QuadID
-	if pp.static {
-		// The match list cannot depend on the row: compute it once.
-		staticMatches = ec.patternMatches(pp, nil, nil)
-		if len(staticMatches) == 0 {
-			return nil, nil
+func selectivity(tp TriplePattern) int {
+	score := 0
+	for _, t := range []rdf.Term{tp.Subject, tp.Predicate, tp.Object} {
+		if t == nil || t.Kind() == rdf.KindVariable {
+			score++
 		}
 	}
-	for _, row := range rows {
-		matches := staticMatches
-		if !pp.static {
-			matches = ec.patternMatches(pp, row, ec.matchBuf[:0])
+	return score
+}
+
+// extend joins the current bindings with the matches of a single pattern.
+func (ev *evaluation) extend(bindings []Binding, tp TriplePattern, from rdf.IRI) ([]Binding, error) {
+	var out []Binding
+	for _, b := range bindings {
+		if err := ev.ctx.Err(); err != nil {
+			return nil, err
 		}
-		for _, m := range matches {
-			if nr, ok := ec.bindMatch(row, pp, m); ok {
-				out = append(out, nr)
-				if err := ec.produced(); err != nil {
-					return nil, err
+		s := substitute(tp.Subject, b)
+		p := substitute(tp.Predicate, b)
+		o := substitute(tp.Object, b)
+
+		var matches []rdf.Quad
+		switch g := tp.Graph.(type) {
+		case nil:
+			if from != "" {
+				matches = ev.match(store.InGraph(from, s, p, o), p, o)
+			} else {
+				matches = ev.matchUnion(store.WildcardGraph(s, p, o), p, o)
+			}
+		case rdf.IRI:
+			matches = ev.match(store.InGraph(g, s, p, o), p, o)
+		case rdf.Variable:
+			if bound, ok := b[g]; ok {
+				if gi, isIRI := bound.(rdf.IRI); isIRI {
+					matches = ev.match(store.InGraph(gi, s, p, o), p, o)
 				}
+			} else {
+				matches = ev.match(store.WildcardGraph(s, p, o), p, o)
 			}
 		}
-		if !pp.static {
-			// The probe result is fully consumed; recycle its storage
-			// (grown by entailment if needed) for the next row.
-			ec.matchBuf = matches[:0]
+
+		for _, m := range matches {
+			nb := b.Clone()
+			if !bindTerm(nb, tp.Subject, m.Subject) ||
+				!bindTerm(nb, tp.Predicate, m.Predicate) ||
+				!bindTerm(nb, tp.Object, m.Object) {
+				continue
+			}
+			if gv, ok := tp.Graph.(rdf.Variable); ok {
+				if !bindTerm(nb, gv, m.Graph) {
+					continue
+				}
+			}
+			out = append(out, nb)
 		}
 	}
 	return out, nil
 }
 
-// patternMatches returns the quads matching the pattern under the row's
-// bindings, base matches first (store order) and entailed quads appended in
-// deterministic expansion order. row may be nil for static patterns; buf, if
-// non-nil, provides recycled storage for the result.
-func (ec *exec) patternMatches(pp *planPattern, row []rdf.TermID, buf []store.QuadID) []store.QuadID {
-	ip := store.IDPattern{
-		Subject:   pp.s.valueIn(row),
-		Predicate: pp.p.valueIn(row),
-		Object:    pp.o.valueIn(row),
-	}
-	union := false
-	synthGraph := ec.pl.emptyGraphID
-	switch pp.graphMode {
-	case graphUnion:
-		union = true
-	case graphFixed:
-		ip.Graph, ip.GraphSet = pp.graphID, true
-		synthGraph = pp.graphID
-	case graphVar:
-		if g := slotValue(row, pp.graphSlot); g != 0 {
-			// A graph variable bound to anything but an IRI matches nothing
-			// (and triggers no entailment), mirroring SPARQL's graph-name
-			// typing.
-			if t := ec.pl.lt.term(g); t == nil || t.Kind() != rdf.KindIRI {
-				return nil
-			}
-			ip.Graph, ip.GraphSet = g, true
-			synthGraph = g
-		}
-	}
-	// Index buckets are pre-sorted, so every probe is deterministic-order at
-	// streaming cost; the historical ordered/unordered split is gone.
-	base := ec.sn.AppendMatchIDs(buf, ip)
-	if union {
-		base = collapseTriples(base)
-	}
-	if ec.ent == nil {
-		return base
-	}
-	return ec.entail(ip, base, synthGraph)
+func (ev *evaluation) match(p store.Pattern, predicate, object rdf.Term) []rdf.Quad {
+	return ev.entail(p, predicate, object, ev.sn.Match(p))
 }
 
-// closure returns the reasoner's hierarchy closure at the evaluation's
-// pinned snapshot, building it on first use: queries whose patterns never
-// touch rdf:type or rdfs:subClassOf entailment skip the closure walk
-// entirely.
-func (ec *exec) closure() *reasoner.Closure {
-	if ec.cl == nil {
-		ec.cl = ec.e.engine.ClosureAt(ec.sn)
-	}
-	return ec.cl
-}
-
-// slotValue reads a slot of a row; nil rows (static patterns) have no
-// bindings.
-func slotValue(row []rdf.TermID, slot int) rdf.TermID {
-	if row == nil {
-		return 0
-	}
-	return row[slot]
-}
-
-// collapseTriples deduplicates union-of-graphs matches on the triple alone,
-// keeping the first occurrence (ascending graph order). The input slice is
-// returned as-is when no duplicates exist.
-func collapseTriples(ms []store.QuadID) []store.QuadID {
-	if len(ms) < 2 {
-		return ms
-	}
+// matchUnion matches the union of all graphs, collapsing quads that repeat
+// a triple in several graphs (the originating graph is not observable).
+func (ev *evaluation) matchUnion(p store.Pattern, predicate, object rdf.Term) []rdf.Quad {
+	ms := ev.sn.MatchWithIDs(p)
 	seen := make(map[[3]rdf.TermID]bool, len(ms))
-	for i, m := range ms {
-		k := [3]rdf.TermID{m.Subject, m.Predicate, m.Object}
+	base := make([]rdf.Quad, 0, len(ms))
+	for _, m := range ms {
+		k := [3]rdf.TermID{m.ID.Subject, m.ID.Predicate, m.ID.Object}
 		if seen[k] {
-			// First duplicate: copy the prefix and filter the rest.
-			out := append(make([]store.QuadID, 0, len(ms)-1), ms[:i]...)
-			for _, m2 := range ms[i+1:] {
-				k2 := [3]rdf.TermID{m2.Subject, m2.Predicate, m2.Object}
-				if seen[k2] {
-					continue
-				}
-				seen[k2] = true
-				out = append(out, m2)
-			}
-			return out
+			continue
 		}
 		seen[k] = true
+		base = append(base, m.Quad)
 	}
-	return ms
+	return ev.entail(p, predicate, object, base)
 }
 
 // entail extends base matches with RDFS-entailed quads for the pattern:
 // subclass-aware rdf:type, subproperty-aware concrete predicates, and the
 // transitive rdfs:subClassOf closure. Entailed quads deduplicate against
-// everything already present on the triple alone (entailed quads carry a
-// synthetic graph and must not duplicate asserted matches).
-func (ec *exec) entail(ip store.IDPattern, base []store.QuadID, synthGraph rdf.TermID) []store.QuadID {
-	c := ec.ent
-	pid := ip.Predicate
-	if pid == 0 {
+// everything already present on the triple alone.
+func (ev *evaluation) entail(p store.Pattern, predicate, object rdf.Term, base []rdf.Quad) []rdf.Quad {
+	if !ev.entailment {
 		return base
 	}
-	// sub2 probes an expansion pattern into the recycled entailment buffer;
-	// each result is fully consumed before the next probe.
-	sub2 := func(p2 store.IDPattern) []store.QuadID {
-		ec.entailBuf = ec.sn.AppendMatchIDs(ec.entailBuf[:0], p2)
-		return ec.entailBuf
-	}
 	out := base
-	var seen map[[3]rdf.TermID]bool
-	add := func(m store.QuadID) {
-		if seen == nil {
-			seen = make(map[[3]rdf.TermID]bool, len(out)+8)
-			for _, q := range out {
-				seen[[3]rdf.TermID{q.Subject, q.Predicate, q.Object}] = true
-			}
-		}
-		k := [3]rdf.TermID{m.Subject, m.Predicate, m.Object}
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		out = append(out, m)
-	}
-
-	// rdf:type with a concrete class: include instances of subclasses.
-	if pid == c.typeID {
-		if oid := ip.Object; oid != 0 {
-			for _, sub := range ec.closure().SubClassIDsOf(oid) {
-				p2 := ip
+	if predIRI, ok := predicate.(rdf.IRI); ok && predIRI == rdf.RDFType {
+		if classIRI, ok := object.(rdf.IRI); ok {
+			for _, sub := range ev.closure().SubClassesOf(classIRI) {
+				p2 := p
 				p2.Object = sub
-				for _, m := range sub2(p2) {
-					m.Object = oid // entailed type
-					add(m)
+				for _, q := range ev.sn.Match(p2) {
+					q.Object = classIRI // entailed type
+					out = appendUniqueQuad(out, q)
 				}
 			}
 		}
-		return out
 	}
-
-	// Concrete predicate: include statements made with its subproperties.
-	for _, sub := range ec.e.subPropsOf(c, ec.sn, pid) {
-		p2 := ip
-		p2.Predicate = sub
-		for _, m := range sub2(p2) {
-			m.Predicate = pid
-			add(m)
+	if predIRI, ok := predicate.(rdf.IRI); ok && predIRI != rdf.RDFType {
+		for _, sub := range ev.subPropertiesOf(predIRI) {
+			p2 := p
+			p2.Predicate = sub
+			for _, q := range ev.sn.Match(p2) {
+				q.Predicate = predIRI
+				out = appendUniqueQuad(out, q)
+			}
 		}
 	}
+	if predIRI, ok := predicate.(rdf.IRI); ok && predIRI == rdf.RDFSSubClassOf {
+		out = ev.extendSubClassMatches(p, out)
+	}
+	return out
+}
 
-	// rdfs:subClassOf: include the transitive closure (the rewriting
-	// algorithms ask e.g. whether a feature is a subclass of sc:identifier,
-	// possibly through intermediate domains). Closure quads are synthesized
-	// from the reasoner without consulting the graph restriction; they carry
-	// the pattern's graph.
-	if pid == c.subClassOfID {
-		sid, oid := ip.Subject, ip.Object
-		switch {
-		case sid != 0 && oid != 0:
-			if sid != oid && ec.closure().IsSubClassOfIDs(sid, oid) {
-				add(store.QuadID{Graph: synthGraph, Subject: sid, Predicate: pid, Object: oid})
-			}
-		case sid != 0:
-			for _, sup := range ec.closure().SuperClassIDsOf(sid) {
-				add(store.QuadID{Graph: synthGraph, Subject: sid, Predicate: pid, Object: sup})
-			}
-		case oid != 0:
-			for _, sub := range ec.closure().SubClassIDsOf(oid) {
-				add(store.QuadID{Graph: synthGraph, Subject: sub, Predicate: pid, Object: oid})
-			}
+// extendSubClassMatches adds the transitive rdfs:subClassOf closure (the
+// rewriting algorithms ask e.g. whether a feature is a subclass of
+// sc:identifier, possibly through intermediate domains). Closure quads are
+// synthesized from the reasoner without consulting the graph restriction;
+// they carry the pattern's graph.
+func (ev *evaluation) extendSubClassMatches(p store.Pattern, out []rdf.Quad) []rdf.Quad {
+	subj, subjConcrete := p.Subject.(rdf.IRI)
+	obj, objConcrete := p.Object.(rdf.IRI)
+	switch {
+	case subjConcrete && objConcrete:
+		if ev.closure().IsSubClassOf(subj, obj) && subj != obj {
+			out = appendUniqueQuad(out, rdf.Quad{Triple: rdf.T(subj, rdf.RDFSSubClassOf, obj), Graph: p.Graph})
+		}
+	case subjConcrete:
+		for _, sup := range ev.closure().SuperClasses(subj) {
+			out = appendUniqueQuad(out, rdf.Quad{Triple: rdf.T(subj, rdf.RDFSSubClassOf, sup), Graph: p.Graph})
+		}
+	case objConcrete:
+		for _, sub := range ev.closure().SubClassesOf(obj) {
+			out = appendUniqueQuad(out, rdf.Quad{Triple: rdf.T(sub, rdf.RDFSSubClassOf, obj), Graph: p.Graph})
 		}
 	}
 	return out
 }
 
-// bindMatch extends a row with one matched quad, binding the pattern's
-// variable positions in subject, predicate, object, graph order and
-// rejecting the match on any conflict with an existing binding.
-func (ec *exec) bindMatch(row []rdf.TermID, pp *planPattern, m store.QuadID) ([]rdf.TermID, bool) {
-	nr := ec.arena.alloc()
-	copy(nr, row)
-	bind := func(pt planTerm, val rdf.TermID) bool {
-		if pt.slot < 0 {
-			return true // constants were matched by the store / entailment
+// subPropertiesOf returns the direct subproperties of prop.
+func (ev *evaluation) subPropertiesOf(prop rdf.IRI) []rdf.IRI {
+	var out []rdf.IRI
+	for _, q := range ev.sn.Match(store.WildcardGraph(nil, rdf.RDFSSubPropertyOf, prop)) {
+		if sub, ok := q.Subject.(rdf.IRI); ok {
+			out = append(out, sub)
 		}
-		if cur := nr[pt.slot]; cur != 0 {
-			return cur == val
-		}
-		nr[pt.slot] = val
-		return true
 	}
-	ok := bind(pp.s, m.Subject) && bind(pp.p, m.Predicate) && bind(pp.o, m.Object)
-	if ok && pp.graphSlot >= 0 {
-		ok = bind(planTerm{slot: pp.graphSlot}, m.Graph)
-	}
-	if !ok {
-		ec.arena.release()
-		return nil, false
-	}
-	return nr, true
+	return out
 }
 
-// filtersHold evaluates every FILTER against the row.
-func (ec *exec) filtersHold(row []rdf.TermID) bool {
-	for _, f := range ec.pl.filters {
-		left, right := f.leftTerm, f.rightTerm
-		if f.leftSlot >= 0 {
-			left = ec.pl.lt.term(row[f.leftSlot])
-		}
-		if f.rightSlot >= 0 {
-			right = ec.pl.lt.term(row[f.rightSlot])
-		}
-		if !filterSatisfied(f.op, left, right) {
-			return false
+func appendUniqueQuad(quads []rdf.Quad, q rdf.Quad) []rdf.Quad {
+	for _, existing := range quads {
+		if existing.Triple.Equal(q.Triple) {
+			return quads
 		}
 	}
+	return append(quads, q)
+}
+
+func substitute(t rdf.Term, b Binding) rdf.Term {
+	if v, ok := t.(rdf.Variable); ok {
+		if bound, exists := b[v]; exists {
+			return bound
+		}
+		return nil
+	}
+	return t
+}
+
+func bindTerm(b Binding, patternTerm rdf.Term, value rdf.Term) bool {
+	v, ok := patternTerm.(rdf.Variable)
+	if !ok {
+		if patternTerm == nil {
+			return true
+		}
+		return patternTerm.Equal(value)
+	}
+	if existing, bound := b[v]; bound {
+		return existing.Equal(value)
+	}
+	b[v] = value
 	return true
+}
+
+func evalFilter(f Filter, b Binding) bool {
+	return filterSatisfied(f.Op, resolveFilterTerm(f.Left, b), resolveFilterTerm(f.Right, b))
+}
+
+func resolveFilterTerm(t rdf.Term, b Binding) rdf.Term {
+	if v, ok := t.(rdf.Variable); ok {
+		bound, exists := b[v]
+		if !exists {
+			return nil
+		}
+		return bound
+	}
+	return t
 }
 
 // filterSatisfied applies a FILTER comparison to two resolved terms; an

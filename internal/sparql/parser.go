@@ -185,9 +185,14 @@ func (p *sparqlParser) parsePrefix() error {
 	if !ok {
 		return fmt.Errorf("sparql: PREFIX requires a namespace IRI")
 	}
-	prefix := strings.TrimSuffix(nameTok.value, ":")
-	ns := strings.Trim(iriTok.value, "<>")
-	p.q.Prefixes.Bind(prefix, ns)
+	prefix, ok := strings.CutSuffix(nameTok.value, ":")
+	if nameTok.quoted || !ok || prefix != "" && !isName(prefix) {
+		return fmt.Errorf("sparql: invalid PREFIX name %q", nameTok.value)
+	}
+	if iriTok.quoted || !strings.HasPrefix(iriTok.value, "<") {
+		return fmt.Errorf("sparql: PREFIX %s requires a namespace IRI, got %q", prefix, iriTok.value)
+	}
+	p.q.Prefixes.Bind(prefix, strings.Trim(iriTok.value, "<>"))
 	return nil
 }
 
@@ -212,7 +217,11 @@ func (p *sparqlParser) parseSelect() error {
 			continue
 		}
 		if strings.HasPrefix(t.value, "?") || strings.HasPrefix(t.value, "$") {
-			p.q.Select = append(p.q.Select, rdf.NewVariable(t.value[1:]))
+			v, err := variable(t.value)
+			if err != nil {
+				return err
+			}
+			p.q.Select = append(p.q.Select, v)
 			p.pos++
 			continue
 		}
@@ -343,7 +352,11 @@ func (p *sparqlParser) parseValues() error {
 		if !strings.HasPrefix(t.value, "?") && !strings.HasPrefix(t.value, "$") {
 			return fmt.Errorf("sparql: VALUES expects variables, got %q", t.value)
 		}
-		p.q.Values.Variables = append(p.q.Values.Variables, rdf.NewVariable(t.value[1:]))
+		v, err := variable(t.value)
+		if err != nil {
+			return err
+		}
+		p.q.Values.Variables = append(p.q.Values.Variables, v)
 	}
 	if err := p.expect("{"); err != nil {
 		return err
@@ -487,16 +500,19 @@ func (p *sparqlParser) parseTriplesBlock(graph rdf.Term) error {
 func (p *sparqlParser) resolveTerm(t sparqlToken) (rdf.Term, error) {
 	v := t.value
 	if t.quoted {
-		return rdf.NewLiteral(rdf.UnescapeLiteral(v)), nil
+		return p.literal(rdf.UnescapeLiteral(v))
 	}
 	switch {
 	case v == "":
 		return nil, fmt.Errorf("sparql: empty term")
 	case strings.HasPrefix(v, "?") || strings.HasPrefix(v, "$"):
-		return rdf.NewVariable(v[1:]), nil
+		return variable(v)
 	case strings.HasPrefix(v, "<") && strings.HasSuffix(v, ">"):
 		return rdf.IRI(strings.Trim(v, "<>")), nil
 	case strings.HasPrefix(v, "_:"):
+		if !isName(v[2:]) {
+			return nil, fmt.Errorf("sparql: invalid blank node label %q", v)
+		}
 		return rdf.NewBlankNode(v[2:]), nil
 	case v == "true" || v == "false":
 		return rdf.NewTypedLiteral(v, rdf.XSDBoolean), nil
@@ -509,7 +525,68 @@ func (p *sparqlParser) resolveTerm(t sparqlToken) (rdf.Term, error) {
 	}
 	if strings.Contains(v, ":") {
 		iri, _ := p.q.Prefixes.Expand(v)
+		if strings.Contains(string(iri), ">") {
+			return nil, fmt.Errorf("sparql: %q expands to an IRI containing '>'", v)
+		}
 		return iri, nil
 	}
 	return nil, fmt.Errorf("sparql: cannot interpret token %q as a term", v)
+}
+
+// literal builds the literal for a quoted lexical form, consuming a
+// following language tag ("@en") or datatype ("^^<iri>", "^^prefix:local").
+func (p *sparqlParser) literal(lexical string) (rdf.Term, error) {
+	t, ok := p.peek()
+	switch {
+	case !ok || t.quoted:
+	case strings.HasPrefix(t.value, "@"):
+		p.pos++
+		if !isName(t.value[1:]) {
+			return nil, fmt.Errorf("sparql: invalid language tag %q", t.value)
+		}
+		return rdf.NewLangLiteral(lexical, t.value[1:]), nil
+	case strings.HasPrefix(t.value, "^^"):
+		p.pos++
+		dt := sparqlToken{value: t.value[2:]}
+		if dt.value == "" {
+			if dt, ok = p.next(); !ok || dt.quoted {
+				return nil, fmt.Errorf("sparql: expected a datatype IRI after %q^^", lexical)
+			}
+		}
+		term, err := p.resolveTerm(dt)
+		if err != nil {
+			return nil, err
+		}
+		iri, ok := term.(rdf.IRI)
+		if !ok {
+			return nil, fmt.Errorf("sparql: literal datatype must be an IRI, got %q", dt.value)
+		}
+		return rdf.NewTypedLiteral(lexical, iri), nil
+	}
+	return rdf.NewLiteral(lexical), nil
+}
+
+// variable returns the variable a "?name" or "$name" token denotes.
+func variable(tok string) (rdf.Variable, error) {
+	if !isName(tok[1:]) {
+		return "", fmt.Errorf("sparql: invalid variable %q", tok)
+	}
+	return rdf.NewVariable(tok[1:]), nil
+}
+
+// isName reports whether s can stand as a variable name, blank node label,
+// prefix name or language tag: a non-empty run of letters, digits, '_', '-'
+// and '.' that does not end in '.', which the tokenizer would split off.
+// Query.String renders such names verbatim, so anything else would not read
+// back as the same query.
+func isName(s string) bool {
+	if s == "" || strings.HasSuffix(s, ".") {
+		return false
+	}
+	for _, r := range s {
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' && r != '-' && r != '.' {
+			return false
+		}
+	}
+	return true
 }

@@ -4,20 +4,16 @@
 // table binding the projected variables to attribute IRIs, a basic graph
 // pattern (BGP), GRAPH blocks, and simple FILTER expressions.
 //
-// Parsed queries are compiled into the SPARQL-algebra shape shown in Code 4
-// (project / join / table / bgp) and evaluated against the quad store with
-// the RDFS entailment regime provided by internal/reasoner.
+// Parsed queries render into the SPARQL-algebra shape shown in Code 4
+// (project / join / table / bgp) and are evaluated against the quad store
+// with the RDFS entailment regime provided by internal/reasoner.
 //
-// Evaluation follows a compile-then-execute design (plan.go / eval.go):
-// compilation assigns every variable a dense slot, resolves every constant
-// to a dictionary TermID and orders the patterns by selectivity using the
-// store's index-bucket cardinality estimates; execution then joins flat
-// []rdf.TermID rows through the store's ID-native probes, applies FILTERs,
-// deduplicates, orders solutions on cached term sort keys and only then
-// rehydrates terms. An evaluation pins one store.Snapshot for everything —
-// compilation estimates, base matches, RDFS entailment expansion and the
-// reasoner's hierarchy closures — so each query answers against exactly one
-// store generation while writers publish new ones concurrently
+// The evaluator (eval.go) joins map-based bindings one store probe per
+// binding and pattern, applies FILTERs, deduplicates and orders solutions
+// on their terms' sort keys. An evaluation pins one store.Snapshot for
+// everything — base matches, RDFS entailment expansion and the reasoner's
+// hierarchy closure — so each query answers against exactly one store
+// generation while writers publish new ones concurrently
 // (Evaluator.EvaluateAt lets callers share that pinned snapshot across
 // several queries).
 package sparql

@@ -150,6 +150,44 @@ func TestQueryStringRoundTrip(t *testing.T) {
 	if len(q2.Select) != len(q.Select) {
 		t.Errorf("select count changed")
 	}
+	// Literals render with their datatype or language tag, which the
+	// parser must read back.
+	for _, text := range []string{
+		`SELECT ?x WHERE { ?x <http://a> ?y . FILTER (?y > 5) }`,
+		`PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> SELECT ?x WHERE { ?x <http://a> "5"^^xsd:integer }`,
+		`SELECT ?x WHERE { ?x <http://a> "hi"@en }`,
+	} {
+		if _, err := Parse(text); err != nil {
+			t.Fatalf("parsing %q: %v", text, err)
+		}
+		checkRoundTrip(t, text)
+	}
+}
+
+// checkRoundTrip requires that a query that parses renders to text that
+// parses again and renders identically.
+func checkRoundTrip(t *testing.T, text string) {
+	t.Helper()
+	q, err := Parse(text)
+	if err != nil {
+		return
+	}
+	rendered := q.String()
+	q2, err := Parse(rendered)
+	if err != nil {
+		t.Fatalf("re-parsing rendered query failed: %v\ninput: %q\nrendered:\n%s", err, text, rendered)
+	}
+	if again := q2.String(); again != rendered {
+		t.Fatalf("rendering is not stable\ninput: %q\nfirst:\n%s\nsecond:\n%s", text, rendered, again)
+	}
+}
+
+// FuzzParse checks the round-trip property on arbitrary query text: SPARQL
+// arrives from outside on every /api/queries/* request.
+func FuzzParse(f *testing.F) {
+	f.Add(runningExampleQuery)
+	f.Add(`SELECT ?x WHERE { ?x <http://a> ?y . FILTER (?y > 5) }`)
+	f.Fuzz(checkRoundTrip)
 }
 
 // evalStore builds a small global-graph-like dataset for evaluator tests.

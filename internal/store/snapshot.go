@@ -374,108 +374,33 @@ func (sn Snapshot) MatchTriples(p Pattern) []rdf.Triple {
 }
 
 // MatchIDs returns the dictionary encodings of all quads matching the ID
-// pattern, in the same deterministic order as Match.
+// pattern, in the same deterministic order as Match. Buckets are pre-sorted,
+// so the order costs no sort: matches stream straight off the selected
+// bucket.
 func (sn Snapshot) MatchIDs(p IDPattern) []QuadID {
-	return sn.AppendMatchIDs(nil, p)
-}
-
-// AppendMatchIDs is MatchIDs appending into dst (which may be nil or a
-// recycled buffer), so repeated probes — one per row in a join pipeline —
-// can reuse one allocation. Buckets are pre-sorted, so the deterministic
-// order costs no sort: matches stream straight off the selected bucket.
-func (sn Snapshot) AppendMatchIDs(dst []QuadID, p IDPattern) []QuadID {
 	if sn.sn == nil {
-		return dst
+		return nil
 	}
 	s := sn.sn
 	candidates, scan, none := s.selectBucket(p)
 	if none {
-		return dst
+		return nil
 	}
+	var out []QuadID
 	if scan {
 		for _, gb := range s.graphs {
 			for _, e := range gb.entries {
-				dst = append(dst, s.slot(e).id)
+				out = append(out, s.slot(e).id)
 			}
 		}
-		return dst
+		return out
 	}
 	for _, e := range candidates {
 		if id := s.slot(e).id; idMatches(id, p) {
-			dst = append(dst, id)
+			out = append(out, id)
 		}
 	}
-	return dst
-}
-
-// Count estimates the number of quads matching p by reading index bucket
-// sizes only: no matches are materialized or filtered. The estimate is
-// exact for patterns with at most one bound term and an upper bound (the
-// smallest applicable bucket) otherwise; a constant the dictionary has never
-// seen yields 0. It is intended for join-order planning. A graph-scoped
-// count of a bound term builds that graph's lazy index on first use.
-func (sn Snapshot) Count(p Pattern) int {
-	if sn.sn == nil {
-		return 0
-	}
-	s := sn.sn
-	ip, ok := idPattern(s.dict, p)
-	if !ok {
-		return 0
-	}
-	var gb *graphBucket
-	if ip.GraphSet {
-		if ip.Graph == allGraphsID {
-			return 0
-		}
-		pos, ok := s.graphIdx[ip.Graph]
-		if !ok {
-			return 0
-		}
-		gb = s.graphs[pos]
-	}
-	dimBucket := func(dim int) []eref {
-		tid := ip.dim(dim)
-		if gb != nil {
-			return s.graphDim(gb, dim).bucket(tid)
-		}
-		switch dim {
-		case dimSubject:
-			return s.bySubject.bucket(tid)
-		case dimPredicate:
-			return s.byPredicate.bucket(tid)
-		default:
-			return s.byObject.bucket(tid)
-		}
-	}
-	n := -1
-	for dim := 0; dim < dimCount; dim++ {
-		if ip.dim(dim) == 0 {
-			continue
-		}
-		if m := len(dimBucket(dim)); n < 0 || m < n {
-			n = m
-		}
-	}
-	if n >= 0 {
-		return n
-	}
-	if gb != nil {
-		return len(gb.entries)
-	}
-	return s.size
-}
-
-// dim returns the TermID of the given pattern dimension.
-func (p IDPattern) dim(d int) rdf.TermID {
-	switch d {
-	case dimSubject:
-		return p.Subject
-	case dimPredicate:
-		return p.Predicate
-	default:
-		return p.Object
-	}
+	return out
 }
 
 // GraphsContaining returns the names of all named graphs that contain the

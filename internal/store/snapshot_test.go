@@ -219,8 +219,8 @@ func TestSnapshotZeroValue(t *testing.T) {
 	if got := sn.Match(Pattern{}); got != nil {
 		t.Fatalf("zero snapshot Match = %v", got)
 	}
-	if sn.Count(Pattern{}) != 0 {
-		t.Fatal("zero snapshot Count != 0")
+	if got := sn.MatchIDs(IDPattern{}); got != nil {
+		t.Fatalf("zero snapshot MatchIDs = %v", got)
 	}
 }
 

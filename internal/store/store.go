@@ -39,10 +39,10 @@ import (
 	"bdi/internal/slab"
 )
 
-// Store metrics: batch writes and the term-level Match entrypoints. The
-// ID-native probe path (MatchIDs/AppendMatchIDs inside the SPARQL join
-// pipeline) is deliberately uninstrumented — it runs per join step and a
-// shared counter there would put contended atomics on the hottest read path.
+// Store metrics: batch writes and the term-level Match entrypoints of Store.
+// Snapshot probes are deliberately uninstrumented: a consumer that pins a
+// snapshot issues many of them, and a shared counter there would put
+// contended atomics on the hottest read path.
 var (
 	addAllBatchesTotal = obs.NewCounter("bdi_store_addall_batches_total",
 		"AddAll batch insertions.")
@@ -72,10 +72,9 @@ func WildcardGraph(s, p, o rdf.Term) Pattern {
 }
 
 // IDPattern is a quad pattern expressed directly in dictionary TermIDs, the
-// hot-path form used by the ID-native SPARQL join pipeline: 0 terms act as
-// wildcards, and GraphSet restricts matching to the graph with ID Graph.
-// An ID the dictionary never assigned (e.g. an evaluator-local ID for a
-// query-only term) simply matches nothing.
+// form every Match resolves to: 0 terms act as wildcards, and GraphSet
+// restricts matching to the graph with ID Graph. An ID the dictionary never
+// assigned simply matches nothing.
 type IDPattern struct {
 	Subject   rdf.TermID
 	Predicate rdf.TermID
@@ -493,24 +492,9 @@ func (s *Store) MatchTriples(p Pattern) []rdf.Triple {
 }
 
 // MatchIDs returns the dictionary encodings of all quads matching the ID
-// pattern, in the same deterministic order as Match. It is the core lookup
-// of the ID-native SPARQL pipeline: patterns arrive pre-resolved, results
-// stay integers, and terms are never materialized.
+// pattern, in the same deterministic order as Match: patterns arrive
+// pre-resolved, results stay integers, and terms are never materialized.
 func (s *Store) MatchIDs(p IDPattern) []QuadID { return s.Snapshot().MatchIDs(p) }
-
-// AppendMatchIDs is MatchIDs appending into dst (which may be nil or a
-// recycled buffer), so repeated probes — one per row in a join pipeline —
-// can reuse one allocation.
-func (s *Store) AppendMatchIDs(dst []QuadID, p IDPattern) []QuadID {
-	return s.Snapshot().AppendMatchIDs(dst, p)
-}
-
-// Count estimates the number of quads matching p by reading index bucket
-// sizes only: no matches are materialized, filtered or sorted. The estimate
-// is exact for patterns with at most one bound term and an upper bound (the
-// smallest applicable bucket) otherwise; a constant the dictionary has never
-// seen yields 0. It is intended for join-order planning.
-func (s *Store) Count(p Pattern) int { return s.Snapshot().Count(p) }
 
 // GraphsContaining returns the names of all named graphs that contain the
 // given triple. This implements the SPARQL `GRAPH ?g { ... }` lookups used

@@ -313,39 +313,8 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 	}
 }
 
-// TestCountEstimates pins Count's contract: exact for ≤1 bound term, an
-// upper bound otherwise, 0 for unknown constants, no materialization needed.
-func TestCountEstimates(t *testing.T) {
-	s := New()
-	for i := 0; i < 20; i++ {
-		s.MustAdd(rdf.Q(
-			rdf.IRI(fmt.Sprintf("http://c/s%d", i%10)),
-			rdf.IRI(fmt.Sprintf("http://c/p%d", i%2)),
-			rdf.IRI(fmt.Sprintf("http://c/o%d", i%7)),
-			rdf.IRI(fmt.Sprintf("http://c/g%d", i%2)),
-		))
-	}
-	if got := s.Count(Pattern{}); got != 20 {
-		t.Errorf("full count = %d, want 20", got)
-	}
-	if got := s.Count(WildcardGraph(nil, rdf.IRI("http://c/p0"), nil)); got != 10 {
-		t.Errorf("predicate count = %d, want 10", got)
-	}
-	if got := s.Count(InGraph("http://c/g0", nil, nil, nil)); got != 10 {
-		t.Errorf("graph count = %d, want 10", got)
-	}
-	if got := s.Count(WildcardGraph(nil, rdf.IRI("http://c/unknown"), nil)); got != 0 {
-		t.Errorf("unknown predicate count = %d, want 0", got)
-	}
-	// Two bound terms: the estimate must be an upper bound on the exact count.
-	p := WildcardGraph(rdf.IRI("http://c/s0"), rdf.IRI("http://c/p0"), nil)
-	if exact, est := len(s.Match(p)), s.Count(p); est < exact {
-		t.Errorf("estimate %d below exact %d", est, exact)
-	}
-}
-
-// TestMatchIDsAgainstMatch checks that the ID-native lookups agree with the
-// term-based Match, including order for the ordered variants.
+// TestMatchIDsAgainstMatch checks that the ID-native lookup agrees with the
+// term-based Match, including order.
 func TestMatchIDsAgainstMatch(t *testing.T) {
 	s := New()
 	for i := 0; i < 30; i++ {
@@ -370,10 +339,6 @@ func TestMatchIDsAgainstMatch(t *testing.T) {
 		if got[i] != want[i].ID {
 			t.Fatalf("MatchIDs[%d] = %+v, want %+v", i, got[i], want[i].ID)
 		}
-	}
-	appended := s.AppendMatchIDs(make([]QuadID, 0, 4), IDPattern{Predicate: pid})
-	if len(appended) != len(want) {
-		t.Fatalf("AppendMatchIDs returned %d, want %d", len(appended), len(want))
 	}
 	// GraphSet with the reserved union key must match nothing.
 	if got := s.MatchIDs(IDPattern{Predicate: pid, GraphSet: true}); got != nil {
