@@ -1,5 +1,6 @@
-// Command benchrunner regenerates every table and figure of the paper's
-// evaluation section:
+// Command benchrunner regenerates the tables and figures of the paper's
+// evaluation section (§6), the ablations that isolate its design choices,
+// and the two pass/fail smokes CI runs against a live server:
 //
 //	benchrunner -table 3        API-level change handling (Table 3)
 //	benchrunner -table 4        method-level change handling (Table 4)
@@ -7,13 +8,15 @@
 //	benchrunner -table 6        industrial applicability (Table 6)
 //	benchrunner -figure 8       query answering time vs wrappers per concept
 //	benchrunner -figure 11      Source-graph growth per Wordpress release
-//	benchrunner -ablation lav-gav | entailment | attribute-reuse | rewrite-cache | incremental-rewrite | wal | overload | walk-exec | gc-pressure | obs-overhead
-//	benchrunner -parallel       figure 8 under concurrent query load
+//	benchrunner -ablation lav-gav | entailment | attribute-reuse | overload
 //	benchrunner -replicas 2     read-replica throughput and staleness under write churn
-//	benchrunner -all            everything above
+//	benchrunner -all            every table, figure and ablation
 //
-// Absolute timings depend on the host; the shapes (who wins, growth trends,
-// crossovers) are the reproduction target (see EXPERIMENTS.md).
+// `-ablation overload` and `-replicas N` exit non-zero when their contract
+// breaks. Engineering measurements (per-layer latency, GC, WAL, tracing
+// overhead, cache ratios) live in the bench/ module and the Benchmark*
+// functions. Absolute timings depend on the host; the shapes (who wins,
+// growth trends, crossovers) are the reproduction target.
 package main
 
 import (
@@ -21,9 +24,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"bdi/internal/core"
@@ -35,7 +36,6 @@ import (
 	"bdi/internal/rewriting"
 	"bdi/internal/sparql"
 	"bdi/internal/store"
-	"bdi/internal/wal"
 	"bdi/internal/workload"
 	"bdi/internal/wrapper"
 )
@@ -43,9 +43,8 @@ import (
 func main() {
 	table := flag.Int("table", 0, "regenerate a table of the paper (3, 4, 5 or 6)")
 	figure := flag.Int("figure", 0, "regenerate a figure of the paper (8 or 11)")
-	ablation := flag.String("ablation", "", "run an ablation: lav-gav, entailment, attribute-reuse, rewrite-cache, incremental-rewrite, wal, overload, walk-exec, gc-pressure or obs-overhead")
-	parallel := flag.Bool("parallel", false, "run figure 8 under concurrent query load (snapshot-isolated reads)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "parallel: number of concurrent query goroutines")
+	ablation := flag.String("ablation", "", "run an ablation: lav-gav, entailment, attribute-reuse or overload")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "replicas: number of concurrent query goroutines")
 	all := flag.Bool("all", false, "regenerate every table, figure and ablation")
 	maxWrappers := flag.Int("max-wrappers", 8, "figure 8: maximum number of wrappers per concept")
 	concepts := flag.Int("concepts", 5, "figure 8: number of chained concepts in the query")
@@ -90,36 +89,8 @@ func main() {
 		printAttributeReuseAblation()
 		ran = true
 	}
-	if *all || *ablation == "rewrite-cache" {
-		printRewriteCacheAblation()
-		ran = true
-	}
-	if *all || *ablation == "incremental-rewrite" {
-		printIncrementalRewriteAblation()
-		ran = true
-	}
-	if *all || *ablation == "wal" {
-		printWALAblation()
-		ran = true
-	}
 	if *all || *ablation == "overload" {
 		printOverloadAblation()
-		ran = true
-	}
-	if *all || *ablation == "walk-exec" {
-		printWalkExecAblation()
-		ran = true
-	}
-	if *all || *ablation == "gc-pressure" {
-		printGCPressureAblation(*concepts)
-		ran = true
-	}
-	if *all || *ablation == "obs-overhead" {
-		printObsOverheadAblation(*concepts)
-		ran = true
-	}
-	if *all || *parallel {
-		printFigure8Parallel(*concepts, min(*maxWrappers, 4), *workers)
 		ran = true
 	}
 	if *replicas > 0 {
@@ -207,68 +178,6 @@ func printFigure8(concepts, maxWrappers int) {
 		fmt.Printf("%-10d %12d %14s %16s\n", w, walks, elapsed.Round(time.Microsecond), predicted.Round(time.Microsecond))
 	}
 	fmt.Println("-> expected shape: exponential growth tracking the W^C prediction (thin line in the paper)")
-}
-
-// printFigure8Parallel measures aggregate rewriting throughput when the
-// worst-case OMQ is posed by `workers` goroutines at once against one
-// shared ontology. Reads are snapshot-isolated and lock-free in the store,
-// so the parallel/sequential throughput ratio should track the available
-// cores (on a single-core host it stays ~1×, demonstrating that the
-// snapshot read path adds no contention overhead).
-func printFigure8Parallel(concepts, maxWrappers, workers int) {
-	header(fmt.Sprintf("Figure 8 (parallel) — %d-concept query under %d concurrent query goroutines", concepts, workers))
-	fmt.Printf("%-10s %12s %14s %14s %10s\n", "wrappers", "rewrites", "sequential", "parallel", "speedup")
-	for w := 1; w <= maxWrappers; w++ {
-		wc, err := workload.BuildWorstCase(concepts, w)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figure 8 parallel:", err)
-			os.Exit(1)
-		}
-		// One untimed warmup so the sequential baseline and the parallel run
-		// both measure warm generation-keyed caches.
-		if _, err := wc.Rewrite(); err != nil {
-			fmt.Fprintln(os.Stderr, "figure 8 parallel:", err)
-			os.Exit(1)
-		}
-		// Sequential baseline: `rounds` rewrites back to back.
-		rounds := workers * 4
-		start := time.Now()
-		for i := 0; i < rounds; i++ {
-			if _, err := wc.Rewrite(); err != nil {
-				fmt.Fprintln(os.Stderr, "figure 8 parallel:", err)
-				os.Exit(1)
-			}
-		}
-		sequential := time.Since(start)
-
-		// Parallel: the same number of rewrites spread over the workers.
-		var wg sync.WaitGroup
-		errs := make(chan error, workers)
-		start = time.Now()
-		for g := 0; g < workers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < rounds/workers; i++ {
-					if _, err := wc.Rewrite(); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		parallelTime := time.Since(start)
-		close(errs)
-		for err := range errs {
-			fmt.Fprintln(os.Stderr, "figure 8 parallel:", err)
-			os.Exit(1)
-		}
-		speedup := float64(sequential) / float64(parallelTime)
-		fmt.Printf("%-10d %12d %14s %14s %9.2fx\n",
-			w, rounds, sequential.Round(time.Microsecond), parallelTime.Round(time.Microsecond), speedup)
-	}
-	fmt.Println("-> expected shape: speedup tracking GOMAXPROCS (readers never block on the store; caches are hit-dominated)")
 }
 
 // printFigure11 regenerates Figure 11: triples added to S per Wordpress
@@ -404,214 +313,4 @@ func printAttributeReuseAblation() {
 	fmt.Printf("%-28s %16d\n", "attribute reuse (paper)", withReuse[last].CumulativeTriples)
 	fmt.Printf("%-28s %16d\n", "no reuse (ablation)", withoutReuse[last].CumulativeTriples)
 	fmt.Println("-> reusing attributes keeps the growth rate of S low (§3.2 / Algorithm 1 lines 9-15)")
-}
-
-// printRewriteCacheAblation quantifies rewriting-cache effectiveness (§6.4):
-// the same OMQ rewritten repeatedly costs one miss and then only cache hits,
-// until a new release invalidates the cache.
-func printRewriteCacheAblation() {
-	header("Ablation — rewriting cache effectiveness under repeated OMQs")
-	o, err := core.BuildSupersedeOntology(false)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	cache := rewriting.NewCache(rewriting.NewRewriter(o))
-	omq := rewriting.NewOMQ(
-		[]rdf.IRI{core.SupApplicationID, core.SupLagRatio},
-		rdf.T(core.SupSoftwareApplication, core.GHasFeature, core.SupApplicationID),
-		rdf.T(core.SupSoftwareApplication, core.SupHasMonitor, core.SupMonitor),
-		rdf.T(core.SupMonitor, core.SupGeneratesQoS, core.SupInfoMonitor),
-		rdf.T(core.SupInfoMonitor, core.GHasFeature, core.SupLagRatio),
-	)
-	const repeats = 100
-	coldStart := time.Now()
-	if _, err := cache.Rewrite(omq); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	cold := time.Since(coldStart)
-	warmStart := time.Now()
-	for i := 1; i < repeats; i++ {
-		if _, err := cache.Rewrite(omq); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	warm := time.Since(warmStart) / (repeats - 1)
-	st := cache.Stats()
-	fmt.Printf("%-28s %12s\n", "rewrite", "time")
-	fmt.Printf("%-28s %12s\n", "cold (first OMQ)", cold.Round(time.Microsecond))
-	fmt.Printf("%-28s %12s\n", "warm (cached)", warm.Round(time.Nanosecond))
-	fmt.Printf("-> cache stats: %d hits, %d misses, %d entries; releases retire only footprint-intersecting entries (delta-keyed)\n",
-		st.Hits, st.Misses, st.Entries)
-}
-
-// printWALAblation quantifies the durability subsystem: the write
-// amplification of journaling a bulk load under each fsync policy, the cost
-// of a checkpoint, and the recovery time from checkpoint + WAL tail.
-func printWALAblation() {
-	header("Ablation — WAL durability: append overhead, checkpoint and recovery cost")
-	const n = 10_000
-	quads := make([]rdf.Quad, n)
-	for i := range quads {
-		quads[i] = rdf.Quad{
-			Triple: rdf.T(
-				rdf.IRI(fmt.Sprintf("http://ex/wal/s%d", i/10)),
-				rdf.IRI(fmt.Sprintf("http://ex/wal/p%d", i%17)),
-				rdf.IRI(fmt.Sprintf("http://ex/wal/o%d", i)),
-			),
-			Graph: rdf.IRI(fmt.Sprintf("http://ex/wal/g%d", i%4)),
-		}
-	}
-	load := func(o *core.Ontology) time.Duration {
-		start := time.Now()
-		if _, err := o.Store().AddAll(quads); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return time.Since(start)
-	}
-
-	fmt.Printf("%-34s %14s %10s\n", "AddAll 10k quads", "time", "vs none")
-	base := load(core.NewOntology())
-	fmt.Printf("%-34s %14s %9.2fx\n", "no WAL (in-memory only)", base.Round(time.Microsecond), 1.0)
-	var lastDir string
-	for _, policy := range []wal.SyncPolicy{wal.SyncOff, wal.SyncBatch, wal.SyncAlways} {
-		dir, err := os.MkdirTemp("", "bdi-wal-ablation-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(dir)
-		// The manager journals its own recovered ontology; the load runs
-		// through it so every batch is logged.
-		m, err := wal.Open(dir, wal.Options{Sync: policy, CheckpointEveryBytes: -1})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		elapsed := load(m.Ontology())
-		fmt.Printf("%-34s %14s %9.2fx\n", "WAL -wal-sync="+string(policy), elapsed.Round(time.Microsecond), float64(elapsed)/float64(base))
-		if policy == wal.SyncBatch {
-			start := time.Now()
-			info, err := m.Checkpoint()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("%-34s %14s %10s\n", fmt.Sprintf("checkpoint (%d quads, %dKB)", info.Quads, info.Bytes/1024), time.Since(start).Round(time.Microsecond), "")
-		}
-		if err := m.Abort(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		lastDir = dir
-	}
-	start := time.Now()
-	_, rec, err := wal.Inspect(lastDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("%-34s %14s %10s\n",
-		fmt.Sprintf("recovery (ckpt gen %d + %d batches)", rec.CheckpointGeneration, rec.BatchesReplayed),
-		time.Since(start).Round(time.Microsecond), "")
-	fmt.Println("-> acceptance: batch-synced append overhead <= 2x the in-memory load; checkpoints never block readers")
-}
-
-// printIncrementalRewriteAblation quantifies the concept-partitioned
-// incremental rewriting engine: after a release for an unrelated concept,
-// the memoized worst-case rewriting survives delta validation (near-hit
-// latency); after a release touching a query concept, only that concept's
-// intra-concept unit plus the inter-concept joins are recomputed; the full
-// from-scratch rewrite is the baseline both improve on.
-func printIncrementalRewriteAblation() {
-	header("Ablation — concept-partitioned incremental rewriting under release churn")
-	const concepts, wrappers, side, rounds = 5, 4, 3, 5
-	ec, err := workload.BuildEvolutionChurn(concepts, wrappers, side)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	rewriter := rewriting.NewRewriter(ec.Ontology)
-	cache := rewriting.NewCache(rewriter)
-	omq := ec.Query
-	mustRewrite := func() {
-		res, err := cache.Rewrite(omq)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if res.UCQ.Len() != ec.ExpectedWalks() {
-			fmt.Fprintf(os.Stderr, "incremental-rewrite: walks = %d, want %d\n", res.UCQ.Len(), ec.ExpectedWalks())
-			os.Exit(1)
-		}
-	}
-
-	timed := func(prep func(), n int) time.Duration {
-		var total time.Duration
-		for i := 0; i < n; i++ {
-			if prep != nil {
-				prep()
-			}
-			start := time.Now()
-			mustRewrite()
-			total += time.Since(start)
-		}
-		return total / time.Duration(n)
-	}
-
-	coldStart := time.Now()
-	mustRewrite()
-	cold := time.Since(coldStart)
-	warm := timed(nil, rounds)
-	afterUnrelated := timed(func() {
-		if _, err := ec.RegisterUnrelatedRelease(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}, rounds)
-	// The full-recompute baseline runs on the same ontology state (and walk
-	// count) the unrelated-release measurement saw — before related releases
-	// grow the walk set.
-	var full time.Duration
-	for i := 0; i < rounds; i++ {
-		start := time.Now()
-		if _, err := rewriter.Rewrite(omq); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		full += time.Since(start)
-	}
-	full /= rounds
-	afterRelated := timed(func() {
-		if _, err := ec.RegisterRelatedRelease(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}, rounds)
-
-	fmt.Printf("%-44s %12s\n", "rewrite (5-concept worst case, W=4)", "time")
-	fmt.Printf("%-44s %12s\n", "cold (first OMQ)", cold.Round(time.Microsecond))
-	fmt.Printf("%-44s %12s\n", "warm (cached, no releases)", warm.Round(time.Microsecond))
-	fmt.Printf("%-44s %12s\n", "after unrelated release (delta disjoint)", afterUnrelated.Round(time.Microsecond))
-	fmt.Printf("%-44s %12s\n", "after related release (touched units only)", afterRelated.Round(time.Microsecond))
-	fmt.Printf("%-44s %12s\n", "full recompute (no cache)", full.Round(time.Microsecond))
-	st := cache.Stats()
-	fmt.Printf("-> unrelated releases: %.1fx faster than full recompute (acceptance: >=5x), %.2fx the fully-cached path (acceptance: <=2x)\n",
-		float64(full)/float64(afterUnrelated), float64(afterUnrelated)/float64(max(warm, time.Nanosecond)))
-	fmt.Printf("-> cache: %d hits / %d misses, %d entries + %d units live; retained %d entries / %d units, invalidated %d / %d, %d full flushes\n",
-		st.Hits, st.Misses, st.Entries, st.Units, st.EntriesRetained, st.UnitsRetained, st.EntriesInvalidated, st.UnitsInvalidated, st.FullFlushes)
-	if len(st.InvalidatedByConcept) > 0 {
-		concepts := make([]string, 0, len(st.InvalidatedByConcept))
-		for c := range st.InvalidatedByConcept {
-			concepts = append(concepts, c)
-		}
-		sort.Strings(concepts)
-		fmt.Println("-> invalidations by concept:")
-		for _, c := range concepts {
-			fmt.Printf("   %-60s %d\n", c, st.InvalidatedByConcept[c])
-		}
-	}
 }

@@ -70,9 +70,6 @@ func RestoreOntology(s *store.Store, spans []DeltaSpan) *Ontology {
 // Ontology methods).
 func (o *Ontology) Store() *store.Store { return o.store }
 
-// Reasoner returns the RDFS inference engine over the ontology.
-func (o *Ontology) Reasoner() *reasoner.Engine { return o.engine }
-
 // Prefixes returns the prefix map used for display and serialization.
 func (o *Ontology) Prefixes() *rdf.PrefixMap { return o.prefixes }
 

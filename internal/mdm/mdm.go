@@ -441,41 +441,15 @@ func (s *Server) rewriteCached(ctx context.Context, sparqlText string) (*rewriti
 // delta-driven invalidation behaviour: how many memoized results and
 // intra-concept units survived releases versus were retired, and — per
 // concept — how many invalidations each concept's releases caused.
-type CacheStatsResponse struct {
-	Hits               int            `json:"hits"`
-	Misses             int            `json:"misses"`
-	Entries            int            `json:"entries"`
-	UnitHits           int            `json:"unitHits"`
-	UnitMisses         int            `json:"unitMisses"`
-	Units              int            `json:"units"`
-	EntriesRetained    int            `json:"entriesRetained"`
-	EntriesInvalidated int            `json:"entriesInvalidated"`
-	UnitsRetained      int            `json:"unitsRetained"`
-	UnitsInvalidated   int            `json:"unitsInvalidated"`
-	FullFlushes        int            `json:"fullFlushes"`
-	Evictions          int            `json:"evictions"`
-	Retries            int            `json:"retries"`
-	InvalidatedBy      map[string]int `json:"invalidatedByConcept,omitempty"`
-}
+type CacheStatsResponse = rewriting.CacheStats
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
-	st := s.cache.Stats()
-	writeJSON(w, http.StatusOK, CacheStatsResponse{
-		Hits:               st.Hits,
-		Misses:             st.Misses,
-		Entries:            st.Entries,
-		UnitHits:           st.UnitHits,
-		UnitMisses:         st.UnitMisses,
-		Units:              st.Units,
-		EntriesRetained:    st.EntriesRetained,
-		EntriesInvalidated: st.EntriesInvalidated,
-		UnitsRetained:      st.UnitsRetained,
-		UnitsInvalidated:   st.UnitsInvalidated,
-		FullFlushes:        st.FullFlushes,
-		Evictions:          st.Evictions,
-		Retries:            st.Retries,
-		InvalidatedBy:      st.InvalidatedByConcept,
-	})
+	// A replica's checkpoint resync swaps s.cache under s.mu
+	// (refreshReplicaView), so the pointer is read under the lock.
+	s.mu.RLock()
+	cache := s.cache
+	s.mu.RUnlock()
+	writeJSON(w, http.StatusOK, cache.Stats())
 }
 
 func (s *Server) handleDurabilityStats(w http.ResponseWriter, r *http.Request) {

@@ -318,8 +318,8 @@ func TestQueryCacheStats(t *testing.T) {
 	if stats.UnitHits != 1 {
 		t.Errorf("post-release cache stats = %+v, want the SoftwareApplication unit reused", stats)
 	}
-	if stats.InvalidatedBy[string(core.SupMonitor)] == 0 || stats.InvalidatedBy[string(core.SupInfoMonitor)] == 0 {
-		t.Errorf("per-concept invalidation stats = %v", stats.InvalidatedBy)
+	if stats.InvalidatedByConcept[string(core.SupMonitor)] == 0 || stats.InvalidatedByConcept[string(core.SupInfoMonitor)] == 0 {
+		t.Errorf("per-concept invalidation stats = %v", stats.InvalidatedByConcept)
 	}
 }
 

@@ -1,14 +1,17 @@
 package mdm
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"bdi/internal/core"
 	"bdi/internal/replication"
+	"bdi/internal/rewriting"
 	"bdi/internal/wal"
 	"bdi/internal/workload"
 	"bdi/internal/wrapper"
@@ -123,6 +126,47 @@ func TestReplicaServerEndToEnd(t *testing.T) {
 	}
 	if len(after.Walks) <= len(got.Walks) {
 		t.Fatalf("w4 did not widen the replica's rewriting: %d walks, had %d", len(after.Walks), len(got.Walks))
+	}
+}
+
+// TestReplicaCacheSwapDoesNotRaceCacheStats swaps the server's rewriting cache
+// under its lock, as refreshReplicaView does after a checkpoint resync, while
+// GET /api/queries/cache is hammered. Every read of the cache pointer must be
+// ordered against the swap (run under -race in CI).
+func TestReplicaCacheSwapDoesNotRaceCacheStats(t *testing.T) {
+	o, err := core.BuildSupersedeOntology(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(o, workload.SupersedeTable1Registry(false))
+	h := srv.Handler()
+
+	const readers, requests = 4, 200
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/queries/cache", nil))
+				if rec.Code != http.StatusOK {
+					errs <- fmt.Errorf("GET /api/queries/cache = %d: %s", rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < requests; i++ {
+		srv.mu.Lock()
+		srv.cache = rewriting.NewCache(srv.rewriter)
+		srv.mu.Unlock()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

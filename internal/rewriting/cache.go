@@ -94,26 +94,33 @@ type unitEntry struct {
 }
 
 // CacheStats reports cache effectiveness and delta-invalidation behaviour.
+// It is also the body of the mdm server's GET /api/queries/cache.
 type CacheStats struct {
 	// Hits and Misses count whole-result lookups; Entries is the live count.
-	Hits, Misses, Entries int
+	Hits    int `json:"hits"`
+	Misses  int `json:"misses"`
+	Entries int `json:"entries"`
 	// UnitHits and UnitMisses count intra-concept unit lookups during
 	// incremental rebuilds; Units is the live count.
-	UnitHits, UnitMisses, Units int
+	UnitHits   int `json:"unitHits"`
+	UnitMisses int `json:"unitMisses"`
+	Units      int `json:"units"`
 	// EntriesRetained / EntriesInvalidated count what delta validation kept
 	// and retired; likewise for units.
-	EntriesRetained, EntriesInvalidated int
-	UnitsRetained, UnitsInvalidated     int
+	EntriesRetained    int `json:"entriesRetained"`
+	EntriesInvalidated int `json:"entriesInvalidated"`
+	UnitsRetained      int `json:"unitsRetained"`
+	UnitsInvalidated   int `json:"unitsInvalidated"`
 	// FullFlushes counts validations that dropped everything because the
 	// mutation interval was not explained by release deltas.
-	FullFlushes int
+	FullFlushes int `json:"fullFlushes"`
 	// Evictions counts LRU drops (entries and units).
-	Evictions int
+	Evictions int `json:"evictions"`
 	// Retries counts rewrites re-run because the store mutated mid-rewrite.
-	Retries int
+	Retries int `json:"retries"`
 	// InvalidatedByConcept counts, per concept IRI, how many entries and
 	// units a release delta retired because the delta touched that concept.
-	InvalidatedByConcept map[string]int
+	InvalidatedByConcept map[string]int `json:"invalidatedByConcept,omitempty"`
 }
 
 // NewCache returns a caching front-end for the rewriter with default

@@ -74,15 +74,25 @@ func tokenize(input string) []sparqlToken {
 			toks = append(toks, sparqlToken{value: lit.String(), quoted: true})
 			i = j + 1
 		case c == '<':
+			// An IRIREF cannot contain whitespace or '<', so '<' opens an
+			// IRI only when a '>' closes it before either; otherwise it is
+			// the FILTER operator '<' or '<='.
 			flush()
 			j := i + 1
-			var iri strings.Builder
-			for j < len(input) && input[j] != '>' {
-				iri.WriteByte(input[j])
+			for j < len(input) && input[j] != '>' && input[j] != '<' && !unicode.IsSpace(rune(input[j])) {
 				j++
 			}
-			toks = append(toks, sparqlToken{value: "<" + iri.String() + ">"})
-			i = j + 1
+			switch {
+			case j < len(input) && input[j] == '>':
+				toks = append(toks, sparqlToken{value: input[i : j+1]})
+				i = j + 1
+			case i+1 < len(input) && input[i+1] == '=':
+				toks = append(toks, sparqlToken{value: "<="})
+				i += 2
+			default:
+				toks = append(toks, sparqlToken{value: "<"})
+				i++
+			}
 		case c == '{' || c == '}' || c == '(' || c == ')' || c == ';' || c == ',':
 			flush()
 			toks = append(toks, sparqlToken{value: string(c)})

@@ -156,11 +156,22 @@ func TestQueryStringRoundTrip(t *testing.T) {
 		`SELECT ?x WHERE { ?x <http://a> ?y . FILTER (?y > 5) }`,
 		`PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> SELECT ?x WHERE { ?x <http://a> "5"^^xsd:integer }`,
 		`SELECT ?x WHERE { ?x <http://a> "hi"@en }`,
+		`SELECT ?x WHERE { ?x <http://a> ?y . FILTER (?y < 5) }`,
+		`SELECT ?x WHERE { ?x <http://a> ?y . FILTER (?y <= 5) }`,
+		`SELECT ?x WHERE { ?x <http://a?k=v> ?y . FILTER (?y<=<http://b=c>) }`,
 	} {
 		if _, err := Parse(text); err != nil {
 			t.Fatalf("parsing %q: %v", text, err)
 		}
 		checkRoundTrip(t, text)
+	}
+	// '<' opens an IRI only when '>' closes it before any whitespace or '<'.
+	q = MustParse(`SELECT ?x WHERE { ?x <http://a?k=v> ?y . FILTER (?y<=<http://b=c>) FILTER (?y < 5) }`)
+	if got := q.Where[0].Predicate; got != rdf.IRI("http://a?k=v") {
+		t.Errorf("predicate = %v, want <http://a?k=v>", got)
+	}
+	if len(q.Filters) != 2 || q.Filters[0].Op != OpLe || q.Filters[0].Right != rdf.IRI("http://b=c") || q.Filters[1].Op != OpLt {
+		t.Errorf("filters = %v, want ?y <= <http://b=c> and ?y < 5", q.Filters)
 	}
 }
 
@@ -187,6 +198,7 @@ func checkRoundTrip(t *testing.T, text string) {
 func FuzzParse(f *testing.F) {
 	f.Add(runningExampleQuery)
 	f.Add(`SELECT ?x WHERE { ?x <http://a> ?y . FILTER (?y > 5) }`)
+	f.Add(`SELECT ?x WHERE { ?x <http://a?k=v> ?y . FILTER (?y<=5) FILTER (?y < <http://b>) }`)
 	f.Fuzz(checkRoundTrip)
 }
 

@@ -491,11 +491,6 @@ func (s *Store) MatchTriples(p Pattern) []rdf.Triple {
 	return s.Snapshot().MatchTriples(p)
 }
 
-// MatchIDs returns the dictionary encodings of all quads matching the ID
-// pattern, in the same deterministic order as Match: patterns arrive
-// pre-resolved, results stay integers, and terms are never materialized.
-func (s *Store) MatchIDs(p IDPattern) []QuadID { return s.Snapshot().MatchIDs(p) }
-
 // GraphsContaining returns the names of all named graphs that contain the
 // given triple. This implements the SPARQL `GRAPH ?g { ... }` lookups used
 // by the rewriting algorithms to resolve LAV mappings (Algorithm 4 line 8

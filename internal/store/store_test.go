@@ -331,7 +331,7 @@ func TestMatchIDsAgainstMatch(t *testing.T) {
 		t.Fatal("predicate not interned")
 	}
 	want := s.MatchWithIDs(WildcardGraph(nil, pred, nil))
-	got := s.MatchIDs(IDPattern{Predicate: pid})
+	got := s.Snapshot().MatchIDs(IDPattern{Predicate: pid})
 	if len(got) != len(want) {
 		t.Fatalf("MatchIDs returned %d, Match %d", len(got), len(want))
 	}
@@ -341,7 +341,7 @@ func TestMatchIDsAgainstMatch(t *testing.T) {
 		}
 	}
 	// GraphSet with the reserved union key must match nothing.
-	if got := s.MatchIDs(IDPattern{Predicate: pid, GraphSet: true}); got != nil {
+	if got := s.Snapshot().MatchIDs(IDPattern{Predicate: pid, GraphSet: true}); got != nil {
 		t.Errorf("GraphSet with graph ID 0 returned %d matches", len(got))
 	}
 }

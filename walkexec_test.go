@@ -104,6 +104,41 @@ func TestWalkExecutionEndToEndParity(t *testing.T) {
 	}
 }
 
+// TestOMQAnswerMatchesReferenceAtScale holds the compiled engine to the
+// reference executor on the Figure 8 shape (3 chained concepts, 2 wrappers
+// per concept) at row counts where the engine's chunked joins, shared hash
+// indexes and dedup-union all span many check chunks.
+func TestOMQAnswerMatchesReferenceAtScale(t *testing.T) {
+	for _, rows := range []int{1000, 10000} {
+		t.Run(fmt.Sprintf("rows=%d", rows), func(t *testing.T) {
+			wc, err := workload.BuildWorstCaseRows(3, 2, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rewriting.NewRewriter(wc.Ontology)
+			res, err := r.Rewrite(wc.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resolver := wrapper.NewQualifiedResolver(wc.Registry)
+			ref, err := r.ExecuteResultReference(res, resolver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cardinality() != rows {
+				t.Fatalf("answer = %d rows, want %d", got.Cardinality(), rows)
+			}
+			if got.String() != ref.String() {
+				t.Fatal("engine answer diverges from the reference answer")
+			}
+		})
+	}
+}
+
 // chainWrapper mirrors the workload builder's wrapper shape so the hammer can
 // pre-register data for release wrapper names before the releases land.
 func chainWrapper(name, source string, concept int, hasNext bool) wrapper.Wrapper {
