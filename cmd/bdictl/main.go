@@ -118,14 +118,14 @@ func main() {
 			}
 		}
 	case "sources":
-		for _, ds := range sys.Ontology.DataSources() {
-			fmt.Println(core.SourceLocalName(ds))
-			for _, w := range sys.Ontology.WrappersOfSource(core.SourceLocalName(ds)) {
+		for _, ds := range sys.Ontology.Sources() {
+			fmt.Println(core.SourceLocalName(ds.Source))
+			for _, w := range ds.Wrappers {
 				var attrs []string
-				for _, a := range sys.Ontology.AttributesOfWrapper(w) {
+				for _, a := range w.Attributes {
 					attrs = append(attrs, core.AttributeName(a))
 				}
-				fmt.Printf("  - %s(%s)\n", core.WrapperLocalName(w), strings.Join(attrs, ", "))
+				fmt.Printf("  - %s(%s)\n", core.WrapperLocalName(w.Wrapper), strings.Join(attrs, ", "))
 			}
 		}
 	case "rewrite":

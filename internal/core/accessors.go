@@ -9,29 +9,55 @@ import (
 
 // DataSources returns all registered data source IRIs, sorted.
 func (o *Ontology) DataSources() []rdf.IRI {
-	return o.typedInstances(SourceGraphName, SDataSource)
+	return typedInstances(o.store.Snapshot(), SourceGraphName, SDataSource)
 }
 
 // Wrappers returns all registered wrapper IRIs, sorted.
 func (o *Ontology) Wrappers() []rdf.IRI {
-	return o.typedInstances(SourceGraphName, SWrapper)
+	return typedInstances(o.store.Snapshot(), SourceGraphName, SWrapper)
 }
 
 // Attributes returns all registered attribute IRIs, sorted.
 func (o *Ontology) Attributes() []rdf.IRI {
-	return o.typedInstances(SourceGraphName, SAttribute)
+	return typedInstances(o.store.Snapshot(), SourceGraphName, SAttribute)
 }
 
 // WrappersOfSource returns the wrappers (schema versions) registered for a
 // data source.
 func (o *Ontology) WrappersOfSource(source string) []rdf.IRI {
-	var out []rdf.IRI
-	for _, q := range o.store.Match(store.InGraph(SourceGraphName, SourceURI(source), SHasWrapper, nil)) {
-		if w, ok := q.Object.(rdf.IRI); ok {
-			out = append(out, w)
+	return objectIRIs(o.store.Snapshot(), SourceGraphName, SourceURI(source), SHasWrapper)
+}
+
+// SourceWrappers is one data source of S with its wrappers (schema
+// versions), as listed by Sources.
+type SourceWrappers struct {
+	Source   rdf.IRI
+	Wrappers []WrapperAttributes
+}
+
+// WrapperAttributes is one wrapper of a SourceWrappers with the attributes
+// it projects.
+type WrapperAttributes struct {
+	Wrapper    rdf.IRI
+	Attributes []rdf.IRI
+}
+
+// Sources lists S from one store snapshot: every data source, its wrappers
+// and their attributes, all sorted. The listing describes one generation
+// even while releases land.
+func (o *Ontology) Sources() []SourceWrappers {
+	sn := o.store.Snapshot()
+	var out []SourceWrappers
+	for _, ds := range typedInstances(sn, SourceGraphName, SDataSource) {
+		entry := SourceWrappers{Source: ds}
+		for _, w := range objectIRIs(sn, SourceGraphName, ds, SHasWrapper) {
+			entry.Wrappers = append(entry.Wrappers, WrapperAttributes{
+				Wrapper:    w,
+				Attributes: objectIRIs(sn, SourceGraphName, w, SHasAttribute),
+			})
 		}
+		out = append(out, entry)
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -65,14 +91,7 @@ func (o *Ontology) SourceOfWrapper(wrapper rdf.IRI) (rdf.IRI, bool) {
 // AttributesOfWrapper returns the attribute IRIs projected by a wrapper,
 // sorted.
 func (o *Ontology) AttributesOfWrapper(wrapper rdf.IRI) []rdf.IRI {
-	var out []rdf.IRI
-	for _, q := range o.store.Match(store.InGraph(SourceGraphName, wrapper, SHasAttribute, nil)) {
-		if a, ok := q.Object.(rdf.IRI); ok {
-			out = append(out, a)
-		}
-	}
-	slices.Sort(out)
-	return out
+	return objectIRIs(o.store.Snapshot(), SourceGraphName, wrapper, SHasAttribute)
 }
 
 // LAVGraphOf returns the named graph holding the LAV mapping of a wrapper.
@@ -83,15 +102,6 @@ func (o *Ontology) LAVGraphOf(wrapper rdf.IRI) (rdf.IRI, bool) {
 		}
 	}
 	return "", false
-}
-
-// LAVMappingOf materializes the LAV mapping subgraph of a wrapper.
-func (o *Ontology) LAVMappingOf(wrapper rdf.IRI) (*rdf.Graph, bool) {
-	g, ok := o.LAVGraphOf(wrapper)
-	if !ok {
-		return nil, false
-	}
-	return o.store.NamedGraph(g), true
 }
 
 // WrapperOfLAVGraph returns the wrapper whose mapping lives in the given

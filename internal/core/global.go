@@ -130,25 +130,18 @@ func (o *Ontology) IsIdentifier(feature rdf.IRI) bool {
 
 // Concepts returns all declared concepts, sorted.
 func (o *Ontology) Concepts() []rdf.IRI {
-	return o.typedInstances(GlobalGraphName, GConcept)
+	return typedInstances(o.store.Snapshot(), GlobalGraphName, GConcept)
 }
 
 // Features returns all declared features, sorted.
 func (o *Ontology) Features() []rdf.IRI {
-	return o.typedInstances(GlobalGraphName, GFeature)
+	return typedInstances(o.store.Snapshot(), GlobalGraphName, GFeature)
 }
 
 // FeaturesOf returns the features attached to a concept via G:hasFeature,
 // sorted.
 func (o *Ontology) FeaturesOf(concept rdf.IRI) []rdf.IRI {
-	var out []rdf.IRI
-	for _, q := range o.store.Match(store.InGraph(GlobalGraphName, concept, GHasFeature, nil)) {
-		if f, ok := q.Object.(rdf.IRI); ok {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return objectIRIs(o.store.Snapshot(), GlobalGraphName, concept, GHasFeature)
 }
 
 // ConceptOfFeature returns the (single) concept owning the feature.
@@ -226,13 +219,28 @@ func (o *Ontology) ConceptEdges() []rdf.Triple {
 	return out
 }
 
-func (o *Ontology) typedInstances(graph rdf.IRI, class rdf.IRI) []rdf.IRI {
+// typedInstances returns the IRIs typed class in graph of one snapshot,
+// sorted.
+func typedInstances(sn store.Snapshot, graph, class rdf.IRI) []rdf.IRI {
 	var out []rdf.IRI
-	for _, q := range o.store.Match(store.InGraph(graph, nil, rdf.RDFType, class)) {
+	for _, q := range sn.Match(store.InGraph(graph, nil, rdf.RDFType, class)) {
 		if iri, ok := q.Subject.(rdf.IRI); ok {
 			out = append(out, iri)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	return out
+}
+
+// objectIRIs returns the IRI objects of subject's predicate edges in graph
+// of one snapshot, sorted.
+func objectIRIs(sn store.Snapshot, graph, subject, predicate rdf.IRI) []rdf.IRI {
+	var out []rdf.IRI
+	for _, q := range sn.Match(store.InGraph(graph, subject, predicate, nil)) {
+		if iri, ok := q.Object.(rdf.IRI); ok {
+			out = append(out, iri)
+		}
+	}
+	slices.Sort(out)
 	return out
 }

@@ -142,13 +142,6 @@ func (o *Ontology) addToGraph(graph rdf.IRI, t rdf.Triple) error {
 // GlobalGraph returns a materialized copy of G.
 func (o *Ontology) GlobalGraph() *rdf.Graph { return o.store.NamedGraph(GlobalGraphName) }
 
-// SourceGraph returns a materialized copy of S.
-func (o *Ontology) SourceGraph() *rdf.Graph { return o.store.NamedGraph(SourceGraphName) }
-
-// MappingsGraph returns a materialized copy of the owl:sameAs /
-// M:mapping side of M.
-func (o *Ontology) MappingsGraph() *rdf.Graph { return o.store.NamedGraph(MappingsGraphName) }
-
 // TriplesInSource returns the number of triples currently in S. It is the
 // growth metric of §6.4 (Figure 11).
 func (o *Ontology) TriplesInSource() int { return o.store.GraphLen(SourceGraphName) }
@@ -169,21 +162,23 @@ type Stats struct {
 	Attributes      int
 }
 
-// Stats computes ontology statistics.
+// Stats computes ontology statistics from one store snapshot, so the counts
+// describe one generation even while releases land.
 func (o *Ontology) Stats() Stats {
+	sn := o.store.Snapshot()
 	st := Stats{
-		GlobalTriples:  o.store.GraphLen(GlobalGraphName),
-		SourceTriples:  o.store.GraphLen(SourceGraphName),
-		MappingTriples: o.store.GraphLen(MappingsGraphName),
-		Concepts:       len(o.Concepts()),
-		Features:       len(o.Features()),
-		DataSources:    len(o.DataSources()),
-		Wrappers:       len(o.Wrappers()),
-		Attributes:     len(o.Attributes()),
+		GlobalTriples:  sn.GraphLen(GlobalGraphName),
+		SourceTriples:  sn.GraphLen(SourceGraphName),
+		MappingTriples: sn.GraphLen(MappingsGraphName),
+		Concepts:       len(typedInstances(sn, GlobalGraphName, GConcept)),
+		Features:       len(typedInstances(sn, GlobalGraphName, GFeature)),
+		DataSources:    len(typedInstances(sn, SourceGraphName, SDataSource)),
+		Wrappers:       len(typedInstances(sn, SourceGraphName, SWrapper)),
+		Attributes:     len(typedInstances(sn, SourceGraphName, SAttribute)),
 	}
-	for _, g := range o.store.Graphs() {
+	for _, g := range sn.Graphs() {
 		if isLAVGraph(g) {
-			st.LAVGraphTriples += o.store.GraphLen(g)
+			st.LAVGraphTriples += sn.GraphLen(g)
 		}
 	}
 	return st

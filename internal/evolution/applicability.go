@@ -38,12 +38,6 @@ func (p APIProfile) FullyAccommodated() float64 {
 	return 100 * float64(p.OntologyOnly) / float64(p.Total())
 }
 
-// Accommodated returns the percentage of changes the approach addresses at
-// least partially.
-func (p APIProfile) Accommodated() float64 {
-	return p.PartiallyAccommodated() + p.FullyAccommodated()
-}
-
 // Table6Profiles returns the change counts of the five widely-used APIs
 // studied in Table 6 (from Li et al. [14]).
 func Table6Profiles() []APIProfile {

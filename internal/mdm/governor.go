@@ -53,7 +53,7 @@ type GovernorConfig struct {
 
 // DefaultGovernorConfig sizes the pools for a small production deployment:
 // a read pool wide enough to keep every core busy, one writer (releases
-// serialize on the server lock anyway) and one admin slot.
+// serialize on the server's release mutex anyway) and one admin slot.
 func DefaultGovernorConfig(readSlots int) GovernorConfig {
 	if readSlots < 1 {
 		readSlots = 1

@@ -7,24 +7,28 @@
 //
 // # Concurrency
 //
-// The quad store underneath the ontology serves reads from immutable,
-// generation-tagged snapshots: a query pins the current snapshot with one
-// atomic load and never takes a store lock, so any number of analyst
-// queries evaluate in parallel, each against one consistent store
-// generation, even while a release is being registered. The server's own
-// RWMutex is therefore not protecting the store — it provides API-level
-// atomicity: POST /api/releases performs several ontology mutations that
-// must appear as one release (write lock), and the multi-probe read
-// handlers (stats, concepts, sources, query endpoints) take the read lock
-// so they never interleave with a half-registered release. The query
-// handlers hold it only until their rewriting result (and, for /answer, the
-// answer relation) exists: rendering the reply and writing it to the client
-// happen outside the lock, so a slow reader never delays a release. Query
-// handlers share the read lock and run concurrently with each other; the
-// rewriting cache validates itself against the ontology's release-delta log
-// whenever a release bumps the store generation, retiring only the cached
-// rewritings whose concept/feature footprint the release touches (GET
-// /api/queries/cache reports the retained/invalidated counters).
+// No read request takes a lock a release holds. The server publishes what
+// reads work against — the ontology, and the rewriter and rewriting cache
+// built around it — as one immutable view behind an atomic pointer; every
+// read handler and metrics writer loads it once and holds nothing while it
+// rewrites, fetches from wrappers or writes its reply. Analyst queries
+// therefore run in parallel with each other and with release registration,
+// even while a wrapper fetch waits on a slow source. Consistency comes from
+// the layers below: the quad store serves reads from immutable,
+// generation-tagged snapshots; NewRelease publishes a release as one atomic
+// store batch; the rewriting cache validates itself against the release-delta
+// log and retries a rewrite that raced a release, retiring only the cached
+// rewritings whose concept/feature footprint a release touches (GET
+// /api/queries/cache reports the counters); and /api/ontology/stats and
+// /sources each read one pinned snapshot, so every reply describes one
+// generation.
+//
+// The one lock left, releaseMu, is taken only by POST /api/releases. It makes
+// a release and its optional sample-data wrapper one step: the wrapper is
+// registered before NewRelease publishes the release, so no reader rewrites
+// to a walk whose wrapper is missing, and a release Algorithm 1 rejects puts
+// the registry back exactly as it was. A replica's checkpoint resync
+// publishes a new view with one compare-and-swap (refreshReplicaView).
 package mdm
 
 import (
@@ -33,6 +37,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"bdi/internal/core"
 	"bdi/internal/evolution"
@@ -47,11 +52,13 @@ import (
 
 // Server is the MDM backend. It is safe for concurrent use.
 type Server struct {
-	mu       sync.RWMutex
-	ontology *core.Ontology
+	// view is loaded once per read request; nil on a replica until its first
+	// synchronization.
+	view     atomic.Pointer[view]
 	registry *wrapper.Registry
-	rewriter *rewriting.Rewriter
-	cache    *rewriting.Cache
+
+	// releaseMu serializes POST /api/releases. No read path takes it.
+	releaseMu sync.Mutex
 
 	// durability, when set, is the WAL manager journaling the ontology (see
 	// EnableDurability). The manager hooks the store directly; the server
@@ -86,12 +93,28 @@ func (s *Server) tracer() *obs.Tracer {
 	return s.traceRing
 }
 
+// view is what read requests work against: an ontology and the rewriter and
+// rewriting cache built around it. It is immutable; a primary publishes one
+// for its lifetime, a replica a new one whenever a checkpoint resync replaces
+// its ontology object.
+type view struct {
+	ontology *core.Ontology
+	rewriter *rewriting.Rewriter
+	cache    *rewriting.Cache
+}
+
+func newView(o *core.Ontology) *view {
+	r := rewriting.NewRewriter(o)
+	return &view{ontology: o, rewriter: r, cache: rewriting.NewCache(r)}
+}
+
 // NewServer returns an MDM backend over the given ontology and registry.
 // Query endpoints are served through a rewriting cache that invalidates
 // itself on every ontology release.
 func NewServer(o *core.Ontology, reg *wrapper.Registry) *Server {
-	r := rewriting.NewRewriter(o)
-	return &Server{ontology: o, registry: reg, rewriter: r, cache: rewriting.NewCache(r)}
+	s := &Server{registry: reg}
+	s.view.Store(newView(o))
+	return s
 }
 
 // EnableDurability exposes a WAL manager's stats and checkpoint trigger
@@ -216,9 +239,7 @@ func (s *Server) handleApplicability(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, s.ontology.Stats())
+	writeJSON(w, http.StatusOK, s.view.Load().ontology.Stats())
 }
 
 // ConceptView describes one concept of G for the UI.
@@ -228,19 +249,20 @@ type ConceptView struct {
 	Identifiers []string `json:"identifiers"`
 }
 
+// handleConcepts makes one probe per concept without pinning a snapshot:
+// releases never write G, so every probe sees the same concepts.
 func (s *Server) handleConcepts(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	o := s.view.Load().ontology
 	var out []ConceptView
-	for _, c := range s.ontology.Concepts() {
-		view := ConceptView{Concept: string(c)}
-		for _, f := range s.ontology.FeaturesOf(c) {
-			view.Features = append(view.Features, string(f))
-			if s.ontology.IsIdentifier(f) {
-				view.Identifiers = append(view.Identifiers, string(f))
+	for _, c := range o.Concepts() {
+		cv := ConceptView{Concept: string(c)}
+		for _, f := range o.FeaturesOf(c) {
+			cv.Features = append(cv.Features, string(f))
+			if o.IsIdentifier(f) {
+				cv.Identifiers = append(cv.Identifiers, string(f))
 			}
 		}
-		out = append(out, view)
+		out = append(out, cv)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -252,29 +274,26 @@ type SourceView struct {
 }
 
 func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var out []SourceView
-	for _, ds := range s.ontology.DataSources() {
-		view := SourceView{Source: string(ds), Wrappers: map[string][]string{}}
-		for _, wr := range s.ontology.WrappersOfSource(core.SourceLocalName(ds)) {
+	for _, ds := range s.view.Load().ontology.Sources() {
+		sv := SourceView{Source: string(ds.Source), Wrappers: map[string][]string{}}
+		for _, wr := range ds.Wrappers {
 			var attrs []string
-			for _, a := range s.ontology.AttributesOfWrapper(wr) {
+			for _, a := range wr.Attributes {
 				attrs = append(attrs, core.AttributeName(a))
 			}
-			view.Wrappers[core.WrapperLocalName(wr)] = attrs
+			sv.Wrappers[core.WrapperLocalName(wr.Wrapper)] = attrs
 		}
-		out = append(out, view)
+		out = append(out, sv)
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleGraphDump(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	o := s.view.Load().ontology
 	w.Header().Set("Content-Type", "application/trig")
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprint(w, s.ontology.Store().DumpTriG(s.ontology.Prefixes()))
+	fmt.Fprint(w, o.Store().DumpTriG(o.Prefixes()))
 }
 
 // ReleaseRequest is the JSON body of POST /api/releases. The LAV subgraph is
@@ -360,15 +379,9 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		Subgraph: g,
 		F:        f,
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	res, err := s.ontology.NewRelease(release)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	// Optionally register an in-memory wrapper with the provided sample data
-	// so that queries are immediately answerable.
+	// Optionally serve the release from an in-memory wrapper over the
+	// provided sample data, so that queries are immediately answerable.
+	var samples wrapper.Wrapper
 	if len(req.SampleTuples) > 0 {
 		schema := relational.NewSchema(req.IDAttributes, req.NonIDAttributes)
 		rows := make([]relational.Tuple, len(req.SampleTuples))
@@ -379,7 +392,12 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 			}
 			rows[i] = row
 		}
-		s.registry.Register(wrapper.NewMemory(req.Wrapper, req.Source, schema, rows))
+		samples = wrapper.NewMemory(req.Wrapper, req.Source, schema, rows)
+	}
+	res, err := s.release(release, samples)
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err)
+		return
 	}
 	writeJSON(w, http.StatusCreated, ReleaseResponse{
 		NewSource:          res.NewSource,
@@ -389,6 +407,26 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		ReusedAttributes:   len(res.ReusedAttributes),
 		Delta:              deltaView(res.Delta),
 	})
+}
+
+// release registers the sample wrapper, if any, before NewRelease publishes
+// the release, so a reader that rewrites to the release's walk finds its
+// wrapper. If the release is not published, the registration is undone;
+// releaseMu keeps concurrent releases from interleaving with the undo. A
+// release that was published but failed to journal keeps its wrapper, since
+// readers already see the walk.
+func (s *Server) release(release core.Release, samples wrapper.Wrapper) (*core.ReleaseResult, error) {
+	s.releaseMu.Lock()
+	defer s.releaseMu.Unlock()
+	undo := func() {}
+	if samples != nil {
+		undo = s.registry.Register(samples)
+	}
+	res, err := s.view.Load().ontology.NewRelease(release)
+	if res == nil {
+		undo()
+	}
+	return res, err
 }
 
 // QueryRequest is the JSON body of the query endpoints.
@@ -414,12 +452,7 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	noteQuery(r, req.SPARQL)
-	// The read lock covers the rewriting only. The result is immutable, so
-	// rendering and writing it to a possibly slow client must not keep a
-	// release (and, behind the pending writer, every new reader) waiting.
-	s.mu.RLock()
-	res, err := s.rewriteCached(r.Context(), req.SPARQL)
-	s.mu.RUnlock()
+	res, err := s.view.Load().rewrite(r.Context(), req.SPARQL)
 	if err != nil {
 		writeQueryError(w, r, err)
 		return
@@ -427,14 +460,14 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rewriteResponse(res))
 }
 
-// rewriteCached parses a SPARQL OMQ and rewrites it through the
+// rewrite parses a SPARQL OMQ and rewrites it through the view's
 // generation-keyed cache under the request's lifecycle context.
-func (s *Server) rewriteCached(ctx context.Context, sparqlText string) (*rewriting.Result, error) {
+func (v *view) rewrite(ctx context.Context, sparqlText string) (*rewriting.Result, error) {
 	omq, err := rewriting.ParseOMQ(sparqlText)
 	if err != nil {
 		return nil, err
 	}
-	return s.cache.RewriteContext(ctx, omq)
+	return v.cache.RewriteContext(ctx, omq)
 }
 
 // CacheStatsResponse reports rewriting-cache effectiveness, including the
@@ -444,12 +477,7 @@ func (s *Server) rewriteCached(ctx context.Context, sparqlText string) (*rewriti
 type CacheStatsResponse = rewriting.CacheStats
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
-	// A replica's checkpoint resync swaps s.cache under s.mu
-	// (refreshReplicaView), so the pointer is read under the lock.
-	s.mu.RLock()
-	cache := s.cache
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK, cache.Stats())
+	writeJSON(w, http.StatusOK, s.view.Load().cache.Stats())
 }
 
 func (s *Server) handleDurabilityStats(w http.ResponseWriter, r *http.Request) {
@@ -520,18 +548,17 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// answer rewrites and executes a query under the read lock and releases it
-// as soon as the answer relation is materialized: the relation is the
-// request's own and the rewriting result is immutable, so rendering and the
-// socket write happen outside the lock.
+// answer rewrites and executes a query against one view, holding no lock:
+// a release landing meanwhile only adds to the ontology, the rewriting
+// result is immutable, and every wrapper a walk names was registered before
+// its release was published.
 func (s *Server) answer(ctx context.Context, req QueryRequest) (*relational.Relation, *rewriting.Result, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	res, err := s.rewriteCached(ctx, req.SPARQL)
+	v := s.view.Load()
+	res, err := v.rewrite(ctx, req.SPARQL)
 	if err != nil {
 		return nil, nil, err
 	}
-	answer, err := s.rewriter.ExecuteResultLimit(ctx, res, wrapper.NewQualifiedResolver(s.registry), req.Limit)
+	answer, err := v.rewriter.ExecuteResultLimit(ctx, res, wrapper.NewQualifiedResolver(s.registry), req.Limit)
 	return answer, res, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"bdi/internal/core"
 	"bdi/internal/obs"
 )
 
@@ -86,13 +87,11 @@ func (s *Server) writeGovernorMetrics(t *obs.TextWriter) {
 }
 
 func (s *Server) writeCacheMetrics(t *obs.TextWriter) {
-	s.mu.RLock()
-	cache := s.cache
-	s.mu.RUnlock()
-	if cache == nil {
+	v := s.view.Load()
+	if v == nil {
 		return
 	}
-	st := cache.Stats()
+	st := v.cache.Stats()
 	t.Counter("bdi_rewrite_cache_hits_total", "Rewrite-cache hits.", nil, int64(st.Hits))
 	t.Counter("bdi_rewrite_cache_misses_total", "Rewrite-cache misses.", nil, int64(st.Misses))
 	t.Counter("bdi_rewrite_cache_unit_hits_total", "Intra-concept unit cache hits.", nil, int64(st.UnitHits))
@@ -109,10 +108,10 @@ func (s *Server) writeCacheMetrics(t *obs.TextWriter) {
 }
 
 func (s *Server) writeStoreMetrics(t *obs.TextWriter) {
-	s.mu.RLock()
-	o := s.ontology
-	s.mu.RUnlock()
-	if o == nil && s.replica != nil {
+	var o *core.Ontology
+	if v := s.view.Load(); v != nil {
+		o = v.ontology
+	} else if s.replica != nil {
 		o = s.replica.Ontology()
 	}
 	if o == nil {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"net/http"
 
+	"bdi/internal/core"
 	"bdi/internal/replication"
-	"bdi/internal/rewriting"
 	"bdi/internal/wrapper"
 )
 
@@ -70,32 +70,29 @@ func (s *Server) replicaReady(w http.ResponseWriter) bool {
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("replica unavailable: %s", reason))
 		return false
 	}
-	s.refreshReplicaView()
+	s.refreshReplicaView(s.replica.Ontology)
 	return true
 }
 
-// refreshReplicaView adopts the replica's current ontology. Stream
-// application mutates the ontology in place (reads keep working through the
-// store's atomic snapshots, and the rewriting cache revalidates itself
-// against the replicated delta log), but a checkpoint resynchronization
-// swaps the whole ontology object — then the rewriter and cache must be
-// rebuilt around the new one. Pointer identity is the cheap change signal.
-func (s *Server) refreshReplicaView() {
-	o := s.replica.Ontology()
-	if o == nil {
-		return
-	}
-	s.mu.RLock()
-	same := s.ontology == o
-	s.mu.RUnlock()
-	if same {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ontology != o {
-		s.ontology = o
-		s.rewriter = rewriting.NewRewriter(o)
-		s.cache = rewriting.NewCache(s.rewriter)
+// refreshReplicaView adopts the replica's current ontology, as returned by
+// current. Stream application mutates the ontology in place (reads keep
+// working through the store's atomic snapshots, and the rewriting cache
+// revalidates itself against the replicated delta log), but a checkpoint
+// resynchronization swaps the whole ontology object — then a view is built
+// around the new one and published with one compare-and-swap. The view is
+// loaded before the ontology, so a published view only ever replaces one
+// built from an ontology read earlier: concurrent refreshes never move the
+// server back to an older ontology. A refresh that loses the swap retries
+// against the winner's view.
+func (s *Server) refreshReplicaView(current func() *core.Ontology) {
+	for {
+		v := s.view.Load()
+		o := current()
+		if o == nil || (v != nil && v.ontology == o) {
+			return
+		}
+		if s.view.CompareAndSwap(v, newView(o)) {
+			return
+		}
 	}
 }

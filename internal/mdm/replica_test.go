@@ -6,12 +6,12 @@ import (
 	"net/http/httptest"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"bdi/internal/core"
 	"bdi/internal/replication"
-	"bdi/internal/rewriting"
 	"bdi/internal/wal"
 	"bdi/internal/workload"
 	"bdi/internal/wrapper"
@@ -129,16 +129,20 @@ func TestReplicaServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestReplicaCacheSwapDoesNotRaceCacheStats swaps the server's rewriting cache
-// under its lock, as refreshReplicaView does after a checkpoint resync, while
-// GET /api/queries/cache is hammered. Every read of the cache pointer must be
-// ordered against the swap (run under -race in CI).
+// TestReplicaCacheSwapDoesNotRaceCacheStats swaps the server's view — and
+// with it the rewriting cache — through refreshReplicaView, as a checkpoint
+// resync does, while GET /api/queries/cache is hammered. Every read of the
+// cache must be ordered against the swap (run under -race in CI).
 func TestReplicaCacheSwapDoesNotRaceCacheStats(t *testing.T) {
-	o, err := core.BuildSupersedeOntology(false)
-	if err != nil {
-		t.Fatal(err)
+	var onts [2]*core.Ontology
+	for i := range onts {
+		o, err := core.BuildSupersedeOntology(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onts[i] = o
 	}
-	srv := NewServer(o, workload.SupersedeTable1Registry(false))
+	srv := NewServer(onts[0], workload.SupersedeTable1Registry(false))
 	h := srv.Handler()
 
 	const readers, requests = 4, 200
@@ -158,15 +162,96 @@ func TestReplicaCacheSwapDoesNotRaceCacheStats(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < requests; i++ {
-		srv.mu.Lock()
-		srv.cache = rewriting.NewCache(srv.rewriter)
-		srv.mu.Unlock()
+	for i := 1; i <= requests; i++ {
+		srv.refreshReplicaView(func() *core.Ontology { return onts[i%2] })
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestReplicaRefreshNeverMovesBack races refreshReplicaView calls across two
+// checkpoint resyncs, which move the replica's ontology object o0 → o1 → o2.
+// At the first resync a refresh that read o0 finishes only after a faster
+// refresh has published o1; it must not publish o0 again. Across the second,
+// concurrent refreshers must each see the server's ontology only move
+// forward, and once every refresh that started after the resync has
+// returned, the server must serve o2 (run under -race in CI).
+func TestReplicaRefreshNeverMovesBack(t *testing.T) {
+	const refreshers, rounds = 4, 200
+	var onts [3]*core.Ontology
+	index := map[*core.Ontology]int{}
+	for i := range onts {
+		o, err := core.BuildSupersedeOntology(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onts[i], index[o] = o, i
+	}
+	var current atomic.Pointer[core.Ontology]
+	current.Store(onts[0])
+	srv := NewServer(onts[0], wrapper.NewRegistry())
+	serving := func() int { return index[srv.view.Load().ontology] }
+
+	var once sync.Once
+	loaded, resynced, slowDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(slowDone)
+		srv.refreshReplicaView(func() *core.Ontology {
+			o := current.Load()
+			once.Do(func() { close(loaded) })
+			<-resynced
+			return o
+		})
+	}()
+	<-loaded
+	current.Store(onts[1])
+	srv.refreshReplicaView(current.Load)
+	close(resynced)
+	<-slowDone
+	if got := serving(); got != 1 {
+		t.Fatalf("a refresh that read o0 before the first resync left the server on o%d, want o1", got)
+	}
+
+	resyncedAgain := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, refreshers)
+	for g := 0; g < refreshers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seen := 1
+			for i := 0; ; i++ {
+				select {
+				case <-resyncedAgain:
+					if i >= rounds {
+						// One last refresh that starts after the resync.
+						srv.refreshReplicaView(current.Load)
+						return
+					}
+				default:
+				}
+				srv.refreshReplicaView(current.Load)
+				got := serving()
+				if got < seen {
+					errs <- fmt.Errorf("server moved back from o%d to o%d", seen, got)
+					return
+				}
+				seen = got
+			}
+		}()
+	}
+	current.Store(onts[2])
+	close(resyncedAgain)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := serving(); got != 2 {
+		t.Errorf("server left on o%d after the second resync, want o2", got)
 	}
 }
 

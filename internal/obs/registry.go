@@ -127,9 +127,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the total observed time.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNs.Load()) }
-
 // metric is one registered series.
 type metric interface {
 	// writeSeries emits the series' sample lines. name is the family name,
@@ -392,10 +389,4 @@ func (t *TextWriter) Counter(name, help string, labels Labels, v int64) {
 func (t *TextWriter) Gauge(name, help string, labels Labels, v int64) {
 	t.header(name, help, kindGauge)
 	fmt.Fprintf(t.w, "%s%s %d\n", name, braced(renderLabels(labels)), v)
-}
-
-// GaugeFloat writes one float gauge sample.
-func (t *TextWriter) GaugeFloat(name, help string, labels Labels, v float64) {
-	t.header(name, help, kindGauge)
-	fmt.Fprintf(t.w, "%s%s %s\n", name, braced(renderLabels(labels)), formatFloat(v))
 }

@@ -135,9 +135,6 @@ func (g *Graph) Subjects() []Term { return g.distinct(func(t Triple) Term { retu
 // Predicates returns the distinct predicates of the graph, sorted.
 func (g *Graph) Predicates() []Term { return g.distinct(func(t Triple) Term { return t.Predicate }) }
 
-// Objects returns the distinct objects of the graph, sorted.
-func (g *Graph) Objects() []Term { return g.distinct(func(t Triple) Term { return t.Object }) }
-
 // Nodes returns the distinct subjects and objects of the graph, sorted.
 func (g *Graph) Nodes() []Term {
 	seen := map[string]Term{}

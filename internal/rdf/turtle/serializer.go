@@ -1,3 +1,8 @@
+// Package turtle writes the Turtle and TriG syntaxes the BDI ontology is
+// dumped in (GET /api/ontology/graph, bdictl dump): @prefix directives,
+// prefixed names, literals with language tags and datatypes, predicate-object
+// lists (';') and GRAPH blocks (TriG). The ontology is built in Go, so
+// nothing reads these syntaxes back.
 package turtle
 
 import (
@@ -61,16 +66,6 @@ func (s *Serializer) SerializeQuads(quads []rdf.Quad) string {
 		b.WriteString("}\n")
 	}
 	return b.String()
-}
-
-// SerializeNTriples renders triples in plain N-Triples (no prefixes).
-func SerializeNTriples(triples []rdf.Triple) string {
-	lines := make([]string, len(triples))
-	for i, t := range triples {
-		lines[i] = t.String()
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n") + "\n"
 }
 
 func (s *Serializer) writeTriples(b *strings.Builder, triples []rdf.Triple, indent string) {

@@ -7,244 +7,6 @@ import (
 	"bdi/internal/rdf"
 )
 
-func TestParseSimpleTriples(t *testing.T) {
-	doc, err := Parse(`
-@prefix ex: <http://example.org/> .
-ex:s ex:p ex:o .
-ex:s ex:q "hello" .
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Quads) != 2 {
-		t.Fatalf("expected 2 quads, got %d", len(doc.Quads))
-	}
-	first := doc.Quads[0]
-	if first.Subject.Value() != "http://example.org/s" {
-		t.Errorf("subject = %v", first.Subject)
-	}
-	if first.Graph != "" {
-		t.Errorf("expected default graph, got %v", first.Graph)
-	}
-}
-
-func TestParsePredicateObjectLists(t *testing.T) {
-	doc, err := Parse(`
-@prefix ex: <http://example.org/> .
-ex:s a ex:Class ;
-     ex:p ex:o1 , ex:o2 ;
-     ex:q "v" .
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Quads) != 4 {
-		t.Fatalf("expected 4 quads, got %d: %v", len(doc.Quads), doc.Quads)
-	}
-	if !doc.Quads[0].Predicate.Equal(rdf.RDFType) {
-		t.Errorf("'a' should expand to rdf:type, got %v", doc.Quads[0].Predicate)
-	}
-}
-
-func TestParsePaperGlobalVocabulary(t *testing.T) {
-	// The metadata model for G from Code 6 of the paper (abridged).
-	input := `
-@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
-@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
-@prefix voaf: <http://purl.org/vocommons/voaf#> .
-@prefix vann: <http://purl.org/vocab/vann/> .
-@prefix G: <http://www.essi.upc.edu/~snadal/BDIOntology/Global/> .
-
-<http://www.essi.upc.edu/~snadal/BDIOntology/Global/> rdf:type voaf:Vocabulary ;
-  vann:preferredNamespacePrefix "G" ;
-  rdfs:label "The Global graph vocabulary" .
-
-G:Concept rdf:type rdfs:Class ;
-  rdfs:isDefinedBy <http://www.essi.upc.edu/~snadal/BDIOntology/Global/> .
-
-G:hasFeature rdf:type rdf:Property ;
-  rdfs:domain G:Concept ;
-  rdfs:range G:Feature .
-`
-	doc, err := Parse(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Quads) != 8 {
-		t.Fatalf("expected 8 quads, got %d", len(doc.Quads))
-	}
-	// Check prefix resolution.
-	found := false
-	for _, q := range doc.Quads {
-		if q.Subject.Value() == "http://www.essi.upc.edu/~snadal/BDIOntology/Global/hasFeature" &&
-			q.Predicate.Equal(rdf.RDFSDomain) {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("expected G:hasFeature rdfs:domain triple")
-	}
-}
-
-func TestParseLiteralsWithDatatypesAndLang(t *testing.T) {
-	doc, err := Parse(`
-@prefix ex: <http://example.org/> .
-@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
-ex:m ex:lagRatio "0.75"^^xsd:double .
-ex:m ex:count 42 .
-ex:m ex:ratio 0.9 .
-ex:m ex:active true .
-ex:m ex:label "hola"@es .
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Quads) != 5 {
-		t.Fatalf("expected 5 quads, got %d", len(doc.Quads))
-	}
-	byPred := map[string]rdf.Term{}
-	for _, q := range doc.Quads {
-		byPred[rdf.IRI(q.Predicate.Value()).LocalName()] = q.Object
-	}
-	if l := byPred["lagRatio"].(rdf.Literal); l.Datatype != rdf.XSDDouble {
-		t.Errorf("lagRatio datatype = %v", l.Datatype)
-	}
-	if l := byPred["count"].(rdf.Literal); l.Datatype != rdf.XSDInteger {
-		t.Errorf("count datatype = %v", l.Datatype)
-	}
-	if l := byPred["active"].(rdf.Literal); l.Datatype != rdf.XSDBoolean {
-		t.Errorf("active datatype = %v", l.Datatype)
-	}
-	if l := byPred["label"].(rdf.Literal); l.Lang != "es" {
-		t.Errorf("label lang = %v", l.Lang)
-	}
-}
-
-func TestParseTriGGraphBlocks(t *testing.T) {
-	doc, err := Parse(`
-@prefix ex: <http://example.org/> .
-ex:defaultS ex:p ex:o .
-GRAPH ex:w1 {
-  ex:Monitor ex:hasFeature ex:monitorId .
-  ex:InfoMonitor ex:hasFeature ex:lagRatio .
-}
-ex:w2 {
-  ex:FeedbackGathering ex:hasFeature ex:fgId .
-}
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, q := range doc.Quads {
-		counts[string(q.Graph)]++
-	}
-	if counts[""] != 1 {
-		t.Errorf("default graph quads = %d, want 1", counts[""])
-	}
-	if counts["http://example.org/w1"] != 2 {
-		t.Errorf("w1 quads = %d, want 2", counts["http://example.org/w1"])
-	}
-	if counts["http://example.org/w2"] != 1 {
-		t.Errorf("w2 quads = %d, want 1", counts["http://example.org/w2"])
-	}
-}
-
-func TestParseBlankNodesAndComments(t *testing.T) {
-	doc, err := Parse(`
-@prefix ex: <http://example.org/> .
-# a comment line
-_:b1 ex:p ex:o . # trailing comment
-ex:s ex:q _:b1 .
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Quads) != 2 {
-		t.Fatalf("expected 2 quads, got %d", len(doc.Quads))
-	}
-	if doc.Quads[0].Subject.Kind() != rdf.KindBlank {
-		t.Errorf("expected blank node subject, got %v", doc.Quads[0].Subject)
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	cases := []string{
-		`<http://unterminated`,
-		`@prefix ex <http://example.org/> .`,
-		`ex:s ex:p "unterminated .`,
-		`GRAPH <http://g> { <http://s> <http://p> <http://o> .`,
-	}
-	for i, input := range cases {
-		if _, err := Parse(input); err == nil {
-			t.Errorf("case %d: expected a parse error", i)
-		}
-	}
-}
-
-func TestParseTriplesRejectsNamedGraphs(t *testing.T) {
-	if _, err := ParseTriples(`GRAPH <http://g> { <http://s> <http://p> <http://o> . }`); err == nil {
-		t.Error("expected error for named graph in triples-only parse")
-	}
-	triples, err := ParseTriples(`<http://s> <http://p> <http://o> .`)
-	if err != nil || len(triples) != 1 {
-		t.Errorf("unexpected result %v, %v", triples, err)
-	}
-}
-
-func TestSerializerRoundTrip(t *testing.T) {
-	input := `
-@prefix ex: <http://example.org/> .
-ex:s ex:p ex:o .
-ex:s ex:q "value with \"quotes\" and\nnewline" .
-ex:s ex:r "0.5"^^<http://www.w3.org/2001/XMLSchema#double> .
-GRAPH ex:g1 {
-  ex:a ex:b ex:c .
-}
-`
-	doc, err := Parse(input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser := NewSerializer()
-	ser.Prefixes.Bind("ex", "http://example.org/")
-	out := ser.SerializeQuads(doc.Quads)
-
-	doc2, err := Parse(out)
-	if err != nil {
-		t.Fatalf("reparse failed: %v\noutput:\n%s", err, out)
-	}
-	if len(doc2.Quads) != len(doc.Quads) {
-		t.Fatalf("round trip changed quad count: %d -> %d\n%s", len(doc.Quads), len(doc2.Quads), out)
-	}
-	for _, q := range doc.Quads {
-		found := false
-		for _, q2 := range doc2.Quads {
-			if q.Equal(q2) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("quad lost in round trip: %v\noutput:\n%s", q, out)
-		}
-	}
-}
-
-func TestSerializeNTriples(t *testing.T) {
-	triples := []rdf.Triple{
-		rdf.T("http://ex/s", "http://ex/p", "http://ex/o"),
-		rdf.T("http://ex/a", "http://ex/b", "http://ex/c"),
-	}
-	out := SerializeNTriples(triples)
-	if !strings.HasPrefix(out, "<http://ex/a>") {
-		t.Errorf("output should be sorted: %q", out)
-	}
-	if strings.Count(out, " .") != 2 {
-		t.Errorf("expected two statements: %q", out)
-	}
-}
-
 func TestSerializerUngrouped(t *testing.T) {
 	ser := NewSerializer()
 	ser.GroupBySubject = false

@@ -363,16 +363,6 @@ func (sn Snapshot) MatchWithIDs(p Pattern) []MatchedQuad {
 	return out
 }
 
-// MatchTriples is like Match but returns bare triples.
-func (sn Snapshot) MatchTriples(p Pattern) []rdf.Triple {
-	quads := sn.Match(p)
-	out := make([]rdf.Triple, len(quads))
-	for i, q := range quads {
-		out[i] = q.Triple
-	}
-	return out
-}
-
 // MatchIDs returns the dictionary encodings of all quads matching the ID
 // pattern, in the same deterministic order as Match. Buckets are pre-sorted,
 // so the order costs no sort: matches stream straight off the selected

@@ -485,12 +485,6 @@ func (s *Store) MatchWithIDs(p Pattern) []MatchedQuad {
 	return s.Snapshot().MatchWithIDs(p)
 }
 
-// MatchTriples is like Match but returns bare triples.
-func (s *Store) MatchTriples(p Pattern) []rdf.Triple {
-	matchesTotal.Inc()
-	return s.Snapshot().MatchTriples(p)
-}
-
 // GraphsContaining returns the names of all named graphs that contain the
 // given triple. This implements the SPARQL `GRAPH ?g { ... }` lookups used
 // by the rewriting algorithms to resolve LAV mappings (Algorithm 4 line 8

@@ -224,36 +224,6 @@ func TestAddGraphValue(t *testing.T) {
 	}
 }
 
-func TestLoadTurtleAndDump(t *testing.T) {
-	s := New()
-	n, prefixes, err := s.LoadTurtle(`
-@prefix ex: <http://example.org/> .
-ex:s ex:p ex:o .
-GRAPH ex:g { ex:a ex:b ex:c . }
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("loaded %d quads, want 2", n)
-	}
-	if _, ok := prefixes.Namespace("ex"); !ok {
-		t.Error("prefix ex should be captured")
-	}
-	dump := s.DumpTriG(prefixes)
-	s2 := New()
-	if _, _, err := s2.LoadTurtle(dump); err != nil {
-		t.Fatalf("reloading dump failed: %v\n%s", err, dump)
-	}
-	if s2.Len() != s.Len() {
-		t.Errorf("dump round trip changed size %d -> %d", s.Len(), s2.Len())
-	}
-	graphDump := s.DumpGraphTurtle("http://example.org/g", prefixes)
-	if graphDump == "" {
-		t.Error("graph dump should not be empty")
-	}
-}
-
 // Property: adding N distinct quads yields Len == N and every quad is
 // matchable by its fully-specified pattern.
 func TestAddMatchProperty(t *testing.T) {

@@ -154,8 +154,5 @@ func (ec *EvolutionChurn) SideQuery(i int) *rewriting.OMQ {
 	)
 }
 
-// UnrelatedReleases returns how many unrelated releases were registered.
-func (ec *EvolutionChurn) UnrelatedReleases() int { return ec.unrelated }
-
 // RelatedReleases returns how many related releases were registered.
 func (ec *EvolutionChurn) RelatedReleases() int { return ec.related }

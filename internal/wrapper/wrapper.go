@@ -98,11 +98,23 @@ func NewRegistry() *Registry {
 
 // Register adds a wrapper to the registry. Registering a wrapper with an
 // existing name replaces the previous one (a new schema version supersedes
-// an old registration under the same name).
-func (r *Registry) Register(w Wrapper) {
+// an old registration under the same name). The returned undo puts back
+// what the name held before: the replaced wrapper, or no registration.
+func (r *Registry) Register(w Wrapper) (undo func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.wrappers[w.Name()] = w
+	name := w.Name()
+	prev, had := r.wrappers[name]
+	r.wrappers[name] = w
+	return func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if had {
+			r.wrappers[name] = prev
+		} else {
+			delete(r.wrappers, name)
+		}
+	}
 }
 
 // Alias maps an alternative identifier (e.g. a wrapper IRI) to a registered
