@@ -32,6 +32,7 @@
 package mdm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -517,7 +518,8 @@ func rewriteResponse(res *rewriting.Result) RewriteResponse {
 	return out
 }
 
-// AnswerResponse carries the rewriting plus the executed result.
+// AnswerResponse is the body of POST /api/queries/answer: the rewriting plus
+// the executed result. The handler writes it from the ID-domain answer.
 type AnswerResponse struct {
 	RewriteResponse
 	Columns []string         `json:"columns"`
@@ -536,36 +538,56 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, r, err)
 		return
 	}
-	resp := AnswerResponse{RewriteResponse: rewriteResponse(res), Columns: answer.Schema.Names()}
-	// The engine hands the answer over in canonical order.
-	for _, t := range answer.Tuples {
-		row := map[string]any{}
-		for k, v := range t {
-			row[k] = v
-		}
-		resp.Rows = append(resp.Rows, row)
+	body, err := answerBody(res, answer)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, body)
+}
+
+// answerBody renders an AnswerResponse over the answer as json.Encoder does,
+// byte for byte, with the rows encoded from the answer's ValueIDs (the engine
+// hands them over in canonical order).
+func answerBody(res *rewriting.Result, answer *relational.IDRelation) ([]byte, error) {
+	head, err := json.Marshal(AnswerResponse{RewriteResponse: rewriteResponse(res), Columns: answer.Schema.Names()})
+	if err != nil {
+		return nil, err
+	}
+	// Reopen the object where its "rows":null ends.
+	body, err := answer.AppendJSON(head[:len(head)-len("null}")])
+	return append(body, "}\n"...), err
 }
 
 // answer rewrites and executes a query against one view, holding no lock:
 // a release landing meanwhile only adds to the ontology, the rewriting
 // result is immutable, and every wrapper a walk names was registered before
 // its release was published.
-func (s *Server) answer(ctx context.Context, req QueryRequest) (*relational.Relation, *rewriting.Result, error) {
+func (s *Server) answer(ctx context.Context, req QueryRequest) (*relational.IDRelation, *rewriting.Result, error) {
 	v := s.view.Load()
 	res, err := v.rewrite(ctx, req.SPARQL)
 	if err != nil {
 		return nil, nil, err
 	}
-	answer, err := v.rewriter.ExecuteResultLimit(ctx, res, wrapper.NewQualifiedResolver(s.registry), req.Limit)
+	answer, err := v.rewriter.ExecuteResultIDs(ctx, res, wrapper.NewQualifiedResolver(s.registry), req.Limit)
 	return answer, res, err
 }
 
+// writeJSON writes v as json.Encoder does, but builds the body first: a value
+// JSON cannot encode answers 500 with an error, not the status and no body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeBody(w, status, body.Bytes())
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write means the client is gone; nothing is left to tell it
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -53,11 +53,11 @@ var (
 // because each wrapper is fetched once per execution instead of once per
 // walk.
 //
-// A result's tuples are in canonical order — ascending Tuple.Key over the
+// A result's rows are in canonical order — ascending Tuple.Key over the
 // result schema, the order Relation.Sorted gives — at any MaxParallel and
 // with or without a Limit: the deduplicated rows are ordered once, on their
-// ValueIDs, between the union and the decode (ValueDict.order), so callers
-// iterate Tuples and never sort.
+// ValueIDs (ValueDict.order), so callers decode or encode them as they are
+// and never sort.
 type Engine struct {
 	// MaxParallel caps concurrently executing walks; 0 means GOMAXPROCS.
 	// 1 yields serial execution on the calling goroutine. Results are
@@ -102,7 +102,7 @@ func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResol
 	ctx, span := obs.StartSpan(ctx, "walk")
 	defer span.End()
 	track := lifecycle.TrackerFrom(ctx)
-	u := newUnionPlan([]*Walk{w}, resolver, nil, true)
+	u := newUnionPlan([]*Walk{w}, resolver, nil, "")
 	if err := u.compileWalk(ctx, track, w); err != nil {
 		return nil, err
 	}
@@ -111,20 +111,22 @@ func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResol
 	if err != nil {
 		return nil, err
 	}
-	rel := NewRelation(u.name0, u.final)
-	src := u.srcCols(0)
-	rel.Tuples = u.decode(u.dict.order(rows, src), src)
-	return rel, nil
+	var arena []ValueID
+	for r, row := range rows {
+		rows[r], arena = project(arena, row, u.srcCols(0))
+	}
+	return (&IDRelation{Name: u.name, Schema: u.final, Rows: u.dict.order(rows), dict: u.dict}).Relation(), nil
 }
 
 // ExecuteUnion compiles and executes every walk, post-projects each result,
-// and returns their deduplicated union. It is the engine behind
-// UnionOfConjunctiveQueries.Execute and the rewriter's ExecuteResultLimit.
-func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver WrapperResolver, opts ExecOptions) (*Relation, error) {
+// and returns their deduplicated union in canonical order, still in the ID
+// domain. It is the engine behind UnionOfConjunctiveQueries.Execute and the
+// rewriter's ExecuteResultIDs.
+func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver WrapperResolver, opts ExecOptions) (*IDRelation, error) {
 	ctx, span := obs.StartSpan(ctx, "eval")
 	span.SetAttrInt("walks", int64(len(walks)))
 	unionStart := time.Now()
-	u := newUnionPlan(walks, resolver, opts.Output, opts.Name == "")
+	u := newUnionPlan(walks, resolver, opts.Output, opts.Name)
 	// Every return path below has waited for its workers, so the deferred
 	// index count reads quiescent state.
 	defer func() {
@@ -193,6 +195,7 @@ func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver Wrapp
 	finalW := len(u.finalNames)
 	seen := map[string]bool{}
 	var outRows [][]ValueID
+	var arena []ValueID
 	key := make([]byte, 4*finalW)
 	var firstErr error
 consume:
@@ -221,12 +224,8 @@ consume:
 				continue
 			}
 			seen[string(key)] = true
-			fr := make([]ValueID, finalW)
-			for fc, sc := range src {
-				if sc >= 0 {
-					fr[fc] = row[sc]
-				}
-			}
+			var fr []ValueID
+			fr, arena = project(arena, row, src)
 			outRows = append(outRows, fr)
 			if opts.Limit > 0 && len(outRows) >= opts.Limit {
 				break consume
@@ -243,44 +242,29 @@ consume:
 	}
 
 	orderStart := time.Now()
-	outRows = u.dict.order(outRows, nil)
+	outRows = u.dict.order(outRows)
 	orderTime := time.Since(orderStart)
 	walkOrderSeconds.Observe(orderTime)
 	span.SetAttrInt("rows", int64(len(outRows)))
 	span.SetAttrInt("order_us", orderTime.Microseconds())
-
-	rel := NewRelation(opts.Name, u.final)
-	if rel.Name == "" {
-		rel.Name = u.name0
-	}
-	rel.Tuples = u.decode(outRows, nil)
-	return rel, nil
+	return &IDRelation{Name: u.name, Schema: u.final, Rows: outRows, dict: u.dict}, nil
 }
 
-// decode materializes rows as tuples under the union schema; src maps each
-// union column to the row position it reads (nil: the rows are already in
-// union layout). Missing cells are omitted from the tuple, not set to nil.
-func (u *unionPlan) decode(rows [][]ValueID, src []int32) []Tuple {
-	names := u.final.Names()
-	vals := u.dict.Values()
-	tuples := make([]Tuple, len(rows))
-	for r, row := range rows {
-		t := make(Tuple, len(names))
-		for fc, name := range names {
-			sc := int32(fc)
-			if src != nil {
-				sc = src[fc]
-			}
-			if sc < 0 {
-				continue
-			}
-			if id := row[sc]; id != MissingValueID {
-				t[name] = vals[id-1]
-			}
-		}
-		tuples[r] = t
+// project copies a walk's row into union layout through src (negative: the
+// column is absent), cutting it from arena, which it refills a check chunk at
+// a time; it returns the row and what is left of the arena.
+func project(arena, row []ValueID, src []int32) ([]ValueID, []ValueID) {
+	w := len(src)
+	if len(arena) < w {
+		arena = make([]ValueID, lifecycle.CheckEvery*w)
 	}
-	return tuples
+	out := arena[:w:w]
+	for fc, sc := range src {
+		if sc >= 0 {
+			out[fc] = row[sc]
+		}
+	}
+	return out, arena[w:]
 }
 
 // run executes walk i under its span and the per-walk metrics.

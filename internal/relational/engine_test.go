@@ -44,7 +44,7 @@ func TestEngineLimitIsDeterministicPrefix(t *testing.T) {
 	rels, u := chainCase()
 	ctx := context.Background()
 	opts := u.execOptions()
-	full, err := DefaultEngine.ExecuteUnion(ctx, u.Walks, rels, opts)
+	full, err := decoded(DefaultEngine.ExecuteUnion(ctx, u.Walks, rels, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestEngineLimitIsDeterministicPrefix(t *testing.T) {
 		lopts.Limit = limit
 		want := limitOracle(t, u.Walks, rels, full.Schema, limit)
 		for _, e := range []*Engine{DefaultEngine, {MaxParallel: 1}, {MaxParallel: 3}} {
-			got, err := e.ExecuteUnion(ctx, u.Walks, rels, lopts)
+			got, err := decoded(e.ExecuteUnion(ctx, u.Walks, rels, lopts))
 			if err != nil {
 				t.Fatalf("limit %d: %v", limit, err)
 			}
@@ -171,7 +171,7 @@ func TestEnginePushdownProjection(t *testing.T) {
 		NewWalk("w", "S", "a"),
 		NewWalk("w", "S", "b"),
 	}
-	got, err := DefaultEngine.ExecuteUnion(context.Background(), walks, pd, ExecOptions{Name: "answer"})
+	got, err := decoded(DefaultEngine.ExecuteUnion(context.Background(), walks, pd, ExecOptions{Name: "answer"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestEnginePushdownProjection(t *testing.T) {
 	if want := []string{"a", "b"}; fmt.Sprint(pd.lastAttrs) != fmt.Sprint(want) {
 		t.Fatalf("pushed attrs = %v, want %v", pd.lastAttrs, want)
 	}
-	full, err := DefaultEngine.ExecuteUnion(context.Background(), walks, fullOutputResolver{rels: pd.rels}, ExecOptions{Name: "answer"})
+	full, err := decoded(DefaultEngine.ExecuteUnion(context.Background(), walks, fullOutputResolver{rels: pd.rels}, ExecOptions{Name: "answer"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,15 +201,15 @@ func TestApplySelectionsReference(t *testing.T) {
 		Tuple{"id": int64(1), "v": "z"}, // equal to 1 under ValuesEqual
 		Tuple{"id": nil, "v": "n"},
 	)
-	out := ApplySelections(rel, []Selection{{Attr: "id", Values: []Value{1}}})
+	out := applySelections(rel, []Selection{{Attr: "id", Values: []Value{1}}})
 	if out.Cardinality() != 2 {
 		t.Fatalf("selection kept %d tuples, want 2 (1 and int64(1)): %s", out.Cardinality(), out)
 	}
-	out = ApplySelections(rel, []Selection{{Attr: "id", Values: []Value{nil}}})
+	out = applySelections(rel, []Selection{{Attr: "id", Values: []Value{nil}}})
 	if out.Cardinality() != 1 {
 		t.Fatalf("nil selection kept %d tuples, want 1: %s", out.Cardinality(), out)
 	}
-	if same := ApplySelections(rel, nil); same.Cardinality() != rel.Cardinality() {
+	if same := applySelections(rel, nil); same.Cardinality() != rel.Cardinality() {
 		t.Fatalf("empty selection list must keep everything")
 	}
 }

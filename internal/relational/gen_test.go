@@ -306,7 +306,7 @@ func generateSharedCase(data []byte) *genCase {
 		}
 		if wi == broken && len(walk.Joins) > 0 {
 			// A non-ID join attribute: the restricted-join error path.
-			walk.Joins[0].LeftAttr = schemas[members[0]].NonIDNames()[0]
+			walk.Joins[0].LeftAttr = nonIDNames(schemas[members[0]])[0]
 			walk.Joins[0].LeftWrapper = walk.Wrappers[0].Wrapper
 			walk.Joins[0].RightWrapper = walk.Wrappers[1].Wrapper
 			walk.Joins[0].RightAttr = pickID(members[1])
@@ -402,7 +402,7 @@ func (p *pushdownStaticResolver) Fetch(_ context.Context, w string, pd Pushdown)
 	}
 	p.calls++
 	p.lastAttrs = append([]string(nil), pd.Attrs...)
-	rel = ApplySelections(rel.Clone(), pd.Selections)
+	rel = applySelections(rel.Clone(), pd.Selections)
 	if len(pd.Attrs) > 0 {
 		// Relation.Project is exactly the contract: requested attrs plus all
 		// IDs, in schema order.
@@ -421,4 +421,40 @@ type fullOutputResolver struct {
 
 func (f fullOutputResolver) Fetch(ctx context.Context, w string, _ Pushdown) (*Relation, error) {
 	return f.rels.Fetch(ctx, w, Pushdown{})
+}
+
+// decoded decodes an ExecuteUnion result, passing its error through.
+func decoded(answer *IDRelation, err error) (*Relation, error) {
+	if err != nil {
+		return nil, err
+	}
+	return answer.Relation(), nil
+}
+
+// applySelections filters rel by the selections tuple by tuple: the
+// reference semantics a source's pushdown must reproduce, written
+// independently of Pushdown.Apply.
+func applySelections(rel *Relation, sels []Selection) *Relation {
+	out := NewRelation(rel.Name, rel.Schema)
+tuples:
+	for _, t := range rel.Tuples {
+		for _, s := range sels {
+			if !slices.ContainsFunc(s.Values, func(v Value) bool { return ValuesEqual(t[s.Attr], v) }) {
+				continue tuples
+			}
+		}
+		out.Add(t)
+	}
+	return out
+}
+
+// nonIDNames returns the names of a schema's non-ID attributes.
+func nonIDNames(s Schema) []string {
+	var out []string
+	for _, a := range s.Attributes {
+		if !a.ID {
+			out = append(out, a.Name)
+		}
+	}
+	return out
 }

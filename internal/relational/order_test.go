@@ -93,7 +93,7 @@ func TestCanonicalOrderMatchesTupleKey(t *testing.T) {
 		}
 		var full *Relation
 		for _, par := range []int{1, 2, 8} {
-			got, err := (&Engine{MaxParallel: par}).ExecuteUnion(ctx, u.Walks, resolver, u.execOptions())
+			got, err := decoded((&Engine{MaxParallel: par}).ExecuteUnion(ctx, u.Walks, resolver, u.execOptions()))
 			if err != nil {
 				t.Fatalf("case %d MaxParallel=%d: %v", c, par, err)
 			}
@@ -109,7 +109,7 @@ func TestCanonicalOrderMatchesTupleKey(t *testing.T) {
 			opts.Limit = limit
 			var first []string
 			for _, par := range []int{1, 2, 8} {
-				got, err := (&Engine{MaxParallel: par}).ExecuteUnion(ctx, u.Walks, resolver, opts)
+				got, err := decoded((&Engine{MaxParallel: par}).ExecuteUnion(ctx, u.Walks, resolver, opts))
 				if err != nil {
 					t.Fatalf("case %d limit %d MaxParallel=%d: %v", c, limit, par, err)
 				}
@@ -192,7 +192,7 @@ func TestCanonicalOrderIsJoinedKeyOrder(t *testing.T) {
 		return func(string) (string, bool) { return attr, true }
 	}
 	opts := ExecOptions{Name: "answer", Output: []OutputColumn{{Name: "n", Attr: feed("b")}, {Name: "n", Attr: feed("a")}}}
-	renamed, err := DefaultEngine.ExecuteUnion(context.Background(), u.Walks, rels, opts)
+	renamed, err := decoded(DefaultEngine.ExecuteUnion(context.Background(), u.Walks, rels, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,15 +299,15 @@ func TestOrderingBuildsEachKeyOnce(t *testing.T) {
 		for _, v := range d.Values() {
 			fresh.Intern(v)
 		}
-		out = fresh.order(in, nil)
+		out = fresh.order(in)
 	})
 	// Re-interning 2300 values is ~1 object per value (boxing aside), their
 	// keys 2 more (the formatted number or string, and its kind prefix).
 	if limit := float64(4*(rows+distinct) + 64); first > limit {
 		t.Errorf("first ordering of %d rows over %d distinct values allocated %.0f objects, want <= %.0f", rows, rows+distinct, first, limit)
 	}
-	out = d.order(in, nil) // renders the keys
-	again := testing.AllocsPerRun(5, func() { out = d.order(in, nil) })
+	out = d.order(in) // renders the keys
+	again := testing.AllocsPerRun(5, func() { out = d.order(in) })
 	if again > 16 {
 		t.Errorf("ordering %d rows on a dictionary whose keys are cached allocated %.0f objects, want a constant", rows, again)
 	}
@@ -360,7 +360,7 @@ func BenchmarkAnswerOrdering(b *testing.B) {
 					fresh.Intern(v)
 				}
 				b.StartTimer()
-				out = fresh.order(in, nil)
+				out = fresh.order(in)
 			}
 			b.StopTimer()
 			rel := decodeRows(d, out)

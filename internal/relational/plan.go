@@ -156,12 +156,11 @@ type unionPlan struct {
 	names    map[string]int32 // attribute-name interning
 	output   []OutputColumn
 	outName  []int32 // interned name per declared output column
-	wantName bool    // render the first walk's (a⋈b) name
 
 	walks []walkPlan
 	steps []planStep
 	outs  []outCol
-	name0 string
+	name  string // the result's: given, or the first walk's (a⋈b)
 
 	// The union schema: the left-to-right fold of the per-walk output
 	// schemas, exactly as the reference's pairwise Relation.Union does. Only
@@ -188,14 +187,16 @@ type unionPlan struct {
 	pos       []int32   // name -> position in acc, -1
 }
 
-func newUnionPlan(walks []*Walk, resolver WrapperResolver, output []OutputColumn, wantName bool) *unionPlan {
+// newUnionPlan plans the union of walks; an empty name names it after its
+// first walk.
+func newUnionPlan(walks []*Walk, resolver WrapperResolver, output []OutputColumn, name string) *unionPlan {
 	u := &unionPlan{
 		resolver: resolver,
 		dict:     NewValueDict(),
 		sources:  map[string]*source{},
 		names:    map[string]int32{},
 		output:   output,
-		wantName: wantName,
+		name:     name,
 		walks:    make([]walkPlan, 0, len(walks)),
 	}
 	joins := 0
@@ -395,8 +396,8 @@ func (u *unionPlan) compileWalk(ctx context.Context, track *lifecycle.Tracker, w
 		u.emit(start, steps)
 	}
 	wp.stepHi = len(u.steps)
-	if len(u.walks) == 0 && u.wantName {
-		u.name0 = u.renderName()
+	if len(u.walks) == 0 && u.name == "" {
+		u.name = u.renderName()
 	}
 
 	// The walk's post-projected columns, folded into the union schema.

@@ -1,5 +1,10 @@
 package relational
 
+import (
+	"iter"
+	"slices"
+)
+
 // Selection is a source-side equality filter: keep rows whose attribute
 // compares equal (under the cross-source ValuesEqual semantics) to any of
 // the given values.
@@ -65,18 +70,28 @@ func (p Pushdown) Project(s Schema) (Schema, []string) {
 	return out, srcNames
 }
 
-// Apply executes the pushdown over full-output rows of a wrapper with schema
-// s: rows failing a selection are dropped and each kept row is materialized
-// under the schema Project returns, in a single pass. It is the shared
-// implementation for sources without native selection or projection; the
-// input rows are not modified.
-func (p Pushdown) Apply(s Schema, rows []Tuple) []Tuple {
+// Apply executes the pushdown over a wrapper's full-output rows, s being the
+// wrapper's schema: a row failing a selection is dropped, and each kept row is
+// materialized once, directly under the schema Project returns. Attributes
+// outside s are invisible, to the selections too. It is the one
+// implementation of source-side selection and projection for sources without
+// a native one: Memory passes its tuples, the JSON wrapper each document's
+// pipeline output. Apply copies what it keeps, so rows may yield the same
+// scratch tuple for every row.
+func (p Pushdown) Apply(s Schema, rows iter.Seq[Tuple]) []Tuple {
 	schema, srcNames := p.Project(s)
 	outNames := schema.Names()
 	var out []Tuple
-	for _, t := range rows {
-		if !tupleMatches(t, p.Selections) {
-			continue
+rows:
+	for t := range rows {
+		for _, sel := range p.Selections {
+			var v Value
+			if s.Has(sel.Attr) {
+				v = t[sel.Attr]
+			}
+			if !slices.ContainsFunc(sel.Values, func(w Value) bool { return ValuesEqual(v, w) }) {
+				continue rows
+			}
 		}
 		nt := make(Tuple, len(srcNames))
 		for i, src := range srcNames {
@@ -87,36 +102,4 @@ func (p Pushdown) Apply(s Schema, rows []Tuple) []Tuple {
 		out = append(out, nt)
 	}
 	return out
-}
-
-// ApplySelections filters rel by the selections in memory, using the same
-// equality semantics a source must implement. It is the reference
-// implementation sources can defer to (and tests compare against).
-func ApplySelections(rel *Relation, sels []Selection) *Relation {
-	if len(sels) == 0 {
-		return rel
-	}
-	out := NewRelation(rel.Name, rel.Schema)
-	for _, t := range rel.Tuples {
-		if tupleMatches(t, sels) {
-			out.Add(t)
-		}
-	}
-	return out
-}
-
-func tupleMatches(t Tuple, sels []Selection) bool {
-	for _, s := range sels {
-		match := false
-		for _, v := range s.Values {
-			if ValuesEqual(t[s.Attr], v) {
-				match = true
-				break
-			}
-		}
-		if !match {
-			return false
-		}
-	}
-	return true
 }

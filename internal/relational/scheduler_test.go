@@ -92,7 +92,7 @@ func TestSchedulerLowestIndexError(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for _, par := range schedulerParallelism {
 		e := &Engine{MaxParallel: par}
-		_, err := e.ExecuteUnion(context.Background(), walks, rels, ExecOptions{Name: "answer"})
+		_, err := decoded(e.ExecuteUnion(context.Background(), walks, rels, ExecOptions{Name: "answer"}))
 		if err == nil || err.Error() != refErr.Error() {
 			t.Errorf("MaxParallel=%d: error %v, want walk 9's %v", par, err, refErr)
 		}
@@ -138,7 +138,7 @@ func TestSchedulerLimitIsWalkOrderPrefix(t *testing.T) {
 	rels, walks := fanCase(4)
 	ctx := context.Background()
 	opts := ExecOptions{Name: "answer"}
-	full, err := (&Engine{MaxParallel: 1}).ExecuteUnion(ctx, walks, rels, opts)
+	full, err := decoded((&Engine{MaxParallel: 1}).ExecuteUnion(ctx, walks, rels, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSchedulerLimitIsWalkOrderPrefix(t *testing.T) {
 	// Rows contributed per walk, to know which walk reaches a limit.
 	var upTo []int
 	for i := range walks {
-		rel, err := (&Engine{MaxParallel: 1}).ExecuteUnion(ctx, walks[:i+1], rels, opts)
+		rel, err := decoded((&Engine{MaxParallel: 1}).ExecuteUnion(ctx, walks[:i+1], rels, opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestSchedulerLimitIsWalkOrderPrefix(t *testing.T) {
 			lopts := opts
 			lopts.Limit = limit
 			executed := walkExecutionsTotal.Value()
-			got, err := (&Engine{MaxParallel: par}).ExecuteUnion(ctx, walks, rels, lopts)
+			got, err := decoded((&Engine{MaxParallel: par}).ExecuteUnion(ctx, walks, rels, lopts))
 			executed = walkExecutionsTotal.Value() - executed
 			if err != nil {
 				t.Fatalf("limit %d MaxParallel=%d: %v", limit, par, err)
@@ -219,7 +219,7 @@ func TestSchedulerCancelMidUnion(t *testing.T) {
 		}
 		done := make(chan outcome, 1)
 		go func() {
-			rel, err := (&Engine{MaxParallel: par}).ExecuteUnion(ctx, walks, resolver, ExecOptions{Name: "answer"})
+			rel, err := decoded((&Engine{MaxParallel: par}).ExecuteUnion(ctx, walks, resolver, ExecOptions{Name: "answer"}))
 			done <- outcome{rel, err}
 		}()
 		<-resolver.fetched
@@ -231,7 +231,7 @@ func TestSchedulerCancelMidUnion(t *testing.T) {
 		requireNoStrandedGoroutines(t, before)
 	}
 	// Cancellation corrupts nothing shared: there is nothing shared.
-	rel, err := DefaultEngine.ExecuteUnion(context.Background(), walks[:1], rels, ExecOptions{Name: "answer"})
+	rel, err := decoded(DefaultEngine.ExecuteUnion(context.Background(), walks[:1], rels, ExecOptions{Name: "answer"}))
 	if err != nil || rel.Cardinality() != 80000 {
 		t.Fatalf("union after the cancellations: %v rows, err %v", rel.Cardinality(), err)
 	}
@@ -284,7 +284,7 @@ func TestUnionSharesItsWorkAndSaysSo(t *testing.T) {
 		trace := obs.NewTrace("test")
 		ctx := obs.WithTrace(context.Background(), trace)
 		builds, compiles, orders := walkIndexBuildsTotal.Value(), walkCompileSeconds.Count(), walkOrderSeconds.Count()
-		rel, err := (&Engine{MaxParallel: par}).ExecuteUnion(ctx, walks, rels, ExecOptions{Name: "answer"})
+		rel, err := decoded((&Engine{MaxParallel: par}).ExecuteUnion(ctx, walks, rels, ExecOptions{Name: "answer"}))
 		if err != nil {
 			t.Fatal(err)
 		}

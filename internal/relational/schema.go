@@ -70,17 +70,6 @@ func (s Schema) IDNames() []string {
 	return out
 }
 
-// NonIDNames returns the names of the non-ID attributes.
-func (s Schema) NonIDNames() []string {
-	var out []string
-	for _, a := range s.Attributes {
-		if !a.ID {
-			out = append(out, a.Name)
-		}
-	}
-	return out
-}
-
 // Has reports whether the schema contains an attribute with the given name.
 func (s Schema) Has(name string) bool {
 	_, ok := s.Lookup(name)

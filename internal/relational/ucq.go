@@ -122,7 +122,11 @@ func (u *UnionOfConjunctiveQueries) Execute(ctx context.Context, resolver Wrappe
 	if u.IsEmpty() {
 		return NewRelation("∅", Schema{}), nil
 	}
-	return DefaultEngine.ExecuteUnion(ctx, u.Walks, resolver, u.execOptions())
+	answer, err := DefaultEngine.ExecuteUnion(ctx, u.Walks, resolver, u.execOptions())
+	if err != nil {
+		return nil, err
+	}
+	return answer.Relation(), nil
 }
 
 // execOptions restricts every walk to the requested attributes it carries.

@@ -99,10 +99,11 @@ type ValueDict struct {
 	mu   sync.RWMutex
 	ids  map[vkey]ValueID
 	vals []Value // vals[id-1] is the first value interned under the key
-	// keys[id-1] caches valueKey(vals[id-1]), rendered the first time a row
-	// holding id is ordered ("" until then: no valueKey is empty). The cache
-	// dies with the dictionary, i.e. with the union execution that owns it.
-	keys []string
+	// keys[id-1] caches valueKey(vals[id-1]) and encoded[id-1] its JSON, each
+	// rendered the first time the ordering step or AppendJSON needs it. The
+	// caches die with the dictionary, i.e. with the union execution.
+	keys    []string
+	encoded [][]byte
 }
 
 // NewValueDict returns a dictionary with nil pre-interned as NilValueID.
@@ -155,46 +156,30 @@ func joinID(id ValueID) ValueID {
 // order returns rows in canonical order: ascending by the key Tuple.Key
 // gives their decoded tuples over the columns of the union schema, rows whose
 // keys coincide (they differ only in where a U+001F falls) column by column,
-// exactly as Relation.Sorted orders tuples. src maps each column to the row
-// position it reads (nil: the rows are already in union layout), negative for
-// a column the rows do not carry; a missing cell and an absent column both
-// render as nil, as in Tuple.Key.
+// exactly as Relation.Sorted orders tuples. The rows are in union layout; a
+// missing cell renders as nil, as in Tuple.Key.
 //
 // Every value is rendered at most once per dictionary and every row key is
 // concatenated once, into one flat arena, so the comparator compares bytes
 // and builds nothing.
-func (d *ValueDict) order(rows [][]ValueID, src []int32) [][]ValueID {
+func (d *ValueDict) order(rows [][]ValueID) [][]ValueID {
 	if len(rows) < 2 {
 		return rows
 	}
-	width := len(src)
-	if src == nil {
-		width = len(rows[0])
-	}
+	width := len(rows[0])
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.keys) < len(d.vals) {
 		d.keys = append(d.keys, make([]string, len(d.vals)-len(d.keys))...)
 	}
-	// cell returns the index into d.keys of a row's cell in column c.
-	cell := func(row []ValueID, c int) ValueID {
-		sc := int32(c)
-		if src != nil {
-			sc = src[c]
-		}
-		if sc < 0 {
-			return NilValueID - 1
-		}
-		return joinID(row[sc]) - 1
-	}
 	arena := make([]byte, 0, 8*width*len(rows))
 	bounds := make([]int, len(rows)+1) // row r's key is arena[bounds[r]:bounds[r+1]]
 	for r, row := range rows {
-		for c := 0; c < width; c++ {
+		for c, id := range row {
 			if c > 0 {
 				arena = append(arena, '\x1f')
 			}
-			k := cell(row, c)
+			k := joinID(id) - 1
 			if d.keys[k] == "" {
 				d.keys[k] = valueKey(d.vals[k])
 			}
@@ -212,7 +197,7 @@ func (d *ValueDict) order(rows [][]ValueID, src []int32) [][]ValueID {
 			return c
 		}
 		for c := 0; c < width; c++ {
-			if c := strings.Compare(d.keys[cell(rows[a], c)], d.keys[cell(rows[b], c)]); c != 0 {
+			if c := strings.Compare(d.keys[joinID(rows[a][c])-1], d.keys[joinID(rows[b][c])-1]); c != 0 {
 				return c
 			}
 		}

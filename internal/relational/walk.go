@@ -175,22 +175,6 @@ func (w *Walk) SourcesDisjoint() bool {
 	return true
 }
 
-// Equivalent reports whether two walks are equivalent: they join the same
-// set of wrappers (the paper defines equivalence as joining the same
-// wrappers regardless of order).
-func (w *Walk) Equivalent(other *Walk) bool {
-	a, b := w.WrapperNames(), other.WrapperNames()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Signature returns a canonical string identifying the walk's wrapper set;
 // equivalent walks share the same signature.
 func (w *Walk) Signature() string {

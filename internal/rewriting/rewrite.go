@@ -234,26 +234,34 @@ func (r *Rewriter) AnswerSPARQL(text string, resolver relational.WrapperResolver
 	return r.Answer(omq, resolver)
 }
 
-// ExecuteResultLimit executes every walk of the rewriting result through the
+// ExecuteResultIDs executes every walk of the rewriting result through the
 // compiled relational engine, renames the projected attributes to their
 // feature names and unions the per-walk relations. The compile loop checks
 // cancellation between walks and each walk execution honors ctx and the
 // context's budget tracker. limit > 0 stops execution once that many
 // distinct answer rows exist, cancelling the walks that can no longer
 // contribute; the retained rows are the first limit distinct rows in walk
-// order. The answer's tuples are in canonical (Tuple.Key) order, so callers
-// render them as they are. ExecuteResultReference preserves the original
-// executor for differential testing.
-func (r *Rewriter) ExecuteResultLimit(ctx context.Context, res *Result, resolver relational.WrapperResolver, limit int) (*relational.Relation, error) {
-	if len(res.UCQ.Walks) == 0 {
-		return relational.NewRelation("answer", relational.Schema{}).Distinct(), nil
-	}
+// order. The answer's rows are in canonical (Tuple.Key) order and still in
+// the ID domain, so a caller decodes them once or encodes them straight to
+// JSON. ExecuteResultReference preserves the original executor for
+// differential testing.
+func (r *Rewriter) ExecuteResultIDs(ctx context.Context, res *Result, resolver relational.WrapperResolver, limit int) (*relational.IDRelation, error) {
 	opts := relational.ExecOptions{
 		Name:   "answer",
 		Limit:  limit,
 		Output: r.featureColumns(res),
 	}
 	return relational.DefaultEngine.ExecuteUnion(ctx, res.UCQ.Walks, resolver, opts)
+}
+
+// ExecuteResultLimit is ExecuteResultIDs decoded into tuples. The frozen
+// bench module pins it; the MDM server encodes the ID-domain answer instead.
+func (r *Rewriter) ExecuteResultLimit(ctx context.Context, res *Result, resolver relational.WrapperResolver, limit int) (*relational.Relation, error) {
+	answer, err := r.ExecuteResultIDs(ctx, res, resolver, limit)
+	if err != nil {
+		return nil, err
+	}
+	return answer.Relation(), nil
 }
 
 // featureColumns declares the answer's columns, replicating the reference

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"bdi/internal/lifecycle"
@@ -151,25 +152,21 @@ func (j *JSON) Pipeline() []string {
 }
 
 // Rows implements Wrapper: it fetches the documents under ctx and runs the
-// pipeline on each (checking cancellation at chunk granularity), keeping
-// only attributes declared in the schema. Pipeline ops that declare a
-// prunable single-attribute output (PushdownOp) are skipped when the
-// pushdown does not need their attribute; ops that can fail are never
-// pruned, so exactly the same documents succeed as in a full execution.
-// Selections and the projection are applied to the transformed tuples.
+// pipeline on each (checking cancellation at chunk granularity) into one
+// scratch tuple that Pushdown.Apply tests and copies a kept document out of,
+// once, under the pushed-down schema. Pipeline ops that declare a prunable
+// single-attribute output (PushdownOp) are skipped when the pushdown does not
+// need their attribute; ops that can fail are never pruned, so exactly the
+// same documents succeed as in a full execution.
 func (j *JSON) Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tuple, error) {
-	_, kept := p.Project(j.schema)
-	needed := map[string]bool{}
-	for _, n := range kept {
-		needed[n] = true
-	}
+	_, needed := p.Project(j.schema)
 	for _, s := range p.Selections {
-		needed[s.Attr] = true
+		needed = append(needed, s.Attr)
 	}
 	pipeline := make([]Op, 0, len(j.pipeline))
 	for _, op := range j.pipeline {
 		if po, ok := op.(PushdownOp); ok {
-			if attr, prunable := po.PushdownOutput(); prunable && !needed[attr] {
+			if attr, prunable := po.PushdownOutput(); prunable && !slices.Contains(needed, attr) {
 				continue
 			}
 		}
@@ -179,38 +176,33 @@ func (j *JSON) Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tu
 	if err != nil {
 		return nil, err
 	}
-	declared := map[string]bool{}
-	for _, n := range j.schema.Names() {
-		declared[n] = true
-	}
-	var rows []relational.Tuple
-	for i, doc := range docs {
-		if i%lifecycle.CheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		out := map[string]any{}
-		failed := false
-		for _, op := range pipeline {
-			if err := op.Apply(doc, out); err != nil {
-				if j.SkipBadDocuments {
-					failed = true
-					break
+	outputs := func(yield func(relational.Tuple) bool) {
+		out := relational.Tuple{}
+	next:
+		for i, doc := range docs {
+			if i%lifecycle.CheckEvery == 0 {
+				if err = ctx.Err(); err != nil {
+					return
 				}
-				return nil, fmt.Errorf("wrapper %s: %w", j.name, err)
+			}
+			clear(out)
+			for _, op := range pipeline {
+				if err = op.Apply(doc, out); err != nil {
+					if j.SkipBadDocuments {
+						err = nil
+						continue next
+					}
+					err = fmt.Errorf("wrapper %s: %w", j.name, err)
+					return
+				}
+			}
+			if !yield(out) {
+				return
 			}
 		}
-		if failed {
-			continue
-		}
-		tuple := relational.Tuple{}
-		for k, v := range out {
-			if declared[k] {
-				tuple[k] = v
-			}
-		}
-		rows = append(rows, tuple)
 	}
-	return p.Apply(j.schema, rows), nil
+	if rows := p.Apply(j.schema, outputs); err == nil {
+		return rows, nil
+	}
+	return nil, err
 }

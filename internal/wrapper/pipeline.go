@@ -2,8 +2,11 @@ package wrapper
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+
+	"bdi/internal/relational"
 )
 
 // Document is a (possibly nested) JSON object produced by a data source.
@@ -14,9 +17,10 @@ type Document = map[string]any
 // transformed into a flat tuple by projecting, renaming and computing
 // attributes.
 type Op interface {
-	// Apply transforms the output tuple given the input document. It returns
-	// an error when a referenced field is missing or has the wrong type.
-	Apply(doc Document, out map[string]any) error
+	// Apply writes the step's attributes of the document into the output
+	// tuple. It returns an error when a referenced field is missing or has
+	// the wrong type.
+	Apply(doc Document, out relational.Tuple) error
 	// Describe returns a human-readable description of the step.
 	Describe() string
 }
@@ -46,12 +50,8 @@ type ProjectField struct {
 }
 
 // Apply implements Op.
-func (p ProjectField) Apply(doc Document, out map[string]any) error {
-	name := p.As
-	if name == "" {
-		segs := strings.Split(p.Path, ".")
-		name = segs[len(segs)-1]
-	}
+func (p ProjectField) Apply(doc Document, out relational.Tuple) error {
+	name := p.name()
 	v, ok := lookupPath(doc, p.Path)
 	if !ok {
 		if p.Optional {
@@ -75,13 +75,14 @@ func (p ProjectField) Describe() string {
 // PushdownOutput implements PushdownOp. Only optional projections are
 // prunable: a required one fails on documents missing the field, and that
 // outcome must survive a pushdown.
-func (p ProjectField) PushdownOutput() (string, bool) {
-	name := p.As
-	if name == "" {
-		segs := strings.Split(p.Path, ".")
-		name = segs[len(segs)-1]
+func (p ProjectField) PushdownOutput() (string, bool) { return p.name(), p.Optional }
+
+// name is the output attribute: As, or else the last path segment.
+func (p ProjectField) name() string {
+	if p.As != "" {
+		return p.As
 	}
-	return name, p.Optional
+	return p.Path[strings.LastIndexByte(p.Path, '.')+1:]
 }
 
 // ComputeRatio computes the ratio of two numeric document fields, mirroring
@@ -93,7 +94,7 @@ type ComputeRatio struct {
 }
 
 // Apply implements Op.
-func (c ComputeRatio) Apply(doc Document, out map[string]any) error {
+func (c ComputeRatio) Apply(doc Document, out relational.Tuple) error {
 	num, err := numericField(doc, c.Numerator)
 	if err != nil {
 		return err
@@ -102,11 +103,10 @@ func (c ComputeRatio) Apply(doc Document, out map[string]any) error {
 	if err != nil {
 		return err
 	}
-	if den == 0 {
-		out[c.As] = nil
-		return nil
+	out[c.As] = nil // a zero denominator, or a quotient overflowing to ±Inf
+	if r := num / den; den != 0 && !math.IsInf(r, 0) {
+		out[c.As] = r
 	}
-	out[c.As] = num / den
 	return nil
 }
 
@@ -127,7 +127,7 @@ type Constant struct {
 }
 
 // Apply implements Op.
-func (c Constant) Apply(doc Document, out map[string]any) error {
+func (c Constant) Apply(doc Document, out relational.Tuple) error {
 	out[c.As] = c.Value
 	return nil
 }
@@ -147,7 +147,7 @@ type Concat struct {
 }
 
 // Apply implements Op.
-func (c Concat) Apply(doc Document, out map[string]any) error {
+func (c Concat) Apply(doc Document, out relational.Tuple) error {
 	parts := make([]string, 0, len(c.Paths))
 	for _, p := range c.Paths {
 		v, ok := lookupPath(doc, p)
@@ -171,42 +171,47 @@ func (c Concat) PushdownOutput() (string, bool) { return c.As, false }
 
 // lookupPath resolves a dot-separated path in a nested document.
 func lookupPath(doc Document, path string) (any, bool) {
-	segs := strings.Split(path, ".")
 	var cur any = doc
-	for _, s := range segs {
+	for {
 		m, ok := cur.(map[string]any)
 		if !ok {
 			return nil, false
 		}
-		cur, ok = m[s]
-		if !ok {
-			return nil, false
+		seg, rest, nested := strings.Cut(path, ".")
+		if cur, ok = m[seg]; !ok || !nested {
+			return cur, ok
 		}
+		path = rest
 	}
-	return cur, true
 }
 
+// numericField reads a finite number, or a string parsing to one: NaN and
+// ±Inf are not numeric, since no answer could carry them to JSON.
 func numericField(doc Document, path string) (float64, error) {
 	v, ok := lookupPath(doc, path)
 	if !ok {
 		return 0, fmt.Errorf("wrapper: document has no field %q", path)
 	}
+	var f float64
 	switch x := v.(type) {
 	case float64:
-		return x, nil
+		f = x
 	case float32:
-		return float64(x), nil
+		f = float64(x)
 	case int:
-		return float64(x), nil
+		f = float64(x)
 	case int64:
-		return float64(x), nil
+		f = float64(x)
 	case string:
-		f, err := strconv.ParseFloat(x, 64)
-		if err != nil {
+		var err error
+		if f, err = strconv.ParseFloat(x, 64); err != nil {
 			return 0, fmt.Errorf("wrapper: field %q is not numeric: %q", path, x)
 		}
-		return f, nil
 	default:
 		return 0, fmt.Errorf("wrapper: field %q is not numeric (%T)", path, v)
 	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("wrapper: field %q is not a finite number: %v", path, f)
+	}
+	return f, nil
 }

@@ -3,6 +3,10 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"bdi/internal/relational"
@@ -114,9 +118,14 @@ func pushdownReferenceCase() (relational.Schema, []relational.Tuple, relational.
 		Attrs:      []string{"a"},
 		Selections: []relational.Selection{{Attr: "id", Values: []relational.Value{1}}},
 	}
-	full := relational.NewRelation("w", schema)
-	full.Add(rows...)
-	return schema, rows, pd, relational.ApplySelections(full, pd.Selections).Project(pd.Attrs).String()
+	// The reference result: the rows whose id equals 1, projected.
+	kept := relational.NewRelation("w", schema)
+	for _, t := range rows {
+		if relational.ValuesEqual(t["id"], 1) {
+			kept.Add(t)
+		}
+	}
+	return schema, rows, pd, kept.Project(pd.Attrs).String()
 }
 
 // TestMemoryRowsPushdownMatchesApplySelections checks the in-memory wrapper
@@ -196,5 +205,108 @@ func (p plainWrapper) Rows(ctx context.Context, pd relational.Pushdown) ([]relat
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return pd.Apply(p.schema, p.rows), nil
+	return pd.Apply(p.schema, slices.Values(p.rows)), nil
+}
+
+// TestJSONRowsPushdownParityRandomized holds JSON.Rows under a pushdown to
+// the shared helper over its full output: for generated pipelines (required,
+// optional and nested paths, constants, ratios over failing documents),
+// documents, SkipBadDocuments settings and pushdowns (attributes, selections
+// on ID and non-ID attributes, renames), JSON.Rows(ctx, p) equals
+// p.Apply(schema, JSON.Rows(ctx, Pushdown{})) tuple for tuple, in order, and
+// fails with the same error.
+func TestJSONRowsPushdownParityRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	paths := []string{"id", "n", "m", "s", "o.id", "o.n", "o.p.q", "missing"}
+	values := []any{1.0, 2.0, int64(2), 3, "2", "x", "NaN", "0", 0.0, nil, true, Document{"q": 1.0}}
+	pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
+	failed, kept := 0, 0
+	for c := 0; c < 400; c++ {
+		var pipeline []Op
+		var outputs []string
+		for range 1 + rng.Intn(5) {
+			as := fmt.Sprintf("a%d", rng.Intn(6))
+			switch rng.Intn(4) {
+			case 0:
+				pipeline = append(pipeline, ProjectField{Path: pick(paths), As: as, Optional: rng.Intn(3) > 0})
+			case 1:
+				pipeline = append(pipeline, Constant{As: as, Value: values[rng.Intn(len(values))]})
+			case 2:
+				pipeline = append(pipeline, ComputeRatio{Numerator: pick(paths), Denominator: pick(paths), As: as})
+			default:
+				// No As: the attribute is the path's last segment.
+				p := ProjectField{Path: pick(paths), Optional: rng.Intn(2) == 0}
+				as, _ = p.PushdownOutput()
+				pipeline = append(pipeline, p)
+			}
+			outputs = append(outputs, as)
+		}
+		// Declare some outputs (and an attribute no op writes), the first as ID.
+		var declared []string
+		for _, a := range append(outputs, "a9") {
+			if !slices.Contains(declared, a) && (len(declared) == 0 || rng.Intn(3) > 0) {
+				declared = append(declared, a)
+			}
+		}
+		schema := relational.NewSchema(declared[:1], declared[1:])
+		docs := make([]Document, rng.Intn(12))
+		for i := range docs {
+			docs[i] = Document{}
+			for _, p := range paths {
+				if rng.Intn(4) == 0 {
+					continue
+				}
+				head, rest, nested := strings.Cut(p, ".")
+				if !nested {
+					docs[i][p] = values[rng.Intn(len(values))]
+					continue
+				}
+				inner, _ := docs[i][head].(Document)
+				if inner == nil {
+					inner = Document{}
+					docs[i][head] = inner
+				}
+				inner[strings.Split(rest, ".")[0]] = values[rng.Intn(len(values))]
+			}
+		}
+		j := NewJSON("wj", "SJ", schema, StaticDocuments(docs), pipeline...)
+		j.SkipBadDocuments = rng.Intn(2) == 0
+
+		var p relational.Pushdown
+		for _, a := range schema.Names() {
+			if rng.Intn(3) == 0 {
+				p.Attrs = append(p.Attrs, a)
+			}
+		}
+		for range rng.Intn(3) {
+			sel := relational.Selection{Attr: pick(append(schema.Names(), "a8"))}
+			for range 1 + rng.Intn(3) {
+				sel.Values = append(sel.Values, values[rng.Intn(len(values))])
+			}
+			p.Selections = append(p.Selections, sel)
+		}
+		if rng.Intn(2) == 0 {
+			p.Rename = map[string]string{}
+			for _, a := range schema.Names() {
+				if rng.Intn(2) == 0 {
+					p.Rename[a] = "SJ/" + a
+				}
+			}
+		}
+
+		full, fullErr := j.Rows(context.Background(), relational.Pushdown{})
+		got, gotErr := j.Rows(context.Background(), p)
+		if fmt.Sprint(fullErr) != fmt.Sprint(gotErr) {
+			t.Fatalf("case %d: errors differ under %+v\nfull:     %v\npushdown: %v", c, p, fullErr, gotErr)
+		}
+		if fullErr != nil {
+			failed++
+			continue
+		}
+		if want := p.Apply(schema, slices.Values(full)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d: pushdown %+v over %v diverges from the shared helper\ngot:  %v\nwant: %v", c, p, docs, got, want)
+		}
+		kept += len(got)
+	}
+	t.Logf("400 cases: %d failed in both runs, %d rows kept by the others", failed, kept)
 }

@@ -9,6 +9,7 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -28,7 +29,8 @@ type Wrapper interface {
 	// source and returns its output tuples under the schema p.Project(Schema())
 	// yields; the zero Pushdown asks for the full output. A cancelled ctx
 	// aborts the source query. A source without native selection or
-	// projection runs its full query and returns p.Apply(Schema(), rows).
+	// projection runs its full query and returns
+	// p.Apply(Schema(), slices.Values(rows)).
 	Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tuple, error)
 }
 
@@ -75,7 +77,7 @@ func (m *Memory) Rows(ctx context.Context, p relational.Pushdown) ([]relational.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.Apply(m.schema, m.rows), nil
+	return p.Apply(m.schema, slices.Values(m.rows)), nil
 }
 
 // Append adds tuples to the in-memory wrapper (useful for event simulation).
@@ -148,21 +150,6 @@ func (r *Registry) Names() []string {
 		out = append(out, n)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// BySource returns the wrappers belonging to the given data source, sorted
-// by name. Multiple wrappers of one source represent its schema versions.
-func (r *Registry) BySource(source string) []Wrapper {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var out []Wrapper
-	for _, w := range r.wrappers {
-		if w.Source() == source {
-			out = append(out, w)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
 }
 

@@ -3,6 +3,7 @@ package wrapper
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -70,7 +71,7 @@ func TestJSONWrapperErrorOnMissingField(t *testing.T) {
 }
 
 func TestComputeRatioEdgeCases(t *testing.T) {
-	out := map[string]any{}
+	out := relational.Tuple{}
 	op := ComputeRatio{Numerator: "a", Denominator: "b", As: "r"}
 	if err := op.Apply(Document{"a": 1.0, "b": 0.0}, out); err != nil {
 		t.Fatal(err)
@@ -90,11 +91,44 @@ func TestComputeRatioEdgeCases(t *testing.T) {
 	if err := op.Apply(Document{"b": 1.0}, out); err == nil {
 		t.Error("missing numerator should error")
 	}
+	// A ratio overflowing to ±Inf has no value, as for a zero denominator.
+	for _, doc := range []Document{{"a": 1e308, "b": 1e-308}, {"a": "-1e308", "b": "1e-10"}} {
+		if err := op.Apply(doc, out); err != nil || out["r"] != nil {
+			t.Errorf("%v: r = %v, err %v; want nil, no error", doc, out["r"], err)
+		}
+	}
+}
+
+// TestNonFiniteFieldIsNotNumeric checks that NaN and ±Inf, spelled as a
+// string or held as a float, fail the document like any non-numeric field:
+// an answer has no JSON for them.
+func TestNonFiniteFieldIsNotNumeric(t *testing.T) {
+	op := ComputeRatio{Numerator: "a", Denominator: "b", As: "r"}
+	for _, v := range []any{"NaN", "nan", "Inf", "+Inf", "-Infinity", "1e400", math.NaN(), math.Inf(-1), float32(math.Inf(1))} {
+		if err := op.Apply(Document{"a": v, "b": 2.0}, relational.Tuple{}); err == nil {
+			t.Errorf("numerator %v (%T) accepted", v, v)
+		}
+		if err := op.Apply(Document{"a": 1.0, "b": v}, relational.Tuple{}); err == nil {
+			t.Errorf("denominator %v (%T) accepted", v, v)
+		}
+	}
+	w := newW1(StaticDocuments{
+		{"monitorId": 1.0, "waitTime": "NaN", "watchTime": 2.0},
+		{"monitorId": 2.0, "waitTime": 1.0, "watchTime": 2.0},
+	})
+	if _, err := w.Rows(context.Background(), relational.Pushdown{}); err == nil || !strings.Contains(err.Error(), "waitTime") {
+		t.Fatalf("a NaN waitTime must fail the wrapper naming the field, got %v", err)
+	}
+	w.SkipBadDocuments = true
+	rows, err := w.Rows(context.Background(), relational.Pushdown{})
+	if err != nil || len(rows) != 1 || rows[0]["lagRatio"] != 0.5 {
+		t.Fatalf("skip-bad-documents: rows=%v err=%v, want only the finite document", rows, err)
+	}
 }
 
 func TestProjectFieldNestedAndOptional(t *testing.T) {
 	doc := Document{"user": map[string]any{"id": float64(7), "name": "ana"}}
-	out := map[string]any{}
+	out := relational.Tuple{}
 	if err := (ProjectField{Path: "user.id", As: "userId"}).Apply(doc, out); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +154,7 @@ func TestProjectFieldNestedAndOptional(t *testing.T) {
 }
 
 func TestConstantAndConcat(t *testing.T) {
-	out := map[string]any{}
+	out := relational.Tuple{}
 	if err := (Constant{As: "version", Value: "v2"}).Apply(Document{}, out); err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +202,8 @@ func TestMemoryWrapperAndRegistry(t *testing.T) {
 	if got := reg.Names(); len(got) != 2 || got[0] != "w1" {
 		t.Errorf("names = %v", got)
 	}
-	if got := reg.BySource("D1"); len(got) != 1 || got[0].Name() != "w1" {
-		t.Errorf("by source = %v", got)
+	if w, _ := reg.Get("w1"); w.Source() != "D1" {
+		t.Errorf("w1 source = %s", w.Source())
 	}
 	rel, err := reg.Fetch(context.Background(), "w2", relational.Pushdown{})
 	if err != nil || rel.Cardinality() != 2 {

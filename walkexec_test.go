@@ -16,6 +16,7 @@ import (
 
 	"bdi/internal/relational"
 	"bdi/internal/rewriting"
+	"bdi/internal/source"
 	"bdi/internal/workload"
 	"bdi/internal/wrapper"
 )
@@ -321,4 +322,34 @@ func TestWalkExecutionAllocationsPerWalk(t *testing.T) {
 		t.Fatalf("executing the Figure 8 union allocates %d objects per walk, ceiling %d", objects, ceiling)
 	}
 	t.Logf("%d objects, %d B allocated per executed walk", objects, (after.TotalAlloc-before.TotalAlloc)/uint64(runs*walks))
+}
+
+// TestJSONRowsAllocationsPerDocument guards the JSON wrapper's one
+// materialisation per document: the qualified fetch of w1 over 2000
+// generated documents runs the pipeline into one scratch tuple, tests the
+// pushdown on it and allocates only the kept tuple (and the boxed ratio).
+func TestJSONRowsAllocationsPerDocument(t *testing.T) {
+	gen := source.NewGenerator(200, 1)
+	docs := gen.VoDDocumentsV1()
+	if len(docs) != 2000 {
+		t.Fatalf("%d documents, want 2000", len(docs))
+	}
+	eco := source.NewEcosystem(gen)
+	eco.VoD.RegisterStatic("v1", "events", docs)
+	resolver := wrapper.NewQualifiedResolver(eco.WrapperRegistry(false))
+	fetch := func() {
+		rel, err := resolver.Fetch(context.Background(), "w1", relational.Pushdown{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Cardinality() != len(docs) {
+			t.Fatalf("fetched %d rows, want %d", rel.Cardinality(), len(docs))
+		}
+	}
+	perDoc := testing.AllocsPerRun(5, fetch) / float64(len(docs))
+	const ceiling = 4
+	if perDoc > ceiling {
+		t.Fatalf("the qualified fetch of w1 allocates %.2f objects per document, ceiling %d", perDoc, ceiling)
+	}
+	t.Logf("%.2f allocations per document", perDoc)
 }
