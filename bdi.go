@@ -27,6 +27,7 @@ package bdi
 
 import (
 	"context"
+	"sync"
 
 	"bdi/internal/core"
 	"bdi/internal/evolution"
@@ -111,6 +112,9 @@ type System struct {
 	Wrappers *wrapper.Registry
 
 	rewriter *rewriting.Rewriter
+	// releaseMu keeps concurrent RegisterRelease calls from interleaving
+	// with each other's undo of a wrapper registration.
+	releaseMu sync.Mutex
 }
 
 // NewSystem returns an empty system: a fresh ontology (metamodel only) and an
@@ -132,30 +136,35 @@ func NewSystemWith(o *core.Ontology, reg *wrapper.Registry) *System {
 // Rewriter exposes the underlying rewriting engine.
 func (s *System) Rewriter() *rewriting.Rewriter { return s.rewriter }
 
-// Resolver returns the wrapper resolver used to execute walks: attribute
+// resolver returns the wrapper resolver used to execute walks: attribute
 // names are qualified with their data source, matching the Source graph.
-func (s *System) Resolver() relational.WrapperResolver {
+func (s *System) resolver() relational.WrapperResolver {
 	return wrapper.NewQualifiedResolver(s.Wrappers)
 }
 
-// RegisterRelease runs Algorithm 1 for the release and, when an executable
-// wrapper is provided, registers it (and an alias for its IRI) so that
-// rewritten queries can be executed immediately.
+// RegisterRelease runs Algorithm 1 for the release. An executable wrapper,
+// when provided, is registered (with an alias for its IRI) before the
+// release is published, so a concurrent query that rewrites to the
+// release's walks can execute them. If the release is not published, the
+// registration is undone. A release that was published but whose release
+// hook failed keeps its wrapper, since readers already see its walks.
 func (s *System) RegisterRelease(r core.Release, w wrapper.Wrapper) (*core.ReleaseResult, error) {
+	s.releaseMu.Lock()
+	defer s.releaseMu.Unlock()
+	undo := func() {}
 	if w != nil {
 		if w.Name() != r.Wrapper.Name {
 			return nil, &MismatchError{ReleaseWrapper: r.Wrapper.Name, ExecutableWrapper: w.Name()}
 		}
+		unregister := s.Wrappers.Register(w)
+		unalias := s.Wrappers.Alias(string(core.WrapperURI(w.Name())), w.Name())
+		undo = func() { unalias(); unregister() }
 	}
 	res, err := s.Ontology.NewRelease(r)
-	if err != nil {
-		return nil, err
+	if res == nil {
+		undo()
 	}
-	if w != nil {
-		s.Wrappers.Register(w)
-		s.Wrappers.Alias(string(core.WrapperURI(w.Name())), w.Name())
-	}
-	return res, nil
+	return res, err
 }
 
 // MismatchError reports a release whose wrapper spec and executable wrapper
@@ -183,12 +192,12 @@ func (s *System) RewriteSPARQL(text string) (*rewriting.Result, error) {
 // Query rewrites and executes an OMQ, returning one column per projected
 // feature.
 func (s *System) Query(q *rewriting.OMQ) (*relational.Relation, *rewriting.Result, error) {
-	return s.rewriter.Answer(q, s.Resolver())
+	return s.rewriter.Answer(q, s.resolver())
 }
 
 // QuerySPARQL rewrites and executes a restricted SPARQL OMQ.
 func (s *System) QuerySPARQL(text string) (*relational.Relation, *rewriting.Result, error) {
-	return s.rewriter.AnswerSPARQL(text, s.Resolver())
+	return s.rewriter.AnswerSPARQL(text, s.resolver())
 }
 
 // Stats returns ontology statistics (triples per graph, counts of concepts,
@@ -212,7 +221,7 @@ type PolicyOptions = rewriting.PolicyOptions
 // versions admitted by the policy: all versions (the paper's default),
 // latest versions only, or as of a given release sequence number.
 func (s *System) QueryWithPolicy(q *rewriting.OMQ, opts rewriting.PolicyOptions) (*relational.Relation, *rewriting.Result, error) {
-	return s.rewriter.AnswerWithPolicy(context.Background(), q, opts, s.Resolver())
+	return s.rewriter.AnswerWithPolicy(context.Background(), q, opts, s.resolver())
 }
 
 // QueryLatest answers the OMQ using only the newest schema version of every
@@ -225,10 +234,4 @@ func (s *System) QueryLatest(q *rewriting.OMQ) (*relational.Relation, *rewriting
 // sequence number (historical query).
 func (s *System) QueryAsOf(q *rewriting.OMQ, release int) (*relational.Relation, *rewriting.Result, error) {
 	return s.QueryWithPolicy(q, rewriting.PolicyOptions{Policy: rewriting.AsOfRelease, Release: release})
-}
-
-// NewRewriteCache returns a cache memoizing rewritings of this system's
-// ontology; it invalidates automatically whenever the ontology changes.
-func (s *System) NewRewriteCache() *rewriting.Cache {
-	return rewriting.NewCache(s.rewriter)
 }

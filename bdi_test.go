@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bdi/internal/core"
+	"bdi/internal/rdf"
 	"bdi/internal/workload"
 )
 
@@ -110,6 +111,84 @@ func TestRegisterReleaseMismatch(t *testing.T) {
 	}
 }
 
+// TestRegisterReleasePublishesRegisteredWrapper checks the publication
+// order: when a release becomes visible to readers, its executable wrapper
+// is already resolvable by name and by IRI, so a concurrent query that
+// rewrites to the release's walk can run it.
+func TestRegisterReleasePublishesRegisteredWrapper(t *testing.T) {
+	sys := NewSystem()
+	if err := BuildSupersedeGlobalGraph(sys.Ontology); err != nil {
+		t.Fatal(err)
+	}
+	published := 0
+	sys.Ontology.SetReleaseHook(func(sp core.DeltaSpan) error {
+		published++
+		name := sp.Delta.Wrapper.LocalName()
+		if _, ok := sys.Wrappers.Get(name); !ok {
+			t.Errorf("release published before its wrapper %s was registered", name)
+		}
+		if _, ok := sys.Wrappers.Get(string(sp.Delta.Wrapper)); !ok {
+			t.Errorf("release published before the IRI alias of %s was registered", name)
+		}
+		return nil
+	})
+	reg := workload.SupersedeTable1Registry(false)
+	for _, r := range []Release{SupersedeReleaseW1(), SupersedeReleaseW2(), SupersedeReleaseW3()} {
+		w, _ := reg.Get(r.Wrapper.Name)
+		if _, err := sys.RegisterRelease(r, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if published != 3 {
+		t.Fatalf("release hook ran %d times, want 3", published)
+	}
+}
+
+// TestRegisterReleaseRejectedLeavesRegistryUnchanged checks that a release
+// Algorithm 1 rejects undoes its wrapper registration: a replaced wrapper
+// comes back, a new one and its IRI alias disappear.
+func TestRegisterReleaseRejectedLeavesRegistryUnchanged(t *testing.T) {
+	sys := NewSystem()
+	if err := BuildSupersedeGlobalGraph(sys.Ontology); err != nil {
+		t.Fatal(err)
+	}
+	reg := workload.SupersedeTable1Registry(false)
+	w1, _ := reg.Get("w1")
+	if _, err := sys.RegisterRelease(SupersedeReleaseW1(), w1); err != nil {
+		t.Fatal(err)
+	}
+	alias := string(core.WrapperURI("w1"))
+	// Releases are immutable: registering w1 again is rejected, and the
+	// replacement wrapper must not stay registered.
+	other := NewMemoryWrapper("w1", "D1", w1.Schema(), nil)
+	if _, err := sys.RegisterRelease(SupersedeReleaseW1(), other); err == nil {
+		t.Fatal("re-registering w1 must be rejected")
+	}
+	for _, name := range []string{"w1", alias} {
+		if got, ok := sys.Wrappers.Get(name); !ok || got != w1 {
+			t.Errorf("Get(%s) = %v, %v after a rejected release; want the original w1", name, got, ok)
+		}
+	}
+	// A release whose LAV subgraph is not part of G is rejected before it
+	// is published: its wrapper and alias must not be left behind.
+	bad := SupersedeReleaseW2()
+	bad.Subgraph = NewGraph("")
+	bad.Subgraph.Add(rdf.T("http://example.org/nowhere", core.GHasFeature, core.SupLagRatio))
+	w2, _ := reg.Get("w2")
+	if _, err := sys.RegisterRelease(bad, w2); err == nil {
+		t.Fatal("a release outside G must be rejected")
+	}
+	if got := sys.Wrappers.Names(); len(got) != 1 || got[0] != "w1" {
+		t.Errorf("registry = %v after a rejected release, want [w1]", got)
+	}
+	// A leftover alias would resolve w2's IRI as soon as a wrapper named w2
+	// is registered by any other path.
+	sys.Wrappers.Register(w2)
+	if _, ok := sys.Wrappers.Get(string(core.WrapperURI("w2"))); ok {
+		t.Error("the IRI alias of a rejected release's wrapper is still registered")
+	}
+}
+
 func TestRegisterReleaseWithoutExecutableWrapper(t *testing.T) {
 	sys := NewSystem()
 	if err := BuildSupersedeGlobalGraph(sys.Ontology); err != nil {
@@ -147,7 +226,7 @@ func TestSystemStatsAndPrebuilt(t *testing.T) {
 	if err != nil || answer.Cardinality() != 3 {
 		t.Errorf("prebuilt system answer = %v, %v", answer, err)
 	}
-	if sys2.Rewriter() == nil || sys2.Resolver() == nil {
+	if sys2.Rewriter() == nil || sys2.resolver() == nil {
 		t.Error("accessors should not be nil")
 	}
 	// Wrapper IRI aliases resolve through the registry after RegisterRelease.

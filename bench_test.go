@@ -18,7 +18,6 @@ import (
 	"bdi/internal/evolution"
 	"bdi/internal/gav"
 	"bdi/internal/rdf"
-	"bdi/internal/reasoner"
 	"bdi/internal/relational"
 	"bdi/internal/rewriting"
 	"bdi/internal/sparql"
@@ -335,57 +334,6 @@ func BenchmarkAblationGAVAnswerAfterEvolution(b *testing.B) {
 		// GAV misses the evolved version's rows (3 instead of 4).
 		if answer.Cardinality() != 3 {
 			b.Fatalf("rows = %d", answer.Cardinality())
-		}
-	}
-}
-
-// --------------------------------------------------------------------------
-// E8 (ablation): query-time RDFS inference vs materialization.
-// --------------------------------------------------------------------------
-
-const identifierTaxonomyQuery = `
-PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-PREFIX sc: <http://schema.org/>
-SELECT ?f WHERE { ?f rdfs:subClassOf sc:identifier . }`
-
-func BenchmarkAblationEntailmentQueryTime(b *testing.B) {
-	o, err := core.BuildSupersedeOntology(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eval := sparql.NewEvaluator(o.Store())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sols, err := eval.Select(identifierTaxonomyQuery)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sols.Len() != 3 {
-			b.Fatalf("solutions = %d", sols.Len())
-		}
-	}
-}
-
-func BenchmarkAblationEntailmentMaterialized(b *testing.B) {
-	o, err := core.BuildSupersedeOntology(true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := o.Store()
-	if _, err := reasoner.Materialize(s); err != nil {
-		b.Fatal(err)
-	}
-	eval := sparql.NewPlainEvaluator(s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sols, err := eval.Select(identifierTaxonomyQuery)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sols.Len() != 3 {
-			b.Fatalf("solutions = %d", sols.Len())
 		}
 	}
 }

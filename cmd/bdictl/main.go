@@ -31,6 +31,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -109,9 +110,10 @@ func main() {
 	case "concepts":
 		for _, c := range sys.Ontology.Concepts() {
 			fmt.Println(sys.Ontology.Prefixes().Compact(c))
+			ids := sys.Ontology.IdentifiersOf(c)
 			for _, f := range sys.Ontology.FeaturesOf(c) {
 				marker := ""
-				if sys.Ontology.IsIdentifier(f) {
+				if slices.Contains(ids, f) {
 					marker = " (ID)"
 				}
 				fmt.Printf("  - %s%s\n", sys.Ontology.Prefixes().Compact(f), marker)

@@ -8,7 +8,7 @@
 //	benchrunner -table 6        industrial applicability (Table 6)
 //	benchrunner -figure 8       query answering time vs wrappers per concept
 //	benchrunner -figure 11      Source-graph growth per Wordpress release
-//	benchrunner -ablation lav-gav | entailment | attribute-reuse | overload
+//	benchrunner -ablation lav-gav | attribute-reuse | overload
 //	benchrunner -replicas 2     read-replica throughput and staleness under write churn
 //	benchrunner -all            every table, figure and ablation
 //
@@ -31,11 +31,8 @@ import (
 	"bdi/internal/evolution"
 	"bdi/internal/gav"
 	"bdi/internal/rdf"
-	"bdi/internal/reasoner"
 	"bdi/internal/relational"
 	"bdi/internal/rewriting"
-	"bdi/internal/sparql"
-	"bdi/internal/store"
 	"bdi/internal/workload"
 	"bdi/internal/wrapper"
 )
@@ -43,7 +40,7 @@ import (
 func main() {
 	table := flag.Int("table", 0, "regenerate a table of the paper (3, 4, 5 or 6)")
 	figure := flag.Int("figure", 0, "regenerate a figure of the paper (8 or 11)")
-	ablation := flag.String("ablation", "", "run an ablation: lav-gav, entailment, attribute-reuse or overload")
+	ablation := flag.String("ablation", "", "run an ablation: lav-gav, attribute-reuse or overload")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "replicas: number of concurrent query goroutines")
 	all := flag.Bool("all", false, "regenerate every table, figure and ablation")
 	maxWrappers := flag.Int("max-wrappers", 8, "figure 8: maximum number of wrappers per concept")
@@ -79,10 +76,6 @@ func main() {
 	}
 	if *all || *ablation == "lav-gav" {
 		printLAVvsGAV()
-		ran = true
-	}
-	if *all || *ablation == "entailment" {
-		printEntailmentAblation()
 		ran = true
 	}
 	if *all || *ablation == "attribute-reuse" {
@@ -239,58 +232,6 @@ func printLAVvsGAV() {
 	fmt.Printf("%-28s %8d %8d\n", "GAV unfolding (baseline)", 1, gavAnswer.Cardinality())
 	fmt.Printf("-> GAV misses the rows served by the evolved schema version (w4); repair cost: %d mapping rewrites vs 1 release\n",
 		g.RepairCost("w1", "lagRatio", map[string][]string{"D1": {"w1", "w4"}}))
-}
-
-// printEntailmentAblation compares query-time RDFS inference against full
-// materialization on an identifier-taxonomy query.
-func printEntailmentAblation() {
-	header("Ablation — query-time RDFS inference vs materialization")
-	build := func() *store.Store {
-		o, err := core.BuildSupersedeOntology(true)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return o.Store()
-	}
-	query := `
-PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
-PREFIX sc: <http://schema.org/>
-SELECT ?f WHERE { ?f rdfs:subClassOf sc:identifier . }`
-
-	// Query-time inference.
-	s1 := build()
-	eval1 := sparql.NewEvaluator(s1)
-	start := time.Now()
-	sols1, err := eval1.Select(query)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	queryTime := time.Since(start)
-
-	// Materialization first, then plain evaluation.
-	s2 := build()
-	start = time.Now()
-	added, err := reasoner.Materialize(s2)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	materializeTime := time.Since(start)
-	eval2 := sparql.NewPlainEvaluator(s2)
-	start = time.Now()
-	sols2, err := eval2.Select(query)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	materializedQueryTime := time.Since(start)
-
-	fmt.Printf("%-34s %10s %12s %8s\n", "strategy", "answers", "prep time", "query")
-	fmt.Printf("%-34s %10d %12s %8s\n", "query-time inference", sols1.Len(), "-", queryTime.Round(time.Microsecond))
-	fmt.Printf("%-34s %10d %12s %8s\n", "materialization (+"+fmt.Sprint(added)+" triples)", sols2.Len(), materializeTime.Round(time.Microsecond), materializedQueryTime.Round(time.Microsecond))
-	fmt.Println("-> both strategies return the same answers; materialization trades store growth for cheaper queries")
 }
 
 // printAttributeReuseAblation compares Source-graph growth with and without

@@ -12,6 +12,7 @@ import (
 	"bdi/internal/core"
 	"bdi/internal/rdf"
 	"bdi/internal/relational"
+	"bdi/internal/rewriting"
 	"bdi/internal/source"
 	"bdi/internal/steward"
 	"bdi/internal/workload"
@@ -152,7 +153,7 @@ func TestIntegrationVersionPoliciesAndCache(t *testing.T) {
 	}
 
 	// Cache: repeated rewritings are served from memory until a release lands.
-	cache := sys.NewRewriteCache()
+	cache := rewriting.NewCache(sys.Rewriter())
 	if _, err := cache.Rewrite(omq); err != nil {
 		t.Fatal(err)
 	}

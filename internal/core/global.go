@@ -122,10 +122,35 @@ func (o *Ontology) IsFeature(iri rdf.IRI) bool {
 	return o.isTypedLocked(iri, GFeature)
 }
 
-// IsIdentifier reports whether the feature is (transitively) a subclass of
-// sc:identifier.
+// IsIdentifier reports whether the feature is an rdfs:subClassOf
+// sc:identifier, reflexively and transitively, in any graph of the current
+// store generation.
 func (o *Ontology) IsIdentifier(feature rdf.IRI) bool {
-	return o.engine.IsSubClassOf(feature, rdf.SchemaIdentifier)
+	return isIdentifier(o.store.Snapshot(), feature)
+}
+
+// isIdentifier walks up the rdfs:subClassOf edges of one snapshot from the
+// class, following IRI objects only, and reports whether it reaches
+// sc:identifier. Each class is expanded once, so cycles end the walk.
+func isIdentifier(sn store.Snapshot, class rdf.IRI) bool {
+	seen := map[rdf.IRI]bool{}
+	for stack := []rdf.IRI{class}; len(stack) > 0; {
+		c := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if c == rdf.SchemaIdentifier {
+			return true
+		}
+		if seen[c] {
+			continue
+		}
+		seen[c] = true
+		for _, q := range sn.Match(store.WildcardGraph(c, rdf.RDFSSubClassOf, nil)) {
+			if sup, ok := q.Object.(rdf.IRI); ok {
+				stack = append(stack, sup)
+			}
+		}
+	}
+	return false
 }
 
 // Concepts returns all declared concepts, sorted.
@@ -154,10 +179,12 @@ func (o *Ontology) ConceptOfFeature(feature rdf.IRI) (rdf.IRI, bool) {
 	return "", false
 }
 
-// IdentifiersOf returns the ID features of a concept: features linked via
-// G:hasFeature that are (transitively) subclasses of sc:identifier. The
-// result is memoized per store generation (phase #3 resolves the ID feature
-// of the same concept for every candidate walk).
+// IdentifiersOf returns the ID features of a concept, in FeaturesOf order:
+// features linked via G:hasFeature that are (transitively) subclasses of
+// sc:identifier. The result is memoized per store generation (phase #3
+// resolves the ID feature of the same concept for every candidate walk) and
+// carried across releases, which never change it: a release's LAV subgraph
+// is a subgraph of G, so it adds no subclass edge G lacks.
 func (o *Ontology) IdentifiersOf(concept rdf.IRI) []rdf.IRI {
 	qc := o.queryCache()
 	cid, ok := qc.snap.Dict().LookupIRI(concept)
@@ -171,8 +198,8 @@ func (o *Ontology) IdentifiersOf(concept rdf.IRI) []rdf.IRI {
 	}
 	qc.mu.Unlock()
 	var out []rdf.IRI
-	for _, f := range o.FeaturesOf(concept) {
-		if o.IsIdentifier(f) {
+	for _, f := range objectIRIs(qc.snap, GlobalGraphName, concept, GHasFeature) {
+		if isIdentifier(qc.snap, f) {
 			out = append(out, f)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"bdi/internal/rdf"
-	"bdi/internal/reasoner"
 	"bdi/internal/store"
 )
 
@@ -18,7 +17,6 @@ type Ontology struct {
 	mu sync.RWMutex
 
 	store    *store.Store
-	engine   *reasoner.Engine
 	prefixes *rdf.PrefixMap
 
 	// qc memoizes rewriting-time lookups for one store generation (see
@@ -40,10 +38,8 @@ type Ontology struct {
 // NewOntology returns an ontology whose store is initialized with the
 // metadata models for G (Code 6) and S (Code 7).
 func NewOntology() *Ontology {
-	s := store.New()
 	o := &Ontology{
-		store:    s,
-		engine:   reasoner.New(s),
+		store:    store.New(),
 		prefixes: DefaultPrefixes(),
 	}
 	o.installMetamodel()
@@ -59,7 +55,6 @@ func NewOntology() *Ontology {
 func RestoreOntology(s *store.Store, spans []DeltaSpan) *Ontology {
 	o := &Ontology{
 		store:    s,
-		engine:   reasoner.New(s),
 		prefixes: DefaultPrefixes(),
 	}
 	o.RestoreDeltaLog(spans)

@@ -259,9 +259,9 @@ func (s *Server) handleConcepts(w http.ResponseWriter, r *http.Request) {
 		cv := ConceptView{Concept: string(c)}
 		for _, f := range o.FeaturesOf(c) {
 			cv.Features = append(cv.Features, string(f))
-			if o.IsIdentifier(f) {
-				cv.Identifiers = append(cv.Identifiers, string(f))
-			}
+		}
+		for _, f := range o.IdentifiersOf(c) {
+			cv.Identifiers = append(cv.Identifiers, string(f))
 		}
 		out = append(out, cv)
 	}

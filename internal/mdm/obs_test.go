@@ -117,13 +117,10 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("scrape is missing series %s", series)
 		}
 	}
-	// Histograms from the hot-path packages. bdi_sparql_eval_seconds is
-	// registered (the standalone SPARQL engine) but not driven by the OMQ
-	// answer path, so only its family declaration is required.
+	// Histograms from the hot-path packages.
 	for _, family := range []string{
 		"bdi_query_duration_seconds",
 		"bdi_rewrite_duration_seconds",
-		"bdi_sparql_eval_seconds",
 		"bdi_walk_exec_seconds",
 		"bdi_walk_compile_seconds",
 		"bdi_wrapper_fetch_seconds",
@@ -310,7 +307,7 @@ func TestTraceSpanTree(t *testing.T) {
 	// The span set is what bench/trace.go cuts the request by: ordering the
 	// answer added attributes, not a span.
 	for name := range names {
-		if !slices.Contains([]string{snap.Spans[0].Name, "admit", "rewrite", "rewrite.unit", "rewrite.assemble", "sparql.eval", "eval", "walk", "wrapper.fetch"}, name) {
+		if !slices.Contains([]string{snap.Spans[0].Name, "admit", "rewrite", "rewrite.unit", "rewrite.assemble", "eval", "walk", "wrapper.fetch"}, name) {
 			t.Errorf("trace has an unexpected %q span; got %v", name, names)
 		}
 	}

@@ -1,4 +1,4 @@
-package sparql
+package oracle
 
 import (
 	"fmt"

@@ -1,90 +1,38 @@
-// Package reasoner implements the RDFS entailment regime assumed by the
-// paper (§2): subclass, subproperty, domain and range inference over the
-// quad store. Two modes are provided:
-//
-//   - Materialize: forward-chaining closure that writes the entailed triples
-//     back into the store (into the same graph as the triples that produced
-//     them), mirroring a triplestore configured with RDFS inference.
-//   - Engine: query-time inference that answers "is X a (transitive)
-//     subclass of Y" and "which classes are below C" questions without
-//     materializing, used by the rewriting algorithms for identifier
-//     taxonomy lookups (e.g. sup:monitorId rdfs:subClassOf sc:identifier)
-//     and by the SPARQL evaluator's entailment regime.
-//
-// Query-time inference is snapshot-aware: ClosureAt computes (and caches)
-// the hierarchy closures for one pinned store.Snapshot, so a consumer that
-// pins a snapshot — e.g. one SPARQL evaluation — sees base matches and
-// entailed quads from the same store generation even while writers publish
-// new ones.
+// Package oracle holds reference implementations that only tests import:
+// the SPARQL evaluator (eval.go) and the RDFS entailment regime the paper
+// assumes for G (§2), here as a hierarchy closure and a forward-chaining
+// materialization (closure.go). Production code never links this package:
+// OMQs are answered by rewriting them into walks (Algorithms 2-5), and the
+// one RDFS question production asks, whether a feature is a subclass of
+// sc:identifier, is a walk in core.
 //
 // Only the RDFS rules that matter for the BDI ontology are implemented
 // (rdfs5, rdfs7, rdfs9, rdfs11, rdfs2, rdfs3); axiomatic triples about the
 // RDF/RDFS vocabulary itself are intentionally not generated to keep the
 // stored graphs small, as the paper's growth analysis (§6.4) counts only
 // application triples.
-package reasoner
+package oracle
 
 import (
 	"slices"
-	"sync"
 
 	"bdi/internal/rdf"
 	"bdi/internal/store"
 )
 
-// Engine provides query-time RDFS inference over a store. It caches the
-// subclass and subproperty hierarchies of one store generation as an
-// immutable Closure and rebuilds it whenever a consumer asks for a
-// different generation. It is safe for concurrent use.
-type Engine struct {
-	store *store.Store
-
-	mu sync.Mutex
-	cl *Closure
-}
-
-// New returns an inference engine over the given store.
-func New(s *store.Store) *Engine {
-	return &Engine{store: s}
-}
-
-// Store returns the underlying store.
-func (e *Engine) Store() *store.Store { return e.store }
-
 // Closure holds the subclass/subproperty hierarchy closures of one store
 // snapshot. A Closure never changes after construction and is safe for
 // concurrent use.
 type Closure struct {
-	snap     store.Snapshot
 	subClass map[string]map[string]bool // class -> all (transitive) superclasses
 	subProp  map[string]map[string]bool // property -> all (transitive) superproperties
 }
 
-// ClosureAt returns the hierarchy closure of the given snapshot, serving
-// the cached instance when it was built from that exact snapshot and
-// rebuilding otherwise (the cache is keyed on snapshot identity, so a
-// foreign store's snapshot can never be served this store's hierarchy).
-// Consumers that need base matches and entailment to agree must probe the
-// same snapshot they pass here.
-func (e *Engine) ClosureAt(sn store.Snapshot) *Closure {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cl != nil && e.cl.snap == sn {
-		return e.cl
-	}
-	e.cl = buildClosure(sn)
-	return e.cl
-}
-
-// closure pins the store's current snapshot and returns its closure.
-func (e *Engine) closure() *Closure {
-	return e.ClosureAt(e.store.Snapshot())
-}
-
-// buildClosure computes the hierarchy closures of one snapshot.
-func buildClosure(sn store.Snapshot) *Closure {
+// ClosureAt computes the hierarchy closures of one pinned snapshot.
+// Consumers that need base matches and entailment to agree probe the same
+// snapshot they pass here.
+func ClosureAt(sn store.Snapshot) *Closure {
 	return &Closure{
-		snap:     sn,
 		subClass: nameClosure(transitiveClosureIDs(sn, rdf.RDFSSubClassOf)),
 		subProp:  nameClosure(transitiveClosureIDs(sn, rdf.RDFSSubPropertyOf)),
 	}
@@ -127,22 +75,6 @@ func (c *Closure) SubClassesOf(class rdf.IRI) []rdf.IRI {
 	return out
 }
 
-// IsSubClassOf reports whether sub is rdfs:subClassOf sup at the store's
-// current generation, directly or transitively (reflexive).
-func (e *Engine) IsSubClassOf(sub, sup rdf.IRI) bool { return e.closure().IsSubClassOf(sub, sup) }
-
-// IsSubPropertyOf reports whether sub is rdfs:subPropertyOf sup at the
-// store's current generation, directly or transitively (reflexive).
-func (e *Engine) IsSubPropertyOf(sub, sup rdf.IRI) bool { return e.closure().IsSubPropertyOf(sub, sup) }
-
-// SuperClasses returns all (transitive) superclasses of the given class,
-// sorted, excluding the class itself.
-func (e *Engine) SuperClasses(class rdf.IRI) []rdf.IRI { return e.closure().SuperClasses(class) }
-
-// SubClassesOf returns all classes that are (transitively) subclasses of the
-// given class, excluding the class itself.
-func (e *Engine) SubClassesOf(class rdf.IRI) []rdf.IRI { return e.closure().SubClassesOf(class) }
-
 // Materialize computes the RDFS closure of the store under every supported
 // rule (rdfs11 and rdfs5 transitivity, rdfs9 type and rdfs7 property
 // inheritance, rdfs2/rdfs3 domain and range typing) and inserts the entailed
@@ -165,8 +97,8 @@ func Materialize(s *store.Store) (int, error) {
 
 func materializeOnce(s *store.Store) (int, error) {
 	sn := s.Snapshot()
-	subClass := nameClosure(transitiveClosureIDs(sn, rdf.RDFSSubClassOf))
-	subProp := nameClosure(transitiveClosureIDs(sn, rdf.RDFSSubPropertyOf))
+	cl := ClosureAt(sn)
+	subClass, subProp := cl.subClass, cl.subProp
 
 	newQuads := closureQuads(rdf.RDFSSubClassOf, subClass)
 	newQuads = append(newQuads, closureQuads(rdf.RDFSSubPropertyOf, subProp)...)
@@ -284,7 +216,7 @@ func transitiveClosureIDs(sn store.Snapshot, predicate rdf.IRI) (map[rdf.TermID]
 }
 
 // nameClosure converts an ID-keyed closure into the IRI-string form exposed
-// by the Engine's public accessors.
+// by the Closure's accessors.
 func nameClosure(closure map[rdf.TermID]map[rdf.TermID]bool, names map[rdf.TermID]string) map[string]map[string]bool {
 	out := make(map[string]map[string]bool, len(closure))
 	for node, reach := range closure {

@@ -1,25 +1,14 @@
-package sparql
+package oracle
 
 import (
 	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
-	"bdi/internal/obs"
 	"bdi/internal/rdf"
-	"bdi/internal/reasoner"
+	"bdi/internal/sparql"
 	"bdi/internal/store"
-)
-
-// Evaluator metrics. No request path evaluates SPARQL today; the benchmark
-// reads both series to show that it stays that way.
-var (
-	evalSeconds = obs.NewHistogram("bdi_sparql_eval_seconds",
-		"Latency of SPARQL evaluations against a pinned snapshot.")
-	evalRowsTotal = obs.NewCounter("bdi_sparql_eval_rows_total",
-		"Solution rows produced by SPARQL evaluations.")
 )
 
 // Binding is a single solution mapping from variable names to terms.
@@ -117,24 +106,23 @@ func (s *Solutions) String() string {
 //
 // Bindings are maps from variables to terms; each pattern extends every
 // binding through one store probe. Every evaluation pins one
-// store.Snapshot up front — base matching, entailment and the reasoner
-// closures all read from that pinned generation — so a query returns an
+// store.Snapshot up front — base matching, entailment and the hierarchy
+// closure all read from that pinned generation — so a query returns an
 // answer consistent with a single store state even while writers publish
 // new snapshots concurrently. The Evaluator is safe for concurrent use.
 type Evaluator struct {
 	store      *store.Store
-	engine     *reasoner.Engine
 	Entailment bool
 }
 
 // NewEvaluator returns an evaluator with RDFS entailment enabled.
 func NewEvaluator(s *store.Store) *Evaluator {
-	return &Evaluator{store: s, engine: reasoner.New(s), Entailment: true}
+	return &Evaluator{store: s, Entailment: true}
 }
 
 // NewPlainEvaluator returns an evaluator without entailment.
 func NewPlainEvaluator(s *store.Store) *Evaluator {
-	return &Evaluator{store: s, engine: reasoner.New(s), Entailment: false}
+	return &Evaluator{store: s}
 }
 
 // Store returns the underlying store.
@@ -142,7 +130,7 @@ func (e *Evaluator) Store() *store.Store { return e.store }
 
 // Select parses and evaluates a query text.
 func (e *Evaluator) Select(queryText string) (*Solutions, error) {
-	q, err := Parse(queryText)
+	q, err := sparql.Parse(queryText)
 	if err != nil {
 		return nil, err
 	}
@@ -151,36 +139,24 @@ func (e *Evaluator) Select(queryText string) (*Solutions, error) {
 
 // Evaluate evaluates a parsed query against the store's current snapshot,
 // under the context's cancellation and deadline.
-func (e *Evaluator) Evaluate(ctx context.Context, q *Query) (*Solutions, error) {
+func (e *Evaluator) Evaluate(ctx context.Context, q *sparql.Query) (*Solutions, error) {
 	return e.EvaluateAt(ctx, e.store.Snapshot(), q)
 }
 
 // EvaluateAt evaluates a parsed query against a pinned snapshot: every
-// probe — base matching, entailment expansion and reasoner closures — reads
-// from sn, so the answer reflects exactly one store generation. Callers
+// probe — base matching, entailment expansion and the hierarchy closure —
+// reads from sn, so the answer reflects exactly one store generation. Callers
 // coordinating several queries (or a query plus other reads) pin one
 // snapshot and pass it to each. The join checks ctx once per binding it
 // extends, so a cancelled client or an expired deadline aborts mid-join with
 // the context's error.
-func (e *Evaluator) EvaluateAt(ctx context.Context, sn store.Snapshot, q *Query) (*Solutions, error) {
-	ctx, span := obs.StartSpan(ctx, "sparql.eval")
-	start := time.Now()
-	defer func() {
-		evalSeconds.Observe(time.Since(start))
-		span.End()
-	}()
-	ev := &evaluation{ctx: ctx, sn: sn, engine: e.engine, entailment: e.Entailment}
-	sols, err := ev.evaluate(q)
-	if err != nil {
-		return nil, err
-	}
-	evalRowsTotal.Add(int64(sols.Len()))
-	span.SetAttrInt("rows", int64(sols.Len()))
-	return sols, nil
+func (e *Evaluator) EvaluateAt(ctx context.Context, sn store.Snapshot, q *sparql.Query) (*Solutions, error) {
+	ev := &evaluation{ctx: ctx, sn: sn, entailment: e.Entailment}
+	return ev.evaluate(q)
 }
 
 // Ask reports whether the query has at least one solution.
-func (e *Evaluator) Ask(q *Query) (bool, error) {
+func (e *Evaluator) Ask(q *sparql.Query) (bool, error) {
 	sols, err := e.Evaluate(context.Background(), q)
 	if err != nil {
 		return false, err
@@ -194,19 +170,18 @@ func (e *Evaluator) Ask(q *Query) (bool, error) {
 type evaluation struct {
 	ctx        context.Context
 	sn         store.Snapshot
-	engine     *reasoner.Engine
 	entailment bool
-	cl         *reasoner.Closure
+	cl         *Closure
 }
 
-func (ev *evaluation) closure() *reasoner.Closure {
+func (ev *evaluation) closure() *Closure {
 	if ev.cl == nil {
-		ev.cl = ev.engine.ClosureAt(ev.sn)
+		ev.cl = ClosureAt(ev.sn)
 	}
 	return ev.cl
 }
 
-func (ev *evaluation) evaluate(q *Query) (*Solutions, error) {
+func (ev *evaluation) evaluate(q *sparql.Query) (*Solutions, error) {
 	// Seed bindings from the VALUES table (cartesian of rows, usually one).
 	seeds := []Binding{{}}
 	if !q.Values.IsEmpty() {
@@ -225,7 +200,7 @@ func (ev *evaluation) evaluate(q *Query) (*Solutions, error) {
 
 	bindings := seeds
 	// Order patterns to keep joins selective: patterns with constants first.
-	patterns := append([]TriplePattern(nil), q.Where...)
+	patterns := append([]sparql.TriplePattern(nil), q.Where...)
 	sort.SliceStable(patterns, func(i, j int) bool {
 		return selectivity(patterns[i]) < selectivity(patterns[j])
 	})
@@ -308,7 +283,7 @@ func (ev *evaluation) evaluate(q *Query) (*Solutions, error) {
 	return &Solutions{Variables: vars, Bindings: projected}, nil
 }
 
-func selectivity(tp TriplePattern) int {
+func selectivity(tp sparql.TriplePattern) int {
 	score := 0
 	for _, t := range []rdf.Term{tp.Subject, tp.Predicate, tp.Object} {
 		if t == nil || t.Kind() == rdf.KindVariable {
@@ -319,7 +294,7 @@ func selectivity(tp TriplePattern) int {
 }
 
 // extend joins the current bindings with the matches of a single pattern.
-func (ev *evaluation) extend(bindings []Binding, tp TriplePattern, from rdf.IRI) ([]Binding, error) {
+func (ev *evaluation) extend(bindings []Binding, tp sparql.TriplePattern, from rdf.IRI) ([]Binding, error) {
 	var out []Binding
 	for _, b := range bindings {
 		if err := ev.ctx.Err(); err != nil {
@@ -428,7 +403,7 @@ func (ev *evaluation) entail(p store.Pattern, predicate, object rdf.Term, base [
 // extendSubClassMatches adds the transitive rdfs:subClassOf closure (the
 // rewriting algorithms ask e.g. whether a feature is a subclass of
 // sc:identifier, possibly through intermediate domains). Closure quads are
-// synthesized from the reasoner without consulting the graph restriction;
+// synthesized from the closure without consulting the graph restriction;
 // they carry the pattern's graph.
 func (ev *evaluation) extendSubClassMatches(p store.Pattern, out []rdf.Quad) []rdf.Quad {
 	subj, subjConcrete := p.Subject.(rdf.IRI)
@@ -495,7 +470,7 @@ func bindTerm(b Binding, patternTerm rdf.Term, value rdf.Term) bool {
 	return true
 }
 
-func evalFilter(f Filter, b Binding) bool {
+func evalFilter(f sparql.Filter, b Binding) bool {
 	return filterSatisfied(f.Op, resolveFilterTerm(f.Left, b), resolveFilterTerm(f.Right, b))
 }
 
@@ -512,7 +487,7 @@ func resolveFilterTerm(t rdf.Term, b Binding) rdf.Term {
 
 // filterSatisfied applies a FILTER comparison to two resolved terms; an
 // unresolved (nil) operand fails the filter.
-func filterSatisfied(op FilterOp, left, right rdf.Term) bool {
+func filterSatisfied(op sparql.FilterOp, left, right rdf.Term) bool {
 	if left == nil || right == nil {
 		return false
 	}
@@ -527,42 +502,42 @@ func filterSatisfied(op FilterOp, left, right rdf.Term) bool {
 		}
 	}
 	switch op {
-	case OpEq:
+	case sparql.OpEq:
 		return left.Equal(right)
-	case OpNeq:
+	case sparql.OpNeq:
 		return !left.Equal(right)
 	default:
 		return compareStrings(left.Value(), right.Value(), op)
 	}
 }
 
-func compareFloats(a, b float64, op FilterOp) bool {
+func compareFloats(a, b float64, op sparql.FilterOp) bool {
 	switch op {
-	case OpEq:
+	case sparql.OpEq:
 		return a == b
-	case OpNeq:
+	case sparql.OpNeq:
 		return a != b
-	case OpLt:
+	case sparql.OpLt:
 		return a < b
-	case OpLe:
+	case sparql.OpLe:
 		return a <= b
-	case OpGt:
+	case sparql.OpGt:
 		return a > b
-	case OpGe:
+	case sparql.OpGe:
 		return a >= b
 	}
 	return false
 }
 
-func compareStrings(a, b string, op FilterOp) bool {
+func compareStrings(a, b string, op sparql.FilterOp) bool {
 	switch op {
-	case OpLt:
+	case sparql.OpLt:
 		return a < b
-	case OpLe:
+	case sparql.OpLe:
 		return a <= b
-	case OpGt:
+	case sparql.OpGt:
 		return a > b
-	case OpGe:
+	case sparql.OpGe:
 		return a >= b
 	}
 	return false

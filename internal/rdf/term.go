@@ -3,8 +3,8 @@
 // prefix management and the XSD datatypes referenced by the Global graph.
 //
 // The package is deliberately self-contained (standard library only) and is
-// the foundation for the quad store (internal/store), the RDFS reasoner
-// (internal/reasoner) and the SPARQL subset evaluator (internal/sparql).
+// the foundation for the quad store (internal/store), the SPARQL parser
+// (internal/sparql) and the ontology (internal/core).
 package rdf
 
 import (

@@ -191,29 +191,6 @@ func TestEnginePushdownProjection(t *testing.T) {
 	}
 }
 
-// TestApplySelectionsReference checks the reference selection semantics used
-// by pushdown-capable sources.
-func TestApplySelectionsReference(t *testing.T) {
-	rel := NewRelation("w", NewSchema([]string{"id"}, []string{"v"}))
-	rel.Add(
-		Tuple{"id": 1, "v": "x"},
-		Tuple{"id": 2, "v": "y"},
-		Tuple{"id": int64(1), "v": "z"}, // equal to 1 under ValuesEqual
-		Tuple{"id": nil, "v": "n"},
-	)
-	out := applySelections(rel, []Selection{{Attr: "id", Values: []Value{1}}})
-	if out.Cardinality() != 2 {
-		t.Fatalf("selection kept %d tuples, want 2 (1 and int64(1)): %s", out.Cardinality(), out)
-	}
-	out = applySelections(rel, []Selection{{Attr: "id", Values: []Value{nil}}})
-	if out.Cardinality() != 1 {
-		t.Fatalf("nil selection kept %d tuples, want 1: %s", out.Cardinality(), out)
-	}
-	if same := applySelections(rel, nil); same.Cardinality() != rel.Cardinality() {
-		t.Fatalf("empty selection list must keep everything")
-	}
-}
-
 // TestValueDictEquivalenceClasses pins the dictionary's value identity: every
 // numeric spelling of the same integral value interns to one ID, renderings
 // that collide across kinds do not, and missing vs nil stay distinct IDs that

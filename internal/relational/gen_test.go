@@ -385,8 +385,8 @@ func pickJoinAttr(g *byteGen, s Schema) string {
 
 // pushdownStaticResolver answers fetches with an implementation of the
 // pushdown contract independent of the shared Pushdown.Apply helper
-// (relation-level reference selection, restricted projection in schema
-// order, rename last) and counts its invocations.
+// (restricted projection in schema order, rename last) and counts its
+// invocations.
 type pushdownStaticResolver struct {
 	rels  staticResolver
 	calls int
@@ -402,7 +402,6 @@ func (p *pushdownStaticResolver) Fetch(_ context.Context, w string, pd Pushdown)
 	}
 	p.calls++
 	p.lastAttrs = append([]string(nil), pd.Attrs...)
-	rel = applySelections(rel.Clone(), pd.Selections)
 	if len(pd.Attrs) > 0 {
 		// Relation.Project is exactly the contract: requested attrs plus all
 		// IDs, in schema order.
@@ -429,23 +428,6 @@ func decoded(answer *IDRelation, err error) (*Relation, error) {
 		return nil, err
 	}
 	return answer.Relation(), nil
-}
-
-// applySelections filters rel by the selections tuple by tuple: the
-// reference semantics a source's pushdown must reproduce, written
-// independently of Pushdown.Apply.
-func applySelections(rel *Relation, sels []Selection) *Relation {
-	out := NewRelation(rel.Name, rel.Schema)
-tuples:
-	for _, t := range rel.Tuples {
-		for _, s := range sels {
-			if !slices.ContainsFunc(s.Values, func(v Value) bool { return ValuesEqual(t[s.Attr], v) }) {
-				continue tuples
-			}
-		}
-		out.Add(t)
-	}
-	return out
 }
 
 // nonIDNames returns the names of a schema's non-ID attributes.

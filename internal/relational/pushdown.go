@@ -1,22 +1,10 @@
 package relational
 
-import (
-	"iter"
-	"slices"
-)
-
-// Selection is a source-side equality filter: keep rows whose attribute
-// compares equal (under the cross-source ValuesEqual semantics) to any of
-// the given values.
-type Selection struct {
-	Attr   string
-	Values []Value
-}
+import "iter"
 
 // Pushdown describes work a wrapper executes at the source instead of
-// returning its full output: a projection to the named attributes and a
-// conjunction of equality selections. The zero Pushdown asks for the full
-// output.
+// returning its full output: a projection to the named attributes. The zero
+// Pushdown asks for the full output.
 //
 // Contract for implementations:
 //   - The returned relation must keep every ID attribute of the wrapper's
@@ -24,20 +12,17 @@ type Selection struct {
 //     drops IDs, and the engine joins on them).
 //   - Kept attributes must preserve their relative order in the wrapper's
 //     full schema.
-//   - An empty Attrs list pushes no projection (all attributes are kept);
-//     an empty Selections list pushes no filter.
+//   - An empty Attrs list pushes no projection (all attributes are kept).
 //   - Partial execution is not allowed, because the caller does not
-//     re-apply the pushdown. A source with no native selection or
-//     projection runs its full query and passes the rows through Apply.
+//     re-apply the pushdown. A source with no native projection runs its
+//     full query and passes the rows through Apply.
 //   - Rename is applied last, while the source materializes its output, so a
 //     renaming caller (e.g. a qualifying resolver) costs no extra pass over
-//     the rows. Attrs and Selections always use source attribute names.
+//     the rows. Attrs always use source attribute names.
 type Pushdown struct {
-	Attrs      []string
-	Selections []Selection
+	Attrs []string
 	// Rename maps source attribute names to output names, applied after the
-	// projection and the selections. Attributes absent from the map keep
-	// their source name.
+	// projection. Attributes absent from the map keep their source name.
 	Rename map[string]string
 }
 
@@ -71,28 +56,17 @@ func (p Pushdown) Project(s Schema) (Schema, []string) {
 }
 
 // Apply executes the pushdown over a wrapper's full-output rows, s being the
-// wrapper's schema: a row failing a selection is dropped, and each kept row is
-// materialized once, directly under the schema Project returns. Attributes
-// outside s are invisible, to the selections too. It is the one
-// implementation of source-side selection and projection for sources without
-// a native one: Memory passes its tuples, the JSON wrapper each document's
-// pipeline output. Apply copies what it keeps, so rows may yield the same
-// scratch tuple for every row.
+// wrapper's schema: each row is materialized once, directly under the schema
+// Project returns, so attributes outside s are dropped. It is the one
+// implementation of source-side projection for sources without a native
+// one: Memory passes its tuples, the JSON wrapper each document's pipeline
+// output. Apply copies what it keeps, so rows may yield the same scratch
+// tuple for every row.
 func (p Pushdown) Apply(s Schema, rows iter.Seq[Tuple]) []Tuple {
 	schema, srcNames := p.Project(s)
 	outNames := schema.Names()
 	var out []Tuple
-rows:
 	for t := range rows {
-		for _, sel := range p.Selections {
-			var v Value
-			if s.Has(sel.Attr) {
-				v = t[sel.Attr]
-			}
-			if !slices.ContainsFunc(sel.Values, func(w Value) bool { return ValuesEqual(v, w) }) {
-				continue rows
-			}
-		}
 		nt := make(Tuple, len(srcNames))
 		for i, src := range srcNames {
 			if v, ok := t[src]; ok {

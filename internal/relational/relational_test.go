@@ -28,9 +28,9 @@ func w3Relation() *Relation {
 	return r
 }
 
-// staticResolver is a source without native selection or projection: it
-// holds full wrapper outputs and answers every fetch through the shared
-// Pushdown.Apply helper.
+// staticResolver is a source without native projection: it holds full
+// wrapper outputs and answers every fetch through the shared Pushdown.Apply
+// helper.
 type staticResolver map[string]*Relation
 
 func (s staticResolver) Fetch(_ context.Context, w string, p Pushdown) (*Relation, error) {

@@ -53,19 +53,13 @@ func WellFormedQuery(o *core.Ontology, omq *OMQ) (*OMQ, error) {
 		if !o.IsConcept(p) {
 			return nil, &WellFormedError{Reason: fmt.Sprintf("projected element %s is neither a feature nor a concept of G", o.Prefixes().Compact(p))}
 		}
-		// Lines 7-14: look for an ID feature of the concept.
-		hasID := false
-		for _, f := range o.FeaturesOf(p) {
-			if o.IsIdentifier(f) {
-				hasID = true
-				out.ReplaceProjection(p, f)
-				out.Phi.Add(rdf.T(p, core.GHasFeature, f))
-				break
-			}
-		}
-		if !hasID {
+		// Lines 7-14: replace the concept with its first ID feature.
+		ids := o.IdentifiersOf(p)
+		if len(ids) == 0 {
 			return nil, &WellFormedError{Reason: fmt.Sprintf("concept %s has no identifier feature mapped to the sources", o.Prefixes().Compact(p))}
 		}
+		out.ReplaceProjection(p, ids[0])
+		out.Phi.Add(rdf.T(p, core.GHasFeature, ids[0]))
 	}
 	if !IsWellFormed(o, out) {
 		return nil, &WellFormedError{Reason: "projected elements are not features of the graph pattern after rewriting"}

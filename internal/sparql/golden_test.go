@@ -1,11 +1,11 @@
-package sparql
+package sparql_test
 
 // The evaluator's answers over the query-feature matrix are pinned in
 // testdata/eval_matrix.golden. The file was written by the ID-native slot
-// pipeline this package carried until the map-based evaluator in eval.go
-// replaced it, and that pipeline had been proven byte-for-byte equal to the
-// map-based one by a differential suite; the golden is what is left of that
-// suite.
+// pipeline this package carried until the map-based evaluator (now
+// oracle.Evaluator) replaced it, and that pipeline had been proven
+// byte-for-byte equal to the map-based one by a differential suite; the
+// golden is what is left of that suite.
 
 import (
 	"flag"
@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"bdi/internal/oracle"
 	"bdi/internal/rdf"
 	"bdi/internal/store"
 )
@@ -131,8 +132,8 @@ type goldenSection struct{ name, text string }
 
 // evalMatrix evaluates the matrix with entailment on and off, then again
 // after an AddAll that extends the hierarchy and data and after a
-// RemoveGraph — on the same two evaluators, so a closure cached for an older
-// generation would show — and finally the running example.
+// RemoveGraph — on the same two evaluators, so any state an evaluator kept
+// from an older generation would show — and finally the running example.
 func evalMatrix(t *testing.T) []goldenSection {
 	var out []goldenSection
 	queries := parityQueries()
@@ -141,7 +142,7 @@ func evalMatrix(t *testing.T) []goldenSection {
 		names = append(names, name)
 	}
 	slices.Sort(names)
-	render := func(e *Evaluator, prefix, name, query string) {
+	render := func(e *oracle.Evaluator, prefix, name, query string) {
 		t.Helper()
 		sols, err := e.Select(query)
 		if err != nil {
@@ -150,7 +151,7 @@ func evalMatrix(t *testing.T) []goldenSection {
 		out = append(out, goldenSection{prefix + name, sols.String()})
 	}
 	s := parityStore(t)
-	evals := []*Evaluator{NewEvaluator(s), NewPlainEvaluator(s)}
+	evals := []*oracle.Evaluator{oracle.NewEvaluator(s), oracle.NewPlainEvaluator(s)}
 	phase := func(prefix string) {
 		for _, e := range evals {
 			for _, name := range names {
@@ -173,7 +174,7 @@ func evalMatrix(t *testing.T) []goldenSection {
 	}
 	phase("removed/")
 	ex := evalStore(t)
-	for _, e := range []*Evaluator{NewEvaluator(ex), NewPlainEvaluator(ex)} {
+	for _, e := range []*oracle.Evaluator{oracle.NewEvaluator(ex), oracle.NewPlainEvaluator(ex)} {
 		render(e, "running-example/", fmt.Sprintf("entail=%v", e.Entailment), runningExampleShape)
 	}
 	return out
@@ -255,8 +256,8 @@ func checkGoldenSections(t *testing.T, prefix string) {
 func TestEvaluatorParity(t *testing.T) { checkGoldenSections(t, "entail=") }
 
 // TestEvaluatorParityAfterMutation re-runs the matrix after store mutations
-// that extend the hierarchy and data, exercising the snapshot-keyed
-// invalidation of the reasoner closures.
+// that extend the hierarchy and data: each evaluation must build the
+// hierarchy closure of the snapshot it pins.
 func TestEvaluatorParityAfterMutation(t *testing.T) {
 	checkGoldenSections(t, "mutated/")
 	checkGoldenSections(t, "removed/")

@@ -4,18 +4,11 @@
 // table binding the projected variables to attribute IRIs, a basic graph
 // pattern (BGP), GRAPH blocks, and simple FILTER expressions.
 //
-// Parsed queries render into the SPARQL-algebra shape shown in Code 4
-// (project / join / table / bgp) and are evaluated against the quad store
-// with the RDFS entailment regime provided by internal/reasoner.
-//
-// The evaluator (eval.go) joins map-based bindings one store probe per
-// binding and pattern, applies FILTERs, deduplicates and orders solutions
-// on their terms' sort keys. An evaluation pins one store.Snapshot for
-// everything — base matches, RDFS entailment expansion and the reasoner's
-// hierarchy closure — so each query answers against exactly one store
-// generation while writers publish new ones concurrently
-// (Evaluator.EvaluateAt lets callers share that pinned snapshot across
-// several queries).
+// The package is the front end of ontology-mediated queries: Parse reads
+// every /api/queries/* body (rewriting.ParseOMQ), and Query.String renders
+// a query back to text that parses to the same rendering. Nothing in
+// production evaluates SPARQL; the reference evaluator the tests use lives
+// in internal/oracle.
 package sparql
 
 import (

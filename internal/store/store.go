@@ -1,9 +1,8 @@
 // Package store implements the in-memory, indexed, named-graph quad store
 // that backs the BDI ontology. It plays the role of Jena TDB in the paper:
 // it holds the Global graph (G), the Source graph (S) and the Mapping graph
-// (M, one named graph per wrapper) and answers the triple-pattern and basic
-// graph pattern lookups issued by the SPARQL evaluator and the rewriting
-// algorithms.
+// (M, one named graph per wrapper) and answers the triple-pattern lookups
+// the rewriting algorithms issue through internal/core.
 //
 // Like TDB's node table, the store dictionary-encodes every term into a
 // dense uint32 TermID at Add time (see rdf.Dict); the GSPO/GPOS/GOSP
@@ -245,7 +244,7 @@ func (s *Store) Dict() *rdf.Dict { return s.snap.Load().dict }
 func (s *Store) Len() int { return s.Snapshot().Len() }
 
 // Generation returns a counter incremented on every mutation batch. It
-// allows callers (e.g. the reasoner) to detect staleness cheaply.
+// allows callers (e.g. the rewriting caches) to detect staleness cheaply.
 func (s *Store) Generation() uint64 { return s.Snapshot().Generation() }
 
 // GraphLen returns the number of quads in the given named graph ("" is the

@@ -153,16 +153,13 @@ func (j *JSON) Pipeline() []string {
 
 // Rows implements Wrapper: it fetches the documents under ctx and runs the
 // pipeline on each (checking cancellation at chunk granularity) into one
-// scratch tuple that Pushdown.Apply tests and copies a kept document out of,
-// once, under the pushed-down schema. Pipeline ops that declare a prunable
+// scratch tuple that Pushdown.Apply copies each document out of, once, under
+// the pushed-down schema. Pipeline ops that declare a prunable
 // single-attribute output (PushdownOp) are skipped when the pushdown does not
 // need their attribute; ops that can fail are never pruned, so exactly the
 // same documents succeed as in a full execution.
 func (j *JSON) Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tuple, error) {
 	_, needed := p.Project(j.schema)
-	for _, s := range p.Selections {
-		needed = append(needed, s.Attr)
-	}
 	pipeline := make([]Op, 0, len(j.pipeline))
 	for _, op := range j.pipeline {
 		if po, ok := op.(PushdownOp); ok {

@@ -90,23 +90,8 @@ func TestJSONRowsPushdownKeepsFallibleOps(t *testing.T) {
 	}
 }
 
-// TestJSONRowsPushdownSelections checks source-side selections filter rows
-// with relational equality semantics before materialization.
-func TestJSONRowsPushdownSelections(t *testing.T) {
-	j := pushdownTestJSON(pushdownTestDocs())
-	rows, err := j.Rows(context.Background(), relational.Pushdown{
-		Selections: []relational.Selection{{Attr: "id", Values: []relational.Value{float64(2), 3}}},
-	})
-	if err != nil {
-		t.Fatalf("pushdown failed: %v", err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("selection kept %d rows, want 2 (float64(2) must match id 2): %v", len(rows), rows)
-	}
-}
-
 // pushdownReferenceCase is a wrapper output and a pushdown over it, with the
-// result the engine's reference selection/projection semantics give.
+// result the engine's reference projection semantics give.
 func pushdownReferenceCase() (relational.Schema, []relational.Tuple, relational.Pushdown, string) {
 	schema := relational.NewSchema([]string{"id"}, []string{"a", "b"})
 	rows := []relational.Tuple{
@@ -114,23 +99,15 @@ func pushdownReferenceCase() (relational.Schema, []relational.Tuple, relational.
 		{"id": 2, "a": "y"},
 		{"id": int64(1), "a": "z", "b": 2},
 	}
-	pd := relational.Pushdown{
-		Attrs:      []string{"a"},
-		Selections: []relational.Selection{{Attr: "id", Values: []relational.Value{1}}},
-	}
-	// The reference result: the rows whose id equals 1, projected.
-	kept := relational.NewRelation("w", schema)
-	for _, t := range rows {
-		if relational.ValuesEqual(t["id"], 1) {
-			kept.Add(t)
-		}
-	}
-	return schema, rows, pd, kept.Project(pd.Attrs).String()
+	pd := relational.Pushdown{Attrs: []string{"a"}}
+	full := relational.NewRelation("w", schema)
+	full.Add(rows...)
+	return schema, rows, pd, full.Project(pd.Attrs).String()
 }
 
 // TestMemoryRowsPushdownMatchesApplySelections checks the in-memory wrapper
-// against the engine's reference selection/projection semantics, and that
-// the zero Pushdown yields the full output.
+// against the engine's reference projection semantics, and that the zero
+// Pushdown yields the full output.
 func TestMemoryRowsPushdownMatchesApplySelections(t *testing.T) {
 	schema, rows, pd, want := pushdownReferenceCase()
 	m := NewMemory("w", "SM", schema, rows)
@@ -159,10 +136,7 @@ func TestQualifiedFetchPushdownTranslatesNames(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(NewMemory("wm", "SM", schema, rows))
 	q := NewQualifiedResolver(reg)
-	rel, err := q.Fetch(context.Background(), "wm", relational.Pushdown{
-		Attrs:      []string{"SM/a"},
-		Selections: []relational.Selection{{Attr: "SM/id", Values: []relational.Value{1}}},
-	})
+	rel, err := q.Fetch(context.Background(), "wm", relational.Pushdown{Attrs: []string{"SM/a"}})
 	if err != nil {
 		t.Fatalf("qualified pushdown failed: %v", err)
 	}
@@ -175,7 +149,7 @@ func TestQualifiedFetchPushdownTranslatesNames(t *testing.T) {
 }
 
 // TestPlainWrapperAppliesSharedHelper checks that a wrapper with no native
-// selection or projection honors the pushdown contract by passing its full
+// projection honors the pushdown contract by passing its full
 // output through the shared Pushdown.Apply helper: the registry serves the
 // pushed-down schema and exactly the reference rows, never a partial result.
 func TestPlainWrapperAppliesSharedHelper(t *testing.T) {
@@ -192,7 +166,7 @@ func TestPlainWrapperAppliesSharedHelper(t *testing.T) {
 }
 
 // plainWrapper is a third-party wrapper over a source with no native
-// selection or projection.
+// projection.
 type plainWrapper struct {
 	schema relational.Schema
 	rows   []relational.Tuple
@@ -211,8 +185,8 @@ func (p plainWrapper) Rows(ctx context.Context, pd relational.Pushdown) ([]relat
 // TestJSONRowsPushdownParityRandomized holds JSON.Rows under a pushdown to
 // the shared helper over its full output: for generated pipelines (required,
 // optional and nested paths, constants, ratios over failing documents),
-// documents, SkipBadDocuments settings and pushdowns (attributes, selections
-// on ID and non-ID attributes, renames), JSON.Rows(ctx, p) equals
+// documents, SkipBadDocuments settings and pushdowns (attributes, renames),
+// JSON.Rows(ctx, p) equals
 // p.Apply(schema, JSON.Rows(ctx, Pushdown{})) tuple for tuple, in order, and
 // fails with the same error.
 func TestJSONRowsPushdownParityRandomized(t *testing.T) {
@@ -277,13 +251,6 @@ func TestJSONRowsPushdownParityRandomized(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				p.Attrs = append(p.Attrs, a)
 			}
-		}
-		for range rng.Intn(3) {
-			sel := relational.Selection{Attr: pick(append(schema.Names(), "a8"))}
-			for range 1 + rng.Intn(3) {
-				sel.Values = append(sel.Values, values[rng.Intn(len(values))])
-			}
-			p.Selections = append(p.Selections, sel)
 		}
 		if rng.Intn(2) == 0 {
 			p.Rename = map[string]string{}

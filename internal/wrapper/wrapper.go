@@ -28,9 +28,8 @@ type Wrapper interface {
 	// Rows executes the wrapper's query with the pushdown applied at the
 	// source and returns its output tuples under the schema p.Project(Schema())
 	// yields; the zero Pushdown asks for the full output. A cancelled ctx
-	// aborts the source query. A source without native selection or
-	// projection runs its full query and returns
-	// p.Apply(Schema(), slices.Values(rows)).
+	// aborts the source query. A source without native projection runs its
+	// full query and returns p.Apply(Schema(), slices.Values(rows)).
 	Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tuple, error)
 }
 
@@ -72,7 +71,7 @@ func (m *Memory) Source() string { return m.source }
 func (m *Memory) Schema() relational.Schema { return m.schema }
 
 // Rows implements Wrapper with the shared pushdown helper, the reference
-// implementation of source-side selection and projection.
+// implementation of source-side projection.
 func (m *Memory) Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tuple, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -103,28 +102,31 @@ func NewRegistry() *Registry {
 // an old registration under the same name). The returned undo puts back
 // what the name held before: the replaced wrapper, or no registration.
 func (r *Registry) Register(w Wrapper) (undo func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	name := w.Name()
-	prev, had := r.wrappers[name]
-	r.wrappers[name] = w
-	return func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if had {
-			r.wrappers[name] = prev
-		} else {
-			delete(r.wrappers, name)
-		}
-	}
+	return swap(&r.mu, r.wrappers, w.Name(), w)
 }
 
 // Alias maps an alternative identifier (e.g. a wrapper IRI) to a registered
-// wrapper name.
-func (r *Registry) Alias(alias, name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.aliases[alias] = name
+// wrapper name. The returned undo puts back what the alias held before.
+func (r *Registry) Alias(alias, name string) (undo func()) {
+	return swap(&r.mu, r.aliases, alias, name)
+}
+
+// swap sets m[k] = v under mu and returns a func that restores m[k] to its
+// previous value, or deletes it if k was absent.
+func swap[V any](mu *sync.RWMutex, m map[string]V, k string, v V) (undo func()) {
+	mu.Lock()
+	defer mu.Unlock()
+	prev, had := m[k]
+	m[k] = v
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if had {
+			m[k] = prev
+		} else {
+			delete(m, k)
+		}
+	}
 }
 
 // Get returns the wrapper registered under the given name or alias.
@@ -198,12 +200,6 @@ func (q *Qualified) Fetch(ctx context.Context, name string, p relational.Pushdow
 	unq := relational.Pushdown{Rename: map[string]string{}}
 	for _, a := range p.Attrs {
 		unq.Attrs = append(unq.Attrs, strings.TrimPrefix(a, prefix))
-	}
-	for _, s := range p.Selections {
-		unq.Selections = append(unq.Selections, relational.Selection{
-			Attr:   strings.TrimPrefix(s.Attr, prefix),
-			Values: s.Values,
-		})
 	}
 	for _, a := range w.Schema().Names() {
 		unq.Rename[a] = prefix + a

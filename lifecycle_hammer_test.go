@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bdi/internal/core"
+	"bdi/internal/oracle"
 	"bdi/internal/rdf"
 	"bdi/internal/rewriting"
 	"bdi/internal/sparql"
@@ -92,7 +93,7 @@ SELECT ?a ?d WHERE {
 func TestCancelEvaluationMidJoinHammer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	o := hammerStore(t)
-	eval := sparql.NewEvaluator(o.Store())
+	eval := oracle.NewEvaluator(o.Store())
 	q, err := sparql.Parse(hammerQuery)
 	if err != nil {
 		t.Fatal(err)
