@@ -69,22 +69,14 @@ func (o *Ontology) SourceOfWrapper(wrapper rdf.IRI) (rdf.IRI, bool) {
 	if !ok {
 		return "", false
 	}
-	qc.mu.Lock()
-	if s, cached := qc.sourceOf[wid]; cached {
-		qc.mu.Unlock()
-		return s, s != ""
-	}
-	qc.mu.Unlock()
-	var found rdf.IRI
-	for _, q := range qc.snap.Match(store.InGraph(SourceGraphName, nil, SHasWrapper, wrapper)) {
-		if s, ok := q.Subject.(rdf.IRI); ok {
-			found = s
-			break
+	found := memoize(qc, qc.sourceOf, wid, func() rdf.IRI {
+		for _, q := range qc.snap.Match(store.InGraph(SourceGraphName, nil, SHasWrapper, wrapper)) {
+			if s, ok := q.Subject.(rdf.IRI); ok {
+				return s
+			}
 		}
-	}
-	qc.mu.Lock()
-	qc.sourceOf[wid] = found
-	qc.mu.Unlock()
+		return ""
+	})
 	return found, found != ""
 }
 
@@ -107,7 +99,14 @@ func (o *Ontology) LAVGraphOf(wrapper rdf.IRI) (rdf.IRI, bool) {
 // WrapperOfLAVGraph returns the wrapper whose mapping lives in the given
 // named graph.
 func (o *Ontology) WrapperOfLAVGraph(graph rdf.IRI) (rdf.IRI, bool) {
-	for _, q := range o.store.Match(store.InGraph(MappingsGraphName, nil, MMapping, graph)) {
+	return wrapperOfLAVGraph(o.store.Snapshot(), graph)
+}
+
+// wrapperOfLAVGraph is WrapperOfLAVGraph on one snapshot: the first
+// M:mapping subject naming the graph. The memoized accessors resolve
+// graphs to wrappers with it on their memo's snapshot.
+func wrapperOfLAVGraph(sn store.Snapshot, graph rdf.IRI) (rdf.IRI, bool) {
+	for _, q := range sn.Match(store.InGraph(MappingsGraphName, nil, MMapping, graph)) {
 		if w, ok := q.Subject.(rdf.IRI); ok {
 			return w, true
 		}
@@ -123,22 +122,14 @@ func (o *Ontology) FeatureOfAttribute(attr rdf.IRI) (rdf.IRI, bool) {
 	if !ok {
 		return "", false
 	}
-	qc.mu.Lock()
-	if f, cached := qc.featureOfAttr[aid]; cached {
-		qc.mu.Unlock()
-		return f, f != ""
-	}
-	qc.mu.Unlock()
-	var found rdf.IRI
-	for _, q := range qc.snap.Match(store.InGraph(MappingsGraphName, attr, rdf.OWLSameAs, nil)) {
-		if f, ok := q.Object.(rdf.IRI); ok {
-			found = f
-			break
+	found := memoize(qc, qc.featureOfAttr, aid, func() rdf.IRI {
+		for _, q := range qc.snap.Match(store.InGraph(MappingsGraphName, attr, rdf.OWLSameAs, nil)) {
+			if f, ok := q.Object.(rdf.IRI); ok {
+				return f
+			}
 		}
-	}
-	qc.mu.Lock()
-	qc.featureOfAttr[aid] = found
-	qc.mu.Unlock()
+		return ""
+	})
 	return found, found != ""
 }
 
@@ -146,27 +137,26 @@ func (o *Ontology) FeatureOfAttribute(attr rdf.IRI) (rdf.IRI, bool) {
 // map to the given feature, sorted. Memoized per store generation.
 func (o *Ontology) AttributesOfFeature(feature rdf.IRI) []rdf.IRI {
 	qc := o.queryCache()
+	return slices.Clone(qc.attributesOfFeature(feature))
+}
+
+// attributesOfFeature is AttributesOfFeature on the memo's snapshot; the
+// result is shared and must not be mutated.
+func (qc *queryCache) attributesOfFeature(feature rdf.IRI) []rdf.IRI {
 	fid, ok := qc.snap.Dict().LookupIRI(feature)
 	if !ok {
 		return nil
 	}
-	qc.mu.Lock()
-	if attrs, cached := qc.attrsOf[fid]; cached {
-		qc.mu.Unlock()
-		return slices.Clone(attrs)
-	}
-	qc.mu.Unlock()
-	var out []rdf.IRI
-	for _, q := range qc.snap.Match(store.InGraph(MappingsGraphName, nil, rdf.OWLSameAs, feature)) {
-		if a, ok := q.Subject.(rdf.IRI); ok {
-			out = append(out, a)
+	return memoize(qc, qc.attrsOf, fid, func() []rdf.IRI {
+		var out []rdf.IRI
+		for _, q := range qc.snap.Match(store.InGraph(MappingsGraphName, nil, rdf.OWLSameAs, feature)) {
+			if a, ok := q.Subject.(rdf.IRI); ok {
+				out = append(out, a)
+			}
 		}
-	}
-	slices.Sort(out)
-	qc.mu.Lock()
-	qc.attrsOf[fid] = out
-	qc.mu.Unlock()
-	return slices.Clone(out)
+		slices.Sort(out)
+		return out
+	})
 }
 
 // AttributeOfFeatureInWrapper resolves, for a given wrapper and feature, the
@@ -180,34 +170,23 @@ func (o *Ontology) AttributeOfFeatureInWrapper(wrapper, feature rdf.IRI) (rdf.IR
 	wid, okW := d.LookupIRI(wrapper)
 	fid, okF := d.LookupIRI(feature)
 	if !okW || !okF {
-		// An un-interned wrapper or feature appears in no triple; the slow
-		// path below would find nothing.
+		// An un-interned wrapper or feature appears in no triple.
 		return "", false
 	}
-	key := [2]rdf.TermID{wid, fid}
-	qc.mu.Lock()
-	if attr, ok := qc.attrOf[key]; ok {
-		qc.mu.Unlock()
-		return attr, attr != ""
-	}
-	qc.mu.Unlock()
-	var found rdf.IRI
-	for _, attr := range o.AttributesOfFeature(feature) {
-		if qc.snap.ContainsTriple(SourceGraphName, rdf.T(wrapper, SHasAttribute, attr)) {
-			found = attr
-			break
+	found := memoize(qc, qc.attrOf, [2]rdf.TermID{wid, fid}, func() rdf.IRI {
+		for _, attr := range qc.attributesOfFeature(feature) {
+			if qc.snap.ContainsTriple(SourceGraphName, rdf.T(wrapper, SHasAttribute, attr)) {
+				return attr
+			}
 		}
-	}
-	qc.mu.Lock()
-	qc.attrOf[key] = found
-	qc.mu.Unlock()
+		return ""
+	})
 	return found, found != ""
 }
 
 // WrappersProvidingFeature returns the wrappers whose LAV mapping graph
 // contains the triple ⟨concept, G:hasFeature, feature⟩ (Algorithm 4, line 8).
-// Memoized per store generation, with the graph→wrapper resolution served
-// from the cached mapping maps instead of a store probe per graph.
+// Memoized per store generation.
 func (o *Ontology) WrappersProvidingFeature(concept, feature rdf.IRI) []rdf.IRI {
 	qc := o.queryCache()
 	d := qc.snap.Dict()
@@ -216,31 +195,19 @@ func (o *Ontology) WrappersProvidingFeature(concept, feature rdf.IRI) []rdf.IRI 
 	if !okC || !okF {
 		return nil
 	}
-	key := [2]rdf.TermID{cid, fid}
-	qc.mu.Lock()
-	if ws, ok := qc.providers[key]; ok {
-		qc.mu.Unlock()
-		return slices.Clone(ws)
-	}
-	qc.ensureMappingMapsLocked(o)
-	graphWrapper := qc.graphWrapper
-	qc.mu.Unlock()
-
-	target := rdf.T(concept, GHasFeature, feature)
-	var out []rdf.IRI
-	for _, g := range qc.snap.GraphsContaining(target) {
-		if !isLAVGraph(g) {
-			continue
+	return slices.Clone(memoize(qc, qc.providers, [2]rdf.TermID{cid, fid}, func() []rdf.IRI {
+		var out []rdf.IRI
+		for _, g := range qc.snap.GraphsContaining(rdf.T(concept, GHasFeature, feature)) {
+			if !isLAVGraph(g) {
+				continue
+			}
+			if w, ok := wrapperOfLAVGraph(qc.snap, g); ok {
+				out = append(out, w)
+			}
 		}
-		if w, ok := graphWrapper[g]; ok {
-			out = append(out, w)
-		}
-	}
-	slices.Sort(out)
-	qc.mu.Lock()
-	qc.providers[key] = out
-	qc.mu.Unlock()
-	return slices.Clone(out)
+		slices.Sort(out)
+		return out
+	}))
 }
 
 // WrappersProvidingEdge returns the wrappers whose LAV mapping graph
@@ -256,33 +223,21 @@ func (o *Ontology) WrappersProvidingEdge(from, to rdf.IRI) []rdf.IRI {
 	if !okF || !okT {
 		return nil
 	}
-	key := [2]rdf.TermID{fid, tid}
-	qc.mu.Lock()
-	if ws, ok := qc.edges[key]; ok {
-		qc.mu.Unlock()
-		return slices.Clone(ws)
-	}
-	qc.ensureMappingMapsLocked(o)
-	graphWrapper := qc.graphWrapper
-	qc.mu.Unlock()
-
-	seen := map[rdf.IRI]bool{}
-	var out []rdf.IRI
-	for _, q := range qc.snap.Match(store.WildcardGraph(from, nil, to)) {
-		g := q.Graph
-		if !isLAVGraph(g) {
-			continue
+	return slices.Clone(memoize(qc, qc.edges, [2]rdf.TermID{fid, tid}, func() []rdf.IRI {
+		seen := map[rdf.IRI]bool{}
+		var out []rdf.IRI
+		for _, q := range qc.snap.Match(store.WildcardGraph(from, nil, to)) {
+			if !isLAVGraph(q.Graph) {
+				continue
+			}
+			if w, ok := wrapperOfLAVGraph(qc.snap, q.Graph); ok && !seen[w] {
+				seen[w] = true
+				out = append(out, w)
+			}
 		}
-		if w, ok := graphWrapper[g]; ok && !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	slices.Sort(out)
-	qc.mu.Lock()
-	qc.edges[key] = out
-	qc.mu.Unlock()
-	return slices.Clone(out)
+		slices.Sort(out)
+		return out
+	}))
 }
 
 // WrapperLocalName converts a wrapper IRI into the wrapper name used by the

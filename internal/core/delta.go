@@ -136,18 +136,11 @@ func sortedIntersect(a, b []rdf.IRI) bool {
 	return false
 }
 
-// deltaSpan associates a release delta with the store-generation interval
-// (from, to] its publication covered.
-type deltaSpan struct {
-	from, to uint64
-	delta    *ReleaseDelta
-}
-
-// DeltaSpan is the exported form of a delta-log entry: the release delta
-// together with the store-generation interval (From, To] its publication
-// covered. The durability layer checkpoints the log and journals each new
-// span so that, after a restart, caches validate incrementally against the
-// same release history instead of falling back to full flushes.
+// DeltaSpan is one entry of the release-delta log: a release delta together
+// with the store-generation interval (From, To] its publication covered.
+// The durability layer checkpoints the log and journals each new span so
+// that, after a restart, caches validate incrementally against the same
+// release history instead of falling back to full flushes.
 type DeltaSpan struct {
 	From  uint64
 	To    uint64
@@ -157,13 +150,16 @@ type DeltaSpan struct {
 // DeltaLog returns a copy of the ontology's bounded release-delta log in
 // publication order.
 func (o *Ontology) DeltaLog() []DeltaSpan {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	out := make([]DeltaSpan, len(o.deltaLog))
-	for i, s := range o.deltaLog {
-		out[i] = DeltaSpan{From: s.from, To: s.to, Delta: s.delta}
+	return slices.Clone(o.spans())
+}
+
+// spans returns the published delta log. The slice is never written after
+// publication.
+func (o *Ontology) spans() []DeltaSpan {
+	if p := o.deltaLog.Load(); p != nil {
+		return *p
 	}
-	return out
+	return nil
 }
 
 // RestoreDeltaLog replaces the delta log with the given spans (publication
@@ -172,10 +168,11 @@ func (o *Ontology) DeltaLog() []DeltaSpan {
 func (o *Ontology) RestoreDeltaLog(spans []DeltaSpan) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.deltaLog = o.deltaLog[:0]
-	for _, s := range spans {
-		o.recordDeltaLocked(s.From, s.To, s.Delta)
+	var log []DeltaSpan
+	for _, sp := range spans {
+		log = appendSpan(log, sp)
 	}
+	o.deltaLog.Store(&log)
 }
 
 // AppendDeltaSpan appends one span to the delta log, trimming to the bounded
@@ -186,16 +183,16 @@ func (o *Ontology) RestoreDeltaLog(spans []DeltaSpan) {
 func (o *Ontology) AppendDeltaSpan(sp DeltaSpan) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.recordDeltaLocked(sp.From, sp.To, sp.Delta)
+	o.recordDeltaLocked(sp)
 }
 
 // SetReleaseHook installs (or, with nil, removes) a hook observing every
-// delta span the ontology records, invoked under the ontology write lock
-// immediately after the span enters the log. The durability layer uses it to
-// journal release registrations; a non-nil error is propagated by NewRelease
-// (note that the release's store batch has already been applied and logged at
-// that point — losing only the span degrades cache invalidation to a full
-// flush after recovery, never correctness).
+// delta span a release records, invoked under the ontology write lock once
+// the release is published. The durability layer uses it to journal release
+// registrations; a non-nil error is propagated by NewRelease (note that the
+// release's store batch has already been applied and logged at that point —
+// losing only the span degrades cache invalidation to a full flush after
+// recovery, never correctness).
 func (o *Ontology) SetReleaseHook(h func(DeltaSpan) error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -206,15 +203,25 @@ func (o *Ontology) SetReleaseHook(h func(DeltaSpan) error) {
 // than the window simply pay one full recompute; the log itself stays O(1).
 const maxDeltaLog = 256
 
-// recordDeltaLocked appends a release delta span. Caller holds o.mu.
-func (o *Ontology) recordDeltaLocked(from, to uint64, d *ReleaseDelta) {
-	if to == from {
-		return
+// recordDeltaLocked publishes the log with one more span. The published
+// slice is copied, never appended to in place, so readers holding it see no
+// write. Caller holds o.mu.
+func (o *Ontology) recordDeltaLocked(sp DeltaSpan) {
+	log := appendSpan(slices.Clip(o.spans()), sp)
+	o.deltaLog.Store(&log)
+}
+
+// appendSpan appends a span to a log the caller owns, trimming it to the
+// bounded window. Empty spans are dropped.
+func appendSpan(log []DeltaSpan, sp DeltaSpan) []DeltaSpan {
+	if sp.To == sp.From {
+		return log
 	}
-	o.deltaLog = append(o.deltaLog, deltaSpan{from: from, to: to, delta: d})
-	if len(o.deltaLog) > maxDeltaLog {
-		o.deltaLog = o.deltaLog[len(o.deltaLog)-maxDeltaLog:]
+	log = append(log, sp)
+	if len(log) > maxDeltaLog {
+		log = log[len(log)-maxDeltaLog:]
 	}
+	return log
 }
 
 // DeltasBetween returns the release deltas that fully explain every store
@@ -222,35 +229,31 @@ func (o *Ontology) recordDeltaLocked(from, to uint64, d *ReleaseDelta) {
 // interval contains any mutation that did not come from a release (e.g. a
 // Global-graph edit or a direct store write), when the interval predates
 // the bounded log window, or when generations moved backwards — in all of
-// which cases the caller must fall back to full invalidation.
+// which cases the caller must fall back to full invalidation. It takes no
+// lock: a release publishes its span before its snapshot, so a reader that
+// has seen a release's generation also sees the span explaining it.
 func (o *Ontology) DeltasBetween(from, to uint64) ([]*ReleaseDelta, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.deltasBetweenLocked(from, to)
-}
-
-// deltasBetweenLocked is DeltasBetween for callers already holding o.mu.
-func (o *Ontology) deltasBetweenLocked(from, to uint64) ([]*ReleaseDelta, bool) {
 	if to == from {
 		return nil, true
 	}
 	if to < from {
 		return nil, false
 	}
+	log := o.spans()
 	// Walk the log backwards collecting the contiguous chain to ... from.
 	var rev []*ReleaseDelta
 	next := to
-	for i := len(o.deltaLog) - 1; i >= 0; i-- {
-		span := o.deltaLog[i]
-		if span.to < next {
-			// A generation in (span.to, next] is unexplained by any release.
+	for i := len(log) - 1; i >= 0; i-- {
+		span := log[i]
+		if span.To < next {
+			// A generation in (span.To, next] is unexplained by any release.
 			return nil, false
 		}
-		if span.to > next {
+		if span.To > next {
 			continue
 		}
-		rev = append(rev, span.delta)
-		next = span.from
+		rev = append(rev, span.Delta)
+		next = span.From
 		if next <= from {
 			break
 		}
@@ -258,11 +261,8 @@ func (o *Ontology) deltasBetweenLocked(from, to uint64) ([]*ReleaseDelta, bool) 
 	if next != from {
 		return nil, false
 	}
-	out := make([]*ReleaseDelta, len(rev))
-	for i, d := range rev {
-		out[len(rev)-1-i] = d
-	}
-	return out, true
+	slices.Reverse(rev)
+	return rev, true
 }
 
 // computeReleaseDelta derives the delta of a validated release against the

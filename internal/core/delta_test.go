@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bdi/internal/rdf"
@@ -208,6 +211,49 @@ func TestDeltasBetweenRejectsNonReleaseMutations(t *testing.T) {
 	}
 }
 
+// TestDeltaSpanPublishedBeforeSnapshot hammers the lock-free delta log:
+// while releases land, readers loop DeltasBetween from the pre-release
+// generation to the store's current one, and every interval must be
+// covered. A release that published its snapshot before its span would
+// leave a window in which a reader sees the generation unexplained.
+func TestDeltaSpanPublishedBeforeSnapshot(t *testing.T) {
+	const readers, releases = 4, 120
+	o := mustBuildSupersede(t)
+	g0 := o.Store().Generation()
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	failures := make(chan string, readers)
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				gen := o.Store().Generation()
+				if _, ok := o.DeltasBetween(g0, gen); !ok {
+					failures <- fmt.Sprintf("DeltasBetween(%d, %d) not covered", g0, gen)
+					return
+				}
+			}
+		}()
+	}
+	for i := range releases {
+		r := SupersedeReleaseW1()
+		r.Wrapper.Name = fmt.Sprintf("hammer%d", i)
+		if _, err := o.NewRelease(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	close(failures)
+	for f := range failures {
+		t.Error(f)
+	}
+	if deltas, ok := o.DeltasBetween(g0, o.Store().Generation()); !ok || len(deltas) != releases {
+		t.Fatalf("final interval = %d deltas, covered %v; want %d", len(deltas), ok, releases)
+	}
+}
+
 func TestFootprintIntersects(t *testing.T) {
 	d := &ReleaseDelta{
 		Concepts: []rdf.IRI{"b", "d"},
@@ -236,9 +282,9 @@ func TestFootprintIntersects(t *testing.T) {
 }
 
 func TestQueryCacheSurvivesUnrelatedRelease(t *testing.T) {
-	// The memoized covering-wrapper set of a W1 triple must survive a W2
-	// release (disjoint concepts) without re-probing, and must be retired by
-	// a release that touches its concepts.
+	// Every release installs a fresh memo: nothing memoized against an
+	// earlier generation is served after a release, related or not, and the
+	// fresh probe sees the release's wrapper.
 	o := mustBuildSupersede(t)
 	if _, err := o.NewRelease(SupersedeReleaseW1()); err != nil {
 		t.Fatal(err)
@@ -257,13 +303,10 @@ func TestQueryCacheSurvivesUnrelatedRelease(t *testing.T) {
 	if qcAfter == qcBefore {
 		t.Fatal("query cache instance must be re-pinned to the new snapshot")
 	}
-	key := coveringKeyFor(t, qcAfter, triple)
-	qcAfter.mu.Lock()
-	_, retained := qcAfter.covering[key]
-	qcAfter.mu.Unlock()
-	if !retained {
-		t.Error("covering entry for an untouched triple did not survive the unrelated release")
+	if ws := o.WrappersCoveringTriple(triple); len(ws) != 1 || ws[0] != WrapperURI("w1") {
+		t.Fatalf("post-W2 covering wrappers = %v", ws)
 	}
+	key := coveringKeyFor(t, qcAfter, triple)
 
 	// Related release: W4 is a new D1 schema version touching InfoMonitor.
 	if _, err := o.NewRelease(SupersedeReleaseW4()); err != nil {

@@ -38,13 +38,14 @@ func (o *Ontology) AddFeature(feature rdf.IRI, datatype rdf.IRI) error {
 func (o *Ontology) HasFeature(concept, feature rdf.IRI) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if !o.isTypedLocked(concept, GConcept) {
+	sn := o.store.Snapshot()
+	if !isTyped(sn, concept, GConcept) {
 		return fmt.Errorf("core: %s is not declared as a G:Concept", o.prefixes.Compact(concept))
 	}
-	if !o.isTypedLocked(feature, GFeature) {
+	if !isTyped(sn, feature, GFeature) {
 		return fmt.Errorf("core: %s is not declared as a G:Feature", o.prefixes.Compact(feature))
 	}
-	for _, q := range o.store.Match(store.InGraph(GlobalGraphName, nil, GHasFeature, feature)) {
+	for _, q := range sn.Match(store.InGraph(GlobalGraphName, nil, GHasFeature, feature)) {
 		if owner, ok := q.Subject.(rdf.IRI); ok && owner != concept {
 			return fmt.Errorf("core: feature %s already belongs to concept %s (features may belong to only one concept)",
 				o.prefixes.Compact(feature), o.prefixes.Compact(owner))
@@ -93,33 +94,30 @@ func (o *Ontology) SubFeature(sub, super rdf.IRI) error {
 func (o *Ontology) Relate(subject, property, object rdf.IRI) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if !o.isTypedLocked(subject, GConcept) {
+	sn := o.store.Snapshot()
+	if !isTyped(sn, subject, GConcept) {
 		return fmt.Errorf("core: %s is not declared as a G:Concept", o.prefixes.Compact(subject))
 	}
-	if !o.isTypedLocked(object, GConcept) {
+	if !isTyped(sn, object, GConcept) {
 		return fmt.Errorf("core: %s is not declared as a G:Concept", o.prefixes.Compact(object))
 	}
 	return o.addToGraph(GlobalGraphName, rdf.T(subject, property, object))
 }
 
-// isTypedLocked reports whether the entity has the given rdf:type in G.
-// Caller must hold at least a read lock.
-func (o *Ontology) isTypedLocked(entity, class rdf.IRI) bool {
-	return o.store.ContainsTriple(GlobalGraphName, rdf.T(entity, rdf.RDFType, class))
+// isTyped reports whether the entity has the given rdf:type in G of one
+// snapshot.
+func isTyped(sn store.Snapshot, entity, class rdf.IRI) bool {
+	return sn.ContainsTriple(GlobalGraphName, rdf.T(entity, rdf.RDFType, class))
 }
 
 // IsConcept reports whether the IRI is declared as a G:Concept.
 func (o *Ontology) IsConcept(iri rdf.IRI) bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.isTypedLocked(iri, GConcept)
+	return isTyped(o.store.Snapshot(), iri, GConcept)
 }
 
 // IsFeature reports whether the IRI is declared as a G:Feature.
 func (o *Ontology) IsFeature(iri rdf.IRI) bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.isTypedLocked(iri, GFeature)
+	return isTyped(o.store.Snapshot(), iri, GFeature)
 }
 
 // IsIdentifier reports whether the feature is an rdfs:subClassOf
@@ -182,31 +180,22 @@ func (o *Ontology) ConceptOfFeature(feature rdf.IRI) (rdf.IRI, bool) {
 // IdentifiersOf returns the ID features of a concept, in FeaturesOf order:
 // features linked via G:hasFeature that are (transitively) subclasses of
 // sc:identifier. The result is memoized per store generation (phase #3
-// resolves the ID feature of the same concept for every candidate walk) and
-// carried across releases, which never change it: a release's LAV subgraph
-// is a subgraph of G, so it adds no subclass edge G lacks.
+// resolves the ID feature of the same concept for every candidate walk).
 func (o *Ontology) IdentifiersOf(concept rdf.IRI) []rdf.IRI {
 	qc := o.queryCache()
 	cid, ok := qc.snap.Dict().LookupIRI(concept)
 	if !ok {
 		return nil
 	}
-	qc.mu.Lock()
-	if ids, cached := qc.identifiersOf[cid]; cached {
-		qc.mu.Unlock()
-		return slices.Clone(ids)
-	}
-	qc.mu.Unlock()
-	var out []rdf.IRI
-	for _, f := range objectIRIs(qc.snap, GlobalGraphName, concept, GHasFeature) {
-		if isIdentifier(qc.snap, f) {
-			out = append(out, f)
+	return slices.Clone(memoize(qc, qc.identifiersOf, cid, func() []rdf.IRI {
+		var out []rdf.IRI
+		for _, f := range objectIRIs(qc.snap, GlobalGraphName, concept, GHasFeature) {
+			if isIdentifier(qc.snap, f) {
+				out = append(out, f)
+			}
 		}
-	}
-	qc.mu.Lock()
-	qc.identifiersOf[cid] = out
-	qc.mu.Unlock()
-	return slices.Clone(out)
+		return out
+	}))
 }
 
 // DatatypeOf returns the XSD datatype attached to a feature, if any.
@@ -222,8 +211,9 @@ func (o *Ontology) DatatypeOf(feature rdf.IRI) (rdf.IRI, bool) {
 // ConceptEdges returns the object-property edges between concepts in G
 // (excluding the metamodel properties), sorted by subject/predicate/object.
 func (o *Ontology) ConceptEdges() []rdf.Triple {
+	sn := o.store.Snapshot()
 	var out []rdf.Triple
-	for _, q := range o.store.Match(store.InGraph(GlobalGraphName, nil, nil, nil)) {
+	for _, q := range sn.Match(store.InGraph(GlobalGraphName, nil, nil, nil)) {
 		p, ok := q.Predicate.(rdf.IRI)
 		if !ok {
 			continue
@@ -238,7 +228,7 @@ func (o *Ontology) ConceptEdges() []rdf.Triple {
 		if !okS || !okO {
 			continue
 		}
-		if o.isTypedLocked(s, GConcept) && o.isTypedLocked(obj, GConcept) {
+		if isTyped(sn, s, GConcept) && isTyped(sn, obj, GConcept) {
 			out = append(out, q.Triple)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"bdi/internal/rdf"
 	"bdi/internal/store"
@@ -14,23 +15,24 @@ import (
 // that the design constraints of §3 (e.g. a feature belongs to exactly one
 // concept) can be enforced.
 type Ontology struct {
-	mu sync.RWMutex
+	// mu serializes the mutators (G edits, releases, delta-log writes and
+	// hook installation). No read path takes it.
+	mu sync.Mutex
 
 	store    *store.Store
 	prefixes *rdf.PrefixMap
 
 	// qc memoizes rewriting-time lookups for one store generation (see
-	// querycache.go). When the store mutates, the instance is advanced
-	// incrementally if the mutation interval is explained by release deltas,
-	// and replaced wholesale otherwise.
-	qc *queryCache
+	// querycache.go); a newer generation installs a fresh memo.
+	qc atomic.Pointer[queryCache]
 
 	// deltaLog records, per release, the store-generation interval it
 	// published and its invalidation footprint (see delta.go). Bounded to
-	// maxDeltaLog spans.
-	deltaLog []deltaSpan
+	// maxDeltaLog spans, published copy-on-write under mu and read without
+	// a lock.
+	deltaLog atomic.Pointer[[]DeltaSpan]
 
-	// releaseHook, when set, observes every recorded delta span (see
+	// releaseHook, when set, observes every span a release records (see
 	// SetReleaseHook). Guarded by mu.
 	releaseHook func(DeltaSpan) error
 }
@@ -133,9 +135,6 @@ func (o *Ontology) addToGraph(graph rdf.IRI, t rdf.Triple) error {
 	}
 	return nil
 }
-
-// GlobalGraph returns a materialized copy of G.
-func (o *Ontology) GlobalGraph() *rdf.Graph { return o.store.NamedGraph(GlobalGraphName) }
 
 // TriplesInSource returns the number of triples currently in S. It is the
 // growth metric of §6.4 (Figure 11).

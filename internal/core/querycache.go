@@ -9,31 +9,17 @@ import (
 )
 
 // queryCache memoizes the ontology lookups that dominate query rewriting —
-// the wrapper↔mapping-graph correspondence, per-triple covering-wrapper
-// sets, edge-providing wrappers and per-(wrapper, feature) attribute
-// resolution — keyed on dictionary TermIDs. A cache instance is valid for
-// exactly one store generation; when the store mutates, a new instance is
-// created (writes into a retired instance are harmless: it is unreachable
-// from the ontology). If every mutation between the old and new generation
-// is explained by release deltas, the new instance starts pre-seeded with
-// the old instance's entries whose key terms the deltas do not touch —
-// registering a wrapper for one concept no longer forgets every other
-// concept's memoized answers. The instance carries the store.Snapshot it
-// was created against, and every probe that fills it reads from that
-// snapshot, so all memoized answers of one instance describe one consistent
-// store state.
+// per-triple covering-wrapper sets, edge-providing wrappers and
+// per-(wrapper, feature) attribute resolution — keyed on dictionary TermIDs.
+// A memo lives for exactly one store generation: it carries the
+// store.Snapshot it was created against, every probe that fills it reads
+// from that snapshot, and nothing is carried into the next generation's
+// memo. Work that outlives a release is kept one layer up, by
+// rewriting.Cache's footprint revalidation.
 type queryCache struct {
 	snap store.Snapshot
 
-	mu sync.Mutex
-	// wrapperGraph is LAVGraphOf as a map: wrapper -> its first mapping
-	// graph; graphWrapper is WrapperOfLAVGraph: graph -> the first wrapper
-	// claiming it; coveringByGraph inverts wrapperGraph (all wrappers whose
-	// mapping lives in the graph). nil until the first lookup builds them.
-	wrapperGraph    map[rdf.IRI]rdf.IRI
-	graphWrapper    map[rdf.IRI]rdf.IRI
-	coveringByGraph map[rdf.IRI][]rdf.IRI
-
+	mu            sync.Mutex
 	covering      map[[3]rdf.TermID][]rdf.IRI // ground triple -> covering wrappers
 	edges         map[[2]rdf.TermID][]rdf.IRI // (from, to) -> edge-providing wrappers
 	attrOf        map[[2]rdf.TermID]rdf.IRI   // (wrapper, feature) -> attribute, "" = none
@@ -44,27 +30,22 @@ type queryCache struct {
 	sourceOf      map[rdf.TermID]rdf.IRI      // wrapper -> data source, "" = none
 }
 
-// queryCache returns the cache for the current store generation, retiring
-// any stale instance. The new instance pins the snapshot it was created
-// against; when the stale instance is separated from the current snapshot
-// only by releases, the surviving entries are carried over.
+// queryCache returns the memo of the current store generation. A stale memo
+// is replaced with one compare-and-swap, which never replaces a newer memo:
+// a caller whose snapshot is older than the installed memo uses the
+// installed one, a view of a later store state. No lock is taken.
 func (o *Ontology) queryCache() *queryCache {
 	sn := o.store.Snapshot()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	switch {
-	case o.qc != nil && o.qc.snap == sn:
-		// Current.
-	case o.qc != nil:
-		if deltas, ok := o.deltasBetweenLocked(o.qc.snap.Generation(), sn.Generation()); ok {
-			o.qc = o.qc.advance(sn, deltas)
-		} else {
-			o.qc = newQueryCache(sn)
+	for {
+		cur := o.qc.Load()
+		if cur != nil && cur.snap.Generation() >= sn.Generation() {
+			return cur
 		}
-	default:
-		o.qc = newQueryCache(sn)
+		next := newQueryCache(sn)
+		if o.qc.CompareAndSwap(cur, next) {
+			return next
+		}
 	}
-	return o.qc
 }
 
 func newQueryCache(sn store.Snapshot) *queryCache {
@@ -81,107 +62,21 @@ func newQueryCache(sn store.Snapshot) *queryCache {
 	}
 }
 
-// advance builds the cache instance for a newer snapshot separated from
-// this one only by the given release deltas, carrying over every memoized
-// entry whose key terms no delta touches. The wrapper↔graph mapping maps
-// are always rebuilt (every release adds a mapping link). Entries are
-// copied, not shared: late writers still holding the retired instance must
-// not reach the new one. The dictionary is append-only and shared by both
-// snapshots, so TermID keys remain comparable across the advance.
-func (qc *queryCache) advance(sn store.Snapshot, deltas []*ReleaseDelta) *queryCache {
-	touched := map[rdf.TermID]struct{}{}
-	d := sn.Dict()
-	mark := func(iri rdf.IRI) {
-		if id, ok := d.LookupIRI(iri); ok {
-			touched[id] = struct{}{}
-		}
-	}
-	for _, rd := range deltas {
-		mark(rd.Wrapper)
-		for _, c := range rd.Concepts {
-			mark(c)
-		}
-		for _, f := range rd.Features {
-			mark(f)
-		}
-		for _, a := range rd.Attributes {
-			mark(a)
-		}
-	}
-	hit := func(id rdf.TermID) bool { _, ok := touched[id]; return ok }
-
-	next := newQueryCache(sn)
+// memoize returns m[key], computing and storing it on a miss. m must be one
+// of qc's maps. compute runs without the memo's lock, so racing misses may
+// compute the same value twice; both read qc.snap, so they agree.
+func memoize[K comparable, V any](qc *queryCache, m map[K]V, key K, compute func() V) V {
 	qc.mu.Lock()
-	defer qc.mu.Unlock()
-	for k, v := range qc.covering {
-		if !hit(k[0]) && !hit(k[1]) && !hit(k[2]) {
-			next.covering[k] = v
-		}
+	v, ok := m[key]
+	qc.mu.Unlock()
+	if ok {
+		return v
 	}
-	for k, v := range qc.edges {
-		if !hit(k[0]) && !hit(k[1]) {
-			next.edges[k] = v
-		}
-	}
-	for k, v := range qc.attrOf {
-		if !hit(k[0]) && !hit(k[1]) {
-			next.attrOf[k] = v
-		}
-	}
-	for k, v := range qc.providers {
-		if !hit(k[0]) && !hit(k[1]) {
-			next.providers[k] = v
-		}
-	}
-	for k, v := range qc.identifiersOf {
-		if !hit(k) {
-			next.identifiersOf[k] = v
-		}
-	}
-	for k, v := range qc.featureOfAttr {
-		if !hit(k) {
-			next.featureOfAttr[k] = v
-		}
-	}
-	for k, v := range qc.attrsOf {
-		if !hit(k) {
-			next.attrsOf[k] = v
-		}
-	}
-	for k, v := range qc.sourceOf {
-		if !hit(k) {
-			next.sourceOf[k] = v
-		}
-	}
-	return next
-}
-
-// ensureMappingMapsLocked builds the wrapper↔graph maps from one sorted scan
-// of the M:mapping triples, read from the cache's pinned snapshot. The scan
-// is subject-major in ascending term-key order, so "first object per
-// subject" and "first subject per object" reproduce LAVGraphOf's and
-// WrapperOfLAVGraph's first-match semantics.
-func (qc *queryCache) ensureMappingMapsLocked(o *Ontology) {
-	if qc.wrapperGraph != nil {
-		return
-	}
-	qc.wrapperGraph = map[rdf.IRI]rdf.IRI{}
-	qc.graphWrapper = map[rdf.IRI]rdf.IRI{}
-	qc.coveringByGraph = map[rdf.IRI][]rdf.IRI{}
-	for _, q := range qc.snap.Match(store.InGraph(MappingsGraphName, nil, MMapping, nil)) {
-		w, okW := q.Subject.(rdf.IRI)
-		g, okG := q.Object.(rdf.IRI)
-		if !okW || !okG {
-			continue
-		}
-		if _, seen := qc.wrapperGraph[w]; !seen {
-			qc.wrapperGraph[w] = g
-			qc.coveringByGraph[g] = append(qc.coveringByGraph[g], w)
-		}
-		if _, seen := qc.graphWrapper[g]; !seen {
-			qc.graphWrapper[g] = w
-		}
-	}
+	v = compute()
+	qc.mu.Lock()
+	m[key] = v
+	qc.mu.Unlock()
+	return v
 }
 
 // WrappersCoveringTriple returns the wrappers whose LAV mapping graph
@@ -197,25 +92,14 @@ func (o *Ontology) WrappersCoveringTriple(t rdf.Triple) []rdf.IRI {
 	if !okS || !okP || !okO {
 		return nil
 	}
-	key := [3]rdf.TermID{sid, pid, oid}
-	qc.mu.Lock()
-	if ws, ok := qc.covering[key]; ok {
-		qc.mu.Unlock()
-		return ws
-	}
-	qc.ensureMappingMapsLocked(o)
-	qc.mu.Unlock()
-
-	var out []rdf.IRI
-	for _, g := range qc.snap.GraphsContaining(t) {
-		qc.mu.Lock()
-		ws := qc.coveringByGraph[g]
-		qc.mu.Unlock()
-		out = append(out, ws...)
-	}
-	slices.Sort(out)
-	qc.mu.Lock()
-	qc.covering[key] = out
-	qc.mu.Unlock()
-	return out
+	return memoize(qc, qc.covering, [3]rdf.TermID{sid, pid, oid}, func() []rdf.IRI {
+		var out []rdf.IRI
+		for _, g := range qc.snap.GraphsContaining(t) {
+			if w, ok := wrapperOfLAVGraph(qc.snap, g); ok {
+				out = append(out, w)
+			}
+		}
+		slices.Sort(out)
+		return out
+	})
 }

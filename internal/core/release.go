@@ -60,6 +60,8 @@ type Release struct {
 // Validate checks the release: the wrapper spec must be valid, every
 // attribute mapped by F must belong to the wrapper, every target must be a
 // feature vertex of the subgraph, and the subgraph must be a subgraph of G.
+// The checks read one pinned snapshot and probe G per triple instead of
+// materializing it.
 func (r Release) Validate(o *Ontology) error {
 	if err := r.Wrapper.Validate(); err != nil {
 		return err
@@ -67,8 +69,11 @@ func (r Release) Validate(o *Ontology) error {
 	if r.Subgraph == nil || r.Subgraph.Len() == 0 {
 		return fmt.Errorf("core: release for wrapper %q has an empty LAV subgraph", r.Wrapper.Name)
 	}
-	if !o.GlobalGraph().Subsumes(r.Subgraph) {
-		return fmt.Errorf("core: release subgraph for wrapper %q is not a subgraph of G", r.Wrapper.Name)
+	sn := o.store.Snapshot()
+	for _, t := range r.Subgraph.Triples {
+		if !sn.ContainsTriple(GlobalGraphName, t) {
+			return fmt.Errorf("core: release subgraph for wrapper %q is not a subgraph of G", r.Wrapper.Name)
+		}
 	}
 	attrs := map[string]bool{}
 	for _, a := range r.Wrapper.Attributes() {
@@ -78,7 +83,7 @@ func (r Release) Validate(o *Ontology) error {
 		if !attrs[attr] {
 			return fmt.Errorf("core: release maps unknown attribute %q of wrapper %q", attr, r.Wrapper.Name)
 		}
-		if !o.IsFeature(feature) {
+		if !isTyped(sn, feature, GFeature) {
 			return fmt.Errorf("core: release maps attribute %q to %s which is not a G:Feature", attr, o.prefixes.Compact(feature))
 		}
 		if !r.Subgraph.ContainsNode(feature) {
@@ -122,7 +127,10 @@ type ReleaseResult struct {
 // wrapper spec validates attribute uniqueness — so every quad is collected
 // first and published with a single AddAll. Readers therefore never
 // observe a half-registered release, and the store merges each touched
-// index bucket once instead of once per triple.
+// index bucket once instead of once per triple. The release's delta span is
+// published inside that batch's writer critical section, before its
+// snapshot, so no reader sees the release's generation without the span
+// that explains it.
 func (o *Ontology) NewRelease(r Release) (*ReleaseResult, error) {
 	if err := r.Validate(o); err != nil {
 		return nil, err
@@ -171,7 +179,7 @@ func (o *Ontology) NewRelease(r Release) (*ReleaseResult, error) {
 	// release sequence number used by historical query policies.
 	lavGraph := MappingGraphURI(r.Wrapper.Name)
 	add(MappingsGraphName, rdf.T(wrapperURI, MMapping, lavGraph))
-	seq := len(sn.Match(store.InGraph(MappingsGraphName, nil, MRegistrationOrder, nil))) + 1
+	seq := sn.Count(store.InGraph(MappingsGraphName, nil, MRegistrationOrder, nil)) + 1
 	res.Sequence = seq
 	add(MappingsGraphName, rdf.Triple{
 		Subject:   wrapperURI,
@@ -201,28 +209,34 @@ func (o *Ontology) NewRelease(r Release) (*ReleaseResult, error) {
 	// One snapshot publication for the whole release. Quads already present
 	// from earlier releases (e.g. an owl:sameAs link of a reused attribute)
 	// are skipped by the store, exactly as the per-triple path ignored them.
-	if _, err := o.store.AddAll(pending); err != nil {
+	//
+	// The delta span is recorded once the commit hook has accepted the batch
+	// and before its snapshot is visible, so caches validating across
+	// (pre, post] can invalidate incrementally. Mutations that bypass this
+	// path (Global-graph edits, administrative removals, direct store writes)
+	// leave their generations unexplained, which DeltasBetween reports as
+	// "not covered" and caches answer with a full flush. The release batch is
+	// exactly one snapshot publication (a release always adds at least the
+	// wrapper typing triple); if it publishes anything but the generation
+	// after sn, a direct store write raced the release, and claiming the
+	// interval would let caches retain entries the foreign write
+	// invalidated — leave it unexplained.
+	var span *DeltaSpan
+	_, err := o.store.AddAllBeforePublish(pending, func(gen uint64) {
+		if gen == sn.Generation()+1 {
+			span = &DeltaSpan{From: sn.Generation(), To: gen, Delta: res.Delta}
+			o.recordDeltaLocked(*span)
+		}
+	})
+	if err != nil {
 		return nil, fmt.Errorf("core: registering release of wrapper %q: %w", r.Wrapper.Name, err)
 	}
 	after := o.store.Snapshot()
 	res.SourceTriplesAdded = after.GraphLen(SourceGraphName) - sBefore
 	res.TriplesAdded = after.Len() - totalBefore
-	// Publish the delta span so caches validating across (pre, post] can
-	// invalidate incrementally. Mutations that bypass this path (Global-graph
-	// edits, administrative removals, direct store writes) leave their
-	// generations unexplained, which DeltasBetween reports as "not covered"
-	// and caches answer with a full flush. The release batch is exactly one
-	// snapshot publication (a release always adds at least the wrapper typing
-	// triple); if the interval spans more than one generation, a direct store
-	// write raced the release, and claiming the interval would let caches
-	// retain entries the foreign write invalidated — leave it unexplained.
-	if after.Generation() == sn.Generation()+1 {
-		o.recordDeltaLocked(sn.Generation(), after.Generation(), res.Delta)
-		if o.releaseHook != nil {
-			span := DeltaSpan{From: sn.Generation(), To: after.Generation(), Delta: res.Delta}
-			if err := o.releaseHook(span); err != nil {
-				return res, fmt.Errorf("core: journaling release of wrapper %q (release applied; recovery falls back to full cache invalidation): %w", r.Wrapper.Name, err)
-			}
+	if span != nil && o.releaseHook != nil {
+		if err := o.releaseHook(*span); err != nil {
+			return res, fmt.Errorf("core: journaling release of wrapper %q (release applied; recovery falls back to full cache invalidation): %w", r.Wrapper.Name, err)
 		}
 	}
 	return res, nil

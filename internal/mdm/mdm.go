@@ -13,15 +13,18 @@
 // read handler and metrics writer loads it once and holds nothing while it
 // rewrites, fetches from wrappers or writes its reply. Analyst queries
 // therefore run in parallel with each other and with release registration,
-// even while a wrapper fetch waits on a slow source. Consistency comes from
-// the layers below: the quad store serves reads from immutable,
-// generation-tagged snapshots; NewRelease publishes a release as one atomic
-// store batch; the rewriting cache validates itself against the release-delta
-// log and retries a rewrite that raced a release, retiring only the cached
-// rewritings whose concept/feature footprint a release touches (GET
-// /api/queries/cache reports the counters); and /api/ontology/stats and
-// /sources each read one pinned snapshot, so every reply describes one
-// generation.
+// even while a wrapper fetch waits on a slow source. The layers below take no
+// lock a release holds either, so a release parked in the WAL's fsync holds
+// up no reader. Consistency comes from those layers: the quad store serves
+// reads from immutable, generation-tagged snapshots; NewRelease publishes a
+// release as one atomic store batch, and its delta span before that batch's
+// snapshot; the ontology's lookup memo lives for one generation and is
+// installed with a compare-and-swap; the rewriting cache validates itself
+// against the release-delta log and retries a rewrite that raced a release,
+// retiring only the cached rewritings whose concept/feature footprint a
+// release touches (GET /api/queries/cache reports the counters); and
+// /api/ontology/stats and /sources each read one pinned snapshot, so every
+// reply describes one generation.
 //
 // The one lock left, releaseMu, is taken only by POST /api/releases. It makes
 // a release and its optional sample-data wrapper one step: the wrapper is

@@ -16,6 +16,7 @@ import (
 
 	"bdi/internal/core"
 	"bdi/internal/relational"
+	"bdi/internal/store"
 	"bdi/internal/workload"
 	"bdi/internal/wrapper"
 )
@@ -196,6 +197,86 @@ func TestReleaseDoesNotWaitForBlockedFetch(t *testing.T) {
 	close(unblock)
 	if code := <-answered; code != http.StatusOK {
 		t.Fatalf("the parked answer finished with %d", code)
+	}
+}
+
+// userFeedbackQuery is answered by w2 alone; w4Release touches none of its
+// concepts.
+const userFeedbackQuery = `
+PREFIX G: <http://www.essi.upc.edu/~snadal/BDIOntology/Global/>
+PREFIX sup: <http://www.essi.upc.edu/~snadal/BDIOntology/SUPERSEDE/>
+SELECT ?x ?y
+WHERE {
+  VALUES (?x ?y) { (sup:feedbackGatheringId sup:description) }
+  sup:FeedbackGathering G:hasFeature sup:feedbackGatheringId .
+  sup:FeedbackGathering sup:generatesUF sup:UserFeedback .
+  sup:UserFeedback G:hasFeature sup:description
+}
+`
+
+// TestRewriteDoesNotWaitForBlockedRelease parks a POST /api/releases inside
+// the store's commit hook, where a slow WAL fsync would hold it, and asserts
+// that meanwhile a cold rewrite and a cold answer over concepts the release
+// does not touch are served. No read takes a lock a release holds, so
+// neither waits for the release to be published. The test waits on events;
+// the timeout only turns a deadlock into a failure.
+func TestRewriteDoesNotWaitForBlockedRelease(t *testing.T) {
+	const stuck = 10 * time.Second
+	o, err := core.BuildSupersedeOntology(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(o, workload.SupersedeTable1Registry(false)).Handler()
+	parked, unpark := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	o.Store().SetCommitHook(func(b store.Batch) error {
+		if b.Kind == store.BatchAdd {
+			once.Do(func() { close(parked) })
+			<-unpark
+		}
+		return nil
+	})
+
+	released := make(chan int, 1)
+	go func() {
+		released <- serveJSON(h, http.MethodPost, "/api/releases", w4Release()).Code
+	}()
+	unparked := false
+	defer func() {
+		if !unparked {
+			close(unpark)
+			<-released
+		}
+	}()
+	select {
+	case <-parked:
+	case <-time.After(stuck):
+		t.Fatal("the release never reached the commit hook")
+	}
+
+	for _, step := range []struct {
+		path  string
+		query string
+	}{
+		{"/api/queries/rewrite", userFeedbackQuery},
+		{"/api/queries/answer", feedbackQuery},
+	} {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() { done <- serveJSON(h, http.MethodPost, step.path, QueryRequest{SPARQL: step.query}) }()
+		select {
+		case rec := <-done:
+			if rec.Code != http.StatusOK {
+				t.Fatalf("POST %s = %d: %s", step.path, rec.Code, rec.Body)
+			}
+		case <-time.After(stuck):
+			t.Fatalf("POST %s waits for a release parked in the commit hook", step.path)
+		}
+	}
+
+	unparked = true
+	close(unpark)
+	if code := <-released; code != http.StatusCreated {
+		t.Fatalf("the parked release finished with %d", code)
 	}
 }
 

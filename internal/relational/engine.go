@@ -286,9 +286,10 @@ func (u *unionPlan) run(ctx context.Context, track *lifecycle.Tracker, i int, sp
 
 // runWalk executes a compiled walk's physical plan and returns its rows in
 // the walk's physical column order. Everything it touches besides its own
-// rows is shared, read-only union state. Its time follows the rows it reads
-// and produces; its memory does not yet, because every join step still
-// allocates a whole check chunk for its output.
+// rows is shared, read-only union state. Its time and memory follow the rows
+// it reads and produces: a join step's first output arena holds as many rows
+// as the probe side, capped at one check chunk, and each refill doubles it up
+// to that cap.
 func runWalk(ctx context.Context, track *lifecycle.Tracker, steps []planStep, wp *walkPlan) ([][]ValueID, error) {
 	start := wp.start
 	width := len(start.vecs)
@@ -321,15 +322,14 @@ func runWalk(ctx context.Context, track *lifecycle.Tracker, steps []planStep, wp
 		tupleCost := int64(lifecycle.TupleCost + lifecycle.CellCost*mergedW)
 		out := make([][]ValueID, 0, len(rows))
 		var arena []ValueID
+		chunk := min(max(len(rows), 1), lifecycle.CheckEvery)
 		produced := 0
 		for _, row := range rows {
 			for r := idx.head[cellJoinID(row, st.left)]; r != 0; r = idx.next[r-1] {
 				ir := r - 1
 				if len(arena) < mergedW {
-					// One check chunk per refill, whatever the probe side's
-					// size: sizing it from the probe's rows is a follow-up
-					// (ROADMAP, guardrails).
-					arena = make([]ValueID, lifecycle.CheckEvery*mergedW)
+					arena = make([]ValueID, chunk*mergedW)
+					chunk = min(2*chunk, lifecycle.CheckEvery)
 				}
 				nr := arena[:mergedW:mergedW]
 				arena = arena[mergedW:]

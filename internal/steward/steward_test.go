@@ -107,7 +107,7 @@ func TestSuggestSubgraphConnectsConcepts(t *testing.T) {
 		t.Errorf("missing connecting path:\n%s", s.Graph)
 	}
 	// And it must be a valid LAV subgraph: contained in G.
-	if !o.GlobalGraph().Subsumes(s.Graph) {
+	if !o.Store().NamedGraph(core.GlobalGraphName).Subsumes(s.Graph) {
 		t.Error("suggested subgraph must be a subgraph of G")
 	}
 }

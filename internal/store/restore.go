@@ -146,9 +146,8 @@ func restoreQuad(d *rdf.Dict, id QuadID, graph rdf.IRI) (rdf.Quad, error) {
 // the entries of each graph are contiguous and graphs appear in ascending
 // name order; appending entries in input order therefore leaves every union
 // index bucket and graph bucket sorted without a single merge or
-// copy-on-write step. Per-graph indexes are not built at all — they
-// materialize lazily on first probe (see graphBucket). The empty-store
-// AddAll fast path, checkpoint Restore and arena compaction all use it.
+// copy-on-write step. The empty-store AddAll fast path, checkpoint Restore
+// and arena compaction all use it.
 func newSnapshotFromSorted(d *rdf.Dict, generation uint64, ar *arena, ents []eref) *snapshot {
 	sn := emptySnapshot(d, ar)
 	sn.generation = generation
@@ -178,8 +177,7 @@ func newSnapshotFromSorted(d *rdf.Dict, generation uint64, ar *arena, ents []ere
 
 // appendToBucket appends e to the index's tid bucket, creating pages as
 // needed and maintaining the distinct-term count. Used by the sorted bulk
-// build and the lazy per-graph index build, both of which append in
-// ascending sort-key order.
+// build, which appends in ascending sort-key order.
 func appendToBucket(ti *termIndex, tid rdf.TermID, e eref) {
 	pi := int(tid >> pageBits)
 	for len(ti.pages) <= pi {

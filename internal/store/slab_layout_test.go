@@ -7,80 +7,6 @@ import (
 	"bdi/internal/rdf"
 )
 
-// TestLazyGraphIndexBuildsOnFirstProbe pins the deferred-index contract:
-// loading a graph into a warm store leaves its per-graph per-term indexes
-// unbuilt, the first graph-scoped probe builds exactly the probed dimension,
-// and the probe results match a wildcard scan filtered by hand.
-func TestLazyGraphIndexBuildsOnFirstProbe(t *testing.T) {
-	s := New()
-	if _, err := s.AddAll(graphQuads("http://lazy/base", 12)); err != nil {
-		t.Fatal(err)
-	}
-	// Warm store: this AddAll takes the COW path, not the bulk fast path.
-	if _, err := s.AddAll(graphQuads("http://lazy/g", 20)); err != nil {
-		t.Fatal(err)
-	}
-	sn := s.Snapshot()
-	gid, ok := sn.Dict().LookupIRI("http://lazy/g")
-	if !ok {
-		t.Fatal("graph term not interned")
-	}
-	gb := sn.sn.graphs[sn.sn.graphIdx[gid]]
-	for dim := 0; dim < dimCount; dim++ {
-		if gb.idx[dim].Load() != nil {
-			t.Fatalf("per-graph index dim %d built eagerly on load", dim)
-		}
-	}
-
-	subj := rdf.IRI("http://snap/s3")
-	got := sn.Match(InGraph("http://lazy/g", subj, nil, nil))
-	if gb.idx[dimSubject].Load() == nil {
-		t.Fatal("subject probe did not build the subject index")
-	}
-	if gb.idx[dimObject].Load() != nil {
-		t.Fatal("subject probe built the object index too")
-	}
-
-	var want []rdf.Quad
-	for _, q := range sn.Match(Pattern{}) {
-		if q.Graph == "http://lazy/g" && q.Subject.Equal(subj) {
-			want = append(want, q)
-		}
-	}
-	if len(got) != len(want) || len(got) == 0 {
-		t.Fatalf("lazy probe returned %d quads, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("lazy probe quad %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-
-	// A write to the graph resets the cache for the new snapshot while the
-	// pinned snapshot keeps its built index.
-	extra := rdf.Q(rdf.IRI("http://lazy/extra"), rdf.IRI("http://lazy/p"), rdf.IRI("http://lazy/o"), rdf.IRI("http://lazy/g"))
-	if _, err := s.Add(extra); err != nil {
-		t.Fatal(err)
-	}
-	sn2 := s.Snapshot()
-	gb2 := sn2.sn.graphs[sn2.sn.graphIdx[gid]]
-	if gb2 == gb {
-		t.Fatal("graph bucket not copy-on-written by the insert")
-	}
-	if gb2.idx[dimSubject].Load() != nil {
-		t.Fatal("clone inherited a stale per-graph index")
-	}
-	if gb.idx[dimSubject].Load() == nil {
-		t.Fatal("pinned snapshot lost its built index")
-	}
-	if n := len(sn2.Match(InGraph("http://lazy/g", rdf.IRI("http://lazy/extra"), nil, nil))); n != 1 {
-		t.Fatalf("post-insert probe = %d quads, want 1", n)
-	}
-	if n := len(sn.Match(InGraph("http://lazy/g", rdf.IRI("http://lazy/extra"), nil, nil))); n != 0 {
-		t.Fatalf("pinned snapshot sees later insert: %d quads", n)
-	}
-}
-
 // TestArenaCompactionReclaimsDeadSlots drives the store through a load/remove
 // cycle large enough to trip arena compaction and asserts the arena shrank
 // back to the live size while content, probes and pinned snapshots stay

@@ -2,7 +2,6 @@ package store
 
 import (
 	"slices"
-	"sync/atomic"
 
 	"bdi/internal/rdf"
 	"bdi/internal/slab"
@@ -35,10 +34,12 @@ import (
 // O(bucket) — which is the trade the read-dominated query-answering workload
 // of the paper wants.
 //
-// Only the union-of-all-graphs indexes are maintained eagerly on the write
-// path. The per-graph per-term indexes are derived caches of the graph's
-// sorted entry list and are built lazily on first probe (see graphBucket),
-// so bulk-loading a graph into a warm store pays no per-graph merge cost.
+// There is one family of per-term indexes, over the union of all graphs. A
+// sort key starts with the graph name, so the entries of one graph form an
+// ordered subsequence of every union bucket: a graph-scoped probe reads the
+// same union bucket an unscoped probe reads and keeps the entries of its
+// graph. Nothing is derived per graph, so a write never turns into a rebuild
+// for the next reader.
 
 // eref is an index into the store's entry arena: the stored identity of one
 // quad. Buckets hold erefs instead of pointers, which keeps them invisible
@@ -94,7 +95,6 @@ const (
 	dimSubject = iota
 	dimPredicate
 	dimObject
-	dimCount
 )
 
 // dim returns the TermID of the given index dimension.
@@ -109,30 +109,15 @@ func (id QuadID) dim(d int) rdf.TermID {
 	}
 }
 
-// graphBucket is the sorted entry list of one graph (named or default),
-// plus that graph's lazily built per-dimension term indexes.
-//
-// The per-graph indexes are pure caches: a graph-scoped (term) bucket is
-// exactly the subsequence of entries whose quads carry that term, in the
-// same order. They are therefore not maintained on the write path at all —
-// the first graph-scoped probe of a dimension builds the index from entries
-// with one linear pass and installs it with a CompareAndSwap (racing readers
-// build equivalent indexes; the loser's copy is discarded). A writer that
-// touches the graph clones the bucket with empty cells, resetting the cache
-// for the new snapshot while the old snapshot keeps its own. Bulk-loading a
-// graph into a non-empty store thus defers all per-graph index construction
-// until the graph is actually probed.
+// graphBucket is the sorted entry list of one graph (named or default).
 type graphBucket struct {
 	id      rdf.TermID
 	name    rdf.IRI
 	entries []eref // ascending sort-key order
-	idx     [dimCount]atomic.Pointer[termIndex]
 }
 
 // snapshot is one immutable generation of the store. All fields, and
-// everything reachable from them, are frozen once the snapshot is published
-// (the lazy per-graph index cells are the one exception: they cache derived
-// state and converge monotonically from nil to built).
+// everything reachable from them, are frozen once the snapshot is published.
 type snapshot struct {
 	// dict interns every term appearing in this snapshot. The dictionary is
 	// append-only and safe for concurrent use, so it is shared between the
@@ -158,8 +143,8 @@ type snapshot struct {
 	graphIdx map[rdf.TermID]int
 
 	// Union-of-all-graphs per-term indexes, one per dimension, maintained
-	// eagerly by the writer. The default graph is included like any other
-	// graph. Graph-scoped probes use the lazy per-graph indexes instead.
+	// by the writer. The default graph is included like any other graph.
+	// Graph-scoped probes read them too and filter on the graph.
 	bySubject   *termIndex
 	byPredicate *termIndex
 	byObject    *termIndex
@@ -170,23 +155,6 @@ func (s *snapshot) slot(e eref) *entrySlot { return s.slots.At(e) }
 
 // key resolves an entry's sort-key bytes against this snapshot's arena view.
 func (s *snapshot) key(e eref) []byte { return s.keys.Bytes(s.slot(e).key) }
-
-// graphDim returns the graph's per-term index for one dimension, building
-// and caching it on first use. Safe for concurrent readers: the cell
-// converges via CompareAndSwap and entries is immutable.
-func (s *snapshot) graphDim(gb *graphBucket, dim int) *termIndex {
-	if ti := gb.idx[dim].Load(); ti != nil {
-		return ti
-	}
-	ti := &termIndex{}
-	for _, e := range gb.entries {
-		appendToBucket(ti, s.slot(e).id.dim(dim), e)
-	}
-	if gb.idx[dim].CompareAndSwap(nil, ti) {
-		return ti
-	}
-	return gb.idx[dim].Load()
-}
 
 // quadOf materializes a quad from its dictionary encoding. terms is the
 // dictionary's term table (dict.Terms()), resolved once per materializing
@@ -295,9 +263,9 @@ func (sn Snapshot) Graphs() []rdf.IRI {
 }
 
 // Contains reports whether the exact quad is present. The probe scans the
-// smaller of the quad's graph-scoped subject and object buckets, so hub
-// subjects (a wrapper with hundreds of attribute triples) are looked up
-// through their far more selective object side.
+// smaller of the quad's union subject and object buckets, so hub subjects (a
+// wrapper with hundreds of attribute triples) are looked up through their far
+// more selective object side.
 func (sn Snapshot) Contains(q rdf.Quad) bool {
 	if sn.sn == nil {
 		return false
@@ -307,13 +275,8 @@ func (sn Snapshot) Contains(q rdf.Quad) bool {
 	if !ok {
 		return false
 	}
-	pos, ok := s.graphIdx[id.Graph]
-	if !ok {
-		return false
-	}
-	gb := s.graphs[pos]
-	b := s.graphDim(gb, dimSubject).bucket(id.Subject)
-	if o := s.graphDim(gb, dimObject).bucket(id.Object); len(o) < len(b) {
+	b := s.bySubject.bucket(id.Subject)
+	if o := s.byObject.bucket(id.Object); len(o) < len(b) {
 		b = o
 	}
 	for _, e := range b {
@@ -372,10 +335,7 @@ func (sn Snapshot) MatchIDs(p IDPattern) []QuadID {
 		return nil
 	}
 	s := sn.sn
-	candidates, scan, none := s.selectBucket(p)
-	if none {
-		return nil
-	}
+	candidates, scan := s.selectBucket(p)
 	var out []QuadID
 	if scan {
 		for _, gb := range s.graphs {
@@ -391,6 +351,33 @@ func (sn Snapshot) MatchIDs(p IDPattern) []QuadID {
 		}
 	}
 	return out
+}
+
+// Count returns the number of quads matching the pattern without
+// materializing them.
+func (sn Snapshot) Count(p Pattern) int {
+	if sn.sn == nil {
+		return 0
+	}
+	s := sn.sn
+	ip, ok := idPattern(s.dict, p)
+	if !ok {
+		return 0
+	}
+	candidates, scan := s.selectBucket(ip)
+	switch {
+	case scan:
+		return s.size
+	case !residualFilter(ip):
+		return len(candidates)
+	}
+	n := 0
+	for _, e := range candidates {
+		if idMatches(s.slot(e).id, ip) {
+			n++
+		}
+	}
+	return n
 }
 
 // GraphsContaining returns the names of all named graphs that contain the
@@ -476,10 +463,7 @@ func (sn Snapshot) matchEntries(p Pattern) []eref {
 }
 
 func (s *snapshot) matchEntries(p IDPattern) []eref {
-	candidates, scan, none := s.selectBucket(p)
-	if none {
-		return nil
-	}
+	candidates, scan := s.selectBucket(p)
 	if scan {
 		out := make([]eref, 0, s.size)
 		for _, gb := range s.graphs {
@@ -501,52 +485,36 @@ func (s *snapshot) matchEntries(p IDPattern) []eref {
 	return out
 }
 
-// selectBucket chooses the most selective index bucket for the pattern.
-// Graph-scoped patterns resolve through the graph's lazily built indexes
-// (already restricted to the requested graph); unscoped patterns use the
-// eagerly maintained union indexes. scan reports that no term or graph bound
-// the pattern, so the caller must walk the whole store; none reports the
-// reserved-union-key guard (GraphSet with graph ID 0 would alias the union
-// indexes; no real graph ever has ID 0).
-func (s *snapshot) selectBucket(p IDPattern) (candidates []eref, scan, none bool) {
-	if p.GraphSet {
-		if p.Graph == allGraphsID {
-			return nil, false, true
-		}
-		pos, ok := s.graphIdx[p.Graph]
-		if !ok {
-			return nil, false, false
-		}
-		gb := s.graphs[pos]
-		switch {
-		case p.Subject != 0:
-			return s.graphDim(gb, dimSubject).bucket(p.Subject), false, false
-		case p.Object != 0:
-			return s.graphDim(gb, dimObject).bucket(p.Object), false, false
-		case p.Predicate != 0:
-			return s.graphDim(gb, dimPredicate).bucket(p.Predicate), false, false
-		default:
-			return gb.entries, false, false
-		}
-	}
+// selectBucket chooses the bucket a probe scans: the union bucket of the
+// subject, else of the object, else of the predicate; with no term bound, the
+// graph's entry list. scan reports that nothing bound the pattern, so the
+// caller must walk the whole store.
+func (s *snapshot) selectBucket(p IDPattern) (candidates []eref, scan bool) {
 	switch {
 	case p.Subject != 0:
-		return s.bySubject.bucket(p.Subject), false, false
+		return s.bySubject.bucket(p.Subject), false
 	case p.Object != 0:
-		return s.byObject.bucket(p.Object), false, false
+		return s.byObject.bucket(p.Object), false
 	case p.Predicate != 0:
-		return s.byPredicate.bucket(p.Predicate), false, false
+		return s.byPredicate.bucket(p.Predicate), false
+	case p.GraphSet:
+		if pos, ok := s.graphIdx[p.Graph]; ok {
+			return s.graphs[pos].entries, false
+		}
+		return nil, false
 	default:
-		return nil, true, false
+		return nil, true
 	}
 }
 
 // residualFilter reports whether a bucket candidate can fail idMatches,
-// i.e. whether the pattern binds more than the term the bucket was selected
-// by. The graph restriction never needs filtering: graph-scoped buckets are
-// already graph-exact.
+// i.e. whether the pattern binds more than the term or graph the bucket was
+// selected by.
 func residualFilter(p IDPattern) bool {
 	bound := 0
+	if p.GraphSet {
+		bound++
+	}
 	if p.Subject != 0 {
 		bound++
 	}
@@ -559,9 +527,11 @@ func residualFilter(p IDPattern) bool {
 	return bound > 1
 }
 
-// idMatches applies the residual term filter to a bucket candidate.
+// idMatches applies the residual graph and term filter to a bucket
+// candidate.
 func idMatches(id QuadID, p IDPattern) bool {
-	return (p.Subject == 0 || id.Subject == p.Subject) &&
+	return (!p.GraphSet || id.Graph == p.Graph) &&
+		(p.Subject == 0 || id.Subject == p.Subject) &&
 		(p.Predicate == 0 || id.Predicate == p.Predicate) &&
 		(p.Object == 0 || id.Object == p.Object)
 }

@@ -105,10 +105,6 @@ type MatchedQuad struct {
 	ID QuadID
 }
 
-// allGraphsID is the reserved index key for the union-of-all-graphs
-// indexes. Real TermIDs start at 1, so 0 is never a graph's ID.
-const allGraphsID rdf.TermID = 0
-
 // arena owns the store's entry slots and sort-key bytes. It has a single
 // writer (the holder of Store.mu); snapshots hold views of its chunk tables
 // and readers resolve erefs through those views without locking (chunks
@@ -300,6 +296,16 @@ func (s *Store) MustAdd(q rdf.Quad) {
 // the slab arena (a handful of large chunk allocations instead of one per
 // quad); duplicate quads allocate nothing.
 func (s *Store) AddAll(quads []rdf.Quad) (int, error) {
+	return s.AddAllBeforePublish(quads, nil)
+}
+
+// AddAllBeforePublish is AddAll with a callback that runs inside the writer
+// critical section, after the commit hook has accepted the batch and just
+// before its snapshot becomes visible; gen is the generation the batch
+// publishes. Whatever the callback publishes is therefore visible to every
+// reader that observes gen. It is not called when the batch adds nothing, is
+// vetoed, or stops at an invalid quad. It must not call back into the Store.
+func (s *Store) AddAllBeforePublish(quads []rdf.Quad, beforePublish func(gen uint64)) (int, error) {
 	if len(quads) == 0 {
 		return 0, nil
 	}
@@ -317,7 +323,7 @@ func (s *Store) AddAll(quads []rdf.Quad) (int, error) {
 	if s.hook != nil {
 		journal = make([]rdf.Quad, 0, len(quads))
 	}
-	flush := func() error {
+	flush := func(before func(gen uint64)) error {
 		if len(ents) == 0 {
 			return nil
 		}
@@ -331,6 +337,9 @@ func (s *Store) AddAll(quads []rdf.Quad) (int, error) {
 				}
 				return err
 			}
+		}
+		if before != nil {
+			before(prev.generation + 1)
 		}
 		if prev.size == 0 {
 			// Fast-path bulk load: the store is empty, so there is nothing to
@@ -349,7 +358,7 @@ func (s *Store) AddAll(quads []rdf.Quad) (int, error) {
 	}
 	for _, q := range quads {
 		if err := q.Validate(); err != nil {
-			if ferr := flush(); ferr != nil {
+			if ferr := flush(nil); ferr != nil {
 				return 0, ferr
 			}
 			added = len(ents)
@@ -362,7 +371,7 @@ func (s *Store) AddAll(quads []rdf.Quad) (int, error) {
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	if err := flush(beforePublish); err != nil {
 		return 0, err
 	}
 	added = len(ents)
@@ -429,10 +438,10 @@ func (s *Store) Remove(q rdf.Quad) bool {
 }
 
 // RemoveGraph deletes every quad in the given named graph in one atomic
-// batch, returning the number removed. The graph's entry bucket (and its
-// lazily built indexes) are dropped wholesale; only the union indexes need
-// per-bucket maintenance. When a commit hook is installed and rejects the
-// batch, RemoveGraph panics (see CommitHook).
+// batch, returning the number removed. The graph's entry bucket is dropped
+// wholesale; only the union indexes need per-bucket maintenance. When a
+// commit hook is installed and rejects the batch, RemoveGraph panics (see
+// CommitHook).
 func (s *Store) RemoveGraph(graph rdf.IRI) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -594,9 +603,7 @@ func graphName(d *rdf.Dict, gid rdf.TermID) rdf.IRI {
 // headers are cloned up front (every batch touches all three dimensions);
 // pages, buckets and graph buckets are copy-on-written on first touch, and
 // structures created within the batch are tracked so repeated touches mutate
-// in place. The per-graph indexes are lazy caches and are simply reset on
-// touched graphs (see graphBucket). publish makes the snapshot visible with
-// one atomic store.
+// in place. publish makes the snapshot visible with one atomic store.
 type builder struct {
 	s          *Store
 	next       *snapshot
@@ -672,8 +679,7 @@ func (s *Store) compactArena(old *snapshot) *snapshot {
 // insert merges the batch's new entries into every index. ents may arrive
 // in any order; each touched union bucket is rebuilt exactly once per batch
 // via a sorted merge, so bulk loads cost O(touched buckets + batch log
-// batch) instead of one binary insertion per quad. Per-graph indexes are
-// not maintained here — they rebuild lazily on the next graph-scoped probe.
+// batch) instead of one binary insertion per quad.
 func (b *builder) insert(ents []eref) {
 	b.s.sortByKey(ents)
 	b.applyDim(b.next.bySubject, ents, dimSubject, b.mergeSorted)
@@ -685,7 +691,7 @@ func (b *builder) insert(ents []eref) {
 
 // remove subtracts the batch's entries from every index. ents must all be
 // present in the snapshot. Removing the last entry of a graph drops the
-// graph bucket (and with it the lazy per-graph indexes) wholesale.
+// graph bucket wholesale.
 func (b *builder) remove(ents []eref) {
 	ents = slices.Clone(ents)
 	b.s.sortByKey(ents)
@@ -802,9 +808,7 @@ func (b *builder) removeGraphs(ents []eref) {
 }
 
 // ensureGraph returns a batch-owned graph bucket at the given position,
-// cloning the published one on first touch. The clone's lazy index cells
-// start empty: touching a graph invalidates its cached per-graph indexes
-// for the new snapshot (the published snapshot keeps its own).
+// cloning the published one on first touch.
 func (b *builder) ensureGraph(pos int) *graphBucket {
 	gb := b.next.graphs[pos]
 	if !b.freshG[gb] {

@@ -279,11 +279,10 @@ func TestAnswerConsistentUnderWrapperChurn(t *testing.T) {
 // TestWalkExecutionAllocationsPerWalk guards the union-level compile of the
 // Figure 8 union: 243 walks of 3 rows over 15 wrappers must not allocate the
 // per-walk schemas, name maps and hash indexes a per-walk compile built (about
-// 225 objects per walk). The ceiling is a fixed 32 objects per executed walk,
-// fetch, ingest, union and decode included. Bytes per walk are logged, not
-// bounded: each join step still allocates a whole check chunk for its output
-// (about 85 KB per walk), and the bar for the follow-up that sizes it from
-// the probe side's rows is 8 KB.
+// 225 objects per walk). The ceilings are fixed per executed walk, fetch,
+// ingest, union and decode included: 32 objects, and 8 KB, which holds only
+// while each join step sizes its output arena from the probe side's rows (a
+// whole check chunk per step costs about 85 KB per walk).
 func TestWalkExecutionAllocationsPerWalk(t *testing.T) {
 	wc, err := workload.BuildWorstCase(5, 3)
 	if err != nil {
@@ -317,11 +316,15 @@ func TestWalkExecutionAllocationsPerWalk(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	objects := (after.Mallocs - before.Mallocs) / uint64(runs*walks)
-	const ceiling = 32
+	bytes := (after.TotalAlloc - before.TotalAlloc) / uint64(runs*walks)
+	const ceiling, byteCeiling = 32, 8 << 10
 	if objects > ceiling {
 		t.Fatalf("executing the Figure 8 union allocates %d objects per walk, ceiling %d", objects, ceiling)
 	}
-	t.Logf("%d objects, %d B allocated per executed walk", objects, (after.TotalAlloc-before.TotalAlloc)/uint64(runs*walks))
+	if bytes > byteCeiling {
+		t.Fatalf("executing the Figure 8 union allocates %d B per walk, ceiling %d", bytes, byteCeiling)
+	}
+	t.Logf("%d objects, %d B allocated per executed walk", objects, bytes)
 }
 
 // TestJSONRowsAllocationsPerDocument guards the JSON wrapper's one
