@@ -401,6 +401,42 @@ func BenchmarkAlgorithm1NewRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkAlgorithm1NewReleaseAtDepth times one release into an ontology
+// that already holds 256, then 2,048, chain releases (a wrapper for the
+// first chain concept of the Figure 8 setting): the in-process view of how a
+// release's cost grows with history. Every 64 releases the timer stops and
+// the ontology is restored from a clone taken at the starting depth, so every
+// timed release lands within 64 of it.
+func BenchmarkAlgorithm1NewReleaseAtDepth(b *testing.B) {
+	const restoreEvery = 64
+	for _, depth := range []int{256, 2048} {
+		b.Run(fmt.Sprintf("releases=%d", depth), func(b *testing.B) {
+			ec, err := workload.BuildEvolutionChurn(2, 1, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < depth; i++ {
+				if _, err := ec.RegisterRelatedRelease(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			base := ec.Ontology.Store().Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%restoreEvery == 0 {
+					b.StopTimer()
+					ec.Ontology = core.RestoreOntology(base.Clone(), nil)
+					b.StartTimer()
+				}
+				if _, err := ec.RegisterRelatedRelease(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkRunningExampleRewriteOnly(b *testing.B) {
 	o, err := core.BuildSupersedeOntology(false)
 	if err != nil {

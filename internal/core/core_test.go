@@ -338,6 +338,41 @@ func TestRemoveWrapperRegistration(t *testing.T) {
 	}
 }
 
+// TestReleaseSequenceNeverReused pins that a release's sequence number is
+// never handed out twice: removing an earlier registration does not free a
+// number, so the newest release of a source stays its latest wrapper; and an
+// ontology restored over an existing store continues from the store's
+// highest number.
+func TestReleaseSequenceNeverReused(t *testing.T) {
+	o, err := BuildSupersedeOntology(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.RemoveWrapperRegistration("w2")
+	w5 := SupersedeReleaseW4()
+	w5.Wrapper.Name = "w5"
+	res, err := o.NewRelease(w5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sequence != 5 {
+		t.Errorf("w5 sequence = %d, want 5", res.Sequence)
+	}
+	if w, ok := o.LatestWrapperOfSource("D1"); !ok || w != WrapperURI("w5") {
+		t.Errorf("latest wrapper of D1 = %v, want w5", w)
+	}
+
+	restored := RestoreOntology(o.Store().Clone(), nil)
+	w6 := SupersedeReleaseW4()
+	w6.Wrapper.Name = "w6"
+	if res, err = restored.NewRelease(w6); err != nil {
+		t.Fatal(err)
+	}
+	if res.Sequence != 6 {
+		t.Errorf("restored ontology: w6 sequence = %d, want 6", res.Sequence)
+	}
+}
+
 func TestDefaultPrefixes(t *testing.T) {
 	pm := DefaultPrefixes()
 	if got := pm.Compact(GHasFeature); got != "G:hasFeature" {

@@ -32,6 +32,10 @@ type Ontology struct {
 	// a lock.
 	deltaLog atomic.Pointer[[]DeltaSpan]
 
+	// lastSeq is the highest release sequence number handed out; 0 until
+	// the first release seeds it (see lastSequenceLocked). Guarded by mu.
+	lastSeq int
+
 	// releaseHook, when set, observes every span a release records (see
 	// SetReleaseHook). Guarded by mu.
 	releaseHook func(DeltaSpan) error

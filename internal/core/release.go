@@ -179,7 +179,7 @@ func (o *Ontology) NewRelease(r Release) (*ReleaseResult, error) {
 	// release sequence number used by historical query policies.
 	lavGraph := MappingGraphURI(r.Wrapper.Name)
 	add(MappingsGraphName, rdf.T(wrapperURI, MMapping, lavGraph))
-	seq := sn.Count(store.InGraph(MappingsGraphName, nil, MRegistrationOrder, nil)) + 1
+	seq := o.lastSequenceLocked(sn) + 1
 	res.Sequence = seq
 	add(MappingsGraphName, rdf.Triple{
 		Subject:   wrapperURI,
@@ -231,6 +231,7 @@ func (o *Ontology) NewRelease(r Release) (*ReleaseResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: registering release of wrapper %q: %w", r.Wrapper.Name, err)
 	}
+	o.lastSeq = seq
 	after := o.store.Snapshot()
 	res.SourceTriplesAdded = after.GraphLen(SourceGraphName) - sBefore
 	res.TriplesAdded = after.Len() - totalBefore
@@ -240,6 +241,24 @@ func (o *Ontology) NewRelease(r Release) (*ReleaseResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// lastSequenceLocked returns the highest release sequence number handed out
+// so far. Until this ontology numbers its first release the store is the
+// authority (a restored or recovered ontology), so the counter is seeded
+// from the largest M:registrationOrder in sn; after that it only grows, and
+// removing a registration never frees its number. Callers hold o.mu.
+func (o *Ontology) lastSequenceLocked(sn store.Snapshot) int {
+	if o.lastSeq == 0 {
+		for _, q := range sn.Match(store.InGraph(MappingsGraphName, nil, MRegistrationOrder, nil)) {
+			if lit, ok := q.Object.(rdf.Literal); ok {
+				if n, ok := lit.Integer(); ok && int(n) > o.lastSeq {
+					o.lastSeq = int(n)
+				}
+			}
+		}
+	}
+	return o.lastSeq
 }
 
 // RemoveWrapperRegistration removes a wrapper from S and M. The paper never

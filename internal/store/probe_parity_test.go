@@ -1,8 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bdi/internal/rdf"
@@ -38,8 +40,8 @@ func parityQuads(rng *rand.Rand, n int) []rdf.Quad {
 
 // checkProbeParity asserts that every graph × subject/predicate/object
 // pattern shape, over the terms of sampled quads, answers exactly the full
-// scan filtered by hand, in the same order — through Match, MatchIDs and
-// Count — and that Contains agrees on every sampled quad.
+// scan filtered by hand, in the same order — through Match and MatchIDs —
+// and that Contains agrees on every sampled quad.
 func checkProbeParity(t *testing.T, label string, sn Snapshot, samples []rdf.Quad) {
 	t.Helper()
 	all := sn.Quads()
@@ -80,9 +82,6 @@ func checkProbeParity(t *testing.T, label string, sn Snapshot, samples []rdf.Qua
 							t.Fatalf("%s: Match quad %d = %v, want %v", where, i, got[i], want[i])
 						}
 					}
-					if n := sn.Count(p); n != len(want) {
-						t.Fatalf("%s: Count = %d, want %d", where, n, len(want))
-					}
 					ip, ok := idPattern(sn.Dict(), p)
 					if !ok {
 						if len(want) != 0 {
@@ -116,16 +115,120 @@ func checkProbeParity(t *testing.T, label string, sn Snapshot, samples []rdf.Qua
 	}
 }
 
+// checkSortedReference asserts that every union bucket, every graph bucket
+// and the graph order of s's current snapshot equal a reference built by
+// sorting all live entries at once.
+func checkSortedReference(t *testing.T, label string, s *Store) {
+	t.Helper()
+	sn := s.snap.Load()
+	ref := make([]eref, 0, len(s.quads))
+	for _, e := range s.quads {
+		ref = append(ref, e)
+	}
+	slices.SortFunc(ref, func(x, y eref) int { return bytes.Compare(sn.key(x), sn.key(y)) })
+	if sn.size != len(ref) {
+		t.Fatalf("%s: snapshot size %d, %d live quads", label, sn.size, len(ref))
+	}
+	var graphOrder []rdf.TermID
+	byGraph := map[rdf.TermID][]eref{}
+	byDim := [3]map[rdf.TermID][]eref{{}, {}, {}}
+	for _, e := range ref {
+		id := sn.slot(e).id
+		if len(byGraph[id.Graph]) == 0 {
+			graphOrder = append(graphOrder, id.Graph)
+		}
+		byGraph[id.Graph] = append(byGraph[id.Graph], e)
+		for d := range byDim {
+			byDim[d][id.dim(d)] = append(byDim[d][id.dim(d)], e)
+		}
+	}
+	if len(sn.graphs) != len(graphOrder) || len(sn.graphIdx) != len(graphOrder) {
+		t.Fatalf("%s: %d graph buckets, %d indexed, want %d", label, len(sn.graphs), len(sn.graphIdx), len(graphOrder))
+	}
+	for i, gb := range sn.graphs {
+		if gb.id != graphOrder[i] || gb.name != graphName(sn.dict, gb.id) {
+			t.Fatalf("%s: graph %d is %q, want %q", label, i, gb.name, graphName(sn.dict, graphOrder[i]))
+		}
+		if pos, ok := sn.graphIdx[gb.id]; !ok || pos != i {
+			t.Fatalf("%s: graph %q indexed at %d, sits at %d", label, gb.name, pos, i)
+		}
+		if !slices.Equal(gb.entries, byGraph[gb.id]) {
+			t.Fatalf("%s: graph %q bucket differs from the sorted reference", label, gb.name)
+		}
+	}
+	for d, ti := range []*termIndex{sn.bySubject, sn.byPredicate, sn.byObject} {
+		n := 0
+		for pi, pg := range ti.pages {
+			if pg == nil {
+				continue
+			}
+			for slot, bucket := range pg {
+				tid := rdf.TermID(pi<<pageBits | slot)
+				if !slices.Equal(bucket, byDim[d][tid]) {
+					t.Fatalf("%s: dimension %d bucket of term %d differs from the sorted reference", label, d, tid)
+				}
+				if len(bucket) > 0 {
+					n++
+				}
+			}
+		}
+		if n != len(byDim[d]) || ti.count != n {
+			t.Fatalf("%s: dimension %d holds %d buckets (count %d), want %d", label, d, n, ti.count, len(byDim[d]))
+		}
+	}
+}
+
+// mergeBatches returns copy-on-write batches aimed at the merge's and the
+// graph insertion's edge cases, for a store already holding named (not
+// default-graph) parity quads:
+//   - one batch creating several graphs at once, at the front ("" and
+//     "http://par/a"), the middle and the end of the name order, whose
+//     quads therefore land before, between and after the entries of
+//     existing union buckets;
+//   - n quads of subject x in g1, the bucket the next two batches hit;
+//   - n more, one between each pair of the previous ones: a batch as large
+//     as the bucket, with interleaved keys;
+//   - a batch before x's first entry, as a single entry and as a run
+//     between two entries, and after its last entry in g1 and in g2.
+func mergeBatches(rng *rand.Rand) [][]rdf.Quad {
+	x := rdf.IRI("http://par/x")
+	lit := func(g rdf.IRI, v int) rdf.Quad {
+		return rdf.Quad{Triple: rdf.NewTriple(x, rdf.IRI("http://par/p0"), rdf.NewLiteral(fmt.Sprintf("%04d", v))), Graph: g}
+	}
+	newGraphs := parityQuads(rng, 24)
+	for i := range newGraphs {
+		newGraphs[i].Graph = []rdf.IRI{"", "http://par/a", "http://par/g0x", "http://par/z"}[i%4]
+	}
+	n := 8 + rng.Intn(24)
+	var base, interleaved, edges []rdf.Quad
+	for i := 1; i <= n; i++ {
+		base = append(base, lit("http://par/g1", 10*i))
+		interleaved = append(interleaved, lit("http://par/g1", 10*i+5))
+	}
+	k := 1 + rng.Intn(n-1)
+	edges = append(edges, lit("http://par/g1", 1), lit("http://par/g1", 2), lit("http://par/g1", 10*k+7))
+	for v := 10*(k+1) + 1; v <= 10*(k+1)+4; v++ {
+		edges = append(edges, lit("http://par/g1", v))
+	}
+	edges = append(edges, lit("http://par/g1", 10*n+9), lit("http://par/g2", 1))
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return [][]rdf.Quad{newGraphs, base, interleaved, edges}
+}
+
 // TestProbeParityRandomized pins that a graph-scoped probe, served from the
 // union index of its subject, object or predicate and filtered on the graph,
 // equals the filtered full scan in content and order: on a store built by
 // the bulk path, copy-on-write batches and single adds; after Remove and
-// RemoveGraph; and on a snapshot pinned across those writes.
+// RemoveGraph; and on a snapshot pinned across those writes. After every
+// batch, each bucket and the graph order also equal a sort-everything
+// reference, including under batches aimed at the copy-on-write merge and
+// at placing several new graphs at once (see mergeBatches).
 func TestProbeParityRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		quads := parityQuads(rng, 160)
 		samples := append(parityQuads(rng, 4), quads[:8]...)
+		label := fmt.Sprintf("seed %d", seed)
 		s := New()
 		if _, err := s.AddAll(quads[:80]); err != nil {
 			t.Fatal(err)
@@ -133,12 +236,13 @@ func TestProbeParityRandomized(t *testing.T) {
 		if _, err := s.AddAll(quads[80:140]); err != nil {
 			t.Fatal(err)
 		}
+		checkSortedReference(t, label+" batches", s)
 		for _, q := range quads[140:] {
 			if _, err := s.Add(q); err != nil {
 				t.Fatal(err)
 			}
 		}
-		label := fmt.Sprintf("seed %d", seed)
+		checkSortedReference(t, label+" loaded", s)
 		checkProbeParity(t, label+" loaded", s.Snapshot(), samples)
 
 		pinned := s.Snapshot()
@@ -146,11 +250,13 @@ func TestProbeParityRandomized(t *testing.T) {
 		for i := 0; i < len(quads); i += 5 {
 			s.Remove(quads[i])
 		}
+		checkSortedReference(t, label+" after Remove", s)
 		checkProbeParity(t, label+" after Remove", s.Snapshot(), samples)
 		s.RemoveGraph("http://par/g1")
 		if n := s.GraphLen("http://par/g1"); n != 0 {
 			t.Fatalf("%s: g1 holds %d quads after RemoveGraph", label, n)
 		}
+		checkSortedReference(t, label+" after RemoveGraph", s)
 		checkProbeParity(t, label+" after RemoveGraph", s.Snapshot(), samples)
 
 		// The pinned snapshot still answers its own state.
@@ -158,5 +264,26 @@ func TestProbeParityRandomized(t *testing.T) {
 			t.Fatalf("%s: pinned snapshot holds %d quads, had %d", label, len(got), len(pinnedQuads))
 		}
 		checkProbeParity(t, label+" pinned", pinned, samples)
+
+		// A store without a default graph, so a new graph can also land at
+		// the front of the name order.
+		m := New()
+		var named []rdf.Quad
+		for _, q := range quads {
+			if q.Graph != "" {
+				named = append(named, q)
+			}
+		}
+		if _, err := m.AddAll(named[:len(named)/2]); err != nil {
+			t.Fatal(err)
+		}
+		for bi, batch := range append(mergeBatches(rng), named[len(named)/2:]) {
+			if _, err := m.AddAll(batch); err != nil {
+				t.Fatal(err)
+			}
+			where := fmt.Sprintf("%s merge batch %d", label, bi)
+			checkSortedReference(t, where, m)
+			checkProbeParity(t, where, m.Snapshot(), samples)
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package store
 
 import (
-	"slices"
-
 	"bdi/internal/rdf"
 	"bdi/internal/slab"
 )
@@ -353,33 +351,6 @@ func (sn Snapshot) MatchIDs(p IDPattern) []QuadID {
 	return out
 }
 
-// Count returns the number of quads matching the pattern without
-// materializing them.
-func (sn Snapshot) Count(p Pattern) int {
-	if sn.sn == nil {
-		return 0
-	}
-	s := sn.sn
-	ip, ok := idPattern(s.dict, p)
-	if !ok {
-		return 0
-	}
-	candidates, scan := s.selectBucket(ip)
-	switch {
-	case scan:
-		return s.size
-	case !residualFilter(ip):
-		return len(candidates)
-	}
-	n := 0
-	for _, e := range candidates {
-		if idMatches(s.slot(e).id, ip) {
-			n++
-		}
-	}
-	return n
-}
-
 // GraphsContaining returns the names of all named graphs that contain the
 // given triple. This implements the SPARQL `GRAPH ?g { ... }` lookups used
 // by the rewriting algorithms to resolve LAV mappings (Algorithm 4 line 8
@@ -591,18 +562,4 @@ func quadID(d *rdf.Dict, q rdf.Quad) (QuadID, bool) {
 		return QuadID{}, false
 	}
 	return QuadID{Graph: gid, Subject: sid, Predicate: pid, Object: oid}, true
-}
-
-// sortGraphBuckets keeps the graphs slice in ascending graph-name order.
-func sortGraphBuckets(graphs []*graphBucket) {
-	slices.SortFunc(graphs, func(a, b *graphBucket) int {
-		switch {
-		case a.name < b.name:
-			return -1
-		case a.name > b.name:
-			return 1
-		default:
-			return 0
-		}
-	})
 }
