@@ -22,7 +22,8 @@
 // layers underneath, where every entry point takes ctx first:
 // rewriting.Cache.RewriteContext, rewriting.Rewriter.ExecuteResultLimit and,
 // at the source boundary, relational.WrapperResolver.Fetch(ctx, wrapper,
-// Pushdown) down to wrapper.Wrapper.Rows and wrapper.DocumentSource.Documents.
+// Pushdown, ValueDict) down to wrapper.Wrapper.Rows and
+// wrapper.DocumentSource.Documents.
 package bdi
 
 import (

@@ -399,11 +399,12 @@ func TestRejectedReleaseLeavesRegistryUnchanged(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s is not registered", name)
 		}
-		out, err := w.Rows(context.Background(), relational.Pushdown{})
+		d := relational.NewValueDict()
+		out, err := w.Rows(context.Background(), relational.Pushdown{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return out.Decode(d).Tuples
 	}
 	names, w4Rows := reg.Names(), rows("w4")
 

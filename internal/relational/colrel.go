@@ -1,10 +1,12 @@
 package relational
 
+import "slices"
+
 // ColRelation is a relation encoded as dictionary-interned column vectors:
 // Cols[i][r] is the ValueID of attribute Schema.Attributes[i] in row r, with
 // MissingValueID marking cells absent from the original tuple. It is the
-// execution-time representation the compiled walk engine joins over; the
-// map-based Relation remains the API-level exchange format.
+// representation a wrapper fetch returns and the compiled walk engine joins
+// over; the map-based Relation remains the API-level exchange format.
 type ColRelation struct {
 	Name   string
 	Schema Schema
@@ -15,29 +17,11 @@ type ColRelation struct {
 // NumRows returns the number of rows.
 func (c *ColRelation) NumRows() int { return c.rows }
 
-// IngestRelation encodes rel into dictionary-interned column vectors,
-// interning every distinct cell value exactly once. Attributes are taken
-// from the relation's schema; tuple keys outside the schema are invisible,
-// matching the projection semantics of the tuple executor.
+// IngestRelation encodes rel into dictionary-interned column vectors, as
+// the zero Pushdown's Apply does. No request calls it: wrappers fetch into
+// columns. It stays for the benchmark's staged ingest timer only.
 func IngestRelation(rel *Relation, d *ValueDict) *ColRelation {
-	names := rel.Schema.Names()
-	c := &ColRelation{Name: rel.Name, Schema: rel.Schema, rows: len(rel.Tuples)}
-	c.Cols = make([][]ValueID, len(names))
-	for i := range c.Cols {
-		c.Cols[i] = make([]ValueID, len(rel.Tuples))
-	}
-	// One lock for the whole relation: interning per cell under its own
-	// critical section would serialize ingest on the dictionary mutex.
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for r, t := range rel.Tuples {
-		for i, n := range names {
-			if v, ok := t[n]; ok {
-				c.Cols[i][r] = d.internLocked(v)
-			}
-		}
-	}
-	return c
+	return Pushdown{}.Apply(rel.Name, rel.Schema, slices.Values(rel.Tuples), d)
 }
 
 // Decode materializes the columnar relation back into map tuples. Cells

@@ -385,8 +385,8 @@ func pickJoinAttr(g *byteGen, s Schema) string {
 
 // pushdownStaticResolver answers fetches with an implementation of the
 // pushdown contract independent of the shared Pushdown.Apply helper
-// (restricted projection in schema order, rename last) and counts its
-// invocations.
+// (restricted projection in schema order, rename last; the zero Pushdown's
+// Apply only encodes the result into columns) and counts its invocations.
 type pushdownStaticResolver struct {
 	rels  staticResolver
 	calls int
@@ -395,7 +395,7 @@ type pushdownStaticResolver struct {
 	lastAttrs []string
 }
 
-func (p *pushdownStaticResolver) Fetch(_ context.Context, w string, pd Pushdown) (*Relation, error) {
+func (p *pushdownStaticResolver) Fetch(_ context.Context, w string, pd Pushdown, d *ValueDict) (*ColRelation, error) {
 	rel, ok := p.rels[w]
 	if !ok {
 		return nil, errNotFound(w)
@@ -407,7 +407,8 @@ func (p *pushdownStaticResolver) Fetch(_ context.Context, w string, pd Pushdown)
 		// IDs, in schema order.
 		rel = rel.Project(pd.Attrs)
 	}
-	return rel.Rename(pd.Rename), nil
+	rel = rel.Rename(pd.Rename)
+	return Pushdown{}.Apply(rel.Name, rel.Schema, slices.Values(rel.Tuples), d), nil
 }
 
 // fullOutputResolver answers every fetch with the wrapper's full output, as
@@ -418,8 +419,8 @@ type fullOutputResolver struct {
 	rels staticResolver
 }
 
-func (f fullOutputResolver) Fetch(ctx context.Context, w string, _ Pushdown) (*Relation, error) {
-	return f.rels.Fetch(ctx, w, Pushdown{})
+func (f fullOutputResolver) Fetch(ctx context.Context, w string, _ Pushdown, d *ValueDict) (*ColRelation, error) {
+	return f.rels.Fetch(ctx, w, Pushdown{}, d)
 }
 
 // decoded decodes an ExecuteUnion result, passing its error through.

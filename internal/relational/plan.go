@@ -255,8 +255,8 @@ func (u *unionPlan) at(name int32) int32 {
 	return u.pos[name]
 }
 
-// fetch fetches and ingests one wrapper, and resolves what the union needs
-// from it per declared output column.
+// fetch fetches one wrapper into the union's dictionary, and resolves what
+// the union needs from it per declared output column.
 func (u *unionPlan) fetch(ctx context.Context, src *source) error {
 	_, fspan := obs.StartSpan(ctx, "wrapper.fetch")
 	fspan.SetAttr("wrapper", src.name)
@@ -267,11 +267,10 @@ func (u *unionPlan) fetch(ctx context.Context, src *source) error {
 		wrapperFetchSeconds.Observe(d)
 		fspan.End()
 	}()
-	raw, err := u.resolver.Fetch(ctx, src.name, Pushdown{Attrs: src.attrs})
-	if err != nil {
+	var err error
+	if src.rel, err = u.resolver.Fetch(ctx, src.name, Pushdown{Attrs: src.attrs}, u.dict); err != nil {
 		return fmt.Errorf("relational: fetching wrapper %s: %w", src.name, err)
 	}
-	src.rel = IngestRelation(raw, u.dict)
 	src.indexes = make([]joinIndex, len(src.rel.Cols))
 	for i := range src.indexes {
 		src.indexes[i].col = src.rel.Cols[i]

@@ -56,24 +56,27 @@ func (p Pushdown) Project(s Schema) (Schema, []string) {
 }
 
 // Apply executes the pushdown over a wrapper's full-output rows, s being the
-// wrapper's schema: each row is materialized once, directly under the schema
-// Project returns, so attributes outside s are dropped. It is the one
-// implementation of source-side projection for sources without a native
-// one: Memory passes its tuples, the JSON wrapper each document's pipeline
-// output. Apply copies what it keeps, so rows may yield the same scratch
-// tuple for every row.
-func (p Pushdown) Apply(s Schema, rows iter.Seq[Tuple]) []Tuple {
+// wrapper's schema: each kept cell is interned straight into its column of
+// the relation name, under the schema Project returns (absent:
+// MissingValueID, nil: NilValueID). It is the one implementation of
+// source-side projection for sources without a native one: Memory passes
+// its tuples, the JSON wrapper each document's pipeline output. Apply keeps
+// no row, so rows may yield the same scratch tuple for every row; it holds
+// d's lock while rows runs.
+func (p Pushdown) Apply(name string, s Schema, rows iter.Seq[Tuple], d *ValueDict) *ColRelation {
 	schema, srcNames := p.Project(s)
-	outNames := schema.Names()
-	var out []Tuple
+	c := &ColRelation{Name: name, Schema: schema, Cols: make([][]ValueID, len(srcNames))}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for t := range rows {
-		nt := make(Tuple, len(srcNames))
 		for i, src := range srcNames {
+			id := MissingValueID
 			if v, ok := t[src]; ok {
-				nt[outNames[i]] = v
+				id = d.internLocked(v)
 			}
+			c.Cols[i] = append(c.Cols[i], id)
 		}
-		out = append(out, nt)
+		c.rows++
 	}
-	return out
+	return c
 }

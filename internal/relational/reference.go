@@ -7,7 +7,7 @@ import (
 	"bdi/internal/lifecycle"
 )
 
-// This file preserves the original tuple-at-a-time walk executor verbatim.
+// This file preserves the original tuple-at-a-time walk executor.
 // It is the reference implementation the compiled engine (engine.go) is
 // differentially tested against: for every input, the engine must reproduce
 // the reference's result name, schema order, canonical rendering
@@ -16,11 +16,12 @@ import (
 // own parity checks, and so benchmarks can quantify the engine against it.
 
 // ExecuteReference evaluates the walk with the reference tuple-at-a-time
-// executor: fetch each wrapper, apply the restricted projection, then apply
-// the restricted joins in declaration-driven order. Source fetches honor
-// ctx, every materialized relation (fetched and joined) is charged against
-// the context's lifecycle.Tracker, and the join loops check cancellation at
-// chunk granularity. Unlike the compiled engine, it fetches every wrapper's
+// executor: fetch each wrapper (into a dictionary of its own, decoded to
+// tuples), apply the restricted projection, then apply the restricted joins
+// in declaration-driven order. Source fetches honor ctx, every materialized
+// relation (fetched and joined) is charged against the context's
+// lifecycle.Tracker, and the join loops check cancellation at chunk
+// granularity. Unlike the compiled engine, it fetches every wrapper's
 // full output, once for every walk that names it.
 func (w *Walk) ExecuteReference(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
 	if err := w.Validate(); err != nil {
@@ -33,11 +34,12 @@ func (w *Walk) ExecuteReference(ctx context.Context, resolver WrapperResolver) (
 		if err := lifecycle.Check(ctx, track); err != nil {
 			return nil, err
 		}
-		rel, err := resolver.Fetch(ctx, ref.Wrapper, Pushdown{})
+		d := NewValueDict()
+		rel, err := resolver.Fetch(ctx, ref.Wrapper, Pushdown{}, d)
 		if err != nil {
 			return nil, fmt.Errorf("relational: fetching wrapper %s: %w", ref.Wrapper, err)
 		}
-		relations[ref.Wrapper] = rel.Project(ref.Projection)
+		relations[ref.Wrapper] = rel.Decode(d).Project(ref.Projection)
 		if err := chargeRelation(track, relations[ref.Wrapper]); err != nil {
 			return nil, err
 		}

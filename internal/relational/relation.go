@@ -48,25 +48,30 @@ func (t Tuple) Merge(other Tuple) Tuple {
 }
 
 // valueKey renders a value canonically for comparisons and deduplication.
-func valueKey(v Value) string {
+func valueKey(v Value) string { return string(appendValueKey(nil, v)) }
+
+// appendValueKey appends valueKey's rendering of v to dst. JSON numbers
+// arrive as float64, so integral ones render as ints: 12 and 12.0 compare
+// equal across sources. Only a kind outside JSON's goes through fmt.
+func appendValueKey(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
-		return "∅"
+		return append(dst, "∅"...)
 	case float64:
-		// JSON numbers arrive as float64; render integers without decimals so
-		// 12 and 12.0 compare equal across sources.
 		if x == float64(int64(x)) {
-			return fmt.Sprintf("i%d", int64(x))
+			return strconv.AppendInt(append(dst, 'i'), int64(x), 10)
 		}
-		return fmt.Sprintf("f%g", x)
+		return strconv.AppendFloat(append(dst, 'f'), x, 'g', -1, 64)
 	case int:
-		return fmt.Sprintf("i%d", x)
+		return strconv.AppendInt(append(dst, 'i'), int64(x), 10)
 	case int64:
-		return fmt.Sprintf("i%d", x)
+		return strconv.AppendInt(append(dst, 'i'), x, 10)
 	case bool:
-		return fmt.Sprintf("b%t", x)
+		return strconv.AppendBool(append(dst, 'b'), x)
+	case string:
+		return append(append(dst, 's'), x...)
 	default:
-		return "s" + fmt.Sprintf("%v", x)
+		return fmt.Appendf(append(dst, 's'), "%v", x)
 	}
 }
 

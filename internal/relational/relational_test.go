@@ -33,15 +33,12 @@ func w3Relation() *Relation {
 // helper.
 type staticResolver map[string]*Relation
 
-func (s staticResolver) Fetch(_ context.Context, w string, p Pushdown) (*Relation, error) {
+func (s staticResolver) Fetch(_ context.Context, w string, p Pushdown, d *ValueDict) (*ColRelation, error) {
 	r, ok := s[w]
 	if !ok {
 		return nil, errNotFound(w)
 	}
-	schema, _ := p.Project(r.Schema)
-	out := NewRelation(r.Name, schema)
-	out.Add(p.Apply(r.Schema, slices.Values(r.Tuples))...)
-	return out, nil
+	return p.Apply(r.Name, r.Schema, slices.Values(r.Tuples), d), nil
 }
 
 type errNotFound string

@@ -193,8 +193,8 @@ type signalResolver struct {
 	fetched chan struct{}
 }
 
-func (s *signalResolver) Fetch(ctx context.Context, w string, p Pushdown) (*Relation, error) {
-	rel, err := s.staticResolver.Fetch(ctx, w, p)
+func (s *signalResolver) Fetch(ctx context.Context, w string, p Pushdown, d *ValueDict) (*ColRelation, error) {
+	rel, err := s.staticResolver.Fetch(ctx, w, p, d)
 	if s.left--; s.left == 0 {
 		close(s.fetched)
 	}

@@ -83,10 +83,10 @@ func (u *UnionOfConjunctiveQueries) String() string {
 // sources. The wrapper package provides the standard implementations.
 type WrapperResolver interface {
 	// Fetch returns the current output of the named wrapper, with the
-	// pushdown applied at the source, as a relation in first normal form
-	// whose schema marks ID attributes. The zero Pushdown asks for the full
-	// output. A cancelled ctx aborts the in-flight source query.
-	Fetch(ctx context.Context, wrapper string, p Pushdown) (*Relation, error)
+	// pushdown applied at the source, interned into d as a relation in first
+	// normal form whose schema marks ID attributes. The zero Pushdown asks
+	// for the full output. A cancelled ctx aborts the in-flight source query.
+	Fetch(ctx context.Context, wrapper string, p Pushdown, d *ValueDict) (*ColRelation, error)
 }
 
 // chargeRelation charges a materialized relation against the tracker using

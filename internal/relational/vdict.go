@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 )
 
@@ -99,10 +98,11 @@ type ValueDict struct {
 	mu   sync.RWMutex
 	ids  map[vkey]ValueID
 	vals []Value // vals[id-1] is the first value interned under the key
-	// keys[id-1] caches valueKey(vals[id-1]) and encoded[id-1] its JSON, each
-	// rendered the first time the ordering step or AppendJSON needs it. The
+	// keys[id-1] caches valueKey(vals[id-1]) in keyBuf and encoded[id-1] its
+	// JSON, each rendered the first time ordering or AppendJSON needs it. The
 	// caches die with the dictionary, i.e. with the union execution.
-	keys    []string
+	keys    [][]byte
+	keyBuf  []byte
 	encoded [][]byte
 }
 
@@ -159,9 +159,9 @@ func joinID(id ValueID) ValueID {
 // exactly as Relation.Sorted orders tuples. The rows are in union layout; a
 // missing cell renders as nil, as in Tuple.Key.
 //
-// Every value is rendered at most once per dictionary and every row key is
-// concatenated once, into one flat arena, so the comparator compares bytes
-// and builds nothing.
+// Every value is rendered at most once per dictionary, into one buffer, and
+// every row key is concatenated once, into one flat arena, so the comparator
+// compares bytes and builds nothing.
 func (d *ValueDict) order(rows [][]ValueID) [][]ValueID {
 	if len(rows) < 2 {
 		return rows
@@ -170,7 +170,7 @@ func (d *ValueDict) order(rows [][]ValueID) [][]ValueID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if len(d.keys) < len(d.vals) {
-		d.keys = append(d.keys, make([]string, len(d.vals)-len(d.keys))...)
+		d.keys = append(d.keys, make([][]byte, len(d.vals)-len(d.keys))...)
 	}
 	arena := make([]byte, 0, 8*width*len(rows))
 	bounds := make([]int, len(rows)+1) // row r's key is arena[bounds[r]:bounds[r+1]]
@@ -180,8 +180,10 @@ func (d *ValueDict) order(rows [][]ValueID) [][]ValueID {
 				arena = append(arena, '\x1f')
 			}
 			k := joinID(id) - 1
-			if d.keys[k] == "" {
-				d.keys[k] = valueKey(d.vals[k])
+			if d.keys[k] == nil {
+				start := len(d.keyBuf)
+				d.keyBuf = appendValueKey(d.keyBuf, d.vals[k])
+				d.keys[k] = d.keyBuf[start:len(d.keyBuf):len(d.keyBuf)]
 			}
 			arena = append(arena, d.keys[k]...)
 		}
@@ -197,7 +199,7 @@ func (d *ValueDict) order(rows [][]ValueID) [][]ValueID {
 			return c
 		}
 		for c := 0; c < width; c++ {
-			if c := strings.Compare(d.keys[joinID(rows[a][c])-1], d.keys[joinID(rows[b][c])-1]); c != 0 {
+			if c := bytes.Compare(d.keys[joinID(rows[a][c])-1], d.keys[joinID(rows[b][c])-1]); c != 0 {
 				return c
 			}
 		}

@@ -128,9 +128,9 @@ func TestAPIHTTPHandler(t *testing.T) {
 		wrapper.ProjectField{Path: "feedbackGatheringId", As: "FGId"},
 		wrapper.ProjectField{Path: "text", As: "tweet"},
 	)
-	rows, err := w.Rows(context.Background(), relational.Pushdown{})
-	if err != nil || len(rows) != 9 {
-		t.Errorf("HTTP wrapper rows = %d, %v", len(rows), err)
+	rows, err := w.Rows(context.Background(), relational.Pushdown{}, relational.NewValueDict())
+	if err != nil || rows.NumRows() != 9 {
+		t.Errorf("HTTP wrapper rows = %v, %v", rows, err)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestEcosystemWrappers(t *testing.T) {
 	if reg.Len() != 4 {
 		t.Fatalf("registry = %d", reg.Len())
 	}
-	w1, err := reg.Fetch(context.Background(), "w1", relational.Pushdown{})
+	w1, err := fetched(reg, "w1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,19 +151,30 @@ func TestEcosystemWrappers(t *testing.T) {
 	if !w1.Schema.Has("lagRatio") || !w1.Schema.IsID("VoDmonitorId") {
 		t.Errorf("w1 schema = %v", w1.Schema)
 	}
-	w4, err := reg.Fetch(context.Background(), "w4", relational.Pushdown{})
+	w4, err := fetched(reg, "w4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !w4.Schema.Has("bufferingRatio") {
 		t.Errorf("w4 schema = %v", w4.Schema)
 	}
-	w3, err := reg.Fetch(context.Background(), "w3", relational.Pushdown{})
+	w3, err := fetched(reg, "w3")
 	if err != nil || w3.Cardinality() != 4 {
 		t.Errorf("w3 = %v, %v", w3, err)
 	}
-	w2, err := reg.Fetch(context.Background(), "w2", relational.Pushdown{})
+	w2, err := fetched(reg, "w2")
 	if err != nil || w2.Cardinality() != 4*gen.FeedbackPerTool {
 		t.Errorf("w2 = %v, %v", w2, err)
 	}
+}
+
+// fetched fetches a wrapper into a dictionary of its own and decodes its
+// output.
+func fetched(r relational.WrapperResolver, name string) (*relational.Relation, error) {
+	d := relational.NewValueDict()
+	c, err := r.Fetch(context.Background(), name, relational.Pushdown{}, d)
+	if err != nil {
+		return nil, err
+	}
+	return c.Decode(d), nil
 }

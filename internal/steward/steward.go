@@ -275,10 +275,12 @@ type DatatypeViolation struct {
 // G:hasDatatype declaration of the feature its attribute maps to. Attributes
 // without a mapping or features without a datatype are skipped.
 func CheckDatatypes(ctx context.Context, o *core.Ontology, w wrapper.Wrapper) ([]DatatypeViolation, error) {
-	rows, err := w.Rows(ctx, relational.Pushdown{})
+	d := relational.NewValueDict()
+	out, err := w.Rows(ctx, relational.Pushdown{}, d)
 	if err != nil {
 		return nil, err
 	}
+	rows := out.Decode(d).Tuples
 	// Resolve attribute -> (feature, datatype) once.
 	type target struct {
 		feature  rdf.IRI

@@ -171,7 +171,7 @@ func TestSupersedeTable1Registry(t *testing.T) {
 	if reg.Len() != 3 {
 		t.Errorf("registry = %d", reg.Len())
 	}
-	rel, err := reg.Fetch(context.Background(), "w1", relational.Pushdown{})
+	rel, err := fetched(reg, "w1")
 	if err != nil || rel.Cardinality() != 3 {
 		t.Errorf("w1 = %v, %v", rel, err)
 	}
@@ -184,21 +184,32 @@ func TestSupersedeTable1Registry(t *testing.T) {
 func TestSupersedeScaledRegistryDeterministic(t *testing.T) {
 	a := SupersedeScaledRegistry(10, 5, 42, true)
 	b := SupersedeScaledRegistry(10, 5, 42, true)
-	relA, _ := a.Fetch(context.Background(), "w1", relational.Pushdown{})
-	relB, _ := b.Fetch(context.Background(), "w1", relational.Pushdown{})
+	relA, _ := fetched(a, "w1")
+	relB, _ := fetched(b, "w1")
 	if relA.Cardinality() != relB.Cardinality() {
 		t.Error("same seed must produce the same data")
 	}
 	if relA.Cardinality() == 0 {
 		t.Error("scaled registry should contain VoD events")
 	}
-	w3, _ := a.Fetch(context.Background(), "w3", relational.Pushdown{})
+	w3, _ := fetched(a, "w3")
 	if w3.Cardinality() != 10 {
 		t.Errorf("w3 cardinality = %d, want 10", w3.Cardinality())
 	}
 	// Evolution splits the events across w1 (odd apps) and w4 (even apps).
-	w4, _ := a.Fetch(context.Background(), "w4", relational.Pushdown{})
+	w4, _ := fetched(a, "w4")
 	if w4.Cardinality() == 0 {
 		t.Error("w4 should hold the even applications' events")
 	}
+}
+
+// fetched fetches a wrapper into a dictionary of its own and decodes its
+// output.
+func fetched(r relational.WrapperResolver, name string) (*relational.Relation, error) {
+	d := relational.NewValueDict()
+	c, err := r.Fetch(context.Background(), name, relational.Pushdown{}, d)
+	if err != nil {
+		return nil, err
+	}
+	return c.Decode(d), nil
 }

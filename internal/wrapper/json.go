@@ -153,12 +153,12 @@ func (j *JSON) Pipeline() []string {
 
 // Rows implements Wrapper: it fetches the documents under ctx and runs the
 // pipeline on each (checking cancellation at chunk granularity) into one
-// scratch tuple that Pushdown.Apply copies each document out of, once, under
-// the pushed-down schema. Pipeline ops that declare a prunable
+// scratch tuple whose kept cells Pushdown.Apply interns into d's columns,
+// under the pushed-down schema. Pipeline ops that declare a prunable
 // single-attribute output (PushdownOp) are skipped when the pushdown does not
 // need their attribute; ops that can fail are never pruned, so exactly the
 // same documents succeed as in a full execution.
-func (j *JSON) Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tuple, error) {
+func (j *JSON) Rows(ctx context.Context, p relational.Pushdown, d *relational.ValueDict) (*relational.ColRelation, error) {
 	_, needed := p.Project(j.schema)
 	pipeline := make([]Op, 0, len(j.pipeline))
 	for _, op := range j.pipeline {
@@ -198,8 +198,8 @@ func (j *JSON) Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tu
 			}
 		}
 	}
-	if rows := p.Apply(j.schema, outputs); err == nil {
-		return rows, nil
+	if c := p.Apply(j.name, j.schema, outputs, d); err == nil {
+		return c, nil
 	}
 	return nil, err
 }

@@ -47,10 +47,12 @@ func pushdownTestDocs() *countingDocs {
 // pushed-down schema's order and IDs, and fetches the documents once.
 func TestJSONRowsPushdownPrunesSafely(t *testing.T) {
 	docs := pushdownTestDocs()
-	rel, err := Relation(context.Background(), pushdownTestJSON(docs), relational.Pushdown{Attrs: []string{"ratio"}})
+	d := relational.NewValueDict()
+	c, err := pushdownTestJSON(docs).Rows(context.Background(), relational.Pushdown{Attrs: []string{"ratio"}}, d)
 	if err != nil {
 		t.Fatalf("pushdown failed: %v", err)
 	}
+	rel := c.Decode(d)
 	if docs.fetches != 1 {
 		t.Fatalf("pushdown fetched the documents %d times, want 1", docs.fetches)
 	}
@@ -80,8 +82,8 @@ func TestJSONRowsPushdownKeepsFallibleOps(t *testing.T) {
 		ProjectField{Path: "monitorId", As: "id"},
 		ProjectField{Path: "must", As: "m"}, // fails on doc 2
 	)
-	_, fullErr := j.Rows(context.Background(), relational.Pushdown{})
-	_, pdErr := j.Rows(context.Background(), relational.Pushdown{Attrs: []string{"id"}})
+	_, fullErr := j.Rows(context.Background(), relational.Pushdown{}, relational.NewValueDict())
+	_, pdErr := j.Rows(context.Background(), relational.Pushdown{Attrs: []string{"id"}}, relational.NewValueDict())
 	if fullErr == nil || pdErr == nil {
 		t.Fatalf("fallible op outcome changed: full=%v pushdown=%v", fullErr, pdErr)
 	}
@@ -111,14 +113,16 @@ func pushdownReferenceCase() (relational.Schema, []relational.Tuple, relational.
 func TestMemoryRowsPushdownMatchesApplySelections(t *testing.T) {
 	schema, rows, pd, want := pushdownReferenceCase()
 	m := NewMemory("w", "SM", schema, rows)
-	got, err := Relation(context.Background(), m, pd)
+	reg := NewRegistry()
+	reg.Register(m)
+	got, err := fetched(reg, "w", pd)
 	if err != nil {
 		t.Fatalf("pushdown failed: %v", err)
 	}
 	if got.String() != want {
 		t.Fatalf("memory pushdown diverges from reference semantics\nwant: %s\ngot:  %s", want, got)
 	}
-	full, err := Relation(context.Background(), m, relational.Pushdown{})
+	full, err := fetched(reg, "w", relational.Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,7 @@ func TestQualifiedFetchPushdownTranslatesNames(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(NewMemory("wm", "SM", schema, rows))
 	q := NewQualifiedResolver(reg)
-	rel, err := q.Fetch(context.Background(), "wm", relational.Pushdown{Attrs: []string{"SM/a"}})
+	rel, err := fetched(q, "wm", relational.Pushdown{Attrs: []string{"SM/a"}})
 	if err != nil {
 		t.Fatalf("qualified pushdown failed: %v", err)
 	}
@@ -156,7 +160,7 @@ func TestPlainWrapperAppliesSharedHelper(t *testing.T) {
 	schema, rows, pd, want := pushdownReferenceCase()
 	reg := NewRegistry()
 	reg.Register(plainWrapper{schema: schema, rows: rows})
-	got, err := reg.Fetch(context.Background(), "w", pd)
+	got, err := fetched(reg, "w", pd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,20 +179,22 @@ type plainWrapper struct {
 func (plainWrapper) Name() string                { return "w" }
 func (plainWrapper) Source() string              { return "SP" }
 func (p plainWrapper) Schema() relational.Schema { return p.schema }
-func (p plainWrapper) Rows(ctx context.Context, pd relational.Pushdown) ([]relational.Tuple, error) {
+func (p plainWrapper) Rows(ctx context.Context, pd relational.Pushdown, d *relational.ValueDict) (*relational.ColRelation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return pd.Apply(p.schema, slices.Values(p.rows)), nil
+	return pd.Apply(p.Name(), p.schema, slices.Values(p.rows), d), nil
 }
 
-// TestJSONRowsPushdownParityRandomized holds JSON.Rows under a pushdown to
-// the shared helper over its full output: for generated pipelines (required,
-// optional and nested paths, constants, ratios over failing documents),
-// documents, SkipBadDocuments settings and pushdowns (attributes, renames),
-// JSON.Rows(ctx, p) equals
-// p.Apply(schema, JSON.Rows(ctx, Pushdown{})) tuple for tuple, in order, and
-// fails with the same error.
+// TestJSONRowsPushdownParityRandomized holds the column path to a
+// tuple-at-a-time reference built here: the full pipeline run on each
+// document into a tuple of its own, Tuple.Project onto the kept attributes,
+// and the rename. For generated pipelines (required, optional and nested
+// paths, constants, ratios over failing documents), documents,
+// SkipBadDocuments settings and pushdowns (attributes, renames), the decoded
+// columns of JSON.Rows(ctx, p, d) equal the reference tuple for tuple, in
+// order, and fail with the same error. A Memory arm holds the same wrapper
+// outputs, with cells outside the schema, to the same reference.
 func TestJSONRowsPushdownParityRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	paths := []string{"id", "n", "m", "s", "o.id", "o.n", "o.p.q", "missing"}
@@ -261,19 +267,129 @@ func TestJSONRowsPushdownParityRandomized(t *testing.T) {
 			}
 		}
 
-		full, fullErr := j.Rows(context.Background(), relational.Pushdown{})
-		got, gotErr := j.Rows(context.Background(), p)
-		if fmt.Sprint(fullErr) != fmt.Sprint(gotErr) {
-			t.Fatalf("case %d: errors differ under %+v\nfull:     %v\npushdown: %v", c, p, fullErr, gotErr)
+		// The reference: every op of the pipeline, document by document.
+		var outs []relational.Tuple
+		var wantErr error
+	docs:
+		for _, doc := range docs {
+			out := relational.Tuple{}
+			for _, op := range pipeline {
+				if err := op.Apply(doc, out); err != nil {
+					if j.SkipBadDocuments {
+						continue docs
+					}
+					wantErr = fmt.Errorf("wrapper wj: %w", err)
+					break docs
+				}
+			}
+			outs = append(outs, out)
 		}
-		if fullErr != nil {
+		want := referencePushdown(schema, p, outs)
+
+		got, gotErr := decodedRows(context.Background(), j, p)
+		if fmt.Sprint(wantErr) != fmt.Sprint(gotErr) {
+			t.Fatalf("case %d: errors differ under %+v\nreference: %v\ncolumns:   %v", c, p, wantErr, gotErr)
+		}
+		if wantErr != nil {
 			failed++
 			continue
 		}
-		if want := p.Apply(schema, slices.Values(full)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d: pushdown %+v over %v diverges from the shared helper\ngot:  %v\nwant: %v", c, p, docs, got, want)
+		if !sameTuples(got, want) {
+			t.Fatalf("case %d: pushdown %+v over %v diverges from the reference\ngot:  %v\nwant: %v", c, p, docs, got, want)
 		}
 		kept += len(got)
+
+		// The Memory arm: the pipeline outputs as literal rows, one cell
+		// outside the schema each.
+		for _, out := range outs {
+			out["undeclared"] = values[rng.Intn(len(values))]
+		}
+		m := NewMemory("wm", "SM", schema, outs)
+		got, err := decodedRows(context.Background(), m, p)
+		if err != nil || !sameTuples(got, want) {
+			t.Fatalf("case %d: Memory under %+v diverges from the reference (%v)\ngot:  %v\nwant: %v", c, p, err, got, want)
+		}
 	}
 	t.Logf("400 cases: %d failed in both runs, %d rows kept by the others", failed, kept)
+}
+
+// referencePushdown applies the pushdown contract to full-output tuples one
+// at a time: the attributes p names and every ID (all of them for an empty
+// p.Attrs), kept by Tuple.Project, then renamed.
+func referencePushdown(s relational.Schema, p relational.Pushdown, rows []relational.Tuple) []relational.Tuple {
+	var keep []string
+	for _, a := range s.Attributes {
+		if len(p.Attrs) == 0 || a.ID || slices.Contains(p.Attrs, a.Name) {
+			keep = append(keep, a.Name)
+		}
+	}
+	out := make([]relational.Tuple, len(rows))
+	for i, row := range rows {
+		out[i] = relational.Tuple{}
+		for k, v := range row.Project(keep) {
+			if nn, ok := p.Rename[k]; ok {
+				k = nn
+			}
+			out[i][k] = v
+		}
+	}
+	return out
+}
+
+// sameTuples reports whether got and want hold the same attributes, row by
+// row, with values equal under the dictionary's equality: a decoded cell is
+// its equality class's first-interned value (2.0 may come back as int64(2)).
+func sameTuples(got, want []relational.Tuple) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			return false
+		}
+		for k, v := range want[i] {
+			if g, ok := got[i][k]; !ok || !relational.ValuesEqual(g, v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestRowsNilVersusMissing checks that the column path keeps an explicit nil
+// apart from an absent cell, for JSON and Memory: an optional projection of a
+// field the document lacks is NilValueID, an attribute nothing writes is
+// MissingValueID, and the decoded columns are exactly the tuples a
+// tuple-at-a-time projection builds.
+func TestRowsNilVersusMissing(t *testing.T) {
+	schema := relational.NewSchema([]string{"id"}, []string{"opt", "never"})
+	want := []relational.Tuple{{"id": 1.0, "opt": nil}, {"id": 2.0, "opt": "x"}}
+	wrappers := []Wrapper{
+		NewJSON("wj", "SJ", schema, StaticDocuments{{"monitorId": 1.0}, {"monitorId": 2.0, "extra": "x"}},
+			ProjectField{Path: "monitorId", As: "id"},
+			ProjectField{Path: "extra", As: "opt", Optional: true},
+		),
+		NewMemory("wm", "SM", schema, want),
+	}
+	for _, w := range wrappers {
+		d := relational.NewValueDict()
+		c, err := w.Rows(context.Background(), relational.Pushdown{}, d)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		if c.Name != w.Name() || fmt.Sprint(c.Schema.Names()) != "[id opt never]" || c.NumRows() != 2 {
+			t.Fatalf("%s: fetched %s%v with %d rows", w.Name(), c.Name, c.Schema.Names(), c.NumRows())
+		}
+		if got := c.Cols[1][0]; got != relational.NilValueID {
+			t.Errorf("%s: the optional field a document lacks is ValueID %d, want NilValueID", w.Name(), got)
+		}
+		for r, id := range c.Cols[2] {
+			if id != relational.MissingValueID {
+				t.Errorf("%s: row %d of an attribute nothing writes is ValueID %d, want MissingValueID", w.Name(), r, id)
+			}
+		}
+		if got := c.Decode(d).Tuples; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded %v, want %v", w.Name(), got, want)
+		}
+	}
 }

@@ -26,24 +26,11 @@ type Wrapper interface {
 	// Schema describes the attributes projected by the wrapper's query.
 	Schema() relational.Schema
 	// Rows executes the wrapper's query with the pushdown applied at the
-	// source and returns its output tuples under the schema p.Project(Schema())
-	// yields; the zero Pushdown asks for the full output. A cancelled ctx
-	// aborts the source query. A source without native projection runs its
-	// full query and returns p.Apply(Schema(), slices.Values(rows)).
-	Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tuple, error)
-}
-
-// Relation executes the wrapper under the pushdown and materializes its
-// output as a relation named after the wrapper.
-func Relation(ctx context.Context, w Wrapper, p relational.Pushdown) (*relational.Relation, error) {
-	rows, err := w.Rows(ctx, p)
-	if err != nil {
-		return nil, fmt.Errorf("wrapper %s: %w", w.Name(), err)
-	}
-	schema, _ := p.Project(w.Schema())
-	rel := relational.NewRelation(w.Name(), schema)
-	rel.Add(rows...)
-	return rel, nil
+	// source and interns its output into d under the schema
+	// p.Project(Schema()) yields; the zero Pushdown asks for the full output.
+	// A cancelled ctx aborts the source query. A source without native
+	// projection returns p.Apply(Name(), Schema(), its full output, d).
+	Rows(ctx context.Context, p relational.Pushdown, d *relational.ValueDict) (*relational.ColRelation, error)
 }
 
 // Memory is a wrapper over a fixed set of in-memory tuples; it is used in
@@ -72,11 +59,11 @@ func (m *Memory) Schema() relational.Schema { return m.schema }
 
 // Rows implements Wrapper with the shared pushdown helper, the reference
 // implementation of source-side projection.
-func (m *Memory) Rows(ctx context.Context, p relational.Pushdown) ([]relational.Tuple, error) {
+func (m *Memory) Rows(ctx context.Context, p relational.Pushdown, d *relational.ValueDict) (*relational.ColRelation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.Apply(m.schema, slices.Values(m.rows)), nil
+	return p.Apply(m.name, m.schema, slices.Values(m.rows), d), nil
 }
 
 // Append adds tuples to the in-memory wrapper (useful for event simulation).
@@ -163,12 +150,16 @@ func (r *Registry) Len() int {
 }
 
 // Fetch implements relational.WrapperResolver.
-func (r *Registry) Fetch(ctx context.Context, name string, p relational.Pushdown) (*relational.Relation, error) {
+func (r *Registry) Fetch(ctx context.Context, name string, p relational.Pushdown, d *relational.ValueDict) (*relational.ColRelation, error) {
 	w, ok := r.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("wrapper: %q is not registered", name)
 	}
-	return Relation(ctx, w, p)
+	c, err := w.Rows(ctx, p, d)
+	if err != nil {
+		return nil, fmt.Errorf("wrapper %s: %w", w.Name(), err)
+	}
+	return c, nil
 }
 
 var _ relational.WrapperResolver = (*Registry)(nil)
@@ -191,7 +182,7 @@ func NewQualifiedResolver(r *Registry) *Qualified { return &Qualified{Registry: 
 // wrapper's plain column names for the source, and the qualification travels
 // down as the pushdown's rename — the source materializes qualified tuples
 // directly, so the qualified fetch costs no extra pass over the rows.
-func (q *Qualified) Fetch(ctx context.Context, name string, p relational.Pushdown) (*relational.Relation, error) {
+func (q *Qualified) Fetch(ctx context.Context, name string, p relational.Pushdown, d *relational.ValueDict) (*relational.ColRelation, error) {
 	w, ok := q.Registry.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("wrapper: %q is not registered", name)
@@ -204,13 +195,22 @@ func (q *Qualified) Fetch(ctx context.Context, name string, p relational.Pushdow
 	for _, a := range w.Schema().Names() {
 		unq.Rename[a] = prefix + a
 	}
-	return Relation(ctx, w, unq)
+	c, err := w.Rows(ctx, unq, d)
+	if err != nil {
+		return nil, fmt.Errorf("wrapper %s: %w", w.Name(), err)
+	}
+	return c, nil
 }
 
-// FetchContext fetches the wrapper's full qualified output. The frozen
-// bench module calls it; delete it when the bench next moves.
+// FetchContext fetches the wrapper's full qualified output and decodes it.
+// The frozen bench module calls it; delete it when the bench next moves.
 func (q *Qualified) FetchContext(ctx context.Context, name string) (*relational.Relation, error) {
-	return q.Fetch(ctx, name, relational.Pushdown{})
+	d := relational.NewValueDict()
+	c, err := q.Fetch(ctx, name, relational.Pushdown{}, d)
+	if err != nil {
+		return nil, err
+	}
+	return c.Decode(d), nil
 }
 
 var _ relational.WrapperResolver = (*Qualified)(nil)

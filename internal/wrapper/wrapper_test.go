@@ -33,9 +33,31 @@ func newW1(docs DocumentSource) *JSON {
 	)
 }
 
+// decodedRows runs the wrapper into a dictionary of its own and decodes its
+// output.
+func decodedRows(ctx context.Context, w Wrapper, p relational.Pushdown) ([]relational.Tuple, error) {
+	d := relational.NewValueDict()
+	c, err := w.Rows(ctx, p, d)
+	if err != nil {
+		return nil, err
+	}
+	return c.Decode(d).Tuples, nil
+}
+
+// fetched fetches a wrapper through a resolver into a dictionary of its own
+// and decodes its output.
+func fetched(r relational.WrapperResolver, name string, p relational.Pushdown) (*relational.Relation, error) {
+	d := relational.NewValueDict()
+	c, err := r.Fetch(context.Background(), name, p, d)
+	if err != nil {
+		return nil, err
+	}
+	return c.Decode(d), nil
+}
+
 func TestJSONWrapperPipeline(t *testing.T) {
 	w := newW1(StaticDocuments(vodDocuments()))
-	rows, err := w.Rows(context.Background(), relational.Pushdown{})
+	rows, err := decodedRows(context.Background(), w, relational.Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +82,11 @@ func TestJSONWrapperPipeline(t *testing.T) {
 func TestJSONWrapperErrorOnMissingField(t *testing.T) {
 	bad := StaticDocuments([]Document{{"other": 1.0}})
 	w := newW1(bad)
-	if _, err := w.Rows(context.Background(), relational.Pushdown{}); err == nil {
+	if _, err := decodedRows(context.Background(), w, relational.Pushdown{}); err == nil {
 		t.Error("expected error for missing field")
 	}
 	w.SkipBadDocuments = true
-	rows, err := w.Rows(context.Background(), relational.Pushdown{})
+	rows, err := decodedRows(context.Background(), w, relational.Pushdown{})
 	if err != nil || len(rows) != 0 {
 		t.Errorf("skip-bad-documents: rows=%v err=%v", rows, err)
 	}
@@ -116,11 +138,11 @@ func TestNonFiniteFieldIsNotNumeric(t *testing.T) {
 		{"monitorId": 1.0, "waitTime": "NaN", "watchTime": 2.0},
 		{"monitorId": 2.0, "waitTime": 1.0, "watchTime": 2.0},
 	})
-	if _, err := w.Rows(context.Background(), relational.Pushdown{}); err == nil || !strings.Contains(err.Error(), "waitTime") {
+	if _, err := decodedRows(context.Background(), w, relational.Pushdown{}); err == nil || !strings.Contains(err.Error(), "waitTime") {
 		t.Fatalf("a NaN waitTime must fail the wrapper naming the field, got %v", err)
 	}
 	w.SkipBadDocuments = true
-	rows, err := w.Rows(context.Background(), relational.Pushdown{})
+	rows, err := decodedRows(context.Background(), w, relational.Pushdown{})
 	if err != nil || len(rows) != 1 || rows[0]["lagRatio"] != 0.5 {
 		t.Fatalf("skip-bad-documents: rows=%v err=%v, want only the finite document", rows, err)
 	}
@@ -205,16 +227,16 @@ func TestMemoryWrapperAndRegistry(t *testing.T) {
 	if w, _ := reg.Get("w1"); w.Source() != "D1" {
 		t.Errorf("w1 source = %s", w.Source())
 	}
-	rel, err := reg.Fetch(context.Background(), "w2", relational.Pushdown{})
+	rel, err := fetched(reg, "w2", relational.Pushdown{})
 	if err != nil || rel.Cardinality() != 2 {
 		t.Errorf("fetch w2 = %v, %v", rel, err)
 	}
-	if _, err := reg.Fetch(context.Background(), "missing", relational.Pushdown{}); err == nil {
+	if _, err := fetched(reg, "missing", relational.Pushdown{}); err == nil {
 		t.Error("fetching unknown wrapper should error")
 	}
 	// Appending events to the memory wrapper is visible on the next fetch.
 	w2.Append(relational.Tuple{"FGId": 99, "tweet": "new"})
-	rel, _ = reg.Fetch(context.Background(), "w2", relational.Pushdown{})
+	rel, _ = fetched(reg, "w2", relational.Pushdown{})
 	if rel.Cardinality() != 3 {
 		t.Error("appended tuple not visible")
 	}
@@ -224,7 +246,7 @@ func TestQualifiedResolver(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(newW1(StaticDocuments(vodDocuments())))
 	q := NewQualifiedResolver(reg)
-	rel, err := q.Fetch(context.Background(), "w1", relational.Pushdown{})
+	rel, err := fetched(q, "w1", relational.Pushdown{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +256,7 @@ func TestQualifiedResolver(t *testing.T) {
 	if !rel.Schema.IsID("D1/VoDmonitorId") {
 		t.Error("ID flag lost during qualification")
 	}
-	if _, err := q.Fetch(context.Background(), "missing", relational.Pushdown{}); err == nil {
+	if _, err := fetched(q, "missing", relational.Pushdown{}); err == nil {
 		t.Error("unknown wrapper should error")
 	}
 }
@@ -276,7 +298,7 @@ func TestHTTPSourceAndDecode(t *testing.T) {
 	}
 	// A full wrapper over HTTP.
 	w := newW1(NewHTTPSource(srv.URL + "/array"))
-	rows, err := w.Rows(context.Background(), relational.Pushdown{})
+	rows, err := decodedRows(context.Background(), w, relational.Pushdown{})
 	if err != nil || len(rows) != 1 || rows[0]["lagRatio"] != 0.75 {
 		t.Errorf("HTTP wrapper rows = %v, %v", rows, err)
 	}
@@ -312,7 +334,7 @@ type blockedWrapper struct{ entered chan struct{} }
 func (blockedWrapper) Name() string              { return "blocked" }
 func (blockedWrapper) Source() string            { return "SB" }
 func (blockedWrapper) Schema() relational.Schema { return relational.Schema{} }
-func (b blockedWrapper) Rows(ctx context.Context, _ relational.Pushdown) ([]relational.Tuple, error) {
+func (b blockedWrapper) Rows(ctx context.Context, _ relational.Pushdown, _ *relational.ValueDict) (*relational.ColRelation, error) {
 	close(b.entered)
 	<-ctx.Done()
 	return nil, ctx.Err()
@@ -355,7 +377,7 @@ func TestCancelledFetchReturnsCanceled(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		errc := make(chan error, 1)
 		go func() {
-			_, err := NewQualifiedResolver(reg).Fetch(ctx, "blocked", relational.Pushdown{})
+			_, err := NewQualifiedResolver(reg).Fetch(ctx, "blocked", relational.Pushdown{}, relational.NewValueDict())
 			errc <- err
 		}()
 		<-tc.entered
@@ -370,7 +392,7 @@ func TestCancelledFetchReturnsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m := NewMemory("m", "SM", relational.NewSchema([]string{"id"}, nil), []relational.Tuple{{"id": 1}})
-	if _, err := Relation(ctx, m, relational.Pushdown{}); !errors.Is(err, context.Canceled) {
+	if _, err := m.Rows(ctx, relational.Pushdown{}, relational.NewValueDict()); !errors.Is(err, context.Canceled) {
 		t.Errorf("Memory: cancelled fetch returned %v, want context.Canceled", err)
 	}
 }
