@@ -15,14 +15,15 @@
 //	sys := bdi.NewSystem()
 //	bdi.BuildSupersedeGlobalGraph(sys.Ontology)           // design G
 //	sys.RegisterRelease(bdi.SupersedeReleaseW1(), w1)     // Algorithm 1 + wrapper
-//	answer, _, err := sys.QuerySPARQL(queryText)          // OMQ -> UCQ -> rows
+//	omq, err := bdi.ParseOMQ(queryText)                   // SPARQL -> OMQ
+//	answer, _, err := sys.Answer(ctx, omq, 0)             // OMQ -> UCQ -> rows
+//	fmt.Print(answer.Relation())
 //
-// The facade is context-less: its queries run under context.Background().
-// Callers that must bound a query (deadline, cancellation, budget) use the
-// layers underneath, where every entry point takes ctx first:
-// rewriting.Cache.RewriteContext, rewriting.Rewriter.ExecuteResultLimit and,
-// at the source boundary, relational.WrapperResolver.Fetch(ctx, wrapper,
-// Pushdown, ValueDict) down to wrapper.Wrapper.Rows and
+// System is also the MDM server's view (internal/mdm): the server publishes
+// one System and every request works against it. Every query entry point
+// takes ctx first, so a deadline, a cancellation or a lifecycle budget on
+// ctx reaches the rewriting loops and, at the source boundary,
+// relational.WrapperResolver.Fetch down to wrapper.Wrapper.Rows and
 // wrapper.DocumentSource.Documents.
 package bdi
 
@@ -107,40 +108,41 @@ var (
 	SupersedeReleaseW4        = core.SupersedeReleaseW4
 )
 
-// System bundles the ontology, the wrapper registry and the rewriting engine.
+// System is the one composition of the library: the ontology, the wrapper
+// registry, and the rewriting cache and wrapper resolver built around them.
+// Library callers, bdictl, the examples and the MDM server all use it, so a
+// release (RegisterRelease) and a cached rewrite (Rewrite) each exist once.
+// It is safe for concurrent use.
 type System struct {
 	Ontology *core.Ontology
 	Wrappers *wrapper.Registry
 
 	rewriter *rewriting.Rewriter
+	cache    *rewriting.Cache
+	// resolver executes walks: attribute names are qualified with their
+	// data source, matching the Source graph.
+	resolver relational.WrapperResolver
 	// releaseMu keeps concurrent RegisterRelease calls from interleaving
-	// with each other's undo of a wrapper registration.
+	// with each other's undo of a wrapper registration. No read takes it.
 	releaseMu sync.Mutex
 }
 
 // NewSystem returns an empty system: a fresh ontology (metamodel only) and an
 // empty wrapper registry.
 func NewSystem() *System {
-	o := core.NewOntology()
-	return &System{
-		Ontology: o,
-		Wrappers: wrapper.NewRegistry(),
-		rewriter: rewriting.NewRewriter(o),
-	}
+	return NewSystemWith(core.NewOntology(), wrapper.NewRegistry())
 }
 
 // NewSystemWith wraps an existing ontology and registry.
 func NewSystemWith(o *core.Ontology, reg *wrapper.Registry) *System {
-	return &System{Ontology: o, Wrappers: reg, rewriter: rewriting.NewRewriter(o)}
-}
-
-// Rewriter exposes the underlying rewriting engine.
-func (s *System) Rewriter() *rewriting.Rewriter { return s.rewriter }
-
-// resolver returns the wrapper resolver used to execute walks: attribute
-// names are qualified with their data source, matching the Source graph.
-func (s *System) resolver() relational.WrapperResolver {
-	return wrapper.NewQualifiedResolver(s.Wrappers)
+	r := rewriting.NewRewriter(o)
+	return &System{
+		Ontology: o,
+		Wrappers: reg,
+		rewriter: r,
+		cache:    rewriting.NewCache(r),
+		resolver: wrapper.NewQualifiedResolver(reg),
+	}
 }
 
 // RegisterRelease runs Algorithm 1 for the release. An executable wrapper,
@@ -168,6 +170,56 @@ func (s *System) RegisterRelease(r core.Release, w wrapper.Wrapper) (*core.Relea
 	return res, err
 }
 
+// ReleaseRequest is the JSON shape of a wrapper release, as POST
+// /api/releases and `bdictl releases -file` accept it. The LAV subgraph is
+// given as triples of IRIs; the attribute-to-feature function as a map.
+// Sample tuples, when present, make the release executable at once.
+type ReleaseRequest struct {
+	Wrapper         string            `json:"wrapper"`
+	Source          string            `json:"source"`
+	IDAttributes    []string          `json:"idAttributes"`
+	NonIDAttributes []string          `json:"nonIdAttributes"`
+	Subgraph        [][3]string       `json:"subgraph"`
+	Mappings        map[string]string `json:"mappings"`
+	SampleTuples    []map[string]any  `json:"sampleTuples,omitempty"`
+}
+
+// Release returns the release the request describes and, when it carries
+// sample tuples, an in-memory wrapper serving them (nil otherwise): the two
+// arguments of RegisterRelease.
+func (req ReleaseRequest) Release() (core.Release, wrapper.Wrapper) {
+	g := rdf.NewGraph("")
+	for _, t := range req.Subgraph {
+		g.Add(rdf.T(rdf.IRI(t[0]), rdf.IRI(t[1]), rdf.IRI(t[2])))
+	}
+	f := make(map[string]rdf.IRI, len(req.Mappings))
+	for attr, feature := range req.Mappings {
+		f[attr] = rdf.IRI(feature)
+	}
+	r := core.Release{
+		Wrapper: core.WrapperSpec{
+			Name:            req.Wrapper,
+			Source:          req.Source,
+			IDAttributes:    req.IDAttributes,
+			NonIDAttributes: req.NonIDAttributes,
+		},
+		Subgraph: g,
+		F:        f,
+	}
+	if len(req.SampleTuples) == 0 {
+		return r, nil
+	}
+	rows := make([]relational.Tuple, len(req.SampleTuples))
+	for i, t := range req.SampleTuples {
+		rows[i] = relational.Tuple{}
+		for k, v := range t {
+			rows[i][k] = v
+		}
+	}
+	schema := relational.NewSchema(req.IDAttributes, req.NonIDAttributes)
+	return r, wrapper.NewMemory(req.Wrapper, req.Source, schema, rows)
+}
+
 // MismatchError reports a release whose wrapper spec and executable wrapper
 // disagree.
 type MismatchError struct {
@@ -180,30 +232,28 @@ func (e *MismatchError) Error() string {
 	return "bdi: release describes wrapper " + e.ReleaseWrapper + " but the executable wrapper is named " + e.ExecutableWrapper
 }
 
-// Rewrite runs the three-phase rewriting on an OMQ without executing it.
-func (s *System) Rewrite(q *rewriting.OMQ) (*rewriting.Result, error) {
-	return s.rewriter.Rewrite(q)
+// Rewrite runs the three-phase rewriting of an OMQ through the rewriting
+// cache, without executing it. The result is shared and must be treated as
+// immutable.
+func (s *System) Rewrite(ctx context.Context, q *rewriting.OMQ) (*rewriting.Result, error) {
+	return s.cache.RewriteContext(ctx, q)
 }
 
-// RewriteSPARQL parses a restricted SPARQL query and rewrites it.
-func (s *System) RewriteSPARQL(text string) (*rewriting.Result, error) {
-	return s.rewriter.RewriteSPARQL(text)
+// Answer rewrites an OMQ through the cache and executes it, returning one
+// column per projected feature in canonical row order. limit > 0 keeps the
+// first limit distinct rows. The rows are still in the ID domain: call
+// Relation on the answer for tuples, or AppendJSON to encode it.
+func (s *System) Answer(ctx context.Context, q *rewriting.OMQ, limit int) (*relational.IDRelation, *rewriting.Result, error) {
+	res, err := s.Rewrite(ctx, q)
+	if err != nil {
+		return nil, nil, err
+	}
+	answer, err := s.rewriter.ExecuteResultIDs(ctx, res, s.resolver, limit)
+	return answer, res, err
 }
 
-// Query rewrites and executes an OMQ, returning one column per projected
-// feature.
-func (s *System) Query(q *rewriting.OMQ) (*relational.Relation, *rewriting.Result, error) {
-	return s.rewriter.Answer(q, s.resolver())
-}
-
-// QuerySPARQL rewrites and executes a restricted SPARQL OMQ.
-func (s *System) QuerySPARQL(text string) (*relational.Relation, *rewriting.Result, error) {
-	return s.rewriter.AnswerSPARQL(text, s.resolver())
-}
-
-// Stats returns ontology statistics (triples per graph, counts of concepts,
-// features, sources, wrappers and attributes).
-func (s *System) Stats() core.Stats { return s.Ontology.Stats() }
+// CacheStats reports the rewriting cache's effectiveness counters.
+func (s *System) CacheStats() rewriting.CacheStats { return s.cache.Stats() }
 
 // Version policies for historical queries (see rewriting.VersionPolicy).
 const (
@@ -218,21 +268,15 @@ const (
 // PolicyOptions selects a version policy for QueryWithPolicy.
 type PolicyOptions = rewriting.PolicyOptions
 
-// QueryWithPolicy rewrites and executes an OMQ restricted to the schema
-// versions admitted by the policy: all versions (the paper's default),
-// latest versions only, or as of a given release sequence number.
-func (s *System) QueryWithPolicy(q *rewriting.OMQ, opts rewriting.PolicyOptions) (*relational.Relation, *rewriting.Result, error) {
-	return s.rewriter.AnswerWithPolicy(context.Background(), q, opts, s.resolver())
-}
-
-// QueryLatest answers the OMQ using only the newest schema version of every
-// source.
-func (s *System) QueryLatest(q *rewriting.OMQ) (*relational.Relation, *rewriting.Result, error) {
-	return s.QueryWithPolicy(q, rewriting.PolicyOptions{Policy: rewriting.LatestVersionsOnly})
-}
-
-// QueryAsOf answers the OMQ as the ontology stood after the given release
-// sequence number (historical query).
-func (s *System) QueryAsOf(q *rewriting.OMQ, release int) (*relational.Relation, *rewriting.Result, error) {
-	return s.QueryWithPolicy(q, rewriting.PolicyOptions{Policy: rewriting.AsOfRelease, Release: release})
+// QueryWithPolicy is Answer restricted to the schema versions the policy
+// admits: all versions (the paper's default), the latest version of every
+// source, or the ontology as it stood after a given release sequence number.
+// Policy rewrites bypass the cache.
+func (s *System) QueryWithPolicy(ctx context.Context, q *rewriting.OMQ, opts rewriting.PolicyOptions) (*relational.IDRelation, *rewriting.Result, error) {
+	res, err := s.rewriter.RewriteWithPolicy(ctx, q, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	answer, err := s.rewriter.ExecuteResultIDs(ctx, res, s.resolver, 0)
+	return answer, res, err
 }

@@ -1,11 +1,13 @@
 package bdi
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"bdi/internal/core"
 	"bdi/internal/rdf"
+	"bdi/internal/rewriting"
 	"bdi/internal/workload"
 )
 
@@ -45,9 +47,31 @@ func buildSystem(t *testing.T, withEvolution bool) *System {
 	return sys
 }
 
+// answerSPARQL parses a SPARQL OMQ and answers it through the system.
+func answerSPARQL(sys *System, text string) (*Relation, *RewriteResult, error) {
+	omq, err := ParseOMQ(text)
+	if err != nil {
+		return nil, nil, err
+	}
+	answer, res, err := sys.Answer(context.Background(), omq, 0)
+	if err != nil {
+		return nil, res, err
+	}
+	return answer.Relation(), res, nil
+}
+
+// rewriteSPARQL parses a SPARQL OMQ and rewrites it through the system.
+func rewriteSPARQL(sys *System, text string) (*RewriteResult, error) {
+	omq, err := ParseOMQ(text)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Rewrite(context.Background(), omq)
+}
+
 func TestSystemQuerySPARQL(t *testing.T) {
 	sys := buildSystem(t, false)
-	answer, res, err := sys.QuerySPARQL(exampleQuery)
+	answer, res, err := answerSPARQL(sys, exampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +88,7 @@ func TestSystemQuerySPARQL(t *testing.T) {
 
 func TestSystemSurvivesEvolution(t *testing.T) {
 	sys := buildSystem(t, true)
-	answer, res, err := sys.QuerySPARQL(exampleQuery)
+	answer, res, err := answerSPARQL(sys, exampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +102,7 @@ func TestSystemSurvivesEvolution(t *testing.T) {
 
 func TestSystemRewriteOnly(t *testing.T) {
 	sys := buildSystem(t, false)
-	res, err := sys.RewriteSPARQL(exampleQuery)
+	res, err := rewriteSPARQL(sys, exampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +113,12 @@ func TestSystemRewriteOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := sys.Rewrite(omq)
+	res2, err := rewriting.NewRewriter(sys.Ontology).Rewrite(omq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.UCQ.Len() != res.UCQ.Len() {
-		t.Error("Rewrite and RewriteSPARQL disagree")
+		t.Error("the cached and the uncached rewriting disagree")
 	}
 }
 
@@ -205,14 +229,14 @@ func TestRegisterReleaseWithoutExecutableWrapper(t *testing.T) {
 		t.Error("no executable wrapper should be registered")
 	}
 	// Rewriting still works (it only needs the ontology)...
-	if _, err := sys.RewriteSPARQL(exampleQuery); err == nil {
+	if _, err := rewriteSPARQL(sys, exampleQuery); err == nil {
 		t.Error("rewriting should fail: w3 is not registered yet, so applicationId has no provider")
 	}
 }
 
 func TestSystemStatsAndPrebuilt(t *testing.T) {
 	sys := buildSystem(t, true)
-	st := sys.Stats()
+	st := sys.Ontology.Stats()
 	if st.Wrappers != 4 || st.Concepts != 5 {
 		t.Errorf("stats = %+v", st)
 	}
@@ -222,12 +246,12 @@ func TestSystemStatsAndPrebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys2 := NewSystemWith(o, workload.SupersedeTable1Registry(false))
-	answer, _, err := sys2.QuerySPARQL(exampleQuery)
+	answer, _, err := answerSPARQL(sys2, exampleQuery)
 	if err != nil || answer.Cardinality() != 3 {
 		t.Errorf("prebuilt system answer = %v, %v", answer, err)
 	}
-	if sys2.Rewriter() == nil || sys2.resolver() == nil {
-		t.Error("accessors should not be nil")
+	if st := sys2.CacheStats(); st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("prebuilt system cache = %+v, want the one rewriting cached", st)
 	}
 	// Wrapper IRI aliases resolve through the registry after RegisterRelease.
 	if _, ok := sys.Wrappers.Get(string(core.WrapperURI("w1"))); !ok {

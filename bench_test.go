@@ -307,7 +307,11 @@ func BenchmarkAblationLAVAnswerAfterEvolution(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		answer, res, err := r.Answer(omq, resolver)
+		res, err := r.Rewrite(omq)
+		if err != nil {
+			b.Fatal(err)
+		}
+		answer, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

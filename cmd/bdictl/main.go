@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -39,7 +40,6 @@ import (
 	"bdi"
 	"bdi/internal/core"
 	"bdi/internal/evolution"
-	"bdi/internal/rdf"
 	"bdi/internal/wal"
 	"bdi/internal/workload"
 )
@@ -101,7 +101,7 @@ func main() {
 	case "demo":
 		runDemo(sys)
 	case "stats":
-		st := sys.Stats()
+		st := sys.Ontology.Stats()
 		fmt.Printf("Global graph triples:   %d\n", st.GlobalTriples)
 		fmt.Printf("Source graph triples:   %d\n", st.SourceTriples)
 		fmt.Printf("Mapping graph triples:  %d (+%d in LAV named graphs)\n", st.MappingTriples, st.LAVGraphTriples)
@@ -131,19 +131,19 @@ func main() {
 			}
 		}
 	case "rewrite":
-		res, err := sys.RewriteSPARQL(loadQuery(*queryFile))
+		res, err := sys.Rewrite(context.Background(), parseQuery(loadQuery(*queryFile)))
 		if err != nil {
 			fail(err)
 		}
 		fmt.Printf("Union of %d conjunctive quer(y/ies) over the wrappers:\n", res.UCQ.Len())
 		fmt.Println(res.UCQ)
 	case "query":
-		answer, res, err := sys.QuerySPARQL(loadQuery(*queryFile))
+		answer, res, err := sys.Answer(context.Background(), parseQuery(loadQuery(*queryFile)), 0)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Printf("Rewriting produced %d walk(s): %s\n\n", res.UCQ.Len(), strings.Join(res.UCQ.Signatures(), ", "))
-		fmt.Print(answer)
+		fmt.Print(answer.Relation())
 	case "releases":
 		runReleases(sys, *releaseFile)
 	case "dump":
@@ -183,28 +183,18 @@ func buildDemoSystem(evolved bool) (*bdi.System, error) {
 func runDemo(sys *bdi.System) {
 	fmt.Println("SUPERSEDE running example (paper §2.1)")
 	fmt.Println("Query: for each applicationId, fetch its lagRatio instances")
-	answer, res, err := sys.QuerySPARQL(demoQuery)
+	answer, res, err := sys.Answer(context.Background(), parseQuery(demoQuery), 0)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("\nWalks over the wrappers:\n%s\n\n", res.UCQ)
 	fmt.Println("Answer (Table 2 of the paper):")
-	fmt.Print(answer)
+	fmt.Print(answer.Relation())
 }
 
-// releaseSpec is the JSON shape of a wrapper release accepted by
-// `bdictl releases -file` (the same shape POST /api/releases accepts).
-type releaseSpec struct {
-	Wrapper         string            `json:"wrapper"`
-	Source          string            `json:"source"`
-	IDAttributes    []string          `json:"idAttributes"`
-	NonIDAttributes []string          `json:"nonIdAttributes"`
-	Subgraph        [][3]string       `json:"subgraph"`
-	Mappings        map[string]string `json:"mappings"`
-}
-
-// runReleases registers a wrapper release from a JSON file against the demo
-// ontology (Algorithm 1) and prints what it changed, including the computed
+// runReleases registers a wrapper release from a JSON file (the shape POST
+// /api/releases accepts, bdi.ReleaseRequest) against the demo ontology
+// (Algorithm 1) and prints what it changed, including the computed
 // ReleaseDelta — the concepts, features, attributes and edges whose cached
 // rewritings the release can retire.
 func runReleases(sys *bdi.System, path string) {
@@ -215,28 +205,11 @@ func runReleases(sys *bdi.System, path string) {
 	if err != nil {
 		fail(err)
 	}
-	var spec releaseSpec
+	var spec bdi.ReleaseRequest
 	if err := json.Unmarshal(data, &spec); err != nil {
 		fail(fmt.Errorf("releases: parsing %s: %w", path, err))
 	}
-	g := rdf.NewGraph("")
-	for _, t := range spec.Subgraph {
-		g.Add(rdf.T(rdf.IRI(t[0]), rdf.IRI(t[1]), rdf.IRI(t[2])))
-	}
-	f := map[string]rdf.IRI{}
-	for attr, feature := range spec.Mappings {
-		f[attr] = rdf.IRI(feature)
-	}
-	res, err := sys.Ontology.NewRelease(core.Release{
-		Wrapper: core.WrapperSpec{
-			Name:            spec.Wrapper,
-			Source:          spec.Source,
-			IDAttributes:    spec.IDAttributes,
-			NonIDAttributes: spec.NonIDAttributes,
-		},
-		Subgraph: g,
-		F:        f,
-	})
+	res, err := sys.RegisterRelease(spec.Release())
 	if err != nil {
 		fail(err)
 	}
@@ -526,6 +499,15 @@ func formatMetricValue(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// parseQuery parses a SPARQL OMQ, failing the command on a syntax error.
+func parseQuery(text string) *bdi.OMQ {
+	omq, err := bdi.ParseOMQ(text)
+	if err != nil {
+		fail(err)
+	}
+	return omq
 }
 
 func loadQuery(path string) string {

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -27,14 +28,13 @@ import (
 	"strings"
 	"time"
 
+	"bdi"
 	"bdi/internal/core"
 	"bdi/internal/evolution"
 	"bdi/internal/gav"
 	"bdi/internal/rdf"
 	"bdi/internal/relational"
-	"bdi/internal/rewriting"
 	"bdi/internal/workload"
-	"bdi/internal/wrapper"
 )
 
 func main() {
@@ -204,15 +204,14 @@ func printLAVvsGAV() {
 		os.Exit(1)
 	}
 	reg := workload.SupersedeTable1Registry(true)
-	r := rewriting.NewRewriter(o)
-	omq := rewriting.NewOMQ(
+	omq := bdi.NewOMQ(
 		[]rdf.IRI{core.SupApplicationID, core.SupLagRatio},
 		rdf.T(core.SupSoftwareApplication, core.GHasFeature, core.SupApplicationID),
 		rdf.T(core.SupSoftwareApplication, core.SupHasMonitor, core.SupMonitor),
 		rdf.T(core.SupMonitor, core.SupGeneratesQoS, core.SupInfoMonitor),
 		rdf.T(core.SupInfoMonitor, core.GHasFeature, core.SupLagRatio),
 	)
-	lavAnswer, lavRes, err := r.Answer(omq, wrapper.NewQualifiedResolver(reg))
+	lavAnswer, lavRes, err := bdi.NewSystemWith(o, reg).Answer(context.Background(), omq, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -228,7 +227,7 @@ func printLAVvsGAV() {
 		os.Exit(1)
 	}
 	fmt.Printf("%-28s %8s %8s\n", "approach", "walks", "rows")
-	fmt.Printf("%-28s %8d %8d\n", "LAV rewriting (this paper)", lavRes.UCQ.Len(), lavAnswer.Cardinality())
+	fmt.Printf("%-28s %8d %8d\n", "LAV rewriting (this paper)", lavRes.UCQ.Len(), lavAnswer.Relation().Cardinality())
 	fmt.Printf("%-28s %8d %8d\n", "GAV unfolding (baseline)", 1, gavAnswer.Cardinality())
 	fmt.Printf("-> GAV misses the rows served by the evolved schema version (w4); repair cost: %d mapping rewrites vs 1 release\n",
 		g.RepairCost("w1", "lagRatio", map[string][]string{"D1": {"w1", "w4"}}))

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,11 +48,15 @@ func main() {
 		log.Fatal(err)
 	}
 	sys := bdi.NewSystemWith(ontology, reg)
-	lavAnswer, lavRes, err := sys.QuerySPARQL(exampleQuery)
+	omq, err := bdi.ParseOMQ(exampleQuery)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  LAV (this paper): %d walks, %d rows\n", lavRes.UCQ.Len(), lavAnswer.Cardinality())
+	lavAnswer, lavRes, err := sys.Answer(context.Background(), omq, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  LAV (this paper): %d walks, %d rows\n", lavRes.UCQ.Len(), lavAnswer.Relation().Cardinality())
 
 	// GAV: the mapping still points at the old wrapper and attribute.
 	g := gav.New()

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -68,12 +69,16 @@ WHERE {
   iot:Sensor G:hasFeature iot:temperature
 }
 `
-	answer, result, err := sys.QuerySPARQL(query)
+	omq, err := bdi.ParseOMQ(query)
+	if err != nil {
+		log.Fatal(err)
+	}
+	answer, result, err := sys.Answer(context.Background(), omq, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("rewritten to %d walk(s): %v\n\n", result.UCQ.Len(), result.UCQ.Signatures())
-	fmt.Print(answer)
+	fmt.Print(answer.Relation())
 }
 
 func must(err error) {

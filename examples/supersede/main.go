@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -100,17 +101,22 @@ func main() {
 	runQuery(sys)
 
 	// The stats show how the two-level ontology grew.
-	st := sys.Stats()
+	st := sys.Ontology.Stats()
 	fmt.Printf("\nontology: %d concepts, %d features, %d sources, %d wrappers, %d attributes\n",
 		st.Concepts, st.Features, st.DataSources, st.Wrappers, st.Attributes)
 }
 
 func runQuery(sys *bdi.System) {
 	start := time.Now()
-	answer, res, err := sys.QuerySPARQL(analystQuery)
+	omq, err := bdi.ParseOMQ(analystQuery)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ids, res, err := sys.Answer(context.Background(), omq, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	answer := ids.Relation()
 	fmt.Printf("rewriting: %d walk(s) %v in %s\n", res.UCQ.Len(), res.UCQ.Signatures(), time.Since(start).Round(time.Microsecond))
 	fmt.Printf("answer: %d (applicationId, lagRatio) rows; first rows:\n", answer.Cardinality())
 	for i, t := range answer.Tuples { // the engine orders its result

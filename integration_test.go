@@ -12,7 +12,6 @@ import (
 	"bdi/internal/core"
 	"bdi/internal/rdf"
 	"bdi/internal/relational"
-	"bdi/internal/rewriting"
 	"bdi/internal/source"
 	"bdi/internal/steward"
 	"bdi/internal/workload"
@@ -66,7 +65,7 @@ func TestIntegrationHTTPProvidersEndToEnd(t *testing.T) {
 	sys, eco, srv := buildEcosystemSystem(t)
 	gen := eco.Generator
 
-	answer, res, err := sys.QuerySPARQL(exampleQuery)
+	answer, res, err := answerSPARQL(sys, exampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,7 @@ func TestIntegrationHTTPProvidersEndToEnd(t *testing.T) {
 	// from the provider (retired endpoint), so w1 contributes an error if
 	// queried. The rewriting still produces both walks; execution fails on
 	// the retired endpoint, which is the expected operational signal...
-	res2, err := sys.RewriteSPARQL(exampleQuery)
+	res2, err := rewriteSPARQL(sys, exampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,15 +112,15 @@ func TestIntegrationHTTPProvidersEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	latest, latestRes, err := sys.QueryLatest(omq)
+	latest, latestRes, err := sys.QueryWithPolicy(context.Background(), omq, PolicyOptions{Policy: LatestVersionsOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if latestRes.UCQ.Len() != 1 || latestRes.UCQ.Signatures()[0] != "w3|w4" {
 		t.Errorf("latest-only signatures = %v", latestRes.UCQ.Signatures())
 	}
-	if latest.Cardinality() != gen.Apps*gen.EventsPerMonitor {
-		t.Errorf("latest-only rows = %d", latest.Cardinality())
+	if n := latest.Relation().Cardinality(); n != gen.Apps*gen.EventsPerMonitor {
+		t.Errorf("latest-only rows = %d", n)
 	}
 }
 
@@ -132,35 +131,36 @@ func TestIntegrationVersionPoliciesAndCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	// All versions: 4 rows. Latest only: 1 row. As of release 3: 3 rows.
-	all, _, err := sys.Query(omq)
+	ctx := context.Background()
+	all, _, err := sys.Answer(ctx, omq, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	latest, _, err := sys.QueryLatest(omq)
+	latest, _, err := sys.QueryWithPolicy(ctx, omq, PolicyOptions{Policy: LatestVersionsOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
-	historical, histRes, err := sys.QueryAsOf(omq, 3)
+	historical, histRes, err := sys.QueryWithPolicy(ctx, omq, PolicyOptions{Policy: AsOfRelease, Release: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if all.Cardinality() != 4 || latest.Cardinality() != 1 || historical.Cardinality() != 3 {
-		t.Errorf("cardinalities all/latest/asOf3 = %d/%d/%d, want 4/1/3",
-			all.Cardinality(), latest.Cardinality(), historical.Cardinality())
+	nAll, nLatest, nHistorical := all.Relation().Cardinality(), latest.Relation().Cardinality(), historical.Relation().Cardinality()
+	if nAll != 4 || nLatest != 1 || nHistorical != 3 {
+		t.Errorf("cardinalities all/latest/asOf3 = %d/%d/%d, want 4/1/3", nAll, nLatest, nHistorical)
 	}
 	if histRes.UCQ.Signatures()[0] != "w1|w3" {
 		t.Errorf("as-of walks = %v", histRes.UCQ.Signatures())
 	}
 
-	// Cache: repeated rewritings are served from memory until a release lands.
-	cache := rewriting.NewCache(sys.Rewriter())
-	if _, err := cache.Rewrite(omq); err != nil {
+	// Cache: repeated rewritings are served from memory until a release
+	// lands. The answer above was the one miss; policy queries bypass it.
+	if _, err := sys.Rewrite(ctx, omq); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Rewrite(omq); err != nil {
+	if _, err := sys.Rewrite(ctx, omq); err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
+	if st := sys.CacheStats(); st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("cache stats = %d/%d", st.Hits, st.Misses)
 	}
 }
@@ -191,7 +191,7 @@ func TestIntegrationStewardDraftMatchesManualRelease(t *testing.T) {
 	reg := workload.SupersedeTable1Registry(true)
 	for name, o := range map[string]*core.Ontology{"manual": manual, "assisted": assisted} {
 		sys := NewSystemWith(o, reg)
-		answer, res, err := sys.QuerySPARQL(exampleQuery)
+		answer, res, err := answerSPARQL(sys, exampleQuery)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

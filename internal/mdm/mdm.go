@@ -7,11 +7,11 @@
 //
 // # Concurrency
 //
-// No read request takes a lock a release holds. The server publishes what
-// reads work against — the ontology, and the rewriter and rewriting cache
-// built around it — as one immutable view behind an atomic pointer; every
-// read handler and metrics writer loads it once and holds nothing while it
-// rewrites, fetches from wrappers or writes its reply. Analyst queries
+// No read request takes a lock a release holds. The server's view is a
+// bdi.System — the ontology, the wrapper registry, and the rewriting cache
+// and resolver built around them — published behind an atomic pointer;
+// every read handler and metrics writer loads it once and holds nothing
+// while it rewrites, fetches from wrappers or writes its reply. Analyst queries
 // therefore run in parallel with each other and with release registration,
 // even while a wrapper fetch waits on a slow source. The layers below take no
 // lock a release holds either, so a release parked in the WAL's fsync holds
@@ -26,27 +26,29 @@
 // /api/ontology/stats and /sources each read one pinned snapshot, so every
 // reply describes one generation.
 //
-// The one lock left, releaseMu, is taken only by POST /api/releases. It makes
-// a release and its optional sample-data wrapper one step: the wrapper is
-// registered before NewRelease publishes the release, so no reader rewrites
+// The one lock left is the System's releaseMu, taken only by POST
+// /api/releases through System.RegisterRelease. It makes a release and its
+// optional sample-data wrapper one step: the wrapper is registered, by name
+// and by IRI, before NewRelease publishes the release, so no reader rewrites
 // to a walk whose wrapper is missing, and a release Algorithm 1 rejects puts
 // the registry back exactly as it was. A replica's checkpoint resync
-// publishes a new view with one compare-and-swap (refreshReplicaView).
+// publishes a new System with one compare-and-swap (refreshReplicaView).
 package mdm
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 
+	"bdi"
 	"bdi/internal/core"
 	"bdi/internal/evolution"
 	"bdi/internal/obs"
-	"bdi/internal/rdf"
 	"bdi/internal/relational"
 	"bdi/internal/replication"
 	"bdi/internal/rewriting"
@@ -56,13 +58,11 @@ import (
 
 // Server is the MDM backend. It is safe for concurrent use.
 type Server struct {
-	// view is loaded once per read request; nil on a replica until its first
-	// synchronization.
-	view     atomic.Pointer[view]
+	// sys is the view every request works against, loaded once per
+	// request; nil on a replica until its first synchronization.
+	sys atomic.Pointer[bdi.System]
+	// registry holds the wrappers every System of this server executes.
 	registry *wrapper.Registry
-
-	// releaseMu serializes POST /api/releases. No read path takes it.
-	releaseMu sync.Mutex
 
 	// durability, when set, is the WAL manager journaling the ontology (see
 	// EnableDurability). The manager hooks the store directly; the server
@@ -97,27 +97,14 @@ func (s *Server) tracer() *obs.Tracer {
 	return s.traceRing
 }
 
-// view is what read requests work against: an ontology and the rewriter and
-// rewriting cache built around it. It is immutable; a primary publishes one
-// for its lifetime, a replica a new one whenever a checkpoint resync replaces
-// its ontology object.
-type view struct {
-	ontology *core.Ontology
-	rewriter *rewriting.Rewriter
-	cache    *rewriting.Cache
-}
-
-func newView(o *core.Ontology) *view {
-	r := rewriting.NewRewriter(o)
-	return &view{ontology: o, rewriter: r, cache: rewriting.NewCache(r)}
-}
-
 // NewServer returns an MDM backend over the given ontology and registry.
 // Query endpoints are served through a rewriting cache that invalidates
-// itself on every ontology release.
+// itself on every ontology release. A primary publishes one System for its
+// lifetime; a replica a new one whenever a checkpoint resync replaces its
+// ontology object.
 func NewServer(o *core.Ontology, reg *wrapper.Registry) *Server {
 	s := &Server{registry: reg}
-	s.view.Store(newView(o))
+	s.sys.Store(bdi.NewSystemWith(o, reg))
 	return s
 }
 
@@ -243,7 +230,7 @@ func (s *Server) handleApplicability(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.view.Load().ontology.Stats())
+	writeJSON(w, http.StatusOK, s.sys.Load().Ontology.Stats())
 }
 
 // ConceptView describes one concept of G for the UI.
@@ -256,7 +243,7 @@ type ConceptView struct {
 // handleConcepts makes one probe per concept without pinning a snapshot:
 // releases never write G, so every probe sees the same concepts.
 func (s *Server) handleConcepts(w http.ResponseWriter, r *http.Request) {
-	o := s.view.Load().ontology
+	o := s.sys.Load().Ontology
 	var out []ConceptView
 	for _, c := range o.Concepts() {
 		cv := ConceptView{Concept: string(c)}
@@ -279,7 +266,7 @@ type SourceView struct {
 
 func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
 	var out []SourceView
-	for _, ds := range s.view.Load().ontology.Sources() {
+	for _, ds := range s.sys.Load().Ontology.Sources() {
 		sv := SourceView{Source: string(ds.Source), Wrappers: map[string][]string{}}
 		for _, wr := range ds.Wrappers {
 			var attrs []string
@@ -294,23 +281,14 @@ func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGraphDump(w http.ResponseWriter, r *http.Request) {
-	o := s.view.Load().ontology
+	o := s.sys.Load().Ontology
 	w.Header().Set("Content-Type", "application/trig")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprint(w, o.Store().DumpTriG(o.Prefixes()))
 }
 
-// ReleaseRequest is the JSON body of POST /api/releases. The LAV subgraph is
-// given as triples of IRIs; the attribute-to-feature function as a map.
-type ReleaseRequest struct {
-	Wrapper         string            `json:"wrapper"`
-	Source          string            `json:"source"`
-	IDAttributes    []string          `json:"idAttributes"`
-	NonIDAttributes []string          `json:"nonIdAttributes"`
-	Subgraph        [][3]string       `json:"subgraph"`
-	Mappings        map[string]string `json:"mappings"`
-	SampleTuples    []map[string]any  `json:"sampleTuples,omitempty"`
-}
+// ReleaseRequest is the JSON body of POST /api/releases.
+type ReleaseRequest = bdi.ReleaseRequest
 
 // ReleaseResponse is the JSON answer of POST /api/releases.
 type ReleaseResponse struct {
@@ -361,44 +339,11 @@ func deltaView(d *core.ReleaseDelta) *DeltaView {
 
 func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req ReleaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	g := rdf.NewGraph("")
-	for _, t := range req.Subgraph {
-		g.Add(rdf.T(rdf.IRI(t[0]), rdf.IRI(t[1]), rdf.IRI(t[2])))
-	}
-	f := map[string]rdf.IRI{}
-	for attr, feature := range req.Mappings {
-		f[attr] = rdf.IRI(feature)
-	}
-	release := core.Release{
-		Wrapper: core.WrapperSpec{
-			Name:            req.Wrapper,
-			Source:          req.Source,
-			IDAttributes:    req.IDAttributes,
-			NonIDAttributes: req.NonIDAttributes,
-		},
-		Subgraph: g,
-		F:        f,
-	}
-	// Optionally serve the release from an in-memory wrapper over the
-	// provided sample data, so that queries are immediately answerable.
-	var samples wrapper.Wrapper
-	if len(req.SampleTuples) > 0 {
-		schema := relational.NewSchema(req.IDAttributes, req.NonIDAttributes)
-		rows := make([]relational.Tuple, len(req.SampleTuples))
-		for i, t := range req.SampleTuples {
-			row := relational.Tuple{}
-			for k, v := range t {
-				row[k] = v
-			}
-			rows[i] = row
-		}
-		samples = wrapper.NewMemory(req.Wrapper, req.Source, schema, rows)
-	}
-	res, err := s.release(release, samples)
+	release, samples := req.Release()
+	res, err := s.sys.Load().RegisterRelease(release, samples)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -411,26 +356,6 @@ func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		ReusedAttributes:   len(res.ReusedAttributes),
 		Delta:              deltaView(res.Delta),
 	})
-}
-
-// release registers the sample wrapper, if any, before NewRelease publishes
-// the release, so a reader that rewrites to the release's walk finds its
-// wrapper. If the release is not published, the registration is undone;
-// releaseMu keeps concurrent releases from interleaving with the undo. A
-// release that was published but failed to journal keeps its wrapper, since
-// readers already see the walk.
-func (s *Server) release(release core.Release, samples wrapper.Wrapper) (*core.ReleaseResult, error) {
-	s.releaseMu.Lock()
-	defer s.releaseMu.Unlock()
-	undo := func() {}
-	if samples != nil {
-		undo = s.registry.Register(samples)
-	}
-	res, err := s.view.Load().ontology.NewRelease(release)
-	if res == nil {
-		undo()
-	}
-	return res, err
 }
 
 // QueryRequest is the JSON body of the query endpoints.
@@ -450,13 +375,11 @@ type RewriteResponse struct {
 }
 
 func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	_, omq, ok := parseQuery(w, r)
+	if !ok {
 		return
 	}
-	noteQuery(r, req.SPARQL)
-	res, err := s.view.Load().rewrite(r.Context(), req.SPARQL)
+	res, err := s.sys.Load().Rewrite(r.Context(), omq)
 	if err != nil {
 		writeQueryError(w, r, err)
 		return
@@ -464,14 +387,20 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rewriteResponse(res))
 }
 
-// rewrite parses a SPARQL OMQ and rewrites it through the view's
-// generation-keyed cache under the request's lifecycle context.
-func (v *view) rewrite(ctx context.Context, sparqlText string) (*rewriting.Result, error) {
-	omq, err := rewriting.ParseOMQ(sparqlText)
-	if err != nil {
-		return nil, err
+// parseQuery decodes a query request and parses its SPARQL OMQ, answering
+// the request itself when either fails.
+func parseQuery(w http.ResponseWriter, r *http.Request) (QueryRequest, *rewriting.OMQ, bool) {
+	var req QueryRequest
+	if !decodeBody(w, r, &req) {
+		return req, nil, false
 	}
-	return v.cache.RewriteContext(ctx, omq)
+	noteQuery(r, req.SPARQL)
+	omq, err := rewriting.ParseOMQ(req.SPARQL)
+	if err != nil {
+		writeQueryError(w, r, err)
+		return req, nil, false
+	}
+	return req, omq, true
 }
 
 // CacheStatsResponse reports rewriting-cache effectiveness, including the
@@ -481,7 +410,7 @@ func (v *view) rewrite(ctx context.Context, sparqlText string) (*rewriting.Resul
 type CacheStatsResponse = rewriting.CacheStats
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.view.Load().cache.Stats())
+	writeJSON(w, http.StatusOK, s.sys.Load().CacheStats())
 }
 
 func (s *Server) handleDurabilityStats(w http.ResponseWriter, r *http.Request) {
@@ -530,13 +459,14 @@ type AnswerResponse struct {
 }
 
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	req, omq, ok := parseQuery(w, r)
+	if !ok {
 		return
 	}
-	noteQuery(r, req.SPARQL)
-	answer, res, err := s.answer(r.Context(), req)
+	// No lock: a release landing meanwhile only adds to the ontology, the
+	// rewriting result is immutable, and every wrapper a walk names was
+	// registered before its release was published.
+	answer, res, err := s.sys.Load().Answer(r.Context(), omq, req.Limit)
 	if err != nil {
 		writeQueryError(w, r, err)
 		return
@@ -562,18 +492,32 @@ func answerBody(res *rewriting.Result, answer *relational.IDRelation) ([]byte, e
 	return append(body, "}\n"...), err
 }
 
-// answer rewrites and executes a query against one view, holding no lock:
-// a release landing meanwhile only adds to the ontology, the rewriting
-// result is immutable, and every wrapper a walk names was registered before
-// its release was published.
-func (s *Server) answer(ctx context.Context, req QueryRequest) (*relational.IDRelation, *rewriting.Result, error) {
-	v := s.view.Load()
-	res, err := v.rewrite(ctx, req.SPARQL)
-	if err != nil {
-		return nil, nil, err
+// maxRequestBody bounds the JSON body of every POST endpoint. A release's
+// sample tuples are sample data, and an OMQ is a few hundred bytes.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes the request's JSON body into v, answering the request
+// itself when that fails: 413 for a body over maxRequestBody, 400 for a
+// malformed body or one followed by a second JSON value. Both are JSON error
+// bodies.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	err := dec.Decode(v)
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("request body holds more than one JSON value")
+		}
 	}
-	answer, err := v.rewriter.ExecuteResultIDs(ctx, res, wrapper.NewQualifiedResolver(s.registry), req.Limit)
-	return answer, res, err
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, err)
+	return false
 }
 
 // writeJSON writes v as json.Encoder does, but builds the body first: a value

@@ -87,11 +87,11 @@ func (s *Server) writeGovernorMetrics(t *obs.TextWriter) {
 }
 
 func (s *Server) writeCacheMetrics(t *obs.TextWriter) {
-	v := s.view.Load()
+	v := s.sys.Load()
 	if v == nil {
 		return
 	}
-	st := v.cache.Stats()
+	st := v.CacheStats()
 	t.Counter("bdi_rewrite_cache_hits_total", "Rewrite-cache hits.", nil, int64(st.Hits))
 	t.Counter("bdi_rewrite_cache_misses_total", "Rewrite-cache misses.", nil, int64(st.Misses))
 	t.Counter("bdi_rewrite_cache_unit_hits_total", "Intra-concept unit cache hits.", nil, int64(st.UnitHits))
@@ -109,8 +109,8 @@ func (s *Server) writeCacheMetrics(t *obs.TextWriter) {
 
 func (s *Server) writeStoreMetrics(t *obs.TextWriter) {
 	var o *core.Ontology
-	if v := s.view.Load(); v != nil {
-		o = v.ontology
+	if v := s.sys.Load(); v != nil {
+		o = v.Ontology
 	} else if s.replica != nil {
 		o = s.replica.Ontology()
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"bdi"
 	"bdi/internal/core"
 	"bdi/internal/replication"
 	"bdi/internal/wrapper"
@@ -78,20 +79,20 @@ func (s *Server) replicaReady(w http.ResponseWriter) bool {
 // current. Stream application mutates the ontology in place (reads keep
 // working through the store's atomic snapshots, and the rewriting cache
 // revalidates itself against the replicated delta log), but a checkpoint
-// resynchronization swaps the whole ontology object — then a view is built
-// around the new one and published with one compare-and-swap. The view is
-// loaded before the ontology, so a published view only ever replaces one
+// resynchronization swaps the whole ontology object — then a System is built
+// around the new one and published with one compare-and-swap. The System is
+// loaded before the ontology, so a published System only ever replaces one
 // built from an ontology read earlier: concurrent refreshes never move the
 // server back to an older ontology. A refresh that loses the swap retries
-// against the winner's view.
+// against the winner's System.
 func (s *Server) refreshReplicaView(current func() *core.Ontology) {
 	for {
-		v := s.view.Load()
+		v := s.sys.Load()
 		o := current()
-		if o == nil || (v != nil && v.ontology == o) {
+		if o == nil || (v != nil && v.Ontology == o) {
 			return
 		}
-		if s.view.CompareAndSwap(v, newView(o)) {
+		if s.sys.CompareAndSwap(v, bdi.NewSystemWith(o, s.registry)) {
 			return
 		}
 	}

@@ -193,7 +193,7 @@ func TestReplicaRefreshNeverMovesBack(t *testing.T) {
 	var current atomic.Pointer[core.Ontology]
 	current.Store(onts[0])
 	srv := NewServer(onts[0], wrapper.NewRegistry())
-	serving := func() int { return index[srv.view.Load().ontology] }
+	serving := func() int { return index[srv.sys.Load().Ontology] }
 
 	var once sync.Once
 	loaded, resynced, slowDone := make(chan struct{}), make(chan struct{}), make(chan struct{})

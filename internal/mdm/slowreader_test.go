@@ -420,8 +420,40 @@ func TestRejectedReleaseLeavesRegistryUnchanged(t *testing.T) {
 		if got := reg.Names(); !slices.Equal(got, names) {
 			t.Errorf("%s: registry names = %v, want %v", name, got, names)
 		}
-		if got := rows("w4"); !reflect.DeepEqual(got, w4Rows) {
-			t.Errorf("%s: w4 rows = %v, want %v", name, got, w4Rows)
+		for _, key := range []string{"w4", string(core.WrapperURI("w4"))} {
+			if got := rows(key); !reflect.DeepEqual(got, w4Rows) {
+				t.Errorf("%s: %s rows = %v, want %v", name, key, got, w4Rows)
+			}
 		}
+	}
+}
+
+// TestReleaseSampleWrapperResolvableByNameAndIRI posts a release with sample
+// data and checks, from the release hook (the release's span is published,
+// its snapshot about to be), that the sample wrapper resolves both by its
+// name and by its wrapper IRI: a reader that sees the release finds the
+// wrapper under either key.
+func TestReleaseSampleWrapperResolvableByNameAndIRI(t *testing.T) {
+	o, err := core.BuildSupersedeOntology(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := workload.SupersedeTable1Registry(false)
+	h := NewServer(o, reg).Handler()
+	var hooked []string
+	o.SetReleaseHook(func(span core.DeltaSpan) error {
+		name := core.WrapperLocalName(span.Delta.Wrapper)
+		for _, key := range []string{name, string(span.Delta.Wrapper)} {
+			if w, ok := reg.Get(key); !ok || w.Name() != name {
+				hooked = append(hooked, fmt.Sprintf("%s does not resolve to wrapper %s when its span is published", key, name))
+			}
+		}
+		return nil
+	})
+	if rec := serveJSON(h, http.MethodPost, "/api/releases", w4Release()); rec.Code != http.StatusCreated {
+		t.Fatalf("w4 release = %d: %s", rec.Code, rec.Body)
+	}
+	for _, msg := range hooked {
+		t.Error(msg)
 	}
 }

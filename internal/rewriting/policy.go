@@ -1,11 +1,9 @@
 package rewriting
 
 import (
-	"context"
 	"fmt"
 
 	"bdi/internal/core"
-	"bdi/internal/relational"
 )
 
 // VersionPolicy restricts which schema versions (wrappers) a rewriting may
@@ -96,17 +94,4 @@ func filterPartialWalks(o *core.Ontology, opts PolicyOptions, partials []Partial
 		out = append(out, filtered)
 	}
 	return out, nil
-}
-
-// AnswerWithPolicy rewrites under the policy and executes the result.
-func (r *Rewriter) AnswerWithPolicy(ctx context.Context, omq *OMQ, opts PolicyOptions, resolver relational.WrapperResolver) (*relational.Relation, *Result, error) {
-	res, err := r.RewriteWithPolicy(ctx, omq, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	answer, err := r.ExecuteResultLimit(ctx, res, resolver, 0)
-	if err != nil {
-		return nil, res, err
-	}
-	return answer, res, nil
 }

@@ -73,7 +73,7 @@ func TestRewriteWithPolicyLatestOnly(t *testing.T) {
 	}
 	// Executing it returns only the new-version data.
 	resolver := wrapper.NewQualifiedResolver(supersedeRegistry(true))
-	answer, _, err := r.AnswerWithPolicy(context.Background(), runningExampleOMQ(), PolicyOptions{Policy: LatestVersionsOnly}, resolver)
+	answer, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"bdi/internal/lifecycle"
 	"bdi/internal/rdf"
 	"bdi/internal/relational"
-	"bdi/internal/sparql"
 )
 
 // walkWrapperURIs resolves a walk's wrapper names to their IRIs, once per
@@ -191,47 +190,6 @@ func (r *Rewriter) assemble(ctx context.Context, wf *OMQ, expanded *ExpandedQuer
 	sort.Strings(ucq.RequestedAttributes)
 
 	return &Result{WellFormed: wf, Expanded: expanded, PartialWalks: partials, UCQ: ucq}, nil
-}
-
-// RewriteSPARQL parses a restricted SPARQL OMQ and rewrites it.
-func (r *Rewriter) RewriteSPARQL(text string) (*Result, error) {
-	q, err := sparql.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	omq, err := FromSPARQL(q)
-	if err != nil {
-		return nil, err
-	}
-	return r.Rewrite(omq)
-}
-
-// Answer rewrites the OMQ and executes the resulting union of conjunctive
-// queries against the wrappers, returning one column per projected feature
-// (named by the feature's local name), as in Table 2 of the paper.
-func (r *Rewriter) Answer(omq *OMQ, resolver relational.WrapperResolver) (*relational.Relation, *Result, error) {
-	res, err := r.Rewrite(omq)
-	if err != nil {
-		return nil, nil, err
-	}
-	answer, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
-	if err != nil {
-		return nil, res, err
-	}
-	return answer, res, nil
-}
-
-// AnswerSPARQL is Answer for SPARQL text input.
-func (r *Rewriter) AnswerSPARQL(text string, resolver relational.WrapperResolver) (*relational.Relation, *Result, error) {
-	q, err := sparql.Parse(text)
-	if err != nil {
-		return nil, nil, err
-	}
-	omq, err := FromSPARQL(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.Answer(omq, resolver)
 }
 
 // ExecuteResultIDs executes every walk of the rewriting result through the

@@ -335,7 +335,11 @@ func TestRewriteRunningExampleAfterEvolution(t *testing.T) {
 func TestRewriteSPARQLEndToEnd(t *testing.T) {
 	o := buildOntology(t, false)
 	r := NewRewriter(o)
-	res, err := r.RewriteSPARQL(runningExampleSPARQL)
+	omq, err := ParseOMQ(runningExampleSPARQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Rewrite(omq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,14 +348,25 @@ func TestRewriteSPARQLEndToEnd(t *testing.T) {
 	}
 }
 
+// rewriteAndExecute rewrites the OMQ and executes the result.
+func rewriteAndExecute(t *testing.T, r *Rewriter, omq *OMQ, resolver relational.WrapperResolver) (*relational.Relation, *Result) {
+	t.Helper()
+	res, err := r.Rewrite(omq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel, res
+}
+
 func TestAnswerProducesTable2(t *testing.T) {
 	o := buildOntology(t, false)
 	r := NewRewriter(o)
 	resolver := wrapper.NewQualifiedResolver(supersedeRegistry(false))
-	answer, _, err := r.Answer(runningExampleOMQ(), resolver)
-	if err != nil {
-		t.Fatal(err)
-	}
+	answer, _ := rewriteAndExecute(t, r, runningExampleOMQ(), resolver)
 	if answer.Cardinality() != 3 {
 		t.Fatalf("answer cardinality = %d, want 3 (Table 2)\n%s", answer.Cardinality(), answer)
 	}
@@ -377,10 +392,7 @@ func TestAnswerAfterEvolutionUnionsBothVersions(t *testing.T) {
 	o := buildOntology(t, true)
 	r := NewRewriter(o)
 	resolver := wrapper.NewQualifiedResolver(supersedeRegistry(true))
-	answer, res, err := r.Answer(runningExampleOMQ(), resolver)
-	if err != nil {
-		t.Fatal(err)
-	}
+	answer, res := rewriteAndExecute(t, r, runningExampleOMQ(), resolver)
 	if res.UCQ.Len() != 2 {
 		t.Fatalf("expected 2 walks after evolution, got %d", res.UCQ.Len())
 	}
@@ -398,10 +410,11 @@ func TestAnswerSPARQL(t *testing.T) {
 	o := buildOntology(t, false)
 	r := NewRewriter(o)
 	resolver := wrapper.NewQualifiedResolver(supersedeRegistry(false))
-	answer, _, err := r.AnswerSPARQL(runningExampleSPARQL, resolver)
+	omq, err := ParseOMQ(runningExampleSPARQL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	answer, _ := rewriteAndExecute(t, r, omq, resolver)
 	if answer.Cardinality() != 3 {
 		t.Errorf("cardinality = %d", answer.Cardinality())
 	}

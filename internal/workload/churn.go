@@ -85,14 +85,9 @@ func (ec *EvolutionChurn) RegisterUnrelatedRelease() (*core.ReleaseResult, error
 		rdf.T(sideConceptIRI(i), core.GHasFeature, sideValueFeature(i)),
 	)
 	f := map[string]rdf.IRI{idAttr: sideIDFeature(i), valueAttr: sideValueFeature(i)}
-	res, err := ec.Ontology.NewRelease(core.Release{Wrapper: spec, Subgraph: g, F: f})
-	if err != nil {
-		return nil, err
-	}
 	schema := relational.NewSchema([]string{idAttr}, []string{valueAttr})
 	rows := []relational.Tuple{{idAttr: 0, valueAttr: float64(i)}}
-	ec.Registry.Register(wrapper.NewMemory(name, source, schema, rows))
-	return res, nil
+	return ec.release(core.Release{Wrapper: spec, Subgraph: g, F: f}, wrapper.NewMemory(name, source, schema, rows))
 }
 
 // RegisterRelatedRelease registers one more wrapper for the first chain
@@ -125,12 +120,19 @@ func (ec *EvolutionChurn) RegisterRelatedRelease() (*core.ReleaseResult, error) 
 		)
 		f["c1_id"] = idFeature(1)
 	}
-	res, err := ec.Ontology.NewRelease(core.Release{Wrapper: spec, Subgraph: g, F: f})
-	if err != nil {
-		return nil, err
+	return ec.release(core.Release{Wrapper: spec, Subgraph: g, F: f}, worstCaseWrapper(name, source, 0, ec.Concepts > 1, 3))
+}
+
+// release registers the wrapper before Algorithm 1 publishes the release,
+// so a reader that rewrites to the release's walks finds the wrapper, and
+// undoes the registration if the release is not published.
+func (ec *EvolutionChurn) release(r core.Release, w wrapper.Wrapper) (*core.ReleaseResult, error) {
+	undo := ec.Registry.Register(w)
+	res, err := ec.Ontology.NewRelease(r)
+	if res == nil {
+		undo()
 	}
-	ec.Registry.Register(worstCaseWrapper(name, source, 0, ec.Concepts > 1, 3))
-	return res, nil
+	return res, err
 }
 
 // ExpectedWalks returns the covering and minimal walk count of the

@@ -2,8 +2,10 @@ package workload
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"bdi/internal/core"
 	"bdi/internal/rewriting"
 	"bdi/internal/wrapper"
 )
@@ -89,5 +91,46 @@ func TestEvolutionChurnRelatedReleaseGrowsWalks(t *testing.T) {
 	}
 	if answer.Cardinality() == 0 {
 		t.Error("empty answer after related release")
+	}
+}
+
+// TestChurnReleaseRegistersWrapperBeforePublish checks, from the release
+// hook, that the churn workload's wrapper is registered by the time its
+// release is published, so a reader rewriting to the new walk can execute
+// it; and that a release Algorithm 1 rejects leaves no wrapper behind.
+func TestChurnReleaseRegistersWrapperBeforePublish(t *testing.T) {
+	ec, err := BuildEvolutionChurn(2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var missing []string
+	ec.Ontology.SetReleaseHook(func(span core.DeltaSpan) error {
+		name := core.WrapperLocalName(span.Delta.Wrapper)
+		if _, ok := ec.Registry.Get(name); !ok {
+			missing = append(missing, name)
+		}
+		return nil
+	})
+	for k := 0; k < 2; k++ {
+		if _, err := ec.RegisterRelatedRelease(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ec.RegisterUnrelatedRelease(); err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) > 0 {
+		t.Errorf("releases published before their wrappers were registered: %v", missing)
+	}
+
+	// Claim a second side concept G does not have: the next unrelated
+	// release maps into it, so Algorithm 1 rejects it.
+	ec.SideConcepts = 2
+	before := ec.Registry.Names()
+	if _, err := ec.RegisterUnrelatedRelease(); err == nil {
+		t.Fatal("a release over a concept outside G was accepted")
+	}
+	if got := ec.Registry.Names(); !slices.Equal(got, before) {
+		t.Errorf("rejected release changed the registry: %v, want %v", got, before)
 	}
 }

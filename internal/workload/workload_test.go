@@ -54,7 +54,11 @@ func TestWorstCaseWalksAreExecutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rewriting.NewRewriter(wc.Ontology)
-	answer, res, err := r.Answer(wc.Query, wrapper.NewQualifiedResolver(wc.Registry))
+	res, err := r.Rewrite(wc.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, err := r.ExecuteResultLimit(context.Background(), res, wrapper.NewQualifiedResolver(wc.Registry), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,15 +180,6 @@ func TestAnswerConsistentUnderWrapperChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pre-register the data of every future related-release wrapper: the
-	// ontology release and the registry registration are two steps, and a
-	// reader rewriting between them must still find the wrapper's rows.
-	for k := 1; k <= maxRelated; k++ {
-		name := fmt.Sprintf("w_c0_rel%d", k)
-		source := fmt.Sprintf("S_c0_rel%d", k)
-		ec.Registry.Register(chainWrapper(name, source, 0, concepts > 1))
-	}
-
 	rew := rewriting.NewRewriter(ec.Ontology)
 	cache := rewriting.NewCache(rew)
 	resolver := wrapper.NewQualifiedResolver(ec.Registry)
