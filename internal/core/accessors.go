@@ -7,19 +7,9 @@ import (
 	"bdi/internal/store"
 )
 
-// DataSources returns all registered data source IRIs, sorted.
-func (o *Ontology) DataSources() []rdf.IRI {
-	return typedInstances(o.store.Snapshot(), SourceGraphName, SDataSource)
-}
-
 // Wrappers returns all registered wrapper IRIs, sorted.
 func (o *Ontology) Wrappers() []rdf.IRI {
 	return typedInstances(o.store.Snapshot(), SourceGraphName, SWrapper)
-}
-
-// Attributes returns all registered attribute IRIs, sorted.
-func (o *Ontology) Attributes() []rdf.IRI {
-	return typedInstances(o.store.Snapshot(), SourceGraphName, SAttribute)
 }
 
 // WrappersOfSource returns the wrappers (schema versions) registered for a
@@ -80,31 +70,10 @@ func (o *Ontology) SourceOfWrapper(wrapper rdf.IRI) (rdf.IRI, bool) {
 	return found, found != ""
 }
 
-// AttributesOfWrapper returns the attribute IRIs projected by a wrapper,
-// sorted.
-func (o *Ontology) AttributesOfWrapper(wrapper rdf.IRI) []rdf.IRI {
-	return objectIRIs(o.store.Snapshot(), SourceGraphName, wrapper, SHasAttribute)
-}
-
-// LAVGraphOf returns the named graph holding the LAV mapping of a wrapper.
-func (o *Ontology) LAVGraphOf(wrapper rdf.IRI) (rdf.IRI, bool) {
-	for _, q := range o.store.Match(store.InGraph(MappingsGraphName, wrapper, MMapping, nil)) {
-		if g, ok := q.Object.(rdf.IRI); ok {
-			return g, true
-		}
-	}
-	return "", false
-}
-
-// WrapperOfLAVGraph returns the wrapper whose mapping lives in the given
-// named graph.
-func (o *Ontology) WrapperOfLAVGraph(graph rdf.IRI) (rdf.IRI, bool) {
-	return wrapperOfLAVGraph(o.store.Snapshot(), graph)
-}
-
-// wrapperOfLAVGraph is WrapperOfLAVGraph on one snapshot: the first
-// M:mapping subject naming the graph. The memoized accessors resolve
-// graphs to wrappers with it on their memo's snapshot.
+// wrapperOfLAVGraph returns the wrapper whose mapping lives in the given
+// named graph on one snapshot: the first M:mapping subject naming the
+// graph. The memoized accessors resolve graphs to wrappers with it on their
+// memo's snapshot.
 func wrapperOfLAVGraph(sn store.Snapshot, graph rdf.IRI) (rdf.IRI, bool) {
 	for _, q := range sn.Match(store.InGraph(MappingsGraphName, nil, MMapping, graph)) {
 		if w, ok := q.Subject.(rdf.IRI); ok {
@@ -276,16 +245,4 @@ func (o *Ontology) LatestWrapperOfSource(source string) (rdf.IRI, bool) {
 		}
 	}
 	return best, bestSeq >= 0
-}
-
-// CurrentWrappers returns, for every data source, its latest wrapper. It is
-// the wrapper set used by the "latest versions only" query policy.
-func (o *Ontology) CurrentWrappers() map[rdf.IRI]rdf.IRI {
-	out := map[rdf.IRI]rdf.IRI{}
-	for _, ds := range o.DataSources() {
-		if w, ok := o.LatestWrapperOfSource(SourceLocalName(ds)); ok {
-			out[ds] = w
-		}
-	}
-	return out
 }

@@ -9,22 +9,19 @@ import (
 
 func TestNewOntologyInstallsMetamodel(t *testing.T) {
 	o := NewOntology()
-	if o.TriplesInGlobal() == 0 || o.store.GraphLen(SourceGraphName) == 0 {
+	if o.store.GraphLen(GlobalGraphName) == 0 || o.store.GraphLen(SourceGraphName) == 0 {
 		t.Fatal("metamodel should populate G and S")
 	}
 	// Code 6 declarations.
-	if !o.store.ContainsTriple(GlobalGraphName, rdf.T(GConcept, rdf.RDFType, rdf.RDFSClass)) {
+	if !o.store.Snapshot().ContainsTriple(GlobalGraphName, rdf.T(GConcept, rdf.RDFType, rdf.RDFSClass)) {
 		t.Error("G:Concept must be declared an rdfs:Class")
 	}
-	if !o.store.ContainsTriple(GlobalGraphName, rdf.T(GHasFeature, rdf.RDFSDomain, GConcept)) {
+	if !o.store.Snapshot().ContainsTriple(GlobalGraphName, rdf.T(GHasFeature, rdf.RDFSDomain, GConcept)) {
 		t.Error("G:hasFeature domain missing")
 	}
 	// Code 7 declarations.
-	if !o.store.ContainsTriple(SourceGraphName, rdf.T(SHasAttribute, rdf.RDFSRange, SAttribute)) {
+	if !o.store.Snapshot().ContainsTriple(SourceGraphName, rdf.T(SHasAttribute, rdf.RDFSRange, SAttribute)) {
 		t.Error("S:hasAttribute range missing")
-	}
-	if MetamodelSize() != o.Store().Len() {
-		t.Error("MetamodelSize should equal a fresh ontology's size")
 	}
 }
 
@@ -60,7 +57,7 @@ func TestAddConceptFeatureAndRelations(t *testing.T) {
 	if err := o.AddIdentifier(c, f, rdf.XSDInteger); err != nil {
 		t.Fatal(err)
 	}
-	if !o.IsFeature(f) || !o.IsIdentifier(f) {
+	if !o.IsFeature(f) || !isIdentifier(o.store.Snapshot(), f) {
 		t.Error("identifier feature not recognized")
 	}
 	if dt, ok := o.DatatypeOf(f); !ok || dt != rdf.XSDInteger {
@@ -144,10 +141,10 @@ func TestSupersedeGlobalGraph(t *testing.T) {
 	if len(o.Features()) != 5 {
 		t.Errorf("features = %v", o.Features())
 	}
-	if !o.IsIdentifier(SupMonitorID) {
+	if !isIdentifier(o.store.Snapshot(), SupMonitorID) {
 		t.Error("sup:monitorId must be an identifier")
 	}
-	if o.IsIdentifier(SupLagRatio) {
+	if isIdentifier(o.store.Snapshot(), SupLagRatio) {
 		t.Error("sup:lagRatio must not be an identifier")
 	}
 	if len(o.ConceptEdges()) != 4 {
@@ -171,18 +168,19 @@ func TestNewReleaseAlgorithm1(t *testing.T) {
 		t.Errorf("attributes: new=%v reused=%v", res.NewAttributes, res.ReusedAttributes)
 	}
 	// Source graph content (Algorithm 1 lines 3-15).
-	if !o.Store().ContainsTriple(SourceGraphName, rdf.T(SourceURI("D1"), rdf.RDFType, SDataSource)) {
+	if !o.Store().Snapshot().ContainsTriple(SourceGraphName, rdf.T(SourceURI("D1"), rdf.RDFType, SDataSource)) {
 		t.Error("data source D1 not registered")
 	}
-	if !o.Store().ContainsTriple(SourceGraphName, rdf.T(SourceURI("D1"), SHasWrapper, WrapperURI("w1"))) {
+	if !o.Store().Snapshot().ContainsTriple(SourceGraphName, rdf.T(SourceURI("D1"), SHasWrapper, WrapperURI("w1"))) {
 		t.Error("w1 not linked to D1")
 	}
-	if !o.Store().ContainsTriple(SourceGraphName, rdf.T(WrapperURI("w1"), SHasAttribute, AttributeURI("D1", "lagRatio"))) {
+	if !o.Store().Snapshot().ContainsTriple(SourceGraphName, rdf.T(WrapperURI("w1"), SHasAttribute, AttributeURI("D1", "lagRatio"))) {
 		t.Error("lagRatio attribute not linked to w1")
 	}
 	// Mapping graph content (lines 16-21).
-	if g, ok := o.LAVGraphOf(WrapperURI("w1")); !ok || o.Store().GraphLen(g) != 3 {
-		t.Errorf("LAV graph missing or wrong size: %v %d", g, o.Store().GraphLen(g))
+	g := MappingGraphURI("w1")
+	if w, ok := wrapperOfLAVGraph(o.store.Snapshot(), g); !ok || w != WrapperURI("w1") || o.Store().GraphLen(g) != 3 {
+		t.Errorf("LAV graph missing or wrong size: %v %d", w, o.Store().GraphLen(g))
 	}
 	if f, ok := o.FeatureOfAttribute(AttributeURI("D1", "VoDmonitorId")); !ok || f != SupMonitorID {
 		t.Errorf("F(VoDmonitorId) = %v, %v", f, ok)
@@ -265,8 +263,9 @@ func TestSupersedeOntologyAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(o.DataSources()) != 3 {
-		t.Errorf("data sources = %v", o.DataSources())
+	sources := o.Sources()
+	if len(sources) != 3 {
+		t.Errorf("data sources = %v", sources)
 	}
 	if len(o.Wrappers()) != 4 {
 		t.Errorf("wrappers = %v", o.Wrappers())
@@ -277,8 +276,16 @@ func TestSupersedeOntologyAccessors(t *testing.T) {
 	if s, ok := o.SourceOfWrapper(WrapperURI("w2")); !ok || s != SourceURI("D2") {
 		t.Errorf("source of w2 = %v", s)
 	}
-	if attrs := o.AttributesOfWrapper(WrapperURI("w3")); len(attrs) != 3 {
-		t.Errorf("attributes of w3 = %v", attrs)
+	var w3Attrs []rdf.IRI
+	for _, src := range sources {
+		for _, w := range src.Wrappers {
+			if w.Wrapper == WrapperURI("w3") {
+				w3Attrs = w.Attributes
+			}
+		}
+	}
+	if len(w3Attrs) != 3 {
+		t.Errorf("attributes of w3 = %v", w3Attrs)
 	}
 	// LAV mapping resolution used by the rewriting algorithms.
 	providers := o.WrappersProvidingFeature(SupMonitor, SupMonitorID)
@@ -299,7 +306,7 @@ func TestSupersedeOntologyAccessors(t *testing.T) {
 	if attrs := o.AttributesOfFeature(SupMonitorID); len(attrs) != 2 {
 		t.Errorf("attributes of monitorId = %v", attrs)
 	}
-	if w, ok := o.WrapperOfLAVGraph(MappingGraphURI("w2")); !ok || w != WrapperURI("w2") {
+	if w, ok := wrapperOfLAVGraph(o.store.Snapshot(), MappingGraphURI("w2")); !ok || w != WrapperURI("w2") {
 		t.Errorf("wrapper of LAV graph = %v", w)
 	}
 }
@@ -333,7 +340,7 @@ func TestRemoveWrapperRegistration(t *testing.T) {
 	if len(o.Wrappers()) != 3 {
 		t.Errorf("wrappers after removal = %v", o.Wrappers())
 	}
-	if _, ok := o.LAVGraphOf(WrapperURI("w4")); ok {
+	if _, ok := wrapperOfLAVGraph(o.store.Snapshot(), MappingGraphURI("w4")); ok {
 		t.Error("LAV graph of w4 should be gone")
 	}
 }

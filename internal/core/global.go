@@ -79,15 +79,6 @@ func (o *Ontology) AddFeatureTo(concept, feature rdf.IRI, datatype rdf.IRI) erro
 	return o.HasFeature(concept, feature)
 }
 
-// SubFeature declares a taxonomy edge between two features (e.g.
-// sup:monitorId rdfs:subClassOf sc:identifier), denoting related semantic
-// domains (§3.1).
-func (o *Ontology) SubFeature(sub, super rdf.IRI) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.addToGraph(GlobalGraphName, rdf.T(sub, rdf.RDFSSubClassOf, super))
-}
-
 // Relate adds a domain-specific object property edge between two concepts
 // (e.g. sc:SoftwareApplication sup:hasMonitor sup:Monitor). Analysts
 // navigate these edges when posing OMQs.
@@ -120,16 +111,11 @@ func (o *Ontology) IsFeature(iri rdf.IRI) bool {
 	return isTyped(o.store.Snapshot(), iri, GFeature)
 }
 
-// IsIdentifier reports whether the feature is an rdfs:subClassOf
-// sc:identifier, reflexively and transitively, in any graph of the current
-// store generation.
-func (o *Ontology) IsIdentifier(feature rdf.IRI) bool {
-	return isIdentifier(o.store.Snapshot(), feature)
-}
-
-// isIdentifier walks up the rdfs:subClassOf edges of one snapshot from the
-// class, following IRI objects only, and reports whether it reaches
-// sc:identifier. Each class is expanded once, so cycles end the walk.
+// isIdentifier reports whether the class is an rdfs:subClassOf
+// sc:identifier, reflexively and transitively, in any graph of one
+// snapshot. It walks up the rdfs:subClassOf edges from the class,
+// following IRI objects only; each class is expanded once, so cycles end
+// the walk.
 func isIdentifier(sn store.Snapshot, class rdf.IRI) bool {
 	seen := map[rdf.IRI]bool{}
 	for stack := []rdf.IRI{class}; len(stack) > 0; {

@@ -10,7 +10,7 @@ import (
 	"bdi/internal/rdf"
 )
 
-// TestIdentifierWalkMatchesClosure holds IsIdentifier and IdentifiersOf to
+// TestIdentifierWalkMatchesClosure holds isIdentifier and IdentifiersOf to
 // the RDFS closure of the oracle package on random subclass graphs: chains
 // and cycles among features, plain classes and sc:identifier, edges with
 // literal and blank-node objects, some edges in G and some only in a
@@ -70,8 +70,8 @@ func TestIdentifierWalkMatchesClosure(t *testing.T) {
 			t.Helper()
 			cl := oracle.ClosureAt(o.Store().Snapshot())
 			for _, n := range nodes {
-				if got, want := o.IsIdentifier(n), cl.IsSubClassOf(n, rdf.SchemaIdentifier); got != want {
-					t.Fatalf("seed %d %s: IsIdentifier(%s) = %v, closure says %v", seed, when, n, got, want)
+				if got, want := isIdentifier(o.Store().Snapshot(), n), cl.IsSubClassOf(n, rdf.SchemaIdentifier); got != want {
+					t.Fatalf("seed %d %s: isIdentifier(%s) = %v, closure says %v", seed, when, n, got, want)
 				}
 			}
 			for _, c := range concepts {

@@ -74,9 +74,6 @@ func (o *Ontology) Store() *store.Store { return o.store }
 // Prefixes returns the prefix map used for display and serialization.
 func (o *Ontology) Prefixes() *rdf.PrefixMap { return o.prefixes }
 
-// BindPrefix adds a namespace binding (e.g. the case-study vocabulary).
-func (o *Ontology) BindPrefix(prefix, ns string) { o.prefixes.Bind(prefix, ns) }
-
 // installMetamodel asserts the vocabulary declarations of Codes 6 and 7 into
 // the G and S named graphs.
 func (o *Ontology) installMetamodel() {
@@ -124,13 +121,6 @@ func (o *Ontology) installMetamodel() {
 	addS(rdf.T(SHasAttribute, rdf.RDFSRange, SAttribute))
 }
 
-// MetamodelSize returns the number of triples installed by the metamodel;
-// growth analyses (§6.4) subtract it to count only application triples.
-func MetamodelSize() int {
-	o := NewOntology()
-	return o.store.Len()
-}
-
 // addToGraph asserts a triple in the given named graph.
 func (o *Ontology) addToGraph(graph rdf.IRI, t rdf.Triple) error {
 	_, err := o.store.AddTriple(graph, t)
@@ -143,9 +133,6 @@ func (o *Ontology) addToGraph(graph rdf.IRI, t rdf.Triple) error {
 // TriplesInSource returns the number of triples currently in S. It is the
 // growth metric of §6.4 (Figure 11).
 func (o *Ontology) TriplesInSource() int { return o.store.GraphLen(SourceGraphName) }
-
-// TriplesInGlobal returns the number of triples currently in G.
-func (o *Ontology) TriplesInGlobal() int { return o.store.GraphLen(GlobalGraphName) }
 
 // Stats summarizes the ontology contents.
 type Stats struct {

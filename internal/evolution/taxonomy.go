@@ -6,10 +6,7 @@
 // across versions and derive releases semi-automatically.
 package evolution
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Level is the granularity at which a REST API change occurs, following
 // Wang et al. (ICSOC 2014) as adopted by the paper.
@@ -178,16 +175,6 @@ func ByLevel(level Level) []Classification {
 	return out
 }
 
-// Kinds returns all change kinds, sorted.
-func Kinds() []ChangeKind {
-	out := make([]ChangeKind, len(catalog))
-	for i, c := range catalog {
-		out[i] = c.Kind
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Change is a concrete change event observed in an API changelog.
 type Change struct {
 	Kind ChangeKind
@@ -229,28 +216,4 @@ func Summarize(changes []Change) Summary {
 		}
 	}
 	return s
-}
-
-// FullyAccommodatedRatio is the fraction of changes handled by the ontology
-// alone (the paper's "fully accommodates").
-func (s Summary) FullyAccommodatedRatio() float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return float64(s.OntologyOnly) / float64(s.Total)
-}
-
-// PartiallyAccommodatedRatio is the fraction of changes handled by both the
-// wrapper and the ontology (the paper's "partially accommodates").
-func (s Summary) PartiallyAccommodatedRatio() float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return float64(s.Both) / float64(s.Total)
-}
-
-// AccommodatedRatio is the fraction of changes the approach addresses at
-// least partially (fully + partially).
-func (s Summary) AccommodatedRatio() float64 {
-	return s.FullyAccommodatedRatio() + s.PartiallyAccommodatedRatio()
 }

@@ -49,16 +49,6 @@ func (s *System) AddJoin(j relational.JoinCondition) {
 	s.joins = append(s.joins, j)
 }
 
-// Mappings returns the feature definitions, sorted by feature IRI.
-func (s *System) Mappings() []Mapping {
-	out := make([]Mapping, 0, len(s.mappings))
-	for _, m := range s.mappings {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Feature < out[j].Feature })
-	return out
-}
-
 // Unfold rewrites a query over global features into a single conjunctive
 // query (walk) over the wrappers by unfolding each feature's definition.
 // Unlike the LAV rewriting, there is exactly one rewriting: alternative

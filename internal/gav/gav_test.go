@@ -43,8 +43,8 @@ func TestUnfoldAndAnswer(t *testing.T) {
 	if rel.Cardinality() != 3 {
 		t.Errorf("cardinality = %d\n%s", rel.Cardinality(), rel)
 	}
-	if len(s.Mappings()) != 5 {
-		t.Errorf("mappings = %d", len(s.Mappings()))
+	if len(s.mappings) != 5 {
+		t.Errorf("mappings = %d", len(s.mappings))
 	}
 }
 

@@ -32,10 +32,6 @@ func NewReplicaServer(rep *replication.Replica, reg *wrapper.Registry) *Server {
 // EnableDurability.
 func (s *Server) EnableReplication(p *replication.Primary) { s.primary = p }
 
-// Replica returns the replication follower behind a replica server, or nil
-// on a primary.
-func (s *Server) Replica() *replication.Replica { return s.replica }
-
 // handleReplicaStatus serves GET /api/replication on a replica. Never
 // staleness-gated: the status document is how operators find out WHY the
 // replica is stale.

@@ -1,6 +1,7 @@
 // Package obs is the repo's dependency-free observability substrate: a
-// process-global metrics registry (atomic counters, gauges and fixed-bucket
-// latency histograms with Prometheus text exposition) and a lightweight
+// process-global metrics registry (atomic counters and fixed-bucket latency
+// histograms with Prometheus text exposition; gauges are written at scrape
+// time through a TextWriter) and a lightweight
 // per-request span tracer that piggybacks on the context.Context plumbing
 // introduced with the query lifecycle governor.
 //
@@ -74,20 +75,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // DefBuckets is the default latency bucket layout, in seconds: wide enough to
 // straddle a 0.5ms store probe and a multi-second 100k-row OMQ answer.
 var DefBuckets = []float64{
@@ -138,10 +125,6 @@ func (c *Counter) writeSeries(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %d\n", name, braced(labels), c.Value())
 }
 
-func (g *Gauge) writeSeries(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %d\n", name, braced(labels), g.Value())
-}
-
 func (h *Histogram) writeSeries(w io.Writer, name, labels string) {
 	cum := int64(0)
 	for i, ub := range h.bounds {
@@ -185,19 +168,6 @@ var Default = NewRegistry()
 // NewCounter registers a counter on the Default registry.
 func NewCounter(name, help string) *Counter { return Default.NewCounter(name, help) }
 
-// NewCounterWith registers a labeled counter on the Default registry.
-func NewCounterWith(name, help string, labels Labels) *Counter {
-	return Default.NewCounterWith(name, help, labels)
-}
-
-// NewGauge registers a gauge on the Default registry.
-func NewGauge(name, help string) *Gauge { return Default.NewGauge(name, help) }
-
-// NewGaugeWith registers a labeled gauge on the Default registry.
-func NewGaugeWith(name, help string, labels Labels) *Gauge {
-	return Default.NewGaugeWith(name, help, labels)
-}
-
 // NewHistogram registers a histogram with DefBuckets on the Default registry.
 func NewHistogram(name, help string) *Histogram { return Default.NewHistogram(name, help) }
 
@@ -211,18 +181,6 @@ func (r *Registry) NewCounterWith(name, help string, labels Labels) *Counter {
 	c := &Counter{}
 	r.register(name, help, kindCounter, labels, c)
 	return c
-}
-
-// NewGauge registers an unlabeled gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.NewGaugeWith(name, help, nil)
-}
-
-// NewGaugeWith registers a gauge series under the given fixed labels.
-func (r *Registry) NewGaugeWith(name, help string, labels Labels) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, kindGauge, labels, g)
-	return g
 }
 
 // NewHistogram registers an unlabeled histogram with DefBuckets.

@@ -13,12 +13,10 @@ func TestCounterGaugeExposition(t *testing.T) {
 	c.Inc()
 	c.Add(4)
 	c.Add(-7) // ignored: counters are monotonic
-	g := r.NewGauge("bdi_test_level_entries", "Level.")
-	g.Set(10)
-	g.Add(-3)
 
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
+	NewTextWriter(&sb).Gauge("bdi_test_level_entries", "Level.", nil, 7)
 	out := sb.String()
 	for _, want := range []string{
 		"# HELP bdi_test_things_total Things.",
@@ -82,7 +80,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("bdi_test_dup_total", "Dup.")
 	assertPanics(t, "same name+labels", func() { r.NewCounter("bdi_test_dup_total", "Dup.") })
-	assertPanics(t, "kind change", func() { r.NewGauge("bdi_test_dup_total", "Dup.") })
+	assertPanics(t, "kind change", func() { r.NewHistogram("bdi_test_dup_total", "Dup.") })
 	assertPanics(t, "help change", func() {
 		r.NewCounterWith("bdi_test_dup_total", "Other.", Labels{"pool": "read"})
 	})
@@ -118,7 +116,6 @@ func TestRegistryConsistentUnderHammer(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("bdi_test_hammer_total", "Hammer.")
 	h := r.NewHistogramBuckets("bdi_test_hammer_seconds", "Hammer.", []float64{0.001, 1})
-	g := r.NewGauge("bdi_test_hammer_entries", "Hammer.")
 
 	const workers = 8
 	const perWorker = 2000
@@ -145,8 +142,6 @@ func TestRegistryConsistentUnderHammer(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				h.Observe(time.Duration(i%3) * time.Millisecond)
-				g.Add(1)
-				g.Add(-1)
 			}
 		}()
 	}
@@ -159,9 +154,6 @@ func TestRegistryConsistentUnderHammer(t *testing.T) {
 	}
 	if got := h.Count(); got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
-	}
-	if got := g.Value(); got != 0 {
-		t.Fatalf("gauge = %d, want 0", got)
 	}
 	var sb strings.Builder
 	r.WritePrometheus(&sb)

@@ -107,25 +107,25 @@ func TestMaterializeTypeInheritance(t *testing.T) {
 		t.Fatal("materialization should add triples")
 	}
 	// rdfs9: m1 is an identifier and a Feature.
-	if !s.ContainsTriple("", rdf.T("http://ex/m1", rdf.RDFType, "http://ex/identifier")) {
+	if !s.Snapshot().ContainsTriple("", rdf.T("http://ex/m1", rdf.RDFType, "http://ex/identifier")) {
 		t.Error("missing entailed type identifier")
 	}
-	if !s.ContainsTriple("", rdf.T("http://ex/m1", rdf.RDFType, "http://ex/Feature")) {
+	if !s.Snapshot().ContainsTriple("", rdf.T("http://ex/m1", rdf.RDFType, "http://ex/Feature")) {
 		t.Error("missing entailed type Feature")
 	}
 	// rdfs11: monitorId ⊑ Feature.
-	if !s.ContainsTriple("", rdf.T("http://ex/monitorId", rdf.RDFSSubClassOf, "http://ex/Feature")) {
+	if !s.Snapshot().ContainsTriple("", rdf.T("http://ex/monitorId", rdf.RDFSSubClassOf, "http://ex/Feature")) {
 		t.Error("missing transitive subclass edge")
 	}
 	// rdfs7: app1 hasMonitor m1 via the subproperty.
-	if !s.ContainsTriple("", rdf.T("http://ex/app1", "http://ex/hasMonitor", "http://ex/m1")) {
+	if !s.Snapshot().ContainsTriple("", rdf.T("http://ex/app1", "http://ex/hasMonitor", "http://ex/m1")) {
 		t.Error("missing entailed superproperty statement")
 	}
 	// rdfs2/rdfs3: domain and range typing.
-	if !s.ContainsTriple("", rdf.T("http://ex/app2", rdf.RDFType, "http://ex/SoftwareApplication")) {
+	if !s.Snapshot().ContainsTriple("", rdf.T("http://ex/app2", rdf.RDFType, "http://ex/SoftwareApplication")) {
 		t.Error("missing domain-inferred type")
 	}
-	if !s.ContainsTriple("", rdf.T("http://ex/m2", rdf.RDFType, "http://ex/Monitor")) {
+	if !s.Snapshot().ContainsTriple("", rdf.T("http://ex/m2", rdf.RDFType, "http://ex/Monitor")) {
 		t.Error("missing range-inferred type")
 	}
 }

@@ -223,9 +223,6 @@ type KeyView struct {
 	blob slab.BytesView
 }
 
-// Len returns the number of ids the view resolves: every id in [1, Len].
-func (v KeyView) Len() int { return len(v.refs) }
-
 // Key returns the TermKey bytes of the term assigned the given id, or
 // (nil, false) for 0 or an id assigned after the view was taken. The bytes
 // are shared with the dictionary and must not be mutated.
@@ -241,20 +238,6 @@ func (v KeyView) Key(id TermID) ([]byte, bool) {
 func (v KeyView) Append(dst []byte, id TermID) ([]byte, bool) {
 	b, ok := v.Key(id)
 	return append(dst, b...), ok
-}
-
-// Key returns the TermKey of the term assigned the given id, or ("", false)
-// for 0 or an id that was never assigned. The key bytes were computed once
-// at intern time; this form materializes them as a string and is intended
-// for cold paths — hot paths use AppendKey or a KeyView to stay
-// allocation-free.
-func (d *Dict) Key(id TermID) (string, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id == 0 || int(id) > len(d.keyRefs) {
-		return "", false
-	}
-	return string(d.keyBytes.Bytes(d.keyRefs[id-1])), true
 }
 
 // AppendKey appends the TermKey bytes of the term assigned the given id to

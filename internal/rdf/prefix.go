@@ -85,28 +85,10 @@ func (p *PrefixMap) Compact(iri IRI) string {
 	return bestPrefix + ":" + s[len(best):]
 }
 
-// CompactTerm renders any term compactly: IRIs via Compact, literals and
-// blank nodes via their native serialization.
-func (p *PrefixMap) CompactTerm(t Term) string {
-	if t == nil {
-		return "<nil>"
-	}
-	if iri, ok := t.(IRI); ok {
-		return p.Compact(iri)
-	}
-	return t.String()
-}
-
 // Namespace returns the namespace bound to prefix.
 func (p *PrefixMap) Namespace(prefix string) (string, bool) {
 	ns, ok := p.prefixToNS[prefix]
 	return ns, ok
-}
-
-// Prefix returns the prefix bound to namespace ns.
-func (p *PrefixMap) Prefix(ns string) (string, bool) {
-	prefix, ok := p.nsToPrefix[ns]
-	return prefix, ok
 }
 
 // Prefixes returns all bound prefixes in sorted order.
@@ -117,15 +99,6 @@ func (p *PrefixMap) Prefixes() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Clone returns a deep copy of the prefix map.
-func (p *PrefixMap) Clone() *PrefixMap {
-	c := NewPrefixMap()
-	for prefix, ns := range p.prefixToNS {
-		c.Bind(prefix, ns)
-	}
-	return c
 }
 
 // TurtleHeader renders the prefix map as Turtle @prefix declarations.

@@ -61,9 +61,6 @@ type Term interface {
 // IRI is an absolute or prefixed IRI reference.
 type IRI string
 
-// NewIRI returns an IRI term for the given string.
-func NewIRI(value string) IRI { return IRI(value) }
-
 // Kind implements Term.
 func (i IRI) Kind() TermKind { return KindIRI }
 
@@ -88,15 +85,6 @@ func (i IRI) LocalName() string {
 		}
 	}
 	return s
-}
-
-// Namespace returns the IRI up to and including the last '#' or '/'.
-func (i IRI) Namespace() string {
-	s := string(i)
-	if idx := strings.LastIndexAny(s, "#/"); idx >= 0 {
-		return s[:idx+1]
-	}
-	return ""
 }
 
 // Literal is an RDF literal with an optional datatype and language tag.
@@ -124,16 +112,6 @@ func NewLangLiteral(lexical, lang string) Literal {
 // NewIntegerLiteral returns an xsd:integer literal.
 func NewIntegerLiteral(v int64) Literal {
 	return Literal{Lexical: strconv.FormatInt(v, 10), Datatype: XSDInteger}
-}
-
-// NewDoubleLiteral returns an xsd:double literal.
-func NewDoubleLiteral(v float64) Literal {
-	return Literal{Lexical: strconv.FormatFloat(v, 'g', -1, 64), Datatype: XSDDouble}
-}
-
-// NewBooleanLiteral returns an xsd:boolean literal.
-func NewBooleanLiteral(v bool) Literal {
-	return Literal{Lexical: strconv.FormatBool(v), Datatype: XSDBoolean}
 }
 
 // Kind implements Term.
@@ -196,15 +174,6 @@ func (l Literal) Float() (float64, bool) {
 	return 0, false
 }
 
-// Bool returns the literal parsed as a bool, if its datatype is xsd:boolean.
-func (l Literal) Bool() (bool, bool) {
-	if l.Datatype != XSDBoolean {
-		return false, false
-	}
-	v, err := strconv.ParseBool(l.Lexical)
-	return v, err == nil
-}
-
 // BlankNode is an RDF blank node, identified by a local label.
 type BlankNode string
 
@@ -247,27 +216,6 @@ func (v Variable) Equal(other Term) bool {
 	o, ok := other.(Variable)
 	return ok && o == v
 }
-
-// IsConcrete reports whether t is a term that may appear in stored data
-// (IRI, literal or blank node).
-func IsConcrete(t Term) bool {
-	if t == nil {
-		return false
-	}
-	return t.Kind() != KindVariable
-}
-
-// IsIRI reports whether t is an IRI.
-func IsIRI(t Term) bool { return t != nil && t.Kind() == KindIRI }
-
-// IsLiteral reports whether t is a literal.
-func IsLiteral(t Term) bool { return t != nil && t.Kind() == KindLiteral }
-
-// IsBlank reports whether t is a blank node.
-func IsBlank(t Term) bool { return t != nil && t.Kind() == KindBlank }
-
-// IsVariable reports whether t is a query variable.
-func IsVariable(t Term) bool { return t != nil && t.Kind() == KindVariable }
 
 // CompareTerms imposes a total order over terms: IRIs < blank nodes <
 // literals < variables, then lexicographically by value (and datatype/lang

@@ -7,7 +7,7 @@ import (
 )
 
 func TestIRIBasics(t *testing.T) {
-	iri := NewIRI("http://example.org/ns#Monitor")
+	iri := IRI("http://example.org/ns#Monitor")
 	if iri.Kind() != KindIRI {
 		t.Fatalf("expected KindIRI, got %v", iri.Kind())
 	}
@@ -20,19 +20,16 @@ func TestIRIBasics(t *testing.T) {
 	if iri.LocalName() != "Monitor" {
 		t.Errorf("unexpected local name %q", iri.LocalName())
 	}
-	if iri.Namespace() != "http://example.org/ns#" {
-		t.Errorf("unexpected namespace %q", iri.Namespace())
-	}
-	if !iri.Equal(NewIRI("http://example.org/ns#Monitor")) {
+	if !iri.Equal(IRI("http://example.org/ns#Monitor")) {
 		t.Error("expected IRIs to be equal")
 	}
-	if iri.Equal(NewIRI("http://example.org/ns#Other")) {
+	if iri.Equal(IRI("http://example.org/ns#Other")) {
 		t.Error("expected IRIs to differ")
 	}
 }
 
 func TestIRILocalNameSlashNamespace(t *testing.T) {
-	iri := NewIRI("http://www.essi.upc.edu/~snadal/BDIOntology/Source/Wrapper/w1")
+	iri := IRI("http://www.essi.upc.edu/~snadal/BDIOntology/Source/Wrapper/w1")
 	if got := iri.LocalName(); got != "w1" {
 		t.Errorf("LocalName = %q, want w1", got)
 	}
@@ -48,8 +45,8 @@ func TestLiteralConstructors(t *testing.T) {
 		{"plain", NewLiteral("hello"), XSDString, "hello"},
 		{"typed", NewTypedLiteral("42", XSDInteger), XSDInteger, "42"},
 		{"integer", NewIntegerLiteral(42), XSDInteger, "42"},
-		{"double", NewDoubleLiteral(0.75), XSDDouble, "0.75"},
-		{"boolean", NewBooleanLiteral(true), XSDBoolean, "true"},
+		{"double", NewTypedLiteral("0.75", XSDDouble), XSDDouble, "0.75"},
+		{"boolean", NewTypedLiteral("true", XSDBoolean), XSDBoolean, "true"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -77,17 +74,14 @@ func TestLiteralConversions(t *testing.T) {
 	if v, ok := NewIntegerLiteral(7).Integer(); !ok || v != 7 {
 		t.Errorf("Integer() = %v, %v", v, ok)
 	}
-	if v, ok := NewDoubleLiteral(0.5).Float(); !ok || v != 0.5 {
+	if v, ok := NewTypedLiteral("0.5", XSDDouble).Float(); !ok || v != 0.5 {
 		t.Errorf("Float() = %v, %v", v, ok)
-	}
-	if v, ok := NewBooleanLiteral(true).Bool(); !ok || !v {
-		t.Errorf("Bool() = %v, %v", v, ok)
 	}
 	if _, ok := NewLiteral("text").Integer(); ok {
 		t.Error("string literal should not convert to integer")
 	}
-	if _, ok := NewLiteral("text").Bool(); ok {
-		t.Error("string literal should not convert to bool")
+	if _, ok := NewLiteral("text").Float(); ok {
+		t.Error("string literal should not convert to float")
 	}
 }
 
@@ -119,31 +113,10 @@ func TestBlankNodeAndVariable(t *testing.T) {
 	if v.Kind() != KindVariable || v.String() != "?x" {
 		t.Errorf("unexpected variable %v %q", v.Kind(), v.String())
 	}
-	if IsConcrete(v) {
-		t.Error("variable must not be concrete")
-	}
-	if !IsConcrete(b) {
-		t.Error("blank node must be concrete")
-	}
-}
-
-func TestTermKindPredicates(t *testing.T) {
-	if !IsIRI(NewIRI("x")) || IsIRI(NewLiteral("x")) {
-		t.Error("IsIRI misbehaves")
-	}
-	if !IsLiteral(NewLiteral("x")) || IsLiteral(NewIRI("x")) {
-		t.Error("IsLiteral misbehaves")
-	}
-	if !IsBlank(NewBlankNode("x")) || IsBlank(NewIRI("x")) {
-		t.Error("IsBlank misbehaves")
-	}
-	if !IsVariable(NewVariable("x")) || IsVariable(NewIRI("x")) {
-		t.Error("IsVariable misbehaves")
-	}
 }
 
 func TestCompareTermsOrdering(t *testing.T) {
-	iri := NewIRI("http://a")
+	iri := IRI("http://a")
 	blank := NewBlankNode("b")
 	lit := NewLiteral("c")
 	variable := NewVariable("d")
@@ -166,7 +139,7 @@ func TestCompareTermsOrdering(t *testing.T) {
 
 func TestCompareTermsIsAntisymmetric(t *testing.T) {
 	f := func(a, b string) bool {
-		x, y := NewIRI(a), NewIRI(b)
+		x, y := IRI(a), IRI(b)
 		return CompareTerms(x, y) == -CompareTerms(y, x)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -176,7 +149,7 @@ func TestCompareTermsIsAntisymmetric(t *testing.T) {
 
 func TestTermKeyUniqueness(t *testing.T) {
 	terms := []Term{
-		NewIRI("http://a"),
+		IRI("http://a"),
 		NewBlankNode("http://a"),
 		NewLiteral("http://a"),
 		NewVariable("http://a"),
@@ -196,14 +169,5 @@ func TestTermKeyUniqueness(t *testing.T) {
 func TestUnescapeLiteralUnicode(t *testing.T) {
 	if got := UnescapeLiteral(`café`); got != "café" {
 		t.Errorf("got %q", got)
-	}
-}
-
-func TestIsXSDDatatype(t *testing.T) {
-	if !IsXSDDatatype(XSDString) || !IsXSDDatatype(XSDDouble) {
-		t.Error("standard types should be recognized")
-	}
-	if IsXSDDatatype(IRI("http://example.org/custom")) {
-		t.Error("custom IRI should not be an XSD datatype")
 	}
 }

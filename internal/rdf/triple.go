@@ -42,11 +42,6 @@ func (t Triple) Validate() error {
 	return nil
 }
 
-// IsGround reports whether the triple contains no variables.
-func (t Triple) IsGround() bool {
-	return IsConcrete(t.Subject) && IsConcrete(t.Predicate) && IsConcrete(t.Object)
-}
-
 // String returns an N-Triples-like serialization.
 func (t Triple) String() string {
 	return fmt.Sprintf("%s %s %s .", termString(t.Subject), termString(t.Predicate), termString(t.Object))
@@ -63,9 +58,6 @@ type Quad struct {
 	Triple
 	Graph IRI
 }
-
-// NewQuad constructs a quad from a triple and a graph name.
-func NewQuad(t Triple, graph IRI) Quad { return Quad{Triple: t, Graph: graph} }
 
 // Q is a shorthand constructor for quads whose terms are all IRIs.
 func Q(s, p, o, g IRI) Quad { return Quad{Triple: T(s, p, o), Graph: g} }
@@ -121,30 +113,6 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Merge adds all triples from other into g.
-func (g *Graph) Merge(other *Graph) {
-	if other == nil {
-		return
-	}
-	g.Add(other.Triples...)
-}
-
-// Subjects returns the distinct subjects of the graph, sorted.
-func (g *Graph) Subjects() []Term { return g.distinct(func(t Triple) Term { return t.Subject }) }
-
-// Predicates returns the distinct predicates of the graph, sorted.
-func (g *Graph) Predicates() []Term { return g.distinct(func(t Triple) Term { return t.Predicate }) }
-
-// Nodes returns the distinct subjects and objects of the graph, sorted.
-func (g *Graph) Nodes() []Term {
-	seen := map[string]Term{}
-	for _, t := range g.Triples {
-		seen[termKey(t.Subject)] = t.Subject
-		seen[termKey(t.Object)] = t.Object
-	}
-	return sortedTerms(seen)
-}
-
 // ContainsNode reports whether term appears as a subject or object.
 func (g *Graph) ContainsNode(term Term) bool {
 	for _, t := range g.Triples {
@@ -155,30 +123,8 @@ func (g *Graph) ContainsNode(term Term) bool {
 	return false
 }
 
-// OutgoingEdges returns all triples whose subject equals the given term.
-func (g *Graph) OutgoingEdges(subject Term) []Triple {
-	var out []Triple
-	for _, t := range g.Triples {
-		if termsEqual(t.Subject, subject) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// IncomingEdges returns all triples whose object equals the given term.
-func (g *Graph) IncomingEdges(object Term) []Triple {
-	var out []Triple
-	for _, t := range g.Triples {
-		if termsEqual(t.Object, object) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Subsumes reports whether g contains every triple of other, that is,
-// other ⊆ g. It is used to check LAV-mapping coverage.
+// other ⊆ g.
 func (g *Graph) Subsumes(other *Graph) bool {
 	if other == nil {
 		return true
@@ -266,18 +212,6 @@ func (g *Graph) TopologicalSort() (order []Term, ok bool) {
 	return order, len(order) == len(terms)
 }
 
-// Equal reports whether two graphs contain exactly the same triple sets
-// (order-insensitive).
-func (g *Graph) Equal(other *Graph) bool {
-	if other == nil {
-		return g == nil || len(g.Triples) == 0
-	}
-	if len(g.Triples) != len(other.Triples) {
-		return false
-	}
-	return g.Subsumes(other) && other.Subsumes(g)
-}
-
 // String returns a newline-separated serialization of the graph, sorted for
 // determinism.
 func (g *Graph) String() string {
@@ -287,28 +221,6 @@ func (g *Graph) String() string {
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
-}
-
-func (g *Graph) distinct(pick func(Triple) Term) []Term {
-	seen := map[string]Term{}
-	for _, t := range g.Triples {
-		x := pick(t)
-		seen[termKey(x)] = x
-	}
-	return sortedTerms(seen)
-}
-
-func sortedTerms(m map[string]Term) []Term {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Term, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
 }
 
 func termString(t Term) string {

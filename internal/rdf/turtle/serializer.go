@@ -26,19 +26,6 @@ func NewSerializer() *Serializer {
 	return &Serializer{Prefixes: rdf.DefaultPrefixes(), GroupBySubject: true}
 }
 
-// SerializeTriples renders the given triples as a Turtle document.
-func (s *Serializer) SerializeTriples(triples []rdf.Triple) string {
-	var b strings.Builder
-	if s.Prefixes != nil {
-		b.WriteString(s.Prefixes.TurtleHeader())
-		if len(triples) > 0 {
-			b.WriteByte('\n')
-		}
-	}
-	s.writeTriples(&b, triples, "")
-	return b.String()
-}
-
 // SerializeQuads renders quads as a TriG document: default-graph triples
 // first, then one GRAPH block per named graph, in sorted graph order.
 func (s *Serializer) SerializeQuads(quads []rdf.Quad) string {

@@ -10,9 +10,9 @@ import (
 func TestSerializerUngrouped(t *testing.T) {
 	ser := NewSerializer()
 	ser.GroupBySubject = false
-	out := ser.SerializeTriples([]rdf.Triple{
-		rdf.T("http://ex/s", "http://ex/p", "http://ex/o"),
-		rdf.T("http://ex/s", "http://ex/q", "http://ex/o2"),
+	out := ser.SerializeQuads([]rdf.Quad{
+		rdf.Q("http://ex/s", "http://ex/p", "http://ex/o", ""),
+		rdf.Q("http://ex/s", "http://ex/q", "http://ex/o2", ""),
 	})
 	if strings.Contains(out, ";") {
 		t.Errorf("ungrouped output should not contain ';': %q", out)

@@ -93,15 +93,3 @@ var (
 	SchemaIdentifier          = IRI(NSSchema + "identifier")
 	SchemaSoftwareApplication = IRI(NSSchema + "SoftwareApplication")
 )
-
-// IsXSDDatatype reports whether iri is one of the XML Schema built-in
-// datatypes supported for feature typing in the Global graph.
-func IsXSDDatatype(iri IRI) bool {
-	switch iri {
-	case XSDString, XSDBoolean, XSDInteger, XSDInt, XSDLong, XSDShort, XSDByte,
-		XSDDecimal, XSDFloat, XSDDouble, XSDDateTime, XSDDate, XSDTime,
-		XSDAnyURI, XSDNonNegativeInteger, XSDPositiveInteger, XSDDuration:
-		return true
-	}
-	return false
-}

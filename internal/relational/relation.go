@@ -114,15 +114,6 @@ func (r *Relation) Add(tuples ...Tuple) {
 // Cardinality returns the number of tuples.
 func (r *Relation) Cardinality() int { return len(r.Tuples) }
 
-// Clone returns a deep copy of the relation.
-func (r *Relation) Clone() *Relation {
-	c := NewRelation(r.Name, r.Schema)
-	for _, t := range r.Tuples {
-		c.Add(t.Clone())
-	}
-	return c
-}
-
 // Project applies the restricted projection Π̃: it keeps the named
 // attributes plus every ID attribute of the schema (IDs may never be
 // projected out, as they are needed by the restricted join).

@@ -7,11 +7,7 @@
 // wrapper rows.
 package relational
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Attribute is a named, typed column of a wrapper relation.
 type Attribute struct {
@@ -116,24 +112,6 @@ func (s Schema) Merge(other Schema) Schema {
 	return out
 }
 
-// Equal reports whether two schemas have the same attributes regardless of
-// order.
-func (s Schema) Equal(other Schema) bool {
-	if len(s.Attributes) != len(other.Attributes) {
-		return false
-	}
-	a := append([]string(nil), s.Names()...)
-	b := append([]string(nil), other.Names()...)
-	sort.Strings(a)
-	sort.Strings(b)
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the schema as "(a*, b, c)".
 func (s Schema) String() string {
 	parts := make([]string, len(s.Attributes))
@@ -141,20 +119,4 @@ func (s Schema) String() string {
 		parts[i] = a.String()
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// Validate checks basic well-formedness: non-empty attribute names and no
-// duplicates.
-func (s Schema) Validate() error {
-	seen := map[string]bool{}
-	for _, a := range s.Attributes {
-		if a.Name == "" {
-			return fmt.Errorf("relational: empty attribute name in schema %s", s)
-		}
-		if seen[a.Name] {
-			return fmt.Errorf("relational: duplicate attribute %q in schema %s", a.Name, s)
-		}
-		seen[a.Name] = true
-	}
-	return nil
 }

@@ -580,8 +580,8 @@ func TestReplicaCheckpointCatchUpAfterPrune(t *testing.T) {
 	// is logically identical to the live primary but holds a denser
 	// dictionary under remapped IDs.
 	assertConvergedLogical(t, m.Ontology(), rep.Ontology(), "after catch-up")
-	repDict := rep.Ontology().Store().Dict().Len()
-	priDict := m.Ontology().Store().Dict().Len()
+	repDict := rep.Ontology().Store().Snapshot().Dict().Len()
+	priDict := m.Ontology().Store().Snapshot().Dict().Len()
 	if repDict >= priDict {
 		t.Errorf("replica dict has %d terms, live primary %d — checkpoint compaction never fired", repDict, priDict)
 	}

@@ -1,7 +1,6 @@
 package rewriting
 
 import (
-	"fmt"
 	"testing"
 
 	"bdi/internal/core"
@@ -146,52 +145,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits != 0 {
 		t.Errorf("hits = %d, want 0 after eviction", st.Hits)
-	}
-}
-
-func TestOMQProjectionSetLargePi(t *testing.T) {
-	q := NewOMQ(nil)
-	var want []rdf.IRI
-	for i := 0; i < 3*piSetThreshold; i++ {
-		iri := rdf.IRI(fmt.Sprintf("http://example.org/f%02d", i))
-		q.AddProjection(iri)
-		q.AddProjection(iri) // duplicate adds are ignored
-		want = append(want, iri)
-	}
-	if len(q.Pi) != len(want) {
-		t.Fatalf("len(Pi) = %d, want %d", len(q.Pi), len(want))
-	}
-	// Insertion order is preserved (output determinism) even once the set
-	// index kicks in.
-	for i, iri := range want {
-		if q.Pi[i] != iri {
-			t.Fatalf("Pi[%d] = %s, want %s", i, q.Pi[i], iri)
-		}
-		if !q.ProjectsElement(iri) {
-			t.Fatalf("ProjectsElement(%s) = false", iri)
-		}
-	}
-	if q.ProjectsElement("http://example.org/absent") {
-		t.Error("ProjectsElement reports an absent IRI")
-	}
-
-	// ReplaceProjection keeps the slice position and updates membership.
-	q.ReplaceProjection(want[3], "http://example.org/swapped")
-	if q.Pi[3] != "http://example.org/swapped" {
-		t.Errorf("Pi[3] = %s after replace", q.Pi[3])
-	}
-	if q.ProjectsElement(want[3]) || !q.ProjectsElement("http://example.org/swapped") {
-		t.Error("membership index out of sync after ReplaceProjection")
-	}
-
-	// Clones are independent: mutating the clone leaves the original intact.
-	c := q.Clone()
-	c.AddProjection("http://example.org/clone-only")
-	if q.ProjectsElement("http://example.org/clone-only") {
-		t.Error("clone mutation leaked into the original")
-	}
-	if !c.ProjectsElement(want[0]) {
-		t.Error("clone lost membership")
 	}
 }
 

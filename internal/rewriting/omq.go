@@ -55,53 +55,15 @@ import (
 type OMQ struct {
 	// Pi is the list of projected elements (feature IRIs after
 	// well-formedness rewriting; possibly concept IRIs before). Pi keeps
-	// its insertion order — it determines the output column order — and
-	// must be mutated through the projection methods once they have been
-	// used, so the membership index below stays in sync.
+	// its insertion order: it determines the output column order.
 	Pi []rdf.IRI
 	// Phi is the graph pattern over G.
 	Phi *rdf.Graph
-
-	// piSet indexes Pi for membership tests once π outgrows
-	// piSetThreshold; nil below the threshold (a linear scan of a handful
-	// of IRIs beats a map) and rebuilt lazily after Clone.
-	piSet map[rdf.IRI]struct{}
 }
-
-// piSetThreshold is the π length above which membership switches from a
-// linear scan to the set index. Expansion-heavy queries (one projection and
-// one identifier per concept) call ProjectsElement/AddProjection once per
-// feature, turning the scan quadratic without the index.
-const piSetThreshold = 8
 
 // Clone returns a deep copy of the query.
 func (q *OMQ) Clone() *OMQ {
 	return &OMQ{Pi: append([]rdf.IRI(nil), q.Pi...), Phi: q.Phi.Clone()}
-}
-
-// ProjectsElement reports whether the query projects the given IRI.
-func (q *OMQ) ProjectsElement(iri rdf.IRI) bool {
-	if q.ensurePiSet() {
-		_, ok := q.piSet[iri]
-		return ok
-	}
-	for _, p := range q.Pi {
-		if p == iri {
-			return true
-		}
-	}
-	return false
-}
-
-// AddProjection appends an element to π if not already present.
-func (q *OMQ) AddProjection(iri rdf.IRI) {
-	if q.ProjectsElement(iri) {
-		return
-	}
-	q.Pi = append(q.Pi, iri)
-	if q.piSet != nil {
-		q.piSet[iri] = struct{}{}
-	}
 }
 
 // ReplaceProjection substitutes old with new in π (used by Algorithm 2 to
@@ -110,31 +72,9 @@ func (q *OMQ) ReplaceProjection(old, new rdf.IRI) {
 	for i, p := range q.Pi {
 		if p == old {
 			q.Pi[i] = new
-			if q.piSet != nil {
-				delete(q.piSet, old)
-				q.piSet[new] = struct{}{}
-			}
 			return
 		}
 	}
-}
-
-// ensurePiSet reports whether the set index is in use, building (or
-// rebuilding) it when π is large enough. A stale index — possible only if
-// Pi was assigned directly between method calls — is detected by length
-// and rebuilt; slice order stays authoritative for output determinism.
-func (q *OMQ) ensurePiSet() bool {
-	if len(q.Pi) <= piSetThreshold {
-		q.piSet = nil
-		return false
-	}
-	if q.piSet == nil || len(q.piSet) != len(q.Pi) {
-		q.piSet = make(map[rdf.IRI]struct{}, len(q.Pi))
-		for _, p := range q.Pi {
-			q.piSet[p] = struct{}{}
-		}
-	}
-	return true
 }
 
 // String renders the OMQ compactly.

@@ -112,12 +112,8 @@ func TestLatestWrapperAccessors(t *testing.T) {
 	if !ok || latest != core.WrapperURI("w4") {
 		t.Errorf("latest D1 wrapper = %v, %v", latest, ok)
 	}
-	current := o.CurrentWrappers()
-	if len(current) != 3 {
-		t.Errorf("current wrappers = %v", current)
-	}
-	if current[core.SourceURI("D2")] != core.WrapperURI("w2") {
-		t.Errorf("current D2 wrapper = %v", current[core.SourceURI("D2")])
+	if current, ok := o.LatestWrapperOfSource("D2"); !ok || current != core.WrapperURI("w2") {
+		t.Errorf("current D2 wrapper = %v, %v", current, ok)
 	}
 	if _, ok := o.RegistrationOrder(core.WrapperURI("nonexistent")); ok {
 		t.Error("unknown wrapper should have no registration order")

@@ -2,6 +2,7 @@ package rewriting
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"bdi/internal/core"
@@ -89,7 +90,7 @@ func TestFromSPARQLRunningExample(t *testing.T) {
 	if omq.Phi.Len() != 4 {
 		t.Errorf("φ size = %d", omq.Phi.Len())
 	}
-	if !omq.ProjectsElement(core.SupLagRatio) {
+	if !slices.Contains(omq.Pi, core.SupLagRatio) {
 		t.Error("lagRatio should be projected")
 	}
 }

@@ -161,8 +161,8 @@ SELECT ?sub WHERE { ?sub rdfs:subClassOf sc:identifier . }`)
 func TestEvaluateFilters(t *testing.T) {
 	s := store.New()
 	ex := "http://example.org/"
-	s.MustAdd(rdf.Quad{Triple: rdf.NewTriple(rdf.IRI(ex+"m1"), rdf.IRI(ex+"lagRatio"), rdf.NewDoubleLiteral(0.75))})
-	s.MustAdd(rdf.Quad{Triple: rdf.NewTriple(rdf.IRI(ex+"m2"), rdf.IRI(ex+"lagRatio"), rdf.NewDoubleLiteral(0.1))})
+	s.MustAdd(rdf.Quad{Triple: rdf.NewTriple(rdf.IRI(ex+"m1"), rdf.IRI(ex+"lagRatio"), rdf.NewTypedLiteral("0.75", rdf.XSDDouble))})
+	s.MustAdd(rdf.Quad{Triple: rdf.NewTriple(rdf.IRI(ex+"m2"), rdf.IRI(ex+"lagRatio"), rdf.NewTypedLiteral("0.1", rdf.XSDDouble))})
 	e := oracle.NewEvaluator(s)
 	sols, err := e.Select(`
 PREFIX ex: <http://example.org/>

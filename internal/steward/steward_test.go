@@ -107,7 +107,7 @@ func TestSuggestSubgraphConnectsConcepts(t *testing.T) {
 		t.Errorf("missing connecting path:\n%s", s.Graph)
 	}
 	// And it must be a valid LAV subgraph: contained in G.
-	if !o.Store().NamedGraph(core.GlobalGraphName).Subsumes(s.Graph) {
+	if !o.Store().Snapshot().NamedGraph(core.GlobalGraphName).Subsumes(s.Graph) {
 		t.Error("suggested subgraph must be a subgraph of G")
 	}
 }
@@ -142,7 +142,7 @@ func TestDraftReleaseIsAcceptedByAlgorithm1(t *testing.T) {
 	// example query now has two walks.
 	// (The rewriting package has its own tests; here we only check the LAV
 	// graph registration took place.)
-	if _, ok := o.LAVGraphOf(core.WrapperURI("w4")); !ok {
+	if o.Store().GraphLen(core.MappingGraphURI("w4")) == 0 {
 		t.Error("LAV graph for the drafted release missing")
 	}
 }

@@ -141,7 +141,7 @@ func BenchmarkStoreMatchMixedGraph(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Match(InGraph(g, nil, rdf.IRI("http://bench/p3"), nil))
-				s.GraphsContaining(triples[i%len(triples)])
+				s.Snapshot().GraphsContaining(triples[i%len(triples)])
 			}
 		})
 	}

@@ -149,16 +149,16 @@ func TestConcurrentAddMatchRemoveGraph(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			dict := s.Dict()
+			dict := s.Snapshot().Dict()
 			for i := 0; i < iters; i++ {
 				s.Match(WildcardGraph(nil, rdf.IRI(fmt.Sprintf("http://ex/p%d", i%4)), nil))
-				s.MatchWithIDs(InGraph(rdf.IRI(fmt.Sprintf("http://ex/g%d", i%5)), nil, nil, nil))
-				s.GraphsContaining(rdf.T(
+				s.Snapshot().MatchWithIDs(InGraph(rdf.IRI(fmt.Sprintf("http://ex/g%d", i%5)), nil, nil, nil))
+				s.Snapshot().GraphsContaining(rdf.T(
 					rdf.IRI(fmt.Sprintf("http://ex/w%d-s%d", r%writers, i)),
 					rdf.IRI(fmt.Sprintf("http://ex/p%d", i%4)),
 					rdf.IRI(fmt.Sprintf("http://ex/o%d", i%16)),
 				))
-				s.Graphs()
+				s.Snapshot().Graphs()
 				s.Stats()
 				dict.Lookup(rdf.IRI(fmt.Sprintf("http://ex/o%d", i%16)))
 			}
@@ -168,7 +168,7 @@ func TestConcurrentAddMatchRemoveGraph(t *testing.T) {
 
 	// The surviving quads must still be fully indexed and consistent.
 	total := 0
-	for _, g := range append(s.Graphs(), "") {
+	for _, g := range append(s.Snapshot().Graphs(), "") {
 		total += s.GraphLen(g)
 	}
 	if total != s.Len() {

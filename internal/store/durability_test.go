@@ -145,7 +145,7 @@ func TestFastPathInitialLoadMatchesIncremental(t *testing.T) {
 		InGraph(qd(1).Graph, qd(1).Subject, qd(1).Predicate, nil),
 	}
 	for pi, p := range patterns {
-		b, s := bulk.MatchWithIDs(p), slow.MatchWithIDs(p)
+		b, s := bulk.Snapshot().MatchWithIDs(p), slow.Snapshot().MatchWithIDs(p)
 		if len(b) != len(s) {
 			t.Fatalf("pattern %d: bulk %d matches, incremental %d", pi, len(b), len(s))
 		}

@@ -143,7 +143,7 @@ const arenaCompactMin = 4096
 type BatchKind uint8
 
 const (
-	// BatchAdd is an atomic insertion batch (Add/AddAll/AddGraph). Quads
+	// BatchAdd is an atomic insertion batch (Add/AddAll). Quads
 	// lists the quads actually inserted (duplicates already filtered), in
 	// the order they were interned.
 	BatchAdd BatchKind = iota + 1
@@ -230,13 +230,6 @@ func New() *Store {
 	return s
 }
 
-// Dict returns the store's term dictionary. Consumers may use it to resolve
-// TermIDs from MatchWithIDs back to terms, or to pre-encode terms they probe
-// repeatedly. The dictionary is append-only and safe for concurrent use.
-// Clear replaces the dictionary: cached TermIDs and Dict references are only
-// valid against the store state they were obtained from.
-func (s *Store) Dict() *rdf.Dict { return s.snap.Load().dict }
-
 // Len returns the total number of quads in the store.
 func (s *Store) Len() int { return s.Snapshot().Len() }
 
@@ -247,10 +240,6 @@ func (s *Store) Generation() uint64 { return s.Snapshot().Generation() }
 // GraphLen returns the number of quads in the given named graph ("" is the
 // default graph).
 func (s *Store) GraphLen(graph rdf.IRI) int { return s.Snapshot().GraphLen(graph) }
-
-// Graphs returns the names of all non-empty named graphs, sorted. The default
-// graph is not included.
-func (s *Store) Graphs() []rdf.IRI { return s.Snapshot().Graphs() }
 
 // Add inserts a quad. Duplicate quads are ignored. It returns true when the
 // quad was newly added.
@@ -379,19 +368,6 @@ func (s *Store) AddAllBeforePublish(quads []rdf.Quad, beforePublish func(gen uin
 	return len(ents), nil
 }
 
-// AddGraph inserts all triples of the graph value under its name, in one
-// atomic batch.
-func (s *Store) AddGraph(g *rdf.Graph) (int, error) {
-	if g == nil {
-		return 0, nil
-	}
-	quads := make([]rdf.Quad, len(g.Triples))
-	for i, t := range g.Triples {
-		quads[i] = rdf.Quad{Triple: t, Graph: g.Name}
-	}
-	return s.AddAll(quads)
-}
-
 // internQuad interns q's terms, rejects duplicates against the canonical
 // set and appends the quad's entry to the arena. Callers must hold s.mu.
 // The bool result is false for duplicates (the eref is then meaningless).
@@ -468,14 +444,6 @@ func (s *Store) RemoveGraph(graph rdf.IRI) int {
 	return len(entries)
 }
 
-// Contains reports whether the exact quad is present.
-func (s *Store) Contains(q rdf.Quad) bool { return s.Snapshot().Contains(q) }
-
-// ContainsTriple reports whether the triple is present in the given graph.
-func (s *Store) ContainsTriple(graph rdf.IRI, t rdf.Triple) bool {
-	return s.Snapshot().ContainsTriple(graph, t)
-}
-
 // Match returns all quads matching the pattern, in deterministic order
 // (ascending ⟨graph, subject, predicate, object⟩ term-key order). Variables
 // in the pattern are treated as wildcards. The probe runs against the
@@ -484,28 +452,6 @@ func (s *Store) Match(p Pattern) []rdf.Quad {
 	matchesTotal.Inc()
 	return s.Snapshot().Match(p)
 }
-
-// MatchWithIDs is Match, additionally reporting each quad's dictionary
-// encoding. It is the hot-path variant: consumers can key dedup sets and
-// join maps on the fixed-width QuadID components instead of building string
-// keys per quad.
-func (s *Store) MatchWithIDs(p Pattern) []MatchedQuad {
-	matchesTotal.Inc()
-	return s.Snapshot().MatchWithIDs(p)
-}
-
-// GraphsContaining returns the names of all named graphs that contain the
-// given triple. This implements the SPARQL `GRAPH ?g { ... }` lookups used
-// by the rewriting algorithms to resolve LAV mappings (Algorithm 4 line 8
-// and Algorithm 5 lines 9-10).
-func (s *Store) GraphsContaining(t rdf.Triple) []rdf.IRI {
-	return s.Snapshot().GraphsContaining(t)
-}
-
-// NamedGraph materializes the contents of a named graph as a rdf.Graph value.
-// Stored quads are unique per graph, so the triples are appended directly
-// instead of going through Graph.Add's linear duplicate scan.
-func (s *Store) NamedGraph(name rdf.IRI) *rdf.Graph { return s.Snapshot().NamedGraph(name) }
 
 // Quads returns a snapshot of every quad in the store, sorted.
 func (s *Store) Quads() []rdf.Quad { return s.Snapshot().Quads() }

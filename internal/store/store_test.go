@@ -95,7 +95,7 @@ func TestMatchTreatsVariablesAsWildcards(t *testing.T) {
 
 func TestGraphsAndGraphLen(t *testing.T) {
 	s := loadedStore(t)
-	graphs := s.Graphs()
+	graphs := s.Snapshot().Graphs()
 	if len(graphs) != 2 {
 		t.Fatalf("graphs = %v", graphs)
 	}
@@ -113,11 +113,11 @@ func TestGraphsAndGraphLen(t *testing.T) {
 func TestGraphsContaining(t *testing.T) {
 	s := loadedStore(t)
 	tr := rdf.T("http://ex/Monitor", "http://ex/hasFeature", "http://ex/monitorId")
-	graphs := s.GraphsContaining(tr)
+	graphs := s.Snapshot().GraphsContaining(tr)
 	if len(graphs) != 2 {
 		t.Fatalf("expected 2 graphs, got %v", graphs)
 	}
-	none := s.GraphsContaining(rdf.T("http://ex/a", "http://ex/b", "http://ex/c"))
+	none := s.Snapshot().GraphsContaining(rdf.T("http://ex/a", "http://ex/b", "http://ex/c"))
 	if len(none) != 0 {
 		t.Errorf("expected no graphs, got %v", none)
 	}
@@ -132,7 +132,7 @@ func TestRemoveAndRemoveGraph(t *testing.T) {
 	if s.Remove(q) {
 		t.Error("second removal should fail")
 	}
-	if s.Contains(q) {
+	if s.Snapshot().Contains(q) {
 		t.Error("removed quad still present")
 	}
 	removed := s.RemoveGraph("http://ex/w1")
@@ -150,7 +150,7 @@ func TestRemoveAndRemoveGraph(t *testing.T) {
 
 func TestNamedGraphMaterialization(t *testing.T) {
 	s := loadedStore(t)
-	g := s.NamedGraph("http://ex/w1")
+	g := s.Snapshot().NamedGraph("http://ex/w1")
 	if g.Len() != 2 {
 		t.Errorf("named graph length = %d", g.Len())
 	}
@@ -202,25 +202,8 @@ func TestClear(t *testing.T) {
 	if s.Len() != 0 {
 		t.Error("store should be empty after Clear")
 	}
-	if len(s.Graphs()) != 0 {
+	if len(s.Snapshot().Graphs()) != 0 {
 		t.Error("no graphs should remain after Clear")
-	}
-}
-
-func TestAddGraphValue(t *testing.T) {
-	s := New()
-	g := rdf.NewGraph("http://ex/mapping1")
-	g.Add(rdf.T("http://ex/a", "http://ex/b", "http://ex/c"))
-	g.Add(rdf.T("http://ex/a", "http://ex/b", "http://ex/d"))
-	n, err := s.AddGraph(g)
-	if err != nil || n != 2 {
-		t.Fatalf("AddGraph = %d, %v", n, err)
-	}
-	if s.GraphLen("http://ex/mapping1") != 2 {
-		t.Error("graph content missing")
-	}
-	if n, err := s.AddGraph(nil); err != nil || n != 0 {
-		t.Errorf("AddGraph(nil) = %d, %v", n, err)
 	}
 }
 
@@ -249,7 +232,7 @@ func TestAddMatchProperty(t *testing.T) {
 				rdf.IRI(fmt.Sprintf("http://ex/o%d", i%7)),
 				rdf.IRI(fmt.Sprintf("http://ex/g%d", i%3)),
 			)
-			if !s.Contains(q) {
+			if !s.Snapshot().Contains(q) {
 				return false
 			}
 			got := s.Match(InGraph(q.Graph, q.Subject, q.Predicate, q.Object))
@@ -296,11 +279,11 @@ func TestMatchIDsAgainstMatch(t *testing.T) {
 		))
 	}
 	pred := rdf.IRI("http://m/p1")
-	pid, ok := s.Dict().Lookup(pred)
+	pid, ok := s.Snapshot().Dict().Lookup(pred)
 	if !ok {
 		t.Fatal("predicate not interned")
 	}
-	want := s.MatchWithIDs(WildcardGraph(nil, pred, nil))
+	want := s.Snapshot().MatchWithIDs(WildcardGraph(nil, pred, nil))
 	got := s.Snapshot().MatchIDs(IDPattern{Predicate: pid})
 	if len(got) != len(want) {
 		t.Fatalf("MatchIDs returned %d, Match %d", len(got), len(want))

@@ -318,7 +318,7 @@ func decodeCheckpoint(data []byte) (*checkpointData, error) {
 		return nil, err
 	}
 	var nterms uint64
-	if nterms, b, err = readUvarint(b); err != nil {
+	if nterms, b, err = readCount(b, minTermSize); err != nil {
 		return nil, err
 	}
 	if ck.version == 2 && int(nterms) != ck.origDictLen-ck.reclaimed {
@@ -344,7 +344,7 @@ func decodeCheckpoint(data []byte) (*checkpointData, error) {
 	}
 	for g := uint64(0); g < ngraphs; g++ {
 		var nquads uint64
-		if nquads, b, err = readUvarint(b); err != nil {
+		if nquads, b, err = readCount(b, minQuadIDSize); err != nil {
 			return nil, err
 		}
 		ids := make([]store.QuadID, 0, nquads)

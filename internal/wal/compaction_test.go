@@ -186,7 +186,7 @@ func TestDictCompactionCheckpointParity(t *testing.T) {
 			}
 			liveQuads := quadStrings(m.Ontology())
 			liveFP := rewriteFingerprint(m.Ontology())
-			liveDictLen := m.Ontology().Store().Dict().Len()
+			liveDictLen := m.Ontology().Store().Snapshot().Dict().Len()
 			if err := m.Abort(); err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +213,7 @@ func TestDictCompactionCheckpointParity(t *testing.T) {
 			if fp := rewriteFingerprint(recovered); fp != liveFP {
 				t.Fatalf("rewriting diverged:\nrecovered: %s\nlive: %s", fp, liveFP)
 			}
-			if got, want := recovered.Store().Dict().Len(), liveDictLen-rec.DictIDsReclaimed; got != want {
+			if got, want := recovered.Store().Snapshot().Dict().Len(), liveDictLen-rec.DictIDsReclaimed; got != want {
 				t.Fatalf("recovered dict has %d terms, want %d (live %d − %d reclaimed)", got, want, liveDictLen, rec.DictIDsReclaimed)
 			}
 			// Byte parity across rebuild paths: recovery vs replica bootstrap.
@@ -392,7 +392,7 @@ func TestCheckpointV1Compatibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	quadsEqual(t, restored.Quads(), o.Store().Quads())
-	rt, wt := restored.Dict().Terms(), terms
+	rt, wt := restored.Snapshot().Dict().Terms(), terms
 	if len(rt) != len(wt) {
 		t.Fatalf("restored dict has %d terms, want %d", len(rt), len(wt))
 	}

@@ -150,7 +150,7 @@ func decodePayload(p []byte) (*record, error) {
 		if r.gen, p, err = readUvarint(p); err != nil {
 			return nil, err
 		}
-		if n, p, err = readUvarint(p); err != nil {
+		if n, p, err = readCount(p, minQuadSize); err != nil {
 			return nil, err
 		}
 		r.quads = make([]rdf.Quad, 0, n)
@@ -327,6 +327,29 @@ func readUvarint(b []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("wal: bad uvarint")
 	}
 	return v, b[n:], nil
+}
+
+// The smallest encodings of the elements a count can announce: a term is a
+// kind byte plus one string (a literal has three), a quad a graph string
+// plus three terms, a QuadID four uvarints.
+const (
+	minTermSize   = 2
+	minQuadSize   = 1 + 3*minTermSize
+	minQuadIDSize = 4
+)
+
+// readCount reads an element count and rejects one the remaining bytes
+// cannot hold at minSize bytes per element, so a corrupt or hostile count
+// never sizes an allocation.
+func readCount(b []byte, minSize int) (uint64, []byte, error) {
+	n, b, err := readUvarint(b)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n > uint64(len(b)/minSize) {
+		return 0, nil, fmt.Errorf("wal: count %d exceeds what %d bytes can hold", n, len(b))
+	}
+	return n, b, nil
 }
 
 func readTerm(b []byte) (rdf.Term, []byte, error) {

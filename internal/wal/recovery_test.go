@@ -193,7 +193,7 @@ func runScript(t *testing.T, o *core.Ontology, ops []scriptOp) (map[uint64]store
 	gen := o.Store().Generation()
 	snaps := map[uint64]store.Snapshot{gen: o.Store().Snapshot()}
 	logs := map[uint64][]core.DeltaSpan{gen: o.DeltaLog()}
-	dictLens := map[uint64]int{gen: o.Store().Dict().Len()}
+	dictLens := map[uint64]int{gen: o.Store().Snapshot().Dict().Len()}
 	for _, op := range ops {
 		before := o.Store().Generation()
 		if err := op.run(o); err != nil {
@@ -205,7 +205,7 @@ func runScript(t *testing.T, o *core.Ontology, ops []scriptOp) (map[uint64]store
 		}
 		snaps[after] = o.Store().Snapshot()
 		logs[after] = o.DeltaLog()
-		dictLens[after] = o.Store().Dict().Len()
+		dictLens[after] = o.Store().Snapshot().Dict().Len()
 	}
 	return snaps, logs, dictLens
 }

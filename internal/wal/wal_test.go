@@ -111,7 +111,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	quadsEqual(t, restored.Quads(), s.Quads())
-	if got, want := restored.Dict().Len(), s.Dict().Len(); got != want {
+	if got, want := restored.Snapshot().Dict().Len(), s.Snapshot().Dict().Len(); got != want {
 		t.Fatalf("restored dict has %d terms, want %d", got, want)
 	}
 	if !reflect.DeepEqual(ck.spans, spans) {

@@ -66,9 +66,6 @@ func (m *Memory) Rows(ctx context.Context, p relational.Pushdown, d *relational.
 	return p.Apply(m.name, m.schema, slices.Values(m.rows), d), nil
 }
 
-// Append adds tuples to the in-memory wrapper (useful for event simulation).
-func (m *Memory) Append(rows ...relational.Tuple) { m.rows = append(m.rows, rows...) }
-
 // Registry holds the wrappers known to the system, keyed both by their plain
 // name and by any aliases (e.g. the wrapper IRI in the Source graph). It
 // implements relational.WrapperResolver so that walks can be executed

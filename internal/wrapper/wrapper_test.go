@@ -234,12 +234,6 @@ func TestMemoryWrapperAndRegistry(t *testing.T) {
 	if _, err := fetched(reg, "missing", relational.Pushdown{}); err == nil {
 		t.Error("fetching unknown wrapper should error")
 	}
-	// Appending events to the memory wrapper is visible on the next fetch.
-	w2.Append(relational.Tuple{"FGId": 99, "tweet": "new"})
-	rel, _ = fetched(reg, "w2", relational.Pushdown{})
-	if rel.Cardinality() != 3 {
-		t.Error("appended tuple not visible")
-	}
 }
 
 func TestQualifiedResolver(t *testing.T) {
