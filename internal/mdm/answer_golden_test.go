@@ -24,9 +24,11 @@ import (
 // limit) and on a 2000-row answer over the JSON wrappers of the simulated
 // ecosystem. The golden files were written when the handler sorted every
 // answer with Relation.Sorted, so an engine that orders its own result must
-// reproduce that order byte for byte, at any parallelism. The 2000-row reply
-// is ~100 KB; its golden keeps the counts, the digest and the first and last
-// rows.
+// reproduce that order byte for byte, at any parallelism. Every request is
+// sent twice: the second is a cache hit executed from the program the first
+// one compiled (or, after the first parallelism, both are), and must reply
+// with the same bytes. The 2000-row reply is ~100 KB; its golden keeps the
+// counts, the digest and the first and last rows.
 func TestAnswerResponseGolden(t *testing.T) {
 	table1 := func() (*core.Ontology, *wrapper.Registry, error) {
 		o, err := core.BuildSupersedeOntology(true)
@@ -58,15 +60,15 @@ func TestAnswerResponseGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewServer(NewServer(o, reg).Handler())
+			srv := NewServer(o, reg)
+			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			request, err := json.Marshal(QueryRequest{SPARQL: exampleQuery, Limit: tc.limit})
 			if err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", "answer_"+tc.name+".golden")
-			for _, par := range []int{0, 1, 2, 8} {
-				relational.DefaultEngine.MaxParallel = par
+			post := func(par int) []byte {
 				resp, err := http.Post(ts.URL+"/api/queries/answer", "application/json", bytes.NewReader(request))
 				if err != nil {
 					t.Fatal(err)
@@ -75,6 +77,15 @@ func TestAnswerResponseGolden(t *testing.T) {
 				resp.Body.Close()
 				if err != nil || resp.StatusCode != http.StatusOK {
 					t.Fatalf("MaxParallel=%d: status %d, read error %v: %.200s", par, resp.StatusCode, err, got)
+				}
+				return got
+			}
+			pars := []int{0, 1, 2, 8}
+			for _, par := range pars {
+				relational.DefaultEngine.MaxParallel = par
+				got := post(par)
+				if again := post(par); !bytes.Equal(again, got) {
+					t.Fatalf("MaxParallel=%d: the cache-hit reply diverged from the first\nfirst:\n%.300s\nagain:\n%.300s", par, got, again)
 				}
 				if tc.digest {
 					var reply struct {
@@ -98,6 +109,9 @@ func TestAnswerResponseGolden(t *testing.T) {
 				if string(got) != string(want) {
 					t.Fatalf("MaxParallel=%d: answer reply diverged from %s\ngot:\n%s\nwant:\n%s", par, path, got, want)
 				}
+			}
+			if stats := srv.sys.Load().CacheStats(); stats.Misses != 1 || stats.Hits != 2*len(pars)-1 {
+				t.Fatalf("cache stats %+v, want one miss and %d hits", stats, 2*len(pars)-1)
 			}
 		})
 	}

@@ -85,6 +85,44 @@ func TestRequestBodyBoundedAndSingleValue(t *testing.T) {
 	}
 }
 
+// TestAnswerLimit pins how /api/queries/answer reads its limit: zero (or no
+// limit field) is no limit, a positive limit keeps that many rows, and a
+// negative one is a 400 JSON error naming the field.
+func TestAnswerLimit(t *testing.T) {
+	h := newSupersedeHandler(t)
+	sparql, _ := json.Marshal(exampleQuery)
+	for _, tc := range []struct {
+		name   string
+		limit  string
+		status int
+		rows   int
+	}{
+		{"absent", "", http.StatusOK, 3},
+		{"zero", `,"limit":0`, http.StatusOK, 3},
+		{"positive", `,"limit":2`, http.StatusOK, 2},
+		{"above the answer", `,"limit":10`, http.StatusOK, 3},
+		{"minus one", `,"limit":-1`, http.StatusBadRequest, 0},
+		{"most negative", `,"limit":-9223372036854775808`, http.StatusBadRequest, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := postRaw(h, "/api/queries/answer", []byte(`{"sparql":`+string(sparql)+tc.limit+`}`))
+			if rec.Code != tc.status {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.status, rec.Body)
+			}
+			if tc.status != http.StatusOK {
+				if msg := jsonError(t, rec); !strings.Contains(msg, "limit") {
+					t.Errorf("error %q does not name the limit", msg)
+				}
+				return
+			}
+			var answer AnswerResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &answer); err != nil || len(answer.Rows) != tc.rows {
+				t.Errorf("%d rows (decode error %v), want %d", len(answer.Rows), err, tc.rows)
+			}
+		})
+	}
+}
+
 // fuzzStatusAllowed is what a request body may produce: success, a bad or
 // oversized body, or a release or query the ontology rejects. Never a 500.
 func fuzzStatusAllowed(code int) bool {
@@ -121,6 +159,8 @@ func FuzzReleaseRequest(f *testing.F) {
 func FuzzQueryRequest(f *testing.F) {
 	query, _ := json.Marshal(QueryRequest{SPARQL: exampleQuery, Limit: 2})
 	f.Add(query)
+	negative, _ := json.Marshal(QueryRequest{SPARQL: exampleQuery, Limit: -1})
+	f.Add(negative)
 	f.Add([]byte(`{"sparql":"SELECT ?x WHERE { ?x ?p ?o }"}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		h := newSupersedeHandler(t)

@@ -367,12 +367,9 @@ type QueryRequest struct {
 	Limit int `json:"limit,omitempty"`
 }
 
-// RewriteResponse describes the rewriting outcome.
-type RewriteResponse struct {
-	Walks      []string `json:"walks"`
-	Signatures []string `json:"signatures"`
-	Concepts   []string `json:"concepts"`
-}
+// RewriteResponse describes the rewriting outcome. The body of POST
+// /api/queries/rewrite is the result's kept rendering of it.
+type RewriteResponse = rewriting.View
 
 func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	_, omq, ok := parseQuery(w, r)
@@ -384,7 +381,7 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rewriteResponse(res))
+	writeBody(w, http.StatusOK, res.ViewJSON(), []byte("\n"))
 }
 
 // parseQuery decodes a query request and parses its SPARQL OMQ, answering
@@ -436,20 +433,6 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-func rewriteResponse(res *rewriting.Result) RewriteResponse {
-	out := RewriteResponse{Signatures: res.UCQ.Signatures()}
-	if n := len(res.UCQ.Walks); n > 0 {
-		out.Walks = make([]string, 0, n)
-	}
-	for _, walk := range res.UCQ.Walks {
-		out.Walks = append(out.Walks, walk.String())
-	}
-	for _, c := range res.Expanded.Concepts {
-		out.Concepts = append(out.Concepts, string(c))
-	}
-	return out
-}
-
 // AnswerResponse is the body of POST /api/queries/answer: the rewriting plus
 // the executed result. The handler writes it from the ID-domain answer.
 type AnswerResponse struct {
@@ -463,6 +446,10 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if req.Limit < 0 {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("limit must not be negative, got %d", req.Limit))
+		return
+	}
 	// No lock: a release landing meanwhile only adds to the ontology, the
 	// rewriting result is immutable, and every wrapper a walk names was
 	// registered before its release was published.
@@ -471,25 +458,27 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		writeQueryError(w, r, err)
 		return
 	}
-	body, err := answerBody(res, answer)
+	tail, err := answerTail(answer)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeBody(w, http.StatusOK, body)
+	// An AnswerResponse: the kept view, reopened at its closing brace.
+	view := res.ViewJSON()
+	writeBody(w, http.StatusOK, view[:len(view)-1], tail)
 }
 
-// answerBody renders an AnswerResponse over the answer as json.Encoder does,
-// byte for byte, with the rows encoded from the answer's ValueIDs (the engine
-// hands them over in canonical order).
-func answerBody(res *rewriting.Result, answer *relational.IDRelation) ([]byte, error) {
-	head, err := json.Marshal(AnswerResponse{RewriteResponse: rewriteResponse(res), Columns: answer.Schema.Names()})
+// answerTail renders the members of an AnswerResponse that follow its view
+// as json.Encoder does, with the rows encoded from the answer's ValueIDs (the
+// engine hands them over in canonical order).
+func answerTail(answer *relational.IDRelation) ([]byte, error) {
+	columns, err := json.Marshal(answer.Schema.Names())
 	if err != nil {
 		return nil, err
 	}
-	// Reopen the object where its "rows":null ends.
-	body, err := answer.AppendJSON(head[:len(head)-len("null}")])
-	return append(body, "}\n"...), err
+	tail := append(append([]byte(`,"columns":`), columns...), `,"rows":`...)
+	tail, err = answer.AppendJSON(tail)
+	return append(tail, "}\n"...), err
 }
 
 // maxRequestBody bounds the JSON body of every POST endpoint. A release's
@@ -531,10 +520,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	writeBody(w, status, body.Bytes())
 }
 
-func writeBody(w http.ResponseWriter, status int, body []byte) {
+// writeBody writes the concatenation of parts as the body.
+func writeBody(w http.ResponseWriter, status int, parts ...[]byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(body) // a failed write means the client is gone; nothing is left to tell it
+	for _, p := range parts {
+		_, _ = w.Write(p) // a failed write means the client is gone; nothing is left to tell it
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -1,10 +1,12 @@
 package mdm
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"bdi/internal/core"
 	"bdi/internal/rewriting"
 	"bdi/internal/workload"
+	"bdi/internal/wrapper"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -22,31 +25,33 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files under te
 // written by the fmt.Sprintf/map-based rendering this package started with,
 // so any cheaper rendering must reproduce it exactly. The worst case is 86 KB
 // of walk text; its golden keeps the digest and the first and last entries.
+// The endpoint serves the rendering its cached result keeps: a miss and a
+// cache hit must both reply with the view json.Encoder writes.
 func TestRewriteResponseGolden(t *testing.T) {
 	cases := []struct {
 		name   string
 		digest bool
-		build  func() (*core.Ontology, *rewriting.OMQ, error)
+		build  func() (*core.Ontology, string, error)
 	}{
-		{"running_example", false, func() (*core.Ontology, *rewriting.OMQ, error) {
+		{"running_example", false, func() (*core.Ontology, string, error) {
 			o, err := core.BuildSupersedeOntology(true)
-			if err != nil {
-				return nil, nil, err
-			}
-			omq, err := rewriting.ParseOMQ(exampleQuery)
-			return o, omq, err
+			return o, exampleQuery, err
 		}},
-		{"worst_case_5x3", true, func() (*core.Ontology, *rewriting.OMQ, error) {
+		{"worst_case_5x3", true, func() (*core.Ontology, string, error) {
 			wc, err := workload.BuildWorstCase(5, 3)
 			if err != nil {
-				return nil, nil, err
+				return nil, "", err
 			}
-			return wc.Ontology, wc.Query, nil
+			return wc.Ontology, omqSPARQL(wc.Query), nil
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			o, omq, err := tc.build()
+			o, sparql, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			omq, err := rewriting.ParseOMQ(sparql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,7 +59,26 @@ func TestRewriteResponseGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp := rewriteResponse(res)
+			var resp RewriteResponse
+			if err := json.Unmarshal(res.ViewJSON(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			var encoded bytes.Buffer
+			if err := json.NewEncoder(&encoded).Encode(resp); err != nil {
+				t.Fatal(err)
+			}
+			srv := NewServer(o, wrapper.NewRegistry())
+			h := srv.Handler()
+			request, _ := json.Marshal(QueryRequest{SPARQL: sparql})
+			for _, call := range []string{"miss", "cache hit"} {
+				rec := postRaw(h, "/api/queries/rewrite", request)
+				if rec.Code != http.StatusOK || rec.Body.String() != encoded.String() {
+					t.Fatalf("%s: status %d, body diverges from the encoded view:\n%.300s\nwant:\n%.300s", call, rec.Code, rec.Body, encoded.String())
+				}
+			}
+			if stats := srv.sys.Load().CacheStats(); stats.Hits != 1 || stats.Misses != 1 {
+				t.Fatalf("cache stats %+v, want one miss and one hit", stats)
+			}
 			got, err := json.MarshalIndent(resp, "", "  ")
 			if err != nil {
 				t.Fatal(err)

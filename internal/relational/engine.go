@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"runtime"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,9 +32,9 @@ var (
 	wrapperRowsTotal = obs.NewCounter("bdi_wrapper_rows_total",
 		"Rows fetched from wrapper sources.")
 	walkIndexBuildsTotal = obs.NewCounter("bdi_walk_index_builds_total",
-		"Hash indexes built by union executions (at most one per wrapper join column per union).")
+		"Hash indexes built by union executions (at most one per wrapper join column per execution).")
 	walkCompileSeconds = obs.NewHistogram("bdi_walk_compile_seconds",
-		"Latency of the union compile phase, wrapper fetch and ingest excluded.")
+		"Latency of the union compile phase (on a kept program: binding it to the fetched wrappers), wrapper fetch and ingest excluded.")
 	walkOrderSeconds = obs.NewHistogram("bdi_walk_order_seconds",
 		"Latency of ordering a union's deduplicated rows canonically, in the ID domain.")
 )
@@ -66,7 +66,7 @@ type Engine struct {
 	MaxParallel int
 }
 
-// DefaultEngine executes Walk.Execute and UnionOfConjunctiveQueries.Execute.
+// DefaultEngine executes Walk.Execute and the rewriter's results.
 var DefaultEngine = &Engine{}
 
 // OutputColumn declares one column of a union's result. In every walk the
@@ -81,72 +81,101 @@ type OutputColumn struct {
 	Attr func(wrapper string) (attr string, ok bool)
 }
 
-// ExecOptions configures Engine.ExecuteUnion.
-type ExecOptions struct {
-	// Name names the result relation; empty keeps the first walk's name.
-	Name string
-	// Limit > 0 stops execution once that many distinct result rows exist;
-	// walks that can no longer contribute are cancelled. The retained rows
-	// are exactly the first Limit distinct rows in walk order — a
-	// deterministic subset of the unlimited result — in canonical order.
-	Limit int
-	// Output projects every walk's result onto the declared columns before
-	// the union. Nil keeps every walk's schema unchanged; an empty non-nil
-	// list projects to zero columns.
-	Output []OutputColumn
-}
-
 // ExecuteWalk executes a single walk, observably equal to the reference
 // Walk.ExecuteReference with its tuples in canonical order.
 func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResolver) (*Relation, error) {
 	ctx, span := obs.StartSpan(ctx, "walk")
 	defer span.End()
 	track := lifecycle.TrackerFrom(ctx)
-	u := newUnionPlan([]*Walk{w}, resolver, nil, "")
-	if err := u.compileWalk(ctx, track, w); err != nil {
+	c := newCompiler([]*Walk{w}, nil, "")
+	ex := newExecution(resolver, len(c.sources))
+	if err := c.compileWalk(ctx, track, ex, w); err != nil {
 		return nil, err
 	}
-	u.finish()
-	rows, err := u.run(ctx, track, 0, span)
+	c.finish()
+	u := c.unionPlan
+	res, err := u.run(ctx, track, ex, 0, &scratch{}, span)
 	if err != nil {
 		return nil, err
 	}
-	var arena []ValueID
-	for r, row := range rows {
-		rows[r], arena = project(arena, row, u.srcCols(0))
+	fw, rows := len(u.finalNames), make([][]ValueID, res.n)
+	for r := range rows {
+		rows[r] = res.cells[r*fw : (r+1)*fw : (r+1)*fw]
 	}
-	return (&IDRelation{Name: u.name, Schema: u.final, Rows: u.dict.order(rows), dict: u.dict}).Relation(), nil
+	return (&IDRelation{Name: u.name, Schema: u.final, Rows: ex.dict.order(rows), dict: ex.dict}).Relation(), nil
 }
 
-// ExecuteUnion compiles and executes every walk, post-projects each result,
-// and returns their deduplicated union in canonical order, still in the ID
-// domain. It is the engine behind UnionOfConjunctiveQueries.Execute and the
-// rewriter's ExecuteResultIDs.
-func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver WrapperResolver, opts ExecOptions) (*IDRelation, error) {
+// Union is a union of walks kept for repeated execution: its first execution
+// compiles the program (plan.go) and later ones reuse it, paying only for
+// fetches, the budget and the rows. An execution whose fetched relations
+// differ from the program's in name, schema or row count compiles afresh and
+// keeps the new program. A Union is safe for concurrent use.
+type Union struct {
+	walks  []*Walk
+	name   string
+	output []OutputColumn
+	plan   atomic.Pointer[unionPlan]
+}
+
+// NewUnion returns the union of walks with its result named name (empty:
+// after its first walk). A non-nil output projects every walk's result onto
+// the declared columns before the union; an empty one projects to zero
+// columns, and nil keeps every walk's schema unchanged.
+func NewUnion(walks []*Walk, name string, output []OutputColumn) *Union {
+	return &Union{walks: walks, name: name, output: output}
+}
+
+// Execute executes every walk of the union, post-projects each result, and
+// returns their deduplicated union in canonical order, still in the ID
+// domain. It is the engine behind the rewriter's ExecuteResultIDs. limit > 0
+// stops execution once that many distinct result rows exist, cancelling the
+// walks that can no longer contribute: the retained rows are exactly the
+// first limit distinct rows in walk order — a deterministic subset of the
+// unlimited result — in canonical order.
+func (e *Engine) Execute(ctx context.Context, un *Union, resolver WrapperResolver, limit int) (*IDRelation, error) {
 	ctx, span := obs.StartSpan(ctx, "eval")
-	span.SetAttrInt("walks", int64(len(walks)))
+	span.SetAttrInt("walks", int64(len(un.walks)))
 	unionStart := time.Now()
-	u := newUnionPlan(walks, resolver, opts.Output, opts.Name)
+	u := un.plan.Load()
+	var c *compiler
+	if u == nil {
+		c = newCompiler(un.walks, un.output, un.name)
+		u = c.unionPlan
+	}
+	ex := newExecution(resolver, len(u.sources))
 	// Every return path below has waited for its workers, so the deferred
 	// index count reads quiescent state.
 	defer func() {
 		unionSeconds.Observe(time.Since(unionStart))
-		wrappers, indexes := u.sharing()
+		wrappers, indexes := ex.sharing()
 		span.SetAttrInt("wrappers", int64(wrappers))
 		span.SetAttrInt("indexes", int64(indexes))
 		span.End()
 	}()
 	track := lifecycle.TrackerFrom(ctx)
-	for _, w := range walks {
-		if err := lifecycle.Check(ctx, track); err != nil {
+	if c == nil {
+		bound, err := u.bind(ctx, track, ex)
+		if err != nil {
 			return nil, err
 		}
-		if err := u.compileWalk(ctx, track, w); err != nil {
-			return nil, err
+		if !bound {
+			c = newCompiler(un.walks, un.output, un.name)
 		}
 	}
-	u.finish()
-	walkCompileSeconds.Observe(time.Since(unionStart) - u.fetchTime)
+	if c != nil {
+		for _, w := range un.walks {
+			if err := lifecycle.Check(ctx, track); err != nil {
+				return nil, err
+			}
+			if err := c.compileWalk(ctx, track, ex, w); err != nil {
+				return nil, err
+			}
+		}
+		c.finish()
+		u = c.unionPlan
+		un.plan.Store(u)
+	}
+	walkCompileSeconds.Observe(time.Since(unionStart) - ex.fetchTime)
 
 	// Execute the walks on at most maxPar workers that claim walk indices in
 	// order, or inline when that is one. Results are consumed in walk order
@@ -157,25 +186,26 @@ func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver Wrapp
 	if maxPar <= 0 {
 		maxPar = runtime.GOMAXPROCS(0)
 	}
-	n := len(walks)
+	n := len(un.walks)
 	workers := min(maxPar, n)
 	execCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make([][][]ValueID, n)
+	results := make([]walkRows, n)
 	errs := make([]error, n)
-	execute := func(i int) {
+	execute := func(i int, s *scratch) {
 		// A walk claimed after cancellation is neither executed nor counted.
 		if errs[i] = execCtx.Err(); errs[i] != nil {
 			return
 		}
 		_, wspan := obs.StartSpan(execCtx, "walk")
-		wspan.SetAttr("walk", strconv.Itoa(i))
-		results[i], errs[i] = u.run(execCtx, track, i, wspan)
+		wspan.SetAttrInt("walk", int64(i))
+		results[i], errs[i] = u.run(execCtx, track, ex, i, s, wspan)
 		wspan.End()
 	}
 	var wg sync.WaitGroup
 	var completed chan int
 	var done []bool
+	var inline scratch
 	if workers > 1 {
 		completed = make(chan int, n) // one send per walk: a worker never blocks on the consumer
 		done = make([]bool, n)
@@ -184,8 +214,9 @@ func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver Wrapp
 		for k := 0; k < workers; k++ {
 			go func() {
 				defer wg.Done()
+				var s scratch
 				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-					execute(i)
+					execute(i, &s)
 					completed <- i
 				}
 			}()
@@ -205,33 +236,33 @@ consume:
 				done[<-completed] = true
 			}
 		} else {
-			execute(i)
+			execute(i, &inline)
 		}
 		if errs[i] != nil {
 			firstErr = errs[i]
 			break
 		}
-		src := u.srcCols(i)
-		for _, row := range results[i] {
-			for fc, sc := range src {
-				id := NilValueID // absent attribute ≡ nil, as in Tuple.Key
-				if sc >= 0 {
-					id = joinID(row[sc])
-				}
-				binary.BigEndian.PutUint32(key[fc*4:], uint32(id))
+		res := results[i]
+		for r := 0; r < res.n; r++ {
+			row := res.cells[r*finalW : (r+1)*finalW]
+			for fc, id := range row {
+				// An absent attribute is a missing cell, ≡ nil as in Tuple.Key.
+				binary.BigEndian.PutUint32(key[fc*4:], uint32(joinID(id)))
 			}
 			if seen[string(key)] {
 				continue
 			}
 			seen[string(key)] = true
-			var fr []ValueID
-			fr, arena = project(arena, row, src)
-			outRows = append(outRows, fr)
-			if opts.Limit > 0 && len(outRows) >= opts.Limit {
+			if len(arena) < finalW {
+				arena = make([]ValueID, lifecycle.CheckEvery*finalW)
+			}
+			outRows = append(outRows, arena[:finalW:finalW])
+			arena = arena[copy(arena, row):]
+			if limit > 0 && len(outRows) >= limit {
 				break consume
 			}
 		}
-		results[i] = nil
+		results[i] = walkRows{}
 	}
 	// Stop the walks that can no longer contribute and wait for the workers:
 	// after cancellation they drain the remaining indices without executing.
@@ -242,39 +273,35 @@ consume:
 	}
 
 	orderStart := time.Now()
-	outRows = u.dict.order(outRows)
+	outRows = ex.dict.order(outRows)
 	orderTime := time.Since(orderStart)
 	walkOrderSeconds.Observe(orderTime)
 	span.SetAttrInt("rows", int64(len(outRows)))
 	span.SetAttrInt("order_us", orderTime.Microseconds())
-	return &IDRelation{Name: u.name, Schema: u.final, Rows: outRows, dict: u.dict}, nil
+	// The schema is the program's; the answer gets its own copy.
+	schema := Schema{Attributes: slices.Clone(u.final.Attributes)}
+	return &IDRelation{Name: u.name, Schema: schema, Rows: outRows, dict: ex.dict}, nil
 }
 
-// project copies a walk's row into union layout through src (negative: the
-// column is absent), cutting it from arena, which it refills a check chunk at
-// a time; it returns the row and what is left of the arena.
-func project(arena, row []ValueID, src []int32) ([]ValueID, []ValueID) {
-	w := len(src)
-	if len(arena) < w {
-		arena = make([]ValueID, lifecycle.CheckEvery*w)
-	}
-	out := arena[:w:w]
-	for fc, sc := range src {
-		if sc >= 0 {
-			out[fc] = row[sc]
-		}
-	}
-	return out, arena[w:]
+// walkRows is a walk's result copied out of its worker's scratch: n rows in
+// union layout (MissingValueID for a column the walk lacks), back to back.
+type walkRows struct {
+	cells []ValueID
+	n     int
 }
+
+// scratch is one worker's two flat row arenas, which a walk's join steps
+// ping-pong between and every walk the worker runs reuses.
+type scratch struct{ a, b []ValueID }
 
 // run executes walk i under its span and the per-walk metrics.
-func (u *unionPlan) run(ctx context.Context, track *lifecycle.Tracker, i int, span *obs.ActiveSpan) ([][]ValueID, error) {
+func (u *unionPlan) run(ctx context.Context, track *lifecycle.Tracker, ex *execution, i int, s *scratch, span *obs.ActiveSpan) (walkRows, error) {
 	wstart := time.Now()
-	rows, err := runWalk(ctx, track, u.steps, &u.walks[i])
+	rows, err := u.runWalk(ctx, track, ex, i, s)
 	walkSeconds.Observe(time.Since(wstart))
 	walkExecutionsTotal.Inc()
-	walkRowsTotal.Add(int64(len(rows)))
-	span.SetAttrInt("rows", int64(len(rows)))
+	walkRowsTotal.Add(int64(rows.n))
+	span.SetAttrInt("rows", int64(rows.n))
 	if p := track.Progress(); p.Rows > 0 || p.Bytes > 0 {
 		// Cumulative tracker charge at walk completion: with a budget
 		// attached this localizes which walk crossed the line.
@@ -284,90 +311,101 @@ func (u *unionPlan) run(ctx context.Context, track *lifecycle.Tracker, i int, sp
 	return rows, err
 }
 
-// runWalk executes a compiled walk's physical plan and returns its rows in
-// the walk's physical column order. Everything it touches besides its own
-// rows is shared, read-only union state. Its time and memory follow the rows
-// it reads and produces: a join step's first output arena holds as many rows
-// as the probe side, capped at one check chunk, and each refill doubles it up
-// to that cap.
-func runWalk(ctx context.Context, track *lifecycle.Tracker, steps []planStep, wp *walkPlan) ([][]ValueID, error) {
-	start := wp.start
-	width := len(start.vecs)
-	rows := make([][]ValueID, start.src.rel.NumRows())
-	cells := make([]ValueID, len(rows)*width)
-	for r := range rows {
-		row := cells[r*width : (r+1)*width : (r+1)*width]
-		for k, col := range start.vecs {
-			row[k] = col[r]
+// runWalk executes walk i's physical plan in s and returns its rows copied
+// out. Besides s it only reads program and execution state. Its time and
+// memory follow the rows it reads and produces: s's arenas grow to the
+// widest intermediate result of the walks it ran.
+func (u *unionPlan) runWalk(ctx context.Context, track *lifecycle.Tracker, ex *execution, i int, s *scratch) (walkRows, error) {
+	wp := &u.walks[i]
+	start, cols := ex.rels[wp.src], u.cols[wp.start.lo:wp.start.hi]
+	n, width := start.NumRows(), len(cols)
+	rows := slices.Grow(s.a[:0], n*width)[:n*width]
+	for k, c := range cols {
+		for r, id := range start.Cols[c] {
+			rows[r*width+k] = id
 		}
-		rows[r] = row
 	}
 
 	for si := wp.stepLo; si < wp.stepHi; si++ {
-		st := &steps[si]
+		st := &u.steps[si]
 		if st.filter {
-			kept := rows[:0]
-			for _, row := range rows {
+			kept := 0
+			for r := 0; r < n; r++ {
+				row := rows[r*width : (r+1)*width]
 				if cellJoinID(row, st.left) == cellJoinID(row, st.right) {
-					kept = append(kept, row)
+					copy(rows[kept*width:], row)
+					kept++
 				}
 			}
-			rows = kept
+			n, rows = kept, rows[:kept*width]
 			continue
 		}
 
-		idx := st.index
+		rel := ex.rels[st.src]
+		idx := &ex.indexes[st.src][st.key]
 		idx.once.Do(idx.build)
-		accW, mergedW := width, st.width
+		appended, shared := u.cols[st.appended.lo:st.appended.hi], u.shared[st.shared.lo:st.shared.hi]
+		mergedW := width + len(appended)
 		tupleCost := int64(lifecycle.TupleCost + lifecycle.CellCost*mergedW)
-		out := make([][]ValueID, 0, len(rows))
-		var arena []ValueID
-		chunk := min(max(len(rows), 1), lifecycle.CheckEvery)
-		produced := 0
-		for _, row := range rows {
-			for r := idx.head[cellJoinID(row, st.left)]; r != 0; r = idx.next[r-1] {
-				ir := r - 1
-				if len(arena) < mergedW {
-					arena = make([]ValueID, chunk*mergedW)
-					chunk = min(2*chunk, lifecycle.CheckEvery)
+		out := s.b[:0]
+		joined, produced := 0, 0
+		for r := 0; r < n; r++ {
+			row := rows[r*width : (r+1)*width]
+			for ir := idx.head[cellJoinID(row, st.left)]; ir != 0; ir = idx.next[ir-1] {
+				out = append(out, row...)
+				for _, c := range appended {
+					out = append(out, rel.Cols[c][ir-1])
 				}
-				nr := arena[:mergedW:mergedW]
-				arena = arena[mergedW:]
-				copy(nr, row)
-				for j, col := range st.appended {
-					nr[accW+j] = col[ir]
-				}
-				for _, sc := range st.shared {
-					if nr[sc.pos] == MissingValueID {
-						nr[sc.pos] = sc.col[ir]
+				if len(shared) > 0 {
+					nr := out[len(out)-mergedW:]
+					for _, sc := range shared {
+						if nr[sc.pos] == MissingValueID {
+							nr[sc.pos] = rel.Cols[sc.col][ir-1]
+						}
 					}
 				}
-				out = append(out, nr)
+				joined++
 				if produced++; produced >= lifecycle.CheckEvery {
-					if err := track.AddRows(int64(produced)); err != nil {
-						return nil, err
-					}
-					if err := track.AddBytes(int64(produced) * tupleCost); err != nil {
-						return nil, err
+					if err := chargeJoin(track, produced, tupleCost); err != nil {
+						return walkRows{}, err
 					}
 					produced = 0
 					if err := lifecycle.Check(ctx, track); err != nil {
-						return nil, err
+						return walkRows{}, err
 					}
 				}
 			}
 		}
 		if produced > 0 {
-			if err := track.AddRows(int64(produced)); err != nil {
-				return nil, err
-			}
-			if err := track.AddBytes(int64(produced) * tupleCost); err != nil {
-				return nil, err
+			if err := chargeJoin(track, produced, tupleCost); err != nil {
+				return walkRows{}, err
 			}
 		}
-		rows, width = out, mergedW
+		s.a, s.b = out, rows
+		rows, n, width = out, joined, mergedW
 	}
-	return rows, nil
+	s.a = rows
+
+	src := u.srcCols(i)
+	fw := len(src)
+	res := walkRows{cells: make([]ValueID, n*fw), n: n}
+	for r := 0; r < n; r++ {
+		row, to := rows[r*width:(r+1)*width], res.cells[r*fw:(r+1)*fw]
+		for fc, sc := range src {
+			if sc >= 0 {
+				to[fc] = row[sc]
+			}
+		}
+	}
+	return res, nil
+}
+
+// chargeJoin charges rows produced by a join step, tupleCost each.
+func chargeJoin(t *lifecycle.Tracker, rows int, tupleCost int64) error {
+	if err := t.AddRows(int64(rows)); err != nil {
+		return err
+	}
+	return t.AddBytes(int64(rows) * tupleCost)
 }
 
 // cellJoinID reads a row cell under join semantics: a column absent from the

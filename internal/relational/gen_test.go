@@ -423,6 +423,43 @@ func (f fullOutputResolver) Fetch(ctx context.Context, w string, _ Pushdown, d *
 	return f.rels.Fetch(ctx, w, Pushdown{}, d)
 }
 
+// ExecOptions is the configuration of a one-shot ExecuteUnion: the result's
+// name, output columns and limit, as NewUnion and Execute take them.
+type ExecOptions struct {
+	Name   string
+	Limit  int
+	Output []OutputColumn
+}
+
+// ExecuteUnion executes the union of walks once, through a fresh Union.
+func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver WrapperResolver, opts ExecOptions) (*IDRelation, error) {
+	return e.Execute(ctx, NewUnion(walks, opts.Name, opts.Output), resolver, opts.Limit)
+}
+
+// Execute evaluates the union through DefaultEngine: each walk's result is
+// restricted to the requested attributes it carries, and the results are
+// unioned and deduplicated. ExecuteReference is the serial executor it is
+// checked against.
+func (u *UnionOfConjunctiveQueries) Execute(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
+	if u.IsEmpty() {
+		return NewRelation("∅", Schema{}), nil
+	}
+	return decoded(DefaultEngine.ExecuteUnion(ctx, u.Walks, resolver, u.execOptions()))
+}
+
+// execOptions is Execute's configuration: one output column per requested
+// attribute.
+func (u *UnionOfConjunctiveQueries) execOptions() ExecOptions {
+	opts := ExecOptions{Name: "answer"}
+	for _, a := range u.RequestedAttributes {
+		opts.Output = append(opts.Output, OutputColumn{
+			Name: a,
+			Attr: func(string) (string, bool) { return a, true },
+		})
+	}
+	return opts
+}
+
 // decoded decodes an ExecuteUnion result, passing its error through.
 func decoded(answer *IDRelation, err error) (*Relation, error) {
 	if err != nil {

@@ -15,28 +15,36 @@ import (
 // This file is the union-level compile. The walks of one union are, by
 // construction of Algorithm 5, combinations over the same few wrappers, so
 // everything that depends on the wrapper and not on the walk is resolved
-// once per union and shared: the fetched relation, the restricted projection
-// per distinct (wrapper, projection), the pushed-down attribute set, the
-// attribute feeding each declared output column, and one hash index per
-// (wrapper, join column). A compiled walk is then nothing but integers —
-// slots into those shared inputs and column positions — and executing it
-// does no per-walk name, schema or map work. All of it lives in a
-// unionPlan that dies with the call; nothing is cached across executions.
+// once per union and shared: the restricted projection per distinct
+// (wrapper, projection), the pushed-down attribute set, the attribute
+// feeding each declared output column, and one hash index per (wrapper,
+// join column). A compiled walk is then nothing but integers — slots into
+// those shared inputs and column positions — and executing it does no
+// per-walk name, schema or map work.
+//
+// The compile has two halves. The program (unionPlan) is what follows from
+// the walks, the output columns and the fetched schemas and row counts; it is
+// immutable once built, so a Union keeps it across executions. An execution
+// is what follows from the rows — the dictionary, the fetched relations and
+// their hash indexes — and dies with the call.
 
-// source is what one union execution knows about one wrapper.
+// source is what a union knows about one wrapper.
 type source struct {
 	name string
+	id   int32 // index of the wrapper's fetched relation in an execution
 	// attrs is the projection pushed to the wrapper: the sorted union of
 	// every walk projection naming it. IDs are not listed — the Pushdown
 	// contract obliges the source to retain them.
 	attrs []string
-	// rel is the fetched, ingested output; nil until the first walk naming
-	// the wrapper is compiled, so fetches happen in first-occurrence order.
-	rel *ColRelation
+	// The fetched relation's name, schema and row count the program was
+	// compiled against; known is false until the compile first sees it. An
+	// execution whose fetch differs in any of them compiles afresh.
+	known   bool
+	relName string
+	schema  Schema
+	rows    int
 	// inputs holds one entry per distinct projection the walks apply.
 	inputs []*planInput
-	// indexes holds one lazily built hash index per column of rel.
-	indexes []joinIndex
 	// outAttr is, per declared output column, the interned name of the
 	// wrapper attribute feeding it, or -1.
 	outAttr []int32
@@ -72,10 +80,9 @@ func (x *joinIndex) build() {
 type planInput struct {
 	src        *source
 	projection []string
-	proj       Schema      // restricted projection of src.rel.Schema
-	cols       []int       // src.rel column per proj attribute
-	vecs       [][]ValueID // src.rel.Cols[cols[k]]
-	names      []int32     // interned name per proj attribute
+	proj       Schema  // restricted projection of src.schema
+	cols       []int32 // fetched column per proj attribute
+	names      []int32 // interned name per proj attribute
 }
 
 // col returns the position in proj of the first attribute with the given
@@ -93,33 +100,35 @@ type attrRef struct {
 func (r attrRef) attr() Attribute { return r.in.proj.Attributes[r.k] }
 func (r attrRef) name() int32     { return r.in.names[r.k] }
 
-// walkPlan is a compiled walk: a start input, a range of physical steps and
-// a range of output columns, all addressing the union's shared arrays.
+// walkPlan is a compiled walk: a start input (a source and its fetched
+// columns), and ranges of the union's physical steps and output columns.
 type walkPlan struct {
-	start          *planInput
-	stepLo, stepHi int
-	outLo, outHi   int
+	src, stepLo, stepHi, outLo, outHi int32
+	start                             span
 }
 
-// sharedCol is a column of a joined input whose name is already accumulated:
-// the accumulated cell at pos wins unless it is missing (Tuple.Merge).
-type sharedCol struct {
-	pos int32
-	col []ValueID
-}
+// span addresses a range of one of the program's pools.
+type span struct{ lo, hi int32 }
+
+// occurrence is one wrapper occurrence of a walk: the source and how many
+// columns its projection keeps, which is what the budget is charged for.
+type occurrence struct{ src, cols int32 }
+
+// sharedCol is a fetched column of a joined input whose name is already
+// accumulated: the cell at pos wins unless it is missing (Tuple.Merge).
+type sharedCol struct{ pos, col int32 }
 
 // planStep is one physical step of a compiled walk, with every column
 // resolved to a position: either a hash join bringing one input into the
-// accumulated row on row[left] = index key, or a filter row[left] =
-// row[right]. A position of -1 is an attribute absent from the accumulated
-// row, which compares as nil.
+// accumulated row on row[left] = the index key of fetched column key of
+// source src, or a filter row[left] = row[right]. A position of -1 is an
+// attribute absent from the accumulated row, which compares as nil.
 type planStep struct {
 	filter      bool
 	left, right int32
-	index       *joinIndex
-	appended    [][]ValueID // input columns appended after the accumulated ones
-	shared      []sharedCol
-	width       int // accumulated width after the join
+	src, key    int32
+	appended    span // in cols: fetched columns appended after the accumulated ones
+	shared      span // in shared
 }
 
 // outCol is one column of a walk's post-projected result: its interned
@@ -145,22 +154,16 @@ type walkJoin struct {
 	la, ra int32
 }
 
-// unionPlan compiles the walks of one union execution against the shared
-// per-wrapper facts. Walks are compiled sequentially and in order, so
-// validation, fetch and budget errors surface for the same walk, with the
-// same message, as in the reference executor.
+// unionPlan is the program of a union: its walks compiled against the shared
+// per-wrapper facts.
 type unionPlan struct {
-	resolver WrapperResolver
-	dict     *ValueDict
-	sources  map[string]*source
-	names    map[string]int32 // attribute-name interning
-	output   []OutputColumn
-	outName  []int32 // interned name per declared output column
-
-	walks []walkPlan
-	steps []planStep
-	outs  []outCol
-	name  string // the result's: given, or the first walk's (a⋈b)
+	sources []*source // by id
+	walks   []walkPlan
+	occ     []occurrence // walk-major
+	steps   []planStep
+	cols    []int32 // pool of fetched columns
+	shared  []sharedCol
+	name    string // the result's: given, or the first walk's (a⋈b)
 
 	// The union schema: the left-to-right fold of the per-walk output
 	// schemas, exactly as the reference's pairwise Relation.Union does. Only
@@ -168,10 +171,21 @@ type unionPlan struct {
 	// kept incrementally over interned names.
 	final      Schema
 	finalNames []int32
-	finalPos   []int32 // name -> first final column, -1
 	src        []int32 // walk-major: physical position per final column, -1
+}
 
-	fetchTime time.Duration
+// compiler builds a program, holding what only the compile needs. Walks are
+// compiled sequentially and in order, so validation, fetch and budget errors
+// surface for the same walk, with the same message, as in the reference
+// executor.
+type compiler struct {
+	*unionPlan
+	byName   map[string]*source
+	names    map[string]int32 // attribute-name interning
+	output   []OutputColumn
+	outName  []int32 // interned name per declared output column
+	outs     []outCol
+	finalPos []int32 // name -> first final column, -1
 
 	// Per-walk scratch, reused across walks.
 	local     []*planInput // the walk's inputs, one per distinct wrapper
@@ -187,27 +201,26 @@ type unionPlan struct {
 	pos       []int32   // name -> position in acc, -1
 }
 
-// newUnionPlan plans the union of walks; an empty name names it after its
+// newCompiler plans the union of walks; an empty name names it after its
 // first walk.
-func newUnionPlan(walks []*Walk, resolver WrapperResolver, output []OutputColumn, name string) *unionPlan {
-	u := &unionPlan{
-		resolver: resolver,
-		dict:     NewValueDict(),
-		sources:  map[string]*source{},
-		names:    map[string]int32{},
-		output:   output,
-		name:     name,
-		walks:    make([]walkPlan, 0, len(walks)),
+func newCompiler(walks []*Walk, output []OutputColumn, name string) *compiler {
+	u := &compiler{
+		unionPlan: &unionPlan{name: name, walks: make([]walkPlan, 0, len(walks))},
+		byName:    map[string]*source{},
+		names:     map[string]int32{},
+		output:    output,
 	}
-	joins := 0
+	joins, occ := 0, 0
 	for _, w := range walks {
 		joins += len(w.Joins)
+		occ += len(w.Wrappers)
 		for i := range w.Wrappers {
 			ref := &w.Wrappers[i]
-			src := u.sources[ref.Wrapper]
+			src := u.byName[ref.Wrapper]
 			if src == nil {
-				src = &source{name: ref.Wrapper}
-				u.sources[ref.Wrapper] = src
+				src = &source{name: ref.Wrapper, id: int32(len(u.sources))}
+				u.byName[ref.Wrapper] = src
+				u.sources = append(u.sources, src)
 			}
 			for _, a := range ref.Projection {
 				if !slices.Contains(src.attrs, a) {
@@ -220,6 +233,7 @@ func newUnionPlan(walks []*Walk, resolver WrapperResolver, output []OutputColumn
 		slices.Sort(src.attrs)
 	}
 	u.steps = make([]planStep, 0, joins)
+	u.occ = make([]occurrence, 0, occ)
 	u.outName = make([]int32, len(output))
 	for i, c := range output {
 		u.outName[i] = u.intern(c.Name)
@@ -227,7 +241,7 @@ func newUnionPlan(walks []*Walk, resolver WrapperResolver, output []OutputColumn
 	return u
 }
 
-func (u *unionPlan) intern(name string) int32 {
+func (u *compiler) intern(name string) int32 {
 	if id, ok := u.names[name]; ok {
 		return id
 	}
@@ -240,7 +254,7 @@ func (u *unionPlan) intern(name string) int32 {
 
 // lookup returns the interned id of a name, or -1 when no schema or output
 // column of this union carries it.
-func (u *unionPlan) lookup(name string) int32 {
+func (u *compiler) lookup(name string) int32 {
 	if id, ok := u.names[name]; ok {
 		return id
 	}
@@ -248,61 +262,26 @@ func (u *unionPlan) lookup(name string) int32 {
 }
 
 // at returns the accumulated position of a name, or -1.
-func (u *unionPlan) at(name int32) int32 {
+func (u *compiler) at(name int32) int32 {
 	if name < 0 {
 		return -1
 	}
 	return u.pos[name]
 }
 
-// fetch fetches one wrapper into the union's dictionary, and resolves what
-// the union needs from it per declared output column.
-func (u *unionPlan) fetch(ctx context.Context, src *source) error {
-	_, fspan := obs.StartSpan(ctx, "wrapper.fetch")
-	fspan.SetAttr("wrapper", src.name)
-	fstart := time.Now()
-	defer func() {
-		d := time.Since(fstart)
-		u.fetchTime += d
-		wrapperFetchSeconds.Observe(d)
-		fspan.End()
-	}()
-	var err error
-	if src.rel, err = u.resolver.Fetch(ctx, src.name, Pushdown{Attrs: src.attrs}, u.dict); err != nil {
-		return fmt.Errorf("relational: fetching wrapper %s: %w", src.name, err)
-	}
-	src.indexes = make([]joinIndex, len(src.rel.Cols))
-	for i := range src.indexes {
-		src.indexes[i].col = src.rel.Cols[i]
-	}
-	src.outAttr = make([]int32, len(u.output))
-	for i, c := range u.output {
-		src.outAttr[i] = -1
-		if a, ok := c.Attr(src.name); ok {
-			src.outAttr[i] = u.intern(a)
-		}
-	}
-	wrapperFetchesTotal.Inc()
-	wrapperRowsTotal.Add(int64(src.rel.NumRows()))
-	fspan.SetAttrInt("rows", int64(src.rel.NumRows()))
-	return nil
-}
-
 // input returns the shared input for a wrapper under a projection, resolving
 // the restricted projection on first sight.
-func (u *unionPlan) input(src *source, projection []string) *planInput {
+func (u *compiler) input(src *source, projection []string) *planInput {
 	for _, in := range src.inputs {
 		if slices.Equal(in.projection, projection) {
 			return in
 		}
 	}
 	in := &planInput{src: src, projection: projection}
-	in.proj, in.cols = projectColumns(src.rel.Schema, projection)
-	in.vecs = make([][]ValueID, len(in.cols))
+	in.proj, in.cols = projectColumns(src.schema, projection)
 	in.names = make([]int32, len(in.cols))
-	for k, c := range in.cols {
-		in.vecs[k] = src.rel.Cols[c]
-		in.names[k] = u.intern(in.proj.Attributes[k].Name)
+	for k, a := range in.proj.Attributes {
+		in.names[k] = u.intern(a.Name)
 	}
 	src.inputs = append(src.inputs, in)
 	return in
@@ -310,20 +289,20 @@ func (u *unionPlan) input(src *source, projection []string) *planInput {
 
 // projectColumns applies the restricted projection Π̃ to a fetched schema:
 // the named attributes plus every ID attribute, in fetched-schema order.
-func projectColumns(s Schema, projection []string) (Schema, []int) {
+func projectColumns(s Schema, projection []string) (Schema, []int32) {
 	var proj Schema
-	var cols []int
+	var cols []int32
 	for i, a := range s.Attributes {
 		if a.ID || slices.Contains(projection, a.Name) {
 			proj.Attributes = append(proj.Attributes, a)
-			cols = append(cols, i)
+			cols = append(cols, int32(i))
 		}
 	}
 	return proj, cols
 }
 
 // find returns the walk-local input of a wrapper, or -1.
-func (u *unionPlan) find(wrapper string) int32 {
+func (u *compiler) find(wrapper string) int32 {
 	for i, in := range u.local {
 		if in.src.name == wrapper {
 			return int32(i)
@@ -332,14 +311,14 @@ func (u *unionPlan) find(wrapper string) int32 {
 	return -1
 }
 
-// compileWalk validates one walk, fetches and ingests the wrappers not seen
-// yet, charges the budget per wrapper occurrence with the reference cost
-// model, and appends the walk's plan. It surfaces exactly the errors the
-// reference executor raises, in the reference order: Validate first, then
-// fetch and budget errors per wrapper, then (for multi-wrapper walks) the
-// restricted-join ID checks in consumption order, the disconnected-joins
+// compileWalk validates one walk, has ex fetch the wrappers it has not
+// fetched yet, charges the budget per wrapper occurrence with the reference
+// cost model, and appends the walk's plan. It surfaces exactly the errors
+// the reference executor raises, in the reference order: Validate first,
+// then fetch and budget errors per wrapper, then (for multi-wrapper walks)
+// the restricted-join ID checks in consumption order, the disconnected-joins
 // error, and the unconnected-wrapper error.
-func (u *unionPlan) compileWalk(ctx context.Context, track *lifecycle.Tracker, w *Walk) error {
+func (u *compiler) compileWalk(ctx context.Context, track *lifecycle.Tracker, ex *execution, w *Walk) error {
 	if err := w.Validate(); err != nil {
 		return err
 	}
@@ -351,15 +330,32 @@ func (u *unionPlan) compileWalk(ctx context.Context, track *lifecycle.Tracker, w
 		if err := lifecycle.Check(ctx, track); err != nil {
 			return err
 		}
-		src := u.sources[ref.Wrapper]
-		if src.rel == nil {
-			if err := u.fetch(ctx, src); err != nil {
+		src := u.byName[ref.Wrapper]
+		rel := ex.rels[src.id]
+		if rel == nil {
+			var err error
+			if rel, err = ex.fetch(ctx, src); err != nil {
 				return err
 			}
 		}
+		if !src.known {
+			// What the union needs from the wrapper per declared output
+			// column, resolved once.
+			src.known, src.relName, src.schema, src.rows = true, rel.Name, rel.Schema, rel.NumRows()
+			src.outAttr = make([]int32, len(u.output))
+			for i, c := range u.output {
+				src.outAttr[i] = -1
+				if a, ok := c.Attr(src.name); ok {
+					src.outAttr[i] = u.intern(a)
+				}
+			}
+		}
 		in := u.input(src, ref.Projection)
-		if err := chargeIngest(track, src.rel.NumRows(), len(in.cols)); err != nil {
-			return err
+		u.occ = append(u.occ, occurrence{src.id, int32(len(in.cols))})
+		if len(u.occ) > ex.charged {
+			if err := chargeIngest(track, src.rows, len(in.cols)); err != nil {
+				return err
+			}
 		}
 		if k := u.find(ref.Wrapper); k >= 0 {
 			u.local[k] = in
@@ -371,7 +367,8 @@ func (u *unionPlan) compileWalk(ctx context.Context, track *lifecycle.Tracker, w
 	// The accumulated schema first in reference order — it fixes the errors,
 	// the result name and the order of a pass-through output — then again in
 	// the planner's order, which fixes the physical positions.
-	wp := walkPlan{start: u.local[0], stepLo: len(u.steps), outLo: len(u.outs)}
+	start := u.local[0]
+	wp := walkPlan{stepLo: int32(len(u.steps)), outLo: int32(len(u.outs))}
 	u.resetAcc()
 	multi, shared := len(w.Wrappers) > 1, false
 	if multi {
@@ -389,12 +386,12 @@ func (u *unionPlan) compileWalk(ctx context.Context, track *lifecycle.Tracker, w
 		u.refAcc = append(u.refAcc[:0], u.acc...)
 	}
 	if multi {
-		start, steps := u.planPhysical(shared)
-		wp.start = u.local[start]
+		first, steps := u.planPhysical(shared)
+		start = u.local[first]
 		u.resetAcc()
-		u.emit(start, steps)
+		u.emit(first, steps)
 	}
-	wp.stepHi = len(u.steps)
+	wp.src, wp.start, wp.stepHi = start.src.id, u.pool(start.cols), int32(len(u.steps))
 	if len(u.walks) == 0 && u.name == "" {
 		u.name = u.renderName()
 	}
@@ -425,23 +422,13 @@ func (u *unionPlan) compileWalk(ctx context.Context, track *lifecycle.Tracker, w
 			}
 		}
 	}
-	wp.outHi = len(u.outs)
+	wp.outHi = int32(len(u.outs))
 	u.walks = append(u.walks, wp)
 	return nil
 }
 
-// chargeIngest charges one projected wrapper relation with the cost model of
-// chargeRelation.
-func chargeIngest(t *lifecycle.Tracker, rows, cols int) error {
-	n := int64(rows)
-	if err := t.AddRows(n); err != nil {
-		return err
-	}
-	return t.AddBytes(n * int64(lifecycle.TupleCost+lifecycle.CellCost*cols))
-}
-
 // resetAcc empties the accumulated schema.
-func (u *unionPlan) resetAcc() {
+func (u *compiler) resetAcc() {
 	for _, r := range u.acc {
 		u.pos[r.name()] = -1
 	}
@@ -453,7 +440,7 @@ func (u *unionPlan) resetAcc() {
 // and reports whether there were any. A name repeated within in keeps both
 // columns — the accumulated schema is the physical row layout — and resolves
 // to the first.
-func (u *unionPlan) merge(in *planInput) (shared bool) {
+func (u *compiler) merge(in *planInput) (shared bool) {
 	for k, name := range in.names {
 		p := u.pos[name]
 		if p >= 0 && u.acc[p].in != in {
@@ -472,7 +459,7 @@ func (u *unionPlan) merge(in *planInput) (shared bool) {
 // on schemas alone, fixing the merged schema order (u.acc), the consumption
 // order (u.refSteps, u.refOrder) and the structural errors byte-for-byte. It
 // reports whether an attribute name appears in two distinct inputs.
-func (u *unionPlan) simulateReference(w *Walk) (shared bool, err error) {
+func (u *compiler) simulateReference(w *Walk) (shared bool, err error) {
 	u.joins, u.remaining = u.joins[:0], u.remaining[:0]
 	for i, j := range w.Joins {
 		u.joins = append(u.joins, walkJoin{
@@ -510,7 +497,7 @@ func (u *unionPlan) simulateReference(w *Walk) (shared bool, err error) {
 					return false, fmt.Errorf("relational: %q is not an ID attribute of %s%s", accAttr, u.renderName(), u.accSchema())
 				}
 				if !next.proj.IsID(nextAttr) {
-					return false, fmt.Errorf("relational: %q is not an ID attribute of %s%s", nextAttr, next.src.rel.Name, next.proj)
+					return false, fmt.Errorf("relational: %q is not an ID attribute of %s%s", nextAttr, next.src.relName, next.proj)
 				}
 				shared = u.merge(next) || shared
 				u.joined[st.input] = true
@@ -541,16 +528,16 @@ func (u *unionPlan) simulateReference(w *Walk) (shared bool, err error) {
 // joined so far, e.g. ((w1⋈w2)⋈w3). It is observable only as the name of an
 // unnamed union's first walk and inside error text, so it is not built per
 // walk.
-func (u *unionPlan) renderName() string {
-	name := u.local[u.refOrder[0]].src.rel.Name
+func (u *compiler) renderName() string {
+	name := u.local[u.refOrder[0]].src.relName
 	for _, li := range u.refOrder[1:] {
-		name = "(" + name + "⋈" + u.local[li].src.rel.Name + ")"
+		name = "(" + name + "⋈" + u.local[li].src.relName + ")"
 	}
 	return name
 }
 
 // accSchema materializes the accumulated schema, for error text.
-func (u *unionPlan) accSchema() Schema {
+func (u *compiler) accSchema() Schema {
 	var s Schema
 	for _, r := range u.acc {
 		s.Attributes = append(s.Attributes, r.attr())
@@ -566,12 +553,12 @@ func (u *unionPlan) accSchema() Schema {
 // applying filter conditions as soon as both sides are accumulated. When
 // attribute names ARE shared, the merge's left-wins semantics make cell
 // values order-dependent, so the plan replays the reference order exactly.
-func (u *unionPlan) planPhysical(shared bool) (int32, []stepRef) {
+func (u *compiler) planPhysical(shared bool) (int32, []stepRef) {
 	replay := func() (int32, []stepRef) { return u.refOrder[0], u.refSteps }
 	if shared {
 		return replay()
 	}
-	rows := func(li int32) int { return u.local[li].src.rel.NumRows() }
+	rows := func(li int32) int { return u.local[li].src.rows }
 	start := int32(0)
 	for i := range u.local {
 		if rows(int32(i)) < rows(start) {
@@ -629,7 +616,7 @@ func (u *unionPlan) planPhysical(shared bool) (int32, []stepRef) {
 
 // emit resolves a step sequence to positions against the accumulated schema
 // as it grows along the sequence, appending the physical steps.
-func (u *unionPlan) emit(start int32, steps []stepRef) {
+func (u *compiler) emit(start int32, steps []stepRef) {
 	u.merge(u.local[start])
 	for _, st := range steps {
 		if st.filter {
@@ -637,29 +624,38 @@ func (u *unionPlan) emit(start int32, steps []stepRef) {
 			continue
 		}
 		in := u.local[st.input]
-		ps := planStep{left: u.at(st.left), index: &in.src.indexes[in.cols[in.col(st.right)]]}
+		ps := planStep{left: u.at(st.left), src: in.src.id, key: in.cols[in.col(st.right)]}
 		accW := len(u.acc)
 		if !u.merge(in) {
-			ps.appended = in.vecs
+			ps.appended = u.pool(in.cols)
 		} else {
 			// Some columns found their name accumulated: the rest were
 			// appended, those merge into the accumulated cell.
+			ps.appended.lo = int32(len(u.cols))
 			for _, r := range u.acc[accW:] {
-				ps.appended = append(ps.appended, in.vecs[r.k])
+				u.cols = append(u.cols, in.cols[r.k])
 			}
+			ps.shared.lo = int32(len(u.shared))
 			for k, name := range in.names {
 				if p := u.pos[name]; int(p) < accW {
-					ps.shared = append(ps.shared, sharedCol{p, in.vecs[k]})
+					u.shared = append(u.shared, sharedCol{p, in.cols[k]})
 				}
 			}
+			ps.appended.hi, ps.shared.hi = int32(len(u.cols)), int32(len(u.shared))
 		}
-		ps.width = len(u.acc)
 		u.steps = append(u.steps, ps)
 	}
 }
 
+// pool appends fetched columns to the program's pool.
+func (u *compiler) pool(cols []int32) span {
+	lo := int32(len(u.cols))
+	u.cols = append(u.cols, cols...)
+	return span{lo, int32(len(u.cols))}
+}
+
 // sortLocal orders the walk's inputs by wrapper name into u.order.
-func (u *unionPlan) sortLocal() {
+func (u *compiler) sortLocal() {
 	u.order = u.order[:0]
 	for i := range u.local {
 		u.order = append(u.order, int32(i))
@@ -672,7 +668,7 @@ func (u *unionPlan) sortLocal() {
 // addOut records one output column of the walk being compiled and folds it
 // into the union schema: the first walk's columns are taken verbatim, later
 // walks append the names not present yet (Schema.Merge).
-func (u *unionPlan) addOut(name int32, a Attribute, phys int32) {
+func (u *compiler) addOut(name int32, a Attribute, phys int32) {
 	u.outs = append(u.outs, outCol{name, phys})
 	if len(u.walks) > 0 && u.finalPos[name] >= 0 {
 		return
@@ -685,8 +681,13 @@ func (u *unionPlan) addOut(name int32, a Attribute, phys int32) {
 }
 
 // finish resolves, per walk, the physical position feeding each column of
-// the union schema (the walk's first output column of that name).
-func (u *unionPlan) finish() {
+// the union schema (the walk's first output column of that name), and lets
+// go of what only the compile reads.
+func (u *compiler) finish() {
+	for _, src := range u.sources {
+		src.inputs, src.outAttr = nil, nil
+	}
+	u.cols = slices.Clone(u.cols)
 	w := len(u.finalNames)
 	u.src = make([]int32, len(u.walks)*w)
 	for i, wp := range u.walks {
@@ -709,16 +710,100 @@ func (u *unionPlan) srcCols(i int) []int32 {
 	return u.src[i*w : (i+1)*w]
 }
 
-// sharing reports how many wrappers the union fetched and how many hash
+// execution is one run of a program; rels and indexes are by source id.
+type execution struct {
+	resolver  WrapperResolver
+	dict      *ValueDict
+	rels      []*ColRelation
+	indexes   [][]joinIndex // per fetched column
+	fetchTime time.Duration
+	// charged counts the wrapper occurrences a failed bind charged, which
+	// the compile that follows it does not charge again.
+	charged int
+}
+
+func newExecution(resolver WrapperResolver, sources int) *execution {
+	return &execution{
+		resolver: resolver,
+		dict:     NewValueDict(),
+		rels:     make([]*ColRelation, sources),
+		indexes:  make([][]joinIndex, sources),
+	}
+}
+
+// fetch fetches one wrapper into the execution's dictionary.
+func (ex *execution) fetch(ctx context.Context, src *source) (*ColRelation, error) {
+	_, fspan := obs.StartSpan(ctx, "wrapper.fetch")
+	fspan.SetAttr("wrapper", src.name)
+	fstart := time.Now()
+	defer func() {
+		d := time.Since(fstart)
+		ex.fetchTime += d
+		wrapperFetchSeconds.Observe(d)
+		fspan.End()
+	}()
+	rel, err := ex.resolver.Fetch(ctx, src.name, Pushdown{Attrs: src.attrs}, ex.dict)
+	if err != nil {
+		return nil, fmt.Errorf("relational: fetching wrapper %s: %w", src.name, err)
+	}
+	ex.rels[src.id] = rel
+	indexes := make([]joinIndex, len(rel.Cols))
+	for i := range indexes {
+		indexes[i].col = rel.Cols[i]
+	}
+	ex.indexes[src.id] = indexes
+	wrapperFetchesTotal.Inc()
+	wrapperRowsTotal.Add(int64(rel.NumRows()))
+	fspan.SetAttrInt("rows", int64(rel.NumRows()))
+	return rel, nil
+}
+
+// chargeIngest charges one projected wrapper relation with the cost model of
+// chargeRelation.
+func chargeIngest(t *lifecycle.Tracker, rows, cols int) error {
+	n := int64(rows)
+	if err := t.AddRows(n); err != nil {
+		return err
+	}
+	return t.AddBytes(n * int64(lifecycle.TupleCost+lifecycle.CellCost*cols))
+}
+
+// bind fetches and charges for a kept program exactly as compiling its walks
+// would. It reports false as soon as a fetched relation is not the one the
+// program was compiled against, having charged only the occurrences before.
+func (u *unionPlan) bind(ctx context.Context, track *lifecycle.Tracker, ex *execution) (bool, error) {
+	for i, o := range u.occ {
+		if err := lifecycle.Check(ctx, track); err != nil {
+			return false, err
+		}
+		src := u.sources[o.src]
+		if ex.rels[src.id] == nil {
+			rel, err := ex.fetch(ctx, src)
+			if err != nil {
+				return false, err
+			}
+			if rel.Name != src.relName || rel.NumRows() != src.rows || !slices.Equal(rel.Schema.Attributes, src.schema.Attributes) {
+				ex.charged = i
+				return false, nil
+			}
+		}
+		if err := chargeIngest(track, src.rows, int(o.cols)); err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// sharing reports how many wrappers the execution fetched and how many hash
 // indexes it built. It reads the indexes unsynchronized: call it only once no
 // walk is executing.
-func (u *unionPlan) sharing() (wrappers, indexes int) {
-	for _, src := range u.sources {
-		if src.rel != nil {
+func (ex *execution) sharing() (wrappers, indexes int) {
+	for i, rel := range ex.rels {
+		if rel != nil {
 			wrappers++
 		}
-		for i := range src.indexes {
-			if src.indexes[i].head != nil {
+		for k := range ex.indexes[i] {
+			if ex.indexes[i][k].head != nil {
 				indexes++
 			}
 		}

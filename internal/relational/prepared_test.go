@@ -1,0 +1,249 @@
+package relational
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"bdi/internal/lifecycle"
+)
+
+// The prepared-execution suite: a Union keeps the program its first
+// execution compiles, and every later execution binds it to freshly fetched
+// wrappers instead of compiling again. Nothing observable may tell the two
+// apart: results, errors, the fetches made before an error, and the budget
+// charged must all be what a fresh compile of the same union gives.
+
+// preparedRender renders everything an answer exposes: its name, schema,
+// JSON encoding and decoded tuples.
+func preparedRender(a *IDRelation) string {
+	body, err := a.AppendJSON(nil)
+	if err != nil {
+		body = []byte("encode error: " + err.Error())
+	}
+	return fmt.Sprintf("%s %v\n%s\n%s", a.Name, a.Schema, body, a.Relation().String())
+}
+
+// recordingResolver serves rels and logs every fetch. It fails the fetch
+// numbered failAt and cancels the execution during the fetch numbered
+// cancelAt (both counted from 1; 0 disables them).
+type recordingResolver struct {
+	rels     staticResolver
+	failAt   int
+	cancelAt int
+	cancel   context.CancelFunc
+	log      []string
+}
+
+func (r *recordingResolver) Fetch(ctx context.Context, w string, p Pushdown, d *ValueDict) (*ColRelation, error) {
+	r.log = append(r.log, w)
+	switch len(r.log) {
+	case r.failAt:
+		return nil, errors.New("source unavailable")
+	case r.cancelAt:
+		r.cancel()
+	}
+	return r.rels.Fetch(ctx, w, p, d)
+}
+
+// swapWrapper returns rels with the named wrapper replaced by a variant of
+// it: a different schema (an attribute dropped, added or with its ID flag
+// flipped), a different row count, a different relation name, or the same
+// schema and row count with the rows reordered.
+func swapWrapper(rels staticResolver, name string, variant int) staticResolver {
+	old := rels[name]
+	rel := &Relation{Name: old.Name, Schema: Schema{Attributes: slices.Clone(old.Schema.Attributes)}, Tuples: slices.Clone(old.Tuples)}
+	attrs := rel.Schema.Attributes
+	if len(attrs) == 0 {
+		variant = 3
+	}
+	switch variant {
+	case 0:
+		rel.Schema.Attributes = attrs[:len(attrs)-1]
+	case 1:
+		rel.Schema.Attributes = append(attrs, Attribute{Name: "extra"})
+		for i, t := range rel.Tuples {
+			rel.Tuples[i] = t.Clone()
+			rel.Tuples[i]["extra"] = i % 2
+		}
+	case 2:
+		attrs[0].ID = !attrs[0].ID
+	case 3:
+		rel.Tuples = append(rel.Tuples, Tuple{})
+	case 4:
+		rel.Name += "'"
+	case 5:
+		slices.Reverse(rel.Tuples)
+	}
+	out := maps.Clone(rels)
+	out[name] = rel
+	return out
+}
+
+const swapVariants = 6
+
+// TestPreparedExecutionParity runs the differential generators' unions at
+// MaxParallel 1, 2 and 8 and holds a union's kept program to a fresh
+// compile: a repeat gives the cold execution's bytes; after a wrapper is
+// swapped for a variant under the same name the answer is a fresh
+// compile's; a failing fetch, a tripped budget and a cancellation give a
+// fresh compile's error after the same fetches; and concurrent executions
+// of one union, some of them over swapped wrappers, each give their fresh
+// compile's answer (run under -race in CI).
+func TestPreparedExecutionParity(t *testing.T) {
+	seeds := []int64{5, 77, 4242}
+	cases := 40
+	if testing.Short() {
+		cases = 10
+	}
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			for c := 0; c < cases; c++ {
+				data := make([]byte, 48+rng.Intn(160))
+				gen := generateCase
+				if c%2 == 1 {
+					data, gen = make([]byte, 512+rng.Intn(512)), generateSharedCase
+				}
+				rng.Read(data)
+				gc := gen(data)
+				// An unnamed union is named after its first walk's relations.
+				name := []string{"answer", ""}[c/2%2]
+				for _, par := range []int{1, 2, 8} {
+					checkPreparedParity(t, &Engine{MaxParallel: par}, gc, name)
+				}
+				if t.Failed() {
+					t.Fatalf("case %d (bytes %x) failed", c, data)
+				}
+			}
+		})
+	}
+}
+
+func checkPreparedParity(t *testing.T, e *Engine, gc *genCase, name string) {
+	t.Helper()
+	u := gc.ucq()
+	output := u.execOptions().Output
+	newUnion := func() *Union { return NewUnion(u.Walks, name, output) }
+	run := func(ctx context.Context, un *Union, resolver WrapperResolver) string {
+		a, err := e.Execute(ctx, un, resolver, 0)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return preparedRender(a)
+	}
+	// charged is run under a tracker, with what it charged when it succeeds.
+	charged := func(un *Union, resolver WrapperResolver) string {
+		tr := lifecycle.NewTracker(lifecycle.Budget{})
+		out := run(lifecycle.WithTracker(context.Background(), tr), un, resolver)
+		if p := tr.Progress(); !strings.HasPrefix(out, "error: ") {
+			out += fmt.Sprintf("\ncharged %d rows, %d bytes", p.Rows, p.Bytes)
+		}
+		return out
+	}
+	ctx := context.Background()
+	rels := staticResolver(gc.rels)
+	label := fmt.Sprintf("MaxParallel=%d", e.MaxParallel)
+	diag := func() string { return fmt.Sprintf("ucq:\n%s\nrequested: %v", u, u.RequestedAttributes) }
+	same := func(what, fresh, kept string) {
+		t.Helper()
+		if fresh != kept {
+			t.Errorf("%s: %s diverges from a fresh compile\nfresh:\n%s\nkept:\n%s\n%s", label, what, fresh, kept, diag())
+		}
+	}
+
+	// A repeat from the kept program.
+	kept := newUnion()
+	cold := run(ctx, kept, rels)
+	same("a repeat", cold, run(ctx, kept, rels))
+
+	// Fetch failures and cancellation, at every fetch of the union: the same
+	// error after the same fetches, in the same order.
+	names := slices.Sorted(maps.Keys(gc.rels))
+	for k := 1; k <= len(names); k++ {
+		for _, cancelling := range []bool{false, true} {
+			try := func(un *Union) string {
+				ctx, cancel := context.WithCancel(ctx)
+				defer cancel()
+				r := &recordingResolver{rels: rels, cancel: cancel}
+				if cancelling {
+					r.cancelAt = k
+				} else {
+					r.failAt = k
+				}
+				return fmt.Sprintf("%s\nfetches: %v", run(ctx, un, r), r.log)
+			}
+			same(fmt.Sprintf("failing fetch %d (cancelling: %v)", k, cancelling), try(newUnion()), try(kept))
+		}
+	}
+
+	// Budgets tripping during the bind and during the walks. Serial walks
+	// charge in one order, so the text — the amount used included — and the
+	// charge at the trip match exactly; parallel walks race to the trip
+	// point, so there only the tripped dimension must match.
+	tracker := lifecycle.NewTracker(lifecycle.Budget{})
+	run(lifecycle.WithTracker(ctx, tracker), newUnion(), rels)
+	total := tracker.Progress()
+	for _, budget := range []lifecycle.Budget{
+		{MaxRows: 1}, {MaxRows: total.Rows / 2}, {MaxRows: total.Rows - 1},
+		{MaxBytes: 1}, {MaxBytes: total.Bytes / 2}, {MaxBytes: total.Bytes - 1},
+	} {
+		if budget.MaxRows <= 0 && budget.MaxBytes <= 0 {
+			continue
+		}
+		try := func(un *Union) (string, string) {
+			tr := lifecycle.NewTracker(budget)
+			a, err := e.Execute(lifecycle.WithTracker(ctx, tr), un, rels, 0)
+			if be, ok := lifecycle.BudgetError(err); ok && e.MaxParallel != 1 {
+				return "budget " + be.Dimension, ""
+			}
+			p := tr.Progress()
+			charge := fmt.Sprintf("%d rows, %d bytes", p.Rows, p.Bytes)
+			if err != nil {
+				return "error: " + err.Error(), charge
+			}
+			return preparedRender(a), charge
+		}
+		freshOut, freshCharge := try(newUnion())
+		keptOut, keptCharge := try(kept)
+		same(fmt.Sprintf("budget %+v", budget), freshOut, keptOut)
+		same(fmt.Sprintf("the charge under budget %+v", budget), freshCharge, keptCharge)
+	}
+
+	// Wrappers swapped under the same name between executions: the kept
+	// program must notice and give a fresh compile's answer, and go back.
+	swaps := make([]staticResolver, swapVariants)
+	want := make([]string, swapVariants)
+	for v := range swaps {
+		swaps[v] = swapWrapper(rels, names[v%len(names)], v)
+		same(fmt.Sprintf("swap variant %d", v), charged(newUnion(), swaps[v]), charged(kept, swaps[v]))
+		same(fmt.Sprintf("the original after swap variant %d", v), charged(newUnion(), rels), charged(kept, rels))
+		want[v] = run(ctx, newUnion(), swaps[v])
+	}
+
+	// Concurrent executions of one union over alternating wrapper versions.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				resolver, expect := rels, cold
+				if v := (g + k) % (2 * swapVariants); v < swapVariants {
+					resolver, expect = swaps[v], want[v]
+				}
+				if got := run(ctx, kept, resolver); got != expect {
+					t.Errorf("%s: concurrent execution %d.%d diverges from a fresh compile\nfresh:\n%s\nkept:\n%s\n%s", label, g, k, expect, got, diag())
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

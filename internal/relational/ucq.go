@@ -110,33 +110,3 @@ func chargeRelation(t *lifecycle.Tracker, rel *Relation) error {
 func (w *Walk) Execute(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
 	return DefaultEngine.ExecuteWalk(ctx, w, resolver)
 }
-
-// Execute evaluates the union of conjunctive queries: each walk is executed
-// and its result restricted to the requested attributes available in that
-// walk; results are unioned and deduplicated. Walks execute in parallel
-// through DefaultEngine; the compile loop checks cancellation and the
-// wall-time budget between walks and the join loops check at chunk
-// granularity, so an exhausted budget or disconnected client aborts
-// mid-flight. ExecuteReference preserves the original serial executor.
-func (u *UnionOfConjunctiveQueries) Execute(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
-	if u.IsEmpty() {
-		return NewRelation("∅", Schema{}), nil
-	}
-	answer, err := DefaultEngine.ExecuteUnion(ctx, u.Walks, resolver, u.execOptions())
-	if err != nil {
-		return nil, err
-	}
-	return answer.Relation(), nil
-}
-
-// execOptions restricts every walk to the requested attributes it carries.
-func (u *UnionOfConjunctiveQueries) execOptions() ExecOptions {
-	opts := ExecOptions{Name: "answer"}
-	for _, a := range u.RequestedAttributes {
-		opts.Output = append(opts.Output, OutputColumn{
-			Name: a,
-			Attr: func(string) (string, bool) { return a, true },
-		})
-	}
-	return opts
-}

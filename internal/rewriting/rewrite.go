@@ -2,8 +2,10 @@ package rewriting
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 
 	"bdi/internal/core"
 	"bdi/internal/lifecycle"
@@ -96,7 +98,9 @@ func NewRewriter(o *core.Ontology) *Rewriter {
 	return &Rewriter{Ontology: o}
 }
 
-// Result captures the outcome of rewriting an OMQ.
+// Result captures the outcome of rewriting an OMQ. It is immutable, and it
+// keeps what serving it again would re-derive: its rendered view and, once
+// executed, its compiled union program.
 type Result struct {
 	// WellFormed is the query after Algorithm 2.
 	WellFormed *OMQ
@@ -107,6 +111,38 @@ type Result struct {
 	PartialWalks []PartialWalks
 	// UCQ is the union of covering and minimal walks over the wrappers.
 	UCQ *relational.UnionOfConjunctiveQueries
+
+	// union is UCQ projected onto one column per requested feature.
+	union    *relational.Union
+	viewOnce sync.Once
+	viewJSON []byte
+}
+
+// View is the rendered rewriting every query reply opens with: the walks in
+// the paper's notation, their sorted signatures and the traversed concepts.
+type View struct {
+	Walks      []string `json:"walks"`
+	Signatures []string `json:"signatures"`
+	Concepts   []string `json:"concepts"`
+}
+
+// ViewJSON returns the result's View as encoding/json marshals it, rendered
+// on first use and kept with the result. Callers must not modify it.
+func (r *Result) ViewJSON() []byte {
+	r.viewOnce.Do(func() {
+		v := View{Signatures: r.UCQ.Signatures()}
+		if n := len(r.UCQ.Walks); n > 0 {
+			v.Walks = make([]string, 0, n)
+		}
+		for _, walk := range r.UCQ.Walks {
+			v.Walks = append(v.Walks, walk.String())
+		}
+		for _, c := range r.Expanded.Concepts {
+			v.Concepts = append(v.Concepts, string(c))
+		}
+		r.viewJSON, _ = json.Marshal(v) // strings always marshal
+	})
+	return r.viewJSON
 }
 
 // Rewrite is RewriteContext without cancellation.
@@ -178,6 +214,8 @@ func (r *Rewriter) assemble(ctx context.Context, wf *OMQ, expanded *ExpandedQuer
 	if ucq.IsEmpty() {
 		return nil, fmt.Errorf("rewriting: no covering and minimal walk answers the query %s", wf)
 	}
+	// A result can live long in the cache; the dedup index Add kept need not.
+	ucq = &relational.UnionOfConjunctiveQueries{Walks: ucq.Walks}
 
 	// Record the requested features and their source-level attributes so the
 	// executor can project the analyst-visible columns.
@@ -189,14 +227,16 @@ func (r *Rewriter) assemble(ctx context.Context, wf *OMQ, expanded *ExpandedQuer
 	}
 	sort.Strings(ucq.RequestedAttributes)
 
-	return &Result{WellFormed: wf, Expanded: expanded, PartialWalks: partials, UCQ: ucq}, nil
+	union := relational.NewUnion(ucq.Walks, "answer", featureColumns(o, wf.Pi))
+	return &Result{WellFormed: wf, Expanded: expanded, PartialWalks: partials, UCQ: ucq, union: union}, nil
 }
 
 // ExecuteResultIDs executes every walk of the rewriting result through the
 // compiled relational engine, renames the projected attributes to their
-// feature names and unions the per-walk relations. The compile loop checks
-// cancellation between walks and each walk execution honors ctx and the
-// context's budget tracker. limit > 0 stops execution once that many
+// feature names and unions the per-walk relations. The first execution
+// compiles the result's union program and later ones reuse it. The compile
+// loop checks cancellation between walks and each walk execution honors ctx
+// and the context's budget tracker. limit > 0 stops execution once that many
 // distinct answer rows exist, cancelling the walks that can no longer
 // contribute; the retained rows are the first limit distinct rows in walk
 // order. The answer's rows are in canonical (Tuple.Key) order and still in
@@ -204,12 +244,7 @@ func (r *Rewriter) assemble(ctx context.Context, wf *OMQ, expanded *ExpandedQuer
 // JSON. ExecuteResultReference preserves the original executor for
 // differential testing.
 func (r *Rewriter) ExecuteResultIDs(ctx context.Context, res *Result, resolver relational.WrapperResolver, limit int) (*relational.IDRelation, error) {
-	opts := relational.ExecOptions{
-		Name:   "answer",
-		Limit:  limit,
-		Output: r.featureColumns(res),
-	}
-	return relational.DefaultEngine.ExecuteUnion(ctx, res.UCQ.Walks, resolver, opts)
+	return relational.DefaultEngine.Execute(ctx, res.union, resolver, limit)
 }
 
 // ExecuteResultLimit is ExecuteResultIDs decoded into tuples. The frozen
@@ -225,10 +260,9 @@ func (r *Rewriter) ExecuteResultLimit(ctx context.Context, res *Result, resolver
 // featureColumns declares the answer's columns, replicating the reference
 // per-walk logic: one column per projected feature, fed by the first wrapper
 // attribute of the walk providing it and named by the feature's local name.
-func (r *Rewriter) featureColumns(res *Result) []relational.OutputColumn {
-	o := r.Ontology
-	cols := make([]relational.OutputColumn, 0, len(res.WellFormed.Pi))
-	for _, f := range res.WellFormed.Pi {
+func featureColumns(o *core.Ontology, features []rdf.IRI) []relational.OutputColumn {
+	cols := make([]relational.OutputColumn, 0, len(features))
+	for _, f := range features {
 		cols = append(cols, relational.OutputColumn{
 			Name: f.LocalName(),
 			Attr: func(wrapper string) (string, bool) {
