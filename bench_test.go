@@ -12,6 +12,7 @@ package bdi
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"bdi/internal/core"
@@ -556,6 +557,76 @@ func BenchmarkOMQAnswer(b *testing.B) {
 			benchmarkOMQAnswer(b, rows, func(r *rewriting.Rewriter, res *rewriting.Result, resolver relational.WrapperResolver) (*relational.Relation, error) {
 				return r.ExecuteResultLimit(context.Background(), res, resolver, 0)
 			})
+		})
+	}
+}
+
+// churning serves a wrapper's rows with every number moved by a new offset on
+// each fetch, so that no fetch returns a value an earlier fetch returned.
+type churning struct {
+	wrapper.Wrapper
+	rows    []relational.Tuple
+	fetches atomic.Int64
+}
+
+func (c *churning) Rows(ctx context.Context, p relational.Pushdown, d *relational.ValueDict) (*relational.ColRelation, error) {
+	shift := int(c.fetches.Add(1)) * 10_000_000
+	out := relational.Tuple{}
+	rows := func(yield func(relational.Tuple) bool) {
+		for _, t := range c.rows {
+			for a, v := range t {
+				switch x := v.(type) {
+				case int:
+					out[a] = x + shift
+				case float64:
+					out[a] = x + float64(shift)
+				}
+			}
+			if !yield(out) {
+				return
+			}
+		}
+	}
+	return p.Apply(c.Name(), c.Schema(), rows, d), nil
+}
+
+// BenchmarkOMQAnswerChurn is BenchmarkOMQAnswer over wrappers whose values all
+// change on every fetch: the result's union never finds a value in the
+// dictionary it keeps, so this is the cold execution path.
+func BenchmarkOMQAnswerChurn(b *testing.B) {
+	for _, rows := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			wc, err := workload.BuildWorstCaseRows(3, 2, rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg := wrapper.NewRegistry()
+			for _, name := range wc.Registry.Names() {
+				w, _ := wc.Registry.Get(name)
+				d := relational.NewValueDict()
+				full, err := w.Rows(context.Background(), relational.Pushdown{}, d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				reg.Register(&churning{Wrapper: w, rows: full.Decode(d).Tuples})
+			}
+			r := rewriting.NewRewriter(wc.Ontology)
+			res, err := r.Rewrite(wc.Query)
+			if err != nil {
+				b.Fatal(err)
+			}
+			resolver := wrapper.NewQualifiedResolver(reg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				answer, err := r.ExecuteResultIDs(context.Background(), res, resolver, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := answer.AppendJSON(nil); err != nil || len(answer.Rows) != rows {
+					b.Fatalf("answer = %d rows (%v), want %d", len(answer.Rows), err, rows)
+				}
+			}
 		})
 	}
 }

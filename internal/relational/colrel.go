@@ -28,7 +28,8 @@ func IngestRelation(rel *Relation, d *ValueDict) *ColRelation {
 // holding MissingValueID are omitted from the tuple (not set to nil), so a
 // decoded relation is observably identical to one built tuple-at-a-time.
 func (c *ColRelation) Decode(d *ValueDict) *Relation {
-	vals := d.Values()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	out := NewRelation(c.Name, c.Schema)
 	names := c.Schema.Names()
 	out.Tuples = make([]Tuple, c.rows)
@@ -36,7 +37,7 @@ func (c *ColRelation) Decode(d *ValueDict) *Relation {
 		t := make(Tuple, len(names))
 		for i, n := range names {
 			if id := c.Cols[i][r]; id != MissingValueID {
-				t[n] = vals[id-1]
+				t[n] = d.value(id)
 			}
 		}
 		out.Tuples[r] = t

@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"container/list"
 	"context"
 	"encoding/binary"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"bdi/internal/lifecycle"
 	"bdi/internal/obs"
@@ -37,6 +39,10 @@ var (
 		"Latency of the union compile phase (on a kept program: binding it to the fetched wrappers), wrapper fetch and ingest excluded.")
 	walkOrderSeconds = obs.NewHistogram("bdi_walk_order_seconds",
 		"Latency of ordering a union's deduplicated rows canonically, in the ID domain.")
+	dictReusedTotal = obs.NewCounter("bdi_walk_dict_reused_values_total",
+		"Distinct values union executions found in their union's kept dictionary.")
+	dictNewTotal = obs.NewCounter("bdi_walk_dict_new_values_total",
+		"Distinct values union executions interned that their union's kept dictionary lacked.")
 )
 
 // Engine is the compiled walk executor: it compiles the union once — every
@@ -88,7 +94,7 @@ func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResol
 	defer span.End()
 	track := lifecycle.TrackerFrom(ctx)
 	c := newCompiler([]*Walk{w}, nil, "")
-	ex := newExecution(resolver, len(c.sources))
+	ex := newExecution(resolver, len(c.sources), nil)
 	if err := c.compileWalk(ctx, track, ex, w); err != nil {
 		return nil, err
 	}
@@ -109,12 +115,65 @@ func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResol
 // compiles the program (plan.go) and later ones reuse it, paying only for
 // fetches, the budget and the rows. An execution whose fetched relations
 // differ from the program's in name, schema or row count compiles afresh and
-// keeps the new program. A Union is safe for concurrent use.
+// keeps the new program. Each execution extends the value dictionary the
+// union kept, frozen, from an earlier one (ValueDict.freeze), so it interns,
+// orders and encodes only values it has not seen. A Union is safe for
+// concurrent use.
 type Union struct {
 	walks  []*Walk
 	name   string
 	output []OutputColumn
 	plan   atomic.Pointer[unionPlan]
+	dict   atomic.Pointer[ValueDict]
+	entry  *list.Element // in kept.lru, once the union executed; guarded by kept
+}
+
+// keptValuesMax bounds the values all unions' kept dictionaries hold. At ~200
+// bytes a value (map entry, value and memo slots, key and JSON) they pin at
+// most ~50 MB: a union of 2^17 values, 50 times the scaled running example's,
+// keeps them all, yet a rewriting cache's 256 results cannot each pin one.
+const keptValuesMax = 1 << 18
+
+// kept lists the executed unions, most recent first; a collected one leaves.
+var kept struct {
+	sync.Mutex
+	lru   list.List // of *keptUnion
+	total int
+}
+
+type keptUnion struct {
+	union weak.Pointer[Union]
+	size  int // values of its kept dictionary
+}
+
+// keep makes next the dictionary un keeps in place of base, marks un the
+// most recently executed union, and drops the dictionaries of the least
+// recently executed while the total exceeds keptValuesMax.
+func (un *Union) keep(base, next *ValueDict) {
+	kept.Lock()
+	defer kept.Unlock()
+	if un.entry == nil {
+		un.entry = kept.lru.PushFront(&keptUnion{union: weak.Make(un)})
+		runtime.AddCleanup(un, func(e *list.Element) {
+			kept.Lock()
+			defer kept.Unlock()
+			kept.total -= e.Value.(*keptUnion).size
+			kept.lru.Remove(e)
+		}, un.entry)
+	}
+	kept.lru.MoveToFront(un.entry)
+	if k := un.entry.Value.(*keptUnion); next != base && un.dict.CompareAndSwap(base, next) {
+		kept.total += len(next.vals) - k.size
+		k.size = len(next.vals)
+	}
+	for e := kept.lru.Back(); kept.total > keptValuesMax; e = e.Prev() {
+		k := e.Value.(*keptUnion)
+		if u := k.union.Value(); u != nil {
+			u.dict.Store(nil)
+		}
+		kept.total -= k.size
+		k.size = 0
+	}
 }
 
 // NewUnion returns the union of walks with its result named name (empty:
@@ -142,7 +201,8 @@ func (e *Engine) Execute(ctx context.Context, un *Union, resolver WrapperResolve
 		c = newCompiler(un.walks, un.output, un.name)
 		u = c.unionPlan
 	}
-	ex := newExecution(resolver, len(u.sources))
+	base := un.dict.Load()
+	ex := newExecution(resolver, len(u.sources), base)
 	// Every return path below has waited for its workers, so the deferred
 	// index count reads quiescent state.
 	defer func() {
@@ -278,9 +338,15 @@ consume:
 	walkOrderSeconds.Observe(orderTime)
 	span.SetAttrInt("rows", int64(len(outRows)))
 	span.SetAttrInt("order_us", orderTime.Microseconds())
+	d := ex.dict
+	un.keep(base, d.freeze())
+	dictReusedTotal.Add(int64(d.reused))
+	dictNewTotal.Add(int64(len(d.vals)))
+	span.SetAttrInt("dict_reused", int64(d.reused))
+	span.SetAttrInt("dict_new", int64(len(d.vals)))
 	// The schema is the program's; the answer gets its own copy.
 	schema := Schema{Attributes: slices.Clone(u.final.Attributes)}
-	return &IDRelation{Name: u.name, Schema: schema, Rows: outRows, dict: ex.dict}, nil
+	return &IDRelation{Name: u.name, Schema: schema, Rows: outRows, dict: d}, nil
 }
 
 // walkRows is a walk's result copied out of its worker's scratch: n rows in

@@ -24,13 +24,14 @@ type IDRelation struct {
 func (a *IDRelation) Relation() *Relation {
 	rel := NewRelation(a.Name, a.Schema)
 	names := a.Schema.Names()
-	vals := a.dict.Values()
+	a.dict.mu.RLock()
+	defer a.dict.mu.RUnlock()
 	rel.Tuples = make([]Tuple, len(a.Rows))
 	for r, row := range a.Rows {
 		t := make(Tuple, len(names))
 		for c, name := range names {
 			if id := row[c]; id != MissingValueID {
-				t[name] = vals[id-1]
+				t[name] = a.dict.value(id)
 			}
 		}
 		rel.Tuples[r] = t
@@ -41,9 +42,9 @@ func (a *IDRelation) Relation() *Relation {
 // AppendJSON appends the rows to dst exactly as encoding/json renders the
 // tuples Relation decodes, as a []map[string]any that is nil when there are
 // no rows: an array of objects with sorted keys and missing cells omitted,
-// or null. Each distinct value is marshaled once per dictionary and each
-// column name once per call. A value encoding/json cannot encode (a NaN, a
-// channel) fails the call with an error naming its column.
+// or null. Each distinct value is marshaled once per dictionary (and base)
+// and each column name once per call. A value encoding/json cannot encode
+// (a NaN, a channel) fails the call with an error naming its column.
 func (a *IDRelation) AppendJSON(dst []byte) ([]byte, error) {
 	if len(a.Rows) == 0 {
 		return append(dst, "null"...), nil
@@ -69,9 +70,6 @@ func (a *IDRelation) AppendJSON(dst []byte) ([]byte, error) {
 	d := a.dict
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.encoded) < len(d.vals) {
-		d.encoded = append(d.encoded, make([][]byte, len(d.vals)-len(d.encoded))...)
-	}
 	dst = append(dst, '[')
 	for _, row := range a.Rows {
 		dst = append(dst, '{')
@@ -85,14 +83,11 @@ func (a *IDRelation) AppendJSON(dst []byte) ([]byte, error) {
 			if id == MissingValueID {
 				continue
 			}
-			if d.encoded[id-1] == nil {
-				b, err := json.Marshal(d.vals[id-1])
-				if err != nil {
-					return dst, fmt.Errorf("relational: encoding column %q: %w", k.name, err)
-				}
-				d.encoded[id-1] = b
+			b, err := d.encode(id)
+			if err != nil {
+				return dst, fmt.Errorf("relational: encoding column %q: %w", k.name, err)
 			}
-			dst = append(append(append(dst, k.quote...), d.encoded[id-1]...), ',')
+			dst = append(append(append(dst, k.quote...), b...), ',')
 		}
 		if dst[len(dst)-1] == ',' {
 			dst = dst[:len(dst)-1]

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -296,7 +297,7 @@ func TestOrderingBuildsEachKeyOnce(t *testing.T) {
 	var out [][]ValueID
 	first := testing.AllocsPerRun(1, func() {
 		fresh := NewValueDict()
-		for _, v := range d.Values() {
+		for _, v := range d.vals {
 			fresh.Intern(v)
 		}
 		out = fresh.order(in)
@@ -349,7 +350,7 @@ func BenchmarkAnswerOrdering(b *testing.B) {
 	for _, rows := range []int{2000, 100000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			d, in := orderingCase(rows, rows/4)
-			vals := d.Values()
+			vals := d.vals
 			var out [][]ValueID
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -369,4 +370,9 @@ func BenchmarkAnswerOrdering(b *testing.B) {
 			}
 		})
 	}
+}
+
+// Key returns a canonical key of the tuple over the given attributes.
+func (t Tuple) Key(names []string) string {
+	return strings.Join(t.cellKeys(names), "\x1f")
 }

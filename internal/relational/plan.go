@@ -25,8 +25,8 @@ import (
 // The compile has two halves. The program (unionPlan) is what follows from
 // the walks, the output columns and the fetched schemas and row counts; it is
 // immutable once built, so a Union keeps it across executions. An execution
-// is what follows from the rows — the dictionary, the fetched relations and
-// their hash indexes — and dies with the call.
+// is what follows from the rows: the fetched relations and their hash
+// indexes die with the call, its dictionary the Union may keep (freeze).
 
 // source is what a union knows about one wrapper.
 type source struct {
@@ -722,10 +722,10 @@ type execution struct {
 	charged int
 }
 
-func newExecution(resolver WrapperResolver, sources int) *execution {
+func newExecution(resolver WrapperResolver, sources int, base *ValueDict) *execution {
 	return &execution{
 		resolver: resolver,
-		dict:     NewValueDict(),
+		dict:     base.extend(),
 		rels:     make([]*ColRelation, sources),
 		indexes:  make([][]joinIndex, sources),
 	}

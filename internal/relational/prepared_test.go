@@ -89,13 +89,14 @@ func swapWrapper(rels staticResolver, name string, variant int) staticResolver {
 const swapVariants = 6
 
 // TestPreparedExecutionParity runs the differential generators' unions at
-// MaxParallel 1, 2 and 8 and holds a union's kept program to a fresh
-// compile: a repeat gives the cold execution's bytes; after a wrapper is
+// MaxParallel 1, 2 and 8 and holds a union's kept program and dictionary to a
+// fresh union: a repeat gives the cold execution's bytes; after a wrapper is
 // swapped for a variant under the same name the answer is a fresh
 // compile's; a failing fetch, a tripped budget and a cancellation give a
-// fresh compile's error after the same fetches; and concurrent executions
-// of one union, some of them over swapped wrappers, each give their fresh
-// compile's answer (run under -race in CI).
+// fresh compile's error after the same fetches; values the kept dictionary
+// lacks, all of them or some, and a LIMIT give a fresh union's answer; and
+// concurrent executions of one union, some of them over swapped wrappers or
+// fresh values, each give their fresh union's answer (run under -race in CI).
 func TestPreparedExecutionParity(t *testing.T) {
 	seeds := []int64{5, 77, 4242}
 	cases := 40
@@ -228,7 +229,38 @@ func checkPreparedParity(t *testing.T, e *Engine, gc *genCase, name string) {
 		want[v] = run(ctx, newUnion(), swaps[v])
 	}
 
-	// Concurrent executions of one union over alternating wrapper versions.
+	// Values the kept dictionary lacks: every number and string new in a
+	// round, or only the numbers, rows in either order — so that a value the
+	// dictionary holds comes back first as another member of its equality
+	// class — and the original data after them.
+	rounds := []staticResolver{
+		freshValues(rels, 1, false, false), freshValues(rels, 1, false, true),
+		freshValues(rels, 2, true, false), freshValues(rels, 2, true, true),
+		freshValues(rels, 3, false, true),
+	}
+	for k, round := range rounds {
+		same(fmt.Sprintf("fresh values, round %d", k), charged(newUnion(), round), charged(kept, round))
+	}
+	same("the original after fresh values", charged(newUnion(), rels), charged(kept, rels))
+
+	// LIMIT over the kept dictionary.
+	for _, limit := range []int{1, 2, 5} {
+		limited := func(un *Union) string {
+			a, err := e.Execute(ctx, un, rels, limit)
+			if err != nil {
+				return "error: " + err.Error()
+			}
+			return preparedRender(a)
+		}
+		same(fmt.Sprintf("limit %d", limit), limited(newUnion()), limited(kept))
+	}
+
+	// Concurrent executions of one union over alternating wrapper versions
+	// and values.
+	alts := append(slices.Clone(swaps), rounds...)
+	for _, round := range rounds {
+		want = append(want, run(ctx, newUnion(), round))
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -236,8 +268,8 @@ func checkPreparedParity(t *testing.T, e *Engine, gc *genCase, name string) {
 			defer wg.Done()
 			for k := 0; k < 3; k++ {
 				resolver, expect := rels, cold
-				if v := (g + k) % (2 * swapVariants); v < swapVariants {
-					resolver, expect = swaps[v], want[v]
+				if v := (g*3 + k) % (len(alts) + 2); v < len(alts) {
+					resolver, expect = alts[v], want[v]
 				}
 				if got := run(ctx, kept, resolver); got != expect {
 					t.Errorf("%s: concurrent execution %d.%d diverges from a fresh compile\nfresh:\n%s\nkept:\n%s\n%s", label, g, k, expect, got, diag())
@@ -246,4 +278,38 @@ func checkPreparedParity(t *testing.T, e *Engine, gc *genCase, name string) {
 		}()
 	}
 	wg.Wait()
+}
+
+// freshValues returns rels with every number moved by k million and, unless
+// numbersOnly, every string suffixed with k, so that a value of one k is no
+// value of another; reversed reverses every relation's rows.
+func freshValues(rels staticResolver, k int, numbersOnly, reversed bool) staticResolver {
+	out := staticResolver{}
+	for name, old := range rels {
+		rel := &Relation{Name: old.Name, Schema: old.Schema, Tuples: make([]Tuple, len(old.Tuples))}
+		for i, t := range old.Tuples {
+			nt := Tuple{}
+			for a, v := range t {
+				switch x := v.(type) {
+				case int:
+					v = x + k*1e6
+				case int64:
+					v = x + int64(k)*1e6
+				case float64:
+					v = x + float64(k)*1e6
+				case string:
+					if !numbersOnly {
+						v = fmt.Sprintf("%s#%d", x, k)
+					}
+				}
+				nt[a] = v
+			}
+			rel.Tuples[i] = nt
+		}
+		if reversed {
+			slices.Reverse(rel.Tuples)
+		}
+		out[name] = rel
+	}
+	return out
 }

@@ -79,11 +79,6 @@ func appendValueKey(dst []byte, v Value) []byte {
 // cross-source comparison semantics used for equi-joins on IDs.
 func ValuesEqual(a, b Value) bool { return valueKey(a) == valueKey(b) }
 
-// Key returns a canonical key of the tuple over the given attributes.
-func (t Tuple) Key(names []string) string {
-	return strings.Join(t.cellKeys(names), "\x1f")
-}
-
 // cellKeys renders the tuple's cells over the given attributes canonically.
 func (t Tuple) cellKeys(names []string) []string {
 	cells := make([]string, len(names))

@@ -2,10 +2,12 @@ package relational
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // ValueID is a dense integer identifier for a cell value interned in a
@@ -26,8 +28,7 @@ type ValueID uint32
 // MissingValueID marks an attribute absent from a tuple.
 const MissingValueID ValueID = 0
 
-// NilValueID is the ValueID of the nil value; a fresh ValueDict always
-// assigns it first.
+// NilValueID is the ValueID of the nil value in every ValueDict.
 const NilValueID ValueID = 1
 
 // Value kinds of a vkey.
@@ -85,62 +86,192 @@ func keyOf(v Value) vkey {
 	}
 }
 
-// ValueDict is an append-only interning table mapping cell values to dense
-// ValueIDs and back, the relational analogue of rdf.Dict: every distinct
-// value (under valueKey equality) is translated to an integer exactly once
-// per query execution. Values that compare equal under the cross-source
-// semantics (12, int64(12), 12.0) intern to one ID whose representative is
-// the first value seen; all observable renderings (fmt %v, JSON) of members
-// of one equality class coincide, so decoding the representative is
-// indistinguishable from decoding the original. It is safe for concurrent
-// use.
+// ValueDict is an interning table mapping cell values to dense ValueIDs and
+// back. Values equal under the cross-source semantics (12, int64(12), 12.0)
+// intern to one ID whose representative is the first value interned: members
+// of a class share their valueKey and, but for a zero's sign, their JSON, not
+// their %v (float64(1e6) prints 1e+06, int(1000000) 1000000). It is safe for
+// concurrent use. A dictionary can extend a frozen base, whose IDs it finds
+// with no lock and no insert; of a base ID it keeps a touched bit and, if its
+// first value renders unlike the base's representative, that value (reps). A
+// frozen dictionary never changes but for its memo slots, written atomically
+// with the bytes any writer renders.
 type ValueDict struct {
-	mu   sync.RWMutex
-	ids  map[vkey]ValueID
-	vals []Value // vals[id-1] is the first value interned under the key
-	// keys[id-1] caches valueKey(vals[id-1]) in keyBuf and encoded[id-1] its
-	// JSON, each rendered the first time ordering or AppendJSON needs it. The
-	// caches die with the dictionary, i.e. with the union execution.
-	keys    [][]byte
-	keyBuf  []byte
-	encoded [][]byte
+	base *ValueDict
+	lo   ValueID // own value i has ID lo+1+i; lower IDs are nil's and the base's
+
+	mu    sync.RWMutex
+	ids   map[vkey]ValueID // own values; nil is never in it
+	vals  []Value
+	memo  []memo   // memo[i]: vals[i]'s renderings
+	arena []byte   // a chunk of the keys memo slots point to,
+	held  [][]byte // and of the slice headers they point to
+
+	touched []uint64 // bit i: the base's value i was interned
+	reused  int      // bits set in touched
+	reps    map[ValueID]Value
 }
 
-// NewValueDict returns a dictionary with nil pre-interned as NilValueID.
-func NewValueDict() *ValueDict {
-	d := &ValueDict{ids: make(map[vkey]ValueID, 64)}
-	d.vals = append(d.vals, nil)
-	d.ids[vkey{kind: vkNil}] = NilValueID
-	return d
-}
+// memo is a value's valueKey and JSON, once ordering or AppendJSON needs them.
+type memo struct{ key, json atomic.Pointer[[]byte] }
 
-// Intern returns the ValueID for v, assigning a fresh one on first sight.
-func (d *ValueDict) Intern(v Value) ValueID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.internLocked(v)
+// NewValueDict returns an empty dictionary. Every dictionary maps nil to
+// NilValueID.
+func NewValueDict() *ValueDict { return &ValueDict{lo: NilValueID, ids: map[vkey]ValueID{}} }
+
+// extend returns a dictionary extending the frozen b: an empty one when b is
+// nil or its IDs near overflow (a freeze numbers the base's after the new).
+func (b *ValueDict) extend() *ValueDict {
+	if b == nil || b.lo > 1<<30 {
+		return NewValueDict()
+	}
+	return &ValueDict{base: b, lo: b.lo + ValueID(len(b.vals)), ids: map[vkey]ValueID{},
+		touched: make([]uint64, (len(b.vals)+63)/64), reps: map[ValueID]Value{}}
 }
 
 func (d *ValueDict) internLocked(v Value) ValueID {
+	if v == nil {
+		return NilValueID
+	}
 	k := keyOf(v)
 	if id, ok := d.ids[k]; ok {
 		return id
 	}
-	d.vals = append(d.vals, v)
-	id := ValueID(len(d.vals))
+	if b := d.base; b != nil {
+		if id, ok := b.ids[k]; ok {
+			if i := id - b.lo - 1; d.touched[i/64]&(1<<(i%64)) == 0 {
+				d.touched[i/64] |= 1 << (i % 64)
+				d.reused++
+				if !sameRep(v, b.vals[i]) {
+					d.reps[id] = v
+				}
+			}
+			return id
+		}
+	}
+	d.vals, d.memo = append(d.vals, v), append(d.memo, memo{})
+	id := d.lo + ValueID(len(d.vals))
 	d.ids[k] = id
 	return id
 }
 
-// Values returns the dictionary's value table: vals[id-1] is the
-// representative of id. The dictionary is append-only, so the returned
-// slice is a stable snapshot for every id assigned before the call; callers
-// must not mutate it. The decode path uses it to resolve a whole result
-// without per-cell locking.
-func (d *ValueDict) Values() []Value {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.vals
+// sameRep reports whether v renders exactly as r, a value of its class: both
+// are of one Go type of the JSON kinds, and a float64 has r's bits.
+func sameRep(v, r Value) bool {
+	switch x := v.(type) {
+	case float64:
+		y, ok := r.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case string, int, int64, bool:
+		return v == r
+	}
+	return false
+}
+
+// value returns id's representative. Call it holding d.mu.
+func (d *ValueDict) value(id ValueID) Value {
+	if id > d.lo {
+		return d.vals[id-d.lo-1]
+	}
+	if v, over := d.reps[id]; over || id == NilValueID {
+		return v
+	}
+	return d.base.vals[id-d.base.lo-1]
+}
+
+// slot returns the memo of id (not nil) in d or its base. Call it holding d.mu.
+func (d *ValueDict) slot(id ValueID) *memo {
+	if id > d.lo {
+		return &d.memo[id-d.lo-1]
+	}
+	return &d.base.memo[id-d.base.lo-1]
+}
+
+// hold returns a pointer to b for a memo slot, from a chunk never regrown.
+func (d *ValueDict) hold(b []byte) *[]byte {
+	if len(d.held) == cap(d.held) {
+		d.held = make([][]byte, 0, 16+len(d.vals))
+	}
+	d.held = append(d.held, b)
+	return &d.held[len(d.held)-1]
+}
+
+var nilKey, nullJSON = []byte("∅"), []byte("null")
+
+// key returns valueKey of id's class (a missing cell's is nil's), rendering
+// it the first time. Call it holding d.mu.
+func (d *ValueDict) key(id ValueID) []byte {
+	if id = joinID(id); id == NilValueID {
+		return nilKey
+	}
+	m := &d.slot(id).key
+	if k := m.Load(); k != nil {
+		return *k
+	}
+	if cap(d.arena)-len(d.arena) < 64 {
+		d.arena = make([]byte, 0, 16*(16+len(d.vals)))
+	}
+	start := len(d.arena)
+	d.arena = appendValueKey(d.arena, d.value(id))
+	k := d.hold(d.arena[start:len(d.arena):len(d.arena)])
+	m.Store(k)
+	return *k
+}
+
+// encode returns the JSON encoding of id's representative, marshaling it the
+// first time; a value encoding/json cannot encode fails every call. Call it
+// holding d.mu.
+func (d *ValueDict) encode(id ValueID) ([]byte, error) {
+	if id == NilValueID {
+		return nullJSON, nil
+	}
+	if v, over := d.reps[id]; over {
+		return json.Marshal(v)
+	}
+	m := &d.slot(id).json
+	if b := m.Load(); b != nil {
+		return *b, nil
+	}
+	b, err := json.Marshal(d.value(id))
+	if err == nil {
+		m.Store(d.hold(b))
+	}
+	return b, err
+}
+
+// freeze returns what a union keeps after a successful execution with d: d's
+// base if d interned nothing new; an empty dictionary if none of it recurred;
+// else d's values (IDs and memo kept), then the base's, with their memo: all
+// while at most twice what d touched plus 64, else the touched ones.
+func (d *ValueDict) freeze() *ValueDict {
+	if len(d.vals) == 0 {
+		return d.base
+	}
+	if d.base != nil && len(d.base.vals) > 0 && d.reused == 0 {
+		return &ValueDict{lo: NilValueID}
+	}
+	f := &ValueDict{lo: d.lo, ids: d.ids, vals: slices.Clip(d.vals), memo: slices.Clip(d.memo)}
+	if b := d.base; b != nil {
+		all := len(b.vals)+len(d.vals) <= 2*(d.reused+len(d.vals))+64
+		renum := make([]ValueID, len(b.vals)) // base value i's ID in f, 0: dropped
+		f.memo = slices.Grow(f.memo, len(b.vals))
+		for i, v := range b.vals {
+			if all || d.touched[i/64]&(1<<(i%64)) != 0 {
+				f.vals = append(f.vals, v)
+				f.memo = f.memo[:len(f.vals)]
+				to := &f.memo[len(f.vals)-1]
+				to.key.Store(b.memo[i].key.Load())
+				to.json.Store(b.memo[i].json.Load())
+				renum[i] = f.lo + ValueID(len(f.vals))
+			}
+		}
+		for k, id := range b.ids {
+			if n := renum[id-b.lo-1]; n != 0 {
+				f.ids[k] = n
+			}
+		}
+	}
+	return f
 }
 
 // joinID normalizes an id for join and deduplication comparisons: a missing
@@ -159,9 +290,9 @@ func joinID(id ValueID) ValueID {
 // exactly as Relation.Sorted orders tuples. The rows are in union layout; a
 // missing cell renders as nil, as in Tuple.Key.
 //
-// Every value is rendered at most once per dictionary, into one buffer, and
-// every row key is concatenated once, into one flat arena, so the comparator
-// compares bytes and builds nothing.
+// Every value is rendered at most once per dictionary and its frozen base,
+// and every row key is concatenated once, into one flat arena, so the
+// comparator compares bytes and builds nothing.
 func (d *ValueDict) order(rows [][]ValueID) [][]ValueID {
 	if len(rows) < 2 {
 		return rows
@@ -169,9 +300,6 @@ func (d *ValueDict) order(rows [][]ValueID) [][]ValueID {
 	width := len(rows[0])
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.keys) < len(d.vals) {
-		d.keys = append(d.keys, make([][]byte, len(d.vals)-len(d.keys))...)
-	}
 	arena := make([]byte, 0, 8*width*len(rows))
 	bounds := make([]int, len(rows)+1) // row r's key is arena[bounds[r]:bounds[r+1]]
 	for r, row := range rows {
@@ -179,13 +307,7 @@ func (d *ValueDict) order(rows [][]ValueID) [][]ValueID {
 			if c > 0 {
 				arena = append(arena, '\x1f')
 			}
-			k := joinID(id) - 1
-			if d.keys[k] == nil {
-				start := len(d.keyBuf)
-				d.keyBuf = appendValueKey(d.keyBuf, d.vals[k])
-				d.keys[k] = d.keyBuf[start:len(d.keyBuf):len(d.keyBuf)]
-			}
-			arena = append(arena, d.keys[k]...)
+			arena = append(arena, d.key(id)...)
 		}
 		bounds[r+1] = len(arena)
 	}
@@ -199,7 +321,7 @@ func (d *ValueDict) order(rows [][]ValueID) [][]ValueID {
 			return c
 		}
 		for c := 0; c < width; c++ {
-			if c := bytes.Compare(d.keys[joinID(rows[a][c])-1], d.keys[joinID(rows[b][c])-1]); c != 0 {
+			if c := bytes.Compare(d.key(rows[a][c]), d.key(rows[b][c])); c != 0 {
 				return c
 			}
 		}
