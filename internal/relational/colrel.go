@@ -28,19 +28,5 @@ func IngestRelation(rel *Relation, d *ValueDict) *ColRelation {
 // holding MissingValueID are omitted from the tuple (not set to nil), so a
 // decoded relation is observably identical to one built tuple-at-a-time.
 func (c *ColRelation) Decode(d *ValueDict) *Relation {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := NewRelation(c.Name, c.Schema)
-	names := c.Schema.Names()
-	out.Tuples = make([]Tuple, c.rows)
-	for r := 0; r < c.rows; r++ {
-		t := make(Tuple, len(names))
-		for i, n := range names {
-			if id := c.Cols[i][r]; id != MissingValueID {
-				t[n] = d.value(id)
-			}
-		}
-		out.Tuples[r] = t
-	}
-	return out
+	return d.decode(c.Name, c.Schema, c.rows, func(r, i int) ValueID { return c.Cols[i][r] })
 }

@@ -129,7 +129,7 @@ type Union struct {
 }
 
 // keptValuesMax bounds the values all unions' kept dictionaries hold. At ~200
-// bytes a value (map entry, value and memo slots, key and JSON) they pin at
+// bytes a value (map entry, its entry with key and JSON) they pin at
 // most ~50 MB: a union of 2^17 values, 50 times the scaled running example's,
 // keeps them all, yet a rewriting cache's 256 results cannot each pin one.
 const keptValuesMax = 1 << 18
@@ -163,8 +163,11 @@ func (un *Union) keep(base, next *ValueDict) {
 	}
 	kept.lru.MoveToFront(un.entry)
 	if k := un.entry.Value.(*keptUnion); next != base && un.dict.CompareAndSwap(base, next) {
-		kept.total += len(next.vals) - k.size
-		k.size = len(next.vals)
+		kept.total -= k.size
+		if k.size = 0; next != nil {
+			k.size = len(next.ents)
+		}
+		kept.total += k.size
 	}
 	for e := kept.lru.Back(); kept.total > keptValuesMax; e = e.Prev() {
 		k := e.Value.(*keptUnion)
@@ -341,9 +344,9 @@ consume:
 	d := ex.dict
 	un.keep(base, d.freeze())
 	dictReusedTotal.Add(int64(d.reused))
-	dictNewTotal.Add(int64(len(d.vals)))
+	dictNewTotal.Add(int64(len(d.ents)))
 	span.SetAttrInt("dict_reused", int64(d.reused))
-	span.SetAttrInt("dict_new", int64(len(d.vals)))
+	span.SetAttrInt("dict_new", int64(len(d.ents)))
 	// The schema is the program's; the answer gets its own copy.
 	schema := Schema{Attributes: slices.Clone(u.final.Attributes)}
 	return &IDRelation{Name: u.name, Schema: schema, Rows: outRows, dict: d}, nil

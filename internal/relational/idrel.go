@@ -22,29 +22,16 @@ type IDRelation struct {
 // Relation decodes the answer into map tuples, in row order. Missing cells
 // are omitted from the tuple, not set to nil.
 func (a *IDRelation) Relation() *Relation {
-	rel := NewRelation(a.Name, a.Schema)
-	names := a.Schema.Names()
-	a.dict.mu.RLock()
-	defer a.dict.mu.RUnlock()
-	rel.Tuples = make([]Tuple, len(a.Rows))
-	for r, row := range a.Rows {
-		t := make(Tuple, len(names))
-		for c, name := range names {
-			if id := row[c]; id != MissingValueID {
-				t[name] = a.dict.value(id)
-			}
-		}
-		rel.Tuples[r] = t
-	}
-	return rel
+	return a.dict.decode(a.Name, a.Schema, len(a.Rows), func(r, c int) ValueID { return a.Rows[r][c] })
 }
 
 // AppendJSON appends the rows to dst exactly as encoding/json renders the
 // tuples Relation decodes, as a []map[string]any that is nil when there are
 // no rows: an array of objects with sorted keys and missing cells omitted,
-// or null. Each distinct value is marshaled once per dictionary (and base)
-// and each column name once per call. A value encoding/json cannot encode
-// (a NaN, a channel) fails the call with an error naming its column.
+// or null. Each distinct value is marshaled once into its dictionary entry,
+// which the union's next execution shares, and each column name once per
+// call. A value encoding/json cannot encode (a NaN, a channel) fails the
+// call with an error naming its column.
 func (a *IDRelation) AppendJSON(dst []byte) ([]byte, error) {
 	if len(a.Rows) == 0 {
 		return append(dst, "null"...), nil

@@ -103,6 +103,53 @@ func TestKeptDictionaryRendersAsFresh(t *testing.T) {
 	}
 }
 
+// TestKeptDictionaryCarriesRenderings executes one union three times, each
+// execution bringing one value the last did not: after each AppendJSON every
+// value the union keeps has its key and its JSON, including those rendered
+// after the execution froze the dictionary, so the next execution renders
+// only its own new value. An overriding value is marshaled once per
+// execution, not once per row.
+func TestKeptDictionaryCarriesRenderings(t *testing.T) {
+	un, _ := oneColumnUnion()
+	for k := 0; k < 3; k++ {
+		_, r := oneColumnUnion("a", 1.5, fmt.Sprintf("new%d", k))
+		a, err := DefaultEngine.Execute(context.Background(), un, r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.AppendJSON(nil); err != nil {
+			t.Fatal(err)
+		}
+		d := un.dict.Load()
+		for _, e := range d.ents {
+			if e.key.Load() == nil || e.json.Load() == nil {
+				t.Errorf("execution %d: the kept dictionary lacks a rendering of %v", k, e.v)
+			}
+		}
+	}
+
+	const rows = 200
+	values := make([]Value, rows)
+	for i := range values {
+		values[i] = float64(1e6)
+	}
+	un, r := oneColumnUnion(values...)
+	if _, err := DefaultEngine.Execute(context.Background(), un, r, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := range values {
+		r["w"].Tuples[i]["v"] = 1000000
+	}
+	a, err := DefaultEngine.Execute(context.Background(), un, r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, 1<<16)
+	if allocs := testing.AllocsPerRun(5, func() { dst, _ = a.AppendJSON(dst[:0]) }); allocs > rows/4 {
+		t.Errorf("encoding %d rows of one overriding value allocated %.0f objects", rows, allocs)
+	}
+}
+
 // TestKeptDictionaryBounded executes one union 200 times over a source whose
 // values all change on every fetch, and 200 times over one where half of them
 // do: its kept dictionary stays within twice one execution's distinct values
@@ -142,8 +189,8 @@ func TestKeptDictionaryBounded(t *testing.T) {
 			}
 			if d := kept.dict.Load(); d != nil {
 				checked++
-				if len(d.vals) > 2*distinct+64 {
-					t.Fatalf("half=%v: after execution %d the union keeps %d values; one execution touches %d", half, k, len(d.vals), distinct)
+				if len(d.ents) > 2*distinct+64 {
+					t.Fatalf("half=%v: after execution %d the union keeps %d values; one execution touches %d", half, k, len(d.ents), distinct)
 				}
 			}
 		}
@@ -189,7 +236,7 @@ func TestKeptDictionariesWithinEngineBudget(t *testing.T) {
 	ours := 0
 	for _, un := range us {
 		if d := un.dict.Load(); d != nil {
-			ours += len(d.vals)
+			ours += len(d.ents)
 		}
 	}
 	before := total()
@@ -200,29 +247,6 @@ func TestKeptDictionariesWithinEngineBudget(t *testing.T) {
 	}
 	if n := total(); n > before-ours {
 		t.Fatalf("collected unions still account for their dictionaries: the total is %d, want at most %d", n, before-ours)
-	}
-}
-
-// TestExtendRestartsBeforeOverflow extends a frozen dictionary whose IDs
-// approach the top of the ID space (every freeze numbers the kept values
-// after the new ones): the extension starts afresh from the bottom, and
-// interns and decodes the values again.
-func TestExtendRestartsBeforeOverflow(t *testing.T) {
-	d := NewValueDict()
-	d.lo = 1<<30 + 7
-	values := []Value{"a", 1.5, 12, true}
-	for _, v := range values {
-		d.Intern(v)
-	}
-	ext := d.freeze().extend()
-	for _, v := range values {
-		id := ext.Intern(v)
-		if got := ext.value(id); got != v || id > ValueID(len(values))+NilValueID {
-			t.Errorf("%v interns to ID %d, which decodes to %v", v, id, got)
-		}
-	}
-	if ext.base != nil || ext.freeze().lo != NilValueID {
-		t.Error("the extension does not start afresh")
 	}
 }
 

@@ -297,8 +297,8 @@ func TestOrderingBuildsEachKeyOnce(t *testing.T) {
 	var out [][]ValueID
 	first := testing.AllocsPerRun(1, func() {
 		fresh := NewValueDict()
-		for _, v := range d.vals {
-			fresh.Intern(v)
+		for _, e := range d.ents {
+			fresh.Intern(e.v)
 		}
 		out = fresh.order(in)
 	})
@@ -350,15 +350,15 @@ func BenchmarkAnswerOrdering(b *testing.B) {
 	for _, rows := range []int{2000, 100000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			d, in := orderingCase(rows, rows/4)
-			vals := d.vals
+			ents := d.ents
 			var out [][]ValueID
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				fresh := NewValueDict()
-				for _, v := range vals {
-					fresh.Intern(v)
+				for _, e := range ents {
+					fresh.Intern(e.v)
 				}
 				b.StartTimer()
 				out = fresh.order(in)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sync"
@@ -93,40 +94,45 @@ func keyOf(v Value) vkey {
 // their %v (float64(1e6) prints 1e+06, int(1000000) 1000000). It is safe for
 // concurrent use. A dictionary can extend a frozen base, whose IDs it finds
 // with no lock and no insert; of a base ID it keeps a touched bit and, if its
-// first value renders unlike the base's representative, that value (reps). A
-// frozen dictionary never changes but for its memo slots, written atomically
-// with the bytes any writer renders.
+// first value renders unlike the base's representative, an entry of its own
+// (reps). A frozen dictionary never changes but for its entries' renderings,
+// written atomically with the bytes any writer renders.
 type ValueDict struct {
 	base *ValueDict
-	lo   ValueID // own value i has ID lo+1+i; lower IDs are nil's and the base's
+	lo   ValueID // own entry i has ID lo+1+i; lower IDs are nil's and the base's
 
 	mu    sync.RWMutex
 	ids   map[vkey]ValueID // own values; nil is never in it
-	vals  []Value
-	memo  []memo   // memo[i]: vals[i]'s renderings
-	arena []byte   // a chunk of the keys memo slots point to,
-	held  [][]byte // and of the slice headers they point to
+	ents  []*entry
+	chunk []entry  // where the next own entries go,
+	arena []byte   // the keys entries point to,
+	held  [][]byte // and the slice headers those point to; none is regrown
 
 	touched []uint64 // bit i: the base's value i was interned
 	reused  int      // bits set in touched
-	reps    map[ValueID]Value
+	reps    map[ValueID]*entry
 }
 
-// memo is a value's valueKey and JSON, once ordering or AppendJSON needs them.
-type memo struct{ key, json atomic.Pointer[[]byte] }
+// entry is a value with its valueKey and JSON, rendered the first time
+// ordering or AppendJSON needs them. A frozen dictionary shares its entries
+// with the dictionary it was frozen from and with those extending it, so a
+// rendering made in any of them serves the union's next execution.
+type entry struct {
+	v         Value
+	key, json atomic.Pointer[[]byte]
+}
 
 // NewValueDict returns an empty dictionary. Every dictionary maps nil to
 // NilValueID.
 func NewValueDict() *ValueDict { return &ValueDict{lo: NilValueID, ids: map[vkey]ValueID{}} }
 
-// extend returns a dictionary extending the frozen b: an empty one when b is
-// nil or its IDs near overflow (a freeze numbers the base's after the new).
+// extend returns a dictionary extending the frozen b (nil: none).
 func (b *ValueDict) extend() *ValueDict {
-	if b == nil || b.lo > 1<<30 {
+	if b == nil {
 		return NewValueDict()
 	}
-	return &ValueDict{base: b, lo: b.lo + ValueID(len(b.vals)), ids: map[vkey]ValueID{},
-		touched: make([]uint64, (len(b.vals)+63)/64), reps: map[ValueID]Value{}}
+	return &ValueDict{base: b, lo: NilValueID + ValueID(len(b.ents)), ids: map[vkey]ValueID{},
+		touched: make([]uint64, (len(b.ents)+63)/64), reps: map[ValueID]*entry{}}
 }
 
 func (d *ValueDict) internLocked(v Value) ValueID {
@@ -134,23 +140,29 @@ func (d *ValueDict) internLocked(v Value) ValueID {
 		return NilValueID
 	}
 	k := keyOf(v)
-	if id, ok := d.ids[k]; ok {
-		return id
-	}
 	if b := d.base; b != nil {
 		if id, ok := b.ids[k]; ok {
-			if i := id - b.lo - 1; d.touched[i/64]&(1<<(i%64)) == 0 {
+			if i := id - NilValueID - 1; d.touched[i/64]&(1<<(i%64)) == 0 {
 				d.touched[i/64] |= 1 << (i % 64)
 				d.reused++
-				if !sameRep(v, b.vals[i]) {
-					d.reps[id] = v
+				if !sameRep(v, b.ents[i].v) {
+					d.reps[id] = &entry{v: v}
 				}
 			}
 			return id
 		}
 	}
-	d.vals, d.memo = append(d.vals, v), append(d.memo, memo{})
-	id := d.lo + ValueID(len(d.vals))
+	if id, ok := d.ids[k]; ok {
+		return id
+	}
+	if len(d.chunk) == cap(d.chunk) {
+		d.chunk = make([]entry, 0, 16+len(d.ents))
+	}
+	d.chunk = d.chunk[:len(d.chunk)+1]
+	e := &d.chunk[len(d.chunk)-1]
+	e.v = v
+	d.ents = append(d.ents, e)
+	id := d.lo + ValueID(len(d.ents))
 	d.ids[k] = id
 	return id
 }
@@ -168,29 +180,50 @@ func sameRep(v, r Value) bool {
 	return false
 }
 
+// at returns the entry of id (not nil): d's own, its override of a base
+// value, or the base's. Call it holding d.mu.
+func (d *ValueDict) at(id ValueID) *entry {
+	if id > d.lo {
+		return d.ents[id-d.lo-1]
+	}
+	if e, over := d.reps[id]; over {
+		return e
+	}
+	return d.base.ents[id-NilValueID-1]
+}
+
 // value returns id's representative. Call it holding d.mu.
 func (d *ValueDict) value(id ValueID) Value {
-	if id > d.lo {
-		return d.vals[id-d.lo-1]
+	if id == NilValueID {
+		return nil
 	}
-	if v, over := d.reps[id]; over || id == NilValueID {
-		return v
-	}
-	return d.base.vals[id-d.base.lo-1]
+	return d.at(id).v
 }
 
-// slot returns the memo of id (not nil) in d or its base. Call it holding d.mu.
-func (d *ValueDict) slot(id ValueID) *memo {
-	if id > d.lo {
-		return &d.memo[id-d.lo-1]
+// decode builds n tuples over s, cell(r, c) giving row r's ID in column c;
+// a missing cell is omitted from its tuple, not set to nil.
+func (d *ValueDict) decode(name string, s Schema, n int, cell func(r, c int) ValueID) *Relation {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	rel := NewRelation(name, s)
+	names := s.Names()
+	rel.Tuples = make([]Tuple, n)
+	for r := range rel.Tuples {
+		t := make(Tuple, len(names))
+		for c, name := range names {
+			if id := cell(r, c); id != MissingValueID {
+				t[name] = d.value(id)
+			}
+		}
+		rel.Tuples[r] = t
 	}
-	return &d.base.memo[id-d.base.lo-1]
+	return rel
 }
 
-// hold returns a pointer to b for a memo slot, from a chunk never regrown.
+// hold returns a pointer to b for an entry, from a chunk never regrown.
 func (d *ValueDict) hold(b []byte) *[]byte {
 	if len(d.held) == cap(d.held) {
-		d.held = make([][]byte, 0, 16+len(d.vals))
+		d.held = make([][]byte, 0, 16+len(d.ents))
 	}
 	d.held = append(d.held, b)
 	return &d.held[len(d.held)-1]
@@ -204,17 +237,17 @@ func (d *ValueDict) key(id ValueID) []byte {
 	if id = joinID(id); id == NilValueID {
 		return nilKey
 	}
-	m := &d.slot(id).key
-	if k := m.Load(); k != nil {
+	e := d.at(id)
+	if k := e.key.Load(); k != nil {
 		return *k
 	}
 	if cap(d.arena)-len(d.arena) < 64 {
-		d.arena = make([]byte, 0, 16*(16+len(d.vals)))
+		d.arena = make([]byte, 0, 16*(16+len(d.ents)))
 	}
 	start := len(d.arena)
-	d.arena = appendValueKey(d.arena, d.value(id))
+	d.arena = appendValueKey(d.arena, e.v)
 	k := d.hold(d.arena[start:len(d.arena):len(d.arena)])
-	m.Store(k)
+	e.key.Store(k)
 	return *k
 }
 
@@ -225,50 +258,43 @@ func (d *ValueDict) encode(id ValueID) ([]byte, error) {
 	if id == NilValueID {
 		return nullJSON, nil
 	}
-	if v, over := d.reps[id]; over {
-		return json.Marshal(v)
-	}
-	m := &d.slot(id).json
-	if b := m.Load(); b != nil {
+	e := d.at(id)
+	if b := e.json.Load(); b != nil {
 		return *b, nil
 	}
-	b, err := json.Marshal(d.value(id))
+	b, err := json.Marshal(e.v)
 	if err == nil {
-		m.Store(d.hold(b))
+		e.json.Store(d.hold(b))
 	}
 	return b, err
 }
 
-// freeze returns what a union keeps after a successful execution with d: d's
-// base if d interned nothing new; an empty dictionary if none of it recurred;
-// else d's values (IDs and memo kept), then the base's, with their memo: all
-// while at most twice what d touched plus 64, else the touched ones.
+// freeze returns what a union keeps after a successful execution with d. It
+// shares d's entries and its base's, so what the execution renders after the
+// freeze serves the next one. It is d's base if d interned nothing new; nil
+// if none of the base recurred; else the base's values, IDs
+// unchanged, then d's, while that is at most twice the values d touched plus
+// 64, else the touched base values and d's, renumbered.
 func (d *ValueDict) freeze() *ValueDict {
-	if len(d.vals) == 0 {
-		return d.base
+	b := d.base
+	switch {
+	case len(d.ents) == 0:
+		return b
+	case b == nil:
+		return &ValueDict{lo: NilValueID, ids: d.ids, ents: slices.Clip(d.ents)}
+	case d.reused == 0:
+		return nil
+	case len(b.ents)+len(d.ents) <= 2*(d.reused+len(d.ents))+64:
+		f := &ValueDict{lo: NilValueID, ids: maps.Clone(b.ids), ents: append(slices.Clip(b.ents), d.ents...)}
+		maps.Copy(f.ids, d.ids)
+		return f
 	}
-	if d.base != nil && len(d.base.vals) > 0 && d.reused == 0 {
-		return &ValueDict{lo: NilValueID}
-	}
-	f := &ValueDict{lo: d.lo, ids: d.ids, vals: slices.Clip(d.vals), memo: slices.Clip(d.memo)}
-	if b := d.base; b != nil {
-		all := len(b.vals)+len(d.vals) <= 2*(d.reused+len(d.vals))+64
-		renum := make([]ValueID, len(b.vals)) // base value i's ID in f, 0: dropped
-		f.memo = slices.Grow(f.memo, len(b.vals))
-		for i, v := range b.vals {
-			if all || d.touched[i/64]&(1<<(i%64)) != 0 {
-				f.vals = append(f.vals, v)
-				f.memo = f.memo[:len(f.vals)]
-				to := &f.memo[len(f.vals)-1]
-				to.key.Store(b.memo[i].key.Load())
-				to.json.Store(b.memo[i].json.Load())
-				renum[i] = f.lo + ValueID(len(f.vals))
-			}
-		}
-		for k, id := range b.ids {
-			if n := renum[id-b.lo-1]; n != 0 {
-				f.ids[k] = n
-			}
+	f := &ValueDict{lo: NilValueID, ids: make(map[vkey]ValueID, d.reused+len(d.ents)),
+		ents: make([]*entry, 0, d.reused+len(d.ents))}
+	for i, e := range slices.Concat(b.ents, d.ents) {
+		if i >= len(b.ents) || d.touched[i/64]&(1<<(i%64)) != 0 {
+			f.ents = append(f.ents, e)
+			f.ids[keyOf(e.v)] = NilValueID + ValueID(len(f.ents))
 		}
 	}
 	return f
@@ -290,8 +316,8 @@ func joinID(id ValueID) ValueID {
 // exactly as Relation.Sorted orders tuples. The rows are in union layout; a
 // missing cell renders as nil, as in Tuple.Key.
 //
-// Every value is rendered at most once per dictionary and its frozen base,
-// and every row key is concatenated once, into one flat arena, so the
+// Every value is rendered at most once per entry, which the union's next
+// execution shares, and every row key is concatenated once, into one flat arena, so the
 // comparator compares bytes and builds nothing.
 func (d *ValueDict) order(rows [][]ValueID) [][]ValueID {
 	if len(rows) < 2 {

@@ -137,6 +137,16 @@ func NewCache(r *Rewriter) *Cache {
 	}
 }
 
+// SetLimits bounds the number of memoized results and intra-concept units
+// (values < 1 are clamped to 1). Shrinking evicts LRU-first immediately.
+func (c *Cache) SetLimits(maxEntries, maxUnits int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.maxEntries = max(1, maxEntries)
+	c.maxUnits = max(1, maxUnits)
+	c.evictLocked()
+}
+
 // Rewrite is RewriteContext without cancellation.
 func (c *Cache) Rewrite(omq *OMQ) (*Result, error) {
 	return c.RewriteContext(context.Background(), omq)

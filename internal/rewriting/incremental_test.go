@@ -170,13 +170,3 @@ func TestCacheFlushedByNonReleaseMutation(t *testing.T) {
 		t.Errorf("stats = %+v, want two misses and no hits", st)
 	}
 }
-
-// SetLimits bounds the number of memoized results and intra-concept units
-// (values < 1 are clamped to 1). Shrinking evicts LRU-first immediately.
-func (c *Cache) SetLimits(maxEntries, maxUnits int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxEntries = max(1, maxEntries)
-	c.maxUnits = max(1, maxUnits)
-	c.evictLocked()
-}

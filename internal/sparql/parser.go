@@ -15,6 +15,16 @@ func Parse(input string) (*Query, error) {
 	return p.parseQuery()
 }
 
+// MustParse parses a query and panics on error; intended for tests and
+// static query definitions.
+func MustParse(input string) *Query {
+	q, err := Parse(input)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
 type sparqlToken struct {
 	value string
 	// quoted marks string literals so that keywords inside quotes are not

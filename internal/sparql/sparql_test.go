@@ -185,13 +185,3 @@ func FuzzParse(f *testing.F) {
 	f.Add(`SELECT ?x WHERE { ?x <http://a?k=v> ?y . FILTER (?y<=5) FILTER (?y < <http://b>) }`)
 	f.Fuzz(checkRoundTrip)
 }
-
-// MustParse parses a query and panics on error; intended for tests and
-// static query definitions.
-func MustParse(input string) *Query {
-	q, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}

@@ -249,6 +249,16 @@ func writeCheckpointTo(w io.Writer, p checkpointPayload) error {
 	return bw.Flush()
 }
 
+// encodeCheckpoint materializes an uncompacted checkpoint in memory (tests
+// and benchmarks; the file path streams via writeCheckpointTo).
+func encodeCheckpoint(sn store.Snapshot, terms []rdf.Term, spans []core.DeltaSpan) []byte {
+	var buf bytes.Buffer
+	if err := writeCheckpointTo(&buf, snapshotPayload(sn, terms, spans)); err != nil {
+		panic(fmt.Sprintf("wal: encoding checkpoint to memory: %v", err))
+	}
+	return buf.Bytes()
+}
+
 // decodeCheckpoint parses and verifies a checkpoint file's contents. Both
 // format versions are accepted; v1 files decode with epoch 0 and an empty
 // remap.

@@ -1,8 +1,6 @@
 package wal
 
 import (
-	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -431,14 +429,4 @@ func TestOpenLocksDataDir(t *testing.T) {
 	if err := m2.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// encodeCheckpoint materializes an uncompacted checkpoint in memory (tests
-// and benchmarks; the file path streams via writeCheckpointTo).
-func encodeCheckpoint(sn store.Snapshot, terms []rdf.Term, spans []core.DeltaSpan) []byte {
-	var buf bytes.Buffer
-	if err := writeCheckpointTo(&buf, snapshotPayload(sn, terms, spans)); err != nil {
-		panic(fmt.Sprintf("wal: encoding checkpoint to memory: %v", err))
-	}
-	return buf.Bytes()
 }
