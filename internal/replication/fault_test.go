@@ -26,8 +26,8 @@ import (
 // ships its WAL through a hostile TCP proxy — connections killed at random
 // offsets, stream bytes bit-flipped, the primary and the replica each killed
 // and restarted mid-stream — and the replica must still converge to a state
-// byte-identical to the primary: quads, dictionary TermIDs, MatchIDs output
-// and query rewritings.
+// byte-identical to the primary: quads, dictionary TermIDs, MatchWithIDs
+// output and query rewritings.
 
 // ---------------------------------------------------------------------------
 // Scripted workload (mirrors the crash-recovery suite's shape, but ops may
@@ -174,7 +174,7 @@ func rewriteFingerprint(o *core.Ontology) string {
 
 // assertConverged proves the replica is byte-identical to the primary:
 // same generation, same quads in the same order, the same dictionary table
-// (hence identical TermIDs), identical MatchIDs output on probe patterns,
+// (hence identical TermIDs), identical MatchWithIDs output on probe patterns,
 // and identical query rewritings.
 func assertConverged(t *testing.T, primary, replica *core.Ontology, label string) {
 	t.Helper()

@@ -3,7 +3,7 @@
 // over HTTP; replicas bootstrap from a checkpoint, follow the tail with
 // long-polls, and apply every record through the same generation-guarded
 // replay path crash recovery uses — so a converged replica is byte-identical
-// to the primary: quads, dictionary TermIDs, MatchIDs output and query
+// to the primary: quads, dictionary TermIDs, MatchWithIDs output and query
 // rewritings.
 //
 // # Robustness contract

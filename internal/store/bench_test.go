@@ -60,8 +60,10 @@ func BenchmarkStoreMatch1Const(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreMatch1ConstPredicate measures predicate-bound lookups, which
-// return large result sets (n/16 quads) and stress the sort.
+// BenchmarkStoreMatch1ConstPredicate measures unscoped predicate-only
+// lookups, which return large result sets (n/16 quads). No index is keyed on
+// the predicate, so this is the filtered full scan, the fallback of every
+// probe that binds no subject, object or graph.
 func BenchmarkStoreMatch1ConstPredicate(b *testing.B) {
 	for _, n := range benchSizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -176,9 +178,9 @@ func BenchmarkStoreMatchParallel1Const(b *testing.B) {
 }
 
 // BenchmarkStoreMatchParallel1ConstPredicate measures large-result
-// predicate probes under full parallelism: each probe copies an n/16-quad
-// pre-sorted bucket, so this stresses concurrent allocation as well as the
-// lock-free read path.
+// predicate probes under full parallelism: each probe filters the full scan
+// into an n/16-quad result, so this stresses concurrent allocation as well as
+// the lock-free read path.
 func BenchmarkStoreMatchParallel1ConstPredicate(b *testing.B) {
 	for _, n := range benchSizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -115,7 +115,7 @@ func TestCommitHookVetoRollsBack(t *testing.T) {
 
 // TestFastPathInitialLoadMatchesIncremental: loading N quads into an empty
 // store in one AddAll (fast path, direct snapshot build) must produce
-// byte-identical Match/MatchIDs results and stats as per-quad insertion
+// byte-identical Match/MatchWithIDs results and stats as per-quad insertion
 // (COW path).
 func TestFastPathInitialLoadMatchesIncremental(t *testing.T) {
 	const n = 500

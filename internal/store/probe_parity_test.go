@@ -40,8 +40,9 @@ func parityQuads(rng *rand.Rand, n int) []rdf.Quad {
 
 // checkProbeParity asserts that every graph × subject/predicate/object
 // pattern shape, over the terms of sampled quads, answers exactly the full
-// scan filtered by hand, in the same order — through Match and MatchIDs —
-// and that Contains agrees on every sampled quad.
+// scan filtered by hand, in the same order — through Match, and through
+// MatchWithIDs down to each quad's dictionary encoding — and that Contains
+// agrees on every sampled quad.
 func checkProbeParity(t *testing.T, label string, sn Snapshot, samples []rdf.Quad) {
 	t.Helper()
 	all := sn.Quads()
@@ -82,20 +83,13 @@ func checkProbeParity(t *testing.T, label string, sn Snapshot, samples []rdf.Qua
 							t.Fatalf("%s: Match quad %d = %v, want %v", where, i, got[i], want[i])
 						}
 					}
-					ip, ok := idPattern(sn.Dict(), p)
-					if !ok {
-						if len(want) != 0 {
-							t.Fatalf("%s: pattern has un-interned terms but %d matches", where, len(want))
-						}
-						continue
-					}
-					ids := sn.MatchIDs(ip)
+					ids := sn.MatchWithIDs(p)
 					if len(ids) != len(want) {
-						t.Fatalf("%s: MatchIDs = %d ids, want %d", where, len(ids), len(want))
+						t.Fatalf("%s: MatchWithIDs = %d quads, want %d", where, len(ids), len(want))
 					}
-					for i, id := range ids {
-						if wid, _ := quadID(sn.Dict(), want[i]); id != wid {
-							t.Fatalf("%s: MatchIDs id %d = %v, want %v", where, i, id, wid)
+					for i, m := range ids {
+						if wid, _ := quadID(sn.Dict(), want[i]); m.ID != wid || !m.Quad.Equal(want[i]) {
+							t.Fatalf("%s: MatchWithIDs quad %d = %v %v, want %v %v", where, i, m.Quad, m.ID, want[i], wid)
 						}
 					}
 				}
@@ -115,9 +109,9 @@ func checkProbeParity(t *testing.T, label string, sn Snapshot, samples []rdf.Qua
 	}
 }
 
-// checkSortedReference asserts that every union bucket, every graph bucket
-// and the graph order of s's current snapshot equal a reference built by
-// sorting all live entries at once.
+// checkSortedReference asserts that every subject and object bucket, every
+// graph bucket and the graph order of s's current snapshot equal a
+// reference built by sorting all live entries at once.
 func checkSortedReference(t *testing.T, label string, s *Store) {
 	t.Helper()
 	sn := s.snap.Load()
@@ -131,7 +125,7 @@ func checkSortedReference(t *testing.T, label string, s *Store) {
 	}
 	var graphOrder []rdf.TermID
 	byGraph := map[rdf.TermID][]eref{}
-	byDim := [3]map[rdf.TermID][]eref{{}, {}, {}}
+	byDim := [2]map[rdf.TermID][]eref{{}, {}}
 	for _, e := range ref {
 		id := sn.slot(e).id
 		if len(byGraph[id.Graph]) == 0 {
@@ -142,21 +136,21 @@ func checkSortedReference(t *testing.T, label string, s *Store) {
 			byDim[d][id.dim(d)] = append(byDim[d][id.dim(d)], e)
 		}
 	}
-	if len(sn.graphs) != len(graphOrder) || len(sn.graphIdx) != len(graphOrder) {
-		t.Fatalf("%s: %d graph buckets, %d indexed, want %d", label, len(sn.graphs), len(sn.graphIdx), len(graphOrder))
+	if len(sn.graphs) != len(graphOrder) {
+		t.Fatalf("%s: %d graph buckets, want %d", label, len(sn.graphs), len(graphOrder))
 	}
 	for i, gb := range sn.graphs {
-		if gb.id != graphOrder[i] || gb.name != graphName(sn.dict, gb.id) {
+		if gb.name != graphName(sn.dict, graphOrder[i]) {
 			t.Fatalf("%s: graph %d is %q, want %q", label, i, gb.name, graphName(sn.dict, graphOrder[i]))
 		}
-		if pos, ok := sn.graphIdx[gb.id]; !ok || pos != i {
-			t.Fatalf("%s: graph %q indexed at %d, sits at %d", label, gb.name, pos, i)
+		if pos, ok := sn.graphPos(gb.name); !ok || pos != i {
+			t.Fatalf("%s: graph %q found at %d, sits at %d", label, gb.name, pos, i)
 		}
-		if !slices.Equal(gb.entries, byGraph[gb.id]) {
+		if !slices.Equal(gb.entries, byGraph[graphOrder[i]]) {
 			t.Fatalf("%s: graph %q bucket differs from the sorted reference", label, gb.name)
 		}
 	}
-	for d, ti := range []*termIndex{sn.bySubject, sn.byPredicate, sn.byObject} {
+	for d, ti := range []*termIndex{sn.bySubject, sn.byObject} {
 		n := 0
 		for pi, pg := range ti.pages {
 			if pg == nil {
@@ -215,11 +209,12 @@ func mergeBatches(rng *rand.Rand) [][]rdf.Quad {
 	return [][]rdf.Quad{newGraphs, base, interleaved, edges}
 }
 
-// TestProbeParityRandomized pins that a graph-scoped probe, served from the
-// union index of its subject, object or predicate and filtered on the graph,
-// equals the filtered full scan in content and order: on a store built by
-// the bulk path, copy-on-write batches and single adds; after Remove and
-// RemoveGraph; and on a snapshot pinned across those writes. After every
+// TestProbeParityRandomized pins that every probe, served from the union
+// index of its subject or object, else its graph's entry list, else the full
+// scan, and filtered on the rest of the pattern, equals the filtered full
+// scan in content and order: on a store built by the bulk path,
+// copy-on-write batches and single adds; after Remove and RemoveGraph; and
+// on a snapshot pinned across those writes. After every
 // batch, each bucket and the graph order also equal a sort-everything
 // reference, including under batches aimed at the copy-on-write merge and
 // at placing several new graphs at once (see mergeBatches).

@@ -158,9 +158,7 @@ func newSnapshotFromSorted(d *rdf.Dict, generation uint64, ar *arena, ents []ere
 		for j < len(ents) && ar.slot(ents[j]).id.Graph == gid {
 			j++
 		}
-		sn.graphIdx[gid] = len(sn.graphs)
 		sn.graphs = append(sn.graphs, &graphBucket{
-			id:      gid,
 			name:    graphName(d, gid),
 			entries: append([]eref(nil), ents[i:j]...),
 		})
@@ -169,7 +167,6 @@ func newSnapshotFromSorted(d *rdf.Dict, generation uint64, ar *arena, ents []ere
 	for _, e := range ents {
 		id := ar.slot(e).id
 		appendToBucket(sn.bySubject, id.Subject, e)
-		appendToBucket(sn.byPredicate, id.Predicate, e)
 		appendToBucket(sn.byObject, id.Object, e)
 	}
 	return sn

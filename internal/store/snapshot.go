@@ -1,6 +1,9 @@
 package store
 
 import (
+	"slices"
+	"strings"
+
 	"bdi/internal/rdf"
 	"bdi/internal/slab"
 )
@@ -25,19 +28,22 @@ import (
 // grows with the number of quads.
 //
 // Index buckets are kept permanently sorted by the quad's precomputed sort
-// key. Ordered matching therefore never sorts: a 1-constant probe is an O(k)
-// copy of the bucket (or a zero-copy hand-out of the immutable bucket
-// itself), and multi-constant probes filter the bucket without disturbing
-// the order. The cost moved to the write side — inserting into a bucket is
-// O(bucket) — which is the trade the read-dominated query-answering workload
-// of the paper wants.
+// key. Ordered matching therefore never sorts: a probe bound by one subject,
+// object or graph is a zero-copy hand-out of the immutable bucket itself,
+// and every other probe filters a bucket (or the full scan) without
+// disturbing the order. The cost moved to the write side — inserting into a
+// bucket is O(bucket) — which is the trade the read-dominated
+// query-answering workload of the paper wants.
 //
-// There is one family of per-term indexes, over the union of all graphs. A
-// sort key starts with the graph name, so the entries of one graph form an
-// ordered subsequence of every union bucket: a graph-scoped probe reads the
-// same union bucket an unscoped probe reads and keeps the entries of its
-// graph. Nothing is derived per graph, so a write never turns into a rebuild
-// for the next reader.
+// There is one family of per-term indexes, by subject and by object, over
+// the union of all graphs. A sort key starts with the graph name, so the
+// entries of one graph form an ordered subsequence of every union bucket: a
+// graph-scoped probe reads the same union bucket an unscoped probe reads and
+// keeps the entries of its graph. Nothing is derived per graph, so a write
+// never turns into a rebuild for the next reader. There is no predicate
+// index: the only production probe that binds a predicate alone is
+// graph-scoped, and a predicate's bucket would hold every quad using it, so
+// keeping it would make each batch copy a bucket that grows with the store.
 
 // eref is an index into the store's entry arena: the stored identity of one
 // quad. Buckets hold erefs instead of pointers, which keeps them invisible
@@ -91,25 +97,19 @@ func (ti *termIndex) bucket(id rdf.TermID) []eref {
 // Dimensions of the per-term indexes.
 const (
 	dimSubject = iota
-	dimPredicate
 	dimObject
 )
 
 // dim returns the TermID of the given index dimension.
 func (id QuadID) dim(d int) rdf.TermID {
-	switch d {
-	case dimSubject:
+	if d == dimSubject {
 		return id.Subject
-	case dimPredicate:
-		return id.Predicate
-	default:
-		return id.Object
 	}
+	return id.Object
 }
 
 // graphBucket is the sorted entry list of one graph (named or default).
 type graphBucket struct {
-	id      rdf.TermID
 	name    rdf.IRI
 	entries []eref // ascending sort-key order
 }
@@ -135,17 +135,26 @@ type snapshot struct {
 	// graphs holds one sorted bucket per non-empty graph, in ascending
 	// graph-name order. A quad's sort key is prefixed by its graph name, so
 	// concatenating these buckets in slice order yields the full store in
-	// global sort order — full scans never sort. graphIdx maps a graph's
-	// TermID to its position in graphs.
-	graphs   []*graphBucket
-	graphIdx map[rdf.TermID]int
+	// global sort order — full scans never sort. A graph's position is
+	// found by binary search on its name (see graphPos).
+	graphs []*graphBucket
 
 	// Union-of-all-graphs per-term indexes, one per dimension, maintained
 	// by the writer. The default graph is included like any other graph.
 	// Graph-scoped probes read them too and filter on the graph.
-	bySubject   *termIndex
-	byPredicate *termIndex
-	byObject    *termIndex
+	bySubject *termIndex
+	byObject  *termIndex
+}
+
+// graphPos returns the position of the named graph's bucket in graphs, and
+// whether the graph has one.
+func (s *snapshot) graphPos(name rdf.IRI) (int, bool) {
+	return slices.BinarySearchFunc(s.graphs, name, cmpGraphName)
+}
+
+// cmpGraphName orders a graph bucket against a graph name.
+func cmpGraphName(g *graphBucket, name rdf.IRI) int {
+	return strings.Compare(string(g.name), string(name))
 }
 
 // slot resolves an eref against this snapshot's arena view.
@@ -173,13 +182,11 @@ func quadOf(terms []rdf.Term, id QuadID) rdf.Quad {
 // dictionary and arena.
 func emptySnapshot(d *rdf.Dict, ar *arena) *snapshot {
 	return &snapshot{
-		dict:        d,
-		slots:       ar.slots.View(),
-		keys:        ar.keys.View(),
-		graphIdx:    map[rdf.TermID]int{},
-		bySubject:   &termIndex{},
-		byPredicate: &termIndex{},
-		byObject:    &termIndex{},
+		dict:      d,
+		slots:     ar.slots.View(),
+		keys:      ar.keys.View(),
+		bySubject: &termIndex{},
+		byObject:  &termIndex{},
 	}
 }
 
@@ -235,11 +242,7 @@ func (sn Snapshot) GraphLen(graph rdf.IRI) int {
 	if sn.sn == nil {
 		return 0
 	}
-	gid, ok := sn.sn.dict.LookupIRI(graph)
-	if !ok {
-		return 0
-	}
-	if pos, ok := sn.sn.graphIdx[gid]; ok {
+	if pos, ok := sn.sn.graphPos(graph); ok {
 		return len(sn.sn.graphs[pos].entries)
 	}
 	return 0
@@ -324,33 +327,6 @@ func (sn Snapshot) MatchWithIDs(p Pattern) []MatchedQuad {
 	return out
 }
 
-// MatchIDs returns the dictionary encodings of all quads matching the ID
-// pattern, in the same deterministic order as Match. Buckets are pre-sorted,
-// so the order costs no sort: matches stream straight off the selected
-// bucket.
-func (sn Snapshot) MatchIDs(p IDPattern) []QuadID {
-	if sn.sn == nil {
-		return nil
-	}
-	s := sn.sn
-	candidates, scan := s.selectBucket(p)
-	var out []QuadID
-	if scan {
-		for _, gb := range s.graphs {
-			for _, e := range gb.entries {
-				out = append(out, s.slot(e).id)
-			}
-		}
-		return out
-	}
-	for _, e := range candidates {
-		if id := s.slot(e).id; idMatches(id, p) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // GraphsContaining returns the names of all named graphs that contain the
 // given triple. This implements the SPARQL `GRAPH ?g { ... }` lookups used
 // by the rewriting algorithms to resolve LAV mappings (Algorithm 4 line 8
@@ -403,10 +379,9 @@ func (sn Snapshot) Stats() Stats {
 		return Stats{}
 	}
 	st := Stats{
-		Quads:              sn.sn.size,
-		DistinctSubjects:   sn.sn.bySubject.count,
-		DistinctPredicates: sn.sn.byPredicate.count,
-		DistinctObjects:    sn.sn.byObject.count,
+		Quads:            sn.sn.size,
+		DistinctSubjects: sn.sn.bySubject.count,
+		DistinctObjects:  sn.sn.byObject.count,
 	}
 	for _, gb := range sn.sn.graphs {
 		if gb.name == "" {
@@ -419,36 +394,54 @@ func (sn Snapshot) Stats() Stats {
 }
 
 // matchEntries returns the erefs matching p in ascending sort-key order.
-// Buckets are immutable and pre-sorted, so whenever the selected bucket
-// needs no residual filtering the bucket itself is returned without a copy;
-// callers must treat the result as read-only.
+// The probe reads the union bucket of its subject, else of its object, else
+// the entry list of its graph; a probe that binds none of them (at most a
+// predicate) reads the full scan. Buckets are immutable and pre-sorted, so
+// whenever the selected bucket needs no residual filtering it is returned
+// without a copy; callers must treat the result as read-only.
 func (sn Snapshot) matchEntries(p Pattern) []eref {
 	if sn.sn == nil {
 		return nil
 	}
-	ip, ok := idPattern(sn.sn.dict, p)
+	s := sn.sn
+	ip, ok := encodePattern(s.dict, p)
 	if !ok {
 		return nil
 	}
-	return sn.sn.matchEntries(ip)
-}
-
-func (s *snapshot) matchEntries(p IDPattern) []eref {
-	candidates, scan := s.selectBucket(p)
-	if scan {
+	var bucket []eref
+	switch {
+	case ip.Subject != 0:
+		bucket = s.bySubject.bucket(ip.Subject)
+	case ip.Object != 0:
+		bucket = s.byObject.bucket(ip.Object)
+	case ip.GraphSet:
+		if pos, ok := s.graphPos(p.Graph); ok {
+			bucket = s.graphs[pos].entries
+		}
+	case ip.Predicate == 0:
+		// Nothing bound: the whole store, in global order.
 		out := make([]eref, 0, s.size)
 		for _, gb := range s.graphs {
 			out = append(out, gb.entries...)
 		}
 		return out
+	default:
+		// Only the predicate bound: the full scan, filtered.
+		var out []eref
+		for _, gb := range s.graphs {
+			out = s.appendMatching(out, gb.entries, ip)
+		}
+		return out
 	}
-	// The bucket is already sorted; with no residual constants it can be
-	// handed out as-is (it is immutable).
-	if !residualFilter(p) {
-		return candidates
+	if !residualFilter(ip) {
+		return bucket
 	}
-	var out []eref
-	for _, e := range candidates {
+	return s.appendMatching(nil, bucket, ip)
+}
+
+// appendMatching appends the entries of bucket that match p to out.
+func (s *snapshot) appendMatching(out, bucket []eref, p idPattern) []eref {
+	for _, e := range bucket {
 		if idMatches(s.slot(e).id, p) {
 			out = append(out, e)
 		}
@@ -456,32 +449,10 @@ func (s *snapshot) matchEntries(p IDPattern) []eref {
 	return out
 }
 
-// selectBucket chooses the bucket a probe scans: the union bucket of the
-// subject, else of the object, else of the predicate; with no term bound, the
-// graph's entry list. scan reports that nothing bound the pattern, so the
-// caller must walk the whole store.
-func (s *snapshot) selectBucket(p IDPattern) (candidates []eref, scan bool) {
-	switch {
-	case p.Subject != 0:
-		return s.bySubject.bucket(p.Subject), false
-	case p.Object != 0:
-		return s.byObject.bucket(p.Object), false
-	case p.Predicate != 0:
-		return s.byPredicate.bucket(p.Predicate), false
-	case p.GraphSet:
-		if pos, ok := s.graphIdx[p.Graph]; ok {
-			return s.graphs[pos].entries, false
-		}
-		return nil, false
-	default:
-		return nil, true
-	}
-}
-
 // residualFilter reports whether a bucket candidate can fail idMatches,
 // i.e. whether the pattern binds more than the term or graph the bucket was
 // selected by.
-func residualFilter(p IDPattern) bool {
+func residualFilter(p idPattern) bool {
 	bound := 0
 	if p.GraphSet {
 		bound++
@@ -500,42 +471,53 @@ func residualFilter(p IDPattern) bool {
 
 // idMatches applies the residual graph and term filter to a bucket
 // candidate.
-func idMatches(id QuadID, p IDPattern) bool {
+func idMatches(id QuadID, p idPattern) bool {
 	return (!p.GraphSet || id.Graph == p.Graph) &&
 		(p.Subject == 0 || id.Subject == p.Subject) &&
 		(p.Predicate == 0 || id.Predicate == p.Predicate) &&
 		(p.Object == 0 || id.Object == p.Object)
 }
 
-// idPattern resolves a term pattern to its dictionary encoding. The second
-// result is false when a constant has never been interned, in which case
-// the pattern cannot match any stored quad.
-func idPattern(d *rdf.Dict, p Pattern) (IDPattern, bool) {
+// idPattern is a quad pattern expressed in dictionary TermIDs, the form
+// every Match resolves to: 0 terms act as wildcards, and GraphSet restricts
+// matching to the graph with ID Graph.
+type idPattern struct {
+	Subject   rdf.TermID
+	Predicate rdf.TermID
+	Object    rdf.TermID
+	Graph     rdf.TermID
+	GraphSet  bool
+}
+
+// encodePattern resolves a term pattern to its dictionary encoding. The
+// second result is false when a constant has never been interned, in which
+// case the pattern cannot match any stored quad.
+func encodePattern(d *rdf.Dict, p Pattern) (idPattern, bool) {
 	sTerm := wildcardIfVar(p.Subject)
 	pTerm := wildcardIfVar(p.Predicate)
 	oTerm := wildcardIfVar(p.Object)
 
-	var ip IDPattern
+	var ip idPattern
 	var ok bool
 	if sTerm != nil {
 		if ip.Subject, ok = d.Lookup(sTerm); !ok {
-			return IDPattern{}, false
+			return idPattern{}, false
 		}
 	}
 	if pTerm != nil {
 		if ip.Predicate, ok = d.Lookup(pTerm); !ok {
-			return IDPattern{}, false
+			return idPattern{}, false
 		}
 	}
 	if oTerm != nil {
 		if ip.Object, ok = d.Lookup(oTerm); !ok {
-			return IDPattern{}, false
+			return idPattern{}, false
 		}
 	}
 	if p.GraphSet {
 		ip.GraphSet = true
 		if ip.Graph, ok = d.Lookup(p.Graph); !ok {
-			return IDPattern{}, false
+			return idPattern{}, false
 		}
 	}
 	return ip, true

@@ -198,7 +198,6 @@ func TestBucketsStaySorted(t *testing.T) {
 		}
 	}
 	assertIndexSorted("bySubject", sn.sn.bySubject)
-	assertIndexSorted("byPredicate", sn.sn.byPredicate)
 	assertIndexSorted("byObject", sn.sn.byObject)
 	for _, gb := range sn.sn.graphs {
 		assertSorted(fmt.Sprintf("graph %q", gb.name), gb.entries)
@@ -215,8 +214,8 @@ func TestSnapshotZeroValue(t *testing.T) {
 	if got := sn.Match(Pattern{}); got != nil {
 		t.Fatalf("zero snapshot Match = %v", got)
 	}
-	if got := sn.MatchIDs(IDPattern{}); got != nil {
-		t.Fatalf("zero snapshot MatchIDs = %v", got)
+	if got := sn.MatchWithIDs(Pattern{}); got != nil {
+		t.Fatalf("zero snapshot MatchWithIDs = %v", got)
 	}
 }
 

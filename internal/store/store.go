@@ -5,9 +5,10 @@
 // the rewriting algorithms issue through internal/core.
 //
 // Like TDB's node table, the store dictionary-encodes every term into a
-// dense uint32 TermID at Add time (see rdf.Dict); the GSPO/GPOS/GOSP
-// indexes and the canonical quad set are keyed on 4-integer composite keys,
-// so pattern matching compares integers instead of rebuilding string keys.
+// dense uint32 TermID at Add time (see rdf.Dict); the subject and object
+// indexes are keyed on TermIDs and the canonical quad set on 4-integer
+// composite keys, so pattern matching compares integers instead of
+// rebuilding string keys.
 // Quads themselves live in a pointer-free slab arena (see snapshot.go and
 // bdi/internal/slab): the stored form of a quad is a 4-integer QuadID plus
 // the byte-slab offset of its precomputed sort key, and index buckets are
@@ -29,7 +30,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,18 +69,6 @@ type Pattern struct {
 // WildcardGraph returns a pattern matching the given triple terms in any graph.
 func WildcardGraph(s, p, o rdf.Term) Pattern {
 	return Pattern{Subject: s, Predicate: p, Object: o}
-}
-
-// IDPattern is a quad pattern expressed directly in dictionary TermIDs, the
-// form every Match resolves to: 0 terms act as wildcards, and GraphSet
-// restricts matching to the graph with ID Graph. An ID the dictionary never
-// assigned simply matches nothing.
-type IDPattern struct {
-	Subject   rdf.TermID
-	Predicate rdf.TermID
-	Object    rdf.TermID
-	Graph     rdf.TermID
-	GraphSet  bool
 }
 
 // InGraph returns a pattern restricted to the given graph.
@@ -423,11 +411,7 @@ func (s *Store) RemoveGraph(graph rdf.IRI) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.snap.Load()
-	gid, ok := cur.dict.LookupIRI(graph)
-	if !ok {
-		return 0
-	}
-	pos, ok := cur.graphIdx[gid]
+	pos, ok := cur.graphPos(graph)
 	if !ok {
 		return 0
 	}
@@ -489,12 +473,11 @@ func (s *Store) Clear() {
 
 // Stats summarizes the content of the store.
 type Stats struct {
-	Quads              int
-	NamedGraphs        int
-	DefaultGraphQuads  int
-	DistinctSubjects   int
-	DistinctPredicates int
-	DistinctObjects    int
+	Quads             int
+	NamedGraphs       int
+	DefaultGraphQuads int
+	DistinctSubjects  int
+	DistinctObjects   int
 }
 
 // Stats returns summary statistics for the store.
@@ -547,7 +530,7 @@ func graphName(d *rdf.Dict, gid rdf.TermID) rdf.IRI {
 }
 
 // builder constructs the next snapshot of a mutation batch. The union index
-// headers are cloned up front (every batch touches all three dimensions);
+// headers are cloned up front (every batch touches both dimensions);
 // pages, buckets and graph buckets are copy-on-written on first touch, and
 // structures created within the batch are tracked so repeated touches mutate
 // in place. publish makes the snapshot visible with one atomic store.
@@ -564,16 +547,14 @@ type builder struct {
 func (s *Store) begin() *builder {
 	prev := s.snap.Load()
 	next := &snapshot{
-		dict:        prev.dict,
-		generation:  prev.generation + 1,
-		size:        prev.size,
-		slots:       s.ar.slots.View(),
-		keys:        s.ar.keys.View(),
-		graphs:      slices.Clone(prev.graphs),
-		graphIdx:    prev.graphIdx,
-		bySubject:   cloneIdx(prev.bySubject),
-		byPredicate: cloneIdx(prev.byPredicate),
-		byObject:    cloneIdx(prev.byObject),
+		dict:       prev.dict,
+		generation: prev.generation + 1,
+		size:       prev.size,
+		slots:      s.ar.slots.View(),
+		keys:       s.ar.keys.View(),
+		graphs:     slices.Clone(prev.graphs),
+		bySubject:  cloneIdx(prev.bySubject),
+		byObject:   cloneIdx(prev.byObject),
 	}
 	return &builder{
 		s:          s,
@@ -630,7 +611,6 @@ func (s *Store) compactArena(old *snapshot) *snapshot {
 func (b *builder) insert(ents []eref) {
 	b.s.sortByKey(ents)
 	b.applyDim(b.next.bySubject, ents, dimSubject, b.mergeSorted)
-	b.applyDim(b.next.byPredicate, ents, dimPredicate, b.mergeSorted)
 	b.applyDim(b.next.byObject, ents, dimObject, b.mergeSorted)
 	b.insertGraphs(ents)
 	b.next.size += len(ents)
@@ -643,7 +623,6 @@ func (b *builder) remove(ents []eref) {
 	ents = slices.Clone(ents)
 	b.s.sortByKey(ents)
 	b.applyDim(b.next.bySubject, ents, dimSubject, subtractSorted)
-	b.applyDim(b.next.byPredicate, ents, dimPredicate, subtractSorted)
 	b.applyDim(b.next.byObject, ents, dimObject, subtractSorted)
 	b.removeGraphs(ents)
 	b.next.size -= len(ents)
@@ -717,11 +696,12 @@ func (b *builder) insertGraphs(ents []eref) {
 		}
 		group := ents[i:j]
 		i = j
-		if pos, ok := b.next.graphIdx[gid]; ok {
+		name := graphName(b.next.dict, gid)
+		if pos, ok := b.next.graphPos(name); ok {
 			gb := b.ensureGraph(pos)
 			gb.entries = b.mergeSorted(gb.entries, group)
 		} else {
-			gb := &graphBucket{id: gid, name: graphName(b.next.dict, gid), entries: slices.Clone(group)}
+			gb := &graphBucket{name: name, entries: slices.Clone(group)}
 			b.freshG[gb] = true
 			fresh = append(fresh, gb)
 		}
@@ -731,20 +711,16 @@ func (b *builder) insertGraphs(ents []eref) {
 	}
 	graphs, pos := b.next.graphs, 0
 	for _, gb := range fresh {
-		n, _ := slices.BinarySearchFunc(graphs[pos:], gb.name, func(g *graphBucket, name rdf.IRI) int {
-			return strings.Compare(string(g.name), string(name))
-		})
+		n, _ := slices.BinarySearchFunc(graphs[pos:], gb.name, cmpGraphName)
 		pos += n
 		graphs = slices.Insert(graphs, pos, gb)
 		pos++
 	}
 	b.next.graphs = graphs
-	b.rebuildGraphIdx()
 }
 
 // removeGraphs subtracts the batch from the per-graph buckets, dropping
-// buckets that become empty. graphIdx is rebuilt immediately after a drop so
-// positions stay valid for the rest of the batch.
+// buckets that become empty.
 func (b *builder) removeGraphs(ents []eref) {
 	for i := 0; i < len(ents); {
 		gid := b.s.ar.slot(ents[i]).id.Graph
@@ -754,12 +730,11 @@ func (b *builder) removeGraphs(ents []eref) {
 		}
 		group := ents[i:j]
 		i = j
-		pos := b.next.graphIdx[gid]
+		pos, _ := b.next.graphPos(graphName(b.next.dict, gid))
 		gb := b.ensureGraph(pos)
 		gb.entries = subtractSorted(gb.entries, group)
 		if len(gb.entries) == 0 {
 			b.next.graphs = slices.Delete(b.next.graphs, pos, pos+1)
-			b.rebuildGraphIdx()
 		}
 	}
 }
@@ -769,20 +744,12 @@ func (b *builder) removeGraphs(ents []eref) {
 func (b *builder) ensureGraph(pos int) *graphBucket {
 	gb := b.next.graphs[pos]
 	if !b.freshG[gb] {
-		cp := &graphBucket{id: gb.id, name: gb.name, entries: gb.entries}
+		cp := &graphBucket{name: gb.name, entries: gb.entries}
 		b.next.graphs[pos] = cp
 		b.freshG[cp] = true
 		return cp
 	}
 	return gb
-}
-
-func (b *builder) rebuildGraphIdx() {
-	idx := make(map[rdf.TermID]int, len(b.next.graphs))
-	for i, gb := range b.next.graphs {
-		idx[gb.id] = i
-	}
-	b.next.graphIdx = idx
 }
 
 // mergeSorted merges two ascending (by sort key) eref slices into a fresh

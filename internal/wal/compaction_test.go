@@ -34,7 +34,7 @@ func quadStrings(o *core.Ontology) []string {
 
 // assertOntologyByteParity proves two independently rebuilt ontologies agree
 // exactly: generation, quads, the full dictionary table (hence TermIDs),
-// MatchIDs output and the delta log.
+// MatchWithIDs output and the delta log.
 func assertOntologyByteParity(t *testing.T, a, b *core.Ontology, label string) {
 	t.Helper()
 	asn, bsn := a.Store().Snapshot(), b.Store().Snapshot()

@@ -87,7 +87,7 @@ func TestCheckpointConcurrentWithTraffic(t *testing.T) {
 					errs <- errGenerationWentBackwards
 					return
 				}
-				n := len(sn.MatchIDs(store.IDPattern{}))
+				n := len(sn.MatchWithIDs(store.Pattern{}))
 				if n != sn.Len() {
 					errs <- errTornRead
 					return

@@ -18,7 +18,7 @@ import (
 // durable manager, the process "crashes" (Abort: no final checkpoint, no
 // fsync), the WAL is truncated or corrupted at arbitrary offsets, and the
 // recovered state must be byte-identical — quads, dictionary TermIDs,
-// MatchIDs output and query rewriting — to a from-scratch rebuild of the
+// MatchWithIDs output and query rewriting — to a from-scratch rebuild of the
 // op prefix the surviving log encodes. Every script op publishes exactly
 // one store generation, so "which prefix survived" is read directly off the
 // recovered generation.
@@ -252,7 +252,7 @@ func rewriteFingerprint(o *core.Ontology) string {
 }
 
 // assertStateParity compares the recovered ontology against the expected
-// snapshot at the same generation: quads, dictionary table, MatchIDs in raw
+// snapshot at the same generation: quads, dictionary table, MatchWithIDs in raw
 // TermID space, and rewriting output. wantDictLen is the baseline
 // dictionary size as of that generation (the baseline dict keeps growing
 // with later ops; the recovered table must equal its prefix).
@@ -273,7 +273,7 @@ func assertStateParity(t *testing.T, recovered *core.Ontology, want store.Snapsh
 	}
 	// Dictionary parity: same terms at the same TermIDs, exactly as many as
 	// the baseline had interned by this generation. This is what makes
-	// MatchIDs byte-identical, not merely equivalent.
+	// MatchWithIDs byte-identical, not merely equivalent.
 	gt, wt := got.Dict().Terms(), want.Dict().Terms()
 	if len(gt) != wantDictLen {
 		t.Fatalf("%s: dict has %d terms, want %d", label, len(gt), wantDictLen)
@@ -283,7 +283,7 @@ func assertStateParity(t *testing.T, recovered *core.Ontology, want store.Snapsh
 			t.Fatalf("%s: dict term %d = %v, want %v", label, i+1, gt[i], wt[i])
 		}
 	}
-	// MatchIDs parity on raw IDs for a few probe shapes.
+	// MatchWithIDs parity on raw IDs for a few probe shapes.
 	probes := []store.Pattern{
 		{},
 		store.WildcardGraph(nil, rdf.RDFType, nil),
