@@ -244,12 +244,7 @@ func (s *System) Rewrite(ctx context.Context, q *rewriting.OMQ) (*rewriting.Resu
 // first limit distinct rows. The rows are still in the ID domain: call
 // Relation on the answer for tuples, or AppendJSON to encode it.
 func (s *System) Answer(ctx context.Context, q *rewriting.OMQ, limit int) (*relational.IDRelation, *rewriting.Result, error) {
-	res, err := s.Rewrite(ctx, q)
-	if err != nil {
-		return nil, nil, err
-	}
-	answer, err := s.rewriter.ExecuteResultIDs(ctx, res, s.resolver, limit)
-	return answer, res, err
+	return s.cache.Answer(ctx, q, s.resolver, limit)
 }
 
 // CacheStats reports the rewriting cache's effectiveness counters.

@@ -10,14 +10,18 @@ package bdi
 // cmd/benchrunner prints the same experiments as human-readable tables.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"bdi/internal/core"
 	"bdi/internal/evolution"
 	"bdi/internal/gav"
+	"bdi/internal/obs"
 	"bdi/internal/rdf"
 	"bdi/internal/relational"
 	"bdi/internal/rewriting"
@@ -538,6 +542,7 @@ func benchmarkOMQAnswer(b *testing.B, rows int, execute func(*rewriting.Rewriter
 	}
 	resolver := wrapper.NewQualifiedResolver(wc.Registry)
 	b.ReportAllocs()
+	reused, fresh := dictValues()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		answer, err := execute(r, res, resolver)
@@ -548,6 +553,7 @@ func benchmarkOMQAnswer(b *testing.B, rows int, execute func(*rewriting.Rewriter
 			b.Fatalf("answer = %d rows, want %d", answer.Cardinality(), rows)
 		}
 	}
+	reportDictValues(b, reused, fresh)
 }
 
 // BenchmarkOMQAnswer runs the compiled slot-based engine.
@@ -561,25 +567,37 @@ func BenchmarkOMQAnswer(b *testing.B) {
 	}
 }
 
-// churning serves a wrapper's rows with every number moved by a new offset on
-// each fetch, so that no fetch returns a value an earlier fetch returned.
+// churning serves a wrapper's rows with every value moved by a new offset on
+// each fetch, so that no fetch returns a value an earlier fetch returned;
+// with keepIDs set, the ID attributes keep theirs.
 type churning struct {
 	wrapper.Wrapper
 	rows    []relational.Tuple
+	keepIDs bool
 	fetches atomic.Int64
 }
 
 func (c *churning) Rows(ctx context.Context, p relational.Pushdown, d *relational.ValueDict) (*relational.ColRelation, error) {
 	shift := int(c.fetches.Add(1)) * 10_000_000
+	moves := map[string]bool{}
+	for _, a := range c.Schema().Attributes {
+		moves[a.Name] = !a.ID || !c.keepIDs
+	}
 	out := relational.Tuple{}
 	rows := func(yield func(relational.Tuple) bool) {
 		for _, t := range c.rows {
 			for a, v := range t {
 				switch x := v.(type) {
 				case int:
-					out[a] = x + shift
+					if moves[a] {
+						x += shift
+					}
+					out[a] = x
 				case float64:
-					out[a] = x + float64(shift)
+					if moves[a] {
+						x += float64(shift)
+					}
+					out[a] = x
 				}
 			}
 			if !yield(out) {
@@ -594,6 +612,20 @@ func (c *churning) Rows(ctx context.Context, p relational.Pushdown, d *relationa
 // change on every fetch: the result's union never finds a value in the
 // dictionary it keeps, so this is the cold execution path.
 func BenchmarkOMQAnswerChurn(b *testing.B) {
+	benchmarkOMQAnswerChurning(b, false)
+}
+
+// BenchmarkOMQAnswerRecurringIDs is BenchmarkOMQAnswer over wrappers whose
+// integer IDs recur on every fetch while every measured value changes, as a
+// monitor's IDs and its lagRatio do: an execution finds the IDs in the
+// dictionary its union keeps and interns the values anew.
+func BenchmarkOMQAnswerRecurringIDs(b *testing.B) {
+	benchmarkOMQAnswerChurning(b, true)
+}
+
+// benchmarkOMQAnswerChurning runs BenchmarkOMQAnswer's query over churning
+// copies of its wrappers, encoding every answer to JSON.
+func benchmarkOMQAnswerChurning(b *testing.B, keepIDs bool) {
 	for _, rows := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			wc, err := workload.BuildWorstCaseRows(3, 2, rows)
@@ -608,7 +640,7 @@ func BenchmarkOMQAnswerChurn(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				reg.Register(&churning{Wrapper: w, rows: full.Decode(d).Tuples})
+				reg.Register(&churning{Wrapper: w, rows: full.Decode(d).Tuples, keepIDs: keepIDs})
 			}
 			r := rewriting.NewRewriter(wc.Ontology)
 			res, err := r.Rewrite(wc.Query)
@@ -617,6 +649,7 @@ func BenchmarkOMQAnswerChurn(b *testing.B) {
 			}
 			resolver := wrapper.NewQualifiedResolver(reg)
 			b.ReportAllocs()
+			reused, fresh := dictValues()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				answer, err := r.ExecuteResultIDs(context.Background(), res, resolver, 0)
@@ -627,8 +660,35 @@ func BenchmarkOMQAnswerChurn(b *testing.B) {
 					b.Fatalf("answer = %d rows (%v), want %d", len(answer.Rows), err, rows)
 				}
 			}
+			reportDictValues(b, reused, fresh)
 		})
 	}
+}
+
+// dictValues reads the engine's counts of values its executions found in
+// and added to their unions' kept dictionaries.
+func dictValues() (reused, fresh int64) {
+	var buf bytes.Buffer
+	obs.Default.WritePrometheus(&buf)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		name, v, _ := strings.Cut(line, " ")
+		n, _ := strconv.ParseInt(v, 10, 64)
+		switch name {
+		case "bdi_walk_dict_reused_values_total":
+			reused = n
+		case "bdi_walk_dict_new_values_total":
+			fresh = n
+		}
+	}
+	return reused, fresh
+}
+
+// reportDictValues reports the values an iteration found in its union's kept
+// dictionary and added to it, from the counts before the loop.
+func reportDictValues(b *testing.B, reused, fresh int64) {
+	r, f := dictValues()
+	b.ReportMetric(float64(r-reused)/float64(b.N), "dict_reused/op")
+	b.ReportMetric(float64(f-fresh)/float64(b.N), "dict_new/op")
 }
 
 // BenchmarkOMQAnswerReference runs the preserved tuple-at-a-time executor on

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -378,6 +379,46 @@ func TestReleaseSequenceNeverReused(t *testing.T) {
 	if res.Sequence != 6 {
 		t.Errorf("restored ontology: w6 sequence = %d, want 6", res.Sequence)
 	}
+}
+
+// TestNewReleaseValidatesTheSnapshotItPlansOn starts a release while the
+// ontology's lock is held, removes one of its Global-graph triples straight
+// from the store once the release waits for the lock, and then lets it go:
+// the release is checked against the G it is planned on and rejected.
+func TestNewReleaseValidatesTheSnapshotItPlansOn(t *testing.T) {
+	o := NewOntology()
+	if err := BuildSupersedeGlobalGraph(o); err != nil {
+		t.Fatal(err)
+	}
+	r := SupersedeReleaseW1()
+	o.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := o.NewRelease(r)
+		done <- err
+	}()
+	for !waitsForOntologyLock() {
+		runtime.Gosched()
+	}
+	if !o.Store().Remove(rdf.Quad{Triple: r.Subgraph.Triples[0], Graph: GlobalGraphName}) {
+		t.Fatal("the release's first triple is not in G")
+	}
+	o.mu.Unlock()
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "not a subgraph of G") {
+		t.Fatalf("a release whose subgraph left G before it was planned returned %v, want a rejection", err)
+	}
+}
+
+// waitsForOntologyLock reports whether a goroutine is blocked on a mutex
+// inside Ontology.NewRelease.
+func waitsForOntologyLock() bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, "(*Ontology).NewRelease") {
+			return true
+		}
+	}
+	return false
 }
 
 func TestDefaultPrefixes(t *testing.T) {

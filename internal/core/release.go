@@ -57,19 +57,17 @@ type Release struct {
 	F map[string]rdf.IRI
 }
 
-// Validate checks the release: the wrapper spec must be valid, every
-// attribute mapped by F must belong to the wrapper, every target must be a
-// feature vertex of the subgraph, and the subgraph must be a subgraph of G.
-// The checks read one pinned snapshot and probe G per triple instead of
-// materializing it.
-func (r Release) Validate(o *Ontology) error {
+// validate checks the release against sn: the wrapper spec must be valid,
+// every attribute mapped by F must belong to the wrapper, every target must
+// be a feature vertex of the subgraph, and the subgraph must be a subgraph of
+// G. The checks probe G per triple instead of materializing it.
+func (r Release) validate(o *Ontology, sn store.Snapshot) error {
 	if err := r.Wrapper.Validate(); err != nil {
 		return err
 	}
 	if r.Subgraph == nil || r.Subgraph.Len() == 0 {
 		return fmt.Errorf("core: release for wrapper %q has an empty LAV subgraph", r.Wrapper.Name)
 	}
-	sn := o.store.Snapshot()
 	for _, t := range r.Subgraph.Triples {
 		if !sn.ContainsTriple(GlobalGraphName, t) {
 			return fmt.Errorf("core: release subgraph for wrapper %q is not a subgraph of G", r.Wrapper.Name)
@@ -130,16 +128,17 @@ type ReleaseResult struct {
 // index bucket once instead of once per triple. The release's delta span is
 // published inside that batch's writer critical section, before its
 // snapshot, so no reader sees the release's generation without the span
-// that explains it.
+// that explains it. The release is validated against the snapshot it is
+// planned on, under the same lock, so no Global-graph edit slips in between.
 func (o *Ontology) NewRelease(r Release) (*ReleaseResult, error) {
-	if err := r.Validate(o); err != nil {
-		return nil, err
-	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 
-	res := &ReleaseResult{}
 	sn := o.store.Snapshot()
+	if err := r.validate(o, sn); err != nil {
+		return nil, err
+	}
+	res := &ReleaseResult{}
 	sBefore := sn.GraphLen(SourceGraphName)
 	totalBefore := sn.Len()
 	var pending []rdf.Quad

@@ -105,6 +105,7 @@ func (s *Server) writeCacheMetrics(t *obs.TextWriter) {
 	t.Counter("bdi_rewrite_cache_retries_total", "Rewrites retried after racing a release.", nil, int64(st.Retries))
 	t.Gauge("bdi_rewrite_cache_entries", "Memoized rewritings currently cached.", nil, int64(st.Entries))
 	t.Gauge("bdi_rewrite_cache_unit_entries", "Intra-concept units currently cached.", nil, int64(st.Units))
+	t.Gauge("bdi_rewrite_cache_kept_dict_entries", "Values (dictionary entries) the cached rewritings' kept value dictionaries hold.", nil, int64(st.KeptValues))
 }
 
 func (s *Server) writeStoreMetrics(t *obs.TextWriter) {

@@ -86,8 +86,9 @@ func TestHealthLegacyAlias(t *testing.T) {
 }
 
 // TestMetricsExposition checks the scrape covers every in-process subsystem
-// after one query: lifecycle/governor, rewrite cache, sparql, walk engine,
-// wrapper fetches and the store.
+// after one query: lifecycle/governor, rewrite cache (with the values its
+// answered rewriting keeps), sparql, walk engine, wrapper fetches and the
+// store.
 func TestMetricsExposition(t *testing.T) {
 	o, err := core.BuildSupersedeOntology(false)
 	if err != nil {
@@ -142,6 +143,11 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if v, _ := metricValue(body, "bdi_governor_pool_size_requests{pool=\"read\"}"); v != 4 {
 		t.Errorf("read pool size gauge = %v, want 4", v)
+	}
+	// The answered rewriting keeps its value dictionary, charged to the cache.
+	kept := srv.sys.Load().CacheStats().KeptValues
+	if v, ok := metricValue(body, "bdi_rewrite_cache_kept_dict_entries"); !ok || v < 1 || int(v) != kept {
+		t.Errorf("bdi_rewrite_cache_kept_dict_entries = %v (present: %v), want the cache's %d, at least 1", v, ok, kept)
 	}
 }
 

@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"runtime"
@@ -9,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"weak"
 
 	"bdi/internal/lifecycle"
 	"bdi/internal/obs"
@@ -117,65 +115,31 @@ func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResol
 // differ from the program's in name, schema or row count compiles afresh and
 // keeps the new program. Each execution extends the value dictionary the
 // union kept, frozen, from an earlier one (ValueDict.freeze), so it interns,
-// orders and encodes only values it has not seen. A Union is safe for
-// concurrent use.
+// orders and encodes only values it has not seen. The union bounds that
+// dictionary by what its latest execution touched; whoever holds the union
+// long bounds it further with TrimKept. A Union is safe for concurrent use.
 type Union struct {
 	walks  []*Walk
 	name   string
 	output []OutputColumn
 	plan   atomic.Pointer[unionPlan]
 	dict   atomic.Pointer[ValueDict]
-	entry  *list.Element // in kept.lru, once the union executed; guarded by kept
 }
 
-// keptValuesMax bounds the values all unions' kept dictionaries hold. At ~200
-// bytes a value (map entry, its entry with key and JSON) they pin at
-// most ~50 MB: a union of 2^17 values, 50 times the scaled running example's,
-// keeps them all, yet a rewriting cache's 256 results cannot each pin one.
-const keptValuesMax = 1 << 18
-
-// kept lists the executed unions, most recent first; a collected one leaves.
-var kept struct {
-	sync.Mutex
-	lru   list.List // of *keptUnion
-	total int
-}
-
-type keptUnion struct {
-	union weak.Pointer[Union]
-	size  int // values of its kept dictionary
-}
-
-// keep makes next the dictionary un keeps in place of base, marks un the
-// most recently executed union, and drops the dictionaries of the least
-// recently executed while the total exceeds keptValuesMax.
-func (un *Union) keep(base, next *ValueDict) {
-	kept.Lock()
-	defer kept.Unlock()
-	if un.entry == nil {
-		un.entry = kept.lru.PushFront(&keptUnion{union: weak.Make(un)})
-		runtime.AddCleanup(un, func(e *list.Element) {
-			kept.Lock()
-			defer kept.Unlock()
-			kept.total -= e.Value.(*keptUnion).size
-			kept.lru.Remove(e)
-		}, un.entry)
-	}
-	kept.lru.MoveToFront(un.entry)
-	if k := un.entry.Value.(*keptUnion); next != base && un.dict.CompareAndSwap(base, next) {
-		kept.total -= k.size
-		if k.size = 0; next != nil {
-			k.size = len(next.ents)
+// TrimKept drops the union's kept dictionary when it holds more than max
+// values, and returns the number of values the union keeps.
+func (un *Union) TrimKept(max int) int {
+	for {
+		d := un.dict.Load()
+		if d == nil {
+			return 0
 		}
-		kept.total += k.size
-	}
-	for e := kept.lru.Back(); kept.total > keptValuesMax; e = e.Prev() {
-		k := e.Value.(*keptUnion)
-		if u := k.union.Value(); u != nil {
-			u.dict.Store(nil)
+		if len(d.ents) <= max {
+			return len(d.ents)
 		}
-		kept.total -= k.size
-		k.size = 0
+		if un.dict.CompareAndSwap(d, nil) {
+			return 0
+		}
 	}
 }
 
@@ -342,7 +306,7 @@ consume:
 	span.SetAttrInt("rows", int64(len(outRows)))
 	span.SetAttrInt("order_us", orderTime.Microseconds())
 	d := ex.dict
-	un.keep(base, d.freeze())
+	un.dict.CompareAndSwap(base, d.freeze())
 	dictReusedTotal.Add(int64(d.reused))
 	dictNewTotal.Add(int64(len(d.ents)))
 	span.SetAttrInt("dict_reused", int64(d.reused))

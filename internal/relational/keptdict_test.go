@@ -5,16 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // The kept-dictionary suite: a Union keeps the dictionary of its last
 // execution frozen and the next execution extends it. The renderings must be
-// a fresh dictionary's, the kept dictionary must stay bounded per union, and
-// all kept dictionaries together within keptValuesMax.
+// a fresh dictionary's and the kept dictionary must stay bounded per union.
+// The bound over all unions a rewriting cache holds is the cache's
+// (rewriting's TestCacheBoundsKeptValues).
 
 // TestEqualityClassRenderings pins what the members of one equality class
 // share: their valueKey always, their JSON but for the sign of a zero, and not
@@ -197,56 +196,6 @@ func TestKeptDictionaryBounded(t *testing.T) {
 		if checked < 50 {
 			t.Fatalf("half=%v: the union kept a dictionary after %d of 200 executions", half, checked)
 		}
-	}
-}
-
-// TestKeptDictionariesWithinEngineBudget executes more unions, each over its
-// own values, than keptValuesMax holds: the total kept never exceeds it, the
-// most recently executed union keeps its dictionary and the least recently
-// executed lost theirs; and once the unions are collected, their share of the
-// total is returned.
-func TestKeptDictionariesWithinEngineBudget(t *testing.T) {
-	const unions, rows = 6, keptValuesMax / 8 // 2 values a row: 4 unions fill the budget
-	total := func() int {
-		kept.Lock()
-		defer kept.Unlock()
-		return kept.total
-	}
-	us := make([]*Union, unions)
-	for u := range us {
-		values := make([]Value, rows)
-		for i := range values {
-			values[i] = float64(u*rows+i) + 0.5
-		}
-		var r staticResolver
-		us[u], r = oneColumnUnion(values...)
-		for i, tup := range r["w"].Tuples {
-			tup["id"] = u*rows + i
-		}
-		if _, err := DefaultEngine.Execute(context.Background(), us[u], r, 0); err != nil {
-			t.Fatal(err)
-		}
-		if n := total(); n > keptValuesMax {
-			t.Fatalf("after %d unions the kept dictionaries hold %d values, more than %d", u+1, n, keptValuesMax)
-		}
-	}
-	if us[unions-1].dict.Load() == nil || us[0].dict.Load() != nil || us[1].dict.Load() != nil {
-		t.Fatal("the budget did not drop the least recently executed unions' dictionaries first")
-	}
-	ours := 0
-	for _, un := range us {
-		if d := un.dict.Load(); d != nil {
-			ours += len(d.ents)
-		}
-	}
-	before := total()
-	us = nil
-	for i := 0; i < 100 && total() > before-ours; i++ {
-		runtime.GC()
-		time.Sleep(time.Millisecond)
-	}
-	if n := total(); n > before-ours {
-		t.Fatalf("collected unions still account for their dictionaries: the total is %d, want at most %d", n, before-ours)
 	}
 }
 

@@ -3,6 +3,7 @@ package rewriting
 import (
 	"container/list"
 	"context"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"bdi/internal/lifecycle"
 	"bdi/internal/obs"
 	"bdi/internal/rdf"
+	"bdi/internal/relational"
 )
 
 // Hot-path rewriting metrics. The histogram's count doubles as the rewrite
@@ -33,6 +35,11 @@ const (
 	DefaultMaxEntries = 256
 	DefaultMaxUnits   = 1024
 )
+
+// keptValuesMax bounds the values a cache's results keep in their value
+// dictionaries. At ~200 bytes a value they pin at most ~50 MB: a result of
+// 2^17 values, 50 times the scaled running example's, keeps them all.
+const keptValuesMax = 1 << 18
 
 // Cache memoizes rewriting results and, underneath them, per-concept
 // intra-concept units (Algorithm 4 output), both tagged with invalidation
@@ -58,6 +65,10 @@ const (
 // immutable. The cache is safe for concurrent use; a rewrite that races
 // with a store mutation is retried so that every returned result is
 // computed against exactly one store generation.
+//
+// The cache owns what its results keep: Answer charges each entry the values
+// its result's dictionary holds, and past keptValuesMax drops the least
+// recently used entries' dictionaries. A removed entry's charge goes with it.
 type Cache struct {
 	rewriter   *Rewriter
 	maxEntries int
@@ -82,6 +93,7 @@ type cacheEntry struct {
 	res       *Result
 	footprint core.Footprint
 	elem      *list.Element
+	kept      int // values res's dictionary held when Answer last charged it
 }
 
 // unitEntry is one memoized intra-concept unit.
@@ -121,6 +133,8 @@ type CacheStats struct {
 	// InvalidatedByConcept counts, per concept IRI, how many entries and
 	// units a release delta retired because the delta touched that concept.
 	InvalidatedByConcept map[string]int `json:"invalidatedByConcept,omitempty"`
+	// KeptValues sums the entries' charges for their kept dictionaries.
+	KeptValues int `json:"keptValues,omitempty"`
 }
 
 // NewCache returns a caching front-end for the rewriter with default
@@ -164,6 +178,40 @@ func (c *Cache) Rewrite(omq *OMQ) (*Result, error) {
 // cancellation point is a complete, generation-consistent result that later
 // rewrites may reuse).
 func (c *Cache) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
+	res, _, err := c.rewrite(ctx, omq)
+	return res, err
+}
+
+// Answer rewrites the OMQ as RewriteContext does and executes the result
+// (Rewriter.ExecuteResultIDs). A still cached result's entry then becomes the
+// most recently used and is charged what its result keeps; the least recently
+// used lose their dictionaries while the charges exceed keptValuesMax.
+func (c *Cache) Answer(ctx context.Context, omq *OMQ, resolver relational.WrapperResolver, limit int) (*relational.IDRelation, *Result, error) {
+	res, e, err := c.rewrite(ctx, omq)
+	if err != nil {
+		return nil, nil, err
+	}
+	answer, err := c.rewriter.ExecuteResultIDs(ctx, res, resolver, limit)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil || e == nil || c.entries[e.key] != e {
+		return answer, res, err
+	}
+	n := res.union.TrimKept(keptValuesMax)
+	c.stats.KeptValues += n - e.kept
+	e.kept = n
+	c.entryLRU.MoveToFront(e.elem)
+	for el := c.entryLRU.Back(); c.stats.KeptValues > keptValuesMax; el = el.Prev() {
+		t := el.Value.(*cacheEntry)
+		t.res.union.TrimKept(0)
+		c.stats.KeptValues -= t.kept
+		t.kept = 0
+	}
+	return answer, res, nil
+}
+
+// rewrite is RewriteContext that also returns the result's entry, or nil.
+func (c *Cache) rewrite(ctx context.Context, omq *OMQ) (*Result, *cacheEntry, error) {
 	ctx, span := obs.StartSpan(ctx, "rewrite")
 	start := time.Now()
 	defer func() {
@@ -178,7 +226,7 @@ func (c *Cache) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
 		// re-pinning (mutation races re-enter here, so this is also the
 		// "never retry after cancellation" guarantee).
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sn := store.Snapshot()
 		gen := sn.Generation()
@@ -191,7 +239,7 @@ func (c *Cache) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
 			c.stats.Hits++
 			c.mu.Unlock()
 			span.SetAttr("cache", "hit")
-			return e.res, nil
+			return e.res, e, nil
 		}
 		if c.generation != gen {
 			// The pinned snapshot is already behind the cache: a build
@@ -214,7 +262,7 @@ func (c *Cache) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
 			// Cancelled mid-build: nothing was cached for this result (units
 			// already memoized are complete and consistent) and no retry
 			// follows.
-			return nil, err
+			return nil, nil, err
 		}
 		if store.Snapshot() != sn {
 			// The store mutated mid-rewrite: the walks (or the error) may mix
@@ -226,19 +274,20 @@ func (c *Cache) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
+		var e *cacheEntry
 		c.mu.Lock()
 		if c.generation == gen {
 			if _, exists := c.entries[key]; !exists {
-				e := &cacheEntry{key: key, res: res, footprint: fp}
+				e = &cacheEntry{key: key, res: res, footprint: fp}
 				e.elem = c.entryLRU.PushFront(e)
 				c.entries[key] = e
 				c.evictLocked()
 			}
 		}
 		c.mu.Unlock()
-		return res, nil
+		return res, e, nil
 	}
 }
 
@@ -329,6 +378,7 @@ func (c *Cache) revalidateLocked(gen uint64) {
 			c.stats.EntriesInvalidated += len(c.entries)
 			c.stats.UnitsInvalidated += len(c.units)
 			c.stats.FullFlushes++
+			c.stats.KeptValues = 0
 			c.entries = map[string]*cacheEntry{}
 			c.entryLRU.Init()
 			c.units = map[string]*unitEntry{}
@@ -342,6 +392,7 @@ func (c *Cache) revalidateLocked(gen uint64) {
 			c.countInvalidationLocked(e.footprint, deltas)
 			c.entryLRU.Remove(e.elem)
 			delete(c.entries, key)
+			c.stats.KeptValues -= e.kept
 			c.stats.EntriesInvalidated++
 		} else {
 			c.stats.EntriesRetained++
@@ -374,6 +425,7 @@ func (c *Cache) evictLocked() {
 	for len(c.entries) > c.maxEntries {
 		e := c.entryLRU.Remove(c.entryLRU.Back()).(*cacheEntry)
 		delete(c.entries, e.key)
+		c.stats.KeptValues -= e.kept
 		c.stats.Evictions++
 	}
 	for len(c.units) > c.maxUnits {
@@ -390,12 +442,7 @@ func (c *Cache) Stats() CacheStats {
 	out := c.stats
 	out.Entries = len(c.entries)
 	out.Units = len(c.units)
-	if len(c.stats.InvalidatedByConcept) > 0 {
-		out.InvalidatedByConcept = make(map[string]int, len(c.stats.InvalidatedByConcept))
-		for k, v := range c.stats.InvalidatedByConcept {
-			out.InvalidatedByConcept[k] = v
-		}
-	}
+	out.InvalidatedByConcept = maps.Clone(c.stats.InvalidatedByConcept)
 	return out
 }
 

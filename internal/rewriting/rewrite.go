@@ -231,18 +231,11 @@ func (r *Rewriter) assemble(ctx context.Context, wf *OMQ, expanded *ExpandedQuer
 	return &Result{WellFormed: wf, Expanded: expanded, PartialWalks: partials, UCQ: ucq, union: union}, nil
 }
 
-// ExecuteResultIDs executes every walk of the rewriting result through the
-// compiled relational engine, renames the projected attributes to their
-// feature names and unions the per-walk relations. The first execution
-// compiles the result's union program and later ones reuse it. The compile
-// loop checks cancellation between walks and each walk execution honors ctx
-// and the context's budget tracker. limit > 0 stops execution once that many
-// distinct answer rows exist, cancelling the walks that can no longer
-// contribute; the retained rows are the first limit distinct rows in walk
-// order. The answer's rows are in canonical (Tuple.Key) order and still in
-// the ID domain, so a caller decodes them once or encodes them straight to
-// JSON. ExecuteResultReference preserves the original executor for
-// differential testing.
+// ExecuteResultIDs executes the result's union of walks on the compiled
+// engine (relational.Engine.Execute), one column per requested feature: the
+// first execution compiles the program and later ones reuse it, ctx and its
+// budget bound every walk, and limit > 0 keeps the first limit distinct rows
+// in walk order. The rows are in canonical order, still in the ID domain.
 func (r *Rewriter) ExecuteResultIDs(ctx context.Context, res *Result, resolver relational.WrapperResolver, limit int) (*relational.IDRelation, error) {
 	return relational.DefaultEngine.Execute(ctx, res.union, resolver, limit)
 }
