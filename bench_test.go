@@ -435,7 +435,7 @@ func BenchmarkAlgorithm1NewReleaseAtDepth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if i%restoreEvery == 0 {
 					b.StopTimer()
-					ec.Ontology = core.RestoreOntology(base.Clone(), nil)
+					ec.Ontology = core.RestoreOntology(base.Clone())
 					b.StartTimer()
 				}
 				if _, err := ec.RegisterRelatedRelease(); err != nil {

@@ -312,7 +312,6 @@ func runRestore(dir string) {
 	if rec.TornTail {
 		fmt.Printf("  torn tail:       %d byte(s) would be truncated on a live open\n", rec.TruncatedBytes)
 	}
-	fmt.Printf("  release log:     %d delta span(s) restored (warm-cache invalidation survives the restart)\n", rec.SpansRestored)
 	fmt.Printf("  final state:     generation %d, %d quads\n", rec.FinalGeneration, o.Store().Len())
 	st := o.Stats()
 	fmt.Printf("  ontology:        G=%d S=%d M=%d (+%d LAV) triples; %d concepts, %d features, %d sources, %d wrappers, %d attributes\n",
@@ -385,8 +384,8 @@ func runReplication(addr string) {
 				v, _ := stats[k].(float64)
 				return uint64(v)
 			}
-			fmt.Printf("applied:           %d frame(s): %d batch(es), %d release span(s)\n",
-				get("framesApplied"), get("batchesApplied"), get("spansApplied"))
+			fmt.Printf("applied:           %d frame(s): %d batch(es)\n",
+				get("framesApplied"), get("batchesApplied"))
 			fmt.Printf("resilience:        %d checkpoint fetch(es), %d reconnect(s), %d corrupt frame(s) quarantined, %d gap resync(s), %d divergence resync(s)\n",
 				get("checkpointsFetched"), get("reconnects"), get("corruptFrames"), get("gapResyncs"), get("divergenceResyncs"))
 		}

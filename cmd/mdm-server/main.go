@@ -126,7 +126,6 @@ func main() {
 			"checkpoint_generation", rec.CheckpointGeneration,
 			"checkpoint_quads", rec.CheckpointQuads,
 			"batches_replayed", rec.BatchesReplayed,
-			"release_spans", rec.SpansRestored,
 			"torn_tail", rec.TornTail)
 	} else {
 		ontology = core.NewOntology()

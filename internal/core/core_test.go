@@ -370,7 +370,7 @@ func TestReleaseSequenceNeverReused(t *testing.T) {
 		t.Errorf("latest wrapper of D1 = %v, want w5", w)
 	}
 
-	restored := RestoreOntology(o.Store().Clone(), nil)
+	restored := RestoreOntology(o.Store().Clone())
 	w6 := SupersedeReleaseW4()
 	w6.Wrapper.Name = "w6"
 	if res, err = restored.NewRelease(w6); err != nil {

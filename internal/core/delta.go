@@ -137,20 +137,14 @@ func sortedIntersect(a, b []rdf.IRI) bool {
 }
 
 // DeltaSpan is one entry of the release-delta log: a release delta together
-// with the store-generation interval (From, To] its publication covered.
-// The durability layer checkpoints the log and journals each new span so
-// that, after a restart, caches validate incrementally against the same
-// release history instead of falling back to full flushes.
+// with the store-generation interval (From, To] its publication covered. The
+// log lives in memory only: a release's delta is derived from its store
+// batch and the state before it, so a recovered or resynchronized ontology,
+// whose caches start empty, has nothing to restore.
 type DeltaSpan struct {
 	From  uint64
 	To    uint64
 	Delta *ReleaseDelta
-}
-
-// DeltaLog returns a copy of the ontology's bounded release-delta log in
-// publication order.
-func (o *Ontology) DeltaLog() []DeltaSpan {
-	return slices.Clone(o.spans())
 }
 
 // spans returns the published delta log. The slice is never written after
@@ -162,37 +156,11 @@ func (o *Ontology) spans() []DeltaSpan {
 	return nil
 }
 
-// RestoreDeltaLog replaces the delta log with the given spans (publication
-// order), trimming to the bounded window. Recovery uses it to rebuild the
-// log from a checkpoint plus the journaled release records.
-func (o *Ontology) RestoreDeltaLog(spans []DeltaSpan) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var log []DeltaSpan
-	for _, sp := range spans {
-		log = appendSpan(log, sp)
-	}
-	o.deltaLog.Store(&log)
-}
-
-// AppendDeltaSpan appends one span to the delta log, trimming to the bounded
-// window. The replication apply path uses it to mirror the primary's release
-// history span by span (the span's store batch has already been applied), so
-// a replica's rewriting caches invalidate incrementally exactly as the
-// primary's do.
-func (o *Ontology) AppendDeltaSpan(sp DeltaSpan) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.recordDeltaLocked(sp)
-}
-
 // SetReleaseHook installs (or, with nil, removes) a hook observing every
-// delta span a release records, invoked under the ontology write lock once
-// the release is published. The durability layer uses it to journal release
-// registrations; a non-nil error is propagated by NewRelease (note that the
-// release's store batch has already been applied and logged at that point —
-// losing only the span degrades cache invalidation to a full flush after
-// recovery, never correctness).
+// delta span NewRelease records, invoked under the ontology write lock once
+// the release is published. It is a test point: a hook can park a release
+// after publication. A non-nil error is returned by NewRelease, whose
+// release stays applied.
 func (o *Ontology) SetReleaseHook(h func(DeltaSpan) error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -203,25 +171,15 @@ func (o *Ontology) SetReleaseHook(h func(DeltaSpan) error) {
 // than the window simply pay one full recompute; the log itself stays O(1).
 const maxDeltaLog = 256
 
-// recordDeltaLocked publishes the log with one more span. The published
-// slice is copied, never appended to in place, so readers holding it see no
-// write. Caller holds o.mu.
+// recordDeltaLocked publishes the log with one more span, trimmed to the
+// bounded window. The published slice is copied, never appended to in place,
+// so readers holding it see no write. Caller holds o.mu.
 func (o *Ontology) recordDeltaLocked(sp DeltaSpan) {
-	log := appendSpan(slices.Clip(o.spans()), sp)
-	o.deltaLog.Store(&log)
-}
-
-// appendSpan appends a span to a log the caller owns, trimming it to the
-// bounded window. Empty spans are dropped.
-func appendSpan(log []DeltaSpan, sp DeltaSpan) []DeltaSpan {
-	if sp.To == sp.From {
-		return log
-	}
-	log = append(log, sp)
+	log := append(slices.Clip(o.spans()), sp)
 	if len(log) > maxDeltaLog {
 		log = log[len(log)-maxDeltaLog:]
 	}
-	return log
+	o.deltaLog.Store(&log)
 }
 
 // DeltasBetween returns the release deltas that fully explain every store
@@ -265,16 +223,31 @@ func (o *Ontology) DeltasBetween(from, to uint64) ([]*ReleaseDelta, bool) {
 	return rev, true
 }
 
-// computeReleaseDelta derives the delta of a validated release against the
-// pre-release snapshot. G is never written by Algorithm 1, so concept and
-// feature classification read from the same snapshot remain valid after the
-// release is applied.
-func computeReleaseDelta(sn store.Snapshot, r Release, sequence int) *ReleaseDelta {
-	d := &ReleaseDelta{
-		Wrapper:  WrapperURI(r.Wrapper.Name),
-		Source:   SourceURI(r.Wrapper.Source),
-		Sequence: sequence,
+// computeReleaseDelta derives the delta of a release from the state before
+// it (sn) and its store batch. It returns nil when the batch is not
+// Algorithm 1's shape: a quad in G or in a graph other than S, M and the
+// wrapper's own LAV graph, no wrapper or a second one, or an S or M quad no
+// release writes. G is never written by a release, so concept and feature
+// classification read from sn stay valid after the batch is applied. The
+// delta reads only the quads every release inserts and the batch's
+// owl:sameAs links, and a reused attribute's existing links come from sn, so
+// a batch the store stripped of duplicate quads derives the same delta.
+func computeReleaseDelta(sn store.Snapshot, quads []rdf.Quad) *ReleaseDelta {
+	d := &ReleaseDelta{}
+	for _, q := range quads {
+		if q.Graph == SourceGraphName && q.Predicate == rdf.RDFType && q.Object == SWrapper {
+			w, ok := q.Subject.(rdf.IRI)
+			if !ok || d.Wrapper != "" {
+				return nil
+			}
+			d.Wrapper = w
+		}
 	}
+	name, ok := strings.CutPrefix(string(d.Wrapper), string(WrapperURI("")))
+	if !ok || name == "" {
+		return nil
+	}
+	lav := MappingGraphURI(name)
 	isConcept := func(t rdf.Term) (rdf.IRI, bool) {
 		iri, ok := t.(rdf.IRI)
 		if !ok {
@@ -282,39 +255,99 @@ func computeReleaseDelta(sn store.Snapshot, r Release, sequence int) *ReleaseDel
 		}
 		return iri, sn.ContainsTriple(GlobalGraphName, rdf.T(iri, rdf.RDFType, GConcept))
 	}
-	var concepts, features []rdf.IRI
-
-	// Elements mentioned by the LAV subgraph.
-	for _, t := range r.Subgraph.Triples {
-		s, sOK := isConcept(t.Subject)
-		if sOK {
-			concepts = append(concepts, s)
-		}
-		if p, ok := t.Predicate.(rdf.IRI); ok && p == GHasFeature {
-			if f, ok := t.Object.(rdf.IRI); ok {
-				features = append(features, f)
-			}
-			continue
-		}
-		if obj, oOK := isConcept(t.Object); oOK {
-			concepts = append(concepts, obj)
+	var concepts, features, sources, typed, linked []rdf.IRI
+	for _, q := range quads {
+		switch q.Graph {
+		case lav:
+			// A triple of the LAV subgraph.
+			s, sOK := isConcept(q.Subject)
 			if sOK {
-				d.Edges = append(d.Edges, [2]rdf.IRI{s, obj})
+				concepts = append(concepts, s)
 			}
+			if q.Predicate == GHasFeature {
+				if f, ok := q.Object.(rdf.IRI); ok {
+					features = append(features, f)
+				}
+				continue
+			}
+			if obj, oOK := isConcept(q.Object); oOK {
+				concepts = append(concepts, obj)
+				if sOK {
+					d.Edges = append(d.Edges, [2]rdf.IRI{s, obj})
+				}
+			}
+		case SourceGraphName:
+			s, ok := q.Subject.(rdf.IRI)
+			switch {
+			case !ok:
+				return nil
+			case q.Predicate == rdf.RDFType && q.Object == SWrapper:
+			case q.Predicate == rdf.RDFType && q.Object == SDataSource:
+				sources = append(sources, s)
+			case q.Predicate == rdf.RDFType && q.Object == SAttribute:
+				typed = append(typed, s)
+			case q.Predicate == SHasWrapper && q.Object == d.Wrapper && d.Source == "":
+				d.Source = s
+			case q.Predicate == SHasAttribute && s == d.Wrapper:
+				a, ok := q.Object.(rdf.IRI)
+				if !ok {
+					return nil
+				}
+				d.Attributes = append(d.Attributes, a)
+			default:
+				return nil
+			}
+		case MappingsGraphName:
+			switch {
+			case q.Subject == d.Wrapper && q.Predicate == MMapping && q.Object == lav:
+			case q.Subject == d.Wrapper && q.Predicate == MRegistrationOrder && d.Sequence == 0:
+				lit, ok := q.Object.(rdf.Literal)
+				n, isInt := lit.Integer()
+				if !ok || !isInt || n <= 0 {
+					return nil
+				}
+				d.Sequence = int(n)
+			case q.Predicate == rdf.OWLSameAs:
+				a, aOK := q.Subject.(rdf.IRI)
+				f, fOK := q.Object.(rdf.IRI)
+				if !aOK || !fOK {
+					return nil
+				}
+				linked = append(linked, a)
+				features = append(features, f)
+			default:
+				return nil
+			}
+		default:
+			return nil
+		}
+	}
+	if d.Source == "" || d.Sequence == 0 {
+		return nil
+	}
+	d.Attributes = sortedUnique(d.Attributes)
+	// Only the wrapper's source and attributes are typed, and F maps only
+	// the wrapper's attributes.
+	isAttr := func(iri rdf.IRI) bool {
+		_, ok := slices.BinarySearch(d.Attributes, iri)
+		return ok
+	}
+	for _, s := range sources {
+		if s != d.Source {
+			return nil
+		}
+	}
+	for _, a := range append(typed, linked...) {
+		if !isAttr(a) {
+			return nil
 		}
 	}
 
-	// The range of F, and — for reused attributes — every feature the
-	// attribute is already linked to: a second owl:sameAs link can change
-	// which feature an existing attribute resolves to under the accessors'
+	// Every attribute's existing links: a second owl:sameAs link can change
+	// which feature a reused attribute resolves to under the accessors'
 	// first-match semantics.
-	for _, a := range r.Wrapper.Attributes() {
-		attrURI := AttributeURI(r.Wrapper.Source, a)
-		d.Attributes = append(d.Attributes, attrURI)
-		if f, ok := r.F[a]; ok {
-			features = append(features, f)
-		}
-		for _, q := range sn.Match(store.InGraph(MappingsGraphName, attrURI, rdf.OWLSameAs, nil)) {
+	for _, a := range d.Attributes {
+		for _, q := range sn.Match(store.InGraph(MappingsGraphName, a, rdf.OWLSameAs, nil)) {
 			if f, ok := q.Object.(rdf.IRI); ok {
 				features = append(features, f)
 			}
@@ -334,7 +367,6 @@ func computeReleaseDelta(sn store.Snapshot, r Release, sequence int) *ReleaseDel
 
 	d.Concepts = sortedUnique(concepts)
 	d.Features = features
-	d.Attributes = sortedUnique(d.Attributes)
 	slices.SortFunc(d.Edges, func(a, b [2]rdf.IRI) int {
 		if a[0] != b[0] {
 			return strings.Compare(string(a[0]), string(b[0]))

@@ -15,7 +15,7 @@ import (
 // that the design constraints of §3 (e.g. a feature belongs to exactly one
 // concept) can be enforced.
 type Ontology struct {
-	// mu serializes the mutators (G edits, releases, delta-log writes and
+	// mu serializes the mutators (G edits, releases, replicated batches and
 	// hook installation). No read path takes it.
 	mu sync.Mutex
 
@@ -26,17 +26,17 @@ type Ontology struct {
 	// querycache.go); a newer generation installs a fresh memo.
 	qc atomic.Pointer[queryCache]
 
-	// deltaLog records, per release, the store-generation interval it
-	// published and its invalidation footprint (see delta.go). Bounded to
-	// maxDeltaLog spans, published copy-on-write under mu and read without
-	// a lock.
+	// deltaLog records, per release (local or replicated), the
+	// store-generation interval it published and its invalidation footprint
+	// (see delta.go). In memory only, bounded to maxDeltaLog spans,
+	// published copy-on-write under mu and read without a lock.
 	deltaLog atomic.Pointer[[]DeltaSpan]
 
 	// lastSeq is the highest release sequence number handed out; 0 until
 	// the first release seeds it (see lastSequenceLocked). Guarded by mu.
 	lastSeq int
 
-	// releaseHook, when set, observes every span a release records (see
+	// releaseHook, when set, observes every span NewRelease records (see
 	// SetReleaseHook). Guarded by mu.
 	releaseHook func(DeltaSpan) error
 }
@@ -54,17 +54,13 @@ func NewOntology() *Ontology {
 
 // RestoreOntology wraps a store rebuilt by the durability layer (checkpoint
 // load + WAL replay) into an Ontology. Unlike NewOntology it does not
-// install the metamodel — the restored store already contains it — and it
-// seeds the release-delta log with the recovered spans, so rewriting caches
-// validate incrementally across the restart exactly as they would have
-// without it.
-func RestoreOntology(s *store.Store, spans []DeltaSpan) *Ontology {
-	o := &Ontology{
+// install the metamodel: the restored store already contains it. Its
+// release-delta log starts empty, as do the caches over it.
+func RestoreOntology(s *store.Store) *Ontology {
+	return &Ontology{
 		store:    s,
 		prefixes: DefaultPrefixes(),
 	}
-	o.RestoreDeltaLog(spans)
-	return o
 }
 
 // Store exposes the underlying quad store (read-mostly; mutate through the

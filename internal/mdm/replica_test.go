@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bdi/internal/core"
+	"bdi/internal/rdf"
 	"bdi/internal/replication"
 	"bdi/internal/wal"
 	"bdi/internal/workload"
@@ -126,6 +127,95 @@ func TestReplicaServerEndToEnd(t *testing.T) {
 	}
 	if len(after.Walks) <= len(got.Walks) {
 		t.Fatalf("w4 did not widen the replica's rewriting: %d walks, had %d", len(after.Walks), len(got.Walks))
+	}
+}
+
+// TestReplicaCacheRetainsAcrossReplicatedRelease caches a rewriting on a
+// replica server, registers a release on the primary that the cached OMQ
+// does not touch, and requires the replica's cache to keep the entry: the
+// replica derives the release's delta from the replicated batch, so it
+// invalidates incrementally instead of flushing.
+func TestReplicaCacheRetainsAcrossReplicatedRelease(t *testing.T) {
+	m, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Abort()
+	o := m.Ontology()
+	if err := core.BuildSupersedeGlobalGraph(o); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range core.SupersedeReleases(false) {
+		if _, err := o.NewRelease(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	side, sideID := rdf.IRI("http://ex/replica/Side"), rdf.IRI("http://ex/replica/sideId")
+	if err := o.AddConcept(side); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.AddFeatureTo(side, sideID, rdf.XSDString); err != nil {
+		t.Fatal(err)
+	}
+
+	registry := workload.SupersedeTable1Registry(false)
+	primary := NewServer(o, registry)
+	primary.EnableDurability(m)
+	primary.EnableReplication(replication.NewPrimary(m))
+	pts := httptest.NewServer(primary.Handler())
+	defer pts.Close()
+	rep := replication.Start(replication.Options{
+		Primary:        pts.URL,
+		ID:             "mdm-retain",
+		PollWait:       50 * time.Millisecond,
+		RequestTimeout: 2 * time.Second,
+		BackoffMin:     5 * time.Millisecond,
+		BackoffMax:     50 * time.Millisecond,
+	})
+	defer rep.Close()
+	rts := httptest.NewServer(NewReplicaServer(rep, registry).Handler())
+	defer rts.Close()
+	if err := rep.WaitForGeneration(o.Store().Generation(), 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	req := map[string]string{"sparql": exampleQuery}
+	var cached, after RewriteResponse
+	if code := postJSON(t, rts.URL+"/api/queries/rewrite", req, &cached); code != 200 {
+		t.Fatalf("replica rewrite = %d", code)
+	}
+	type cacheStats struct {
+		EntriesRetained int `json:"entriesRetained"`
+		FullFlushes     int `json:"fullFlushes"`
+	}
+	var before, got cacheStats
+	if code := getJSON(t, rts.URL+"/api/queries/cache", &before); code != 200 {
+		t.Fatalf("replica cache stats = %d", code)
+	}
+
+	g := rdf.NewGraph("")
+	g.Add(rdf.T(side, core.GHasFeature, sideID))
+	if _, err := o.NewRelease(core.Release{
+		Wrapper:  core.WrapperSpec{Name: "w_side", Source: "D_side", IDAttributes: []string{"id"}},
+		Subgraph: g,
+		F:        map[string]rdf.IRI{"id": sideID},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.WaitForGeneration(o.Store().Generation(), 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if code := postJSON(t, rts.URL+"/api/queries/rewrite", req, &after); code != 200 {
+		t.Fatalf("replica rewrite after the release = %d", code)
+	}
+	if !slices.Equal(after.Walks, cached.Walks) {
+		t.Fatalf("an unrelated release changed the walks: %v, had %v", after.Walks, cached.Walks)
+	}
+	if code := getJSON(t, rts.URL+"/api/queries/cache", &got); code != 200 {
+		t.Fatalf("replica cache stats = %d", code)
+	}
+	if got.EntriesRetained < 1 || got.FullFlushes != before.FullFlushes {
+		t.Fatalf("replica cache after an unrelated release: %+v (before %+v); want an entry retained and no full flush", got, before)
 	}
 }
 

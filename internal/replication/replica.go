@@ -91,7 +91,6 @@ func (o *Options) withDefaults() Options {
 type Stats struct {
 	FramesApplied      uint64 `json:"framesApplied"`
 	BatchesApplied     uint64 `json:"batchesApplied"`
-	SpansApplied       uint64 `json:"spansApplied"`
 	CheckpointsFetched uint64 `json:"checkpointsFetched"`
 	Reconnects         uint64 `json:"reconnects"`
 	CorruptFrames      uint64 `json:"corruptFrames"`
@@ -132,9 +131,8 @@ type Replica struct {
 	primaryGen  atomic.Uint64 // last generation observed on the primary
 	lastContact atomic.Int64  // unix nanos of the last successful exchange
 
-	mu      sync.Mutex // guards stats and spanGen
-	stats   Stats
-	spanGen uint64 // To bound of the last applied delta span (dedup guard)
+	mu    sync.Mutex // guards stats
+	stats Stats
 
 	// baseCtx parents every request context and is cancelled by Close, so
 	// a Close during a parked long-poll interrupts the in-flight request
@@ -374,12 +372,8 @@ func (r *Replica) fetchCheckpoint() error {
 		r.mu.Unlock()
 		return fmt.Errorf("replication: shipped checkpoint rejected: %w", err)
 	}
-	gen := o.Store().Generation()
 	r.mu.Lock()
 	r.stats.CheckpointsFetched++
-	// Spans at or before the checkpoint generation are inside it; the span
-	// guard resumes from there.
-	r.spanGen = gen
 	r.mu.Unlock()
 	r.ontology.Store(o)
 	r.noteContact(resp)
@@ -446,18 +440,14 @@ func (r *Replica) applyFrames(o *core.Ontology, body []byte) error {
 			return nil // resume from applied generation on the next poll
 		}
 		off += n
-		if rec.Release != nil {
-			r.applySpan(o, *rec.Release)
-			continue
-		}
 		cur := o.Store().Generation()
 		switch {
 		case rec.Generation <= cur:
-			continue // duplicate of something we already applied
+			continue // duplicate of something we already applied, or a legacy release record
 		case rec.Generation != cur+1:
 			return errNeedCheckpoint{fmt.Sprintf("generation gap: replica at %d, next shipped record publishes %d", cur, rec.Generation), &r.stats.GapResyncs}
 		}
-		if err := rec.Apply(o.Store()); err != nil {
+		if err := rec.Apply(o); err != nil {
 			// A record that decodes but cannot replay means our state
 			// diverged from the primary's history — resync wholesale.
 			return errNeedCheckpoint{fmt.Sprintf("replaying %s record at generation %d: %v", rec.Kind(), rec.Generation, err), &r.stats.DivergenceResyncs}
@@ -468,22 +458,6 @@ func (r *Replica) applyFrames(o *core.Ontology, body []byte) error {
 		r.mu.Unlock()
 	}
 	return nil
-}
-
-// applySpan appends a shipped release span to the delta log, deduplicating
-// across resumed streams (a span is resent when the replica reconnects at
-// exactly its batch's generation). Spans are applied only once their batch
-// is — the primary journals the batch record first.
-func (r *Replica) applySpan(o *core.Ontology, sp core.DeltaSpan) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if sp.To <= r.spanGen || sp.To > o.Store().Generation() {
-		return
-	}
-	r.spanGen = sp.To
-	o.AppendDeltaSpan(sp)
-	r.stats.FramesApplied++
-	r.stats.SpansApplied++
 }
 
 // noteContact records a successful exchange and the primary generation it

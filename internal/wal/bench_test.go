@@ -121,11 +121,10 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 	sn := o.Store().Snapshot()
 	terms := sn.Dict().Terms()
-	spans := o.DeltaLog()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if data := encodeCheckpoint(sn, terms, spans); len(data) == 0 {
+		if data := encodeCheckpoint(sn, terms); len(data) == 0 {
 			b.Fatal("empty checkpoint")
 		}
 	}

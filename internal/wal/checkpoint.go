@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"bdi/internal/core"
 	"bdi/internal/rdf"
 	"bdi/internal/store"
 )
@@ -28,7 +27,9 @@ import (
 //	nterms   compacted dictionary size (origLen − ndrop); then nterms terms
 //	         (rdf codec) in TermID order
 //	ngraphs  non-empty graphs; per graph: nquads, then nquads × 4 TermIDs
-//	nspans   release-delta log entries (same encoding as WAL release records)
+//	nspans   always 0 when written. Earlier builds wrote the release-delta
+//	         log here (the encoding of legacy WAL release records); the
+//	         decoder still reads such spans and discards them
 //	crc      uint32 LE CRC-32C of everything above
 //
 // Version 1 ("BDIWCKP1") is the same layout without the epoch/origLen/drop
@@ -38,8 +39,8 @@ import (
 // A checkpoint is self-contained: the dictionary table restores every
 // TermID at its (possibly remapped) value with sort keys regenerated from
 // the term values, the graph sections are the store's pre-sorted buckets
-// dumped in bulk (store.Restore rebuilds every index with plain appends),
-// and the span section reseeds the ontology's release-delta log. Sort keys
+// dumped in bulk (store.Restore rebuilds every index with plain appends).
+// Sort keys
 // derive from term bytes, never from TermIDs, so the dense remap leaves the
 // serialized bucket order untouched.
 
@@ -58,7 +59,6 @@ type checkpointData struct {
 	remapBytes  int    // encoded size of the dropped-ID section
 	dict        *rdf.Dict
 	graphs      [][]store.QuadID
-	spans       []core.DeltaSpan
 	quads       int
 }
 
@@ -71,18 +71,16 @@ type checkpointPayload struct {
 	dropped     []rdf.TermID // ascending old TermIDs reclaimed by compaction
 	terms       []rdf.Term
 	graphs      [][]store.QuadID
-	spans       []core.DeltaSpan
 }
 
 // snapshotPayload assembles an uncompacted payload straight from a pinned
 // snapshot (the input of compactDict, and what tests and benchmarks write).
-func snapshotPayload(sn store.Snapshot, terms []rdf.Term, spans []core.DeltaSpan) checkpointPayload {
+func snapshotPayload(sn store.Snapshot, terms []rdf.Term) checkpointPayload {
 	return checkpointPayload{
 		generation:  sn.Generation(),
 		origDictLen: len(terms),
 		terms:       terms,
 		graphs:      sn.ExportGraphIDs(),
-		spans:       spans,
 	}
 }
 
@@ -228,15 +226,7 @@ func writeCheckpointTo(w io.Writer, p checkpointPayload) error {
 			}
 		}
 	}
-	scratch = binary.AppendUvarint(scratch, uint64(len(p.spans)))
-	for _, sp := range p.spans {
-		scratch = appendSpan(scratch, sp)
-		if len(scratch) >= 1<<15 {
-			if err := emit(); err != nil {
-				return err
-			}
-		}
-	}
+	scratch = binary.AppendUvarint(scratch, 0) // nspans
 	if err := emit(); err != nil {
 		return err
 	}
@@ -251,9 +241,9 @@ func writeCheckpointTo(w io.Writer, p checkpointPayload) error {
 
 // encodeCheckpoint materializes an uncompacted checkpoint in memory (tests
 // and benchmarks; the file path streams via writeCheckpointTo).
-func encodeCheckpoint(sn store.Snapshot, terms []rdf.Term, spans []core.DeltaSpan) []byte {
+func encodeCheckpoint(sn store.Snapshot, terms []rdf.Term) []byte {
 	var buf bytes.Buffer
-	if err := writeCheckpointTo(&buf, snapshotPayload(sn, terms, spans)); err != nil {
+	if err := writeCheckpointTo(&buf, snapshotPayload(sn, terms)); err != nil {
 		panic(fmt.Sprintf("wal: encoding checkpoint to memory: %v", err))
 	}
 	return buf.Bytes()
@@ -363,11 +353,9 @@ func decodeCheckpoint(data []byte) (*checkpointData, error) {
 		return nil, err
 	}
 	for i := uint64(0); i < nspans; i++ {
-		var sp core.DeltaSpan
-		if sp, b, err = decodeSpan(b); err != nil {
+		if b, err = skipSpan(b); err != nil {
 			return nil, err
 		}
-		ck.spans = append(ck.spans, sp)
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("wal: checkpoint has %d trailing bytes", len(b))

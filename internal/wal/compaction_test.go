@@ -33,8 +33,8 @@ func quadStrings(o *core.Ontology) []string {
 }
 
 // assertOntologyByteParity proves two independently rebuilt ontologies agree
-// exactly: generation, quads, the full dictionary table (hence TermIDs),
-// MatchWithIDs output and the delta log.
+// exactly: generation, quads, the full dictionary table (hence TermIDs) and
+// MatchWithIDs output.
 func assertOntologyByteParity(t *testing.T, a, b *core.Ontology, label string) {
 	t.Helper()
 	asn, bsn := a.Store().Snapshot(), b.Store().Snapshot()
@@ -76,16 +76,13 @@ func assertOntologyByteParity(t *testing.T, a, b *core.Ontology, label string) {
 			}
 		}
 	}
-	if !reflect.DeepEqual(a.DeltaLog(), b.DeltaLog()) {
-		t.Fatalf("%s: delta logs differ:\n%+v\n%+v", label, a.DeltaLog(), b.DeltaLog())
-	}
 }
 
 // bootstrapFromDir rebuilds an ontology the way a replica does: restore the
 // newest checkpoint that decodes (skipping corrupt ones, like recovery), then
 // replay the retained WAL through the public shipping API — DecodeFrame and
-// Record.Apply under the replica's generation and span guards. A torn tail
-// ends replay exactly where recovery stops.
+// Record.Apply under the replica's generation guard. A torn tail ends replay
+// exactly where recovery stops.
 func bootstrapFromDir(t *testing.T, dir string) *core.Ontology {
 	t.Helper()
 	ckpts, err := listSeqFiles(dir, checkpointPrefix, checkpointSuffix)
@@ -105,7 +102,6 @@ func bootstrapFromDir(t *testing.T, dir string) *core.Ontology {
 	if o == nil {
 		t.Fatal("no checkpoint in the dir restores")
 	}
-	spanGen := o.Store().Generation()
 	segs, err := listSeqFiles(dir, segmentPrefix, segmentSuffix)
 	if err != nil {
 		t.Fatal(err)
@@ -122,13 +118,6 @@ func bootstrapFromDir(t *testing.T, dir string) *core.Ontology {
 				break // torn tail (or corrupted suffix): stop like a replica would
 			}
 			off += n
-			if rec.Release != nil {
-				if rec.Release.To > spanGen && rec.Release.To <= o.Store().Generation() {
-					o.AppendDeltaSpan(*rec.Release)
-					spanGen = rec.Release.To
-				}
-				continue
-			}
 			cur := o.Store().Generation()
 			if rec.Generation <= cur {
 				continue
@@ -136,7 +125,7 @@ func bootstrapFromDir(t *testing.T, dir string) *core.Ontology {
 			if rec.Generation != cur+1 {
 				t.Fatalf("bootstrap: generation gap: at %d, frame publishes %d", cur, rec.Generation)
 			}
-			if err := rec.Apply(o.Store()); err != nil {
+			if err := rec.Apply(o); err != nil {
 				t.Fatalf("bootstrap: applying frame at generation %d: %v", rec.Generation, err)
 			}
 		}
@@ -329,7 +318,8 @@ func TestDictCompactionKillParity(t *testing.T) {
 }
 
 // encodeCheckpointV1 writes the version-1 checkpoint layout (no compaction
-// header), byte-for-byte what pre-compaction builds produced.
+// header), byte-for-byte what pre-compaction builds produced, span section
+// included.
 func encodeCheckpointV1(sn store.Snapshot, terms []rdf.Term, spans []core.DeltaSpan) []byte {
 	buf := append([]byte(nil), checkpointMagicV1...)
 	buf = binary.AppendUvarint(buf, sn.Generation())
@@ -350,7 +340,7 @@ func encodeCheckpointV1(sn store.Snapshot, terms []rdf.Term, spans []core.DeltaS
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(spans)))
 	for _, sp := range spans {
-		buf = appendSpan(buf, sp)
+		buf = appendLegacySpan(buf, sp)
 	}
 	var tail [4]byte
 	binary.LittleEndian.PutUint32(tail[:], crc32.Checksum(buf, castagnoli))
@@ -366,6 +356,7 @@ func TestCheckpointV1Compatibility(t *testing.T) {
 	if err := core.BuildSupersedeGlobalGraph(o); err != nil {
 		t.Fatal(err)
 	}
+	spans := recordSpans(o)
 	if _, err := o.NewRelease(core.SupersedeReleaseW1()); err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +365,7 @@ func TestCheckpointV1Compatibility(t *testing.T) {
 	}
 	sn := o.Store().Snapshot()
 	terms := sn.Dict().Terms()
-	spans := o.DeltaLog()
-	data := encodeCheckpointV1(sn, terms, spans)
+	data := encodeCheckpointV1(sn, terms, *spans)
 
 	ck, err := decodeCheckpoint(data)
 	if err != nil {

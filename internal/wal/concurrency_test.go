@@ -127,9 +127,6 @@ func TestCheckpointConcurrentWithTraffic(t *testing.T) {
 		t.Fatalf("recovered generation %d, want %d (recovery: %+v)", o2.Store().Generation(), wantGen, rec)
 	}
 	quadsEqual(t, o2.Store().Quads(), wantQuads)
-	if len(o2.DeltaLog()) != releases {
-		t.Fatalf("recovered %d delta spans, want %d", len(o2.DeltaLog()), releases)
-	}
 }
 
 var (

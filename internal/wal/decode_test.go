@@ -72,8 +72,10 @@ func TestRestoreCheckpointRejectsImpossibleCounts(t *testing.T) {
 // FuzzDecodeFrame holds the replica's frame decoder to two rules: no input
 // panics it, and a frame it accepts re-encodes to a frame that decodes to
 // an equal record. Seeded from testdata/fuzz/FuzzDecodeFrame: the frames a
-// SUPERSEDE release journals (add-all and release), truncated and
-// bit-flipped variants, and frames announcing impossible counts.
+// SUPERSEDE release journaled in earlier builds (add-all and the legacy
+// release record), truncated and bit-flipped variants, and frames
+// announcing impossible counts. A legacy release record is decoded but never
+// written, so it has no re-encoding to compare.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, n, err := DecodeFrame(b)
@@ -82,6 +84,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		if n < frameHeaderSize || n > len(b) {
 			t.Fatalf("consumed %d of %d bytes", n, len(b))
+		}
+		if rec.rec.kind == recRelease {
+			if rec.Generation != 0 {
+				t.Fatalf("legacy release record publishes generation %d, want 0", rec.Generation)
+			}
+			return
 		}
 		again := appendRecord(nil, rec.rec)
 		rec2, n2, err := DecodeFrame(again)
@@ -100,7 +108,8 @@ func FuzzDecodeFrame(f *testing.F) {
 // FuzzRestoreCheckpoint holds the replica's checkpoint bootstrap to two
 // rules: no input panics it, and an accepted checkpoint, checkpointed again,
 // restores to the same quads. Seeded from testdata/fuzz/FuzzRestoreCheckpoint:
-// real v2 and v1 checkpoints of the running example, truncated and
+// real v2 and v1 checkpoints of the running example (with the span sections
+// earlier builds wrote, which are read and discarded), truncated and
 // bit-flipped variants (CRC fixed up, so the decoder past it is reached),
 // and checkpoints announcing impossible counts.
 func FuzzRestoreCheckpoint(f *testing.F) {
@@ -110,7 +119,7 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			return
 		}
 		sn := o.Store().Snapshot()
-		again, err := RestoreCheckpoint(encodeCheckpoint(sn, sn.Dict().Terms(), o.DeltaLog()))
+		again, err := RestoreCheckpoint(encodeCheckpoint(sn, sn.Dict().Terms()))
 		if err != nil {
 			t.Fatalf("re-encoded checkpoint does not restore: %v", err)
 		}

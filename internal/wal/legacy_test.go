@@ -1,0 +1,227 @@
+package wal
+
+import (
+	"encoding/binary"
+	"os"
+	"reflect"
+	"testing"
+
+	"bdi/internal/core"
+	"bdi/internal/rdf"
+)
+
+// Earlier builds journaled every release twice: its add-all batch, then a
+// release record carrying the release's delta span, and every checkpoint
+// carried the delta log in its span section. This build writes neither but
+// must keep reading both. The encoders below write them byte for byte as
+// those builds did.
+
+// appendLegacySpan encodes a delta span as earlier builds wrote it into
+// release records and checkpoint span sections.
+func appendLegacySpan(dst []byte, s core.DeltaSpan) []byte {
+	iris := func(dst []byte, list []rdf.IRI) []byte {
+		dst = binary.AppendUvarint(dst, uint64(len(list)))
+		for _, iri := range list {
+			dst = appendString(dst, string(iri))
+		}
+		return dst
+	}
+	dst = binary.AppendUvarint(dst, s.From)
+	dst = binary.AppendUvarint(dst, s.To)
+	d := s.Delta
+	dst = appendString(dst, string(d.Wrapper))
+	dst = appendString(dst, string(d.Source))
+	dst = binary.AppendUvarint(dst, uint64(d.Sequence))
+	dst = iris(dst, d.Concepts)
+	dst = iris(dst, d.Features)
+	dst = iris(dst, d.Attributes)
+	dst = binary.AppendUvarint(dst, uint64(len(d.Edges)))
+	for _, e := range d.Edges {
+		dst = appendString(dst, string(e[0]))
+		dst = appendString(dst, string(e[1]))
+	}
+	return dst
+}
+
+// legacyReleaseFrame frames a release record as earlier builds journaled it.
+func legacyReleaseFrame(sp core.DeltaSpan) []byte {
+	return frameOf(appendLegacySpan([]byte{byte(recRelease)}, sp))
+}
+
+// withLegacySpans rewrites a checkpoint this build wrote (span count 0, then
+// the CRC) with a span section holding spans.
+func withLegacySpans(ckpt []byte, spans []core.DeltaSpan) []byte {
+	body := append([]byte(nil), ckpt[:len(ckpt)-5]...)
+	body = binary.AppendUvarint(body, uint64(len(spans)))
+	for _, sp := range spans {
+		body = appendLegacySpan(body, sp)
+	}
+	return checkpointOf(body)
+}
+
+// recordSpans collects every span NewRelease records on o from now on.
+func recordSpans(o *core.Ontology) *[]core.DeltaSpan {
+	var spans []core.DeltaSpan
+	o.SetReleaseHook(func(sp core.DeltaSpan) error {
+		spans = append(spans, sp)
+		return nil
+	})
+	return &spans
+}
+
+// TestLegacyDataDirReadable writes a data dir in the earlier format, with a
+// release record after every release's batch and delta spans in its
+// checkpoints, and holds this build to reading it: recovery rebuilds the
+// same quads under the same TermIDs, and the dir streams to a replica that
+// converges byte-identically, skipping the release records and deriving
+// each release's delta from its batch instead.
+func TestLegacyDataDirReadable(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(dir, Options{Sync: SyncOff, CheckpointEveryBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := m.Ontology()
+	if err := core.BuildSupersedeGlobalGraph(o); err != nil {
+		t.Fatal(err)
+	}
+	spans := recordSpans(o)
+	for _, r := range []core.Release{core.SupersedeReleaseW1(), core.SupersedeReleaseW2()} {
+		if _, err := o.NewRelease(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tailFrom := o.Store().Generation()
+	for _, r := range []core.Release{core.SupersedeReleaseW3(), core.SupersedeReleaseW4()} {
+		if _, err := o.NewRelease(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if len(*spans) != 4 {
+		t.Fatalf("recorded %d release spans, want 4", len(*spans))
+	}
+
+	// Rewrite the dir as earlier builds left it.
+	legacyFrames := 0
+	ckpts, err := listSeqFiles(dir, checkpointPrefix, checkpointSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ck := range ckpts {
+		data, err := os.ReadFile(ck.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var in []core.DeltaSpan
+		for _, sp := range *spans {
+			if sp.To <= ck.seq {
+				in = append(in, sp)
+			}
+		}
+		if err := os.WriteFile(ck.path, withLegacySpans(data, in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segs, err := listSeqFiles(dir, segmentPrefix, segmentSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		for off := 0; off < len(data); {
+			r, n, err := decodeRecord(data[off:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, data[off:off+n]...)
+			off += n
+			for _, sp := range *spans {
+				if sp.To == r.gen {
+					out = append(out, legacyReleaseFrame(sp)...)
+					legacyFrames++
+				}
+			}
+		}
+		if err := os.WriteFile(seg.path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if legacyFrames != len(*spans) {
+		t.Fatalf("wrote %d legacy release records, want %d", legacyFrames, len(*spans))
+	}
+
+	// Recovery: the same quads under the same TermIDs, every release
+	// record skipped.
+	recovered, rec, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertOntologyByteParity(t, o, recovered, "legacy recovery")
+	if rec.TornTail || rec.RecordsReplayed != rec.BatchesReplayed || rec.BatchesReplayed != 2 {
+		t.Fatalf("legacy recovery = %+v, want 2 batches replayed and no torn tail", rec)
+	}
+	if rec.CheckpointGeneration != tailFrom {
+		t.Fatalf("legacy recovery loaded the checkpoint at %d, want %d", rec.CheckpointGeneration, tailFrom)
+	}
+
+	// A replica applying the raw segment bytes, release records included.
+	boot := bootstrapFromDir(t, dir)
+	assertOntologyByteParity(t, o, boot, "legacy bootstrap")
+
+	// A replica streaming from a primary that opens the dir: it restores
+	// the oldest checkpoint and follows the shipped frames.
+	m2, err := Open(dir, Options{Sync: SyncOff, CheckpointEveryBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Abort()
+	data, err := os.ReadFile(ckpts[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := RestoreCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		from := replica.Store().Generation()
+		frames, next, err := m2.ShipFrames(from, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next == from {
+			break
+		}
+		for off := 0; off < len(frames); {
+			r, n, err := DecodeFrame(frames[off:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			off += n
+			if r.Generation != replica.Store().Generation()+1 {
+				t.Fatalf("shipped %s record publishes %d, replica at %d", r.Kind(), r.Generation, replica.Store().Generation())
+			}
+			if err := r.Apply(replica); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	assertOntologyByteParity(t, o, replica, "legacy stream")
+	// Every release streamed derives the delta the primary recorded.
+	for _, sp := range *spans {
+		got, ok := replica.DeltasBetween(sp.From, sp.To)
+		if !ok || len(got) != 1 || !reflect.DeepEqual(got[0], sp.Delta) {
+			t.Fatalf("replica DeltasBetween(%d, %d) = %v, %v; want %+v", sp.From, sp.To, got, ok, sp.Delta)
+		}
+	}
+}

@@ -27,8 +27,8 @@ type Options struct {
 const defaultCheckpointEveryBytes = 64 << 20
 
 // Manager owns the durability state of one data directory: it journals
-// every store mutation batch and release registration into the WAL (hooked
-// in ahead of snapshot publication), writes checkpoints of pinned
+// every store mutation batch into the WAL (hooked in ahead of snapshot
+// publication), writes checkpoints of pinned
 // snapshots concurrently with live traffic, and performs recovery at Open.
 type Manager struct {
 	dir  string
@@ -65,8 +65,8 @@ type Manager struct {
 // Open recovers the ontology persisted in dir (creating the directory and
 // an initial checkpoint when it is fresh) and returns a Manager journaling
 // every subsequent mutation. The recovered ontology is available via
-// Ontology; hooks are attached before Open returns, so no write can slip
-// past the log.
+// Ontology; the commit hook is attached before Open returns, so no write
+// can slip past the log.
 func Open(dir string, opts Options) (*Manager, error) {
 	if opts.Sync == "" {
 		opts.Sync = SyncBatch
@@ -91,11 +91,11 @@ func Open(dir string, opts Options) (*Manager, error) {
 
 	m := &Manager{dir: dir, opts: opts, lock: lock}
 	fresh := false
-	s, spans, info, err := recoverDir(dir, true)
+	s, info, err := recoverDir(dir, true)
 	switch {
 	case err == nil:
 		m.st = s
-		m.ontology = core.RestoreOntology(s, spans)
+		m.ontology = core.RestoreOntology(s)
 		m.recovery = info
 	case errors.Is(err, errFreshDir):
 		fresh = true
@@ -135,7 +135,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 	}
 
 	m.st.SetCommitHook(m.onBatch)
-	m.ontology.SetReleaseHook(m.onRelease)
 	return m, nil
 }
 
@@ -143,11 +142,11 @@ func Open(dir string, opts Options) (*Manager, error) {
 // truncated, no segment is opened for appends and no hook is attached. It
 // returns the recovered ontology and what recovery found.
 func Inspect(dir string) (*core.Ontology, RecoveryInfo, error) {
-	s, spans, info, err := recoverDir(dir, false)
+	s, info, err := recoverDir(dir, false)
 	if err != nil {
 		return nil, info, err
 	}
-	return core.RestoreOntology(s, spans), info, nil
+	return core.RestoreOntology(s), info, nil
 }
 
 // Ontology returns the recovered (or freshly initialized) ontology the
@@ -181,12 +180,6 @@ func (m *Manager) onBatch(b store.Batch) error {
 	}
 	m.maybeAutoCheckpoint()
 	return nil
-}
-
-// onRelease is the ontology release hook: journal the delta span so the
-// release log is reconstructible.
-func (m *Manager) onRelease(sp core.DeltaSpan) error {
-	return m.log.append(&record{kind: recRelease, gen: sp.To, span: sp})
 }
 
 // maybeAutoCheckpoint fires a background checkpoint when enough WAL bytes
@@ -254,22 +247,16 @@ func (m *Manager) checkpoint() (CheckpointInfo, error) {
 	start := time.Now()
 
 	// Pin the state: snapshot first, then the dictionary table (which then
-	// covers every TermID the snapshot references) and the delta log.
+	// covers every TermID the snapshot references).
 	sn := m.st.Snapshot()
 	terms := sn.Dict().Terms()
-	var spans []core.DeltaSpan
-	for _, sp := range m.ontology.DeltaLog() {
-		if sp.To <= sn.Generation() {
-			spans = append(spans, sp)
-		}
-	}
 	// Every checkpoint runs the dictionary compaction pass: orphaned TermIDs
 	// (left behind by RemoveGraph and wrapper deregistration — the dictionary
 	// itself is append-only) are reclaimed by writing the checkpoint under
 	// densely reassigned IDs. Recovery and replica bootstrap from a compacted
 	// checkpoint rebuild byte-identical stores under the new IDs; the live
 	// process keeps its old IDs until it next restarts.
-	p := snapshotPayload(sn, terms, spans)
+	p := snapshotPayload(sn, terms)
 	p.terms, p.graphs, p.dropped = compactDict(terms, p.graphs)
 	m.statMu.Lock()
 	epoch := m.compactionEpoch
@@ -359,7 +346,8 @@ func (m *Manager) prune(gen uint64) (segmentsPruned, checkpointsKept int, err er
 // Sync forces an fsync of the open WAL segment regardless of policy.
 func (m *Manager) Sync() error { return m.log.sync() }
 
-// Close writes a final checkpoint, detaches the hooks and closes the log.
+// Close writes a final checkpoint, detaches the commit hook and closes the
+// log.
 // Callers must quiesce writers first (e.g. after http.Server.Shutdown):
 // batches published after the final checkpoint's pin are still journaled,
 // but ones issued after Close returns would be rejected fail-stop.
@@ -369,7 +357,6 @@ func (m *Manager) Close() error {
 	}
 	_, ckErr := m.checkpoint()
 	m.st.SetCommitHook(nil)
-	m.ontology.SetReleaseHook(nil)
 	closeErr := m.log.close()
 	lockErr := m.lock.release()
 	if ckErr != nil {
@@ -389,7 +376,6 @@ func (m *Manager) Abort() error {
 		return nil
 	}
 	m.st.SetCommitHook(nil)
-	m.ontology.SetReleaseHook(nil)
 	closeErr := m.log.close()
 	if err := m.lock.release(); err != nil && closeErr == nil {
 		closeErr = err

@@ -1,11 +1,12 @@
 // Package wal is the durability subsystem of the metadata management
 // system: an append-only, checksummed write-ahead log whose records are
-// exactly the store's atomic mutation batches plus release registrations,
-// and a checkpoint writer that serializes a pinned immutable snapshot
-// concurrently with live traffic. Recovery loads the latest valid
-// checkpoint, replays the WAL tail through the ordinary batch API,
-// truncates torn tails, and rebuilds the ontology's release-delta log so
-// rewriting caches validate incrementally across the restart.
+// exactly the store's atomic mutation batches, and a checkpoint writer that
+// serializes a pinned immutable snapshot concurrently with live traffic.
+// Recovery loads the latest valid checkpoint, replays the WAL tail through
+// the ordinary batch API and truncates torn tails. A release is journaled
+// as its add-all batch alone: its delta follows from that batch and the
+// state before it, and the caches that read deltas start empty after a
+// restart anyway.
 //
 // # Consistency model
 //
@@ -26,7 +27,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"bdi/internal/core"
 	"bdi/internal/rdf"
 )
 
@@ -39,6 +39,9 @@ const (
 	recRemove
 	recRemoveGraph
 	recClear
+	// recRelease is a legacy kind: earlier builds journaled each release's
+	// delta span after its batch. Such records are still decoded (and
+	// CRC-checked), publish no generation and are skipped; none is written.
 	recRelease
 )
 
@@ -60,14 +63,13 @@ func (k recordKind) String() string {
 }
 
 // record is one WAL entry. Batch records (recAddAll, recRemove,
-// recRemoveGraph, recClear) carry the generation they publish; release
-// records carry the delta span of the release they journal.
+// recRemoveGraph, recClear) carry the generation they publish; a legacy
+// release record carries generation 0, so every generation guard skips it.
 type record struct {
 	kind  recordKind
 	gen   uint64
 	quads []rdf.Quad
 	graph rdf.IRI
-	span  core.DeltaSpan
 }
 
 // castagnoli is the CRC-32C table used for record and checkpoint checksums.
@@ -99,8 +101,6 @@ func appendRecord(dst []byte, r *record) []byte {
 		dst = appendString(dst, string(r.graph))
 	case recClear:
 		dst = binary.AppendUvarint(dst, r.gen)
-	case recRelease:
-		dst = appendSpan(dst, r.span)
 	default:
 		panic(fmt.Sprintf("wal: encoding unknown record kind %d", r.kind))
 	}
@@ -175,10 +175,9 @@ func decodePayload(p []byte) (*record, error) {
 			return nil, err
 		}
 	case recRelease:
-		if r.span, p, err = decodeSpan(p); err != nil {
+		if p, err = skipSpan(p); err != nil {
 			return nil, err
 		}
-		r.gen = r.span.To
 	default:
 		return nil, fmt.Errorf("wal: unknown record kind %d", uint8(r.kind))
 	}
@@ -214,99 +213,31 @@ func decodeQuad(b []byte) (rdf.Quad, []byte, error) {
 	return q, b, nil
 }
 
-// appendSpan / decodeSpan serialize a release delta span. The same encoding
-// is used inside checkpoints for the delta-log section.
-func appendSpan(dst []byte, s core.DeltaSpan) []byte {
-	dst = binary.AppendUvarint(dst, s.From)
-	dst = binary.AppendUvarint(dst, s.To)
-	d := s.Delta
-	dst = appendString(dst, string(d.Wrapper))
-	dst = appendString(dst, string(d.Source))
-	dst = binary.AppendUvarint(dst, uint64(d.Sequence))
-	dst = appendIRIs(dst, d.Concepts)
-	dst = appendIRIs(dst, d.Features)
-	dst = appendIRIs(dst, d.Attributes)
-	dst = binary.AppendUvarint(dst, uint64(len(d.Edges)))
-	for _, e := range d.Edges {
-		dst = appendString(dst, string(e[0]))
-		dst = appendString(dst, string(e[1]))
-	}
-	return dst
-}
-
-func decodeSpan(b []byte) (core.DeltaSpan, []byte, error) {
-	var s core.DeltaSpan
+// skipSpan consumes one release-delta span in the encoding earlier builds
+// wrote into release records and checkpoint span sections: from and to
+// generations, wrapper, source, sequence, the concept, feature and attribute
+// IRI lists, and the edge list (two IRIs per edge).
+func skipSpan(b []byte) ([]byte, error) {
 	var err error
-	if s.From, b, err = readUvarint(b); err != nil {
-		return s, nil, err
+	for i := 0; i < 2 && err == nil; i++ { // from, to
+		_, b, err = readUvarint(b)
 	}
-	if s.To, b, err = readUvarint(b); err != nil {
-		return s, nil, err
+	for i := 0; i < 2 && err == nil; i++ { // wrapper, source
+		_, b, err = readString(b)
 	}
-	d := &core.ReleaseDelta{}
-	var str string
-	if str, b, err = readString(b); err != nil {
-		return s, nil, err
+	if err == nil { // sequence
+		_, b, err = readUvarint(b)
 	}
-	d.Wrapper = rdf.IRI(str)
-	if str, b, err = readString(b); err != nil {
-		return s, nil, err
-	}
-	d.Source = rdf.IRI(str)
-	var seq uint64
-	if seq, b, err = readUvarint(b); err != nil {
-		return s, nil, err
-	}
-	d.Sequence = int(seq)
-	if d.Concepts, b, err = readIRIs(b); err != nil {
-		return s, nil, err
-	}
-	if d.Features, b, err = readIRIs(b); err != nil {
-		return s, nil, err
-	}
-	if d.Attributes, b, err = readIRIs(b); err != nil {
-		return s, nil, err
-	}
-	var n uint64
-	if n, b, err = readUvarint(b); err != nil {
-		return s, nil, err
-	}
-	for i := uint64(0); i < n; i++ {
-		var from, to string
-		if from, b, err = readString(b); err != nil {
-			return s, nil, err
+	for _, per := range []uint64{1, 1, 1, 2} { // concepts, features, attributes, edges
+		var n uint64
+		if err == nil {
+			n, b, err = readUvarint(b)
 		}
-		if to, b, err = readString(b); err != nil {
-			return s, nil, err
+		for i := uint64(0); i < n*per && err == nil; i++ {
+			_, b, err = readString(b)
 		}
-		d.Edges = append(d.Edges, [2]rdf.IRI{rdf.IRI(from), rdf.IRI(to)})
 	}
-	s.Delta = d
-	return s, b, nil
-}
-
-func appendIRIs(dst []byte, iris []rdf.IRI) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(iris)))
-	for _, iri := range iris {
-		dst = appendString(dst, string(iri))
-	}
-	return dst
-}
-
-func readIRIs(b []byte) ([]rdf.IRI, []byte, error) {
-	n, b, err := readUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	var out []rdf.IRI
-	for i := uint64(0); i < n; i++ {
-		var s string
-		if s, b, err = readString(b); err != nil {
-			return nil, nil, err
-		}
-		out = append(out, rdf.IRI(s))
-	}
-	return out, b, nil
+	return b, err
 }
 
 // appendString / readString delegate to the rdf codec's string primitive so

@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"bdi/internal/core"
+	"bdi/internal/rdf"
 	"bdi/internal/store"
 )
 
@@ -23,14 +23,12 @@ type RecoveryInfo struct {
 	CheckpointsSkipped int `json:"checkpointsSkipped"`
 	// SegmentsScanned is the number of WAL segment files read.
 	SegmentsScanned int `json:"segmentsScanned"`
-	// RecordsReplayed counts all records applied (batches plus releases).
+	// RecordsReplayed counts the records applied. Legacy release records
+	// are skipped and not counted, so it equals BatchesReplayed.
 	RecordsReplayed int `json:"recordsReplayed"`
 	// BatchesReplayed counts the store mutation batches applied on top of
 	// the checkpoint.
 	BatchesReplayed int `json:"batchesReplayed"`
-	// SpansRestored is the number of release-delta spans in the rebuilt log
-	// (checkpoint plus WAL).
-	SpansRestored int `json:"spansRestored"`
 	// TornTail reports that the last segment ended in an incomplete or
 	// corrupt record, which was truncated away.
 	TornTail bool `json:"tornTail"`
@@ -57,25 +55,25 @@ type RecoveryInfo struct {
 // errFreshDir reports a data dir with neither checkpoints nor segments.
 var errFreshDir = errors.New("wal: fresh data dir")
 
-// recoverDir rebuilds the store and delta-log spans recorded in dir: load
-// the newest checkpoint that verifies, replay every WAL record past its
-// generation, truncate torn tails. With truncate false the log files are
-// left untouched (read-only inspection).
-func recoverDir(dir string, truncate bool) (*store.Store, []core.DeltaSpan, RecoveryInfo, error) {
+// recoverDir rebuilds the store recorded in dir: load the newest checkpoint
+// that verifies, replay every WAL record past its generation, truncate torn
+// tails. With truncate false the log files are left untouched (read-only
+// inspection).
+func recoverDir(dir string, truncate bool) (*store.Store, RecoveryInfo, error) {
 	var info RecoveryInfo
 	ckpts, err := listSeqFiles(dir, checkpointPrefix, checkpointSuffix)
 	if err != nil {
-		return nil, nil, info, fmt.Errorf("wal: listing checkpoints: %w", err)
+		return nil, info, fmt.Errorf("wal: listing checkpoints: %w", err)
 	}
 	segs, err := listSeqFiles(dir, segmentPrefix, segmentSuffix)
 	if err != nil {
-		return nil, nil, info, fmt.Errorf("wal: listing segments: %w", err)
+		return nil, info, fmt.Errorf("wal: listing segments: %w", err)
 	}
 	if len(ckpts) == 0 {
 		if len(segs) == 0 {
-			return nil, nil, info, errFreshDir
+			return nil, info, errFreshDir
 		}
-		return nil, nil, info, fmt.Errorf("wal: %s has WAL segments but no checkpoint; cannot establish a replay base", dir)
+		return nil, info, fmt.Errorf("wal: %s has WAL segments but no checkpoint; cannot establish a replay base", dir)
 	}
 
 	// Load the newest checkpoint that verifies; fall back to older ones (a
@@ -91,11 +89,11 @@ func recoverDir(dir string, truncate bool) (*store.Store, []core.DeltaSpan, Reco
 		info.CheckpointsSkipped++
 	}
 	if ck == nil {
-		return nil, nil, info, fmt.Errorf("wal: no valid checkpoint in %s: %w", dir, ckErr)
+		return nil, info, fmt.Errorf("wal: no valid checkpoint in %s: %w", dir, ckErr)
 	}
 	s, err := store.Restore(ck.dict, ck.generation, ck.graphs)
 	if err != nil {
-		return nil, nil, info, fmt.Errorf("wal: restoring checkpoint snapshot: %w", err)
+		return nil, info, fmt.Errorf("wal: restoring checkpoint snapshot: %w", err)
 	}
 	info.CheckpointGeneration = ck.generation
 	info.CheckpointQuads = ck.quads
@@ -104,17 +102,6 @@ func recoverDir(dir string, truncate bool) (*store.Store, []core.DeltaSpan, Reco
 	info.DictIDsReclaimed = ck.reclaimed
 	info.DictRemapBytes = ck.remapBytes
 
-	// Seed the span log with the checkpoint's spans. Spans beyond the
-	// checkpoint generation are dropped: their release records follow in the
-	// WAL (a release that raced the checkpoint writer appears in both; the
-	// generation guard during replay keeps exactly one copy).
-	var spans []core.DeltaSpan
-	for _, sp := range ck.spans {
-		if sp.To <= ck.generation {
-			spans = append(spans, sp)
-		}
-	}
-
 	// Replay the segments in base order. A segment is skipped wholesale when
 	// the next segment's base shows it is fully covered by the checkpoint.
 	for i, seg := range segs {
@@ -122,24 +109,22 @@ func recoverDir(dir string, truncate bool) (*store.Store, []core.DeltaSpan, Reco
 			continue
 		}
 		last := i == len(segs)-1
-		spans, err = replaySegment(seg.path, s, ck.generation, spans, last, truncate, &info)
-		if err != nil {
-			return nil, nil, info, err
+		if err := replaySegment(seg.path, s, last, truncate, &info); err != nil {
+			return nil, info, err
 		}
 	}
-	info.SpansRestored = len(spans)
 	info.FinalGeneration = s.Generation()
-	return s, spans, info, nil
+	return s, info, nil
 }
 
 // replaySegment applies one segment's records onto s. Decode failures in the
 // final segment are a torn tail: the file is truncated at the last good
 // record (when truncate is set) and replay ends. Decode failures elsewhere
 // are corruption beyond crash semantics and abort recovery.
-func replaySegment(path string, s *store.Store, ckptGen uint64, spans []core.DeltaSpan, last, truncate bool, info *RecoveryInfo) ([]core.DeltaSpan, error) {
+func replaySegment(path string, s *store.Store, last, truncate bool, info *RecoveryInfo) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return spans, fmt.Errorf("wal: reading segment: %w", err)
+		return fmt.Errorf("wal: reading segment: %w", err)
 	}
 	info.SegmentsScanned++
 	off := 0
@@ -147,64 +132,55 @@ func replaySegment(path string, s *store.Store, ckptGen uint64, spans []core.Del
 		r, n, derr := decodeRecord(data[off:])
 		if derr != nil {
 			if !last {
-				return spans, fmt.Errorf("wal: segment %s corrupt at offset %d (not the final segment; refusing to skip history): %v", filepath.Base(path), off, derr)
+				return fmt.Errorf("wal: segment %s corrupt at offset %d (not the final segment; refusing to skip history): %v", filepath.Base(path), off, derr)
 			}
 			info.TornTail = true
 			info.TruncatedBytes = int64(len(data) - off)
 			if truncate {
 				if err := os.Truncate(path, int64(off)); err != nil {
-					return spans, fmt.Errorf("wal: truncating torn tail of %s: %w", filepath.Base(path), err)
+					return fmt.Errorf("wal: truncating torn tail of %s: %w", filepath.Base(path), err)
 				}
 			}
-			return spans, nil
+			return nil
 		}
-		spans, err = applyRecord(r, s, ckptGen, spans, info)
-		if err != nil {
-			return spans, err
+		if err := applyRecord(r, s, info); err != nil {
+			return err
 		}
 		off += n
 	}
-	return spans, nil
+	return nil
 }
 
-func applyRecord(r *record, s *store.Store, ckptGen uint64, spans []core.DeltaSpan, info *RecoveryInfo) ([]core.DeltaSpan, error) {
+// applyRecord replays one record onto s. Legacy release records publish no
+// generation (0), so the same guard that skips batches the checkpoint
+// already covers skips them.
+func applyRecord(r *record, s *store.Store, info *RecoveryInfo) error {
 	cur := s.Generation()
-	switch r.kind {
-	case recAddAll, recRemove, recRemoveGraph, recClear:
-		if r.gen <= cur {
-			return spans, nil // already covered by the checkpoint (or an earlier overlapping segment)
-		}
-		if r.gen != cur+1 {
-			return spans, fmt.Errorf("wal: generation gap: store at %d, next record publishes %d", cur, r.gen)
-		}
-		if err := replayBatch(r, s); err != nil {
-			return spans, err
-		}
-		if got := s.Generation(); got != r.gen {
-			return spans, fmt.Errorf("wal: replaying %s record: store generation %d, want %d", r.kind, got, r.gen)
-		}
-		info.RecordsReplayed++
-		info.BatchesReplayed++
-	case recRelease:
-		// The release's batch record precedes it in the log, so by now its
-		// interval is fully applied; a span at or before the checkpoint
-		// generation is already in the checkpoint's span section.
-		if r.span.To <= ckptGen || r.span.To > s.Generation() {
-			return spans, nil
-		}
-		spans = append(spans, r.span)
-		info.RecordsReplayed++
+	if r.gen <= cur {
+		return nil // covered by the checkpoint (or an earlier overlapping segment), or a legacy release record
 	}
-	return spans, nil
+	if r.gen != cur+1 {
+		return fmt.Errorf("wal: generation gap: store at %d, next record publishes %d", cur, r.gen)
+	}
+	if err := replayBatch(r, s, s.AddAll); err != nil {
+		return err
+	}
+	if got := s.Generation(); got != r.gen {
+		return fmt.Errorf("wal: replaying %s record: store generation %d, want %d", r.kind, got, r.gen)
+	}
+	info.RecordsReplayed++
+	info.BatchesReplayed++
+	return nil
 }
 
 // replayBatch applies one store mutation batch through the ordinary batch
-// API. Insertion replay re-interns every term in its original order, so the
-// rebuilt dictionary assigns byte-identical TermIDs.
-func replayBatch(r *record, s *store.Store) error {
+// API, inserting through addAll (the store's own AddAll in recovery, the
+// ontology's on a replica). Insertion replay re-interns every term in its
+// original order, so the rebuilt dictionary assigns byte-identical TermIDs.
+func replayBatch(r *record, s *store.Store, addAll func([]rdf.Quad) (int, error)) error {
 	switch r.kind {
 	case recAddAll:
-		added, err := s.AddAll(r.quads)
+		added, err := addAll(r.quads)
 		if err != nil {
 			return fmt.Errorf("wal: replaying add batch: %w", err)
 		}

@@ -184,15 +184,14 @@ func buildScript(t *testing.T, rng *rand.Rand) []scriptOp {
 }
 
 // runScript applies ops in order, asserting the one-generation-per-op
-// contract, and returns per generation: the pinned snapshot, the delta log,
-// and the dictionary size at that point (snapshots share the append-only
+// contract, and returns per generation: the pinned snapshot and the
+// dictionary size at that point (snapshots share the append-only
 // dictionary, so the size must be captured live — a pinned snapshot's
 // Dict() keeps growing with later ops).
-func runScript(t *testing.T, o *core.Ontology, ops []scriptOp) (map[uint64]store.Snapshot, map[uint64][]core.DeltaSpan, map[uint64]int) {
+func runScript(t *testing.T, o *core.Ontology, ops []scriptOp) (map[uint64]store.Snapshot, map[uint64]int) {
 	t.Helper()
 	gen := o.Store().Generation()
 	snaps := map[uint64]store.Snapshot{gen: o.Store().Snapshot()}
-	logs := map[uint64][]core.DeltaSpan{gen: o.DeltaLog()}
 	dictLens := map[uint64]int{gen: o.Store().Snapshot().Dict().Len()}
 	for _, op := range ops {
 		before := o.Store().Generation()
@@ -204,10 +203,9 @@ func runScript(t *testing.T, o *core.Ontology, ops []scriptOp) (map[uint64]store
 			t.Fatalf("op %s bumped generation %d -> %d, want exactly one", op.name, before, after)
 		}
 		snaps[after] = o.Store().Snapshot()
-		logs[after] = o.DeltaLog()
 		dictLens[after] = o.Store().Snapshot().Dict().Len()
 	}
-	return snaps, logs, dictLens
+	return snaps, dictLens
 }
 
 // copyDir clones the data dir so each trial mutates its own copy.
@@ -325,13 +323,13 @@ func TestCrashRecoveryParity(t *testing.T) {
 			// A mid-script checkpoint on one seed exercises checkpoint +
 			// tail replay; the others replay the whole WAL.
 			half := len(ops) / 2
-			durableSnaps, _, _ := runScript(t, m.Ontology(), ops[:half])
+			durableSnaps, _ := runScript(t, m.Ontology(), ops[:half])
 			if seed == 2 {
 				if _, err := m.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			tailSnaps, _, _ := runScript(t, m.Ontology(), ops[half:])
+			tailSnaps, _ := runScript(t, m.Ontology(), ops[half:])
 			for gen, sn := range tailSnaps {
 				durableSnaps[gen] = sn
 			}
@@ -345,7 +343,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 			if expected.Store().Generation() != baseGen {
 				t.Fatalf("baseline generation %d, durable baseline %d", expected.Store().Generation(), baseGen)
 			}
-			expSnaps, expLogs, expDictLens := runScript(t, expected, ops)
+			expSnaps, expDictLens := runScript(t, expected, ops)
 			for gen, sn := range expSnaps {
 				if durableSnaps[gen].Len() != sn.Len() {
 					t.Fatalf("durable and baseline runs diverged at generation %d", gen)
@@ -380,20 +378,6 @@ func TestCrashRecoveryParity(t *testing.T) {
 				assertStateParity(t, rec, want, expDictLens[gen], name)
 				if fp, wfp := rewriteFingerprint(rec), rewriteFingerprint(rebuildAt(t, ops, gen, expected)); fp != wfp {
 					t.Fatalf("%s: rewriting diverged:\n got: %s\nwant: %s", name, fp, wfp)
-				}
-				// The recovered delta log must be a prefix of the baseline's
-				// log at that generation: at most the latest span may be
-				// missing (its release record torn off after its batch).
-				wantLog := expLogs[gen]
-				gotLog := rec.DeltaLog()
-				if len(gotLog) < len(wantLog)-1 || len(gotLog) > len(wantLog) {
-					t.Fatalf("%s: delta log has %d spans, want %d (or one fewer)", name, len(gotLog), len(wantLog))
-				}
-				for i := range gotLog {
-					if gotLog[i].From != wantLog[i].From || gotLog[i].To != wantLog[i].To ||
-						gotLog[i].Delta.Wrapper != wantLog[i].Delta.Wrapper {
-						t.Fatalf("%s: delta span %d = %+v, want %+v", name, i, gotLog[i], wantLog[i])
-					}
 				}
 			}
 

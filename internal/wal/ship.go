@@ -32,15 +32,12 @@ var (
 )
 
 // Record is the exported view of one WAL record, decoded from a shipped
-// frame. Batch records apply store mutations; release records carry the
-// delta span of a journaled release (Release non-nil).
+// frame: a store mutation batch, or a legacy release record, which
+// publishes nothing.
 type Record struct {
-	// Generation is the store generation the record publishes (for release
-	// records, the To bound of the span).
+	// Generation is the store generation the record publishes; 0 for a
+	// legacy release record, which every generation guard skips.
 	Generation uint64
-	// Release is the journaled delta span of a release record, nil for
-	// store mutation batches.
-	Release *core.DeltaSpan
 
 	rec *record
 }
@@ -48,16 +45,14 @@ type Record struct {
 // Kind names the record kind for logs and diagnostics.
 func (r Record) Kind() string { return r.rec.kind.String() }
 
-// Apply replays a batch record onto s through the ordinary mutation API
-// (release records are no-ops; apply their Release span to the ontology
-// instead). The store must be at exactly Generation-1; callers enforce the
-// guard so skipped duplicates and gaps are their decision, not a silent
-// side effect.
-func (r Record) Apply(s *store.Store) error {
-	if r.Release != nil {
-		return nil
-	}
-	return replayBatch(r.rec, s)
+// Apply replays a batch record onto o's store. An add-all record goes
+// through Ontology.AddAll, which derives a release's delta from the batch
+// exactly as the primary's NewRelease did, so o's rewriting caches
+// invalidate incrementally. The store must be at exactly Generation-1;
+// callers enforce the guard so skipped duplicates and gaps are their
+// decision, not a silent side effect.
+func (r Record) Apply(o *core.Ontology) error {
+	return replayBatch(r.rec, o.Store(), o.AddAll)
 }
 
 // DecodeFrame decodes one framed record from the front of b, re-verifying
@@ -70,12 +65,7 @@ func DecodeFrame(b []byte) (Record, int, error) {
 	if err != nil {
 		return Record{}, 0, err
 	}
-	out := Record{Generation: rec.gen, rec: rec}
-	if rec.kind == recRelease {
-		sp := rec.span
-		out.Release = &sp
-	}
-	return out, n, nil
+	return Record{Generation: rec.gen, rec: rec}, n, nil
 }
 
 // LastAppendedGeneration returns the highest generation present in the WAL
@@ -113,10 +103,9 @@ func (m *Manager) OldestShippableGeneration() (uint64, error) {
 
 // ShipFrames collects raw WAL frames (length+CRC framing intact, so the
 // receiver re-verifies the same checksums) for records a replica at
-// generation from still needs: batch records with Generation > from and
-// release records with Generation >= from — a release span whose batch the
-// replica already applied may not have reached it yet, and resending it is
-// idempotent under the replica's span guard. Stops after roughly maxBytes
+// generation from still needs: the batch records with Generation > from
+// (legacy release records publish no generation and are never shipped).
+// Stops after roughly maxBytes
 // (always finishing the current frame; 0 means a 4 MiB default). Returns
 // the frames and the highest generation included (== from when the replica
 // is caught up).
@@ -168,11 +157,7 @@ func (m *Manager) ShipFrames(from uint64, maxBytes int) ([]byte, uint64, error) 
 				}
 				return frames, next, fmt.Errorf("wal: segment %s corrupt at offset %d: %v", seg.path, off, derr)
 			}
-			ship := rec.gen > from
-			if rec.kind == recRelease {
-				ship = rec.gen >= from
-			}
-			if ship {
+			if rec.gen > from {
 				frames = append(frames, data[off:off+n]...)
 				if rec.gen > next {
 					next = rec.gen
@@ -204,10 +189,11 @@ func (m *Manager) LatestCheckpoint() (string, uint64, error) {
 
 // RestoreCheckpoint rebuilds an ontology from checkpoint bytes (as shipped
 // by a primary's replication endpoint): the trailing CRC is verified, the
-// dictionary is restored with byte-identical TermIDs, every index bucket is
-// rebuilt pre-sorted, and the release-delta log is reseeded so warm
-// rewriting caches invalidate incrementally from the restored generation
-// on. The restored store generation is available via Store().Generation().
+// dictionary is restored with byte-identical TermIDs and every index bucket
+// is rebuilt pre-sorted. A legacy checkpoint's span section is read and
+// discarded: the restored ontology's release-delta log starts empty, like
+// the caches a resynchronized replica builds over it. The restored store
+// generation is available via Store().Generation().
 func RestoreCheckpoint(data []byte) (*core.Ontology, error) {
 	ck, err := decodeCheckpoint(data)
 	if err != nil {
@@ -217,11 +203,5 @@ func RestoreCheckpoint(data []byte) (*core.Ontology, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: restoring shipped checkpoint: %w", err)
 	}
-	var spans []core.DeltaSpan
-	for _, sp := range ck.spans {
-		if sp.To <= ck.generation {
-			spans = append(spans, sp)
-		}
-	}
-	return core.RestoreOntology(s, spans), nil
+	return core.RestoreOntology(s), nil
 }

@@ -3,7 +3,6 @@ package wal
 import (
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"bdi/internal/core"
@@ -24,18 +23,6 @@ func quadsEqual(t *testing.T, got, want []rdf.Quad) {
 }
 
 func TestRecordRoundTrip(t *testing.T) {
-	span := core.DeltaSpan{
-		From: 41, To: 42,
-		Delta: &core.ReleaseDelta{
-			Wrapper:    "http://ex/w1",
-			Source:     "http://ex/D1",
-			Sequence:   7,
-			Concepts:   []rdf.IRI{"http://ex/A", "http://ex/B"},
-			Features:   []rdf.IRI{"http://ex/f"},
-			Attributes: []rdf.IRI{"http://ex/attr/a"},
-			Edges:      [][2]rdf.IRI{{"http://ex/A", "http://ex/B"}},
-		},
-	}
 	records := []*record{
 		{kind: recAddAll, gen: 3, quads: []rdf.Quad{
 			{Triple: rdf.T("http://ex/s", "http://ex/p", "http://ex/o"), Graph: "http://ex/g"},
@@ -45,7 +32,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		{kind: recRemove, gen: 4, quads: []rdf.Quad{{Triple: rdf.T("http://ex/s", "http://ex/p", "http://ex/o"), Graph: "http://ex/g"}}},
 		{kind: recRemoveGraph, gen: 5, graph: "http://ex/g"},
 		{kind: recClear, gen: 6},
-		{kind: recRelease, gen: 42, span: span},
 	}
 	var buf []byte
 	for _, r := range records {
@@ -61,9 +47,6 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatalf("decoded %+v, want %+v", got, want)
 		}
 		quadsEqual(t, got.quads, want.quads)
-		if want.kind == recRelease && !reflect.DeepEqual(got.span, want.span) {
-			t.Fatalf("decoded span %+v, want %+v", got.span, want.span)
-		}
 	}
 	if len(buf) != 0 {
 		t.Fatalf("%d trailing bytes after decoding all records", len(buf))
@@ -94,11 +77,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	s := o.Store()
 	sn := s.Snapshot()
-	spans := o.DeltaLog()
-	if len(spans) == 0 {
-		t.Fatal("expected release deltas in the SUPERSEDE ontology")
+	data := encodeCheckpoint(sn, sn.Dict().Terms())
+	// The span count, the last field before the CRC, is always 0.
+	if nspans := data[len(data)-5]; nspans != 0 {
+		t.Fatalf("checkpoint span count = %d, want 0", nspans)
 	}
-	data := encodeCheckpoint(sn, sn.Dict().Terms(), spans)
 	ck, err := decodeCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
@@ -113,9 +96,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	quadsEqual(t, restored.Quads(), s.Quads())
 	if got, want := restored.Snapshot().Dict().Len(), s.Snapshot().Dict().Len(); got != want {
 		t.Fatalf("restored dict has %d terms, want %d", got, want)
-	}
-	if !reflect.DeepEqual(ck.spans, spans) {
-		t.Fatalf("restored spans = %+v, want %+v", ck.spans, spans)
 	}
 	// Flip one byte anywhere: the checkpoint must be rejected.
 	bad := append([]byte(nil), data...)
@@ -144,7 +124,6 @@ func TestOpenCloseReopen(t *testing.T) {
 	}
 	wantQuads := o.Store().Quads()
 	wantGen := o.Store().Generation()
-	wantSpans := o.DeltaLog()
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -159,22 +138,24 @@ func TestOpenCloseReopen(t *testing.T) {
 	if got := o2.Store().Generation(); got != wantGen {
 		t.Fatalf("recovered generation = %d, want %d", got, wantGen)
 	}
-	if !reflect.DeepEqual(o2.DeltaLog(), wantSpans) {
-		t.Fatalf("recovered delta log = %+v, want %+v", o2.DeltaLog(), wantSpans)
-	}
 	// The clean close checkpointed everything: no batches should replay.
 	if rec := m2.Recovery(); rec.BatchesReplayed != 0 {
 		t.Fatalf("clean reopen replayed %d batches, want 0", rec.BatchesReplayed)
 	}
-	// The ontology stays writable after recovery, and new writes journal.
+	// The ontology stays writable after recovery, and a release journals
+	// exactly one record: its add-all batch.
+	before := m2.Stats().RecordsAppended
 	if _, err := o2.NewRelease(core.SupersedeReleaseW4()); err != nil {
 		t.Fatal(err)
+	}
+	if n := m2.Stats().RecordsAppended - before; n != 1 {
+		t.Fatalf("a release appended %d records, want 1", n)
 	}
 }
 
 // TestReplayWithoutCheckpointCoverage reopens after Abort (no final
 // checkpoint): everything past the initial checkpoint must come from WAL
-// replay, including removals and the release spans.
+// replay, including removals.
 func TestReplayWithoutCheckpointCoverage(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(dir, Options{Sync: SyncOff})
@@ -201,7 +182,6 @@ func TestReplayWithoutCheckpointCoverage(t *testing.T) {
 	}
 	wantQuads := o.Store().Quads()
 	wantGen := o.Store().Generation()
-	wantSpans := o.DeltaLog()
 	if err := m.Abort(); err != nil {
 		t.Fatal(err)
 	}
@@ -216,15 +196,8 @@ func TestReplayWithoutCheckpointCoverage(t *testing.T) {
 	if got := o2.Store().Generation(); got != wantGen {
 		t.Fatalf("recovered generation = %d, want %d", got, wantGen)
 	}
-	if !reflect.DeepEqual(o2.DeltaLog(), wantSpans) {
-		t.Fatalf("recovered delta log = %+v, want %+v", o2.DeltaLog(), wantSpans)
-	}
-	rec := m2.Recovery()
-	if rec.BatchesReplayed == 0 {
+	if rec := m2.Recovery(); rec.BatchesReplayed == 0 {
 		t.Fatal("expected WAL replay after Abort")
-	}
-	if rec.SpansRestored != len(wantSpans) {
-		t.Fatalf("spans restored = %d, want %d", rec.SpansRestored, len(wantSpans))
 	}
 }
 
@@ -345,8 +318,8 @@ func TestTornTailTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chop 3 bytes off the tail: the release's span record (last) becomes
-	// torn; the release's batch itself stays.
+	// Chop 3 bytes off the tail: the release's batch, the last record,
+	// becomes torn and recovery ends before it.
 	if err := os.Truncate(last.path, fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
@@ -359,11 +332,8 @@ func TestTornTailTruncation(t *testing.T) {
 	if !rec.TornTail || rec.TruncatedBytes == 0 {
 		t.Fatalf("expected a torn tail, got %+v", rec)
 	}
-	if got := m2.Ontology().Store().Generation(); got != preGen+1 {
-		t.Fatalf("recovered generation = %d, want %d (release batch kept, span record torn)", got, preGen+1)
-	}
-	if spans := m2.Ontology().DeltaLog(); len(spans) != 0 {
-		t.Fatalf("delta log = %+v, want empty (span record was torn away)", spans)
+	if got := m2.Ontology().Store().Generation(); got != preGen {
+		t.Fatalf("recovered generation = %d, want %d (release batch torn)", got, preGen)
 	}
 }
 
