@@ -480,7 +480,7 @@ func BenchmarkStorePatternMatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if quads := s.Match(store.WildcardGraph(nil, core.GHasFeature, nil)); len(quads) == 0 {
+		if quads := s.Snapshot().Match(store.WildcardGraph(nil, core.GHasFeature, nil)); len(quads) == 0 {
 			b.Fatal("no matches")
 		}
 	}

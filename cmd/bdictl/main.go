@@ -108,15 +108,16 @@ func main() {
 		fmt.Printf("Concepts/Features:      %d / %d\n", st.Concepts, st.Features)
 		fmt.Printf("Sources/Wrappers/Attrs: %d / %d / %d\n", st.DataSources, st.Wrappers, st.Attributes)
 	case "concepts":
-		for _, c := range sys.Ontology.Concepts() {
-			fmt.Println(sys.Ontology.Prefixes().Compact(c))
-			ids := sys.Ontology.IdentifiersOf(c)
-			for _, f := range sys.Ontology.FeaturesOf(c) {
+		v := sys.Ontology.View()
+		for _, c := range v.Concepts() {
+			fmt.Println(v.Compact(c))
+			ids := v.IdentifiersOf(c)
+			for _, f := range v.FeaturesOf(c) {
 				marker := ""
 				if slices.Contains(ids, f) {
 					marker = " (ID)"
 				}
-				fmt.Printf("  - %s%s\n", sys.Ontology.Prefixes().Compact(f), marker)
+				fmt.Printf("  - %s%s\n", v.Compact(f), marker)
 			}
 		}
 	case "sources":
@@ -307,8 +308,8 @@ func runRestore(dir string) {
 		}
 		fmt.Println()
 	}
-	fmt.Printf("  WAL replay:      %d record(s) across %d segment(s), %d mutation batch(es)\n",
-		rec.RecordsReplayed, rec.SegmentsScanned, rec.BatchesReplayed)
+	fmt.Printf("  WAL replay:      %d record(s) across %d segment(s)\n",
+		rec.RecordsReplayed, rec.SegmentsScanned)
 	if rec.TornTail {
 		fmt.Printf("  torn tail:       %d byte(s) would be truncated on a live open\n", rec.TruncatedBytes)
 	}
@@ -384,8 +385,7 @@ func runReplication(addr string) {
 				v, _ := stats[k].(float64)
 				return uint64(v)
 			}
-			fmt.Printf("applied:           %d frame(s): %d batch(es)\n",
-				get("framesApplied"), get("batchesApplied"))
+			fmt.Printf("applied:           %d frame(s)\n", get("framesApplied"))
 			fmt.Printf("resilience:        %d checkpoint fetch(es), %d reconnect(s), %d corrupt frame(s) quarantined, %d gap resync(s), %d divergence resync(s)\n",
 				get("checkpointsFetched"), get("reconnects"), get("corruptFrames"), get("gapResyncs"), get("divergenceResyncs"))
 		}

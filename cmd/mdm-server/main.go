@@ -125,7 +125,7 @@ func main() {
 			"dir", *dataDir,
 			"checkpoint_generation", rec.CheckpointGeneration,
 			"checkpoint_quads", rec.CheckpointQuads,
-			"batches_replayed", rec.BatchesReplayed,
+			"records_replayed", rec.RecordsReplayed,
 			"torn_tail", rec.TornTail)
 	} else {
 		ontology = core.NewOntology()
@@ -348,7 +348,7 @@ func registerDemoWrappers(registry *wrapper.Registry, evolved bool) {
 // -evolved gains exactly the missing w4 release on the next -evolved run.
 func seedDemo(o *core.Ontology, registry *wrapper.Registry, evolved bool) error {
 	registerDemoWrappers(registry, evolved)
-	if len(o.Concepts()) == 0 {
+	if len(o.View().Concepts()) == 0 {
 		if err := core.BuildSupersedeGlobalGraph(o); err != nil {
 			return err
 		}

@@ -57,7 +57,7 @@ func main() {
 	if _, err := ontology.NewRelease(next); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  registered; D1 now has wrappers %v\n", ontology.WrappersOfSource("D1"))
+	fmt.Printf("  registered; D1 now has wrappers %v\n", ontology.View().WrappersOfSource("D1"))
 
 	// Growth analysis (Figure 11).
 	fmt.Println("\nSource graph growth per release (Figure 11):")

@@ -1,8 +1,10 @@
 package bdi
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -184,5 +186,114 @@ func TestRewriteCacheConsistentUnderRelease(t *testing.T) {
 	}
 	if res.UCQ.Len() != ec.ExpectedWalks() {
 		t.Errorf("final walks = %d, want %d", res.UCQ.Len(), ec.ExpectedWalks())
+	}
+}
+
+// releaseOnErr is a context whose k-th Err call registers one related
+// release: every cancellation check of a rewrite is a point where a release
+// can land, and k picks which one.
+type releaseOnErr struct {
+	context.Context
+	ec       *workload.EvolutionChurn
+	k, calls int
+	fired    bool
+	err      error
+}
+
+func (c *releaseOnErr) Err() error {
+	if c.calls++; c.calls == c.k {
+		c.fired = true
+		_, c.err = c.ec.RegisterRelatedRelease()
+	}
+	return c.Context.Err()
+}
+
+// rewriteShape is what a rewrite answers with: its walks' signatures and the
+// requested attributes and features.
+type rewriteShape struct {
+	Signatures, Attributes, Features []string
+}
+
+func shapeOf(res *rewriting.Result) rewriteShape {
+	return rewriteShape{res.UCQ.Signatures(), res.UCQ.RequestedAttributes, res.UCQ.RequestedFeatures}
+}
+
+// coldShape is a from-scratch rewrite of the churn query at the ontology's
+// current generation.
+func coldShape(t *testing.T, ec *workload.EvolutionChurn) rewriteShape {
+	t.Helper()
+	res, err := rewriting.NewRewriter(ec.Ontology).Rewrite(ec.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shapeOf(res)
+}
+
+// midRewrite runs rewrite with a related release landing at its k-th
+// cancellation check and requires the result to equal a cold rewrite of one
+// generation — the one before the release or the one after it — in walks,
+// requested attributes and requested features alike. It returns the churn
+// workload with the release registered.
+func midRewrite(t *testing.T, k int, rewrite func(*workload.EvolutionChurn, context.Context) (*rewriting.Result, error)) *workload.EvolutionChurn {
+	t.Helper()
+	ec, err := workload.BuildEvolutionChurn(3, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := coldShape(t, ec)
+	ctx := &releaseOnErr{Context: context.Background(), ec: ec, k: k}
+	res, err := rewrite(ec, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx.err != nil {
+		t.Fatal(ctx.err)
+	}
+	if !ctx.fired {
+		if _, err := ec.RegisterRelatedRelease(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := coldShape(t, ec)
+	got := shapeOf(res)
+	if !reflect.DeepEqual(got, before) && !(ctx.fired && reflect.DeepEqual(got, after)) {
+		t.Fatalf("release at check %d (fired %v): the rewrite matches no generation:\n got    %+v\n before %+v\n after  %+v", k, ctx.fired, got, before, after)
+	}
+	return ec
+}
+
+// TestRewriteMidReleasePinsOneGeneration lets a release land at each of a
+// rewrite's first six cancellation checks: the uncached rewriter reads one
+// view, so its result is a cold rewrite of one generation, never walks of
+// one and requested attributes of the next.
+func TestRewriteMidReleasePinsOneGeneration(t *testing.T) {
+	for k := 1; k <= 6; k++ {
+		midRewrite(t, k, func(ec *workload.EvolutionChurn, ctx context.Context) (*rewriting.Result, error) {
+			return rewriting.NewRewriter(ec.Ontology).RewriteContext(ctx, ec.Query)
+		})
+	}
+}
+
+// TestRewriteMidReleaseCacheBuildsOnce lets a release land at each of a
+// cached miss's first six cancellation checks: the miss builds its three
+// units once, on the view it pinned, and equals a cold rewrite of that
+// generation; the next lookup serves the release's generation.
+func TestRewriteMidReleaseCacheBuildsOnce(t *testing.T) {
+	for k := 1; k <= 6; k++ {
+		var cache *rewriting.Cache
+		ec := midRewrite(t, k, func(ec *workload.EvolutionChurn, ctx context.Context) (*rewriting.Result, error) {
+			cache = rewriting.NewCache(rewriting.NewRewriter(ec.Ontology))
+			return cache.RewriteContext(ctx, ec.Query)
+		})
+		if st := cache.Stats(); st.Misses != 1 || st.UnitMisses > 3 {
+			t.Errorf("release at check %d: %d misses and %d unit misses, want 1 and at most 3", k, st.Misses, st.UnitMisses)
+		}
+		res, err := cache.Rewrite(ec.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := shapeOf(res), coldShape(t, ec); !reflect.DeepEqual(got, want) || res.UCQ.Len() != ec.ExpectedWalks() {
+			t.Errorf("release at check %d: next lookup %+v (%d walks), want %+v (%d walks)", k, got, res.UCQ.Len(), want, ec.ExpectedWalks())
+		}
 	}
 }

@@ -14,8 +14,8 @@ func (o *Ontology) Wrappers() []rdf.IRI {
 
 // WrappersOfSource returns the wrappers (schema versions) registered for a
 // data source.
-func (o *Ontology) WrappersOfSource(source string) []rdf.IRI {
-	return objectIRIs(o.store.Snapshot(), SourceGraphName, SourceURI(source), SHasWrapper)
+func (v *View) WrappersOfSource(source string) []rdf.IRI {
+	return objectIRIs(v.snap, SourceGraphName, SourceURI(source), SHasWrapper)
 }
 
 // SourceWrappers is one data source of S with its wrappers (schema
@@ -52,15 +52,14 @@ func (o *Ontology) Sources() []SourceWrappers {
 }
 
 // SourceOfWrapper returns the data source IRI a wrapper belongs to,
-// memoized per store generation.
-func (o *Ontology) SourceOfWrapper(wrapper rdf.IRI) (rdf.IRI, bool) {
-	qc := o.queryCache()
-	wid, ok := qc.snap.Dict().LookupIRI(wrapper)
+// memoized.
+func (v *View) SourceOfWrapper(wrapper rdf.IRI) (rdf.IRI, bool) {
+	wid, ok := v.snap.Dict().LookupIRI(wrapper)
 	if !ok {
 		return "", false
 	}
-	found := memoize(qc, qc.sourceOf, wid, func() rdf.IRI {
-		for _, q := range qc.snap.Match(store.InGraph(SourceGraphName, nil, SHasWrapper, wrapper)) {
+	found := memoize(v, v.sourceOf, wid, func() rdf.IRI {
+		for _, q := range v.snap.Match(store.InGraph(SourceGraphName, nil, SHasWrapper, wrapper)) {
 			if s, ok := q.Subject.(rdf.IRI); ok {
 				return s
 			}
@@ -73,7 +72,7 @@ func (o *Ontology) SourceOfWrapper(wrapper rdf.IRI) (rdf.IRI, bool) {
 // wrapperOfLAVGraph returns the wrapper whose mapping lives in the given
 // named graph on one snapshot: the first M:mapping subject naming the
 // graph. The memoized accessors resolve graphs to wrappers with it on their
-// memo's snapshot.
+// view's snapshot.
 func wrapperOfLAVGraph(sn store.Snapshot, graph rdf.IRI) (rdf.IRI, bool) {
 	for _, q := range sn.Match(store.InGraph(MappingsGraphName, nil, MMapping, graph)) {
 		if w, ok := q.Subject.(rdf.IRI); ok {
@@ -84,15 +83,14 @@ func wrapperOfLAVGraph(sn store.Snapshot, graph rdf.IRI) (rdf.IRI, bool) {
 }
 
 // FeatureOfAttribute resolves F for one attribute: the feature the attribute
-// is owl:sameAs-linked to. Memoized per store generation.
-func (o *Ontology) FeatureOfAttribute(attr rdf.IRI) (rdf.IRI, bool) {
-	qc := o.queryCache()
-	aid, ok := qc.snap.Dict().LookupIRI(attr)
+// is owl:sameAs-linked to. Memoized.
+func (v *View) FeatureOfAttribute(attr rdf.IRI) (rdf.IRI, bool) {
+	aid, ok := v.snap.Dict().LookupIRI(attr)
 	if !ok {
 		return "", false
 	}
-	found := memoize(qc, qc.featureOfAttr, aid, func() rdf.IRI {
-		for _, q := range qc.snap.Match(store.InGraph(MappingsGraphName, attr, rdf.OWLSameAs, nil)) {
+	found := memoize(v, v.featureOfAttr, aid, func() rdf.IRI {
+		for _, q := range v.snap.Match(store.InGraph(MappingsGraphName, attr, rdf.OWLSameAs, nil)) {
 			if f, ok := q.Object.(rdf.IRI); ok {
 				return f
 			}
@@ -103,22 +101,21 @@ func (o *Ontology) FeatureOfAttribute(attr rdf.IRI) (rdf.IRI, bool) {
 }
 
 // AttributesOfFeature returns the inverse of F: all source attributes that
-// map to the given feature, sorted. Memoized per store generation.
-func (o *Ontology) AttributesOfFeature(feature rdf.IRI) []rdf.IRI {
-	qc := o.queryCache()
-	return slices.Clone(qc.attributesOfFeature(feature))
+// map to the given feature, sorted. Memoized.
+func (v *View) AttributesOfFeature(feature rdf.IRI) []rdf.IRI {
+	return slices.Clone(v.attributesOfFeature(feature))
 }
 
-// attributesOfFeature is AttributesOfFeature on the memo's snapshot; the
-// result is shared and must not be mutated.
-func (qc *queryCache) attributesOfFeature(feature rdf.IRI) []rdf.IRI {
-	fid, ok := qc.snap.Dict().LookupIRI(feature)
+// attributesOfFeature is AttributesOfFeature without the copy; the result is
+// shared and must not be mutated.
+func (v *View) attributesOfFeature(feature rdf.IRI) []rdf.IRI {
+	fid, ok := v.snap.Dict().LookupIRI(feature)
 	if !ok {
 		return nil
 	}
-	return memoize(qc, qc.attrsOf, fid, func() []rdf.IRI {
+	return memoize(v, v.attrsOf, fid, func() []rdf.IRI {
 		var out []rdf.IRI
-		for _, q := range qc.snap.Match(store.InGraph(MappingsGraphName, nil, rdf.OWLSameAs, feature)) {
+		for _, q := range v.snap.Match(store.InGraph(MappingsGraphName, nil, rdf.OWLSameAs, feature)) {
 			if a, ok := q.Subject.(rdf.IRI); ok {
 				out = append(out, a)
 			}
@@ -131,20 +128,19 @@ func (qc *queryCache) attributesOfFeature(feature rdf.IRI) []rdf.IRI {
 // AttributeOfFeatureInWrapper resolves, for a given wrapper and feature, the
 // wrapper attribute providing it (Algorithm 4, line 10: the attribute that
 // is owl:sameAs the feature and S:hasAttribute-linked to the wrapper). The
-// resolution is memoized per store generation: phase #3 asks the same
-// (wrapper, feature) pairs once per candidate walk.
-func (o *Ontology) AttributeOfFeatureInWrapper(wrapper, feature rdf.IRI) (rdf.IRI, bool) {
-	qc := o.queryCache()
-	d := qc.snap.Dict()
+// resolution is memoized: phase #3 asks the same (wrapper, feature) pairs
+// once per candidate walk.
+func (v *View) AttributeOfFeatureInWrapper(wrapper, feature rdf.IRI) (rdf.IRI, bool) {
+	d := v.snap.Dict()
 	wid, okW := d.LookupIRI(wrapper)
 	fid, okF := d.LookupIRI(feature)
 	if !okW || !okF {
 		// An un-interned wrapper or feature appears in no triple.
 		return "", false
 	}
-	found := memoize(qc, qc.attrOf, [2]rdf.TermID{wid, fid}, func() rdf.IRI {
-		for _, attr := range qc.attributesOfFeature(feature) {
-			if qc.snap.ContainsTriple(SourceGraphName, rdf.T(wrapper, SHasAttribute, attr)) {
+	found := memoize(v, v.attrOf, [2]rdf.TermID{wid, fid}, func() rdf.IRI {
+		for _, attr := range v.attributesOfFeature(feature) {
+			if v.snap.ContainsTriple(SourceGraphName, rdf.T(wrapper, SHasAttribute, attr)) {
 				return attr
 			}
 		}
@@ -155,22 +151,21 @@ func (o *Ontology) AttributeOfFeatureInWrapper(wrapper, feature rdf.IRI) (rdf.IR
 
 // WrappersProvidingFeature returns the wrappers whose LAV mapping graph
 // contains the triple ⟨concept, G:hasFeature, feature⟩ (Algorithm 4, line 8).
-// Memoized per store generation.
-func (o *Ontology) WrappersProvidingFeature(concept, feature rdf.IRI) []rdf.IRI {
-	qc := o.queryCache()
-	d := qc.snap.Dict()
+// Memoized.
+func (v *View) WrappersProvidingFeature(concept, feature rdf.IRI) []rdf.IRI {
+	d := v.snap.Dict()
 	cid, okC := d.LookupIRI(concept)
 	fid, okF := d.LookupIRI(feature)
 	if !okC || !okF {
 		return nil
 	}
-	return slices.Clone(memoize(qc, qc.providers, [2]rdf.TermID{cid, fid}, func() []rdf.IRI {
+	return slices.Clone(memoize(v, v.providers, [2]rdf.TermID{cid, fid}, func() []rdf.IRI {
 		var out []rdf.IRI
-		for _, g := range qc.snap.GraphsContaining(rdf.T(concept, GHasFeature, feature)) {
+		for _, g := range v.snap.GraphsContaining(rdf.T(concept, GHasFeature, feature)) {
 			if !isLAVGraph(g) {
 				continue
 			}
-			if w, ok := wrapperOfLAVGraph(qc.snap, g); ok {
+			if w, ok := wrapperOfLAVGraph(v.snap, g); ok {
 				out = append(out, w)
 			}
 		}
@@ -182,24 +177,23 @@ func (o *Ontology) WrappersProvidingFeature(concept, feature rdf.IRI) []rdf.IRI 
 // WrappersProvidingEdge returns the wrappers whose LAV mapping graph
 // contains any edge from one concept to another (Algorithm 5, lines 9-10).
 // One subject+object index probe replaces the per-graph scan of the naive
-// formulation, and the result is memoized per store generation (phase #3
-// asks the same concept pairs for every walk combination).
-func (o *Ontology) WrappersProvidingEdge(from, to rdf.IRI) []rdf.IRI {
-	qc := o.queryCache()
-	d := qc.snap.Dict()
+// formulation, and the result is memoized (phase #3 asks the same concept
+// pairs for every walk combination).
+func (v *View) WrappersProvidingEdge(from, to rdf.IRI) []rdf.IRI {
+	d := v.snap.Dict()
 	fid, okF := d.LookupIRI(from)
 	tid, okT := d.LookupIRI(to)
 	if !okF || !okT {
 		return nil
 	}
-	return slices.Clone(memoize(qc, qc.edges, [2]rdf.TermID{fid, tid}, func() []rdf.IRI {
+	return slices.Clone(memoize(v, v.edges, [2]rdf.TermID{fid, tid}, func() []rdf.IRI {
 		seen := map[rdf.IRI]bool{}
 		var out []rdf.IRI
-		for _, q := range qc.snap.Match(store.WildcardGraph(from, nil, to)) {
+		for _, q := range v.snap.Match(store.WildcardGraph(from, nil, to)) {
 			if !isLAVGraph(q.Graph) {
 				continue
 			}
-			if w, ok := wrapperOfLAVGraph(qc.snap, q.Graph); ok && !seen[w] {
+			if w, ok := wrapperOfLAVGraph(v.snap, q.Graph); ok && !seen[w] {
 				seen[w] = true
 				out = append(out, w)
 			}
@@ -219,8 +213,8 @@ func SourceLocalName(source rdf.IRI) string { return source.LocalName() }
 // RegistrationOrder returns the release sequence number assigned to a
 // wrapper when it was registered (1-based), or false when the wrapper is
 // unknown or predates sequence tracking.
-func (o *Ontology) RegistrationOrder(wrapper rdf.IRI) (int, bool) {
-	for _, q := range o.store.Match(store.InGraph(MappingsGraphName, wrapper, MRegistrationOrder, nil)) {
+func (v *View) RegistrationOrder(wrapper rdf.IRI) (int, bool) {
+	for _, q := range v.snap.Match(store.InGraph(MappingsGraphName, wrapper, MRegistrationOrder, nil)) {
 		if lit, ok := q.Object.(rdf.Literal); ok {
 			if n, ok := lit.Integer(); ok {
 				return int(n), true
@@ -232,11 +226,11 @@ func (o *Ontology) RegistrationOrder(wrapper rdf.IRI) (int, bool) {
 
 // LatestWrapperOfSource returns the most recently registered wrapper (i.e.
 // the newest schema version) of a data source.
-func (o *Ontology) LatestWrapperOfSource(source string) (rdf.IRI, bool) {
+func (v *View) LatestWrapperOfSource(source string) (rdf.IRI, bool) {
 	best := rdf.IRI("")
 	bestSeq := -1
-	for _, w := range o.WrappersOfSource(source) {
-		seq, ok := o.RegistrationOrder(w)
+	for _, w := range v.WrappersOfSource(source) {
+		seq, ok := v.RegistrationOrder(w)
 		if !ok {
 			continue
 		}

@@ -52,25 +52,25 @@ func TestAddConceptFeatureAndRelations(t *testing.T) {
 	if err := o.AddConcept(c); err != nil {
 		t.Fatal(err)
 	}
-	if !o.IsConcept(c) {
+	if !o.View().IsConcept(c) {
 		t.Error("concept not recognized")
 	}
 	if err := o.AddIdentifier(c, f, rdf.XSDInteger); err != nil {
 		t.Fatal(err)
 	}
-	if !o.IsFeature(f) || !isIdentifier(o.store.Snapshot(), f) {
+	if !o.View().IsFeature(f) || !isIdentifier(o.store.Snapshot(), f) {
 		t.Error("identifier feature not recognized")
 	}
 	if dt, ok := o.DatatypeOf(f); !ok || dt != rdf.XSDInteger {
 		t.Errorf("datatype = %v, %v", dt, ok)
 	}
-	if got := o.FeaturesOf(c); len(got) != 1 || got[0] != f {
+	if got := o.View().FeaturesOf(c); len(got) != 1 || got[0] != f {
 		t.Errorf("FeaturesOf = %v", got)
 	}
 	if owner, ok := o.ConceptOfFeature(f); !ok || owner != c {
 		t.Errorf("ConceptOfFeature = %v, %v", owner, ok)
 	}
-	if ids := o.IdentifiersOf(c); len(ids) != 1 || ids[0] != f {
+	if ids := o.View().IdentifiersOf(c); len(ids) != 1 || ids[0] != f {
 		t.Errorf("IdentifiersOf = %v", ids)
 	}
 }
@@ -136,8 +136,8 @@ func TestSupersedeGlobalGraph(t *testing.T) {
 	if err := BuildSupersedeGlobalGraph(o); err != nil {
 		t.Fatal(err)
 	}
-	if len(o.Concepts()) != 5 {
-		t.Errorf("concepts = %v", o.Concepts())
+	if len(o.View().Concepts()) != 5 {
+		t.Errorf("concepts = %v", o.View().Concepts())
 	}
 	if len(o.Features()) != 5 {
 		t.Errorf("features = %v", o.Features())
@@ -183,7 +183,7 @@ func TestNewReleaseAlgorithm1(t *testing.T) {
 	if w, ok := wrapperOfLAVGraph(o.store.Snapshot(), g); !ok || w != WrapperURI("w1") || o.Store().GraphLen(g) != 3 {
 		t.Errorf("LAV graph missing or wrong size: %v %d", w, o.Store().GraphLen(g))
 	}
-	if f, ok := o.FeatureOfAttribute(AttributeURI("D1", "VoDmonitorId")); !ok || f != SupMonitorID {
+	if f, ok := o.View().FeatureOfAttribute(AttributeURI("D1", "VoDmonitorId")); !ok || f != SupMonitorID {
 		t.Errorf("F(VoDmonitorId) = %v, %v", f, ok)
 	}
 }
@@ -271,10 +271,10 @@ func TestSupersedeOntologyAccessors(t *testing.T) {
 	if len(o.Wrappers()) != 4 {
 		t.Errorf("wrappers = %v", o.Wrappers())
 	}
-	if got := o.WrappersOfSource("D1"); len(got) != 2 {
+	if got := o.View().WrappersOfSource("D1"); len(got) != 2 {
 		t.Errorf("wrappers of D1 = %v", got)
 	}
-	if s, ok := o.SourceOfWrapper(WrapperURI("w2")); !ok || s != SourceURI("D2") {
+	if s, ok := o.View().SourceOfWrapper(WrapperURI("w2")); !ok || s != SourceURI("D2") {
 		t.Errorf("source of w2 = %v", s)
 	}
 	var w3Attrs []rdf.IRI
@@ -289,22 +289,22 @@ func TestSupersedeOntologyAccessors(t *testing.T) {
 		t.Errorf("attributes of w3 = %v", w3Attrs)
 	}
 	// LAV mapping resolution used by the rewriting algorithms.
-	providers := o.WrappersProvidingFeature(SupMonitor, SupMonitorID)
+	providers := o.View().WrappersProvidingFeature(SupMonitor, SupMonitorID)
 	if len(providers) != 3 {
 		t.Errorf("providers of (Monitor, monitorId) = %v", providers)
 	}
-	providers = o.WrappersProvidingFeature(SupInfoMonitor, SupLagRatio)
+	providers = o.View().WrappersProvidingFeature(SupInfoMonitor, SupLagRatio)
 	if len(providers) != 2 {
 		t.Errorf("providers of (InfoMonitor, lagRatio) = %v", providers)
 	}
-	edgeProviders := o.WrappersProvidingEdge(SupSoftwareApplication, SupMonitor)
+	edgeProviders := o.View().WrappersProvidingEdge(SupSoftwareApplication, SupMonitor)
 	if len(edgeProviders) != 1 || edgeProviders[0] != WrapperURI("w3") {
 		t.Errorf("edge providers = %v", edgeProviders)
 	}
-	if attr, ok := o.AttributeOfFeatureInWrapper(WrapperURI("w4"), SupLagRatio); !ok || AttributeName(attr) != "D1/bufferingRatio" {
+	if attr, ok := o.View().AttributeOfFeatureInWrapper(WrapperURI("w4"), SupLagRatio); !ok || AttributeName(attr) != "D1/bufferingRatio" {
 		t.Errorf("attribute of lagRatio in w4 = %v, %v", attr, ok)
 	}
-	if attrs := o.AttributesOfFeature(SupMonitorID); len(attrs) != 2 {
+	if attrs := o.View().AttributesOfFeature(SupMonitorID); len(attrs) != 2 {
 		t.Errorf("attributes of monitorId = %v", attrs)
 	}
 	if w, ok := wrapperOfLAVGraph(o.store.Snapshot(), MappingGraphURI("w2")); !ok || w != WrapperURI("w2") {
@@ -366,7 +366,7 @@ func TestReleaseSequenceNeverReused(t *testing.T) {
 	if res.Sequence != 5 {
 		t.Errorf("w5 sequence = %d, want 5", res.Sequence)
 	}
-	if w, ok := o.LatestWrapperOfSource("D1"); !ok || w != WrapperURI("w5") {
+	if w, ok := o.View().LatestWrapperOfSource("D1"); !ok || w != WrapperURI("w5") {
 		t.Errorf("latest wrapper of D1 = %v, want w5", w)
 	}
 

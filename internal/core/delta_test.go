@@ -282,7 +282,7 @@ func TestFootprintIntersects(t *testing.T) {
 }
 
 func TestQueryCacheSurvivesUnrelatedRelease(t *testing.T) {
-	// Every release installs a fresh memo: nothing memoized against an
+	// Every release installs a fresh view: nothing memoized against an
 	// earlier generation is served after a release, related or not, and the
 	// fresh probe sees the release's wrapper.
 	o := mustBuildSupersede(t)
@@ -290,20 +290,20 @@ func TestQueryCacheSurvivesUnrelatedRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	triple := rdf.T(SupInfoMonitor, GHasFeature, SupLagRatio)
-	if ws := o.WrappersCoveringTriple(triple); len(ws) != 1 || ws[0] != WrapperURI("w1") {
+	if ws := o.View().WrappersCoveringTriple(triple); len(ws) != 1 || ws[0] != WrapperURI("w1") {
 		t.Fatalf("covering wrappers = %v", ws)
 	}
-	qcBefore := o.queryCache()
+	qcBefore := o.View()
 
 	// Unrelated release: W2 covers FeedbackGathering/UserFeedback.
 	if _, err := o.NewRelease(SupersedeReleaseW2()); err != nil {
 		t.Fatal(err)
 	}
-	qcAfter := o.queryCache()
+	qcAfter := o.View()
 	if qcAfter == qcBefore {
-		t.Fatal("query cache instance must be re-pinned to the new snapshot")
+		t.Fatal("a release must install a view of the new snapshot")
 	}
-	if ws := o.WrappersCoveringTriple(triple); len(ws) != 1 || ws[0] != WrapperURI("w1") {
+	if ws := qcAfter.WrappersCoveringTriple(triple); len(ws) != 1 || ws[0] != WrapperURI("w1") {
 		t.Fatalf("post-W2 covering wrappers = %v", ws)
 	}
 	key := coveringKeyFor(t, qcAfter, triple)
@@ -312,7 +312,7 @@ func TestQueryCacheSurvivesUnrelatedRelease(t *testing.T) {
 	if _, err := o.NewRelease(SupersedeReleaseW4()); err != nil {
 		t.Fatal(err)
 	}
-	qcFinal := o.queryCache()
+	qcFinal := o.View()
 	qcFinal.mu.Lock()
 	_, stale := qcFinal.covering[key]
 	qcFinal.mu.Unlock()
@@ -320,12 +320,12 @@ func TestQueryCacheSurvivesUnrelatedRelease(t *testing.T) {
 		t.Error("covering entry touching the released concepts must be retired")
 	}
 	// And the fresh probe sees both wrappers.
-	if ws := o.WrappersCoveringTriple(triple); len(ws) != 2 {
+	if ws := o.View().WrappersCoveringTriple(triple); len(ws) != 2 {
 		t.Errorf("post-W4 covering wrappers = %v", ws)
 	}
 }
 
-func coveringKeyFor(t *testing.T, qc *queryCache, tr rdf.Triple) [3]rdf.TermID {
+func coveringKeyFor(t *testing.T, qc *View, tr rdf.Triple) [3]rdf.TermID {
 	t.Helper()
 	d := qc.snap.Dict()
 	s, okS := d.Lookup(tr.Subject)
@@ -343,12 +343,12 @@ func TestQueryCacheFlushedByNonReleaseMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	triple := rdf.T(SupInfoMonitor, GHasFeature, SupLagRatio)
-	o.WrappersCoveringTriple(triple)
-	key := coveringKeyFor(t, o.queryCache(), triple)
+	o.View().WrappersCoveringTriple(triple)
+	key := coveringKeyFor(t, o.View(), triple)
 	if err := o.AddConcept(rdf.IRI(NSSupersede + "Unexplained")); err != nil {
 		t.Fatal(err)
 	}
-	qc := o.queryCache()
+	qc := o.View()
 	qc.mu.Lock()
 	_, retained := qc.covering[key]
 	qc.mu.Unlock()

@@ -102,13 +102,13 @@ func isTyped(sn store.Snapshot, entity, class rdf.IRI) bool {
 }
 
 // IsConcept reports whether the IRI is declared as a G:Concept.
-func (o *Ontology) IsConcept(iri rdf.IRI) bool {
-	return isTyped(o.store.Snapshot(), iri, GConcept)
+func (v *View) IsConcept(iri rdf.IRI) bool {
+	return isTyped(v.snap, iri, GConcept)
 }
 
 // IsFeature reports whether the IRI is declared as a G:Feature.
-func (o *Ontology) IsFeature(iri rdf.IRI) bool {
-	return isTyped(o.store.Snapshot(), iri, GFeature)
+func (v *View) IsFeature(iri rdf.IRI) bool {
+	return isTyped(v.snap, iri, GFeature)
 }
 
 // isIdentifier reports whether the class is an rdfs:subClassOf
@@ -138,8 +138,8 @@ func isIdentifier(sn store.Snapshot, class rdf.IRI) bool {
 }
 
 // Concepts returns all declared concepts, sorted.
-func (o *Ontology) Concepts() []rdf.IRI {
-	return typedInstances(o.store.Snapshot(), GlobalGraphName, GConcept)
+func (v *View) Concepts() []rdf.IRI {
+	return typedInstances(v.snap, GlobalGraphName, GConcept)
 }
 
 // Features returns all declared features, sorted.
@@ -149,13 +149,13 @@ func (o *Ontology) Features() []rdf.IRI {
 
 // FeaturesOf returns the features attached to a concept via G:hasFeature,
 // sorted.
-func (o *Ontology) FeaturesOf(concept rdf.IRI) []rdf.IRI {
-	return objectIRIs(o.store.Snapshot(), GlobalGraphName, concept, GHasFeature)
+func (v *View) FeaturesOf(concept rdf.IRI) []rdf.IRI {
+	return objectIRIs(v.snap, GlobalGraphName, concept, GHasFeature)
 }
 
 // ConceptOfFeature returns the (single) concept owning the feature.
 func (o *Ontology) ConceptOfFeature(feature rdf.IRI) (rdf.IRI, bool) {
-	for _, q := range o.store.Match(store.InGraph(GlobalGraphName, nil, GHasFeature, feature)) {
+	for _, q := range o.store.Snapshot().Match(store.InGraph(GlobalGraphName, nil, GHasFeature, feature)) {
 		if c, ok := q.Subject.(rdf.IRI); ok {
 			return c, true
 		}
@@ -165,18 +165,17 @@ func (o *Ontology) ConceptOfFeature(feature rdf.IRI) (rdf.IRI, bool) {
 
 // IdentifiersOf returns the ID features of a concept, in FeaturesOf order:
 // features linked via G:hasFeature that are (transitively) subclasses of
-// sc:identifier. The result is memoized per store generation (phase #3
-// resolves the ID feature of the same concept for every candidate walk).
-func (o *Ontology) IdentifiersOf(concept rdf.IRI) []rdf.IRI {
-	qc := o.queryCache()
-	cid, ok := qc.snap.Dict().LookupIRI(concept)
+// sc:identifier. The result is memoized (phase #3 resolves the ID feature
+// of the same concept for every candidate walk).
+func (v *View) IdentifiersOf(concept rdf.IRI) []rdf.IRI {
+	cid, ok := v.snap.Dict().LookupIRI(concept)
 	if !ok {
 		return nil
 	}
-	return slices.Clone(memoize(qc, qc.identifiersOf, cid, func() []rdf.IRI {
+	return slices.Clone(memoize(v, v.identifiersOf, cid, func() []rdf.IRI {
 		var out []rdf.IRI
-		for _, f := range objectIRIs(qc.snap, GlobalGraphName, concept, GHasFeature) {
-			if isIdentifier(qc.snap, f) {
+		for _, f := range objectIRIs(v.snap, GlobalGraphName, concept, GHasFeature) {
+			if isIdentifier(v.snap, f) {
 				out = append(out, f)
 			}
 		}
@@ -186,7 +185,7 @@ func (o *Ontology) IdentifiersOf(concept rdf.IRI) []rdf.IRI {
 
 // DatatypeOf returns the XSD datatype attached to a feature, if any.
 func (o *Ontology) DatatypeOf(feature rdf.IRI) (rdf.IRI, bool) {
-	for _, q := range o.store.Match(store.InGraph(GlobalGraphName, feature, GHasDatatype, nil)) {
+	for _, q := range o.store.Snapshot().Match(store.InGraph(GlobalGraphName, feature, GHasDatatype, nil)) {
 		if dt, ok := q.Object.(rdf.IRI); ok {
 			return dt, true
 		}

@@ -76,12 +76,12 @@ func TestIdentifierWalkMatchesClosure(t *testing.T) {
 			}
 			for _, c := range concepts {
 				var want []rdf.IRI
-				for _, f := range o.FeaturesOf(c) {
+				for _, f := range o.View().FeaturesOf(c) {
 					if cl.IsSubClassOf(f, rdf.SchemaIdentifier) {
 						want = append(want, f)
 					}
 				}
-				if got := o.IdentifiersOf(c); !slices.Equal(got, want) {
+				if got := o.View().IdentifiersOf(c); !slices.Equal(got, want) {
 					t.Fatalf("seed %d %s: IdentifiersOf(%s) = %v, closure says %v", seed, when, c, got, want)
 				}
 			}

@@ -22,9 +22,9 @@ type Ontology struct {
 	store    *store.Store
 	prefixes *rdf.PrefixMap
 
-	// qc memoizes rewriting-time lookups for one store generation (see
-	// querycache.go); a newer generation installs a fresh memo.
-	qc atomic.Pointer[queryCache]
+	// view is the read model of the latest store generation a reader asked
+	// for (see view.go); a newer generation installs a fresh view.
+	view atomic.Pointer[View]
 
 	// deltaLog records, per release (local or replicated), the
 	// store-generation interval it published and its invalidation footprint

@@ -288,12 +288,12 @@ func (o *Ontology) RemoveWrapperRegistration(wrapperName string) int {
 	defer o.mu.Unlock()
 	removed := 0
 	wrapperURI := WrapperURI(wrapperName)
-	for _, q := range o.store.Match(store.WildcardGraph(wrapperURI, nil, nil)) {
+	for _, q := range o.store.Snapshot().Match(store.WildcardGraph(wrapperURI, nil, nil)) {
 		if o.store.Remove(q) {
 			removed++
 		}
 	}
-	for _, q := range o.store.Match(store.WildcardGraph(nil, nil, wrapperURI)) {
+	for _, q := range o.store.Snapshot().Match(store.WildcardGraph(nil, nil, wrapperURI)) {
 		if o.store.Remove(q) {
 			removed++
 		}

@@ -234,7 +234,7 @@ func TestDeriveReleaseCarriesMappings(t *testing.T) {
 	if _, err := o.NewRelease(next); err != nil {
 		t.Fatalf("derived release rejected: %v", err)
 	}
-	if attr, ok := o.AttributeOfFeatureInWrapper(core.WrapperURI("w4"), core.SupLagRatio); !ok ||
+	if attr, ok := o.View().AttributeOfFeatureInWrapper(core.WrapperURI("w4"), core.SupLagRatio); !ok ||
 		core.AttributeName(attr) != "D1/bufferingRatio" {
 		t.Errorf("derived mapping wrong: %v %v", attr, ok)
 	}

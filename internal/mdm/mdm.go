@@ -18,13 +18,14 @@
 // up no reader. Consistency comes from those layers: the quad store serves
 // reads from immutable, generation-tagged snapshots; NewRelease publishes a
 // release as one atomic store batch, and its delta span before that batch's
-// snapshot; the ontology's lookup memo lives for one generation and is
-// installed with a compare-and-swap; the rewriting cache validates itself
-// against the release-delta log and retries a rewrite that raced a release,
-// retiring only the cached rewritings whose concept/feature footprint a
-// release touches (GET /api/queries/cache reports the counters); and
-// /api/ontology/stats and /sources each read one pinned snapshot, so every
-// reply describes one generation.
+// snapshot; the ontology's view (core.View) reads one generation, memoizes
+// its lookups and is installed with a compare-and-swap; a rewrite pins one
+// view and makes every lookup on it, and the rewriting cache validates
+// itself against the release-delta log at that view's generation, retiring
+// only the cached rewritings whose concept/feature footprint a release
+// touches (GET /api/queries/cache reports the counters); and
+// /api/ontology/stats, /concepts and /sources each read one pinned
+// snapshot, so every reply describes one generation.
 //
 // The one lock left is the System's releaseMu, taken only by POST
 // /api/releases through System.RegisterRelease. It makes a release and its
@@ -240,17 +241,17 @@ type ConceptView struct {
 	Identifiers []string `json:"identifiers"`
 }
 
-// handleConcepts makes one probe per concept without pinning a snapshot:
-// releases never write G, so every probe sees the same concepts.
+// handleConcepts reads the concepts, their features and their identifiers
+// from one view, so the reply describes one generation.
 func (s *Server) handleConcepts(w http.ResponseWriter, r *http.Request) {
-	o := s.sys.Load().Ontology
+	v := s.sys.Load().Ontology.View()
 	var out []ConceptView
-	for _, c := range o.Concepts() {
+	for _, c := range v.Concepts() {
 		cv := ConceptView{Concept: string(c)}
-		for _, f := range o.FeaturesOf(c) {
+		for _, f := range v.FeaturesOf(c) {
 			cv.Features = append(cv.Features, string(f))
 		}
-		for _, f := range o.IdentifiersOf(c) {
+		for _, f := range v.IdentifiersOf(c) {
 			cv.Identifiers = append(cv.Identifiers, string(f))
 		}
 		out = append(out, cv)

@@ -102,7 +102,6 @@ func (s *Server) writeCacheMetrics(t *obs.TextWriter) {
 	t.Counter("bdi_rewrite_cache_units_invalidated_total", "Cached units retired by releases.", nil, int64(st.UnitsInvalidated))
 	t.Counter("bdi_rewrite_cache_full_flushes_total", "Wholesale cache flushes (non-release G edits).", nil, int64(st.FullFlushes))
 	t.Counter("bdi_rewrite_cache_evictions_total", "Capacity evictions.", nil, int64(st.Evictions))
-	t.Counter("bdi_rewrite_cache_retries_total", "Rewrites retried after racing a release.", nil, int64(st.Retries))
 	t.Gauge("bdi_rewrite_cache_entries", "Memoized rewritings currently cached.", nil, int64(st.Entries))
 	t.Gauge("bdi_rewrite_cache_unit_entries", "Intra-concept units currently cached.", nil, int64(st.Units))
 	t.Gauge("bdi_rewrite_cache_kept_dict_entries", "Values (dictionary entries) the cached rewritings' kept value dictionaries hold.", nil, int64(st.KeptValues))
@@ -143,7 +142,6 @@ func (s *Server) writeReplicationMetrics(t *obs.TextWriter) {
 	case s.replica != nil:
 		st := s.replica.Status()
 		t.Counter("bdi_replication_frames_applied_total", "WAL frames applied by this replica.", nil, int64(st.Stats.FramesApplied))
-		t.Counter("bdi_replication_batches_applied_total", "Store batches applied by this replica.", nil, int64(st.Stats.BatchesApplied))
 		t.Counter("bdi_replication_checkpoints_fetched_total", "Checkpoint (re)synchronizations.", nil, int64(st.Stats.CheckpointsFetched))
 		t.Counter("bdi_replication_reconnects_total", "Stream reconnects.", nil, int64(st.Stats.Reconnects))
 		t.Counter("bdi_replication_corrupt_frames_total", "Frames dropped on CRC mismatch.", nil, int64(st.Stats.CorruptFrames))

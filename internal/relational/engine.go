@@ -74,15 +74,28 @@ type Engine struct {
 var DefaultEngine = &Engine{}
 
 // OutputColumn declares one column of a union's result. In every walk the
-// column takes the attribute Attr names for the first wrapper of the walk (in
-// wrapper-name order) whose named attribute is in the walk's schema, renamed
-// to Name with its ID flag and type kept; a walk without such a wrapper
-// leaves the column absent.
+// column takes the attribute Feeds names for the first wrapper of the walk
+// (in wrapper-name order) whose named attribute is in the walk's schema,
+// renamed to Name with its ID flag and type kept; a walk without such a
+// wrapper leaves the column absent.
 type OutputColumn struct {
 	Name string
-	// Attr returns the attribute of the wrapper that feeds the column, if
-	// any. It must be pure: the engine calls it once per fetched wrapper.
-	Attr func(wrapper string) (attr string, ok bool)
+	// Feeds pairs each wrapper feeding the column (Feeds[i][0], a wrapper
+	// name, at most once) with the attribute of that wrapper that feeds it
+	// (Feeds[i][1]); a wrapper it does not name feeds nothing. It is read,
+	// never written, once the union holds it.
+	Feeds [][2]string
+}
+
+// AttrOf returns the attribute of the wrapper that feeds the column, if
+// any.
+func (c OutputColumn) AttrOf(wrapper string) (string, bool) {
+	for _, f := range c.Feeds {
+		if f[0] == wrapper {
+			return f[1], true
+		}
+	}
+	return "", false
 }
 
 // ExecuteWalk executes a single walk, observably equal to the reference

@@ -452,12 +452,22 @@ func (u *UnionOfConjunctiveQueries) Execute(ctx context.Context, resolver Wrappe
 func (u *UnionOfConjunctiveQueries) execOptions() ExecOptions {
 	opts := ExecOptions{Name: "answer"}
 	for _, a := range u.RequestedAttributes {
-		opts.Output = append(opts.Output, OutputColumn{
-			Name: a,
-			Attr: func(string) (string, bool) { return a, true },
-		})
+		opts.Output = append(opts.Output, OutputColumn{Name: a, Feeds: feedAll(u.Walks, a)})
 	}
 	return opts
+}
+
+// feedAll feeds a column from one attribute of every wrapper of the walks.
+func feedAll(walks []*Walk, attr string) [][2]string {
+	var feeds [][2]string
+	for _, w := range walks {
+		for _, ref := range w.Wrappers {
+			if !slices.Contains(feeds, [2]string{ref.Wrapper, attr}) {
+				feeds = append(feeds, [2]string{ref.Wrapper, attr})
+			}
+		}
+	}
+	return feeds
 }
 
 // decoded decodes an ExecuteUnion result, passing its error through.

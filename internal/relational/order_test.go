@@ -189,10 +189,7 @@ func TestCanonicalOrderIsJoinedKeyOrder(t *testing.T) {
 	// features sharing a local name): every column of a name reads the
 	// walk's first column of that name, so ordering by column is still
 	// ordering by Tuple.Key.
-	feed := func(attr string) func(string) (string, bool) {
-		return func(string) (string, bool) { return attr, true }
-	}
-	opts := ExecOptions{Name: "answer", Output: []OutputColumn{{Name: "n", Attr: feed("b")}, {Name: "n", Attr: feed("a")}}}
+	opts := ExecOptions{Name: "answer", Output: []OutputColumn{{Name: "n", Feeds: feedAll(u.Walks, "b")}, {Name: "n", Feeds: feedAll(u.Walks, "a")}}}
 	renamed, err := decoded(DefaultEngine.ExecuteUnion(context.Background(), u.Walks, rels, opts))
 	if err != nil {
 		t.Fatal(err)

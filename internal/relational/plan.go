@@ -345,7 +345,7 @@ func (u *compiler) compileWalk(ctx context.Context, track *lifecycle.Tracker, ex
 			src.outAttr = make([]int32, len(u.output))
 			for i, c := range u.output {
 				src.outAttr[i] = -1
-				if a, ok := c.Attr(src.name); ok {
+				if a, ok := c.AttrOf(src.name); ok {
 					src.outAttr[i] = u.intern(a)
 				}
 			}

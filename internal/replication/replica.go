@@ -90,7 +90,6 @@ func (o *Options) withDefaults() Options {
 // Stats counts what the replica has done since it started.
 type Stats struct {
 	FramesApplied      uint64 `json:"framesApplied"`
-	BatchesApplied     uint64 `json:"batchesApplied"`
 	CheckpointsFetched uint64 `json:"checkpointsFetched"`
 	Reconnects         uint64 `json:"reconnects"`
 	CorruptFrames      uint64 `json:"corruptFrames"`
@@ -454,7 +453,6 @@ func (r *Replica) applyFrames(o *core.Ontology, body []byte) error {
 		}
 		r.mu.Lock()
 		r.stats.FramesApplied++
-		r.stats.BatchesApplied++
 		r.mu.Unlock()
 	}
 	return nil

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bdi/internal/core"
-	"bdi/internal/lifecycle"
 	"bdi/internal/obs"
 	"bdi/internal/rdf"
 	"bdi/internal/relational"
@@ -62,9 +61,11 @@ const keptValuesMax = 1 << 18
 //     the pre-delta behaviour.
 //
 // Results handed out by the cache are shared and must be treated as
-// immutable. The cache is safe for concurrent use; a rewrite that races
-// with a store mutation is retried so that every returned result is
-// computed against exactly one store generation.
+// immutable. The cache is safe for concurrent use. A lookup pins the
+// ontology's current core.View and brings the cache to its generation; a
+// miss is built once, entirely on that view, so every returned result is a
+// rewrite of exactly one store generation even while releases land. Units and
+// the entry are memoized only while the cache is still at that generation.
 //
 // The cache owns what its results keep: Answer charges each entry the values
 // its result's dictionary holds, and past keptValuesMax drops the least
@@ -128,8 +129,6 @@ type CacheStats struct {
 	FullFlushes int `json:"fullFlushes"`
 	// Evictions counts LRU drops (entries and units).
 	Evictions int `json:"evictions"`
-	// Retries counts rewrites re-run because the store mutated mid-rewrite.
-	Retries int `json:"retries"`
 	// InvalidatedByConcept counts, per concept IRI, how many entries and
 	// units a release delta retired because the delta touched that concept.
 	InvalidatedByConcept map[string]int `json:"invalidatedByConcept,omitempty"`
@@ -168,15 +167,13 @@ func (c *Cache) Rewrite(omq *OMQ) (*Result, error) {
 
 // RewriteContext returns the rewriting result for the OMQ, served from cache
 // when the entry's footprint survived every release since it was computed,
-// and otherwise rebuilt incrementally from surviving intra-concept units.
-// The cancellation contract extends the retry-on-race contract: a build
-// aborted by ctx (or a budget) returns the cancellation error without
-// caching a result and without retrying — and it can never poison the
-// cache, because results are only memoized when the build completed without
-// error at an unchanged generation, and intra-concept units are memoized
-// individually only after each completes (a unit computed before the
-// cancellation point is a complete, generation-consistent result that later
-// rewrites may reuse).
+// and otherwise rebuilt incrementally from surviving intra-concept units, on
+// one view of the ontology. A build aborted by ctx (or a budget) returns the
+// cancellation error without caching a result, and it can never poison the
+// cache: results are only memoized when the build completed without error,
+// and intra-concept units individually only after each completes (a unit
+// computed before the cancellation point is a complete result of its
+// generation that later rewrites may reuse).
 func (c *Cache) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
 	res, _, err := c.rewrite(ctx, omq)
 	return res, err
@@ -218,144 +215,84 @@ func (c *Cache) rewrite(ctx context.Context, omq *OMQ) (*Result, *cacheEntry, er
 		rewriteDurationSeconds.Observe(time.Since(start))
 		span.End()
 	}()
-	key := canonicalKey(omq)
-	store := c.rewriter.Ontology.Store()
-	missCounted := false
-	for {
-		// A cancelled rewrite must not burn retries: bail out before
-		// re-pinning (mutation races re-enter here, so this is also the
-		// "never retry after cancellation" guarantee).
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		sn := store.Snapshot()
-		gen := sn.Generation()
-		c.mu.Lock()
-		c.revalidateLocked(gen)
-		if e, ok := c.entries[key]; ok {
-			// A hit validated at a generation >= gen is a consistent answer
-			// for the store's current state.
-			c.entryLRU.MoveToFront(e.elem)
-			c.stats.Hits++
-			c.mu.Unlock()
-			span.SetAttr("cache", "hit")
-			return e.res, e, nil
-		}
-		if c.generation != gen {
-			// The pinned snapshot is already behind the cache: a build
-			// against it could neither use nor fill units and would fail the
-			// post-build snapshot check anyway. Re-pin instead.
-			c.mu.Unlock()
-			continue
-		}
-		if !missCounted {
-			// Count one miss per logical rewrite, not per mutation-race
-			// retry (Retries tracks those).
-			c.stats.Misses++
-			missCounted = true
-			span.SetAttr("cache", "miss")
-		}
-		c.mu.Unlock()
-
-		res, fp, err := c.buildResult(ctx, gen, omq)
-		if err != nil && ctx.Err() != nil {
-			// Cancelled mid-build: nothing was cached for this result (units
-			// already memoized are complete and consistent) and no retry
-			// follows.
-			return nil, nil, err
-		}
-		if store.Snapshot() != sn {
-			// The store mutated mid-rewrite: the walks (or the error) may mix
-			// two generations. Retry against the new snapshot — releases are
-			// steward actions, so in practice one retry settles it.
-			c.mu.Lock()
-			c.stats.Retries++
-			c.mu.Unlock()
-			continue
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		var e *cacheEntry
-		c.mu.Lock()
-		if c.generation == gen {
-			if _, exists := c.entries[key]; !exists {
-				e = &cacheEntry{key: key, res: res, footprint: fp}
-				e.elem = c.entryLRU.PushFront(e)
-				c.entries[key] = e
-				c.evictLocked()
-			}
-		}
-		c.mu.Unlock()
-		return res, e, nil
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
+	key := canonicalKey(omq)
+	c.mu.Lock()
+	// Pinned under c.mu, the view is never behind the cache: views only move
+	// forward, and only a rewrite holding c.mu moves the cache, to its view.
+	v := c.rewriter.Ontology.View()
+	gen := v.Generation()
+	c.revalidateLocked(gen)
+	if e, ok := c.entries[key]; ok {
+		c.entryLRU.MoveToFront(e.elem)
+		c.stats.Hits++
+		c.mu.Unlock()
+		span.SetAttr("cache", "hit")
+		return e.res, e, nil
+	}
+	c.stats.Misses++
+	c.mu.Unlock()
+	span.SetAttr("cache", "miss")
+
+	res, err := rewriteOn(ctx, v, omq, PolicyOptions{}, func(v *core.View, concept rdf.IRI, features []rdf.IRI) (PartialWalks, error) {
+		return c.unit(ctx, v, concept, features)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var e *cacheEntry
+	c.mu.Lock()
+	if c.generation == gen {
+		if _, exists := c.entries[key]; !exists {
+			e = &cacheEntry{key: key, res: res, footprint: queryFootprint(res.Expanded)}
+			e.elem = c.entryLRU.PushFront(e)
+			c.entries[key] = e
+			c.evictLocked()
+		}
+	}
+	c.mu.Unlock()
+	return res, e, nil
 }
 
-// buildResult computes the rewriting result for one store generation,
-// reusing memoized intra-concept units validated at that generation and
-// memoizing the ones it had to compute. ctx is checked between units and
-// inside the assembly loops; a unit is only memoized once fully computed,
-// so cancellation can never cache partial state.
-func (c *Cache) buildResult(ctx context.Context, gen uint64, omq *OMQ) (*Result, core.Footprint, error) {
-	o := c.rewriter.Ontology
-	wf, err := WellFormedQuery(o, omq)
-	if err != nil {
-		return nil, core.Footprint{}, err
-	}
-	expanded, err := QueryExpansion(o, wf)
-	if err != nil {
-		return nil, core.Footprint{}, err
-	}
-	fp := queryFootprint(expanded)
-
-	track := lifecycle.TrackerFrom(ctx)
-	partials := make([]PartialWalks, len(expanded.Concepts))
-	for i, concept := range expanded.Concepts {
-		if err := lifecycle.Check(ctx, track); err != nil {
-			return nil, fp, err
-		}
-		features := featuresRequestedFor(expanded.Query, concept)
-		ukey := unitKey(concept, features)
-		c.mu.Lock()
-		if u, ok := c.units[ukey]; ok && c.generation == gen {
-			c.unitLRU.MoveToFront(u.elem)
-			c.stats.UnitHits++
-			partials[i] = u.walks
-			c.mu.Unlock()
-			continue
-		}
-		c.stats.UnitMisses++
+// unit returns one concept's intra-concept unit on the view: the memoized
+// unit while the cache is still at the view's generation, else a fresh build,
+// memoized on the same condition. A unit is only memoized once fully
+// computed, so cancellation can never cache partial state.
+func (c *Cache) unit(ctx context.Context, v *core.View, concept rdf.IRI, features []rdf.IRI) (PartialWalks, error) {
+	gen := v.Generation()
+	ukey := unitKey(concept, features)
+	c.mu.Lock()
+	if u, ok := c.units[ukey]; ok && c.generation == gen {
+		c.unitLRU.MoveToFront(u.elem)
+		c.stats.UnitHits++
 		c.mu.Unlock()
-
-		_, uspan := obs.StartSpan(ctx, "rewrite.unit")
-		uspan.SetAttr("concept", string(concept))
-		ustart := time.Now()
-		pw, err := IntraConceptUnit(o, concept, features)
-		unitBuildSeconds.Observe(time.Since(ustart))
-		uspan.End()
-		if err != nil {
-			return nil, fp, err
-		}
-		partials[i] = pw
-		c.mu.Lock()
-		if c.generation == gen {
-			if _, exists := c.units[ukey]; !exists {
-				u := &unitEntry{key: ukey, concept: concept, walks: pw, footprint: unitFootprint(concept, features)}
-				u.elem = c.unitLRU.PushFront(u)
-				c.units[ukey] = u
-				c.evictLocked()
-			}
-		}
-		c.mu.Unlock()
+		return u.walks, nil
 	}
+	c.stats.UnitMisses++
+	c.mu.Unlock()
 
-	actx, aspan := obs.StartSpan(ctx, "rewrite.assemble")
-	res, err := c.rewriter.assemble(actx, wf, expanded, partials)
-	aspan.End()
+	_, uspan := obs.StartSpan(ctx, "rewrite.unit")
+	uspan.SetAttr("concept", string(concept))
+	ustart := time.Now()
+	pw, err := IntraConceptUnit(v, concept, features)
+	unitBuildSeconds.Observe(time.Since(ustart))
+	uspan.End()
 	if err != nil {
-		return nil, fp, err
+		return PartialWalks{}, err
 	}
-	return res, fp, nil
+	c.mu.Lock()
+	if c.generation == gen {
+		if _, exists := c.units[ukey]; !exists {
+			u := &unitEntry{key: ukey, concept: concept, walks: pw, footprint: unitFootprint(concept, features)}
+			u.elem = c.unitLRU.PushFront(u)
+			c.units[ukey] = u
+			c.evictLocked()
+		}
+	}
+	c.mu.Unlock()
+	return pw, nil
 }
 
 // revalidateLocked brings the cache up to the given store generation,
@@ -363,11 +300,8 @@ func (c *Cache) buildResult(ctx context.Context, gen uint64, omq *OMQ) (*Result,
 // c.generation touches — or everything when the interval is not explained
 // by releases.
 func (c *Cache) revalidateLocked(gen uint64) {
-	// gen < c.generation means the caller pinned its snapshot before another
-	// thread already validated the cache against a newer generation. Store
-	// generations are monotonic, so the cache is the fresher view — never
-	// regress it (the caller's hit is then served at c.generation, which
-	// matches the store's current state; its miss path re-pins and retries).
+	// A view pinned under c.mu is never behind the cache: gen < c.generation
+	// does not happen.
 	if gen <= c.generation {
 		return
 	}

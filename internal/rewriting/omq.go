@@ -8,9 +8,10 @@
 //
 // This is the read-dominated hot path of Figure 8: a rewrite issues many
 // small ontology lookups (covering wrappers per triple, edge providers,
-// identifier features, attribute resolution), all served by
-// internal/core's snapshot-pinned query cache over lock-free store
-// snapshots — so concurrent rewrites never block each other.
+// identifier features, attribute resolution). A rewrite pins one core.View
+// and makes every lookup on it: the view reads one lock-free store snapshot
+// and memoizes its lookups, so a rewrite sees one generation of the ontology
+// and concurrent rewrites never block each other.
 //
 // # Incremental rewriting under evolution
 //
@@ -143,18 +144,18 @@ func ParseOMQ(text string) (*OMQ, error) {
 
 // QueryConcepts returns the concepts mentioned in the pattern, in
 // topological order of φ (the traversal order used by Algorithm 3).
-func QueryConcepts(o *core.Ontology, omq *OMQ) ([]rdf.IRI, error) {
+func QueryConcepts(v *core.View, omq *OMQ) ([]rdf.IRI, error) {
 	order, ok := omq.Phi.TopologicalSort()
 	if !ok {
 		return nil, fmt.Errorf("rewriting: the OMQ graph pattern has at least one cycle")
 	}
 	var concepts []rdf.IRI
-	for _, v := range order {
-		iri, isIRI := v.(rdf.IRI)
+	for _, node := range order {
+		iri, isIRI := node.(rdf.IRI)
 		if !isIRI {
 			continue
 		}
-		if o.IsConcept(iri) {
+		if v.IsConcept(iri) {
 			concepts = append(concepts, iri)
 		}
 	}

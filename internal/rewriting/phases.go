@@ -23,14 +23,14 @@ type ExpandedQuery struct {
 // the query in topological order (step 1) and expand the graph pattern with
 // the ID features of every concept, which are needed to perform joins in the
 // later phases (step 2).
-func QueryExpansion(o *core.Ontology, omq *OMQ) (*ExpandedQuery, error) {
-	concepts, err := QueryConcepts(o, omq)
+func queryExpansion(v *core.View, omq *OMQ) (*ExpandedQuery, error) {
+	concepts, err := QueryConcepts(v, omq)
 	if err != nil {
 		return nil, err
 	}
 	expanded := omq.Clone()
 	for _, c := range concepts {
-		for _, fID := range o.IdentifiersOf(c) {
+		for _, fID := range v.IdentifiersOf(c) {
 			expanded.Phi.Add(rdf.T(c, core.GHasFeature, fID))
 		}
 	}
@@ -45,15 +45,23 @@ type PartialWalks struct {
 	Walks   []*relational.Walk
 }
 
-// IntraConceptGeneration implements Algorithm 4 (phase #2): for each concept
+// unitFunc supplies one concept's Algorithm 4 unit on a view: IntraConceptUnit
+// itself, or the rewriting cache's memo of it.
+type unitFunc func(v *core.View, c rdf.IRI, features []rdf.IRI) (PartialWalks, error)
+
+// intraConceptGeneration implements Algorithm 4 (phase #2): for each concept
 // of the expanded query, find the wrappers whose LAV mapping provides the
 // requested features (steps 3-5), build one partial walk per wrapper, and
 // prune wrappers that do not provide every requested feature of the concept
-// (step 6).
-func IntraConceptGeneration(o *core.Ontology, eq *ExpandedQuery) ([]PartialWalks, error) {
+// (step 6). ctx is checked before each concept's unit.
+func intraConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery, unit unitFunc) ([]PartialWalks, error) {
+	track := lifecycle.TrackerFrom(ctx)
 	out := make([]PartialWalks, 0, len(eq.Concepts))
 	for _, c := range eq.Concepts {
-		pw, err := IntraConceptUnit(o, c, featuresRequestedFor(eq.Query, c))
+		if err := lifecycle.Check(ctx, track); err != nil {
+			return nil, err
+		}
+		pw, err := unit(v, c, featuresRequestedFor(eq.Query, c))
 		if err != nil {
 			return nil, err
 		}
@@ -69,23 +77,23 @@ func IntraConceptGeneration(o *core.Ontology, eq *ExpandedQuery) ([]PartialWalks
 // or its features leaves the unit's walks valid, so only inter-concept
 // joins (Algorithm 5) need re-running. The returned walks must be treated
 // as immutable by callers that cache them.
-func IntraConceptUnit(o *core.Ontology, c rdf.IRI, features []rdf.IRI) (PartialWalks, error) {
+func IntraConceptUnit(v *core.View, c rdf.IRI, features []rdf.IRI) (PartialWalks, error) {
 	// Step 3: the features requested for this concept.
 	if len(features) == 0 {
-		return PartialWalks{}, fmt.Errorf("rewriting: concept %s has no requested features after expansion (it lacks an identifier)", o.Prefixes().Compact(c))
+		return PartialWalks{}, fmt.Errorf("rewriting: concept %s has no requested features after expansion (it lacks an identifier)", v.Compact(c))
 	}
 	// Steps 4-5: per wrapper, project the attributes mapping to the
 	// requested features.
 	walksPerWrapper := map[rdf.IRI]*relational.Walk{}
 	for _, f := range features {
-		for _, w := range o.WrappersProvidingFeature(c, f) {
-			attr, ok := o.AttributeOfFeatureInWrapper(w, f)
+		for _, w := range v.WrappersProvidingFeature(c, f) {
+			attr, ok := v.AttributeOfFeatureInWrapper(w, f)
 			if !ok {
 				continue
 			}
 			walk, exists := walksPerWrapper[w]
 			if !exists {
-				source, _ := o.SourceOfWrapper(w)
+				source, _ := v.SourceOfWrapper(w)
 				walk = relational.NewWalk(core.WrapperLocalName(w), core.SourceLocalName(source))
 				walksPerWrapper[w] = walk
 			}
@@ -107,7 +115,7 @@ func IntraConceptUnit(o *core.Ontology, c rdf.IRI, features []rdf.IRI) (PartialW
 		ref, _ := walk.Ref(core.WrapperLocalName(w))
 		for _, attrName := range ref.Projection {
 			attrURI := core.AttributeURI(ref.Source, trimSourcePrefix(attrName, ref.Source))
-			if f, ok := o.FeatureOfAttribute(attrURI); ok {
+			if f, ok := v.FeatureOfAttribute(attrURI); ok {
 				featuresInWalk[f] = true
 			}
 		}
@@ -123,7 +131,7 @@ func IntraConceptUnit(o *core.Ontology, c rdf.IRI, features []rdf.IRI) (PartialW
 		}
 	}
 	if len(pw.Walks) == 0 {
-		return PartialWalks{}, fmt.Errorf("rewriting: no wrapper provides all requested features of concept %s", o.Prefixes().Compact(c))
+		return PartialWalks{}, fmt.Errorf("rewriting: no wrapper provides all requested features of concept %s", v.Compact(c))
 	}
 	return pw, nil
 }
@@ -144,16 +152,15 @@ func trimSourcePrefix(attrName, source string) string {
 // able to abort it mid-window without paying a per-merge check.
 const rewriteCheckEvery = 256
 
-// InterConceptGenerationContext implements Algorithm 5 (phase #3): iterate
+// interConceptGeneration implements Algorithm 5 (phase #3): iterate
 // over the per-concept partial walks with a sliding window, compute the
 // cartesian product of the partial-walk lists (step 7), merge each pair
 // (step 8) and, when the two sides share no wrapper, discover the wrapper
 // providing the edge between the two concepts and the ID attributes to join
 // on (steps 9-10). The result is the list of candidate walks joining all
 // concepts. The cartesian-product loop checks ctx (and the context tracker's
-// wall-time budget) every rewriteCheckEvery merges. The frozen bench module
-// pins the name; it loses the Context suffix when the bench next moves.
-func InterConceptGenerationContext(ctx context.Context, o *core.Ontology, eq *ExpandedQuery, partials []PartialWalks) ([]*relational.Walk, error) {
+// wall-time budget) every rewriteCheckEvery merges.
+func interConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery, partials []PartialWalks) ([]*relational.Walk, error) {
 	if len(partials) == 0 {
 		return nil, fmt.Errorf("rewriting: no partial walks to join")
 	}
@@ -180,7 +187,7 @@ func InterConceptGenerationContext(ctx context.Context, o *core.Ontology, eq *Ex
 					continue
 				}
 				// Steps 9-10: discover how to join the two concepts.
-				extended, ok := discoverJoin(o, eq, current.Concept, next.Concept, left, right, merged)
+				extended, ok := discoverJoin(v, eq, current.Concept, next.Concept, left, right, merged)
 				if ok {
 					joined = appendValidWalk(joined, extended)
 				}
@@ -188,7 +195,7 @@ func InterConceptGenerationContext(ctx context.Context, o *core.Ontology, eq *Ex
 		}
 		if len(joined) == 0 {
 			return nil, fmt.Errorf("rewriting: concepts %s and %s cannot be joined with the registered wrappers",
-				o.Prefixes().Compact(current.Concept), o.Prefixes().Compact(next.Concept))
+				v.Compact(current.Concept), v.Compact(next.Concept))
 		}
 		current = PartialWalks{Concept: next.Concept, Walks: joined}
 	}
@@ -215,18 +222,18 @@ func appendValidWalk(walks []*relational.Walk, w *relational.Walk) []*relational
 // its mirror): find the wrappers providing the edge between the two
 // concepts, the ID feature of the concept on the ID side, and the physical
 // attributes to equi-join on.
-func discoverJoin(o *core.Ontology, eq *ExpandedQuery, currentC, nextC rdf.IRI, left, right, merged *relational.Walk) (*relational.Walk, bool) {
+func discoverJoin(v *core.View, eq *ExpandedQuery, currentC, nextC rdf.IRI, left, right, merged *relational.Walk) (*relational.Walk, bool) {
 	if !edgeInQuery(eq.Query, currentC, nextC) && !edgeInQuery(eq.Query, nextC, currentC) {
 		return nil, false
 	}
 	// Step 9: wrappers providing the edge, in both directions.
-	wrappersLtoR := o.WrappersProvidingEdge(currentC, nextC)
-	wrappersRtoL := o.WrappersProvidingEdge(nextC, currentC)
+	wrappersLtoR := v.WrappersProvidingEdge(currentC, nextC)
+	wrappersRtoL := v.WrappersProvidingEdge(nextC, currentC)
 	switch {
 	case len(wrappersLtoR) > 0:
-		return joinViaEdge(o, nextC, wrappersLtoR, right, merged)
+		return joinViaEdge(v, nextC, wrappersLtoR, right, merged)
 	case len(wrappersRtoL) > 0:
-		return joinViaEdge(o, currentC, wrappersRtoL, left, merged)
+		return joinViaEdge(v, currentC, wrappersRtoL, left, merged)
 	default:
 		return nil, false
 	}
@@ -249,15 +256,15 @@ func edgeInQuery(q *OMQ, from, to rdf.IRI) bool {
 // concept edge and the wrapper providing the ID of the concept on the "ID
 // side" (idConcept). idSideWalk is the partial walk whose wrapper provides
 // idConcept's data (Algorithm 5, lines 12-17).
-func joinViaEdge(o *core.Ontology, idConcept rdf.IRI, edgeWrappers []rdf.IRI, idSideWalk, merged *relational.Walk) (*relational.Walk, bool) {
+func joinViaEdge(v *core.View, idConcept rdf.IRI, edgeWrappers []rdf.IRI, idSideWalk, merged *relational.Walk) (*relational.Walk, bool) {
 	// Line 12: the ID feature of the concept.
-	ids := o.IdentifiersOf(idConcept)
+	ids := v.IdentifiersOf(idConcept)
 	if len(ids) == 0 {
 		return nil, false
 	}
 	fID := ids[0]
 	// Line 13: the wrapper of the ID-side partial walk that provides fID.
-	idWrapper, idAttr, ok := findWrapperWithID(o, idSideWalk, fID)
+	idWrapper, idAttr, ok := findWrapperWithID(v, idSideWalk, fID)
 	if !ok {
 		return nil, false
 	}
@@ -275,7 +282,7 @@ func joinViaEdge(o *core.Ontology, idConcept rdf.IRI, edgeWrappers []rdf.IRI, id
 			// not require, so skip it (another cartesian-product pair covers it).
 			continue
 		}
-		attLeft, ok := o.AttributeOfFeatureInWrapper(ew, fID)
+		attLeft, ok := v.AttributeOfFeatureInWrapper(ew, fID)
 		if !ok {
 			continue
 		}
@@ -305,12 +312,36 @@ func joinViaEdge(o *core.Ontology, idConcept rdf.IRI, edgeWrappers []rdf.IRI, id
 // findWrapperWithID returns the wrapper of the walk that provides the given
 // ID feature, along with the qualified physical attribute name (Algorithm 5,
 // lines 13-14).
-func findWrapperWithID(o *core.Ontology, walk *relational.Walk, fID rdf.IRI) (wrapperName, attrName string, ok bool) {
+func findWrapperWithID(v *core.View, walk *relational.Walk, fID rdf.IRI) (wrapperName, attrName string, ok bool) {
 	for _, name := range walk.WrapperNames() {
 		w := core.WrapperURI(name)
-		if attr, found := o.AttributeOfFeatureInWrapper(w, fID); found {
+		if attr, found := v.AttributeOfFeatureInWrapper(w, fID); found {
 			return name, core.AttributeName(attr), true
 		}
 	}
 	return "", "", false
+}
+
+// The frozen bench module times the phases one by one on an *core.Ontology;
+// each of these adapters pins the ontology's current view for its phase.
+
+// WellFormedQuery is Algorithm 2 on the ontology's current view.
+func WellFormedQuery(o *core.Ontology, omq *OMQ) (*OMQ, error) {
+	return wellFormedQuery(o.View(), omq)
+}
+
+// QueryExpansion is Algorithm 3 on the ontology's current view.
+func QueryExpansion(o *core.Ontology, omq *OMQ) (*ExpandedQuery, error) {
+	return queryExpansion(o.View(), omq)
+}
+
+// IntraConceptGeneration is Algorithm 4 on the ontology's current view.
+func IntraConceptGeneration(o *core.Ontology, eq *ExpandedQuery) ([]PartialWalks, error) {
+	return intraConceptGeneration(context.Background(), o.View(), eq, IntraConceptUnit)
+}
+
+// InterConceptGenerationContext is Algorithm 5 on the ontology's current
+// view.
+func InterConceptGenerationContext(ctx context.Context, o *core.Ontology, eq *ExpandedQuery, partials []PartialWalks) ([]*relational.Walk, error) {
+	return interConceptGeneration(ctx, o.View(), eq, partials)
 }

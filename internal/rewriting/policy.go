@@ -47,18 +47,18 @@ type PolicyOptions struct {
 
 // wrapperAdmitted reports whether a wrapper may participate in walks under
 // the policy.
-func wrapperAdmitted(o *core.Ontology, opts PolicyOptions, wrapperName string) bool {
+func wrapperAdmitted(v *core.View, opts PolicyOptions, wrapperName string) bool {
 	w := core.WrapperURI(wrapperName)
 	switch opts.Policy {
 	case LatestVersionsOnly:
-		sourceIRI, ok := o.SourceOfWrapper(w)
+		sourceIRI, ok := v.SourceOfWrapper(w)
 		if !ok {
 			return false
 		}
-		latest, ok := o.LatestWrapperOfSource(core.SourceLocalName(sourceIRI))
+		latest, ok := v.LatestWrapperOfSource(core.SourceLocalName(sourceIRI))
 		return ok && latest == w
 	case AsOfRelease:
-		seq, ok := o.RegistrationOrder(w)
+		seq, ok := v.RegistrationOrder(w)
 		return ok && seq <= opts.Release
 	default:
 		return true
@@ -68,7 +68,7 @@ func wrapperAdmitted(o *core.Ontology, opts PolicyOptions, wrapperName string) b
 // filterPartialWalks drops partial walks that reference wrappers excluded by
 // the policy. It returns an error when a concept loses all of its providers,
 // mirroring the error Algorithm 4 raises when a concept is uncovered.
-func filterPartialWalks(o *core.Ontology, opts PolicyOptions, partials []PartialWalks) ([]PartialWalks, error) {
+func filterPartialWalks(v *core.View, opts PolicyOptions, partials []PartialWalks) ([]PartialWalks, error) {
 	if opts.Policy == AllVersions {
 		return partials, nil
 	}
@@ -78,7 +78,7 @@ func filterPartialWalks(o *core.Ontology, opts PolicyOptions, partials []Partial
 		for _, walk := range pw.Walks {
 			admitted := true
 			for _, name := range walk.WrapperNames() {
-				if !wrapperAdmitted(o, opts, name) {
+				if !wrapperAdmitted(v, opts, name) {
 					admitted = false
 					break
 				}
@@ -89,7 +89,7 @@ func filterPartialWalks(o *core.Ontology, opts PolicyOptions, partials []Partial
 		}
 		if len(filtered.Walks) == 0 {
 			return nil, fmt.Errorf("rewriting: under policy %s no wrapper provides concept %s",
-				opts.Policy, o.Prefixes().Compact(pw.Concept))
+				opts.Policy, v.Compact(pw.Concept))
 		}
 		out = append(out, filtered)
 	}

@@ -87,7 +87,7 @@ func TestRewriteWithPolicyAsOfRelease(t *testing.T) {
 	r := NewRewriter(o)
 	// Release sequence: w1=1, w2=2, w3=3, w4=4. As of release 3, w4 does not
 	// exist yet, so the rewriting matches the pre-evolution behaviour.
-	seq, ok := o.RegistrationOrder(core.WrapperURI("w3"))
+	seq, ok := o.View().RegistrationOrder(core.WrapperURI("w3"))
 	if !ok || seq != 3 {
 		t.Fatalf("registration order of w3 = %d, %v", seq, ok)
 	}
@@ -107,18 +107,18 @@ func TestRewriteWithPolicyAsOfRelease(t *testing.T) {
 }
 
 func TestLatestWrapperAccessors(t *testing.T) {
-	o := buildOntology(t, true)
-	latest, ok := o.LatestWrapperOfSource("D1")
+	v := buildOntology(t, true).View()
+	latest, ok := v.LatestWrapperOfSource("D1")
 	if !ok || latest != core.WrapperURI("w4") {
 		t.Errorf("latest D1 wrapper = %v, %v", latest, ok)
 	}
-	if current, ok := o.LatestWrapperOfSource("D2"); !ok || current != core.WrapperURI("w2") {
+	if current, ok := v.LatestWrapperOfSource("D2"); !ok || current != core.WrapperURI("w2") {
 		t.Errorf("current D2 wrapper = %v, %v", current, ok)
 	}
-	if _, ok := o.RegistrationOrder(core.WrapperURI("nonexistent")); ok {
+	if _, ok := v.RegistrationOrder(core.WrapperURI("nonexistent")); ok {
 		t.Error("unknown wrapper should have no registration order")
 	}
-	if _, ok := o.LatestWrapperOfSource("nonexistent"); ok {
+	if _, ok := v.LatestWrapperOfSource("nonexistent"); ok {
 		t.Error("unknown source should have no latest wrapper")
 	}
 }
@@ -129,23 +129,23 @@ func TestPolicyStringAndAdmission(t *testing.T) {
 			t.Error("policy string empty")
 		}
 	}
-	o := buildOntology(t, true)
-	if !wrapperAdmitted(o, PolicyOptions{Policy: AllVersions}, "w1") {
+	v := buildOntology(t, true).View()
+	if !wrapperAdmitted(v, PolicyOptions{Policy: AllVersions}, "w1") {
 		t.Error("all-versions admits everything")
 	}
-	if wrapperAdmitted(o, PolicyOptions{Policy: LatestVersionsOnly}, "w1") {
+	if wrapperAdmitted(v, PolicyOptions{Policy: LatestVersionsOnly}, "w1") {
 		t.Error("w1 is superseded by w4 under latest-only")
 	}
-	if !wrapperAdmitted(o, PolicyOptions{Policy: LatestVersionsOnly}, "w4") {
+	if !wrapperAdmitted(v, PolicyOptions{Policy: LatestVersionsOnly}, "w4") {
 		t.Error("w4 is the latest D1 wrapper")
 	}
-	if wrapperAdmitted(o, PolicyOptions{Policy: LatestVersionsOnly}, "unknown") {
+	if wrapperAdmitted(v, PolicyOptions{Policy: LatestVersionsOnly}, "unknown") {
 		t.Error("unknown wrappers are not admitted under latest-only")
 	}
-	if !wrapperAdmitted(o, PolicyOptions{Policy: AsOfRelease, Release: 2}, "w2") {
+	if !wrapperAdmitted(v, PolicyOptions{Policy: AsOfRelease, Release: 2}, "w2") {
 		t.Error("w2 was registered second")
 	}
-	if wrapperAdmitted(o, PolicyOptions{Policy: AsOfRelease, Release: 2}, "w3") {
+	if wrapperAdmitted(v, PolicyOptions{Policy: AsOfRelease, Release: 2}, "w3") {
 		t.Error("w3 was registered third")
 	}
 }

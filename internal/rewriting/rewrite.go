@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"bdi/internal/core"
 	"bdi/internal/lifecycle"
+	"bdi/internal/obs"
 	"bdi/internal/rdf"
 	"bdi/internal/relational"
 )
@@ -30,20 +32,20 @@ func walkWrapperURIs(walk *relational.Walk) []rdf.IRI {
 // minimal when it is covering and removing any wrapper breaks coverage. It
 // holds, for each triple of the pattern, the set of wrappers whose LAV
 // mapping graph contains it. Built once per pattern (the per-triple wrapper
-// sets are memoized by the ontology per store generation), it turns every
-// coverage and minimality check into pure set membership — no mapping graphs
-// are materialized or merged per walk.
+// sets are memoized by the view), it turns every coverage and minimality
+// check into pure set membership — no mapping graphs are materialized or
+// merged per walk.
 type coverageChecker struct {
 	sets []map[rdf.IRI]bool
 }
 
-func newCoverageChecker(o *core.Ontology, phi *rdf.Graph) *coverageChecker {
+func newCoverageChecker(v *core.View, phi *rdf.Graph) *coverageChecker {
 	if phi == nil {
 		return &coverageChecker{}
 	}
 	c := &coverageChecker{sets: make([]map[rdf.IRI]bool, len(phi.Triples))}
 	for i, t := range phi.Triples {
-		covering := o.WrappersCoveringTriple(t)
+		covering := v.WrappersCoveringTriple(t)
 		set := make(map[rdf.IRI]bool, len(covering))
 		for _, w := range covering {
 			set[w] = true
@@ -98,9 +100,12 @@ func NewRewriter(o *core.Ontology) *Rewriter {
 	return &Rewriter{Ontology: o}
 }
 
-// Result captures the outcome of rewriting an OMQ. It is immutable, and it
-// keeps what serving it again would re-derive: its rendered view and, once
-// executed, its compiled union program.
+// Result captures the outcome of rewriting an OMQ on one view of the
+// ontology. It is immutable, and it keeps what serving it again would
+// re-derive: its rendered view and, once executed, its compiled union
+// program. It holds no ontology and no core.View, so it pins no store
+// snapshot, and its output columns stay those of the generation it was
+// rewritten on.
 type Result struct {
 	// WellFormed is the query after Algorithm 2.
 	WellFormed *OMQ
@@ -112,7 +117,9 @@ type Result struct {
 	// UCQ is the union of covering and minimal walks over the wrappers.
 	UCQ *relational.UnionOfConjunctiveQueries
 
-	// union is UCQ projected onto one column per requested feature.
+	// columns are the answer's output columns, one per requested feature,
+	// and union is UCQ projected onto them.
+	columns  []relational.OutputColumn
 	union    *relational.Union
 	viewOnce sync.Once
 	viewJSON []byte
@@ -150,11 +157,12 @@ func (r *Rewriter) Rewrite(omq *OMQ) (*Result, error) {
 	return r.RewriteContext(context.Background(), omq)
 }
 
-// RewriteContext runs Algorithms 2-5 on the given OMQ and returns the union
-// of conjunctive queries over the wrappers. The phase boundaries and the
-// (potentially exponential) inter-concept generation and coverage loops
-// check ctx cooperatively, so a cancelled client or an exhausted wall-time
-// budget aborts a pathological rewrite mid-flight.
+// RewriteContext runs Algorithms 2-5 on the given OMQ, all on one view of
+// the ontology, and returns the union of conjunctive queries over the
+// wrappers. The phase boundaries and the (potentially exponential)
+// inter-concept generation and coverage loops check ctx cooperatively, so a
+// cancelled client or an exhausted wall-time budget aborts a pathological
+// rewrite mid-flight.
 func (r *Rewriter) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
 	return r.RewriteWithPolicy(ctx, omq, PolicyOptions{Policy: AllVersions})
 }
@@ -163,43 +171,47 @@ func (r *Rewriter) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error
 // policy admits: the partial walks of Algorithm 4 are filtered before
 // Algorithm 5 joins them, which is the only difference between the two.
 func (r *Rewriter) RewriteWithPolicy(ctx context.Context, omq *OMQ, opts PolicyOptions) (*Result, error) {
-	o := r.Ontology
-	wf, err := WellFormedQuery(o, omq)
+	return rewriteOn(ctx, r.Ontology.View(), omq, opts, IntraConceptUnit)
+}
+
+// rewriteOn runs Algorithms 2-5 on one view: the one sequence behind the
+// rewriter and the rewriting cache, which supplies its memoized units
+// through unit. The version policy filters the partial walks of Algorithm 4
+// before Algorithm 5 joins them.
+func rewriteOn(ctx context.Context, v *core.View, omq *OMQ, opts PolicyOptions, unit unitFunc) (*Result, error) {
+	wf, err := wellFormedQuery(v, omq)
 	if err != nil {
 		return nil, err
 	}
-	expanded, err := QueryExpansion(o, wf)
+	expanded, err := queryExpansion(v, wf)
 	if err != nil {
 		return nil, err
 	}
-	if err := lifecycle.Check(ctx, lifecycle.TrackerFrom(ctx)); err != nil {
-		return nil, err
-	}
-	partials, err := IntraConceptGeneration(o, expanded)
+	partials, err := intraConceptGeneration(ctx, v, expanded, unit)
 	if err != nil {
 		return nil, err
 	}
-	partials, err = filterPartialWalks(o, opts, partials)
+	partials, err = filterPartialWalks(v, opts, partials)
 	if err != nil {
 		return nil, err
 	}
-	return r.assemble(ctx, wf, expanded, partials)
+	actx, aspan := obs.StartSpan(ctx, "rewrite.assemble")
+	defer aspan.End()
+	return assemble(actx, v, wf, expanded, partials)
 }
 
 // assemble runs Algorithm 5 over the per-concept partial walks, filters the
 // candidates with the coverage and minimality properties and records the
-// requested attributes — the tail of Rewrite shared with the incremental
-// cache, which re-enters here with a mix of retained and recomputed units.
-func (r *Rewriter) assemble(ctx context.Context, wf *OMQ, expanded *ExpandedQuery, partials []PartialWalks) (*Result, error) {
-	o := r.Ontology
-	walks, err := InterConceptGenerationContext(ctx, o, expanded, partials)
+// requested attributes and the output columns, all on the view.
+func assemble(ctx context.Context, v *core.View, wf *OMQ, expanded *ExpandedQuery, partials []PartialWalks) (*Result, error) {
+	walks, err := interConceptGeneration(ctx, v, expanded, partials)
 	if err != nil {
 		return nil, err
 	}
 
 	track := lifecycle.TrackerFrom(ctx)
 	ucq := relational.NewUCQ()
-	checker := newCoverageChecker(o, wf.Phi)
+	checker := newCoverageChecker(v, wf.Phi)
 	for i, w := range walks {
 		if i%rewriteCheckEvery == 0 {
 			if err := lifecycle.Check(ctx, track); err != nil {
@@ -221,14 +233,15 @@ func (r *Rewriter) assemble(ctx context.Context, wf *OMQ, expanded *ExpandedQuer
 	// executor can project the analyst-visible columns.
 	for _, f := range wf.Pi {
 		ucq.RequestedFeatures = append(ucq.RequestedFeatures, string(f))
-		for _, attr := range o.AttributesOfFeature(f) {
+		for _, attr := range v.AttributesOfFeature(f) {
 			ucq.RequestedAttributes = append(ucq.RequestedAttributes, core.AttributeName(attr))
 		}
 	}
 	sort.Strings(ucq.RequestedAttributes)
 
-	union := relational.NewUnion(ucq.Walks, "answer", featureColumns(o, wf.Pi))
-	return &Result{WellFormed: wf, Expanded: expanded, PartialWalks: partials, UCQ: ucq, union: union}, nil
+	columns := featureColumns(v, wf.Pi, ucq.Walks)
+	return &Result{WellFormed: wf, Expanded: expanded, PartialWalks: partials, UCQ: ucq,
+		columns: columns, union: relational.NewUnion(ucq.Walks, "answer", columns)}, nil
 }
 
 // ExecuteResultIDs executes the result's union of walks on the compiled
@@ -250,33 +263,39 @@ func (r *Rewriter) ExecuteResultLimit(ctx context.Context, res *Result, resolver
 	return answer.Relation(), nil
 }
 
-// featureColumns declares the answer's columns, replicating the reference
-// per-walk logic: one column per projected feature, fed by the first wrapper
-// attribute of the walk providing it and named by the feature's local name.
-func featureColumns(o *core.Ontology, features []rdf.IRI) []relational.OutputColumn {
-	cols := make([]relational.OutputColumn, 0, len(features))
-	for _, f := range features {
-		cols = append(cols, relational.OutputColumn{
-			Name: f.LocalName(),
-			Attr: func(wrapper string) (string, bool) {
-				attr, ok := o.AttributeOfFeatureInWrapper(core.WrapperURI(wrapper), f)
-				if !ok {
-					return "", false
-				}
-				return core.AttributeName(attr), true
-			},
-		})
+// featureColumns declares the answer's columns: one per projected feature,
+// named by the feature's local name and fed, in every walk, by the first
+// wrapper attribute providing it. Each distinct wrapper of the walks is
+// resolved against the view once per feature.
+func featureColumns(v *core.View, features []rdf.IRI, walks []*relational.Walk) []relational.OutputColumn {
+	var wrappers []string
+	for _, w := range walks {
+		for _, ref := range w.Wrappers {
+			if !slices.Contains(wrappers, ref.Wrapper) {
+				wrappers = append(wrappers, ref.Wrapper)
+			}
+		}
+	}
+	feeds := make([][2]string, 0, len(features)*len(wrappers))
+	cols := make([]relational.OutputColumn, len(features))
+	for i, f := range features {
+		start := len(feeds)
+		for _, name := range wrappers {
+			if attr, ok := v.AttributeOfFeatureInWrapper(core.WrapperURI(name), f); ok {
+				feeds = append(feeds, [2]string{name, core.AttributeName(attr)})
+			}
+		}
+		cols[i] = relational.OutputColumn{Name: f.LocalName(), Feeds: feeds[start:len(feeds):len(feeds)]}
 	}
 	return cols
 }
 
 // ExecuteResultReference preserves the original tuple-at-a-time execution of
-// a rewriting result, for differential testing against the compiled engine.
-// The frozen bench oracle pins its context-less signature; it takes ctx
-// first when the bench next moves.
+// a rewriting result, for differential testing against the compiled engine,
+// projecting onto the result's own output columns. The frozen bench oracle
+// pins its context-less signature; it takes ctx first when the bench next
+// moves.
 func (r *Rewriter) ExecuteResultReference(res *Result, resolver relational.WrapperResolver) (*relational.Relation, error) {
-	o := r.Ontology
-	features := res.WellFormed.Pi
 	var answer *relational.Relation
 	for _, w := range res.UCQ.Walks {
 		rel, err := w.ExecuteReference(context.Background(), resolver)
@@ -287,15 +306,11 @@ func (r *Rewriter) ExecuteResultReference(res *Result, resolver relational.Wrapp
 		// name, considering only the wrappers of this walk.
 		rename := map[string]string{}
 		var keep []string
-		for _, f := range features {
+		for _, col := range res.columns {
 			for _, name := range w.WrapperNames() {
-				attr, ok := o.AttributeOfFeatureInWrapper(core.WrapperURI(name), f)
-				if !ok {
-					continue
-				}
-				qualified := core.AttributeName(attr)
-				if rel.Schema.Has(qualified) {
-					rename[qualified] = f.LocalName()
+				qualified, ok := col.AttrOf(name)
+				if ok && rel.Schema.Has(qualified) {
+					rename[qualified] = col.Name
 					keep = append(keep, qualified)
 					break
 				}

@@ -120,7 +120,7 @@ func TestWellFormedQueryAcceptsRunningExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsWellFormed(o, wf) {
+	if !IsWellFormed(o.View(), wf) {
 		t.Error("query should be well-formed")
 	}
 	if len(wf.Pi) != 2 {
@@ -138,7 +138,7 @@ func TestWellFormedQueryRewritesConceptProjections(t *testing.T) {
 		rdf.T(core.SupSoftwareApplication, core.SupHasMonitor, core.SupMonitor),
 		rdf.T(core.SupSoftwareApplication, core.SupHasFGTool, core.SupFeedbackGathering),
 	)
-	if IsWellFormed(o, omq) {
+	if IsWellFormed(o.View(), omq) {
 		t.Fatal("query projecting concepts must not be well-formed")
 	}
 	wf, err := WellFormedQuery(o, omq)
@@ -155,7 +155,7 @@ func TestWellFormedQueryRewritesConceptProjections(t *testing.T) {
 	if !wf.Phi.Contains(rdf.T(core.SupMonitor, core.GHasFeature, core.SupMonitorID)) {
 		t.Error("hasFeature edge for monitorId missing")
 	}
-	if !IsWellFormed(o, wf) {
+	if !IsWellFormed(o.View(), wf) {
 		t.Error("rewritten query should be well-formed")
 	}
 }
@@ -389,6 +389,41 @@ func TestAnswerProducesTable2(t *testing.T) {
 	}
 }
 
+// TestResultColumnsKeepTheirGeneration rewrites at one generation, then
+// registers a release that links an existing attribute of w1
+// (D1/VoDmonitorId) to lagRatio too, and only then executes the result for
+// the first time: its columns were resolved on the view it was rewritten
+// on, so lagRatio is still fed by D1/lagRatio and the answer is Table 2.
+func TestResultColumnsKeepTheirGeneration(t *testing.T) {
+	o := buildOntology(t, false)
+	r := NewRewriter(o)
+	resolver := wrapper.NewQualifiedResolver(supersedeRegistry(false))
+	want, _ := rewriteAndExecute(t, r, runningExampleOMQ(), resolver)
+	res, err := r.Rewrite(runningExampleOMQ())
+	if err != nil {
+		t.Fatal(err)
+	}
+	relink := core.Release{
+		Wrapper:  core.WrapperSpec{Name: "w1b", Source: "D1", NonIDAttributes: []string{"VoDmonitorId"}},
+		Subgraph: rdf.NewGraph(""),
+		F:        map[string]rdf.IRI{"VoDmonitorId": core.SupLagRatio},
+	}
+	relink.Subgraph.Add(rdf.T(core.SupInfoMonitor, core.GHasFeature, core.SupLagRatio))
+	if _, err := o.NewRelease(relink); err != nil {
+		t.Fatal(err)
+	}
+	if attr, _ := o.View().AttributeOfFeatureInWrapper(core.WrapperURI("w1"), core.SupLagRatio); attr != core.AttributeURI("D1", "VoDmonitorId") {
+		t.Fatalf("after the release lagRatio resolves in w1 to %v, want D1/VoDmonitorId", attr)
+	}
+	got, err := r.ExecuteResultLimit(context.Background(), res, resolver, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("answer executed after the release:\n%s\nwant, as at the result's generation:\n%s", got, want)
+	}
+}
+
 func TestAnswerAfterEvolutionUnionsBothVersions(t *testing.T) {
 	o := buildOntology(t, true)
 	r := NewRewriter(o)
@@ -424,7 +459,7 @@ func TestAnswerSPARQL(t *testing.T) {
 func TestCoverageAndMinimality(t *testing.T) {
 	o := buildOntology(t, false)
 	wf, _ := WellFormedQuery(o, runningExampleOMQ())
-	checker := newCoverageChecker(o, wf.Phi)
+	checker := newCoverageChecker(o.View(), wf.Phi)
 	covers := func(w *relational.Walk) bool { return checker.covers(walkWrapperURIs(w), -1) }
 	minimal := func(w *relational.Walk) bool { return checker.minimal(walkWrapperURIs(w)) }
 

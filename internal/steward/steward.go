@@ -287,9 +287,10 @@ func CheckDatatypes(ctx context.Context, o *core.Ontology, w wrapper.Wrapper) ([
 		datatype rdf.IRI
 	}
 	targets := map[string]target{}
+	v := o.View()
 	for _, a := range w.Schema().Names() {
 		attrURI := core.AttributeURI(w.Source(), a)
-		f, ok := o.FeatureOfAttribute(attrURI)
+		f, ok := v.FeatureOfAttribute(attrURI)
 		if !ok {
 			continue
 		}

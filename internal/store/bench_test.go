@@ -52,7 +52,7 @@ func BenchmarkStoreMatch1Const(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := s.Match(pats[i%len(pats)]); len(got) == 0 {
+				if got := s.Snapshot().Match(pats[i%len(pats)]); len(got) == 0 {
 					b.Fatal("expected a match")
 				}
 			}
@@ -72,7 +72,7 @@ func BenchmarkStoreMatch1ConstPredicate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := s.Match(p); len(got) == 0 {
+				if got := s.Snapshot().Match(p); len(got) == 0 {
 					b.Fatal("expected a match")
 				}
 			}
@@ -98,7 +98,7 @@ func BenchmarkStoreMatch2Const(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := s.Match(pats[i%len(pats)]); len(got) == 0 {
+				if got := s.Snapshot().Match(pats[i%len(pats)]); len(got) == 0 {
 					b.Fatal("expected a match")
 				}
 			}
@@ -115,7 +115,7 @@ func BenchmarkStoreMatchFullScan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := s.Match(Pattern{}); len(got) != n {
+				if got := s.Snapshot().Match(Pattern{}); len(got) != n {
 					b.Fatalf("scan returned %d quads", len(got))
 				}
 			}
@@ -142,7 +142,7 @@ func BenchmarkStoreMatchMixedGraph(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.Match(InGraph(g, nil, rdf.IRI("http://bench/p3"), nil))
+				s.Snapshot().Match(InGraph(g, nil, rdf.IRI("http://bench/p3"), nil))
 				s.Snapshot().GraphsContaining(triples[i%len(triples)])
 			}
 		})
@@ -167,7 +167,7 @@ func BenchmarkStoreMatchParallel1Const(b *testing.B) {
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
-					if got := s.Match(pats[i%len(pats)]); len(got) == 0 {
+					if got := s.Snapshot().Match(pats[i%len(pats)]); len(got) == 0 {
 						b.Fatal("expected a match")
 					}
 					i++
@@ -190,7 +190,7 @@ func BenchmarkStoreMatchParallel1ConstPredicate(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if got := s.Match(p); len(got) == 0 {
+					if got := s.Snapshot().Match(p); len(got) == 0 {
 						b.Fatal("expected a match")
 					}
 				}
@@ -241,7 +241,7 @@ func BenchmarkStoreMatchParallelWithWriter(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if got := s.Match(pats[i%len(pats)]); len(got) == 0 {
+			if got := s.Snapshot().Match(pats[i%len(pats)]); len(got) == 0 {
 				b.Fatal("expected a match")
 			}
 			i++

@@ -74,7 +74,7 @@ func TestMatchOrderMatchesLegacyStringOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pi, p := range determinismPatterns() {
-		got := s.Match(p)
+		got := s.Snapshot().Match(p)
 		want := append([]rdf.Quad(nil), got...)
 		sort.SliceStable(want, func(i, j int) bool { return legacyQuadKey(want[i]) < legacyQuadKey(want[j]) })
 		for i := range got {
@@ -99,7 +99,7 @@ func TestMatchOrderInsensitiveToInsertionOrder(t *testing.T) {
 		t.Fatalf("stores differ in size: %d vs %d", a.Len(), b.Len())
 	}
 	for pi, p := range determinismPatterns() {
-		ga, gb := a.Match(p), b.Match(p)
+		ga, gb := a.Snapshot().Match(p), b.Snapshot().Match(p)
 		if len(ga) != len(gb) {
 			t.Fatalf("pattern %d: %d vs %d results", pi, len(ga), len(gb))
 		}
@@ -151,7 +151,7 @@ func TestConcurrentAddMatchRemoveGraph(t *testing.T) {
 			defer wg.Done()
 			dict := s.Snapshot().Dict()
 			for i := 0; i < iters; i++ {
-				s.Match(WildcardGraph(nil, rdf.IRI(fmt.Sprintf("http://ex/p%d", i%4)), nil))
+				s.Snapshot().Match(WildcardGraph(nil, rdf.IRI(fmt.Sprintf("http://ex/p%d", i%4)), nil))
 				s.Snapshot().MatchWithIDs(InGraph(rdf.IRI(fmt.Sprintf("http://ex/g%d", i%5)), nil, nil, nil))
 				s.Snapshot().GraphsContaining(rdf.T(
 					rdf.IRI(fmt.Sprintf("http://ex/w%d-s%d", r%writers, i)),
@@ -175,7 +175,7 @@ func TestConcurrentAddMatchRemoveGraph(t *testing.T) {
 		t.Errorf("graph index accounts for %d quads, store has %d", total, s.Len())
 	}
 	for _, q := range s.Quads() {
-		if got := s.Match(InGraph(q.Graph, q.Subject, q.Predicate, q.Object)); len(got) != 1 {
+		if got := s.Snapshot().Match(InGraph(q.Graph, q.Subject, q.Predicate, q.Object)); len(got) != 1 {
 			t.Fatalf("quad %v not findable via full-constant match (%d results)", q, len(got))
 		}
 	}
@@ -190,7 +190,7 @@ func TestRemoveDoesNotMutateSharedBacking(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.MustAdd(rdf.Q(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), pred, "http://ex/o", ""))
 	}
-	before := s.Match(WildcardGraph(nil, pred, nil))
+	before := s.Snapshot().Match(WildcardGraph(nil, pred, nil))
 	snapshot := append([]rdf.Quad(nil), before...)
 
 	s.Remove(before[2])
@@ -201,7 +201,7 @@ func TestRemoveDoesNotMutateSharedBacking(t *testing.T) {
 			t.Fatalf("previously returned result slice mutated at %d: %v vs %v", i, before[i], snapshot[i])
 		}
 	}
-	if got := s.Match(WildcardGraph(nil, pred, nil)); len(got) != 6 {
+	if got := s.Snapshot().Match(WildcardGraph(nil, pred, nil)); len(got) != 6 {
 		t.Fatalf("expected 6 remaining, got %d", len(got))
 	}
 }

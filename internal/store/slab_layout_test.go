@@ -68,7 +68,7 @@ func TestArenaCompactionReclaimsDeadSlots(t *testing.T) {
 	if got := s.Len(); got != 750 {
 		t.Fatalf("post-compaction AddAll: Len = %d, want 750", got)
 	}
-	if got := len(s.Match(InGraph("http://comp/again", nil, nil, nil))); got != 250 {
+	if got := len(s.Snapshot().Match(InGraph("http://comp/again", nil, nil, nil))); got != 250 {
 		t.Fatalf("post-compaction graph probe = %d, want 250", got)
 	}
 }
@@ -87,7 +87,7 @@ func TestMatchReturnsCanonicalLiterals(t *testing.T) {
 	if _, err := s.Add(raw); err != nil {
 		t.Fatal(err)
 	}
-	got := s.Match(Pattern{})
+	got := s.Snapshot().Match(Pattern{})
 	if len(got) != 1 {
 		t.Fatalf("Match = %d quads, want 1", len(got))
 	}

@@ -39,10 +39,9 @@ import (
 	"bdi/internal/slab"
 )
 
-// Store metrics: batch writes and the term-level Match entrypoints of Store.
-// Snapshot probes are deliberately uninstrumented: a consumer that pins a
-// snapshot issues many of them, and a shared counter there would put
-// contended atomics on the hottest read path.
+// Store metrics: batch writes. Probes are deliberately uninstrumented: a
+// consumer that pins a snapshot issues many of them, and a shared counter
+// there would put contended atomics on the hottest read path.
 var (
 	addAllBatchesTotal = obs.NewCounter("bdi_store_addall_batches_total",
 		"AddAll batch insertions.")
@@ -50,8 +49,6 @@ var (
 		"Quads newly added by AddAll batches.")
 	addAllSeconds = obs.NewHistogram("bdi_store_addall_seconds",
 		"Latency of AddAll batch insertions (intern + index + publish).")
-	matchesTotal = obs.NewCounter("bdi_store_matches_total",
-		"Term-level pattern matches (Match and friends) against a snapshot.")
 )
 
 // Pattern is a quad pattern: nil terms act as wildcards, and an empty
@@ -426,15 +423,6 @@ func (s *Store) RemoveGraph(graph rdf.IRI) int {
 	b.remove(entries)
 	b.publish()
 	return len(entries)
-}
-
-// Match returns all quads matching the pattern, in deterministic order
-// (ascending ⟨graph, subject, predicate, object⟩ term-key order). Variables
-// in the pattern are treated as wildcards. The probe runs against the
-// current snapshot without taking any lock.
-func (s *Store) Match(p Pattern) []rdf.Quad {
-	matchesTotal.Inc()
-	return s.Snapshot().Match(p)
 }
 
 // Quads returns a snapshot of every quad in the store, sorted.

@@ -78,7 +78,7 @@ func TestMatchBySubjectPredicateObject(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := s.Match(c.pattern)
+			got := s.Snapshot().Match(c.pattern)
 			if len(got) != c.want {
 				t.Errorf("got %d quads, want %d: %v", len(got), c.want, got)
 			}
@@ -88,7 +88,7 @@ func TestMatchBySubjectPredicateObject(t *testing.T) {
 
 func TestMatchTreatsVariablesAsWildcards(t *testing.T) {
 	s := loadedStore(t)
-	got := s.Match(WildcardGraph(rdf.NewVariable("s"), rdf.IRI("http://ex/hasFeature"), rdf.NewVariable("o")))
+	got := s.Snapshot().Match(WildcardGraph(rdf.NewVariable("s"), rdf.IRI("http://ex/hasFeature"), rdf.NewVariable("o")))
 	if len(got) != 3 {
 		t.Errorf("got %d, want 3", len(got))
 	}
@@ -144,7 +144,7 @@ func TestRemoveAndRemoveGraph(t *testing.T) {
 		t.Error("graph w1 should be empty")
 	}
 	// Indexes must be consistent after removals.
-	if got := s.Match(WildcardGraph(nil, rdf.IRI("http://ex/hasFeature"), nil)); len(got) != 1 {
+	if got := s.Snapshot().Match(WildcardGraph(nil, rdf.IRI("http://ex/hasFeature"), nil)); len(got) != 1 {
 		t.Errorf("after removals, hasFeature matches = %d, want 1", len(got))
 	}
 }
@@ -233,7 +233,7 @@ func TestAddMatchProperty(t *testing.T) {
 			if !s.Snapshot().Contains(q) {
 				return false
 			}
-			got := s.Match(InGraph(q.Graph, q.Subject, q.Predicate, q.Object))
+			got := s.Snapshot().Match(InGraph(q.Graph, q.Subject, q.Predicate, q.Object))
 			if len(got) != 1 {
 				return false
 			}
@@ -255,7 +255,7 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		s.Match(WildcardGraph(nil, rdf.IRI("http://ex/p"), nil))
+		s.Snapshot().Match(WildcardGraph(nil, rdf.IRI("http://ex/p"), nil))
 		s.Stats()
 	}
 	<-done

@@ -165,7 +165,7 @@ func BenchmarkRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if o2.Store().Len() == 0 || rec.BatchesReplayed == 0 {
+		if o2.Store().Len() == 0 || rec.RecordsReplayed == 0 {
 			b.Fatalf("recovery did no work: %+v", rec)
 		}
 	}

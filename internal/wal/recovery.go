@@ -23,12 +23,9 @@ type RecoveryInfo struct {
 	CheckpointsSkipped int `json:"checkpointsSkipped"`
 	// SegmentsScanned is the number of WAL segment files read.
 	SegmentsScanned int `json:"segmentsScanned"`
-	// RecordsReplayed counts the records applied. Legacy release records
-	// are skipped and not counted, so it equals BatchesReplayed.
+	// RecordsReplayed counts the store mutation batches applied on top of
+	// the checkpoint. Legacy release records are skipped and not counted.
 	RecordsReplayed int `json:"recordsReplayed"`
-	// BatchesReplayed counts the store mutation batches applied on top of
-	// the checkpoint.
-	BatchesReplayed int `json:"batchesReplayed"`
 	// TornTail reports that the last segment ended in an incomplete or
 	// corrupt record, which was truncated away.
 	TornTail bool `json:"tornTail"`
@@ -169,7 +166,6 @@ func applyRecord(r *record, s *store.Store, info *RecoveryInfo) error {
 		return fmt.Errorf("wal: replaying %s record: store generation %d, want %d", r.kind, got, r.gen)
 	}
 	info.RecordsReplayed++
-	info.BatchesReplayed++
 	return nil
 }
 

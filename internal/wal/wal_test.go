@@ -139,8 +139,8 @@ func TestOpenCloseReopen(t *testing.T) {
 		t.Fatalf("recovered generation = %d, want %d", got, wantGen)
 	}
 	// The clean close checkpointed everything: no batches should replay.
-	if rec := m2.Recovery(); rec.BatchesReplayed != 0 {
-		t.Fatalf("clean reopen replayed %d batches, want 0", rec.BatchesReplayed)
+	if rec := m2.Recovery(); rec.RecordsReplayed != 0 {
+		t.Fatalf("clean reopen replayed %d batches, want 0", rec.RecordsReplayed)
 	}
 	// The ontology stays writable after recovery, and a release journals
 	// exactly one record: its add-all batch.
@@ -196,7 +196,7 @@ func TestReplayWithoutCheckpointCoverage(t *testing.T) {
 	if got := o2.Store().Generation(); got != wantGen {
 		t.Fatalf("recovered generation = %d, want %d", got, wantGen)
 	}
-	if rec := m2.Recovery(); rec.BatchesReplayed == 0 {
+	if rec := m2.Recovery(); rec.RecordsReplayed == 0 {
 		t.Fatal("expected WAL replay after Abort")
 	}
 }

@@ -15,8 +15,8 @@ func TestBuildWorstCaseStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wc.Ontology.Concepts()) != 3 {
-		t.Errorf("concepts = %d", len(wc.Ontology.Concepts()))
+	if len(wc.Ontology.View().Concepts()) != 3 {
+		t.Errorf("concepts = %d", len(wc.Ontology.View().Concepts()))
 	}
 	if len(wc.Ontology.Wrappers()) != 6 {
 		t.Errorf("wrappers = %d", len(wc.Ontology.Wrappers()))
