@@ -258,29 +258,18 @@ func runCheckpoint(addr string) {
 		fail(fmt.Errorf("checkpoint: server answered %s: %s", resp.Status, e.Error))
 	}
 	var info struct {
-		Generation       uint64 `json:"generation"`
-		Quads            int    `json:"quads"`
-		Bytes            int64  `json:"bytes"`
-		DurationNs       int64  `json:"durationNs"`
-		SegmentsPruned   int    `json:"segmentsPruned"`
-		FormatVersion    int    `json:"formatVersion"`
-		CompactionEpoch  uint64 `json:"dictCompactionEpoch"`
-		DictIDsReclaimed int    `json:"dictIDsReclaimed"`
-		DictRemapBytes   int    `json:"dictRemapBytes"`
+		Generation     uint64 `json:"generation"`
+		Quads          int    `json:"quads"`
+		Bytes          int64  `json:"bytes"`
+		DurationNs     int64  `json:"durationNs"`
+		SegmentsPruned int    `json:"segmentsPruned"`
+		FormatVersion  int    `json:"formatVersion"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		fail(fmt.Errorf("checkpoint: decoding response: %w", err))
 	}
-	fmt.Printf("checkpoint written at generation %d: %d quads, %d bytes in %s; %d WAL segment(s) pruned\n",
-		info.Generation, info.Quads, info.Bytes, time.Duration(info.DurationNs).Round(time.Microsecond), info.SegmentsPruned)
-	if info.FormatVersion > 0 {
-		fmt.Printf("  format v%d, compaction epoch %d: %d dict TermID(s) reclaimed",
-			info.FormatVersion, info.CompactionEpoch, info.DictIDsReclaimed)
-		if info.DictRemapBytes > 0 {
-			fmt.Printf(" (%d-byte remap)", info.DictRemapBytes)
-		}
-		fmt.Println()
-	}
+	fmt.Printf("checkpoint v%d written at generation %d: %d quads, %d bytes in %s; %d WAL segment(s) pruned\n",
+		info.FormatVersion, info.Generation, info.Quads, info.Bytes, time.Duration(info.DurationNs).Round(time.Microsecond), info.SegmentsPruned)
 }
 
 // runRestore performs read-only crash recovery of a data dir and prints the
@@ -301,12 +290,7 @@ func runRestore(dir string) {
 	}
 	fmt.Println()
 	if rec.CheckpointFormatVersion > 0 {
-		fmt.Printf("  format:          v%d, dict compaction epoch %d; %d TermID(s) reclaimed",
-			rec.CheckpointFormatVersion, rec.DictCompactionEpoch, rec.DictIDsReclaimed)
-		if rec.DictRemapBytes > 0 {
-			fmt.Printf(" (%d-byte remap)", rec.DictRemapBytes)
-		}
-		fmt.Println()
+		fmt.Printf("  format:          v%d\n", rec.CheckpointFormatVersion)
 	}
 	fmt.Printf("  WAL replay:      %d record(s) across %d segment(s)\n",
 		rec.RecordsReplayed, rec.SegmentsScanned)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -61,13 +60,13 @@ func TestAddConceptFeatureAndRelations(t *testing.T) {
 	if !o.View().IsFeature(f) || !isIdentifier(o.store.Snapshot(), f) {
 		t.Error("identifier feature not recognized")
 	}
-	if dt, ok := o.DatatypeOf(f); !ok || dt != rdf.XSDInteger {
+	if dt, ok := o.View().DatatypeOf(f); !ok || dt != rdf.XSDInteger {
 		t.Errorf("datatype = %v, %v", dt, ok)
 	}
 	if got := o.View().FeaturesOf(c); len(got) != 1 || got[0] != f {
 		t.Errorf("FeaturesOf = %v", got)
 	}
-	if owner, ok := o.ConceptOfFeature(f); !ok || owner != c {
+	if owner, ok := o.View().ConceptOfFeature(f); !ok || owner != c {
 		t.Errorf("ConceptOfFeature = %v, %v", owner, ok)
 	}
 	if ids := o.View().IdentifiersOf(c); len(ids) != 1 || ids[0] != f {
@@ -125,7 +124,7 @@ func TestRelateRequiresConcepts(t *testing.T) {
 	if err := o.Relate(a, rdf.IRI("http://ex/p"), b); err != nil {
 		t.Fatal(err)
 	}
-	edges := o.ConceptEdges()
+	edges := o.View().ConceptEdges()
 	if len(edges) != 1 {
 		t.Errorf("ConceptEdges = %v", edges)
 	}
@@ -139,8 +138,8 @@ func TestSupersedeGlobalGraph(t *testing.T) {
 	if len(o.View().Concepts()) != 5 {
 		t.Errorf("concepts = %v", o.View().Concepts())
 	}
-	if len(o.Features()) != 5 {
-		t.Errorf("features = %v", o.Features())
+	if len(o.View().Features()) != 5 {
+		t.Errorf("features = %v", o.View().Features())
 	}
 	if !isIdentifier(o.store.Snapshot(), SupMonitorID) {
 		t.Error("sup:monitorId must be an identifier")
@@ -148,8 +147,8 @@ func TestSupersedeGlobalGraph(t *testing.T) {
 	if isIdentifier(o.store.Snapshot(), SupLagRatio) {
 		t.Error("sup:lagRatio must not be an identifier")
 	}
-	if len(o.ConceptEdges()) != 4 {
-		t.Errorf("concept edges = %v", o.ConceptEdges())
+	if len(o.View().ConceptEdges()) != 4 {
+		t.Errorf("concept edges = %v", o.View().ConceptEdges())
 	}
 }
 
@@ -329,34 +328,15 @@ func TestStatsAndString(t *testing.T) {
 	}
 }
 
-func TestRemoveWrapperRegistration(t *testing.T) {
-	o, err := BuildSupersedeOntology(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed := o.RemoveWrapperRegistration("w4")
-	if removed == 0 {
-		t.Fatal("expected triples to be removed")
-	}
-	if len(o.Wrappers()) != 3 {
-		t.Errorf("wrappers after removal = %v", o.Wrappers())
-	}
-	if _, ok := wrapperOfLAVGraph(o.store.Snapshot(), MappingGraphURI("w4")); ok {
-		t.Error("LAV graph of w4 should be gone")
-	}
-}
-
 // TestReleaseSequenceNeverReused pins that a release's sequence number is
-// never handed out twice: removing an earlier registration does not free a
-// number, so the newest release of a source stays its latest wrapper; and an
-// ontology restored over an existing store continues from the store's
-// highest number.
+// never handed out twice: the newest release of a source is its latest
+// wrapper, and an ontology restored over an existing store continues from
+// the store's highest number.
 func TestReleaseSequenceNeverReused(t *testing.T) {
 	o, err := BuildSupersedeOntology(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.RemoveWrapperRegistration("w2")
 	w5 := SupersedeReleaseW4()
 	w5.Wrapper.Name = "w5"
 	res, err := o.NewRelease(w5)
@@ -379,46 +359,6 @@ func TestReleaseSequenceNeverReused(t *testing.T) {
 	if res.Sequence != 6 {
 		t.Errorf("restored ontology: w6 sequence = %d, want 6", res.Sequence)
 	}
-}
-
-// TestNewReleaseValidatesTheSnapshotItPlansOn starts a release while the
-// ontology's lock is held, removes one of its Global-graph triples straight
-// from the store once the release waits for the lock, and then lets it go:
-// the release is checked against the G it is planned on and rejected.
-func TestNewReleaseValidatesTheSnapshotItPlansOn(t *testing.T) {
-	o := NewOntology()
-	if err := BuildSupersedeGlobalGraph(o); err != nil {
-		t.Fatal(err)
-	}
-	r := SupersedeReleaseW1()
-	o.mu.Lock()
-	done := make(chan error, 1)
-	go func() {
-		_, err := o.NewRelease(r)
-		done <- err
-	}()
-	for !waitsForOntologyLock() {
-		runtime.Gosched()
-	}
-	if !o.Store().Remove(rdf.Quad{Triple: r.Subgraph.Triples[0], Graph: GlobalGraphName}) {
-		t.Fatal("the release's first triple is not in G")
-	}
-	o.mu.Unlock()
-	if err := <-done; err == nil || !strings.Contains(err.Error(), "not a subgraph of G") {
-		t.Fatalf("a release whose subgraph left G before it was planned returned %v, want a rejection", err)
-	}
-}
-
-// waitsForOntologyLock reports whether a goroutine is blocked on a mutex
-// inside Ontology.NewRelease.
-func waitsForOntologyLock() bool {
-	buf := make([]byte, 1<<20)
-	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, "(*Ontology).NewRelease") {
-			return true
-		}
-	}
-	return false
 }
 
 func TestDefaultPrefixes(t *testing.T) {

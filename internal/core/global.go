@@ -143,8 +143,8 @@ func (v *View) Concepts() []rdf.IRI {
 }
 
 // Features returns all declared features, sorted.
-func (o *Ontology) Features() []rdf.IRI {
-	return typedInstances(o.store.Snapshot(), GlobalGraphName, GFeature)
+func (v *View) Features() []rdf.IRI {
+	return typedInstances(v.snap, GlobalGraphName, GFeature)
 }
 
 // FeaturesOf returns the features attached to a concept via G:hasFeature,
@@ -154,8 +154,8 @@ func (v *View) FeaturesOf(concept rdf.IRI) []rdf.IRI {
 }
 
 // ConceptOfFeature returns the (single) concept owning the feature.
-func (o *Ontology) ConceptOfFeature(feature rdf.IRI) (rdf.IRI, bool) {
-	for _, q := range o.store.Snapshot().Match(store.InGraph(GlobalGraphName, nil, GHasFeature, feature)) {
+func (v *View) ConceptOfFeature(feature rdf.IRI) (rdf.IRI, bool) {
+	for _, q := range v.snap.Match(store.InGraph(GlobalGraphName, nil, GHasFeature, feature)) {
 		if c, ok := q.Subject.(rdf.IRI); ok {
 			return c, true
 		}
@@ -184,8 +184,8 @@ func (v *View) IdentifiersOf(concept rdf.IRI) []rdf.IRI {
 }
 
 // DatatypeOf returns the XSD datatype attached to a feature, if any.
-func (o *Ontology) DatatypeOf(feature rdf.IRI) (rdf.IRI, bool) {
-	for _, q := range o.store.Snapshot().Match(store.InGraph(GlobalGraphName, feature, GHasDatatype, nil)) {
+func (v *View) DatatypeOf(feature rdf.IRI) (rdf.IRI, bool) {
+	for _, q := range v.snap.Match(store.InGraph(GlobalGraphName, feature, GHasDatatype, nil)) {
 		if dt, ok := q.Object.(rdf.IRI); ok {
 			return dt, true
 		}
@@ -195,8 +195,8 @@ func (o *Ontology) DatatypeOf(feature rdf.IRI) (rdf.IRI, bool) {
 
 // ConceptEdges returns the object-property edges between concepts in G
 // (excluding the metamodel properties), sorted by subject/predicate/object.
-func (o *Ontology) ConceptEdges() []rdf.Triple {
-	sn := o.store.Snapshot()
+func (v *View) ConceptEdges() []rdf.Triple {
+	sn := v.snap
 	var out []rdf.Triple
 	for _, q := range sn.Match(store.InGraph(GlobalGraphName, nil, nil, nil)) {
 		p, ok := q.Predicate.(rdf.IRI)

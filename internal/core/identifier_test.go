@@ -91,7 +91,7 @@ func TestIdentifierWalkMatchesClosure(t *testing.T) {
 		// A release over a subgraph of G: the concept edge of one feature
 		// plus, when there is one, a subclass edge of G.
 		f := features[rng.Intn(len(features))]
-		c, _ := o.ConceptOfFeature(f)
+		c, _ := o.View().ConceptOfFeature(f)
 		sub := rdf.NewGraph("")
 		sub.Add(rdf.T(c, GHasFeature, f))
 		if len(inG) > 0 {

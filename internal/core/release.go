@@ -242,9 +242,9 @@ func (o *Ontology) AddAll(quads []rdf.Quad) (int, error) {
 // is non-nil its span is recorded once the commit hook has accepted the
 // batch and before its snapshot is visible, so caches validating across
 // (pre, post] can invalidate incrementally. Mutations that bypass this path
-// (Global-graph edits, administrative removals, direct store writes) leave
-// their generations unexplained, which DeltasBetween reports as "not
-// covered" and caches answer with a full flush. A release batch is exactly
+// (Global-graph edits, direct store writes) leave their generations
+// unexplained, which DeltasBetween reports as "not covered" and caches
+// answer with a full flush. A release batch is exactly
 // one snapshot publication (it always adds at least the wrapper typing
 // triple); if it publishes anything but the generation after sn, a direct
 // store write raced it, and claiming the interval would let caches retain
@@ -264,8 +264,9 @@ func (o *Ontology) addBatchLocked(sn store.Snapshot, quads []rdf.Quad, d *Releas
 // lastSequenceLocked returns the highest release sequence number handed out
 // so far. Until this ontology numbers its first release the store is the
 // authority (a restored or recovered ontology), so the counter is seeded
-// from the largest M:registrationOrder in sn; after that it only grows, and
-// removing a registration never frees its number. Callers hold o.mu.
+// from the largest M:registrationOrder in sn; after that it only grows. The
+// store only grows too, so no write can lower the number it was seeded
+// from. Callers hold o.mu.
 func (o *Ontology) lastSequenceLocked(sn store.Snapshot) int {
 	if o.lastSeq == 0 {
 		for _, q := range sn.Match(store.InGraph(MappingsGraphName, nil, MRegistrationOrder, nil)) {
@@ -277,27 +278,4 @@ func (o *Ontology) lastSequenceLocked(sn store.Snapshot) int {
 		}
 	}
 	return o.lastSeq
-}
-
-// RemoveWrapperRegistration removes a wrapper from S and M. The paper never
-// deletes ontology elements (historic backwards compatibility, §6.2); this
-// operation exists for administrative corrections only and is not used by
-// the evolution workflow.
-func (o *Ontology) RemoveWrapperRegistration(wrapperName string) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	removed := 0
-	wrapperURI := WrapperURI(wrapperName)
-	for _, q := range o.store.Snapshot().Match(store.WildcardGraph(wrapperURI, nil, nil)) {
-		if o.store.Remove(q) {
-			removed++
-		}
-	}
-	for _, q := range o.store.Snapshot().Match(store.WildcardGraph(nil, nil, wrapperURI)) {
-		if o.store.Remove(q) {
-			removed++
-		}
-	}
-	removed += o.store.RemoveGraph(MappingGraphURI(wrapperName))
-	return removed
 }

@@ -11,7 +11,8 @@ import (
 // adds a provider (w4, a new schema version of D1), and checks that the
 // pinned view still answers for its own generation — also for lookups it
 // is first asked after the release — while a new view answers for the
-// next one; and that two views of one generation are the same memo.
+// next one; that two views of one generation are the same memo; and that
+// the same holds for the Global-graph readers across a G edit.
 func TestViewAnswersForItsGeneration(t *testing.T) {
 	o, err := BuildSupersedeOntology(false)
 	if err != nil {
@@ -64,5 +65,34 @@ func TestViewAnswersForItsGeneration(t *testing.T) {
 	}
 	if got, ok := next.LatestWrapperOfSource("D1"); !ok || got != WrapperURI("w4") {
 		t.Errorf("new view: latest wrapper of D1 = %v, %v, want w4", got, ok)
+	}
+
+	// A G edit: a new concept with a typed feature. The view pinned before
+	// it knows neither; the view after it knows both.
+	concept, feature := rdf.IRI("http://ex/view/Player"), rdf.IRI("http://ex/view/bitrate")
+	if err := o.AddConcept(concept); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.AddFeatureTo(concept, feature, rdf.XSDInteger); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := next.ConceptOfFeature(feature); ok {
+		t.Errorf("pinned view: concept of the new feature = %v, want none", got)
+	}
+	if got, ok := next.DatatypeOf(feature); ok {
+		t.Errorf("pinned view: datatype of the new feature = %v, want none", got)
+	}
+	if slices.Contains(next.Features(), feature) {
+		t.Error("pinned view lists the new feature")
+	}
+	edited := o.View()
+	if got, ok := edited.ConceptOfFeature(feature); !ok || got != concept {
+		t.Errorf("new view: concept of the new feature = %v, %v, want %v", got, ok, concept)
+	}
+	if got, ok := edited.DatatypeOf(feature); !ok || got != rdf.XSDInteger {
+		t.Errorf("new view: datatype of the new feature = %v, %v, want %v", got, ok, rdf.XSDInteger)
+	}
+	if !slices.Contains(edited.Features(), feature) {
+		t.Error("new view does not list the new feature")
 	}
 }

@@ -229,11 +229,9 @@ func TestRewriteDoesNotWaitForBlockedRelease(t *testing.T) {
 	h := NewServer(o, workload.SupersedeTable1Registry(false)).Handler()
 	parked, unpark := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	o.Store().SetCommitHook(func(b store.Batch) error {
-		if b.Kind == store.BatchAdd {
-			once.Do(func() { close(parked) })
-			<-unpark
-		}
+	o.Store().SetCommitHook(func(store.Batch) error {
+		once.Do(func() { close(parked) })
+		<-unpark
 		return nil
 	})
 

@@ -125,8 +125,9 @@ func TestReplicaPublishesReleaseDeltaWithItsBatch(t *testing.T) {
 
 // TestReplicaDeltaParityRandomized runs seeded schedules on a durable
 // primary: releases over new sources and releases reusing a source's
-// attributes (mapped to the same or to another feature), Global-graph edits,
-// wrapper deregistrations, and a checkpoint resync of the replica partway.
+// attributes (mapped to the same or to another feature), Global-graph edits
+// (new concepts, new features of a concept), and a checkpoint resync of the
+// replica partway.
 // The replica follows in chunks of random size, and for every interval
 // between two generations it applied since its last resync, DeltasBetween
 // must return the same deltas and the same covered flag on both sides.
@@ -149,7 +150,7 @@ func TestReplicaDeltaParityRandomized(t *testing.T) {
 			rep := inProcessReplica(t, m)
 			seen := []uint64{rep.Generation()}
 
-			var wrappers, sources []string
+			var sources []string
 			covered := 0
 			const steps = 40
 			for step := range steps {
@@ -168,15 +169,11 @@ func TestReplicaDeltaParityRandomized(t *testing.T) {
 					err = replConceptOp(concepts).run(primary)
 					concepts++
 				default:
-					if len(wrappers) > 0 {
-						victim := wrappers[rng.Intn(len(wrappers))]
-						primary.RemoveWrapperRegistration(victim)
-					}
+					err = primary.AddFeatureTo(replConcept(rng.Intn(concepts)), rdf.IRI(fmt.Sprintf("http://ex/repl/extra%d", step)), "")
 				}
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				wrappers = registeredWrappers(primary)
 
 				if step == steps/2 {
 					if _, err := m.Checkpoint(); err != nil {
@@ -228,12 +225,4 @@ func parityRelease(o *core.Ontology, name, source string, i, j int) error {
 		F:        map[string]rdf.IRI{"id": replFeature(i, "id"), "value": replFeature(j, "value")},
 	})
 	return err
-}
-
-func registeredWrappers(o *core.Ontology) []string {
-	var out []string
-	for _, w := range o.Wrappers() {
-		out = append(out, core.WrapperLocalName(w))
-	}
-	return out
 }

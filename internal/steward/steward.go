@@ -31,10 +31,11 @@ type MappingSuggestion struct {
 }
 
 // SuggestMappings proposes, for each wrapper attribute, the most similar
-// feature of the Global graph. Suggestions below minConfidence are omitted
-// (the steward must map those by hand). The result is sorted by attribute.
-func SuggestMappings(o *core.Ontology, attributes []string, minConfidence float64) []MappingSuggestion {
-	features := o.Features()
+// feature of the Global graph as of the view's generation. Suggestions below
+// minConfidence are omitted (the steward must map those by hand). The
+// result is sorted by attribute.
+func SuggestMappings(v *core.View, attributes []string, minConfidence float64) []MappingSuggestion {
+	features := v.Features()
 	var out []MappingSuggestion
 	for _, attr := range attributes {
 		type scored struct {
@@ -160,12 +161,13 @@ type SubgraphSuggestion struct {
 	Connected bool
 }
 
-// SuggestSubgraph builds the suggestion for the given features.
-func SuggestSubgraph(o *core.Ontology, features []rdf.IRI) SubgraphSuggestion {
+// SuggestSubgraph builds the suggestion for the given features from G as
+// of the view's generation.
+func SuggestSubgraph(v *core.View, features []rdf.IRI) SubgraphSuggestion {
 	g := rdf.NewGraph("")
 	conceptSet := map[rdf.IRI]bool{}
 	for _, f := range features {
-		c, ok := o.ConceptOfFeature(f)
+		c, ok := v.ConceptOfFeature(f)
 		if !ok {
 			continue
 		}
@@ -180,7 +182,7 @@ func SuggestSubgraph(o *core.Ontology, features []rdf.IRI) SubgraphSuggestion {
 
 	// Connect the concepts pairwise through shortest paths over the concept
 	// edges of G (undirected search, directed edges kept as asserted).
-	edges := o.ConceptEdges()
+	edges := v.ConceptEdges()
 	for i := 0; i < len(concepts); i++ {
 		for j := i + 1; j < len(concepts); j++ {
 			for _, t := range shortestPath(edges, concepts[i], concepts[j]) {
@@ -240,10 +242,12 @@ func shortestPath(edges []rdf.Triple, from, to rdf.IRI) []rdf.Triple {
 }
 
 // DraftRelease combines SuggestMappings and SuggestSubgraph into a draft
-// release for a new wrapper. The steward reviews the draft (especially the
-// unmapped attributes) before registering it with Algorithm 1.
+// release for a new wrapper, both read from one pinned view. The steward
+// reviews the draft (especially the unmapped attributes) before registering
+// it with Algorithm 1.
 func DraftRelease(o *core.Ontology, spec core.WrapperSpec, minConfidence float64) (core.Release, []string) {
-	suggestions := SuggestMappings(o, spec.Attributes(), minConfidence)
+	v := o.View()
+	suggestions := SuggestMappings(v, spec.Attributes(), minConfidence)
 	f := map[string]rdf.IRI{}
 	var mappedFeatures []rdf.IRI
 	for _, s := range suggestions {
@@ -256,7 +260,7 @@ func DraftRelease(o *core.Ontology, spec core.WrapperSpec, minConfidence float64
 			unmapped = append(unmapped, a)
 		}
 	}
-	subgraph := SuggestSubgraph(o, mappedFeatures)
+	subgraph := SuggestSubgraph(v, mappedFeatures)
 	return core.Release{Wrapper: spec, Subgraph: subgraph.Graph, F: f}, unmapped
 }
 
@@ -272,8 +276,9 @@ type DatatypeViolation struct {
 }
 
 // CheckDatatypes executes the wrapper and validates every value against the
-// G:hasDatatype declaration of the feature its attribute maps to. Attributes
-// without a mapping or features without a datatype are skipped.
+// G:hasDatatype declaration of the feature its attribute maps to, both read
+// from one pinned view. Attributes without a mapping or features without a
+// datatype are skipped.
 func CheckDatatypes(ctx context.Context, o *core.Ontology, w wrapper.Wrapper) ([]DatatypeViolation, error) {
 	d := relational.NewValueDict()
 	out, err := w.Rows(ctx, relational.Pushdown{}, d)
@@ -294,7 +299,7 @@ func CheckDatatypes(ctx context.Context, o *core.Ontology, w wrapper.Wrapper) ([
 		if !ok {
 			continue
 		}
-		dt, ok := o.DatatypeOf(f)
+		dt, ok := v.DatatypeOf(f)
 		if !ok {
 			continue
 		}

@@ -63,7 +63,7 @@ func TestSuggestMappingsRunningExample(t *testing.T) {
 	// offered monitorId for VoDmonitorId; bufferingRatio has no close feature
 	// name so it falls below the confidence threshold and is left to the
 	// steward.
-	suggestions := SuggestMappings(o, []string{"VoDmonitorId", "bufferingRatio"}, 0.7)
+	suggestions := SuggestMappings(o.View(), []string{"VoDmonitorId", "bufferingRatio"}, 0.7)
 	byAttr := map[string]MappingSuggestion{}
 	for _, s := range suggestions {
 		byAttr[s.Attribute] = s
@@ -79,7 +79,7 @@ func TestSuggestMappingsRunningExample(t *testing.T) {
 		t.Error("bufferingRatio should not get a high-confidence suggestion")
 	}
 	// With a lower threshold it is suggested (lagRatio shares the Ratio token).
-	low := SuggestMappings(o, []string{"bufferingRatio"}, 0.2)
+	low := SuggestMappings(o.View(), []string{"bufferingRatio"}, 0.2)
 	if len(low) != 1 || low[0].Feature != core.SupLagRatio {
 		t.Errorf("low-threshold suggestion = %v", low)
 	}
@@ -87,7 +87,7 @@ func TestSuggestMappingsRunningExample(t *testing.T) {
 
 func TestSuggestSubgraphConnectsConcepts(t *testing.T) {
 	o := supersedeOntology(t)
-	s := SuggestSubgraph(o, []rdf.IRI{core.SupApplicationID, core.SupLagRatio})
+	s := SuggestSubgraph(o.View(), []rdf.IRI{core.SupApplicationID, core.SupLagRatio})
 	if !s.Connected {
 		t.Fatalf("subgraph should be connected:\n%s", s.Graph)
 	}
@@ -114,7 +114,7 @@ func TestSuggestSubgraphConnectsConcepts(t *testing.T) {
 
 func TestSuggestSubgraphUnknownFeature(t *testing.T) {
 	o := supersedeOntology(t)
-	s := SuggestSubgraph(o, []rdf.IRI{rdf.IRI("http://ex/unknown")})
+	s := SuggestSubgraph(o.View(), []rdf.IRI{rdf.IRI("http://ex/unknown")})
 	if s.Graph.Len() != 0 {
 		t.Error("unknown features should produce an empty suggestion")
 	}

@@ -111,10 +111,11 @@ func TestMatchOrderInsensitiveToInsertionOrder(t *testing.T) {
 	}
 }
 
-// TestConcurrentAddMatchRemoveGraph hammers the store from many goroutines;
-// run with -race it checks the locking discipline of the dictionary, the
-// indexes and the copy-on-write removal path.
-func TestConcurrentAddMatchRemoveGraph(t *testing.T) {
+// TestConcurrentAddMatch hammers the store from many goroutines adding
+// single quads and whole-graph batches while others probe; run with -race
+// it checks the locking discipline of the dictionary, the indexes and the
+// copy-on-write insertion path.
+func TestConcurrentAddMatch(t *testing.T) {
 	s := New()
 	const writers, readers, iters = 4, 4, 300
 
@@ -132,15 +133,18 @@ func TestConcurrentAddMatchRemoveGraph(t *testing.T) {
 					g,
 				))
 				if i%41 == 0 {
-					s.RemoveGraph(g)
-				}
-				if i%17 == 0 {
-					s.Remove(rdf.Q(
-						rdf.IRI(fmt.Sprintf("http://ex/w%d-s%d", w, i-1)),
-						rdf.IRI(fmt.Sprintf("http://ex/p%d", (i-1)%4)),
-						rdf.IRI(fmt.Sprintf("http://ex/o%d", (i-1)%16)),
-						rdf.IRI(fmt.Sprintf("http://ex/g%d", (i-1)%5)),
-					))
+					batch := make([]rdf.Quad, 8)
+					for k := range batch {
+						batch[k] = rdf.Q(
+							rdf.IRI(fmt.Sprintf("http://ex/w%d-b%d-s%d", w, i, k)),
+							rdf.IRI(fmt.Sprintf("http://ex/p%d", k%4)),
+							rdf.IRI(fmt.Sprintf("http://ex/o%d", k)),
+							rdf.IRI(fmt.Sprintf("http://ex/batch-w%d-%d", w, i)),
+						)
+					}
+					if _, err := s.AddAll(batch); err != nil {
+						panic(err)
+					}
 				}
 			}
 		}(w)
@@ -166,7 +170,11 @@ func TestConcurrentAddMatchRemoveGraph(t *testing.T) {
 	}
 	wg.Wait()
 
-	// The surviving quads must still be fully indexed and consistent.
+	// Every quad must be stored, fully indexed and consistent.
+	batches := (iters + 40) / 41
+	if want := writers * (iters + 8*batches); s.Len() != want {
+		t.Errorf("store has %d quads, want %d", s.Len(), want)
+	}
 	total := 0
 	for _, g := range append(s.Snapshot().Graphs(), "") {
 		total += s.GraphLen(g)
@@ -178,30 +186,5 @@ func TestConcurrentAddMatchRemoveGraph(t *testing.T) {
 		if got := s.Snapshot().Match(InGraph(q.Graph, q.Subject, q.Predicate, q.Object)); len(got) != 1 {
 			t.Fatalf("quad %v not findable via full-constant match (%d results)", q, len(got))
 		}
-	}
-}
-
-// TestRemoveDoesNotMutateSharedBacking pins the copy-on-write fix in
-// removeEntry: removing a quad must not shift entries inside a backing
-// array that an earlier index snapshot still references.
-func TestRemoveDoesNotMutateSharedBacking(t *testing.T) {
-	s := New()
-	pred := rdf.IRI("http://ex/p")
-	for i := 0; i < 8; i++ {
-		s.MustAdd(rdf.Q(rdf.IRI(fmt.Sprintf("http://ex/s%d", i)), pred, "http://ex/o", ""))
-	}
-	before := s.Snapshot().Match(WildcardGraph(nil, pred, nil))
-	snapshot := append([]rdf.Quad(nil), before...)
-
-	s.Remove(before[2])
-	s.Remove(before[5])
-
-	for i := range snapshot {
-		if !before[i].Equal(snapshot[i]) {
-			t.Fatalf("previously returned result slice mutated at %d: %v vs %v", i, before[i], snapshot[i])
-		}
-	}
-	if got := s.Snapshot().Match(WildcardGraph(nil, pred, nil)); len(got) != 6 {
-		t.Fatalf("expected 6 remaining, got %d", len(got))
 	}
 }

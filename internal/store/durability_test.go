@@ -39,22 +39,17 @@ func TestCommitHookObservesBatchesInOrder(t *testing.T) {
 	if _, err := s.AddAll([]rdf.Quad{qd(1), qd(2), qd(1)}); err != nil { // one duplicate
 		t.Fatal(err)
 	}
-	if !s.Remove(qd(2)) {
-		t.Fatal("expected removal")
+	if added, err := s.Add(qd(2)); err != nil || added { // a duplicate publishes nothing
+		t.Fatalf("re-adding a stored quad: added=%v err=%v", added, err)
 	}
-	if n := s.RemoveGraph(qd(0).Graph); n == 0 {
-		t.Fatal("expected graph removal")
+	if _, err := s.AddTriple(qd(3).Graph, qd(3).Triple); err != nil {
+		t.Fatal(err)
 	}
-	s.Clear()
 
-	wantKinds := []BatchKind{BatchAdd, BatchAdd, BatchRemove, BatchRemoveGraph, BatchClear}
-	if len(batches) != len(wantKinds) {
-		t.Fatalf("hook saw %d batches, want %d", len(batches), len(wantKinds))
+	if len(batches) != 3 {
+		t.Fatalf("hook saw %d batches, want 3", len(batches))
 	}
 	for i, b := range batches {
-		if b.Kind != wantKinds[i] {
-			t.Fatalf("batch %d kind = %d, want %d", i, b.Kind, wantKinds[i])
-		}
 		if b.Generation != uint64(i+1) {
 			t.Fatalf("batch %d generation = %d, want %d", i, b.Generation, i+1)
 		}
@@ -63,13 +58,14 @@ func TestCommitHookObservesBatchesInOrder(t *testing.T) {
 	if got := batches[1].Quads; len(got) != 2 || got[0].String() != qd(1).String() || got[1].String() != qd(2).String() {
 		t.Fatalf("AddAll batch logged %v", got)
 	}
-	if batches[3].Graph != qd(0).Graph {
-		t.Fatalf("RemoveGraph batch graph = %q", batches[3].Graph)
+	if got := batches[2].Quads; len(got) != 1 || got[0].String() != qd(3).String() {
+		t.Fatalf("AddTriple batch logged %v", got)
 	}
 }
 
-// TestCommitHookVetoRollsBack: a hook error aborts the mutation without
-// publishing and without leaving phantom quads in the canonical set.
+// TestCommitHookVetoRollsBack: a hook error aborts the insertion without
+// publishing and without leaving phantom quads in the canonical set, and
+// every write returns it.
 func TestCommitHookVetoRollsBack(t *testing.T) {
 	s := New()
 	if _, err := s.AddAll([]rdf.Quad{qd(0), qd(1)}); err != nil {
@@ -82,8 +78,15 @@ func TestCommitHookVetoRollsBack(t *testing.T) {
 	if _, err := s.Add(qd(2)); !errors.Is(err, veto) {
 		t.Fatalf("Add error = %v, want the veto", err)
 	}
+	if _, err := s.AddTriple(qd(2).Graph, qd(2).Triple); !errors.Is(err, veto) {
+		t.Fatalf("AddTriple error = %v, want the veto", err)
+	}
 	if _, err := s.AddAll([]rdf.Quad{qd(3), qd(4)}); !errors.Is(err, veto) {
 		t.Fatalf("AddAll error = %v, want the veto", err)
+	}
+	called := false
+	if _, err := s.AddAllBeforePublish([]rdf.Quad{qd(3)}, func(uint64) { called = true }); !errors.Is(err, veto) || called {
+		t.Fatalf("AddAllBeforePublish error = %v, callback run = %v; want the veto and no callback", err, called)
 	}
 	if got := s.Generation(); got != gen {
 		t.Fatalf("generation moved to %d after vetoed writes, want %d", got, gen)
@@ -97,19 +100,6 @@ func TestCommitHookVetoRollsBack(t *testing.T) {
 	n, err := s.AddAll([]rdf.Quad{qd(2), qd(3), qd(4)})
 	if err != nil || n != 3 {
 		t.Fatalf("re-adding vetoed quads: n=%d err=%v", n, err)
-	}
-	for _, p := range []func(){ // panic paths for the no-error-return writers
-		func() { s.SetCommitHook(func(Batch) error { return veto }); s.Remove(qd(2)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected a fail-stop panic from a vetoed removal")
-				}
-				s.SetCommitHook(nil)
-			}()
-			p()
-		}()
 	}
 }
 
@@ -159,15 +149,12 @@ func TestFastPathInitialLoadMatchesIncremental(t *testing.T) {
 		t.Fatalf("stats diverge: bulk %+v, incremental %+v", bs, ss)
 	}
 	// The fast-built snapshot must behave correctly under subsequent
-	// incremental mutation (its buckets are real COW-able structures).
+	// incremental insertion (its buckets are real COW-able structures).
 	if _, err := bulk.AddAll([]rdf.Quad{qd(n), qd(n + 1)}); err != nil {
 		t.Fatal(err)
 	}
-	if !bulk.Remove(qd(0)) {
-		t.Fatal("expected removal from fast-built store")
-	}
-	if bulk.Len() != n+1 {
-		t.Fatalf("len = %d, want %d", bulk.Len(), n+1)
+	if bulk.Len() != n+2 {
+		t.Fatalf("len = %d, want %d", bulk.Len(), n+2)
 	}
 }
 

@@ -1,16 +1,17 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"bdi/internal/rdf"
 )
 
-// TestArenaCompactionReclaimsDeadSlots drives the store through a load/remove
-// cycle large enough to trip arena compaction and asserts the arena shrank
-// back to the live size while content, probes and pinned snapshots stay
-// intact.
+// TestArenaCompactionReclaimsDeadSlots vetoes a bulk load large enough to
+// trip arena compaction (a vetoed batch leaves its slots dead) and asserts
+// that the next published batch shrinks the arena back to the live size
+// while content, probes and pinned snapshots stay intact.
 func TestArenaCompactionReclaimsDeadSlots(t *testing.T) {
 	s := New()
 	const n = 3 * arenaCompactMin
@@ -29,27 +30,32 @@ func TestArenaCompactionReclaimsDeadSlots(t *testing.T) {
 	if _, err := s.AddAll(load("http://comp/keep", 500)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddAll(load("http://comp/bulk", n)); err != nil {
+	before := s.Snapshot()
+	veto := errors.New("vetoed")
+	s.SetCommitHook(func(Batch) error { return veto })
+	if _, err := s.AddAll(load("http://comp/bulk", n)); !errors.Is(err, veto) {
+		t.Fatalf("vetoed bulk load returned %v", err)
+	}
+	s.SetCommitHook(nil)
+	if got := int(s.ar.slots.Len()); got != n+500 {
+		t.Fatalf("arena has %d slots after the vetoed load, want %d", got, n+500)
+	}
+	extra := rdf.Q("http://comp/extra", "http://comp/p0", "http://comp/o0", "http://comp/keep")
+	if _, err := s.Add(extra); err != nil {
 		t.Fatal(err)
 	}
-	before := s.Snapshot()
-	if got := int(s.ar.slots.Len()); got != n+500 {
-		t.Fatalf("arena has %d slots before removal, want %d", got, n+500)
+	if got := int(s.ar.slots.Len()); got != 501 {
+		t.Fatalf("arena not compacted: %d slots, want 501", got)
 	}
-	if got := s.RemoveGraph("http://comp/bulk"); got != n {
-		t.Fatalf("RemoveGraph removed %d, want %d", got, n)
+	if got := s.Len(); got != 501 {
+		t.Fatalf("store Len = %d, want 501", got)
 	}
-	if got := int(s.ar.slots.Len()); got != 500 {
-		t.Fatalf("arena not compacted: %d slots, want 500", got)
+	// The snapshot pinned before compaction still resolves through the old
+	// arena.
+	if got := before.GraphLen("http://comp/keep"); got != 500 {
+		t.Fatalf("pinned snapshot GraphLen = %d, want 500", got)
 	}
-	if got := s.Len(); got != 500 {
-		t.Fatalf("store Len = %d, want 500", got)
-	}
-	// The pinned pre-removal snapshot still resolves through the old arena.
-	if got := before.GraphLen("http://comp/bulk"); got != n {
-		t.Fatalf("pinned snapshot GraphLen = %d, want %d", got, n)
-	}
-	if got := len(before.Match(InGraph("http://comp/bulk", rdf.IRI("http://comp/s7"), nil, nil))); got != 1 {
+	if got := len(before.Match(InGraph("http://comp/keep", rdf.IRI("http://comp/s7"), nil, nil))); got != 1 {
 		t.Fatalf("pinned snapshot probe = %d, want 1", got)
 	}
 	// The compacted store answers correctly and accepts further writes.
@@ -65,8 +71,8 @@ func TestArenaCompactionReclaimsDeadSlots(t *testing.T) {
 	if _, err := s.AddAll(load("http://comp/again", 250)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Len(); got != 750 {
-		t.Fatalf("post-compaction AddAll: Len = %d, want 750", got)
+	if got := s.Len(); got != 751 {
+		t.Fatalf("post-compaction AddAll: Len = %d, want 751", got)
 	}
 	if got := len(s.Snapshot().Match(InGraph("http://comp/again", nil, nil, nil))); got != 250 {
 		t.Fatalf("post-compaction graph probe = %d, want 250", got)

@@ -119,7 +119,7 @@ type graphBucket struct {
 type snapshot struct {
 	// dict interns every term appearing in this snapshot. The dictionary is
 	// append-only and safe for concurrent use, so it is shared between the
-	// writer and every live snapshot (Clear swaps in a fresh one).
+	// writer and every live snapshot.
 	dict *rdf.Dict
 
 	generation uint64
@@ -127,8 +127,9 @@ type snapshot struct {
 
 	// slots and keys are views of the store's entry arena, pinned at
 	// publication time. Every eref reachable from this snapshot resolves
-	// through them; slots referenced by no bucket may be dead (removed or
-	// rolled back) and are reclaimed by arena compaction on the write path.
+	// through them; slots referenced by no bucket may be dead (rolled back
+	// by a vetoed batch) and are reclaimed by arena compaction on the write
+	// path.
 	slots slab.SlotsView[entrySlot]
 	keys  slab.BytesView
 
@@ -219,8 +220,7 @@ func (sn Snapshot) Generation() uint64 {
 
 // Dict returns the term dictionary backing this snapshot. It is append-only
 // and safe for concurrent use; TermIDs resolved against it remain valid for
-// the snapshot's lifetime (Store.Clear swaps dictionaries, but this
-// snapshot keeps its own).
+// the snapshot's lifetime and every later one.
 func (sn Snapshot) Dict() *rdf.Dict {
 	if sn.sn == nil {
 		return nil

@@ -16,8 +16,10 @@
 // stays a handful of large noscan arrays no matter how many quads are
 // loaded.
 //
-// Concurrency follows a single-writer / many-readers snapshot discipline:
-// every mutation batch copy-on-writes the index structures it touches and
+// The store only grows: insertion is its one mutation, as registering a
+// release only adds triples to the ontology (Algorithm 1). Concurrency
+// follows a single-writer / many-readers snapshot discipline: every
+// insertion batch copy-on-writes the index structures it touches and
 // atomically publishes a new immutable, generation-tagged snapshot, while
 // readers pin the current snapshot with one atomic load and never take a
 // lock (see snapshot.go). Index buckets are kept permanently sorted by the
@@ -115,51 +117,31 @@ func (a *arena) add(id QuadID, key []byte) eref {
 	return a.slots.Append(entrySlot{id: id, key: a.keys.Append(key)})
 }
 
-// arenaCompactMin is the minimum number of dead arena slots before a
-// mutation batch triggers an arena rebuild. Dead slots accumulate from
-// removals (and hook-vetoed inserts): the slot and its key bytes stay in the
-// arena until compaction copies the live entries into a fresh one. The
-// rebuild runs when dead slots exceed both this floor and the live size, so
-// its O(live) cost is amortized against the removals that made it necessary.
+// arenaCompactMin is the minimum number of dead arena slots before an
+// insertion batch triggers an arena rebuild. Dead slots come from
+// hook-vetoed inserts: the slot and its key bytes stay in the arena until
+// compaction copies the live entries into a fresh one. The rebuild runs
+// when dead slots exceed both this floor and the live size, so its O(live)
+// cost is amortized against the vetoed inserts that made it necessary.
 const arenaCompactMin = 4096
 
-// BatchKind identifies the kind of an atomic mutation batch reported to a
-// CommitHook.
-type BatchKind uint8
-
-const (
-	// BatchAdd is an atomic insertion batch (Add/AddAll). Quads
-	// lists the quads actually inserted (duplicates already filtered), in
-	// the order they were interned.
-	BatchAdd BatchKind = iota + 1
-	// BatchRemove is a point removal (Remove). Quads lists the removed quads.
-	BatchRemove
-	// BatchRemoveGraph removes a whole named graph. Graph names it; Quads is
-	// nil (replaying RemoveGraph(Graph) reproduces the batch).
-	BatchRemoveGraph
-	// BatchClear empties the store and resets the dictionary.
-	BatchClear
-)
-
-// Batch describes one atomic mutation batch about to be published.
-// Generation is the generation the batch publishes (current generation + 1).
+// Batch describes one atomic insertion batch about to be published: the
+// quads actually inserted (duplicates already filtered), in the order they
+// were interned. Generation is the generation the batch publishes (current
+// generation + 1).
 type Batch struct {
-	Kind       BatchKind
 	Quads      []rdf.Quad
-	Graph      rdf.IRI
 	Generation uint64
 }
 
-// CommitHook observes every mutation batch before it is published. It is
+// CommitHook observes every insertion batch before it is published. It is
 // invoked while the writer mutex is held and strictly before the batch's
 // snapshot becomes visible to readers, which gives a write-ahead-log
 // implementation its ordering guarantee: a batch a reader can observe has
 // always been offered to the hook first, and hook invocations are totally
-// ordered by Generation. A non-nil error vetoes the batch: the mutation is
-// rolled back and the error is propagated by the mutating method (write
-// paths without an error return — Remove, RemoveGraph, Clear — treat a hook
-// error as fatal and panic, the fail-stop policy of a durable store that
-// can no longer log). The hook must not call back into the Store.
+// ordered by Generation. A non-nil error vetoes the batch: the insertion is
+// rolled back and every write returns the hook's error. The hook must not
+// call back into the Store.
 type CommitHook func(Batch) error
 
 // Store is an in-memory quad store with named-graph support. Reads are
@@ -177,14 +159,13 @@ type Store struct {
 	ar *arena
 
 	// quads is the canonical quad set, used by the write path for duplicate
-	// detection and removal lookup. It is guarded by mu and never reachable
-	// from a snapshot.
+	// detection. It is guarded by mu and never reachable from a snapshot.
 	quads map[QuadID]eref
 
 	// keyBuf is the sort-key scratch buffer of the write path. Guarded by mu.
 	keyBuf []byte
 
-	// hook, when set, observes every mutation batch before publication
+	// hook, when set, observes every insertion batch before publication
 	// (write-ahead ordering). Guarded by mu.
 	hook CommitHook
 }
@@ -199,15 +180,6 @@ func (s *Store) SetCommitHook(h CommitHook) {
 	s.hook = h
 }
 
-// offerBatch runs the commit hook for a pending batch. Callers must hold
-// s.mu and must not have published the batch yet.
-func (s *Store) offerBatch(b Batch) error {
-	if s.hook == nil {
-		return nil
-	}
-	return s.hook(b)
-}
-
 // New returns an empty store.
 func New() *Store {
 	s := &Store{quads: map[QuadID]eref{}, ar: newArena()}
@@ -218,7 +190,7 @@ func New() *Store {
 // Len returns the total number of quads in the store.
 func (s *Store) Len() int { return s.Snapshot().Len() }
 
-// Generation returns a counter incremented on every mutation batch. It
+// Generation returns a counter incremented on every insertion batch. It
 // allows callers (e.g. the rewriting caches) to detect staleness cheaply.
 func (s *Store) Generation() uint64 { return s.Snapshot().Generation() }
 
@@ -226,28 +198,11 @@ func (s *Store) Generation() uint64 { return s.Snapshot().Generation() }
 // default graph).
 func (s *Store) GraphLen(graph rdf.IRI) int { return s.Snapshot().GraphLen(graph) }
 
-// Add inserts a quad. Duplicate quads are ignored. It returns true when the
-// quad was newly added.
+// Add inserts a quad as a batch of one (see AddAll). Duplicate quads are
+// ignored. It returns true when the quad was newly added.
 func (s *Store) Add(q rdf.Quad) (bool, error) {
-	if err := q.Validate(); err != nil {
-		return false, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.internQuad(q)
-	if !ok {
-		return false, nil
-	}
-	gen := s.snap.Load().generation + 1
-	if err := s.offerBatch(Batch{Kind: BatchAdd, Quads: []rdf.Quad{q}, Generation: gen}); err != nil {
-		// The arena slot stays behind as a dead entry; compaction reclaims it.
-		delete(s.quads, s.ar.slot(e).id)
-		return false, err
-	}
-	b := s.begin()
-	b.insert([]eref{e})
-	b.publish()
-	return true, nil
+	n, err := s.AddAll([]rdf.Quad{q})
+	return n == 1, err
 }
 
 // AddTriple inserts a triple into the given named graph.
@@ -305,8 +260,10 @@ func (s *Store) AddAllBeforePublish(quads []rdf.Quad, beforePublish func(gen uin
 		prev := s.snap.Load()
 		if s.hook != nil {
 			// The hook sees the inserted quads in intern order, so replaying
-			// the batch re-interns every term at its original TermID.
-			if err := s.offerBatch(Batch{Kind: BatchAdd, Quads: journal, Generation: prev.generation + 1}); err != nil {
+			// the batch re-interns every term at its original TermID. A
+			// vetoed batch's arena slots stay behind as dead entries;
+			// compaction reclaims them.
+			if err := s.hook(Batch{Quads: journal, Generation: prev.generation + 1}); err != nil {
 				for _, e := range ents {
 					delete(s.quads, s.ar.slot(e).id)
 				}
@@ -373,58 +330,6 @@ func (s *Store) internQuad(q rdf.Quad) (eref, bool) {
 	return e, true
 }
 
-// Remove deletes a quad from the store, returning true if it was present.
-// When a commit hook is installed and rejects the batch, Remove panics (see
-// CommitHook).
-func (s *Store) Remove(q rdf.Quad) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.snap.Load()
-	id, ok := quadID(cur.dict, q)
-	if !ok {
-		return false
-	}
-	e, ok := s.quads[id]
-	if !ok {
-		return false
-	}
-	removed := quadOf(cur.dict.Terms(), id)
-	if err := s.offerBatch(Batch{Kind: BatchRemove, Quads: []rdf.Quad{removed}, Generation: cur.generation + 1}); err != nil {
-		panic(fmt.Sprintf("store: commit hook rejected Remove batch: %v", err))
-	}
-	delete(s.quads, id)
-	b := s.begin()
-	b.remove([]eref{e})
-	b.publish()
-	return true
-}
-
-// RemoveGraph deletes every quad in the given named graph in one atomic
-// batch, returning the number removed. The graph's entry bucket is dropped
-// wholesale; only the union indexes need per-bucket maintenance. When a
-// commit hook is installed and rejects the batch, RemoveGraph panics (see
-// CommitHook).
-func (s *Store) RemoveGraph(graph rdf.IRI) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.snap.Load()
-	pos, ok := cur.graphPos(graph)
-	if !ok {
-		return 0
-	}
-	if err := s.offerBatch(Batch{Kind: BatchRemoveGraph, Graph: graph, Generation: cur.generation + 1}); err != nil {
-		panic(fmt.Sprintf("store: commit hook rejected RemoveGraph batch: %v", err))
-	}
-	entries := cur.graphs[pos].entries
-	for _, e := range entries {
-		delete(s.quads, s.ar.slot(e).id)
-	}
-	b := s.begin()
-	b.remove(entries)
-	b.publish()
-	return len(entries)
-}
-
 // Quads returns a snapshot of every quad in the store, sorted.
 func (s *Store) Quads() []rdf.Quad { return s.Snapshot().Quads() }
 
@@ -436,27 +341,6 @@ func (s *Store) Clone() *Store {
 		panic(err)
 	}
 	return c
-}
-
-// Clear removes every quad and resets the dictionary. All TermIDs and Dict
-// references obtained before the Clear are invalidated: re-added terms are
-// assigned fresh IDs in a fresh dictionary. Snapshots pinned before the
-// Clear remain valid views of the pre-Clear state (including its
-// dictionary and arena).
-// When a commit hook is installed and rejects the batch, Clear panics (see
-// CommitHook).
-func (s *Store) Clear() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	gen := s.snap.Load().generation + 1
-	if err := s.offerBatch(Batch{Kind: BatchClear, Generation: gen}); err != nil {
-		panic(fmt.Sprintf("store: commit hook rejected Clear batch: %v", err))
-	}
-	s.ar = newArena()
-	next := emptySnapshot(rdf.NewDict(), s.ar)
-	next.generation = gen
-	s.quads = map[QuadID]eref{}
-	s.snap.Store(next)
 }
 
 // Stats summarizes the content of the store.
@@ -517,7 +401,7 @@ func graphName(d *rdf.Dict, gid rdf.TermID) rdf.IRI {
 	return name
 }
 
-// builder constructs the next snapshot of a mutation batch. The union index
+// builder constructs the next snapshot of an insertion batch. The union index
 // headers are cloned up front (every batch touches both dimensions);
 // pages, buckets and graph buckets are copy-on-written on first touch, and
 // structures created within the batch are tracked so repeated touches mutate
@@ -529,7 +413,7 @@ type builder struct {
 	freshG     map[*graphBucket]bool
 }
 
-// begin opens a mutation batch against the current snapshot. Callers must
+// begin opens an insertion batch against the current snapshot. Callers must
 // hold s.mu, and must have appended any new entries to the arena already
 // (the views are captured here).
 func (s *Store) begin() *builder {
@@ -560,8 +444,8 @@ func cloneIdx(ti *termIndex) *termIndex {
 }
 
 // publish atomically installs the built snapshot as the store's current
-// state, first compacting the arena when removals (or vetoed inserts) have
-// left enough dead slots behind.
+// state, first compacting the arena when vetoed inserts have left enough
+// dead slots behind.
 func (b *builder) publish() {
 	next := b.next
 	if dead := int(b.s.ar.slots.Len()) - next.size; dead >= arenaCompactMin && dead > next.size {
@@ -598,27 +482,15 @@ func (s *Store) compactArena(old *snapshot) *snapshot {
 // batch) instead of one binary insertion per quad.
 func (b *builder) insert(ents []eref) {
 	b.s.sortByKey(ents)
-	b.applyDim(b.next.bySubject, ents, dimSubject, b.mergeSorted)
-	b.applyDim(b.next.byObject, ents, dimObject, b.mergeSorted)
+	b.applyDim(b.next.bySubject, ents, dimSubject)
+	b.applyDim(b.next.byObject, ents, dimObject)
 	b.insertGraphs(ents)
 	b.next.size += len(ents)
 }
 
-// remove subtracts the batch's entries from every index. ents must all be
-// present in the snapshot. Removing the last entry of a graph drops the
-// graph bucket wholesale.
-func (b *builder) remove(ents []eref) {
-	ents = slices.Clone(ents)
-	b.s.sortByKey(ents)
-	b.applyDim(b.next.bySubject, ents, dimSubject, subtractSorted)
-	b.applyDim(b.next.byObject, ents, dimObject, subtractSorted)
-	b.removeGraphs(ents)
-	b.next.size -= len(ents)
-}
-
-// applyDim groups the batch by term and applies op (merge or subtract) once
-// per touched union bucket.
-func (b *builder) applyDim(ti *termIndex, ents []eref, dim int, op func(old, batch []eref) []eref) {
+// applyDim groups the batch by term and merges it once into each touched
+// union bucket.
+func (b *builder) applyDim(ti *termIndex, ents []eref, dim int) {
 	pending := make(map[rdf.TermID][]eref)
 	var order []rdf.TermID
 	for _, e := range ents {
@@ -629,7 +501,7 @@ func (b *builder) applyDim(ti *termIndex, ents []eref, dim int, op func(old, bat
 		pending[tid] = append(pending[tid], e)
 	}
 	for _, tid := range order {
-		b.setBucket(ti, tid, op(ti.bucket(tid), pending[tid]))
+		b.setBucket(ti, tid, b.mergeSorted(ti.bucket(tid), pending[tid]))
 	}
 }
 
@@ -637,13 +509,7 @@ func (b *builder) applyDim(ti *termIndex, ents []eref, dim int, op func(old, bat
 // first touch and maintaining the distinct-term count.
 func (b *builder) setBucket(ti *termIndex, tid rdf.TermID, bucket []eref) {
 	pg := b.ensurePage(ti, tid)
-	old := pg[tid&pageMask]
-	if len(bucket) == 0 {
-		bucket = nil
-		if len(old) > 0 {
-			ti.count--
-		}
-	} else if len(old) == 0 {
+	if len(pg[tid&pageMask]) == 0 {
 		ti.count++
 	}
 	pg[tid&pageMask] = bucket
@@ -707,26 +573,6 @@ func (b *builder) insertGraphs(ents []eref) {
 	b.next.graphs = graphs
 }
 
-// removeGraphs subtracts the batch from the per-graph buckets, dropping
-// buckets that become empty.
-func (b *builder) removeGraphs(ents []eref) {
-	for i := 0; i < len(ents); {
-		gid := b.s.ar.slot(ents[i]).id.Graph
-		j := i
-		for j < len(ents) && b.s.ar.slot(ents[j]).id.Graph == gid {
-			j++
-		}
-		group := ents[i:j]
-		i = j
-		pos, _ := b.next.graphPos(graphName(b.next.dict, gid))
-		gb := b.ensureGraph(pos)
-		gb.entries = subtractSorted(gb.entries, group)
-		if len(gb.entries) == 0 {
-			b.next.graphs = slices.Delete(b.next.graphs, pos, pos+1)
-		}
-	}
-}
-
 // ensureGraph returns a batch-owned graph bucket at the given position,
 // cloning the published one on first touch.
 func (b *builder) ensureGraph(pos int) *graphBucket {
@@ -778,24 +624,4 @@ func (a *arena) gallop(s []eref, i int, k []byte) int {
 		return bytes.Compare(a.key(e), target)
 	})
 	return lo + n
-}
-
-// subtractSorted returns old without the entries of rem. Both slices are
-// ascending by sort key and rem ⊆ old, so eref identity aligns under a
-// single forward pass. The result is a fresh slice: the published bucket is
-// never mutated.
-func subtractSorted(old, rem []eref) []eref {
-	if len(old) == len(rem) {
-		return nil
-	}
-	out := make([]eref, 0, len(old)-len(rem))
-	j := 0
-	for _, e := range old {
-		if j < len(rem) && rem[j] == e {
-			j++
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
 }

@@ -124,31 +124,6 @@ func TestGraphsContaining(t *testing.T) {
 	}
 }
 
-func TestRemoveAndRemoveGraph(t *testing.T) {
-	s := loadedStore(t)
-	q := quadFixture()[0]
-	if !s.Remove(q) {
-		t.Error("expected removal to succeed")
-	}
-	if s.Remove(q) {
-		t.Error("second removal should fail")
-	}
-	if s.Snapshot().Contains(q) {
-		t.Error("removed quad still present")
-	}
-	removed := s.RemoveGraph("http://ex/w1")
-	if removed != 2 {
-		t.Errorf("removed %d, want 2", removed)
-	}
-	if s.GraphLen("http://ex/w1") != 0 {
-		t.Error("graph w1 should be empty")
-	}
-	// Indexes must be consistent after removals.
-	if got := s.Snapshot().Match(WildcardGraph(nil, rdf.IRI("http://ex/hasFeature"), nil)); len(got) != 1 {
-		t.Errorf("after removals, hasFeature matches = %d, want 1", len(got))
-	}
-}
-
 func TestNamedGraphMaterialization(t *testing.T) {
 	s := loadedStore(t)
 	g := s.Snapshot().NamedGraph("http://ex/w1")
@@ -188,20 +163,9 @@ func TestGenerationAdvancesOnMutation(t *testing.T) {
 		t.Error("generation should advance after Add")
 	}
 	g1 := s.Generation()
-	s.Remove(rdf.Q("http://ex/s", "http://ex/p", "http://ex/o", ""))
-	if s.Generation() == g1 {
-		t.Error("generation should advance after Remove")
-	}
-}
-
-func TestClear(t *testing.T) {
-	s := loadedStore(t)
-	s.Clear()
-	if s.Len() != 0 {
-		t.Error("store should be empty after Clear")
-	}
-	if len(s.Snapshot().Graphs()) != 0 {
-		t.Error("no graphs should remain after Clear")
+	s.MustAdd(rdf.Q("http://ex/s", "http://ex/p", "http://ex/o", ""))
+	if s.Generation() != g1 {
+		t.Error("a duplicate Add must not advance the generation")
 	}
 }
 

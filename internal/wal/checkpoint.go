@@ -17,32 +17,34 @@ import (
 // Checkpoint file format, version 2 (all integers uvarint unless noted):
 //
 //	magic    "BDIWCKP2" (8 bytes)
-//	epoch    dictionary compaction epoch (increments whenever a checkpoint
-//	         reclaims at least one TermID)
-//	origLen  dictionary size before compaction
-//	ndrop    TermIDs reclaimed by compaction; then ndrop deltas encoding the
-//	         ascending list of dropped *old* IDs (first delta is absolute).
-//	         The old→new remap is implied: newID = oldID − |dropped ≤ oldID|.
+//	epoch    always 0 when written (see below)
+//	origLen  always nterms when written
+//	ndrop    always 0 when written; then ndrop deltas encoding an ascending
+//	         list of dropped TermIDs (first delta is absolute)
 //	gen      store generation the snapshot was pinned at
-//	nterms   compacted dictionary size (origLen − ndrop); then nterms terms
-//	         (rdf codec) in TermID order
+//	nterms   dictionary size (origLen − ndrop); then nterms terms (rdf
+//	         codec) in TermID order
 //	ngraphs  non-empty graphs; per graph: nquads, then nquads × 4 TermIDs
 //	nspans   always 0 when written. Earlier builds wrote the release-delta
 //	         log here (the encoding of legacy WAL release records); the
 //	         decoder still reads such spans and discards them
 //	crc      uint32 LE CRC-32C of everything above
 //
+// Earlier builds compacted the dictionary at every checkpoint, dropping the
+// TermIDs that removals had orphaned and writing the rest densely
+// renumbered, with a compaction epoch. The store only grows now, so no
+// TermID is ever orphaned and the header is written empty. The decoder
+// still validates and skips a dropped-ID list: the terms and TermIDs such a
+// checkpoint stores are already the renumbered ones.
+//
 // Version 1 ("BDIWCKP1") is the same layout without the epoch/origLen/drop
-// header; the decoder accepts both, so pre-compaction data dirs recover
+// header; the decoder accepts both, so version-1 data dirs recover
 // unchanged (and the next checkpoint rewrites them as v2).
 //
 // A checkpoint is self-contained: the dictionary table restores every
-// TermID at its (possibly remapped) value with sort keys regenerated from
-// the term values, the graph sections are the store's pre-sorted buckets
-// dumped in bulk (store.Restore rebuilds every index with plain appends).
-// Sort keys
-// derive from term bytes, never from TermIDs, so the dense remap leaves the
-// serialized bucket order untouched.
+// TermID at its value with sort keys regenerated from the term values, the
+// graph sections are the store's pre-sorted buckets dumped in bulk
+// (store.Restore rebuilds every index with plain appends).
 
 var (
 	checkpointMagicV1 = []byte("BDIWCKP1")
@@ -51,110 +53,28 @@ var (
 
 // checkpointData is a decoded checkpoint.
 type checkpointData struct {
-	version     int    // format version (1 or 2)
-	generation  uint64 // store generation of the pinned snapshot
-	epoch       uint64 // dict compaction epoch (0 for v1)
-	origDictLen int    // dictionary size before compaction (== dict len for v1)
-	reclaimed   int    // TermIDs dropped by the writer's compaction pass
-	remapBytes  int    // encoded size of the dropped-ID section
-	dict        *rdf.Dict
-	graphs      [][]store.QuadID
-	quads       int
+	version    int    // format version (1 or 2)
+	generation uint64 // store generation of the pinned snapshot
+	dict       *rdf.Dict
+	graphs     [][]store.QuadID
+	quads      int
 }
 
-// checkpointPayload is what the writer serializes: the (possibly compacted)
-// dictionary table and remapped graph sections plus the compaction header.
+// checkpointPayload is what the writer serializes: the dictionary table and
+// the graph sections of one pinned snapshot.
 type checkpointPayload struct {
-	generation  uint64
-	epoch       uint64
-	origDictLen int
-	dropped     []rdf.TermID // ascending old TermIDs reclaimed by compaction
-	terms       []rdf.Term
-	graphs      [][]store.QuadID
+	generation uint64
+	terms      []rdf.Term
+	graphs     [][]store.QuadID
 }
 
-// snapshotPayload assembles an uncompacted payload straight from a pinned
-// snapshot (the input of compactDict, and what tests and benchmarks write).
+// snapshotPayload assembles the payload of a pinned snapshot.
 func snapshotPayload(sn store.Snapshot, terms []rdf.Term) checkpointPayload {
 	return checkpointPayload{
-		generation:  sn.Generation(),
-		origDictLen: len(terms),
-		terms:       terms,
-		graphs:      sn.ExportGraphIDs(),
+		generation: sn.Generation(),
+		terms:      terms,
+		graphs:     sn.ExportGraphIDs(),
 	}
-}
-
-// compactDict computes the TermIDs live in the exported graphs and, when the
-// dictionary holds orphaned entries (terms no longer referenced by any quad —
-// RemoveGraph and wrapper deregistration leave these behind, since the
-// dictionary itself is append-only), rewrites the term table and every QuadID
-// under the dense order-preserving remap newID = oldID − |dropped ≤ oldID|.
-// Sort keys are term-key-based, so bucket order survives the remap and the
-// rewritten graph sections stay valid Restore input. Returns the inputs
-// unchanged (nil dropped list) when nothing is reclaimable.
-func compactDict(terms []rdf.Term, graphs [][]store.QuadID) ([]rdf.Term, [][]store.QuadID, []rdf.TermID) {
-	live := make([]bool, len(terms)+1)
-	for _, ids := range graphs {
-		for _, id := range ids {
-			live[id.Graph] = true
-			live[id.Subject] = true
-			live[id.Predicate] = true
-			live[id.Object] = true
-		}
-	}
-	var dropped []rdf.TermID
-	for id := 1; id <= len(terms); id++ {
-		if !live[id] {
-			dropped = append(dropped, rdf.TermID(id))
-		}
-	}
-	if len(dropped) == 0 {
-		return terms, graphs, nil
-	}
-	remap := make([]rdf.TermID, len(terms)+1)
-	shift := rdf.TermID(0)
-	di := 0
-	for id := rdf.TermID(1); id <= rdf.TermID(len(terms)); id++ {
-		if di < len(dropped) && dropped[di] == id {
-			shift++
-			di++
-			continue
-		}
-		remap[id] = id - shift
-	}
-	newTerms := make([]rdf.Term, 0, len(terms)-len(dropped))
-	for i, t := range terms {
-		if remap[i+1] != 0 {
-			newTerms = append(newTerms, t)
-		}
-	}
-	newGraphs := make([][]store.QuadID, len(graphs))
-	for gi, ids := range graphs {
-		out := make([]store.QuadID, len(ids))
-		for i, id := range ids {
-			out[i] = store.QuadID{
-				Graph:     remap[id.Graph],
-				Subject:   remap[id.Subject],
-				Predicate: remap[id.Predicate],
-				Object:    remap[id.Object],
-			}
-		}
-		newGraphs[gi] = out
-	}
-	return newTerms, newGraphs, dropped
-}
-
-// droppedEncodedSize returns the byte size of the delta-encoded dropped-ID
-// section (the on-disk remap), for checkpoint and recovery stats.
-func droppedEncodedSize(dropped []rdf.TermID) int {
-	n := 0
-	prev := rdf.TermID(0)
-	var scratch [binary.MaxVarintLen64]byte
-	for _, id := range dropped {
-		n += binary.PutUvarint(scratch[:], uint64(id-prev))
-		prev = id
-	}
-	return n
 }
 
 // crcWriter tees writes into a running CRC-32C so the checkpoint can be
@@ -185,19 +105,9 @@ func writeCheckpointTo(w io.Writer, p checkpointPayload) error {
 		return err
 	}
 	scratch = append(scratch, checkpointMagicV2...)
-	scratch = binary.AppendUvarint(scratch, p.epoch)
-	scratch = binary.AppendUvarint(scratch, uint64(p.origDictLen))
-	scratch = binary.AppendUvarint(scratch, uint64(len(p.dropped)))
-	prev := rdf.TermID(0)
-	for _, id := range p.dropped {
-		scratch = binary.AppendUvarint(scratch, uint64(id-prev))
-		prev = id
-		if len(scratch) >= 1<<15 {
-			if err := emit(); err != nil {
-				return err
-			}
-		}
-	}
+	scratch = binary.AppendUvarint(scratch, 0) // epoch
+	scratch = binary.AppendUvarint(scratch, uint64(len(p.terms)))
+	scratch = binary.AppendUvarint(scratch, 0) // ndrop
 	scratch = binary.AppendUvarint(scratch, p.generation)
 	scratch = binary.AppendUvarint(scratch, uint64(len(p.terms)))
 	if err := emit(); err != nil {
@@ -239,8 +149,8 @@ func writeCheckpointTo(w io.Writer, p checkpointPayload) error {
 	return bw.Flush()
 }
 
-// encodeCheckpoint materializes an uncompacted checkpoint in memory (tests
-// and benchmarks; the file path streams via writeCheckpointTo).
+// encodeCheckpoint materializes a checkpoint in memory (tests and
+// benchmarks; the file path streams via writeCheckpointTo).
 func encodeCheckpoint(sn store.Snapshot, terms []rdf.Term) []byte {
 	var buf bytes.Buffer
 	if err := writeCheckpointTo(&buf, snapshotPayload(sn, terms)); err != nil {
@@ -250,8 +160,8 @@ func encodeCheckpoint(sn store.Snapshot, terms []rdf.Term) []byte {
 }
 
 // decodeCheckpoint parses and verifies a checkpoint file's contents. Both
-// format versions are accepted; v1 files decode with epoch 0 and an empty
-// remap.
+// format versions are accepted; a v2 header's epoch is ignored and its
+// dropped-ID list validated and skipped.
 func decodeCheckpoint(data []byte) (*checkpointData, error) {
 	if len(data) < len(checkpointMagicV2)+4 {
 		return nil, fmt.Errorf("wal: checkpoint too short (%d bytes)", len(data))
@@ -271,11 +181,11 @@ func decodeCheckpoint(data []byte) (*checkpointData, error) {
 	}
 	b := body[len(checkpointMagicV2):]
 	var err error
+	var origLen, ndrop uint64
 	if ck.version == 2 {
-		if ck.epoch, b, err = readUvarint(b); err != nil {
+		if _, b, err = readUvarint(b); err != nil { // epoch
 			return nil, err
 		}
-		var origLen, ndrop uint64
 		if origLen, b, err = readUvarint(b); err != nil {
 			return nil, err
 		}
@@ -285,9 +195,6 @@ func decodeCheckpoint(data []byte) (*checkpointData, error) {
 		if ndrop > origLen {
 			return nil, fmt.Errorf("wal: checkpoint drops %d of %d TermIDs", ndrop, origLen)
 		}
-		ck.origDictLen = int(origLen)
-		ck.reclaimed = int(ndrop)
-		before := len(b)
 		prev := rdf.TermID(0)
 		for i := uint64(0); i < ndrop; i++ {
 			var delta uint64
@@ -302,7 +209,6 @@ func decodeCheckpoint(data []byte) (*checkpointData, error) {
 		if uint64(prev) > origLen {
 			return nil, fmt.Errorf("wal: checkpoint remap drops TermID %d beyond dictionary size %d", prev, origLen)
 		}
-		ck.remapBytes = before - len(b)
 	}
 	if ck.generation, b, err = readUvarint(b); err != nil {
 		return nil, err
@@ -311,8 +217,8 @@ func decodeCheckpoint(data []byte) (*checkpointData, error) {
 	if nterms, b, err = readCount(b, minTermSize); err != nil {
 		return nil, err
 	}
-	if ck.version == 2 && int(nterms) != ck.origDictLen-ck.reclaimed {
-		return nil, fmt.Errorf("wal: checkpoint has %d terms, header implies %d", nterms, ck.origDictLen-ck.reclaimed)
+	if ck.version == 2 && nterms != origLen-ndrop {
+		return nil, fmt.Errorf("wal: checkpoint has %d terms, header implies %d", nterms, origLen-ndrop)
 	}
 	terms := make([]rdf.Term, 0, nterms)
 	for i := uint64(0); i < nterms; i++ {
@@ -321,9 +227,6 @@ func decodeCheckpoint(data []byte) (*checkpointData, error) {
 			return nil, err
 		}
 		terms = append(terms, t)
-	}
-	if ck.version == 1 {
-		ck.origDictLen = len(terms)
 	}
 	if ck.dict, err = rdf.NewDictFromTerms(terms); err != nil {
 		return nil, fmt.Errorf("wal: rebuilding checkpoint dictionary: %w", err)

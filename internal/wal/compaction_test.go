@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -15,12 +17,159 @@ import (
 	"bdi/internal/store"
 )
 
-// The dictionary-compaction parity suite: workloads interleave removals
-// (which orphan TermIDs — the dictionary is append-only) with compacting
-// checkpoints, and every rebuild path from the same data dir — recovery and
-// replica-style checkpoint bootstrap — must produce byte-identical stores
-// under the densely remapped IDs, including when the newest (compacted)
+// The checkpoint parity suite: the add-only scripted workload interleaves
+// with checkpoints, and every rebuild path from the same data dir — recovery
+// and replica-style checkpoint bootstrap — must produce byte-identical
+// stores (dictionary tables, MatchWithIDs), including when the newest
 // checkpoint is corrupted away or the WAL is killed at arbitrary offsets.
+//
+// Earlier builds compacted the dictionary at every checkpoint: removals
+// orphaned TermIDs, and each checkpoint was written without them, densely
+// renumbered. The store only grows now and the writer no longer compacts,
+// but those checkpoints must stay readable, so the suite also runs on a dir
+// whose newest checkpoint is rewritten the way those builds wrote it.
+
+// compactDict is the compaction pass earlier builds ran at every
+// checkpoint, kept as the fixture that writes their checkpoints. It computes
+// the TermIDs live in the exported graphs and, when the dictionary holds
+// orphaned entries, rewrites the term table and every QuadID under the dense
+// order-preserving remap newID = oldID − |dropped ≤ oldID|. Sort keys derive
+// from term bytes, so bucket order survives the remap. It returns the
+// inputs unchanged (nil dropped list) when nothing is reclaimable.
+func compactDict(terms []rdf.Term, graphs [][]store.QuadID) ([]rdf.Term, [][]store.QuadID, []rdf.TermID) {
+	live := make([]bool, len(terms)+1)
+	for _, ids := range graphs {
+		for _, id := range ids {
+			live[id.Graph] = true
+			live[id.Subject] = true
+			live[id.Predicate] = true
+			live[id.Object] = true
+		}
+	}
+	var dropped []rdf.TermID
+	for id := 1; id <= len(terms); id++ {
+		if !live[id] {
+			dropped = append(dropped, rdf.TermID(id))
+		}
+	}
+	if len(dropped) == 0 {
+		return terms, graphs, nil
+	}
+	remap := make([]rdf.TermID, len(terms)+1)
+	shift := rdf.TermID(0)
+	di := 0
+	for id := rdf.TermID(1); id <= rdf.TermID(len(terms)); id++ {
+		if di < len(dropped) && dropped[di] == id {
+			shift++
+			di++
+			continue
+		}
+		remap[id] = id - shift
+	}
+	newTerms := make([]rdf.Term, 0, len(terms)-len(dropped))
+	for i, t := range terms {
+		if remap[i+1] != 0 {
+			newTerms = append(newTerms, t)
+		}
+	}
+	newGraphs := make([][]store.QuadID, len(graphs))
+	for gi, ids := range graphs {
+		out := make([]store.QuadID, len(ids))
+		for i, id := range ids {
+			out[i] = store.QuadID{
+				Graph:     remap[id.Graph],
+				Subject:   remap[id.Subject],
+				Predicate: remap[id.Predicate],
+				Object:    remap[id.Object],
+			}
+		}
+		newGraphs[gi] = out
+	}
+	return newTerms, newGraphs, dropped
+}
+
+// encodeCompactedCheckpoint writes a checkpoint of terms and graphs at gen
+// as an earlier build's compacting writer did: compacted by compactDict,
+// with the header naming the dropped TermIDs under the given compaction
+// epoch. It returns the bytes and the compacted dictionary and graphs.
+func encodeCompactedCheckpoint(t *testing.T, gen, epoch uint64, terms []rdf.Term, graphs [][]store.QuadID) ([]byte, []rdf.Term, [][]store.QuadID) {
+	t.Helper()
+	terms, graphs, dropped := compactDict(terms, graphs)
+	if len(dropped) == 0 {
+		t.Fatal("compactDict found no orphaned TermID; the fixture would write an uncompacted checkpoint")
+	}
+	var buf bytes.Buffer
+	if err := writeCheckpointTo(&buf, checkpointPayload{generation: gen, terms: terms, graphs: graphs}); err != nil {
+		t.Fatal(err)
+	}
+	// Swap this build's empty header (epoch 0, origLen = nterms, ndrop 0)
+	// for the compacting writer's, and drop the CRC to recompute it.
+	rest := buf.Bytes()[len(checkpointMagicV2):]
+	for range 3 {
+		var err error
+		if _, rest, err = readUvarint(rest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body := append([]byte(nil), checkpointMagicV2...)
+	body = binary.AppendUvarint(body, epoch)
+	body = binary.AppendUvarint(body, uint64(len(terms)+len(dropped)))
+	body = binary.AppendUvarint(body, uint64(len(dropped)))
+	prev := rdf.TermID(0)
+	for _, id := range dropped {
+		body = binary.AppendUvarint(body, uint64(id-prev))
+		prev = id
+	}
+	body = append(body, rest[:len(rest)-4]...)
+	return checkpointOf(body), terms, graphs
+}
+
+// orphanTerms interns terms that no stored quad uses, as removals did in
+// earlier builds: a batch the commit hook vetoes leaves its terms in the
+// append-only dictionary. The store's hook is then set to restore.
+func orphanTerms(t *testing.T, s *store.Store, restore store.CommitHook) {
+	t.Helper()
+	veto := errors.New("vetoed")
+	s.SetCommitHook(func(store.Batch) error { return veto })
+	defer s.SetCommitHook(restore)
+	quads := []rdf.Quad{
+		rdf.Q("http://ex/orphan/s", "http://ex/orphan/p", "http://ex/orphan/o1", "http://ex/orphan/g"),
+		rdf.Q("http://ex/orphan/s", "http://ex/orphan/p", "http://ex/orphan/o2", "http://ex/orphan/g"),
+	}
+	if _, err := s.AddAll(quads); !errors.Is(err, veto) {
+		t.Fatalf("vetoed batch returned %v", err)
+	}
+}
+
+// assertEmptyCompactionHeader checks that every checkpoint in dir carries
+// the header this build writes: epoch 0, origLen equal to the term count,
+// no dropped TermIDs.
+func assertEmptyCompactionHeader(t *testing.T, dir string) {
+	t.Helper()
+	ckpts, err := listSeqFiles(dir, checkpointPrefix, checkpointSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ck := range ckpts {
+		data, err := os.ReadFile(ck.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, checkpointMagicV2) {
+			t.Fatalf("%s: not a v2 checkpoint", filepath.Base(ck.path))
+		}
+		var fields [5]uint64 // epoch, origLen, ndrop, gen, nterms
+		b := data[len(checkpointMagicV2):]
+		for i := range fields {
+			if fields[i], b, err = readUvarint(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fields[0] != 0 || fields[2] != 0 || fields[1] != fields[4] {
+			t.Fatalf("%s: header epoch=%d origLen=%d ndrop=%d nterms=%d, want 0, nterms, 0", filepath.Base(ck.path), fields[0], fields[1], fields[2], fields[4])
+		}
+	}
+}
 
 // quadStrings renders an ontology's quads for order-sensitive comparison.
 func quadStrings(o *core.Ontology) []string {
@@ -133,14 +282,13 @@ func bootstrapFromDir(t *testing.T, dir string) *core.Ontology {
 	return o
 }
 
-// TestDictCompactionCheckpointParity interleaves the scripted workload
-// (removals and re-registrations included) with randomly placed compacting
-// checkpoints, then proves recovery and replica bootstrap from the surviving
-// dir agree byte-identically with each other and logically with the live
-// primary — whose dictionary stays sparse until restart.
+// TestDictCompactionCheckpointParity interleaves the add-only scripted
+// workload (releases and Global-graph edits) with randomly placed
+// checkpoints, then proves recovery and replica bootstrap from the
+// surviving dir agree byte-identically with each other and with the live
+// primary, and that no checkpoint was written compacted.
 func TestDictCompactionCheckpointParity(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			ops := buildScript(t, rng)
@@ -149,75 +297,53 @@ func TestDictCompactionCheckpointParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reclaimedTotal := 0
-			var lastInfo CheckpointInfo
 			for i, op := range ops {
 				if err := op.run(m.Ontology()); err != nil {
 					t.Fatalf("op %s: %v", op.name, err)
 				}
-				// Random interleave, plus a guaranteed checkpoint right after
-				// the removal ops so the compacted base has a WAL tail (the
-				// final release) to replay on top of it.
+				// Random interleave, plus a guaranteed checkpoint before the
+				// last op so the newest base has a WAL tail (the final
+				// release) to replay on top of it.
 				if rng.Intn(4) == 0 || i == len(ops)-2 {
 					info, err := m.Checkpoint()
 					if err != nil {
 						t.Fatal(err)
 					}
-					reclaimedTotal += info.DictIDsReclaimed
-					lastInfo = info
+					if info.FormatVersion != 2 {
+						t.Fatalf("checkpoint info = %+v, want v2", info)
+					}
 				}
 			}
-			if reclaimedTotal == 0 {
-				t.Fatal("no checkpoint reclaimed a TermID; compaction never fired")
-			}
-			if lastInfo.FormatVersion != 2 || lastInfo.CompactionEpoch == 0 {
-				t.Fatalf("last checkpoint info = %+v, want v2 with a nonzero epoch", lastInfo)
-			}
-			liveQuads := quadStrings(m.Ontology())
-			liveFP := rewriteFingerprint(m.Ontology())
-			liveDictLen := m.Ontology().Store().Snapshot().Dict().Len()
+			live := m.Ontology()
 			if err := m.Abort(); err != nil {
 				t.Fatal(err)
 			}
+			assertEmptyCompactionHeader(t, dir)
 
 			recovered, rec, err := Inspect(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec.CheckpointFormatVersion != 2 {
-				t.Fatalf("recovery loaded a v%d checkpoint, want v2", rec.CheckpointFormatVersion)
+			if rec.CheckpointFormatVersion != 2 || rec.RecordsReplayed == 0 {
+				t.Fatalf("recovery = %+v, want a v2 checkpoint and a replayed tail", rec)
 			}
-			if rec.DictIDsReclaimed == 0 {
-				t.Fatal("recovery reports no reclaimed IDs; the newest checkpoint should be compacted")
+			assertOntologyByteParity(t, live, recovered, "live vs recovery")
+			if fp, lfp := rewriteFingerprint(recovered), rewriteFingerprint(live); fp != lfp {
+				t.Fatalf("rewriting diverged:\nrecovered: %s\nlive: %s", fp, lfp)
 			}
-			if rec.DictCompactionEpoch == 0 || rec.DictRemapBytes == 0 {
-				t.Fatalf("recovery info missing compaction stats: %+v", rec)
-			}
-			// Logical parity with the live primary: same quads, same rewriting,
-			// and a dictionary denser by exactly the reclaimed count (replayed
-			// tail batches re-intern their new terms on both sides).
-			if got := quadStrings(recovered); !reflect.DeepEqual(got, liveQuads) {
-				t.Fatalf("recovered quads diverged from the live primary (%d vs %d)", len(got), len(liveQuads))
-			}
-			if fp := rewriteFingerprint(recovered); fp != liveFP {
-				t.Fatalf("rewriting diverged:\nrecovered: %s\nlive: %s", fp, liveFP)
-			}
-			if got, want := recovered.Store().Snapshot().Dict().Len(), liveDictLen-rec.DictIDsReclaimed; got != want {
-				t.Fatalf("recovered dict has %d terms, want %d (live %d − %d reclaimed)", got, want, liveDictLen, rec.DictIDsReclaimed)
-			}
-			// Byte parity across rebuild paths: recovery vs replica bootstrap.
-			boot := bootstrapFromDir(t, dir)
-			assertOntologyByteParity(t, recovered, boot, "recovery vs bootstrap")
+			assertOntologyByteParity(t, recovered, bootstrapFromDir(t, dir), "recovery vs bootstrap")
 		})
 	}
 }
 
 // TestDictCompactionKillParity extends the crash-parity offsets to a dir
-// whose newest checkpoint is compacted: the WAL tail past that checkpoint is
-// killed at arbitrary offsets — and the checkpoint itself corrupted, as a
-// crash mid-compaction-rewrite leaves at worst a skipped file — and recovery
-// must land on a valid op prefix, logically identical to a from-scratch
-// rebuild and byte-identical to a replica bootstrap of the same dir.
+// whose newest checkpoint an earlier build wrote compacted (TermIDs
+// orphaned, then dropped and the rest renumbered): the WAL tail past that
+// checkpoint is killed at arbitrary offsets — and the checkpoint itself
+// corrupted, as a crash mid-rewrite leaves at worst a skipped file — and
+// recovery must land on a valid op prefix, logically identical to a
+// from-scratch rebuild and byte-identical to a replica bootstrap of the same
+// dir.
 func TestDictCompactionKillParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ops := buildScript(t, rng)
@@ -227,25 +353,39 @@ func TestDictCompactionKillParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseGen := m.Ontology().Store().Generation()
-	// Apply everything through the removals, compact, then one more release
-	// so the WAL holds a replayable tail past the compacted base.
+	// Apply everything but the last op, orphan a few TermIDs, checkpoint,
+	// then one more release so the WAL holds a replayable tail past it.
 	for _, op := range ops[:len(ops)-1] {
 		if err := op.run(m.Ontology()); err != nil {
 			t.Fatalf("op %s: %v", op.name, err)
 		}
 	}
+	orphanTerms(t, m.Ontology().Store(), m.onBatch)
 	info, err := m.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if info.DictIDsReclaimed == 0 {
-		t.Fatalf("post-removal checkpoint reclaimed nothing: %+v", info)
 	}
 	ckptGen := info.Generation
 	if err := ops[len(ops)-1].run(m.Ontology()); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the newest checkpoint as an earlier build's compacting writer
+	// left it.
+	ckptPath := filepath.Join(dir, checkpointName(ckptGen))
+	data, err := os.ReadFile(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := decodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted, _, _ := encodeCompactedCheckpoint(t, ck.generation, 3, ck.dict.Terms(), ck.graphs)
+	if err := os.WriteFile(ckptPath, compacted, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -291,7 +431,6 @@ func TestDictCompactionKillParity(t *testing.T) {
 		offsets = append(offsets, rng.Int63n(size+1))
 	}
 	for _, off := range offsets {
-		off := off
 		trial(fmt.Sprintf("truncate@%d", off), func(tdir string) {
 			if err := os.Truncate(filepath.Join(tdir, filepath.Base(lastSeg.path)), off); err != nil {
 				t.Fatal(err)
@@ -299,13 +438,9 @@ func TestDictCompactionKillParity(t *testing.T) {
 		})
 	}
 	// Kill the compacted checkpoint itself: recovery and bootstrap both fall
-	// back to the previous (uncompacted) base and replay the full WAL.
+	// back to the previous base and replay the full WAL.
 	trial("corrupt-compacted-checkpoint", func(tdir string) {
-		ckpts, err := listSeqFiles(tdir, checkpointPrefix, checkpointSuffix)
-		if err != nil || len(ckpts) < 2 {
-			t.Fatalf("listing checkpoints: %v (%d found, want >= 2)", err, len(ckpts))
-		}
-		path := ckpts[len(ckpts)-1].path
+		path := filepath.Join(tdir, checkpointName(ckptGen))
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -315,6 +450,83 @@ func TestDictCompactionKillParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestCompactedCheckpointReadable pins that a checkpoint an earlier build
+// compacted (dropped TermIDs listed in its header) restores to exactly the
+// quads and TermIDs it stores — shipped to a replica, recovered from a data
+// dir, and once that dir is opened and checkpointed again, rewritten with
+// this build's empty header and the same TermIDs.
+func TestCompactedCheckpointReadable(t *testing.T) {
+	o, err := core.BuildSupersedeOntology(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphanTerms(t, o.Store(), nil)
+	if _, err := o.NewRelease(core.SupersedeReleaseW4()); err != nil {
+		t.Fatal(err)
+	}
+	sn := o.Store().Snapshot()
+	data, terms, graphs := encodeCompactedCheckpoint(t, sn.Generation(), 1, sn.Dict().Terms(), sn.ExportGraphIDs())
+	if len(terms) >= sn.Dict().Len() {
+		t.Fatalf("compacted dictionary has %d terms, live %d; nothing was dropped", len(terms), sn.Dict().Len())
+	}
+	// checkStores asserts got holds o's quads under the compacted TermIDs.
+	checkStores := func(label string, got *core.Ontology) {
+		t.Helper()
+		gsn := got.Store().Snapshot()
+		if gsn.Generation() != sn.Generation() {
+			t.Fatalf("%s: generation %d, want %d", label, gsn.Generation(), sn.Generation())
+		}
+		quadsEqual(t, gsn.Quads(), sn.Quads())
+		if gt := gsn.Dict().Terms(); !reflect.DeepEqual(gt, terms) {
+			t.Fatalf("%s: dictionary has %d terms, the checkpoint stores %d", label, len(gt), len(terms))
+		}
+		var want []store.QuadID
+		for _, ids := range graphs {
+			want = append(want, ids...)
+		}
+		var ids []store.QuadID
+		for _, mq := range gsn.MatchWithIDs(store.Pattern{}) {
+			ids = append(ids, mq.ID)
+		}
+		if !reflect.DeepEqual(ids, want) {
+			t.Fatalf("%s: MatchWithIDs returns other TermIDs than the checkpoint stores", label)
+		}
+	}
+
+	shipped, err := RestoreCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStores("shipped", shipped)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, checkpointName(sn.Generation())), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recovered, rec, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.CheckpointFormatVersion != 2 || rec.CheckpointQuads != sn.Len() {
+		t.Fatalf("recovery = %+v, want the v2 checkpoint's %d quads", rec, sn.Len())
+	}
+	checkStores("recovered", recovered)
+
+	m, err := Open(dir, Options{Sync: SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil { // writes a checkpoint of the same generation
+		t.Fatal(err)
+	}
+	assertEmptyCompactionHeader(t, dir)
+	rewritten, _, err := Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStores("rewritten", rewritten)
 }
 
 // encodeCheckpointV1 writes the version-1 checkpoint layout (no compaction
@@ -348,9 +560,9 @@ func encodeCheckpointV1(sn store.Snapshot, terms []rdf.Term, spans []core.DeltaS
 }
 
 // TestCheckpointV1Compatibility pins the upgrade path: a version-1 checkpoint
-// still decodes and recovers with its TermIDs preserved (orphans included —
-// v1 never compacted), Open reports the loaded format version, and the next
-// checkpoint rewrites the dir as v2, reclaiming the recovered orphans.
+// still decodes and recovers with its TermIDs preserved, Open reports the
+// loaded format version, and the next checkpoint rewrites the dir as v2
+// under the same TermIDs.
 func TestCheckpointV1Compatibility(t *testing.T) {
 	o := core.NewOntology()
 	if err := core.BuildSupersedeGlobalGraph(o); err != nil {
@@ -360,9 +572,6 @@ func TestCheckpointV1Compatibility(t *testing.T) {
 	if _, err := o.NewRelease(core.SupersedeReleaseW1()); err != nil {
 		t.Fatal(err)
 	}
-	if o.RemoveWrapperRegistration("w1") == 0 {
-		t.Fatal("expected the w1 registration to be removable")
-	}
 	sn := o.Store().Snapshot()
 	terms := sn.Dict().Terms()
 	data := encodeCheckpointV1(sn, terms, *spans)
@@ -371,26 +580,26 @@ func TestCheckpointV1Compatibility(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decoding a v1 checkpoint: %v", err)
 	}
-	if ck.version != 1 || ck.epoch != 0 || ck.reclaimed != 0 {
-		t.Fatalf("v1 decode: version=%d epoch=%d reclaimed=%d, want 1/0/0", ck.version, ck.epoch, ck.reclaimed)
-	}
-	if ck.origDictLen != len(terms) {
-		t.Fatalf("v1 origDictLen = %d, want %d", ck.origDictLen, len(terms))
+	if ck.version != 1 {
+		t.Fatalf("v1 decode: version=%d, want 1", ck.version)
 	}
 	restored, err := store.Restore(ck.dict, ck.generation, ck.graphs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	quadsEqual(t, restored.Quads(), o.Store().Quads())
-	rt, wt := restored.Snapshot().Dict().Terms(), terms
-	if len(rt) != len(wt) {
-		t.Fatalf("restored dict has %d terms, want %d", len(rt), len(wt))
-	}
-	for i := range rt {
-		if !rt[i].Equal(wt[i]) {
-			t.Fatalf("restored dict term %d = %v, want %v (v1 TermIDs must be preserved)", i+1, rt[i], wt[i])
+	assertTermsEqual := func(label string, got []rdf.Term) {
+		t.Helper()
+		if len(got) != len(terms) {
+			t.Fatalf("%s: dict has %d terms, want %d", label, len(got), len(terms))
+		}
+		for i := range got {
+			if !got[i].Equal(terms[i]) {
+				t.Fatalf("%s: dict term %d = %v, want %v (v1 TermIDs must be preserved)", label, i+1, got[i], terms[i])
+			}
 		}
 	}
+	assertTermsEqual("restored", restored.Snapshot().Dict().Terms())
 
 	// Full lifecycle: a dir holding only the v1 file opens, reports the
 	// format, journals new writes, and upgrades on its next checkpoint.
@@ -417,17 +626,16 @@ func TestCheckpointV1Compatibility(t *testing.T) {
 	if info.FormatVersion != 2 {
 		t.Fatalf("rewritten checkpoint format = %d, want 2", info.FormatVersion)
 	}
-	if info.DictIDsReclaimed == 0 || info.CompactionEpoch != 1 {
-		t.Fatalf("upgrade checkpoint did not reclaim the recovered orphans: %+v", info)
-	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec2, err := Inspect(dir)
+	assertEmptyCompactionHeader(t, dir)
+	upgraded, rec2, err := Inspect(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec2.CheckpointFormatVersion != 2 {
 		t.Fatalf("post-upgrade recovery format version = %d, want 2", rec2.CheckpointFormatVersion)
 	}
+	assertTermsEqual("upgraded", upgraded.Store().Snapshot().Dict().Terms())
 }

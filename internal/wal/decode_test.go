@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
+
+	"bdi/internal/core"
 )
 
 // frameOf wraps a payload in a CRC-valid record frame.
@@ -73,9 +76,11 @@ func TestRestoreCheckpointRejectsImpossibleCounts(t *testing.T) {
 // panics it, and a frame it accepts re-encodes to a frame that decodes to
 // an equal record. Seeded from testdata/fuzz/FuzzDecodeFrame: the frames a
 // SUPERSEDE release journaled in earlier builds (add-all and the legacy
-// release record), truncated and bit-flipped variants, and frames
-// announcing impossible counts. A legacy release record is decoded but never
-// written, so it has no re-encoding to compare.
+// release record), the removal records those builds journaled (remove,
+// remove-graph, clear), truncated and bit-flipped variants, and frames
+// announcing impossible counts. Legacy release and removal records are
+// decoded but never written, so they have no re-encoding to compare; a
+// removal record must instead be refused by Apply, naming its kind.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rec, n, err := DecodeFrame(b)
@@ -85,9 +90,15 @@ func FuzzDecodeFrame(f *testing.F) {
 		if n < frameHeaderSize || n > len(b) {
 			t.Fatalf("consumed %d of %d bytes", n, len(b))
 		}
-		if rec.rec.kind == recRelease {
+		switch rec.rec.kind {
+		case recRelease:
 			if rec.Generation != 0 {
 				t.Fatalf("legacy release record publishes generation %d, want 0", rec.Generation)
+			}
+			return
+		case recRemove, recRemoveGraph, recClear:
+			if err := rec.Apply(core.NewOntology()); err == nil || !strings.Contains(err.Error(), rec.Kind()) {
+				t.Fatalf("applying a %s record returned %v, want a refusal naming it", rec.Kind(), err)
 			}
 			return
 		}

@@ -2,8 +2,10 @@ package wal
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"bdi/internal/core"
@@ -57,6 +59,113 @@ func withLegacySpans(ckpt []byte, spans []core.DeltaSpan) []byte {
 		body = appendLegacySpan(body, sp)
 	}
 	return checkpointOf(body)
+}
+
+// retiredFrame frames a removal record as earlier builds journaled it:
+// remove carries the removed quads, remove-graph the graph's name, clear
+// nothing past its generation.
+func retiredFrame(kind recordKind, gen uint64) []byte {
+	p := binary.AppendUvarint([]byte{byte(kind)}, gen)
+	switch kind {
+	case recRemove:
+		p = binary.AppendUvarint(p, 1)
+		p = appendQuad(p, rdf.Quad{Triple: rdf.T(core.SupMonitor, core.GHasFeature, core.SupMonitorID), Graph: core.GlobalGraphName})
+	case recRemoveGraph:
+		p = appendString(p, string(core.MappingGraphURI("w1")))
+	}
+	return frameOf(p)
+}
+
+// TestRetiredRecordKindsRefused pins how this build meets a removal record
+// an earlier build journaled: a CRC-valid remove, remove-graph or clear
+// frame decodes, but recovery, Inspect and a replica's apply each stop with
+// an error naming the kind and its generation. The segment is not
+// truncated: recovery truncates a torn tail, and taking the frame for one
+// would silently drop the log after it.
+func TestRetiredRecordKindsRefused(t *testing.T) {
+	for _, kind := range []recordKind{recRemove, recRemoveGraph, recClear} {
+		t.Run(kind.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := Open(dir, Options{Sync: SyncOff, CheckpointEveryBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := m.Ontology()
+			if err := core.BuildSupersedeGlobalGraph(o); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := o.NewRelease(core.SupersedeReleaseW1()); err != nil {
+				t.Fatal(err)
+			}
+			gen := o.Store().Generation() + 1
+			if err := m.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			// The retired record, then an add-all record after it.
+			frame := retiredFrame(kind, gen)
+			after := appendRecord(nil, &record{kind: recAddAll, gen: gen + 1, quads: []rdf.Quad{rdf.Q("http://ex/after", "http://ex/p", "http://ex/o", "")}})
+			segs, err := listSeqFiles(dir, segmentPrefix, segmentSuffix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg := segs[len(segs)-1].path
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = append(append(data, frame...), after...)
+			if err := os.WriteFile(seg, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			named := func(label string, err error) {
+				t.Helper()
+				if err == nil {
+					t.Fatalf("%s accepted a %s record", label, kind)
+				}
+				if msg := err.Error(); !strings.Contains(msg, kind.String()+" record") || !strings.Contains(msg, fmt.Sprint(gen)) {
+					t.Fatalf("%s: error %q does not name the %s record at generation %d", label, msg, kind, gen)
+				}
+				fi, serr := os.Stat(seg)
+				if serr != nil {
+					t.Fatal(serr)
+				}
+				if fi.Size() != int64(len(data)) {
+					t.Fatalf("%s: segment is %d bytes, was %d; it was truncated", label, fi.Size(), len(data))
+				}
+			}
+			_, _, err = Inspect(dir)
+			named("Inspect", err)
+			_, err = Open(dir, Options{Sync: SyncOff})
+			named("recovery", err)
+
+			// A replica: the frame decodes, Apply refuses it.
+			ckpts, err := listSeqFiles(dir, checkpointPrefix, checkpointSuffix)
+			if err != nil || len(ckpts) == 0 {
+				t.Fatalf("listing checkpoints: %v (%d found)", err, len(ckpts))
+			}
+			ck, err := os.ReadFile(ckpts[0].path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replica, err := RestoreCheckpoint(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, n, err := DecodeFrame(frame)
+			if err != nil || n != len(frame) {
+				t.Fatalf("DecodeFrame = %d bytes, %v; want the whole %d-byte frame", n, err, len(frame))
+			}
+			if rec.Kind() != kind.String() || rec.Generation != gen {
+				t.Fatalf("decoded a %s record at generation %d, want %s at %d", rec.Kind(), rec.Generation, kind, gen)
+			}
+			genBefore := replica.Store().Generation()
+			named("replica apply", rec.Apply(replica))
+			if replica.Store().Generation() != genBefore {
+				t.Fatal("a refused record moved the replica's generation")
+			}
+		})
+	}
 }
 
 // recordSpans collects every span NewRelease records on o from now on.

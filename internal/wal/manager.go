@@ -27,7 +27,7 @@ type Options struct {
 const defaultCheckpointEveryBytes = 64 << 20
 
 // Manager owns the durability state of one data directory: it journals
-// every store mutation batch into the WAL (hooked in ahead of snapshot
+// every store insertion batch into the WAL (hooked in ahead of snapshot
 // publication), writes checkpoints of pinned
 // snapshots concurrently with live traffic, and performs recovery at Open.
 type Manager struct {
@@ -55,11 +55,6 @@ type Manager struct {
 	ckptCount       uint64
 	logBytesAtCkpt  uint64
 	checkpointError string
-	// compactionEpoch counts dictionary compactions over the data dir's
-	// lifetime; seeded from the recovered checkpoint and bumped whenever a
-	// checkpoint reclaims at least one TermID.
-	compactionEpoch uint64
-	lastReclaimed   int
 }
 
 // Open recovers the ontology persisted in dir (creating the directory and
@@ -130,7 +125,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 	} else {
 		m.statMu.Lock()
 		m.lastCkptGen = m.recovery.CheckpointGeneration
-		m.compactionEpoch = m.recovery.DictCompactionEpoch
 		m.statMu.Unlock()
 	}
 
@@ -156,26 +150,10 @@ func (m *Manager) Ontology() *core.Ontology { return m.ontology }
 // Recovery returns what recovery at Open found.
 func (m *Manager) Recovery() RecoveryInfo { return m.recovery }
 
-// onBatch is the store commit hook: journal the batch before its snapshot
-// is published.
+// onBatch is the store commit hook: journal the batch as an add-all record
+// before its snapshot is published.
 func (m *Manager) onBatch(b store.Batch) error {
-	r := record{gen: b.Generation}
-	switch b.Kind {
-	case store.BatchAdd:
-		r.kind = recAddAll
-		r.quads = b.Quads
-	case store.BatchRemove:
-		r.kind = recRemove
-		r.quads = b.Quads
-	case store.BatchRemoveGraph:
-		r.kind = recRemoveGraph
-		r.graph = b.Graph
-	case store.BatchClear:
-		r.kind = recClear
-	default:
-		return fmt.Errorf("wal: unknown batch kind %d", b.Kind)
-	}
-	if err := m.log.append(&r); err != nil {
+	if err := m.log.append(&record{kind: recAddAll, gen: b.Generation, quads: b.Quads}); err != nil {
 		return err
 	}
 	m.maybeAutoCheckpoint()
@@ -222,14 +200,6 @@ type CheckpointInfo struct {
 	// FormatVersion is the checkpoint file format written (always 2 now;
 	// version 1 files remain readable).
 	FormatVersion int `json:"formatVersion"`
-	// CompactionEpoch is the dictionary compaction epoch recorded in the
-	// checkpoint (bumped when this checkpoint reclaimed IDs).
-	CompactionEpoch uint64 `json:"dictCompactionEpoch"`
-	// DictIDsReclaimed counts orphaned TermIDs this checkpoint dropped; 0
-	// when the dictionary was already dense or compaction is disabled.
-	DictIDsReclaimed int `json:"dictIDsReclaimed"`
-	// DictRemapBytes is the encoded size of the old→new remap section.
-	DictRemapBytes int `json:"dictRemapBytes,omitempty"`
 }
 
 // Checkpoint serializes a pinned snapshot of the current state to a fresh
@@ -249,30 +219,14 @@ func (m *Manager) checkpoint() (CheckpointInfo, error) {
 	// Pin the state: snapshot first, then the dictionary table (which then
 	// covers every TermID the snapshot references).
 	sn := m.st.Snapshot()
-	terms := sn.Dict().Terms()
-	// Every checkpoint runs the dictionary compaction pass: orphaned TermIDs
-	// (left behind by RemoveGraph and wrapper deregistration — the dictionary
-	// itself is append-only) are reclaimed by writing the checkpoint under
-	// densely reassigned IDs. Recovery and replica bootstrap from a compacted
-	// checkpoint rebuild byte-identical stores under the new IDs; the live
-	// process keeps its old IDs until it next restarts.
-	p := snapshotPayload(sn, terms)
-	p.terms, p.graphs, p.dropped = compactDict(terms, p.graphs)
-	m.statMu.Lock()
-	epoch := m.compactionEpoch
-	m.statMu.Unlock()
-	if len(p.dropped) > 0 {
-		epoch++
-	}
-	p.epoch = epoch
+	p := snapshotPayload(sn, sn.Dict().Terms())
 	size, err := writeCheckpointFile(m.dir, p)
 	if err != nil {
 		return CheckpointInfo{}, err
 	}
 	info := CheckpointInfo{
 		Generation: sn.Generation(), Quads: sn.Len(), Bytes: size, Duration: time.Since(start),
-		FormatVersion: 2, CompactionEpoch: epoch,
-		DictIDsReclaimed: len(p.dropped), DictRemapBytes: droppedEncodedSize(p.dropped),
+		FormatVersion: 2,
 	}
 
 	// The rotation base is raised inside rotate to the highest generation
@@ -296,8 +250,6 @@ func (m *Manager) checkpoint() (CheckpointInfo, error) {
 	m.ckptCount++
 	m.logBytesAtCkpt = bytes
 	m.checkpointError = ""
-	m.compactionEpoch = epoch
-	m.lastReclaimed = len(p.dropped)
 	m.statMu.Unlock()
 	walCheckpointsTotal.Inc()
 	walCheckpointSeconds.Observe(time.Since(start))
@@ -409,12 +361,6 @@ type Stats struct {
 	CheckpointsWritten       uint64 `json:"checkpointsWritten"`
 	CheckpointError          string `json:"checkpointError,omitempty"`
 
-	// DictCompactionEpoch counts dictionary compactions over the data dir's
-	// lifetime; LastDictIDsReclaimed is the orphaned-TermID count reclaimed
-	// by the most recent checkpoint.
-	DictCompactionEpoch  uint64 `json:"dictCompactionEpoch"`
-	LastDictIDsReclaimed int    `json:"lastDictIDsReclaimed,omitempty"`
-
 	StoreGeneration uint64 `json:"storeGeneration"`
 	StoreQuads      int    `json:"storeQuads"`
 
@@ -456,8 +402,6 @@ func (m *Manager) Stats() Stats {
 	st.LastCheckpointBytes = m.lastCkptBytes
 	st.CheckpointsWritten = m.ckptCount
 	st.CheckpointError = m.checkpointError
-	st.DictCompactionEpoch = m.compactionEpoch
-	st.LastDictIDsReclaimed = m.lastReclaimed
 	m.statMu.Unlock()
 	return st
 }

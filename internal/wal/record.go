@@ -1,12 +1,18 @@
 // Package wal is the durability subsystem of the metadata management
 // system: an append-only, checksummed write-ahead log whose records are
-// exactly the store's atomic mutation batches, and a checkpoint writer that
+// exactly the store's atomic insertion batches, and a checkpoint writer that
 // serializes a pinned immutable snapshot concurrently with live traffic.
 // Recovery loads the latest valid checkpoint, replays the WAL tail through
 // the ordinary batch API and truncates torn tails. A release is journaled
 // as its add-all batch alone: its delta follows from that batch and the
 // state before it, and the caches that read deltas start empty after a
 // restart anyway.
+//
+// The ontology only grows, so add-all is the only record this build
+// writes. The removal records of earlier builds (remove, remove-graph,
+// clear) keep their kind numbers; one that a checkpoint does not already
+// cover stops recovery and replica apply with an error naming it, rather
+// than being skipped or cut off as a torn tail.
 //
 // # Consistency model
 //
@@ -36,6 +42,9 @@ type recordKind uint8
 
 const (
 	recAddAll recordKind = iota + 1
+	// recRemove, recRemoveGraph and recClear are retired kinds: earlier
+	// builds journaled removals with them. They still decode, so replay can
+	// refuse them by kind and generation; none is written.
 	recRemove
 	recRemoveGraph
 	recClear
@@ -62,14 +71,13 @@ func (k recordKind) String() string {
 	}
 }
 
-// record is one WAL entry. Batch records (recAddAll, recRemove,
-// recRemoveGraph, recClear) carry the generation they publish; a legacy
-// release record carries generation 0, so every generation guard skips it.
+// record is one WAL entry. Batch records (add-all and the retired removal
+// kinds) carry the generation they publish; a legacy release record
+// carries generation 0, so every generation guard skips it.
 type record struct {
 	kind  recordKind
 	gen   uint64
 	quads []rdf.Quad
-	graph rdf.IRI
 }
 
 // castagnoli is the CRC-32C table used for record and checkpoint checksums.
@@ -83,26 +91,19 @@ const frameHeaderSize = 8
 // field would otherwise make recovery attempt an absurd allocation.
 const maxRecordSize = 1 << 30
 
-// appendRecord appends the framed encoding of r to dst.
+// appendRecord appends the framed encoding of an add-all record to dst.
 func appendRecord(dst []byte, r *record) []byte {
+	if r.kind != recAddAll {
+		panic(fmt.Sprintf("wal: encoding a %s record; only add-all is written", r.kind))
+	}
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
 	payloadStart := len(dst)
 	dst = append(dst, byte(r.kind))
-	switch r.kind {
-	case recAddAll, recRemove:
-		dst = binary.AppendUvarint(dst, r.gen)
-		dst = binary.AppendUvarint(dst, uint64(len(r.quads)))
-		for _, q := range r.quads {
-			dst = appendQuad(dst, q)
-		}
-	case recRemoveGraph:
-		dst = binary.AppendUvarint(dst, r.gen)
-		dst = appendString(dst, string(r.graph))
-	case recClear:
-		dst = binary.AppendUvarint(dst, r.gen)
-	default:
-		panic(fmt.Sprintf("wal: encoding unknown record kind %d", r.kind))
+	dst = binary.AppendUvarint(dst, r.gen)
+	dst = binary.AppendUvarint(dst, uint64(len(r.quads)))
+	for _, q := range r.quads {
+		dst = appendQuad(dst, q)
 	}
 	payload := dst[payloadStart:]
 	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
@@ -165,11 +166,9 @@ func decodePayload(p []byte) (*record, error) {
 		if r.gen, p, err = readUvarint(p); err != nil {
 			return nil, err
 		}
-		var g string
-		if g, p, err = readString(p); err != nil {
+		if _, p, err = readString(p); err != nil { // the graph name
 			return nil, err
 		}
-		r.graph = rdf.IRI(g)
 	case recClear:
 		if r.gen, p, err = readUvarint(p); err != nil {
 			return nil, err

@@ -23,7 +23,7 @@ type RecoveryInfo struct {
 	CheckpointsSkipped int `json:"checkpointsSkipped"`
 	// SegmentsScanned is the number of WAL segment files read.
 	SegmentsScanned int `json:"segmentsScanned"`
-	// RecordsReplayed counts the store mutation batches applied on top of
+	// RecordsReplayed counts the store insertion batches applied on top of
 	// the checkpoint. Legacy release records are skipped and not counted.
 	RecordsReplayed int `json:"recordsReplayed"`
 	// TornTail reports that the last segment ended in an incomplete or
@@ -35,18 +35,8 @@ type RecoveryInfo struct {
 	FinalGeneration uint64 `json:"finalGeneration"`
 
 	// CheckpointFormatVersion is the file format version of the loaded
-	// checkpoint (1 for pre-compaction files, 2 for compaction-aware ones;
-	// 0 when the data dir was fresh).
+	// checkpoint (1 or 2; 0 when the data dir was fresh).
 	CheckpointFormatVersion int `json:"checkpointFormatVersion,omitempty"`
-	// DictCompactionEpoch is the dictionary compaction epoch recorded in the
-	// loaded checkpoint; new checkpoints continue the count from here.
-	DictCompactionEpoch uint64 `json:"dictCompactionEpoch"`
-	// DictIDsReclaimed is the number of orphaned TermIDs the loaded
-	// checkpoint's compaction pass dropped when it was written; the restored
-	// dictionary is dense under the remapped IDs.
-	DictIDsReclaimed int `json:"dictIDsReclaimed"`
-	// DictRemapBytes is the encoded size of the checkpoint's old→new remap.
-	DictRemapBytes int `json:"dictRemapBytes,omitempty"`
 }
 
 // errFreshDir reports a data dir with neither checkpoints nor segments.
@@ -95,9 +85,6 @@ func recoverDir(dir string, truncate bool) (*store.Store, RecoveryInfo, error) {
 	info.CheckpointGeneration = ck.generation
 	info.CheckpointQuads = ck.quads
 	info.CheckpointFormatVersion = ck.version
-	info.DictCompactionEpoch = ck.epoch
-	info.DictIDsReclaimed = ck.reclaimed
-	info.DictRemapBytes = ck.remapBytes
 
 	// Replay the segments in base order. A segment is skipped wholesale when
 	// the next segment's base shows it is fully covered by the checkpoint.
@@ -159,7 +146,7 @@ func applyRecord(r *record, s *store.Store, info *RecoveryInfo) error {
 	if r.gen != cur+1 {
 		return fmt.Errorf("wal: generation gap: store at %d, next record publishes %d", cur, r.gen)
 	}
-	if err := replayBatch(r, s, s.AddAll); err != nil {
+	if err := replayBatch(r, s.AddAll); err != nil {
 		return err
 	}
 	if got := s.Generation(); got != r.gen {
@@ -169,32 +156,21 @@ func applyRecord(r *record, s *store.Store, info *RecoveryInfo) error {
 	return nil
 }
 
-// replayBatch applies one store mutation batch through the ordinary batch
-// API, inserting through addAll (the store's own AddAll in recovery, the
-// ontology's on a replica). Insertion replay re-interns every term in its
-// original order, so the rebuilt dictionary assigns byte-identical TermIDs.
-func replayBatch(r *record, s *store.Store, addAll func([]rdf.Quad) (int, error)) error {
-	switch r.kind {
-	case recAddAll:
-		added, err := addAll(r.quads)
-		if err != nil {
-			return fmt.Errorf("wal: replaying add batch: %w", err)
-		}
-		if added != len(r.quads) {
-			return fmt.Errorf("wal: replaying add batch: %d of %d quads were duplicates", len(r.quads)-added, len(r.quads))
-		}
-	case recRemove:
-		for _, q := range r.quads {
-			if !s.Remove(q) {
-				return fmt.Errorf("wal: replaying remove: quad %v not present", q)
-			}
-		}
-	case recRemoveGraph:
-		if s.RemoveGraph(r.graph) == 0 {
-			return fmt.Errorf("wal: replaying remove-graph: graph %q already empty", r.graph)
-		}
-	case recClear:
-		s.Clear()
+// replayBatch applies one add-all record through addAll (the store's own
+// AddAll in recovery, the ontology's on a replica). Insertion replay
+// re-interns every term in its original order, so the rebuilt dictionary
+// assigns byte-identical TermIDs. A retired removal record is refused: the
+// store only grows.
+func replayBatch(r *record, addAll func([]rdf.Quad) (int, error)) error {
+	if r.kind != recAddAll {
+		return fmt.Errorf("wal: %s record at generation %d: removal records of earlier builds cannot be replayed; the store only grows", r.kind, r.gen)
+	}
+	added, err := addAll(r.quads)
+	if err != nil {
+		return fmt.Errorf("wal: replaying add batch: %w", err)
+	}
+	if added != len(r.quads) {
+		return fmt.Errorf("wal: replaying add batch: %d of %d quads were duplicates", len(r.quads)-added, len(r.quads))
 	}
 	return nil
 }

@@ -112,7 +112,10 @@ func sideReleaseOp(i, seq int) scriptOp {
 }
 
 // buildScript assembles the seeded workload: the SUPERSEDE scenario, side
-// concepts with releases, a point removal and a graph removal.
+// concepts with releases, then Global-graph edits (a new concept and an
+// edge to it) and a last release. A G edit is the mutation no release delta
+// explains: caches flush fully across it and DeltasBetween answers "not
+// covered".
 func buildScript(t *testing.T, rng *rand.Rand) []scriptOp {
 	gQuads := supersedeGlobalQuads(t)
 	ops := []scriptOp{{
@@ -146,37 +149,15 @@ func buildScript(t *testing.T, rng *rand.Rand) []scriptOp {
 		seq++
 		ops = append(ops, sideReleaseOp(rng.Intn(nSides), seq))
 	}
-	// A point removal: drop the M:mapping triple of the first side wrapper.
-	victim := "w_crash_side" // completed below once we know a registered name
-	for _, op := range ops {
-		if strings.HasPrefix(op.name, "release-w_crash_side") {
-			victim = strings.TrimPrefix(op.name, "release-")
-			break
-		}
-	}
-	ops = append(ops, scriptOp{
-		name: "remove-mapping-" + victim,
-		run: func(o *core.Ontology) error {
-			q := rdf.Quad{
-				Triple: rdf.T(core.WrapperURI(victim), core.MMapping, core.MappingGraphURI(victim)),
-				Graph:  core.MappingsGraphName,
-			}
-			if !o.Store().Remove(q) {
-				return fmt.Errorf("mapping triple of %s not present", victim)
-			}
-			return nil
-		},
-	})
-	ops = append(ops, scriptOp{
-		name: "remove-graph-" + victim,
-		run: func(o *core.Ontology) error {
-			if o.Store().RemoveGraph(core.MappingGraphURI(victim)) == 0 {
-				return fmt.Errorf("LAV graph of %s already empty", victim)
-			}
-			return nil
-		},
-	})
-	// A final release after the removals, so truncation can land on a
+	// Two G edits of one generation each.
+	extra := sideConcept(nSides)
+	ops = append(ops,
+		scriptOp{name: "g-edit-concept", run: func(o *core.Ontology) error { return o.AddConcept(extra) }},
+		scriptOp{name: "g-edit-relate", run: func(o *core.Ontology) error {
+			return o.Relate(sideConcept(0), rdf.IRI("http://ex/crash/linksTo"), extra)
+		}},
+	)
+	// A final release after the G edits, so truncation can land on a
 	// suffix whose delta interval follows non-release mutations.
 	seq++
 	ops = append(ops, sideReleaseOp(0, seq))

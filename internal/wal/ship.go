@@ -32,8 +32,8 @@ var (
 )
 
 // Record is the exported view of one WAL record, decoded from a shipped
-// frame: a store mutation batch, or a legacy release record, which
-// publishes nothing.
+// frame: a store insertion batch, a legacy release record, which publishes
+// nothing, or a retired removal record, which Apply refuses.
 type Record struct {
 	// Generation is the store generation the record publishes; 0 for a
 	// legacy release record, which every generation guard skips.
@@ -45,14 +45,14 @@ type Record struct {
 // Kind names the record kind for logs and diagnostics.
 func (r Record) Kind() string { return r.rec.kind.String() }
 
-// Apply replays a batch record onto o's store. An add-all record goes
-// through Ontology.AddAll, which derives a release's delta from the batch
-// exactly as the primary's NewRelease did, so o's rewriting caches
-// invalidate incrementally. The store must be at exactly Generation-1;
-// callers enforce the guard so skipped duplicates and gaps are their
-// decision, not a silent side effect.
+// Apply replays an add-all record onto o's store through Ontology.AddAll,
+// which derives a release's delta from the batch exactly as the primary's
+// NewRelease did, so o's rewriting caches invalidate incrementally. A
+// retired removal record returns an error naming its kind and generation.
+// The store must be at exactly Generation-1; callers enforce the guard so
+// skipped duplicates and gaps are their decision, not a silent side effect.
 func (r Record) Apply(o *core.Ontology) error {
-	return replayBatch(r.rec, o.Store(), o.AddAll)
+	return replayBatch(r.rec, o.AddAll)
 }
 
 // DecodeFrame decodes one framed record from the front of b, re-verifying

@@ -29,9 +29,7 @@ func TestRecordRoundTrip(t *testing.T) {
 			{Triple: rdf.Triple{Subject: rdf.IRI("http://ex/s"), Predicate: rdf.IRI("http://ex/p"), Object: rdf.NewLangLiteral("héllo\nworld", "en")}},
 			{Triple: rdf.Triple{Subject: rdf.NewBlankNode("b0"), Predicate: rdf.IRI("http://ex/p"), Object: rdf.NewIntegerLiteral(-5)}},
 		}},
-		{kind: recRemove, gen: 4, quads: []rdf.Quad{{Triple: rdf.T("http://ex/s", "http://ex/p", "http://ex/o"), Graph: "http://ex/g"}}},
-		{kind: recRemoveGraph, gen: 5, graph: "http://ex/g"},
-		{kind: recClear, gen: 6},
+		{kind: recAddAll, gen: 4, quads: []rdf.Quad{{Triple: rdf.T("http://ex/s2", "http://ex/p", "http://ex/o"), Graph: "http://ex/g"}}},
 	}
 	var buf []byte
 	for _, r := range records {
@@ -43,7 +41,7 @@ func TestRecordRoundTrip(t *testing.T) {
 			t.Fatalf("decoding %s record: %v", want.kind, err)
 		}
 		buf = buf[n:]
-		if got.kind != want.kind || got.gen != want.gen || got.graph != want.graph {
+		if got.kind != want.kind || got.gen != want.gen {
 			t.Fatalf("decoded %+v, want %+v", got, want)
 		}
 		quadsEqual(t, got.quads, want.quads)
@@ -155,7 +153,7 @@ func TestOpenCloseReopen(t *testing.T) {
 
 // TestReplayWithoutCheckpointCoverage reopens after Abort (no final
 // checkpoint): everything past the initial checkpoint must come from WAL
-// replay, including removals.
+// replay, including Global-graph edits made after the releases.
 func TestReplayWithoutCheckpointCoverage(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(dir, Options{Sync: SyncOff})
@@ -171,14 +169,13 @@ func TestReplayWithoutCheckpointCoverage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A point removal and a graph removal must replay too.
-	w2 := core.WrapperURI("w2")
-	mapQuad := rdf.Quad{Triple: rdf.T(w2, core.MMapping, core.MappingGraphURI("w2")), Graph: core.MappingsGraphName}
-	if !o.Store().Remove(mapQuad) {
-		t.Fatal("expected the w2 mapping triple to be removable")
+	// G edits after the releases must replay too.
+	player := rdf.IRI("http://ex/replay/Player")
+	if err := o.AddConcept(player); err != nil {
+		t.Fatal(err)
 	}
-	if o.Store().RemoveGraph(core.MappingGraphURI("w2")) == 0 {
-		t.Fatal("expected the w2 LAV graph to be removable")
+	if err := o.AddFeatureTo(player, rdf.IRI("http://ex/replay/bitrate"), rdf.XSDInteger); err != nil {
+		t.Fatal(err)
 	}
 	wantQuads := o.Store().Quads()
 	wantGen := o.Store().Generation()
@@ -198,35 +195,6 @@ func TestReplayWithoutCheckpointCoverage(t *testing.T) {
 	}
 	if rec := m2.Recovery(); rec.RecordsReplayed == 0 {
 		t.Fatal("expected WAL replay after Abort")
-	}
-}
-
-// TestClearReplays verifies that Clear (which swaps the dictionary) is
-// journaled and replayed.
-func TestClearReplays(t *testing.T) {
-	dir := t.TempDir()
-	m, err := Open(dir, Options{Sync: SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := m.Ontology()
-	o.Store().Clear()
-	if _, err := o.Store().Add(rdf.Quad{Triple: rdf.T("http://ex/s", "http://ex/p", "http://ex/o")}); err != nil {
-		t.Fatal(err)
-	}
-	wantQuads := o.Store().Quads()
-	wantGen := o.Store().Generation()
-	if err := m.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Open(dir, Options{Sync: SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m2.Close()
-	quadsEqual(t, m2.Ontology().Store().Quads(), wantQuads)
-	if got := m2.Ontology().Store().Generation(); got != wantGen {
-		t.Fatalf("recovered generation = %d, want %d", got, wantGen)
 	}
 }
 
@@ -339,7 +307,7 @@ func TestTornTailTruncation(t *testing.T) {
 
 func TestWALSegmentsButNoCheckpointFails(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, segmentName(0)), appendRecord(nil, &record{kind: recClear, gen: 1}), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segmentName(0)), appendRecord(nil, &record{kind: recAddAll, gen: 1, quads: []rdf.Quad{rdf.Q("http://ex/s", "http://ex/p", "http://ex/o", "")}}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Inspect(dir); err == nil {
