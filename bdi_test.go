@@ -8,6 +8,7 @@ import (
 	"bdi/internal/core"
 	"bdi/internal/rdf"
 	"bdi/internal/rewriting"
+	"bdi/internal/store"
 	"bdi/internal/workload"
 )
 
@@ -138,21 +139,28 @@ func TestRegisterReleaseMismatch(t *testing.T) {
 // TestRegisterReleasePublishesRegisteredWrapper checks the publication
 // order: when a release becomes visible to readers, its executable wrapper
 // is already resolvable by name and by IRI, so a concurrent query that
-// rewrites to the release's walk can run it.
+// rewrites to the release's walk can run it. The check runs in the store's
+// commit hook, which sees every batch before its generation is published.
 func TestRegisterReleasePublishesRegisteredWrapper(t *testing.T) {
 	sys := NewSystem()
 	if err := BuildSupersedeGlobalGraph(sys.Ontology); err != nil {
 		t.Fatal(err)
 	}
 	published := 0
-	sys.Ontology.SetReleaseHook(func(sp core.DeltaSpan) error {
-		published++
-		name := sp.Delta.Wrapper.LocalName()
-		if _, ok := sys.Wrappers.Get(name); !ok {
-			t.Errorf("release published before its wrapper %s was registered", name)
-		}
-		if _, ok := sys.Wrappers.Get(string(sp.Delta.Wrapper)); !ok {
-			t.Errorf("release published before the IRI alias of %s was registered", name)
+	sys.Ontology.Store().SetCommitHook(func(b store.Batch) error {
+		for _, q := range b.Quads {
+			if q.Graph != core.SourceGraphName || q.Predicate != rdf.RDFType || q.Object != core.SWrapper {
+				continue
+			}
+			published++
+			w := q.Subject.(rdf.IRI)
+			name := w.LocalName()
+			if _, ok := sys.Wrappers.Get(name); !ok {
+				t.Errorf("release published before its wrapper %s was registered", name)
+			}
+			if _, ok := sys.Wrappers.Get(string(w)); !ok {
+				t.Errorf("release published before the IRI alias of %s was registered", name)
+			}
 		}
 		return nil
 	})
@@ -164,7 +172,7 @@ func TestRegisterReleasePublishesRegisteredWrapper(t *testing.T) {
 		}
 	}
 	if published != 3 {
-		t.Fatalf("release hook ran %d times, want 3", published)
+		t.Fatalf("commit hook saw %d releases, want 3", published)
 	}
 }
 

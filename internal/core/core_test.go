@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bdi/internal/rdf"
@@ -106,6 +109,96 @@ func TestHasFeatureRequiresDeclaredTypes(t *testing.T) {
 	}
 	if err := o.HasFeature(rdf.IRI("http://ex/C"), rdf.IRI("http://ex/f")); err == nil {
 		t.Error("undeclared feature should be rejected")
+	}
+}
+
+// TestGlobalEditIsOneGeneration holds every G edit to one generation at
+// most: a rejected edit publishes nothing (the composite AddFeatureTo and
+// AddIdentifier leave no feature, datatype or subclass edge behind), and no
+// view, pinned after an edit or concurrently with a run of them, sees a
+// feature those calls declare without the concept it was attached to.
+func TestGlobalEditIsOneGeneration(t *testing.T) {
+	o := NewOntology()
+	const ns = "http://ex/oneedit/"
+	c1, c2, undeclared := rdf.IRI(ns+"C1"), rdf.IRI(ns+"C2"), rdf.IRI(ns+"Nowhere")
+	id1, f1, f2, lone := rdf.IRI(ns+"id1"), rdf.IRI(ns+"f1"), rdf.IRI(ns+"f2"), rdf.IRI(ns+"lone")
+	attached := []rdf.IRI{id1, f1, f2}
+	var views []*View
+	edit := func(name string, wantErr bool, f func() error) {
+		t.Helper()
+		before := o.Store().Snapshot()
+		err := f()
+		after := o.Store().Snapshot()
+		if after.Generation() > before.Generation()+1 {
+			t.Fatalf("%s published %d generations", name, after.Generation()-before.Generation())
+		}
+		if (err != nil) != wantErr {
+			t.Fatalf("%s: error %v, want an error: %v", name, err, wantErr)
+		}
+		if err != nil && (after.Generation() != before.Generation() || after.GraphLen(GlobalGraphName) != before.GraphLen(GlobalGraphName)) {
+			t.Fatalf("rejected %s moved the generation %d -> %d and G %d -> %d quads", name,
+				before.Generation(), after.Generation(), before.GraphLen(GlobalGraphName), after.GraphLen(GlobalGraphName))
+		}
+		views = append(views, o.View())
+	}
+	edit("AddConcept", false, func() error { return o.AddConcept(c1) })
+	edit("AddConcept", false, func() error { return o.AddConcept(c2) })
+	edit("AddIdentifier", false, func() error { return o.AddIdentifier(c1, id1, rdf.XSDInteger) })
+	edit("AddFeatureTo", false, func() error { return o.AddFeatureTo(c1, f1, rdf.XSDDouble) })
+	edit("AddFeature", false, func() error { return o.AddFeature(lone, rdf.XSDString) })
+	edit("AddFeatureTo of a feature of another concept", true, func() error { return o.AddFeatureTo(c2, f1, rdf.XSDString) })
+	edit("AddFeatureTo of an undeclared concept", true, func() error { return o.AddFeatureTo(undeclared, f2, rdf.XSDString) })
+	edit("AddIdentifier of a feature of another concept", true, func() error { return o.AddIdentifier(c2, id1, rdf.XSDString) })
+	edit("HasFeature of a feature of another concept", true, func() error { return o.HasFeature(c2, id1) })
+	edit("Relate to an undeclared concept", true, func() error { return o.Relate(c1, rdf.IRI(ns+"p"), undeclared) })
+	edit("AddFeatureTo", false, func() error { return o.AddFeatureTo(c2, f2, "") })
+	edit("HasFeature", false, func() error { return o.HasFeature(c2, lone) })
+
+	v := o.View()
+	if len(v.FeaturesOf(undeclared)) != 0 {
+		t.Error("a rejected edit left a feature behind")
+	}
+	if dt, _ := v.DatatypeOf(f1); dt != rdf.XSDDouble {
+		t.Errorf("f1's datatype = %s after a rejected re-declaration, want xsd:double", dt)
+	}
+	if ids := v.IdentifiersOf(c2); len(ids) != 0 {
+		t.Errorf("a rejected AddIdentifier left identifiers %v on C2", ids)
+	}
+	if !isIdentifier(v.snap, id1) || isIdentifier(v.snap, f1) {
+		t.Error("identifier marking wrong")
+	}
+
+	// Concurrent readers pin views while a run of composite edits lands.
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	var concurrent [2][]*View
+	for r := range concurrent {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() && len(concurrent[r]) < 300 {
+				concurrent[r] = append(concurrent[r], o.View())
+			}
+		}()
+	}
+	for i := range 40 {
+		c := rdf.IRI(fmt.Sprintf("%sRun%d", ns, i))
+		id, f := rdf.IRI(fmt.Sprintf("%srun%d_id", ns, i)), rdf.IRI(fmt.Sprintf("%srun%d_f", ns, i))
+		attached = append(attached, id, f)
+		edit("AddConcept", false, func() error { return o.AddConcept(c) })
+		edit("AddIdentifier", false, func() error { return o.AddIdentifier(c, id, rdf.XSDInteger) })
+		edit("AddFeatureTo", false, func() error { return o.AddFeatureTo(c, f, rdf.XSDString) })
+	}
+	done.Store(true)
+	wg.Wait()
+	for _, vs := range append(concurrent[:], views) {
+		for _, v := range vs {
+			for _, f := range attached {
+				if _, owned := v.ConceptOfFeature(f); v.IsFeature(f) != owned {
+					t.Fatalf("the view at generation %d sees feature %s typed %v and owned %v", v.Generation(), f, v.IsFeature(f), owned)
+				}
+			}
+		}
 	}
 }
 

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"reflect"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"bdi/internal/rdf"
@@ -154,7 +152,17 @@ func TestReleaseDeltaSameAsOnlyRelease(t *testing.T) {
 	}
 }
 
-func TestDeltasBetweenCoversReleaseOnlyIntervals(t *testing.T) {
+// union is the footprint union of release deltas.
+func union(deltas ...*ReleaseDelta) Footprint {
+	var concepts, features []rdf.IRI
+	for _, d := range deltas {
+		concepts = append(concepts, d.Concepts...)
+		features = append(features, d.Features...)
+	}
+	return NewFootprint(concepts, features)
+}
+
+func TestChangedSinceCoversReleaseOnlyIntervals(t *testing.T) {
 	o := mustBuildSupersede(t)
 	g0 := o.Store().Generation()
 	r1, err := o.NewRelease(SupersedeReleaseW1())
@@ -167,27 +175,28 @@ func TestDeltasBetweenCoversReleaseOnlyIntervals(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2 := o.Store().Generation()
+	v := o.View()
 
-	deltas, ok := o.DeltasBetween(g0, g2)
-	if !ok || len(deltas) != 2 {
-		t.Fatalf("DeltasBetween(g0, g2) = %v, %v", deltas, ok)
+	if got, ok := v.ChangedSince(g0); !ok || !reflect.DeepEqual(got, union(r1.Delta, r2.Delta)) {
+		t.Fatalf("ChangedSince(g0) = %+v, %v; want the union of both releases", got, ok)
 	}
-	if deltas[0] != r1.Delta || deltas[1] != r2.Delta {
-		t.Error("deltas not returned oldest-first")
+	if got, ok := v.ChangedSince(g1); !ok || !reflect.DeepEqual(got, r2.Delta.Footprint) {
+		t.Fatalf("ChangedSince(g1) = %+v, %v; want w2's footprint %+v", got, ok, r2.Delta.Footprint)
 	}
-	if deltas, ok := o.DeltasBetween(g1, g2); !ok || len(deltas) != 1 || deltas[0] != r2.Delta {
-		t.Fatalf("DeltasBetween(g1, g2) = %v, %v", deltas, ok)
+	if got, ok := v.ChangedSince(g2); !ok || len(got.Concepts)+len(got.Features) != 0 {
+		t.Fatalf("ChangedSince(g2) = %+v, %v", got, ok)
 	}
-	if deltas, ok := o.DeltasBetween(g2, g2); !ok || len(deltas) != 0 {
-		t.Fatalf("DeltasBetween(g2, g2) = %v, %v", deltas, ok)
+	// A generation after the view's is never covered.
+	if _, ok := v.ChangedSince(g2 + 1); ok {
+		t.Error("an interval ending before it starts reported as covered")
 	}
-	// Backwards intervals are never covered.
-	if _, ok := o.DeltasBetween(g2, g0); ok {
-		t.Error("backwards interval reported as covered")
+	// The metamodel and the G build are not releases.
+	if _, ok := v.ChangedSince(0); ok {
+		t.Error("an interval holding the metamodel reported as covered")
 	}
 }
 
-func TestDeltasBetweenRejectsNonReleaseMutations(t *testing.T) {
+func TestChangedSinceRejectsNonReleaseMutations(t *testing.T) {
 	o := mustBuildSupersede(t)
 	g0 := o.Store().Generation()
 	if _, err := o.NewRelease(SupersedeReleaseW1()); err != nil {
@@ -197,68 +206,30 @@ func TestDeltasBetweenRejectsNonReleaseMutations(t *testing.T) {
 	if err := o.AddConcept(rdf.IRI(NSSupersede + "Extra")); err != nil {
 		t.Fatal(err)
 	}
-	g2 := o.Store().Generation()
-	if _, ok := o.DeltasBetween(g0, g2); ok {
+	if _, ok := o.View().ChangedSince(g0); ok {
 		t.Error("interval containing a Global-graph edit reported as covered by releases")
 	}
 	// A release after the edit is covered from the edit onwards.
 	gEdit := o.Store().Generation()
-	if _, err := o.NewRelease(SupersedeReleaseW2()); err != nil {
+	r2, err := o.NewRelease(SupersedeReleaseW2())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if deltas, ok := o.DeltasBetween(gEdit, o.Store().Generation()); !ok || len(deltas) != 1 {
-		t.Errorf("post-edit release interval = %v, %v", deltas, ok)
+	if got, ok := o.View().ChangedSince(gEdit); !ok || !reflect.DeepEqual(got, r2.Delta.Footprint) {
+		t.Errorf("post-edit release interval = %+v, %v", got, ok)
 	}
-}
-
-// TestDeltaSpanPublishedBeforeSnapshot hammers the lock-free delta log:
-// while releases land, readers loop DeltasBetween from the pre-release
-// generation to the store's current one, and every interval must be
-// covered. A release that published its snapshot before its span would
-// leave a window in which a reader sees the generation unexplained.
-func TestDeltaSpanPublishedBeforeSnapshot(t *testing.T) {
-	const readers, releases = 4, 120
-	o := mustBuildSupersede(t)
-	g0 := o.Store().Generation()
-	var done atomic.Bool
-	var wg sync.WaitGroup
-	failures := make(chan string, readers)
-	for range readers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !done.Load() {
-				gen := o.Store().Generation()
-				if _, ok := o.DeltasBetween(g0, gen); !ok {
-					failures <- fmt.Sprintf("DeltasBetween(%d, %d) not covered", g0, gen)
-					return
-				}
-			}
-		}()
+	// A direct store write of another shape is not a release either.
+	gRelease := o.Store().Generation()
+	if _, err := o.Store().Add(rdf.Quad{Triple: rdf.T(SupMonitor, rdf.RDFSLabel, rdf.IRI(NSSupersede+"label")), Graph: SourceGraphName}); err != nil {
+		t.Fatal(err)
 	}
-	for i := range releases {
-		r := SupersedeReleaseW1()
-		r.Wrapper.Name = fmt.Sprintf("hammer%d", i)
-		if _, err := o.NewRelease(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done.Store(true)
-	wg.Wait()
-	close(failures)
-	for f := range failures {
-		t.Error(f)
-	}
-	if deltas, ok := o.DeltasBetween(g0, o.Store().Generation()); !ok || len(deltas) != releases {
-		t.Fatalf("final interval = %d deltas, covered %v; want %d", len(deltas), ok, releases)
+	if _, ok := o.View().ChangedSince(gRelease); ok {
+		t.Error("a direct non-release store write reported as covered")
 	}
 }
 
 func TestFootprintIntersects(t *testing.T) {
-	d := &ReleaseDelta{
-		Concepts: []rdf.IRI{"b", "d"},
-		Features: []rdf.IRI{"f2"},
-	}
+	d := NewFootprint([]rdf.IRI{"b", "d"}, []rdf.IRI{"f2"})
 	cases := []struct {
 		fp   Footprint
 		want bool
@@ -273,11 +244,14 @@ func TestFootprintIntersects(t *testing.T) {
 		if got := c.fp.Intersects(d); got != c.want {
 			t.Errorf("case %d: Intersects = %v, want %v", i, got, c.want)
 		}
+		if got := d.Intersects(c.fp); got != c.want {
+			t.Errorf("case %d: reversed Intersects = %v, want %v", i, got, c.want)
+		}
 	}
-	fp := NewFootprint([]rdf.IRI{"a", "b", "d"}, nil)
-	touched := fp.TouchedConcepts([]*ReleaseDelta{d})
-	if len(touched) != 2 || touched[0] != "b" || touched[1] != "d" {
-		t.Errorf("TouchedConcepts = %v", touched)
+	for iri, want := range map[rdf.IRI]bool{"b": true, "d": true, "f2": true, "a": false, "f1": false} {
+		if got := d.Touches(iri); got != want {
+			t.Errorf("Touches(%s) = %v, want %v", iri, got, want)
+		}
 	}
 }
 

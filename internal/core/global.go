@@ -9,90 +9,114 @@ import (
 	"bdi/internal/store"
 )
 
-// AddConcept declares a domain concept in G (an instance of G:Concept).
-func (o *Ontology) AddConcept(concept rdf.IRI) error {
+// editGlobal runs one Global-graph edit: under one hold of o.mu, plan
+// validates the edit against one snapshot and returns its triples, which are
+// added to G as one store batch, so the edit publishes at most one
+// generation and a rejected edit publishes none.
+func (o *Ontology) editGlobal(plan func(sn store.Snapshot) ([]rdf.Triple, error)) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.addToGraph(GlobalGraphName, rdf.T(concept, rdf.RDFType, GConcept))
+	triples, err := plan(o.store.Snapshot())
+	if err != nil {
+		return err
+	}
+	quads := make([]rdf.Quad, len(triples))
+	for i, t := range triples {
+		quads[i] = rdf.Quad{Triple: t, Graph: GlobalGraphName}
+	}
+	if _, err := o.store.AddAll(quads); err != nil {
+		return fmt.Errorf("core: adding %v to %s: %w", triples, GlobalGraphName, err)
+	}
+	return nil
+}
+
+// AddConcept declares a domain concept in G (an instance of G:Concept).
+func (o *Ontology) AddConcept(concept rdf.IRI) error {
+	return o.editGlobal(func(store.Snapshot) ([]rdf.Triple, error) {
+		return []rdf.Triple{rdf.T(concept, rdf.RDFType, GConcept)}, nil
+	})
 }
 
 // AddFeature declares a feature of analysis in G (an instance of G:Feature),
 // optionally typed with an XSD datatype via G:hasDatatype.
 func (o *Ontology) AddFeature(feature rdf.IRI, datatype rdf.IRI) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if err := o.addToGraph(GlobalGraphName, rdf.T(feature, rdf.RDFType, GFeature)); err != nil {
-		return err
-	}
-	if datatype != "" {
-		if err := o.addToGraph(GlobalGraphName, rdf.T(feature, GHasDatatype, datatype)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.editGlobal(func(store.Snapshot) ([]rdf.Triple, error) {
+		return featureDeclaration(feature, datatype), nil
+	})
 }
 
 // HasFeature links a concept to a feature via G:hasFeature. To keep query
 // rewriting unambiguous, a feature may belong to only one concept (§3.1);
 // linking a feature to a second concept is an error.
 func (o *Ontology) HasFeature(concept, feature rdf.IRI) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	sn := o.store.Snapshot()
-	if !isTyped(sn, concept, GConcept) {
-		return fmt.Errorf("core: %s is not declared as a G:Concept", o.prefixes.Compact(concept))
-	}
-	if !isTyped(sn, feature, GFeature) {
-		return fmt.Errorf("core: %s is not declared as a G:Feature", o.prefixes.Compact(feature))
-	}
-	for _, q := range sn.Match(store.InGraph(GlobalGraphName, nil, GHasFeature, feature)) {
-		if owner, ok := q.Subject.(rdf.IRI); ok && owner != concept {
-			return fmt.Errorf("core: feature %s already belongs to concept %s (features may belong to only one concept)",
-				o.prefixes.Compact(feature), o.prefixes.Compact(owner))
-		}
-	}
-	return o.addToGraph(GlobalGraphName, rdf.T(concept, GHasFeature, feature))
+	return o.editGlobal(func(sn store.Snapshot) ([]rdf.Triple, error) {
+		edge, err := o.featureEdge(sn, concept, feature, false)
+		return []rdf.Triple{edge}, err
+	})
 }
 
 // AddIdentifier declares a feature, marks it as an identifier (a subclass of
-// sc:identifier) and attaches it to the concept. ID features are what the
-// restricted join .̃/ operates on.
+// sc:identifier) and attaches it to the concept, as one edit. ID features
+// are what the restricted join .̃/ operates on.
 func (o *Ontology) AddIdentifier(concept, feature rdf.IRI, datatype rdf.IRI) error {
-	if err := o.AddFeature(feature, datatype); err != nil {
-		return err
-	}
-	o.mu.Lock()
-	if err := o.addToGraph(GlobalGraphName, rdf.T(feature, rdf.RDFSSubClassOf, rdf.SchemaIdentifier)); err != nil {
-		o.mu.Unlock()
-		return err
-	}
-	o.mu.Unlock()
-	return o.HasFeature(concept, feature)
+	return o.editGlobal(func(sn store.Snapshot) ([]rdf.Triple, error) {
+		edge, err := o.featureEdge(sn, concept, feature, true)
+		decl := featureDeclaration(feature, datatype)
+		return append(decl, rdf.T(feature, rdf.RDFSSubClassOf, rdf.SchemaIdentifier), edge), err
+	})
 }
 
 // AddFeatureTo declares a (non-identifier) feature and attaches it to a
-// concept in one call.
+// concept, as one edit.
 func (o *Ontology) AddFeatureTo(concept, feature rdf.IRI, datatype rdf.IRI) error {
-	if err := o.AddFeature(feature, datatype); err != nil {
-		return err
+	return o.editGlobal(func(sn store.Snapshot) ([]rdf.Triple, error) {
+		edge, err := o.featureEdge(sn, concept, feature, true)
+		return append(featureDeclaration(feature, datatype), edge), err
+	})
+}
+
+// featureDeclaration returns the triples declaring feature a G:Feature of
+// the given datatype ("" for none).
+func featureDeclaration(feature, datatype rdf.IRI) []rdf.Triple {
+	decl := []rdf.Triple{rdf.T(feature, rdf.RDFType, GFeature)}
+	if datatype != "" {
+		decl = append(decl, rdf.T(feature, GHasDatatype, datatype))
 	}
-	return o.HasFeature(concept, feature)
+	return decl
+}
+
+// featureEdge returns the G:hasFeature edge from concept to feature after
+// checking it against sn: the concept must be a G:Concept, the feature a
+// G:Feature (in sn, or declared by the same edit when declared is true),
+// and the feature may belong to no other concept (§3.1).
+func (o *Ontology) featureEdge(sn store.Snapshot, concept, feature rdf.IRI, declared bool) (rdf.Triple, error) {
+	if !isTyped(sn, concept, GConcept) {
+		return rdf.Triple{}, fmt.Errorf("core: %s is not declared as a G:Concept", o.prefixes.Compact(concept))
+	}
+	if !declared && !isTyped(sn, feature, GFeature) {
+		return rdf.Triple{}, fmt.Errorf("core: %s is not declared as a G:Feature", o.prefixes.Compact(feature))
+	}
+	for _, q := range sn.Match(store.InGraph(GlobalGraphName, nil, GHasFeature, feature)) {
+		if owner, ok := q.Subject.(rdf.IRI); ok && owner != concept {
+			return rdf.Triple{}, fmt.Errorf("core: feature %s already belongs to concept %s (features may belong to only one concept)",
+				o.prefixes.Compact(feature), o.prefixes.Compact(owner))
+		}
+	}
+	return rdf.T(concept, GHasFeature, feature), nil
 }
 
 // Relate adds a domain-specific object property edge between two concepts
 // (e.g. sc:SoftwareApplication sup:hasMonitor sup:Monitor). Analysts
 // navigate these edges when posing OMQs.
 func (o *Ontology) Relate(subject, property, object rdf.IRI) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	sn := o.store.Snapshot()
-	if !isTyped(sn, subject, GConcept) {
-		return fmt.Errorf("core: %s is not declared as a G:Concept", o.prefixes.Compact(subject))
-	}
-	if !isTyped(sn, object, GConcept) {
-		return fmt.Errorf("core: %s is not declared as a G:Concept", o.prefixes.Compact(object))
-	}
-	return o.addToGraph(GlobalGraphName, rdf.T(subject, property, object))
+	return o.editGlobal(func(sn store.Snapshot) ([]rdf.Triple, error) {
+		for _, c := range []rdf.IRI{subject, object} {
+			if !isTyped(sn, c, GConcept) {
+				return nil, fmt.Errorf("core: %s is not declared as a G:Concept", o.prefixes.Compact(c))
+			}
+		}
+		return []rdf.Triple{rdf.T(subject, property, object)}, nil
+	})
 }
 
 // isTyped reports whether the entity has the given rdf:type in G of one

@@ -14,8 +14,8 @@ import (
 // the RDFS closure of the oracle package on random subclass graphs: chains
 // and cycles among features, plain classes and sc:identifier, edges with
 // literal and blank-node objects, some edges in G and some only in a
-// mapping graph. It checks again after a release, whose delta carries the
-// IdentifiersOf memo over.
+// mapping graph. It checks again after a release, which View.ChangedSince
+// must explain.
 func TestIdentifierWalkMatchesClosure(t *testing.T) {
 	const ns = "http://ex/idparity/"
 	for seed := int64(1); seed <= 60; seed++ {
@@ -53,7 +53,7 @@ func TestIdentifierWalkMatchesClosure(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				graph = MappingGraphURI("elsewhere")
 			}
-			if _, err := o.Store().AddTriple(graph, tr); err != nil {
+			if _, err := o.Store().Add(rdf.Quad{Triple: tr, Graph: graph}); err != nil {
 				t.Fatal(err)
 			}
 			if graph == GlobalGraphName {
@@ -62,7 +62,7 @@ func TestIdentifierWalkMatchesClosure(t *testing.T) {
 		}
 		// The blank node reaches sc:identifier, which an IRI-only closure
 		// must not follow.
-		if _, err := o.Store().AddTriple(GlobalGraphName, rdf.Triple{Subject: rdf.BlankNode("b"), Predicate: rdf.RDFSSubClassOf, Object: rdf.SchemaIdentifier}); err != nil {
+		if _, err := o.Store().Add(rdf.Quad{Triple: rdf.Triple{Subject: rdf.BlankNode("b"), Predicate: rdf.RDFSSubClassOf, Object: rdf.SchemaIdentifier}, Graph: GlobalGraphName}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -106,8 +106,8 @@ func TestIdentifierWalkMatchesClosure(t *testing.T) {
 		if _, err := o.NewRelease(r); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := o.DeltasBetween(before, o.Store().Snapshot().Generation()); !ok {
-			t.Fatalf("seed %d: the release left its generation unexplained, so the memo was not carried", seed)
+		if _, ok := o.View().ChangedSince(before); !ok {
+			t.Fatalf("seed %d: ChangedSince does not explain the release's generation", seed)
 		}
 		check("after the release")
 	}

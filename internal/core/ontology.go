@@ -15,8 +15,8 @@ import (
 // that the design constraints of §3 (e.g. a feature belongs to exactly one
 // concept) can be enforced.
 type Ontology struct {
-	// mu serializes the mutators (G edits, releases, replicated batches and
-	// hook installation). No read path takes it.
+	// mu serializes the mutators (G edits, releases and replicated
+	// batches). No read path takes it.
 	mu sync.Mutex
 
 	store    *store.Store
@@ -26,19 +26,9 @@ type Ontology struct {
 	// for (see view.go); a newer generation installs a fresh view.
 	view atomic.Pointer[View]
 
-	// deltaLog records, per release (local or replicated), the
-	// store-generation interval it published and its invalidation footprint
-	// (see delta.go). In memory only, bounded to maxDeltaLog spans,
-	// published copy-on-write under mu and read without a lock.
-	deltaLog atomic.Pointer[[]DeltaSpan]
-
 	// lastSeq is the highest release sequence number handed out; 0 until
 	// the first release seeds it (see lastSequenceLocked). Guarded by mu.
 	lastSeq int
-
-	// releaseHook, when set, observes every span NewRelease records (see
-	// SetReleaseHook). Guarded by mu.
-	releaseHook func(DeltaSpan) error
 }
 
 // NewOntology returns an ontology whose store is initialized with the
@@ -54,8 +44,10 @@ func NewOntology() *Ontology {
 
 // RestoreOntology wraps a store rebuilt by the durability layer (checkpoint
 // load + WAL replay) into an Ontology. Unlike NewOntology it does not
-// install the metamodel: the restored store already contains it. Its
-// release-delta log starts empty, as do the caches over it.
+// install the metamodel: the restored store already contains it. What a
+// release changed is read from the store's generation log, which starts at
+// the restored generation, so a cache over the restored ontology
+// revalidates across every generation published after it.
 func RestoreOntology(s *store.Store) *Ontology {
 	return &Ontology{
 		store:    s,
@@ -115,15 +107,6 @@ func (o *Ontology) installMetamodel() {
 	addS(rdf.T(SHasAttribute, rdf.RDFSIsDefinedBy, sourceVocab))
 	addS(rdf.T(SHasAttribute, rdf.RDFSDomain, SWrapper))
 	addS(rdf.T(SHasAttribute, rdf.RDFSRange, SAttribute))
-}
-
-// addToGraph asserts a triple in the given named graph.
-func (o *Ontology) addToGraph(graph rdf.IRI, t rdf.Triple) error {
-	_, err := o.store.AddTriple(graph, t)
-	if err != nil {
-		return fmt.Errorf("core: adding %v to %s: %w", t, graph, err)
-	}
-	return nil
 }
 
 // TriplesInSource returns the number of triples currently in S. It is the

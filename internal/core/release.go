@@ -125,11 +125,9 @@ type ReleaseResult struct {
 // wrapper spec validates attribute uniqueness — so every quad is collected
 // first and published with a single AddAll. Readers therefore never
 // observe a half-registered release, and the store merges each touched
-// index bucket once instead of once per triple. The release's delta span is
-// published inside that batch's writer critical section, before its
-// snapshot, so no reader sees the release's generation without the span
-// that explains it. The release is validated against the snapshot it is
-// planned on, under the same lock, so no Global-graph edit slips in between.
+// index bucket once instead of once per triple. The release is validated
+// against the snapshot it is planned on, under the same lock, so no
+// Global-graph edit slips in between.
 func (o *Ontology) NewRelease(r Release) (*ReleaseResult, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -208,57 +206,24 @@ func (o *Ontology) NewRelease(r Release) (*ReleaseResult, error) {
 	// One snapshot publication for the whole release. Quads already present
 	// from earlier releases (e.g. an owl:sameAs link of a reused attribute)
 	// are skipped by the store, exactly as the per-triple path ignored them.
-	span, _, err := o.addBatchLocked(sn, pending, res.Delta)
-	if err != nil {
+	if _, err := o.store.AddAll(pending); err != nil {
 		return nil, fmt.Errorf("core: registering release of wrapper %q: %w", r.Wrapper.Name, err)
 	}
 	o.lastSeq = seq
 	after := o.store.Snapshot()
 	res.SourceTriplesAdded = after.GraphLen(SourceGraphName) - sBefore
 	res.TriplesAdded = after.Len() - totalBefore
-	if span != nil && o.releaseHook != nil {
-		if err := o.releaseHook(*span); err != nil {
-			return res, fmt.Errorf("core: release hook for wrapper %q (release applied): %w", r.Wrapper.Name, err)
-		}
-	}
 	return res, nil
 }
 
-// AddAll adds quads as one store batch. A batch of Algorithm 1's shape, such
-// as a release's add-all record a replica reads off its primary's log, has
-// its delta derived against the state before it and its span recorded before
-// its snapshot is published, as NewRelease records its own. So caches over a
-// replica invalidate incrementally, and a reader never sees a replicated
-// release's generation without the span that explains it.
+// AddAll adds quads as one store batch under the mutator lock, as a replica
+// applies its primary's add-all records. A batch of Algorithm 1's shape is
+// a release to caches however it was written: View.ChangedSince derives its
+// footprint from the store's generation log.
 func (o *Ontology) AddAll(quads []rdf.Quad) (int, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	sn := o.store.Snapshot()
-	_, added, err := o.addBatchLocked(sn, quads, computeReleaseDelta(sn, quads))
-	return added, err
-}
-
-// addBatchLocked publishes quads, planned on sn, as one store batch. When d
-// is non-nil its span is recorded once the commit hook has accepted the
-// batch and before its snapshot is visible, so caches validating across
-// (pre, post] can invalidate incrementally. Mutations that bypass this path
-// (Global-graph edits, direct store writes) leave their generations
-// unexplained, which DeltasBetween reports as "not covered" and caches
-// answer with a full flush. A release batch is exactly
-// one snapshot publication (it always adds at least the wrapper typing
-// triple); if it publishes anything but the generation after sn, a direct
-// store write raced it, and claiming the interval would let caches retain
-// entries the foreign write invalidated, so it stays unexplained. Caller
-// holds o.mu.
-func (o *Ontology) addBatchLocked(sn store.Snapshot, quads []rdf.Quad, d *ReleaseDelta) (*DeltaSpan, int, error) {
-	var span *DeltaSpan
-	added, err := o.store.AddAllBeforePublish(quads, func(gen uint64) {
-		if d != nil && gen == sn.Generation()+1 {
-			span = &DeltaSpan{From: sn.Generation(), To: gen, Delta: d}
-			o.recordDeltaLocked(*span)
-		}
-	})
-	return span, added, err
+	return o.store.AddAll(quads)
 }
 
 // lastSequenceLocked returns the highest release sequence number handed out

@@ -67,6 +67,36 @@ func (o *Ontology) View() *View {
 // Generation reports the store generation the view reads.
 func (v *View) Generation() uint64 { return v.snap.Generation() }
 
+// ChangedSince returns the union of the release footprints of the
+// generations in (gen, v.Generation()], each derived from the quads it
+// inserted (store.Snapshot.Inserted). covered is false when one of them is
+// not a release of Algorithm 1's shape (a Global-graph edit, the metamodel,
+// a bulk load), when gen precedes the store's generation log or follows the
+// view: then anything memoized at gen must be dropped. Deriving every
+// release on the view's snapshot instead of the state before it yields the
+// same union: G does not change within a covered interval, and an
+// owl:sameAs link a later release adds to a reused attribute is among that
+// later release's own features.
+func (v *View) ChangedSince(gen uint64) (changed Footprint, covered bool) {
+	if gen > v.Generation() {
+		return Footprint{}, false
+	}
+	var concepts, features []rdf.IRI
+	for g := gen + 1; g <= v.Generation(); g++ {
+		quads, ok := v.snap.Inserted(g)
+		if !ok {
+			return Footprint{}, false
+		}
+		d := computeReleaseDelta(v.snap, quads)
+		if d == nil {
+			return Footprint{}, false
+		}
+		concepts = append(concepts, d.Concepts...)
+		features = append(features, d.Features...)
+	}
+	return NewFootprint(concepts, features), true
+}
+
 // Compact renders an IRI with the ontology's prefixes, for messages.
 func (v *View) Compact(iri rdf.IRI) string { return v.prefixes.Compact(iri) }
 

@@ -17,13 +17,13 @@
 // lock a release holds either, so a release parked in the WAL's fsync holds
 // up no reader. Consistency comes from those layers: the quad store serves
 // reads from immutable, generation-tagged snapshots; NewRelease publishes a
-// release as one atomic store batch, and its delta span before that batch's
-// snapshot; the ontology's view (core.View) reads one generation, memoizes
-// its lookups and is installed with a compare-and-swap; a rewrite pins one
-// view and makes every lookup on it, and the rewriting cache validates
-// itself against the release-delta log at that view's generation, retiring
-// only the cached rewritings whose concept/feature footprint a release
-// touches (GET /api/queries/cache reports the counters); and
+// release as one atomic store batch; the ontology's view (core.View) reads
+// one generation, memoizes its lookups and is installed with a
+// compare-and-swap; a rewrite pins one view and makes every lookup on it,
+// and the rewriting cache validates itself on that view, deriving what the
+// releases since its own generation changed from the store's generation log
+// and retiring only the cached rewritings whose concept/feature footprint
+// they touch (GET /api/queries/cache reports the counters); and
 // /api/ontology/stats, /concepts and /sources each read one pinned
 // snapshot, so every reply describes one generation.
 //

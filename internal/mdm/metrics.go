@@ -100,7 +100,7 @@ func (s *Server) writeCacheMetrics(t *obs.TextWriter) {
 	t.Counter("bdi_rewrite_cache_entries_invalidated_total", "Cached rewritings retired by releases.", nil, int64(st.EntriesInvalidated))
 	t.Counter("bdi_rewrite_cache_units_retained_total", "Cached units that survived releases.", nil, int64(st.UnitsRetained))
 	t.Counter("bdi_rewrite_cache_units_invalidated_total", "Cached units retired by releases.", nil, int64(st.UnitsInvalidated))
-	t.Counter("bdi_rewrite_cache_full_flushes_total", "Wholesale cache flushes (non-release G edits).", nil, int64(st.FullFlushes))
+	t.Counter("bdi_rewrite_cache_full_flushes_total", "Wholesale cache flushes: a generation since the cache's was no release (a G edit or another batch).", nil, int64(st.FullFlushes))
 	t.Counter("bdi_rewrite_cache_evictions_total", "Capacity evictions.", nil, int64(st.Evictions))
 	t.Gauge("bdi_rewrite_cache_entries", "Memoized rewritings currently cached.", nil, int64(st.Entries))
 	t.Gauge("bdi_rewrite_cache_unit_entries", "Intra-concept units currently cached.", nil, int64(st.Units))

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"bdi/internal/core"
+	"bdi/internal/rdf"
 	"bdi/internal/relational"
 	"bdi/internal/store"
 	"bdi/internal/workload"
@@ -281,12 +282,10 @@ func TestRewriteDoesNotWaitForBlockedRelease(t *testing.T) {
 // TestReleaseSampleDataVisibleWithRelease hammers POST /api/queries/answer
 // with a query every release widens while releases carrying sampleTuples
 // land. No answer may fail on a walk whose wrapper is missing, and no reader
-// may see the walk count shrink (run under -race in CI). A checker outside
-// every server and ontology lock asserts the ordering directly: each wrapper
-// the published ontology names is in the registry. The release hook runs
-// after NewRelease has published a release and before it returns, and holds
-// the release there until the checker has seen the new generation, so a
-// sample wrapper registered only after publication is caught every time.
+// may see the walk count shrink (run under -race in CI). The store's commit
+// hook asserts the ordering directly: it sees every batch before its
+// generation is published, so each wrapper a release batch registers in S
+// must already be in the registry there.
 func TestReleaseSampleDataVisibleWithRelease(t *testing.T) {
 	const readers, releases, minRounds = 4, 12, 3
 	o, err := core.BuildSupersedeOntology(false)
@@ -306,38 +305,17 @@ func TestReleaseSampleDataVisibleWithRelease(t *testing.T) {
 
 	var landed atomic.Bool
 	var wg sync.WaitGroup
-	errs := make(chan error, readers+1)
-	checked, checkerDone := make(chan uint64), make(chan struct{})
-	o.SetReleaseHook(func(span core.DeltaSpan) error {
-		for {
-			select {
-			case gen := <-checked:
-				if gen >= span.To {
-					return nil
-				}
-			case <-checkerDone:
-				return nil
+	errs := make(chan error, readers)
+	hooked := 0
+	o.Store().SetCommitHook(func(b store.Batch) error {
+		for _, w := range batchWrappers(b) {
+			hooked++
+			if _, ok := reg.Get(core.WrapperLocalName(w)); !ok {
+				t.Errorf("generation %d publishes %s before its wrapper is registered", b.Generation, w)
 			}
 		}
+		return nil
 	})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(checkerDone)
-		for !landed.Load() {
-			gen := o.Store().Generation()
-			for _, w := range o.Wrappers() {
-				if _, ok := reg.Get(core.WrapperLocalName(w)); !ok {
-					errs <- fmt.Errorf("generation %d publishes %s before its wrapper is registered", gen, w)
-					return
-				}
-			}
-			select {
-			case checked <- gen:
-			default:
-			}
-		}
-	}()
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func() {
@@ -375,6 +353,20 @@ func TestReleaseSampleDataVisibleWithRelease(t *testing.T) {
 	if walks, err := answerWalks(); err != nil || walks != 1+releases {
 		t.Errorf("after %d releases: %d walks, error %v; want %d", releases, walks, err, 1+releases)
 	}
+	if hooked != releases {
+		t.Errorf("the commit hook saw %d releases, want %d", hooked, releases)
+	}
+}
+
+// batchWrappers returns the wrappers a store batch registers in S.
+func batchWrappers(b store.Batch) []rdf.IRI {
+	var out []rdf.IRI
+	for _, q := range b.Quads {
+		if q.Graph == core.SourceGraphName && q.Predicate == rdf.RDFType && q.Object == core.SWrapper {
+			out = append(out, q.Subject.(rdf.IRI))
+		}
+	}
+	return out
 }
 
 // TestRejectedReleaseLeavesRegistryUnchanged posts releases with sample data
@@ -427,10 +419,10 @@ func TestRejectedReleaseLeavesRegistryUnchanged(t *testing.T) {
 }
 
 // TestReleaseSampleWrapperResolvableByNameAndIRI posts a release with sample
-// data and checks, from the release hook (the release's span is published,
-// its snapshot about to be), that the sample wrapper resolves both by its
-// name and by its wrapper IRI: a reader that sees the release finds the
-// wrapper under either key.
+// data and checks, from the store's commit hook (the release's batch is
+// accepted, its snapshot about to be published), that the sample wrapper
+// resolves both by its name and by its wrapper IRI: a reader that sees the
+// release finds the wrapper under either key.
 func TestReleaseSampleWrapperResolvableByNameAndIRI(t *testing.T) {
 	o, err := core.BuildSupersedeOntology(false)
 	if err != nil {
@@ -439,11 +431,14 @@ func TestReleaseSampleWrapperResolvableByNameAndIRI(t *testing.T) {
 	reg := workload.SupersedeTable1Registry(false)
 	h := NewServer(o, reg).Handler()
 	var hooked []string
-	o.SetReleaseHook(func(span core.DeltaSpan) error {
-		name := core.WrapperLocalName(span.Delta.Wrapper)
-		for _, key := range []string{name, string(span.Delta.Wrapper)} {
-			if w, ok := reg.Get(key); !ok || w.Name() != name {
-				hooked = append(hooked, fmt.Sprintf("%s does not resolve to wrapper %s when its span is published", key, name))
+	o.Store().SetCommitHook(func(b store.Batch) error {
+		for _, w := range batchWrappers(b) {
+			name := core.WrapperLocalName(w)
+			hooked = append(hooked, name)
+			for _, key := range []string{name, string(w)} {
+				if got, ok := reg.Get(key); !ok || got.Name() != name {
+					t.Errorf("%s does not resolve to wrapper %s when its batch is committed", key, name)
+				}
 			}
 		}
 		return nil
@@ -451,7 +446,7 @@ func TestReleaseSampleWrapperResolvableByNameAndIRI(t *testing.T) {
 	if rec := serveJSON(h, http.MethodPost, "/api/releases", w4Release()); rec.Code != http.StatusCreated {
 		t.Fatalf("w4 release = %d: %s", rec.Code, rec.Body)
 	}
-	for _, msg := range hooked {
-		t.Error(msg)
+	if !slices.Equal(hooked, []string{"w4"}) {
+		t.Errorf("the commit hook saw releases %v, want [w4]", hooked)
 	}
 }

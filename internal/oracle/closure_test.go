@@ -19,7 +19,7 @@ func taxonomyStore(t *testing.T) *store.Store {
 	s := store.New()
 	add := func(tr rdf.Triple) {
 		t.Helper()
-		if _, err := s.AddTriple("", tr); err != nil {
+		if _, err := s.Add(rdf.Quad{Triple: tr}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestClosureAtNewerSnapshotSeesChange(t *testing.T) {
 	if ClosureAt(s.Snapshot()).IsSubClassOf("http://ex/newId", "http://ex/identifier") {
 		t.Error("unknown class should not be a subclass")
 	}
-	if _, err := s.AddTriple("", rdf.T("http://ex/newId", rdf.RDFSSubClassOf, "http://ex/identifier")); err != nil {
+	if _, err := s.Add(rdf.Quad{Triple: rdf.T("http://ex/newId", rdf.RDFSSubClassOf, "http://ex/identifier")}); err != nil {
 		t.Fatal(err)
 	}
 	if !ClosureAt(s.Snapshot()).IsSubClassOf("http://ex/newId", "http://ex/identifier") {
@@ -167,7 +167,7 @@ func TestConcurrentIDClosureAccess(t *testing.T) {
 	s := taxonomyStore(t)
 	before := s.Snapshot()
 	e := ClosureAt(before)
-	if _, err := s.AddTriple("", rdf.T("http://ex/newId", rdf.RDFSSubClassOf, "http://ex/identifier")); err != nil {
+	if _, err := s.Add(rdf.Quad{Triple: rdf.T("http://ex/newId", rdf.RDFSSubClassOf, "http://ex/identifier")}); err != nil {
 		t.Fatal(err)
 	}
 	after := s.Snapshot()

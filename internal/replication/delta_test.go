@@ -12,10 +12,11 @@ import (
 	"bdi/internal/wal"
 )
 
-// A replica derives each release's delta from the release's add-all record
-// as it applies it, exactly as the primary's NewRelease derives it from its
-// own batch. These tests apply shipped frames in process, through the same
-// applyFrames the sync loop calls, so they can stop between any two frames.
+// A replica applies each release's add-all record as one generation of its
+// store's log, from which View.ChangedSince derives the release's footprint
+// exactly as on the primary. These tests apply shipped frames in process,
+// through the same applyFrames the sync loop calls, so they can stop
+// between any two frames.
 
 // inProcessReplica bootstraps a replica from m's newest checkpoint.
 func inProcessReplica(t *testing.T, m *wal.Manager) *Replica {
@@ -62,8 +63,8 @@ func shipOnce(t *testing.T, m *wal.Manager, r *Replica, maxBytes int) bool {
 
 // TestReplicaPublishesReleaseDeltaWithItsBatch ships exactly one frame, a
 // release's add-all record, and requires the replica to explain the
-// release's generation as soon as it applies that frame, with the delta the
-// primary recorded.
+// release's generation as soon as it applies that frame, with the footprint
+// of the delta the primary's NewRelease reported.
 func TestReplicaPublishesReleaseDeltaWithItsBatch(t *testing.T) {
 	m, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncOff})
 	if err != nil {
@@ -109,13 +110,13 @@ func TestReplicaPublishesReleaseDeltaWithItsBatch(t *testing.T) {
 		if err := rep.applyFrames(o, frames); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := o.DeltasBetween(pre, post)
-		want, wantOK := primary.DeltasBetween(pre, post)
+		got, ok := o.View().ChangedSince(pre)
+		want, wantOK := primary.View().ChangedSince(pre)
 		if !ok || !wantOK {
 			t.Fatalf("%s: interval (%d, %d] covered on the replica %v, on the primary %v; want both", r.Wrapper.Name, pre, post, ok, wantOK)
 		}
-		if len(got) != 1 || !reflect.DeepEqual(got, want) || got[0].Sequence != res.Sequence {
-			t.Fatalf("%s: replica deltas %+v, primary %+v", r.Wrapper.Name, got, want)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, res.Delta.Footprint) {
+			t.Fatalf("%s: replica footprint %+v, primary %+v, reported %+v", r.Wrapper.Name, got, want, res.Delta.Footprint)
 		}
 	}
 	if st := rep.Status().Stats; st.FramesApplied != 2 {
@@ -129,8 +130,9 @@ func TestReplicaPublishesReleaseDeltaWithItsBatch(t *testing.T) {
 // (new concepts, new features of a concept), and a checkpoint resync of the
 // replica partway.
 // The replica follows in chunks of random size, and for every interval
-// between two generations it applied since its last resync, DeltasBetween
-// must return the same deltas and the same covered flag on both sides.
+// between two generations it applied since its last resync, ChangedSince on
+// the views pinned at the interval's end must return the same footprint and
+// the same covered flag on both sides.
 func TestReplicaDeltaParityRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -141,14 +143,19 @@ func TestReplicaDeltaParityRandomized(t *testing.T) {
 			}
 			defer m.Abort()
 			primary := m.Ontology()
+			// Every op publishes one generation; pin the primary's view
+			// of each.
+			primaryViews := map[uint64]*core.View{}
 			concepts := 2
 			for i := range concepts {
 				if err := replConceptOp(i).run(primary); err != nil {
 					t.Fatal(err)
 				}
+				primaryViews[primary.Store().Generation()] = primary.View()
 			}
 			rep := inProcessReplica(t, m)
-			seen := []uint64{rep.Generation()}
+			seen, checked := []uint64{rep.Generation()}, 1
+			replicaViews := map[uint64]*core.View{}
 
 			var sources []string
 			covered := 0
@@ -174,29 +181,37 @@ func TestReplicaDeltaParityRandomized(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
+				primaryViews[primary.Store().Generation()] = primary.View()
 
 				if step == steps/2 {
 					if _, err := m.Checkpoint(); err != nil {
 						t.Fatal(err)
 					}
 					rep = inProcessReplica(t, m)
-					seen = []uint64{rep.Generation()}
+					seen, checked = []uint64{rep.Generation()}, 1
 				}
 				for shipOnce(t, m, rep, 1+rng.Intn(2048)) {
 					seen = append(seen, rep.Generation())
+					replicaViews[rep.Generation()] = rep.Ontology().View()
 				}
-				for i, from := range seen {
-					for _, to := range seen[i+1:] {
-						want, wantOK := primary.DeltasBetween(from, to)
-						got, ok := rep.Ontology().DeltasBetween(from, to)
-						if ok != wantOK || !reflect.DeepEqual(got, want) {
-							t.Fatalf("step %d: DeltasBetween(%d, %d): replica %v %+v, primary %v %+v", step, from, to, ok, got, wantOK, want)
+				// Intervals ending at a generation checked in an earlier
+				// step read the same pinned views again.
+				for _, to := range seen[checked:] {
+					for _, from := range seen {
+						if from >= to {
+							break
 						}
-						if ok && to > from {
+						want, wantOK := primaryViews[to].ChangedSince(from)
+						got, ok := replicaViews[to].ChangedSince(from)
+						if ok != wantOK || !reflect.DeepEqual(got, want) {
+							t.Fatalf("step %d: ChangedSince(%d) at %d: replica %v %+v, primary %v %+v", step, from, to, ok, got, wantOK, want)
+						}
+						if ok {
 							covered++
 						}
 					}
 				}
+				checked = len(seen)
 			}
 			if covered == 0 {
 				t.Fatal("no interval the replica applied was covered by releases")

@@ -47,18 +47,19 @@ const keptValuesMax = 1 << 18
 // release; release-based evolution (Algorithm 1) additionally bounds *what*
 // a release can change, which this cache exploits:
 //
-//   - When the store generation moves, the cache asks the ontology for the
-//     ReleaseDeltas covering the interval. If every mutation is explained by
-//     releases, only entries and units whose footprint intersects a delta
-//     are retired — queries over untouched concepts keep their results and
-//     cost a pure cache hit even though the ontology evolved.
+//   - When the store generation moves, the cache asks the view it pinned
+//     what changed since its own generation (core.View.ChangedSince). If
+//     every generation in between is a release, only entries and units
+//     whose footprint intersects the releases' are retired — queries over
+//     untouched concepts keep their results and cost a pure cache hit even
+//     though the ontology evolved.
 //   - A query whose entry was retired (or was never cached) is rebuilt
 //     incrementally: retained intra-concept units are reused and only the
 //     missing units plus the inter-concept joins (Algorithm 5) and the
 //     coverage filter are recomputed.
 //   - A mutation interval not explained by releases (Global-graph edits,
-//     administrative removals, direct store writes) flushes everything —
-//     the pre-delta behaviour.
+//     direct store writes of another shape) flushes everything — the
+//     pre-delta behaviour.
 //
 // Results handed out by the cache are shared and must be treated as
 // immutable. The cache is safe for concurrent use. A lookup pins the
@@ -224,7 +225,7 @@ func (c *Cache) rewrite(ctx context.Context, omq *OMQ) (*Result, *cacheEntry, er
 	// forward, and only a rewrite holding c.mu moves the cache, to its view.
 	v := c.rewriter.Ontology.View()
 	gen := v.Generation()
-	c.revalidateLocked(gen)
+	c.revalidateLocked(v)
 	if e, ok := c.entries[key]; ok {
 		c.entryLRU.MoveToFront(e.elem)
 		c.stats.Hits++
@@ -295,35 +296,36 @@ func (c *Cache) unit(ctx context.Context, v *core.View, concept rdf.IRI, feature
 	return pw, nil
 }
 
-// revalidateLocked brings the cache up to the given store generation,
-// retiring exactly the entries and units whose footprint a release since
+// revalidateLocked brings the cache up to the generation of v, retiring
+// exactly the entries and units whose footprint a release since
 // c.generation touches — or everything when the interval is not explained
-// by releases.
-func (c *Cache) revalidateLocked(gen uint64) {
+// by releases. An empty cache derives nothing.
+func (c *Cache) revalidateLocked(v *core.View) {
 	// A view pinned under c.mu is never behind the cache: gen < c.generation
 	// does not happen.
-	if gen <= c.generation {
+	from := c.generation
+	if v.Generation() <= from {
 		return
 	}
-	deltas, covered := c.rewriter.Ontology.DeltasBetween(c.generation, gen)
+	c.generation = v.Generation()
+	if len(c.entries) == 0 && len(c.units) == 0 {
+		return
+	}
+	changed, covered := v.ChangedSince(from)
 	if !covered {
-		// An empty cache (e.g. the very first validation) flushes nothing.
-		if len(c.entries) > 0 || len(c.units) > 0 {
-			c.stats.EntriesInvalidated += len(c.entries)
-			c.stats.UnitsInvalidated += len(c.units)
-			c.stats.FullFlushes++
-			c.stats.KeptValues = 0
-			c.entries = map[string]*cacheEntry{}
-			c.entryLRU.Init()
-			c.units = map[string]*unitEntry{}
-			c.unitLRU.Init()
-		}
-		c.generation = gen
+		c.stats.EntriesInvalidated += len(c.entries)
+		c.stats.UnitsInvalidated += len(c.units)
+		c.stats.FullFlushes++
+		c.stats.KeptValues = 0
+		c.entries = map[string]*cacheEntry{}
+		c.entryLRU.Init()
+		c.units = map[string]*unitEntry{}
+		c.unitLRU.Init()
 		return
 	}
 	for key, e := range c.entries {
-		if e.footprint.IntersectsAny(deltas) {
-			c.countInvalidationLocked(e.footprint, deltas)
+		if e.footprint.Intersects(changed) {
+			c.countInvalidationLocked(e.footprint, changed)
 			c.entryLRU.Remove(e.elem)
 			delete(c.entries, key)
 			c.stats.KeptValues -= e.kept
@@ -333,8 +335,8 @@ func (c *Cache) revalidateLocked(gen uint64) {
 		}
 	}
 	for key, u := range c.units {
-		if u.footprint.IntersectsAny(deltas) {
-			c.countInvalidationLocked(u.footprint, deltas)
+		if u.footprint.Intersects(changed) {
+			c.countInvalidationLocked(u.footprint, changed)
 			c.unitLRU.Remove(u.elem)
 			delete(c.units, key)
 			c.stats.UnitsInvalidated++
@@ -342,11 +344,15 @@ func (c *Cache) revalidateLocked(gen uint64) {
 			c.stats.UnitsRetained++
 		}
 	}
-	c.generation = gen
 }
 
-func (c *Cache) countInvalidationLocked(fp core.Footprint, deltas []*core.ReleaseDelta) {
-	for _, concept := range fp.TouchedConcepts(deltas) {
+// countInvalidationLocked counts a retired footprint once for each of its
+// concepts the changed elements hold.
+func (c *Cache) countInvalidationLocked(fp, changed core.Footprint) {
+	for _, concept := range fp.Concepts {
+		if !changed.Touches(concept) {
+			continue
+		}
 		if c.stats.InvalidatedByConcept == nil {
 			c.stats.InvalidatedByConcept = map[string]int{}
 		}

@@ -82,6 +82,15 @@ func (s *Bytes) Bytes(r Ref) []byte {
 	return s.chunks[r.Chunk][r.Off : r.Off+r.Len : r.Off+r.Len]
 }
 
+// Truncate discards the range r and every range appended after it, so the
+// next Append reuses their bytes. Only ranges never published to a view may
+// be discarded (see the package comment).
+func (s *Bytes) Truncate(r Ref) {
+	clear(s.chunks[r.Chunk+1:])
+	s.chunks = s.chunks[:r.Chunk+1]
+	s.chunks[r.Chunk] = s.chunks[r.Chunk][:r.Off]
+}
+
 // Size returns the total number of bytes appended.
 func (s *Bytes) Size() int64 {
 	var n int64
@@ -137,6 +146,22 @@ func (s *Slots[T]) Append(v T) uint32 {
 // At returns the writer-side slot i.
 func (s *Slots[T]) At(i uint32) *T {
 	return &s.chunks[i>>chunkBits][i&chunkMask]
+}
+
+// Truncate discards slot n and every later one, so the next Append returns
+// n. Only slots never published to a view may be discarded (see the package
+// comment).
+func (s *Slots[T]) Truncate(n uint32) {
+	if n >= s.n {
+		return
+	}
+	keep := int((n + chunkMask) >> chunkBits)
+	clear(s.chunks[keep:])
+	s.chunks = s.chunks[:keep]
+	if n&chunkMask != 0 {
+		s.chunks[keep-1] = s.chunks[keep-1][:n&chunkMask]
+	}
+	s.n = n
 }
 
 // Len returns the number of slots appended.

@@ -70,3 +70,43 @@ func TestSlotsAppendAndViews(t *testing.T) {
 		t.Fatal("view invalidated by later append")
 	}
 }
+
+// TestTruncateReusesUnpublishedTail discards an unpublished tail of both
+// arenas, within a chunk and across chunk boundaries, and checks that the
+// next appends reuse its offsets while a view taken before the tail keeps
+// resolving.
+func TestTruncateReusesUnpublishedTail(t *testing.T) {
+	type slot struct{ a uint64 }
+	for _, keep := range []uint32{0, 5, chunkCap, chunkCap + 3} {
+		s, b := NewSlots[slot](), NewBytes()
+		var refs []Ref
+		for i := uint32(0); i < keep; i++ {
+			s.Append(slot{a: uint64(i)})
+			refs = append(refs, b.Append([]byte(fmt.Sprint(i))))
+		}
+		sv, bv := s.View(), b.View()
+		first := b.Append(bytes.Repeat([]byte{'x'}, byteChunkSize-1))
+		for i := uint32(0); i < 2*chunkCap; i++ {
+			s.Append(slot{a: 1 << 40})
+			b.Append([]byte("vetoed"))
+		}
+		s.Truncate(keep)
+		b.Truncate(first)
+		if s.Len() != keep {
+			t.Fatalf("keep %d: Len = %d after Truncate", keep, s.Len())
+		}
+		if got := s.Append(slot{a: 7}); got != keep || s.At(keep).a != 7 {
+			t.Fatalf("keep %d: Append after Truncate = %d (%+v)", keep, got, *s.At(got))
+		}
+		if r := b.Append([]byte("next")); r.Chunk != first.Chunk || r.Off != first.Off {
+			t.Fatalf("keep %d: Append after Truncate = %+v, want the truncated %+v", keep, r, first)
+		} else if string(b.Bytes(r)) != "next" {
+			t.Fatalf("keep %d: reused range = %q", keep, b.Bytes(r))
+		}
+		for i := uint32(0); i < keep; i++ {
+			if sv.At(i).a != uint64(i) || s.At(i).a != uint64(i) || string(bv.Bytes(refs[i])) != fmt.Sprint(i) {
+				t.Fatalf("keep %d: slot %d lost by Truncate", keep, i)
+			}
+		}
+	}
+}

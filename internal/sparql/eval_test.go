@@ -22,7 +22,7 @@ func evalStore(t *testing.T) *store.Store {
 	g := rdf.IRI(ex + "G")
 	add := func(tr rdf.Triple, graph rdf.IRI) {
 		t.Helper()
-		if _, err := s.AddTriple(graph, tr); err != nil {
+		if _, err := s.Add(rdf.Quad{Triple: tr, Graph: graph}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"bdi/internal/rdf"
@@ -42,7 +43,7 @@ func TestCommitHookObservesBatchesInOrder(t *testing.T) {
 	if added, err := s.Add(qd(2)); err != nil || added { // a duplicate publishes nothing
 		t.Fatalf("re-adding a stored quad: added=%v err=%v", added, err)
 	}
-	if _, err := s.AddTriple(qd(3).Graph, qd(3).Triple); err != nil {
+	if _, err := s.Add(qd(3)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,7 +60,7 @@ func TestCommitHookObservesBatchesInOrder(t *testing.T) {
 		t.Fatalf("AddAll batch logged %v", got)
 	}
 	if got := batches[2].Quads; len(got) != 1 || got[0].String() != qd(3).String() {
-		t.Fatalf("AddTriple batch logged %v", got)
+		t.Fatalf("one-quad Add batch logged %v", got)
 	}
 }
 
@@ -78,15 +79,11 @@ func TestCommitHookVetoRollsBack(t *testing.T) {
 	if _, err := s.Add(qd(2)); !errors.Is(err, veto) {
 		t.Fatalf("Add error = %v, want the veto", err)
 	}
-	if _, err := s.AddTriple(qd(2).Graph, qd(2).Triple); !errors.Is(err, veto) {
-		t.Fatalf("AddTriple error = %v, want the veto", err)
+	if _, err := s.Add(qd(2)); !errors.Is(err, veto) {
+		t.Fatalf("one-quad Add error = %v, want the veto", err)
 	}
 	if _, err := s.AddAll([]rdf.Quad{qd(3), qd(4)}); !errors.Is(err, veto) {
 		t.Fatalf("AddAll error = %v, want the veto", err)
-	}
-	called := false
-	if _, err := s.AddAllBeforePublish([]rdf.Quad{qd(3)}, func(uint64) { called = true }); !errors.Is(err, veto) || called {
-		t.Fatalf("AddAllBeforePublish error = %v, callback run = %v; want the veto and no callback", err, called)
 	}
 	if got := s.Generation(); got != gen {
 		t.Fatalf("generation moved to %d after vetoed writes, want %d", got, gen)
@@ -100,6 +97,82 @@ func TestCommitHookVetoRollsBack(t *testing.T) {
 	n, err := s.AddAll([]rdf.Quad{qd(2), qd(3), qd(4)})
 	if err != nil || n != 3 {
 		t.Fatalf("re-adding vetoed quads: n=%d err=%v", n, err)
+	}
+}
+
+// TestArenaIsTheGenerationLog runs seeded batches that are accepted,
+// vetoed, stopped at an invalid quad or made only of duplicates. After
+// every batch the arena holds exactly Len() slots, and for every
+// generation g since the store's base Inserted(g) returns the quads the
+// commit hook saw for g, in the same order, on the live store and on one
+// restored from a pinned snapshot; outside that range it reports false.
+func TestArenaIsTheGenerationLog(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		logged := map[uint64][]rdf.Quad{}
+		vetoNext := false
+		veto := errors.New("vetoed")
+		s.SetCommitHook(func(b Batch) error {
+			if vetoNext {
+				return veto
+			}
+			logged[b.Generation] = b.Quads
+			return nil
+		})
+		check := func(st *Store, base uint64) {
+			t.Helper()
+			sn := st.Snapshot()
+			if got := int(st.ar.slots.Len()); got != sn.Len() {
+				t.Fatalf("seed %d: arena has %d slots, Len() = %d", seed, got, sn.Len())
+			}
+			for g := uint64(0); g <= sn.Generation()+1; g++ {
+				got, ok := sn.Inserted(g)
+				if want := g > base && g <= sn.Generation(); ok != want {
+					t.Fatalf("seed %d: Inserted(%d) reported %v at base %d, generation %d", seed, g, ok, base, sn.Generation())
+				}
+				if ok && fmt.Sprint(got) != fmt.Sprint(logged[g]) {
+					t.Fatalf("seed %d: Inserted(%d) = %v, the hook saw %v", seed, g, got, logged[g])
+				}
+			}
+		}
+		next := 0
+		for step := 0; step < 60; step++ {
+			batch := make([]rdf.Quad, 1+rng.Intn(40))
+			for i := range batch {
+				if rng.Intn(4) == 0 && next > 0 {
+					batch[i] = qd(rng.Intn(next)) // a duplicate
+				} else {
+					batch[i] = qd(next)
+					next++
+				}
+			}
+			kind := rng.Intn(4)
+			if kind == 1 {
+				batch[rng.Intn(len(batch))] = rdf.Quad{} // stops the batch
+			}
+			vetoNext = kind == 2
+			gen := s.Generation()
+			_, err := s.AddAll(batch)
+			if vetoNext != errors.Is(err, veto) {
+				t.Fatalf("seed %d step %d: AddAll error %v, vetoed %v", seed, step, err, vetoNext)
+			}
+			if vetoNext && s.Generation() != gen {
+				t.Fatalf("seed %d step %d: a vetoed batch published", seed, step)
+			}
+			check(s, 0)
+		}
+		sn := s.Snapshot()
+		restored, err := Restore(sn.Dict(), sn.Generation(), sn.ExportGraphIDs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored.SetCommitHook(s.hook)
+		check(restored, sn.Generation())
+		if _, err := restored.AddAll([]rdf.Quad{qd(next), qd(next + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		check(restored, sn.Generation())
 	}
 }
 

@@ -41,7 +41,8 @@ func (sn Snapshot) ExportGraphIDs() [][]QuadID {
 // them, so a corrupt or reordered checkpoint is rejected rather than
 // silently building unsorted buckets. The whole load is one snapshot
 // publication built with plain appends into a fresh arena — no per-batch
-// copy-on-write, no bucket merges.
+// copy-on-write, no bucket merges. The restored store's generation log
+// starts at generation: Snapshot.Inserted answers for later ones only.
 func Restore(d *rdf.Dict, generation uint64, graphs [][]QuadID) (*Store, error) {
 	if d == nil {
 		d = rdf.NewDict()
@@ -89,7 +90,9 @@ func Restore(d *rdf.Dict, generation uint64, graphs [][]QuadID) (*Store, error) 
 		}
 	}
 	s := &Store{quads: quads, ar: ar}
-	s.snap.Store(newSnapshotFromSorted(d, generation, ar, ents))
+	sn := newSnapshotFromSorted(d, generation, ar, ents)
+	sn.base = generation
+	s.snap.Store(sn)
 	return s, nil
 }
 
@@ -146,8 +149,8 @@ func restoreQuad(d *rdf.Dict, id QuadID, graph rdf.IRI) (rdf.Quad, error) {
 // the entries of each graph are contiguous and graphs appear in ascending
 // name order; appending entries in input order therefore leaves every union
 // index bucket and graph bucket sorted without a single merge or
-// copy-on-write step. The empty-store AddAll fast path, checkpoint Restore
-// and arena compaction all use it.
+// copy-on-write step. The empty-store AddAll fast path and checkpoint
+// Restore use it.
 func newSnapshotFromSorted(d *rdf.Dict, generation uint64, ar *arena, ents []eref) *snapshot {
 	sn := emptySnapshot(d, ar)
 	sn.generation = generation

@@ -8,13 +8,13 @@ import (
 	"bdi/internal/rdf"
 )
 
-// TestArenaCompactionReclaimsDeadSlots vetoes a bulk load large enough to
-// trip arena compaction (a vetoed batch leaves its slots dead) and asserts
-// that the next published batch shrinks the arena back to the live size
-// while content, probes and pinned snapshots stay intact.
-func TestArenaCompactionReclaimsDeadSlots(t *testing.T) {
+// TestVetoedBatchLeavesNoDeadSlots vetoes a bulk load and asserts that the
+// arena is truncated back to the live size, that the next accepted batch
+// reuses the vetoed offsets, that a snapshot pinned before the veto keeps
+// resolving, and that probes equal a fresh store's.
+func TestVetoedBatchLeavesNoDeadSlots(t *testing.T) {
 	s := New()
-	const n = 3 * arenaCompactMin
+	const n = 3 * 4096
 	load := func(graph rdf.IRI, k int) []rdf.Quad {
 		quads := make([]rdf.Quad, k)
 		for i := range quads {
@@ -37,46 +37,64 @@ func TestArenaCompactionReclaimsDeadSlots(t *testing.T) {
 		t.Fatalf("vetoed bulk load returned %v", err)
 	}
 	s.SetCommitHook(nil)
-	if got := int(s.ar.slots.Len()); got != n+500 {
-		t.Fatalf("arena has %d slots after the vetoed load, want %d", got, n+500)
+	if got := int(s.ar.slots.Len()); got != s.Len() || got != 500 {
+		t.Fatalf("arena has %d slots after the vetoed load, want Len() = %d = 500", got, s.Len())
 	}
+	keyBytes := s.ar.keys.Size()
 	extra := rdf.Q("http://comp/extra", "http://comp/p0", "http://comp/o0", "http://comp/keep")
 	if _, err := s.Add(extra); err != nil {
 		t.Fatal(err)
 	}
-	if got := int(s.ar.slots.Len()); got != 501 {
-		t.Fatalf("arena not compacted: %d slots, want 501", got)
+	if got := s.ar.slots.Len(); got != 501 || s.ar.slot(500).id != mustID(t, s, extra) {
+		t.Fatalf("the next batch did not reuse the vetoed offsets: %d slots", got)
 	}
-	if got := s.Len(); got != 501 {
-		t.Fatalf("store Len = %d, want 501", got)
+	if got := s.ar.keys.Size(); got != keyBytes+int64(len(s.ar.key(500))) {
+		t.Fatalf("key bytes grew to %d, want %d plus the extra quad's key", got, keyBytes)
 	}
-	// The snapshot pinned before compaction still resolves through the old
-	// arena.
+	// The snapshot pinned before the veto still resolves.
 	if got := before.GraphLen("http://comp/keep"); got != 500 {
 		t.Fatalf("pinned snapshot GraphLen = %d, want 500", got)
 	}
 	if got := len(before.Match(InGraph("http://comp/keep", rdf.IRI("http://comp/s7"), nil, nil))); got != 1 {
 		t.Fatalf("pinned snapshot probe = %d, want 1", got)
 	}
-	// The compacted store answers correctly and accepts further writes.
-	sn := s.Snapshot()
-	for _, q := range load("http://comp/keep", 500) {
-		if !sn.Contains(q) {
-			t.Fatalf("compacted store lost %v", q)
-		}
-	}
-	if got := len(sn.Match(WildcardGraph(rdf.IRI("http://comp/s42"), nil, nil))); got != 1 {
-		t.Fatalf("compacted union probe = %d, want 1", got)
-	}
 	if _, err := s.AddAll(load("http://comp/again", 250)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Len(); got != 751 {
-		t.Fatalf("post-compaction AddAll: Len = %d, want 751", got)
+	// Probes equal a fresh store's holding the same quads.
+	fresh := New()
+	if _, err := fresh.AddAll(append(append(load("http://comp/keep", 500), extra), load("http://comp/again", 250)...)); err != nil {
+		t.Fatal(err)
 	}
-	if got := len(s.Snapshot().Match(InGraph("http://comp/again", nil, nil, nil))); got != 250 {
-		t.Fatalf("post-compaction graph probe = %d, want 250", got)
+	got, want := s.Snapshot(), fresh.Snapshot()
+	if got.Len() != 751 || int(s.ar.slots.Len()) != got.Len() {
+		t.Fatalf("Len = %d with %d arena slots, want 751 each", got.Len(), s.ar.slots.Len())
 	}
+	for _, p := range []Pattern{
+		{},
+		WildcardGraph(rdf.IRI("http://comp/s42"), nil, nil),
+		WildcardGraph(nil, nil, rdf.IRI("http://comp/o0")),
+		InGraph("http://comp/again", nil, nil, nil),
+		InGraph("http://comp/keep", nil, rdf.IRI("http://comp/p0"), nil),
+	} {
+		if g, w := got.Match(p), want.Match(p); fmt.Sprint(g) != fmt.Sprint(w) {
+			t.Fatalf("probe %+v: %d quads, a fresh store's %d", p, len(g), len(w))
+		}
+	}
+	for _, q := range load("http://comp/bulk", 3) {
+		if got.Contains(q) {
+			t.Fatalf("vetoed quad %v is visible", q)
+		}
+	}
+}
+
+func mustID(t *testing.T, s *Store, q rdf.Quad) QuadID {
+	t.Helper()
+	id, ok := quadID(s.Snapshot().Dict(), q)
+	if !ok {
+		t.Fatalf("%v not interned", q)
+	}
+	return id
 }
 
 // TestMatchReturnsCanonicalLiterals pins the materialization contract of the

@@ -2,6 +2,7 @@ package store
 
 import (
 	"slices"
+	"sort"
 	"strings"
 
 	"bdi/internal/rdf"
@@ -37,9 +38,9 @@ import (
 //
 // There is one family of per-term indexes, by subject and by object, over
 // the union of all graphs. A sort key starts with the graph name, so the
-// entries of one graph form an ordered subsequence of every union bucket: a
+// entries of one graph form one contiguous run of every union bucket: a
 // graph-scoped probe reads the same union bucket an unscoped probe reads and
-// keeps the entries of its graph. Nothing is derived per graph, so a write
+// binary-searches its graph's run. Nothing is derived per graph, so a write
 // never turns into a rebuild for the next reader. There is no predicate
 // index: the only production probe that binds a predicate alone is
 // graph-scoped, and a predicate's bucket would hold every quad using it, so
@@ -127,11 +128,17 @@ type snapshot struct {
 
 	// slots and keys are views of the store's entry arena, pinned at
 	// publication time. Every eref reachable from this snapshot resolves
-	// through them; slots referenced by no bucket may be dead (rolled back
-	// by a vetoed batch) and are reclaimed by arena compaction on the write
-	// path.
+	// through them. The arena holds exactly the published quads: slots
+	// [0, size) are this snapshot's, in insertion order after the base.
 	slots slab.SlotsView[entrySlot]
 	keys  slab.BytesView
+
+	// base is the generation the store was created or restored at, and
+	// starts[i] the first slot of generation base+1+i; the last generation's
+	// range ends at size. The writer appends to the backing array this
+	// snapshot shares, never within its length.
+	base   uint64
+	starts []eref
 
 	// graphs holds one sorted bucket per non-empty graph, in ascending
 	// graph-name order. A quad's sort key is prefixed by its graph name, so
@@ -216,6 +223,27 @@ func (sn Snapshot) Generation() uint64 {
 		return 0
 	}
 	return sn.sn.generation
+}
+
+// Inserted returns the quads generation g inserted, in insertion order. It
+// reports false unless g is in (base, Generation()], where base is the
+// generation the store was created (New) or restored (Restore) at.
+func (sn Snapshot) Inserted(g uint64) ([]rdf.Quad, bool) {
+	s := sn.sn
+	if s == nil || g <= s.base || g > s.generation {
+		return nil, false
+	}
+	i := g - s.base - 1
+	from, to := s.starts[i], eref(s.size)
+	if i+1 < uint64(len(s.starts)) {
+		to = s.starts[i+1]
+	}
+	terms := s.dict.Terms()
+	out := make([]rdf.Quad, 0, to-from)
+	for e := from; e < to; e++ {
+		out = append(out, quadOf(terms, s.slot(e).id))
+	}
+	return out, true
 }
 
 // Dict returns the term dictionary backing this snapshot. It is append-only
@@ -394,11 +422,12 @@ func (sn Snapshot) Stats() Stats {
 }
 
 // matchEntries returns the erefs matching p in ascending sort-key order.
-// The probe reads the union bucket of its subject, else of its object, else
-// the entry list of its graph; a probe that binds none of them (at most a
-// predicate) reads the full scan. Buckets are immutable and pre-sorted, so
-// whenever the selected bucket needs no residual filtering it is returned
-// without a copy; callers must treat the result as read-only.
+// The probe reads the union bucket of its subject, else of its object —
+// narrowed to its graph's run when it binds one — else the entry list of
+// its graph; a probe that binds none of them (at most a predicate) reads the
+// full scan. Buckets are immutable and pre-sorted, so whenever the selected
+// bucket needs no residual filtering it is returned without a copy; callers
+// must treat the result as read-only.
 func (sn Snapshot) matchEntries(p Pattern) []eref {
 	if sn.sn == nil {
 		return nil
@@ -433,10 +462,41 @@ func (sn Snapshot) matchEntries(p Pattern) []eref {
 		}
 		return out
 	}
+	if ip.GraphSet && (ip.Subject != 0 || ip.Object != 0) {
+		bucket = s.graphRun(bucket, string(p.Graph))
+		ip.GraphSet = false
+	}
 	if !residualFilter(ip) {
 		return bucket
 	}
 	return s.appendMatching(nil, bucket, ip)
+}
+
+// graphRun returns the entries of graph g in a sorted bucket: a sort key
+// starts with its graph's name and a NUL, so they are one contiguous run,
+// found by two binary searches.
+func (s *snapshot) graphRun(bucket []eref, g string) []eref {
+	lo := sort.Search(len(bucket), func(i int) bool { return graphOrder(s.key(bucket[i]), g) >= 0 })
+	n := sort.Search(len(bucket)-lo, func(i int) bool { return graphOrder(s.key(bucket[lo+i]), g) > 0 })
+	return bucket[lo : lo+n]
+}
+
+// graphOrder orders a sort key against the run of graph g's keys: -1
+// before it, 0 in it, +1 after it.
+func graphOrder(key []byte, g string) int {
+	n := min(len(key), len(g))
+	switch h := g[:n]; {
+	case string(key[:n]) < h:
+		return -1
+	case string(key[:n]) > h:
+		return 1
+	case len(key) == n:
+		return -1 // a prefix of g sorts before g's NUL-terminated name
+	case key[n] == 0:
+		return 0
+	default:
+		return 1
+	}
 }
 
 // appendMatching appends the entries of bucket that match p to out.

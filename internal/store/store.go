@@ -117,14 +117,6 @@ func (a *arena) add(id QuadID, key []byte) eref {
 	return a.slots.Append(entrySlot{id: id, key: a.keys.Append(key)})
 }
 
-// arenaCompactMin is the minimum number of dead arena slots before an
-// insertion batch triggers an arena rebuild. Dead slots come from
-// hook-vetoed inserts: the slot and its key bytes stay in the arena until
-// compaction copies the live entries into a fresh one. The rebuild runs
-// when dead slots exceed both this floor and the live size, so its O(live)
-// cost is amortized against the vetoed inserts that made it necessary.
-const arenaCompactMin = 4096
-
 // Batch describes one atomic insertion batch about to be published: the
 // quads actually inserted (duplicates already filtered), in the order they
 // were interned. Generation is the generation the batch publishes (current
@@ -205,11 +197,6 @@ func (s *Store) Add(q rdf.Quad) (bool, error) {
 	return n == 1, err
 }
 
-// AddTriple inserts a triple into the given named graph.
-func (s *Store) AddTriple(graph rdf.IRI, t rdf.Triple) (bool, error) {
-	return s.Add(rdf.Quad{Triple: t, Graph: graph})
-}
-
 // MustAdd inserts a quad and panics on invalid data. It is intended for
 // static vocabulary initialization.
 func (s *Store) MustAdd(q rdf.Quad) {
@@ -226,16 +213,6 @@ func (s *Store) MustAdd(q rdf.Quad) {
 // the slab arena (a handful of large chunk allocations instead of one per
 // quad); duplicate quads allocate nothing.
 func (s *Store) AddAll(quads []rdf.Quad) (int, error) {
-	return s.AddAllBeforePublish(quads, nil)
-}
-
-// AddAllBeforePublish is AddAll with a callback that runs inside the writer
-// critical section, after the commit hook has accepted the batch and just
-// before its snapshot becomes visible; gen is the generation the batch
-// publishes. Whatever the callback publishes is therefore visible to every
-// reader that observes gen. It is not called when the batch adds nothing, is
-// vetoed, or stops at an invalid quad. It must not call back into the Store.
-func (s *Store) AddAllBeforePublish(quads []rdf.Quad, beforePublish func(gen uint64)) (int, error) {
 	if len(quads) == 0 {
 		return 0, nil
 	}
@@ -248,53 +225,16 @@ func (s *Store) AddAllBeforePublish(quads []rdf.Quad, beforePublish func(gen uin
 	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	mark := s.ar.slots.Len()
 	ents := make([]eref, 0, len(quads))
 	var journal []rdf.Quad
 	if s.hook != nil {
 		journal = make([]rdf.Quad, 0, len(quads))
 	}
-	flush := func(before func(gen uint64)) error {
-		if len(ents) == 0 {
-			return nil
-		}
-		prev := s.snap.Load()
-		if s.hook != nil {
-			// The hook sees the inserted quads in intern order, so replaying
-			// the batch re-interns every term at its original TermID. A
-			// vetoed batch's arena slots stay behind as dead entries;
-			// compaction reclaims them.
-			if err := s.hook(Batch{Quads: journal, Generation: prev.generation + 1}); err != nil {
-				for _, e := range ents {
-					delete(s.quads, s.ar.slot(e).id)
-				}
-				return err
-			}
-		}
-		if before != nil {
-			before(prev.generation + 1)
-		}
-		if prev.size == 0 {
-			// Fast-path bulk load: the store is empty, so there is nothing to
-			// merge with or copy-on-write around — build the whole snapshot
-			// directly with plain appends (see newSnapshotFromSorted). This is
-			// the initial/recovery load path: one sort plus O(batch) appends
-			// instead of per-bucket COW bookkeeping and sorted merges.
-			s.sortByKey(ents)
-			s.snap.Store(newSnapshotFromSorted(prev.dict, prev.generation+1, s.ar, ents))
-			return nil
-		}
-		b := s.begin()
-		b.insert(ents)
-		b.publish()
-		return nil
-	}
+	var invalid error
 	for _, q := range quads {
-		if err := q.Validate(); err != nil {
-			if ferr := flush(nil); ferr != nil {
-				return 0, ferr
-			}
-			added = len(ents)
-			return len(ents), err
+		if invalid = q.Validate(); invalid != nil {
+			break
 		}
 		if e, ok := s.internQuad(q); ok {
 			ents = append(ents, e)
@@ -303,11 +243,56 @@ func (s *Store) AddAllBeforePublish(quads []rdf.Quad, beforePublish func(gen uin
 			}
 		}
 	}
-	if err := flush(beforePublish); err != nil {
+	if err := s.commit(mark, ents, journal); err != nil {
 		return 0, err
 	}
 	added = len(ents)
-	return len(ents), nil
+	return added, invalid
+}
+
+// commit offers the batch interned since arena slot mark to the commit hook
+// and publishes it as the next generation, recording mark as that
+// generation's first slot. A vetoed batch is rolled back: its quads leave
+// the canonical set, and the arena is truncated back to mark, which no
+// snapshot ever resolved. So the arena holds exactly the published quads,
+// each generation's as one contiguous slot range in intern order. Callers
+// hold s.mu.
+func (s *Store) commit(mark eref, ents []eref, journal []rdf.Quad) error {
+	if len(ents) == 0 {
+		return nil
+	}
+	prev := s.snap.Load()
+	if s.hook != nil {
+		// The hook sees the inserted quads in intern order, so replaying
+		// the batch re-interns every term at its original TermID.
+		if err := s.hook(Batch{Quads: journal, Generation: prev.generation + 1}); err != nil {
+			for _, e := range ents {
+				delete(s.quads, s.ar.slot(e).id)
+			}
+			s.ar.keys.Truncate(s.ar.slot(mark).key)
+			s.ar.slots.Truncate(mark)
+			return err
+		}
+	}
+	var next *snapshot
+	if prev.size == 0 {
+		// Fast-path bulk load: the store is empty, so there is nothing to
+		// merge with or copy-on-write around — build the whole snapshot
+		// directly with plain appends (see newSnapshotFromSorted). This is
+		// the initial/recovery load path: one sort plus O(batch) appends
+		// instead of per-bucket COW bookkeeping and sorted merges.
+		s.sortByKey(ents)
+		next = newSnapshotFromSorted(prev.dict, prev.generation+1, s.ar, ents)
+	} else {
+		b := s.begin()
+		b.insert(ents)
+		next = b.next
+	}
+	// Published snapshots share starts' backing array; each reads only the
+	// prefix it was published with, and append writes past every prefix.
+	next.base, next.starts = prev.base, append(prev.starts, mark)
+	s.snap.Store(next)
+	return nil
 }
 
 // internQuad interns q's terms, rejects duplicates against the canonical
@@ -405,7 +390,7 @@ func graphName(d *rdf.Dict, gid rdf.TermID) rdf.IRI {
 // headers are cloned up front (every batch touches both dimensions);
 // pages, buckets and graph buckets are copy-on-written on first touch, and
 // structures created within the batch are tracked so repeated touches mutate
-// in place. publish makes the snapshot visible with one atomic store.
+// in place. commit makes the snapshot visible with one atomic store.
 type builder struct {
 	s          *Store
 	next       *snapshot
@@ -441,39 +426,6 @@ func cloneIdx(ti *termIndex) *termIndex {
 		return &termIndex{}
 	}
 	return &termIndex{pages: slices.Clone(ti.pages), count: ti.count}
-}
-
-// publish atomically installs the built snapshot as the store's current
-// state, first compacting the arena when vetoed inserts have left enough
-// dead slots behind.
-func (b *builder) publish() {
-	next := b.next
-	if dead := int(b.s.ar.slots.Len()) - next.size; dead >= arenaCompactMin && dead > next.size {
-		next = b.s.compactArena(next)
-	}
-	b.s.snap.Store(next)
-}
-
-// compactArena copies the snapshot's live entries into a fresh arena (in
-// global sort order) and rebuilds the snapshot and the canonical quad set
-// on top of it, dropping every dead slot and its key bytes. The returned
-// snapshot has identical content and generation; only the internal layout
-// changes. Callers must hold s.mu.
-func (s *Store) compactArena(old *snapshot) *snapshot {
-	na := newArena()
-	ents := make([]eref, 0, old.size)
-	quads := make(map[QuadID]eref, old.size)
-	for _, gb := range old.graphs {
-		for _, e := range gb.entries {
-			sl := s.ar.slot(e)
-			ne := na.add(sl.id, s.ar.keys.Bytes(sl.key))
-			ents = append(ents, ne)
-			quads[sl.id] = ne
-		}
-	}
-	s.ar = na
-	s.quads = quads
-	return newSnapshotFromSorted(old.dict, old.generation, na, ents)
 }
 
 // insert merges the batch's new entries into every index. ents may arrive

@@ -532,7 +532,7 @@ func TestCompactedCheckpointReadable(t *testing.T) {
 // encodeCheckpointV1 writes the version-1 checkpoint layout (no compaction
 // header), byte-for-byte what pre-compaction builds produced, span section
 // included.
-func encodeCheckpointV1(sn store.Snapshot, terms []rdf.Term, spans []core.DeltaSpan) []byte {
+func encodeCheckpointV1(sn store.Snapshot, terms []rdf.Term, spans []legacySpan) []byte {
 	buf := append([]byte(nil), checkpointMagicV1...)
 	buf = binary.AppendUvarint(buf, sn.Generation())
 	buf = binary.AppendUvarint(buf, uint64(len(terms)))
@@ -568,13 +568,10 @@ func TestCheckpointV1Compatibility(t *testing.T) {
 	if err := core.BuildSupersedeGlobalGraph(o); err != nil {
 		t.Fatal(err)
 	}
-	spans := recordSpans(o)
-	if _, err := o.NewRelease(core.SupersedeReleaseW1()); err != nil {
-		t.Fatal(err)
-	}
+	spans := []legacySpan{releaseSpan(t, o, core.SupersedeReleaseW1())}
 	sn := o.Store().Snapshot()
 	terms := sn.Dict().Terms()
-	data := encodeCheckpointV1(sn, terms, *spans)
+	data := encodeCheckpointV1(sn, terms, spans)
 
 	ck, err := decodeCheckpoint(data)
 	if err != nil {

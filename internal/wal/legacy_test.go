@@ -18,9 +18,28 @@ import (
 // must keep reading both. The encoders below write them byte for byte as
 // those builds did.
 
+// legacySpan is a delta span as earlier builds journaled it: a release's
+// delta and the store-generation interval (From, To] it published.
+type legacySpan struct {
+	From, To uint64
+	Delta    *core.ReleaseDelta
+}
+
+// releaseSpan registers r on o and returns the span earlier builds
+// journaled for it.
+func releaseSpan(t *testing.T, o *core.Ontology, r core.Release) legacySpan {
+	t.Helper()
+	from := o.Store().Generation()
+	res, err := o.NewRelease(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return legacySpan{From: from, To: o.Store().Generation(), Delta: res.Delta}
+}
+
 // appendLegacySpan encodes a delta span as earlier builds wrote it into
 // release records and checkpoint span sections.
-func appendLegacySpan(dst []byte, s core.DeltaSpan) []byte {
+func appendLegacySpan(dst []byte, s legacySpan) []byte {
 	iris := func(dst []byte, list []rdf.IRI) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(list)))
 		for _, iri := range list {
@@ -46,13 +65,13 @@ func appendLegacySpan(dst []byte, s core.DeltaSpan) []byte {
 }
 
 // legacyReleaseFrame frames a release record as earlier builds journaled it.
-func legacyReleaseFrame(sp core.DeltaSpan) []byte {
+func legacyReleaseFrame(sp legacySpan) []byte {
 	return frameOf(appendLegacySpan([]byte{byte(recRelease)}, sp))
 }
 
 // withLegacySpans rewrites a checkpoint this build wrote (span count 0, then
 // the CRC) with a span section holding spans.
-func withLegacySpans(ckpt []byte, spans []core.DeltaSpan) []byte {
+func withLegacySpans(ckpt []byte, spans []legacySpan) []byte {
 	body := append([]byte(nil), ckpt[:len(ckpt)-5]...)
 	body = binary.AppendUvarint(body, uint64(len(spans)))
 	for _, sp := range spans {
@@ -168,16 +187,6 @@ func TestRetiredRecordKindsRefused(t *testing.T) {
 	}
 }
 
-// recordSpans collects every span NewRelease records on o from now on.
-func recordSpans(o *core.Ontology) *[]core.DeltaSpan {
-	var spans []core.DeltaSpan
-	o.SetReleaseHook(func(sp core.DeltaSpan) error {
-		spans = append(spans, sp)
-		return nil
-	})
-	return &spans
-}
-
 // TestLegacyDataDirReadable writes a data dir in the earlier format, with a
 // release record after every release's batch and delta spans in its
 // checkpoints, and holds this build to reading it: recovery rebuilds the
@@ -194,26 +203,19 @@ func TestLegacyDataDirReadable(t *testing.T) {
 	if err := core.BuildSupersedeGlobalGraph(o); err != nil {
 		t.Fatal(err)
 	}
-	spans := recordSpans(o)
+	var spans []legacySpan
 	for _, r := range []core.Release{core.SupersedeReleaseW1(), core.SupersedeReleaseW2()} {
-		if _, err := o.NewRelease(r); err != nil {
-			t.Fatal(err)
-		}
+		spans = append(spans, releaseSpan(t, o, r))
 	}
 	if _, err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	tailFrom := o.Store().Generation()
 	for _, r := range []core.Release{core.SupersedeReleaseW3(), core.SupersedeReleaseW4()} {
-		if _, err := o.NewRelease(r); err != nil {
-			t.Fatal(err)
-		}
+		spans = append(spans, releaseSpan(t, o, r))
 	}
 	if err := m.Abort(); err != nil {
 		t.Fatal(err)
-	}
-	if len(*spans) != 4 {
-		t.Fatalf("recorded %d release spans, want 4", len(*spans))
 	}
 
 	// Rewrite the dir as earlier builds left it.
@@ -227,8 +229,8 @@ func TestLegacyDataDirReadable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var in []core.DeltaSpan
-		for _, sp := range *spans {
+		var in []legacySpan
+		for _, sp := range spans {
 			if sp.To <= ck.seq {
 				in = append(in, sp)
 			}
@@ -254,7 +256,7 @@ func TestLegacyDataDirReadable(t *testing.T) {
 			}
 			out = append(out, data[off:off+n]...)
 			off += n
-			for _, sp := range *spans {
+			for _, sp := range spans {
 				if sp.To == r.gen {
 					out = append(out, legacyReleaseFrame(sp)...)
 					legacyFrames++
@@ -265,8 +267,8 @@ func TestLegacyDataDirReadable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if legacyFrames != len(*spans) {
-		t.Fatalf("wrote %d legacy release records, want %d", legacyFrames, len(*spans))
+	if legacyFrames != len(spans) {
+		t.Fatalf("wrote %d legacy release records, want %d", legacyFrames, len(spans))
 	}
 
 	// Recovery: the same quads under the same TermIDs, every release
@@ -304,6 +306,7 @@ func TestLegacyDataDirReadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	views := map[uint64]*core.View{}
 	for {
 		from := replica.Store().Generation()
 		frames, next, err := m2.ShipFrames(from, 0)
@@ -325,14 +328,19 @@ func TestLegacyDataDirReadable(t *testing.T) {
 			if err := r.Apply(replica); err != nil {
 				t.Fatal(err)
 			}
+			views[r.Generation] = replica.View()
 		}
 	}
 	assertOntologyByteParity(t, o, replica, "legacy stream")
-	// Every release streamed derives the delta the primary recorded.
-	for _, sp := range *spans {
-		got, ok := replica.DeltasBetween(sp.From, sp.To)
-		if !ok || len(got) != 1 || !reflect.DeepEqual(got[0], sp.Delta) {
-			t.Fatalf("replica DeltasBetween(%d, %d) = %v, %v; want %+v", sp.From, sp.To, got, ok, sp.Delta)
+	// Every release streamed changes what the primary's delta names.
+	for _, sp := range spans {
+		v, ok := views[sp.To]
+		if !ok {
+			t.Fatalf("the replica never applied generation %d", sp.To)
+		}
+		got, ok := v.ChangedSince(sp.From)
+		if !ok || !reflect.DeepEqual(got, sp.Delta.Footprint) {
+			t.Fatalf("replica ChangedSince(%d) at %d = %+v, %v; want %+v", sp.From, sp.To, got, ok, sp.Delta.Footprint)
 		}
 	}
 }

@@ -4,9 +4,8 @@
 // serializes a pinned immutable snapshot concurrently with live traffic.
 // Recovery loads the latest valid checkpoint, replays the WAL tail through
 // the ordinary batch API and truncates torn tails. A release is journaled
-// as its add-all batch alone: its delta follows from that batch and the
-// state before it, and the caches that read deltas start empty after a
-// restart anyway.
+// as its add-all batch alone: replaying it makes it one generation of the
+// store's log again, from which its footprint is derived.
 //
 // The ontology only grows, so add-all is the only record this build
 // writes. The removal records of earlier builds (remove, remove-graph,

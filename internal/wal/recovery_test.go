@@ -112,10 +112,10 @@ func sideReleaseOp(i, seq int) scriptOp {
 }
 
 // buildScript assembles the seeded workload: the SUPERSEDE scenario, side
-// concepts with releases, then Global-graph edits (a new concept and an
-// edge to it) and a last release. A G edit is the mutation no release delta
-// explains: caches flush fully across it and DeltasBetween answers "not
-// covered".
+// concepts with releases, then Global-graph edits (a new concept, an edge
+// to it, a feature and an identifier attached to it) and a last release. A
+// G edit is the mutation no release delta explains: caches flush fully
+// across it and View.ChangedSince answers "not covered".
 func buildScript(t *testing.T, rng *rand.Rand) []scriptOp {
 	gQuads := supersedeGlobalQuads(t)
 	ops := []scriptOp{{
@@ -149,12 +149,18 @@ func buildScript(t *testing.T, rng *rand.Rand) []scriptOp {
 		seq++
 		ops = append(ops, sideReleaseOp(rng.Intn(nSides), seq))
 	}
-	// Two G edits of one generation each.
+	// Four G edits of one generation each.
 	extra := sideConcept(nSides)
 	ops = append(ops,
 		scriptOp{name: "g-edit-concept", run: func(o *core.Ontology) error { return o.AddConcept(extra) }},
 		scriptOp{name: "g-edit-relate", run: func(o *core.Ontology) error {
 			return o.Relate(sideConcept(0), rdf.IRI("http://ex/crash/linksTo"), extra)
+		}},
+		scriptOp{name: "g-edit-feature-to", run: func(o *core.Ontology) error {
+			return o.AddFeatureTo(extra, sideFeature(nSides, "value"), rdf.XSDDouble)
+		}},
+		scriptOp{name: "g-edit-identifier", run: func(o *core.Ontology) error {
+			return o.AddIdentifier(extra, sideFeature(nSides, "id"), rdf.XSDInteger)
 		}},
 	)
 	// A final release after the G edits, so truncation can land on a

@@ -45,10 +45,11 @@ type Record struct {
 // Kind names the record kind for logs and diagnostics.
 func (r Record) Kind() string { return r.rec.kind.String() }
 
-// Apply replays an add-all record onto o's store through Ontology.AddAll,
-// which derives a release's delta from the batch exactly as the primary's
-// NewRelease did, so o's rewriting caches invalidate incrementally. A
-// retired removal record returns an error naming its kind and generation.
+// Apply replays an add-all record onto o's store through Ontology.AddAll.
+// The batch becomes one generation of o's store log, from which
+// View.ChangedSince derives a release's footprint exactly as on the
+// primary, so o's rewriting caches invalidate incrementally. A retired
+// removal record returns an error naming its kind and generation.
 // The store must be at exactly Generation-1; callers enforce the guard so
 // skipped duplicates and gaps are their decision, not a silent side effect.
 func (r Record) Apply(o *core.Ontology) error {
@@ -191,9 +192,9 @@ func (m *Manager) LatestCheckpoint() (string, uint64, error) {
 // by a primary's replication endpoint): the trailing CRC is verified, the
 // dictionary is restored with byte-identical TermIDs and every index bucket
 // is rebuilt pre-sorted. A legacy checkpoint's span section is read and
-// discarded: the restored ontology's release-delta log starts empty, like
-// the caches a resynchronized replica builds over it. The restored store
-// generation is available via Store().Generation().
+// discarded: the restored store's generation log starts at the checkpoint,
+// and a resynchronized replica's caches start empty over it. The restored
+// store generation is available via Store().Generation().
 func RestoreCheckpoint(data []byte) (*core.Ontology, error) {
 	ck, err := decodeCheckpoint(data)
 	if err != nil {

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"bdi/internal/core"
+	"bdi/internal/rdf"
 	"bdi/internal/rewriting"
+	"bdi/internal/store"
 	"bdi/internal/wrapper"
 )
 
@@ -94,20 +96,28 @@ func TestEvolutionChurnRelatedReleaseGrowsWalks(t *testing.T) {
 	}
 }
 
-// TestChurnReleaseRegistersWrapperBeforePublish checks, from the release
-// hook, that the churn workload's wrapper is registered by the time its
-// release is published, so a reader rewriting to the new walk can execute
-// it; and that a release Algorithm 1 rejects leaves no wrapper behind.
+// TestChurnReleaseRegistersWrapperBeforePublish checks, from the store's
+// commit hook, which sees every batch before its generation is published,
+// that the churn workload's wrapper is registered by the time its release
+// is published, so a reader rewriting to the new walk can execute it; and
+// that a release Algorithm 1 rejects leaves no wrapper behind.
 func TestChurnReleaseRegistersWrapperBeforePublish(t *testing.T) {
 	ec, err := BuildEvolutionChurn(2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var missing []string
-	ec.Ontology.SetReleaseHook(func(span core.DeltaSpan) error {
-		name := core.WrapperLocalName(span.Delta.Wrapper)
-		if _, ok := ec.Registry.Get(name); !ok {
-			missing = append(missing, name)
+	released := 0
+	ec.Ontology.Store().SetCommitHook(func(b store.Batch) error {
+		for _, q := range b.Quads {
+			if q.Graph != core.SourceGraphName || q.Predicate != rdf.RDFType || q.Object != core.SWrapper {
+				continue
+			}
+			released++
+			name := core.WrapperLocalName(q.Subject.(rdf.IRI))
+			if _, ok := ec.Registry.Get(name); !ok {
+				missing = append(missing, name)
+			}
 		}
 		return nil
 	})
@@ -119,8 +129,8 @@ func TestChurnReleaseRegistersWrapperBeforePublish(t *testing.T) {
 	if _, err := ec.RegisterUnrelatedRelease(); err != nil {
 		t.Fatal(err)
 	}
-	if len(missing) > 0 {
-		t.Errorf("releases published before their wrappers were registered: %v", missing)
+	if len(missing) > 0 || released != 3 {
+		t.Errorf("of %d releases (want 3), these were published before their wrappers were registered: %v", released, missing)
 	}
 
 	// Claim a second side concept G does not have: the next unrelated
