@@ -241,7 +241,7 @@ func computeReleaseDelta(sn store.Snapshot, quads []rdf.Quad) *ReleaseDelta {
 	}
 
 	// Every affected feature also marks its owning concept: feature-level
-	// changes surface in rewrites through the concept's intra-concept unit.
+	// changes surface in rewrites through the concept's Algorithm 4 walks.
 	features = sortedUnique(features)
 	for _, f := range features {
 		for _, q := range sn.Match(store.InGraph(GlobalGraphName, nil, GHasFeature, f)) {

@@ -123,6 +123,38 @@ func TestAnswerLimit(t *testing.T) {
 	}
 }
 
+// unexpressibleQueries are the running example with one clause added that
+// an OMQ cannot carry, each with the name its error must give.
+var unexpressibleQueries = []struct{ clause, sparql string }{
+	{"FILTER", strings.Replace(exampleQuery, "sup:lagRatio\n}", "sup:lagRatio .\n  FILTER(?y > 1000)\n}", 1)},
+	{"LIMIT", exampleQuery + "LIMIT 1\n"},
+	{"OFFSET", exampleQuery + "OFFSET 1\n"},
+	{"FROM", strings.Replace(exampleQuery, "WHERE {", "FROM <http://example.org/Other>\nWHERE {", 1)},
+	{"GRAPH", strings.Replace(exampleQuery, "sup:InfoMonitor G:hasFeature sup:lagRatio",
+		"GRAPH <http://example.org/Other> { sup:InfoMonitor G:hasFeature sup:lagRatio }", 1)},
+}
+
+// TestQueryRejectsUnexpressibleClauses: the rewrite and answer endpoints
+// answer 422 naming the clause, instead of answering the query without it.
+func TestQueryRejectsUnexpressibleClauses(t *testing.T) {
+	h := newSupersedeHandler(t)
+	for _, q := range unexpressibleQueries {
+		if q.sparql == exampleQuery {
+			t.Fatalf("%s case did not change the running example", q.clause)
+		}
+		body, _ := json.Marshal(QueryRequest{SPARQL: q.sparql})
+		for _, path := range []string{"/api/queries/rewrite", "/api/queries/answer"} {
+			rec := postRaw(h, path, body)
+			if rec.Code != http.StatusUnprocessableEntity {
+				t.Fatalf("%s with %s = %d, want 422: %s", path, q.clause, rec.Code, rec.Body)
+			}
+			if msg := jsonError(t, rec); !strings.Contains(msg, q.clause) {
+				t.Errorf("%s with %s: error %q does not name the clause", path, q.clause, msg)
+			}
+		}
+	}
+}
+
 // fuzzStatusAllowed is what a request body may produce: success, a bad or
 // oversized body, or a release or query the ontology rejects. Never a 500.
 func fuzzStatusAllowed(code int) bool {
@@ -162,6 +194,10 @@ func FuzzQueryRequest(f *testing.F) {
 	negative, _ := json.Marshal(QueryRequest{SPARQL: exampleQuery, Limit: -1})
 	f.Add(negative)
 	f.Add([]byte(`{"sparql":"SELECT ?x WHERE { ?x ?p ?o }"}`))
+	for _, q := range unexpressibleQueries {
+		body, _ := json.Marshal(QueryRequest{SPARQL: q.sparql})
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		h := newSupersedeHandler(t)
 		for _, path := range []string{"/api/queries/rewrite", "/api/queries/answer"} {

@@ -402,9 +402,9 @@ func parseQuery(w http.ResponseWriter, r *http.Request) (QueryRequest, *rewritin
 }
 
 // CacheStatsResponse reports rewriting-cache effectiveness, including the
-// delta-driven invalidation behaviour: how many memoized results and
-// intra-concept units survived releases versus were retired, and — per
-// concept — how many invalidations each concept's releases caused.
+// delta-driven invalidation behaviour: how many memoized results survived
+// releases versus were retired, and — per concept — how many invalidations
+// each concept's releases caused.
 type CacheStatsResponse = rewriting.CacheStats
 
 func (s *Server) handleCacheStats(w http.ResponseWriter, r *http.Request) {

@@ -278,12 +278,9 @@ func TestQueryCacheStats(t *testing.T) {
 	if stats.Hits != 1 || stats.Misses != 1 || stats.Entries != 1 {
 		t.Errorf("cache stats = %+v, want 1 hit, 1 miss, 1 entry", stats)
 	}
-	if stats.Units != 3 || stats.UnitMisses != 3 {
-		t.Errorf("cache stats = %+v, want 3 intra-concept units", stats)
-	}
 
-	// A release touching the query's concepts retires the entry and the
-	// affected units; the per-concept invalidation counters report it.
+	// A release touching the query's concepts retires the entry; the
+	// per-concept invalidation counters report it.
 	var release ReleaseResponse
 	if code := postJSON(t, ts.URL+"/api/releases", ReleaseRequest{
 		Wrapper:         "w4",
@@ -312,11 +309,8 @@ func TestQueryCacheStats(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/api/queries/cache", &stats); code != 200 {
 		t.Fatalf("cache stats status = %d", code)
 	}
-	if stats.EntriesInvalidated != 1 || stats.UnitsInvalidated != 2 || stats.UnitsRetained < 1 {
-		t.Errorf("post-release cache stats = %+v, want 1 entry and 2 units invalidated, 1 unit retained", stats)
-	}
-	if stats.UnitHits != 1 {
-		t.Errorf("post-release cache stats = %+v, want the SoftwareApplication unit reused", stats)
+	if stats.EntriesInvalidated != 1 || stats.EntriesRetained != 0 || stats.Misses != 2 || stats.Entries != 1 {
+		t.Errorf("post-release cache stats = %+v, want the entry invalidated and rebuilt (2 misses, 1 entry)", stats)
 	}
 	if stats.InvalidatedByConcept[string(core.SupMonitor)] == 0 || stats.InvalidatedByConcept[string(core.SupInfoMonitor)] == 0 {
 		t.Errorf("per-concept invalidation stats = %v", stats.InvalidatedByConcept)

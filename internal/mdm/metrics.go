@@ -94,16 +94,11 @@ func (s *Server) writeCacheMetrics(t *obs.TextWriter) {
 	st := v.CacheStats()
 	t.Counter("bdi_rewrite_cache_hits_total", "Rewrite-cache hits.", nil, int64(st.Hits))
 	t.Counter("bdi_rewrite_cache_misses_total", "Rewrite-cache misses.", nil, int64(st.Misses))
-	t.Counter("bdi_rewrite_cache_unit_hits_total", "Intra-concept unit cache hits.", nil, int64(st.UnitHits))
-	t.Counter("bdi_rewrite_cache_unit_misses_total", "Intra-concept unit cache misses (rebuilds).", nil, int64(st.UnitMisses))
 	t.Counter("bdi_rewrite_cache_entries_retained_total", "Cached rewritings that survived releases.", nil, int64(st.EntriesRetained))
 	t.Counter("bdi_rewrite_cache_entries_invalidated_total", "Cached rewritings retired by releases.", nil, int64(st.EntriesInvalidated))
-	t.Counter("bdi_rewrite_cache_units_retained_total", "Cached units that survived releases.", nil, int64(st.UnitsRetained))
-	t.Counter("bdi_rewrite_cache_units_invalidated_total", "Cached units retired by releases.", nil, int64(st.UnitsInvalidated))
 	t.Counter("bdi_rewrite_cache_full_flushes_total", "Wholesale cache flushes: a generation since the cache's was no release (a G edit or another batch).", nil, int64(st.FullFlushes))
 	t.Counter("bdi_rewrite_cache_evictions_total", "Capacity evictions.", nil, int64(st.Evictions))
 	t.Gauge("bdi_rewrite_cache_entries", "Memoized rewritings currently cached.", nil, int64(st.Entries))
-	t.Gauge("bdi_rewrite_cache_unit_entries", "Intra-concept units currently cached.", nil, int64(st.Units))
 	t.Gauge("bdi_rewrite_cache_kept_dict_entries", "Values (dictionary entries) the cached rewritings' kept value dictionaries hold.", nil, int64(st.KeptValues))
 }
 

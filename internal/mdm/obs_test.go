@@ -313,7 +313,7 @@ func TestTraceSpanTree(t *testing.T) {
 	// The span set is what bench/trace.go cuts the request by: ordering the
 	// answer added attributes, not a span.
 	for name := range names {
-		if !slices.Contains([]string{snap.Spans[0].Name, "admit", "rewrite", "rewrite.unit", "rewrite.assemble", "eval", "walk", "wrapper.fetch"}, name) {
+		if !slices.Contains([]string{snap.Spans[0].Name, "admit", "rewrite", "rewrite.assemble", "eval", "walk", "wrapper.fetch"}, name) {
 			t.Errorf("trace has an unexpected %q span; got %v", name, names)
 		}
 	}

@@ -18,9 +18,9 @@ func TestSpanTreeNesting(t *testing.T) {
 	}
 
 	ctx1, rewrite := StartSpan(ctx, "rewrite")
-	_, unit := StartSpan(ctx1, "rewrite.unit")
-	unit.SetAttr("concept", "C0")
-	unit.End()
+	_, assemble := StartSpan(ctx1, "rewrite.assemble")
+	assemble.SetAttr("concept", "C0")
+	assemble.End()
 	rewrite.End()
 	ctx2, eval := StartSpan(ctx, "eval")
 	_, walk := StartSpan(ctx2, "walk")
@@ -43,8 +43,8 @@ func TestSpanTreeNesting(t *testing.T) {
 	if byName["rewrite"].Parent != 0 || byName["eval"].Parent != 0 {
 		t.Fatalf("stage spans must parent on root: %+v", snap.Spans)
 	}
-	if snap.Spans[byName["rewrite.unit"].Parent].Name != "rewrite" {
-		t.Fatalf("unit span must nest under rewrite: %+v", snap.Spans)
+	if snap.Spans[byName["rewrite.assemble"].Parent].Name != "rewrite" {
+		t.Fatalf("assemble span must nest under rewrite: %+v", snap.Spans)
 	}
 	if snap.Spans[byName["walk"].Parent].Name != "eval" {
 		t.Fatalf("walk span must nest under eval: %+v", snap.Spans)
@@ -56,8 +56,8 @@ func TestSpanTreeNesting(t *testing.T) {
 	if byName["rewrite"].Duration+byName["eval"].Duration > snap.Spans[0].Duration {
 		t.Fatalf("children exceed parent: %+v", snap.Spans)
 	}
-	if byName["rewrite.unit"].Duration > byName["rewrite"].Duration {
-		t.Fatalf("unit exceeds rewrite: %+v", snap.Spans)
+	if byName["rewrite.assemble"].Duration > byName["rewrite"].Duration {
+		t.Fatalf("assemble exceeds rewrite: %+v", snap.Spans)
 	}
 }
 

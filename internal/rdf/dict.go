@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"bdi/internal/slab"
@@ -22,8 +23,9 @@ type TermID uint32
 // Interning is keyed on term identity as defined by Term.Equal: literals
 // with an empty datatype are canonicalized to xsd:string before lookup, so
 // two literals that Equal each other always intern to the same TermID.
-// IDs are assigned in first-intern order and are never reused or freed; a
-// Dict only grows. It is safe for concurrent use.
+// IDs are assigned in first-intern order. A Dict only grows, except that
+// Truncate takes back the IDs of terms no reader was handed (the store's
+// vetoed batches). It is safe for concurrent use.
 //
 // Per-term sort keys (TermKey bytes, computed once at intern time) are not
 // stored as individual strings: the key bytes of all terms are packed into a
@@ -126,11 +128,41 @@ func (d *Dict) assign(t Term) TermID {
 	return TermID(len(d.terms))
 }
 
+// Truncate forgets every term past the first n, so the next terms interned
+// are assigned their IDs again. Only IDs no reader resolves may be dropped:
+// in the store, those its write path interned for a batch the commit hook
+// vetoed, which no snapshot ever referenced. Term tables returned by Terms
+// keep their contents (the table is clipped, so later interning appends to
+// a fresh array); a KeyView must not resolve a dropped ID, as its key bytes
+// are reused.
+func (d *Dict) Truncate(n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if n >= len(d.terms) {
+		return
+	}
+	for _, t := range d.terms[n:] {
+		switch t := t.(type) {
+		case IRI:
+			delete(d.iris, t)
+		case BlankNode:
+			delete(d.blanks, t)
+		case Variable:
+			delete(d.vars, t)
+		case Literal:
+			delete(d.lits, t)
+		}
+	}
+	d.keyBytes.Truncate(d.keyRefs[n])
+	d.terms = slices.Clip(d.terms[:n])
+	d.keyRefs = slices.Clip(d.keyRefs[:n])
+}
+
 // Terms returns the dictionary's term table: terms[id-1] is the canonical
-// term assigned id. The dictionary is append-only, so the returned slice is
-// a stable snapshot for every id assigned before the call; callers must not
-// mutate it. The durability layer uses it to dump the dictionary in ID order
-// into a checkpoint.
+// term assigned id. The returned slice is a stable snapshot for every id
+// assigned before the call (later interning and Truncate leave it
+// untouched); callers must not mutate it. The durability layer uses it to
+// dump the dictionary in ID order into a checkpoint.
 func (d *Dict) Terms() []Term {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

@@ -163,3 +163,45 @@ func TestDictKeysAndLookupIRI(t *testing.T) {
 		t.Error("LookupIRI found an absent IRI")
 	}
 }
+
+// TestDictTruncateReassignsDroppedIDs: Truncate forgets the terms past n in
+// every kind's map, the next terms interned take their IDs and key bytes
+// again, and a term table returned before the truncation keeps its contents.
+func TestDictTruncateReassignsDroppedIDs(t *testing.T) {
+	d := NewDict()
+	kept := d.Intern(IRI("http://x/kept"))
+	dropped := []Term{IRI("http://x/a"), BlankNode("b"), Variable("v"), NewLiteral("l")}
+	for _, term := range dropped {
+		d.Intern(term)
+	}
+	table := d.Terms()
+	d.Truncate(1)
+	if d.Len() != 1 {
+		t.Fatalf("Len = %d after Truncate(1)", d.Len())
+	}
+	for _, term := range dropped {
+		if _, ok := d.Lookup(term); ok {
+			t.Errorf("%v still interned", term)
+		}
+	}
+	if id, ok := d.Lookup(IRI("http://x/kept")); !ok || id != kept {
+		t.Fatalf("kept term = %d, %v", id, ok)
+	}
+	fresh := NewIntegerLiteral(7)
+	if id := d.Intern(fresh); id != 2 {
+		t.Fatalf("next term got id %d, want 2", id)
+	}
+	if key, _ := d.KeysView().Key(2); string(key) != TermKey(fresh) {
+		t.Errorf("key of id 2 = %q, want %q", key, TermKey(fresh))
+	}
+	if table[1] != dropped[0] {
+		t.Errorf("an earlier term table changed: %v", table[1])
+	}
+	if id := d.Intern(dropped[0]); id != 3 {
+		t.Errorf("dropped term re-interned at %d, want 3", id)
+	}
+	d.Truncate(10)
+	if d.Len() != 3 {
+		t.Errorf("Truncate past the end changed Len to %d", d.Len())
+	}
+}

@@ -24,9 +24,3 @@ func queryFootprint(expanded *ExpandedQuery) core.Footprint {
 	}
 	return core.NewFootprint(expanded.Concepts, features)
 }
-
-// unitFootprint is the invalidation footprint of one intra-concept unit:
-// the concept and its requested features.
-func unitFootprint(concept rdf.IRI, features []rdf.IRI) core.Footprint {
-	return core.NewFootprint([]rdf.IRI{concept}, features)
-}

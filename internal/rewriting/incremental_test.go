@@ -67,61 +67,20 @@ func TestCacheEntrySurvivesUnrelatedRelease(t *testing.T) {
 	if st.InvalidatedByConcept[string(core.SupInfoMonitor)] == 0 {
 		t.Errorf("per-concept invalidation stats = %v, want InfoMonitor counted", st.InvalidatedByConcept)
 	}
-}
-
-func TestCacheIncrementalRebuildReusesUnits(t *testing.T) {
-	o := buildOntology(t, false)
-	cache := NewCache(NewRewriter(o))
-	res1, err := cache.Rewrite(runningExampleOMQ())
+	// The rebuild is byte-identical to a full recompute.
+	full, err := NewRewriter(o).Rewrite(lagRatioOMQ())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.UCQ.Len() != 1 {
-		t.Fatalf("pre-evolution walks = %d", res1.UCQ.Len())
-	}
-	st := cache.Stats()
-	if st.UnitMisses != 3 || st.UnitHits != 0 {
-		t.Fatalf("cold build stats = %+v, want 3 unit misses (one per concept)", st)
-	}
-
-	// W4 touches Monitor and InfoMonitor but not SoftwareApplication: the
-	// whole-query entry is retired, but the SoftwareApplication unit is
-	// reused by the incremental rebuild.
-	if _, err := o.NewRelease(core.SupersedeReleaseW4()); err != nil {
-		t.Fatal(err)
-	}
-	res2, err := cache.Rewrite(runningExampleOMQ())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.UCQ.Len() != 2 {
-		t.Fatalf("post-evolution walks = %d", res2.UCQ.Len())
-	}
-	st = cache.Stats()
-	if st.UnitHits != 1 {
-		t.Errorf("stats = %+v, want exactly the SoftwareApplication unit reused", st)
-	}
-	if st.UnitMisses != 5 {
-		t.Errorf("stats = %+v, want 2 fresh unit computations on rebuild (5 total misses)", st)
-	}
-	if st.UnitsRetained < 1 || st.UnitsInvalidated != 2 {
-		t.Errorf("stats = %+v, want 1 unit retained and 2 invalidated by W4", st)
-	}
-
-	// The reused unit produces byte-identical output vs a full recompute.
-	full, err := NewRewriter(o).Rewrite(runningExampleOMQ())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.UCQ.String() != full.UCQ.String() {
-		t.Errorf("incremental UCQ diverges from full recompute:\n%s\nvs\n%s", res2.UCQ, full.UCQ)
+	if res3.UCQ.String() != full.UCQ.String() {
+		t.Errorf("rebuilt UCQ diverges from full recompute:\n%s\nvs\n%s", res3.UCQ, full.UCQ)
 	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	o := buildOntology(t, false)
 	cache := NewCache(NewRewriter(o))
-	cache.SetLimits(1, 2)
+	cache.SetLimits(1)
 	if _, err := cache.Rewrite(runningExampleOMQ()); err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +90,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	st := cache.Stats()
 	if st.Entries != 1 {
 		t.Errorf("entries = %d, want 1 (capacity bound)", st.Entries)
-	}
-	if st.Units != 2 {
-		t.Errorf("units = %d, want 2 (capacity bound)", st.Units)
 	}
 	if st.Evictions == 0 {
 		t.Error("expected LRU evictions")

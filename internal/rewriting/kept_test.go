@@ -175,7 +175,7 @@ func TestCacheBoundsKeptValues(t *testing.T) {
 
 	// Eviction: of the entries 0, 2, 5, 4, 3, 1, most recent first, OMQs 0
 	// and 2 stay.
-	c.SetLimits(2, DefaultMaxUnits)
+	c.SetLimits(2)
 	check("after shrinking to 2 entries")
 	if st := c.Stats(); st.KeptValues != 2*per {
 		t.Fatalf("after evicting OMQs 1, 3, 4 and 5 the cache charges %d values, want %d", st.KeptValues, 2*per)

@@ -18,26 +18,20 @@
 // Rewriting results only depend on the ontology, and release-based
 // evolution (Algorithm 1) bounds what one release can change: core
 // publishes, per release, a ReleaseDelta naming the concepts, features,
-// attributes and edges the release can affect. The caching layer exploits
-// this at two granularities:
-//
-//   - Cache (cache.go) memoizes whole rewriting results tagged with a
-//     Footprint — the query's concepts and requested features (footprint.go).
-//     When the store generation moves, only entries whose footprint
-//     intersects a release delta are retired; queries over untouched
-//     concepts keep their memoized UCQ even though the ontology evolved.
-//   - Beneath the results, the cache memoizes per-concept intra-concept
-//     units (Algorithm 4 output, keyed on concept + requested features).
-//     A retired query entry is rebuilt incrementally: retained units are
-//     reused and only the touched concepts' units plus the inter-concept
-//     joins (Algorithm 5) and the coverage filter run again.
+// attributes and edges the release can affect. Cache (cache.go) exploits
+// this: it memoizes whole rewriting results tagged with a Footprint — the
+// query's concepts and requested features (footprint.go). When the store
+// generation moves, only entries whose footprint intersects a release delta
+// are retired; queries over untouched concepts keep their memoized UCQ even
+// though the ontology evolved, and a retired entry is rebuilt by Algorithms
+// 2-5 on its next lookup.
 //
 // Mutations not explained by release deltas (Global-graph edits, direct
-// store writes) flush both layers wholesale — correctness never depends on
-// the delta log being complete. A parity test proves the incremental
-// engine's UCQ output byte-identical to from-scratch Algorithm 2-5 runs
-// across randomized release schedules, and a race hammer proves no served
-// walk set ever mixes two store generations.
+// store writes) flush the cache wholesale — correctness never depends on a
+// generation being explained. A parity test proves the cache's UCQ output
+// byte-identical to from-scratch Algorithm 2-5 runs across randomized
+// release schedules, and a race hammer proves no served walk set ever
+// mixes two store generations.
 package rewriting
 
 import (
@@ -97,8 +91,13 @@ func NewOMQ(pi []rdf.IRI, pattern ...rdf.Triple) *OMQ {
 // FromSPARQL converts a restricted SPARQL query (the template of Code 3)
 // into its ⟨π, φ⟩ representation: the projected variables must be bound by
 // the VALUES table to attribute IRIs, and the WHERE clause must contain only
-// constant triple patterns over G.
+// constant triple patterns over G. A clause ⟨π, φ⟩ cannot express — FILTER,
+// LIMIT, OFFSET, or a FROM or GRAPH naming another graph than G — is an
+// error, not dropped; DISTINCT is accepted, as answers are sets anyway.
 func FromSPARQL(q *sparql.Query) (*OMQ, error) {
+	if err := unexpressibleClause(q); err != nil {
+		return nil, err
+	}
 	bindings, err := q.ValueBindings()
 	if err != nil {
 		return nil, err
@@ -131,6 +130,27 @@ func FromSPARQL(q *sparql.Query) (*OMQ, error) {
 		return nil, fmt.Errorf("rewriting: the OMQ graph pattern must be a connected subgraph of G")
 	}
 	return omq, nil
+}
+
+// unexpressibleClause names the first clause of q that an OMQ cannot carry.
+func unexpressibleClause(q *sparql.Query) error {
+	const template = "rewriting: the restricted OMQ template (Code 3) has no "
+	switch {
+	case len(q.Filters) > 0:
+		return fmt.Errorf(template+"FILTER clause, got %s", q.Filters[0])
+	case q.Limit >= 0:
+		return fmt.Errorf(template+"LIMIT clause, got LIMIT %d", q.Limit)
+	case q.Offset != 0:
+		return fmt.Errorf(template+"OFFSET clause, got OFFSET %d", q.Offset)
+	case q.From != "" && q.From != core.GlobalGraphName:
+		return fmt.Errorf(template+"FROM clause other than FROM <%s>, got FROM <%s>", core.GlobalGraphName, q.From)
+	}
+	for _, tp := range q.Where {
+		if tp.Graph != nil && tp.Graph != core.GlobalGraphName {
+			return fmt.Errorf(template+"GRAPH block other than GRAPH <%s>, got %s", core.GlobalGraphName, tp)
+		}
+	}
+	return nil
 }
 
 // ParseOMQ parses SPARQL text and converts it to an OMQ.

@@ -45,23 +45,19 @@ type PartialWalks struct {
 	Walks   []*relational.Walk
 }
 
-// unitFunc supplies one concept's Algorithm 4 unit on a view: IntraConceptUnit
-// itself, or the rewriting cache's memo of it.
-type unitFunc func(v *core.View, c rdf.IRI, features []rdf.IRI) (PartialWalks, error)
-
 // intraConceptGeneration implements Algorithm 4 (phase #2): for each concept
 // of the expanded query, find the wrappers whose LAV mapping provides the
 // requested features (steps 3-5), build one partial walk per wrapper, and
 // prune wrappers that do not provide every requested feature of the concept
 // (step 6). ctx is checked before each concept's unit.
-func intraConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery, unit unitFunc) ([]PartialWalks, error) {
+func intraConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery) ([]PartialWalks, error) {
 	track := lifecycle.TrackerFrom(ctx)
 	out := make([]PartialWalks, 0, len(eq.Concepts))
 	for _, c := range eq.Concepts {
 		if err := lifecycle.Check(ctx, track); err != nil {
 			return nil, err
 		}
-		pw, err := unit(v, c, featuresRequestedFor(eq.Query, c))
+		pw, err := intraConceptUnit(v, c, featuresRequestedFor(eq.Query, c))
 		if err != nil {
 			return nil, err
 		}
@@ -70,14 +66,10 @@ func intraConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery
 	return out, nil
 }
 
-// IntraConceptUnit runs the per-concept body of Algorithm 4 for one concept
+// intraConceptUnit runs the per-concept body of Algorithm 4 for one concept
 // and its requested features (sorted, including the identifiers added by
-// expansion). Units are the granularity at which the incremental rewriting
-// cache memoizes phase #2: a release whose delta does not touch the concept
-// or its features leaves the unit's walks valid, so only inter-concept
-// joins (Algorithm 5) need re-running. The returned walks must be treated
-// as immutable by callers that cache them.
-func IntraConceptUnit(v *core.View, c rdf.IRI, features []rdf.IRI) (PartialWalks, error) {
+// expansion).
+func intraConceptUnit(v *core.View, c rdf.IRI, features []rdf.IRI) (PartialWalks, error) {
 	// Step 3: the features requested for this concept.
 	if len(features) == 0 {
 		return PartialWalks{}, fmt.Errorf("rewriting: concept %s has no requested features after expansion (it lacks an identifier)", v.Compact(c))
@@ -337,7 +329,7 @@ func QueryExpansion(o *core.Ontology, omq *OMQ) (*ExpandedQuery, error) {
 
 // IntraConceptGeneration is Algorithm 4 on the ontology's current view.
 func IntraConceptGeneration(o *core.Ontology, eq *ExpandedQuery) ([]PartialWalks, error) {
-	return intraConceptGeneration(context.Background(), o.View(), eq, IntraConceptUnit)
+	return intraConceptGeneration(context.Background(), o.View(), eq)
 }
 
 // InterConceptGenerationContext is Algorithm 5 on the ontology's current

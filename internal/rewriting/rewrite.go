@@ -171,14 +171,13 @@ func (r *Rewriter) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error
 // policy admits: the partial walks of Algorithm 4 are filtered before
 // Algorithm 5 joins them, which is the only difference between the two.
 func (r *Rewriter) RewriteWithPolicy(ctx context.Context, omq *OMQ, opts PolicyOptions) (*Result, error) {
-	return rewriteOn(ctx, r.Ontology.View(), omq, opts, IntraConceptUnit)
+	return rewriteOn(ctx, r.Ontology.View(), omq, opts)
 }
 
 // rewriteOn runs Algorithms 2-5 on one view: the one sequence behind the
-// rewriter and the rewriting cache, which supplies its memoized units
-// through unit. The version policy filters the partial walks of Algorithm 4
-// before Algorithm 5 joins them.
-func rewriteOn(ctx context.Context, v *core.View, omq *OMQ, opts PolicyOptions, unit unitFunc) (*Result, error) {
+// rewriter and the rewriting cache. The version policy filters the partial
+// walks of Algorithm 4 before Algorithm 5 joins them.
+func rewriteOn(ctx context.Context, v *core.View, omq *OMQ, opts PolicyOptions) (*Result, error) {
 	wf, err := wellFormedQuery(v, omq)
 	if err != nil {
 		return nil, err
@@ -187,7 +186,7 @@ func rewriteOn(ctx context.Context, v *core.View, omq *OMQ, opts PolicyOptions, 
 	if err != nil {
 		return nil, err
 	}
-	partials, err := intraConceptGeneration(ctx, v, expanded, unit)
+	partials, err := intraConceptGeneration(ctx, v, expanded)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package rewriting
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 
 	"bdi/internal/core"
@@ -110,6 +111,48 @@ func TestFromSPARQLRejectsMalformedOMQs(t *testing.T) {
 	for i, c := range cases {
 		if _, err := ParseOMQ(c); err == nil {
 			t.Errorf("case %d should fail", i)
+		}
+	}
+	// Clauses an OMQ cannot carry are refused by name, not dropped: each
+	// of these used to parse to the running example's OMQ.
+	for clause, text := range map[string]string{
+		"FILTER": strings.Replace(runningExampleSPARQL, "sup:lagRatio\n}", "sup:lagRatio .\n  FILTER(?y > 1000)\n}", 1),
+		"LIMIT":  runningExampleSPARQL + "LIMIT 1\n",
+		"OFFSET": runningExampleSPARQL + "OFFSET 2\n",
+		"FROM":   strings.Replace(runningExampleSPARQL, "FROM <http://www.essi.upc.edu/~snadal/BDIOntology/Global>", "FROM <http://example.org/Other>", 1),
+		"GRAPH": strings.Replace(runningExampleSPARQL, "sup:InfoMonitor G:hasFeature sup:lagRatio",
+			"GRAPH <http://example.org/Other> { sup:InfoMonitor G:hasFeature sup:lagRatio }", 1),
+	} {
+		if text == runningExampleSPARQL {
+			t.Fatalf("%s case did not change the running example", clause)
+		}
+		_, err := ParseOMQ(text)
+		if err == nil || !strings.Contains(err.Error(), clause) {
+			t.Errorf("%s: err = %v, want an error naming the clause", clause, err)
+		}
+	}
+}
+
+// TestFromSPARQLAcceptsWhatTheOMQExpresses: DISTINCT (answers are sets), FROM
+// G (the Code 3 template) and GRAPH G parse to the running example's OMQ.
+func TestFromSPARQLAcceptsWhatTheOMQExpresses(t *testing.T) {
+	plain := strings.Replace(runningExampleSPARQL, "FROM <http://www.essi.upc.edu/~snadal/BDIOntology/Global>\n", "", 1)
+	want, err := ParseOMQ(plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{
+		runningExampleSPARQL,
+		strings.Replace(runningExampleSPARQL, "SELECT ?x ?y", "SELECT DISTINCT ?x ?y", 1),
+		strings.Replace(plain, "sup:InfoMonitor G:hasFeature sup:lagRatio",
+			"GRAPH <http://www.essi.upc.edu/~snadal/BDIOntology/Global> { sup:InfoMonitor G:hasFeature sup:lagRatio }", 1),
+	} {
+		got, err := ParseOMQ(text)
+		if err != nil {
+			t.Fatalf("%s: %v", text, err)
+		}
+		if canonicalKey(got) != canonicalKey(want) {
+			t.Errorf("%s parsed to %s, want %s", text, got, want)
 		}
 	}
 }

@@ -278,7 +278,7 @@ func (p *sparqlParser) parseSelect() error {
 				return fmt.Errorf("sparql: LIMIT requires a number")
 			}
 			n, err := strconv.Atoi(nTok.value)
-			if err != nil {
+			if err != nil || n < 0 {
 				return fmt.Errorf("sparql: invalid LIMIT %q", nTok.value)
 			}
 			p.q.Limit = n
@@ -289,7 +289,7 @@ func (p *sparqlParser) parseSelect() error {
 				return fmt.Errorf("sparql: OFFSET requires a number")
 			}
 			n, err := strconv.Atoi(nTok.value)
-			if err != nil {
+			if err != nil || n < 0 {
 				return fmt.Errorf("sparql: invalid OFFSET %q", nTok.value)
 			}
 			p.q.Offset = n

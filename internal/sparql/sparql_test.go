@@ -113,6 +113,9 @@ func TestParseErrors(t *testing.T) {
 		"SELECT ?x WHERE { ?x ex:p }",
 		"SELECT ?x WHERE { VALUES (?x { (1) } }",
 		"SELECT ?x FROM WHERE { ?x ?y ?z }",
+		// A negative LIMIT would read as no LIMIT, a negative OFFSET as none.
+		"SELECT ?x WHERE { ?x ?y ?z } LIMIT -1",
+		"SELECT ?x WHERE { ?x ?y ?z } OFFSET -2",
 	}
 	for i, c := range cases {
 		if _, err := Parse(c); err == nil {

@@ -3,15 +3,18 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"bdi/internal/rdf"
 )
 
 // TestVetoedBatchLeavesNoDeadSlots vetoes a bulk load and asserts that the
-// arena is truncated back to the live size, that the next accepted batch
-// reuses the vetoed offsets, that a snapshot pinned before the veto keeps
-// resolving, and that probes equal a fresh store's.
+// arena and the dictionary are truncated back to the live size, that a retry
+// re-interns the same terms at the same IDs, that the next accepted batch
+// reuses the vetoed offsets, that snapshots pinned before the veto keep
+// resolving (also from a concurrent reader), and that probes and the term
+// table equal a fresh store's.
 func TestVetoedBatchLeavesNoDeadSlots(t *testing.T) {
 	s := New()
 	const n = 3 * 4096
@@ -31,12 +34,60 @@ func TestVetoedBatchLeavesNoDeadSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Snapshot()
+	terms := before.Dict().Len()
+	done := make(chan struct{})
+	readerErr := make(chan error, 1)
+	go func() {
+		defer close(readerErr)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if got := len(s.Snapshot().Match(InGraph("http://comp/keep", rdf.IRI("http://comp/s7"), nil, nil))); got != 1 {
+				readerErr <- fmt.Errorf("probe during the vetoed loads = %d, want 1", got)
+				return
+			}
+		}
+	}()
 	veto := errors.New("vetoed")
-	s.SetCommitHook(func(Batch) error { return veto })
-	if _, err := s.AddAll(load("http://comp/bulk", n)); !errors.Is(err, veto) {
-		t.Fatalf("vetoed bulk load returned %v", err)
+	// Each attempt records the IDs its batch's terms were interned at.
+	var attempts [][]rdf.TermID
+	s.SetCommitHook(func(b Batch) error {
+		d := before.Dict()
+		var ids []rdf.TermID
+		for _, q := range b.Quads {
+			for _, term := range []rdf.Term{q.Graph, q.Subject, q.Predicate, q.Object} {
+				id, ok := d.Lookup(term)
+				if !ok {
+					return fmt.Errorf("%v not interned when the hook ran", term)
+				}
+				ids = append(ids, id)
+			}
+		}
+		attempts = append(attempts, ids)
+		return veto
+	})
+	for range 2 {
+		if _, err := s.AddAll(load("http://comp/bulk", n)); !errors.Is(err, veto) {
+			t.Fatalf("vetoed bulk load returned %v", err)
+		}
+		if got := s.Snapshot().Dict().Len(); got != terms {
+			t.Fatalf("dictionary holds %d terms after the vetoed load, want %d", got, terms)
+		}
+		if _, ok := s.Snapshot().Dict().Lookup(rdf.IRI("http://comp/bulk")); ok {
+			t.Fatal("a term only the vetoed load used is still interned")
+		}
 	}
 	s.SetCommitHook(nil)
+	close(done)
+	if err := <-readerErr; err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(attempts[0]) != fmt.Sprint(attempts[1]) || slices.Max(attempts[0]) <= rdf.TermID(terms) {
+		t.Fatal("the retried load did not re-intern its terms at the vetoed IDs")
+	}
 	if got := int(s.ar.slots.Len()); got != s.Len() || got != 500 {
 		t.Fatalf("arena has %d slots after the vetoed load, want Len() = %d = 500", got, s.Len())
 	}
@@ -85,6 +136,9 @@ func TestVetoedBatchLeavesNoDeadSlots(t *testing.T) {
 		if got.Contains(q) {
 			t.Fatalf("vetoed quad %v is visible", q)
 		}
+	}
+	if g, w := got.Dict().Terms(), want.Dict().Terms(); fmt.Sprint(g) != fmt.Sprint(w) {
+		t.Fatalf("term table of %d terms, a fresh store's %d", len(g), len(w))
 	}
 }
 

@@ -226,6 +226,7 @@ func (s *Store) AddAll(quads []rdf.Quad) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	mark := s.ar.slots.Len()
+	terms := s.snap.Load().dict.Len()
 	ents := make([]eref, 0, len(quads))
 	var journal []rdf.Quad
 	if s.hook != nil {
@@ -243,21 +244,23 @@ func (s *Store) AddAll(quads []rdf.Quad) (int, error) {
 			}
 		}
 	}
-	if err := s.commit(mark, ents, journal); err != nil {
+	if err := s.commit(mark, terms, ents, journal); err != nil {
 		return 0, err
 	}
 	added = len(ents)
 	return added, invalid
 }
 
-// commit offers the batch interned since arena slot mark to the commit hook
-// and publishes it as the next generation, recording mark as that
-// generation's first slot. A vetoed batch is rolled back: its quads leave
-// the canonical set, and the arena is truncated back to mark, which no
-// snapshot ever resolved. So the arena holds exactly the published quads,
-// each generation's as one contiguous slot range in intern order. Callers
-// hold s.mu.
-func (s *Store) commit(mark eref, ents []eref, journal []rdf.Quad) error {
+// commit offers the batch interned since arena slot mark and dictionary
+// length terms to the commit hook and publishes it as the next generation,
+// recording mark as that generation's first slot. A vetoed batch is rolled
+// back: its quads leave the canonical set, and the arena and the dictionary
+// are truncated back to mark and terms, which no snapshot ever resolved
+// (the write path is the dictionary's only interner, under s.mu). So the
+// arena holds exactly the published quads, each generation's as one
+// contiguous slot range in intern order, and the dictionary no term only a
+// vetoed batch used. Callers hold s.mu.
+func (s *Store) commit(mark eref, terms int, ents []eref, journal []rdf.Quad) error {
 	if len(ents) == 0 {
 		return nil
 	}
@@ -271,6 +274,7 @@ func (s *Store) commit(mark eref, ents []eref, journal []rdf.Quad) error {
 			}
 			s.ar.keys.Truncate(s.ar.slot(mark).key)
 			s.ar.slots.Truncate(mark)
+			prev.dict.Truncate(terms)
 			return err
 		}
 	}
