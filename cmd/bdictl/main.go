@@ -289,9 +289,6 @@ func runRestore(dir string) {
 		fmt.Printf(" (%d newer checkpoint(s) failed verification)", rec.CheckpointsSkipped)
 	}
 	fmt.Println()
-	if rec.CheckpointFormatVersion > 0 {
-		fmt.Printf("  format:          v%d\n", rec.CheckpointFormatVersion)
-	}
 	fmt.Printf("  WAL replay:      %d record(s) across %d segment(s)\n",
 		rec.RecordsReplayed, rec.SegmentsScanned)
 	if rec.TornTail {

@@ -104,8 +104,8 @@ func TestReplicaPublishesReleaseDeltaWithItsBatch(t *testing.T) {
 			t.Fatalf("%s: shipped up to generation %d, want %d", r.Wrapper.Name, next, post)
 		}
 		rec, n, err := wal.DecodeFrame(frames)
-		if err != nil || n != len(frames) || rec.Kind() != "add-all" {
-			t.Fatalf("%s: shipped %d bytes, want exactly one add-all frame (%s, %d bytes, %v)", r.Wrapper.Name, len(frames), rec.Kind(), n, err)
+		if err != nil || n != len(frames) || rec.Generation != post {
+			t.Fatalf("%s: shipped %d bytes, want exactly one add-all frame publishing %d (decoded %d bytes publishing %d, %v)", r.Wrapper.Name, len(frames), post, n, rec.Generation, err)
 		}
 		if err := rep.applyFrames(o, frames); err != nil {
 			t.Fatal(err)

@@ -442,14 +442,14 @@ func (r *Replica) applyFrames(o *core.Ontology, body []byte) error {
 		cur := o.Store().Generation()
 		switch {
 		case rec.Generation <= cur:
-			continue // duplicate of something we already applied, or a legacy release record
+			continue // duplicate of something we already applied
 		case rec.Generation != cur+1:
 			return errNeedCheckpoint{fmt.Sprintf("generation gap: replica at %d, next shipped record publishes %d", cur, rec.Generation), &r.stats.GapResyncs}
 		}
 		if err := rec.Apply(o); err != nil {
 			// A record that decodes but cannot replay means our state
 			// diverged from the primary's history — resync wholesale.
-			return errNeedCheckpoint{fmt.Sprintf("replaying %s record at generation %d: %v", rec.Kind(), rec.Generation, err), &r.stats.DivergenceResyncs}
+			return errNeedCheckpoint{fmt.Sprintf("replaying the record of generation %d: %v", rec.Generation, err), &r.stats.DivergenceResyncs}
 		}
 		r.mu.Lock()
 		r.stats.FramesApplied++

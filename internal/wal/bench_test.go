@@ -38,7 +38,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := l.append(&record{kind: recAddAll, gen: uint64(i + 1), quads: quads}); err != nil {
+				if err := l.append(&record{gen: uint64(i + 1), quads: quads}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -87,7 +87,7 @@ func BenchmarkStoreAddAllWAL(b *testing.B) {
 					b.Fatal(err)
 				}
 				s.SetCommitHook(func(batch store.Batch) error {
-					return l.append(&record{kind: recAddAll, gen: batch.Generation, quads: batch.Quads})
+					return l.append(&record{gen: batch.Generation, quads: batch.Quads})
 				})
 				return func() {
 					s.SetCommitHook(nil)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -14,46 +15,39 @@ import (
 	"bdi/internal/store"
 )
 
-// Checkpoint file format, version 2 (all integers uvarint unless noted):
+// Checkpoint file format (all integers uvarint unless noted):
 //
 //	magic    "BDIWCKP2" (8 bytes)
-//	epoch    always 0 when written (see below)
-//	origLen  always nterms when written
-//	ndrop    always 0 when written; then ndrop deltas encoding an ascending
-//	         list of dropped TermIDs (first delta is absolute)
+//	epoch    0
+//	origLen  nterms
+//	ndrop    0
 //	gen      store generation the snapshot was pinned at
-//	nterms   dictionary size (origLen − ndrop); then nterms terms (rdf
-//	         codec) in TermID order
+//	nterms   dictionary size; then nterms terms (rdf codec) in TermID order
 //	ngraphs  non-empty graphs; per graph: nquads, then nquads × 4 TermIDs
-//	nspans   always 0 when written. Earlier builds wrote the release-delta
-//	         log here (the encoding of legacy WAL release records); the
-//	         decoder still reads such spans and discards them
+//	nspans   0
 //	crc      uint32 LE CRC-32C of everything above
 //
-// Earlier builds compacted the dictionary at every checkpoint, dropping the
-// TermIDs that removals had orphaned and writing the rest densely
-// renumbered, with a compaction epoch. The store only grows now, so no
-// TermID is ever orphaned and the header is written empty. The decoder
-// still validates and skips a dropped-ID list: the terms and TermIDs such a
-// checkpoint stores are already the renumbered ones.
-//
-// Version 1 ("BDIWCKP1") is the same layout without the epoch/origLen/drop
-// header; the decoder accepts both, so version-1 data dirs recover
-// unchanged (and the next checkpoint rewrites them as v2).
+// The epoch, origLen, ndrop and nspans fields are constant. Earlier builds
+// wrote other values there: a compaction epoch and the dropped TermIDs of a
+// dictionary compacted at every checkpoint, and the release-delta log as a
+// span section; before that, a "BDIWCKP1" layout without the compaction
+// header. The decoder accepts only the layout above and refuses the others
+// by name.
 //
 // A checkpoint is self-contained: the dictionary table restores every
 // TermID at its value with sort keys regenerated from the term values, the
 // graph sections are the store's pre-sorted buckets dumped in bulk
 // (store.Restore rebuilds every index with plain appends).
 
-var (
-	checkpointMagicV1 = []byte("BDIWCKP1")
-	checkpointMagicV2 = []byte("BDIWCKP2")
-)
+var checkpointMagic = []byte("BDIWCKP2")
+
+// errEarlierCheckpoint marks a checkpoint whose checksum verifies but whose
+// layout only an earlier build wrote. Recovery stops at it rather than
+// passing it over for an older checkpoint, as it does a damaged one.
+var errEarlierCheckpoint = errors.New("an earlier build wrote this checkpoint, and this build reads only the layout it writes")
 
 // checkpointData is a decoded checkpoint.
 type checkpointData struct {
-	version    int    // format version (1 or 2)
 	generation uint64 // store generation of the pinned snapshot
 	dict       *rdf.Dict
 	graphs     [][]store.QuadID
@@ -104,7 +98,7 @@ func writeCheckpointTo(w io.Writer, p checkpointPayload) error {
 		scratch = scratch[:0]
 		return err
 	}
-	scratch = append(scratch, checkpointMagicV2...)
+	scratch = append(scratch, checkpointMagic...)
 	scratch = binary.AppendUvarint(scratch, 0) // epoch
 	scratch = binary.AppendUvarint(scratch, uint64(len(p.terms)))
 	scratch = binary.AppendUvarint(scratch, 0) // ndrop
@@ -159,57 +153,33 @@ func encodeCheckpoint(sn store.Snapshot, terms []rdf.Term) []byte {
 	return buf.Bytes()
 }
 
-// decodeCheckpoint parses and verifies a checkpoint file's contents. Both
-// format versions are accepted; a v2 header's epoch is ignored and its
-// dropped-ID list validated and skipped.
+// decodeCheckpoint parses and verifies a checkpoint file's contents.
 func decodeCheckpoint(data []byte) (*checkpointData, error) {
-	if len(data) < len(checkpointMagicV2)+4 {
+	if len(data) < len(checkpointMagic)+4 {
 		return nil, fmt.Errorf("wal: checkpoint too short (%d bytes)", len(data))
 	}
 	body, sumBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(sumBytes) {
 		return nil, fmt.Errorf("wal: checkpoint checksum mismatch")
 	}
-	ck := &checkpointData{}
-	switch {
-	case bytes.HasPrefix(body, checkpointMagicV2):
-		ck.version = 2
-	case bytes.HasPrefix(body, checkpointMagicV1):
-		ck.version = 1
-	default:
+	if bytes.HasPrefix(body, []byte("BDIWCKP1")) {
+		return nil, fmt.Errorf("wal: version-1 (BDIWCKP1) checkpoint: %w", errEarlierCheckpoint)
+	}
+	if !bytes.HasPrefix(body, checkpointMagic) {
 		return nil, fmt.Errorf("wal: bad checkpoint magic")
 	}
-	b := body[len(checkpointMagicV2):]
+	b := body[len(checkpointMagic):]
+	var header [3]uint64 // epoch, origLen, ndrop
 	var err error
-	var origLen, ndrop uint64
-	if ck.version == 2 {
-		if _, b, err = readUvarint(b); err != nil { // epoch
+	for i := range header {
+		if header[i], b, err = readUvarint(b); err != nil {
 			return nil, err
-		}
-		if origLen, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if ndrop, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if ndrop > origLen {
-			return nil, fmt.Errorf("wal: checkpoint drops %d of %d TermIDs", ndrop, origLen)
-		}
-		prev := rdf.TermID(0)
-		for i := uint64(0); i < ndrop; i++ {
-			var delta uint64
-			if delta, b, err = readUvarint(b); err != nil {
-				return nil, err
-			}
-			if delta == 0 {
-				return nil, fmt.Errorf("wal: checkpoint remap not strictly ascending")
-			}
-			prev += rdf.TermID(delta)
-		}
-		if uint64(prev) > origLen {
-			return nil, fmt.Errorf("wal: checkpoint remap drops TermID %d beyond dictionary size %d", prev, origLen)
 		}
 	}
+	if header[0] != 0 || header[2] != 0 {
+		return nil, fmt.Errorf("wal: compacted checkpoint (epoch %d, %d dropped TermIDs): %w", header[0], header[2], errEarlierCheckpoint)
+	}
+	ck := &checkpointData{}
 	if ck.generation, b, err = readUvarint(b); err != nil {
 		return nil, err
 	}
@@ -217,8 +187,8 @@ func decodeCheckpoint(data []byte) (*checkpointData, error) {
 	if nterms, b, err = readCount(b, minTermSize); err != nil {
 		return nil, err
 	}
-	if ck.version == 2 && nterms != origLen-ndrop {
-		return nil, fmt.Errorf("wal: checkpoint has %d terms, header implies %d", nterms, origLen-ndrop)
+	if nterms != header[1] {
+		return nil, fmt.Errorf("wal: checkpoint has %d terms, header implies %d", nterms, header[1])
 	}
 	terms := make([]rdf.Term, 0, nterms)
 	for i := uint64(0); i < nterms; i++ {
@@ -255,10 +225,8 @@ func decodeCheckpoint(data []byte) (*checkpointData, error) {
 	if nspans, b, err = readUvarint(b); err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nspans; i++ {
-		if b, err = skipSpan(b); err != nil {
-			return nil, err
-		}
+	if nspans != 0 {
+		return nil, fmt.Errorf("wal: checkpoint with %d release-delta spans: %w", nspans, errEarlierCheckpoint)
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("wal: checkpoint has %d trailing bytes", len(b))

@@ -171,7 +171,7 @@ func (l *log) append(r *record) error {
 	l.buf = appendRecord(l.buf[:0], r)
 	if _, err := l.f.Write(l.buf); err != nil {
 		l.failed = err
-		return fmt.Errorf("wal: appending %s record (log now fail-stop): %w", r.kind, err)
+		return fmt.Errorf("wal: appending the record of generation %d (log now fail-stop): %w", r.gen, err)
 	}
 	if r.gen > l.lastGen {
 		l.lastGen = r.gen

@@ -153,7 +153,7 @@ func (m *Manager) Recovery() RecoveryInfo { return m.recovery }
 // onBatch is the store commit hook: journal the batch as an add-all record
 // before its snapshot is published.
 func (m *Manager) onBatch(b store.Batch) error {
-	if err := m.log.append(&record{kind: recAddAll, gen: b.Generation, quads: b.Quads}); err != nil {
+	if err := m.log.append(&record{gen: b.Generation, quads: b.Quads}); err != nil {
 		return err
 	}
 	m.maybeAutoCheckpoint()
@@ -197,8 +197,8 @@ type CheckpointInfo struct {
 	SegmentsPruned  int           `json:"segmentsPruned"`
 	CheckpointsKept int           `json:"checkpointsKept"`
 
-	// FormatVersion is the checkpoint file format written (always 2 now;
-	// version 1 files remain readable).
+	// FormatVersion is the checkpoint file format written: always 2, the
+	// only one the reader accepts.
 	FormatVersion int `json:"formatVersion"`
 }
 

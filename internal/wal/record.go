@@ -7,11 +7,12 @@
 // as its add-all batch alone: replaying it makes it one generation of the
 // store's log again, from which its footprint is derived.
 //
-// The ontology only grows, so add-all is the only record this build
-// writes. The removal records of earlier builds (remove, remove-graph,
-// clear) keep their kind numbers; one that a checkpoint does not already
-// cover stops recovery and replica apply with an error naming it, rather
-// than being skipped or cut off as a torn tail.
+// The ontology only grows, so add-all is the only record kind, and the
+// reader accepts exactly what the writer writes. A frame whose checksum
+// verifies was written whole: if it is of another kind, or its payload does
+// not decode, recovery, Inspect, shipping and DecodeFrame refuse it with an
+// error naming the kind. Only a short frame or a checksum mismatch is a torn
+// tail.
 //
 // # Consistency model
 //
@@ -29,6 +30,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -41,15 +43,12 @@ type recordKind uint8
 
 const (
 	recAddAll recordKind = iota + 1
-	// recRemove, recRemoveGraph and recClear are retired kinds: earlier
-	// builds journaled removals with them. They still decode, so replay can
-	// refuse them by kind and generation; none is written.
+	// Kinds 2-5 are retired and must never be reused: earlier builds
+	// journaled removals (remove, remove-graph, clear) and each release's
+	// delta span (release) with them. This build refuses them by name.
 	recRemove
 	recRemoveGraph
 	recClear
-	// recRelease is a legacy kind: earlier builds journaled each release's
-	// delta span after its batch. Such records are still decoded (and
-	// CRC-checked), publish no generation and are skipped; none is written.
 	recRelease
 )
 
@@ -66,15 +65,13 @@ func (k recordKind) String() string {
 	case recRelease:
 		return "release"
 	default:
-		return fmt.Sprintf("record(%d)", uint8(k))
+		return "unknown"
 	}
 }
 
-// record is one WAL entry. Batch records (add-all and the retired removal
-// kinds) carry the generation they publish; a legacy release record
-// carries generation 0, so every generation guard skips it.
+// record is one WAL entry: an add-all batch and the store generation it
+// publishes.
 type record struct {
-	kind  recordKind
 	gen   uint64
 	quads []rdf.Quad
 }
@@ -92,13 +89,10 @@ const maxRecordSize = 1 << 30
 
 // appendRecord appends the framed encoding of an add-all record to dst.
 func appendRecord(dst []byte, r *record) []byte {
-	if r.kind != recAddAll {
-		panic(fmt.Sprintf("wal: encoding a %s record; only add-all is written", r.kind))
-	}
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
 	payloadStart := len(dst)
-	dst = append(dst, byte(r.kind))
+	dst = append(dst, byte(recAddAll))
 	dst = binary.AppendUvarint(dst, r.gen)
 	dst = binary.AppendUvarint(dst, uint64(len(r.quads)))
 	for _, q := range r.quads {
@@ -110,25 +104,31 @@ func appendRecord(dst []byte, r *record) []byte {
 	return dst
 }
 
+// errTornFrame marks a frame that a crash mid-append can leave: shorter
+// than its header announces, with an implausible length or failing its
+// checksum. Every other decode error is of a frame whose checksum verified,
+// which was written whole and is never cut off as a torn tail.
+var errTornFrame = errors.New("torn record frame")
+
 // decodeRecord decodes one framed record from the front of b, returning the
-// record and the number of bytes consumed. An incomplete frame, a CRC
-// mismatch or a malformed payload returns an error: the caller treats the
-// position as the end of the valid log (torn tail).
+// record and the number of bytes consumed. An incomplete frame or a CRC
+// mismatch returns an error wrapping errTornFrame; a checksummed frame that
+// is not a well-formed add-all record returns one naming its kind.
 func decodeRecord(b []byte) (*record, int, error) {
 	if len(b) < frameHeaderSize {
-		return nil, 0, fmt.Errorf("wal: record frame truncated (%d bytes)", len(b))
+		return nil, 0, fmt.Errorf("wal: %w: %d bytes, shorter than a frame header", errTornFrame, len(b))
 	}
 	length := binary.LittleEndian.Uint32(b)
 	sum := binary.LittleEndian.Uint32(b[4:])
 	if length == 0 || length > maxRecordSize {
-		return nil, 0, fmt.Errorf("wal: implausible record length %d", length)
+		return nil, 0, fmt.Errorf("wal: %w: implausible length %d", errTornFrame, length)
 	}
 	if uint32(len(b)-frameHeaderSize) < length {
-		return nil, 0, fmt.Errorf("wal: record payload truncated (%d of %d bytes)", len(b)-frameHeaderSize, length)
+		return nil, 0, fmt.Errorf("wal: %w: payload truncated (%d of %d bytes)", errTornFrame, len(b)-frameHeaderSize, length)
 	}
 	payload := b[frameHeaderSize : frameHeaderSize+int(length)]
 	if crc32.Checksum(payload, castagnoli) != sum {
-		return nil, 0, fmt.Errorf("wal: record checksum mismatch")
+		return nil, 0, fmt.Errorf("wal: %w: checksum mismatch", errTornFrame)
 	}
 	r, err := decodePayload(payload)
 	if err != nil {
@@ -138,51 +138,39 @@ func decodeRecord(b []byte) (*record, int, error) {
 }
 
 func decodePayload(p []byte) (*record, error) {
-	if len(p) == 0 {
-		return nil, fmt.Errorf("wal: empty record payload")
+	if kind := recordKind(p[0]); kind != recAddAll {
+		return nil, fmt.Errorf("wal: %s record (kind %d) has a valid checksum, but this build reads only add-all records", kind, uint8(kind))
 	}
-	r := &record{kind: recordKind(p[0])}
-	p = p[1:]
-	var err error
-	switch r.kind {
-	case recAddAll, recRemove:
-		var n uint64
-		if r.gen, p, err = readUvarint(p); err != nil {
-			return nil, err
-		}
-		if n, p, err = readCount(p, minQuadSize); err != nil {
-			return nil, err
-		}
-		r.quads = make([]rdf.Quad, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var q rdf.Quad
-			if q, p, err = decodeQuad(p); err != nil {
-				return nil, err
-			}
-			r.quads = append(r.quads, q)
-		}
-	case recRemoveGraph:
-		if r.gen, p, err = readUvarint(p); err != nil {
-			return nil, err
-		}
-		if _, p, err = readString(p); err != nil { // the graph name
-			return nil, err
-		}
-	case recClear:
-		if r.gen, p, err = readUvarint(p); err != nil {
-			return nil, err
-		}
-	case recRelease:
-		if p, err = skipSpan(p); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("wal: unknown record kind %d", uint8(r.kind))
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("wal: %s record has %d trailing bytes", r.kind, len(p))
+	r := &record{}
+	if err := r.decodeBatch(p[1:]); err != nil {
+		return nil, fmt.Errorf("wal: add-all record has a valid checksum but does not decode: %w", err)
 	}
 	return r, nil
+}
+
+// decodeBatch decodes an add-all payload past its kind byte: the generation,
+// the quad count and the quads.
+func (r *record) decodeBatch(p []byte) error {
+	var n uint64
+	var err error
+	if r.gen, p, err = readUvarint(p); err != nil {
+		return err
+	}
+	if n, p, err = readCount(p, minQuadSize); err != nil {
+		return err
+	}
+	r.quads = make([]rdf.Quad, 0, n)
+	for i := uint64(0); i < n; i++ {
+		var q rdf.Quad
+		if q, p, err = decodeQuad(p); err != nil {
+			return err
+		}
+		r.quads = append(r.quads, q)
+	}
+	if len(p) != 0 {
+		return fmt.Errorf("wal: %d trailing bytes", len(p))
+	}
+	return nil
 }
 
 func appendQuad(dst []byte, q rdf.Quad) []byte {
@@ -209,33 +197,6 @@ func decodeQuad(b []byte) (rdf.Quad, []byte, error) {
 		return q, nil, err
 	}
 	return q, b, nil
-}
-
-// skipSpan consumes one release-delta span in the encoding earlier builds
-// wrote into release records and checkpoint span sections: from and to
-// generations, wrapper, source, sequence, the concept, feature and attribute
-// IRI lists, and the edge list (two IRIs per edge).
-func skipSpan(b []byte) ([]byte, error) {
-	var err error
-	for i := 0; i < 2 && err == nil; i++ { // from, to
-		_, b, err = readUvarint(b)
-	}
-	for i := 0; i < 2 && err == nil; i++ { // wrapper, source
-		_, b, err = readString(b)
-	}
-	if err == nil { // sequence
-		_, b, err = readUvarint(b)
-	}
-	for _, per := range []uint64{1, 1, 1, 2} { // concepts, features, attributes, edges
-		var n uint64
-		if err == nil {
-			n, b, err = readUvarint(b)
-		}
-		for i := uint64(0); i < n*per && err == nil; i++ {
-			_, b, err = readString(b)
-		}
-	}
-	return b, err
 }
 
 // appendString / readString delegate to the rdf codec's string primitive so

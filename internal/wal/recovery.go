@@ -24,7 +24,7 @@ type RecoveryInfo struct {
 	// SegmentsScanned is the number of WAL segment files read.
 	SegmentsScanned int `json:"segmentsScanned"`
 	// RecordsReplayed counts the store insertion batches applied on top of
-	// the checkpoint. Legacy release records are skipped and not counted.
+	// the checkpoint.
 	RecordsReplayed int `json:"recordsReplayed"`
 	// TornTail reports that the last segment ended in an incomplete or
 	// corrupt record, which was truncated away.
@@ -33,10 +33,6 @@ type RecoveryInfo struct {
 	TruncatedBytes int64 `json:"truncatedBytes"`
 	// FinalGeneration is the store generation after replay.
 	FinalGeneration uint64 `json:"finalGeneration"`
-
-	// CheckpointFormatVersion is the file format version of the loaded
-	// checkpoint (1 or 2; 0 when the data dir was fresh).
-	CheckpointFormatVersion int `json:"checkpointFormatVersion,omitempty"`
 }
 
 // errFreshDir reports a data dir with neither checkpoints nor segments.
@@ -66,12 +62,16 @@ func recoverDir(dir string, truncate bool) (*store.Store, RecoveryInfo, error) {
 	// Load the newest checkpoint that verifies; fall back to older ones (a
 	// crash mid-checkpoint leaves the previous one intact, and the WAL is
 	// only pruned past verified checkpoints, so older bases replay further).
+	// A checkpoint an earlier build wrote is refused, not passed over.
 	var ck *checkpointData
 	var ckErr error
 	for i := len(ckpts) - 1; i >= 0; i-- {
 		ck, ckErr = readCheckpointFile(ckpts[i].path)
 		if ckErr == nil {
 			break
+		}
+		if errors.Is(ckErr, errEarlierCheckpoint) {
+			return nil, info, ckErr
 		}
 		info.CheckpointsSkipped++
 	}
@@ -84,7 +84,6 @@ func recoverDir(dir string, truncate bool) (*store.Store, RecoveryInfo, error) {
 	}
 	info.CheckpointGeneration = ck.generation
 	info.CheckpointQuads = ck.quads
-	info.CheckpointFormatVersion = ck.version
 
 	// Replay the segments in base order. A segment is skipped wholesale when
 	// the next segment's base shows it is fully covered by the checkpoint.
@@ -101,10 +100,12 @@ func recoverDir(dir string, truncate bool) (*store.Store, RecoveryInfo, error) {
 	return s, info, nil
 }
 
-// replaySegment applies one segment's records onto s. Decode failures in the
-// final segment are a torn tail: the file is truncated at the last good
-// record (when truncate is set) and replay ends. Decode failures elsewhere
-// are corruption beyond crash semantics and abort recovery.
+// replaySegment applies one segment's records onto s. A torn frame (short,
+// or failing its checksum) in the final segment is a torn tail: the file is
+// truncated at the last good record (when truncate is set) and replay ends.
+// A torn frame elsewhere is corruption beyond crash semantics, and a frame
+// whose checksum verifies but which is no add-all record was written whole;
+// both abort recovery and leave the file as it is.
 func replaySegment(path string, s *store.Store, last, truncate bool, info *RecoveryInfo) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -115,6 +116,9 @@ func replaySegment(path string, s *store.Store, last, truncate bool, info *Recov
 	for off < len(data) {
 		r, n, derr := decodeRecord(data[off:])
 		if derr != nil {
+			if !errors.Is(derr, errTornFrame) {
+				return fmt.Errorf("wal: segment %s at offset %d: %w", filepath.Base(path), off, derr)
+			}
 			if !last {
 				return fmt.Errorf("wal: segment %s corrupt at offset %d (not the final segment; refusing to skip history): %v", filepath.Base(path), off, derr)
 			}
@@ -135,13 +139,12 @@ func replaySegment(path string, s *store.Store, last, truncate bool, info *Recov
 	return nil
 }
 
-// applyRecord replays one record onto s. Legacy release records publish no
-// generation (0), so the same guard that skips batches the checkpoint
-// already covers skips them.
+// applyRecord replays one record onto s unless the checkpoint (or an earlier
+// overlapping segment) already covers its generation.
 func applyRecord(r *record, s *store.Store, info *RecoveryInfo) error {
 	cur := s.Generation()
 	if r.gen <= cur {
-		return nil // covered by the checkpoint (or an earlier overlapping segment), or a legacy release record
+		return nil
 	}
 	if r.gen != cur+1 {
 		return fmt.Errorf("wal: generation gap: store at %d, next record publishes %d", cur, r.gen)
@@ -150,7 +153,7 @@ func applyRecord(r *record, s *store.Store, info *RecoveryInfo) error {
 		return err
 	}
 	if got := s.Generation(); got != r.gen {
-		return fmt.Errorf("wal: replaying %s record: store generation %d, want %d", r.kind, got, r.gen)
+		return fmt.Errorf("wal: replaying a record: store generation %d, want %d", got, r.gen)
 	}
 	info.RecordsReplayed++
 	return nil
@@ -159,12 +162,8 @@ func applyRecord(r *record, s *store.Store, info *RecoveryInfo) error {
 // replayBatch applies one add-all record through addAll (the store's own
 // AddAll in recovery, the ontology's on a replica). Insertion replay
 // re-interns every term in its original order, so the rebuilt dictionary
-// assigns byte-identical TermIDs. A retired removal record is refused: the
-// store only grows.
+// assigns byte-identical TermIDs.
 func replayBatch(r *record, addAll func([]rdf.Quad) (int, error)) error {
-	if r.kind != recAddAll {
-		return fmt.Errorf("wal: %s record at generation %d: removal records of earlier builds cannot be replayed; the store only grows", r.kind, r.gen)
-	}
 	added, err := addAll(r.quads)
 	if err != nil {
 		return fmt.Errorf("wal: replaying add batch: %w", err)

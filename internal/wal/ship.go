@@ -32,26 +32,20 @@ var (
 )
 
 // Record is the exported view of one WAL record, decoded from a shipped
-// frame: a store insertion batch, a legacy release record, which publishes
-// nothing, or a retired removal record, which Apply refuses.
+// frame: a store insertion batch.
 type Record struct {
-	// Generation is the store generation the record publishes; 0 for a
-	// legacy release record, which every generation guard skips.
+	// Generation is the store generation the record publishes.
 	Generation uint64
 
 	rec *record
 }
 
-// Kind names the record kind for logs and diagnostics.
-func (r Record) Kind() string { return r.rec.kind.String() }
-
 // Apply replays an add-all record onto o's store through Ontology.AddAll.
 // The batch becomes one generation of o's store log, from which
 // View.ChangedSince derives a release's footprint exactly as on the
-// primary, so o's rewriting caches invalidate incrementally. A retired
-// removal record returns an error naming its kind and generation.
-// The store must be at exactly Generation-1; callers enforce the guard so
-// skipped duplicates and gaps are their decision, not a silent side effect.
+// primary, so o's rewriting caches invalidate incrementally. The store
+// must be at exactly Generation-1; callers enforce the guard so skipped
+// duplicates and gaps are their decision, not a silent side effect.
 func (r Record) Apply(o *core.Ontology) error {
 	return replayBatch(r.rec, o.AddAll)
 }
@@ -60,7 +54,8 @@ func (r Record) Apply(o *core.Ontology) error {
 // the frame CRC, and returns the record and the number of bytes consumed.
 // Replicas call it on shipped bytes; an error means the frame was torn or
 // corrupted in flight and the rest of the buffer must be discarded and
-// refetched.
+// refetched. A frame whose checksum verifies but which is no add-all record
+// is refused with an error naming its kind.
 func DecodeFrame(b []byte) (Record, int, error) {
 	rec, n, err := decodeRecord(b)
 	if err != nil {
@@ -104,18 +99,17 @@ func (m *Manager) OldestShippableGeneration() (uint64, error) {
 
 // ShipFrames collects raw WAL frames (length+CRC framing intact, so the
 // receiver re-verifies the same checksums) for records a replica at
-// generation from still needs: the batch records with Generation > from
-// (legacy release records publish no generation and are never shipped).
-// Stops after roughly maxBytes
-// (always finishing the current frame; 0 means a 4 MiB default). Returns
-// the frames and the highest generation included (== from when the replica
-// is caught up).
+// generation from still needs: the records with Generation > from. Stops
+// after roughly maxBytes (always finishing the current frame; 0 means a
+// 4 MiB default). Returns the frames and the highest generation included
+// (== from when the replica is caught up).
 //
-// An undecodable frame at the tail of the final segment is not an error:
-// it is an append in flight (a plain file write is not atomic for
-// concurrent readers), so shipping simply ends there and the next poll
-// picks it up. The same condition in an earlier segment is real corruption
-// and is reported.
+// A torn frame at the tail of the final segment is not an error: it is an
+// append in flight (a plain file write is not atomic for concurrent
+// readers), so shipping simply ends there and the next poll picks it up.
+// A torn frame in an earlier segment is real corruption, and a frame whose
+// checksum verifies but which does not decode was written whole; both are
+// reported.
 func (m *Manager) ShipFrames(from uint64, maxBytes int) ([]byte, uint64, error) {
 	if maxBytes <= 0 {
 		maxBytes = 4 << 20
@@ -153,10 +147,10 @@ func (m *Manager) ShipFrames(from uint64, maxBytes int) ([]byte, uint64, error) 
 		for off < len(data) {
 			rec, n, derr := decodeRecord(data[off:])
 			if derr != nil {
-				if i == len(segs)-1 {
+				if i == len(segs)-1 && errors.Is(derr, errTornFrame) {
 					return frames, next, nil // in-flight append; ship what we have
 				}
-				return frames, next, fmt.Errorf("wal: segment %s corrupt at offset %d: %v", seg.path, off, derr)
+				return frames, next, fmt.Errorf("wal: shipping segment %s at offset %d: %w", seg.path, off, derr)
 			}
 			if rec.gen > from {
 				frames = append(frames, data[off:off+n]...)
@@ -191,10 +185,9 @@ func (m *Manager) LatestCheckpoint() (string, uint64, error) {
 // RestoreCheckpoint rebuilds an ontology from checkpoint bytes (as shipped
 // by a primary's replication endpoint): the trailing CRC is verified, the
 // dictionary is restored with byte-identical TermIDs and every index bucket
-// is rebuilt pre-sorted. A legacy checkpoint's span section is read and
-// discarded: the restored store's generation log starts at the checkpoint,
-// and a resynchronized replica's caches start empty over it. The restored
-// store generation is available via Store().Generation().
+// is rebuilt pre-sorted. The restored store's generation log starts at the
+// checkpoint, and a resynchronized replica's caches start empty over it.
+// The restored store generation is available via Store().Generation().
 func RestoreCheckpoint(data []byte) (*core.Ontology, error) {
 	ck, err := decodeCheckpoint(data)
 	if err != nil {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,12 +25,12 @@ func quadsEqual(t *testing.T, got, want []rdf.Quad) {
 
 func TestRecordRoundTrip(t *testing.T) {
 	records := []*record{
-		{kind: recAddAll, gen: 3, quads: []rdf.Quad{
+		{gen: 3, quads: []rdf.Quad{
 			{Triple: rdf.T("http://ex/s", "http://ex/p", "http://ex/o"), Graph: "http://ex/g"},
 			{Triple: rdf.Triple{Subject: rdf.IRI("http://ex/s"), Predicate: rdf.IRI("http://ex/p"), Object: rdf.NewLangLiteral("héllo\nworld", "en")}},
 			{Triple: rdf.Triple{Subject: rdf.NewBlankNode("b0"), Predicate: rdf.IRI("http://ex/p"), Object: rdf.NewIntegerLiteral(-5)}},
 		}},
-		{kind: recAddAll, gen: 4, quads: []rdf.Quad{{Triple: rdf.T("http://ex/s2", "http://ex/p", "http://ex/o"), Graph: "http://ex/g"}}},
+		{gen: 4, quads: []rdf.Quad{{Triple: rdf.T("http://ex/s2", "http://ex/p", "http://ex/o"), Graph: "http://ex/g"}}},
 	}
 	var buf []byte
 	for _, r := range records {
@@ -38,10 +39,10 @@ func TestRecordRoundTrip(t *testing.T) {
 	for _, want := range records {
 		got, n, err := decodeRecord(buf)
 		if err != nil {
-			t.Fatalf("decoding %s record: %v", want.kind, err)
+			t.Fatalf("decoding the record of generation %d: %v", want.gen, err)
 		}
 		buf = buf[n:]
-		if got.kind != want.kind || got.gen != want.gen {
+		if got.gen != want.gen {
 			t.Fatalf("decoded %+v, want %+v", got, want)
 		}
 		quadsEqual(t, got.quads, want.quads)
@@ -52,18 +53,18 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestRecordRejectsCorruption(t *testing.T) {
-	r := &record{kind: recAddAll, gen: 1, quads: []rdf.Quad{{Triple: rdf.T("http://ex/s", "http://ex/p", "http://ex/o")}}}
+	r := &record{gen: 1, quads: []rdf.Quad{{Triple: rdf.T("http://ex/s", "http://ex/p", "http://ex/o")}}}
 	clean := appendRecord(nil, r)
 	for i := 0; i < len(clean); i++ {
 		bad := append([]byte(nil), clean...)
 		bad[i] ^= 0x40
-		if _, _, err := decodeRecord(bad); err == nil {
-			t.Fatalf("flipping byte %d went undetected", i)
+		if _, _, err := decodeRecord(bad); !errors.Is(err, errTornFrame) {
+			t.Fatalf("flipping byte %d: %v, want a torn frame", i, err)
 		}
 	}
 	for cut := 0; cut < len(clean); cut++ {
-		if _, _, err := decodeRecord(clean[:cut]); err == nil {
-			t.Fatalf("truncation to %d bytes went undetected", cut)
+		if _, _, err := decodeRecord(clean[:cut]); !errors.Is(err, errTornFrame) {
+			t.Fatalf("truncation to %d bytes: %v, want a torn frame", cut, err)
 		}
 	}
 }
@@ -307,7 +308,7 @@ func TestTornTailTruncation(t *testing.T) {
 
 func TestWALSegmentsButNoCheckpointFails(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, segmentName(0)), appendRecord(nil, &record{kind: recAddAll, gen: 1, quads: []rdf.Quad{rdf.Q("http://ex/s", "http://ex/p", "http://ex/o", "")}}), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segmentName(0)), appendRecord(nil, &record{gen: 1, quads: []rdf.Quad{rdf.Q("http://ex/s", "http://ex/p", "http://ex/o", "")}}), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Inspect(dir); err == nil {
