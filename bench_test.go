@@ -118,7 +118,7 @@ func BenchmarkFigure8QueryAnsweringWorstCase(b *testing.B) {
 
 // BenchmarkFigure8WalkExecution executes the Figure 8 UCQ (the rewriting
 // happens once, outside the loop): W^5 walks of 3 rows over 5·W wrappers, so
-// the measured cost is per-walk compile, scheduling and union overhead, not
+// the measured cost is per-walk compile, execution and union overhead, not
 // row volume. It is the in-process guard of the answer-walks workload.
 func BenchmarkFigure8WalkExecution(b *testing.B) {
 	for _, wrappers := range []int{1, 2, 3, 4} {

@@ -263,13 +263,12 @@ func runCheckpoint(addr string) {
 		Bytes          int64  `json:"bytes"`
 		DurationNs     int64  `json:"durationNs"`
 		SegmentsPruned int    `json:"segmentsPruned"`
-		FormatVersion  int    `json:"formatVersion"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		fail(fmt.Errorf("checkpoint: decoding response: %w", err))
 	}
-	fmt.Printf("checkpoint v%d written at generation %d: %d quads, %d bytes in %s; %d WAL segment(s) pruned\n",
-		info.FormatVersion, info.Generation, info.Quads, info.Bytes, time.Duration(info.DurationNs).Round(time.Microsecond), info.SegmentsPruned)
+	fmt.Printf("checkpoint written at generation %d: %d quads, %d bytes in %s; %d WAL segment(s) pruned\n",
+		info.Generation, info.Quads, info.Bytes, time.Duration(info.DurationNs).Round(time.Microsecond), info.SegmentsPruned)
 }
 
 // runRestore performs read-only crash recovery of a data dir and prints the

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"bdi/internal/core"
-	"bdi/internal/relational"
 	"bdi/internal/source"
 	"bdi/internal/workload"
 	"bdi/internal/wrapper"
@@ -24,11 +23,10 @@ import (
 // limit) and on a 2000-row answer over the JSON wrappers of the simulated
 // ecosystem. The golden files were written when the handler sorted every
 // answer with Relation.Sorted, so an engine that orders its own result must
-// reproduce that order byte for byte, at any parallelism. Every request is
-// sent twice: the second is a cache hit executed from the program the first
-// one compiled (or, after the first parallelism, both are), and must reply
-// with the same bytes. The 2000-row reply is ~100 KB; its golden keeps the
-// counts, the digest and the first and last rows.
+// reproduce that order byte for byte. Every request is sent twice: the
+// second is a cache hit executed from the program the first one compiled,
+// and must reply with the same bytes. The 2000-row reply is ~100 KB; its
+// golden keeps the counts, the digest and the first and last rows.
 func TestAnswerResponseGolden(t *testing.T) {
 	table1 := func() (*core.Ontology, *wrapper.Registry, error) {
 		o, err := core.BuildSupersedeOntology(true)
@@ -53,7 +51,6 @@ func TestAnswerResponseGolden(t *testing.T) {
 			return o, eco.WrapperRegistry(true), err
 		}},
 	}
-	defer func(par int) { relational.DefaultEngine.MaxParallel = par }(relational.DefaultEngine.MaxParallel)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o, reg, err := tc.build()
@@ -68,7 +65,7 @@ func TestAnswerResponseGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", "answer_"+tc.name+".golden")
-			post := func(par int) []byte {
+			post := func() []byte {
 				resp, err := http.Post(ts.URL+"/api/queries/answer", "application/json", bytes.NewReader(request))
 				if err != nil {
 					t.Fatal(err)
@@ -76,42 +73,38 @@ func TestAnswerResponseGolden(t *testing.T) {
 				got, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if err != nil || resp.StatusCode != http.StatusOK {
-					t.Fatalf("MaxParallel=%d: status %d, read error %v: %.200s", par, resp.StatusCode, err, got)
+					t.Fatalf("status %d, read error %v: %.200s", resp.StatusCode, err, got)
 				}
 				return got
 			}
-			pars := []int{0, 1, 2, 8}
-			for _, par := range pars {
-				relational.DefaultEngine.MaxParallel = par
-				got := post(par)
-				if again := post(par); !bytes.Equal(again, got) {
-					t.Fatalf("MaxParallel=%d: the cache-hit reply diverged from the first\nfirst:\n%.300s\nagain:\n%.300s", par, got, again)
+			got := post()
+			if again := post(); !bytes.Equal(again, got) {
+				t.Fatalf("the cache-hit reply diverged from the first\nfirst:\n%.300s\nagain:\n%.300s", got, again)
+			}
+			if tc.digest {
+				var reply struct {
+					Rows []json.RawMessage `json:"rows"`
 				}
-				if tc.digest {
-					var reply struct {
-						Rows []json.RawMessage `json:"rows"`
-					}
-					if err := json.Unmarshal(got, &reply); err != nil || len(reply.Rows) == 0 {
-						t.Fatalf("MaxParallel=%d: %d rows, decode error %v", par, len(reply.Rows), err)
-					}
-					got = []byte(fmt.Sprintf("rows: %d\nbytes: %d\nsha256: %x\nfirst row: %s\nlast row: %s\n",
-						len(reply.Rows), len(got), sha256.Sum256(got), reply.Rows[0], reply.Rows[len(reply.Rows)-1]))
+				if err := json.Unmarshal(got, &reply); err != nil || len(reply.Rows) == 0 {
+					t.Fatalf("%d rows, decode error %v", len(reply.Rows), err)
 				}
-				if *updateGolden && par == 0 {
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
+				got = []byte(fmt.Sprintf("rows: %d\nbytes: %d\nsha256: %x\nfirst row: %s\nlast row: %s\n",
+					len(reply.Rows), len(got), sha256.Sum256(got), reply.Rows[0], reply.Rows[len(reply.Rows)-1]))
+			}
+			if *updateGolden {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				if string(got) != string(want) {
-					t.Fatalf("MaxParallel=%d: answer reply diverged from %s\ngot:\n%s\nwant:\n%s", par, path, got, want)
-				}
 			}
-			if stats := srv.sys.Load().CacheStats(); stats.Misses != 1 || stats.Hits != 2*len(pars)-1 {
-				t.Fatalf("cache stats %+v, want one miss and %d hits", stats, 2*len(pars)-1)
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("answer reply diverged from %s\ngot:\n%s\nwant:\n%s", path, got, want)
+			}
+			if stats := srv.sys.Load().CacheStats(); stats.Misses != 1 || stats.Hits != 1 {
+				t.Fatalf("cache stats %+v, want one miss and one hit", stats)
 			}
 		})
 	}

@@ -3,9 +3,7 @@ package relational
 import (
 	"context"
 	"encoding/binary"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,36 +41,6 @@ var (
 		"Distinct values union executions interned that their union's kept dictionary lacked.")
 )
 
-// Engine is the compiled walk executor: it compiles the union once — every
-// wrapper relation ingested once into dictionary-encoded column vectors, every
-// per-wrapper fact and hash index shared by the walks that use it, every walk
-// lowered to integer slots with a size-ordered hash-join sequence (plan.go) —
-// executes the walks on a bounded set of workers, and streams their results
-// through a deduplicating union with an early-out for LIMIT-style consumers.
-//
-// The engine reproduces the reference executor (Walk.ExecuteReference and
-// friends) observably: result name, schema attribute order, the sorted
-// canonical rendering of the tuples (Relation.String), and every structural
-// error byte-for-byte, in the reference order. Budget trip points may differ
-// because each wrapper is fetched once per execution instead of once per
-// walk.
-//
-// A result's rows are in canonical order — ascending Tuple.Key over the
-// result schema, the order Relation.Sorted gives — at any MaxParallel and
-// with or without a Limit: the deduplicated rows are ordered once, on their
-// ValueIDs (ValueDict.order), so callers decode or encode them as they are
-// and never sort.
-type Engine struct {
-	// MaxParallel caps concurrently executing walks; 0 means GOMAXPROCS.
-	// 1 yields serial execution on the calling goroutine. Results are
-	// byte-identical at any setting: walk results are consumed in walk order
-	// regardless of completion order.
-	MaxParallel int
-}
-
-// DefaultEngine executes Walk.Execute and the rewriter's results.
-var DefaultEngine = &Engine{}
-
 // OutputColumn declares one column of a union's result. In every walk the
 // column takes the attribute Feeds names for the first wrapper of the walk
 // (in wrapper-name order) whose named attribute is in the walk's schema,
@@ -98,9 +66,14 @@ func (c OutputColumn) AttrOf(wrapper string) (string, bool) {
 	return "", false
 }
 
-// ExecuteWalk executes a single walk, observably equal to the reference
-// Walk.ExecuteReference with its tuples in canonical order.
-func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResolver) (*Relation, error) {
+// Execute executes a single walk on the compiled engine: it fetches each
+// wrapper once, applies the restricted projection, then the restricted
+// joins; a walk without join conditions returns its wrapper projected. The
+// result is observably equal to the reference Walk.ExecuteReference, with its
+// tuples in canonical order. Source fetches honor ctx, materialized relations
+// are charged against the context's lifecycle.Tracker, and the join loops
+// check cancellation at chunk granularity.
+func (w *Walk) Execute(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
 	ctx, span := obs.StartSpan(ctx, "walk")
 	defer span.End()
 	track := lifecycle.TrackerFrom(ctx)
@@ -111,13 +84,17 @@ func (e *Engine) ExecuteWalk(ctx context.Context, w *Walk, resolver WrapperResol
 	}
 	c.finish()
 	u := c.unionPlan
-	res, err := u.run(ctx, track, ex, 0, &scratch{}, span)
+	var s scratch
+	n, width, err := u.run(ctx, track, ex, 0, &s, span)
 	if err != nil {
 		return nil, err
 	}
-	fw, rows := len(u.finalNames), make([][]ValueID, res.n)
+	src := u.srcCols(0)
+	fw := len(src)
+	cells, rows := make([]ValueID, n*fw), make([][]ValueID, n)
 	for r := range rows {
-		rows[r] = res.cells[r*fw : (r+1)*fw : (r+1)*fw]
+		rows[r] = cells[r*fw : (r+1)*fw : (r+1)*fw]
+		toUnion(rows[r], s.a[r*width:(r+1)*width], src)
 	}
 	return (&IDRelation{Name: u.name, Schema: u.final, Rows: ex.dict.order(rows), dict: ex.dict}).Relation(), nil
 }
@@ -164,14 +141,23 @@ func NewUnion(walks []*Walk, name string, output []OutputColumn) *Union {
 	return &Union{walks: walks, name: name, output: output}
 }
 
-// Execute executes every walk of the union, post-projects each result, and
-// returns their deduplicated union in canonical order, still in the ID
-// domain. It is the engine behind the rewriter's ExecuteResultIDs. limit > 0
-// stops execution once that many distinct result rows exist, cancelling the
-// walks that can no longer contribute: the retained rows are exactly the
-// first limit distinct rows in walk order — a deterministic subset of the
-// unlimited result — in canonical order.
-func (e *Engine) Execute(ctx context.Context, un *Union, resolver WrapperResolver, limit int) (*IDRelation, error) {
+// Execute executes the union's walks one after another, in walk order, on
+// the calling goroutine, post-projects each walk's rows onto the union
+// columns, and returns their deduplicated union in canonical order, still in
+// the ID domain; the first walk that fails stops the execution with its
+// error. It is the engine behind the rewriter's ExecuteResultIDs. limit > 0
+// stops execution at the walk that brings the distinct rows to limit — no
+// later walk runs or charges the budget — and keeps exactly the first limit
+// distinct rows in walk order, a deterministic subset of the unlimited
+// result, in canonical order.
+//
+// The engine reproduces the reference executor (Walk.ExecuteReference and
+// friends) observably: result name, schema attribute order, the sorted
+// canonical rendering of the tuples (Relation.String), and every structural
+// error byte-for-byte, in the reference order. Budget trip points may differ
+// from the reference's because each wrapper is fetched once per execution
+// instead of once per walk; they do not differ between executions.
+func (un *Union) Execute(ctx context.Context, resolver WrapperResolver, limit int) (*IDRelation, error) {
 	ctx, span := obs.StartSpan(ctx, "eval")
 	span.SetAttrInt("walks", int64(len(un.walks)))
 	unionStart := time.Now()
@@ -183,8 +169,6 @@ func (e *Engine) Execute(ctx context.Context, un *Union, resolver WrapperResolve
 	}
 	base := un.dict.Load()
 	ex := newExecution(resolver, len(u.sources), base)
-	// Every return path below has waited for its workers, so the deferred
-	// index count reads quiescent state.
 	defer func() {
 		unionSeconds.Observe(time.Since(unionStart))
 		wrappers, indexes := ex.sharing()
@@ -217,77 +201,33 @@ func (e *Engine) Execute(ctx context.Context, un *Union, resolver WrapperResolve
 	}
 	walkCompileSeconds.Observe(time.Since(unionStart) - ex.fetchTime)
 
-	// Execute the walks on at most maxPar workers that claim walk indices in
-	// order, or inline when that is one. Results are consumed in walk order
-	// whatever order they complete in, so the deduplicated union (first
-	// occurrence wins), the rows a LIMIT keeps and the error choice
-	// (lowest-index failing walk) are deterministic at any parallelism.
-	maxPar := e.MaxParallel
-	if maxPar <= 0 {
-		maxPar = runtime.GOMAXPROCS(0)
-	}
-	n := len(un.walks)
-	workers := min(maxPar, n)
-	execCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]walkRows, n)
-	errs := make([]error, n)
-	execute := func(i int, s *scratch) {
-		// A walk claimed after cancellation is neither executed nor counted.
-		if errs[i] = execCtx.Err(); errs[i] != nil {
-			return
-		}
-		_, wspan := obs.StartSpan(execCtx, "walk")
-		wspan.SetAttrInt("walk", int64(i))
-		results[i], errs[i] = u.run(execCtx, track, ex, i, s, wspan)
-		wspan.End()
-	}
-	var wg sync.WaitGroup
-	var completed chan int
-	var done []bool
-	var inline scratch
-	if workers > 1 {
-		completed = make(chan int, n) // one send per walk: a worker never blocks on the consumer
-		done = make([]bool, n)
-		var next atomic.Int64
-		wg.Add(workers)
-		for k := 0; k < workers; k++ {
-			go func() {
-				defer wg.Done()
-				var s scratch
-				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-					execute(i, &s)
-					completed <- i
-				}
-			}()
-		}
-	}
-
+	// Each walk's rows are consumed from the scratch before the next walk
+	// overwrites it: the dedup (first occurrence wins) reads them through the
+	// walk's union columns, and only a new distinct row is copied out.
 	finalW := len(u.finalNames)
 	seen := map[string]bool{}
 	var outRows [][]ValueID
 	var arena []ValueID
 	key := make([]byte, 4*finalW)
-	var firstErr error
-consume:
-	for i := 0; i < n; i++ {
-		if workers > 1 {
-			for !done[i] {
-				done[<-completed] = true
-			}
-		} else {
-			execute(i, &inline)
+	var s scratch
+walks:
+	for i := range un.walks {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		if errs[i] != nil {
-			firstErr = errs[i]
-			break
+		_, wspan := obs.StartSpan(ctx, "walk")
+		wspan.SetAttrInt("walk", int64(i))
+		n, width, err := u.run(ctx, track, ex, i, &s, wspan)
+		wspan.End()
+		if err != nil {
+			return nil, err
 		}
-		res := results[i]
-		for r := 0; r < res.n; r++ {
-			row := res.cells[r*finalW : (r+1)*finalW]
-			for fc, id := range row {
+		src := u.srcCols(i)
+		for r := 0; r < n; r++ {
+			row := s.a[r*width : (r+1)*width]
+			for fc, sc := range src {
 				// An absent attribute is a missing cell, ≡ nil as in Tuple.Key.
-				binary.BigEndian.PutUint32(key[fc*4:], uint32(joinID(id)))
+				binary.BigEndian.PutUint32(key[fc*4:], uint32(cellJoinID(row, sc)))
 			}
 			if seen[string(key)] {
 				continue
@@ -297,19 +237,12 @@ consume:
 				arena = make([]ValueID, lifecycle.CheckEvery*finalW)
 			}
 			outRows = append(outRows, arena[:finalW:finalW])
-			arena = arena[copy(arena, row):]
+			toUnion(arena, row, src)
+			arena = arena[finalW:]
 			if limit > 0 && len(outRows) >= limit {
-				break consume
+				break walks
 			}
 		}
-		results[i] = walkRows{}
-	}
-	// Stop the walks that can no longer contribute and wait for the workers:
-	// after cancellation they drain the remaining indices without executing.
-	cancel()
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	orderStart := time.Now()
@@ -329,42 +262,49 @@ consume:
 	return &IDRelation{Name: u.name, Schema: schema, Rows: outRows, dict: d}, nil
 }
 
-// walkRows is a walk's result copied out of its worker's scratch: n rows in
-// union layout (MissingValueID for a column the walk lacks), back to back.
-type walkRows struct {
-	cells []ValueID
-	n     int
+// toUnion copies a walk row into union layout: per union column, the cell at
+// the walk's position src holds for it, or MissingValueID where the walk
+// lacks the column.
+func toUnion(dst, row []ValueID, src []int32) {
+	for fc, sc := range src {
+		dst[fc] = MissingValueID
+		if sc >= 0 {
+			dst[fc] = row[sc]
+		}
+	}
 }
 
-// scratch is one worker's two flat row arenas, which a walk's join steps
-// ping-pong between and every walk the worker runs reuses.
+// scratch is an execution's two flat row arenas, which a walk's join steps
+// ping-pong between and every walk of the execution reuses.
 type scratch struct{ a, b []ValueID }
 
 // run executes walk i under its span and the per-walk metrics.
-func (u *unionPlan) run(ctx context.Context, track *lifecycle.Tracker, ex *execution, i int, s *scratch, span *obs.ActiveSpan) (walkRows, error) {
+func (u *unionPlan) run(ctx context.Context, track *lifecycle.Tracker, ex *execution, i int, s *scratch, span *obs.ActiveSpan) (n, width int, err error) {
 	wstart := time.Now()
-	rows, err := u.runWalk(ctx, track, ex, i, s)
+	n, width, err = u.runWalk(ctx, track, ex, i, s)
 	walkSeconds.Observe(time.Since(wstart))
 	walkExecutionsTotal.Inc()
-	walkRowsTotal.Add(int64(rows.n))
-	span.SetAttrInt("rows", int64(rows.n))
+	walkRowsTotal.Add(int64(n))
+	span.SetAttrInt("rows", int64(n))
 	if p := track.Progress(); p.Rows > 0 || p.Bytes > 0 {
 		// Cumulative tracker charge at walk completion: with a budget
 		// attached this localizes which walk crossed the line.
 		span.SetAttrInt("tracker_rows", p.Rows)
 		span.SetAttrInt("tracker_bytes", p.Bytes)
 	}
-	return rows, err
+	return n, width, err
 }
 
-// runWalk executes walk i's physical plan in s and returns its rows copied
-// out. Besides s it only reads program and execution state. Its time and
-// memory follow the rows it reads and produces: s's arenas grow to the
-// widest intermediate result of the walks it ran.
-func (u *unionPlan) runWalk(ctx context.Context, track *lifecycle.Tracker, ex *execution, i int, s *scratch) (walkRows, error) {
+// runWalk executes walk i's physical plan in s and leaves its n rows of width
+// cells, in the walk's physical layout, in s.a, valid until s runs the next
+// walk. Besides s it only reads program and execution state, and builds the
+// hash indexes it probes on first use. Its time and memory follow the rows
+// it reads and produces: s's arenas grow to the widest intermediate result
+// of the walks it ran.
+func (u *unionPlan) runWalk(ctx context.Context, track *lifecycle.Tracker, ex *execution, i int, s *scratch) (n, width int, err error) {
 	wp := &u.walks[i]
 	start, cols := ex.rels[wp.src], u.cols[wp.start.lo:wp.start.hi]
-	n, width := start.NumRows(), len(cols)
+	n, width = start.NumRows(), len(cols)
 	rows := slices.Grow(s.a[:0], n*width)[:n*width]
 	for k, c := range cols {
 		for r, id := range start.Cols[c] {
@@ -389,7 +329,9 @@ func (u *unionPlan) runWalk(ctx context.Context, track *lifecycle.Tracker, ex *e
 
 		rel := ex.rels[st.src]
 		idx := &ex.indexes[st.src][st.key]
-		idx.once.Do(idx.build)
+		if idx.head == nil {
+			idx.build()
+		}
 		appended, shared := u.cols[st.appended.lo:st.appended.hi], u.shared[st.shared.lo:st.shared.hi]
 		mergedW := width + len(appended)
 		tupleCost := int64(lifecycle.TupleCost + lifecycle.CellCost*mergedW)
@@ -413,37 +355,25 @@ func (u *unionPlan) runWalk(ctx context.Context, track *lifecycle.Tracker, ex *e
 				joined++
 				if produced++; produced >= lifecycle.CheckEvery {
 					if err := chargeJoin(track, produced, tupleCost); err != nil {
-						return walkRows{}, err
+						return 0, 0, err
 					}
 					produced = 0
 					if err := lifecycle.Check(ctx, track); err != nil {
-						return walkRows{}, err
+						return 0, 0, err
 					}
 				}
 			}
 		}
 		if produced > 0 {
 			if err := chargeJoin(track, produced, tupleCost); err != nil {
-				return walkRows{}, err
+				return 0, 0, err
 			}
 		}
 		s.a, s.b = out, rows
 		rows, n, width = out, joined, mergedW
 	}
 	s.a = rows
-
-	src := u.srcCols(i)
-	fw := len(src)
-	res := walkRows{cells: make([]ValueID, n*fw), n: n}
-	for r := 0; r < n; r++ {
-		row, to := rows[r*width:(r+1)*width], res.cells[r*fw:(r+1)*fw]
-		for fc, sc := range src {
-			if sc >= 0 {
-				to[fc] = row[sc]
-			}
-		}
-	}
-	return res, nil
+	return n, width, nil
 }
 
 // chargeJoin charges rows produced by a join step, tupleCost each.

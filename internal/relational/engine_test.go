@@ -39,12 +39,12 @@ func chainCase() (staticResolver, *UnionOfConjunctiveQueries) {
 
 // TestEngineLimitIsDeterministicPrefix checks that a limited union result is
 // the canonical ordering of exactly the first Limit distinct rows in walk
-// order, at any parallelism.
+// order.
 func TestEngineLimitIsDeterministicPrefix(t *testing.T) {
 	rels, u := chainCase()
 	ctx := context.Background()
 	opts := u.execOptions()
-	full, err := decoded(DefaultEngine.ExecuteUnion(ctx, u.Walks, rels, opts))
+	full, err := decoded(executeUnion(ctx, u.Walks, rels, opts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +56,11 @@ func TestEngineLimitIsDeterministicPrefix(t *testing.T) {
 		lopts := opts
 		lopts.Limit = limit
 		want := limitOracle(t, u.Walks, rels, full.Schema, limit)
-		for _, e := range []*Engine{DefaultEngine, {MaxParallel: 1}, {MaxParallel: 3}} {
-			got, err := decoded(e.ExecuteUnion(ctx, u.Walks, rels, lopts))
-			if err != nil {
-				t.Fatalf("limit %d: %v", limit, err)
-			}
-			requireTuples(t, fmt.Sprintf("limit %d MaxParallel=%d", limit, e.MaxParallel), names, got.Tuples, want)
+		got, err := decoded(executeUnion(ctx, u.Walks, rels, lopts))
+		if err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
 		}
+		requireTuples(t, fmt.Sprintf("limit %d", limit), names, got.Tuples, want)
 	}
 }
 
@@ -99,7 +97,7 @@ func TestEngineMissingVersusNil(t *testing.T) {
 		Tuple{"id": 2},           // v missing
 	)
 	rels := staticResolver{"w": rel}
-	got, err := DefaultEngine.ExecuteWalk(context.Background(), NewWalk("w", "S", "v"), rels)
+	got, err := NewWalk("w", "S", "v").Execute(context.Background(), rels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +169,7 @@ func TestEnginePushdownProjection(t *testing.T) {
 		NewWalk("w", "S", "a"),
 		NewWalk("w", "S", "b"),
 	}
-	got, err := decoded(DefaultEngine.ExecuteUnion(context.Background(), walks, pd, ExecOptions{Name: "answer"}))
+	got, err := decoded(executeUnion(context.Background(), walks, pd, ExecOptions{Name: "answer"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +180,7 @@ func TestEnginePushdownProjection(t *testing.T) {
 	if want := []string{"a", "b"}; fmt.Sprint(pd.lastAttrs) != fmt.Sprint(want) {
 		t.Fatalf("pushed attrs = %v, want %v", pd.lastAttrs, want)
 	}
-	full, err := decoded(DefaultEngine.ExecuteUnion(context.Background(), walks, fullOutputResolver{rels: pd.rels}, ExecOptions{Name: "answer"}))
+	full, err := decoded(executeUnion(context.Background(), walks, fullOutputResolver{rels: pd.rels}, ExecOptions{Name: "answer"}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -423,7 +423,7 @@ func (f fullOutputResolver) Fetch(ctx context.Context, w string, _ Pushdown, d *
 	return f.rels.Fetch(ctx, w, Pushdown{}, d)
 }
 
-// ExecOptions is the configuration of a one-shot ExecuteUnion: the result's
+// ExecOptions is the configuration of a one-shot executeUnion: the result's
 // name, output columns and limit, as NewUnion and Execute take them.
 type ExecOptions struct {
 	Name   string
@@ -431,12 +431,12 @@ type ExecOptions struct {
 	Output []OutputColumn
 }
 
-// ExecuteUnion executes the union of walks once, through a fresh Union.
-func (e *Engine) ExecuteUnion(ctx context.Context, walks []*Walk, resolver WrapperResolver, opts ExecOptions) (*IDRelation, error) {
-	return e.Execute(ctx, NewUnion(walks, opts.Name, opts.Output), resolver, opts.Limit)
+// executeUnion executes the union of walks once, through a fresh Union.
+func executeUnion(ctx context.Context, walks []*Walk, resolver WrapperResolver, opts ExecOptions) (*IDRelation, error) {
+	return NewUnion(walks, opts.Name, opts.Output).Execute(ctx, resolver, opts.Limit)
 }
 
-// Execute evaluates the union through DefaultEngine: each walk's result is
+// Execute evaluates the union on the compiled engine: each walk's result is
 // restricted to the requested attributes it carries, and the results are
 // unioned and deduplicated. ExecuteReference is the serial executor it is
 // checked against.
@@ -444,7 +444,7 @@ func (u *UnionOfConjunctiveQueries) Execute(ctx context.Context, resolver Wrappe
 	if u.IsEmpty() {
 		return NewRelation("∅", Schema{}), nil
 	}
-	return decoded(DefaultEngine.ExecuteUnion(ctx, u.Walks, resolver, u.execOptions()))
+	return decoded(executeUnion(ctx, u.Walks, resolver, u.execOptions()))
 }
 
 // execOptions is Execute's configuration: one output column per requested
@@ -470,7 +470,7 @@ func feedAll(walks []*Walk, attr string) [][2]string {
 	return feeds
 }
 
-// decoded decodes an ExecuteUnion result, passing its error through.
+// decoded decodes an executeUnion result, passing its error through.
 func decoded(answer *IDRelation, err error) (*Relation, error) {
 	if err != nil {
 		return nil, err

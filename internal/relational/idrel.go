@@ -10,7 +10,7 @@ import (
 // IDRelation is a union's answer still in the ID domain: its deduplicated
 // rows in canonical order, each cell a ValueID of the union's dictionary in
 // the column of the same index in Schema (MissingValueID: the cell is
-// absent). Engine.ExecuteUnion returns it so that a caller decodes the answer
+// absent). Union.Execute returns it so that a caller decodes the answer
 // once (Relation) or renders it as JSON without decoding it (AppendJSON).
 type IDRelation struct {
 	Name   string

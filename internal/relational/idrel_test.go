@@ -19,7 +19,7 @@ func oneWalkAnswer(t *testing.T, schema Schema, tuples []Tuple) *IDRelation {
 	rel := NewRelation("w", schema)
 	rel.Add(tuples...)
 	walk := NewWalk("w", "S", schema.Names()...)
-	answer, err := DefaultEngine.ExecuteUnion(context.Background(), []*Walk{walk}, staticResolver{"w": rel}, ExecOptions{Name: "answer"})
+	answer, err := executeUnion(context.Background(), []*Walk{walk}, staticResolver{"w": rel}, ExecOptions{Name: "answer"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestKeptDictionaryRendersAsFresh(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	kept, _ := oneColumnUnion()
 	render := func(un *Union, r staticResolver) string {
-		a, err := DefaultEngine.Execute(context.Background(), un, r, 0)
+		a, err := un.Execute(context.Background(), r, 0)
 		if err != nil {
 			return "error: " + err.Error()
 		}
@@ -112,7 +112,7 @@ func TestKeptDictionaryCarriesRenderings(t *testing.T) {
 	un, _ := oneColumnUnion()
 	for k := 0; k < 3; k++ {
 		_, r := oneColumnUnion("a", 1.5, fmt.Sprintf("new%d", k))
-		a, err := DefaultEngine.Execute(context.Background(), un, r, 0)
+		a, err := un.Execute(context.Background(), r, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,13 +133,13 @@ func TestKeptDictionaryCarriesRenderings(t *testing.T) {
 		values[i] = float64(1e6)
 	}
 	un, r := oneColumnUnion(values...)
-	if _, err := DefaultEngine.Execute(context.Background(), un, r, 0); err != nil {
+	if _, err := un.Execute(context.Background(), r, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := range values {
 		r["w"].Tuples[i]["v"] = 1000000
 	}
-	a, err := DefaultEngine.Execute(context.Background(), un, r, 0)
+	a, err := un.Execute(context.Background(), r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +173,12 @@ func TestKeptDictionaryBounded(t *testing.T) {
 					tup["id"] = k*rows + i
 				}
 			}
-			a, err := DefaultEngine.Execute(context.Background(), kept, r, 0)
+			a, err := kept.Execute(context.Background(), r, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if k%25 == 0 {
-				b, err := DefaultEngine.Execute(context.Background(), fresh, r, 0)
+				b, err := fresh.Execute(context.Background(), r, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -62,9 +62,8 @@ func requireCanonicalOrder(t *testing.T, label string, got, ref *Relation) {
 // TestCanonicalOrderMatchesTupleKey is the order property test: over generated
 // unions — cells with control bytes, prefixes, nil and missing, NaN, numeric
 // aliases and colliding joined keys; columns absent from some walks — the
-// engine's result is in Tuple.Key order at MaxParallel 1, 2 and 8, for single
-// walks, and, under a Limit, is the canonical ordering of a subset of the full
-// result that no parallelism changes.
+// engine's result is in Tuple.Key order, for single walks and unions, and,
+// under a Limit, is the canonical ordering of a subset of the full result.
 func TestCanonicalOrderMatchesTupleKey(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(17))
@@ -92,15 +91,11 @@ func TestCanonicalOrderMatchesTupleKey(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		var full *Relation
-		for _, par := range []int{1, 2, 8} {
-			got, err := decoded((&Engine{MaxParallel: par}).ExecuteUnion(ctx, u.Walks, resolver, u.execOptions()))
-			if err != nil {
-				t.Fatalf("case %d MaxParallel=%d: %v", c, par, err)
-			}
-			requireCanonicalOrder(t, fmt.Sprintf("case %d MaxParallel=%d", c, par), got, ref)
-			full = got
+		full, err := decoded(executeUnion(ctx, u.Walks, resolver, u.execOptions()))
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
 		}
+		requireCanonicalOrder(t, fmt.Sprintf("case %d", c), full, ref)
 		if full.Cardinality() > 1 {
 			ordered++
 		}
@@ -108,35 +103,27 @@ func TestCanonicalOrderMatchesTupleKey(t *testing.T) {
 		for limit := 1; limit < full.Cardinality(); limit += 1 + limit/2 {
 			opts := u.execOptions()
 			opts.Limit = limit
-			var first []string
-			for _, par := range []int{1, 2, 8} {
-				got, err := decoded((&Engine{MaxParallel: par}).ExecuteUnion(ctx, u.Walks, resolver, opts))
-				if err != nil {
-					t.Fatalf("case %d limit %d MaxParallel=%d: %v", c, limit, par, err)
-				}
-				label := fmt.Sprintf("case %d limit %d MaxParallel=%d", c, limit, par)
-				requireCanonicalOrder(t, label, got, nil)
-				cells := cellsOf(got.Tuples, got.Schema.Names())
-				if len(cells) != limit {
-					t.Fatalf("%s: %d rows", label, len(cells))
-				}
-				// In canonical order and a subset of the full result: a
-				// subsequence of it.
-				at := 0
-				for _, row := range cells {
-					for at < len(fullCells) && fullCells[at] != row {
-						at++
-					}
-					if at == len(fullCells) {
-						t.Fatalf("%s: row %s is not a row of the unlimited result, or is out of its order", label, row)
-					}
+			got, err := decoded(executeUnion(ctx, u.Walks, resolver, opts))
+			if err != nil {
+				t.Fatalf("case %d limit %d: %v", c, limit, err)
+			}
+			label := fmt.Sprintf("case %d limit %d", c, limit)
+			requireCanonicalOrder(t, label, got, nil)
+			cells := cellsOf(got.Tuples, got.Schema.Names())
+			if len(cells) != limit {
+				t.Fatalf("%s: %d rows", label, len(cells))
+			}
+			// In canonical order and a subset of the full result: a
+			// subsequence of it.
+			at := 0
+			for _, row := range cells {
+				for at < len(fullCells) && fullCells[at] != row {
 					at++
 				}
-				if first == nil {
-					first = cells
-				} else if !slices.Equal(first, cells) {
-					t.Fatalf("%s keeps other rows than MaxParallel=1\n%v\n%v", label, cells, first)
+				if at == len(fullCells) {
+					t.Fatalf("%s: row %s is not a row of the unlimited result, or is out of its order", label, row)
 				}
+				at++
 			}
 		}
 	}
@@ -179,7 +166,7 @@ func TestCanonicalOrderIsJoinedKeyOrder(t *testing.T) {
 		t.Fatalf("%d rows, want 9:\n%s", got.Cardinality(), got)
 	}
 	requireCanonicalOrder(t, "union", got, ref)
-	single, err := DefaultEngine.ExecuteWalk(context.Background(), u.Walks[0], rels)
+	single, err := u.Walks[0].Execute(context.Background(), rels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +177,7 @@ func TestCanonicalOrderIsJoinedKeyOrder(t *testing.T) {
 	// walk's first column of that name, so ordering by column is still
 	// ordering by Tuple.Key.
 	opts := ExecOptions{Name: "answer", Output: []OutputColumn{{Name: "n", Feeds: feedAll(u.Walks, "b")}, {Name: "n", Feeds: feedAll(u.Walks, "a")}}}
-	renamed, err := decoded(DefaultEngine.ExecuteUnion(context.Background(), u.Walks, rels, opts))
+	renamed, err := decoded(executeUnion(context.Background(), u.Walks, rels, opts))
 	if err != nil {
 		t.Fatal(err)
 	}

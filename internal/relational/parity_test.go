@@ -90,28 +90,19 @@ func checkCaseParity(t *testing.T, gc *genCase) {
 		return
 	}
 
-	// Engine configurations must agree byte-for-byte including raw tuple
-	// order: inline and on two or eight workers, a source applying the shared
-	// pushdown helper (the resolver above), a source with its own pushdown
-	// implementation, and a source returning its full output.
+	// Sources must agree byte-for-byte including raw tuple order: a source
+	// applying the shared pushdown helper (the resolver above), a source with
+	// its own pushdown implementation, and a source returning its full output.
 	base := rawRender(got)
 	opts := u.execOptions()
-	for _, par := range []int{1, 2, 8} {
-		e := &Engine{MaxParallel: par}
-		if rel, err := decoded(e.ExecuteUnion(ctx, u.Walks, resolver, opts)); err != nil {
-			t.Errorf("MaxParallel=%d: unexpected error %v\n%s", par, err, diag())
-		} else if rawRender(rel) != base {
-			t.Errorf("MaxParallel=%d diverges from the default engine\ndefault:\n%s\ngot:\n%s\n%s", par, base, rawRender(rel), diag())
-		}
-	}
 	pd := &pushdownStaticResolver{rels: gc.rels}
-	if rel, err := decoded(DefaultEngine.ExecuteUnion(ctx, u.Walks, pd, opts)); err != nil {
+	if rel, err := decoded(executeUnion(ctx, u.Walks, pd, opts)); err != nil {
 		t.Errorf("pushdown engine: unexpected error %v\n%s", err, diag())
 	} else if rawRender(rel) != base {
 		t.Errorf("native pushdown diverges from the shared helper\nhelper:\n%s\nnative:\n%s\n%s", base, rawRender(rel), diag())
 	}
 	full := fullOutputResolver{rels: gc.rels}
-	if rel, err := decoded(DefaultEngine.ExecuteUnion(ctx, u.Walks, full, opts)); err != nil {
+	if rel, err := decoded(executeUnion(ctx, u.Walks, full, opts)); err != nil {
 		t.Errorf("full-output engine: unexpected error %v\n%s", err, diag())
 	} else if rawRender(rel) != base {
 		t.Errorf("full output diverges from pushdown\npushdown:\n%s\nfull:\n%s\n%s", base, rawRender(rel), diag())

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"bdi/internal/lifecycle"
@@ -53,12 +52,10 @@ type source struct {
 // joinIndex is the build side of a hash join on one wrapper column: head
 // maps a join value to its first row (+1) and next chains the further rows
 // (+1) in ascending order, so one index costs a map and a slice rather than
-// a slice per distinct value. It is built by the first walk that probes it
-// and is read-only afterwards, which makes it safe to share between the
-// walks of a union at any parallelism.
+// a slice per distinct value. The first walk of an execution that probes it
+// builds it (head is nil until then); the later walks share it read-only.
 type joinIndex struct {
 	col  []ValueID
-	once sync.Once
 	head map[ValueID]int32
 	next []int32
 }
@@ -795,8 +792,7 @@ func (u *unionPlan) bind(ctx context.Context, track *lifecycle.Tracker, ex *exec
 }
 
 // sharing reports how many wrappers the execution fetched and how many hash
-// indexes it built. It reads the indexes unsynchronized: call it only once no
-// walk is executing.
+// indexes it built.
 func (ex *execution) sharing() (wrappers, indexes int) {
 	for i, rel := range ex.rels {
 		if rel != nil {

@@ -88,15 +88,16 @@ func swapWrapper(rels staticResolver, name string, variant int) staticResolver {
 
 const swapVariants = 6
 
-// TestPreparedExecutionParity runs the differential generators' unions at
-// MaxParallel 1, 2 and 8 and holds a union's kept program and dictionary to a
-// fresh union: a repeat gives the cold execution's bytes; after a wrapper is
-// swapped for a variant under the same name the answer is a fresh
-// compile's; a failing fetch, a tripped budget and a cancellation give a
-// fresh compile's error after the same fetches; values the kept dictionary
-// lacks, all of them or some, and a LIMIT give a fresh union's answer; and
-// concurrent executions of one union, some of them over swapped wrappers or
-// fresh values, each give their fresh union's answer (run under -race in CI).
+// TestPreparedExecutionParity runs the differential generators' unions and
+// holds a union's kept program and dictionary to a fresh union: a repeat
+// gives the cold execution's bytes; after a wrapper is swapped for a variant
+// under the same name the answer is a fresh compile's; a failing fetch and a
+// cancellation give a fresh compile's error after the same fetches, and a
+// tripped budget the same error at the same charge on every run; values the
+// kept dictionary lacks, all of them or some, and a LIMIT give a fresh
+// union's answer; and concurrent executions of one union, some of them over
+// swapped wrappers or fresh values, each give their fresh union's answer
+// (run under -race in CI).
 func TestPreparedExecutionParity(t *testing.T) {
 	seeds := []int64{5, 77, 4242}
 	cases := 40
@@ -117,9 +118,7 @@ func TestPreparedExecutionParity(t *testing.T) {
 				gc := gen(data)
 				// An unnamed union is named after its first walk's relations.
 				name := []string{"answer", ""}[c/2%2]
-				for _, par := range []int{1, 2, 8} {
-					checkPreparedParity(t, &Engine{MaxParallel: par}, gc, name)
-				}
+				checkPreparedParity(t, gc, name)
 				if t.Failed() {
 					t.Fatalf("case %d (bytes %x) failed", c, data)
 				}
@@ -128,13 +127,13 @@ func TestPreparedExecutionParity(t *testing.T) {
 	}
 }
 
-func checkPreparedParity(t *testing.T, e *Engine, gc *genCase, name string) {
+func checkPreparedParity(t *testing.T, gc *genCase, name string) {
 	t.Helper()
 	u := gc.ucq()
 	output := u.execOptions().Output
 	newUnion := func() *Union { return NewUnion(u.Walks, name, output) }
 	run := func(ctx context.Context, un *Union, resolver WrapperResolver) string {
-		a, err := e.Execute(ctx, un, resolver, 0)
+		a, err := un.Execute(ctx, resolver, 0)
 		if err != nil {
 			return "error: " + err.Error()
 		}
@@ -151,12 +150,11 @@ func checkPreparedParity(t *testing.T, e *Engine, gc *genCase, name string) {
 	}
 	ctx := context.Background()
 	rels := staticResolver(gc.rels)
-	label := fmt.Sprintf("MaxParallel=%d", e.MaxParallel)
 	diag := func() string { return fmt.Sprintf("ucq:\n%s\nrequested: %v", u, u.RequestedAttributes) }
 	same := func(what, fresh, kept string) {
 		t.Helper()
 		if fresh != kept {
-			t.Errorf("%s: %s diverges from a fresh compile\nfresh:\n%s\nkept:\n%s\n%s", label, what, fresh, kept, diag())
+			t.Errorf("%s diverges from a fresh compile\nfresh:\n%s\nkept:\n%s\n%s", what, fresh, kept, diag())
 		}
 	}
 
@@ -185,10 +183,9 @@ func checkPreparedParity(t *testing.T, e *Engine, gc *genCase, name string) {
 		}
 	}
 
-	// Budgets tripping during the bind and during the walks. Serial walks
-	// charge in one order, so the text — the amount used included — and the
-	// charge at the trip match exactly; parallel walks race to the trip
-	// point, so there only the tripped dimension must match.
+	// Budgets tripping during the bind and during the walks. The walks charge
+	// in one order, so the text — the amount used included — and the charge
+	// at the trip match exactly, on every run.
 	tracker := lifecycle.NewTracker(lifecycle.Budget{})
 	run(lifecycle.WithTracker(ctx, tracker), newUnion(), rels)
 	total := tracker.Progress()
@@ -201,10 +198,7 @@ func checkPreparedParity(t *testing.T, e *Engine, gc *genCase, name string) {
 		}
 		try := func(un *Union) (string, string) {
 			tr := lifecycle.NewTracker(budget)
-			a, err := e.Execute(lifecycle.WithTracker(ctx, tr), un, rels, 0)
-			if be, ok := lifecycle.BudgetError(err); ok && e.MaxParallel != 1 {
-				return "budget " + be.Dimension, ""
-			}
+			a, err := un.Execute(lifecycle.WithTracker(ctx, tr), rels, 0)
 			p := tr.Progress()
 			charge := fmt.Sprintf("%d rows, %d bytes", p.Rows, p.Bytes)
 			if err != nil {
@@ -216,6 +210,9 @@ func checkPreparedParity(t *testing.T, e *Engine, gc *genCase, name string) {
 		keptOut, keptCharge := try(kept)
 		same(fmt.Sprintf("budget %+v", budget), freshOut, keptOut)
 		same(fmt.Sprintf("the charge under budget %+v", budget), freshCharge, keptCharge)
+		againOut, againCharge := try(kept)
+		same(fmt.Sprintf("a repeat under budget %+v", budget), freshOut, againOut)
+		same(fmt.Sprintf("the charge of a repeat under budget %+v", budget), freshCharge, againCharge)
 	}
 
 	// Wrappers swapped under the same name between executions: the kept
@@ -246,7 +243,7 @@ func checkPreparedParity(t *testing.T, e *Engine, gc *genCase, name string) {
 	// LIMIT over the kept dictionary.
 	for _, limit := range []int{1, 2, 5} {
 		limited := func(un *Union) string {
-			a, err := e.Execute(ctx, un, rels, limit)
+			a, err := un.Execute(ctx, rels, limit)
 			if err != nil {
 				return "error: " + err.Error()
 			}
@@ -272,7 +269,7 @@ func checkPreparedParity(t *testing.T, e *Engine, gc *genCase, name string) {
 					resolver, expect = alts[v], want[v]
 				}
 				if got := run(ctx, kept, resolver); got != expect {
-					t.Errorf("%s: concurrent execution %d.%d diverges from a fresh compile\nfresh:\n%s\nkept:\n%s\n%s", label, g, k, expect, got, diag())
+					t.Errorf("concurrent execution %d.%d diverges from a fresh compile\nfresh:\n%s\nkept:\n%s\n%s", g, k, expect, got, diag())
 				}
 			}
 		}()

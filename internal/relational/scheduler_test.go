@@ -4,20 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 	"testing"
-	"time"
 
+	"bdi/internal/lifecycle"
 	"bdi/internal/obs"
 )
 
 // Scheduler tests: what the union promises about walk order — the error
-// choice, which rows a LIMIT keeps, cancellation — must hold whether the
-// walks run inline or on several workers.
-
-var schedulerParallelism = []int{1, 2, 8}
+// choice, which rows a LIMIT keeps and which walks it runs and charges,
+// cancellation.
 
 // fanCase builds the Figure 8 shape at row level: 24 walks that are
 // combinations over five wrappers (a0..a2 × b0..b1), joined on one of two ID
@@ -61,24 +58,9 @@ func fanCase(rows int) (staticResolver, []*Walk) {
 	return rels, walks
 }
 
-// requireNoStrandedGoroutines fails when the goroutine count does not come
-// back to its level before the union ran. ExecuteUnion waits for its workers,
-// so this normally holds on the first look; the retries absorb runtime
-// goroutines winding down.
-func requireNoStrandedGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines stranded: %d before, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestSchedulerLowestIndexError breaks two middle walks differently; the
 // union must report the first one's error, the one the serial reference
-// executor reports, at any parallelism.
+// executor reports.
 func TestSchedulerLowestIndexError(t *testing.T) {
 	rels, walks := fanCase(4)
 	walks[9].Joins[0].LeftAttr = "va" // not an ID attribute
@@ -89,19 +71,14 @@ func TestSchedulerLowestIndexError(t *testing.T) {
 	if refErr == nil {
 		t.Fatal("the reference executor accepted the broken union")
 	}
-	before := runtime.NumGoroutine()
-	for _, par := range schedulerParallelism {
-		e := &Engine{MaxParallel: par}
-		_, err := decoded(e.ExecuteUnion(context.Background(), walks, rels, ExecOptions{Name: "answer"}))
-		if err == nil || err.Error() != refErr.Error() {
-			t.Errorf("MaxParallel=%d: error %v, want walk 9's %v", par, err, refErr)
-		}
+	_, err := decoded(executeUnion(context.Background(), walks, rels, ExecOptions{Name: "answer"}))
+	if err == nil || err.Error() != refErr.Error() {
+		t.Errorf("error %v, want walk 9's %v", err, refErr)
 	}
-	requireNoStrandedGoroutines(t, before)
 }
 
 // limitOracle is what a union limited to n rows must return: the walks
-// executed one by one (ExecuteWalk), their tuples concatenated in walk order,
+// executed one by one (Walk.Execute), their tuples concatenated in walk order,
 // the first occurrence of every distinct row kept, the first n of those, in
 // canonical order over the union schema. A walk's own result stands in for
 // the order in which the union consumes that walk's rows, so the inputs must
@@ -111,7 +88,7 @@ func limitOracle(t *testing.T, walks []*Walk, rels WrapperResolver, schema Schem
 	t.Helper()
 	all := NewRelation("oracle", schema)
 	for _, w := range walks {
-		rel, err := DefaultEngine.ExecuteWalk(context.Background(), w, rels)
+		rel, err := w.Execute(context.Background(), rels)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,21 +109,40 @@ func requireTuples(t *testing.T, label string, names []string, got, want []Tuple
 
 // TestSchedulerLimitIsWalkOrderPrefix checks, over many walks, that LIMIT n
 // returns the canonical ordering of exactly the first n distinct rows in walk
-// order at any parallelism, and that the walks past the one reaching the
-// limit are not executed.
+// order, that exactly the walks up to the one reaching the limit run, and
+// that the budget is charged for those walks and no other.
 func TestSchedulerLimitIsWalkOrderPrefix(t *testing.T) {
 	rels, walks := fanCase(4)
-	ctx := context.Background()
 	opts := ExecOptions{Name: "answer"}
-	full, err := decoded((&Engine{MaxParallel: 1}).ExecuteUnion(ctx, walks, rels, opts))
+	// The unlimited union, traced and charged: each walk span carries the
+	// tracker's charge when that walk completed.
+	trace := obs.NewTrace("test")
+	ctx := lifecycle.WithTracker(obs.WithTrace(context.Background(), trace), lifecycle.NewTracker(lifecycle.Budget{}))
+	full, err := decoded(executeUnion(ctx, walks, rels, opts))
 	if err != nil {
 		t.Fatal(err)
+	}
+	trace.Finish()
+	chargedUpTo := make([]string, len(walks))
+	for _, sp := range trace.Snapshot().Spans {
+		if sp.Name != "walk" {
+			continue
+		}
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		i, err := strconv.Atoi(attrs["walk"])
+		if err != nil {
+			t.Fatalf("walk span without a walk index: %v", sp.Attrs)
+		}
+		chargedUpTo[i] = attrs["tracker_rows"] + " rows, " + attrs["tracker_bytes"] + " bytes"
 	}
 	names := full.Schema.Names()
 	// Rows contributed per walk, to know which walk reaches a limit.
 	var upTo []int
 	for i := range walks {
-		rel, err := decoded((&Engine{MaxParallel: 1}).ExecuteUnion(ctx, walks[:i+1], rels, opts))
+		rel, err := decoded(executeUnion(context.Background(), walks[:i+1], rels, opts))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,34 +151,30 @@ func TestSchedulerLimitIsWalkOrderPrefix(t *testing.T) {
 	if full.Cardinality() < 40 {
 		t.Fatalf("fan case yields only %d distinct rows", full.Cardinality())
 	}
-	before := runtime.NumGoroutine()
 	for _, limit := range []int{1, 3, 4, 5, 17, full.Cardinality() - 1, full.Cardinality()} {
 		needed := 0
 		for upTo[needed] < limit {
 			needed++
 		}
 		want := limitOracle(t, walks, rels, full.Schema, limit)
-		for _, par := range schedulerParallelism {
-			lopts := opts
-			lopts.Limit = limit
-			executed := walkExecutionsTotal.Value()
-			got, err := decoded((&Engine{MaxParallel: par}).ExecuteUnion(ctx, walks, rels, lopts))
-			executed = walkExecutionsTotal.Value() - executed
-			if err != nil {
-				t.Fatalf("limit %d MaxParallel=%d: %v", limit, par, err)
-			}
-			requireTuples(t, fmt.Sprintf("limit %d MaxParallel=%d", limit, par), names, got.Tuples, want)
-			// Inline, exactly the walks up to the one reaching the limit
-			// run; workers may have claimed a few more before the cancel.
-			if par == 1 && int(executed) != needed+1 {
-				t.Errorf("limit %d inline: %d walks executed, want %d", limit, executed, needed+1)
-			}
-			if int(executed) > len(walks) {
-				t.Errorf("limit %d MaxParallel=%d: %d executions for %d walks", limit, par, executed, len(walks))
-			}
+		lopts := opts
+		lopts.Limit = limit
+		tr := lifecycle.NewTracker(lifecycle.Budget{})
+		executed := walkExecutionsTotal.Value()
+		got, err := decoded(executeUnion(lifecycle.WithTracker(context.Background(), tr), walks, rels, lopts))
+		executed = walkExecutionsTotal.Value() - executed
+		if err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		}
+		requireTuples(t, fmt.Sprintf("limit %d", limit), names, got.Tuples, want)
+		if int(executed) != needed+1 {
+			t.Errorf("limit %d: %d walks executed, want %d", limit, executed, needed+1)
+		}
+		p := tr.Progress()
+		if charge := fmt.Sprintf("%d rows, %d bytes", p.Rows, p.Bytes); charge != chargedUpTo[needed] {
+			t.Errorf("limit %d: charged %s, want the unlimited union's charge after walk %d, %s", limit, charge, needed, chargedUpTo[needed])
 		}
 	}
-	requireNoStrandedGoroutines(t, before)
 }
 
 // signalResolver closes fetched once every wrapper it holds has been fetched:
@@ -204,36 +196,32 @@ func (s *signalResolver) Fetch(ctx context.Context, w string, p Pushdown, d *Val
 // TestSchedulerCancelMidUnion cancels a union of fan-out walks as soon as its
 // last wrapper is fetched. The walks are heavy (80 000 joined rows each, a
 // dozen of them), so the cancel lands while they execute: the union must
-// return the context's error and nothing else, leave no goroutine behind, and
-// the same inputs must answer in full afterwards.
+// return the context's error and nothing else, and the same inputs must
+// answer in full afterwards.
 func TestSchedulerCancelMidUnion(t *testing.T) {
 	rels, walks := fanCase(400)
 	walks = append(walks[6:12:12], walks[18:24]...) // the fan-out joins
-	for _, par := range schedulerParallelism {
-		before := runtime.NumGoroutine()
-		resolver := &signalResolver{staticResolver: rels, left: len(rels), fetched: make(chan struct{})}
-		ctx, cancel := context.WithCancel(context.Background())
-		type outcome struct {
-			rel *Relation
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			rel, err := decoded((&Engine{MaxParallel: par}).ExecuteUnion(ctx, walks, resolver, ExecOptions{Name: "answer"}))
-			done <- outcome{rel, err}
-		}()
-		<-resolver.fetched
-		cancel()
-		out := <-done
-		if !errors.Is(out.err, context.Canceled) || out.rel != nil {
-			t.Errorf("MaxParallel=%d: cancelled union returned (%v, %v), want only context.Canceled", par, out.rel, out.err)
-		}
-		requireNoStrandedGoroutines(t, before)
+	resolver := &signalResolver{staticResolver: rels, left: len(rels), fetched: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	type outcome struct {
+		rel *Relation
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		rel, err := decoded(executeUnion(ctx, walks, resolver, ExecOptions{Name: "answer"}))
+		done <- outcome{rel, err}
+	}()
+	<-resolver.fetched
+	cancel()
+	out := <-done
+	if !errors.Is(out.err, context.Canceled) || out.rel != nil {
+		t.Errorf("cancelled union returned (%v, %v), want only context.Canceled", out.rel, out.err)
 	}
 	// Cancellation corrupts nothing shared: there is nothing shared.
-	rel, err := decoded(DefaultEngine.ExecuteUnion(context.Background(), walks[:1], rels, ExecOptions{Name: "answer"}))
+	rel, err := decoded(executeUnion(context.Background(), walks[:1], rels, ExecOptions{Name: "answer"}))
 	if err != nil || rel.Cardinality() != 80000 {
-		t.Fatalf("union after the cancellations: %v rows, err %v", rel.Cardinality(), err)
+		t.Fatalf("union after the cancellation: %v rows, err %v", rel.Cardinality(), err)
 	}
 }
 
@@ -274,50 +262,48 @@ func TestEngineFilterOnAbsentAttribute(t *testing.T) {
 }
 
 // TestUnionSharesItsWorkAndSaysSo checks that a union builds each hash index
-// once however many walks probe it and on however many workers, and that one
-// trace answers "did this union share its work": the eval span carries the
-// walk, wrapper, index and row counts and the time spent ordering the rows,
-// and one walk span exists per walk.
+// once however many walks probe it, and that one trace answers "did this
+// union share its work": the eval span carries the walk, wrapper, index and
+// row counts and the time spent ordering the rows, and one walk span exists
+// per walk.
 func TestUnionSharesItsWorkAndSaysSo(t *testing.T) {
 	rels, walks := fanCase(4)
-	for _, par := range schedulerParallelism {
-		trace := obs.NewTrace("test")
-		ctx := obs.WithTrace(context.Background(), trace)
-		builds, compiles, orders := walkIndexBuildsTotal.Value(), walkCompileSeconds.Count(), walkOrderSeconds.Count()
-		rel, err := decoded((&Engine{MaxParallel: par}).ExecuteUnion(ctx, walks, rels, ExecOptions{Name: "answer"}))
-		if err != nil {
-			t.Fatal(err)
+	trace := obs.NewTrace("test")
+	ctx := obs.WithTrace(context.Background(), trace)
+	builds, compiles, orders := walkIndexBuildsTotal.Value(), walkCompileSeconds.Count(), walkOrderSeconds.Count()
+	rel, err := decoded(executeUnion(ctx, walks, rels, ExecOptions{Name: "answer"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace.Finish()
+	// Every walk starts from its a-wrapper and probes one of the two ID
+	// columns of b0 or b1: four indexes for 24 walks.
+	if got := walkIndexBuildsTotal.Value() - builds; got != 4 {
+		t.Errorf("%d index builds for 24 walks over 2 build sides x 2 columns, want 4", got)
+	}
+	if got := walkCompileSeconds.Count() - compiles; got != 1 {
+		t.Errorf("%d compile observations for one union", got)
+	}
+	if got := walkOrderSeconds.Count() - orders; got != 1 {
+		t.Errorf("%d order observations for one union", got)
+	}
+	spans := map[string]int{}
+	for _, sp := range trace.Snapshot().Spans {
+		spans[sp.Name]++
+		if sp.Name != "eval" {
+			continue
 		}
-		trace.Finish()
-		// Every walk starts from its a-wrapper and probes one of the two ID
-		// columns of b0 or b1: four indexes for 24 walks.
-		if got := walkIndexBuildsTotal.Value() - builds; got != 4 {
-			t.Errorf("MaxParallel=%d: %d index builds for 24 walks over 2 build sides x 2 columns, want 4", par, got)
+		attrs := map[string]string{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
 		}
-		if got := walkCompileSeconds.Count() - compiles; got != 1 {
-			t.Errorf("MaxParallel=%d: %d compile observations for one union", par, got)
+		if attrs["walks"] != "24" || attrs["wrappers"] != "5" || attrs["indexes"] != "4" ||
+			attrs["rows"] != strconv.Itoa(rel.Cardinality()) || attrs["order_us"] == "" {
+			t.Errorf("eval span attributes %v, want walks=24 wrappers=5 indexes=4 rows=%d and an order_us",
+				attrs, rel.Cardinality())
 		}
-		if got := walkOrderSeconds.Count() - orders; got != 1 {
-			t.Errorf("MaxParallel=%d: %d order observations for one union", par, got)
-		}
-		spans := map[string]int{}
-		for _, sp := range trace.Snapshot().Spans {
-			spans[sp.Name]++
-			if sp.Name != "eval" {
-				continue
-			}
-			attrs := map[string]string{}
-			for _, a := range sp.Attrs {
-				attrs[a.Key] = a.Value
-			}
-			if attrs["walks"] != "24" || attrs["wrappers"] != "5" || attrs["indexes"] != "4" ||
-				attrs["rows"] != strconv.Itoa(rel.Cardinality()) || attrs["order_us"] == "" {
-				t.Errorf("MaxParallel=%d: eval span attributes %v, want walks=24 wrappers=5 indexes=4 rows=%d and an order_us",
-					par, attrs, rel.Cardinality())
-			}
-		}
-		if spans["eval"] != 1 || spans["walk"] != 24 || spans["wrapper.fetch"] != 5 {
-			t.Errorf("MaxParallel=%d: spans %v, want 1 eval, 24 walk, 5 wrapper.fetch", par, spans)
-		}
+	}
+	if spans["eval"] != 1 || spans["walk"] != 24 || spans["wrapper.fetch"] != 5 {
+		t.Errorf("spans %v, want 1 eval, 24 walk, 5 wrapper.fetch", spans)
 	}
 }

@@ -98,15 +98,3 @@ func chargeRelation(t *lifecycle.Tracker, rel *Relation) error {
 	}
 	return t.AddBytes(n * int64(lifecycle.TupleCost+lifecycle.CellCost*len(rel.Schema.Attributes)))
 }
-
-// Execute evaluates a single walk against the resolver through
-// DefaultEngine: it fetches each wrapper, applies the restricted projection,
-// then applies the restricted joins. Wrappers without join conditions
-// (single-wrapper walks) are returned projected. Source fetches honor ctx,
-// materialized relations are charged against the context's
-// lifecycle.Tracker, and the join loops check cancellation at chunk
-// granularity. ExecuteReference preserves the original tuple-at-a-time
-// executor.
-func (w *Walk) Execute(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
-	return DefaultEngine.ExecuteWalk(ctx, w, resolver)
-}

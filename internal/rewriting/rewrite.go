@@ -244,12 +244,12 @@ func assemble(ctx context.Context, v *core.View, wf *OMQ, expanded *ExpandedQuer
 }
 
 // ExecuteResultIDs executes the result's union of walks on the compiled
-// engine (relational.Engine.Execute), one column per requested feature: the
+// engine (relational.Union.Execute), one column per requested feature: the
 // first execution compiles the program and later ones reuse it, ctx and its
 // budget bound every walk, and limit > 0 keeps the first limit distinct rows
 // in walk order. The rows are in canonical order, still in the ID domain.
 func (r *Rewriter) ExecuteResultIDs(ctx context.Context, res *Result, resolver relational.WrapperResolver, limit int) (*relational.IDRelation, error) {
-	return relational.DefaultEngine.Execute(ctx, res.union, resolver, limit)
+	return res.union.Execute(ctx, resolver, limit)
 }
 
 // ExecuteResultLimit is ExecuteResultIDs decoded into tuples. The frozen

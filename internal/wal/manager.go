@@ -196,10 +196,6 @@ type CheckpointInfo struct {
 	Duration        time.Duration `json:"durationNs"`
 	SegmentsPruned  int           `json:"segmentsPruned"`
 	CheckpointsKept int           `json:"checkpointsKept"`
-
-	// FormatVersion is the checkpoint file format written: always 2, the
-	// only one the reader accepts.
-	FormatVersion int `json:"formatVersion"`
 }
 
 // Checkpoint serializes a pinned snapshot of the current state to a fresh
@@ -226,7 +222,6 @@ func (m *Manager) checkpoint() (CheckpointInfo, error) {
 	}
 	info := CheckpointInfo{
 		Generation: sn.Generation(), Quads: sn.Len(), Bytes: size, Duration: time.Since(start),
-		FormatVersion: 2,
 	}
 
 	// The rotation base is raised inside rotate to the highest generation

@@ -167,12 +167,8 @@ func TestCheckpointRebuildParity(t *testing.T) {
 				// last op so the newest base has a WAL tail (the final
 				// release) to replay on top of it.
 				if rng.Intn(4) == 0 || i == len(ops)-2 {
-					info, err := m.Checkpoint()
-					if err != nil {
+					if _, err := m.Checkpoint(); err != nil {
 						t.Fatal(err)
-					}
-					if info.FormatVersion != 2 {
-						t.Fatalf("checkpoint info = %+v, want v2", info)
 					}
 				}
 			}
