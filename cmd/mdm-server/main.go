@@ -74,7 +74,7 @@ func main() {
 	replicaID := flag.String("replica-id", "", "replica identity reported to the primary (default: generated)")
 	maxLag := flag.Uint64("max-lag", 0, "replica: max generations behind the primary before reads answer 503 (0 = unbounded)")
 	maxStaleness := flag.Duration("max-staleness", 0, "replica: max time without primary contact before reads answer 503 (0 = unbounded)")
-	queryTimeout := flag.Duration("query-timeout", 0, "default per-query deadline; exceeded queries answer 504 (0 = none; clients may lower it with X-Timeout-Ms)")
+	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline; exceeded queries answer 504 (0 = none; clients may only lower it with X-Timeout-Ms)")
 	maxRows := flag.Int64("max-rows", 0, "per-query row budget across all operators; exceeded queries answer 413 (0 = unbounded)")
 	maxBytes := flag.Int64("max-bytes", 0, "per-query byte budget (estimated row data); exceeded queries answer 413 (0 = unbounded)")
 	readPool := flag.Int("read-pool", 0, "max concurrent read/query requests; excess queues then sheds with 429 (0 = no admission control)")
@@ -92,7 +92,7 @@ func main() {
 
 	lifecycleCfg := mdm.LifecycleConfig{
 		QueryTimeout:       *queryTimeout,
-		Budget:             lifecycle.Budget{MaxRows: *maxRows, MaxBytes: *maxBytes, MaxWallTime: *queryTimeout},
+		Budget:             lifecycle.Budget{MaxRows: *maxRows, MaxBytes: *maxBytes},
 		SlowQueryThreshold: *slowQuery,
 	}
 	governorCfg := governorConfig(*readPool, *writePool, *queueTimeout)

@@ -1,16 +1,17 @@
-// Package lifecycle carries per-query execution control through the MDM
-// stack: cancellation-aware resource budgets and progress accounting.
+// Package lifecycle carries per-query resource budgets and progress
+// accounting through the MDM stack.
 //
-// A query enters the system with a context (deadline, client disconnect) and
-// optionally a Budget bounding how many result rows, how many estimated
-// bytes of intermediate/result data, and how much wall time it may consume.
-// The budget travels inside the context as a *Tracker; every layer that
-// produces rows — wrapper fetches, the relational join loops, the UCQ union
-// loop — charges the tracker at chunk granularity and aborts with a
-// deterministic *ErrBudgetExceeded naming the offending dimension. The HTTP
-// layer maps the dimensions onto status codes (rows and bytes exhaust the
-// request entity: 413; wall time and context deadline: 504) together with
-// the tracker's partial-progress statistics.
+// A query enters the system with a context, which owns time: the
+// per-request deadline and client disconnect both end it, and every
+// row-producing loop tests ctx.Err() at chunk boundaries. A Budget bounds
+// the two other dimensions, how many result rows and how many estimated
+// bytes of intermediate/result data the query may produce. The budget
+// travels inside the context as a *Tracker; every layer that produces rows
+// — wrapper fetches, the relational join loops, the UCQ union loop —
+// charges the tracker at chunk granularity and aborts with a deterministic
+// *ErrBudgetExceeded naming the offending dimension. The HTTP layer maps a
+// budget abort onto 413 and a context deadline onto 504, together with the
+// tracker's partial-progress statistics.
 //
 // All Tracker methods are nil-safe: code on the hot path charges the
 // tracker unconditionally and pays only a nil check when no budget is set.
@@ -34,37 +35,29 @@ type Budget struct {
 	// MaxBytes bounds the estimated bytes of row data produced, using the
 	// deterministic cost model of RowCost/TupleCost.
 	MaxBytes int64
-	// MaxWallTime bounds the elapsed wall time since the tracker was
-	// created.
-	MaxWallTime time.Duration
 }
 
 // IsZero reports whether no dimension is bounded.
 func (b Budget) IsZero() bool {
-	return b.MaxRows == 0 && b.MaxBytes == 0 && b.MaxWallTime == 0
+	return b.MaxRows == 0 && b.MaxBytes == 0
 }
 
 // Budget dimensions, reported by ErrBudgetExceeded.
 const (
-	DimRows     = "rows"
-	DimBytes    = "bytes"
-	DimWallTime = "wallTime"
+	DimRows  = "rows"
+	DimBytes = "bytes"
 )
 
 // ErrBudgetExceeded is the deterministic error a query aborts with when one
 // budget dimension is exhausted.
 type ErrBudgetExceeded struct {
-	Dimension string // DimRows, DimBytes or DimWallTime
-	Limit     int64  // the configured bound (nanoseconds for wall time)
+	Dimension string // DimRows or DimBytes
+	Limit     int64  // the configured bound
 	Used      int64  // consumption at the moment the bound tripped
 }
 
 // Error implements error.
 func (e *ErrBudgetExceeded) Error() string {
-	if e.Dimension == DimWallTime {
-		return fmt.Sprintf("lifecycle: query exceeded its %s budget of %s (used %s)",
-			e.Dimension, time.Duration(e.Limit), time.Duration(e.Used).Round(time.Millisecond))
-	}
 	return fmt.Sprintf("lifecycle: query exceeded its %s budget of %d (used %d)", e.Dimension, e.Limit, e.Used)
 }
 
@@ -89,21 +82,16 @@ type Progress struct {
 // safe for concurrent use (parallel operators may charge it concurrently)
 // and all methods are nil-safe.
 type Tracker struct {
-	budget   Budget
-	start    time.Time
-	deadline time.Time // zero when MaxWallTime is unset
-	rows     atomic.Int64
-	bytes    atomic.Int64
+	budget Budget
+	start  time.Time
+	rows   atomic.Int64
+	bytes  atomic.Int64
 }
 
-// NewTracker returns a tracker for one query, starting its wall-time clock
-// now.
+// NewTracker returns a tracker for one query, starting the clock its
+// Progress reports as elapsed now.
 func NewTracker(b Budget) *Tracker {
-	t := &Tracker{budget: b, start: time.Now()}
-	if b.MaxWallTime > 0 {
-		t.deadline = t.start.Add(b.MaxWallTime)
-	}
-	return t
+	return &Tracker{budget: b, start: time.Now()}
 }
 
 // AddRows charges n produced rows and returns *ErrBudgetExceeded when the
@@ -132,39 +120,12 @@ func (t *Tracker) AddBytes(n int64) error {
 	return nil
 }
 
-// CheckTime returns *ErrBudgetExceeded when the wall-time bound is
-// exhausted. Nil-safe.
-func (t *Tracker) CheckTime() error {
-	if t == nil || t.deadline.IsZero() {
-		return nil
-	}
-	if now := time.Now(); now.After(t.deadline) {
-		return &ErrBudgetExceeded{
-			Dimension: DimWallTime,
-			Limit:     int64(t.budget.MaxWallTime),
-			Used:      int64(now.Sub(t.start)),
-		}
-	}
-	return nil
-}
-
 // Progress snapshots the tracker's consumption. Nil-safe (zero progress).
 func (t *Tracker) Progress() Progress {
 	if t == nil {
 		return Progress{}
 	}
 	return Progress{Rows: t.rows.Load(), Bytes: t.bytes.Load(), Elapsed: time.Since(t.start)}
-}
-
-// Check is the cooperative chunk-boundary check every row-producing loop
-// calls: context cancellation (client disconnect, per-request deadline)
-// first, then the wall-time budget. Row/byte dimensions trip inside
-// AddRows/AddBytes at the same boundaries. t may be nil.
-func Check(ctx context.Context, t *Tracker) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return t.CheckTime()
 }
 
 // Deterministic byte-cost model for budget accounting: coarse, cheap and

@@ -2,9 +2,7 @@ package lifecycle
 
 import (
 	"context"
-	"errors"
 	"testing"
-	"time"
 )
 
 func TestNilTrackerIsSafe(t *testing.T) {
@@ -15,14 +13,8 @@ func TestNilTrackerIsSafe(t *testing.T) {
 	if err := tr.AddBytes(1 << 30); err != nil {
 		t.Fatalf("nil AddBytes: %v", err)
 	}
-	if err := tr.CheckTime(); err != nil {
-		t.Fatalf("nil CheckTime: %v", err)
-	}
 	if p := tr.Progress(); p.Rows != 0 || p.Bytes != 0 {
 		t.Fatalf("nil Progress = %+v", p)
-	}
-	if err := Check(context.Background(), nil); err != nil {
-		t.Fatalf("Check(nil tracker): %v", err)
 	}
 }
 
@@ -54,30 +46,6 @@ func TestByteBudgetTrips(t *testing.T) {
 	}
 }
 
-func TestWallTimeBudgetTrips(t *testing.T) {
-	tr := NewTracker(Budget{MaxWallTime: time.Nanosecond})
-	time.Sleep(time.Millisecond)
-	err := tr.CheckTime()
-	be, ok := BudgetError(err)
-	if !ok || be.Dimension != DimWallTime {
-		t.Fatalf("expected wall-time budget error, got %v", err)
-	}
-	// Check() surfaces the same error.
-	if err := Check(context.Background(), tr); err == nil {
-		t.Fatal("Check did not surface the wall-time error")
-	}
-}
-
-func TestCheckPrefersContextError(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	tr := NewTracker(Budget{MaxWallTime: time.Nanosecond})
-	time.Sleep(time.Millisecond)
-	if err := Check(ctx, tr); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Check = %v, want context.Canceled first", err)
-	}
-}
-
 func TestContextRoundTrip(t *testing.T) {
 	tr := NewTracker(Budget{MaxRows: 1})
 	ctx := WithTracker(context.Background(), tr)
@@ -101,9 +69,6 @@ func TestUnboundedBudgetNeverTrips(t *testing.T) {
 	}
 	if err := tr.AddBytes(1 << 50); err != nil {
 		t.Fatalf("unbounded bytes: %v", err)
-	}
-	if err := tr.CheckTime(); err != nil {
-		t.Fatalf("unbounded time: %v", err)
 	}
 	if !tr.budget.IsZero() {
 		t.Fatal("zero budget should report IsZero")

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -184,13 +185,10 @@ func (g *Governor) pool(name string) *pool {
 // LifecycleConfig configures per-query deadlines, budgets and the
 // slow-query log.
 type LifecycleConfig struct {
-	// QueryTimeout is the default per-request deadline of query endpoints
-	// (0: none). Clients may lower it — never raise it past MaxTimeout —
-	// with the X-Timeout-Ms header.
+	// QueryTimeout is the per-request deadline of query endpoints (0:
+	// none). It is the only time bound a query has. Clients may lower it,
+	// never raise it, with the X-Timeout-Ms header.
 	QueryTimeout time.Duration
-	// MaxTimeout caps the X-Timeout-Ms header (0: the header may set any
-	// timeout).
-	MaxTimeout time.Duration
 	// Budget bounds each query's resource consumption (zero dimensions are
 	// unbounded).
 	Budget lifecycle.Budget
@@ -340,14 +338,16 @@ func (s *Server) lifecycled(poolName string, h http.HandlerFunc) http.HandlerFun
 		ctx = context.WithValue(ctx, reqInfoKey{}, info)
 
 		// Deadlines and budgets apply to query work (the read pool); writes
-		// and admin actions must run to completion once admitted.
+		// and admin actions must run to completion once admitted. A
+		// deadline gets a tracker too, so a 504 reports partial progress.
 		if poolName == PoolRead {
-			if d := s.requestTimeout(r); d > 0 {
+			d := s.requestTimeout(r)
+			if d > 0 {
 				var cancel context.CancelFunc
 				ctx, cancel = context.WithTimeout(ctx, d)
 				defer cancel()
 			}
-			if !s.lifecycle.Budget.IsZero() {
+			if d > 0 || !s.lifecycle.Budget.IsZero() {
 				ctx = lifecycle.WithTracker(ctx, lifecycle.NewTracker(s.lifecycle.Budget))
 			}
 		}
@@ -392,20 +392,20 @@ func (s *Server) lifecycled(poolName string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// requestTimeout resolves the effective per-request deadline: the
-// X-Timeout-Ms header when present (capped by MaxTimeout), otherwise the
-// configured default.
+// maxTimeoutMs is the largest X-Timeout-Ms a time.Duration can hold.
+const maxTimeoutMs = math.MaxInt64 / int64(time.Millisecond)
+
+// requestTimeout resolves the effective per-request deadline: QueryTimeout,
+// unless a positive X-Timeout-Ms header asks for less. With no QueryTimeout
+// the header sets the deadline. The comparison is in milliseconds, so no
+// header value overflows into a negative (absent) deadline.
 func (s *Server) requestTimeout(r *http.Request) time.Duration {
 	d := s.lifecycle.QueryTimeout
-	if h := r.Header.Get(XTimeoutHeader); h != "" {
-		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 {
-			d = time.Duration(ms) * time.Millisecond
-			if maxT := s.lifecycle.MaxTimeout; maxT > 0 && d > maxT {
-				d = maxT
-			}
-		}
+	ms, err := strconv.ParseInt(r.Header.Get(XTimeoutHeader), 10, 64)
+	if err != nil || ms <= 0 || (d > 0 && ms >= d.Milliseconds()) {
+		return d
 	}
-	return d
+	return time.Duration(min(ms, maxTimeoutMs)) * time.Millisecond
 }
 
 // statusClientClosedRequest is the (de facto standard, nginx-originated)
@@ -414,14 +414,11 @@ func (s *Server) requestTimeout(r *http.Request) time.Duration {
 const statusClientClosedRequest = 499
 
 // lifecycleErrorStatus maps a query-abort error onto the failure matrix:
-// rows/bytes budgets exhaust the request entity (413), wall-time budgets
-// and deadlines are gateway timeouts (504), a client disconnect is 499.
+// rows/bytes budgets exhaust the request entity (413), the context deadline
+// is a gateway timeout (504), a client disconnect is 499.
 // ok is false for errors that are not lifecycle aborts.
 func lifecycleErrorStatus(err error) (status int, code string, ok bool) {
 	if be, isBudget := lifecycle.BudgetError(err); isBudget {
-		if be.Dimension == lifecycle.DimWallTime {
-			return http.StatusGatewayTimeout, "budget:" + be.Dimension, true
-		}
 		return http.StatusRequestEntityTooLarge, "budget:" + be.Dimension, true
 	}
 	switch {

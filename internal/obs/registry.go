@@ -31,9 +31,7 @@ import (
 	"time"
 )
 
-// Labels attaches a fixed label set to a series at registration time. Label
-// values are baked into the series key once; there is no per-observation
-// label handling (and therefore no per-observation allocation).
+// Labels attaches a fixed label set to one TextWriter sample.
 type Labels map[string]string
 
 // metricKind discriminates the exposition TYPE of a family.
@@ -75,21 +73,23 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// DefBuckets is the default latency bucket layout, in seconds: wide enough to
-// straddle a 0.5ms store probe and a multi-second 100k-row OMQ answer.
-var DefBuckets = []float64{
-	.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10,
+// defBuckets is the latency bucket layout of every histogram, ascending
+// upper bounds: wide enough to straddle a 0.5ms store probe and a
+// multi-second 100k-row OMQ answer.
+var defBuckets = [...]time.Duration{
+	100 * time.Microsecond, 250 * time.Microsecond, 500 * time.Microsecond,
+	time.Millisecond, 2500 * time.Microsecond, 5 * time.Millisecond,
+	10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
+	100 * time.Millisecond, 250 * time.Millisecond, 500 * time.Millisecond,
+	time.Second, 2500 * time.Millisecond, 5 * time.Second, 10 * time.Second,
 }
 
 // Histogram is a fixed-bucket latency histogram. Observations are a bucket
-// scan over at most len(buckets) int64 comparisons plus three atomic adds;
-// bucket bounds are immutable after registration.
+// scan over at most len(defBuckets) comparisons plus three atomic adds.
 type Histogram struct {
-	bounds   []float64 // upper bounds, seconds, ascending (exposition)
-	boundsNs []int64   // the same bounds in nanoseconds (comparison)
-	counts   []atomic.Int64
-	sumNs    atomic.Int64
-	count    atomic.Int64
+	counts [len(defBuckets) + 1]atomic.Int64 // the last is the +Inf bucket
+	sumNs  atomic.Int64
+	count  atomic.Int64
 }
 
 // Observe records one duration.
@@ -97,60 +97,52 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	ns := int64(d)
-	for i, ub := range h.boundsNs {
-		if ns <= ub {
-			h.counts[i].Add(1)
-			h.sumNs.Add(ns)
-			h.count.Add(1)
-			return
-		}
+	i := 0
+	for i < len(defBuckets) && d > defBuckets[i] {
+		i++
 	}
-	h.counts[len(h.boundsNs)].Add(1) // +Inf bucket
-	h.sumNs.Add(ns)
+	h.counts[i].Add(1)
+	h.sumNs.Add(int64(d))
 	h.count.Add(1)
 }
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// metric is one registered series.
+// metric is one registered, unlabelled series.
 type metric interface {
-	// writeSeries emits the series' sample lines. name is the family name,
-	// labels the pre-rendered label body ("" or `k="v",...` without braces).
-	writeSeries(w io.Writer, name, labels string)
+	// writeSeries emits the series' sample lines under the family name.
+	writeSeries(w io.Writer, name string)
 }
 
-func (c *Counter) writeSeries(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %d\n", name, braced(labels), c.Value())
+func (c *Counter) writeSeries(w io.Writer, name string) {
+	fmt.Fprintf(w, "%s %d\n", name, c.Value())
 }
 
-func (h *Histogram) writeSeries(w io.Writer, name, labels string) {
+func (h *Histogram) writeSeries(w io.Writer, name string) {
 	cum := int64(0)
-	for i, ub := range h.bounds {
+	for i, ub := range defBuckets {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, braced(joinLabels(labels, `le="`+formatFloat(ub)+`"`)), cum)
+		fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, formatFloat(ub.Seconds()), cum)
 	}
-	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket%s %d\n", name, braced(joinLabels(labels, `le="+Inf"`)), cum)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, braced(labels), formatFloat(float64(h.sumNs.Load())/1e9))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, braced(labels), h.count.Load())
+	cum += h.counts[len(defBuckets)].Load()
+	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
+	fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(float64(h.sumNs.Load())/1e9))
+	fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
 }
 
-// family groups the series sharing one metric name.
+// family is one metric name and its single series.
 type family struct {
-	name   string
-	help   string
-	kind   metricKind
-	order  []string // label keys in registration order (sorted rendering)
-	series map[string]metric
+	name string
+	help string
+	kind metricKind
+	m    metric
 }
 
 // Registry holds metric families and renders them in Prometheus text
 // exposition format. Registration is expected at package-init or
-// server-construction time; duplicate registration of the same
-// (name, labels) series panics so the mistake is caught by the first test
-// that imports the package.
+// server-construction time; registering a name twice panics so the mistake
+// is caught by the first test that imports the package.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -168,70 +160,31 @@ var Default = NewRegistry()
 // NewCounter registers a counter on the Default registry.
 func NewCounter(name, help string) *Counter { return Default.NewCounter(name, help) }
 
-// NewHistogram registers a histogram with DefBuckets on the Default registry.
+// NewHistogram registers a histogram with defBuckets on the Default registry.
 func NewHistogram(name, help string) *Histogram { return Default.NewHistogram(name, help) }
 
-// NewCounter registers an unlabeled counter.
+// NewCounter registers an unlabelled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	return r.NewCounterWith(name, help, nil)
-}
-
-// NewCounterWith registers a counter series under the given fixed labels.
-func (r *Registry) NewCounterWith(name, help string, labels Labels) *Counter {
 	c := &Counter{}
-	r.register(name, help, kindCounter, labels, c)
+	r.register(name, help, kindCounter, c)
 	return c
 }
 
-// NewHistogram registers an unlabeled histogram with DefBuckets.
+// NewHistogram registers an unlabelled histogram with defBuckets.
 func (r *Registry) NewHistogram(name, help string) *Histogram {
-	return r.NewHistogramBuckets(name, help, DefBuckets)
-}
-
-// NewHistogramBuckets registers a histogram with explicit bucket upper
-// bounds (seconds, strictly ascending).
-func (r *Registry) NewHistogramBuckets(name, help string, buckets []float64) *Histogram {
-	if len(buckets) == 0 {
-		panic("obs: histogram needs at least one bucket")
-	}
-	h := &Histogram{
-		bounds:   append([]float64(nil), buckets...),
-		boundsNs: make([]int64, len(buckets)),
-		counts:   make([]atomic.Int64, len(buckets)+1),
-	}
-	for i, b := range h.bounds {
-		if i > 0 && b <= h.bounds[i-1] {
-			panic("obs: histogram buckets must be strictly ascending")
-		}
-		h.boundsNs[i] = int64(b * 1e9)
-	}
-	r.register(name, help, kindHistogram, nil, h)
+	h := &Histogram{}
+	r.register(name, help, kindHistogram, h)
 	return h
 }
 
-// register adds one series, panicking on a duplicate or on a family
-// redefinition with a different kind or help string.
-func (r *Registry) register(name, help string, kind metricKind, labels Labels, m metric) {
-	key := renderLabels(labels)
+// register adds one family, panicking when the name is already registered.
+func (r *Registry) register(name, help string, kind metricKind, m metric) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f, ok := r.families[name]
-	if !ok {
-		f = &family{name: name, help: help, kind: kind, series: map[string]metric{}}
-		r.families[name] = f
-	} else {
-		if f.kind != kind {
-			panic(fmt.Sprintf("obs: metric %s re-registered as %s (was %s)", name, kind, f.kind))
-		}
-		if f.help != help {
-			panic(fmt.Sprintf("obs: metric %s re-registered with different help", name))
-		}
+	if _, dup := r.families[name]; dup {
+		panic(fmt.Sprintf("obs: duplicate registration of %s", name))
 	}
-	if _, dup := f.series[key]; dup {
-		panic(fmt.Sprintf("obs: duplicate registration of %s%s", name, braced(key)))
-	}
-	f.series[key] = m
-	f.order = append(f.order, key)
+	r.families[name] = &family{name: name, help: help, kind: kind, m: m}
 }
 
 // Names returns the registered family names, sorted. The metric-name
@@ -248,7 +201,7 @@ func (r *Registry) Names() []string {
 }
 
 // WritePrometheus renders every family in text exposition format, sorted by
-// family name and label key for deterministic scrapes.
+// family name for deterministic scrapes.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.families))
@@ -260,11 +213,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for _, f := range fams {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-		keys := append([]string(nil), f.order...)
-		sort.Strings(keys)
-		for _, k := range keys {
-			f.series[k].writeSeries(w, f.name, k)
-		}
+		f.m.writeSeries(w, f.name)
 	}
 }
 
@@ -299,14 +248,6 @@ func braced(labels string) string {
 		return ""
 	}
 	return "{" + labels + "}"
-}
-
-// joinLabels appends one rendered label pair to a (possibly empty) body.
-func joinLabels(labels, extra string) string {
-	if labels == "" {
-		return extra
-	}
-	return labels + "," + extra
 }
 
 // formatFloat renders a float the way Prometheus expects.

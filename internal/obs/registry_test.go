@@ -32,14 +32,10 @@ func TestCounterGaugeExposition(t *testing.T) {
 }
 
 func TestLabeledSeries(t *testing.T) {
-	r := NewRegistry()
-	read := r.NewCounterWith("bdi_test_admitted_total", "Admissions.", Labels{"pool": "read"})
-	write := r.NewCounterWith("bdi_test_admitted_total", "Admissions.", Labels{"pool": "write"})
-	read.Add(2)
-	write.Add(3)
-
 	var sb strings.Builder
-	r.WritePrometheus(&sb)
+	tw := NewTextWriter(&sb)
+	tw.Counter("bdi_test_admitted_total", "Admissions.", Labels{"pool": "read"}, 2)
+	tw.Counter("bdi_test_admitted_total", "Admissions.", Labels{"pool": "write"}, 3)
 	out := sb.String()
 	if !strings.Contains(out, `bdi_test_admitted_total{pool="read"} 2`) ||
 		!strings.Contains(out, `bdi_test_admitted_total{pool="write"} 3`) {
@@ -52,10 +48,10 @@ func TestLabeledSeries(t *testing.T) {
 
 func TestHistogramBucketsCumulative(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogramBuckets("bdi_test_latency_seconds", "Latency.", []float64{0.001, 0.01, 0.1})
-	h.Observe(500 * time.Microsecond) // le=0.001
-	h.Observe(5 * time.Millisecond)   // le=0.01
-	h.Observe(2 * time.Second)        // +Inf
+	h := r.NewHistogram("bdi_test_latency_seconds", "Latency.")
+	h.Observe(500 * time.Microsecond) // le=0.0005
+	h.Observe(5 * time.Millisecond)   // le=0.005
+	h.Observe(20 * time.Second)       // +Inf
 
 	if h.Count() != 3 {
 		t.Fatalf("count = %d, want 3", h.Count())
@@ -64,9 +60,10 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 	r.WritePrometheus(&sb)
 	out := sb.String()
 	for _, want := range []string{
-		`bdi_test_latency_seconds_bucket{le="0.001"} 1`,
-		`bdi_test_latency_seconds_bucket{le="0.01"} 2`,
-		`bdi_test_latency_seconds_bucket{le="0.1"} 2`,
+		`bdi_test_latency_seconds_bucket{le="0.00025"} 0`,
+		`bdi_test_latency_seconds_bucket{le="0.0005"} 1`,
+		`bdi_test_latency_seconds_bucket{le="0.005"} 2`,
+		`bdi_test_latency_seconds_bucket{le="10"} 2`,
 		`bdi_test_latency_seconds_bucket{le="+Inf"} 3`,
 		`bdi_test_latency_seconds_count 3`,
 	} {
@@ -79,13 +76,9 @@ func TestHistogramBucketsCumulative(t *testing.T) {
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounter("bdi_test_dup_total", "Dup.")
-	assertPanics(t, "same name+labels", func() { r.NewCounter("bdi_test_dup_total", "Dup.") })
+	assertPanics(t, "same name", func() { r.NewCounter("bdi_test_dup_total", "Dup.") })
 	assertPanics(t, "kind change", func() { r.NewHistogram("bdi_test_dup_total", "Dup.") })
-	assertPanics(t, "help change", func() {
-		r.NewCounterWith("bdi_test_dup_total", "Other.", Labels{"pool": "read"})
-	})
-	// A new label set under the same family is fine.
-	r.NewCounterWith("bdi_test_dup_total", "Dup.", Labels{"pool": "read"})
+	assertPanics(t, "help change", func() { r.NewCounter("bdi_test_dup_total", "Other.") })
 }
 
 func assertPanics(t *testing.T, name string, fn func()) {
@@ -99,11 +92,8 @@ func assertPanics(t *testing.T, name string, fn func()) {
 }
 
 func TestLabelEscaping(t *testing.T) {
-	r := NewRegistry()
-	c := r.NewCounterWith("bdi_test_escape_total", "Escape.", Labels{"q": "a\"b\\c\nd"})
-	c.Inc()
 	var sb strings.Builder
-	r.WritePrometheus(&sb)
+	NewTextWriter(&sb).Gauge("bdi_test_escape_entries", "Escape.", Labels{"q": "a\"b\\c\nd"}, 1)
 	if !strings.Contains(sb.String(), `q="a\"b\\c\nd"`) {
 		t.Fatalf("label not escaped:\n%s", sb.String())
 	}
@@ -115,7 +105,7 @@ func TestLabelEscaping(t *testing.T) {
 func TestRegistryConsistentUnderHammer(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("bdi_test_hammer_total", "Hammer.")
-	h := r.NewHistogramBuckets("bdi_test_hammer_seconds", "Hammer.", []float64{0.001, 1})
+	h := r.NewHistogram("bdi_test_hammer_seconds", "Hammer.")
 
 	const workers = 8
 	const perWorker = 2000

@@ -188,7 +188,7 @@ func (un *Union) Execute(ctx context.Context, resolver WrapperResolver, limit in
 	}
 	if c != nil {
 		for _, w := range un.walks {
-			if err := lifecycle.Check(ctx, track); err != nil {
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			if err := c.compileWalk(ctx, track, ex, w); err != nil {
@@ -358,7 +358,7 @@ func (u *unionPlan) runWalk(ctx context.Context, track *lifecycle.Tracker, ex *e
 						return 0, 0, err
 					}
 					produced = 0
-					if err := lifecycle.Check(ctx, track); err != nil {
+					if err := ctx.Err(); err != nil {
 						return 0, 0, err
 					}
 				}

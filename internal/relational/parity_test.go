@@ -180,7 +180,6 @@ func TestBudgetParityDimensions(t *testing.T) {
 	}{
 		{"rows", lifecycle.Budget{MaxRows: 1}, lifecycle.DimRows},
 		{"bytes", lifecycle.Budget{MaxBytes: 1}, lifecycle.DimBytes},
-		{"wallTime", lifecycle.Budget{MaxWallTime: time.Nanosecond}, lifecycle.DimWallTime},
 	}
 	for _, tc := range budgets {
 		tc := tc
@@ -202,22 +201,36 @@ func TestBudgetParityDimensions(t *testing.T) {
 	}
 }
 
-// TestCancellationParity checks that a cancelled context aborts both
-// executors with the same context error.
+// TestCancellationParity checks that a cancelled context and an expired
+// deadline abort both executors with the same context error: the context
+// is the only clock a query has.
 func TestCancellationParity(t *testing.T) {
 	rels := staticResolver{"w1": w1Relation()}
 	u := NewUCQ()
 	u.Add(NewWalk("w1", "S1", "lagRatio"))
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, refErr := u.ExecuteReference(ctx, rels)
-	_, gotErr := u.Execute(ctx, rels)
-	if refErr != context.Canceled || gotErr != context.Canceled {
-		t.Fatalf("cancellation parity broken: reference=%v engine=%v", refErr, gotErr)
-	}
-	_, refErr = u.Walks[0].ExecuteReference(ctx, rels)
-	_, gotErr = u.Walks[0].Execute(ctx, rels)
-	if refErr != context.Canceled || gotErr != context.Canceled {
-		t.Fatalf("walk cancellation parity broken: reference=%v engine=%v", refErr, gotErr)
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{
+		{"cancelled", cancelled, context.Canceled},
+		{"deadline", expired, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, refErr := u.ExecuteReference(tc.ctx, rels)
+			_, gotErr := u.Execute(tc.ctx, rels)
+			if refErr != tc.want || gotErr != tc.want {
+				t.Fatalf("union parity broken: reference=%v engine=%v, want %v", refErr, gotErr, tc.want)
+			}
+			_, refErr = u.Walks[0].ExecuteReference(tc.ctx, rels)
+			_, gotErr = u.Walks[0].Execute(tc.ctx, rels)
+			if refErr != tc.want || gotErr != tc.want {
+				t.Fatalf("walk parity broken: reference=%v engine=%v, want %v", refErr, gotErr, tc.want)
+			}
+		})
 	}
 }

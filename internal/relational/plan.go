@@ -324,7 +324,7 @@ func (u *compiler) compileWalk(ctx context.Context, track *lifecycle.Tracker, ex
 	u.local = u.local[:0]
 	for i := range w.Wrappers {
 		ref := &w.Wrappers[i]
-		if err := lifecycle.Check(ctx, track); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		src := u.byName[ref.Wrapper]
@@ -770,7 +770,7 @@ func chargeIngest(t *lifecycle.Tracker, rows, cols int) error {
 // program was compiled against, having charged only the occurrences before.
 func (u *unionPlan) bind(ctx context.Context, track *lifecycle.Tracker, ex *execution) (bool, error) {
 	for i, o := range u.occ {
-		if err := lifecycle.Check(ctx, track); err != nil {
+		if err := ctx.Err(); err != nil {
 			return false, err
 		}
 		src := u.sources[o.src]

@@ -31,7 +31,7 @@ func (w *Walk) ExecuteReference(ctx context.Context, resolver WrapperResolver) (
 	// Fetch and project every wrapper.
 	relations := map[string]*Relation{}
 	for _, ref := range w.Wrappers {
-		if err := lifecycle.Check(ctx, track); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		d := NewValueDict()
@@ -120,10 +120,9 @@ func (u *UnionOfConjunctiveQueries) ExecuteReference(ctx context.Context, resolv
 	if u.IsEmpty() {
 		return NewRelation("∅", Schema{}), nil
 	}
-	track := lifecycle.TrackerFrom(ctx)
 	var result *Relation
 	for _, w := range u.Walks {
-		if err := lifecycle.Check(ctx, track); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		rel, err := w.ExecuteReference(ctx, resolver)

@@ -206,7 +206,7 @@ func (r *Relation) EquiJoin(ctx context.Context, other *Relation, leftAttr, righ
 					return nil, err
 				}
 				produced = 0
-				if err := lifecycle.Check(ctx, track); err != nil {
+				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
 			}

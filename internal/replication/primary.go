@@ -49,8 +49,9 @@ const (
 	// with no new records before answering empty.
 	defaultPollWait = 10 * time.Second
 	maxPollWait     = 60 * time.Second
-	// defaultMaxBytes bounds one /wal response body.
-	defaultMaxBytes = 4 << 20
+	// maxStreamBytes bounds one /wal response body (the frame that crosses
+	// it is finished). The replica bounds its read with the same constant.
+	maxStreamBytes = 4 << 20
 )
 
 // Primary serves a durable ontology's WAL and checkpoints to replicas and
@@ -207,17 +208,11 @@ func (p *Primary) HandleWAL(w http.ResponseWriter, r *http.Request) {
 			wait = min(d, maxPollWait)
 		}
 	}
-	maxBytes := defaultMaxBytes
-	if s := q.Get("max"); s != "" {
-		if v, perr := strconv.Atoi(s); perr == nil && v > 0 {
-			maxBytes = v
-		}
-	}
 	p.notePeer(r, from)
 
 	deadline := time.Now().Add(wait)
 	for {
-		frames, next, err := p.manager.ShipFrames(from, maxBytes)
+		frames, next, err := p.manager.ShipFrames(from, maxStreamBytes)
 		switch {
 		case errors.Is(err, wal.ErrShipBehind):
 			writeJSONError(w, http.StatusGone, err)

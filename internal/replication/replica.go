@@ -42,8 +42,6 @@ type Options struct {
 	// PollWait is the server-side long-poll wait requested for tail
 	// follows (default 10s).
 	PollWait time.Duration
-	// MaxBytes caps one stream response (default 4 MiB).
-	MaxBytes int
 	// BackoffMin/BackoffMax bound the exponential reconnect backoff
 	// (defaults 100ms and 5s); each sleep gets up to 50% random jitter.
 	BackoffMin, BackoffMax time.Duration
@@ -68,9 +66,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.PollWait <= 0 {
 		out.PollWait = defaultPollWait
-	}
-	if out.MaxBytes <= 0 {
-		out.MaxBytes = defaultMaxBytes
 	}
 	if out.BackoffMin <= 0 {
 		out.BackoffMin = 100 * time.Millisecond
@@ -388,7 +383,6 @@ func (r *Replica) streamOnce() error {
 	q := url.Values{
 		"from": {strconv.FormatUint(from, 10)},
 		"wait": {r.opts.PollWait.String()},
-		"max":  {strconv.Itoa(r.opts.MaxBytes)},
 		"id":   {r.opts.ID},
 	}
 	resp, err := r.get(ctx, "/api/replication/wal", q)
@@ -411,7 +405,7 @@ func (r *Replica) streamOnce() error {
 	default:
 		return fmt.Errorf("replication: stream fetch: primary answered %s", resp.Status)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, int64(r.opts.MaxBytes)+(16<<20)))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxStreamBytes+(16<<20)))
 	if err != nil {
 		return fmt.Errorf("replication: reading stream body: %w", err)
 	}

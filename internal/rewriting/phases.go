@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"bdi/internal/core"
-	"bdi/internal/lifecycle"
 	"bdi/internal/rdf"
 	"bdi/internal/relational"
 )
@@ -51,10 +50,9 @@ type PartialWalks struct {
 // prune wrappers that do not provide every requested feature of the concept
 // (step 6). ctx is checked before each concept's unit.
 func intraConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery) ([]PartialWalks, error) {
-	track := lifecycle.TrackerFrom(ctx)
 	out := make([]PartialWalks, 0, len(eq.Concepts))
 	for _, c := range eq.Concepts {
-		if err := lifecycle.Check(ctx, track); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		pw, err := intraConceptUnit(v, c, featuresRequestedFor(eq.Query, c))
@@ -150,13 +148,12 @@ const rewriteCheckEvery = 256
 // (step 8) and, when the two sides share no wrapper, discover the wrapper
 // providing the edge between the two concepts and the ID attributes to join
 // on (steps 9-10). The result is the list of candidate walks joining all
-// concepts. The cartesian-product loop checks ctx (and the context tracker's
-// wall-time budget) every rewriteCheckEvery merges.
+// concepts. The cartesian-product loop checks ctx every rewriteCheckEvery
+// merges.
 func interConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery, partials []PartialWalks) ([]*relational.Walk, error) {
 	if len(partials) == 0 {
 		return nil, fmt.Errorf("rewriting: no partial walks to join")
 	}
-	track := lifecycle.TrackerFrom(ctx)
 	merges := 0
 	current := partials[0]
 	for i := 1; i < len(partials); i++ {
@@ -167,7 +164,7 @@ func interConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery
 			for _, right := range next.Walks {
 				if merges++; merges >= rewriteCheckEvery {
 					merges = 0
-					if err := lifecycle.Check(ctx, track); err != nil {
+					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
 				}

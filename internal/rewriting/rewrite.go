@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"bdi/internal/core"
-	"bdi/internal/lifecycle"
 	"bdi/internal/obs"
 	"bdi/internal/rdf"
 	"bdi/internal/relational"
@@ -161,8 +160,8 @@ func (r *Rewriter) Rewrite(omq *OMQ) (*Result, error) {
 // the ontology, and returns the union of conjunctive queries over the
 // wrappers. The phase boundaries and the (potentially exponential)
 // inter-concept generation and coverage loops check ctx cooperatively, so a
-// cancelled client or an exhausted wall-time budget aborts a pathological
-// rewrite mid-flight.
+// cancelled client or an expired deadline aborts a pathological rewrite
+// mid-flight.
 func (r *Rewriter) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
 	return r.RewriteWithPolicy(ctx, omq, PolicyOptions{Policy: AllVersions})
 }
@@ -208,12 +207,11 @@ func assemble(ctx context.Context, v *core.View, wf *OMQ, expanded *ExpandedQuer
 		return nil, err
 	}
 
-	track := lifecycle.TrackerFrom(ctx)
 	ucq := relational.NewUCQ()
 	checker := newCoverageChecker(v, wf.Phi)
 	for i, w := range walks {
 		if i%rewriteCheckEvery == 0 {
-			if err := lifecycle.Check(ctx, track); err != nil {
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}

@@ -29,7 +29,7 @@ func benchQuads(n int) []rdf.Quad {
 func BenchmarkWALAppend(b *testing.B) {
 	for _, policy := range []SyncPolicy{SyncOff, SyncBatch, SyncAlways} {
 		b.Run(string(policy), func(b *testing.B) {
-			l, err := openLog(b.TempDir(), 0, policy, 0)
+			l, err := openLog(b.TempDir(), 0, policy)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func BenchmarkStoreAddAllWAL(b *testing.B) {
 		b.Run("sync="+string(policy), func(b *testing.B) {
 			dir := b.TempDir()
 			run(b, func(s *store.Store) func() {
-				l, err := openLog(dir, 0, policy, 0)
+				l, err := openLog(dir, 0, policy)
 				if err != nil {
 					b.Fatal(err)
 				}

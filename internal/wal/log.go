@@ -20,7 +20,7 @@ const (
 	// snapshot is published. Safest, slowest.
 	SyncAlways SyncPolicy = "always"
 	// SyncBatch lets appends return after the buffered write and fsyncs from
-	// a background flusher every BatchInterval: group commit. A crash can
+	// a background flusher every batchInterval: group commit. A crash can
 	// lose at most the records of the last interval; the store itself is
 	// never inconsistent (recovery truncates the torn tail to a batch
 	// boundary). The default.
@@ -29,6 +29,9 @@ const (
 	// bulk loads and benchmarks.
 	SyncOff SyncPolicy = "off"
 )
+
+// batchInterval is the SyncBatch group-commit interval.
+const batchInterval = 10 * time.Millisecond
 
 // ParseSyncPolicy validates a -wal-sync flag value.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
@@ -113,9 +116,8 @@ var openSegmentFile = func(path string) (segFile, error) {
 // log is the append side of the WAL: one open segment file, an encode
 // buffer, and the fsync policy machinery. It is safe for concurrent use.
 type log struct {
-	dir      string
-	policy   SyncPolicy
-	interval time.Duration
+	dir    string
+	policy SyncPolicy
 
 	mu      sync.Mutex
 	f       segFile
@@ -142,12 +144,12 @@ type log struct {
 
 // openLog opens a fresh segment for appends, with records starting after
 // generation base.
-func openLog(dir string, base uint64, policy SyncPolicy, interval time.Duration) (*log, error) {
+func openLog(dir string, base uint64, policy SyncPolicy) (*log, error) {
 	f, err := openSegmentFile(filepath.Join(dir, segmentName(base)))
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening segment: %w", err)
 	}
-	l := &log{dir: dir, policy: policy, interval: interval, f: f, base: base, notify: make(chan struct{})}
+	l := &log{dir: dir, policy: policy, f: f, base: base, notify: make(chan struct{})}
 	if policy == SyncBatch {
 		l.stopped = make(chan struct{})
 		l.done = make(chan struct{})
@@ -240,11 +242,7 @@ func (l *log) syncLocked() error {
 // flushLoop is the SyncBatch group-commit flusher.
 func (l *log) flushLoop() {
 	defer close(l.done)
-	interval := l.interval
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	t := time.NewTicker(interval)
+	t := time.NewTicker(batchInterval)
 	defer t.Stop()
 	for {
 		select {

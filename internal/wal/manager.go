@@ -16,8 +16,6 @@ import (
 type Options struct {
 	// Sync selects the fsync policy (default SyncBatch).
 	Sync SyncPolicy
-	// BatchInterval is the SyncBatch group-commit interval (default 10ms).
-	BatchInterval time.Duration
 	// CheckpointEveryBytes triggers an automatic background checkpoint after
 	// this many WAL bytes have been appended since the last one. 0 uses the
 	// default (64 MiB); negative disables automatic checkpoints.
@@ -101,7 +99,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 		return nil, err
 	}
 
-	l, err := openLog(dir, m.st.Generation(), opts.Sync, opts.BatchInterval)
+	l, err := openLog(dir, m.st.Generation(), opts.Sync)
 	if err != nil {
 		lock.release()
 		return nil, err
