@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strings"
 
 	"bdi/internal/rdf"
 	"bdi/internal/store"
@@ -80,24 +81,6 @@ func wrapperOfLAVGraph(sn store.Snapshot, graph rdf.IRI) (rdf.IRI, bool) {
 		}
 	}
 	return "", false
-}
-
-// FeatureOfAttribute resolves F for one attribute: the feature the attribute
-// is owl:sameAs-linked to. Memoized.
-func (v *View) FeatureOfAttribute(attr rdf.IRI) (rdf.IRI, bool) {
-	aid, ok := v.snap.Dict().LookupIRI(attr)
-	if !ok {
-		return "", false
-	}
-	found := memoize(v, v.featureOfAttr, aid, func() rdf.IRI {
-		for _, q := range v.snap.Match(store.InGraph(MappingsGraphName, attr, rdf.OWLSameAs, nil)) {
-			if f, ok := q.Object.(rdf.IRI); ok {
-				return f
-			}
-		}
-		return ""
-	})
-	return found, found != ""
 }
 
 // AttributesOfFeature returns the inverse of F: all source attributes that
@@ -204,11 +187,22 @@ func (v *View) WrappersProvidingEdge(from, to rdf.IRI) []rdf.IRI {
 }
 
 // WrapperLocalName converts a wrapper IRI into the wrapper name used by the
-// wrapper registry (the IRI local name).
-func WrapperLocalName(wrapper rdf.IRI) string { return wrapper.LocalName() }
+// wrapper registry: the inverse of WrapperURI, so a name may hold any
+// character. An IRI outside that namespace yields its local name.
+func WrapperLocalName(wrapper rdf.IRI) string { return nameIn(wrapper, WrapperURI("")) }
 
-// SourceLocalName converts a data source IRI into its plain name.
-func SourceLocalName(source rdf.IRI) string { return source.LocalName() }
+// SourceLocalName converts a data source IRI into its plain name: the
+// inverse of SourceURI. An IRI outside that namespace yields its local name.
+func SourceLocalName(source rdf.IRI) string { return nameIn(source, SourceURI("")) }
+
+// nameIn cuts the namespace prefix from iri, or returns iri's local name when
+// iri lies outside the namespace.
+func nameIn(iri, namespace rdf.IRI) string {
+	if name, ok := strings.CutPrefix(string(iri), string(namespace)); ok {
+		return name
+	}
+	return iri.LocalName()
+}
 
 // RegistrationOrder returns the release sequence number assigned to a
 // wrapper when it was registered (1-based), or false when the wrapper is

@@ -310,7 +310,7 @@ func runChangedSinceSchedule(t *testing.T, seed int64) {
 	}
 	for {
 		from := replica.Store().Generation()
-		frames, next, err := m.ShipFrames(from, 0)
+		frames, next, err := m.ShipFrames(from, 4<<20)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -275,8 +275,8 @@ func TestNewReleaseAlgorithm1(t *testing.T) {
 	if w, ok := wrapperOfLAVGraph(o.store.Snapshot(), g); !ok || w != WrapperURI("w1") || o.Store().GraphLen(g) != 3 {
 		t.Errorf("LAV graph missing or wrong size: %v %d", w, o.Store().GraphLen(g))
 	}
-	if f, ok := o.View().FeatureOfAttribute(AttributeURI("D1", "VoDmonitorId")); !ok || f != SupMonitorID {
-		t.Errorf("F(VoDmonitorId) = %v, %v", f, ok)
+	if !o.Store().Snapshot().ContainsTriple(MappingsGraphName, rdf.T(AttributeURI("D1", "VoDmonitorId"), rdf.OWLSameAs, SupMonitorID)) {
+		t.Error("F(VoDmonitorId) is not sup:monitorId")
 	}
 }
 

@@ -29,7 +29,6 @@ type View struct {
 	attrOf        map[[2]rdf.TermID]rdf.IRI   // (wrapper, feature) -> attribute, "" = none
 	identifiersOf map[rdf.TermID][]rdf.IRI    // concept -> identifier features
 	providers     map[[2]rdf.TermID][]rdf.IRI // (concept, feature) -> providing wrappers
-	featureOfAttr map[rdf.TermID]rdf.IRI      // attribute -> feature, "" = none
 	attrsOf       map[rdf.TermID][]rdf.IRI    // feature -> attributes
 	sourceOf      map[rdf.TermID]rdf.IRI      // wrapper -> data source, "" = none
 }
@@ -54,7 +53,6 @@ func (o *Ontology) View() *View {
 			attrOf:        map[[2]rdf.TermID]rdf.IRI{},
 			identifiersOf: map[rdf.TermID][]rdf.IRI{},
 			providers:     map[[2]rdf.TermID][]rdf.IRI{},
-			featureOfAttr: map[rdf.TermID]rdf.IRI{},
 			attrsOf:       map[rdf.TermID][]rdf.IRI{},
 			sourceOf:      map[rdf.TermID]rdf.IRI{},
 		}

@@ -71,12 +71,16 @@ var (
 	MappingsGraphName = rdf.IRI(NSMapping[:len(NSMapping)-1])
 )
 
-// SourceURI returns the IRI identifying a data source in S.
+// SourceURI returns the IRI identifying a data source in S: the name
+// appended to the S:DataSource/ namespace, verbatim. SourceLocalName is its
+// exact inverse, so a name may hold any character, separators included.
 func SourceURI(source string) rdf.IRI {
 	return rdf.IRI(NSSource + "DataSource/" + source)
 }
 
-// WrapperURI returns the IRI identifying a wrapper in S.
+// WrapperURI returns the IRI identifying a wrapper in S: the name appended
+// to the S:Wrapper/ namespace, verbatim. WrapperLocalName is its exact
+// inverse, so a name may hold any character, separators included.
 func WrapperURI(wrapper string) rdf.IRI {
 	return rdf.IRI(NSSource + "Wrapper/" + wrapper)
 }

@@ -89,9 +89,9 @@ func postAnswer(t *testing.T, ts *httptest.Server, concepts int, header map[stri
 }
 
 // The deadline tests pose the 4^7 = 16,384-walk worst case under a 50ms
-// deadline. An uncut cold answer takes ~800ms on a 2-vCPU host, over 15x
-// the deadline, and its rewrite alone takes as long, so an aborted request
-// caches nothing and every repetition is over the deadline too.
+// deadline. An uncut cold answer takes ~280ms on a 2-vCPU host, over 5x
+// the deadline, and its rewrite alone ~130ms, so an aborted request caches
+// nothing and every repetition is over the deadline too.
 const (
 	deadlineConcepts, deadlineWrappers = 7, 4
 	testDeadline                       = 50 * time.Millisecond

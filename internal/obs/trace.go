@@ -13,10 +13,10 @@ import (
 // the request context, instrumented code calls StartSpan which is nil-safe
 // and near-free when no trace is attached (one context value lookup), and a
 // per-server Tracer ring retains the N slowest finished traces for
-// retrieval by ID. Spans are recorded at stage granularity (rewrite, unit
-// rebuild, sparql eval, per-walk, wrapper fetch) — never per row — so the
-// Figure 8 w=4 bar (~9.5ms / 46.5k allocs) keeps its envelope with tracing
-// enabled.
+// retrieval by ID. Spans are recorded at stage granularity (admit, rewrite,
+// rewrite.assemble, eval, one walk per walk, wrapper.fetch) — never per row
+// — so the Figure 8 w=4 bar (~9.5ms / 46.5k allocs) keeps its envelope with
+// tracing enabled.
 
 // Attr is one key/value annotation on a span. Values are pre-rendered
 // strings; use the typed ActiveSpan setters.
@@ -37,8 +37,9 @@ type Span struct {
 }
 
 // Trace is the span tree of one request. All span mutation goes through the
-// trace mutex: parallel walk goroutines of one query record spans
-// concurrently.
+// trace mutex. A query's walks run serially on the request's goroutine, so
+// its spans are recorded one at a time; the mutex keeps a trace safe for
+// code that records spans from a goroutine of its own.
 type Trace struct {
 	id    string
 	start time.Time

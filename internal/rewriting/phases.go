@@ -3,6 +3,7 @@ package rewriting
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 
 	"bdi/internal/core"
@@ -73,67 +74,41 @@ func intraConceptUnit(v *core.View, c rdf.IRI, features []rdf.IRI) (PartialWalks
 		return PartialWalks{}, fmt.Errorf("rewriting: concept %s has no requested features after expansion (it lacks an identifier)", v.Compact(c))
 	}
 	// Steps 4-5: per wrapper, project the attributes mapping to the
-	// requested features.
-	walksPerWrapper := map[rdf.IRI]*relational.Walk{}
+	// requested features, counting the features each projection covers.
+	type projection struct {
+		walk    *relational.Walk
+		covered int
+	}
+	perWrapper := map[rdf.IRI]*projection{}
 	for _, f := range features {
 		for _, w := range v.WrappersProvidingFeature(c, f) {
 			attr, ok := v.AttributeOfFeatureInWrapper(w, f)
 			if !ok {
 				continue
 			}
-			walk, exists := walksPerWrapper[w]
-			if !exists {
+			p := perWrapper[w]
+			if p == nil {
 				source, _ := v.SourceOfWrapper(w)
-				walk = relational.NewWalk(core.WrapperLocalName(w), core.SourceLocalName(source))
-				walksPerWrapper[w] = walk
+				p = &projection{walk: relational.NewWalk(core.WrapperLocalName(w), core.SourceLocalName(source))}
+				perWrapper[w] = p
 			}
-			ref, _ := walk.Ref(core.WrapperLocalName(w))
+			ref := &p.walk.Wrappers[0]
 			ref.Projection = append(ref.Projection, core.AttributeName(attr))
+			p.covered++
 		}
 	}
 	// Step 6: prune wrappers that do not cover all requested features.
 	pw := PartialWalks{Concept: c}
-	wrapperIRIs := make([]rdf.IRI, 0, len(walksPerWrapper))
-	for w := range walksPerWrapper {
-		wrapperIRIs = append(wrapperIRIs, w)
-	}
-	slices.Sort(wrapperIRIs)
-	for _, w := range wrapperIRIs {
-		walk := walksPerWrapper[w]
-		walk.MergeProjections()
-		featuresInWalk := map[rdf.IRI]bool{}
-		ref, _ := walk.Ref(core.WrapperLocalName(w))
-		for _, attrName := range ref.Projection {
-			attrURI := core.AttributeURI(ref.Source, trimSourcePrefix(attrName, ref.Source))
-			if f, ok := v.FeatureOfAttribute(attrURI); ok {
-				featuresInWalk[f] = true
-			}
-		}
-		covers := true
-		for _, f := range features {
-			if !featuresInWalk[f] {
-				covers = false
-				break
-			}
-		}
-		if covers {
-			pw.Walks = append(pw.Walks, walk)
+	for _, w := range slices.Sorted(maps.Keys(perWrapper)) {
+		if p := perWrapper[w]; p.covered == len(features) {
+			p.walk.MergeProjections()
+			pw.Walks = append(pw.Walks, p.walk)
 		}
 	}
 	if len(pw.Walks) == 0 {
 		return PartialWalks{}, fmt.Errorf("rewriting: no wrapper provides all requested features of concept %s", v.Compact(c))
 	}
 	return pw, nil
-}
-
-// trimSourcePrefix removes a leading "source/" from a qualified attribute
-// name so that AttributeURI does not double-prefix it.
-func trimSourcePrefix(attrName, source string) string {
-	prefix := source + "/"
-	if len(attrName) > len(prefix) && attrName[:len(prefix)] == prefix {
-		return attrName[len(prefix):]
-	}
-	return attrName
 }
 
 // rewriteCheckEvery is the chunk granularity of cooperative cancellation
@@ -145,11 +120,11 @@ const rewriteCheckEvery = 256
 // interConceptGeneration implements Algorithm 5 (phase #3): iterate
 // over the per-concept partial walks with a sliding window, compute the
 // cartesian product of the partial-walk lists (step 7), merge each pair
-// (step 8) and, when the two sides share no wrapper, discover the wrapper
-// providing the edge between the two concepts and the ID attributes to join
-// on (steps 9-10). The result is the list of candidate walks joining all
-// concepts. The cartesian-product loop checks ctx every rewriteCheckEvery
-// merges.
+// (step 8) and, when the two sides share no wrapper, join them through the
+// wrapper providing the edge between the two concepts on the ID attributes
+// (steps 9-10), as the window's join plan says. The result is the list of
+// candidate walks joining all concepts. The cartesian-product loop checks
+// ctx every rewriteCheckEvery merges.
 func interConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery, partials []PartialWalks) ([]*relational.Walk, error) {
 	if len(partials) == 0 {
 		return nil, fmt.Errorf("rewriting: no partial walks to join")
@@ -158,27 +133,23 @@ func interConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery
 	current := partials[0]
 	for i := 1; i < len(partials); i++ {
 		next := partials[i]
+		plan := planJoin(v, eq.Query, current, next)
 		var joined []*relational.Walk
 		// Step 7: cartesian product of the partial walk lists.
-		for _, left := range current.Walks {
-			for _, right := range next.Walks {
+		for l, left := range current.Walks {
+			for r, right := range next.Walks {
 				if merges++; merges >= rewriteCheckEvery {
 					merges = 0
 					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
 				}
-				// Step 8: merge the two partial walks.
+				// Step 8: merge the two partial walks. A shared wrapper
+				// already materializes the join; otherwise steps 9-10 join
+				// the two concepts through the plan.
 				merged := left.Merge(right)
-				if sharesWrapper(left, right) {
-					// The join is already materialized by the shared wrapper.
+				if sharesWrapper(left, right) || plan.join(merged, l, r) {
 					joined = appendValidWalk(joined, merged)
-					continue
-				}
-				// Steps 9-10: discover how to join the two concepts.
-				extended, ok := discoverJoin(v, eq, current.Concept, next.Concept, left, right, merged)
-				if ok {
-					joined = appendValidWalk(joined, extended)
 				}
 			}
 		}
@@ -207,25 +178,60 @@ func appendValidWalk(walks []*relational.Walk, w *relational.Walk) []*relational
 	return append(walks, w)
 }
 
-// discoverJoin implements steps 9-10 of Algorithm 5 for one direction (and
-// its mirror): find the wrappers providing the edge between the two
-// concepts, the ID feature of the concept on the ID side, and the physical
-// attributes to equi-join on.
-func discoverJoin(v *core.View, eq *ExpandedQuery, currentC, nextC rdf.IRI, left, right, merged *relational.Walk) (*relational.Walk, bool) {
-	if !edgeInQuery(eq.Query, currentC, nextC) && !edgeInQuery(eq.Query, nextC, currentC) {
-		return nil, false
+// joinPlan is steps 9-10 of Algorithm 5 resolved once for a pair of
+// consecutive concepts. providers are the wrappers providing the edge
+// between them that hold an attribute of the ID-side concept's first
+// identifier, in the view's order; the ID side is the next concept when some
+// wrapper provides the edge in traversal order, and the current one
+// otherwise. ids holds, per partial walk of the ID side, its wrapper and
+// attribute providing that identifier: the first such wrapper in name order
+// (lines 13-14), or the zero value. A plan without providers joins nothing:
+// φ has no edge between the two concepts, no wrapper provides one, the
+// ID-side concept has no identifier, or no edge provider holds it.
+type joinPlan struct {
+	providers []wrapperAttr
+	idOnRight bool
+	ids       []wrapperAttr
+}
+
+// wrapperAttr names a wrapper of a walk and one of its attributes, as a
+// join condition names them.
+type wrapperAttr struct{ wrapper, attr string }
+
+func planJoin(v *core.View, q *OMQ, current, next PartialWalks) joinPlan {
+	if !edgeInQuery(q, current.Concept, next.Concept) && !edgeInQuery(q, next.Concept, current.Concept) {
+		return joinPlan{}
 	}
-	// Step 9: wrappers providing the edge, in both directions.
-	wrappersLtoR := v.WrappersProvidingEdge(currentC, nextC)
-	wrappersRtoL := v.WrappersProvidingEdge(nextC, currentC)
-	switch {
-	case len(wrappersLtoR) > 0:
-		return joinViaEdge(v, nextC, wrappersLtoR, right, merged)
-	case len(wrappersRtoL) > 0:
-		return joinViaEdge(v, currentC, wrappersRtoL, left, merged)
-	default:
-		return nil, false
+	plan := joinPlan{idOnRight: true}
+	idSide, edge := next, v.WrappersProvidingEdge(current.Concept, next.Concept)
+	if len(edge) == 0 {
+		plan.idOnRight = false
+		idSide, edge = current, v.WrappersProvidingEdge(next.Concept, current.Concept)
 	}
+	// Line 12: the ID feature of the concept.
+	ids := v.IdentifiersOf(idSide.Concept)
+	if len(ids) == 0 {
+		return joinPlan{}
+	}
+	fID := ids[0]
+	for _, w := range edge {
+		if attr, ok := v.AttributeOfFeatureInWrapper(w, fID); ok {
+			plan.providers = append(plan.providers, wrapperAttr{core.WrapperLocalName(w), core.AttributeName(attr)})
+		}
+	}
+	if len(plan.providers) == 0 {
+		return joinPlan{}
+	}
+	plan.ids = make([]wrapperAttr, len(idSide.Walks))
+	for i, walk := range idSide.Walks {
+		for _, name := range walk.WrapperNames() {
+			if attr, ok := v.AttributeOfFeatureInWrapper(core.WrapperURI(name), fID); ok {
+				plan.ids[i] = wrapperAttr{name, core.AttributeName(attr)}
+				break
+			}
+		}
+	}
+	return plan
 }
 
 // edgeInQuery reports whether the expanded query contains an object-property
@@ -241,74 +247,40 @@ func edgeInQuery(q *OMQ, from, to rdf.IRI) bool {
 	return false
 }
 
-// joinViaEdge adds the restricted join between the wrapper(s) providing the
-// concept edge and the wrapper providing the ID of the concept on the "ID
-// side" (idConcept). idSideWalk is the partial walk whose wrapper provides
-// idConcept's data (Algorithm 5, lines 12-17).
-func joinViaEdge(v *core.View, idConcept rdf.IRI, edgeWrappers []rdf.IRI, idSideWalk, merged *relational.Walk) (*relational.Walk, bool) {
-	// Line 12: the ID feature of the concept.
-	ids := v.IdentifiersOf(idConcept)
-	if len(ids) == 0 {
-		return nil, false
+// join adds to merged, in place, the restricted joins between each edge
+// provider of the walk and the ID-side wrapper on the identifier (Algorithm
+// 5, lines 15-17); an edge provider that is the ID-side wrapper needs none.
+// merged is the merge of the l-th current and the r-th next partial walk.
+// join reports whether merged has an edge provider and its ID side provides
+// the identifier.
+func (p *joinPlan) join(merged *relational.Walk, l, r int) bool {
+	if len(p.providers) == 0 {
+		return false
 	}
-	fID := ids[0]
-	// Line 13: the wrapper of the ID-side partial walk that provides fID.
-	idWrapper, idAttr, ok := findWrapperWithID(v, idSideWalk, fID)
-	if !ok {
-		return nil, false
+	side := l
+	if p.idOnRight {
+		side = r
 	}
-	// Lines 15-17: for each wrapper contributing the edge, join it with the
-	// ID-side wrapper on the physical attributes of fID. Joins are collected
-	// first so the (allocation-heavy) walk clone only happens for candidate
-	// walks that actually join.
-	var joins []relational.JoinCondition
+	id := p.ids[side]
+	if id.wrapper == "" {
+		return false
+	}
 	added := false
-	for _, ew := range edgeWrappers {
-		edgeWrapperName := core.WrapperLocalName(ew)
-		if !merged.HasWrapper(edgeWrapperName) {
-			// The edge provider is not part of this candidate walk; joining
-			// through it would silently add a wrapper the analyst's concepts do
-			// not require, so skip it (another cartesian-product pair covers it).
+	for _, edge := range p.providers {
+		// An edge provider outside this candidate walk would add a wrapper
+		// the analyst's concepts do not require; another pair covers it.
+		if !merged.HasWrapper(edge.wrapper) {
 			continue
 		}
-		attLeft, ok := v.AttributeOfFeatureInWrapper(ew, fID)
-		if !ok {
-			continue
-		}
-		if edgeWrapperName == idWrapper {
-			// Same wrapper on both sides: the join is already materialized.
-			added = true
-			continue
-		}
-		joins = append(joins, relational.JoinCondition{
-			LeftWrapper:  edgeWrapperName,
-			LeftAttr:     core.AttributeName(attLeft),
-			RightWrapper: idWrapper,
-			RightAttr:    idAttr,
-		})
 		added = true
-	}
-	if !added {
-		return nil, false
-	}
-	out := merged.Clone()
-	for _, j := range joins {
-		out.AddJoin(j)
-	}
-	return out, true
-}
-
-// findWrapperWithID returns the wrapper of the walk that provides the given
-// ID feature, along with the qualified physical attribute name (Algorithm 5,
-// lines 13-14).
-func findWrapperWithID(v *core.View, walk *relational.Walk, fID rdf.IRI) (wrapperName, attrName string, ok bool) {
-	for _, name := range walk.WrapperNames() {
-		w := core.WrapperURI(name)
-		if attr, found := v.AttributeOfFeatureInWrapper(w, fID); found {
-			return name, core.AttributeName(attr), true
+		if edge.wrapper != id.wrapper {
+			merged.AddJoin(relational.JoinCondition{
+				LeftWrapper: edge.wrapper, LeftAttr: edge.attr,
+				RightWrapper: id.wrapper, RightAttr: id.attr,
+			})
 		}
 	}
-	return "", "", false
+	return added
 }
 
 // The frozen bench module times the phases one by one on an *core.Ontology;

@@ -14,79 +14,59 @@ import (
 	"bdi/internal/relational"
 )
 
-// walkWrapperURIs resolves a walk's wrapper names to their IRIs, once per
-// walk.
-func walkWrapperURIs(walk *relational.Walk) []rdf.IRI {
-	names := walk.WrapperNames()
-	uris := make([]rdf.IRI, len(names))
-	for i, name := range names {
-		uris[i] = core.WrapperURI(name)
-	}
-	return uris
-}
-
 // coverageChecker decides the two properties of the problem statement (§2.3)
 // for candidate walks over one query pattern: a walk is covering when the
 // union of the LAV mapping graphs of its wrappers subsumes the pattern, and
 // minimal when it is covering and removing any wrapper breaks coverage. It
-// holds, for each triple of the pattern, the set of wrappers whose LAV
+// holds, for each triple of the pattern, the names of the wrappers whose LAV
 // mapping graph contains it. Built once per pattern (the per-triple wrapper
 // sets are memoized by the view), it turns every coverage and minimality
-// check into pure set membership — no mapping graphs are materialized or
-// merged per walk.
+// check into set membership on the names walks carry — no mapping graphs are
+// materialized or merged per walk.
 type coverageChecker struct {
-	sets []map[rdf.IRI]bool
+	sets []map[string]bool
+	sole []bool // covers' scratch: per wrapper, whether it alone covers a triple
 }
 
 func newCoverageChecker(v *core.View, phi *rdf.Graph) *coverageChecker {
 	if phi == nil {
 		return &coverageChecker{}
 	}
-	c := &coverageChecker{sets: make([]map[rdf.IRI]bool, len(phi.Triples))}
+	c := &coverageChecker{sets: make([]map[string]bool, len(phi.Triples))}
 	for i, t := range phi.Triples {
 		covering := v.WrappersCoveringTriple(t)
-		set := make(map[rdf.IRI]bool, len(covering))
+		set := make(map[string]bool, len(covering))
 		for _, w := range covering {
-			set[w] = true
+			set[core.WrapperLocalName(w)] = true
 		}
 		c.sets[i] = set
 	}
 	return c
 }
 
-// covers reports whether the wrappers minus the one at index drop (-1 to
-// drop nothing) jointly cover every triple of the pattern.
-func (c *coverageChecker) covers(uris []rdf.IRI, drop int) bool {
+// covers reports, in one pass over the pattern, whether the named wrappers,
+// all distinct, jointly cover every triple of it, and whether they are
+// minimal too: no single one can be dropped without breaking coverage. A
+// wrapper can be dropped exactly when no triple is covered by it alone.
+func (c *coverageChecker) covers(names []string) (covering, minimal bool) {
+	c.sole = append(c.sole[:0], make([]bool, len(names))...)
+	needed := 0
 	for _, set := range c.sets {
-		covered := false
-		for i, uri := range uris {
-			if i != drop && set[uri] {
-				covered = true
-				break
+		coverer, n := 0, 0
+		for i, name := range names {
+			if set[name] {
+				coverer, n = i, n+1
 			}
 		}
-		if !covered {
-			return false
+		switch {
+		case n == 0:
+			return false, false
+		case n == 1 && !c.sole[coverer]:
+			c.sole[coverer] = true
+			needed++
 		}
 	}
-	return true
-}
-
-// minimal reports whether the wrappers are covering and no single wrapper
-// can be dropped without breaking coverage.
-func (c *coverageChecker) minimal(uris []rdf.IRI) bool {
-	if !c.covers(uris, -1) {
-		return false
-	}
-	if len(uris) == 1 {
-		return true
-	}
-	for drop := range uris {
-		if c.covers(uris, drop) {
-			return false
-		}
-	}
-	return true
+	return true, len(names) == 1 || needed == len(names)
 }
 
 // Rewriter orchestrates the three-phase query rewriting over a BDI ontology.
@@ -215,7 +195,7 @@ func assemble(ctx context.Context, v *core.View, wf *OMQ, expanded *ExpandedQuer
 				return nil, err
 			}
 		}
-		if !checker.minimal(walkWrapperURIs(w)) {
+		if _, minimal := checker.covers(w.WrapperNames()); !minimal {
 			continue
 		}
 		ucq.Add(w)

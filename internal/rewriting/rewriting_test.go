@@ -2,6 +2,7 @@ package rewriting
 
 import (
 	"context"
+	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -503,8 +504,14 @@ func TestCoverageAndMinimality(t *testing.T) {
 	o := buildOntology(t, false)
 	wf, _ := WellFormedQuery(o, runningExampleOMQ())
 	checker := newCoverageChecker(o.View(), wf.Phi)
-	covers := func(w *relational.Walk) bool { return checker.covers(walkWrapperURIs(w), -1) }
-	minimal := func(w *relational.Walk) bool { return checker.minimal(walkWrapperURIs(w)) }
+	covers := func(w *relational.Walk) bool {
+		covering, _ := checker.covers(w.WrapperNames())
+		return covering
+	}
+	minimal := func(w *relational.Walk) bool {
+		_, minimal := checker.covers(w.WrapperNames())
+		return minimal
+	}
 
 	covering := relational.NewWalk("w1", "D1", "D1/lagRatio")
 	covering.AddWrapper(relational.WrapperRef{Wrapper: "w3", Source: "D3", Projection: []string{"D3/TargetApp"}})
@@ -527,6 +534,88 @@ func TestCoverageAndMinimality(t *testing.T) {
 	}
 	if !covers(redundant) {
 		t.Error("the redundant walk still covers the query")
+	}
+}
+
+// TestMinimalEqualsDropOneRecheck checks the one-pass coverage and
+// minimality rule against the definitions on random coverage sets: a walk
+// covers the pattern when each triple has a coverer among its wrappers, and
+// is minimal when it covers it and dropping any one wrapper breaks coverage.
+// Patterns of zero to four triples over walks of zero to four of six
+// wrappers.
+func TestMinimalEqualsDropOneRecheck(t *testing.T) {
+	rng := rand.New(rand.NewPCG(51, 1))
+	names := []string{"a", "b", "c", "d", "e", "f"}
+	for range 5000 {
+		c := &coverageChecker{sets: make([]map[string]bool, rng.IntN(5))}
+		for i := range c.sets {
+			c.sets[i] = map[string]bool{}
+			for _, n := range names {
+				if rng.IntN(3) == 0 {
+					c.sets[i][n] = true
+				}
+			}
+		}
+		coveredBy := func(walk []string) bool {
+			for _, set := range c.sets {
+				if !slices.ContainsFunc(walk, func(n string) bool { return set[n] }) {
+					return false
+				}
+			}
+			return true
+		}
+		walk := slices.Clone(names[:rng.IntN(5)])
+		rng.Shuffle(len(walk), func(i, j int) { walk[i], walk[j] = walk[j], walk[i] })
+		wantCovering := coveredBy(walk)
+		wantMinimal := wantCovering
+		for drop := range walk {
+			if len(walk) > 1 && coveredBy(slices.Delete(slices.Clone(walk), drop, drop+1)) {
+				wantMinimal = false
+			}
+		}
+		if covering, minimal := c.covers(walk); covering != wantCovering || minimal != wantMinimal {
+			t.Fatalf("covers(%v) over %v = %v, %v, want %v, %v", walk, c.sets, covering, minimal, wantCovering, wantMinimal)
+		}
+	}
+}
+
+// TestReusedAttributeCoversEachOfItsFeatures registers two schema versions
+// of one source whose attribute val is reused with another feature, so val
+// is owl:sameAs both f1 and f2. Each version's partial walk covers the
+// feature its release mapped val to: Algorithm 4 counts the features it
+// projects, and does not map val back to a single feature.
+func TestReusedAttributeCoversEachOfItsFeatures(t *testing.T) {
+	const ns = "http://ex/reuse/"
+	x, fx, f1, f2 := rdf.IRI(ns+"X"), rdf.IRI(ns+"fx"), rdf.IRI(ns+"f1"), rdf.IRI(ns+"f2")
+	o := core.NewOntology()
+	for _, err := range []error{o.AddConcept(x), o.AddIdentifier(x, fx, rdf.XSDInteger),
+		o.AddFeatureTo(x, f1, rdf.XSDInteger), o.AddFeatureTo(x, f2, rdf.XSDInteger)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range []struct {
+		wrapper string
+		val     rdf.IRI
+	}{{"wa", f1}, {"wb", f2}} {
+		g := rdf.NewGraph("")
+		g.Add(rdf.T(x, core.GHasFeature, fx), rdf.T(x, core.GHasFeature, r.val))
+		if _, err := o.NewRelease(core.Release{
+			Wrapper:  core.WrapperSpec{Name: r.wrapper, Source: "S", IDAttributes: []string{"xid"}, NonIDAttributes: []string{"val"}},
+			Subgraph: g,
+			F:        map[string]rdf.IRI{"xid": fx, "val": r.val},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for f, want := range map[rdf.IRI]string{f1: "Π̃S/val,S/xid(wa)", f2: "Π̃S/val,S/xid(wb)"} {
+		res, err := NewRewriter(o).Rewrite(NewOMQ([]rdf.IRI{f}, rdf.T(x, core.GHasFeature, f)))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if got := res.UCQ.String(); got != want {
+			t.Errorf("%s: UCQ = %s, want %s", f, got, want)
+		}
 	}
 }
 

@@ -293,9 +293,14 @@ func CheckDatatypes(ctx context.Context, o *core.Ontology, w wrapper.Wrapper) ([
 	}
 	targets := map[string]target{}
 	v := o.View()
+	featureOf := map[rdf.IRI]rdf.IRI{} // F: attribute -> feature
+	for _, f := range v.Features() {
+		for _, attr := range v.AttributesOfFeature(f) {
+			featureOf[attr] = f
+		}
+	}
 	for _, a := range w.Schema().Names() {
-		attrURI := core.AttributeURI(w.Source(), a)
-		f, ok := v.FeatureOfAttribute(attrURI)
+		f, ok := featureOf[core.AttributeURI(w.Source(), a)]
 		if !ok {
 			continue
 		}

@@ -100,7 +100,7 @@ func TestChecksummedFrameOfOtherKindRefused(t *testing.T) {
 			}
 			before := fileSizes(t, dir)
 
-			_, _, err = m.ShipFrames(gen-1, 0)
+			_, _, err = m.ShipFrames(gen-1, 4<<20)
 			assertRefused(t, "ShipFrames", err, want, dir, before)
 			if err := m.Abort(); err != nil {
 				t.Fatal(err)

@@ -100,9 +100,9 @@ func (m *Manager) OldestShippableGeneration() (uint64, error) {
 // ShipFrames collects raw WAL frames (length+CRC framing intact, so the
 // receiver re-verifies the same checksums) for records a replica at
 // generation from still needs: the records with Generation > from. Stops
-// after roughly maxBytes (always finishing the current frame; 0 means a
-// 4 MiB default). Returns the frames and the highest generation included
-// (== from when the replica is caught up).
+// after roughly maxBytes (always finishing the current frame). Returns the
+// frames and the highest generation included (== from when the replica is
+// caught up).
 //
 // A torn frame at the tail of the final segment is not an error: it is an
 // append in flight (a plain file write is not atomic for concurrent
@@ -111,9 +111,6 @@ func (m *Manager) OldestShippableGeneration() (uint64, error) {
 // checksum verifies but which does not decode was written whole; both are
 // reported.
 func (m *Manager) ShipFrames(from uint64, maxBytes int) ([]byte, uint64, error) {
-	if maxBytes <= 0 {
-		maxBytes = 4 << 20
-	}
 	next := from
 	if last := m.LastAppendedGeneration(); from > last {
 		return nil, next, fmt.Errorf("%w: log ends at generation %d, resume asked for > %d", ErrShipAhead, last, from)
