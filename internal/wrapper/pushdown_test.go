@@ -393,3 +393,156 @@ func TestRowsNilVersusMissing(t *testing.T) {
 		}
 	}
 }
+
+// TestJSONRowsPipelineEdgeCases pins the pipeline semantics a pushdown must
+// keep, case by case: the last of two steps writing one attribute wins, a
+// step whose output the schema lacks still fails its document, a fallible
+// step is run (and fails or skips its document) when the pushdown drops its
+// attribute, a schema attribute no step writes is MissingValueID rather than
+// nil, and SkipBadDocuments drops exactly the failing documents, in order.
+func TestJSONRowsPipelineEdgeCases(t *testing.T) {
+	idOnly := relational.Pushdown{Attrs: []string{"id"}}
+	renamed := relational.Pushdown{Attrs: []string{"x"}, Rename: map[string]string{"id": "SJ/id", "x": "SJ/x"}}
+	noField := func(f string) string { return fmt.Sprintf("wrapper wj: wrapper: document has no field %q", f) }
+	cases := []struct {
+		name     string
+		attrs    []string // non-ID attributes of the schema, after "id"
+		pipeline []Op
+		docs     []Document
+		skip     bool
+		p        relational.Pushdown
+		want     []relational.Tuple
+		wantErr  string
+	}{
+		{
+			name:  "last write wins",
+			attrs: []string{"x"},
+			pipeline: []Op{ProjectField{Path: "n", As: "id"},
+				ProjectField{Path: "a", As: "x"}, Constant{As: "x", Value: "c"}},
+			docs: []Document{{"n": 1.0, "a": "va"}},
+			p:    renamed,
+			want: []relational.Tuple{{"SJ/id": 1.0, "SJ/x": "c"}},
+		},
+		{
+			name:  "last write wins, projection last",
+			attrs: []string{"x"},
+			pipeline: []Op{ProjectField{Path: "n", As: "id"},
+				Constant{As: "x", Value: "c"}, ProjectField{Path: "a", As: "x"}},
+			docs: []Document{{"n": 1.0, "a": "va"}},
+			want: []relational.Tuple{{"id": 1.0, "x": "va"}},
+		},
+		{
+			name:  "last write of nil wins",
+			attrs: []string{"x"},
+			pipeline: []Op{ProjectField{Path: "n", As: "id"},
+				Constant{As: "x", Value: "c"}, ProjectField{Path: "none", As: "x", Optional: true}},
+			docs: []Document{{"n": 1.0}},
+			p:    renamed,
+			want: []relational.Tuple{{"SJ/id": 1.0, "SJ/x": nil}},
+		},
+		{
+			name:  "output outside the schema still fails",
+			attrs: []string{"x"},
+			pipeline: []Op{ProjectField{Path: "n", As: "id"}, ProjectField{Path: "a", As: "x"},
+				ProjectField{Path: "must", As: "undeclared"}, Constant{As: "alsoUndeclared", Value: 1}},
+			docs:    []Document{{"n": 1.0, "a": "va", "must": 1}, {"n": 2.0, "a": "vb"}},
+			wantErr: noField("must"),
+		},
+		{
+			name:  "output outside the schema is dropped",
+			attrs: []string{"x"},
+			pipeline: []Op{ProjectField{Path: "n", As: "id"}, ProjectField{Path: "a", As: "x"},
+				ProjectField{Path: "must", As: "undeclared"}, Constant{As: "alsoUndeclared", Value: 1}},
+			docs: []Document{{"n": 1.0, "a": "va", "must": 1}, {"n": 2.0, "a": "vb"}},
+			skip: true,
+			p:    renamed,
+			want: []relational.Tuple{{"SJ/id": 1.0, "SJ/x": "va"}},
+		},
+		{
+			name:  "fallible step on a pruned attribute fails",
+			attrs: []string{"r"},
+			pipeline: []Op{ProjectField{Path: "n", As: "id"},
+				ComputeRatio{Numerator: "wait", Denominator: "watch", As: "r"}},
+			docs:    []Document{{"n": 1.0, "wait": 1.0, "watch": 2.0}, {"n": 2.0, "watch": 2.0}},
+			p:       idOnly,
+			wantErr: noField("wait"),
+		},
+		{
+			name:  "fallible step on a pruned attribute skips",
+			attrs: []string{"r"},
+			pipeline: []Op{ProjectField{Path: "n", As: "id"},
+				ComputeRatio{Numerator: "wait", Denominator: "watch", As: "r"}},
+			docs: []Document{{"n": 1.0, "wait": 1.0, "watch": 2.0}, {"n": 2.0, "watch": 2.0}, {"n": 3.0, "wait": 1.0, "watch": 0.0}},
+			skip: true,
+			p:    idOnly,
+			want: []relational.Tuple{{"id": 1.0}, {"id": 3.0}},
+		},
+		{
+			name:     "attribute no step writes is missing",
+			attrs:    []string{"x", "never"},
+			pipeline: []Op{ProjectField{Path: "n", As: "id"}, ProjectField{Path: "a", As: "x", Optional: true}},
+			docs:     []Document{{"n": 1.0}, {"n": 2.0, "a": "va"}},
+			p:        relational.Pushdown{Attrs: []string{"never", "x"}, Rename: map[string]string{"never": "SJ/never"}},
+			want:     []relational.Tuple{{"id": 1.0, "x": nil}, {"id": 2.0, "x": "va"}},
+		},
+		{
+			name:  "skip bad documents keeps the others in order",
+			attrs: []string{"x", "r"},
+			pipeline: []Op{ProjectField{Path: "n", As: "id"}, ProjectField{Path: "a", As: "x"},
+				ComputeRatio{Numerator: "wait", Denominator: "watch", As: "r"}, Constant{As: "x", Value: "c"}},
+			docs: []Document{
+				{"n": 1.0, "a": "va", "wait": 1.0, "watch": 4.0},
+				{"n": 2.0, "wait": 1.0, "watch": 4.0},
+				{"n": 3.0, "a": "vc", "wait": "x", "watch": 4.0},
+				{"n": 4.0, "a": "vd", "wait": 3.0, "watch": 4.0},
+				{"a": "ve", "wait": 3.0, "watch": 4.0},
+			},
+			skip: true,
+			want: []relational.Tuple{{"id": 1.0, "x": "c", "r": 0.25}, {"id": 4.0, "x": "c", "r": 0.75}},
+		},
+		{
+			name:  "first failing step names the error",
+			attrs: []string{"x", "r"},
+			pipeline: []Op{ProjectField{Path: "n", As: "id"}, ProjectField{Path: "a", As: "x"},
+				ComputeRatio{Numerator: "wait", Denominator: "watch", As: "r"}},
+			docs:    []Document{{"n": 1.0, "a": "va", "wait": 1.0, "watch": 4.0}, {"n": 2.0}},
+			p:       relational.Pushdown{Attrs: []string{"r"}},
+			wantErr: noField("a"),
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			schema := relational.NewSchema([]string{"id"}, tc.attrs)
+			j := NewJSON("wj", "SJ", schema, StaticDocuments(tc.docs), tc.pipeline...)
+			j.SkipBadDocuments = tc.skip
+			d := relational.NewValueDict()
+			c, err := j.Rows(context.Background(), tc.p, d)
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("error = %v, want %s", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := tc.p.Project(schema)
+			if fmt.Sprint(c.Schema.Names()) != fmt.Sprint(want.Names()) {
+				t.Fatalf("schema %v, want %v", c.Schema.Names(), want.Names())
+			}
+			for i, a := range want.Attributes {
+				if !strings.HasSuffix(a.Name, "never") {
+					continue
+				}
+				for r, id := range c.Cols[i] {
+					if id != relational.MissingValueID {
+						t.Errorf("row %d of %s is ValueID %d, want MissingValueID", r, a.Name, id)
+					}
+				}
+			}
+			if got := c.Decode(d).Tuples; !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("decoded %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
