@@ -583,24 +583,26 @@ func (c *churning) Rows(ctx context.Context, p relational.Pushdown, d *relationa
 	for _, a := range c.Schema().Attributes {
 		moves[a.Name] = !a.ID || !c.keepIDs
 	}
-	out := relational.Tuple{}
-	rows := func(yield func(relational.Tuple) bool) {
+	_, src := p.Project(c.Schema())
+	cells := make([]relational.Value, len(src))
+	rows := func(yield func([]relational.Value) bool) {
 		for _, t := range c.rows {
-			for a, v := range t {
-				switch x := v.(type) {
+			for i, a := range src {
+				cells[i] = relational.Absent
+				switch x := t[a].(type) {
 				case int:
 					if moves[a] {
 						x += shift
 					}
-					out[a] = x
+					cells[i] = x
 				case float64:
 					if moves[a] {
 						x += float64(shift)
 					}
-					out[a] = x
+					cells[i] = x
 				}
 			}
-			if !yield(out) {
+			if !yield(cells) {
 				return
 			}
 		}

@@ -1,7 +1,5 @@
 package relational
 
-import "slices"
-
 // ColRelation is a relation encoded as dictionary-interned column vectors:
 // Cols[i][r] is the ValueID of attribute Schema.Attributes[i] in row r, with
 // MissingValueID marking cells absent from the original tuple. It is the
@@ -21,7 +19,7 @@ func (c *ColRelation) NumRows() int { return c.rows }
 // the zero Pushdown's Apply does. No request calls it: wrappers fetch into
 // columns. It stays for the benchmark's staged ingest timer only.
 func IngestRelation(rel *Relation, d *ValueDict) *ColRelation {
-	return Pushdown{}.Apply(rel.Name, rel.Schema, slices.Values(rel.Tuples), d)
+	return Pushdown{}.Apply(rel.Name, rel.Schema, TupleCells(rel.Tuples, rel.Schema.Names()), d)
 }
 
 // Decode materializes the columnar relation back into map tuples. Cells

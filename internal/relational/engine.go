@@ -2,7 +2,7 @@ package relational
 
 import (
 	"context"
-	"encoding/binary"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -203,14 +203,9 @@ func (un *Union) Execute(ctx context.Context, resolver WrapperResolver, limit in
 
 	// Each walk's rows are consumed from the scratch before the next walk
 	// overwrites it: the dedup (first occurrence wins) reads them through the
-	// walk's union columns, and only a new distinct row is copied out.
-	finalW := len(u.finalNames)
-	seen := map[string]bool{}
-	var outRows [][]ValueID
-	var arena []ValueID
-	key := make([]byte, 4*finalW)
+	// walk's union columns, and keeps a copy of each new distinct row only.
+	var set rowSet
 	var s scratch
-walks:
 	for i := range un.walks {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -222,31 +217,13 @@ walks:
 		if err != nil {
 			return nil, err
 		}
-		src := u.srcCols(i)
-		for r := 0; r < n; r++ {
-			row := s.a[r*width : (r+1)*width]
-			for fc, sc := range src {
-				// An absent attribute is a missing cell, ≡ nil as in Tuple.Key.
-				binary.BigEndian.PutUint32(key[fc*4:], uint32(cellJoinID(row, sc)))
-			}
-			if seen[string(key)] {
-				continue
-			}
-			seen[string(key)] = true
-			if len(arena) < finalW {
-				arena = make([]ValueID, lifecycle.CheckEvery*finalW)
-			}
-			outRows = append(outRows, arena[:finalW:finalW])
-			toUnion(arena, row, src)
-			arena = arena[finalW:]
-			if limit > 0 && len(outRows) >= limit {
-				break walks
-			}
+		if set.add(s.a, n, width, u.srcCols(i), limit) {
+			break
 		}
 	}
 
 	orderStart := time.Now()
-	outRows = ex.dict.order(outRows)
+	outRows := ex.dict.order(set.rows)
 	orderTime := time.Since(orderStart)
 	walkOrderSeconds.Observe(orderTime)
 	span.SetAttrInt("rows", int64(len(outRows)))
@@ -272,6 +249,68 @@ func toUnion(dst, row []ValueID, src []int32) {
 			dst[fc] = row[sc]
 		}
 	}
+}
+
+// rowSet is a union's distinct rows in union layout, first occurrence
+// first, with the open-addressing table that finds them: a slot holds 1 +
+// the index of a kept row (0: empty), and a row probes linearly from the top
+// bits of a multiplicative hash. Rows hash and compare on joinID, so a
+// missing cell equals nil, as in Tuple.Key.
+type rowSet struct {
+	rows  [][]ValueID
+	arena []ValueID // where the next kept rows go
+	slots []uint32  // a power of two, at most half full
+}
+
+// minRowSetSlots is the size of a rowSet's first table.
+const minRowSetSlots = 64
+
+// add reads a walk's n rows of width cells (runWalk's layout) into union
+// layout through src, keeps each that equals no kept row, and stops once
+// the set holds limit > 0 rows, reporting whether it did.
+func (s *rowSet) add(walk []ValueID, n, width int, src []int32, limit int) bool {
+	w := len(src)
+	for r := 0; r < n; r++ {
+		if len(s.arena) < w {
+			s.arena = make([]ValueID, lifecycle.CheckEvery*w)
+		}
+		row := s.arena[:w:w]
+		toUnion(row, walk[r*width:(r+1)*width], src)
+		if 2*(len(s.rows)+1) > len(s.slots) {
+			s.slots = make([]uint32, max(minRowSetSlots, 2*len(s.slots)))
+			for k, kept := range s.rows {
+				s.slots[s.find(kept)] = uint32(k) + 1
+			}
+		}
+		i := s.find(row)
+		if s.slots[i] != 0 {
+			continue
+		}
+		s.slots[i] = uint32(len(s.rows)) + 1
+		s.rows, s.arena = append(s.rows, row), s.arena[w:]
+		if limit > 0 && len(s.rows) >= limit {
+			return true
+		}
+	}
+	return false
+}
+
+// find returns the slot of the kept row equal to row, or else the empty
+// slot where row goes.
+func (s *rowSet) find(row []ValueID) int {
+	var h uint64
+	for _, id := range row {
+		h = (h ^ uint64(joinID(id))) * 0x9e3779b97f4a7c15
+	}
+	mask := len(s.slots) - 1
+	i := int(h >> bits.LeadingZeros64(uint64(mask)))
+	for k := s.slots[i]; k != 0; k = s.slots[i] {
+		if slices.EqualFunc(s.rows[k-1], row, func(a, b ValueID) bool { return joinID(a) == joinID(b) }) {
+			break
+		}
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // scratch is an execution's two flat row arenas, which a walk's join steps

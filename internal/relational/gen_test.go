@@ -408,7 +408,7 @@ func (p *pushdownStaticResolver) Fetch(_ context.Context, w string, pd Pushdown,
 		rel = rel.Project(pd.Attrs)
 	}
 	rel = rel.Rename(pd.Rename)
-	return Pushdown{}.Apply(rel.Name, rel.Schema, slices.Values(rel.Tuples), d), nil
+	return IngestRelation(rel, d), nil
 }
 
 // fullOutputResolver answers every fetch with the wrapper's full output, as

@@ -55,24 +55,51 @@ func (p Pushdown) Project(s Schema) (Schema, []string) {
 	return out, srcNames
 }
 
+// Absent is the cell that stands for an attribute absent from a row: Apply
+// turns it into MissingValueID, where a nil cell becomes NilValueID.
+var Absent Value = absentCell{}
+
+type absentCell struct{}
+
+// TupleCells reads tuples into the row form Apply takes: per tuple, its
+// values of attrs (the source names Project returns), Absent where the tuple
+// lacks one. It yields one scratch slice for every tuple.
+func TupleCells(tuples []Tuple, attrs []string) iter.Seq[[]Value] {
+	return func(yield func([]Value) bool) {
+		cells := make([]Value, len(attrs))
+		for _, t := range tuples {
+			for i, a := range attrs {
+				v, ok := t[a]
+				if !ok {
+					v = Absent
+				}
+				cells[i] = v
+			}
+			if !yield(cells) {
+				return
+			}
+		}
+	}
+}
+
 // Apply executes the pushdown over a wrapper's full-output rows, s being the
-// wrapper's schema: each kept cell is interned straight into its column of
-// the relation name, under the schema Project returns (absent:
-// MissingValueID, nil: NilValueID). It is the one implementation of
-// source-side projection for sources without a native one: Memory passes
-// its tuples, the JSON wrapper each document's pipeline output. Apply keeps
-// no row, so rows may yield the same scratch tuple for every row; it holds
-// d's lock while rows runs.
-func (p Pushdown) Apply(name string, s Schema, rows iter.Seq[Tuple], d *ValueDict) *ColRelation {
+// wrapper's schema: a row is one cell per source name Project returns, each
+// interned straight into its column of the relation name, under the schema
+// Project returns (Absent: MissingValueID, nil: NilValueID). It is the one
+// implementation of source-side projection for sources without a native one:
+// Memory passes its tuples through TupleCells, the JSON wrapper each
+// document's pipeline output. Apply keeps no row, so rows may yield the same
+// scratch slice for every row; it holds d's lock while rows runs.
+func (p Pushdown) Apply(name string, s Schema, rows iter.Seq[[]Value], d *ValueDict) *ColRelation {
 	schema, srcNames := p.Project(s)
 	c := &ColRelation{Name: name, Schema: schema, Cols: make([][]ValueID, len(srcNames))}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for t := range rows {
-		for i, src := range srcNames {
+	for cells := range rows {
+		for i := range c.Cols {
 			id := MissingValueID
-			if v, ok := t[src]; ok {
-				id = d.internLocked(v)
+			if _, absent := cells[i].(absentCell); !absent {
+				id = d.internLocked(cells[i])
 			}
 			c.Cols[i] = append(c.Cols[i], id)
 		}

@@ -2,7 +2,6 @@ package relational
 
 import (
 	"context"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -38,7 +37,8 @@ func (s staticResolver) Fetch(_ context.Context, w string, p Pushdown, d *ValueD
 	if !ok {
 		return nil, errNotFound(w)
 	}
-	return p.Apply(r.Name, r.Schema, slices.Values(r.Tuples), d), nil
+	_, src := p.Project(r.Schema)
+	return p.Apply(r.Name, r.Schema, TupleCells(r.Tuples, src), d), nil
 }
 
 type errNotFound string

@@ -34,11 +34,17 @@ func (w *seqWrapper) Schema() relational.Schema {
 }
 
 func (w *seqWrapper) Rows(ctx context.Context, p relational.Pushdown, d *relational.ValueDict) (*relational.ColRelation, error) {
-	t := relational.Tuple{}
-	rows := func(yield func(relational.Tuple) bool) {
+	_, src := p.Project(w.Schema())
+	cells := make([]relational.Value, len(src))
+	rows := func(yield func([]relational.Value) bool) {
 		for r := w.lo; r < w.lo+w.n; r++ {
-			t["id"], t["v"] = r, float64(r)+0.5
-			if !yield(t) {
+			for i, a := range src {
+				cells[i] = r
+				if a == "v" {
+					cells[i] = float64(r) + 0.5
+				}
+			}
+			if !yield(cells) {
 				return
 			}
 		}

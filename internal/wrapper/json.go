@@ -152,29 +152,31 @@ func (j *JSON) Pipeline() []string {
 }
 
 // Rows implements Wrapper: it fetches the documents under ctx and runs the
-// pipeline on each (checking cancellation at chunk granularity) into one
-// scratch tuple whose kept cells Pushdown.Apply interns into d's columns,
-// under the pushed-down schema. Pipeline ops that declare a prunable
-// single-attribute output (PushdownOp) are skipped when the pushdown does not
-// need their attribute; ops that can fail are never pruned, so exactly the
-// same documents succeed as in a full execution.
+// pipeline on each (checking cancellation at chunk granularity), compiled
+// against the pushdown once: a prunable step whose attribute p drops is
+// skipped, and the others fill the slot of their kept attribute, if any, in
+// one scratch row of cells (the last write wins) that Pushdown.Apply interns.
+// Steps that can fail are never pruned, so exactly the same documents succeed
+// as in a full execution.
 func (j *JSON) Rows(ctx context.Context, p relational.Pushdown, d *relational.ValueDict) (*relational.ColRelation, error) {
-	_, needed := p.Project(j.schema)
-	pipeline := make([]Op, 0, len(j.pipeline))
+	_, kept := p.Project(j.schema)
+	type step struct {
+		op   Op
+		slot int // into kept; -1: the attribute is not kept
+	}
+	steps := make([]step, 0, len(j.pipeline))
 	for _, op := range j.pipeline {
-		if po, ok := op.(PushdownOp); ok {
-			if attr, prunable := po.PushdownOutput(); prunable && !slices.Contains(needed, attr) {
-				continue
-			}
+		attr, prunable := op.Output()
+		if slot := slices.Index(kept, attr); slot >= 0 || !prunable {
+			steps = append(steps, step{op, slot})
 		}
-		pipeline = append(pipeline, op)
 	}
 	docs, err := j.docs.Documents(ctx)
 	if err != nil {
 		return nil, err
 	}
-	outputs := func(yield func(relational.Tuple) bool) {
-		out := relational.Tuple{}
+	rows := func(yield func([]relational.Value) bool) {
+		cells := make([]relational.Value, len(kept))
 	next:
 		for i, doc := range docs {
 			if i%lifecycle.CheckEvery == 0 {
@@ -182,23 +184,28 @@ func (j *JSON) Rows(ctx context.Context, p relational.Pushdown, d *relational.Va
 					return
 				}
 			}
-			clear(out)
-			for _, op := range pipeline {
-				if err = op.Apply(doc, out); err != nil {
+			for k := range cells {
+				cells[k] = relational.Absent
+			}
+			for _, s := range steps {
+				v, stepErr := s.op.Value(doc)
+				if stepErr != nil {
 					if j.SkipBadDocuments {
-						err = nil
 						continue next
 					}
-					err = fmt.Errorf("wrapper %s: %w", j.name, err)
+					err = fmt.Errorf("wrapper %s: %w", j.name, stepErr)
 					return
 				}
+				if s.slot >= 0 {
+					cells[s.slot] = v
+				}
 			}
-			if !yield(out) {
+			if !yield(cells) {
 				return
 			}
 		}
 	}
-	if c := p.Apply(j.name, j.schema, outputs, d); err == nil {
+	if c := p.Apply(j.name, j.schema, rows, d); err == nil {
 		return c, nil
 	}
 	return nil, err

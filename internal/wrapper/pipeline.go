@@ -15,26 +15,19 @@ type Document = map[string]any
 // Op is a single step of a wrapper's projection pipeline. Pipelines mirror
 // the MongoDB aggregation query of Code 2 in the paper: each document is
 // transformed into a flat tuple by projecting, renaming and computing
-// attributes.
+// attributes, one output attribute per step.
 type Op interface {
-	// Apply writes the step's attributes of the document into the output
-	// tuple. It returns an error when a referenced field is missing or has
-	// the wrong type.
-	Apply(doc Document, out relational.Tuple) error
+	// Output returns the attribute the step writes and whether the step may
+	// be skipped when a pushdown does not need that attribute. Only steps
+	// that can never fail are prunable: pruning a fallible step would change
+	// which documents survive the pipeline, and a pushdown must never change
+	// row-level outcomes.
+	Output() (attr string, prunable bool)
+	// Value computes the step's attribute for the document. It returns an
+	// error when a referenced field is missing or has the wrong type.
+	Value(doc Document) (relational.Value, error)
 	// Describe returns a human-readable description of the step.
 	Describe() string
-}
-
-// PushdownOp is the optional Op extension behind projection pushdown: an op
-// that writes exactly one output attribute reports it, together with whether
-// skipping the op is safe. Only ops that can never fail are prunable —
-// pruning a fallible op would change which documents survive the pipeline,
-// and a pushdown must never change row-level outcomes.
-type PushdownOp interface {
-	Op
-	// PushdownOutput returns the op's single output attribute and whether
-	// the op may be pruned when that attribute is not needed.
-	PushdownOutput() (attr string, prunable bool)
 }
 
 // ProjectField projects a (possibly nested, dot-separated) document field
@@ -49,19 +42,23 @@ type ProjectField struct {
 	Optional bool
 }
 
-// Apply implements Op.
-func (p ProjectField) Apply(doc Document, out relational.Tuple) error {
-	name := p.name()
-	v, ok := lookupPath(doc, p.Path)
-	if !ok {
-		if p.Optional {
-			out[name] = nil
-			return nil
-		}
-		return fmt.Errorf("wrapper: document has no field %q", p.Path)
+// Output implements Op: As, or else the last path segment. Only optional
+// projections are prunable: a required one fails on documents missing the
+// field, and that outcome must survive a pushdown.
+func (p ProjectField) Output() (string, bool) {
+	if p.As != "" {
+		return p.As, p.Optional
 	}
-	out[name] = v
-	return nil
+	return p.Path[strings.LastIndexByte(p.Path, '.')+1:], p.Optional
+}
+
+// Value implements Op.
+func (p ProjectField) Value(doc Document) (relational.Value, error) {
+	v, ok := lookupPath(doc, p.Path)
+	if !ok && !p.Optional {
+		return nil, fmt.Errorf("wrapper: document has no field %q", p.Path)
+	}
+	return v, nil
 }
 
 // Describe implements Op.
@@ -72,19 +69,6 @@ func (p ProjectField) Describe() string {
 	return "project " + p.Path
 }
 
-// PushdownOutput implements PushdownOp. Only optional projections are
-// prunable: a required one fails on documents missing the field, and that
-// outcome must survive a pushdown.
-func (p ProjectField) PushdownOutput() (string, bool) { return p.name(), p.Optional }
-
-// name is the output attribute: As, or else the last path segment.
-func (p ProjectField) name() string {
-	if p.As != "" {
-		return p.As
-	}
-	return p.Path[strings.LastIndexByte(p.Path, '.')+1:]
-}
-
 // ComputeRatio computes the ratio of two numeric document fields, mirroring
 // the lagRatio = waitTime / watchTime computation of the running example.
 type ComputeRatio struct {
@@ -93,21 +77,25 @@ type ComputeRatio struct {
 	As          string
 }
 
-// Apply implements Op.
-func (c ComputeRatio) Apply(doc Document, out relational.Tuple) error {
+// Output implements Op. Never prunable: the step fails on missing or
+// non-numeric fields.
+func (c ComputeRatio) Output() (string, bool) { return c.As, false }
+
+// Value implements Op: nil for a zero denominator, or a quotient
+// overflowing to ±Inf.
+func (c ComputeRatio) Value(doc Document) (relational.Value, error) {
 	num, err := numericField(doc, c.Numerator)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	den, err := numericField(doc, c.Denominator)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	out[c.As] = nil // a zero denominator, or a quotient overflowing to ±Inf
 	if r := num / den; den != 0 && !math.IsInf(r, 0) {
-		out[c.As] = r
+		return r, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // Describe implements Op.
@@ -115,29 +103,21 @@ func (c ComputeRatio) Describe() string {
 	return fmt.Sprintf("compute %s = %s / %s", c.As, c.Numerator, c.Denominator)
 }
 
-// PushdownOutput implements PushdownOp. Never prunable: the op fails on
-// missing or non-numeric fields.
-func (c ComputeRatio) PushdownOutput() (string, bool) { return c.As, false }
-
-// Constant sets an output attribute to a fixed value (used e.g. to tag the
-// schema version or the feedback-gathering tool id).
+// Constant sets the output attribute As to the value Fixed (used e.g. to tag
+// the schema version or the feedback-gathering tool id).
 type Constant struct {
 	As    string
-	Value any
+	Fixed any
 }
 
-// Apply implements Op.
-func (c Constant) Apply(doc Document, out relational.Tuple) error {
-	out[c.As] = c.Value
-	return nil
-}
+// Output implements Op. Always prunable: setting a constant cannot fail.
+func (c Constant) Output() (string, bool) { return c.As, true }
+
+// Value implements Op.
+func (c Constant) Value(Document) (relational.Value, error) { return c.Fixed, nil }
 
 // Describe implements Op.
-func (c Constant) Describe() string { return fmt.Sprintf("set %s = %v", c.As, c.Value) }
-
-// PushdownOutput implements PushdownOp. Always prunable: setting a constant
-// cannot fail.
-func (c Constant) PushdownOutput() (string, bool) { return c.As, true }
+func (c Constant) Describe() string { return fmt.Sprintf("set %s = %v", c.As, c.Fixed) }
 
 // Concat concatenates the string values of several document paths.
 type Concat struct {
@@ -146,28 +126,26 @@ type Concat struct {
 	As        string
 }
 
-// Apply implements Op.
-func (c Concat) Apply(doc Document, out relational.Tuple) error {
+// Output implements Op. Never prunable: the step fails on missing fields.
+func (c Concat) Output() (string, bool) { return c.As, false }
+
+// Value implements Op.
+func (c Concat) Value(doc Document) (relational.Value, error) {
 	parts := make([]string, 0, len(c.Paths))
 	for _, p := range c.Paths {
 		v, ok := lookupPath(doc, p)
 		if !ok {
-			return fmt.Errorf("wrapper: document has no field %q", p)
+			return nil, fmt.Errorf("wrapper: document has no field %q", p)
 		}
 		parts = append(parts, fmt.Sprintf("%v", v))
 	}
-	out[c.As] = strings.Join(parts, c.Separator)
-	return nil
+	return strings.Join(parts, c.Separator), nil
 }
 
 // Describe implements Op.
 func (c Concat) Describe() string {
 	return fmt.Sprintf("concat(%s) as %s", strings.Join(c.Paths, ", "), c.As)
 }
-
-// PushdownOutput implements PushdownOp. Never prunable: the op fails on
-// missing fields.
-func (c Concat) PushdownOutput() (string, bool) { return c.As, false }
 
 // lookupPath resolves a dot-separated path in a nested document.
 func lookupPath(doc Document, path string) (any, bool) {

@@ -29,7 +29,7 @@ func pushdownTestJSON(docs *countingDocs) *JSON {
 	return NewJSON("wj", "SJ", schema, docs,
 		ProjectField{Path: "monitorId", As: "id"},
 		ComputeRatio{Numerator: "wait", Denominator: "watch", As: "ratio"},
-		Constant{As: "tag", Value: "v1"},
+		Constant{As: "tag", Fixed: "v1"},
 		ProjectField{Path: "extra", As: "opt", Optional: true},
 	)
 }
@@ -183,7 +183,8 @@ func (p plainWrapper) Rows(ctx context.Context, pd relational.Pushdown, d *relat
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return pd.Apply(p.Name(), p.schema, slices.Values(p.rows), d), nil
+	_, src := pd.Project(p.schema)
+	return pd.Apply(p.Name(), p.schema, relational.TupleCells(p.rows, src), d), nil
 }
 
 // TestJSONRowsPushdownParityRandomized holds the column path to a
@@ -210,13 +211,13 @@ func TestJSONRowsPushdownParityRandomized(t *testing.T) {
 			case 0:
 				pipeline = append(pipeline, ProjectField{Path: pick(paths), As: as, Optional: rng.Intn(3) > 0})
 			case 1:
-				pipeline = append(pipeline, Constant{As: as, Value: values[rng.Intn(len(values))]})
+				pipeline = append(pipeline, Constant{As: as, Fixed: values[rng.Intn(len(values))]})
 			case 2:
 				pipeline = append(pipeline, ComputeRatio{Numerator: pick(paths), Denominator: pick(paths), As: as})
 			default:
 				// No As: the attribute is the path's last segment.
 				p := ProjectField{Path: pick(paths), Optional: rng.Intn(2) == 0}
-				as, _ = p.PushdownOutput()
+				as, _ = p.Output()
 				pipeline = append(pipeline, p)
 			}
 			outputs = append(outputs, as)
@@ -274,13 +275,16 @@ func TestJSONRowsPushdownParityRandomized(t *testing.T) {
 		for _, doc := range docs {
 			out := relational.Tuple{}
 			for _, op := range pipeline {
-				if err := op.Apply(doc, out); err != nil {
+				v, err := op.Value(doc)
+				if err != nil {
 					if j.SkipBadDocuments {
 						continue docs
 					}
 					wantErr = fmt.Errorf("wrapper wj: %w", err)
 					break docs
 				}
+				attr, _ := op.Output()
+				out[attr] = v
 			}
 			outs = append(outs, out)
 		}
@@ -418,7 +422,7 @@ func TestJSONRowsPipelineEdgeCases(t *testing.T) {
 			name:  "last write wins",
 			attrs: []string{"x"},
 			pipeline: []Op{ProjectField{Path: "n", As: "id"},
-				ProjectField{Path: "a", As: "x"}, Constant{As: "x", Value: "c"}},
+				ProjectField{Path: "a", As: "x"}, Constant{As: "x", Fixed: "c"}},
 			docs: []Document{{"n": 1.0, "a": "va"}},
 			p:    renamed,
 			want: []relational.Tuple{{"SJ/id": 1.0, "SJ/x": "c"}},
@@ -427,7 +431,7 @@ func TestJSONRowsPipelineEdgeCases(t *testing.T) {
 			name:  "last write wins, projection last",
 			attrs: []string{"x"},
 			pipeline: []Op{ProjectField{Path: "n", As: "id"},
-				Constant{As: "x", Value: "c"}, ProjectField{Path: "a", As: "x"}},
+				Constant{As: "x", Fixed: "c"}, ProjectField{Path: "a", As: "x"}},
 			docs: []Document{{"n": 1.0, "a": "va"}},
 			want: []relational.Tuple{{"id": 1.0, "x": "va"}},
 		},
@@ -435,7 +439,7 @@ func TestJSONRowsPipelineEdgeCases(t *testing.T) {
 			name:  "last write of nil wins",
 			attrs: []string{"x"},
 			pipeline: []Op{ProjectField{Path: "n", As: "id"},
-				Constant{As: "x", Value: "c"}, ProjectField{Path: "none", As: "x", Optional: true}},
+				Constant{As: "x", Fixed: "c"}, ProjectField{Path: "none", As: "x", Optional: true}},
 			docs: []Document{{"n": 1.0}},
 			p:    renamed,
 			want: []relational.Tuple{{"SJ/id": 1.0, "SJ/x": nil}},
@@ -444,7 +448,7 @@ func TestJSONRowsPipelineEdgeCases(t *testing.T) {
 			name:  "output outside the schema still fails",
 			attrs: []string{"x"},
 			pipeline: []Op{ProjectField{Path: "n", As: "id"}, ProjectField{Path: "a", As: "x"},
-				ProjectField{Path: "must", As: "undeclared"}, Constant{As: "alsoUndeclared", Value: 1}},
+				ProjectField{Path: "must", As: "undeclared"}, Constant{As: "alsoUndeclared", Fixed: 1}},
 			docs:    []Document{{"n": 1.0, "a": "va", "must": 1}, {"n": 2.0, "a": "vb"}},
 			wantErr: noField("must"),
 		},
@@ -452,7 +456,7 @@ func TestJSONRowsPipelineEdgeCases(t *testing.T) {
 			name:  "output outside the schema is dropped",
 			attrs: []string{"x"},
 			pipeline: []Op{ProjectField{Path: "n", As: "id"}, ProjectField{Path: "a", As: "x"},
-				ProjectField{Path: "must", As: "undeclared"}, Constant{As: "alsoUndeclared", Value: 1}},
+				ProjectField{Path: "must", As: "undeclared"}, Constant{As: "alsoUndeclared", Fixed: 1}},
 			docs: []Document{{"n": 1.0, "a": "va", "must": 1}, {"n": 2.0, "a": "vb"}},
 			skip: true,
 			p:    renamed,
@@ -489,7 +493,7 @@ func TestJSONRowsPipelineEdgeCases(t *testing.T) {
 			name:  "skip bad documents keeps the others in order",
 			attrs: []string{"x", "r"},
 			pipeline: []Op{ProjectField{Path: "n", As: "id"}, ProjectField{Path: "a", As: "x"},
-				ComputeRatio{Numerator: "wait", Denominator: "watch", As: "r"}, Constant{As: "x", Value: "c"}},
+				ComputeRatio{Numerator: "wait", Denominator: "watch", As: "r"}, Constant{As: "x", Fixed: "c"}},
 			docs: []Document{
 				{"n": 1.0, "a": "va", "wait": 1.0, "watch": 4.0},
 				{"n": 2.0, "wait": 1.0, "watch": 4.0},

@@ -9,7 +9,6 @@ package wrapper
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,7 +28,7 @@ type Wrapper interface {
 	// source and interns its output into d under the schema
 	// p.Project(Schema()) yields; the zero Pushdown asks for the full output.
 	// A cancelled ctx aborts the source query. A source without native
-	// projection returns p.Apply(Name(), Schema(), its full output, d).
+	// projection passes its full output through p.Apply.
 	Rows(ctx context.Context, p relational.Pushdown, d *relational.ValueDict) (*relational.ColRelation, error)
 }
 
@@ -63,7 +62,8 @@ func (m *Memory) Rows(ctx context.Context, p relational.Pushdown, d *relational.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return p.Apply(m.name, m.schema, slices.Values(m.rows), d), nil
+	_, src := p.Project(m.schema)
+	return p.Apply(m.name, m.schema, relational.TupleCells(m.rows, src), d), nil
 }
 
 // Registry holds the wrappers known to the system, keyed both by their plain

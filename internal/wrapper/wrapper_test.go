@@ -93,30 +93,26 @@ func TestJSONWrapperErrorOnMissingField(t *testing.T) {
 }
 
 func TestComputeRatioEdgeCases(t *testing.T) {
-	out := relational.Tuple{}
 	op := ComputeRatio{Numerator: "a", Denominator: "b", As: "r"}
-	if err := op.Apply(Document{"a": 1.0, "b": 0.0}, out); err != nil {
-		t.Fatal(err)
+	if attr, prunable := op.Output(); attr != "r" || prunable {
+		t.Errorf("Output() = %q, %v; want r, false", attr, prunable)
 	}
-	if out["r"] != nil {
-		t.Error("division by zero should yield nil")
+	if r, err := op.Value(Document{"a": 1.0, "b": 0.0}); err != nil || r != nil {
+		t.Errorf("division by zero should yield nil, got %v, %v", r, err)
 	}
-	if err := op.Apply(Document{"a": "3", "b": "4"}, out); err != nil {
-		t.Fatalf("numeric strings should be accepted: %v", err)
+	if r, err := op.Value(Document{"a": "3", "b": "4"}); err != nil || r != 0.75 {
+		t.Errorf("numeric strings should be accepted: r = %v, %v", r, err)
 	}
-	if out["r"] != 0.75 {
-		t.Errorf("r = %v", out["r"])
-	}
-	if err := op.Apply(Document{"a": "x", "b": 1.0}, out); err == nil {
+	if _, err := op.Value(Document{"a": "x", "b": 1.0}); err == nil {
 		t.Error("non-numeric field should error")
 	}
-	if err := op.Apply(Document{"b": 1.0}, out); err == nil {
+	if _, err := op.Value(Document{"b": 1.0}); err == nil {
 		t.Error("missing numerator should error")
 	}
 	// A ratio overflowing to ±Inf has no value, as for a zero denominator.
 	for _, doc := range []Document{{"a": 1e308, "b": 1e-308}, {"a": "-1e308", "b": "1e-10"}} {
-		if err := op.Apply(doc, out); err != nil || out["r"] != nil {
-			t.Errorf("%v: r = %v, err %v; want nil, no error", doc, out["r"], err)
+		if r, err := op.Value(doc); err != nil || r != nil {
+			t.Errorf("%v: r = %v, err %v; want nil, no error", doc, r, err)
 		}
 	}
 }
@@ -127,10 +123,10 @@ func TestComputeRatioEdgeCases(t *testing.T) {
 func TestNonFiniteFieldIsNotNumeric(t *testing.T) {
 	op := ComputeRatio{Numerator: "a", Denominator: "b", As: "r"}
 	for _, v := range []any{"NaN", "nan", "Inf", "+Inf", "-Infinity", "1e400", math.NaN(), math.Inf(-1), float32(math.Inf(1))} {
-		if err := op.Apply(Document{"a": v, "b": 2.0}, relational.Tuple{}); err == nil {
+		if _, err := op.Value(Document{"a": v, "b": 2.0}); err == nil {
 			t.Errorf("numerator %v (%T) accepted", v, v)
 		}
-		if err := op.Apply(Document{"a": 1.0, "b": v}, relational.Tuple{}); err == nil {
+		if _, err := op.Value(Document{"a": 1.0, "b": v}); err == nil {
 			t.Errorf("denominator %v (%T) accepted", v, v)
 		}
 	}
@@ -150,50 +146,55 @@ func TestNonFiniteFieldIsNotNumeric(t *testing.T) {
 
 func TestProjectFieldNestedAndOptional(t *testing.T) {
 	doc := Document{"user": map[string]any{"id": float64(7), "name": "ana"}}
-	out := relational.Tuple{}
-	if err := (ProjectField{Path: "user.id", As: "userId"}).Apply(doc, out); err != nil {
-		t.Fatal(err)
+	if v, err := (ProjectField{Path: "user.id", As: "userId"}).Value(doc); err != nil || v != float64(7) {
+		t.Errorf("userId = %v, %v", v, err)
 	}
-	if out["userId"] != float64(7) {
-		t.Errorf("userId = %v", out["userId"])
-	}
-	if err := (ProjectField{Path: "user.missing"}).Apply(doc, out); err == nil {
+	if _, err := (ProjectField{Path: "user.missing"}).Value(doc); err == nil {
 		t.Error("missing nested field should error")
 	}
-	if err := (ProjectField{Path: "user.missing", As: "m", Optional: true}).Apply(doc, out); err != nil {
-		t.Errorf("optional missing field should not error: %v", err)
+	if v, err := (ProjectField{Path: "user.missing", As: "m", Optional: true}).Value(doc); err != nil || v != nil {
+		t.Errorf("optional missing field should be nil, got %v, %v", v, err)
 	}
-	if v, ok := out["m"]; !ok || v != nil {
-		t.Error("optional missing field should be nil")
+	// The output attribute is As, or else the last path segment; only an
+	// optional projection is prunable.
+	for _, c := range []struct {
+		op       ProjectField
+		attr     string
+		prunable bool
+	}{
+		{ProjectField{Path: "user.id", As: "userId"}, "userId", false},
+		{ProjectField{Path: "user.name"}, "name", false},
+		{ProjectField{Path: "monitorId", Optional: true}, "monitorId", true},
+	} {
+		if attr, prunable := c.op.Output(); attr != c.attr || prunable != c.prunable {
+			t.Errorf("%+v: Output() = %q, %v; want %q, %v", c.op, attr, prunable, c.attr, c.prunable)
+		}
 	}
-	// Default output name is the last path segment.
-	if err := (ProjectField{Path: "user.name"}).Apply(doc, out); err != nil {
-		t.Fatal(err)
-	}
-	if out["name"] != "ana" {
-		t.Errorf("name = %v", out["name"])
+	if v, err := (ProjectField{Path: "user.name"}).Value(doc); err != nil || v != "ana" {
+		t.Errorf("name = %v, %v", v, err)
 	}
 }
 
 func TestConstantAndConcat(t *testing.T) {
-	out := relational.Tuple{}
-	if err := (Constant{As: "version", Value: "v2"}).Apply(Document{}, out); err != nil {
-		t.Fatal(err)
+	c := Constant{As: "version", Fixed: "v2"}
+	if v, err := c.Value(Document{}); err != nil || v != "v2" {
+		t.Errorf("version = %v, %v", v, err)
 	}
-	if out["version"] != "v2" {
-		t.Errorf("version = %v", out["version"])
+	if attr, prunable := c.Output(); attr != "version" || !prunable {
+		t.Errorf("Constant.Output() = %q, %v; want version, true", attr, prunable)
 	}
 	doc := Document{"first": "sergi", "last": "nadal"}
-	if err := (Concat{Paths: []string{"first", "last"}, Separator: " ", As: "author"}).Apply(doc, out); err != nil {
-		t.Fatal(err)
+	cc := Concat{Paths: []string{"first", "last"}, Separator: " ", As: "author"}
+	if v, err := cc.Value(doc); err != nil || v != "sergi nadal" {
+		t.Errorf("author = %v, %v", v, err)
 	}
-	if out["author"] != "sergi nadal" {
-		t.Errorf("author = %v", out["author"])
+	if attr, prunable := cc.Output(); attr != "author" || prunable {
+		t.Errorf("Concat.Output() = %q, %v; want author, false", attr, prunable)
 	}
-	if err := (Concat{Paths: []string{"missing"}, As: "x"}).Apply(doc, out); err == nil {
+	if _, err := (Concat{Paths: []string{"missing"}, As: "x"}).Value(doc); err == nil {
 		t.Error("missing concat path should error")
 	}
-	if !strings.Contains((Constant{As: "a", Value: 1}).Describe(), "a") {
+	if !strings.Contains((Constant{As: "a", Fixed: 1}).Describe(), "a") {
 		t.Error("describe missing attribute name")
 	}
 }
