@@ -117,8 +117,7 @@ type System struct {
 	Ontology *core.Ontology
 	Wrappers *wrapper.Registry
 
-	rewriter *rewriting.Rewriter
-	cache    *rewriting.Cache
+	cache *rewriting.Cache
 	// resolver executes walks: attribute names are qualified with their
 	// data source, matching the Source graph.
 	resolver relational.WrapperResolver
@@ -135,12 +134,10 @@ func NewSystem() *System {
 
 // NewSystemWith wraps an existing ontology and registry.
 func NewSystemWith(o *core.Ontology, reg *wrapper.Registry) *System {
-	r := rewriting.NewRewriter(o)
 	return &System{
 		Ontology: o,
 		Wrappers: reg,
-		rewriter: r,
-		cache:    rewriting.NewCache(r),
+		cache:    rewriting.NewCache(rewriting.NewRewriter(o)),
 		resolver: wrapper.NewQualifiedResolver(reg),
 	}
 }
@@ -268,10 +265,10 @@ type PolicyOptions = rewriting.PolicyOptions
 // source, or the ontology as it stood after a given release sequence number.
 // Policy rewrites bypass the cache.
 func (s *System) QueryWithPolicy(ctx context.Context, q *rewriting.OMQ, opts rewriting.PolicyOptions) (*relational.IDRelation, *rewriting.Result, error) {
-	res, err := s.rewriter.RewriteWithPolicy(ctx, q, opts)
+	res, err := rewriting.RewriteWithPolicy(ctx, s.Ontology, q, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	answer, err := s.rewriter.ExecuteResultIDs(ctx, res, s.resolver, 0)
+	answer, err := res.Execute(ctx, s.resolver, 0)
 	return answer, res, err
 }

@@ -654,7 +654,7 @@ func benchmarkOMQAnswerChurning(b *testing.B, keepIDs bool) {
 			reused, fresh := dictValues()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				answer, err := r.ExecuteResultIDs(context.Background(), res, resolver, 0)
+				answer, err := res.Execute(context.Background(), resolver, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

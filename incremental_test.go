@@ -18,7 +18,7 @@ import (
 // criterion of the concept-partitioned incremental engine: across
 // randomized schedules interleaving related releases, unrelated releases
 // and repeated rewrites, the cache — serving retained results or rebuilding
-// retired ones — produces byte-identical UCQ output (walks, projections, joins, requested attributes)
+// retired ones — produces byte-identical UCQ output (walks, projections, joins)
 // compared to a from-scratch run of Algorithms 2-5 at every step.
 func TestIncrementalRewriteParityRandomizedSchedules(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
@@ -51,12 +51,6 @@ func TestIncrementalRewriteParityRandomizedSchedules(t *testing.T) {
 					}
 					if got, want := strings.Join(cRes.UCQ.Signatures(), ","), strings.Join(fRes.UCQ.Signatures(), ","); got != want {
 						t.Fatalf("step %d query %d: signatures diverged: %s vs %s", step, qi, got, want)
-					}
-					if got, want := strings.Join(cRes.UCQ.RequestedAttributes, ","), strings.Join(fRes.UCQ.RequestedAttributes, ","); got != want {
-						t.Fatalf("step %d query %d: requested attributes diverged: %s vs %s", step, qi, got, want)
-					}
-					if got, want := strings.Join(cRes.UCQ.RequestedFeatures, ","), strings.Join(fRes.UCQ.RequestedFeatures, ","); got != want {
-						t.Fatalf("step %d query %d: requested features diverged: %s vs %s", step, qi, got, want)
 					}
 				}
 			}
@@ -207,14 +201,15 @@ func (c *releaseOnErr) Err() error {
 	return c.Context.Err()
 }
 
-// rewriteShape is what a rewrite answers with: its walks' signatures and the
-// requested attributes and features.
+// rewriteShape is what a rewrite answers with: its walks' signatures and
+// rendering.
 type rewriteShape struct {
-	Signatures, Attributes, Features []string
+	Signatures []string
+	Walks      string
 }
 
 func shapeOf(res *rewriting.Result) rewriteShape {
-	return rewriteShape{res.UCQ.Signatures(), res.UCQ.RequestedAttributes, res.UCQ.RequestedFeatures}
+	return rewriteShape{res.UCQ.Signatures(), res.UCQ.String()}
 }
 
 // coldShape is a from-scratch rewrite of the churn query at the ontology's
@@ -230,9 +225,9 @@ func coldShape(t *testing.T, ec *workload.EvolutionChurn) rewriteShape {
 
 // midRewrite runs rewrite with a related release landing at its k-th
 // cancellation check and requires the result to equal a cold rewrite of one
-// generation — the one before the release or the one after it — in walks,
-// requested attributes and requested features alike. It returns the churn
-// workload with the release registered.
+// generation — the one before the release or the one after it — in walk
+// signatures and rendering alike. It returns the churn workload with the
+// release registered.
 func midRewrite(t *testing.T, k int, rewrite func(*workload.EvolutionChurn, context.Context) (*rewriting.Result, error)) *workload.EvolutionChurn {
 	t.Helper()
 	ec, err := workload.BuildEvolutionChurn(3, 2, 2)
@@ -264,7 +259,7 @@ func midRewrite(t *testing.T, k int, rewrite func(*workload.EvolutionChurn, cont
 // TestRewriteMidReleasePinsOneGeneration lets a release land at each of a
 // rewrite's first six cancellation checks: the uncached rewriter reads one
 // view, so its result is a cold rewrite of one generation, never walks of
-// one and requested attributes of the next.
+// one and joins of the next.
 func TestRewriteMidReleasePinsOneGeneration(t *testing.T) {
 	for k := 1; k <= 6; k++ {
 		midRewrite(t, k, func(ec *workload.EvolutionChurn, ctx context.Context) (*rewriting.Result, error) {

@@ -145,7 +145,7 @@ func NewUnion(walks []*Walk, name string, output []OutputColumn) *Union {
 // the calling goroutine, post-projects each walk's rows onto the union
 // columns, and returns their deduplicated union in canonical order, still in
 // the ID domain; the first walk that fails stops the execution with its
-// error. It is the engine behind the rewriter's ExecuteResultIDs. limit > 0
+// error. It is the engine behind rewriting.Result.Execute. limit > 0
 // stops execution at the walk that brings the distinct rows to limit — no
 // later walk runs or charges the budget — and keeps exactly the first limit
 // distinct rows in walk order, a deterministic subset of the unlimited

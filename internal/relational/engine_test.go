@@ -43,7 +43,7 @@ func chainCase() (staticResolver, *UnionOfConjunctiveQueries) {
 func TestEngineLimitIsDeterministicPrefix(t *testing.T) {
 	rels, u := chainCase()
 	ctx := context.Background()
-	opts := u.execOptions()
+	opts := u.execOptions(nil)
 	full, err := decoded(executeUnion(ctx, u.Walks, rels, opts))
 	if err != nil {
 		t.Fatal(err)
@@ -71,9 +71,9 @@ func TestEngineStrictEmptyProjection(t *testing.T) {
 	rels := staticResolver{"w1": w1Relation()}
 	u := NewUCQ()
 	u.Add(NewWalk("w1", "S1", "lagRatio"))
-	u.RequestedAttributes = []string{"no_such_attribute"}
-	ref, refErr := u.ExecuteReference(context.Background(), rels)
-	got, gotErr := u.Execute(context.Background(), rels)
+	requested := []string{"no_such_attribute"}
+	ref, refErr := u.ExecuteReference(context.Background(), rels, requested)
+	got, gotErr := u.Execute(context.Background(), rels, requested)
 	if refErr != nil || gotErr != nil {
 		t.Fatalf("unexpected errors: reference=%v engine=%v", refErr, gotErr)
 	}

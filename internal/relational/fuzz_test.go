@@ -37,8 +37,8 @@ func FuzzWalkExecution(f *testing.F) {
 			u := gc.ucq()
 			ctx := context.Background()
 
-			ref, refErr := u.ExecuteReference(ctx, resolver)
-			got, gotErr := u.Execute(ctx, resolver)
+			ref, refErr := u.ExecuteReference(ctx, resolver, gc.requested)
+			got, gotErr := u.Execute(ctx, resolver, gc.requested)
 			if (refErr == nil) != (gotErr == nil) {
 				t.Fatalf("error parity broken\nreference: %v\nengine:    %v\nucq:\n%s", refErr, gotErr, u)
 			}

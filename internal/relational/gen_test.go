@@ -76,7 +76,6 @@ type genCase struct {
 func (gc *genCase) ucq() *UnionOfConjunctiveQueries {
 	u := NewUCQ()
 	u.Walks = append(u.Walks, gc.walks...)
-	u.RequestedAttributes = gc.requested
 	return u
 }
 
@@ -440,18 +439,18 @@ func executeUnion(ctx context.Context, walks []*Walk, resolver WrapperResolver, 
 // restricted to the requested attributes it carries, and the results are
 // unioned and deduplicated. ExecuteReference is the serial executor it is
 // checked against.
-func (u *UnionOfConjunctiveQueries) Execute(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
+func (u *UnionOfConjunctiveQueries) Execute(ctx context.Context, resolver WrapperResolver, requested []string) (*Relation, error) {
 	if u.IsEmpty() {
 		return NewRelation("∅", Schema{}), nil
 	}
-	return decoded(executeUnion(ctx, u.Walks, resolver, u.execOptions()))
+	return decoded(executeUnion(ctx, u.Walks, resolver, u.execOptions(requested)))
 }
 
 // execOptions is Execute's configuration: one output column per requested
 // attribute.
-func (u *UnionOfConjunctiveQueries) execOptions() ExecOptions {
+func (u *UnionOfConjunctiveQueries) execOptions(requested []string) ExecOptions {
 	opts := ExecOptions{Name: "answer"}
-	for _, a := range u.RequestedAttributes {
+	for _, a := range requested {
 		opts.Output = append(opts.Output, OutputColumn{Name: a, Feeds: feedAll(u.Walks, a)})
 	}
 	return opts

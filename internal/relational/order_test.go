@@ -87,11 +87,11 @@ func TestCanonicalOrderMatchesTupleKey(t *testing.T) {
 				requireCanonicalOrder(t, fmt.Sprintf("case %d walk %d", c, wi), got, ref)
 			}
 		}
-		ref, err := u.ExecuteReference(ctx, resolver)
+		ref, err := u.ExecuteReference(ctx, resolver, gc.requested)
 		if err != nil {
 			continue
 		}
-		full, err := decoded(executeUnion(ctx, u.Walks, resolver, u.execOptions()))
+		full, err := decoded(executeUnion(ctx, u.Walks, resolver, u.execOptions(gc.requested)))
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}
@@ -101,7 +101,7 @@ func TestCanonicalOrderMatchesTupleKey(t *testing.T) {
 		}
 		fullCells := cellsOf(full.Tuples, full.Schema.Names())
 		for limit := 1; limit < full.Cardinality(); limit += 1 + limit/2 {
-			opts := u.execOptions()
+			opts := u.execOptions(gc.requested)
 			opts.Limit = limit
 			got, err := decoded(executeUnion(ctx, u.Walks, resolver, opts))
 			if err != nil {
@@ -153,12 +153,12 @@ func TestCanonicalOrderIsJoinedKeyOrder(t *testing.T) {
 	rels := staticResolver{"w": rel}
 	u := NewUCQ()
 	u.Add(NewWalk("w", "S", "a", "b"))
-	u.RequestedAttributes = []string{"a", "b", "a"} // a name the result schema repeats
-	ref, err := u.ExecuteReference(context.Background(), rels)
+	requested := []string{"a", "b", "a"} // a name the result schema repeats
+	ref, err := u.ExecuteReference(context.Background(), rels, requested)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := u.Execute(context.Background(), rels)
+	got, err := u.Execute(context.Background(), rels, requested)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestDistinctSeparatesCollidingJoinedKeys(t *testing.T) {
 	rels := staticResolver{"w": rel}
 	u := NewUCQ()
 	u.Add(NewWalk("w", "S", "b"))
-	ref, err := u.ExecuteReference(context.Background(), rels)
+	ref, err := u.ExecuteReference(context.Background(), rels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := u.Execute(context.Background(), rels)
+	got, err := u.Execute(context.Background(), rels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

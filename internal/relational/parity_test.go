@@ -61,7 +61,7 @@ func checkCaseParity(t *testing.T, gc *genCase) {
 	resolver := staticResolver(gc.rels)
 	u := gc.ucq()
 	diag := func() string {
-		return fmt.Sprintf("ucq:\n%s\nrequested: %v", u, u.RequestedAttributes)
+		return fmt.Sprintf("ucq:\n%s\nrequested: %v", u, gc.requested)
 	}
 
 	// Per-walk parity.
@@ -79,8 +79,8 @@ func checkCaseParity(t *testing.T, gc *genCase) {
 	}
 
 	// Union parity.
-	ref, refErr := u.ExecuteReference(ctx, resolver)
-	got, gotErr := u.Execute(ctx, resolver)
+	ref, refErr := u.ExecuteReference(ctx, resolver, gc.requested)
+	got, gotErr := u.Execute(ctx, resolver, gc.requested)
 	if !checkErrParity(t, "union", refErr, gotErr, diag) {
 		return
 	}
@@ -94,7 +94,7 @@ func checkCaseParity(t *testing.T, gc *genCase) {
 	// applying the shared pushdown helper (the resolver above), a source with
 	// its own pushdown implementation, and a source returning its full output.
 	base := rawRender(got)
-	opts := u.execOptions()
+	opts := u.execOptions(gc.requested)
 	pd := &pushdownStaticResolver{rels: gc.rels}
 	if rel, err := decoded(executeUnion(ctx, u.Walks, pd, opts)); err != nil {
 		t.Errorf("pushdown engine: unexpected error %v\n%s", err, diag())
@@ -185,9 +185,9 @@ func TestBudgetParityDimensions(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			refCtx := lifecycle.WithTracker(context.Background(), lifecycle.NewTracker(tc.budget))
-			_, refErr := u.ExecuteReference(refCtx, rels)
+			_, refErr := u.ExecuteReference(refCtx, rels, nil)
 			gotCtx := lifecycle.WithTracker(context.Background(), lifecycle.NewTracker(tc.budget))
-			_, gotErr := u.Execute(gotCtx, rels)
+			_, gotErr := u.Execute(gotCtx, rels, nil)
 			refBE, refOK := lifecycle.BudgetError(refErr)
 			gotBE, gotOK := lifecycle.BudgetError(gotErr)
 			if !refOK || !gotOK {
@@ -221,8 +221,8 @@ func TestCancellationParity(t *testing.T) {
 		{"deadline", expired, context.DeadlineExceeded},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, refErr := u.ExecuteReference(tc.ctx, rels)
-			_, gotErr := u.Execute(tc.ctx, rels)
+			_, refErr := u.ExecuteReference(tc.ctx, rels, nil)
+			_, gotErr := u.Execute(tc.ctx, rels, nil)
 			if refErr != tc.want || gotErr != tc.want {
 				t.Fatalf("union parity broken: reference=%v engine=%v, want %v", refErr, gotErr, tc.want)
 			}

@@ -130,7 +130,7 @@ func TestPreparedExecutionParity(t *testing.T) {
 func checkPreparedParity(t *testing.T, gc *genCase, name string) {
 	t.Helper()
 	u := gc.ucq()
-	output := u.execOptions().Output
+	output := u.execOptions(gc.requested).Output
 	newUnion := func() *Union { return NewUnion(u.Walks, name, output) }
 	run := func(ctx context.Context, un *Union, resolver WrapperResolver) string {
 		a, err := un.Execute(ctx, resolver, 0)
@@ -150,7 +150,7 @@ func checkPreparedParity(t *testing.T, gc *genCase, name string) {
 	}
 	ctx := context.Background()
 	rels := staticResolver(gc.rels)
-	diag := func() string { return fmt.Sprintf("ucq:\n%s\nrequested: %v", u, u.RequestedAttributes) }
+	diag := func() string { return fmt.Sprintf("ucq:\n%s\nrequested: %v", u, gc.requested) }
 	same := func(what, fresh, kept string) {
 		t.Helper()
 		if fresh != kept {

@@ -115,8 +115,9 @@ func filterEqual(r *Relation, a, b string) *Relation {
 
 // ExecuteReference evaluates the union with the reference executor: each
 // walk runs through Walk.ExecuteReference, is restricted to the requested
-// attributes available in that walk, unioned and deduplicated.
-func (u *UnionOfConjunctiveQueries) ExecuteReference(ctx context.Context, resolver WrapperResolver) (*Relation, error) {
+// attributes available in that walk (all of its attributes when requested
+// is empty), unioned and deduplicated.
+func (u *UnionOfConjunctiveQueries) ExecuteReference(ctx context.Context, resolver WrapperResolver, requested []string) (*Relation, error) {
 	if u.IsEmpty() {
 		return NewRelation("∅", Schema{}), nil
 	}
@@ -129,9 +130,9 @@ func (u *UnionOfConjunctiveQueries) ExecuteReference(ctx context.Context, resolv
 		if err != nil {
 			return nil, err
 		}
-		if len(u.RequestedAttributes) > 0 {
+		if len(requested) > 0 {
 			var keep []string
-			for _, a := range u.RequestedAttributes {
+			for _, a := range requested {
 				if rel.Schema.Has(a) {
 					keep = append(keep, a)
 				}

@@ -305,15 +305,14 @@ func TestUCQExecuteUnion(t *testing.T) {
 	u := NewUCQ()
 	u.Add(walk1)
 	u.Add(walk2)
-	u.RequestedAttributes = []string{"TargetApp", "lagRatio", "bufferingRatio"}
-	rel, err := u.Execute(context.Background(), resolver)
+	rel, err := u.Execute(context.Background(), resolver, []string{"TargetApp", "lagRatio", "bufferingRatio"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rel.Cardinality() != 4 {
 		t.Fatalf("cardinality = %d, want 4 (3 from w1 + 1 from w4)\n%s", rel.Cardinality(), rel)
 	}
-	empty, err := NewUCQ().Execute(context.Background(), resolver)
+	empty, err := NewUCQ().Execute(context.Background(), resolver, nil)
 	if err != nil || empty.Cardinality() != 0 {
 		t.Errorf("empty UCQ execute = %v, %v", empty, err)
 	}

@@ -67,7 +67,7 @@ func TestSchedulerLowestIndexError(t *testing.T) {
 	walks[17].Joins[0].RightWrapper = "phantom"
 	u := NewUCQ()
 	u.Walks = walks
-	_, refErr := u.ExecuteReference(context.Background(), rels)
+	_, refErr := u.ExecuteReference(context.Background(), rels, nil)
 	if refErr == nil {
 		t.Fatal("the reference executor accepted the broken union")
 	}

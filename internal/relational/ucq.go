@@ -9,18 +9,9 @@ import (
 )
 
 // UnionOfConjunctiveQueries is the result of the paper's query rewriting: the
-// union of all covering and minimal walks found for an OMQ, plus the
-// attributes the analyst actually requested (projected at execution time).
+// union of all covering and minimal walks found for an OMQ.
 type UnionOfConjunctiveQueries struct {
 	Walks []*Walk
-	// RequestedAttributes holds the source-level attributes corresponding to
-	// the features the analyst projected; the final result is restricted to
-	// per-walk subsets of these.
-	RequestedAttributes []string
-	// RequestedFeatures holds the ontology-level feature IRIs that the
-	// analyst projected, aligned with the walk projections through the
-	// attribute-to-feature mapping at execution time.
-	RequestedFeatures []string
 
 	// signatures indexes the walks already added so that equivalence
 	// deduplication stays O(1) per insertion even for the worst-case

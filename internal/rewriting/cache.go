@@ -19,12 +19,12 @@ import (
 var rewriteDurationSeconds = obs.NewHistogram("bdi_rewrite_duration_seconds",
 	"Latency of cached OMQ rewrites (hits and rebuilds).")
 
-// DefaultMaxEntries is the default capacity bound of the cache. The cache is
-// LRU: when the bound is exceeded the least recently used entry is dropped
-// and its memory — including the walks of large worst-case results — becomes
+// defaultMaxEntries is the capacity bound of a cache. The cache is LRU: when
+// the bound is exceeded the least recently used entry is dropped and its
+// memory — including the walks of large worst-case results — becomes
 // collectable immediately. Entries never pin store.Snapshot values, so a full
 // cache adds no stale store generations to the live heap.
-const DefaultMaxEntries = 256
+const defaultMaxEntries = 256
 
 // keptValuesMax bounds the values a cache's results keep in their value
 // dictionaries. At ~200 bytes a value they pin at most ~50 MB: a result of
@@ -60,7 +60,7 @@ const keptValuesMax = 1 << 18
 // its result's dictionary holds, and past keptValuesMax drops the least
 // recently used entries' dictionaries. A removed entry's charge goes with it.
 type Cache struct {
-	rewriter   *Rewriter
+	ontology   *core.Ontology
 	maxEntries int
 
 	mu sync.Mutex
@@ -112,24 +112,15 @@ type CacheStats struct {
 	KeptValues int `json:"keptValues,omitempty"`
 }
 
-// NewCache returns a caching front-end for the rewriter with default
-// capacity bounds.
+// NewCache returns a rewriting cache over the rewriter's ontology, holding
+// up to defaultMaxEntries results.
 func NewCache(r *Rewriter) *Cache {
 	return &Cache{
-		rewriter:   r,
-		maxEntries: DefaultMaxEntries,
+		ontology:   r.Ontology,
+		maxEntries: defaultMaxEntries,
 		entries:    map[string]*cacheEntry{},
 		entryLRU:   list.New(),
 	}
-}
-
-// SetLimits bounds the number of memoized results (values < 1 are clamped
-// to 1). Shrinking evicts LRU-first immediately.
-func (c *Cache) SetLimits(maxEntries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxEntries = max(1, maxEntries)
-	c.evictLocked()
 }
 
 // Rewrite is RewriteContext without cancellation.
@@ -149,7 +140,7 @@ func (c *Cache) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
 }
 
 // Answer rewrites the OMQ as RewriteContext does and executes the result
-// (Rewriter.ExecuteResultIDs). A still cached result's entry then becomes the
+// (Result.Execute). A still cached result's entry then becomes the
 // most recently used and is charged what its result keeps; the least recently
 // used lose their dictionaries while the charges exceed keptValuesMax.
 func (c *Cache) Answer(ctx context.Context, omq *OMQ, resolver relational.WrapperResolver, limit int) (*relational.IDRelation, *Result, error) {
@@ -157,7 +148,7 @@ func (c *Cache) Answer(ctx context.Context, omq *OMQ, resolver relational.Wrappe
 	if err != nil {
 		return nil, nil, err
 	}
-	answer, err := c.rewriter.ExecuteResultIDs(ctx, res, resolver, limit)
+	answer, err := res.Execute(ctx, resolver, limit)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil || e == nil || c.entries[e.key] != e {
@@ -191,7 +182,7 @@ func (c *Cache) rewrite(ctx context.Context, omq *OMQ) (*Result, *cacheEntry, er
 	c.mu.Lock()
 	// Pinned under c.mu, the view is never behind the cache: views only move
 	// forward, and only a rewrite holding c.mu moves the cache, to its view.
-	v := c.rewriter.Ontology.View()
+	v := c.ontology.View()
 	gen := v.Generation()
 	c.revalidateLocked(v)
 	if e, ok := c.entries[key]; ok {

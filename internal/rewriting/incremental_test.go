@@ -80,7 +80,7 @@ func TestCacheEntrySurvivesUnrelatedRelease(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	o := buildOntology(t, false)
 	cache := NewCache(NewRewriter(o))
-	cache.SetLimits(1)
+	cache.maxEntries = 1
 	if _, err := cache.Rewrite(runningExampleOMQ()); err != nil {
 		t.Fatal(err)
 	}

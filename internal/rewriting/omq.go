@@ -61,9 +61,9 @@ func (q *OMQ) Clone() *OMQ {
 	return &OMQ{Pi: append([]rdf.IRI(nil), q.Pi...), Phi: q.Phi.Clone()}
 }
 
-// ReplaceProjection substitutes old with new in π (used by Algorithm 2 to
+// replaceProjection substitutes old with new in π (used by Algorithm 2 to
 // replace concept projections with their IDs).
-func (q *OMQ) ReplaceProjection(old, new rdf.IRI) {
+func (q *OMQ) replaceProjection(old, new rdf.IRI) {
 	for i, p := range q.Pi {
 		if p == old {
 			q.Pi[i] = new
@@ -88,13 +88,13 @@ func NewOMQ(pi []rdf.IRI, pattern ...rdf.Triple) *OMQ {
 	return &OMQ{Pi: append([]rdf.IRI(nil), pi...), Phi: g}
 }
 
-// FromSPARQL converts a restricted SPARQL query (the template of Code 3)
+// fromSPARQL converts a restricted SPARQL query (the template of Code 3)
 // into its ⟨π, φ⟩ representation: the projected variables must be bound by
 // the VALUES table to attribute IRIs, and the WHERE clause must contain only
 // constant triple patterns over G. A clause ⟨π, φ⟩ cannot express — FILTER,
 // LIMIT, OFFSET, or a FROM or GRAPH naming another graph than G — is an
 // error, not dropped; DISTINCT is accepted, as answers are sets anyway.
-func FromSPARQL(q *sparql.Query) (*OMQ, error) {
+func fromSPARQL(q *sparql.Query) (*OMQ, error) {
 	if err := unexpressibleClause(q); err != nil {
 		return nil, err
 	}
@@ -159,12 +159,12 @@ func ParseOMQ(text string) (*OMQ, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FromSPARQL(q)
+	return fromSPARQL(q)
 }
 
-// QueryConcepts returns the concepts mentioned in the pattern, in
+// queryConcepts returns the concepts mentioned in the pattern, in
 // topological order of φ (the traversal order used by Algorithm 3).
-func QueryConcepts(v *core.View, omq *OMQ) ([]rdf.IRI, error) {
+func queryConcepts(v *core.View, omq *OMQ) ([]rdf.IRI, error) {
 	order, ok := omq.Phi.TopologicalSort()
 	if !ok {
 		return nil, fmt.Errorf("rewriting: the OMQ graph pattern has at least one cycle")

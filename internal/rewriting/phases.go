@@ -24,7 +24,7 @@ type ExpandedQuery struct {
 // the ID features of every concept, which are needed to perform joins in the
 // later phases (step 2).
 func queryExpansion(v *core.View, omq *OMQ) (*ExpandedQuery, error) {
-	concepts, err := QueryConcepts(v, omq)
+	concepts, err := queryConcepts(v, omq)
 	if err != nil {
 		return nil, err
 	}
@@ -49,14 +49,15 @@ type PartialWalks struct {
 // of the expanded query, find the wrappers whose LAV mapping provides the
 // requested features (steps 3-5), build one partial walk per wrapper, and
 // prune wrappers that do not provide every requested feature of the concept
-// (step 6). ctx is checked before each concept's unit.
-func intraConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery) ([]PartialWalks, error) {
+// (step 6) or that the version policy does not admit. ctx is checked before
+// each concept's unit.
+func intraConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery, opts PolicyOptions) ([]PartialWalks, error) {
 	out := make([]PartialWalks, 0, len(eq.Concepts))
 	for _, c := range eq.Concepts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pw, err := intraConceptUnit(v, c, featuresRequestedFor(eq.Query, c))
+		pw, err := intraConceptUnit(v, c, featuresRequestedFor(eq.Query, c), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -67,8 +68,8 @@ func intraConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery
 
 // intraConceptUnit runs the per-concept body of Algorithm 4 for one concept
 // and its requested features (sorted, including the identifiers added by
-// expansion).
-func intraConceptUnit(v *core.View, c rdf.IRI, features []rdf.IRI) (PartialWalks, error) {
+// expansion), under the version policy.
+func intraConceptUnit(v *core.View, c rdf.IRI, features []rdf.IRI, opts PolicyOptions) (PartialWalks, error) {
 	// Step 3: the features requested for this concept.
 	if len(features) == 0 {
 		return PartialWalks{}, fmt.Errorf("rewriting: concept %s has no requested features after expansion (it lacks an identifier)", v.Compact(c))
@@ -97,16 +98,26 @@ func intraConceptUnit(v *core.View, c rdf.IRI, features []rdf.IRI) (PartialWalks
 			p.covered++
 		}
 	}
-	// Step 6: prune wrappers that do not cover all requested features.
+	// Step 6: prune wrappers that do not cover all requested features, then
+	// those the policy does not admit.
 	pw := PartialWalks{Concept: c}
+	covering := 0
 	for _, w := range slices.Sorted(maps.Keys(perWrapper)) {
-		if p := perWrapper[w]; p.covered == len(features) {
+		p := perWrapper[w]
+		if p.covered < len(features) {
+			continue
+		}
+		covering++
+		if wrapperAdmitted(v, opts, w) {
 			p.walk.MergeProjections()
 			pw.Walks = append(pw.Walks, p.walk)
 		}
 	}
-	if len(pw.Walks) == 0 {
+	switch {
+	case covering == 0:
 		return PartialWalks{}, fmt.Errorf("rewriting: no wrapper provides all requested features of concept %s", v.Compact(c))
+	case len(pw.Walks) == 0:
+		return PartialWalks{}, fmt.Errorf("rewriting: under policy %s no wrapper provides concept %s", opts.Policy, v.Compact(c))
 	}
 	return pw, nil
 }
@@ -136,7 +147,7 @@ func interConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery
 		plan := planJoin(v, eq.Query, current, next)
 		var joined []*relational.Walk
 		// Step 7: cartesian product of the partial walk lists.
-		for l, left := range current.Walks {
+		for _, left := range current.Walks {
 			for r, right := range next.Walks {
 				if merges++; merges >= rewriteCheckEvery {
 					merges = 0
@@ -148,7 +159,7 @@ func interConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery
 				// already materializes the join; otherwise steps 9-10 join
 				// the two concepts through the plan.
 				merged := left.Merge(right)
-				if sharesWrapper(left, right) || plan.join(merged, l, r) {
+				if sharesWrapper(left, right) || plan.join(merged, r) {
 					joined = appendValidWalk(joined, merged)
 				}
 			}
@@ -179,18 +190,17 @@ func appendValidWalk(walks []*relational.Walk, w *relational.Walk) []*relational
 }
 
 // joinPlan is steps 9-10 of Algorithm 5 resolved once for a pair of
-// consecutive concepts. providers are the wrappers providing the edge
-// between them that hold an attribute of the ID-side concept's first
-// identifier, in the view's order; the ID side is the next concept when some
-// wrapper provides the edge in traversal order, and the current one
-// otherwise. ids holds, per partial walk of the ID side, its wrapper and
-// attribute providing that identifier: the first such wrapper in name order
-// (lines 13-14), or the zero value. A plan without providers joins nothing:
-// φ has no edge between the two concepts, no wrapper provides one, the
-// ID-side concept has no identifier, or no edge provider holds it.
+// consecutive concepts. The traversal order is a topological order of φ, so
+// an edge of φ between the two runs from the current concept to the next
+// one. providers are the wrappers providing that edge that hold an attribute
+// of the next concept's first identifier, in the view's order. ids holds,
+// per partial walk of the next concept, its wrapper and attribute providing
+// that identifier: the first such wrapper in name order (lines 13-14), or
+// the zero value. A plan without providers joins nothing: φ has no edge
+// between the two concepts, no wrapper provides one, the next concept has
+// no identifier, or no edge provider holds it.
 type joinPlan struct {
 	providers []wrapperAttr
-	idOnRight bool
 	ids       []wrapperAttr
 }
 
@@ -199,22 +209,17 @@ type joinPlan struct {
 type wrapperAttr struct{ wrapper, attr string }
 
 func planJoin(v *core.View, q *OMQ, current, next PartialWalks) joinPlan {
-	if !edgeInQuery(q, current.Concept, next.Concept) && !edgeInQuery(q, next.Concept, current.Concept) {
+	if !edgeInQuery(q, current.Concept, next.Concept) {
 		return joinPlan{}
 	}
-	plan := joinPlan{idOnRight: true}
-	idSide, edge := next, v.WrappersProvidingEdge(current.Concept, next.Concept)
-	if len(edge) == 0 {
-		plan.idOnRight = false
-		idSide, edge = current, v.WrappersProvidingEdge(next.Concept, current.Concept)
-	}
 	// Line 12: the ID feature of the concept.
-	ids := v.IdentifiersOf(idSide.Concept)
+	ids := v.IdentifiersOf(next.Concept)
 	if len(ids) == 0 {
 		return joinPlan{}
 	}
 	fID := ids[0]
-	for _, w := range edge {
+	var plan joinPlan
+	for _, w := range v.WrappersProvidingEdge(current.Concept, next.Concept) {
 		if attr, ok := v.AttributeOfFeatureInWrapper(w, fID); ok {
 			plan.providers = append(plan.providers, wrapperAttr{core.WrapperLocalName(w), core.AttributeName(attr)})
 		}
@@ -222,8 +227,8 @@ func planJoin(v *core.View, q *OMQ, current, next PartialWalks) joinPlan {
 	if len(plan.providers) == 0 {
 		return joinPlan{}
 	}
-	plan.ids = make([]wrapperAttr, len(idSide.Walks))
-	for i, walk := range idSide.Walks {
+	plan.ids = make([]wrapperAttr, len(next.Walks))
+	for i, walk := range next.Walks {
 		for _, name := range walk.WrapperNames() {
 			if attr, ok := v.AttributeOfFeatureInWrapper(core.WrapperURI(name), fID); ok {
 				plan.ids[i] = wrapperAttr{name, core.AttributeName(attr)}
@@ -248,20 +253,16 @@ func edgeInQuery(q *OMQ, from, to rdf.IRI) bool {
 }
 
 // join adds to merged, in place, the restricted joins between each edge
-// provider of the walk and the ID-side wrapper on the identifier (Algorithm
-// 5, lines 15-17); an edge provider that is the ID-side wrapper needs none.
-// merged is the merge of the l-th current and the r-th next partial walk.
-// join reports whether merged has an edge provider and its ID side provides
-// the identifier.
-func (p *joinPlan) join(merged *relational.Walk, l, r int) bool {
+// provider of the walk and the next concept's wrapper on the identifier
+// (Algorithm 5, lines 15-17). merged is the merge of a current and the r-th
+// next partial walk. join reports whether it added a join condition: an edge
+// provider that is itself the identifier's wrapper adds none, and a walk
+// joined through nothing else could not run.
+func (p *joinPlan) join(merged *relational.Walk, r int) bool {
 	if len(p.providers) == 0 {
 		return false
 	}
-	side := l
-	if p.idOnRight {
-		side = r
-	}
-	id := p.ids[side]
+	id := p.ids[r]
 	if id.wrapper == "" {
 		return false
 	}
@@ -269,16 +270,14 @@ func (p *joinPlan) join(merged *relational.Walk, l, r int) bool {
 	for _, edge := range p.providers {
 		// An edge provider outside this candidate walk would add a wrapper
 		// the analyst's concepts do not require; another pair covers it.
-		if !merged.HasWrapper(edge.wrapper) {
+		if !merged.HasWrapper(edge.wrapper) || edge.wrapper == id.wrapper {
 			continue
 		}
 		added = true
-		if edge.wrapper != id.wrapper {
-			merged.AddJoin(relational.JoinCondition{
-				LeftWrapper: edge.wrapper, LeftAttr: edge.attr,
-				RightWrapper: id.wrapper, RightAttr: id.attr,
-			})
-		}
+		merged.AddJoin(relational.JoinCondition{
+			LeftWrapper: edge.wrapper, LeftAttr: edge.attr,
+			RightWrapper: id.wrapper, RightAttr: id.attr,
+		})
 	}
 	return added
 }
@@ -296,9 +295,10 @@ func QueryExpansion(o *core.Ontology, omq *OMQ) (*ExpandedQuery, error) {
 	return queryExpansion(o.View(), omq)
 }
 
-// IntraConceptGeneration is Algorithm 4 on the ontology's current view.
+// IntraConceptGeneration is Algorithm 4 on the ontology's current view,
+// under AllVersions.
 func IntraConceptGeneration(o *core.Ontology, eq *ExpandedQuery) ([]PartialWalks, error) {
-	return intraConceptGeneration(context.Background(), o.View(), eq)
+	return intraConceptGeneration(context.Background(), o.View(), eq, PolicyOptions{})
 }
 
 // InterConceptGenerationContext is Algorithm 5 on the ontology's current

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bdi/internal/core"
+	"bdi/internal/rdf"
 )
 
 // VersionPolicy restricts which schema versions (wrappers) a rewriting may
@@ -45,10 +46,9 @@ type PolicyOptions struct {
 	Release int
 }
 
-// wrapperAdmitted reports whether a wrapper may participate in walks under
-// the policy.
-func wrapperAdmitted(v *core.View, opts PolicyOptions, wrapperName string) bool {
-	w := core.WrapperURI(wrapperName)
+// wrapperAdmitted reports whether the wrapper w may participate in walks
+// under the policy. Algorithm 4 asks it of every wrapper covering a concept.
+func wrapperAdmitted(v *core.View, opts PolicyOptions, w rdf.IRI) bool {
 	switch opts.Policy {
 	case LatestVersionsOnly:
 		sourceIRI, ok := v.SourceOfWrapper(w)
@@ -63,35 +63,4 @@ func wrapperAdmitted(v *core.View, opts PolicyOptions, wrapperName string) bool 
 	default:
 		return true
 	}
-}
-
-// filterPartialWalks drops partial walks that reference wrappers excluded by
-// the policy. It returns an error when a concept loses all of its providers,
-// mirroring the error Algorithm 4 raises when a concept is uncovered.
-func filterPartialWalks(v *core.View, opts PolicyOptions, partials []PartialWalks) ([]PartialWalks, error) {
-	if opts.Policy == AllVersions {
-		return partials, nil
-	}
-	out := make([]PartialWalks, 0, len(partials))
-	for _, pw := range partials {
-		filtered := PartialWalks{Concept: pw.Concept}
-		for _, walk := range pw.Walks {
-			admitted := true
-			for _, name := range walk.WrapperNames() {
-				if !wrapperAdmitted(v, opts, name) {
-					admitted = false
-					break
-				}
-			}
-			if admitted {
-				filtered.Walks = append(filtered.Walks, walk)
-			}
-		}
-		if len(filtered.Walks) == 0 {
-			return nil, fmt.Errorf("rewriting: under policy %s no wrapper provides concept %s",
-				opts.Policy, v.Compact(pw.Concept))
-		}
-		out = append(out, filtered)
-	}
-	return out, nil
 }

@@ -78,7 +78,7 @@ func TestPolicyIsOnlyAFilterRandomizedSchedules(t *testing.T) {
 								want = append(want, w.String())
 							}
 						}
-						res, err := r.RewriteWithPolicy(context.Background(), q, p)
+						res, err := rewriting.RewriteWithPolicy(context.Background(), ec.Ontology, q, p)
 						switch {
 						case len(want) == 0 && err == nil:
 							t.Fatalf("step %d query %d %s(%d): the policy admits no all-versions walk, yet the rewrite returned\n%s",

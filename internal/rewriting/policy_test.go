@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
 
 	"bdi/internal/core"
@@ -13,12 +12,12 @@ import (
 
 // TestRewriteWithPolicyAllVersions pins that the policy rewrite is the plain
 // rewrite plus a partial-walk filter: under AllVersions (an empty filter) the
-// two produce identical results, down to walk rendering and the order of the
-// requested attributes.
+// two produce identical results, down to walk rendering and the output
+// columns.
 func TestRewriteWithPolicyAllVersions(t *testing.T) {
 	o := buildOntology(t, true)
 	r := NewRewriter(o)
-	res, err := r.RewriteWithPolicy(context.Background(), runningExampleOMQ(), PolicyOptions{Policy: AllVersions})
+	res, err := RewriteWithPolicy(context.Background(), o, runningExampleOMQ(), PolicyOptions{Policy: AllVersions})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,25 +34,19 @@ func TestRewriteWithPolicyAllVersions(t *testing.T) {
 	if got, want := fmt.Sprint(res.UCQ.Signatures()), fmt.Sprint(plain.UCQ.Signatures()); got != want {
 		t.Errorf("all-versions signatures = %s, Rewrite gives %s", got, want)
 	}
-	if got, want := fmt.Sprint(res.UCQ.RequestedAttributes), fmt.Sprint(plain.UCQ.RequestedAttributes); got != want {
-		t.Errorf("all-versions requested attributes = %s, Rewrite gives %s", got, want)
-	}
-	if !sort.StringsAreSorted(res.UCQ.RequestedAttributes) {
-		t.Errorf("requested attributes not sorted: %v", res.UCQ.RequestedAttributes)
-	}
-	if got, want := fmt.Sprint(res.UCQ.RequestedFeatures), fmt.Sprint(plain.UCQ.RequestedFeatures); got != want {
-		t.Errorf("all-versions requested features = %s, Rewrite gives %s", got, want)
+	if got, want := fmt.Sprint(res.columns), fmt.Sprint(plain.columns); got != want {
+		t.Errorf("all-versions output columns = %s, Rewrite gives %s", got, want)
 	}
 }
 
 // TestRewriteWithPolicyHonorsCancellation checks a policy rewrite aborts on a
 // cancelled context like every other rewrite.
 func TestRewriteWithPolicyHonorsCancellation(t *testing.T) {
-	r := NewRewriter(buildOntology(t, true))
+	o := buildOntology(t, true)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, p := range []VersionPolicy{AllVersions, LatestVersionsOnly} {
-		if _, err := r.RewriteWithPolicy(ctx, runningExampleOMQ(), PolicyOptions{Policy: p}); !errors.Is(err, context.Canceled) {
+		if _, err := RewriteWithPolicy(ctx, o, runningExampleOMQ(), PolicyOptions{Policy: p}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: cancelled policy rewrite returned %v, want context.Canceled", p, err)
 		}
 	}
@@ -62,7 +55,7 @@ func TestRewriteWithPolicyHonorsCancellation(t *testing.T) {
 func TestRewriteWithPolicyLatestOnly(t *testing.T) {
 	o := buildOntology(t, true)
 	r := NewRewriter(o)
-	res, err := r.RewriteWithPolicy(context.Background(), runningExampleOMQ(), PolicyOptions{Policy: LatestVersionsOnly})
+	res, err := RewriteWithPolicy(context.Background(), o, runningExampleOMQ(), PolicyOptions{Policy: LatestVersionsOnly})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +77,13 @@ func TestRewriteWithPolicyLatestOnly(t *testing.T) {
 
 func TestRewriteWithPolicyAsOfRelease(t *testing.T) {
 	o := buildOntology(t, true)
-	r := NewRewriter(o)
 	// Release sequence: w1=1, w2=2, w3=3, w4=4. As of release 3, w4 does not
 	// exist yet, so the rewriting matches the pre-evolution behaviour.
 	seq, ok := o.View().RegistrationOrder(core.WrapperURI("w3"))
 	if !ok || seq != 3 {
 		t.Fatalf("registration order of w3 = %d, %v", seq, ok)
 	}
-	res, err := r.RewriteWithPolicy(context.Background(), runningExampleOMQ(), PolicyOptions{Policy: AsOfRelease, Release: 3})
+	res, err := RewriteWithPolicy(context.Background(), o, runningExampleOMQ(), PolicyOptions{Policy: AsOfRelease, Release: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +93,7 @@ func TestRewriteWithPolicyAsOfRelease(t *testing.T) {
 	}
 	// As of release 1 only w1 exists: the query is unanswerable (no provider
 	// for applicationId).
-	if _, err := r.RewriteWithPolicy(context.Background(), runningExampleOMQ(), PolicyOptions{Policy: AsOfRelease, Release: 1}); err == nil {
+	if _, err := RewriteWithPolicy(context.Background(), o, runningExampleOMQ(), PolicyOptions{Policy: AsOfRelease, Release: 1}); err == nil {
 		t.Error("as-of-1 should fail: applicationId has no provider yet")
 	}
 }
@@ -130,22 +122,22 @@ func TestPolicyStringAndAdmission(t *testing.T) {
 		}
 	}
 	v := buildOntology(t, true).View()
-	if !wrapperAdmitted(v, PolicyOptions{Policy: AllVersions}, "w1") {
+	if !wrapperAdmitted(v, PolicyOptions{Policy: AllVersions}, core.WrapperURI("w1")) {
 		t.Error("all-versions admits everything")
 	}
-	if wrapperAdmitted(v, PolicyOptions{Policy: LatestVersionsOnly}, "w1") {
+	if wrapperAdmitted(v, PolicyOptions{Policy: LatestVersionsOnly}, core.WrapperURI("w1")) {
 		t.Error("w1 is superseded by w4 under latest-only")
 	}
-	if !wrapperAdmitted(v, PolicyOptions{Policy: LatestVersionsOnly}, "w4") {
+	if !wrapperAdmitted(v, PolicyOptions{Policy: LatestVersionsOnly}, core.WrapperURI("w4")) {
 		t.Error("w4 is the latest D1 wrapper")
 	}
-	if wrapperAdmitted(v, PolicyOptions{Policy: LatestVersionsOnly}, "unknown") {
+	if wrapperAdmitted(v, PolicyOptions{Policy: LatestVersionsOnly}, core.WrapperURI("unknown")) {
 		t.Error("unknown wrappers are not admitted under latest-only")
 	}
-	if !wrapperAdmitted(v, PolicyOptions{Policy: AsOfRelease, Release: 2}, "w2") {
+	if !wrapperAdmitted(v, PolicyOptions{Policy: AsOfRelease, Release: 2}, core.WrapperURI("w2")) {
 		t.Error("w2 was registered second")
 	}
-	if wrapperAdmitted(v, PolicyOptions{Policy: AsOfRelease, Release: 2}, "w3") {
+	if wrapperAdmitted(v, PolicyOptions{Policy: AsOfRelease, Release: 2}, core.WrapperURI("w3")) {
 		t.Error("w3 was registered third")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"bdi/internal/core"
@@ -69,7 +68,10 @@ func (c *coverageChecker) covers(names []string) (covering, minimal bool) {
 	return true, len(names) == 1 || needed == len(names)
 }
 
-// Rewriter orchestrates the three-phase query rewriting over a BDI ontology.
+// Rewriter is the uncached rewriting of an ontology, kept for the frozen
+// bench module, which pins its constructor and methods. Cache and
+// RewriteWithPolicy are the rewriting entry points; Result.Execute runs a
+// result.
 type Rewriter struct {
 	Ontology *core.Ontology
 }
@@ -86,13 +88,9 @@ func NewRewriter(o *core.Ontology) *Rewriter {
 // snapshot, and its output columns stay those of the generation it was
 // rewritten on.
 type Result struct {
-	// WellFormed is the query after Algorithm 2.
-	WellFormed *OMQ
 	// Expanded is the query after Algorithm 3, with the traversal order of
-	// its concepts.
+	// its concepts: the cache's footprint and the view's concepts.
 	Expanded *ExpandedQuery
-	// PartialWalks are the per-concept walks of Algorithm 4.
-	PartialWalks []PartialWalks
 	// UCQ is the union of covering and minimal walks over the wrappers.
 	UCQ *relational.UnionOfConjunctiveQueries
 
@@ -136,26 +134,25 @@ func (r *Rewriter) Rewrite(omq *OMQ) (*Result, error) {
 	return r.RewriteContext(context.Background(), omq)
 }
 
-// RewriteContext runs Algorithms 2-5 on the given OMQ, all on one view of
-// the ontology, and returns the union of conjunctive queries over the
-// wrappers. The phase boundaries and the (potentially exponential)
-// inter-concept generation and coverage loops check ctx cooperatively, so a
-// cancelled client or an expired deadline aborts a pathological rewrite
-// mid-flight.
+// RewriteContext is RewriteWithPolicy under AllVersions: Algorithms 2-5 on
+// the ontology's current view, uncached.
 func (r *Rewriter) RewriteContext(ctx context.Context, omq *OMQ) (*Result, error) {
-	return r.RewriteWithPolicy(ctx, omq, PolicyOptions{Policy: AllVersions})
+	return RewriteWithPolicy(ctx, r.Ontology, omq, PolicyOptions{Policy: AllVersions})
 }
 
-// RewriteWithPolicy is RewriteContext restricted to the schema versions the
-// policy admits: the partial walks of Algorithm 4 are filtered before
-// Algorithm 5 joins them, which is the only difference between the two.
-func (r *Rewriter) RewriteWithPolicy(ctx context.Context, omq *OMQ, opts PolicyOptions) (*Result, error) {
-	return rewriteOn(ctx, r.Ontology.View(), omq, opts)
+// RewriteWithPolicy runs Algorithms 2-5 on the given OMQ, all on one view of
+// the ontology, and returns the union of conjunctive queries over the
+// wrappers the policy admits: Algorithm 4 drops the other wrappers, which is
+// the only difference a policy makes. The phase boundaries and the
+// (potentially exponential) inter-concept generation and coverage loops
+// check ctx cooperatively, so a cancelled client or an expired deadline
+// aborts a pathological rewrite mid-flight.
+func RewriteWithPolicy(ctx context.Context, o *core.Ontology, omq *OMQ, opts PolicyOptions) (*Result, error) {
+	return rewriteOn(ctx, o.View(), omq, opts)
 }
 
 // rewriteOn runs Algorithms 2-5 on one view: the one sequence behind the
-// rewriter and the rewriting cache. The version policy filters the partial
-// walks of Algorithm 4 before Algorithm 5 joins them.
+// policy rewrite and the rewriting cache.
 func rewriteOn(ctx context.Context, v *core.View, omq *OMQ, opts PolicyOptions) (*Result, error) {
 	wf, err := wellFormedQuery(v, omq)
 	if err != nil {
@@ -165,11 +162,7 @@ func rewriteOn(ctx context.Context, v *core.View, omq *OMQ, opts PolicyOptions) 
 	if err != nil {
 		return nil, err
 	}
-	partials, err := intraConceptGeneration(ctx, v, expanded)
-	if err != nil {
-		return nil, err
-	}
-	partials, err = filterPartialWalks(v, opts, partials)
+	partials, err := intraConceptGeneration(ctx, v, expanded, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -179,8 +172,8 @@ func rewriteOn(ctx context.Context, v *core.View, omq *OMQ, opts PolicyOptions) 
 }
 
 // assemble runs Algorithm 5 over the per-concept partial walks, filters the
-// candidates with the coverage and minimality properties and records the
-// requested attributes and the output columns, all on the view.
+// candidates with the coverage and minimality properties and declares the
+// output columns, all on the view.
 func assemble(ctx context.Context, v *core.View, wf *OMQ, expanded *ExpandedQuery, partials []PartialWalks) (*Result, error) {
 	walks, err := interConceptGeneration(ctx, v, expanded, partials)
 	if err != nil {
@@ -205,35 +198,24 @@ func assemble(ctx context.Context, v *core.View, wf *OMQ, expanded *ExpandedQuer
 	}
 	// A result can live long in the cache; the dedup index Add kept need not.
 	ucq = &relational.UnionOfConjunctiveQueries{Walks: ucq.Walks}
-
-	// Record the requested features and their source-level attributes so the
-	// executor can project the analyst-visible columns.
-	for _, f := range wf.Pi {
-		ucq.RequestedFeatures = append(ucq.RequestedFeatures, string(f))
-		for _, attr := range v.AttributesOfFeature(f) {
-			ucq.RequestedAttributes = append(ucq.RequestedAttributes, core.AttributeName(attr))
-		}
-	}
-	sort.Strings(ucq.RequestedAttributes)
-
 	columns := featureColumns(v, wf.Pi, ucq.Walks)
-	return &Result{WellFormed: wf, Expanded: expanded, PartialWalks: partials, UCQ: ucq,
+	return &Result{Expanded: expanded, UCQ: ucq,
 		columns: columns, union: relational.NewUnion(ucq.Walks, "answer", columns)}, nil
 }
 
-// ExecuteResultIDs executes the result's union of walks on the compiled
-// engine (relational.Union.Execute), one column per requested feature: the
-// first execution compiles the program and later ones reuse it, ctx and its
-// budget bound every walk, and limit > 0 keeps the first limit distinct rows
-// in walk order. The rows are in canonical order, still in the ID domain.
-func (r *Rewriter) ExecuteResultIDs(ctx context.Context, res *Result, resolver relational.WrapperResolver, limit int) (*relational.IDRelation, error) {
-	return res.union.Execute(ctx, resolver, limit)
+// Execute executes the result's union of walks on the compiled engine
+// (relational.Union.Execute), one column per requested feature: the first
+// execution compiles the program and later ones reuse it, ctx and its budget
+// bound every walk, and limit > 0 keeps the first limit distinct rows in
+// walk order. The rows are in canonical order, still in the ID domain.
+func (r *Result) Execute(ctx context.Context, resolver relational.WrapperResolver, limit int) (*relational.IDRelation, error) {
+	return r.union.Execute(ctx, resolver, limit)
 }
 
-// ExecuteResultLimit is ExecuteResultIDs decoded into tuples. The frozen
-// bench module pins it; the MDM server encodes the ID-domain answer instead.
+// ExecuteResultLimit is Result.Execute decoded into tuples. The frozen bench
+// module pins it; the MDM server encodes the ID-domain answer instead.
 func (r *Rewriter) ExecuteResultLimit(ctx context.Context, res *Result, resolver relational.WrapperResolver, limit int) (*relational.Relation, error) {
-	answer, err := r.ExecuteResultIDs(ctx, res, resolver, limit)
+	answer, err := res.Execute(ctx, resolver, limit)
 	if err != nil {
 		return nil, err
 	}

@@ -164,7 +164,7 @@ func TestWellFormedQueryAcceptsRunningExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsWellFormed(o.View(), wf) {
+	if !isWellFormed(o.View(), wf) {
 		t.Error("query should be well-formed")
 	}
 	if len(wf.Pi) != 2 {
@@ -182,7 +182,7 @@ func TestWellFormedQueryRewritesConceptProjections(t *testing.T) {
 		rdf.T(core.SupSoftwareApplication, core.SupHasMonitor, core.SupMonitor),
 		rdf.T(core.SupSoftwareApplication, core.SupHasFGTool, core.SupFeedbackGathering),
 	)
-	if IsWellFormed(o.View(), omq) {
+	if isWellFormed(o.View(), omq) {
 		t.Fatal("query projecting concepts must not be well-formed")
 	}
 	wf, err := WellFormedQuery(o, omq)
@@ -199,7 +199,7 @@ func TestWellFormedQueryRewritesConceptProjections(t *testing.T) {
 	if !wf.Phi.Contains(rdf.T(core.SupMonitor, core.GHasFeature, core.SupMonitorID)) {
 		t.Error("hasFeature edge for monitorId missing")
 	}
-	if !IsWellFormed(o.View(), wf) {
+	if !isWellFormed(o.View(), wf) {
 		t.Error("rewritten query should be well-formed")
 	}
 }
