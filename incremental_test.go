@@ -10,8 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"bdi/internal/relational"
 	"bdi/internal/rewriting"
 	"bdi/internal/workload"
+	"bdi/internal/wrapper"
 )
 
 // TestIncrementalRewriteParityRandomizedSchedules proves the acceptance
@@ -19,7 +21,8 @@ import (
 // randomized schedules interleaving related releases, unrelated releases
 // and repeated rewrites, the cache — serving retained results or rebuilding
 // retired ones — produces byte-identical UCQ output (walks, projections, joins)
-// compared to a from-scratch run of Algorithms 2-5 at every step.
+// compared to a from-scratch run of Algorithms 2-5 at every step, and every
+// walk of it runs on one row per wrapper (requireEveryWalkRuns).
 func TestIncrementalRewriteParityRandomizedSchedules(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -34,6 +37,7 @@ func TestIncrementalRewriteParityRandomizedSchedules(t *testing.T) {
 
 			assertParity := func(step int) {
 				t.Helper()
+				resolver := oneRowResolver(ec.Registry)
 				for qi, q := range queries {
 					cRes, cErr := cache.Rewrite(q)
 					fRes, fErr := full.Rewrite(q)
@@ -52,6 +56,7 @@ func TestIncrementalRewriteParityRandomizedSchedules(t *testing.T) {
 					if got, want := strings.Join(cRes.UCQ.Signatures(), ","), strings.Join(fRes.UCQ.Signatures(), ","); got != want {
 						t.Fatalf("step %d query %d: signatures diverged: %s vs %s", step, qi, got, want)
 					}
+					requireEveryWalkRuns(t, fRes, resolver)
 				}
 			}
 
@@ -79,6 +84,56 @@ func TestIncrementalRewriteParityRandomizedSchedules(t *testing.T) {
 				t.Errorf("schedule never exercised the incremental paths: %+v", st)
 			}
 		})
+	}
+}
+
+// oneRowResolver is a source-qualified resolver over the wrappers of reg
+// holding one row per wrapper: every ID attribute is 1, so every restricted
+// join of a connected walk matches, and every other attribute holds its
+// wrapper's name. It mirrors rewriting.OneRowResolver, a test helper this
+// package cannot import.
+func oneRowResolver(reg *wrapper.Registry) relational.WrapperResolver {
+	one := wrapper.NewRegistry()
+	for _, name := range reg.Names() {
+		w, _ := reg.Get(name)
+		row := relational.Tuple{}
+		for _, a := range w.Schema().Attributes {
+			row[a.Name] = name
+			if a.ID {
+				row[a.Name] = 1
+			}
+		}
+		one.Register(wrapper.NewMemory(w.Name(), w.Source(), w.Schema(), []relational.Tuple{row}))
+	}
+	return wrapper.NewQualifiedResolver(one)
+}
+
+// requireEveryWalkRuns executes each walk of res on its own over a
+// oneRowResolver, where it must return exactly one row holding every
+// attribute it projects, and then res itself (Result.Execute). A failure
+// names the walk. It mirrors rewriting.RequireResultRuns.
+func requireEveryWalkRuns(t *testing.T, res *rewriting.Result, resolver relational.WrapperResolver) {
+	t.Helper()
+	for _, w := range res.UCQ.Walks {
+		rel, err := w.Execute(context.Background(), resolver)
+		if err != nil {
+			t.Fatalf("walk %s does not run: %v", w, err)
+		}
+		if n := rel.Cardinality(); n != 1 {
+			t.Fatalf("walk %s returned %d rows over one row per wrapper, want 1", w, n)
+		}
+		for _, a := range w.Projections() {
+			if !rel.Schema.Has(a) {
+				t.Fatalf("walk %s returned no %s: %s", w, a, rel.Schema)
+			}
+		}
+	}
+	answer, err := res.Execute(context.Background(), resolver, 0)
+	if err != nil {
+		t.Fatalf("UCQ %s does not run: %v", res.UCQ, err)
+	}
+	if n := len(answer.Rows); n < 1 || n > res.UCQ.Len() {
+		t.Fatalf("UCQ %s returned %d rows over one row per wrapper, want 1 to %d", res.UCQ, n, res.UCQ.Len())
 	}
 }
 

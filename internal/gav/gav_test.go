@@ -56,6 +56,12 @@ func TestUnfoldErrors(t *testing.T) {
 	if _, err := s.Unfold([]rdf.IRI{rdf.IRI("http://ex/unknown")}); err == nil {
 		t.Error("unknown feature should fail")
 	}
+	// w1 and w2 join only through w3, which neither feature needs: the walk
+	// is refused when it is unfolded, not when it runs.
+	want := "relational: wrapper w2 is not connected by any join in the walk"
+	if _, err := s.Unfold([]rdf.IRI{core.SupLagRatio, core.SupDescription}); err == nil || err.Error() != want {
+		t.Errorf("disconnected unfolding: error %v, want %q", err, want)
+	}
 }
 
 func TestGAVBreaksUnderEvolution(t *testing.T) {

@@ -153,10 +153,12 @@ func NewUnion(walks []*Walk, name string, output []OutputColumn) *Union {
 //
 // The engine reproduces the reference executor (Walk.ExecuteReference and
 // friends) observably: result name, schema attribute order, the sorted
-// canonical rendering of the tuples (Relation.String), and every structural
-// error byte-for-byte, in the reference order. Budget trip points may differ
-// from the reference's because each wrapper is fetched once per execution
-// instead of once per walk; they do not differ between executions.
+// canonical rendering of the tuples (Relation.String), and every error
+// byte-for-byte, in the reference order: per walk, Walk.Validate's first,
+// then fetch and budget errors, then the restricted-join ID checks along
+// the walk's join order. Budget trip points may differ from the
+// reference's because each wrapper is fetched once per execution instead
+// of once per walk; they do not differ between executions.
 func (un *Union) Execute(ctx context.Context, resolver WrapperResolver, limit int) (*IDRelation, error) {
 	ctx, span := obs.StartSpan(ctx, "eval")
 	span.SetAttrInt("walks", int64(len(un.walks)))

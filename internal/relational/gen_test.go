@@ -435,6 +435,43 @@ func executeUnion(ctx context.Context, walks []*Walk, resolver WrapperResolver, 
 	return NewUnion(walks, opts.Name, opts.Output).Execute(ctx, resolver, opts.Limit)
 }
 
+// ExecuteReference evaluates the union with the reference executor, the
+// serial oracle Execute is checked against: each walk runs through
+// Walk.ExecuteReference, is restricted to the requested attributes
+// available in that walk (all of its attributes when requested is empty),
+// unioned and deduplicated.
+func (u *UnionOfConjunctiveQueries) ExecuteReference(ctx context.Context, resolver WrapperResolver, requested []string) (*Relation, error) {
+	if u.IsEmpty() {
+		return NewRelation("∅", Schema{}), nil
+	}
+	var result *Relation
+	for _, w := range u.Walks {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rel, err := w.ExecuteReference(ctx, resolver)
+		if err != nil {
+			return nil, err
+		}
+		if len(requested) > 0 {
+			var keep []string
+			for _, a := range requested {
+				if rel.Schema.Has(a) {
+					keep = append(keep, a)
+				}
+			}
+			rel = rel.StrictProject(keep)
+		}
+		if result == nil {
+			result = rel
+		} else {
+			result = result.Union(rel)
+		}
+	}
+	result.Name = "answer"
+	return result.Distinct(), nil
+}
+
 // Execute evaluates the union on the compiled engine: each walk's result is
 // restricted to the requested attributes it carries, and the results are
 // unioned and deduplicated. ExecuteReference is the serial executor it is

@@ -186,9 +186,8 @@ type compiler struct {
 
 	// Per-walk scratch, reused across walks.
 	local     []*planInput // the walk's inputs, one per distinct wrapper
-	joined    []bool
+	walkSteps []joinStep   // the walk's join order (Walk.validate)
 	joins     []walkJoin
-	remaining []int32
 	refSteps  []stepRef
 	physSteps []stepRef
 	refOrder  []int32
@@ -311,12 +310,13 @@ func (u *compiler) find(wrapper string) int32 {
 // compileWalk validates one walk, has ex fetch the wrappers it has not
 // fetched yet, charges the budget per wrapper occurrence with the reference
 // cost model, and appends the walk's plan. It surfaces exactly the errors
-// the reference executor raises, in the reference order: Validate first,
-// then fetch and budget errors per wrapper, then (for multi-wrapper walks)
-// the restricted-join ID checks in consumption order, the disconnected-joins
-// error, and the unconnected-wrapper error.
+// the reference executor raises, in the reference order: Validate's first
+// (the one walk-validity rule, which also fixes the join order), then fetch
+// and budget errors per wrapper, then the restricted-join ID checks in join
+// order.
 func (u *compiler) compileWalk(ctx context.Context, track *lifecycle.Tracker, ex *execution, w *Walk) error {
-	if err := w.Validate(); err != nil {
+	var err error
+	if u.walkSteps, err = w.validate(u.walkSteps[:0], true); err != nil {
 		return err
 	}
 	// Later duplicate entries of a wrapper overwrite earlier ones, as the
@@ -367,23 +367,15 @@ func (u *compiler) compileWalk(ctx context.Context, track *lifecycle.Tracker, ex
 	start := u.local[0]
 	wp := walkPlan{stepLo: int32(len(u.steps)), outLo: int32(len(u.outs))}
 	u.resetAcc()
-	multi, shared := len(w.Wrappers) > 1, false
-	if multi {
-		var err error
-		if shared, err = u.simulateReference(w); err != nil {
-			return err
-		}
-	} else {
-		// Single-wrapper walks return the projected relation directly; the
-		// reference executor never enters its join loop for them.
-		u.merge(u.local[0])
-		u.refOrder = append(u.refOrder[:0], 0)
+	shared, err := u.simulateReference(w)
+	if err != nil {
+		return err
 	}
 	if u.output == nil {
 		u.refAcc = append(u.refAcc[:0], u.acc...)
 	}
-	if multi {
-		first, steps := u.planPhysical(shared)
+	if len(u.walkSteps) > 0 {
+		first, steps := u.planPhysical(w, shared)
 		start = u.local[first]
 		u.resetAcc()
 		u.emit(first, steps)
@@ -452,71 +444,31 @@ func (u *compiler) merge(in *planInput) (shared bool) {
 	return shared
 }
 
-// simulateReference replays the reference executor's join-consumption loop
-// on schemas alone, fixing the merged schema order (u.acc), the consumption
-// order (u.refSteps, u.refOrder) and the structural errors byte-for-byte. It
+// simulateReference follows the walk's join order (u.walkSteps) on schemas
+// alone, fixing the merged schema order (u.acc) and the consumption order
+// (u.refSteps, u.refOrder), and checks, with the reference executor's error
+// text, that every step bringing a wrapper in joins on ID attributes. It
 // reports whether an attribute name appears in two distinct inputs.
 func (u *compiler) simulateReference(w *Walk) (shared bool, err error) {
-	u.joins, u.remaining = u.joins[:0], u.remaining[:0]
-	for i, j := range w.Joins {
-		u.joins = append(u.joins, walkJoin{
-			l: u.find(j.LeftWrapper), la: u.lookup(j.LeftAttr),
-			r: u.find(j.RightWrapper), ra: u.lookup(j.RightAttr),
-		})
-		u.remaining = append(u.remaining, int32(i))
-	}
-	u.joined = append(u.joined[:0], make([]bool, len(u.local))...)
-	first := u.find(w.Wrappers[0].Wrapper)
-	u.joined[first] = true
-	u.refOrder = append(u.refOrder[:0], first)
+	u.refOrder = append(u.refOrder[:0], 0)
 	u.refSteps = u.refSteps[:0]
-	u.merge(u.local[first])
-	for len(u.remaining) > 0 {
-		progress := false
-		for i, ji := range u.remaining {
-			j, jc := u.joins[ji], w.Joins[ji]
-			st := stepRef{input: -1, left: j.la, right: j.ra}
-			accAttr, nextAttr := jc.LeftAttr, jc.RightAttr
-			switch {
-			case u.joined[j.l] && u.joined[j.r]:
-				st.filter = true
-			case u.joined[j.l]:
-				st.input = j.r
-			case u.joined[j.r]:
-				st.input, st.left, st.right = j.l, j.ra, j.la
-				accAttr, nextAttr = jc.RightAttr, jc.LeftAttr
-			default:
-				continue
+	u.merge(u.local[0])
+	for _, s := range u.walkSteps {
+		accAttr, nextAttr := s.attrs(w)
+		st := stepRef{filter: s.next < 0, input: -1, left: u.lookup(accAttr), right: u.lookup(nextAttr)}
+		if !st.filter {
+			st.input = u.find(w.Wrappers[s.next].Wrapper)
+			next := u.local[st.input]
+			if p := u.at(st.left); p < 0 || !u.acc[p].attr().ID {
+				return false, fmt.Errorf("relational: %q is not an ID attribute of %s%s", accAttr, u.renderName(), u.accSchema())
 			}
-			if !st.filter {
-				next := u.local[st.input]
-				if p := u.at(st.left); p < 0 || !u.acc[p].attr().ID {
-					return false, fmt.Errorf("relational: %q is not an ID attribute of %s%s", accAttr, u.renderName(), u.accSchema())
-				}
-				if !next.proj.IsID(nextAttr) {
-					return false, fmt.Errorf("relational: %q is not an ID attribute of %s%s", nextAttr, next.src.relName, next.proj)
-				}
-				shared = u.merge(next) || shared
-				u.joined[st.input] = true
-				u.refOrder = append(u.refOrder, st.input)
+			if !next.proj.IsID(nextAttr) {
+				return false, fmt.Errorf("relational: %q is not an ID attribute of %s%s", nextAttr, next.src.relName, next.proj)
 			}
-			u.refSteps = append(u.refSteps, st)
-			u.remaining = slices.Delete(u.remaining, i, i+1)
-			progress = true
-			break
+			shared = u.merge(next) || shared
+			u.refOrder = append(u.refOrder, st.input)
 		}
-		if !progress {
-			remaining := make([]JoinCondition, len(u.remaining))
-			for i, ji := range u.remaining {
-				remaining[i] = w.Joins[ji]
-			}
-			return false, fmt.Errorf("relational: walk joins are disconnected: %v", remaining)
-		}
-	}
-	for _, ref := range w.Wrappers {
-		if !u.joined[u.find(ref.Wrapper)] {
-			return false, fmt.Errorf("relational: wrapper %s is not connected by any join in the walk", ref.Wrapper)
-		}
+		u.refSteps = append(u.refSteps, st)
 	}
 	return shared, nil
 }
@@ -550,10 +502,17 @@ func (u *compiler) accSchema() Schema {
 // applying filter conditions as soon as both sides are accumulated. When
 // attribute names ARE shared, the merge's left-wins semantics make cell
 // values order-dependent, so the plan replays the reference order exactly.
-func (u *compiler) planPhysical(shared bool) (int32, []stepRef) {
+func (u *compiler) planPhysical(w *Walk, shared bool) (int32, []stepRef) {
 	replay := func() (int32, []stepRef) { return u.refOrder[0], u.refSteps }
 	if shared {
 		return replay()
+	}
+	u.joins = u.joins[:0]
+	for _, j := range w.Joins {
+		u.joins = append(u.joins, walkJoin{
+			l: u.find(j.LeftWrapper), la: u.lookup(j.LeftAttr),
+			r: u.find(j.RightWrapper), ra: u.lookup(j.RightAttr),
+		})
 	}
 	rows := func(li int32) int { return u.local[li].src.rows }
 	start := int32(0)
@@ -562,28 +521,25 @@ func (u *compiler) planPhysical(shared bool) (int32, []stepRef) {
 			start = int32(i)
 		}
 	}
-	for i := range u.joined {
-		u.joined[i] = false
-	}
-	u.joined[start] = true
-	u.remaining = u.remaining[:0]
-	for i := range u.joins {
-		u.remaining = append(u.remaining, int32(i))
-	}
+	var joinedBuf, takenBuf [64]bool
+	joined := slices.Grow(joinedBuf[:0], len(u.local))[:len(u.local)]
+	taken := slices.Grow(takenBuf[:0], len(u.joins))[:len(u.joins)]
+	joined[start] = true
 	u.physSteps = u.physSteps[:0]
-	for len(u.remaining) > 0 {
+	for range u.joins {
 		// Filters first: they only shrink the accumulated relation.
 		bestIdx, bestRows := -1, 0
 		var best stepRef
-		for i, ji := range u.remaining {
-			j := u.joins[ji]
+		for i, j := range u.joins {
 			var cand stepRef
 			switch {
-			case u.joined[j.l] && u.joined[j.r]:
+			case taken[i]:
+				continue
+			case joined[j.l] && joined[j.r]:
 				bestIdx, best = i, stepRef{filter: true, left: j.la, right: j.ra}
-			case u.joined[j.l]:
+			case joined[j.l]:
 				cand = stepRef{input: j.r, left: j.la, right: j.ra}
-			case u.joined[j.r]:
+			case joined[j.r]:
 				cand = stepRef{input: j.l, left: j.ra, right: j.la}
 			default:
 				continue
@@ -595,18 +551,18 @@ func (u *compiler) planPhysical(shared bool) (int32, []stepRef) {
 				bestIdx, bestRows, best = i, n, cand
 			}
 		}
-		// A successful reference simulation connects every condition to the
-		// single component, but it only proved the join columns it consumed
-		// as joins: a condition it applied as a filter may name an attribute
-		// its input does not carry. Replay the reference order then.
+		// The join order connects every condition to the single component,
+		// but the simulation only proved the join columns it consumed as
+		// joins: a condition it applied as a filter may name an attribute its
+		// input does not carry. Replay the reference order then.
 		if bestIdx < 0 || (!best.filter && u.local[best.input].col(best.right) < 0) {
 			return replay()
 		}
 		if !best.filter {
-			u.joined[best.input] = true
+			joined[best.input] = true
 		}
 		u.physSteps = append(u.physSteps, best)
-		u.remaining = slices.Delete(u.remaining, bestIdx, bestIdx+1)
+		taken[bestIdx] = true
 	}
 	return start, u.physSteps
 }

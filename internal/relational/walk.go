@@ -76,20 +76,13 @@ func (w *Walk) WrapperNames() []string {
 
 // HasWrapper reports whether the walk already references the wrapper.
 func (w *Walk) HasWrapper(name string) bool {
-	for _, ref := range w.Wrappers {
-		if ref.Wrapper == name {
-			return true
-		}
-	}
-	return false
+	return w.position(name) >= 0
 }
 
 // Ref returns the wrapper reference for the given wrapper name.
 func (w *Walk) Ref(name string) (*WrapperRef, bool) {
-	for i := range w.Wrappers {
-		if w.Wrappers[i].Wrapper == name {
-			return &w.Wrappers[i], true
-		}
+	if i := w.position(name); i >= 0 {
+		return &w.Wrappers[i], true
 	}
 	return nil, false
 }
@@ -158,45 +151,136 @@ func (w *Walk) Projections() []string {
 	return slices.Compact(out)
 }
 
-// SourcesDisjoint reports whether all wrappers of the walk come from
-// pairwise distinct data sources, which is the validity condition
-// ∀ wi,wj ∈ wrappers(W): source(wi) ≠ source(wj) from §2.2.
-func (w *Walk) SourcesDisjoint() bool {
-	for i, ref := range w.Wrappers {
-		if ref.Source == "" {
-			continue
-		}
-		for _, earlier := range w.Wrappers[:i] {
-			if earlier.Source == ref.Source {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Signature returns a canonical string identifying the walk's wrapper set;
 // equivalent walks share the same signature.
 func (w *Walk) Signature() string {
 	return strings.Join(w.WrapperNames(), "|")
 }
 
-// Validate checks the structural validity of the walk: non-empty, sources
-// pairwise disjoint, and every join condition references wrappers of the
-// walk.
+// Validate reports whether the walk is valid (§2.2): it has wrappers, they
+// come from pairwise distinct data sources (∀ wi,wj ∈ wrappers(W):
+// source(wi) ≠ source(wj)), every join condition names wrappers of the
+// walk, and the conditions connect every wrapper. Both executors check
+// exactly this first. The error renders its text from the walk when read,
+// so a rejection allocates nothing; the walk must not change before then.
 func (w *Walk) Validate() error {
+	var buf [16]joinStep
+	_, err := w.validate(buf[:0], false)
+	return err
+}
+
+// walkError is the error of Validate.
+type walkError struct{ w *Walk }
+
+func (e walkError) Error() string {
+	_, err := e.w.validate(nil, true)
+	return err.Error()
+}
+
+// invalid returns validate's error: text() when explain is set, else a
+// walkError.
+func (w *Walk) invalid(explain bool, text func() error) error {
+	if !explain {
+		return walkError{w}
+	}
+	return text()
+}
+
+// joinStep is one step of a walk's join order: condition Joins[join], whose
+// wrappers are at positions l and r of Wrappers, brings the wrapper at
+// position next into the accumulated result, or filters it when next is -1.
+type joinStep struct{ join, l, r, next int32 }
+
+// attrs returns the step's attribute on the accumulated side and the one on
+// the side it brings in (for a filter, the condition's left and right).
+func (s joinStep) attrs(w *Walk) (acc, next string) {
+	j := &w.Joins[s.join]
+	if s.next >= 0 && s.next == s.l {
+		return j.RightAttr, j.LeftAttr
+	}
+	return j.LeftAttr, j.RightAttr
+}
+
+// validate is Validate, appending to steps the walk's join order, which
+// both executors follow: from the first wrapper, each step is the
+// lowest-numbered condition not taken yet that names a joined wrapper; it
+// is a filter when both of its wrappers are joined, and brings the other in
+// otherwise. A wrapper is resolved to its first entry, so a duplicate entry
+// counts as one wrapper. Beyond growing steps, validate allocates only for
+// a walk of more than 64 wrappers, or to explain why it is invalid.
+func (w *Walk) validate(steps []joinStep, explain bool) ([]joinStep, error) {
 	if len(w.Wrappers) == 0 {
-		return fmt.Errorf("relational: walk has no wrappers")
+		return nil, fmt.Errorf("relational: walk has no wrappers")
 	}
-	if !w.SourcesDisjoint() {
-		return fmt.Errorf("relational: walk joins two schema versions of the same data source: %v", w.WrapperNames())
-	}
-	for _, j := range w.Joins {
-		if !w.HasWrapper(j.LeftWrapper) || !w.HasWrapper(j.RightWrapper) {
-			return fmt.Errorf("relational: join %v references a wrapper not in the walk", j)
+	for i, ref := range w.Wrappers {
+		for _, earlier := range w.Wrappers[:i] {
+			if ref.Source != "" && earlier.Source == ref.Source {
+				return nil, w.invalid(explain, func() error {
+					return fmt.Errorf("relational: walk joins two schema versions of the same data source: %v", w.WrapperNames())
+				})
+			}
 		}
 	}
-	return nil
+	base := len(steps)
+	for i, j := range w.Joins {
+		l, r := w.position(j.LeftWrapper), w.position(j.RightWrapper)
+		if l < 0 || r < 0 {
+			return nil, w.invalid(explain, func() error {
+				return fmt.Errorf("relational: join %v references a wrapper not in the walk", j)
+			})
+		}
+		steps = append(steps, joinStep{int32(i), int32(l), int32(r), -1})
+	}
+	var buf [64]bool
+	joined := slices.Grow(buf[:0], len(w.Wrappers))[:len(w.Wrappers)]
+	joined[0] = true
+	pending := steps[base:]
+	for k := range pending {
+		i := k
+		for ; i < len(pending); i++ {
+			if s := &pending[i]; joined[s.l] && !joined[s.r] {
+				s.next = s.r
+			} else if joined[s.r] && !joined[s.l] {
+				s.next = s.l
+			} else if !joined[s.l] {
+				continue
+			}
+			break
+		}
+		if i == len(pending) {
+			return nil, w.invalid(explain, func() error {
+				var remaining []JoinCondition
+				for _, s := range pending[k:] {
+					remaining = append(remaining, w.Joins[s.join])
+				}
+				return fmt.Errorf("relational: walk joins are disconnected: %v", remaining)
+			})
+		}
+		// Take the step, keeping the pending ones in declaration order.
+		s := pending[i]
+		copy(pending[k+1:i+1], pending[k:i])
+		if pending[k] = s; s.next >= 0 {
+			joined[s.next] = true
+		}
+	}
+	for i, ref := range w.Wrappers {
+		if !joined[i] && !joined[w.position(ref.Wrapper)] {
+			return nil, w.invalid(explain, func() error {
+				return fmt.Errorf("relational: wrapper %s is not connected by any join in the walk", ref.Wrapper)
+			})
+		}
+	}
+	return steps, nil
+}
+
+// position returns the first position of the wrapper in Wrappers, or -1.
+func (w *Walk) position(wrapper string) int {
+	for i := range w.Wrappers {
+		if w.Wrappers[i].Wrapper == wrapper {
+			return i
+		}
+	}
+	return -1
 }
 
 // String renders the walk in the paper's notation, e.g.

@@ -133,9 +133,10 @@ const rewriteCheckEvery = 256
 // cartesian product of the partial-walk lists (step 7), merge each pair
 // (step 8) and, when the two sides share no wrapper, join them through the
 // wrapper providing the edge between the two concepts on the ID attributes
-// (steps 9-10), as the window's join plan says. The result is the list of
-// candidate walks joining all concepts. The cartesian-product loop checks
-// ctx every rewriteCheckEvery merges.
+// (steps 9-10), as the window's join plan says. A candidate is kept exactly
+// when Walk.Validate accepts it, so a pair the plan left unjoined is dropped
+// there. The result is the list of candidate walks joining all concepts.
+// The cartesian-product loop checks ctx every rewriteCheckEvery merges.
 func interConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery, partials []PartialWalks) ([]*relational.Walk, error) {
 	if len(partials) == 0 {
 		return nil, fmt.Errorf("rewriting: no partial walks to join")
@@ -159,9 +160,10 @@ func interConceptGeneration(ctx context.Context, v *core.View, eq *ExpandedQuery
 				// already materializes the join; otherwise steps 9-10 join
 				// the two concepts through the plan.
 				merged := left.Merge(right)
-				if sharesWrapper(left, right) || plan.join(merged, r) {
-					joined = appendValidWalk(joined, merged)
+				if !sharesWrapper(left, right) {
+					plan.join(merged, r)
 				}
+				joined = appendValidWalk(joined, merged)
 			}
 		}
 		if len(joined) == 0 {
@@ -255,31 +257,28 @@ func edgeInQuery(q *OMQ, from, to rdf.IRI) bool {
 // join adds to merged, in place, the restricted joins between each edge
 // provider of the walk and the next concept's wrapper on the identifier
 // (Algorithm 5, lines 15-17). merged is the merge of a current and the r-th
-// next partial walk. join reports whether it added a join condition: an edge
-// provider that is itself the identifier's wrapper adds none, and a walk
-// joined through nothing else could not run.
-func (p *joinPlan) join(merged *relational.Walk, r int) bool {
+// next partial walk. An edge provider that is itself the identifier's
+// wrapper adds no condition; a walk joined through nothing else is
+// disconnected, and Validate drops it.
+func (p *joinPlan) join(merged *relational.Walk, r int) {
 	if len(p.providers) == 0 {
-		return false
+		return
 	}
 	id := p.ids[r]
 	if id.wrapper == "" {
-		return false
+		return
 	}
-	added := false
 	for _, edge := range p.providers {
 		// An edge provider outside this candidate walk would add a wrapper
 		// the analyst's concepts do not require; another pair covers it.
 		if !merged.HasWrapper(edge.wrapper) || edge.wrapper == id.wrapper {
 			continue
 		}
-		added = true
 		merged.AddJoin(relational.JoinCondition{
 			LeftWrapper: edge.wrapper, LeftAttr: edge.attr,
 			RightWrapper: id.wrapper, RightAttr: id.attr,
 		})
 	}
-	return added
 }
 
 // The frozen bench module times the phases one by one on an *core.Ontology;

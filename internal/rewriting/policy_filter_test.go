@@ -12,6 +12,7 @@ import (
 	"bdi/internal/relational"
 	"bdi/internal/rewriting"
 	"bdi/internal/workload"
+	"bdi/internal/wrapper"
 )
 
 // TestPolicyIsOnlyAFilterRandomizedSchedules checks that a version policy
@@ -22,7 +23,10 @@ import (
 // for every release n so far. Each policy rewrite must hold exactly the
 // all-versions walks whose wrappers the policy admits, in the same order,
 // and must fail exactly when no such walk is left. Admission is decided
-// here, from what the schedule registered, and not by the rewriter.
+// here, from what the schedule registered, and not by the rewriter. The
+// schedules also register the shape of TestJoinEdgeProviderIsIDSide on the
+// chain (idSideReleases), and every all-versions walk runs on one row per
+// wrapper (RequireResultRuns); the policy walks are among them.
 func TestPolicyIsOnlyAFilterRandomizedSchedules(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -36,13 +40,21 @@ func TestPolicyIsOnlyAFilterRandomizedSchedules(t *testing.T) {
 			// wrapper it or the churn registers has a source of its own.
 			releases := ec.Concepts * ec.WrappersPerConcept
 			superseded := map[string]bool{} // wrappers a newer version of their source replaced
-			versions := 0
+			versions, idSides := 0, 0
 			record := func(res *core.ReleaseResult, err error) {
 				t.Helper()
 				if err != nil {
 					t.Fatal(err)
 				}
 				releases = res.Sequence
+			}
+			// release registers a release of the test's own, and its wrapper
+			// so that the walks over it run.
+			release := func(r core.Release) {
+				t.Helper()
+				spec := r.Wrapper
+				ec.Registry.Register(wrapper.NewMemory(spec.Name, spec.Source, relational.NewSchema(spec.IDAttributes, spec.NonIDAttributes), nil))
+				record(ec.Ontology.NewRelease(r))
 			}
 
 			check := func(step int) {
@@ -66,10 +78,12 @@ func TestPolicyIsOnlyAFilterRandomizedSchedules(t *testing.T) {
 					policies = append(policies, rewriting.PolicyOptions{Policy: rewriting.AsOfRelease, Release: n})
 				}
 				r := rewriting.NewRewriter(ec.Ontology)
+				resolver := rewriting.OneRowResolver(ec.Registry)
 				for qi, q := range queries {
 					var all []*relational.Walk
 					if res, err := r.Rewrite(q); err == nil {
 						all = res.UCQ.Walks
+						rewriting.RequireResultRuns(t, res, resolver)
 					}
 					for _, p := range policies {
 						var want []string
@@ -106,7 +120,7 @@ func TestPolicyIsOnlyAFilterRandomizedSchedules(t *testing.T) {
 
 			check(-1)
 			for step := 0; step < 12; step++ {
-				switch rng.Intn(4) {
+				switch rng.Intn(5) {
 				case 0:
 					record(ec.RegisterUnrelatedRelease())
 				case 1:
@@ -122,8 +136,15 @@ func TestPolicyIsOnlyAFilterRandomizedSchedules(t *testing.T) {
 						if superseded[old] {
 							break
 						}
-						record(ec.Ontology.NewRelease(chainVersion(ec, i, j, old+"_v2")))
+						release(chainRelease(ec, i, old+"_v2", fmt.Sprintf("S_c%d_%d", i, j), false, i+1 < ec.Concepts))
 						superseded[old] = true
+					}
+				case 3:
+					if idSides < 2 {
+						idSides++
+						for _, r := range idSideReleases(ec, rng.Intn(ec.Concepts-1), idSides) {
+							release(r)
+						}
 					}
 				default:
 					// No release: the same ontology is checked again.
@@ -134,14 +155,16 @@ func TestPolicyIsOnlyAFilterRandomizedSchedules(t *testing.T) {
 	}
 }
 
-// chainVersion is a new schema version of the source of the chain wrapper
-// w_c<i>_<j>: a wrapper of the given name with the same attributes and LAV
-// mapping as the one the worst-case builder registered.
-func chainVersion(ec *workload.EvolutionChurn, i, j int, name string) core.Release {
+// chainRelease is a wrapper of chain concept i, from the given source,
+// shaped like the worst-case builder's: the concept's ID and value, the edge
+// from concept i-1 with its own ID when edgeIn (the builder's wrappers have
+// no such edge), and the edge to concept i+1 with that concept's ID when
+// edgeOut.
+func chainRelease(ec *workload.EvolutionChurn, i int, name, source string, edgeIn, edgeOut bool) core.Release {
 	iri := func(format string, k int) rdf.IRI { return rdf.IRI(workload.NSWorst + fmt.Sprintf(format, k)) }
 	spec := core.WrapperSpec{
 		Name:            name,
-		Source:          fmt.Sprintf("S_c%d_%d", i, j),
+		Source:          source,
 		IDAttributes:    []string{fmt.Sprintf("c%d_id", i)},
 		NonIDAttributes: []string{fmt.Sprintf("c%d_value", i)},
 	}
@@ -154,7 +177,10 @@ func chainVersion(ec *workload.EvolutionChurn, i, j int, name string) core.Relea
 		fmt.Sprintf("c%d_id", i):    iri("c%d_id", i),
 		fmt.Sprintf("c%d_value", i): iri("c%d_value", i),
 	}
-	if i+1 < ec.Concepts {
+	if edgeIn {
+		g.Add(rdf.T(iri("C%d", i-1), iri("c%d_next", i-1), iri("C%d", i)))
+	}
+	if edgeOut {
 		next := fmt.Sprintf("c%d_id", i+1)
 		spec.IDAttributes = append(spec.IDAttributes, next)
 		g.Add(
@@ -164,4 +190,17 @@ func chainVersion(ec *workload.EvolutionChurn, i, j int, name string) core.Relea
 		f[next] = iri("c%d_id", i+1)
 	}
 	return core.Release{Wrapper: spec, Subgraph: g, F: f}
+}
+
+// idSideReleases is the shape of TestJoinEdgeProviderIsIDSide on the chain,
+// between concepts i and i+1: a wrapper of concept i without the edge to
+// concept i+1, and a wrapper of concept i+1 that provides that edge itself,
+// each from a source of its own. Algorithm 5 joins either with the other
+// wrappers of the chain, but a candidate walk through both has no join
+// condition between them, so Validate drops it.
+func idSideReleases(ec *workload.EvolutionChurn, i, n int) []core.Release {
+	return []core.Release{
+		chainRelease(ec, i, fmt.Sprintf("w_c%d_noedge%d", i, n), fmt.Sprintf("S_c%d_noedge%d", i, n), false, false),
+		chainRelease(ec, i+1, fmt.Sprintf("w_c%d_idside%d", i+1, n), fmt.Sprintf("S_c%d_idside%d", i+1, n), true, i+2 < ec.Concepts),
+	}
 }
